@@ -5,7 +5,8 @@ A valid certificate leaves Y invariant, is norming for every minimal
 projection, and its trace restricted to Y equals the projection
 constant, which makes it an exact optimality witness for lambda(Y, X).
 The LP dual of the projection solve is one such certificate; a
-minimum-support one is found by subset search over the implicit pairs.
+minimum-support one is found by exact linear solves over subsets of the
+implicit pairs, smallest subsets first.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .geometry import PolyhedralSpace, Subspace
 from .linalg import RMatrix, dot, rows_rank, solve_linear
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint,
                           build_operator_basis)
-from .simplex import OPTIMAL, LinearProgram, solve
 
 
 @dataclass(frozen=True)
@@ -156,11 +156,15 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
                        witness: OperatorPoint | None = None) -> tuple[CMFunctional, int]:
     """Smallest-support certificate over the candidate pairs.
 
-    Subsets are enumerated by cardinality, then lexicographically; each is
-    tested by an exact LP maximizing the minimal weight tau subject to the
-    vanishing conditions and weight sum 1.  The subset is a valid support
-    exactly when tau* > 0.  The first hit has globally minimal support
-    over the candidate set.
+    Subsets are enumerated by cardinality, then lexicographically.  Each
+    pair p contributes the column [v_p; 1], where v_p lists its values on
+    the basis operators of L_Y(X, Y); a subset is a valid support exactly
+    when [v_p; 1]·w = [0; 1] has a solution w > 0.  A smallest such support
+    has linearly independent columns (Caratheodory: a dependent one could
+    be shrunk), so its weights are the unique exact solution of that
+    system and sizes beyond k(n-k) + 1 never need to be tried.  The first
+    hit has globally minimal support over the candidate set and is
+    verified before it is returned.
     """
     candidates = sorted(set(candidate_pairs))
     if not candidates:
@@ -171,46 +175,21 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
 
     basis = build_operator_basis(space, Y)
     d = len(basis.basis_ops)
-    vanish = {}
+    column = {}
     for pair in candidates:
         pi, dj = pair
         x = space.primal_vertices[pi]
         f = space.dual_vertices[dj]
-        vanish[pair] = tuple(dot(f, L.apply(x)) for L in basis.basis_ops)
+        column[pair] = tuple(dot(f, L.apply(x)) for L in basis.basis_ops) + (Fraction(1),)
+    target = (Fraction(0),) * d + (Fraction(1),)
 
-    one = Fraction(1)
-    zero = Fraction(0)
-    for size in range(1, len(candidates) + 1):
+    for size in range(1, min(d + 1, len(candidates)) + 1):
         for subset in itertools.combinations(candidates, size):
-            rows: list[list[Fraction]] = []
-            rhs: list[Fraction] = []
-            for i in range(size):  # a_i >= tau
-                row = [zero] * (size + 1)
-                row[i] = -one
-                row[size] = one
-                rows.append(row)
-                rhs.append(zero)
-            rows.append([one] * size + [zero])  # sum = 1
-            rhs.append(one)
-            rows.append([-one] * size + [zero])
-            rhs.append(-one)
-            for q in range(d):  # vanishing, as equality pairs
-                row = [vanish[p][q] for p in subset] + [zero]
-                rows.append(row)
-                rhs.append(zero)
-                rows.append([-v for v in row])
-                rhs.append(zero)
-            rows.append([zero] * size + [one])  # tau <= 1
-            rhs.append(one)
-            lp = LinearProgram(
-                objective=tuple([zero] * size + [-one]),
-                constraint_matrix=RMatrix.from_rows(rows),
-                rhs=tuple(rhs),
-            )
-            sol = solve(lp)
-            if sol.status != OPTIMAL or -sol.value <= 0:
+            weights = solve_linear(
+                RMatrix.from_rows(column[p] for p in subset).transpose(), target)
+            if weights is None or any(w <= 0 for w in weights):
                 continue
-            cm = CMFunctional(pairs=subset, weights=sol.primal[:size])
+            cm = CMFunctional(pairs=subset, weights=weights)
             check = (verify_cm(space, Y, cm, lam, witness, basis=basis)
                      if witness is not None else
                      _verify_without_projection(space, Y, cm, lam, basis))

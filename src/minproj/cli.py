@@ -28,7 +28,7 @@ from .geometry import (PolyhedralSpace, Subspace, general_position_check,
                        polar_dual)
 from .jsonio import (certificate_json, dumps, load_document, matrix_json,
                      parse_certificate_document, parse_space_document,
-                     space_json, vector_json)
+                     vector_json)
 from .projections import build_operator_basis, face_dimension, projection_constant
 from .rational import approx_decimal, format_rational
 

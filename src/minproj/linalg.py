@@ -14,8 +14,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-QQ = Fraction
-
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
@@ -96,18 +94,6 @@ class RMatrix:
                     acc += self.entries[base + t] * other.entries[t * other.cols + j]
                 out.append(acc)
         return RMatrix(self.rows, other.cols, tuple(out))
-
-    def __matmul__(self, other: "RMatrix") -> "RMatrix":
-        return self.matmul(other)
-
-    def hstack(self, other: "RMatrix") -> "RMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row counts disagree")
-        out = []
-        for i in range(self.rows):
-            out.extend(self.row(i))
-            out.extend(other.row(i))
-        return RMatrix(self.rows, self.cols + other.cols, tuple(out))
 
     def scale(self, factor: Fraction) -> "RMatrix":
         return RMatrix(self.rows, self.cols,
@@ -211,11 +197,6 @@ def rref_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]],
         if r == len(work):
             break
     return work, pivots
-
-
-def rref(M: RMatrix) -> tuple[RMatrix, tuple[int, ...]]:
-    rows, pivots = rref_rows(M.row_list())
-    return RMatrix.from_rows(rows) if rows else RMatrix(0, M.cols, ()), tuple(pivots)
 
 
 def canonical_span(rows: Iterable[Sequence[Fraction]]) -> tuple[Vector, ...]:

@@ -6,7 +6,8 @@ minimization becomes: minimize t subject to f(P x) <= t over the finite
 grid of (ball vertex, dual vertex) pairs.  The optimum is the relative
 projection constant; tight grid rows are norming pairs; the optimal face
 of the LP is exactly the set of minimal projections, and its affine
-dimension is read off the implicit-equality rows.
+dimension is read off the implicit-equality rows, which a few Gordan
+rounds (one small LP each) decide exactly.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterable, Sequence
 
 from .errors import NotMinimalError
 from .geometry import PolyhedralSpace, Subspace, norm_eval
 from .linalg import RMatrix, Vector, dot, inverse, nullspace_basis, rows_rank
-from .simplex import (INFEASIBLE, OPTIMAL, LinearProgram, LPSolution, solve,
-                      solve_on_face)
+from .simplex import INFEASIBLE, OPTIMAL, LinearProgram, solve
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,14 @@ def build_pair_grid(space: PolyhedralSpace, Y: Subspace,
 
 @dataclass
 class MinProjReport:
-    """Everything known about P_min(X, Y); face fields are filled in by
-    face_dimension, which mutates the report in place."""
+    """Everything known about P_min(X, Y).
+
+    projection_constant fills in lambda, one optimal vertex (witness) with
+    its norming pairs, and the LP dual weights.  face_dimension then fills
+    in, in place, the face fields: the affine dimension of the optimal
+    face, the implicit pairs (norming for every minimal projection), and a
+    relative-interior point, found by Gordan rounds on the cone of
+    directions from the witness."""
 
     space: PolyhedralSpace
     subspace: Subspace
@@ -211,42 +218,90 @@ def norming_pairs(space: PolyhedralSpace, Y: Subspace, P: OperatorPoint,
     return frozenset(grid.pairs[r] for r, v in enumerate(values) if v == lam)
 
 
+def _restrict_to_face(grid: PairGrid, implicit: Sequence[int],
+                      rows: Iterable[int], d: int) -> tuple[list[Vector], dict[int, Vector]]:
+    """Columns of a basis N of {z : coefs[r]·z = 0 for r in implicit} and,
+    for each of rows, its coefficients restricted to N (coefs[r]·N)."""
+    N = (nullspace_basis(RMatrix.from_rows([grid.coefs[r] for r in implicit]))
+         if implicit else RMatrix.identity(d))
+    cols = [N.col(q) for q in range(N.cols)]
+    return cols, {r: tuple(dot(grid.coefs[r], col) for col in cols) for r in rows}
+
+
 def face_dimension(space: PolyhedralSpace, Y: Subspace,
                    report: MinProjReport) -> tuple[int, frozenset[tuple[int, int]]]:
     """Decide which tight rows are implicit equalities of the optimal face.
 
-    One secondary LP per undecided tight row maximizes that row's slack
-    over the face (by minimizing the row's coefficient form); a row whose
-    maximal slack is zero is tight at every minimal projection.  Rows
-    already slack at some collected optimum are skipped.  The exact
-    average of all collected optima lies in the relative interior, and
-    its norming pairs are exactly the implicit pairs.  face_dim is the
-    coefficient dimension minus the rank of the implicit rows.
+    Only rows tight at the witness can be implicit, and near the witness
+    the face is the witness plus the cone K = {z : coefs[r]·z <= 0 for r
+    tight}.  Gordan rounds find the implicit equalities of K.  Each round
+    works in the nullspace N of the rows found implicit so far: rows whose
+    restricted coefficients G_r = coefs[r]·N vanish are implicit, and one
+    LP maximizes delta <= 1 subject to G_r·y + delta <= 0 over the other
+    undecided rows.  If delta* > 0, none of them is implicit and z = N·y
+    points into the relative interior of K.  If delta* = 0, the verified
+    dual u >= 0 has sum u_r G_r = 0 (Gordan's alternative), so every row
+    it charges is implicit and N loses a dimension: at most k(n-k) + 1
+    LPs in all.
+
+    The relative-interior point is witness + eps·z, where eps keeps every
+    row that is slack at the witness at least half slack; its norming
+    pairs are exactly the implicit pairs, and it is the witness itself
+    when the face is a point.  face_dim is the dimension of N.
     """
     grid = report.grid
-    d = len(report.witness.coefficients)
     lam = report.lam
-    points: list[tuple[Fraction, ...]] = [report.witness.coefficients]
-    implicit_rows: list[int] = []
-    for r in report._witness_tight:
-        if any(grid.row_value(r, p) != lam for p in points):
-            continue
-        sub = solve_on_face(grid.lp, lam, grid.coefs[r] + (Fraction(0),))
-        assert sub.status == OPTIMAL
-        points.append(sub.primal[:d])
-        if lam - grid.base[r] - sub.value == 0:
-            implicit_rows.append(r)
+    witness = report.witness.coefficients
+    d = len(witness)
+    zero, one = Fraction(0), Fraction(1)
+    implicit: list[int] = []
+    undecided = list(report._witness_tight)
+    while True:
+        cols, restricted = _restrict_to_face(grid, implicit, undecided, d)
+        implicit += [r for r in undecided if not any(restricted[r])]
+        undecided = [r for r in undecided if any(restricted[r])]
+        m = len(cols)
+        if not undecided:
+            y = (zero,) * m
+            break
+        sol = solve(LinearProgram(
+            objective=(zero,) * m + (-one,),
+            constraint_matrix=RMatrix.from_rows(
+                [restricted[r] + (one,) for r in undecided]
+                + [(zero,) * m + (one,)]),
+            rhs=(zero,) * len(undecided) + (one,),
+        ))
+        if sol.status != OPTIMAL:
+            raise AssertionError(f"Gordan round LP is {sol.status} (internal bug)")
+        if sol.value < 0:
+            y = sol.primal[:m]
+            break
+        charged = {r for r, u in zip(undecided, sol.dual) if u > 0}
+        if not charged:
+            raise AssertionError("Gordan round charged no row at delta* = 0 (internal bug)")
+        implicit.extend(charged)
+        undecided = [r for r in undecided if r not in charged]
 
-    face_dim = d - (rows_rank([grid.coefs[r] for r in implicit_rows])
-                    if implicit_rows else 0)
-    count = Fraction(len(points))
-    interior = tuple(sum(p[q] for p in points) / count for q in range(d))
-    assert grid.tight_rows(interior, lam) == implicit_rows
-    report.face_dim = face_dim
-    report.implicit_pairs = frozenset(grid.pairs[r] for r in implicit_rows)
+    z = tuple(sum((col[i] * yq for col, yq in zip(cols, y)), zero)
+              for i in range(d))
+    eps = one
+    tight = set(report._witness_tight)
+    for r in range(len(grid.pairs)):
+        if r in tight:
+            continue
+        rise = dot(grid.coefs[r], z)
+        if rise > 0:
+            eps = min(eps, (lam - grid.row_value(r, witness)) / (2 * rise))
+    interior = tuple(w + eps * zq for w, zq in zip(witness, z))
+    implicit.sort()
+    if grid.tight_rows(interior, lam) != implicit:
+        raise AssertionError("relative-interior point is tight off the implicit rows "
+                             "(internal bug)")
+    report.face_dim = len(cols)
+    report.implicit_pairs = frozenset(grid.pairs[r] for r in implicit)
     report.interior = OperatorPoint(interior)
-    report._implicit_rows = tuple(implicit_rows)
-    return face_dim, report.implicit_pairs
+    report._implicit_rows = tuple(implicit)
+    return report.face_dim, report.implicit_pairs
 
 
 def max_norming_projection(space: PolyhedralSpace, Y: Subspace,
@@ -272,24 +327,16 @@ def max_norming_projection(space: PolyhedralSpace, Y: Subspace,
         return report.interior, len(report.implicit_pairs)
 
     implicit = set(report._implicit_rows)
-    if implicit:
-        N = nullspace_basis(RMatrix.from_rows([grid.coefs[r] for r in implicit]))
-    else:
-        N = RMatrix.identity(d)
-    assert N.cols == fd
-    ncols = [N.col(q) for q in range(fd)]
+    ncols, restricted = _restrict_to_face(
+        grid, report._implicit_rows,
+        [r for r in range(len(grid.pairs)) if r not in implicit], d)
 
-    restricted: dict[int, tuple[Fraction, ...]] = {}
     slack0: dict[int, Fraction] = {}
     candidates: list[int] = []
-    for r in range(len(grid.pairs)):
-        if r in implicit:
-            continue
-        G = tuple(dot(grid.coefs[r], col) for col in ncols)
+    for r, G in restricted.items():
         s = lam - grid.row_value(r, interior)
         assert s > 0
         if any(G):
-            restricted[r] = G
             slack0[r] = s
             candidates.append(r)
 

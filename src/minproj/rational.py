@@ -66,16 +66,3 @@ def approx_decimal(value: Fraction, significant_digits: int = 12) -> str:
         ctx.prec = significant_digits
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
-
-def parse_vector(values: object, length: int | None = None) -> tuple[Fraction, ...]:
-    """Parse a JSON-style list of rationals; optionally enforce a length."""
-    if not isinstance(values, (list, tuple)):
-        raise InputFormatError(f"expected a list of rationals, got {type(values).__name__}")
-    vec = tuple(parse_rational(v) for v in values)
-    if length is not None and len(vec) != length:
-        raise InputFormatError(f"expected a vector of length {length}, got {len(vec)}")
-    return vec
-
-
-def format_vector(vec) -> list[str]:
-    return [format_rational(x) for x in vec]

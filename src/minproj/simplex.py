@@ -416,24 +416,3 @@ def _verify_certificate(lp, value, primal, dual, row_values, tight) -> None:
         raise AssertionError("primal value mismatch")
     SOLVE_STATS["duality_verified"] += 1
 
-
-def solve_on_face(lp: LinearProgram, fixed_value: Fraction,
-                  secondary_objective: Sequence[Fraction],
-                  method: str | None = None) -> LPSolution:
-    """Optimize a secondary objective over the optimal face of a solved LP.
-
-    The face is encoded by pinning objective·v = fixed_value with two
-    inequality rows appended to the original system.  INFEASIBLE here
-    means the caller passed a value that is not the optimum.
-    """
-    fixed = Fraction(fixed_value)
-    rows = lp.constraint_matrix.row_list()
-    rows.append(lp.objective)
-    rows.append(tuple(-x for x in lp.objective))
-    rhs = lp.rhs + (fixed, -fixed)
-    pinned = LinearProgram(
-        objective=tuple(Fraction(x) for x in secondary_objective),
-        constraint_matrix=RMatrix.from_rows(rows),
-        rhs=rhs,
-    )
-    return solve(pinned, method=method)

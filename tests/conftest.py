@@ -1,9 +1,23 @@
+import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import minproj
 from minproj.catalog import paper_cases
 from minproj.projections import face_dimension, projection_constant
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """Child interpreters started by the tests import this same minproj,
+    also when it was found through pytest's pythonpath setting."""
+    src = str(Path(minproj.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", path)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,113 @@
+"""Reference implementations kept as oracles for the exact methods in
+``projections.face_dimension`` and ``certificates.minimal_support_cm``.
+
+Both are the earlier loop-of-LPs algorithms: the optimal face decided by
+one pinned-objective LP per tight row, and the minimal-support
+certificate found by one "maximize the smallest weight" LP per candidate
+subset.  They are slow but independent of the Gordan rounds and of the
+exact linear solves that replaced them, so agreement between the two is
+evidence for both.
+"""
+
+import itertools
+from fractions import Fraction
+
+from minproj.errors import CertificateInvalidError, SupportBudgetExceededError
+from minproj.linalg import RMatrix, dot, rows_rank
+from minproj.projections import build_operator_basis
+from minproj.simplex import OPTIMAL, LinearProgram, solve
+
+
+def solve_on_face(lp, fixed_value, secondary_objective):
+    """Optimize a secondary objective over the optimal face of a solved LP.
+
+    The face is encoded by pinning objective·v = fixed_value with two
+    inequality rows appended to the original system.  INFEASIBLE here
+    means the caller passed a value that is not the optimum.
+    """
+    fixed = Fraction(fixed_value)
+    rows = lp.constraint_matrix.row_list()
+    rows.append(lp.objective)
+    rows.append(tuple(-x for x in lp.objective))
+    pinned = LinearProgram(
+        objective=tuple(Fraction(x) for x in secondary_objective),
+        constraint_matrix=RMatrix.from_rows(rows),
+        rhs=lp.rhs + (fixed, -fixed),
+    )
+    return solve(pinned)
+
+
+def face_dimension_per_row(report):
+    """(face_dim, implicit pairs, relative-interior coefficients) by one
+    secondary LP per undecided tight row: a row whose maximal slack over
+    the optimal face is zero is an implicit equality.  Rows already slack
+    at a collected optimum are skipped, and the average of the collected
+    optima lies in the relative interior.  The report is not modified."""
+    grid = report.grid
+    d = len(report.witness.coefficients)
+    lam = report.lam
+    points = [report.witness.coefficients]
+    implicit_rows = []
+    for r in report.grid.tight_rows(report.witness.coefficients, lam):
+        if any(grid.row_value(r, p) != lam for p in points):
+            continue
+        sub = solve_on_face(grid.lp, lam, grid.coefs[r] + (Fraction(0),))
+        assert sub.status == OPTIMAL
+        points.append(sub.primal[:d])
+        if lam - grid.base[r] - sub.value == 0:
+            implicit_rows.append(r)
+    face_dim = d - (rows_rank([grid.coefs[r] for r in implicit_rows])
+                    if implicit_rows else 0)
+    count = Fraction(len(points))
+    interior = tuple(sum(p[q] for p in points) / count for q in range(d))
+    assert grid.tight_rows(interior, lam) == implicit_rows
+    return face_dim, frozenset(grid.pairs[r] for r in implicit_rows), interior
+
+
+def minimal_support_by_lp(space, Y, candidate_pairs, max_candidates=24):
+    """(pairs, weights) of the smallest-support certificate over the
+    candidates: subsets by cardinality, then lexicographically, each tested
+    by an LP maximizing the smallest weight tau subject to the vanishing
+    conditions and weight sum 1; the first subset with tau* > 0 wins."""
+    candidates = sorted(set(candidate_pairs))
+    if not candidates:
+        raise CertificateInvalidError("no candidate pairs to search")
+    if len(candidates) > max_candidates:
+        raise SupportBudgetExceededError(
+            f"{len(candidates)} candidate pairs exceed the cap of {max_candidates}")
+    basis = build_operator_basis(space, Y)
+    d = len(basis.basis_ops)
+    vanish = {(pi, dj): tuple(dot(space.dual_vertices[dj],
+                                  L.apply(space.primal_vertices[pi]))
+                              for L in basis.basis_ops)
+              for pi, dj in candidates}
+    one, zero = Fraction(1), Fraction(0)
+    for size in range(1, len(candidates) + 1):
+        for subset in itertools.combinations(candidates, size):
+            rows, rhs = [], []
+            for i in range(size):  # a_i >= tau
+                row = [zero] * (size + 1)
+                row[i] = -one
+                row[size] = one
+                rows.append(row)
+                rhs.append(zero)
+            rows.append([one] * size + [zero])  # sum = 1
+            rhs.append(one)
+            rows.append([-one] * size + [zero])
+            rhs.append(-one)
+            for q in range(d):  # vanishing, as equality pairs
+                row = [vanish[p][q] for p in subset] + [zero]
+                rows.append(row)
+                rhs.append(zero)
+                rows.append([-v for v in row])
+                rhs.append(zero)
+            rows.append([zero] * size + [one])  # tau <= 1
+            rhs.append(one)
+            sol = solve(LinearProgram(
+                objective=tuple([zero] * size + [-one]),
+                constraint_matrix=RMatrix.from_rows(rows),
+                rhs=tuple(rhs),
+            ))
+            if sol.status == OPTIMAL and -sol.value > 0:
+                return subset, sol.primal[:size]
+    raise CertificateInvalidError("no valid certificate over the candidate pairs")

@@ -12,6 +12,7 @@ import pytest
 
 import minproj.cli as cli
 from minproj.catalog import paper_cases
+from minproj.jsonio import space_json
 from minproj.rational import parse_rational
 
 LINF3 = {
@@ -36,8 +37,8 @@ def space_file(tmp_path):
     return str(path)
 
 
-def _run(args):
-    return subprocess.run([sys.executable, "-m", "minproj", *args],
+def _run(args, interpreter_flags=()):
+    return subprocess.run([sys.executable, *interpreter_flags, "-m", "minproj", *args],
                           capture_output=True, text=True)
 
 
@@ -82,6 +83,19 @@ def test_analyze_byte_determinism(space_file, tmp_path):
     third = _run(["analyze", "--input", space_file, "--output", str(out_file)])
     assert third.returncode == 0
     assert out_file.read_text() == first.stdout
+
+
+def test_analyze_same_report_under_optimize_flag(tmp_path):
+    # The face and support invariants raise explicitly, so they still run
+    # (and the report is unchanged) when python -O strips asserts.
+    case = next(c for c in paper_cases() if c.name == "partial-sum-linf-n4-k3")
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(space_json(case.space, case.subspace)))
+    plain = _run(["analyze", "--input", str(path)])
+    optimized = _run(["analyze", "--input", str(path)], interpreter_flags=["-O"])
+    assert plain.returncode == optimized.returncode == 0, optimized.stderr
+    assert json.loads(plain.stdout)["face_dim"] > 0
+    assert optimized.stdout == plain.stdout
 
 
 def test_analyze_float_input(tmp_path, capsys):

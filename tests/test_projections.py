@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from minproj.catalog import l1_ball, linf_ball
+from minproj.catalog import l1_ball, linf_ball, random_subspace
 from minproj.errors import NotMinimalError
 from minproj.geometry import Subspace, norm_eval
 from minproj.linalg import RMatrix, rows_rank
@@ -10,6 +10,7 @@ from minproj.projections import (OperatorPoint, build_operator_basis,
                                  build_pair_grid, face_dimension,
                                  max_norming_projection, norming_pairs,
                                  operator_norm, projection_constant)
+from minproj.simplex import SOLVE_STATS
 
 F = Fraction
 
@@ -27,7 +28,7 @@ def test_operator_basis_structure(ker_sum_3):
     n, k = space.dim, Y.dim
     assert len(basis.basis_ops) == k * (n - k)
     P0 = basis.base_projection
-    assert (P0 @ P0).row_list() == P0.row_list()
+    assert P0.matmul(P0).row_list() == P0.row_list()
     for y in Y.basis_vectors():
         assert P0.apply(y) == y
     for op in basis.basis_ops:
@@ -180,3 +181,14 @@ def test_reports_are_deterministic(ker_sum_3):
     assert r1.dual_certificate == r2.dual_certificate
     assert face_dimension(space, Y, r1) == face_dimension(space, Y, r2)
     assert r1.interior == r2.interior
+
+
+def test_face_dimension_lp_count(analyzed):
+    # at most one Gordan round per dimension the face can lose, plus one
+    cases = [(a.case.space, a.case.subspace) for a in analyzed.values()]
+    cases.append((linf_ball(6), random_subspace(6, 5, 7)))
+    for space, Y in cases:
+        report = projection_constant(space, Y)
+        before = SOLVE_STATS["solves"]
+        face_dimension(space, Y, report)
+        assert SOLVE_STATS["solves"] - before <= Y.dim * (space.dim - Y.dim) + 1

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from minproj.errors import InputFormatError
-from minproj.rational import (approx_decimal, format_rational, format_vector,
-                              parse_rational, parse_vector)
+from minproj.rational import approx_decimal, format_rational, parse_rational
 
 
 def test_parse_ints_and_strings():
@@ -41,11 +40,3 @@ def test_approx_decimal_significant_digits():
     assert approx_decimal(Fraction(-8, 5)) == "-1.6"
     assert approx_decimal(Fraction(1, 7), significant_digits=5) == "0.14286"
 
-
-def test_vectors():
-    assert parse_vector(["1/2", 3, "-1"]) == (Fraction(1, 2), Fraction(3), Fraction(-1))
-    assert format_vector((Fraction(1, 2), Fraction(2))) == ["1/2", "2"]
-    with pytest.raises(InputFormatError):
-        parse_vector(["1/2"], length=2)
-    with pytest.raises(InputFormatError):
-        parse_vector("not-a-list")

@@ -11,7 +11,8 @@ import pytest
 
 from minproj.linalg import RMatrix, dot, solve_linear
 from minproj.simplex import (INFEASIBLE, OPTIMAL, SOLVE_STATS, UNBOUNDED,
-                             make_lp, solve, solve_on_face)
+                             make_lp, solve)
+from oracles import solve_on_face
 
 F = Fraction
 
