@@ -9,9 +9,9 @@ from .catalog import (CaseExpectation, NamedCase, l1_ball, linf_ball,
 from .certificates import (CMFunctional, CMVerdict, cm_from_dual, cm_operator,
                            cm_rank_gap, minimal_support_cm, trace_on_subspace,
                            verify_cm)
-from .errors import (CertificateInvalidError, InputFormatError, MinprojError,
-                     NotExtremeError, NotFullDimensionalError, NotMinimalError,
-                     NotSymmetricError, RankGapViolationError,
+from .errors import (CertificateInvalidError, InputFormatError, InternalError,
+                     MinprojError, NotExtremeError, NotFullDimensionalError,
+                     NotMinimalError, NotSymmetricError, RankGapViolationError,
                      SubsetBudgetExceededError, SupportBudgetExceededError)
 from .geometry import (GeneralPositionReport, PolyhedralSpace, Subspace,
                        general_position_check, is_extreme, norm_eval,
@@ -26,7 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CMFunctional", "CMVerdict", "CaseExpectation", "CertificateInvalidError",
-    "GeneralPositionReport", "InputFormatError", "KERNEL_IMPLEMENTATION",
+    "GeneralPositionReport", "InputFormatError", "InternalError",
+    "KERNEL_IMPLEMENTATION",
     "MinProjReport", "MinprojError", "NamedCase", "NotExtremeError",
     "NotFullDimensionalError", "NotMinimalError", "NotSymmetricError",
     "OperatorBasis", "OperatorPoint", "PolyhedralSpace", "QQ",

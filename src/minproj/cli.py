@@ -7,8 +7,9 @@ input ball), certify (check a certificate file against a space).
 
 Exit codes: 0 success, 1 mismatch or failed verification, 2 malformed
 input, 3 enumeration budget exceeded (a partial report is still
-emitted).  All vertex/functional indices in reports are 0-based and
-refer to the order in which vertices are stored on the space.  Output is
+emitted), 4 internal failure (an invariant of the computation broke).
+All vertex/functional indices in reports are 0-based and refer to the
+order in which vertices are stored on the space.  Output is
 byte-identical for identical inputs and flags.
 """
 
@@ -22,8 +23,8 @@ from pathlib import Path
 
 from .catalog import paper_cases, random_subspace
 from .certificates import cm_from_dual, minimal_support_cm, verify_cm
-from .errors import (InputFormatError, MinprojError, SubsetBudgetExceededError,
-                     SupportBudgetExceededError)
+from .errors import (InputFormatError, InternalError, MinprojError,
+                     SubsetBudgetExceededError, SupportBudgetExceededError)
 from .geometry import (PolyhedralSpace, Subspace, general_position_check,
                        polar_dual)
 from .jsonio import (certificate_json, dumps, load_document, matrix_json,
@@ -336,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return _HANDLERS[cfg.command](cfg)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (MinprojError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,7 @@
 
 Every error that callers are expected to catch has its own class; the CLI
 maps them onto its exit-code contract (2 for bad input, 3 for exhausted
-enumeration budgets).
+enumeration budgets, 4 for an internal failure).
 """
 
 
@@ -44,3 +44,7 @@ class SupportBudgetExceededError(MinprojError):
 
 class RankGapViolationError(MinprojError):
     """The rank-drop law for certificates with constant > 1 failed (implementation bug)."""
+
+
+class InternalError(MinprojError):
+    """An invariant of the computation failed: a bug, never a property of the input."""

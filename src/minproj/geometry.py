@@ -13,12 +13,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import (NotExtremeError, NotFullDimensionalError,
+from .errors import (InternalError, NotExtremeError, NotFullDimensionalError,
                      NotSymmetricError, SubsetBudgetExceededError)
-from .linalg import (RMatrix, Vector, canonical_span, dot, nullspace_basis,
-                     rows_rank, solve_linear)
+from .linalg import (RMatrix, Vector, dot, integer_row_rank, integer_rows,
+                     nullspace_basis, rows_rank, solve_linear)
 from .simplex import INFEASIBLE, make_lp, solve
 
 _ONE = Fraction(1)
@@ -112,7 +112,8 @@ def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
     tights: list[set[int]] = []
     for signs in itertools.product((1, -1), repeat=n):
         f = solve_linear(V, [Fraction(s) for s in signs])
-        assert f is not None
+        if f is None:
+            raise InternalError("independent vertices give a singular system")
         points.append(f)
         tight = set()
         for pos, i in enumerate(chosen):
@@ -348,57 +349,62 @@ def general_position_check(space: PolyhedralSpace, Y: Subspace,
     """Check the maximal-joint-span condition of Y against every vertex span
     and every intersection of dual-vertex kernels.
 
-    For each candidate subspace Z (span of a vertex subset, or joint kernel
-    of a dual-vertex subset, one representative per antipodal pair, subset
-    size at most n, distinct subspaces only), verifies
-    dim(Y + Z) = min(dim Y + dim Z, n).  Returns the first violating index
-    set as witness.  Enumeration order: spans by (size, lexicographic
-    indices), then kernels likewise.
+    A candidate subspace Z is the span of a vertex subset T or the joint
+    kernel of a dual-vertex subset F (one representative per antipodal
+    pair); Y passes when dim(Y + Z) = min(dim Y + dim Z, n) for all of
+    them.  Only subsets that can fail first are enumerated: spans of at
+    most n-k vertices and kernels of at most k functionals.  A failing
+    span of more vectors contains a failing independent subset of n-k of
+    them, or is spanned by a smaller independent subset; kernels follow
+    by duality, with k and n-k swapped.
+
+    Within these sizes the condition is one rank comparison per subset.
+    With A the annihilator and B the basis of Y, dim(Y + span T) =
+    k + rank(v·A, v in T) and dim(Y + ker F) = n - rank F +
+    rank(f·B, f in F), so T (or F) passes exactly when its projected
+    rows have the rank of its raw rows.
+
+    Returns the first violating index set as witness.  Enumeration order:
+    spans by (size, lexicographic indices), then kernels likewise.
+    spans_checked and kernels_checked count the subsets visited, and
+    subset_cap bounds their sum.
     """
     n = space.dim
     k = Y.dim
-    y_rows = Y.basis_vectors()
-    budget = subset_cap
-
-    def stacked_rank(z_rows: Iterable[Vector]) -> int:
-        return rows_rank(y_rows + list(z_rows))
-
-    spans_checked = 0
-    seen_spans: set = set()
-    reps = space.primal_class_reps
-    for size in range(1, min(n, len(reps)) + 1):
-        for subset in itertools.combinations(reps, size):
-            spans_checked += 1
-            if spans_checked > budget:
-                raise SubsetBudgetExceededError(
-                    f"vertex-span enumeration exceeded cap {subset_cap}")
-            z_rows = canonical_span([space.primal_vertices[i] for i in subset])
-            if z_rows in seen_spans:
-                continue
-            seen_spans.add(z_rows)
-            dim_z = len(z_rows)
-            if stacked_rank(z_rows) != min(k + dim_z, n):
-                return GeneralPositionReport(False, "span", subset,
-                                             spans_checked, 0)
-
-    kernels_checked = 0
-    seen_kernels: set = set()
-    dreps = space.dual_class_reps
-    for size in range(1, min(n, len(dreps)) + 1):
-        for subset in itertools.combinations(dreps, size):
-            kernels_checked += 1
-            if spans_checked + kernels_checked > budget:
-                raise SubsetBudgetExceededError(
-                    f"kernel enumeration exceeded cap {subset_cap}")
-            f_span = canonical_span([space.dual_vertices[j] for j in subset])
-            if f_span in seen_kernels:
-                continue
-            seen_kernels.add(f_span)
-            kernel_cols = nullspace_basis(RMatrix.from_rows(f_span))
-            z_rows = kernel_cols.transpose().row_list()
-            dim_z = len(z_rows)
-            if stacked_rank(z_rows) != min(k + dim_z, n):
-                return GeneralPositionReport(False, "kernel", subset,
-                                             spans_checked, kernels_checked)
-
+    span, spans_checked = _first_failing_subset(
+        space.primal_vertices, space.primal_class_reps,
+        Y.annihilator_functionals(), n - k, 0, subset_cap, "vertex-span")
+    if span is not None:
+        return GeneralPositionReport(False, "span", span, spans_checked, 0)
+    kernel, kernels_checked = _first_failing_subset(
+        space.dual_vertices, space.dual_class_reps, Y.basis_vectors(), k,
+        spans_checked, subset_cap, "kernel")
+    if kernel is not None:
+        return GeneralPositionReport(False, "kernel", kernel,
+                                     spans_checked, kernels_checked)
     return GeneralPositionReport(True, None, None, spans_checked, kernels_checked)
+
+
+def _first_failing_subset(vectors: Sequence[Vector], reps: Sequence[int],
+                          directions: Sequence[Vector], max_size: int,
+                          spent: int, subset_cap: int,
+                          what: str) -> tuple[tuple[int, ...] | None, int]:
+    """First subset T of reps, by (size <= max_size, lexicographic), whose
+    rows v·d (d in directions) have lower rank than its rows v, and the
+    number of subsets visited.  Rows are cleared to integers once; the raw
+    rank is computed only when the projected rank is below |T|.  Raises
+    once spent plus the subsets visited exceeds subset_cap."""
+    raw = dict(zip(reps, integer_rows(vectors[i] for i in reps)))
+    projected = dict(zip(reps, integer_rows(
+        [dot(vectors[i], d) for d in directions] for i in reps)))
+    checked = 0
+    for size in range(1, min(max_size, len(reps)) + 1):
+        for subset in itertools.combinations(reps, size):
+            checked += 1
+            if spent + checked > subset_cap:
+                raise SubsetBudgetExceededError(
+                    f"{what} enumeration exceeded cap {subset_cap}")
+            rank = integer_row_rank([projected[i] for i in subset])
+            if rank < size and rank != integer_row_rank([raw[i] for i in subset]):
+                return subset, checked
+    return None, checked

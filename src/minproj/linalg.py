@@ -2,9 +2,8 @@
 
 Everything runs over Fraction scalars.  Rank goes through fraction-free
 (Bareiss) elimination on integer-cleared rows; the reduced row echelon
-form used for nullspaces, solving and span canonicalization works over
-rationals directly.  Pivoting is deterministic: first nonzero entry in
-column order.
+form used for nullspaces and solving works over rationals directly.
+Pivoting is deterministic: first nonzero entry in column order.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), _ZERO)
 
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+def integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
     """Clear denominators row by row (row scaling preserves row space)."""
     cleared = []
     for row in rows:
@@ -161,7 +160,7 @@ def integer_row_rank(rows: list[list[int]]) -> int:
 
 def rows_rank(rows: Iterable[Sequence[Fraction]]) -> int:
     """Rank of a family of rational row vectors."""
-    return integer_row_rank(_integer_rows(rows))
+    return integer_row_rank(integer_rows(rows))
 
 
 def rank(M: RMatrix) -> int:
@@ -197,16 +196,6 @@ def rref_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]],
         if r == len(work):
             break
     return work, pivots
-
-
-def canonical_span(rows: Iterable[Sequence[Fraction]]) -> tuple[Vector, ...]:
-    """Canonical form of the row span: RREF with zero rows dropped.
-
-    Equal spans produce identical tuples, so this is usable as a dict key
-    for deduplication.
-    """
-    reduced, pivots = rref_rows(rows)
-    return tuple(tuple(row) for row in reduced[:len(pivots)])
 
 
 def nullspace_basis(M: RMatrix) -> RMatrix:

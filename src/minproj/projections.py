@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import NotMinimalError
+from .errors import InternalError, NotMinimalError
 from .geometry import PolyhedralSpace, Subspace, norm_eval
 from .linalg import RMatrix, Vector, dot, inverse, nullspace_basis, rows_rank
 from .simplex import INFEASIBLE, OPTIMAL, LinearProgram, solve
@@ -69,7 +69,8 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
                 break
     M = RMatrix.from_rows(stack).transpose()
     Minv = inverse(M)
-    assert Minv is not None
+    if Minv is None:
+        raise InternalError("basis of Y plus its complement is singular")
     D = RMatrix.from_rows([[Fraction(1) if i == j and i < k else Fraction(0)
                             for j in range(n)] for i in range(n)])
     P0 = M.matmul(D).matmul(Minv)
@@ -80,14 +81,14 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
             ops.append(RMatrix.from_rows([[y[i] * g[j] for j in range(n)]
                                           for i in range(n)]))
 
-    assert P0.matmul(P0).entries == P0.entries
-    for y in ys:
-        assert P0.apply(y) == y
-    for op in ops:
-        for y in ys:
-            assert all(x == 0 for x in op.apply(y))
-    flat = [op.entries for op in ops]
-    assert rows_rank(flat) == k * (n - k)
+    if P0.matmul(P0).entries != P0.entries:
+        raise InternalError("base projection is not idempotent")
+    if any(P0.apply(y) != y for y in ys):
+        raise InternalError("base projection does not fix Y")
+    if any(any(op.apply(y)) for op in ops for y in ys):
+        raise InternalError("a basis operator does not vanish on Y")
+    if rows_rank([op.entries for op in ops]) != k * (n - k):
+        raise InternalError("basis operators are linearly dependent")
     return OperatorBasis(base_projection=P0, basis_ops=tuple(ops),
                          y_basis=ys, annihilator=gs)
 
@@ -178,12 +179,15 @@ def projection_constant(space: PolyhedralSpace, Y: Subspace) -> MinProjReport:
     basis = build_operator_basis(space, Y)
     grid = build_pair_grid(space, Y, basis)
     solution = solve(grid.lp)
-    assert solution.status == OPTIMAL  # always feasible (P0) and bounded (t >= 1)
+    if solution.status != OPTIMAL:  # always feasible (P0) and bounded (t >= 1)
+        raise InternalError(f"operator-norm LP is {solution.status}")
     d = len(basis.basis_ops)
     lam = solution.value
-    assert lam >= 1
+    if lam < 1:
+        raise InternalError(f"projection constant {lam} is below 1")
     witness = OperatorPoint(solution.primal[:d])
-    assert solution.primal[d] == lam
+    if solution.primal[d] != lam:
+        raise InternalError("norm variable t differs from the LP value")
     tight = tuple(sorted(solution.tight_set))
     certificate = {grid.pairs[r]: solution.dual[r]
                    for r in range(len(grid.pairs)) if solution.dual[r] > 0}
@@ -272,13 +276,13 @@ def face_dimension(space: PolyhedralSpace, Y: Subspace,
             rhs=(zero,) * len(undecided) + (one,),
         ))
         if sol.status != OPTIMAL:
-            raise AssertionError(f"Gordan round LP is {sol.status} (internal bug)")
+            raise InternalError(f"Gordan round LP is {sol.status}")
         if sol.value < 0:
             y = sol.primal[:m]
             break
         charged = {r for r, u in zip(undecided, sol.dual) if u > 0}
         if not charged:
-            raise AssertionError("Gordan round charged no row at delta* = 0 (internal bug)")
+            raise InternalError("Gordan round charged no row at delta* = 0")
         implicit.extend(charged)
         undecided = [r for r in undecided if r not in charged]
 
@@ -295,8 +299,7 @@ def face_dimension(space: PolyhedralSpace, Y: Subspace,
     interior = tuple(w + eps * zq for w, zq in zip(witness, z))
     implicit.sort()
     if grid.tight_rows(interior, lam) != implicit:
-        raise AssertionError("relative-interior point is tight off the implicit rows "
-                             "(internal bug)")
+        raise InternalError("relative-interior point is tight off the implicit rows")
     report.face_dim = len(cols)
     report.implicit_pairs = frozenset(grid.pairs[r] for r in implicit)
     report.interior = OperatorPoint(interior)
@@ -335,7 +338,8 @@ def max_norming_projection(space: PolyhedralSpace, Y: Subspace,
     candidates: list[int] = []
     for r, G in restricted.items():
         s = lam - grid.row_value(r, interior)
-        assert s > 0
+        if s <= 0:
+            raise InternalError(f"non-implicit row {r} is tight at the relative interior")
         if any(G):
             slack0[r] = s
             candidates.append(r)
@@ -360,12 +364,13 @@ def max_norming_projection(space: PolyhedralSpace, Y: Subspace,
         if attempt.status == OPTIMAL:
             z = attempt.primal
             forced.append(r)
-        else:
-            assert attempt.status == INFEASIBLE
+        elif attempt.status != INFEASIBLE:
+            raise InternalError(f"tightening LP is {attempt.status}")
 
     final = tuple(interior[q] + sum(col[q] * zv for col, zv in zip(ncols, z))
                   for q in range(d))
     point = OperatorPoint(final)
     pairs = norming_pairs(space, Y, point, lam, grid=grid)
-    assert len(pairs) >= len(report.implicit_pairs) + len(forced)
+    if len(pairs) < len(report.implicit_pairs) + len(forced):
+        raise InternalError("tightened projection lost norming pairs")
     return point, len(pairs)

@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._kernel import row_axpy, scale_row
+from .errors import InternalError
 from .linalg import RMatrix, dot, solve_linear
 
 OPTIMAL = "OPTIMAL"
@@ -190,7 +191,7 @@ class _PivotCore:
             self.pivot(r, c)
             self.pivots += 1
             if self.pivots > _MAX_PIVOTS:
-                raise RuntimeError("simplex pivot budget exhausted (internal bug)")
+                raise InternalError("simplex pivot budget exhausted")
             if (self.on[self.RHS], self.od[self.RHS]) == before:
                 self.stall += 1
                 if self.stall >= _STALL_SWITCH:
@@ -309,7 +310,7 @@ def _solve_rows(lp: LinearProgram) -> LPSolution:
         tab.set_objective({col: Fraction(1) for col in tab.art_cols.values()})
         status = tab.run()
         if status != OPTIMAL:
-            raise RuntimeError("phase I cannot be unbounded (internal bug)")
+            raise InternalError("phase I cannot be unbounded")
         if tab.objective_value() != 0:
             return LPSolution(status=INFEASIBLE)
         tab.clear_artificials(2 * d + m)
@@ -347,7 +348,7 @@ def _solve_via_dual(lp: LinearProgram) -> LPSolution:
 
     tab.set_objective({col: Fraction(1) for col in range(tab.n_u, tab.n_u + d)})
     if tab.run() != OPTIMAL:
-        raise RuntimeError("phase I cannot be unbounded (internal bug)")
+        raise InternalError("phase I cannot be unbounded")
     if tab.objective_value() != 0:
         # Dual infeasible: the original is unbounded or infeasible; the
         # inequality path tells which.  Rare, and never hit by norm grids.
@@ -375,7 +376,7 @@ def _solve_via_dual(lp: LinearProgram) -> LPSolution:
             price_rhs.append(zero)
     y = solve_linear(RMatrix.from_rows(price_rows), price_rhs)
     if y is None:
-        raise AssertionError("singular optimal basis (internal bug)")
+        raise InternalError("singular optimal basis")
     primal = tuple(y)
     value = dot(lp.objective, primal)
     return _finish(lp, value, primal, tuple(u))
@@ -400,19 +401,19 @@ def _verify_certificate(lp, value, primal, dual, row_values, tight) -> None:
     d = lp.constraint_matrix.cols
     for i in range(m):
         if row_values[i] > lp.rhs[i]:
-            raise AssertionError(f"primal infeasibility on row {i}")
+            raise InternalError(f"primal infeasibility on row {i}")
         if dual[i] < 0:
-            raise AssertionError(f"negative dual weight on row {i}")
+            raise InternalError(f"negative dual weight on row {i}")
         if dual[i] > 0 and i not in tight:
-            raise AssertionError(f"complementary slackness broken on row {i}")
+            raise InternalError(f"complementary slackness broken on row {i}")
     A = lp.constraint_matrix
     for j in range(d):
         lhs = sum((dual[i] * A.at(i, j) for i in range(m)), Fraction(0))
         if lhs != -lp.objective[j]:
-            raise AssertionError(f"dual equation broken in column {j}")
+            raise InternalError(f"dual equation broken in column {j}")
     if dot(dual, lp.rhs) != -value:
-        raise AssertionError("strong duality violated")
+        raise InternalError("strong duality violated")
     if dot(lp.objective, primal) != value:
-        raise AssertionError("primal value mismatch")
+        raise InternalError("primal value mismatch")
     SOLVE_STATS["duality_verified"] += 1
 

@@ -1,19 +1,24 @@
 """Reference implementations kept as oracles for the exact methods in
-``projections.face_dimension`` and ``certificates.minimal_support_cm``.
+``projections.face_dimension``, ``certificates.minimal_support_cm`` and
+``geometry.general_position_check``.
 
-Both are the earlier loop-of-LPs algorithms: the optimal face decided by
-one pinned-objective LP per tight row, and the minimal-support
+The first two are the earlier loop-of-LPs algorithms: the optimal face
+decided by one pinned-objective LP per tight row, and the minimal-support
 certificate found by one "maximize the smallest weight" LP per candidate
-subset.  They are slow but independent of the Gordan rounds and of the
-exact linear solves that replaced them, so agreement between the two is
-evidence for both.
+subset.  The third is the exhaustive general-position enumeration over
+every subset size up to n, with one stacked rank per distinct subspace.
+They are slow but independent of the Gordan rounds, the exact linear
+solves and the projected ranks that replaced them, so agreement between
+the two is evidence for both.
 """
 
 import itertools
 from fractions import Fraction
 
-from minproj.errors import CertificateInvalidError, SupportBudgetExceededError
-from minproj.linalg import RMatrix, dot, rows_rank
+from minproj.errors import (CertificateInvalidError, SubsetBudgetExceededError,
+                            SupportBudgetExceededError)
+from minproj.geometry import GeneralPositionReport
+from minproj.linalg import RMatrix, dot, nullspace_basis, rows_rank, rref_rows
 from minproj.projections import build_operator_basis
 from minproj.simplex import OPTIMAL, LinearProgram, solve
 
@@ -111,3 +116,63 @@ def minimal_support_by_lp(space, Y, candidate_pairs, max_candidates=24):
             if sol.status == OPTIMAL and -sol.value > 0:
                 return subset, sol.primal[:size]
     raise CertificateInvalidError("no valid certificate over the candidate pairs")
+
+
+def _canonical_span(rows):
+    """RREF of the row span with zero rows dropped: equal spans give
+    identical tuples."""
+    reduced, pivots = rref_rows(rows)
+    return tuple(tuple(row) for row in reduced[:len(pivots)])
+
+
+def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
+    """For each candidate subspace Z (span of a vertex subset, or joint
+    kernel of a dual-vertex subset, one representative per antipodal
+    pair, subset size at most n, distinct subspaces only), verify
+    dim(Y + Z) = min(dim Y + dim Z, n) by the rank of Y's basis stacked
+    on a basis of Z.  Spans by (size, lexicographic indices), then
+    kernels likewise; the first violation is the witness."""
+    n = space.dim
+    k = Y.dim
+    y_rows = Y.basis_vectors()
+    budget = subset_cap
+
+    def stacked_rank(z_rows):
+        return rows_rank(y_rows + list(z_rows))
+
+    spans_checked = 0
+    seen_spans = set()
+    reps = space.primal_class_reps
+    for size in range(1, min(n, len(reps)) + 1):
+        for subset in itertools.combinations(reps, size):
+            spans_checked += 1
+            if spans_checked > budget:
+                raise SubsetBudgetExceededError(
+                    f"vertex-span enumeration exceeded cap {subset_cap}")
+            z_rows = _canonical_span([space.primal_vertices[i] for i in subset])
+            if z_rows in seen_spans:
+                continue
+            seen_spans.add(z_rows)
+            if stacked_rank(z_rows) != min(k + len(z_rows), n):
+                return GeneralPositionReport(False, "span", subset,
+                                             spans_checked, 0)
+
+    kernels_checked = 0
+    seen_kernels = set()
+    dreps = space.dual_class_reps
+    for size in range(1, min(n, len(dreps)) + 1):
+        for subset in itertools.combinations(dreps, size):
+            kernels_checked += 1
+            if spans_checked + kernels_checked > budget:
+                raise SubsetBudgetExceededError(
+                    f"kernel enumeration exceeded cap {subset_cap}")
+            f_span = _canonical_span([space.dual_vertices[j] for j in subset])
+            if f_span in seen_kernels:
+                continue
+            seen_kernels.add(f_span)
+            z_rows = nullspace_basis(RMatrix.from_rows(f_span)).transpose().row_list()
+            if stacked_rank(z_rows) != min(k + len(z_rows), n):
+                return GeneralPositionReport(False, "kernel", subset,
+                                             spans_checked, kernels_checked)
+
+    return GeneralPositionReport(True, None, None, spans_checked, kernels_checked)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import minproj.cli as cli
+import minproj.projections as projections
 from minproj.catalog import paper_cases
 from minproj.jsonio import space_json
 from minproj.rational import parse_rational
@@ -217,7 +218,7 @@ def test_general_position_command(space_file, capsys):
     assert cli.main(["general-position", "--input", space_file]) == 0
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["in_general_position"] is True
-    assert verdict["spans_checked"] == 14
+    assert verdict["spans_checked"] == 4
 
 
 def test_polar_command_round_trips(tmp_path, capsys):
@@ -266,3 +267,13 @@ def test_analyze_table_output(space_file, capsys):
     assert "lambda        4/3 (approx 1.33333333333)" in out
     assert "face dim      0" in out
     assert "general pos   yes" in out
+
+
+def test_internal_failure_exits_4(space_file, capsys, monkeypatch):
+    # a failed invariant check, not bad input: exit 4 with one line
+    monkeypatch.setattr(projections, "inverse", lambda M: None)
+    assert cli.main(["analyze", "--input", space_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert captured.err.count("\n") == 1

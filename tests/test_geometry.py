@@ -1,9 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from minproj.catalog import l1_ball, linf_ball, mixed_ball
+from minproj.catalog import l1_ball, linf_ball, mixed_ball, random_subspace
 from minproj.errors import (NotExtremeError, NotFullDimensionalError,
                             NotSymmetricError, SubsetBudgetExceededError)
 from minproj.geometry import (PolyhedralSpace, Subspace,
@@ -188,8 +189,20 @@ def test_general_position_counts_and_determinism():
     Y = Subspace.from_kernel([(1, 1, 1)])
     a = general_position_check(space, Y)
     b = general_position_check(space, Y)
-    assert (a.spans_checked, a.kernels_checked) == (14, 7)
+    # spans of at most n - k = 1 of the 4 vertex pairs, kernels of at
+    # most k = 2 of the 3 dual pairs
+    assert (a.spans_checked, a.kernels_checked) == (4, 6)
     assert a == b
+
+
+def test_general_position_n6_hyperplane_finishes():
+    # The exhaustive enumeration runs out its budget here after minutes;
+    # capped at n - k = 1 and k = 5 it visits C(32, 1) spans and
+    # C(6, 1) + ... + C(6, 5) kernels.
+    r = general_position_check(linf_ball(6), random_subspace(6, 5, 7))
+    assert r.in_general_position
+    assert (r.spans_checked, r.kernels_checked) == (
+        32, sum(math.comb(6, s) for s in range(1, 6)))
 
 
 def test_general_position_invariant_under_change_of_basis():

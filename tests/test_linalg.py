@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from minproj.linalg import (RMatrix, canonical_span, dot, inverse,
-                            nullspace_basis, rank, rows_rank, rref_rows,
-                            solve_linear)
+from minproj.linalg import (RMatrix, dot, inverse, nullspace_basis, rank,
+                            rows_rank, rref_rows, solve_linear)
 
 F = Fraction
 
@@ -69,16 +68,6 @@ def test_rref_is_canonical():
     rows, pivots = rref_rows([[F(2), F(4)], [F(1), F(2)]])
     assert rows == [[F(1), F(2)], [F(0), F(0)]]
     assert pivots == [0]
-    one = canonical_span([[F(3), F(6)], [F(-1), F(-2)]])
-    other = canonical_span([[F(1), F(2)]])
-    assert one == other
-
-
-def test_canonical_span_invariant_under_shuffle():
-    base = [(F(1), F(0), F(2)), (F(0), F(1), F(-1))]
-    mixed = [tuple(3 * a + b for a, b in zip(base[0], base[1])),
-             tuple(-2 * x for x in base[1])]
-    assert canonical_span(base) == canonical_span(mixed)
 
 
 def test_solve_and_inverse():

@@ -1,7 +1,9 @@
-"""The exact face and support computations against the loop-of-LPs
-algorithms they replaced (kept in ``oracles.py``), on every catalog case
-and on seeded subspaces of l-inf^4 and l1^4."""
+"""The exact face, support and general-position computations against
+the algorithms they replaced (kept in ``oracles.py``): on every catalog
+case, on seeded subspaces of l-inf^n and l1^n, and on kernels of small
+integer functionals."""
 
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -9,10 +11,12 @@ import pytest
 from minproj.catalog import l1_ball, linf_ball, random_subspace
 from minproj.certificates import minimal_support_cm
 from minproj.errors import SupportBudgetExceededError
+from minproj.geometry import Subspace, general_position_check
 from minproj.projections import (OperatorPoint, face_dimension, norming_pairs,
                                  operator_norm, projection_constant)
 
-from oracles import face_dimension_per_row, minimal_support_by_lp
+from oracles import (face_dimension_per_row, general_position_exhaustive,
+                     minimal_support_by_lp)
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +65,49 @@ def test_support_matches_subset_lp_oracle(cases):
         assert (cm.pairs, cm.weights) == expected, name
         assert size == len(expected[0])
     assert capped == ["coordinate-span-l1-n5-k2", "first-coordinate-mixed-n5"]
+
+
+def _verdict(report):
+    return report.in_general_position, report.witness_kind, report.witness
+
+
+def _assert_gp_matches(space, Y, label):
+    expected = general_position_exhaustive(space, Y)
+    got = general_position_check(space, Y)
+    assert _verdict(got) == _verdict(expected), label
+    return got
+
+
+def test_general_position_matches_exhaustive_on_catalog(analyzed):
+    failing = 0
+    for name, a in analyzed.items():
+        got = _assert_gp_matches(a.case.space, a.case.subspace, name)
+        failing += not got.in_general_position
+    assert failing == 14
+
+
+def test_general_position_matches_exhaustive_on_seeded_subspaces():
+    for n, (tag, ball) in itertools.product((3, 4), (("linf", linf_ball),
+                                                     ("l1", l1_ball))):
+        for k in range(1, n):
+            for seed in (1, 2, 7):
+                _assert_gp_matches(ball(n), random_subspace(n, k, seed),
+                                   f"{tag}{n} k={k} seed={seed}")
+
+
+def test_general_position_matches_exhaustive_on_integer_kernels():
+    functionals = [f for n, values in ((3, (-1, 0, 1, 2)), (4, (-1, 0, 1)))
+                   for f in itertools.product(values, repeat=n)
+                   if any(f) and next(x for x in f if x) > 0]
+    functionals.append((2, 1, 1, 1))
+    failing = set()
+    for functional in functionals:
+        n = len(functional)
+        for tag, ball in (("linf", linf_ball), ("l1", l1_ball)):
+            got = _assert_gp_matches(ball(n), Subspace.from_kernel([functional]),
+                                     f"{tag}{n} ker {functional}")
+            if not got.in_general_position:
+                failing.add((tag, functional))
+    assert ("linf", (1, 1, 1, 1)) in failing
+    assert ("l1", (1, 1, 1)) in failing
+    assert ("linf", (2, 1, 1, 1)) not in failing
