@@ -14,8 +14,7 @@ from .errors import (CertificateInvalidError, InputFormatError, InternalError,
                      NotMinimalError, NotSymmetricError, RankGapViolationError,
                      SubsetBudgetExceededError, SupportBudgetExceededError)
 from .geometry import (GeneralPositionReport, PolyhedralSpace, Subspace,
-                       general_position_check, is_extreme, norm_eval,
-                       polar_dual)
+                       general_position_check, norm_eval, polar_dual)
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint,
                           build_operator_basis, face_dimension,
                           max_norming_projection, norming_pairs,
@@ -34,7 +33,7 @@ __all__ = [
     "RankGapViolationError", "SubsetBudgetExceededError", "Subspace",
     "SupportBudgetExceededError", "approx_decimal", "build_operator_basis",
     "cm_from_dual", "cm_operator", "cm_rank_gap", "face_dimension",
-    "format_rational", "general_position_check", "is_extreme", "l1_ball",
+    "format_rational", "general_position_check", "l1_ball",
     "linf_ball", "max_norming_projection", "minimal_support_cm", "mixed_ball",
     "norm_eval", "norming_pairs", "operator_norm", "paper_cases",
     "parse_rational", "polar_dual", "projection_constant", "random_subspace",

@@ -10,6 +10,7 @@ reduce to finite maxima over these vertex lists.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -18,8 +19,8 @@ from typing import Sequence
 from .errors import (InternalError, NotExtremeError, NotFullDimensionalError,
                      NotSymmetricError, SubsetBudgetExceededError)
 from .linalg import (RMatrix, Vector, dot, integer_row_rank, integer_rows,
-                     nullspace_basis, rows_rank, solve_linear)
-from .simplex import INFEASIBLE, make_lp, solve
+                     nullspace_basis, over_denominator, rows_rank,
+                     solve_linear)
 
 _ONE = Fraction(1)
 
@@ -36,44 +37,6 @@ def _neg(v: Vector) -> Vector:
 # extremality and the polar dual
 
 
-def is_extreme(vertices: Sequence[Vector], v: Vector) -> bool:
-    """True iff v is not a convex combination of the other listed points.
-
-    Decided by exact LP feasibility; a duplicated point is therefore not
-    extreme (it is a combination of its twin).
-    """
-    others = [w for w in vertices if w != v]
-    removed = len(vertices) - len(others)
-    if removed == 0:
-        raise ValueError("v must be one of the listed vertices")
-    if removed > 1:
-        return False  # duplicate
-    if not others:
-        return True
-    n = len(v)
-    count = len(others)
-    rows = []
-    rhs = []
-    for c in range(n):
-        coords = [w[c] for w in others]
-        rows.append(coords)
-        rhs.append(v[c])
-        rows.append([-x for x in coords])
-        rhs.append(-v[c])
-    ones = [1] * count
-    rows.append(ones)
-    rhs.append(1)
-    rows.append([-1] * count)
-    rhs.append(-1)
-    for i in range(count):
-        row = [0] * count
-        row[i] = -1
-        rows.append(row)
-        rhs.append(0)
-    solution = solve(make_lp([0] * count, rows, rhs))
-    return solution.status == INFEASIBLE
-
-
 def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
     """Vertices of {f : f·v <= 1 for every listed v}, exactly.
 
@@ -81,7 +44,9 @@ def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
     by n independent vertex pairs, then insert the remaining vertices as
     halfspaces, cutting crossed edges.  Intended for small dimensions
     (n <= 6).  The result is sorted, so equal inputs give identical
-    output.
+    output.  A listed point that is not extreme gives a redundant
+    halfspace and no facet; from_vertices reads each point's extremality
+    off the polar vertices tight at it, with no LP (see _check_extreme).
     """
     verts = [_as_vector(v) for v in vertices]
     if not verts:
@@ -159,6 +124,39 @@ def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
     return tuple(sorted(points))
 
 
+def _first_non_vertex(points: Sequence[Vector],
+                      facets: Sequence[Vector]) -> int | None:
+    """Index of the first point that is not a vertex of
+    Q = {x : f·x <= 1 for f in facets}, or None; every point must lie in Q.
+
+    A point p of Q is a vertex exactly when the facets tight at it
+    (f·p = 1) have rank n, and a duplicated point is never a vertex.  One
+    integer dot pass and one integer rank per point; no LP.
+    """
+    n = len(points[0])
+    counts = Counter(points)
+    cleared = [over_denominator(f) for f in facets]
+    for i, p in enumerate(points):
+        p_num, p_den = over_denominator(p)
+        tight = [f for f, f_den in cleared
+                 if sum(a * b for a, b in zip(f, p_num)) == f_den * p_den]
+        if counts[p] > 1 or integer_row_rank(tight) < n:
+            return i
+    return None
+
+
+def _check_extreme(points: Sequence[Vector], facets: Sequence[Vector],
+                   side: str) -> None:
+    """Raise NotExtremeError for the first point that is not a vertex of
+    the ball cut out by the facets.  When the facets are the vertices of
+    the polar of the points' hull, that is the first point that is a
+    convex combination of the others (or a duplicate)."""
+    i = _first_non_vertex(points, facets)
+    if i is not None:
+        raise NotExtremeError(
+            f"{side} vertex {i} is a convex combination of the others")
+
+
 # ---------------------------------------------------------------------------
 # spaces and subspaces
 
@@ -178,12 +176,15 @@ class PolyhedralSpace:
                       strict_duals: bool = False) -> "PolyhedralSpace":
         """Build a space, validating symmetry, full dimension and extremality.
 
-        When dual_vertices is omitted the polar dual is computed exactly.
-        A supplied dual list is cross-validated (symmetry, extremality,
-        norming values, facet spans); that pass accepts any list that is
-        correct on every facet but cannot rule out a missing dual vertex
-        strictly inside the hull of the others on a facet -- pass
-        strict_duals=True to force the full polar cross-check.
+        When dual_vertices is omitted the polar dual is computed exactly,
+        and each primal vertex is proved extreme by the rank of the polar
+        vertices tight at it, with no LP.  A supplied dual list is
+        cross-validated: symmetry, full dimension and value 1 on the ball,
+        then the same rank test for each dual vertex against the primal
+        list and for each primal vertex against the dual list.  That pass
+        accepts polar vertices that span every facet but cannot rule out
+        a missing polar vertex -- pass strict_duals=True to force the full
+        polar cross-check.
         """
         primal = tuple(_as_vector(v) for v in vertices)
         if not primal:
@@ -195,12 +196,10 @@ class PolyhedralSpace:
             _check_symmetric(primal, "primal")
             if rows_rank(primal) != n:
                 raise NotFullDimensionalError("vertices do not span the space")
-            for i, v in enumerate(primal):
-                if not is_extreme(primal, v):
-                    raise NotExtremeError(
-                        f"primal vertex {i} is a convex combination of the others")
         if dual_vertices is None:
             dual = polar_dual(primal)
+            if validate:
+                _check_extreme(primal, dual, "primal")
         else:
             dual = tuple(_as_vector(f) for f in dual_vertices)
             if validate:
@@ -242,22 +241,19 @@ def _validate_dual_list(primal, dual, n) -> None:
     if rows_rank(dual) != n:
         raise NotFullDimensionalError("dual vertices do not span the space")
     for j, f in enumerate(dual):
-        if not is_extreme(dual, f):
-            raise NotExtremeError(
-                f"dual vertex {j} is a convex combination of the others")
         if max(dot(f, v) for v in primal) != 1:
             raise NotExtremeError(
                 f"dual vertex {j} does not attain value 1 on the ball")
-    for i, v in enumerate(primal):
-        touching = [f for f in dual if dot(f, v) == 1]
-        if max(dot(f, v) for f in dual) != 1:
-            raise NotExtremeError(
-                f"primal vertex {i} does not have norm 1 under the supplied duals")
-        base = touching[0]
-        if rows_rank([tuple(a - b for a, b in zip(f, base))
-                      for f in touching[1:]]) != n - 1:
-            raise NotExtremeError(
-                f"duals tight at primal vertex {i} do not span its facet")
+    # With the duals inside the polar, the rank tests are exact for them.
+    # A primal vertex then fails either because it is not extreme or
+    # because the duals miss the vertices of a facet through it; the
+    # computed polar tells which.
+    _check_extreme(dual, primal, "dual")
+    i = _first_non_vertex(primal, dual)
+    if i is not None:
+        _check_extreme(primal, polar_dual(primal), "primal")
+        raise NotExtremeError(
+            f"duals tight at primal vertex {i} do not span its facet")
 
 
 def norm_eval(space: PolyhedralSpace, x: Sequence) -> Fraction:

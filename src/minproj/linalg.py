@@ -114,15 +114,16 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), _ZERO)
 
 
+def over_denominator(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers w and the least denominator d > 0 with v = w / d."""
+    v = [Fraction(x) for x in v]
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
 def integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
     """Clear denominators row by row (row scaling preserves row space)."""
-    cleared = []
-    for row in rows:
-        scale = 1
-        for x in row:
-            scale = lcm(scale, Fraction(x).denominator)
-        cleared.append([int(Fraction(x) * scale) for x in row])
-    return cleared
+    return [over_denominator(row)[0] for row in rows]
 
 
 def integer_row_rank(rows: list[list[int]]) -> int:

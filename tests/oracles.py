@@ -1,15 +1,17 @@
 """Reference implementations kept as oracles for the exact methods in
-``projections.face_dimension``, ``certificates.minimal_support_cm`` and
-``geometry.general_position_check``.
+``projections.face_dimension``, ``certificates.minimal_support_cm``,
+``geometry.general_position_check`` and the extremality check of
+``geometry.PolyhedralSpace.from_vertices``.
 
 The first two are the earlier loop-of-LPs algorithms: the optimal face
 decided by one pinned-objective LP per tight row, and the minimal-support
 certificate found by one "maximize the smallest weight" LP per candidate
 subset.  The third is the exhaustive general-position enumeration over
 every subset size up to n, with one stacked rank per distinct subspace.
-They are slow but independent of the Gordan rounds, the exact linear
-solves and the projected ranks that replaced them, so agreement between
-the two is evidence for both.
+The fourth decides each vertex's extremality by one feasibility LP over
+the other listed points.  They are slow but independent of the Gordan
+rounds, the exact linear solves and the ranks that replaced them, so
+agreement between the two is evidence for both.
 """
 
 import itertools
@@ -20,7 +22,7 @@ from minproj.errors import (CertificateInvalidError, SubsetBudgetExceededError,
 from minproj.geometry import GeneralPositionReport
 from minproj.linalg import RMatrix, dot, nullspace_basis, rows_rank, rref_rows
 from minproj.projections import build_operator_basis
-from minproj.simplex import OPTIMAL, LinearProgram, solve
+from minproj.simplex import INFEASIBLE, OPTIMAL, LinearProgram, make_lp, solve
 
 
 def solve_on_face(lp, fixed_value, secondary_objective):
@@ -176,3 +178,47 @@ def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
                                              spans_checked, kernels_checked)
 
     return GeneralPositionReport(True, None, None, spans_checked, kernels_checked)
+
+
+def is_extreme(vertices, v):
+    """True iff v is not a convex combination of the other listed points.
+
+    Decided by exact LP feasibility; a duplicated point is therefore not
+    extreme (it is a combination of its twin).
+    """
+    others = [w for w in vertices if w != v]
+    removed = len(vertices) - len(others)
+    if removed == 0:
+        raise ValueError("v must be one of the listed vertices")
+    if removed > 1:
+        return False  # duplicate
+    if not others:
+        return True
+    n = len(v)
+    count = len(others)
+    rows = []
+    rhs = []
+    for c in range(n):
+        coords = [w[c] for w in others]
+        rows.append(coords)
+        rhs.append(v[c])
+        rows.append([-x for x in coords])
+        rhs.append(-v[c])
+    rows.append([1] * count)
+    rhs.append(1)
+    rows.append([-1] * count)
+    rhs.append(-1)
+    for i in range(count):
+        row = [0] * count
+        row[i] = -1
+        rows.append(row)
+        rhs.append(0)
+    solution = solve(make_lp([0] * count, rows, rhs))
+    return solution.status == INFEASIBLE
+
+
+def first_non_extreme(vertices):
+    """Index of the first listed point that is_extreme rejects, or None:
+    the vertex the LP-based validation of a space named."""
+    return next((i for i, v in enumerate(vertices)
+                 if not is_extreme(vertices, v)), None)

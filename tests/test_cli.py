@@ -118,6 +118,18 @@ def test_analyze_duplicate_vertex(tmp_path, capsys):
     assert "convex combination" in capsys.readouterr().err
 
 
+def test_analyze_non_extreme_vertex(tmp_path, capsys):
+    # (1/2, 1/2, 0) and its negation sit on edges of the octahedron
+    half = [["1/2", "1/2", "0"], ["-1/2", "-1/2", "0"]]
+    doc = dict(L1_3, vertices=L1_3["vertices"][:3] + half + L1_3["vertices"][3:],
+               subspace_basis=[["0", "0", "1"]])
+    path = tmp_path / "inner.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: primal vertex 3 is a convex combination of the others\n")
+
+
 def test_analyze_requires_subspace_or_seed(tmp_path, capsys):
     path = tmp_path / "l1.json"
     path.write_text(json.dumps(L1_3))

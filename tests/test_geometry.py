@@ -8,10 +8,11 @@ from minproj.catalog import l1_ball, linf_ball, mixed_ball, random_subspace
 from minproj.errors import (NotExtremeError, NotFullDimensionalError,
                             NotSymmetricError, SubsetBudgetExceededError)
 from minproj.geometry import (PolyhedralSpace, Subspace,
-                              general_position_check, is_extreme, norm_eval,
-                              polar_dual)
+                              general_position_check, norm_eval, polar_dual)
 from minproj.linalg import RMatrix, dot, inverse
-from minproj.simplex import OPTIMAL, make_lp, solve
+from minproj.simplex import OPTIMAL, SOLVE_STATS, make_lp, solve
+
+from oracles import is_extreme
 
 F = Fraction
 
@@ -31,7 +32,7 @@ def _cube(n):
             for signs in itertools.product((1, -1), repeat=n)]
 
 
-# ---------------------------------------------------------------- extremality
+# ------------------------------------------------- extremality (LP oracle)
 
 def test_is_extreme_basics():
     verts = _cross(2) + [(F(1, 2), F(1, 2)), (F(-1, 2), F(-1, 2))]
@@ -94,6 +95,52 @@ def test_space_construction_and_validation():
     with pytest.raises(NotExtremeError):
         # wrong dual list: claims the cross-polytope is its own dual
         PolyhedralSpace.from_vertices(_cross(3), dual_vertices=_cross(3))
+
+
+def test_supplied_dual_boundary_point_rejected():
+    # (1, 0) lies on an edge of the polar square, midway between two cube
+    # vertices
+    with pytest.raises(NotExtremeError,
+                       match="dual vertex 4 is a convex combination"):
+        PolyhedralSpace.from_vertices(
+            _cross(2), dual_vertices=_cube(2) + [(F(1), F(0)), (F(-1), F(0))])
+
+
+def test_supplied_duals_missing_a_facet_vertex_rejected():
+    # the hexagon's polar is a hexagon; dropping one antipodal pair of its
+    # vertices leaves polar vertices that no longer span the facet of
+    # primal vertex 0, which is itself extreme
+    hexagon = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    polar = polar_dual(hexagon)
+    assert polar[0] == (-1, 0)
+    with pytest.raises(NotExtremeError,
+                       match="duals tight at primal vertex 0 do not span"):
+        PolyhedralSpace.from_vertices(hexagon, dual_vertices=polar[1:-1])
+
+
+def test_supplied_dual_extreme_in_list_but_not_polar_vertex_rejected():
+    # (1, 1, 0) is an extreme point of the listed duals, since (1, 1, 1) is
+    # missing, but not a vertex of the polar cube; every facet is still
+    # spanned, so only the rank test against the primal catches it
+    duals = [f for f in _cube(3) if abs(sum(f)) != 3]
+    duals += [(F(1), F(1), F(0)), (F(-1), F(-1), F(0))]
+    with pytest.raises(NotExtremeError,
+                       match="dual vertex 6 is a convex combination"):
+        PolyhedralSpace.from_vertices(_cross(3), dual_vertices=duals)
+
+
+def _solves(build):
+    before = SOLVE_STATS["solves"]
+    build()
+    return SOLVE_STATS["solves"] - before
+
+
+def test_validation_solves_no_lp():
+    assert _solves(lambda: PolyhedralSpace.from_vertices(_cube(6))) == 0
+    for build in (lambda: linf_ball.__wrapped__(5),
+                  lambda: l1_ball.__wrapped__(5),
+                  lambda: mixed_ball.__wrapped__(5, 3)):
+        assert _solves(build) == 0
 
 
 def test_supplied_duals_accepted_when_exact():

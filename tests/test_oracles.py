@@ -1,22 +1,26 @@
-"""The exact face, support and general-position computations against
-the algorithms they replaced (kept in ``oracles.py``): on every catalog
-case, on seeded subspaces of l-inf^n and l1^n, and on kernels of small
-integer functionals."""
+"""The exact face, support, general-position and extremality computations
+against the algorithms they replaced (kept in ``oracles.py``): on every
+catalog case, on seeded subspaces of l-inf^n and l1^n, on kernels of
+small integer functionals, and on vertex lists with non-extreme or
+duplicated points."""
 
 import itertools
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from minproj.catalog import l1_ball, linf_ball, random_subspace
+from minproj.catalog import (l1_ball, linf_ball, mixed_ball, paper_cases,
+                             random_subspace)
 from minproj.certificates import minimal_support_cm
-from minproj.errors import SupportBudgetExceededError
-from minproj.geometry import Subspace, general_position_check
+from minproj.errors import NotExtremeError, SupportBudgetExceededError
+from minproj.geometry import (PolyhedralSpace, Subspace,
+                              general_position_check, polar_dual)
 from minproj.projections import (OperatorPoint, face_dimension, norming_pairs,
                                  operator_norm, projection_constant)
 
-from oracles import (face_dimension_per_row, general_position_exhaustive,
-                     minimal_support_by_lp)
+from oracles import (face_dimension_per_row, first_non_extreme,
+                     general_position_exhaustive, minimal_support_by_lp)
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +115,74 @@ def test_general_position_matches_exhaustive_on_integer_kernels():
     assert ("linf", (1, 1, 1, 1)) in failing
     assert ("l1", (1, 1, 1)) in failing
     assert ("linf", (2, 1, 1, 1)) not in failing
+
+
+def _assert_validation_matches(vertices, label):
+    """from_vertices accepts exactly when every point passes the LP oracle,
+    and otherwise names the oracle's first failing index; with the polar
+    computed and with the polar supplied as the dual list."""
+    failing = first_non_extreme(vertices)
+    duals = polar_dual(vertices)
+    for supplied in (None, duals):
+        if failing is None:
+            PolyhedralSpace.from_vertices(vertices, dual_vertices=supplied)
+            continue
+        with pytest.raises(NotExtremeError) as info:
+            PolyhedralSpace.from_vertices(vertices, dual_vertices=supplied)
+        assert str(info.value) == (
+            f"primal vertex {failing} is a convex combination of the others"), label
+    return failing
+
+
+def _pm(*points):
+    """Each point followed by its negation."""
+    return [q for p in points for q in (tuple(map(Fraction, p)),
+                                        tuple(-Fraction(x) for x in p))]
+
+
+def test_extremality_matches_lp_oracle_on_catalog_balls():
+    balls = {f"{tag}{n}": ball(n).primal_vertices
+             for n in (2, 3, 4) for tag, ball in (("linf", linf_ball),
+                                                  ("l1", l1_ball))}
+    balls.update({f"mixed{n}-{k}": mixed_ball(n, k).primal_vertices
+                  for n, k in ((4, 3), (5, 3), (5, 4))})
+    for case in paper_cases():
+        balls.setdefault(case.name, case.space.primal_vertices)
+    for label, vertices in balls.items():
+        assert _assert_validation_matches(vertices, label) is None
+
+
+def test_extremality_matches_lp_oracle_with_non_extreme_points():
+    cube2, cross2 = linf_ball(2).primal_vertices, l1_ball(2).primal_vertices
+    cube3, cross3 = linf_ball(3).primal_vertices, l1_ball(3).primal_vertices
+    half = Fraction(1, 2)
+    cases = {
+        "cross2 + half e1": (list(cross2) + _pm((half, 0)), 4),
+        "half e1 + cross2": (_pm((half, 0)) + list(cross2), 0),
+        "cross2 + zero": (list(cross2) + [(Fraction(0),) * 2], 4),
+        "cube2 + edge midpoint": (list(cube2) + _pm((1, 0)), 4),
+        "cube3 + face centre": (_pm((0, 0, 1)) + list(cube3), 0),
+        "cube3 + interior": (list(cube3[:4]) + _pm((half, half, 0))
+                             + list(cube3[4:]), 4),
+        "cross3 + edge midpoint": (list(cross3[:2]) + _pm((half, half, 0))
+                                   + list(cross3[2:]), 2),
+        "cross3 + facet point": (list(cross3) + _pm((Fraction(1, 3),) * 3), 6),
+    }
+    for label, (vertices, first) in cases.items():
+        assert _assert_validation_matches(vertices, label) == first, label
+
+
+def test_extremality_matches_lp_oracle_with_duplicates():
+    cross2, cube3 = l1_ball(2).primal_vertices, linf_ball(3).primal_vertices
+    half = Fraction(1, 2)
+    cases = {
+        "cross2 twice": (list(cross2) * 2, 0),
+        "cross2 + e2 again": (list(cross2) + _pm((0, 1)), 2),
+        "cube3 + last pair again": (list(cube3) + list(cube3[-2:]), 6),
+        "duplicate before a non-extreme point": (
+            list(cross2) + _pm((half, 0)) + _pm((1, 0)), 0),
+        "non-extreme point before a duplicate": (
+            _pm((0, half)) + list(cross2) + _pm((0, 1)), 0),
+    }
+    for label, (vertices, first) in cases.items():
+        assert _assert_validation_matches(vertices, label) == first, label

@@ -1,20 +1,24 @@
-"""Property-based checks of general position on random symmetric polytopes.
+"""Property-based checks of validation, the polar and general position on
+random symmetric polytopes.
 
 A ball is the convex hull of a few small-integer points and their
-negations in dimension n <= 4; its extreme points are read off the
-double polar, so the space is built from vertices alone, as a user
-would supply it.  Subspaces have small-integer bases of every dimension
-1..n-1.
+negations in dimension n <= 4.  For general position its extreme points
+are read off the double polar, so the space is built from vertices
+alone, as a user would supply it; subspaces have small-integer bases of
+every dimension 1..n-1.  For validation and the polar the point list is
+kept as drawn, with its non-extreme and duplicated points.
 """
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from minproj.errors import NotExtremeError
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, polar_dual)
 from minproj.linalg import rows_rank
 
-from oracles import general_position_exhaustive
+from oracles import first_non_extreme, general_position_exhaustive, is_extreme
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None,
@@ -22,9 +26,9 @@ _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                                             HealthCheck.too_slow])
 
 
-def _vectors(n, count):
+def _vectors(n, count, unique=False):
     return st.lists(st.tuples(*[st.integers(-2, 2)] * n).filter(any),
-                    min_size=count, max_size=count)
+                    min_size=count, max_size=count, unique=unique)
 
 
 @st.composite
@@ -38,6 +42,21 @@ def spaces_with_subspaces(draw):
     basis = draw(_vectors(n, k))
     assume(rows_rank(basis) == k)
     return space, basis
+
+
+@st.composite
+def symmetric_point_lists(draw):
+    """Distinct points, sometimes with one of them drawn again, each
+    followed by its negation; a point drawn with its negation leaves
+    duplicates too."""
+    n = draw(st.integers(2, 4))
+    count = draw(st.integers(n, n + 3))
+    points = draw(_vectors(n, count, unique=True))
+    assume(rows_rank(points) == n)
+    if draw(st.integers(0, 3)) == 0:
+        points.insert(draw(st.integers(0, count)),
+                      draw(st.sampled_from(points)))
+    return [q for p in points for q in (p, tuple(-x for x in p))]
 
 
 def _verdict(report):
@@ -64,3 +83,23 @@ def test_general_position_invariant_under_change_of_basis(case, data):
                    for i in range(space.dim)) for row in mix]
     assert (general_position_check(space, Subspace.from_basis(mixed))
             == general_position_check(space, Subspace.from_basis(basis)))
+
+
+@_SETTINGS
+@given(symmetric_point_lists())
+def test_validation_agrees_with_lp_oracle(vertices):
+    failing = first_non_extreme(vertices)
+    if failing is None:
+        PolyhedralSpace.from_vertices(vertices)
+    else:
+        with pytest.raises(NotExtremeError,
+                           match=f"^primal vertex {failing} is a convex"):
+            PolyhedralSpace.from_vertices(vertices)
+
+
+@_SETTINGS
+@given(symmetric_point_lists())
+def test_double_polar_is_the_extreme_point_set(vertices):
+    distinct = list(dict.fromkeys(vertices))
+    extreme = {v for v in distinct if is_extreme(distinct, v)}
+    assert set(polar_dual(polar_dual(vertices))) == extreme
