@@ -6,20 +6,21 @@ projection, and its trace restricted to Y equals the projection
 constant, which makes it an exact optimality witness for lambda(Y, X).
 The LP dual of the projection solve is one such certificate; a
 minimum-support one is found by exact linear solves over subsets of the
-implicit pairs, smallest subsets first.
+implicit pairs, smallest subsets first, with dependent subsets pruned
+by integer elimination.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import gcd
+from typing import Iterable, Iterator
 
-from .errors import (CertificateInvalidError, RankGapViolationError,
-                     SupportBudgetExceededError)
+from .errors import (CertificateInvalidError, InternalError,
+                     RankGapViolationError, SupportBudgetExceededError)
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import RMatrix, dot, rows_rank, solve_linear
+from .linalg import RMatrix, dot, integer_rows, rows_rank, solve_linear
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint,
                           build_operator_basis)
 
@@ -153,18 +154,29 @@ def cm_from_dual(report: MinProjReport) -> CMFunctional:
 def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
                        candidate_pairs: Iterable[tuple[int, int]],
                        lam: Fraction, max_candidates: int = 24,
-                       witness: OperatorPoint | None = None) -> tuple[CMFunctional, int]:
+                       witness: OperatorPoint | None = None,
+                       basis: OperatorBasis | None = None) -> tuple[CMFunctional, int]:
     """Smallest-support certificate over the candidate pairs.
 
-    Subsets are enumerated by cardinality, then lexicographically.  Each
-    pair p contributes the column [v_p; 1], where v_p lists its values on
-    the basis operators of L_Y(X, Y); a subset is a valid support exactly
-    when [v_p; 1]·w = [0; 1] has a solution w > 0.  A smallest such support
-    has linearly independent columns (Caratheodory: a dependent one could
-    be shrunk), so its weights are the unique exact solution of that
-    system and sizes beyond k(n-k) + 1 never need to be tried.  The first
-    hit has globally minimal support over the candidate set and is
-    verified before it is returned.
+    Each pair p contributes the column [v_p; 1], where v_p lists its
+    values on the basis operators of L_Y(X, Y); a subset is a valid
+    support exactly when [v_p; 1]·w = [0; 1] has a solution w > 0.
+    Subsets are visited by cardinality, then lexicographically, and the
+    first valid one is returned, so it has globally minimal support over
+    the candidate set.  A smallest support has linearly independent
+    columns (Caratheodory: a dependent one could be shrunk, and smaller
+    sizes come first), so sizes beyond k(n-k) + 1 are never tried and
+    every dependent subset can be skipped.
+
+    Each size is one depth-first walk over the sorted candidates (see
+    _independent_spanning_subsets): the columns are cleared to integers
+    once, and a step reduces the new column fraction-free against its
+    prefix's echelon rows.  A column that reduces to zero makes the
+    prefix dependent and prunes its whole subtree.  A full-size subset is
+    a candidate only when the target [0; 1], reduced along the same
+    prefix, vanishes; only then are the weights, unique by independence,
+    solved exactly and tested for w > 0.  The hit is verified before it
+    is returned.  basis, when given, must be build_operator_basis(space, Y).
     """
     candidates = sorted(set(candidate_pairs))
     if not candidates:
@@ -173,23 +185,25 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
         raise SupportBudgetExceededError(
             f"{len(candidates)} candidate pairs exceed the cap of {max_candidates}")
 
-    basis = build_operator_basis(space, Y)
+    if basis is None:
+        basis = build_operator_basis(space, Y)
     d = len(basis.basis_ops)
-    column = {}
-    for pair in candidates:
-        pi, dj = pair
-        x = space.primal_vertices[pi]
-        f = space.dual_vertices[dj]
-        column[pair] = tuple(dot(f, L.apply(x)) for L in basis.basis_ops) + (Fraction(1),)
+    columns = [basis.pair_values(space.primal_vertices[pi], space.dual_vertices[dj])
+               + (Fraction(1),) for pi, dj in candidates]
+    integer_columns = integer_rows(columns)
     target = (Fraction(0),) * d + (Fraction(1),)
 
     for size in range(1, min(d + 1, len(candidates)) + 1):
-        for subset in itertools.combinations(candidates, size):
+        for subset in _independent_spanning_subsets(integer_columns, size):
             weights = solve_linear(
-                RMatrix.from_rows(column[p] for p in subset).transpose(), target)
-            if weights is None or any(w <= 0 for w in weights):
+                RMatrix.from_rows(columns[i] for i in subset).transpose(), target)
+            if weights is None:
+                raise InternalError(
+                    "the target reduces to zero but the support system is infeasible")
+            if any(w <= 0 for w in weights):
                 continue
-            cm = CMFunctional(pairs=subset, weights=weights)
+            cm = CMFunctional(pairs=tuple(candidates[i] for i in subset),
+                              weights=weights)
             check = (verify_cm(space, Y, cm, lam, witness, basis=basis)
                      if witness is not None else
                      _verify_without_projection(space, Y, cm, lam, basis))
@@ -199,6 +213,50 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
                     + "; ".join(check.violations))
             return cm, size
     raise CertificateInvalidError("no valid certificate over the candidate pairs")
+
+
+def _independent_spanning_subsets(columns: list[list[int]],
+                                  size: int) -> Iterator[tuple[int, ...]]:
+    """Index tuples of `size` linearly independent integer columns whose
+    span holds the last unit vector, in lexicographic order.
+
+    Depth-first: a node holds its prefix's echelon rows (pivot, row),
+    each zero at the earlier pivots, and the target reduced against them.
+    A column reduced to zero lies in the prefix's span, so every subset
+    through it is dependent and is skipped.  The reduced target of a
+    full-size subset is zero exactly when the target is in its span.
+    """
+    last = len(columns) - size
+    unit = [0] * (len(columns[0]) - 1) + [1]
+
+    def walk(start, prefix, rows, target):
+        depth = len(prefix)
+        for i in range(start, last + depth + 1):
+            row = _reduce(columns[i], rows)
+            pivot = next((p for p, x in enumerate(row) if x), None)
+            if pivot is None:
+                continue
+            reduced = _reduce(target, ((pivot, row),))
+            if depth + 1 == size:
+                if not any(reduced):
+                    yield prefix + (i,)
+            else:
+                yield from walk(i + 1, prefix + (i,), rows + [(pivot, row)], reduced)
+
+    return walk(0, (), [], unit)
+
+
+def _reduce(vec: list[int], rows) -> list[int]:
+    """vec reduced fraction-free against echelon rows (pivot, row): each
+    step a·vec − c·row clears the pivot entry; the content is divided out
+    at the end."""
+    for pivot, row in rows:
+        c = vec[pivot]
+        if c:
+            a = row[pivot]
+            vec = [a * x - c * y for x, y in zip(vec, row)]
+    content = gcd(*vec)
+    return [x // content for x in vec] if content > 1 else vec
 
 
 def _verify_without_projection(space, Y, cm, lam, basis) -> CMVerdict:

@@ -23,6 +23,9 @@ from .linalg import (RMatrix, Vector, dot, integer_row_rank, integer_rows,
                      solve_linear)
 
 _ONE = Fraction(1)
+# Default budget of general_position_check: subsets visited, spans and
+# kernels together.
+DEFAULT_GP_CAP = 10 ** 6
 
 
 def _as_vector(values: Sequence) -> Vector:
@@ -240,8 +243,13 @@ def _validate_dual_list(primal, dual, n) -> None:
     _check_symmetric(dual, "dual")
     if rows_rank(dual) != n:
         raise NotFullDimensionalError("dual vertices do not span the space")
+    # f·v - 1 has the sign of f_num·v_num - f_den·v_den, so max f·v == 1
+    # is decided in integers, with both lists cleared once.
+    cleared = [over_denominator(v) for v in primal]
     for j, f in enumerate(dual):
-        if max(dot(f, v) for v in primal) != 1:
+        f_num, f_den = over_denominator(f)
+        if max(sum(a * b for a, b in zip(f_num, v_num)) - f_den * v_den
+               for v_num, v_den in cleared) != 0:
             raise NotExtremeError(
                 f"dual vertex {j} does not attain value 1 on the ball")
     # With the duals inside the polar, the rank tests are exact for them.
@@ -341,7 +349,7 @@ class GeneralPositionReport:
 
 
 def general_position_check(space: PolyhedralSpace, Y: Subspace,
-                           subset_cap: int = 10 ** 6) -> GeneralPositionReport:
+                           subset_cap: int = DEFAULT_GP_CAP) -> GeneralPositionReport:
     """Check the maximal-joint-span condition of Y against every vertex span
     and every intersection of dual-vertex kernels.
 

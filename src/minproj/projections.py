@@ -49,6 +49,12 @@ class OperatorBasis:
                 out = out.add(op.scale(c))
         return out
 
+    def pair_values(self, x: Vector, f: Vector) -> Vector:
+        """f(L_q x) over the basis operators, which factors as f(y) * g(x)
+        over their rank-one structure L = y (x) g (y outer, g inner)."""
+        g_at = [dot(g, x) for g in self.annihilator]
+        return tuple(dot(f, y) * gx for y in self.y_basis for gx in g_at)
+
 
 def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     """P0 projects onto Y along the first standard basis vectors independent

@@ -6,12 +6,14 @@
 The first two are the earlier loop-of-LPs algorithms: the optimal face
 decided by one pinned-objective LP per tight row, and the minimal-support
 certificate found by one "maximize the smallest weight" LP per candidate
-subset.  The third is the exhaustive general-position enumeration over
-every subset size up to n, with one stacked rank per distinct subspace.
-The fourth decides each vertex's extremality by one feasibility LP over
-the other listed points.  They are slow but independent of the Gordan
-rounds, the exact linear solves and the ranks that replaced them, so
-agreement between the two is evidence for both.
+subset.  The minimal-support certificate has a second oracle, one
+rational linear solve per candidate subset with no pruning.  Next comes
+the exhaustive general-position enumeration over every subset size up
+to n, with one stacked rank per distinct subspace.  The last decides
+each vertex's extremality by one feasibility LP over the other listed
+points.  They are slow but independent of the Gordan rounds, the
+integer elimination and the ranks that replaced them, so agreement
+between the two is evidence for both.
 """
 
 import itertools
@@ -20,7 +22,8 @@ from fractions import Fraction
 from minproj.errors import (CertificateInvalidError, SubsetBudgetExceededError,
                             SupportBudgetExceededError)
 from minproj.geometry import GeneralPositionReport
-from minproj.linalg import RMatrix, dot, nullspace_basis, rows_rank, rref_rows
+from minproj.linalg import (RMatrix, dot, nullspace_basis, rows_rank, rref_rows,
+                            solve_linear)
 from minproj.projections import build_operator_basis
 from minproj.simplex import INFEASIBLE, OPTIMAL, LinearProgram, make_lp, solve
 
@@ -117,6 +120,34 @@ def minimal_support_by_lp(space, Y, candidate_pairs, max_candidates=24):
             ))
             if sol.status == OPTIMAL and -sol.value > 0:
                 return subset, sol.primal[:size]
+    raise CertificateInvalidError("no valid certificate over the candidate pairs")
+
+
+def minimal_support_by_solve(space, Y, candidate_pairs, max_candidates=24):
+    """(pairs, weights) of the smallest-support certificate over the
+    candidates: subsets by cardinality up to k(n-k) + 1, then
+    lexicographically, each tested by an exact rational solve of
+    [v_p; 1]·w = [0; 1]; the first subset whose solution is positive wins
+    (free variables are set to zero, so a dependent subset never wins)."""
+    candidates = sorted(set(candidate_pairs))
+    if not candidates:
+        raise CertificateInvalidError("no candidate pairs to search")
+    if len(candidates) > max_candidates:
+        raise SupportBudgetExceededError(
+            f"{len(candidates)} candidate pairs exceed the cap of {max_candidates}")
+    basis = build_operator_basis(space, Y)
+    d = len(basis.basis_ops)
+    column = {(pi, dj): tuple(dot(space.dual_vertices[dj],
+                                  L.apply(space.primal_vertices[pi]))
+                              for L in basis.basis_ops) + (Fraction(1),)
+              for pi, dj in candidates}
+    target = (Fraction(0),) * d + (Fraction(1),)
+    for size in range(1, min(d + 1, len(candidates)) + 1):
+        for subset in itertools.combinations(candidates, size):
+            weights = solve_linear(
+                RMatrix.from_rows(column[p] for p in subset).transpose(), target)
+            if weights is not None and all(w > 0 for w in weights):
+                return subset, weights
     raise CertificateInvalidError("no valid certificate over the candidate pairs")
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import minproj.certificates as certificates
 import minproj.cli as cli
 import minproj.projections as projections
 from minproj.catalog import paper_cases
@@ -271,6 +272,57 @@ def test_env_cap_and_flag_precedence(space_file, capsys, monkeypatch):
     monkeypatch.setenv("MINPROJ_SUBSET_CAP", "banana")
     assert cli.main(["analyze", "--input", space_file]) == 2
     assert "MINPROJ_SUBSET_CAP" in capsys.readouterr().err
+
+
+def test_analyze_builds_operator_basis_once(space_file, capsys, monkeypatch):
+    # the support search reuses the basis of the lambda solve
+    built = []
+    original = projections.build_operator_basis
+
+    def counting(space, Y):
+        built.append(Y)
+        return original(space, Y)
+
+    for module in (projections, certificates):
+        monkeypatch.setattr(module, "build_operator_basis", counting)
+    assert cli.main(["analyze", "--input", space_file]) == 0
+    assert json.loads(capsys.readouterr().out)["support_search"]["size"] == 3
+    assert len(built) == 1
+
+    a = next(c for c in paper_cases() if c.name == "ker-sum-linf-n4")
+    report = projections.projection_constant(a.space, a.subspace)
+    _, implicit = projections.face_dimension(a.space, a.subspace, report)
+    args = (a.space, a.subspace, implicit, report.lam)
+    assert (certificates.minimal_support_cm(*args, witness=report.interior,
+                                            basis=report.basis)
+            == certificates.minimal_support_cm(*args, witness=report.interior))
+
+
+def test_gp_cap_partial_report(space_file, capsys):
+    assert cli.main(["analyze", "--input", space_file, "--gp-cap", "2"]) == 3
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["general_position"] == "skipped"
+    assert report["support_search"]["size"] == 3  # rest of the report still present
+    assert "exceeded cap 2" in captured.err
+    assert cli.main(["general-position", "--input", space_file,
+                     "--gp-cap", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeded cap 2" in captured.err
+    # the default budget is unchanged
+    assert cli.main(["analyze", "--input", space_file]) == 0
+    default = json.loads(capsys.readouterr().out)["general_position"]
+    assert default["in_general_position"] is True
+
+
+def test_gp_cap_must_be_positive(space_file, capsys):
+    for command in ("analyze", "general-position"):
+        for cap in ("0", "-3"):
+            assert cli.main([command, "--input", space_file, "--gp-cap", cap]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --gp-cap must be positive\n"
 
 
 def test_analyze_table_output(space_file, capsys):

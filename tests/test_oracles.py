@@ -20,7 +20,11 @@ from minproj.projections import (OperatorPoint, face_dimension, norming_pairs,
                                  operator_norm, projection_constant)
 
 from oracles import (face_dimension_per_row, first_non_extreme,
-                     general_position_exhaustive, minimal_support_by_lp)
+                     general_position_exhaustive, minimal_support_by_lp,
+                     minimal_support_by_solve)
+
+# Large enough for every candidate set below: lifts the support-search cap.
+NO_CAP = 10 ** 3
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +73,52 @@ def test_support_matches_subset_lp_oracle(cases):
         assert (cm.pairs, cm.weights) == expected, name
         assert size == len(expected[0])
     assert capped == ["coordinate-span-l1-n5-k2", "first-coordinate-mixed-n5"]
+
+
+@pytest.fixture(scope="module")
+def seeded_analyze():
+    """The inputs of the seeded-analyze benchmark: random_subspace(n, k, 7)
+    in l-inf^n and l1^n for n = 4, 5 and k in {n-1, 2}, on spaces whose
+    polar is computed, as the CLI builds them from a vertex list."""
+    out = {}
+    for n, (tag, ball) in itertools.product((4, 5), (("linf", linf_ball),
+                                                     ("l1", l1_ball))):
+        space = PolyhedralSpace.from_vertices(ball(n).primal_vertices)
+        for k in (n - 1, 2):
+            Y = random_subspace(n, k, 7)
+            report = projection_constant(space, Y)
+            _, implicit = face_dimension(space, Y, report)
+            out[f"{tag}{n}-k{k}"] = (space, Y, report, implicit)
+    return out
+
+
+def _assert_support_matches_solve(space, Y, report, implicit, label):
+    expected = minimal_support_by_solve(space, Y, implicit, max_candidates=NO_CAP)
+    cm, size = minimal_support_cm(space, Y, implicit, report.lam,
+                                  max_candidates=NO_CAP, witness=report.interior,
+                                  basis=report.basis)
+    assert (cm.pairs, cm.weights) == expected, label
+    assert size == len(expected[0]), label
+    return size
+
+
+def test_support_matches_solve_oracle_on_catalog(analyzed):
+    sizes = {name: _assert_support_matches_solve(
+                 a.case.space, a.case.subspace, a.report, a.implicit, name)
+             for name, a in analyzed.items()}
+    assert len(sizes) == 16
+    # the two cases beyond the default cap of 24 candidates
+    assert sizes["coordinate-span-l1-n5-k2"] == 1
+    assert sizes["first-coordinate-mixed-n5"] == 1
+
+
+def test_support_matches_solve_oracle_on_seeded_subspaces(seeded_analyze):
+    capped = []
+    for name, (space, Y, report, implicit) in seeded_analyze.items():
+        size = _assert_support_matches_solve(space, Y, report, implicit, name)
+        if len(set(implicit)) > 24:
+            capped.append((name, len(set(implicit)), size))
+    assert capped == [("linf5-k2", 32, 4)]
 
 
 def _verdict(report):

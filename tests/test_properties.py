@@ -1,5 +1,5 @@
-"""Property-based checks of validation, the polar and general position on
-random symmetric polytopes.
+"""Property-based checks of validation, the polar, general position, the
+minimal projection and its certificates on random symmetric polytopes.
 
 A ball is the convex hull of a few small-integer points and their
 negations in dimension n <= 4.  For general position its extreme points
@@ -13,12 +13,17 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from minproj.errors import NotExtremeError
+from minproj.certificates import (cm_from_dual, minimal_support_cm,
+                                  trace_on_subspace, verify_cm)
+from minproj.errors import NotExtremeError, SupportBudgetExceededError
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, polar_dual)
 from minproj.linalg import rows_rank
+from minproj.projections import (face_dimension, operator_norm,
+                                 projection_constant)
 
-from oracles import first_non_extreme, general_position_exhaustive, is_extreme
+from oracles import (first_non_extreme, general_position_exhaustive,
+                     is_extreme, minimal_support_by_solve)
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None,
@@ -103,3 +108,49 @@ def test_double_polar_is_the_extreme_point_set(vertices):
     distinct = list(dict.fromkeys(vertices))
     extreme = {v for v in distinct if is_extreme(distinct, v)}
     assert set(polar_dual(polar_dual(vertices))) == extreme
+
+
+def _analyze(case):
+    space, basis = case
+    Y = Subspace.from_basis(basis)
+    report = projection_constant(space, Y)
+    _, implicit = face_dimension(space, Y, report)
+    return space, Y, report, implicit
+
+
+@_SETTINGS
+@given(spaces_with_subspaces())
+def test_projection_has_norm_lambda_and_dual_certificate_verifies(case):
+    space, Y, report, _ = _analyze(case)
+    for point in (report.witness, report.interior):
+        assert operator_norm(space, report.basis.realize(point)) == report.lam
+    cm = cm_from_dual(report)
+    verdict = verify_cm(space, Y, cm, report.lam, report.interior,
+                        basis=report.basis)
+    assert verdict.ok, verdict.violations
+    assert trace_on_subspace(space, Y, cm) == report.lam
+
+
+# Candidate sets beyond this size are compared only in that both searches
+# refuse them: the oracle solves every subset and grows combinatorially.
+_SUPPORT_CAP = 16
+
+
+@_SETTINGS
+@given(spaces_with_subspaces())
+def test_minimal_support_agrees_with_solve_oracle(case):
+    space, Y, report, implicit = _analyze(case)
+    try:
+        expected = minimal_support_by_solve(space, Y, implicit,
+                                            max_candidates=_SUPPORT_CAP)
+    except SupportBudgetExceededError:
+        with pytest.raises(SupportBudgetExceededError):
+            minimal_support_cm(space, Y, implicit, report.lam,
+                               max_candidates=_SUPPORT_CAP,
+                               witness=report.interior, basis=report.basis)
+        return
+    cm, size = minimal_support_cm(space, Y, implicit, report.lam,
+                                  max_candidates=_SUPPORT_CAP,
+                                  witness=report.interior, basis=report.basis)
+    assert (cm.pairs, cm.weights) == expected
+    assert size == len(cm.pairs)
