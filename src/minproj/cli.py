@@ -25,8 +25,8 @@ from .catalog import paper_cases, random_subspace
 from .certificates import cm_from_dual, minimal_support_cm, verify_cm
 from .errors import (InputFormatError, InternalError, MinprojError,
                      SubsetBudgetExceededError, SupportBudgetExceededError)
-from .geometry import (DEFAULT_GP_CAP, PolyhedralSpace, Subspace,
-                       general_position_check, polar_dual)
+from .geometry import (PolyhedralSpace, Subspace, general_position_check,
+                       polar_dual)
 from .jsonio import (certificate_json, dumps, load_document, matrix_json,
                      parse_certificate_document, parse_space_document,
                      vector_json)
@@ -46,7 +46,6 @@ class RunConfig:
     output: str | None = None
     seed: int | None = None
     subset_cap: int = DEFAULT_SUPPORT_CAP
-    gp_cap: int = DEFAULT_GP_CAP
     skip_support_search: bool = False
     table: bool = False
     only: str | None = None
@@ -118,8 +117,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
             exit_code = 3
 
     try:
-        gp: object = _gp_json(general_position_check(space, subspace,
-                                                     subset_cap=cfg.gp_cap))
+        gp: object = _gp_json(general_position_check(space, subspace))
     except SubsetBudgetExceededError as exc:
         print(f"warning: {exc}", file=sys.stderr)
         gp = "skipped"
@@ -207,7 +205,7 @@ def _cmd_general_position(cfg: RunConfig) -> int:
     space, subspace = _load_space_file(cfg.input_path)
     subspace = _resolve_subspace(space, subspace, cfg.seed)
     try:
-        gp = general_position_check(space, subspace, subset_cap=cfg.gp_cap)
+        gp = general_position_check(space, subspace)
     except SubsetBudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -301,21 +299,13 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="plain-text output")
         p.set_defaults(table=False)
 
-    def gp_budget(p):
-        p.add_argument("--gp-cap", type=int, default=DEFAULT_GP_CAP, metavar="N",
-                       help="largest number of subsets the general-position "
-                            f"check may visit (default {DEFAULT_GP_CAP})")
-        return p
-
-    common(gp_budget(sub.add_parser("analyze",
-                                    help="full report for one space/subspace")))
+    common(sub.add_parser("analyze", help="full report for one space/subspace"))
     suite = sub.add_parser("paper-suite",
                            help="recompute every named case against expected values")
     common(suite)
     suite.add_argument("--only", metavar="PREFIX",
                        help="restrict to cases whose name starts with PREFIX")
-    common(gp_budget(sub.add_parser("general-position",
-                                    help="genericity check only")))
+    common(sub.add_parser("general-position", help="genericity check only"))
     common(sub.add_parser("polar", help="dual vertices of the input ball"))
     certify = sub.add_parser("certify",
                              help="verify a certificate file against a space")
@@ -335,10 +325,6 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError:
             print("error: MINPROJ_SUBSET_CAP must be an integer", file=sys.stderr)
             return 2
-    gp_cap = getattr(args, "gp_cap", DEFAULT_GP_CAP)
-    if gp_cap <= 0:
-        print("error: --gp-cap must be positive", file=sys.stderr)
-        return 2
     cfg = RunConfig(
         command=args.command,
         input_path=args.input,
@@ -346,7 +332,6 @@ def main(argv: list[str] | None = None) -> int:
         output=args.output,
         seed=args.seed,
         subset_cap=cap,
-        gp_cap=gp_cap,
         skip_support_search=args.skip_support_search,
         table=args.table,
         only=getattr(args, "only", None),

@@ -243,13 +243,8 @@ def _validate_dual_list(primal, dual, n) -> None:
     _check_symmetric(dual, "dual")
     if rows_rank(dual) != n:
         raise NotFullDimensionalError("dual vertices do not span the space")
-    # f·v - 1 has the sign of f_num·v_num - f_den·v_den, so max f·v == 1
-    # is decided in integers, with both lists cleared once.
-    cleared = [over_denominator(v) for v in primal]
     for j, f in enumerate(dual):
-        f_num, f_den = over_denominator(f)
-        if max(sum(a * b for a, b in zip(f_num, v_num)) - f_den * v_den
-               for v_num, v_den in cleared) != 0:
+        if max(dot(f, v) for v in primal) != 1:
             raise NotExtremeError(
                 f"dual vertex {j} does not attain value 1 on the ball")
     # With the duals inside the polar, the rank tests are exact for them.

@@ -50,10 +50,17 @@ class OperatorBasis:
         return out
 
     def pair_values(self, x: Vector, f: Vector) -> Vector:
-        """f(L_q x) over the basis operators, which factors as f(y) * g(x)
-        over their rank-one structure L = y (x) g (y outer, g inner)."""
-        g_at = [dot(g, x) for g in self.annihilator]
-        return tuple(dot(f, y) * gx for y in self.y_basis for gx in g_at)
+        """f(L_q x) over the basis operators."""
+        return _rank_one_values([dot(f, y) for y in self.y_basis],
+                                [dot(g, x) for g in self.annihilator])
+
+
+def _rank_one_values(f_at_y: Sequence[Fraction],
+                     g_at_x: Sequence[Fraction]) -> Vector:
+    """f(L_q x) over the basis operators L_q = y (x) g, from f(y) over Y's
+    basis and g(x) over the annihilator: the value is f(y) * g(x), in the
+    order of build_operator_basis (y outer, g inner)."""
+    return tuple(fy * gx for fy in f_at_y for gx in g_at_x)
 
 
 def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
@@ -133,7 +140,8 @@ def build_pair_grid(space: PolyhedralSpace, Y: Subspace,
     negp = space.primal_negation
     negd = space.dual_negation
     P0 = basis.base_projection
-    # f_j(L_q x_i) factors as g(x_i) * f_j(y) over the rank-one structure.
+    # f_j(L_q x_i) factors over the rank-one structure; its two factors
+    # are computed once per vertex.
     g_at = [[dot(g, x) for g in basis.annihilator] for x in space.primal_vertices]
     f_at = [[dot(f, y) for y in basis.y_basis] for f in space.dual_vertices]
     p0x = [P0.apply(x) for x in space.primal_vertices]
@@ -141,15 +149,13 @@ def build_pair_grid(space: PolyhedralSpace, Y: Subspace,
     pairs = []
     base = []
     coefs = []
-    n_ann = len(basis.annihilator)
     for i in range(len(space.primal_vertices)):
         for j in range(len(space.dual_vertices)):
             if (i, j) > (negp[i], negd[j]):
                 continue
             pairs.append((i, j))
             base.append(dot(space.dual_vertices[j], p0x[i]))
-            coefs.append(tuple(g_at[i][q % n_ann] * f_at[j][q // n_ann]
-                               for q in range(len(basis.basis_ops))))
+            coefs.append(_rank_one_values(f_at[j], g_at[i]))
     return PairGrid(pairs=tuple(pairs), base=tuple(base), coefs=tuple(coefs))
 
 

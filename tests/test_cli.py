@@ -298,33 +298,6 @@ def test_analyze_builds_operator_basis_once(space_file, capsys, monkeypatch):
             == certificates.minimal_support_cm(*args, witness=report.interior))
 
 
-def test_gp_cap_partial_report(space_file, capsys):
-    assert cli.main(["analyze", "--input", space_file, "--gp-cap", "2"]) == 3
-    captured = capsys.readouterr()
-    report = json.loads(captured.out)
-    assert report["general_position"] == "skipped"
-    assert report["support_search"]["size"] == 3  # rest of the report still present
-    assert "exceeded cap 2" in captured.err
-    assert cli.main(["general-position", "--input", space_file,
-                     "--gp-cap", "2"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "exceeded cap 2" in captured.err
-    # the default budget is unchanged
-    assert cli.main(["analyze", "--input", space_file]) == 0
-    default = json.loads(capsys.readouterr().out)["general_position"]
-    assert default["in_general_position"] is True
-
-
-def test_gp_cap_must_be_positive(space_file, capsys):
-    for command in ("analyze", "general-position"):
-        for cap in ("0", "-3"):
-            assert cli.main([command, "--input", space_file, "--gp-cap", cap]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == "error: --gp-cap must be positive\n"
-
-
 def test_analyze_table_output(space_file, capsys):
     assert cli.main(["analyze", "--input", space_file, "--table"]) == 0
     out = capsys.readouterr().out
