@@ -3,7 +3,6 @@ normed spaces: relative projection constants, optimal-face dimensions,
 norming pairs and Chalmers-Metcalf certificates, all in rational
 arithmetic."""
 
-from ._kernel import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from .catalog import (CaseExpectation, NamedCase, l1_ball, linf_ball,
                       mixed_ball, paper_cases, random_subspace)
 from .certificates import (CMFunctional, CMVerdict, cm_from_dual, cm_operator,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CMFunctional", "CMVerdict", "CaseExpectation", "CertificateInvalidError",
     "GeneralPositionReport", "InputFormatError", "InternalError",
-    "KERNEL_IMPLEMENTATION",
     "MinProjReport", "MinprojError", "NamedCase", "NotExtremeError",
     "NotFullDimensionalError", "NotMinimalError", "NotSymmetricError",
     "OperatorBasis", "OperatorPoint", "PolyhedralSpace", "QQ",

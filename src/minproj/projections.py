@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .errors import InternalError, NotMinimalError
 from .geometry import PolyhedralSpace, Subspace, norm_eval
 from .linalg import RMatrix, Vector, dot, inverse, nullspace_basis, rows_rank
-from .simplex import INFEASIBLE, OPTIMAL, LinearProgram, solve
+from .simplex import OPTIMAL, LinearProgram, solve
 
 
 @dataclass(frozen=True)
@@ -321,68 +321,20 @@ def face_dimension(space: PolyhedralSpace, Y: Subspace,
 
 def max_norming_projection(space: PolyhedralSpace, Y: Subspace,
                            report: MinProjReport) -> tuple[OperatorPoint, int]:
-    """Greedy tightening from the relative interior of the optimal face:
-    visit non-tight grid rows in order and force each tight whenever that
-    is jointly feasible with everything forced so far.  The result is a
-    minimal projection whose norming-pair set is inclusion-maximal.
+    """A minimal projection whose norming-pair set is inclusion-maximal,
+    with the number of its norming pairs: the LP witness, with no LP.
 
-    Working coordinates are restricted to the affine hull of the face
-    (the implicit rows are quotiented out), which keeps the feasibility
-    LPs small; rows whose restricted coefficients vanish can never change
-    their slack and are skipped outright.
+    The simplex returns a basic optimum, so the grid rows [coefs_r, -1]
+    tight at the witness have rank d + 1 in the d + 1 unknowns (c, t);
+    this is checked.  Any minimal projection normed by all of those pairs
+    satisfies the same d + 1 independent equalities and is the witness
+    itself, so no minimal projection has a strictly larger norming set:
+    the witness is a vertex of the optimal face.  Full rank also needs at
+    least d + 1 = k(n-k) + 1 >= n tight pairs.
     """
-    if report.face_dim is None:
-        face_dimension(space, Y, report)
     grid = report.grid
-    lam = report.lam
     d = len(report.witness.coefficients)
-    interior = report.interior.coefficients
-    fd = report.face_dim
-    if fd == 0:
-        return report.interior, len(report.implicit_pairs)
-
-    implicit = set(report._implicit_rows)
-    ncols, restricted = _restrict_to_face(
-        grid, report._implicit_rows,
-        [r for r in range(len(grid.pairs)) if r not in implicit], d)
-
-    slack0: dict[int, Fraction] = {}
-    candidates: list[int] = []
-    for r, G in restricted.items():
-        s = lam - grid.row_value(r, interior)
-        if s <= 0:
-            raise InternalError(f"non-implicit row {r} is tight at the relative interior")
-        if any(G):
-            slack0[r] = s
-            candidates.append(r)
-
-    z = tuple([Fraction(0)] * fd)
-    forced: list[int] = []
-    for r in candidates:
-        here = slack0[r] - dot(restricted[r], z)
-        if here == 0:
-            forced.append(r)
-            continue
-        rows = [restricted[q] for q in candidates]
-        rhs = [slack0[q] for q in candidates]
-        for q in forced + [r]:
-            rows.append(tuple(-x for x in restricted[q]))
-            rhs.append(-slack0[q])
-        attempt = solve(LinearProgram(
-            objective=tuple([Fraction(0)] * fd),
-            constraint_matrix=RMatrix.from_rows(rows),
-            rhs=tuple(rhs),
-        ))
-        if attempt.status == OPTIMAL:
-            z = attempt.primal
-            forced.append(r)
-        elif attempt.status != INFEASIBLE:
-            raise InternalError(f"tightening LP is {attempt.status}")
-
-    final = tuple(interior[q] + sum(col[q] * zv for col, zv in zip(ncols, z))
-                  for q in range(d))
-    point = OperatorPoint(final)
-    pairs = norming_pairs(space, Y, point, lam, grid=grid)
-    if len(pairs) < len(report.implicit_pairs) + len(forced):
-        raise InternalError("tightened projection lost norming pairs")
-    return point, len(pairs)
+    tight = [grid.coefs[r] + (Fraction(-1),) for r in report._witness_tight]
+    if rows_rank(tight) != d + 1:
+        raise InternalError("rows tight at the LP witness do not have full rank")
+    return report.witness, len(report.norming_pairs_of_witness)

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
-from ._kernel import row_axpy, scale_row
 from .errors import InternalError
 from .linalg import RMatrix, dot, solve_linear
 
@@ -80,6 +80,50 @@ class LPSolution:
     primal: tuple[Fraction, ...] | None = None
     dual: tuple[Fraction, ...] | None = None
     tight_set: frozenset[int] = frozenset()
+
+
+# A tableau row is a pair of equal-length lists of Python ints (numerators
+# and denominators) kept in lowest terms with positive denominators; a zero
+# entry is stored as 0/1.  These two in-place operations are the entire
+# inner loop of the simplex, so they are written against plain ints
+# instead of Fraction objects.
+
+def scale_row(num, den, fn, fd):
+    """Multiply the row by fn/fd in place (fn != 0, fd > 0)."""
+    for i in range(len(num)):
+        n = num[i]
+        if n == 0:
+            continue
+        nn = n * fn
+        dd = den[i] * fd
+        g = gcd(nn, dd)
+        num[i] = nn // g
+        den[i] = dd // g
+
+
+def row_axpy(dnum, dden, snum, sden, fn, fd):
+    """Subtract (fn/fd) times the source row from the destination row in place.
+
+    fd must be positive; a zero factor is a no-op.
+    """
+    if fn == 0:
+        return
+    for i in range(len(snum)):
+        s = snum[i]
+        if s == 0:
+            continue
+        a = dnum[i]
+        b = dden[i]
+        t = sden[i]
+        nn = a * fd * t - fn * s * b
+        if nn == 0:
+            dnum[i] = 0
+            dden[i] = 1
+            continue
+        dd = b * fd * t
+        g = gcd(nn, dd)
+        dnum[i] = nn // g
+        dden[i] = dd // g
 
 
 class _PivotCore:

@@ -1,13 +1,15 @@
 """Reference implementations kept as oracles for the exact methods in
-``projections.face_dimension``, ``certificates.minimal_support_cm``,
-``geometry.general_position_check`` and the extremality check of
-``geometry.PolyhedralSpace.from_vertices``.
+``projections.face_dimension``, ``projections.max_norming_projection``,
+``certificates.minimal_support_cm``, ``geometry.general_position_check``
+and the extremality check of ``geometry.PolyhedralSpace.from_vertices``.
 
-The first two are the earlier loop-of-LPs algorithms: the optimal face
-decided by one pinned-objective LP per tight row, and the minimal-support
-certificate found by one "maximize the smallest weight" LP per candidate
-subset.  The minimal-support certificate has a second oracle, one
-rational linear solve per candidate subset with no pruning.  Next comes
+The first three are the earlier loop-of-LPs algorithms: the optimal face
+decided by one pinned-objective LP per tight row, a minimal projection
+with an inclusion-maximal norming set found by greedy tightening from
+the relative interior, and the minimal-support certificate found by one
+"maximize the smallest weight" LP per candidate subset.  The
+minimal-support certificate has a second oracle, one rational linear
+solve per candidate subset with no pruning.  Next comes
 the exhaustive general-position enumeration over every subset size up
 to n, with one stacked rank per distinct subspace.  The last decides
 each vertex's extremality by one feasibility LP over the other listed
@@ -24,7 +26,9 @@ from minproj.errors import (CertificateInvalidError, SubsetBudgetExceededError,
 from minproj.geometry import GeneralPositionReport
 from minproj.linalg import (RMatrix, dot, nullspace_basis, rows_rank, rref_rows,
                             solve_linear)
-from minproj.projections import build_operator_basis
+from minproj.projections import (OperatorPoint, _restrict_to_face,
+                                  build_operator_basis, face_dimension,
+                                  norming_pairs)
 from minproj.simplex import INFEASIBLE, OPTIMAL, LinearProgram, make_lp, solve
 
 
@@ -72,6 +76,71 @@ def face_dimension_per_row(report):
     interior = tuple(sum(p[q] for p in points) / count for q in range(d))
     assert grid.tight_rows(interior, lam) == implicit_rows
     return face_dim, frozenset(grid.pairs[r] for r in implicit_rows), interior
+
+
+def max_norming_by_greedy(space, Y, report):
+    """(point, norming-pair count) of a minimal projection whose norming
+    set is inclusion-maximal, by greedy tightening from the relative
+    interior of the optimal face: visit non-tight grid rows in order and
+    force each tight whenever that is jointly feasible with everything
+    forced so far, one feasibility LP per row.
+
+    Working coordinates are restricted to the affine hull of the face
+    (the implicit rows are quotiented out); rows whose restricted
+    coefficients vanish can never change their slack and are skipped.
+    Fills in the report's face fields if they are missing."""
+    if report.face_dim is None:
+        face_dimension(space, Y, report)
+    grid = report.grid
+    lam = report.lam
+    d = len(report.witness.coefficients)
+    interior = report.interior.coefficients
+    fd = report.face_dim
+    if fd == 0:
+        return report.interior, len(report.implicit_pairs)
+
+    implicit = set(report._implicit_rows)
+    ncols, restricted = _restrict_to_face(
+        grid, report._implicit_rows,
+        [r for r in range(len(grid.pairs)) if r not in implicit], d)
+
+    slack0 = {}
+    candidates = []
+    for r, G in restricted.items():
+        s = lam - grid.row_value(r, interior)
+        assert s > 0, f"non-implicit row {r} is tight at the relative interior"
+        if any(G):
+            slack0[r] = s
+            candidates.append(r)
+
+    z = tuple([Fraction(0)] * fd)
+    forced = []
+    for r in candidates:
+        if slack0[r] - dot(restricted[r], z) == 0:
+            forced.append(r)
+            continue
+        rows = [restricted[q] for q in candidates]
+        rhs = [slack0[q] for q in candidates]
+        for q in forced + [r]:
+            rows.append(tuple(-x for x in restricted[q]))
+            rhs.append(-slack0[q])
+        attempt = solve(LinearProgram(
+            objective=tuple([Fraction(0)] * fd),
+            constraint_matrix=RMatrix.from_rows(rows),
+            rhs=tuple(rhs),
+        ))
+        if attempt.status == OPTIMAL:
+            z = attempt.primal
+            forced.append(r)
+        else:
+            assert attempt.status == INFEASIBLE, attempt.status
+
+    final = tuple(interior[q] + sum(col[q] * zv for col, zv in zip(ncols, z))
+                  for q in range(d))
+    point = OperatorPoint(final)
+    pairs = norming_pairs(space, Y, point, lam, grid=grid)
+    assert len(pairs) >= len(report.implicit_pairs) + len(forced)
+    return point, len(pairs)
 
 
 def minimal_support_by_lp(space, Y, candidate_pairs, max_candidates=24):

@@ -1,8 +1,8 @@
-"""The exact face, support, general-position and extremality computations
-against the algorithms they replaced (kept in ``oracles.py``): on every
-catalog case, on seeded subspaces of l-inf^n and l1^n, on kernels of
-small integer functionals, and on vertex lists with non-extreme or
-duplicated points."""
+"""The exact face, maximal-norming, support, general-position and
+extremality computations against the algorithms they replaced (kept in
+``oracles.py``): on every catalog case, on seeded subspaces of l-inf^n
+and l1^n, on kernels of small integer functionals, and on vertex lists
+with non-extreme or duplicated points."""
 
 import itertools
 from fractions import Fraction
@@ -16,12 +16,13 @@ from minproj.certificates import minimal_support_cm
 from minproj.errors import NotExtremeError, SupportBudgetExceededError
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, polar_dual)
-from minproj.projections import (OperatorPoint, face_dimension, norming_pairs,
+from minproj.projections import (OperatorPoint, face_dimension,
+                                 max_norming_projection, norming_pairs,
                                  operator_norm, projection_constant)
 
 from oracles import (face_dimension_per_row, first_non_extreme,
-                     general_position_exhaustive, minimal_support_by_lp,
-                     minimal_support_by_solve)
+                     general_position_exhaustive, max_norming_by_greedy,
+                     minimal_support_by_lp, minimal_support_by_solve)
 
 # Large enough for every candidate set below: lifts the support-search cap.
 NO_CAP = 10 ** 3
@@ -54,6 +55,19 @@ def test_face_matches_per_row_oracle(cases):
             assert operator_norm(space, report.basis.realize(point)) == report.lam
             assert norming_pairs(space, Y, point, report.lam,
                                  grid=report.grid) == implicit, name
+
+
+def test_max_norming_witness_matches_greedy_oracle(analyzed):
+    counts = {}
+    for name, a in analyzed.items():
+        space, Y, report = a.case.space, a.case.subspace, a.report
+        point, count = max_norming_projection(space, Y, report)
+        assert point == report.witness, name
+        _, greedy_count = max_norming_by_greedy(space, Y, report)
+        assert count == greedy_count, name
+        counts[name] = count
+    assert len(counts) == 16
+    assert (min(counts.values()), max(counts.values())) == (3, 80)
 
 
 def test_support_matches_subset_lp_oracle(cases):

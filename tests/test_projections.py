@@ -172,6 +172,13 @@ def test_max_norming_pinned_counts(analyzed):
         assert got == count, name
 
 
+def test_max_norming_projection_solves_no_lp(analyzed):
+    for name, a in analyzed.items():
+        before = SOLVE_STATS["solves"]
+        max_norming_projection(a.case.space, a.case.subspace, a.report)
+        assert SOLVE_STATS["solves"] == before, name
+
+
 def test_reports_are_deterministic(ker_sum_3):
     space, Y = ker_sum_3
     r1 = projection_constant(space, Y)

@@ -1,5 +1,6 @@
 """Property-based checks of validation, the polar, general position, the
-minimal projection and its certificates on random symmetric polytopes.
+minimal projection, its norming pairs and its certificates on random
+symmetric polytopes.
 
 A ball is the convex hull of a few small-integer points and their
 negations in dimension n <= 4.  For general position its extreme points
@@ -19,7 +20,8 @@ from minproj.errors import NotExtremeError, SupportBudgetExceededError
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, polar_dual)
 from minproj.linalg import rows_rank
-from minproj.projections import (face_dimension, operator_norm,
+from minproj.projections import (face_dimension, max_norming_projection,
+                                 norming_pairs, operator_norm,
                                  projection_constant)
 
 from oracles import (first_non_extreme, general_position_exhaustive,
@@ -129,6 +131,16 @@ def test_projection_has_norm_lambda_and_dual_certificate_verifies(case):
                         basis=report.basis)
     assert verdict.ok, verdict.violations
     assert trace_on_subspace(space, Y, cm) == report.lam
+
+
+@_SETTINGS
+@given(spaces_with_subspaces())
+def test_max_norming_projection_has_n_pairs_over_the_implicit_ones(case):
+    space, Y, report, implicit = _analyze(case)
+    point, count = max_norming_projection(space, Y, report)
+    pairs = norming_pairs(space, Y, point, report.lam, grid=report.grid)
+    assert count == len(pairs) >= space.dim
+    assert pairs >= implicit
 
 
 # Candidate sets beyond this size are compared only in that both searches

@@ -2,6 +2,8 @@
 returned optima and certificates.  Alongside the fixed examples, random
 instances are compared against a brute-force vertex-enumeration oracle,
 and the two internal tableau shapes are cross-checked on every instance.
+The two row operations of the tableau are checked against Fraction
+arithmetic, on small entries and on entries far beyond machine words.
 """
 
 import itertools
@@ -11,7 +13,7 @@ import pytest
 
 from minproj.linalg import RMatrix, dot, solve_linear
 from minproj.simplex import (INFEASIBLE, OPTIMAL, SOLVE_STATS, UNBOUNDED,
-                             make_lp, solve)
+                             make_lp, row_axpy, scale_row, solve)
 from oracles import solve_on_face
 
 F = Fraction
@@ -169,3 +171,61 @@ def test_stats_count_verified_solves():
     assert after["solves"] == before["solves"] + 1
     assert after["optimal"] == before["optimal"] + 1
     assert after["duality_verified"] == before["duality_verified"] + 1
+
+
+def _random_row(seed, length, bound):
+    """Numerators and denominators of rationals p/q in lowest terms with
+    |p| <= bound and 1 <= q <= bound."""
+    state = seed
+    num, den = [], []
+    for _ in range(length):
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        p = state % (2 * bound + 1) - bound
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        q = state % bound + 1
+        f = F(p, q)
+        num.append(f.numerator)
+        den.append(f.denominator)
+    return num, den
+
+
+def _as_fractions(num, den):
+    return [F(n, d) for n, d in zip(num, den)]
+
+
+def _lowest_terms(values):
+    return [v.numerator for v in values], [v.denominator for v in values]
+
+
+def test_scale_row_matches_fraction():
+    for seed in range(20):
+        for bound in (7, 10**6, 2**40):
+            num, den = _random_row(seed, 9, bound)
+            expected = [v * F(-3, 7) for v in _as_fractions(num, den)]
+            scale_row(num, den, -3, 7)
+            assert (num, den) == _lowest_terms(expected)
+            assert all(d > 0 for d in den)
+
+
+def test_row_axpy_matches_fraction():
+    for seed in range(20):
+        for bound in (7, 10**6, 2**40):
+            dn, dd = _random_row(seed, 9, bound)
+            sn, sd = _random_row(seed + 1000, 9, bound)
+            expected = [a - F(5, 3) * b for a, b in
+                        zip(_as_fractions(dn, dd), _as_fractions(sn, sd))]
+            row_axpy(dn, dd, sn, sd, 5, 3)
+            assert (dn, dd) == _lowest_terms(expected)
+            assert all(d > 0 for d in dd)
+
+
+def test_axpy_zero_factor_is_noop():
+    dn, dd = [1, -2, 0], [2, 3, 1]
+    row_axpy(dn, dd, [5, 5, 5], [1, 1, 1], 0, 1)
+    assert (dn, dd) == ([1, -2, 0], [2, 3, 1])
+
+
+def test_cancellation_to_zero_normalizes():
+    dn, dd = [3], [4]
+    row_axpy(dn, dd, [3], [4], 1, 1)
+    assert (dn, dd) == ([0], [1])
