@@ -322,19 +322,49 @@ def face_dimension(space: PolyhedralSpace, Y: Subspace,
 def max_norming_projection(space: PolyhedralSpace, Y: Subspace,
                            report: MinProjReport) -> tuple[OperatorPoint, int]:
     """A minimal projection whose norming-pair set is inclusion-maximal,
-    with the number of its norming pairs: the LP witness, with no LP.
+    with the number of its norming pairs: a vertex of the optimal face,
+    reached from the LP witness with no LP.
 
-    The simplex returns a basic optimum, so the grid rows [coefs_r, -1]
-    tight at the witness have rank d + 1 in the d + 1 unknowns (c, t);
-    this is checked.  Any minimal projection normed by all of those pairs
-    satisfies the same d + 1 independent equalities and is the witness
-    itself, so no minimal projection has a strictly larger norming set:
-    the witness is a vertex of the optimal face.  Full rank also needs at
-    least d + 1 = k(n-k) + 1 >= n tight pairs.
+    A minimal projection c is a vertex of the optimal face exactly when
+    the grid rows [coefs_r, -1] tight at (c, lambda) have rank d + 1 in
+    the d + 1 unknowns (c, t).  Any minimal projection normed by all of
+    those pairs satisfies the same d + 1 independent equalities and is c
+    itself, so no minimal projection has a strictly larger norming set.
+    Full rank also needs at least d + 1 = k(n-k) + 1 >= n tight pairs.
+
+    The witness of the dual tableau path is a basic optimum and already a
+    vertex.  The inequality-form path splits free variables, and its
+    witness can lie inside the face; then it is purified exactly: with
+    the tight rows below rank d + 1, their coefficient rows have a
+    nonzero nullspace vector z (else t could drop below lambda), every
+    tight row stays tight along z, and the step to the first slack row
+    that rises (one exists: the face is bounded) makes that row tight and
+    raises the rank, so at most d steps reach a vertex.
+
+    Everything is read from the report; space and Y are not used and stay
+    in the signature for its callers.
     """
     grid = report.grid
-    d = len(report.witness.coefficients)
-    tight = [grid.coefs[r] + (Fraction(-1),) for r in report._witness_tight]
-    if rows_rank(tight) != d + 1:
-        raise InternalError("rows tight at the LP witness do not have full rank")
-    return report.witness, len(report.norming_pairs_of_witness)
+    lam = report.lam
+    point = report.witness.coefficients
+    d = len(point)
+    tight = list(report._witness_tight)
+    for _ in range(d + 1):
+        if rows_rank([grid.coefs[r] + (Fraction(-1),) for r in tight]) == d + 1:
+            return OperatorPoint(point), len(tight)
+        N = nullspace_basis(RMatrix.from_rows([grid.coefs[r] for r in tight]))
+        if N.cols == 0:
+            raise InternalError("tight rows leave a direction that lowers the norm below lambda")
+        z = N.col(0)
+        step = None
+        for r in range(len(grid.pairs)):
+            rise = dot(grid.coefs[r], z)
+            if rise > 0:
+                s = (lam - grid.row_value(r, point)) / rise
+                if step is None or s < step:
+                    step = s
+        if step is None:
+            raise InternalError("optimal face is unbounded")
+        point = tuple(c + step * zq for c, zq in zip(point, z))
+        tight = grid.tight_rows(point, lam)
+    raise InternalError("purification did not reach a vertex in d steps")

@@ -16,6 +16,7 @@ from minproj.certificates import minimal_support_cm
 from minproj.errors import NotExtremeError, SupportBudgetExceededError
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, polar_dual)
+from minproj.linalg import rows_rank
 from minproj.projections import (OperatorPoint, face_dimension,
                                  max_norming_projection, norming_pairs,
                                  operator_norm, projection_constant)
@@ -57,16 +58,41 @@ def test_face_matches_per_row_oracle(cases):
                                  grid=report.grid) == implicit, name
 
 
-def test_max_norming_witness_matches_greedy_oracle(analyzed):
+def _tight_rank(report, point):
+    """Rank of the grid rows [coefs_r, -1] tight at (point, lambda)."""
+    grid = report.grid
+    return rows_rank([grid.coefs[r] + (Fraction(-1),)
+                      for r in grid.tight_rows(point.coefficients, report.lam)])
+
+
+def test_max_norming_vertex_matches_greedy_oracle(cases):
+    # l1^2 onto a coordinate axis: the optimal face is the segment
+    # c in [-1, 1], and the grid is small enough for the inequality-form
+    # simplex, whose witness c = 0 lies inside it; every case in `cases`
+    # is solved on the dual path, whose witness is already a vertex
+    inside = {}
+    for j in range(2):
+        space, Y = l1_ball(2), Subspace.from_basis([[1 - j, j]])
+        inside[f"l1-2-axis{j}"] = SimpleNamespace(
+            case=SimpleNamespace(space=space, subspace=Y),
+            report=projection_constant(space, Y))
     counts = {}
-    for name, a in analyzed.items():
+    for name, a in {**cases, **inside}.items():
         space, Y, report = a.case.space, a.case.subspace, a.report
+        d = len(report.witness.coefficients)
+        witness_is_vertex = _tight_rank(report, report.witness) == d + 1
+        assert witness_is_vertex == (name not in inside), name
         point, count = max_norming_projection(space, Y, report)
-        assert point == report.witness, name
+        assert _tight_rank(report, point) == d + 1, name
+        if witness_is_vertex:
+            assert point == report.witness, name
+        assert len(norming_pairs(space, Y, point, report.lam,
+                                 grid=report.grid)) == count, name
         _, greedy_count = max_norming_by_greedy(space, Y, report)
         assert count == greedy_count, name
         counts[name] = count
-    assert len(counts) == 16
+    assert len(counts) == 22
+    assert [counts[name] for name in inside] == [4, 4]
     assert (min(counts.values()), max(counts.values())) == (3, 80)
 
 

@@ -173,10 +173,18 @@ def test_max_norming_pinned_counts(analyzed):
 
 
 def test_max_norming_projection_solves_no_lp(analyzed):
-    for name, a in analyzed.items():
+    # l1^2 onto span(e1) adds a witness inside the optimal face, which
+    # is moved to a vertex
+    space, Y = l1_ball(2), Subspace.from_basis([[1, 0]])
+    inside = (space, Y, projection_constant(space, Y))
+    runs = [(a.case.space, a.case.subspace, a.report) for a in analyzed.values()]
+    for space, Y, report in runs + [inside]:
         before = SOLVE_STATS["solves"]
-        max_norming_projection(a.case.space, a.case.subspace, a.report)
-        assert SOLVE_STATS["solves"] == before, name
+        max_norming_projection(space, Y, report)
+        assert SOLVE_STATS["solves"] == before
+    point, count = max_norming_projection(*inside)
+    assert (inside[2].witness, point, count) == (
+        OperatorPoint((F(0),)), OperatorPoint((F(1),)), 4)
 
 
 def test_reports_are_deterministic(ker_sum_3):
