@@ -1,0 +1,116 @@
+"""Report bytes pinned by SHA-256 digest.
+
+Every exact method in the pipeline can be replaced by another that gives
+the same answers; these digests make sure the replacement also gives the
+same bytes.  They cover the full ``analyze`` JSON (including the emitted
+``minimal_projection``, which depends on the pivot sequence of the
+simplex) of the 16 catalog cases and of the four seeded n = 4 inputs of
+the pipeline benchmark (cube and cross-polytope, hyperplane and 2-plane,
+``random_subspace`` at generator seed 7, primal vertices only so the CLI
+computes the polar), plus ``certify`` on one valid and one tampered
+certificate of the seeded l1^4 hyperplane.
+
+The digests hash the exit code, standard output and standard error of
+each run.  To print the table after an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import io
+import itertools
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import minproj.cli as cli
+from minproj.catalog import paper_cases, random_subspace
+from minproj.jsonio import space_json, vector_json
+
+SEED = 7
+CERTIFIED = "seeded-l1-n4-k3"
+
+GOLDEN = {
+    "analyze/ker-sum-l1-n3": "9fc72e2238e1ff01b42450b1c1af7813407675c2dfcffc5da5c94512407d2614",
+    "analyze/ker-sum-linf-n3": "424bc46f7650b4f2486825c5673537417bcef69bcd55c3a3878dca5cf3dbd768",
+    "analyze/ker-sum-l1-n4": "4645359076a7598343419d6297a1934f0cd2c88ee6d4a84f177e94001ca750f3",
+    "analyze/ker-sum-linf-n4": "ea12073898922a00d13c79ebc82caf4a3b873d2eb5a792aa8fbb33d684379544",
+    "analyze/ker-sum-l1-n5": "5a38ff49b90a1e2db8fe6dfb646541c708d2e37c60f7682586fc347a7d271cae",
+    "analyze/ker-sum-linf-n5": "682489d8feaf4c38e97ce7aaf102c4c310df1095365f6dc23b82d241fd99c0d1",
+    "analyze/coordinate-span-l1-n3-k2": "6284d7d1e779d970b41b5b9c8b9bc7268a0a770354a9656648ffc4241251aa63",
+    "analyze/coordinate-span-l1-n4-k2": "ebcc01847fc0846a007731fe19e17219ae4dd9a8fdd1883c0f741bf1eefab031",
+    "analyze/coordinate-span-l1-n5-k2": "d0ad85cb45436b1361d175de546412f02cb041e03328c93ef02df31414963e1f",
+    "analyze/mixed-extremal-n4-k3": "c21d62eba9100b89f37fa65e14fbfcbdea0eb90526a71940aeeee27789daeb81",
+    "analyze/mixed-extremal-n5-k3": "9632b8a49665ec1455fa0c926779c0a6e3c36332d6cf9050c50466b3042f3b35",
+    "analyze/partial-sum-linf-n4-k3": "36b50221e74a3f0d62421efa028d682304d3c7b607a18be6de1f917e5c422465",
+    "analyze/partial-sum-linf-n5-k3": "c6bb1dade88506ce237dffb2d7a5860ba1c2630ce64f677ba7db4d07a1af085c",
+    "analyze/partial-sum-linf-n5-k4": "738b25e2925e531c40129976c113b2471fd7cd6c0a6de0a17789cc3c9efabc45",
+    "analyze/first-coordinate-mixed-n4": "25cd6532984164c4155379d30b092b611d5e0f94d8d5c13f7971a3ed4470f2bd",
+    "analyze/first-coordinate-mixed-n5": "5f675c07fa7c18c89f1d4d1e61a5b5166184104e4a70ff2b02f801feb81b7da5",
+    "analyze/seeded-linf-n4-k3": "0abdb9eaa90ce27f4f26aa75853166e5f5abce892df1a04447104cdd86ca1e96",
+    "analyze/seeded-linf-n4-k2": "94d2b323e9d85fdf6aff3f6f9cbf44a619e7f4e372be2503c948cf40a0b1884c",
+    "analyze/seeded-l1-n4-k3": "b00af86c15696f8237ee68475a2c7cc1c2195a44b0c09976748a9f0eee623312",
+    "certify/seeded-l1-n4-k3-valid": "3ad55cf3f5b673879723c1aa8ef0b1bd3450a3b6fcc6ef0554786811b54d17f3",
+    "certify/seeded-l1-n4-k3-tampered": "137486a4feafc3cad9f6b52973a4e3b25d9f969359ec4d00f9a3c0328aac2721",
+    "analyze/seeded-l1-n4-k2": "f7859d8694d418253699a38d4a4cb010a53899f0c226954b58fe03d794584659",
+}
+
+
+def _seeded_documents():
+    cube = [list(v) for v in itertools.product((1, -1), repeat=4)]
+    cross = [[s if j == i else 0 for j in range(4)] for i in range(4) for s in (1, -1)]
+    for ball, verts in (("linf", cube), ("l1", cross)):
+        for k in (3, 2):
+            subspace = random_subspace(4, k, SEED)
+            yield f"seeded-{ball}-n4-k{k}", {
+                "dim": 4,
+                "vertices": [vector_json(v) for v in verts],
+                "subspace_basis": [vector_json(b) for b in subspace.basis_vectors()],
+            }
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _runs(tmp_path):
+    """(name, (exit code, stdout, stderr)) of every pinned run, in order."""
+    documents = [(case.name, space_json(case.space, case.subspace))
+                 for case in paper_cases()]
+    documents += list(_seeded_documents())
+    for name, doc in documents:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        result = _run(["analyze", "--input", str(path)])
+        yield f"analyze/{name}", result
+        if name == CERTIFIED:
+            cert = json.loads(result[1])["cm_certificate"]
+            for label in ("valid", "tampered"):
+                if label == "tampered":
+                    cert["pairs"][0]["weight"] = "1/1000"
+                cert_path = tmp_path / f"{label}.certificate.json"
+                cert_path.write_text(json.dumps(cert))
+                yield f"certify/{name}-{label}", _run(
+                    ["certify", str(cert_path), "--input", str(path)])
+
+
+def _digest(result) -> str:
+    code, out, err = result
+    return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+
+
+def test_report_bytes_match_golden_digests(tmp_path):
+    got = {name: _digest(result) for name, result in _runs(tmp_path)}
+    assert list(got) == list(GOLDEN)
+    mismatched = [name for name in GOLDEN if got[name] != GOLDEN[name]]
+    assert not mismatched, f"report bytes changed: {mismatched}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, result in _runs(Path(tmp)):
+            print(f'    "{name}": "{_digest(result)}",')
