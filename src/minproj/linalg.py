@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -114,9 +115,14 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), _ZERO)
 
 
+def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """Dot product of two integer vectors."""
+    return sum(map(mul, u, v))
+
+
 def over_denominator(v: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers w and the least denominator d > 0 with v = w / d."""
-    v = [Fraction(x) for x in v]
+    v = [x if isinstance(x, Fraction) else Fraction(x) for x in v]
     d = lcm(*(x.denominator for x in v))
     return [x.numerator * (d // x.denominator) for x in v], d
 

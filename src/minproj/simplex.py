@@ -1,4 +1,4 @@
-"""Exact rational simplex for  minimize c·v  subject to  A·v <= b,  v free.
+"""Exact simplex for  minimize c·v  subject to  A·v <= b,  v free.
 
 Free variables are split v = v+ - v-; rows with negative right-hand side
 get artificial variables and a phase-I solve.  Entering columns follow
@@ -14,9 +14,25 @@ Wide systems (many constraints over few variables, the shape of the
 operator-norm grids) are automatically solved through the dual in
 standard form instead: one equality row per original variable, one
 nonnegative column per original constraint.  The basis then has d+1
-entries instead of one per row, and the primal optimum is recovered from
-the exact basis prices.  Both paths produce the same certificate format
-and run the same verification.
+entries instead of one per row, and the primal optimum is read off the
+reduced costs of the artificial columns, the exact prices of the final
+basis.  Both paths produce the same certificate format and run the same
+verification.
+
+All arithmetic is on Python ints.  The LP is cleared to integer rows
+over one common denominator once (LinearProgram.integer_form).  A
+tableau row is one list of ints equal to the true row times a positive
+factor, and that factor is the row's entry under its basic column (1 in
+the true row), so a basic value is the right-hand side over that entry.
+The reduced-cost row is a list of ints `on` over a positive `oscale`.
+A pivot on the entry p > 0 at (r, c) replaces every other row R by
+p·R − R[c]·R_r and divides out its content (the gcd of its entries), so
+rows stay primitive and no entry ever needs a gcd of its own.  Positive
+factors change no sign and no ratio: Dantzig's rule compares `on`
+directly, and the ratio test and the stall check compare cross-products,
+so the pivot sequence, the primal, the dual and the tight set are the
+ones exact rational arithmetic gives.  Verification runs in integer dot
+products over the same integer form.
 
 Sign convention for certificates: on OPTIMAL, the dual u satisfies
 u >= 0, Aᵀu = -c and u·b = -value (the standard dual of the
@@ -27,11 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InternalError
-from .linalg import RMatrix, dot, solve_linear
+from .linalg import RMatrix, int_dot, over_denominator
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -60,6 +77,18 @@ class LinearProgram:
         if len(self.rhs) != self.constraint_matrix.rows:
             raise ValueError("rhs length does not match constraint rows")
 
+    @cached_property
+    def integer_form(self) -> tuple[list[list[int]], list[int], int]:
+        """(M, beta, D): integer rows and right-hand sides over the least
+        common denominator D > 0 of all entries, [A | b] = [M | beta] / D."""
+        A = self.constraint_matrix
+        D = lcm(*(x.denominator for x in A.entries),
+                *(x.denominator for x in self.rhs))
+        flat = [x.numerator * (D // x.denominator) for x in A.entries]
+        M = [flat[i * A.cols:(i + 1) * A.cols] for i in range(A.rows)]
+        beta = [x.numerator * (D // x.denominator) for x in self.rhs]
+        return M, beta, D
+
 
 def make_lp(objective: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LinearProgram:
     """Convenience builder coercing plain numbers to Fractions."""
@@ -73,62 +102,27 @@ def make_lp(objective: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> Lin
 @dataclass(frozen=True)
 class LPSolution:
     """status plus, when OPTIMAL: exact value, a primal optimum, the dual
-    certificate (one weight per constraint) and the set of tight rows."""
+    certificate (one weight per constraint) and the set of tight rows.
+    pivots counts the simplex iterations of every phase and tableau."""
 
     status: str
     value: Fraction | None = None
     primal: tuple[Fraction, ...] | None = None
     dual: tuple[Fraction, ...] | None = None
     tight_set: frozenset[int] = frozenset()
+    pivots: int = 0
 
 
-# A tableau row is a pair of equal-length lists of Python ints (numerators
-# and denominators) kept in lowest terms with positive denominators; a zero
-# entry is stored as 0/1.  These two in-place operations are the entire
-# inner loop of the simplex, so they are written against plain ints
-# instead of Fraction objects.
-
-def scale_row(num, den, fn, fd):
-    """Multiply the row by fn/fd in place (fn != 0, fd > 0)."""
-    for i in range(len(num)):
-        n = num[i]
-        if n == 0:
-            continue
-        nn = n * fn
-        dd = den[i] * fd
-        g = gcd(nn, dd)
-        num[i] = nn // g
-        den[i] = dd // g
-
-
-def row_axpy(dnum, dden, snum, sden, fn, fd):
-    """Subtract (fn/fd) times the source row from the destination row in place.
-
-    fd must be positive; a zero factor is a no-op.
-    """
-    if fn == 0:
-        return
-    for i in range(len(snum)):
-        s = snum[i]
-        if s == 0:
-            continue
-        a = dnum[i]
-        b = dden[i]
-        t = sden[i]
-        nn = a * fd * t - fn * s * b
-        if nn == 0:
-            dnum[i] = 0
-            dden[i] = 1
-            continue
-        dd = b * fd * t
-        g = gcd(nn, dd)
-        dnum[i] = nn // g
-        dden[i] = dd // g
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by its content (a positive divisor: signs stay)."""
+    g = gcd(*row)
+    return row if g == 1 else [x // g for x in row]
 
 
 class _PivotCore:
-    """Shared full-tableau machinery: rows as parallel num/den lists, an
-    objective row priced out over the basis, Dantzig-then-Bland pivoting."""
+    """Shared full-tableau machinery: integer rows scaled through their
+    basic entries, an objective row priced out over the basis,
+    Dantzig-then-Bland pivoting."""
 
     nrows: int
     width: int
@@ -137,93 +131,94 @@ class _PivotCore:
         self.nrows = nrows
         self.width = width
         self.RHS = width - 1
-        self.rows_n: list[list[int]] = []
-        self.rows_d: list[list[int]] = []
+        self.rows: list[list[int]] = []
         self.basis: list[int] = []
         self.forbidden: frozenset[int] = frozenset()
         self.on: list[int] = []
-        self.od: list[int] = []
+        self.oscale = 1
         self.bland = False
         self.stall = 0
         self.pivots = 0
 
-    def set_objective(self, costs: dict[int, Fraction]) -> None:
-        """Install an objective row and price out the current basis."""
-        on = [0] * self.width
-        od = [1] * self.width
-        for col, value in costs.items():
-            on[col] = value.numerator
-            od[col] = value.denominator
+    def set_objective(self, on: list[int], oscale: int) -> None:
+        """Install the cost row on / oscale (oscale > 0) and price out the
+        current basis."""
         self.on = on
-        self.od = od
+        self.oscale = oscale
         for r in range(self.nrows):
-            j = self.basis[r]
-            if on[j] != 0:
-                row_axpy(on, od, self.rows_n[r], self.rows_d[r], on[j], od[j])
-                on[j] = 0
-                od[j] = 1
+            if on[self.basis[r]] != 0:
+                self._price_out(r, self.basis[r])
+
+    def _price_out(self, r: int, c: int) -> None:
+        """Clear the reduced cost of column c with row r, whose entry p at c
+        is positive: on/oscale - (on[c]/oscale)(R/p) = (p·on - on[c]·R)/(p·oscale)."""
+        R = self.rows[r]
+        p = R[c]
+        f = self.on[c]
+        on = [p * a - f * b for a, b in zip(self.on, R)]
+        scale = self.oscale * p
+        g = gcd(gcd(*on), scale)
+        if g > 1:
+            on = [x // g for x in on]
+            scale //= g
+        self.on = on
+        self.oscale = scale
 
     def _entering(self) -> int | None:
         on = self.on
-        od = self.od
         if self.bland:
             for j in range(self.width - 1):
                 if on[j] < 0 and j not in self.forbidden:
                     return j
             return None
         best = None
-        best_n = best_d = 0
+        best_v = 0
         for j in range(self.width - 1):
-            nj = on[j]
-            if nj < 0 and j not in self.forbidden:
-                dj = od[j]
-                if best is None or nj * best_d < best_n * dj:
-                    best, best_n, best_d = j, nj, dj
+            v = on[j]
+            if v < best_v and j not in self.forbidden:
+                best, best_v = j, v
         return best
 
     def _leaving(self, c: int) -> int | None:
+        """Minimum ratio rhs / entry over positive entries of column c (the
+        row factor cancels), ties to the lowest basic variable."""
         best = None
         best_num = best_den = 0
         best_var = -1
-        for i in range(self.nrows):
-            an = self.rows_n[i][c]
-            if an > 0:
-                ad = self.rows_d[i][c]
-                num = self.rows_n[i][self.RHS] * ad
-                den = self.rows_d[i][self.RHS] * an
+        RHS = self.RHS
+        for i, row in enumerate(self.rows):
+            a = row[c]
+            if a > 0:
+                num = row[RHS]
                 if best is None:
                     take = True
                 else:
                     lhs = num * best_den
-                    rhs = best_num * den
+                    rhs = best_num * a
                     take = lhs < rhs or (lhs == rhs and self.basis[i] < best_var)
                 if take:
-                    best, best_num, best_den, best_var = i, num, den, self.basis[i]
+                    best, best_num, best_den, best_var = i, num, a, self.basis[i]
         return best
 
     def pivot(self, r: int, c: int) -> None:
-        rn, rd = self.rows_n[r], self.rows_d[r]
-        pn, pd = rn[c], rd[c]
-        if pn < 0:
-            fn, fd = -pd, -pn
-        else:
-            fn, fd = pd, pn
-        if not (fn == 1 and fd == 1):
-            scale_row(rn, rd, fn, fd)
-        rn[c], rd[c] = 1, 1
+        rows = self.rows
+        R = rows[r]
+        p = R[c]
+        if p < 0:
+            R = rows[r] = [-x for x in R]
+            p = -p
         for i in range(self.nrows):
             if i != r:
-                coef_n = self.rows_n[i][c]
-                if coef_n != 0:
-                    row_axpy(self.rows_n[i], self.rows_d[i], rn, rd,
-                             coef_n, self.rows_d[i][c])
-                    self.rows_n[i][c], self.rows_d[i][c] = 0, 1
+                row = rows[i]
+                f = row[c]
+                if f != 0:
+                    rows[i] = _primitive([p * a - f * b for a, b in zip(row, R)])
         if self.on[c] != 0:
-            row_axpy(self.on, self.od, rn, rd, self.on[c], self.od[c])
-            self.on[c], self.od[c] = 0, 1
+            self._price_out(r, c)
         self.basis[r] = c
 
     def run(self) -> str:
+        RHS = self.RHS
         while True:
             c = self._entering()
             if c is None:
@@ -231,12 +226,12 @@ class _PivotCore:
             r = self._leaving(c)
             if r is None:
                 return UNBOUNDED
-            before = (self.on[self.RHS], self.od[self.RHS])
+            before_num, before_scale = self.on[RHS], self.oscale
             self.pivot(r, c)
             self.pivots += 1
             if self.pivots > _MAX_PIVOTS:
                 raise InternalError("simplex pivot budget exhausted")
-            if (self.on[self.RHS], self.od[self.RHS]) == before:
+            if self.on[RHS] * before_scale == before_num * self.oscale:
                 self.stall += 1
                 if self.stall >= _STALL_SWITCH:
                     self.bland = True
@@ -244,7 +239,11 @@ class _PivotCore:
                 self.stall = 0
 
     def objective_value(self) -> Fraction:
-        return -Fraction(self.on[self.RHS], self.od[self.RHS])
+        return -Fraction(self.on[self.RHS], self.oscale)
+
+    def basic_value(self, r: int) -> Fraction:
+        row = self.rows[r]
+        return Fraction(row[self.RHS], row[self.basis[r]])
 
     def clear_artificials(self, real_cols: int) -> None:
         """Pivot basic artificials (all at zero) onto real columns when possible.
@@ -255,43 +254,36 @@ class _PivotCore:
         for r in range(self.nrows):
             if self.basis[r] >= real_cols:
                 for c in range(real_cols):
-                    if self.rows_n[r][c] != 0:
+                    if self.rows[r][c] != 0:
                         self.pivot(r, c)
                         break
 
 
 class _Tableau(_PivotCore):
     """Inequality-form tableau: columns are the split variables, one slack
-    per row, artificials where the normalized right-hand side was negative."""
+    per row, artificials where the right-hand side was negative (that row
+    is negated so its artificial starts basic)."""
 
     def __init__(self, lp: LinearProgram):
-        A = lp.constraint_matrix
-        self.lp = lp
-        self.m = m = A.rows
-        self.d = d = A.cols
-        sigma = [1 if lp.rhs[i] >= 0 else -1 for i in range(m)]
-        self.sigma = sigma
+        M, beta, D = lp.integer_form
+        self.m = m = len(M)
+        self.d = d = lp.constraint_matrix.cols
+        sigma = [1 if b >= 0 else -1 for b in beta]
         art_rows = [i for i in range(m) if sigma[i] < 0]
         self.art_cols = {row: 2 * d + m + idx for idx, row in enumerate(art_rows)}
         self._init_core(m, 2 * d + m + len(art_rows) + 1)
         for i in range(m):
-            rn = [0] * self.width
-            rd = [1] * self.width
             s = sigma[i]
-            for j in range(d):
-                a = A.at(i, j)
+            row = [0] * self.width
+            for j, a in enumerate(M[i]):
                 if a:
-                    num = a.numerator if s > 0 else -a.numerator
-                    rn[j] = num
-                    rd[j] = a.denominator
-                    rn[d + j] = -num
-                    rd[d + j] = a.denominator
-            rn[2 * d + i] = s
-            b = lp.rhs[i] if s > 0 else -lp.rhs[i]
-            rn[self.RHS] = b.numerator
-            rd[self.RHS] = b.denominator
-            self.rows_n.append(rn)
-            self.rows_d.append(rd)
+                    row[j] = s * a
+                    row[d + j] = -s * a
+            row[2 * d + i] = s * D
+            if s < 0:
+                row[self.art_cols[i]] = D
+            row[self.RHS] = s * beta[i]
+            self.rows.append(_primitive(row))
             self.basis.append(2 * d + i if s > 0 else self.art_cols[i])
         # Artificial columns never (re-)enter the basis; sound because any
         # feasible point extends with all artificials at zero.
@@ -299,32 +291,26 @@ class _Tableau(_PivotCore):
 
 
 class _StdTableau(_PivotCore):
-    """Standard-form tableau  sum_r u_r * col_r = rhs, u >= 0  with one
-    artificial per equality row."""
+    """Standard-form tableau of the dual  Aᵀu = -c, u >= 0: one column per
+    constraint row of the LP, one equality row (with its artificial) per
+    variable, negated where -c_j < 0 so the artificial starts basic."""
 
-    def __init__(self, columns: list[tuple[Fraction, ...]], rhs: Sequence[Fraction]):
-        n_eq = len(rhs)
-        n_u = len(columns)
-        self.n_u = n_u
+    def __init__(self, lp: LinearProgram):
+        M, _, D = lp.integer_form
+        self.n_u = n_u = len(M)
+        n_eq = lp.constraint_matrix.cols
         self._init_core(n_eq, n_u + n_eq + 1)
-        sigma = [1 if rhs[i] >= 0 else -1 for i in range(n_eq)]
-        self.sigma = sigma
-        for i in range(n_eq):
-            rn = [0] * self.width
-            rd = [1] * self.width
-            s = sigma[i]
-            for r in range(n_u):
-                a = columns[r][i]
-                if a:
-                    rn[r] = a.numerator if s > 0 else -a.numerator
-                    rd[r] = a.denominator
-            rn[n_u + i] = 1
-            b = rhs[i] if s > 0 else -rhs[i]
-            rn[self.RHS] = b.numerator
-            rd[self.RHS] = b.denominator
-            self.rows_n.append(rn)
-            self.rows_d.append(rd)
-            self.basis.append(n_u + i)
+        self.sigma = []
+        for j, cj in enumerate(lp.objective):
+            s = 1 if cj <= 0 else -1
+            self.sigma.append(s)
+            # The true row times D·den(c_j).
+            factor = s * cj.denominator
+            row = [factor * M[r][j] for r in range(n_u)] + [0] * (n_eq + 1)
+            row[n_u + j] = D * cj.denominator
+            row[self.RHS] = -s * cj.numerator * D
+            self.rows.append(_primitive(row))
+            self.basis.append(n_u + j)
         self.forbidden = frozenset(range(n_u, n_u + n_eq))
 
 
@@ -346,118 +332,117 @@ def solve(lp: LinearProgram, method: str | None = None) -> LPSolution:
     return _solve_rows(lp)
 
 
-def _solve_rows(lp: LinearProgram) -> LPSolution:
+def _solve_rows(lp: LinearProgram, pivots: int = 0) -> LPSolution:
     tab = _Tableau(lp)
     m, d = tab.m, tab.d
 
     if tab.art_cols:
-        tab.set_objective({col: Fraction(1) for col in tab.art_cols.values()})
+        on = [0] * tab.width
+        for col in tab.art_cols.values():
+            on[col] = 1
+        tab.set_objective(on, 1)
         status = tab.run()
         if status != OPTIMAL:
             raise InternalError("phase I cannot be unbounded")
         if tab.objective_value() != 0:
-            return LPSolution(status=INFEASIBLE)
+            return LPSolution(status=INFEASIBLE, pivots=pivots + tab.pivots)
         tab.clear_artificials(2 * d + m)
 
-    costs: dict[int, Fraction] = {}
-    for j, cj in enumerate(lp.objective):
-        if cj:
-            costs[j] = cj
-            costs[d + j] = -cj
-    tab.set_objective(costs)
+    c, c_den = over_denominator(lp.objective)
+    on = [0] * tab.width
+    on[:d] = c
+    on[d:2 * d] = [-x for x in c]
+    tab.set_objective(on, c_den)
     status = tab.run()
+    pivots += tab.pivots
     if status == UNBOUNDED:
-        return LPSolution(status=UNBOUNDED)
+        return LPSolution(status=UNBOUNDED, pivots=pivots)
 
-    basic_value: dict[int, Fraction] = {}
-    for r in range(m):
-        basic_value[tab.basis[r]] = Fraction(tab.rows_n[r][tab.RHS],
-                                             tab.rows_d[r][tab.RHS])
+    basic_value = {tab.basis[r]: tab.basic_value(r) for r in range(m)}
     zero = Fraction(0)
     primal = tuple(basic_value.get(j, zero) - basic_value.get(d + j, zero)
                    for j in range(d))
     value = tab.objective_value()
-    dual = tuple(Fraction(tab.on[2 * d + i], tab.od[2 * d + i]) for i in range(m))
-    return _finish(lp, value, primal, dual)
+    dual = tuple(Fraction(tab.on[2 * d + i], tab.oscale) for i in range(m))
+    return _finish(lp, value, primal, dual, pivots)
 
 
 def _solve_via_dual(lp: LinearProgram) -> LPSolution:
-    """Wide-system path: solve  min b·u, Aᵀu = -c, u >= 0  and recover the
-    primal optimum from the exact prices of the final basis."""
-    A = lp.constraint_matrix
-    m, d = A.rows, A.cols
-    columns = [A.row(r) for r in range(m)]
-    rhs_eq = [-cj for cj in lp.objective]
-    tab = _StdTableau(columns, rhs_eq)
+    """Wide-system path: solve  min b·u, Aᵀu = -c, u >= 0  and read the
+    primal optimum off the prices of the final basis."""
+    m, d = lp.constraint_matrix.rows, lp.constraint_matrix.cols
+    tab = _StdTableau(lp)
 
-    tab.set_objective({col: Fraction(1) for col in range(tab.n_u, tab.n_u + d)})
+    on = [0] * tab.width
+    on[m:m + d] = [1] * d
+    tab.set_objective(on, 1)
     if tab.run() != OPTIMAL:
         raise InternalError("phase I cannot be unbounded")
     if tab.objective_value() != 0:
         # Dual infeasible: the original is unbounded or infeasible; the
         # inequality path tells which.  Rare, and never hit by norm grids.
-        return _solve_rows(lp)
-    tab.clear_artificials(tab.n_u)
+        return _solve_rows(lp, tab.pivots)
+    tab.clear_artificials(m)
 
-    tab.set_objective({r: lp.rhs[r] for r in range(m) if lp.rhs[r]})
-    if tab.run() == UNBOUNDED:
-        return LPSolution(status=INFEASIBLE)
+    _, beta, D = lp.integer_form
+    tab.set_objective(beta + [0] * (d + 1), D)
+    status = tab.run()
+    if status == UNBOUNDED:
+        return LPSolution(status=INFEASIBLE, pivots=tab.pivots)
 
     zero = Fraction(0)
     u = [zero] * m
-    price_rows = []
-    price_rhs = []
     for r in range(tab.nrows):
-        var = tab.basis[r]
-        if var < m:
-            u[var] = Fraction(tab.rows_n[r][tab.RHS], tab.rows_d[r][tab.RHS])
-            price_rows.append(columns[var])
-            price_rhs.append(lp.rhs[var])
-        else:
-            unit = [zero] * d
-            unit[var - m] = Fraction(tab.sigma[var - m])
-            price_rows.append(tuple(unit))
-            price_rhs.append(zero)
-    y = solve_linear(RMatrix.from_rows(price_rows), price_rhs)
-    if y is None:
-        raise InternalError("singular optimal basis")
-    primal = tuple(y)
-    value = dot(lp.objective, primal)
-    return _finish(lp, value, primal, tuple(u))
+        if tab.basis[r] < m:
+            u[tab.basis[r]] = tab.basic_value(r)
+    # Basis prices pi solve pi·B = c_B; the reduced cost of the artificial
+    # of equality row j is -pi_j, and v_j = sigma_j·pi_j solves A_r·v = b_r
+    # for every basic column r (and v_j = 0 for a basic artificial): the
+    # unique primal optimum of this basis.
+    primal = tuple(Fraction(-tab.sigma[j] * tab.on[m + j], tab.oscale)
+                   for j in range(d))
+    value = sum((cj * vj for cj, vj in zip(lp.objective, primal)), zero)
+    return _finish(lp, value, primal, tuple(u), tab.pivots)
 
 
-def _finish(lp: LinearProgram, value, primal, dual) -> LPSolution:
-    A = lp.constraint_matrix
-    m = A.rows
-    row_values = [dot(A.row(i), primal) for i in range(m)]
-    tight = frozenset(i for i in range(m) if row_values[i] == lp.rhs[i])
-    _verify_certificate(lp, value, primal, dual, row_values, tight)
+def _finish(lp: LinearProgram, value, primal, dual, pivots: int = 0) -> LPSolution:
+    M, beta, _ = lp.integer_form
+    x, x_den = over_denominator(primal)
+    # A_i·v <= b_i  is  M_i·x <= beta_i·x_den  after scaling by D·x_den > 0.
+    lhs = [int_dot(row, x) for row in M]
+    tight = frozenset(i for i, (s, b) in enumerate(zip(lhs, beta)) if s == b * x_den)
+    _verify_certificate(lp, value, primal, dual, lhs, tight)
     SOLVE_STATS["optimal"] += 1
     return LPSolution(status=OPTIMAL, value=value, primal=primal,
-                      dual=dual, tight_set=tight)
+                      dual=dual, tight_set=tight, pivots=pivots)
 
 
-def _verify_certificate(lp, value, primal, dual, row_values, tight) -> None:
+def _verify_certificate(lp, value, primal, dual, lhs, tight) -> None:
     """Exact optimality verification: feasibility, dual feasibility,
-    strong duality and complementary slackness.  Failure means a solver
-    bug, never a property of the input."""
-    m = lp.constraint_matrix.rows
+    complementary slackness, the dual equation, strong duality and the
+    primal value, all in integers over lp.integer_form.  lhs[i] is M_i·x
+    for the primal cleared to x / x_den.  Failure means a solver bug,
+    never a property of the input."""
+    M, beta, D = lp.integer_form
     d = lp.constraint_matrix.cols
-    for i in range(m):
-        if row_values[i] > lp.rhs[i]:
+    x, x_den = over_denominator(primal)
+    u, u_den = over_denominator(dual)
+    c, c_den = over_denominator(lp.objective)
+    for i in range(len(M)):
+        if lhs[i] > beta[i] * x_den:
             raise InternalError(f"primal infeasibility on row {i}")
-        if dual[i] < 0:
+        if u[i] < 0:
             raise InternalError(f"negative dual weight on row {i}")
-        if dual[i] > 0 and i not in tight:
+        if u[i] > 0 and i not in tight:
             raise InternalError(f"complementary slackness broken on row {i}")
-    A = lp.constraint_matrix
+    # Aᵀu = -c  is  c_den·Σ u_i M_ij = -c_j·D·u_den; only the support of u counts.
+    support = [i for i in range(len(M)) if u[i]]
     for j in range(d):
-        lhs = sum((dual[i] * A.at(i, j) for i in range(m)), Fraction(0))
-        if lhs != -lp.objective[j]:
+        if c_den * sum(u[i] * M[i][j] for i in support) != -c[j] * D * u_den:
             raise InternalError(f"dual equation broken in column {j}")
-    if dot(dual, lp.rhs) != -value:
+    v_num, v_den = value.numerator, value.denominator
+    if v_den * int_dot(u, beta) != -v_num * D * u_den:
         raise InternalError("strong duality violated")
-    if dot(lp.objective, primal) != value:
+    if v_den * int_dot(c, x) != v_num * c_den * x_den:
         raise InternalError("primal value mismatch")
     SOLVE_STATS["duality_verified"] += 1
-

@@ -13,8 +13,8 @@ import pytest
 
 from minproj.linalg import RMatrix, dot, solve_linear
 from minproj.simplex import (INFEASIBLE, OPTIMAL, SOLVE_STATS, UNBOUNDED,
-                             make_lp, row_axpy, scale_row, solve)
-from oracles import solve_on_face
+                             make_lp, solve)
+from oracles import row_axpy, scale_row, solve_on_face
 
 F = Fraction
 
