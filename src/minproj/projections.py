@@ -15,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InternalError, NotMinimalError
 from .geometry import PolyhedralSpace, Subspace, norm_eval
-from .linalg import RMatrix, Vector, dot, inverse, nullspace_basis, rows_rank
+from .linalg import (RMatrix, Vector, dot, int_dot, integer_row_rank, inverse,
+                     nullspace_basis, over_denominator, rows_rank)
 from .simplex import OPTIMAL, LinearProgram, solve
 
 
@@ -108,55 +110,115 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
 
 @dataclass(frozen=True)
 class PairGrid:
-    """One row per antipodal class of (primal vertex, dual vertex) pairs:
-    row value at coefficients c is base[r] + coefs[r]·c = f_j(P x_i)."""
+    """One row per antipodal class of (primal vertex, dual vertex) pairs,
+    cleared to integers over one grid denominator: the row value at
+    coefficients c is (base_num[r] + coefs_num[r]·c) / denominator
+    = f_j(P x_i).  base and coefs are the same rows as Fractions."""
 
     pairs: tuple[tuple[int, int], ...]
-    base: tuple[Fraction, ...]
-    coefs: tuple[tuple[Fraction, ...], ...]
+    base_num: tuple[int, ...]
+    coefs_num: tuple[tuple[int, ...], ...]
+    denominator: int
+
+    @cached_property
+    def base(self) -> tuple[Fraction, ...]:
+        D = self.denominator
+        return tuple(Fraction(b, D) for b in self.base_num)
+
+    @cached_property
+    def coefs(self) -> tuple[tuple[Fraction, ...], ...]:
+        D = self.denominator
+        return tuple(tuple(Fraction(a, D) for a in row) for row in self.coefs_num)
 
     @cached_property
     def lp(self) -> LinearProgram:
         """minimize t  s.t.  coefs[r]·c - t <= -base[r]."""
-        d = len(self.coefs[0])
-        rows = [row + (Fraction(-1),) for row in self.coefs]
+        d = len(self.coefs_num[0])
+        minus_one = Fraction(-1)
+        entries = tuple(x for row in self.coefs for x in row + (minus_one,))
         return LinearProgram(
             objective=tuple([Fraction(0)] * d + [Fraction(1)]),
-            constraint_matrix=RMatrix.from_rows(rows),
+            constraint_matrix=RMatrix(len(self.pairs), d + 1, entries),
             rhs=tuple(-b for b in self.base),
         )
 
-    def row_value(self, r: int, coefficients: tuple[Fraction, ...]) -> Fraction:
-        return self.base[r] + dot(self.coefs[r], coefficients)
+    def value_numerators(self, coefficients: Sequence[Fraction]) -> tuple[list[int], int]:
+        """Every row value at the coefficients, as integers over one
+        positive denominator."""
+        x, x_den = over_denominator(coefficients)
+        return ([b * x_den + int_dot(row, x)
+                 for b, row in zip(self.base_num, self.coefs_num)],
+                self.denominator * x_den)
 
-    def tight_rows(self, coefficients: tuple[Fraction, ...],
+    def row_value(self, r: int, coefficients: Sequence[Fraction]) -> Fraction:
+        x, x_den = over_denominator(coefficients)
+        return Fraction(self.base_num[r] * x_den + int_dot(self.coefs_num[r], x),
+                        self.denominator * x_den)
+
+    def tight_rows(self, coefficients: Sequence[Fraction],
                    lam: Fraction) -> list[int]:
-        return [r for r in range(len(self.pairs))
-                if self.row_value(r, coefficients) == lam]
+        values, den = self.value_numerators(coefficients)
+        target = lam.numerator * den
+        return [r for r, v in enumerate(values) if v * lam.denominator == target]
+
+    def slack_numerators(self, coefficients: Sequence[Fraction],
+                         lam: Fraction) -> tuple[list[int], int]:
+        """lam minus every row value at the coefficients, as integers over
+        one positive denominator."""
+        values, den = self.value_numerators(coefficients)
+        top = lam.numerator * den
+        return [top - lam.denominator * v for v in values], lam.denominator * den
 
 
 def build_pair_grid(space: PolyhedralSpace, Y: Subspace,
                     basis: OperatorBasis) -> PairGrid:
+    """The grid rows in integers: every vector family is cleared to one
+    denominator first, so each row is a few integer dot products.
+    f_j(L_q x_i) factors over the rank-one structure, and its two factors
+    f_j(y) and g(x_i) are computed once per vertex."""
     negp = space.primal_negation
     negd = space.dual_negation
-    P0 = basis.base_projection
-    # f_j(L_q x_i) factors over the rank-one structure; its two factors
-    # are computed once per vertex.
-    g_at = [[dot(g, x) for g in basis.annihilator] for x in space.primal_vertices]
-    f_at = [[dot(f, y) for y in basis.y_basis] for f in space.dual_vertices]
-    p0x = [P0.apply(x) for x in space.primal_vertices]
+    X, dx = _cleared(space.primal_vertices)
+    F, df = _cleared(space.dual_vertices)
+    Yb, dy = _cleared(basis.y_basis)
+    G, dg = _cleared(basis.annihilator)
+    P, dp = _cleared(basis.base_projection.row_list())
+    # True values: g(x) = g_at/(dg·dx), f(y) = f_at/(df·dy) and
+    # P0 x = p0x/(dp·dx), all over the grid denominator df·dx·L.
+    L = lcm(dy * dg, dp)
+    coef_mult = L // (dy * dg)
+    base_mult = L // dp
+    g_at = [[int_dot(g, x) * coef_mult for g in G] for x in X]
+    f_at = [[int_dot(f, y) for y in Yb] for f in F]
+    p0x = [[int_dot(row, x) * base_mult for row in P] for x in X]
 
     pairs = []
     base = []
     coefs = []
-    for i in range(len(space.primal_vertices)):
-        for j in range(len(space.dual_vertices)):
+    for i in range(len(X)):
+        for j in range(len(F)):
             if (i, j) > (negp[i], negd[j]):
                 continue
             pairs.append((i, j))
-            base.append(dot(space.dual_vertices[j], p0x[i]))
-            coefs.append(_rank_one_values(f_at[j], g_at[i]))
-    return PairGrid(pairs=tuple(pairs), base=tuple(base), coefs=tuple(coefs))
+            base.append(int_dot(F[j], p0x[i]))
+            coefs.append(tuple(fy * gx for fy in f_at[j] for gx in g_at[i]))
+    den = df * dx * L
+    g = gcd(den, *base, *(a for row in coefs for a in row))
+    if g > 1:
+        base = [b // g for b in base]
+        coefs = [tuple(a // g for a in row) for row in coefs]
+        den //= g
+    return PairGrid(pairs=tuple(pairs), base_num=tuple(base),
+                    coefs_num=tuple(coefs), denominator=den)
+
+
+def _cleared(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The vectors as integer lists over one common denominator."""
+    flat, den = over_denominator([x for v in vectors for x in v])
+    width = len(vectors[0]) if vectors else 0
+    if width == 0:
+        return [[] for _ in vectors], den
+    return [flat[i:i + width] for i in range(0, len(flat), width)], den
 
 
 @dataclass
@@ -223,25 +285,34 @@ def norming_pairs(space: PolyhedralSpace, Y: Subspace, P: OperatorPoint,
     class.  Raises NotMinimalError unless the norm of P is exactly lam."""
     if grid is None:
         grid = build_pair_grid(space, Y, build_operator_basis(space, Y))
-    values = [grid.row_value(r, P.coefficients) for r in range(len(grid.pairs))]
+    values, den = grid.value_numerators(P.coefficients)
     top = max(values)
-    if top > lam:
+    norm = Fraction(top, den)
+    if norm > lam:
         worst = values.index(top)
         raise NotMinimalError(
-            f"pair {grid.pairs[worst]} reaches {top} > {lam}: not a minimal projection")
-    if top < lam:
-        raise NotMinimalError(f"operator norm is {top}, not {lam}")
-    return frozenset(grid.pairs[r] for r, v in enumerate(values) if v == lam)
+            f"pair {grid.pairs[worst]} reaches {norm} > {lam}: not a minimal projection")
+    if norm < lam:
+        raise NotMinimalError(f"operator norm is {norm}, not {lam}")
+    return frozenset(grid.pairs[r] for r, v in enumerate(values) if v == top)
 
 
 def _restrict_to_face(grid: PairGrid, implicit: Sequence[int],
                       rows: Iterable[int], d: int) -> tuple[list[Vector], dict[int, Vector]]:
     """Columns of a basis N of {z : coefs[r]·z = 0 for r in implicit} and,
-    for each of rows, its coefficients restricted to N (coefs[r]·N)."""
-    N = (nullspace_basis(RMatrix.from_rows([grid.coefs[r] for r in implicit]))
+    for each of rows, its coefficients restricted to N (coefs[r]·N).
+
+    The integer grid rows have the same nullspace as the rational ones, and
+    each restricted coefficient is one integer dot product with a column
+    cleared to integers; the columns themselves are not rescaled."""
+    N = (nullspace_basis(RMatrix.from_rows([grid.coefs_num[r] for r in implicit]))
          if implicit else RMatrix.identity(d))
     cols = [N.col(q) for q in range(N.cols)]
-    return cols, {r: tuple(dot(grid.coefs[r], col) for col in cols) for r in rows}
+    cleared = [over_denominator(col) for col in cols]
+    D = grid.denominator
+    return cols, {r: tuple(Fraction(int_dot(grid.coefs_num[r], col), D * col_den)
+                           for col, col_den in cleared)
+                  for r in rows}
 
 
 def face_dimension(space: PolyhedralSpace, Y: Subspace,
@@ -300,14 +371,9 @@ def face_dimension(space: PolyhedralSpace, Y: Subspace,
 
     z = tuple(sum((col[i] * yq for col, yq in zip(cols, y)), zero)
               for i in range(d))
-    eps = one
-    tight = set(report._witness_tight)
-    for r in range(len(grid.pairs)):
-        if r in tight:
-            continue
-        rise = dot(grid.coefs[r], z)
-        if rise > 0:
-            eps = min(eps, (lam - grid.row_value(r, witness)) / (2 * rise))
+    # Keep every row slack at the witness at least half slack.
+    step = _first_slack_step(grid, witness, lam, z, skip=set(report._witness_tight))
+    eps = one if step is None else min(one, step / 2)
     interior = tuple(w + eps * zq for w, zq in zip(witness, z))
     implicit.sort()
     if grid.tight_rows(interior, lam) != implicit:
@@ -317,6 +383,27 @@ def face_dimension(space: PolyhedralSpace, Y: Subspace,
     report.interior = OperatorPoint(interior)
     report._implicit_rows = tuple(implicit)
     return report.face_dim, report.implicit_pairs
+
+
+def _first_slack_step(grid: PairGrid, point: Sequence[Fraction], lam: Fraction,
+                      z: Sequence[Fraction], skip=frozenset()) -> Fraction | None:
+    """The largest s with every row outside skip still <= lam at point + s·z:
+    the least slack / rise over the rows that rise along z, or None when
+    none rises.  Slacks and rises are integer numerators over common
+    positive denominators, so the minimum is found by cross-products."""
+    slack, slack_den = grid.slack_numerators(point, lam)
+    z_num, z_den = over_denominator(z)
+    best_slack = best_rise = None
+    for r, row in enumerate(grid.coefs_num):
+        if r in skip:
+            continue
+        rise = int_dot(row, z_num)
+        if rise > 0 and (best_rise is None or slack[r] * best_rise < best_slack * rise):
+            best_slack, best_rise = slack[r], rise
+    if best_rise is None:
+        return None
+    # slack / rise in true values: (slack / slack_den) / (rise / (D·z_den)).
+    return Fraction(best_slack * grid.denominator * z_den, slack_den * best_rise)
 
 
 def max_norming_projection(space: PolyhedralSpace, Y: Subspace,
@@ -349,20 +436,15 @@ def max_norming_projection(space: PolyhedralSpace, Y: Subspace,
     point = report.witness.coefficients
     d = len(point)
     tight = list(report._witness_tight)
+    D = grid.denominator
     for _ in range(d + 1):
-        if rows_rank([grid.coefs[r] + (Fraction(-1),) for r in tight]) == d + 1:
+        if integer_row_rank([list(grid.coefs_num[r]) + [-D] for r in tight]) == d + 1:
             return OperatorPoint(point), len(tight)
-        N = nullspace_basis(RMatrix.from_rows([grid.coefs[r] for r in tight]))
+        N = nullspace_basis(RMatrix.from_rows([grid.coefs_num[r] for r in tight]))
         if N.cols == 0:
             raise InternalError("tight rows leave a direction that lowers the norm below lambda")
         z = N.col(0)
-        step = None
-        for r in range(len(grid.pairs)):
-            rise = dot(grid.coefs[r], z)
-            if rise > 0:
-                s = (lam - grid.row_value(r, point)) / rise
-                if step is None or s < step:
-                    step = s
+        step = _first_slack_step(grid, point, lam, z)
         if step is None:
             raise InternalError("optimal face is unbounded")
         point = tuple(c + step * zq for c, zq in zip(point, z))
