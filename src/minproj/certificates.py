@@ -86,7 +86,12 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     """Exact check of the certificate: weight sanity plus the four defining
     conditions -- (1) vanishing on every basis operator of L_Y(X, Y),
     (2) T(Y) contained in Y, (3) every pair norming for P, (4) trace of
-    T|_Y equal to lam."""
+    T|_Y equal to lam.
+
+    Both (1) and (3) read the values f(L_q x) of each pair from
+    OperatorBasis.pair_values, with no operator matrix applied:
+    sum_i a_i f_i(L_q x_i) for (1), and f(P x) = f(P0 x) + sum_q c_q f(L_q x)
+    for (3)."""
     violations: list[str] = []
     n_p = len(space.primal_vertices)
     n_d = len(space.dual_vertices)
@@ -104,10 +109,12 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
 
     if basis is None:
         basis = build_operator_basis(space, Y)
-    for q, L in enumerate(basis.basis_ops):
-        s = Fraction(0)
-        for (pi, dj), a in zip(cm.pairs, cm.weights):
-            s += a * dot(space.dual_vertices[dj], L.apply(space.primal_vertices[pi]))
+    if len(P.coefficients) != len(basis.basis_ops):
+        raise ValueError("coefficient count does not match the operator basis")
+    values = [basis.pair_values(space.primal_vertices[pi], space.dual_vertices[dj])
+              for pi, dj in cm.pairs]
+    for q in range(len(basis.basis_ops)):
+        s = sum((a * v[q] for a, v in zip(cm.weights, values)), Fraction(0))
         if s != 0:
             violations.append(f"vanishing: basis operator {q} gives {s}")
             break
@@ -118,9 +125,10 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
             violations.append(f"invariance: T(basis vector {b}) leaves Y")
             break
 
-    Pm = basis.realize(P)
-    for pi, dj in cm.pairs:
-        value = dot(space.dual_vertices[dj], Pm.apply(space.primal_vertices[pi]))
+    P0 = basis.base_projection
+    for (pi, dj), v in zip(cm.pairs, values):
+        value = (dot(space.dual_vertices[dj], P0.apply(space.primal_vertices[pi]))
+                 + dot(v, P.coefficients))
         if value != lam:
             violations.append(
                 f"norming: pair ({pi}, {dj}) gives {value}, expected {lam}")

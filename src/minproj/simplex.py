@@ -119,6 +119,22 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g == 1 else [x // g for x in row]
 
 
+def _eliminate(row: list[int], p: int, f: int, support) -> list[int]:
+    """p·row - f·R for p > 0, with R given by its nonzero entries
+    (support: (index, entry) pairs); the common factor of p and f is
+    taken out first, and zero entries of R cost one multiplication at
+    most."""
+    g = gcd(p, f)
+    if g > 1:
+        p //= g
+        f //= g
+    if p != 1:
+        row = [p * a for a in row]
+    for j, b in support:
+        row[j] -= f * b
+    return row
+
+
 class _PivotCore:
     """Shared full-tableau machinery: integer rows scaled through their
     basic entries, an objective row priced out over the basis,
@@ -155,8 +171,9 @@ class _PivotCore:
         R = self.rows[r]
         p = R[c]
         f = self.on[c]
-        on = [p * a - f * b for a, b in zip(self.on, R)]
-        scale = self.oscale * p
+        g = gcd(p, f)
+        on = _eliminate(self.on, p, f, [(j, b) for j, b in enumerate(R) if b])
+        scale = self.oscale * (p // g)
         g = gcd(gcd(*on), scale)
         if g > 1:
             on = [x // g for x in on]
@@ -207,12 +224,13 @@ class _PivotCore:
         if p < 0:
             R = rows[r] = [-x for x in R]
             p = -p
+        support = [(j, b) for j, b in enumerate(R) if b]
         for i in range(self.nrows):
             if i != r:
                 row = rows[i]
                 f = row[c]
                 if f != 0:
-                    rows[i] = _primitive([p * a - f * b for a, b in zip(row, R)])
+                    rows[i] = _primitive(_eliminate(row, p, f, support))
         if self.on[c] != 0:
             self._price_out(r, c)
         self.basis[r] = c

@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
+from minproj.certificates import CMVerdict, cm_operator, trace_on_subspace
 from minproj.errors import (CertificateInvalidError, InternalError,
                             SubsetBudgetExceededError, SupportBudgetExceededError)
 from minproj.geometry import GeneralPositionReport
@@ -326,6 +327,58 @@ def first_non_extreme(vertices):
     the vertex the LP-based validation of a space named."""
     return next((i for i, v in enumerate(vertices)
                  if not is_extreme(vertices, v)), None)
+
+
+def verify_cm_by_apply(space, Y, cm, lam, P, basis=None):
+    """certificates.verify_cm as it was before it read pair values: (1)
+    applies every basis operator L_q to every vertex, and (3) realizes the
+    matrix of P and applies it.  Same checks, same violation texts."""
+    violations: list[str] = []
+    n_p = len(space.primal_vertices)
+    n_d = len(space.dual_vertices)
+    for pi, dj in cm.pairs:
+        if not (0 <= pi < n_p and 0 <= dj < n_d):
+            violations.append(f"weights: pair ({pi}, {dj}) out of range")
+            return CMVerdict(ok=False, violations=tuple(violations))
+    if len(set(cm.pairs)) != len(cm.pairs):
+        violations.append("weights: duplicate pairs")
+    if any(a <= 0 for a in cm.weights):
+        violations.append("weights: non-positive weight")
+    total = sum(cm.weights, Fraction(0))
+    if total != 1:
+        violations.append(f"weights: sum is {total}, not 1")
+
+    if basis is None:
+        basis = build_operator_basis(space, Y)
+    for q, L in enumerate(basis.basis_ops):
+        s = Fraction(0)
+        for (pi, dj), a in zip(cm.pairs, cm.weights):
+            s += a * dot(space.dual_vertices[dj], L.apply(space.primal_vertices[pi]))
+        if s != 0:
+            violations.append(f"vanishing: basis operator {q} gives {s}")
+            break
+
+    T = cm_operator(space, cm)
+    for b, y in enumerate(Y.basis_vectors()):
+        if not Y.contains(T.apply(y)):
+            violations.append(f"invariance: T(basis vector {b}) leaves Y")
+            break
+
+    Pm = basis.realize(P)
+    for pi, dj in cm.pairs:
+        value = dot(space.dual_vertices[dj], Pm.apply(space.primal_vertices[pi]))
+        if value != lam:
+            violations.append(
+                f"norming: pair ({pi}, {dj}) gives {value}, expected {lam}")
+            break
+
+    trace = trace_on_subspace(space, Y, cm)
+    if trace is None:
+        violations.append("trace: undefined, T does not map Y into Y")
+    elif trace != lam:
+        violations.append(f"trace: {trace} differs from {lam}")
+
+    return CMVerdict(ok=not violations, violations=tuple(violations))
 
 
 # The rational tableau that the integer one in minproj.simplex replaced.
