@@ -319,11 +319,18 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.subset_cap is not None:
         cap = args.subset_cap
+        if cap < 0:
+            print(f"error: --subset-cap must be non-negative, not {cap}", file=sys.stderr)
+            return 2
     else:
         try:
             cap = int(os.environ.get("MINPROJ_SUBSET_CAP", DEFAULT_SUPPORT_CAP))
         except ValueError:
             print("error: MINPROJ_SUBSET_CAP must be an integer", file=sys.stderr)
+            return 2
+        if cap < 0:
+            print(f"error: MINPROJ_SUBSET_CAP must be non-negative, not {cap}",
+                  file=sys.stderr)
             return 2
     cfg = RunConfig(
         command=args.command,

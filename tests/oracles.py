@@ -16,6 +16,12 @@ each vertex's extremality by one feasibility LP over the other listed
 points.  They are slow but independent of the Gordan rounds, the
 integer elimination and the ranks that replaced them, so agreement
 between the two is evidence for both.
+
+Two more replaced implementations follow: ``verify_cm`` as it was when
+it applied operator matrices (``verify_cm_by_apply``), and the simplex
+on the rational num/den tableau with its Fraction verification
+(``solve_by_fraction_tableau``), which the integer tableau of
+``minproj.simplex`` must match pivot for pivot.
 """
 
 import itertools

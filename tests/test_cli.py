@@ -274,6 +274,23 @@ def test_env_cap_and_flag_precedence(space_file, capsys, monkeypatch):
     assert "MINPROJ_SUBSET_CAP" in capsys.readouterr().err
 
 
+def test_negative_subset_cap_is_malformed_input(space_file, capsys, monkeypatch):
+    # a negative cap is rejected up front (exit 2, one line), not reported
+    # as a support search over the cap (exit 3)
+    assert cli.main(["analyze", "--input", space_file, "--subset-cap", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --subset-cap must be non-negative, not -5\n"
+    monkeypatch.setenv("MINPROJ_SUBSET_CAP", "-1")
+    assert cli.main(["analyze", "--input", space_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: MINPROJ_SUBSET_CAP must be non-negative, not -1\n"
+    # the flag still takes precedence over the environment, and 0 is a cap
+    assert cli.main(["analyze", "--input", space_file, "--subset-cap", "0"]) == 3
+    assert "exceed the cap of 0" in capsys.readouterr().err
+
+
 def test_analyze_builds_operator_basis_once(space_file, capsys, monkeypatch):
     # the support search reuses the basis of the lambda solve
     built = []

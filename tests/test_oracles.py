@@ -1,8 +1,9 @@
-"""The exact face, maximal-norming, support, general-position and
-extremality computations against the algorithms they replaced (kept in
-``oracles.py``): on every catalog case, on seeded subspaces of l-inf^n
-and l1^n, on kernels of small integer functionals, and on vertex lists
-with non-extreme or duplicated points."""
+"""The exact face, maximal-norming, support, general-position,
+extremality, certificate-verification and simplex computations against
+the algorithms they replaced (kept in ``oracles.py``): on every catalog
+case, on seeded subspaces of l-inf^n and l1^n, on kernels of small
+integer functionals, and on vertex lists with non-extreme or duplicated
+points."""
 
 import itertools
 from fractions import Fraction
@@ -12,7 +13,8 @@ import pytest
 
 from minproj.catalog import (l1_ball, linf_ball, mixed_ball, paper_cases,
                              random_subspace)
-from minproj.certificates import minimal_support_cm
+import minproj.projections as projections
+from minproj.certificates import CMFunctional, cm_from_dual, minimal_support_cm, verify_cm
 from minproj.errors import NotExtremeError, SupportBudgetExceededError
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, polar_dual)
@@ -21,9 +23,11 @@ from minproj.projections import (OperatorPoint, face_dimension,
                                  max_norming_projection, norming_pairs,
                                  operator_norm, projection_constant)
 
+from minproj.simplex import solve
 from oracles import (face_dimension_per_row, first_non_extreme,
                      general_position_exhaustive, max_norming_by_greedy,
-                     minimal_support_by_lp, minimal_support_by_solve)
+                     minimal_support_by_lp, minimal_support_by_solve,
+                     solve_by_fraction_tableau, verify_cm_by_apply)
 
 # Large enough for every candidate set below: lifts the support-search cap.
 NO_CAP = 10 ** 3
@@ -56,6 +60,55 @@ def test_face_matches_per_row_oracle(cases):
             assert operator_norm(space, report.basis.realize(point)) == report.lam
             assert norming_pairs(space, Y, point, report.lam,
                                  grid=report.grid) == implicit, name
+
+
+def test_integer_tableau_matches_fraction_tableau(cases, monkeypatch):
+    # lambda LPs of the 16 catalog cases and the four seeded n = 4 grids,
+    # and every Gordan-round LP of their face stages, on both tableau shapes
+    rounds = []
+
+    def recording(lp, method=None):
+        rounds.append(lp)
+        return solve(lp, method)
+
+    monkeypatch.setattr(projections, "solve", recording)
+    for a in cases.values():
+        face_dimension(a.case.space, a.case.subspace, a.report)
+    monkeypatch.undo()
+    assert len(rounds) >= len(cases)
+    for lp in [a.report.grid.lp for a in cases.values()] + rounds:
+        for method in ("rows", "dual"):
+            assert solve(lp, method=method) == solve_by_fraction_tableau(lp, method=method)
+
+
+def _tampered(a, cm):
+    """(label, certificate, projection): a valid certificate and variants
+    of it that break the weights, the vanishing, the invariance, the
+    norming and the trace checks (a single-pair certificate survives the
+    renormalized perturbation)."""
+    interior = a.report.interior
+    raw = [w + (Fraction(1, 1000) if i == 0 else 0) for i, w in enumerate(cm.weights)]
+    total = sum(raw)
+    yield "valid", cm, interior
+    yield "perturbed", CMFunctional(cm.pairs, tuple(w / total for w in raw)), interior
+    yield "tampered", CMFunctional(cm.pairs, (Fraction(1, 1000),) + cm.weights[1:]), interior
+    yield "shifted", cm, OperatorPoint(tuple(c + 1 for c in interior.coefficients))
+    negp = a.case.space.primal_negation
+    yield "negated", CMFunctional(tuple((negp[i], j) for i, j in cm.pairs),
+                                  cm.weights), interior
+
+
+def test_verify_cm_matches_apply_oracle(cases):
+    failing = set()
+    for name, a in cases.items():
+        space, Y, report = a.case.space, a.case.subspace, a.report
+        for label, cm, point in _tampered(a, cm_from_dual(report)):
+            verdict = verify_cm(space, Y, cm, report.lam, point, basis=report.basis)
+            assert verdict == verify_cm_by_apply(space, Y, cm, report.lam, point,
+                                                 basis=report.basis), (name, label)
+            assert verdict.ok or label != "valid", name
+            failing.update(v.split(":")[0] for v in verdict.violations)
+    assert failing == {"weights", "vanishing", "invariance", "norming", "trace"}
 
 
 def _tight_rank(report, point):

@@ -2,19 +2,25 @@
 returned optima and certificates.  Alongside the fixed examples, random
 instances are compared against a brute-force vertex-enumeration oracle,
 and the two internal tableau shapes are cross-checked on every instance.
-The two row operations of the tableau are checked against Fraction
-arithmetic, on small entries and on entries far beyond machine words.
+The integer tableau is compared with the rational one it replaced (kept
+in ``oracles.py``), whose two row operations are checked against
+Fraction arithmetic, on small entries and on entries far beyond machine
+words.  Each of the six verification identities is shown to reject a
+certificate that breaks it, also under ``python -O``.
 """
 
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from minproj.linalg import RMatrix, dot, solve_linear
+from minproj.errors import InternalError
+from minproj.linalg import RMatrix, dot, int_dot, solve_linear
 from minproj.simplex import (INFEASIBLE, OPTIMAL, SOLVE_STATS, UNBOUNDED,
-                             make_lp, solve)
-from oracles import row_axpy, scale_row, solve_on_face
+                             _finish, _verify_certificate, make_lp, solve)
+from oracles import row_axpy, scale_row, solve_by_fraction_tableau, solve_on_face
 
 F = Fraction
 
@@ -171,6 +177,70 @@ def test_stats_count_verified_solves():
     assert after["solves"] == before["solves"] + 1
     assert after["optimal"] == before["optimal"] + 1
     assert after["duality_verified"] == before["duality_verified"] + 1
+
+
+def test_integer_tableau_matches_fraction_tableau_on_random_lps():
+    # the rational num/den tableau this solver replaced: same value, primal,
+    # dual, tight set and pivot count on both tableau shapes
+    lps = [_random_bounded_lp(1000 * d + seed, d, 5) for d in (2, 3) for seed in range(15)]
+    lps += [_random_bounded_lp(seed, 2, 6) for seed in range(12)]
+    lps += [
+        make_lp([1, 1], [[-1, 0], [0, -1], [-1, -1], [-2, -1], [-1, -2], [1, 1]],
+                [0, 0, 0, 0, 0, 5]),
+        make_lp([1], [[1], [-1]], [-1, -2]),
+        make_lp([1], [[1]], [1]),
+        make_lp([F(1, 3), F(-2, 7)], [[F(1, 2), F(5, 3)], [F(-3, 4), 1], [0, F(-1, 9)]],
+                [F(7, 5), F(2, 3), F(1, 6)]),
+    ]
+    for lp in lps:
+        for method in ("rows", "dual"):
+            assert solve(lp, method=method) == solve_by_fraction_tableau(lp, method=method)
+
+
+def _finish_lp():
+    """min x1  s.t.  x1 <= 1, -x1 <= 0, x2 <= 1, -x2 <= 0: value 0, attained
+    on the edge x1 = 0, with the dual weight 1 on row 1."""
+    return make_lp([1, 0], [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0])
+
+
+@pytest.mark.parametrize("primal, dual, value, message", [
+    ((F(2), F(0)), (0, 1, 0, 0), 0, "primal infeasibility on row 0"),
+    ((F(0), F(0)), (0, 1, 0, -1), 0, "negative dual weight on row 3"),
+    ((F(1, 2), F(0)), (0, 1, 0, 0), 0, "complementary slackness broken on row 1"),
+    ((F(0), F(0)), (0, 2, 0, 0), 0, "dual equation broken in column 0"),
+    ((F(0), F(0)), (0, 1, 0, 0), 1, "strong duality violated"),
+])
+def test_finish_rejects_each_broken_identity(primal, dual, value, message):
+    lp = _finish_lp()
+    assert _finish(lp, F(0), (F(0), F(1, 2)), (F(0), F(1), F(0), F(0))).status == OPTIMAL
+    with pytest.raises(InternalError) as info:
+        _finish(lp, F(value), primal, tuple(F(u) for u in dual))
+    assert str(info.value) == message
+
+
+def test_primal_value_check_is_live():
+    # The primal value follows from the five checks before it, so only a
+    # forged tight set reaches it: x1 = 1/2 claimed tight on row 1.
+    lp = _finish_lp()
+    primal = (F(1, 2), F(0))
+    lhs = [int_dot(row, [1, 0]) for row in lp.integer_form[0]]
+    with pytest.raises(InternalError, match="^primal value mismatch$"):
+        _verify_certificate(lp, F(0), primal, (F(0), F(1), F(0), F(0)), lhs,
+                            frozenset({1, 3}))
+
+
+def test_finish_checks_survive_python_O():
+    code = ("from fractions import Fraction as F\n"
+            "from minproj.errors import InternalError\n"
+            "from minproj.simplex import _finish, make_lp\n"
+            "lp = make_lp([1, 0], [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0])\n"
+            "try:\n"
+            "    _finish(lp, F(1), (F(0), F(0)), (F(0), F(1), F(0), F(0)))\n"
+            "except InternalError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "strong duality violated\n"
 
 
 def _random_row(seed, length, bound):
