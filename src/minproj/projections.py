@@ -8,6 +8,10 @@ projection constant; tight grid rows are norming pairs; the optimal face
 of the LP is exactly the set of minimal projections, and its affine
 dimension is read off the implicit-equality rows, which a few Gordan
 rounds (one small LP each) decide exactly.
+
+The grid rows are cleared to integers over one grid denominator when they
+are built, and every test on them (tight rows, slacks, rises, restricted
+coefficients) is an integer dot product.
 """
 
 from __future__ import annotations
@@ -52,17 +56,11 @@ class OperatorBasis:
         return out
 
     def pair_values(self, x: Vector, f: Vector) -> Vector:
-        """f(L_q x) over the basis operators."""
-        return _rank_one_values([dot(f, y) for y in self.y_basis],
-                                [dot(g, x) for g in self.annihilator])
-
-
-def _rank_one_values(f_at_y: Sequence[Fraction],
-                     g_at_x: Sequence[Fraction]) -> Vector:
-    """f(L_q x) over the basis operators L_q = y (x) g, from f(y) over Y's
-    basis and g(x) over the annihilator: the value is f(y) * g(x), in the
-    order of build_operator_basis (y outer, g inner)."""
-    return tuple(fy * gx for fy in f_at_y for gx in g_at_x)
+        """f(L_q x) over the basis operators L_q = y (x) g: the value is
+        f(y) * g(x), in the order of build_operator_basis (y outer, g inner)."""
+        f_at = [dot(f, y) for y in self.y_basis]
+        g_at = [dot(g, x) for g in self.annihilator]
+        return tuple(fy * gx for fy in f_at for gx in g_at)
 
 
 def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
@@ -160,14 +158,6 @@ class PairGrid:
         values, den = self.value_numerators(coefficients)
         target = lam.numerator * den
         return [r for r, v in enumerate(values) if v * lam.denominator == target]
-
-    def slack_numerators(self, coefficients: Sequence[Fraction],
-                         lam: Fraction) -> tuple[list[int], int]:
-        """lam minus every row value at the coefficients, as integers over
-        one positive denominator."""
-        values, den = self.value_numerators(coefficients)
-        top = lam.numerator * den
-        return [top - lam.denominator * v for v in values], lam.denominator * den
 
 
 def build_pair_grid(space: PolyhedralSpace, Y: Subspace,
@@ -391,19 +381,23 @@ def _first_slack_step(grid: PairGrid, point: Sequence[Fraction], lam: Fraction,
     the least slack / rise over the rows that rise along z, or None when
     none rises.  Slacks and rises are integer numerators over common
     positive denominators, so the minimum is found by cross-products."""
-    slack, slack_den = grid.slack_numerators(point, lam)
+    values, den = grid.value_numerators(point)
+    top = lam.numerator * den
     z_num, z_den = over_denominator(z)
     best_slack = best_rise = None
     for r, row in enumerate(grid.coefs_num):
         if r in skip:
             continue
         rise = int_dot(row, z_num)
-        if rise > 0 and (best_rise is None or slack[r] * best_rise < best_slack * rise):
-            best_slack, best_rise = slack[r], rise
+        if rise > 0:
+            slack = top - lam.denominator * values[r]
+            if best_rise is None or slack * best_rise < best_slack * rise:
+                best_slack, best_rise = slack, rise
     if best_rise is None:
         return None
-    # slack / rise in true values: (slack / slack_den) / (rise / (D·z_den)).
-    return Fraction(best_slack * grid.denominator * z_den, slack_den * best_rise)
+    # In true values: (slack / (lam.den·den)) / (rise / (D·z_den)).
+    return Fraction(best_slack * grid.denominator * z_den,
+                    lam.denominator * den * best_rise)
 
 
 def max_norming_projection(space: PolyhedralSpace, Y: Subspace,
