@@ -109,8 +109,6 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
 
     if basis is None:
         basis = build_operator_basis(space, Y)
-    if len(P.coefficients) != len(basis.basis_ops):
-        raise ValueError("coefficient count does not match the operator basis")
     values = [basis.pair_values(space.primal_vertices[pi], space.dual_vertices[dj])
               for pi, dj in cm.pairs]
     for q in range(len(basis.basis_ops)):

@@ -318,20 +318,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.subset_cap is not None:
-        cap = args.subset_cap
-        if cap < 0:
-            print(f"error: --subset-cap must be non-negative, not {cap}", file=sys.stderr)
-            return 2
+        cap, source = args.subset_cap, "--subset-cap"
     else:
+        source = "MINPROJ_SUBSET_CAP"
         try:
-            cap = int(os.environ.get("MINPROJ_SUBSET_CAP", DEFAULT_SUPPORT_CAP))
+            cap = int(os.environ.get(source, DEFAULT_SUPPORT_CAP))
         except ValueError:
-            print("error: MINPROJ_SUBSET_CAP must be an integer", file=sys.stderr)
+            print(f"error: {source} must be an integer", file=sys.stderr)
             return 2
-        if cap < 0:
-            print(f"error: MINPROJ_SUBSET_CAP must be non-negative, not {cap}",
-                  file=sys.stderr)
-            return 2
+    if cap < 0:
+        print(f"error: {source} must be non-negative, not {cap}", file=sys.stderr)
+        return 2
     cfg = RunConfig(
         command=args.command,
         input_path=args.input,

@@ -120,10 +120,10 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _eliminate(row: list[int], p: int, f: int, support) -> list[int]:
-    """p·row - f·R for p > 0, with R given by its nonzero entries
-    (support: (index, entry) pairs); the common factor of p and f is
-    taken out first, and zero entries of R cost one multiplication at
-    most."""
+    """(p·row - f·R) / gcd(p, f) for p > 0, with R given by its nonzero
+    entries (support: (index, entry) pairs), so zero entries of R cost
+    one multiplication at most.  row is updated in place when its factor
+    p / gcd(p, f) is 1."""
     g = gcd(p, f)
     if g > 1:
         p //= g
@@ -171,9 +171,8 @@ class _PivotCore:
         R = self.rows[r]
         p = R[c]
         f = self.on[c]
-        g = gcd(p, f)
         on = _eliminate(self.on, p, f, [(j, b) for j, b in enumerate(R) if b])
-        scale = self.oscale * (p // g)
+        scale = self.oscale * (p // gcd(p, f))  # the factor _eliminate applied
         g = gcd(gcd(*on), scale)
         if g > 1:
             on = [x // g for x in on]
