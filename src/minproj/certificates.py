@@ -20,9 +20,12 @@ from typing import Iterable, Iterator
 from .errors import (CertificateInvalidError, InternalError,
                      RankGapViolationError, SupportBudgetExceededError)
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import RMatrix, dot, integer_rows, rows_rank, solve_linear
+from .linalg import RMatrix, Vector, dot, integer_rows, rows_rank, solve_linear
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint,
                           build_operator_basis)
+
+#: Largest candidate set the minimal-support search enumerates by default.
+DEFAULT_SUPPORT_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -66,18 +69,25 @@ def cm_operator(space: PolyhedralSpace, cm: CMFunctional) -> RMatrix:
     return RMatrix.from_rows(entries)
 
 
+def _coordinates_in_y(Y: Subspace, T: RMatrix) -> list[Vector | None]:
+    """T(y) in Y's basis for each basis vector y of Y, by exact solves;
+    None where T(y) leaves Y."""
+    return [solve_linear(Y.basis, T.apply(y)) for y in Y.basis_vectors()]
+
+
+def _trace(coords: list[Vector | None]) -> Fraction | None:
+    """Trace of T|_Y from _coordinates_in_y; None when T does not map Y
+    into Y."""
+    if None in coords:
+        return None
+    return sum((c[b] for b, c in enumerate(coords)), Fraction(0))
+
+
 def trace_on_subspace(space: PolyhedralSpace, Y: Subspace,
                       cm: CMFunctional) -> Fraction | None:
     """trace of T restricted to Y, via exact solves in Y's basis;
     None when T does not map Y into Y."""
-    T = cm_operator(space, cm)
-    total = Fraction(0)
-    for b, y in enumerate(Y.basis_vectors()):
-        coords = solve_linear(Y.basis, T.apply(y))
-        if coords is None:
-            return None
-        total += coords[b]
-    return total
+    return _trace(_coordinates_in_y(Y, cm_operator(space, cm)))
 
 
 def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
@@ -91,7 +101,8 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     Both (1) and (3) read the values f(L_q x) of each pair from
     OperatorBasis.pair_values, with no operator matrix applied:
     sum_i a_i f_i(L_q x_i) for (1), and f(P x) = f(P0 x) + sum_q c_q f(L_q x)
-    for (3)."""
+    for (3).  (2) and (4) share one exact solve per basis vector y of Y,
+    T(y) in Y's basis, with T built once."""
     violations: list[str] = []
     n_p = len(space.primal_vertices)
     n_d = len(space.dual_vertices)
@@ -117,11 +128,9 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
             violations.append(f"vanishing: basis operator {q} gives {s}")
             break
 
-    T = cm_operator(space, cm)
-    for b, y in enumerate(Y.basis_vectors()):
-        if not Y.contains(T.apply(y)):
-            violations.append(f"invariance: T(basis vector {b}) leaves Y")
-            break
+    coords = _coordinates_in_y(Y, cm_operator(space, cm))
+    if None in coords:
+        violations.append(f"invariance: T(basis vector {coords.index(None)}) leaves Y")
 
     P0 = basis.base_projection
     for (pi, dj), v in zip(cm.pairs, values):
@@ -132,7 +141,7 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
                 f"norming: pair ({pi}, {dj}) gives {value}, expected {lam}")
             break
 
-    trace = trace_on_subspace(space, Y, cm)
+    trace = _trace(coords)
     if trace is None:
         violations.append("trace: undefined, T does not map Y into Y")
     elif trace != lam:
@@ -159,7 +168,7 @@ def cm_from_dual(report: MinProjReport) -> CMFunctional:
 
 def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
                        candidate_pairs: Iterable[tuple[int, int]],
-                       lam: Fraction, max_candidates: int = 24,
+                       lam: Fraction, max_candidates: int = DEFAULT_SUPPORT_CAP,
                        witness: OperatorPoint | None = None,
                        basis: OperatorBasis | None = None) -> tuple[CMFunctional, int]:
     """Smallest-support certificate over the candidate pairs.

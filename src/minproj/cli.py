@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import paper_cases, random_subspace
-from .certificates import cm_from_dual, minimal_support_cm, verify_cm
+from .certificates import (DEFAULT_SUPPORT_CAP, cm_from_dual, minimal_support_cm,
+                           verify_cm)
 from .errors import (InputFormatError, InternalError, MinprojError,
                      SubsetBudgetExceededError, SupportBudgetExceededError)
 from .geometry import (PolyhedralSpace, Subspace, general_position_check,
@@ -32,8 +33,6 @@ from .jsonio import (certificate_json, dumps, load_document, matrix_json,
                      vector_json)
 from .projections import face_dimension, projection_constant
 from .rational import approx_decimal, format_rational
-
-DEFAULT_SUPPORT_CAP = 24
 
 _CHECK_NAMES = ("weights", "vanishing", "invariance", "norming", "trace")
 

@@ -175,8 +175,7 @@ class PolyhedralSpace:
     @classmethod
     def from_vertices(cls, vertices: Sequence[Sequence],
                       dual_vertices: Sequence[Sequence] | None = None,
-                      validate: bool = True,
-                      strict_duals: bool = False) -> "PolyhedralSpace":
+                      validate: bool = True) -> "PolyhedralSpace":
         """Build a space, validating symmetry, full dimension and extremality.
 
         When dual_vertices is omitted the polar dual is computed exactly,
@@ -184,10 +183,9 @@ class PolyhedralSpace:
         vertices tight at it, with no LP.  A supplied dual list is
         cross-validated: symmetry, full dimension and value 1 on the ball,
         then the same rank test for each dual vertex against the primal
-        list and for each primal vertex against the dual list.  That pass
-        accepts polar vertices that span every facet but cannot rule out
-        a missing polar vertex -- pass strict_duals=True to force the full
-        polar cross-check.
+        list and for each primal vertex against the dual list, and last
+        the list must be exactly the polar vertex set, so a list that
+        misses a polar vertex is rejected too.
         """
         primal = tuple(_as_vector(v) for v in vertices)
         if not primal:
@@ -207,8 +205,6 @@ class PolyhedralSpace:
             dual = tuple(_as_vector(f) for f in dual_vertices)
             if validate:
                 _validate_dual_list(primal, dual, n)
-            if strict_duals and set(dual) != set(polar_dual(primal)):
-                raise NotExtremeError("supplied dual vertices are not the polar vertex set")
         return cls(dim=n, primal_vertices=primal, dual_vertices=dual)
 
     @cached_property
@@ -253,10 +249,15 @@ def _validate_dual_list(primal, dual, n) -> None:
     # computed polar tells which.
     _check_extreme(dual, primal, "dual")
     i = _first_non_vertex(primal, dual)
+    polar = polar_dual(primal)
     if i is not None:
-        _check_extreme(primal, polar_dual(primal), "primal")
+        _check_extreme(primal, polar, "primal")
         raise NotExtremeError(
             f"duals tight at primal vertex {i} do not span its facet")
+    # The checks above pass on some lists that miss polar vertices (l1^3
+    # with the cube minus +-(1, 1, 1)), whose norm is then too small.
+    if set(dual) != set(polar):
+        raise NotExtremeError("supplied dual vertices are not the polar vertex set")
 
 
 def norm_eval(space: PolyhedralSpace, x: Sequence) -> Fraction:

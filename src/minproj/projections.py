@@ -376,7 +376,7 @@ def face_dimension(space: PolyhedralSpace, Y: Subspace,
 
 
 def _first_slack_step(grid: PairGrid, point: Sequence[Fraction], lam: Fraction,
-                      z: Sequence[Fraction], skip=frozenset()) -> Fraction | None:
+                      z: Sequence[Fraction], skip) -> Fraction | None:
     """The largest s with every row outside skip still <= lam at point + s·z:
     the least slack / rise over the rows that rise along z, or None when
     none rises.  Slacks and rises are integer numerators over common
@@ -403,8 +403,8 @@ def _first_slack_step(grid: PairGrid, point: Sequence[Fraction], lam: Fraction,
 def max_norming_projection(space: PolyhedralSpace, Y: Subspace,
                            report: MinProjReport) -> tuple[OperatorPoint, int]:
     """A minimal projection whose norming-pair set is inclusion-maximal,
-    with the number of its norming pairs: a vertex of the optimal face,
-    reached from the LP witness with no LP.
+    with the number of its norming pairs: the LP witness, a vertex of the
+    optimal face, with no further LP.
 
     A minimal projection c is a vertex of the optimal face exactly when
     the grid rows [coefs_r, -1] tight at (c, lambda) have rank d + 1 in
@@ -413,34 +413,20 @@ def max_norming_projection(space: PolyhedralSpace, Y: Subspace,
     itself, so no minimal projection has a strictly larger norming set.
     Full rank also needs at least d + 1 = k(n-k) + 1 >= n tight pairs.
 
-    The witness of the dual tableau path is a basic optimum and already a
-    vertex.  The inequality-form path splits free variables, and its
-    witness can lie inside the face; then it is purified exactly: with
-    the tight rows below rank d + 1, their coefficient rows have a
-    nonzero nullspace vector z (else t could drop below lambda), every
-    tight row stays tight along z, and the step to the first slack row
-    that rises (one exists: the face is bounded) makes that row tight and
-    raises the rank, so at most d steps reach a vertex.
+    The LP witness is a basic optimum of the dual tableau, and the grid
+    matrix [coefs, -1] has full column rank (the pairs (x, f) and (x, -f)
+    are separate rows with opposite values, so a direction that gives
+    every row the same value is zero).  So no artificial stays basic, and
+    the witness has d + 1 independent tight rows: it is a vertex, and the
+    rank test only confirms it.
 
     Everything is read from the report; space and Y are not used and stay
     in the signature for its callers.
     """
     grid = report.grid
-    lam = report.lam
-    point = report.witness.coefficients
-    d = len(point)
-    tight = list(report._witness_tight)
+    tight = report._witness_tight
+    d = len(report.witness.coefficients)
     D = grid.denominator
-    for _ in range(d + 1):
-        if integer_row_rank([list(grid.coefs_num[r]) + [-D] for r in tight]) == d + 1:
-            return OperatorPoint(point), len(tight)
-        N = nullspace_basis(RMatrix.from_rows([grid.coefs_num[r] for r in tight]))
-        if N.cols == 0:
-            raise InternalError("tight rows leave a direction that lowers the norm below lambda")
-        z = N.col(0)
-        step = _first_slack_step(grid, point, lam, z)
-        if step is None:
-            raise InternalError("optimal face is unbounded")
-        point = tuple(c + step * zq for c, zq in zip(point, z))
-        tight = grid.tight_rows(point, lam)
-    raise InternalError("purification did not reach a vertex in d steps")
+    if integer_row_rank([list(grid.coefs_num[r]) + [-D] for r in tight]) != d + 1:
+        raise InternalError("the LP witness is not a vertex of the optimal face")
+    return report.witness, len(tight)

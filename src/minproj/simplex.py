@@ -1,23 +1,24 @@
 """Exact simplex for  minimize c·v  subject to  A·v <= b,  v free.
 
-Free variables are split v = v+ - v-; rows with negative right-hand side
-get artificial variables and a phase-I solve.  Entering columns follow
-Dantzig's rule (most negative reduced cost, ties to the lowest index)
-until a run of degenerate pivots is detected, after which the solver
-switches permanently to Bland's rule, which guarantees termination.  The
-dual vector is read off the final reduced-cost row under the slack
-columns, giving an exact complementary-slackness certificate; every
-optimal solve is re-verified against the strong-duality identities
-before it is returned.
+Every LP is solved through its dual in standard form,  minimize b·u
+subject to  Aᵀu = -c,  u >= 0:  one equality row (with an artificial)
+per variable and one nonnegative column per constraint, so the basis has
+one entry per variable, which suits the operator-norm grids (many rows
+over few variables).  Phase I drives the artificials to zero, phase II
+minimizes b·u.  Entering columns follow Dantzig's rule (most negative
+reduced cost, ties to the lowest index) until a run of degenerate pivots
+is detected, after which the solver switches permanently to Bland's
+rule, which guarantees termination.  The dual optimum u is the
+certificate; the primal optimum is read off the reduced costs of the
+artificial columns, the exact prices of the final basis.  Every optimal
+solve is re-verified against the strong-duality identities before it is
+returned.
 
-Wide systems (many constraints over few variables, the shape of the
-operator-norm grids) are automatically solved through the dual in
-standard form instead: one equality row per original variable, one
-nonnegative column per original constraint.  The basis then has d+1
-entries instead of one per row, and the primal optimum is read off the
-reduced costs of the artificial columns, the exact prices of the final
-basis.  Both paths produce the same certificate format and run the same
-verification.
+Statuses come from the dual.  An unbounded phase II means the LP is
+infeasible.  A failed phase I means the dual is infeasible, so the LP is
+unbounded or infeasible, and the same LP with a zero objective tells
+which: its dual {Aᵀu = 0, u >= 0} is feasible (u = 0), and unbounded
+exactly when the LP is infeasible.
 
 All arithmetic is on Python ints.  The LP is cleared to integer rows
 over one common denominator once (LinearProgram.integer_form).  A
@@ -57,8 +58,6 @@ UNBOUNDED = "UNBOUNDED"
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 _STALL_SWITCH = 24
 _MAX_PIVOTS = 500_000
-# Constraint/variable ratio beyond which the dual path takes over.
-_DUAL_PATH_RATIO = 3
 
 #: Running counters; the acceptance suite asserts that every optimal solve
 #: performed anywhere in the process passed the exact duality checks.
@@ -135,21 +134,34 @@ def _eliminate(row: list[int], p: int, f: int, support) -> list[int]:
     return row
 
 
-class _PivotCore:
-    """Shared full-tableau machinery: integer rows scaled through their
-    basic entries, an objective row priced out over the basis,
-    Dantzig-then-Bland pivoting."""
+class _DualTableau:
+    """Standard-form tableau of the dual  Aᵀu = -c, u >= 0: one column per
+    constraint row of the LP, one equality row (with its artificial) per
+    variable, negated where -c_j < 0 so the artificial starts basic.
+    Integer rows are scaled through their basic entries, the objective row
+    is priced out over the basis, and pivoting is Dantzig-then-Bland."""
 
-    nrows: int
-    width: int
-
-    def _init_core(self, nrows: int, width: int) -> None:
-        self.nrows = nrows
-        self.width = width
-        self.RHS = width - 1
+    def __init__(self, lp: LinearProgram):
+        M, _, D = lp.integer_form
+        n_u = len(M)
+        self.nrows = n_eq = lp.constraint_matrix.cols
+        self.width = n_u + n_eq + 1
+        self.RHS = self.width - 1
         self.rows: list[list[int]] = []
         self.basis: list[int] = []
-        self.forbidden: frozenset[int] = frozenset()
+        self.sigma: list[int] = []
+        for j, cj in enumerate(lp.objective):
+            s = 1 if cj <= 0 else -1
+            self.sigma.append(s)
+            # The true row times D·den(c_j).
+            factor = s * cj.denominator
+            row = [factor * M[r][j] for r in range(n_u)] + [0] * (n_eq + 1)
+            row[n_u + j] = D * cj.denominator
+            row[self.RHS] = -s * cj.numerator * D
+            self.rows.append(_primitive(row))
+            self.basis.append(n_u + j)
+        # Artificial columns never (re-)enter the basis.
+        self.forbidden = frozenset(range(n_u, n_u + n_eq))
         self.on: list[int] = []
         self.oscale = 1
         self.bland = False
@@ -276,134 +288,36 @@ class _PivotCore:
                         break
 
 
-class _Tableau(_PivotCore):
-    """Inequality-form tableau: columns are the split variables, one slack
-    per row, artificials where the right-hand side was negative (that row
-    is negated so its artificial starts basic)."""
-
-    def __init__(self, lp: LinearProgram):
-        M, beta, D = lp.integer_form
-        self.m = m = len(M)
-        self.d = d = lp.constraint_matrix.cols
-        sigma = [1 if b >= 0 else -1 for b in beta]
-        art_rows = [i for i in range(m) if sigma[i] < 0]
-        self.art_cols = {row: 2 * d + m + idx for idx, row in enumerate(art_rows)}
-        self._init_core(m, 2 * d + m + len(art_rows) + 1)
-        for i in range(m):
-            s = sigma[i]
-            row = [0] * self.width
-            for j, a in enumerate(M[i]):
-                if a:
-                    row[j] = s * a
-                    row[d + j] = -s * a
-            row[2 * d + i] = s * D
-            if s < 0:
-                row[self.art_cols[i]] = D
-            row[self.RHS] = s * beta[i]
-            self.rows.append(_primitive(row))
-            self.basis.append(2 * d + i if s > 0 else self.art_cols[i])
-        # Artificial columns never (re-)enter the basis; sound because any
-        # feasible point extends with all artificials at zero.
-        self.forbidden = frozenset(self.art_cols.values())
-
-
-class _StdTableau(_PivotCore):
-    """Standard-form tableau of the dual  Aᵀu = -c, u >= 0: one column per
-    constraint row of the LP, one equality row (with its artificial) per
-    variable, negated where -c_j < 0 so the artificial starts basic."""
-
-    def __init__(self, lp: LinearProgram):
-        M, _, D = lp.integer_form
-        self.n_u = n_u = len(M)
-        n_eq = lp.constraint_matrix.cols
-        self._init_core(n_eq, n_u + n_eq + 1)
-        self.sigma = []
-        for j, cj in enumerate(lp.objective):
-            s = 1 if cj <= 0 else -1
-            self.sigma.append(s)
-            # The true row times D·den(c_j).
-            factor = s * cj.denominator
-            row = [factor * M[r][j] for r in range(n_u)] + [0] * (n_eq + 1)
-            row[n_u + j] = D * cj.denominator
-            row[self.RHS] = -s * cj.numerator * D
-            self.rows.append(_primitive(row))
-            self.basis.append(n_u + j)
-        self.forbidden = frozenset(range(n_u, n_u + n_eq))
-
-
-def solve(lp: LinearProgram, method: str | None = None) -> LPSolution:
-    """Solve the LP; on OPTIMAL the returned certificate is exact and verified.
-
-    method picks the tableau shape: "rows" (inequality form), "dual"
-    (standard form over the dual) or None to choose by aspect ratio.
-    Results are identical either way.
-    """
-    SOLVE_STATS["solves"] += 1
-    if method is None:
-        wide = lp.constraint_matrix.rows >= _DUAL_PATH_RATIO * (lp.constraint_matrix.cols + 2)
-        method = "dual" if wide else "rows"
-    if method == "dual":
-        return _solve_via_dual(lp)
-    if method != "rows":
-        raise ValueError(f"unknown method {method!r}")
-    return _solve_rows(lp)
-
-
-def _solve_rows(lp: LinearProgram, pivots: int = 0) -> LPSolution:
-    tab = _Tableau(lp)
-    m, d = tab.m, tab.d
-
-    if tab.art_cols:
-        on = [0] * tab.width
-        for col in tab.art_cols.values():
-            on[col] = 1
-        tab.set_objective(on, 1)
-        status = tab.run()
-        if status != OPTIMAL:
-            raise InternalError("phase I cannot be unbounded")
-        if tab.objective_value() != 0:
-            return LPSolution(status=INFEASIBLE, pivots=pivots + tab.pivots)
-        tab.clear_artificials(2 * d + m)
-
-    c, c_den = over_denominator(lp.objective)
-    on = [0] * tab.width
-    on[:d] = c
-    on[d:2 * d] = [-x for x in c]
-    tab.set_objective(on, c_den)
-    status = tab.run()
-    pivots += tab.pivots
-    if status == UNBOUNDED:
-        return LPSolution(status=UNBOUNDED, pivots=pivots)
-
-    basic_value = {tab.basis[r]: tab.basic_value(r) for r in range(m)}
-    zero = Fraction(0)
-    primal = tuple(basic_value.get(j, zero) - basic_value.get(d + j, zero)
-                   for j in range(d))
-    value = tab.objective_value()
-    dual = tuple(Fraction(tab.on[2 * d + i], tab.oscale) for i in range(m))
-    return _finish(lp, value, primal, dual, pivots)
-
-
-def _solve_via_dual(lp: LinearProgram) -> LPSolution:
-    """Wide-system path: solve  min b·u, Aᵀu = -c, u >= 0  and read the
-    primal optimum off the prices of the final basis."""
+def _run_dual(lp: LinearProgram) -> tuple[_DualTableau, str | None]:
+    """Phase I and phase II on the dual of lp: the tableau and the status of
+    phase II, or None when phase I finds the dual infeasible."""
     m, d = lp.constraint_matrix.rows, lp.constraint_matrix.cols
-    tab = _StdTableau(lp)
-
+    tab = _DualTableau(lp)
     on = [0] * tab.width
     on[m:m + d] = [1] * d
     tab.set_objective(on, 1)
     if tab.run() != OPTIMAL:
         raise InternalError("phase I cannot be unbounded")
     if tab.objective_value() != 0:
-        # Dual infeasible: the original is unbounded or infeasible; the
-        # inequality path tells which.  Rare, and never hit by norm grids.
-        return _solve_rows(lp, tab.pivots)
+        return tab, None
     tab.clear_artificials(m)
-
     _, beta, D = lp.integer_form
     tab.set_objective(beta + [0] * (d + 1), D)
-    status = tab.run()
+    return tab, tab.run()
+
+
+def solve(lp: LinearProgram) -> LPSolution:
+    """Solve the LP; on OPTIMAL the returned certificate is exact and verified."""
+    SOLVE_STATS["solves"] += 1
+    m, d = lp.constraint_matrix.rows, lp.constraint_matrix.cols
+    tab, status = _run_dual(lp)
+    if status is None:
+        # The dual is infeasible; the zero-objective LP tells infeasible
+        # from unbounded (see the module docstring).
+        check, status = _run_dual(LinearProgram((Fraction(0),) * d,
+                                                lp.constraint_matrix, lp.rhs))
+        return LPSolution(status=INFEASIBLE if status == UNBOUNDED else UNBOUNDED,
+                          pivots=tab.pivots + check.pivots)
     if status == UNBOUNDED:
         return LPSolution(status=INFEASIBLE, pivots=tab.pivots)
 

@@ -20,8 +20,11 @@ between the two is evidence for both.
 Two more replaced implementations follow: ``verify_cm`` as it was when
 it applied operator matrices (``verify_cm_by_apply``), and the simplex
 on the rational num/den tableau with its Fraction verification
-(``solve_by_fraction_tableau``), which the integer tableau of
-``minproj.simplex`` must match pivot for pivot.
+(``solve_by_fraction_tableau``).  Its standard-form dual tableau is the
+one the integer tableau of ``minproj.simplex`` must match pivot for
+pivot; its inequality-form tableau (split free variables, one slack per
+row, artificials on negative right-hand sides), once the second path of
+``minproj.simplex``, decides infeasible and unbounded LPs independently.
 """
 
 import itertools
@@ -29,7 +32,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from minproj.certificates import CMVerdict, cm_operator, trace_on_subspace
+from minproj.certificates import (DEFAULT_SUPPORT_CAP, CMVerdict, cm_operator,
+                                  trace_on_subspace)
 from minproj.errors import (CertificateInvalidError, InternalError,
                             SubsetBudgetExceededError, SupportBudgetExceededError)
 from minproj.geometry import GeneralPositionReport
@@ -154,7 +158,8 @@ def max_norming_by_greedy(space, Y, report):
     return point, len(pairs)
 
 
-def minimal_support_by_lp(space, Y, candidate_pairs, max_candidates=24):
+def minimal_support_by_lp(space, Y, candidate_pairs,
+                          max_candidates=DEFAULT_SUPPORT_CAP):
     """(pairs, weights) of the smallest-support certificate over the
     candidates: subsets by cardinality, then lexicographically, each tested
     by an LP maximizing the smallest weight tau subject to the vanishing
@@ -203,7 +208,8 @@ def minimal_support_by_lp(space, Y, candidate_pairs, max_candidates=24):
     raise CertificateInvalidError("no valid certificate over the candidate pairs")
 
 
-def minimal_support_by_solve(space, Y, candidate_pairs, max_candidates=24):
+def minimal_support_by_solve(space, Y, candidate_pairs,
+                             max_candidates=DEFAULT_SUPPORT_CAP):
     """(pairs, weights) of the smallest-support certificate over the
     candidates: subsets by cardinality up to k(n-k) + 1, then
     lexicographically, each tested by an exact rational solve of
@@ -633,14 +639,13 @@ class _FractionStdTableau(_FractionPivotCore):
         self.forbidden = frozenset(range(n_u, n_u + n_eq))
 
 
-def solve_by_fraction_tableau(lp, method=None):
-    """The LP solved on the rational num/den tableau, with the same pivot
-    rules, the same shape choice and the same LPSolution (pivots included)
-    as simplex.solve.  Optimal solutions are verified in Fraction
+def solve_by_fraction_tableau(lp, method="dual"):
+    """The LP solved on the rational num/den tableau.  method "dual" takes
+    the standard-form dual tableau with the same pivot rules and the same
+    LPSolution (pivots included) as simplex.solve on an optimal LP; method
+    "rows" takes the inequality-form tableau, which decides infeasible and
+    unbounded LPs on its own.  Optimal solutions are verified in Fraction
     arithmetic; SOLVE_STATS is not touched."""
-    if method is None:
-        wide = lp.constraint_matrix.rows >= 3 * (lp.constraint_matrix.cols + 2)
-        method = "dual" if wide else "rows"
     if method == "dual":
         return _fraction_solve_via_dual(lp)
     if method != "rows":

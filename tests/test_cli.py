@@ -2,6 +2,7 @@
 byte determinism and environment handling, in-process runs (faster) for
 the flag and exit-code matrix."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -129,6 +130,19 @@ def test_analyze_non_extreme_vertex(tmp_path, capsys):
     assert cli.main(["analyze", "--input", str(path)]) == 2
     assert capsys.readouterr().err == (
         "error: primal vertex 3 is a convex combination of the others\n")
+
+
+def test_analyze_rejects_incomplete_dual_list(tmp_path, capsys):
+    # the cube minus +-(1, 1, 1) as the duals of l1^3: only the comparison
+    # with the computed polar rejects it
+    cube = [[str(s) for s in signs] for signs in itertools.product((1, -1), repeat=3)
+            if abs(sum(signs)) != 3]
+    doc = dict(L1_3, dual_vertices=cube, subspace_basis=[["1", "2", "3"], ["0", "1", "-1"]])
+    path = tmp_path / "short-duals.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", "--input", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: supplied dual vertices are not the polar vertex set\n")
 
 
 def test_analyze_requires_subspace_or_seed(tmp_path, capsys):

@@ -129,6 +129,18 @@ def test_supplied_dual_extreme_in_list_but_not_polar_vertex_rejected():
         PolyhedralSpace.from_vertices(_cross(3), dual_vertices=duals)
 
 
+def test_supplied_duals_missing_polar_vertices_rejected():
+    # l1^3 with the cube minus +-(1, 1, 1): every listed dual is a polar
+    # vertex and every facet at a primal vertex is still spanned, yet the
+    # norm of (1, 1, 1) would come out 1 instead of 3
+    duals = [f for f in _cube(3) if abs(sum(f)) != 3]
+    with pytest.raises(NotExtremeError,
+                       match="^supplied dual vertices are not the polar vertex set$"):
+        PolyhedralSpace.from_vertices(_cross(3), dual_vertices=duals)
+    space = PolyhedralSpace.from_vertices(_cross(3), dual_vertices=duals, validate=False)
+    assert norm_eval(space, (1, 1, 1)) == 1
+
+
 def _solves(build):
     before = SOLVE_STATS["solves"]
     build()

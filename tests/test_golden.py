@@ -4,11 +4,13 @@ Every exact method in the pipeline can be replaced by another that gives
 the same answers; these digests make sure the replacement also gives the
 same bytes.  They cover the full ``analyze`` JSON (including the emitted
 ``minimal_projection``, which depends on the pivot sequence of the
-simplex) of the 16 catalog cases and of the four seeded n = 4 inputs of
-the pipeline benchmark (cube and cross-polytope, hyperplane and 2-plane,
-``random_subspace`` at generator seed 7, primal vertices only so the CLI
-computes the polar), plus ``certify`` on one valid and one tampered
-certificate of the seeded l1^4 hyperplane.
+simplex) of the 16 catalog cases and of the eight seeded n = 4 and n = 5
+inputs of the pipeline benchmark (cube and cross-polytope, hyperplane and
+2-plane, ``random_subspace`` at generator seed 7, primal vertices only so
+the CLI computes the polar), plus ``certify`` on one valid and one
+tampered certificate of the seeded l1^4 hyperplane.  The l-inf^5 2-plane
+has more candidate pairs than the support search's default cap, so its
+pinned run is the exit-3 partial report.
 
 The digests hash the exit code, standard output and standard error of
 each run.  To print the table after an intended change of output:
@@ -54,17 +56,21 @@ GOLDEN = {
     "certify/seeded-l1-n4-k3-valid": "3ad55cf3f5b673879723c1aa8ef0b1bd3450a3b6fcc6ef0554786811b54d17f3",
     "certify/seeded-l1-n4-k3-tampered": "137486a4feafc3cad9f6b52973a4e3b25d9f969359ec4d00f9a3c0328aac2721",
     "analyze/seeded-l1-n4-k2": "f7859d8694d418253699a38d4a4cb010a53899f0c226954b58fe03d794584659",
+    "analyze/seeded-linf-n5-k4": "904a514d238ee1aded50828f30cde7a71a91d3d949e070080145d01e0a5e5e6d",
+    "analyze/seeded-linf-n5-k2": "8866bd32b906a3619f8902170473fad5aaaf4e51dd00160dbe5cdb971b3f6bf7",
+    "analyze/seeded-l1-n5-k4": "ddb295a448b99b14df04a25d76150e4c01cd66b0627889b0abbcc9f36144110d",
+    "analyze/seeded-l1-n5-k2": "d898c4c528309c70a3f9925403315460ba3ecdbf35f81e44ee2189d3f09caf2e",
 }
 
 
-def _seeded_documents():
-    cube = [list(v) for v in itertools.product((1, -1), repeat=4)]
-    cross = [[s if j == i else 0 for j in range(4)] for i in range(4) for s in (1, -1)]
+def _seeded_documents(n):
+    cube = [list(v) for v in itertools.product((1, -1), repeat=n)]
+    cross = [[s if j == i else 0 for j in range(n)] for i in range(n) for s in (1, -1)]
     for ball, verts in (("linf", cube), ("l1", cross)):
-        for k in (3, 2):
-            subspace = random_subspace(4, k, SEED)
-            yield f"seeded-{ball}-n4-k{k}", {
-                "dim": 4,
+        for k in (n - 1, 2):
+            subspace = random_subspace(n, k, SEED)
+            yield f"seeded-{ball}-n{n}-k{k}", {
+                "dim": n,
                 "vertices": [vector_json(v) for v in verts],
                 "subspace_basis": [vector_json(b) for b in subspace.basis_vectors()],
             }
@@ -81,7 +87,8 @@ def _runs(tmp_path):
     """(name, (exit code, stdout, stderr)) of every pinned run, in order."""
     documents = [(case.name, space_json(case.space, case.subspace))
                  for case in paper_cases()]
-    documents += list(_seeded_documents())
+    documents += list(_seeded_documents(4))
+    documents += list(_seeded_documents(5))
     for name, doc in documents:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))

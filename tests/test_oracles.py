@@ -64,12 +64,14 @@ def test_face_matches_per_row_oracle(cases):
 
 def test_integer_tableau_matches_fraction_tableau(cases, monkeypatch):
     # lambda LPs of the 16 catalog cases and the four seeded n = 4 grids,
-    # and every Gordan-round LP of their face stages, on both tableau shapes
+    # and every Gordan-round LP of their face stages: the whole solution
+    # equals the rational dual tableau's, and the status and value equal
+    # the rational inequality-form tableau's
     rounds = []
 
-    def recording(lp, method=None):
+    def recording(lp):
         rounds.append(lp)
-        return solve(lp, method)
+        return solve(lp)
 
     monkeypatch.setattr(projections, "solve", recording)
     for a in cases.values():
@@ -77,8 +79,10 @@ def test_integer_tableau_matches_fraction_tableau(cases, monkeypatch):
     monkeypatch.undo()
     assert len(rounds) >= len(cases)
     for lp in [a.report.grid.lp for a in cases.values()] + rounds:
-        for method in ("rows", "dual"):
-            assert solve(lp, method=method) == solve_by_fraction_tableau(lp, method=method)
+        sol = solve(lp)
+        assert sol == solve_by_fraction_tableau(lp)
+        rows = solve_by_fraction_tableau(lp, method="rows")
+        assert (sol.status, sol.value) == (rows.status, rows.value)
 
 
 def _tampered(a, cm):
@@ -120,32 +124,29 @@ def _tight_rank(report, point):
 
 def test_max_norming_vertex_matches_greedy_oracle(cases):
     # l1^2 onto a coordinate axis: the optimal face is the segment
-    # c in [-1, 1], and the grid is small enough for the inequality-form
-    # simplex, whose witness c = 0 lies inside it; every case in `cases`
-    # is solved on the dual path, whose witness is already a vertex
-    inside = {}
+    # c in [-1, 1], whose inner points are normed by 2 pairs only; the LP
+    # witness is a vertex of the face in every case, here an endpoint
+    # normed by 4 pairs
+    segment = {}
     for j in range(2):
         space, Y = l1_ball(2), Subspace.from_basis([[1 - j, j]])
-        inside[f"l1-2-axis{j}"] = SimpleNamespace(
+        segment[f"l1-2-axis{j}"] = SimpleNamespace(
             case=SimpleNamespace(space=space, subspace=Y),
             report=projection_constant(space, Y))
     counts = {}
-    for name, a in {**cases, **inside}.items():
+    for name, a in {**cases, **segment}.items():
         space, Y, report = a.case.space, a.case.subspace, a.report
         d = len(report.witness.coefficients)
-        witness_is_vertex = _tight_rank(report, report.witness) == d + 1
-        assert witness_is_vertex == (name not in inside), name
+        assert _tight_rank(report, report.witness) == d + 1, name
         point, count = max_norming_projection(space, Y, report)
-        assert _tight_rank(report, point) == d + 1, name
-        if witness_is_vertex:
-            assert point == report.witness, name
+        assert point == report.witness, name
         assert len(norming_pairs(space, Y, point, report.lam,
                                  grid=report.grid)) == count, name
         _, greedy_count = max_norming_by_greedy(space, Y, report)
         assert count == greedy_count, name
         counts[name] = count
     assert len(counts) == 22
-    assert [counts[name] for name in inside] == [4, 4]
+    assert [counts[name] for name in segment] == [4, 4]
     assert (min(counts.values()), max(counts.values())) == (3, 80)
 
 

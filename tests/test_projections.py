@@ -173,18 +173,17 @@ def test_max_norming_pinned_counts(analyzed):
 
 
 def test_max_norming_projection_solves_no_lp(analyzed):
-    # l1^2 onto span(e1) adds a witness inside the optimal face, which
-    # is moved to a vertex
+    # l1^2 onto span(e1): the optimal face is the segment c in [-1, 1], and
+    # the LP witness is already one of its vertices, normed by 4 pairs
     space, Y = l1_ball(2), Subspace.from_basis([[1, 0]])
-    inside = (space, Y, projection_constant(space, Y))
+    segment = (space, Y, projection_constant(space, Y))
     runs = [(a.case.space, a.case.subspace, a.report) for a in analyzed.values()]
-    for space, Y, report in runs + [inside]:
+    for space, Y, report in runs + [segment]:
         before = SOLVE_STATS["solves"]
         max_norming_projection(space, Y, report)
         assert SOLVE_STATS["solves"] == before
-    point, count = max_norming_projection(*inside)
-    assert (inside[2].witness, point, count) == (
-        OperatorPoint((F(0),)), OperatorPoint((F(1),)), 4)
+    assert max_norming_projection(*segment) == (OperatorPoint((F(-1),)), 4)
+    assert segment[2].witness == OperatorPoint((F(-1),))
 
 
 def test_reports_are_deterministic(ker_sum_3):

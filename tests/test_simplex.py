@@ -1,15 +1,17 @@
 """The LP layer is the load-bearing wall: everything above it trusts the
 returned optima and certificates.  Alongside the fixed examples, random
-instances are compared against a brute-force vertex-enumeration oracle,
-and the two internal tableau shapes are cross-checked on every instance.
+instances are compared against a brute-force vertex-enumeration oracle.
 The integer tableau is compared with the rational one it replaced (kept
-in ``oracles.py``), whose two row operations are checked against
+in ``oracles.py``): optimal solutions pivot for pivot, and every status
+(optimal, infeasible, unbounded) against the inequality-form tableau
+there.  The rational tableau's two row operations are checked against
 Fraction arithmetic, on small entries and on entries far beyond machine
 words.  Each of the six verification identities is shown to reject a
 certificate that breaks it, also under ``python -O``.
 """
 
 import itertools
+from collections import Counter
 import subprocess
 import sys
 from fractions import Fraction
@@ -120,30 +122,6 @@ def test_random_lps_match_vertex_oracle(d):
         assert sol.value == _vertex_enumeration_minimum(lp)
 
 
-def test_methods_agree():
-    for seed in range(12):
-        lp = _random_bounded_lp(seed, 2, 6)
-        a = solve(lp, method="rows")
-        b = solve(lp, method="dual")
-        assert a.status == b.status == OPTIMAL
-        assert a.value == b.value
-        _check_certificate(lp, a)
-        _check_certificate(lp, b)
-    with pytest.raises(ValueError):
-        solve(lp, method="nonsense")
-
-
-def test_dual_method_on_degenerate_and_infeasible():
-    rows = [[-1, 0], [0, -1], [-1, -1], [-2, -1], [-1, -2], [1, 1]]
-    lp = make_lp([1, 1], rows, [0, 0, 0, 0, 0, 5])
-    sol = solve(lp, method="dual")
-    assert sol.status == OPTIMAL and sol.value == 0
-    bad = make_lp([1], [[1], [-1]], [-1, -2])
-    assert solve(bad, method="dual").status == INFEASIBLE
-    free = make_lp([1], [[1]], [1])
-    assert solve(free, method="dual").status == UNBOUNDED
-
-
 def test_row_permutation_invariance():
     lp = _random_bounded_lp(7, 3, 6)
     base = solve(lp)
@@ -179,11 +157,36 @@ def test_stats_count_verified_solves():
     assert after["duality_verified"] == before["duality_verified"] + 1
 
 
-def test_integer_tableau_matches_fraction_tableau_on_random_lps():
-    # the rational num/den tableau this solver replaced: same value, primal,
-    # dual, tight set and pivot count on both tableau shapes
+def _random_lp(seed, m, d):
+    """Small integer entries, right-hand sides and costs of both signs:
+    infeasible, unbounded and optimal instances all occur."""
+    g = _lcg_stream(seed)
+    rows = [[next(g) % 7 - 3 for _ in range(d)] for _ in range(m)]
+    rhs = [next(g) % 7 - 3 for _ in range(m)]
+    c = [next(g) % 7 - 3 for _ in range(d)]
+    return make_lp(c, rows, rhs)
+
+
+def _random_feasible_lp(seed, m, d):
+    """Zero is feasible, and raising the last variable keeps every row
+    feasible: optimal or unbounded, as the costs decide."""
+    g = _lcg_stream(seed)
+    rows = [[next(g) % 7 - 3 for _ in range(d - 1)] + [-(next(g) % 4)] for _ in range(m)]
+    rhs = [next(g) % 6 for _ in range(m)]
+    c = [next(g) % 7 - 3 for _ in range(d)]
+    return make_lp(c, rows, rhs)
+
+
+def _oracle_lps():
+    """Narrow (fewer than 3(d + 2) rows) and wide LPs, each kind with
+    optimal, infeasible and unbounded instances."""
     lps = [_random_bounded_lp(1000 * d + seed, d, 5) for d in (2, 3) for seed in range(15)]
     lps += [_random_bounded_lp(seed, 2, 6) for seed in range(12)]
+    lps += [_random_bounded_lp(5000 + 100 * d + seed, d, 14) for d in (2, 3) for seed in range(8)]
+    lps += [_random_lp(100 * m + 10 * d + seed, m, d)
+            for m in (1, 2, 3, 5, 7, 12) for d in (1, 2, 3) for seed in range(8)]
+    lps += [_random_feasible_lp(7000 + 100 * m + 10 * d + seed, m, d)
+            for m in (12, 16) for d in (2, 3) for seed in range(8)]
     lps += [
         make_lp([1, 1], [[-1, 0], [0, -1], [-1, -1], [-2, -1], [-1, -2], [1, 1]],
                 [0, 0, 0, 0, 0, 5]),
@@ -192,9 +195,26 @@ def test_integer_tableau_matches_fraction_tableau_on_random_lps():
         make_lp([F(1, 3), F(-2, 7)], [[F(1, 2), F(5, 3)], [F(-3, 4), 1], [0, F(-1, 9)]],
                 [F(7, 5), F(2, 3), F(1, 6)]),
     ]
-    for lp in lps:
-        for method in ("rows", "dual"):
-            assert solve(lp, method=method) == solve_by_fraction_tableau(lp, method=method)
+    return lps
+
+
+def test_integer_tableau_matches_fraction_tableau_on_random_lps():
+    # every status and optimal value equal those of the rational
+    # inequality-form tableau, which decides them independently; an optimal
+    # solution equals the rational dual tableau's whole: value, primal,
+    # dual, tight set and pivot count
+    seen = Counter()
+    for lp in _oracle_lps():
+        sol = solve(lp)
+        rows = solve_by_fraction_tableau(lp, method="rows")
+        assert sol.status == rows.status
+        if sol.status == OPTIMAL:
+            assert sol.value == rows.value
+            assert sol == solve_by_fraction_tableau(lp)
+            _check_certificate(lp, sol)
+        A = lp.constraint_matrix
+        seen[sol.status, A.rows >= 3 * (A.cols + 2)] += 1
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen
 
 
 def _finish_lp():
