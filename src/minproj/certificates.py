@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import (CertificateInvalidError, InternalError,
                      RankGapViolationError, SupportBudgetExceededError)
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import RMatrix, Vector, dot, integer_rows, rows_rank, solve_linear
+from .linalg import (RMatrix, Vector, dot, integer_rows, reduce_row, rows_rank,
+                     solve_linear)
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint,
                           build_operator_basis)
 
@@ -169,7 +169,7 @@ def cm_from_dual(report: MinProjReport) -> CMFunctional:
 def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
                        candidate_pairs: Iterable[tuple[int, int]],
                        lam: Fraction, max_candidates: int = DEFAULT_SUPPORT_CAP,
-                       witness: OperatorPoint | None = None,
+                       *, witness: OperatorPoint,
                        basis: OperatorBasis | None = None) -> tuple[CMFunctional, int]:
     """Smallest-support certificate over the candidate pairs.
 
@@ -185,13 +185,15 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
 
     Each size is one depth-first walk over the sorted candidates (see
     _independent_spanning_subsets): the columns are cleared to integers
-    once, and a step reduces the new column fraction-free against its
-    prefix's echelon rows.  A column that reduces to zero makes the
-    prefix dependent and prunes its whole subtree.  A full-size subset is
-    a candidate only when the target [0; 1], reduced along the same
-    prefix, vanishes; only then are the weights, unique by independence,
-    solved exactly and tested for w > 0.  The hit is verified before it
-    is returned.  basis, when given, must be build_operator_basis(space, Y).
+    once, and a step reduces the new column against its prefix's echelon
+    rows by linalg.reduce_row, the fraction-free step behind every rank
+    and solve.  A column that reduces to zero makes the prefix dependent
+    and prunes its whole subtree.  A full-size subset is a candidate only
+    when the target [0; 1], reduced against the same rows, vanishes; only
+    then are the weights, unique by independence, solved exactly and
+    tested for w > 0.  The hit is verified with witness, a minimal
+    projection, before it is returned.  basis, when given, must be
+    build_operator_basis(space, Y).
     """
     candidates = sorted(set(candidate_pairs))
     if not candidates:
@@ -219,9 +221,7 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
                 continue
             cm = CMFunctional(pairs=tuple(candidates[i] for i in subset),
                               weights=weights)
-            check = (verify_cm(space, Y, cm, lam, witness, basis=basis)
-                     if witness is not None else
-                     _verify_without_projection(space, Y, cm, lam, basis))
+            check = verify_cm(space, Y, cm, lam, witness, basis=basis)
             if not check.ok:
                 raise CertificateInvalidError(
                     "subset search produced an invalid certificate: "
@@ -235,52 +235,33 @@ def _independent_spanning_subsets(columns: list[list[int]],
     """Index tuples of `size` linearly independent integer columns whose
     span holds the last unit vector, in lexicographic order.
 
-    Depth-first: a node holds its prefix's echelon rows (pivot, row),
-    each zero at the earlier pivots, and the target reduced against them.
-    A column reduced to zero lies in the prefix's span, so every subset
-    through it is dependent and is skipped.  The reduced target of a
-    full-size subset is zero exactly when the target is in its span.
+    Depth-first: a node holds its prefix's echelon rows (pivot, row), each
+    the linalg.reduce_row reduction of its column against the rows before
+    it.  A column reduced to zero lies in the prefix's span, so every
+    subset through it is dependent and is skipped.  A node one short of
+    `size` reduces the target against its prefix once; a full-size subset
+    spans the target exactly when one more step, against its last row,
+    leaves zero.
     """
     last = len(columns) - size
     unit = [0] * (len(columns[0]) - 1) + [1]
 
-    def walk(start, prefix, rows, target):
+    def walk(start, prefix, rows):
         depth = len(prefix)
+        if depth + 1 == size:
+            target = reduce_row(unit, rows)
+            prev = rows[-1][1][rows[-1][0]] if rows else 1
         for i in range(start, last + depth + 1):
-            row = _reduce(columns[i], rows)
+            row = reduce_row(columns[i], rows)
             pivot = next((p for p, x in enumerate(row) if x), None)
             if pivot is None:
                 continue
-            reduced = _reduce(target, ((pivot, row),))
-            if depth + 1 == size:
-                if not any(reduced):
-                    yield prefix + (i,)
-            else:
-                yield from walk(i + 1, prefix + (i,), rows + [(pivot, row)], reduced)
+            if depth + 1 < size:
+                yield from walk(i + 1, prefix + (i,), rows + [(pivot, row)])
+            elif not any(reduce_row(target, [(pivot, row)], prev)):
+                yield prefix + (i,)
 
-    return walk(0, (), [], unit)
-
-
-def _reduce(vec: list[int], rows) -> list[int]:
-    """vec reduced fraction-free against echelon rows (pivot, row): each
-    step a·vec − c·row clears the pivot entry; the content is divided out
-    at the end."""
-    for pivot, row in rows:
-        c = vec[pivot]
-        if c:
-            a = row[pivot]
-            vec = [a * x - c * y for x, y in zip(vec, row)]
-    content = gcd(*vec)
-    return [x // content for x in vec] if content > 1 else vec
-
-
-def _verify_without_projection(space, Y, cm, lam, basis) -> CMVerdict:
-    """All checks except norming, for callers without a minimal projection
-    at hand; pairs drawn from implicit pairs are norming by construction."""
-    probe = verify_cm(space, Y, cm, lam, OperatorPoint((Fraction(0),) * len(basis.basis_ops)),
-                      basis=basis)
-    keep = tuple(v for v in probe.violations if not v.startswith("norming:"))
-    return CMVerdict(ok=not keep, violations=keep)
+    return walk(0, (), [])
 
 
 def cm_rank_gap(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,

@@ -19,8 +19,7 @@ from typing import Sequence
 from .errors import (InternalError, NotExtremeError, NotFullDimensionalError,
                      NotSymmetricError, SubsetBudgetExceededError)
 from .linalg import (RMatrix, Vector, dot, integer_row_rank, integer_rows,
-                     nullspace_basis, over_denominator, rows_rank,
-                     solve_linear)
+                     inverse, nullspace_basis, over_denominator, rows_rank)
 
 _ONE = Fraction(1)
 # Default budget of general_position_check: subsets visited, spans and
@@ -75,14 +74,13 @@ def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
             chosen.append(i)
             if len(chosen) == n:
                 break
-    V = RMatrix.from_rows([verts[i] for i in chosen])
+    Vinv = inverse(RMatrix.from_rows([verts[i] for i in chosen]))
+    if Vinv is None:
+        raise InternalError("independent vertices give a singular system")
     points: list[Vector] = []
     tights: list[set[int]] = []
     for signs in itertools.product((1, -1), repeat=n):
-        f = solve_linear(V, [Fraction(s) for s in signs])
-        if f is None:
-            raise InternalError("independent vertices give a singular system")
-        points.append(f)
+        points.append(Vinv.apply(signs))
         tight = set()
         for pos, i in enumerate(chosen):
             tight.add(i if signs[pos] == 1 else index_of[_neg(verts[i])])
@@ -178,14 +176,11 @@ class PolyhedralSpace:
                       validate: bool = True) -> "PolyhedralSpace":
         """Build a space, validating symmetry, full dimension and extremality.
 
-        When dual_vertices is omitted the polar dual is computed exactly,
-        and each primal vertex is proved extreme by the rank of the polar
-        vertices tight at it, with no LP.  A supplied dual list is
-        cross-validated: symmetry, full dimension and value 1 on the ball,
-        then the same rank test for each dual vertex against the primal
-        list and for each primal vertex against the dual list, and last
-        the list must be exactly the polar vertex set, so a list that
-        misses a polar vertex is rejected too.
+        The polar dual is computed exactly, and each primal vertex is
+        proved extreme by the rank of the polar vertices tight at it, with
+        no LP.  A supplied dual list must then be exactly the polar vertex
+        set, in any order; the list is kept in the order given.  With
+        validate=False a supplied list is taken as it is.
         """
         primal = tuple(_as_vector(v) for v in vertices)
         if not primal:
@@ -194,17 +189,20 @@ class PolyhedralSpace:
         if any(len(v) != n for v in primal):
             raise ValueError("inconsistent vector lengths")
         if validate:
-            _check_symmetric(primal, "primal")
+            present = set(primal)
+            for v in primal:
+                if _neg(v) not in present:
+                    raise NotSymmetricError(f"primal vertex {v} has no negation in the list")
             if rows_rank(primal) != n:
                 raise NotFullDimensionalError("vertices do not span the space")
-        if dual_vertices is None:
-            dual = polar_dual(primal)
+        if dual_vertices is None or validate:
+            polar = polar_dual(primal)
             if validate:
-                _check_extreme(primal, dual, "primal")
-        else:
-            dual = tuple(_as_vector(f) for f in dual_vertices)
-            if validate:
-                _validate_dual_list(primal, dual, n)
+                _check_extreme(primal, polar, "primal")
+        dual = (polar if dual_vertices is None
+                else tuple(_as_vector(f) for f in dual_vertices))
+        if validate and sorted(dual) != list(polar):
+            raise NotExtremeError("supplied dual vertices are not the polar vertex set")
         return cls(dim=n, primal_vertices=primal, dual_vertices=dual)
 
     @cached_property
@@ -226,38 +224,6 @@ class PolyhedralSpace:
     @cached_property
     def dual_class_reps(self) -> tuple[int, ...]:
         return tuple(i for i, j in enumerate(self.dual_negation) if i < j)
-
-
-def _check_symmetric(vectors: tuple[Vector, ...], side: str) -> None:
-    present = set(vectors)
-    for v in vectors:
-        if _neg(v) not in present:
-            raise NotSymmetricError(f"{side} vertex {v} has no negation in the list")
-
-
-def _validate_dual_list(primal, dual, n) -> None:
-    _check_symmetric(dual, "dual")
-    if rows_rank(dual) != n:
-        raise NotFullDimensionalError("dual vertices do not span the space")
-    for j, f in enumerate(dual):
-        if max(dot(f, v) for v in primal) != 1:
-            raise NotExtremeError(
-                f"dual vertex {j} does not attain value 1 on the ball")
-    # With the duals inside the polar, the rank tests are exact for them.
-    # A primal vertex then fails either because it is not extreme or
-    # because the duals miss the vertices of a facet through it; the
-    # computed polar tells which.
-    _check_extreme(dual, primal, "dual")
-    i = _first_non_vertex(primal, dual)
-    polar = polar_dual(primal)
-    if i is not None:
-        _check_extreme(primal, polar, "primal")
-        raise NotExtremeError(
-            f"duals tight at primal vertex {i} do not span its facet")
-    # The checks above pass on some lists that miss polar vertices (l1^3
-    # with the cube minus +-(1, 1, 1)), whose norm is then too small.
-    if set(dual) != set(polar):
-        raise NotExtremeError("supplied dual vertices are not the polar vertex set")
 
 
 def norm_eval(space: PolyhedralSpace, x: Sequence) -> Fraction:

@@ -1,9 +1,12 @@
 """Exact rational matrices: rank, nullspace, solve and echelon forms.
 
-Everything runs over Fraction scalars.  Rank goes through fraction-free
-(Bareiss) elimination on integer-cleared rows; the reduced row echelon
-form used for nullspaces and solving works over rationals directly.
-Pivoting is deterministic: first nonzero entry in column order.
+Matrices hold Fraction scalars, but there is one elimination, and it runs
+in integers: reduce_row, a fraction-free (Bareiss) step over rows cleared
+to integers.  The rank folds it over the rows; the reduced row echelon
+form behind nullspaces, solves and inverses folds it too, clears above
+each pivot in integers and builds Fractions only at the end.  Pivots are
+deterministic: each row in turn, at its first nonzero entry after
+reduction.
 """
 
 from __future__ import annotations
@@ -132,37 +135,47 @@ def integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
     return [over_denominator(row)[0] for row in rows]
 
 
-def integer_row_rank(rows: list[list[int]]) -> int:
-    """Rank of integer rows via fraction-free Bareiss elimination."""
-    work = [row[:] for row in rows if any(row)]
-    if not work:
-        return 0
-    nrows = len(work)
-    ncols = len(work[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-        piv = work[r][c]
-        for i in range(r + 1, nrows):
-            factor = work[i][c]
-            row_i = work[i]
-            row_r = work[r]
-            for j in range(c, ncols):
-                row_i[j] = (piv * row_i[j] - factor * row_r[j]) // prev
-        prev = piv
-        r += 1
-        if r == nrows:
+def reduce_row(vec: Sequence[int], rows: Iterable[tuple[int, Sequence[int]]],
+               prev: int = 1) -> list[int]:
+    """vec reduced against echelon rows (pivot, row) by fraction-free
+    (Bareiss) steps: vec <- (a·vec - vec[pivot]·row) / prev, with a the
+    row's pivot entry and prev the pivot entry of the row before it.
+
+    Each row must be zero at the pivots of the rows before it and must
+    itself be the reduction of its source row against them; the division
+    is then exact, and every entry is a minor of the source rows.  prev is
+    the pivot entry of the row before rows[0] when vec is already reduced
+    through it."""
+    for pivot, row in rows:
+        a = row[pivot]
+        c = vec[pivot]
+        if c:
+            vec = [(a * x - c * y) // prev for x, y in zip(vec, row)]
+        else:
+            vec = [a * x // prev for x in vec]
+        prev = a
+    return vec
+
+
+def _echelon(rows: Iterable[Sequence[int]], full: int) -> list[tuple[int, list[int]]]:
+    """Echelon rows (pivot, row) of integer rows, each reduced by
+    reduce_row against the ones before it and kept when nonzero; stops
+    once `full` rows are kept."""
+    echelon: list[tuple[int, list[int]]] = []
+    for row in rows:
+        if len(echelon) == full:
             break
-    return r
+        row = reduce_row(row, echelon)
+        pivot = next((j for j, x in enumerate(row) if x), None)
+        if pivot is not None:
+            echelon.append((pivot, row))
+    return echelon
+
+
+def integer_row_rank(rows: list[list[int]]) -> int:
+    """Rank of integer rows: reduce_row folded over them, stopping at full
+    column rank."""
+    return len(_echelon(rows, len(rows[0]))) if rows else 0
 
 
 def rows_rank(rows: Iterable[Sequence[Fraction]]) -> int:
@@ -175,34 +188,23 @@ def rank(M: RMatrix) -> int:
 
 
 def rref_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    work = [list(Fraction(x) for x in row) for row in rows]
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Rows are cleared to integers and brought to echelon form by
+    reduce_row.  Each echelon row is then reduced against the rows after
+    it, which finishes a fraction-free Gauss-Jordan elimination: every
+    row ends zero at the other pivots.  One Fraction per entry divides by
+    the row's pivot entry; zero rows follow."""
+    work = integer_rows(rows)
     if not work:
         return [], []
     ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        piv = work[r][c]
-        if piv != 1:
-            work[r] = [x / piv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivots
+    echelon = _echelon(work, ncols)
+    reduced = sorted((pivot, reduce_row(row, echelon[i + 1:], row[pivot]))
+                     for i, (pivot, row) in enumerate(echelon))
+    out = [[Fraction(x, row[pivot]) for x in row] for pivot, row in reduced]
+    out += [[_ZERO] * ncols for _ in range(len(work) - len(out))]
+    return out, [pivot for pivot, _ in reduced]
 
 
 def nullspace_basis(M: RMatrix) -> RMatrix:

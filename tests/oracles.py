@@ -25,6 +25,12 @@ one the integer tableau of ``minproj.simplex`` must match pivot for
 pivot; its inequality-form tableau (split free variables, one slack per
 row, artificials on negative right-hand sides), once the second path of
 ``minproj.simplex``, decides infeasible and unbounded LPs independently.
+
+Last come the eliminations that ``linalg.reduce_row`` replaced: the
+rational Gauss-Jordan (``rref_by_fractions``, with the nullspace, solve
+and inverse read off it), the in-place Bareiss rank
+(``integer_rank_in_place``) and the support walk with its
+content-dividing reducer (``spanning_subsets_by_content``).
 """
 
 import itertools
@@ -756,3 +762,134 @@ def _fraction_finish(lp, value, primal, dual, pivots):
         raise InternalError("primal value mismatch")
     return LPSolution(status=OPTIMAL, value=value, primal=primal,
                       dual=dual, tight_set=tight, pivots=pivots)
+
+
+# The eliminations that linalg.reduce_row replaced: the rational
+# Gauss-Jordan behind nullspaces, solves and inverses, the in-place
+# Bareiss loop of the integer rank, and the support walk's reducer, which
+# divided each reduced column by its content.
+
+def rref_by_fractions(rows):
+    """Reduced row echelon form by Gauss-Jordan over Fractions, pivots in
+    column order; returns (rows, pivot column indices), zero rows last."""
+    work = [list(Fraction(x) for x in row) for row in rows]
+    if not work:
+        return [], []
+    ncols = len(work[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        piv = work[r][c]
+        if piv != 1:
+            work[r] = [x / piv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                factor = work[i][c]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work, pivots
+
+
+def nullspace_by_fractions(M):
+    """Nullspace basis columns read off rref_by_fractions, as rows."""
+    reduced, pivots = rref_by_fractions(M.row_list())
+    out = []
+    for free in (c for c in range(M.cols) if c not in pivots):
+        v = [Fraction(0)] * M.cols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][free]
+        out.append(tuple(v))
+    return out
+
+
+def solve_by_fractions(A, b):
+    """The solution of Av = b with free variables zero, or None."""
+    reduced, pivots = rref_by_fractions(
+        [list(A.row(i)) + [Fraction(b[i])] for i in range(A.rows)])
+    if A.cols in pivots:
+        return None
+    v = [Fraction(0)] * A.cols
+    for r, pc in enumerate(pivots):
+        v[pc] = reduced[r][A.cols]
+    return tuple(v)
+
+
+def inverse_by_fractions(M):
+    """Rows of M^-1, or None when M is singular."""
+    n = M.rows
+    reduced, pivots = rref_by_fractions(
+        [list(M.row(i)) + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)])
+    if pivots != list(range(n)):
+        return None
+    return [tuple(row[n:]) for row in reduced[:n]]
+
+
+def integer_rank_in_place(rows):
+    """Rank of integer rows by Bareiss elimination in place, pivots in
+    column order."""
+    work = [row[:] for row in rows if any(row)]
+    if not work:
+        return 0
+    nrows, ncols = len(work), len(work[0])
+    r, prev = 0, 1
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        piv = work[r][c]
+        for i in range(r + 1, nrows):
+            factor = work[i][c]
+            for j in range(c, ncols):
+                work[i][j] = (piv * work[i][j] - factor * work[r][j]) // prev
+        prev = piv
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def reduce_by_content(vec, rows):
+    """vec reduced against echelon rows (pivot, row): each step a·vec −
+    c·row clears the pivot entry, and the content is divided out at the
+    end."""
+    for pivot, row in rows:
+        c = vec[pivot]
+        if c:
+            a = row[pivot]
+            vec = [a * x - c * y for x, y in zip(vec, row)]
+    content = gcd(*vec)
+    return [x // content for x in vec] if content > 1 else vec
+
+
+def spanning_subsets_by_content(columns, size):
+    """The support walk as it was with reduce_by_content: index tuples of
+    `size` independent integer columns whose span holds the last unit
+    vector, in lexicographic order, the reduced target carried down."""
+    last = len(columns) - size
+    unit = [0] * (len(columns[0]) - 1) + [1]
+
+    def walk(start, prefix, rows, target):
+        depth = len(prefix)
+        for i in range(start, last + depth + 1):
+            row = reduce_by_content(columns[i], rows)
+            pivot = next((p for p, x in enumerate(row) if x), None)
+            if pivot is None:
+                continue
+            reduced = reduce_by_content(target, ((pivot, row),))
+            if depth + 1 == size:
+                if not any(reduced):
+                    yield prefix + (i,)
+            else:
+                yield from walk(i + 1, prefix + (i,), rows + [(pivot, row)], reduced)
+
+    return walk(0, (), [], unit)

@@ -1,9 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minproj.linalg import (RMatrix, dot, inverse, nullspace_basis, rank,
-                            rows_rank, rref_rows, solve_linear)
+from minproj.certificates import _independent_spanning_subsets
+from minproj.linalg import (RMatrix, dot, integer_row_rank, integer_rows,
+                            inverse, nullspace_basis, rank, rows_rank,
+                            rref_rows, solve_linear)
+
+from oracles import (integer_rank_in_place, inverse_by_fractions,
+                     nullspace_by_fractions, rref_by_fractions,
+                     solve_by_fractions, spanning_subsets_by_content)
 
 F = Fraction
 
@@ -96,3 +104,58 @@ def test_nullspace_vectors_annihilated():
     assert N.cols == 2
     assert M.matmul(N).is_zero()
     assert rank(N) == 2
+
+
+_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                     database=None)
+
+_RATIONALS = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def rational_matrices(draw):
+    """1-6 rows of 1-7 rational entries; some rows are then zeroed,
+    repeated or negated, so zero rows, repeated rows and negative leading
+    entries all come up."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(_RATIONALS, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        edit = draw(st.sampled_from(("zero", "repeat", "negate")))
+        if edit == "zero":
+            rows[i] = [F(0)] * n
+        elif edit == "repeat":
+            rows[i] = list(rows[j])
+        else:
+            rows[i] = [-x for x in rows[j]]
+    return RMatrix.from_rows(rows)
+
+
+@_SETTINGS
+@given(rational_matrices(), st.data())
+def test_eliminations_agree_with_their_oracles(M, data):
+    rows = M.row_list()
+    assert rref_rows(rows) == rref_by_fractions(rows)
+    assert integer_row_rank(integer_rows(rows)) == integer_rank_in_place(integer_rows(rows))
+    assert nullspace_basis(M).transpose().row_list() == nullspace_by_fractions(M)
+    # a right-hand side in the column space, and one drawn freely
+    x = data.draw(st.lists(_RATIONALS, min_size=M.cols, max_size=M.cols))
+    for b in (M.apply(x), data.draw(st.lists(_RATIONALS, min_size=M.rows,
+                                             max_size=M.rows))):
+        assert solve_linear(M, b) == solve_by_fractions(M, b)
+    s = min(M.rows, M.cols)
+    square = RMatrix.from_rows(row[:s] for row in rows[:s])
+    Minv = inverse(square)
+    assert (Minv if Minv is None else Minv.row_list()) == inverse_by_fractions(square)
+
+
+@_SETTINGS
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(lambda v: v + [1]),
+    min_size=1, max_size=8)))
+def test_support_walk_agrees_with_content_reducer(columns):
+    for size in range(1, min(len(columns[0]), len(columns)) + 1):
+        assert (list(_independent_spanning_subsets(columns, size))
+                == list(spanning_subsets_by_content(columns, size)))

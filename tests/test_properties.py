@@ -1,6 +1,7 @@
 """Property-based checks of validation, the polar, general position, the
-minimal projection, its norming pairs and its certificates on random
-symmetric polytopes.
+minimal projection, its norming pairs, its certificates and the paper's
+bounds on the dimension of its optimal face on random symmetric
+polytopes.
 
 A ball is the convex hull of a few small-integer points and their
 negations in dimension n <= 4.  For general position its extreme points
@@ -166,3 +167,22 @@ def test_minimal_support_agrees_with_solve_oracle(case):
                                   witness=report.interior, basis=report.basis)
     assert (cm.pairs, cm.weights) == expected
     assert size == len(cm.pairs)
+
+
+@_SETTINGS
+@given(spaces_with_subspaces())
+def test_face_dimension_within_the_paper_bounds(case):
+    # arXiv 2211.14008: the minimal projections form a face of dimension
+    # at most k(n-k), two less when lambda > 1, and at most k(n-k) - n + 1
+    # in general position, so a hyperplane in general position has a
+    # unique minimal projection
+    space, Y, report, _ = _analyze(case)
+    n, k = space.dim, Y.dim
+    top = k * (n - k)
+    assert 0 <= report.face_dim <= top
+    if report.lam > 1:
+        assert report.face_dim <= top - 2
+    if general_position_check(space, Y).in_general_position:
+        assert report.face_dim <= top - n + 1
+        if k == n - 1:
+            assert report.face_dim == 0
