@@ -4,6 +4,9 @@ over norming pairs that annihilate L_Y(X, Y).
 A valid certificate leaves Y invariant, is norming for every minimal
 projection, and its trace restricted to Y equals the projection
 constant, which makes it an exact optimality witness for lambda(Y, X).
+T annihilates y (x) g exactly when g(T y) = sum_i a_i f_i(y) g(x_i) = 0,
+so vanishing on L_Y(X, Y) is invariance of Y; verify_cm reads both, and
+the trace, off T alone, independent of the pair grid and the LP.
 The LP dual of the projection solve is one such certificate; a
 minimum-support one is found by exact linear solves over subsets of the
 implicit pairs, smallest subsets first, with dependent subsets pruned
@@ -19,10 +22,9 @@ from typing import Iterable, Iterator
 from .errors import (CertificateInvalidError, InternalError,
                      RankGapViolationError, SupportBudgetExceededError)
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import (RMatrix, Vector, dot, integer_rows, reduce_row, rows_rank,
-                     solve_linear)
+from .linalg import RMatrix, dot, reduce_row, rows_rank, solve_linear
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint,
-                          build_operator_basis)
+                          build_operator_basis, pair_rows)
 
 #: Largest candidate set the minimal-support search enumerates by default.
 DEFAULT_SUPPORT_CAP = 24
@@ -69,25 +71,16 @@ def cm_operator(space: PolyhedralSpace, cm: CMFunctional) -> RMatrix:
     return RMatrix.from_rows(entries)
 
 
-def _coordinates_in_y(Y: Subspace, T: RMatrix) -> list[Vector | None]:
-    """T(y) in Y's basis for each basis vector y of Y, by exact solves;
-    None where T(y) leaves Y."""
-    return [solve_linear(Y.basis, T.apply(y)) for y in Y.basis_vectors()]
-
-
-def _trace(coords: list[Vector | None]) -> Fraction | None:
-    """Trace of T|_Y from _coordinates_in_y; None when T does not map Y
-    into Y."""
+def trace_on_subspace(space: PolyhedralSpace, Y: Subspace,
+                      cm: CMFunctional) -> Fraction | None:
+    """trace of T restricted to Y: coordinate b of T(y_b) in Y's basis,
+    by one exact solve per basis vector y_b, summed over b; None when T
+    does not map Y into Y."""
+    T = cm_operator(space, cm)
+    coords = [solve_linear(Y.basis, T.apply(y)) for y in Y.basis_vectors()]
     if None in coords:
         return None
     return sum((c[b] for b, c in enumerate(coords)), Fraction(0))
-
-
-def trace_on_subspace(space: PolyhedralSpace, Y: Subspace,
-                      cm: CMFunctional) -> Fraction | None:
-    """trace of T restricted to Y, via exact solves in Y's basis;
-    None when T does not map Y into Y."""
-    return _trace(_coordinates_in_y(Y, cm_operator(space, cm)))
 
 
 def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
@@ -98,18 +91,19 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     (2) T(Y) contained in Y, (3) every pair norming for P, (4) trace of
     T|_Y equal to lam.
 
-    Both (1) and (3) read the values f(L_q x) of each pair from
-    OperatorBasis.pair_values, with no operator matrix applied:
-    sum_i a_i f_i(L_q x_i) for (1), and f(P x) = f(P0 x) + sum_q c_q f(L_q x)
-    for (3).  (2) and (4) share one exact solve per basis vector y of Y,
-    T(y) in Y's basis, with T built once."""
-    violations: list[str] = []
+    T is built once.  For L_q = y_b (x) g_j, q = b(n-k) + j, the vanishing
+    sum is sum_i a_i f_i(y_b) g_j(x_i) = g_j(T y_b), so (1) and (2) fail
+    together, at the first nonzero g_j(T y_b): (1) reports its value and
+    q, (2) its block b.  (4) sums the Y-coordinates of the same images T
+    y_b and is undefined when (2) fails.  These three read only the
+    vertices, the weights and Y, never P0, the pair grid or the LP.  (3)
+    reads each pair's value f(P x) off pair_rows."""
     n_p = len(space.primal_vertices)
     n_d = len(space.dual_vertices)
     for pi, dj in cm.pairs:
         if not (0 <= pi < n_p and 0 <= dj < n_d):
-            violations.append(f"weights: pair ({pi}, {dj}) out of range")
-            return CMVerdict(ok=False, violations=tuple(violations))
+            return CMVerdict(False, (f"weights: pair ({pi}, {dj}) out of range",))
+    violations: list[str] = []
     if len(set(cm.pairs)) != len(cm.pairs):
         violations.append("weights: duplicate pairs")
     if any(a <= 0 for a in cm.weights):
@@ -120,45 +114,45 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
 
     if basis is None:
         basis = build_operator_basis(space, Y)
-    values = [basis.pair_values(space.primal_vertices[pi], space.dual_vertices[dj])
-              for pi, dj in cm.pairs]
-    for q in range(len(basis.basis_ops)):
-        s = sum((a * v[q] for a, v in zip(cm.weights, values)), Fraction(0))
-        if s != 0:
-            violations.append(f"vanishing: basis operator {q} gives {s}")
-            break
+    T = cm_operator(space, cm)
+    images = [T.apply(y) for y in basis.y_basis]
+    leak = next(((q, s) for q, s in enumerate(
+        dot(g, image) for image in images for g in basis.annihilator) if s), None)
+    if leak is not None:
+        q, s = leak
+        violations.append(f"vanishing: basis operator {q} gives {s}")
+        violations.append(
+            f"invariance: T(basis vector {q // len(basis.annihilator)}) leaves Y")
 
-    coords = _coordinates_in_y(Y, cm_operator(space, cm))
-    if None in coords:
-        violations.append(f"invariance: T(basis vector {coords.index(None)}) leaves Y")
-
-    P0 = basis.base_projection
+    if len(P.coefficients) != len(basis.basis_ops):
+        raise ValueError("coefficient count does not match the operator basis")
+    values, den = pair_rows(space, basis, cm.pairs).value_numerators(P.coefficients)
     for (pi, dj), v in zip(cm.pairs, values):
-        value = (dot(space.dual_vertices[dj], P0.apply(space.primal_vertices[pi]))
-                 + dot(v, P.coefficients))
-        if value != lam:
+        if Fraction(v, den) != lam:
             violations.append(
-                f"norming: pair ({pi}, {dj}) gives {value}, expected {lam}")
+                f"norming: pair ({pi}, {dj}) gives {Fraction(v, den)}, expected {lam}")
             break
 
-    trace = _trace(coords)
-    if trace is None:
+    if leak is not None:
         violations.append("trace: undefined, T does not map Y into Y")
-    elif trace != lam:
-        violations.append(f"trace: {trace} differs from {lam}")
+    else:
+        trace = sum((solve_linear(Y.basis, image)[b]
+                     for b, image in enumerate(images)), Fraction(0))
+        if trace != lam:
+            violations.append(f"trace: {trace} differs from {lam}")
 
     return CMVerdict(ok=not violations, violations=tuple(violations))
 
 
 def cm_from_dual(report: MinProjReport) -> CMFunctional:
-    """Certificate from the positive LP dual weights; the weights of an
-    exact dual already sum to one.  Verified before being returned."""
+    """Certificate from the positive LP dual weights, as they are: the
+    verified dual equation of the t column makes them sum to one.
+    Verified before being returned."""
     items = sorted(report.dual_certificate.items())
     if not items:
         raise CertificateInvalidError("empty dual certificate")
-    total = sum((w for _, w in items), Fraction(0))
     cm = CMFunctional(pairs=tuple(p for p, _ in items),
-                      weights=tuple(w / total for _, w in items))
+                      weights=tuple(w for _, w in items))
     verdict = verify_cm(report.space, report.subspace, cm, report.lam,
                         report.witness, basis=report.basis)
     if not verdict.ok:
@@ -183,17 +177,19 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
     sizes come first), so sizes beyond k(n-k) + 1 are never tried and
     every dependent subset can be skipped.
 
-    Each size is one depth-first walk over the sorted candidates (see
-    _independent_spanning_subsets): the columns are cleared to integers
-    once, and a step reduces the new column against its prefix's echelon
-    rows by linalg.reduce_row, the fraction-free step behind every rank
-    and solve.  A column that reduces to zero makes the prefix dependent
-    and prunes its whole subtree.  A full-size subset is a candidate only
-    when the target [0; 1], reduced against the same rows, vanishes; only
-    then are the weights, unique by independence, solved exactly and
-    tested for w > 0.  The hit is verified with witness, a minimal
-    projection, before it is returned.  basis, when given, must be
-    build_operator_basis(space, Y).
+    The walk runs on the integer columns [coefs_num_p; D] = D·[v_p; 1]
+    of pair_rows, D its denominator, against the target [0; D]: the same
+    system scaled by D > 0, with the same solutions.  Each size is one
+    depth-first walk over the sorted candidates (see
+    _independent_spanning_subsets): a step reduces the new column
+    against its prefix's echelon rows by linalg.reduce_row, the
+    fraction-free step behind every rank and solve.  A column that
+    reduces to zero makes the prefix dependent and prunes its whole
+    subtree.  A full-size subset is a candidate only when the target,
+    reduced against the same rows, vanishes; only then are the weights,
+    unique by independence, solved exactly and tested for w > 0.  The hit
+    is verified with witness, a minimal projection, before it is
+    returned.  basis, when given, must be build_operator_basis(space, Y).
     """
     candidates = sorted(set(candidate_pairs))
     if not candidates:
@@ -205,13 +201,12 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
     if basis is None:
         basis = build_operator_basis(space, Y)
     d = len(basis.basis_ops)
-    columns = [basis.pair_values(space.primal_vertices[pi], space.dual_vertices[dj])
-               + (Fraction(1),) for pi, dj in candidates]
-    integer_columns = integer_rows(columns)
-    target = (Fraction(0),) * d + (Fraction(1),)
+    grid = pair_rows(space, basis, candidates)
+    columns = [list(row) + [grid.denominator] for row in grid.coefs_num]
+    target = [0] * d + [grid.denominator]
 
     for size in range(1, min(d + 1, len(candidates)) + 1):
-        for subset in _independent_spanning_subsets(integer_columns, size):
+        for subset in _independent_spanning_subsets(columns, size):
             weights = solve_linear(
                 RMatrix.from_rows(columns[i] for i in subset).transpose(), target)
             if weights is None:

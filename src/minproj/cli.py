@@ -26,8 +26,7 @@ from .certificates import (DEFAULT_SUPPORT_CAP, cm_from_dual, minimal_support_cm
                            verify_cm)
 from .errors import (InputFormatError, InternalError, MinprojError,
                      SubsetBudgetExceededError, SupportBudgetExceededError)
-from .geometry import (PolyhedralSpace, Subspace, general_position_check,
-                       polar_dual)
+from .geometry import PolyhedralSpace, Subspace, general_position_check
 from .jsonio import (certificate_json, dumps, load_document, matrix_json,
                      parse_certificate_document, parse_space_document,
                      vector_json)
@@ -44,7 +43,7 @@ class RunConfig:
     certificate_path: str | None = None
     output: str | None = None
     seed: int | None = None
-    subset_cap: int = DEFAULT_SUPPORT_CAP
+    subset_cap: int | None = None
     skip_support_search: bool = False
     table: bool = False
     only: str | None = None
@@ -92,6 +91,15 @@ def _gp_json(gp) -> dict:
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
+    cap, source = cfg.subset_cap, "--subset-cap"
+    if cap is None:
+        source = "MINPROJ_SUBSET_CAP"
+        try:
+            cap = int(os.environ.get(source, DEFAULT_SUPPORT_CAP))
+        except ValueError:
+            raise InputFormatError(f"{source} must be an integer") from None
+    if cap < 0:
+        raise InputFormatError(f"{source} must be non-negative, not {cap}")
     space, subspace = _load_space_file(cfg.input_path)
     subspace = _resolve_subspace(space, subspace, cfg.seed)
 
@@ -106,7 +114,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         try:
             small, size = minimal_support_cm(
                 space, subspace, implicit, report.lam,
-                max_candidates=cfg.subset_cap, witness=report.interior,
+                max_candidates=cap, witness=report.interior,
                 basis=report.basis)
             support = {"size": size,
                        "certificate": certificate_json(small, report.lam)}
@@ -223,7 +231,7 @@ def _cmd_general_position(cfg: RunConfig) -> int:
 
 def _cmd_polar(cfg: RunConfig) -> int:
     space, _ = _load_space_file(cfg.input_path)
-    duals = polar_dual(space.primal_vertices)
+    duals = sorted(space.dual_vertices)  # validated: the polar, up to order
     out = {"dim": space.dim, "vertices": [vector_json(v) for v in duals]}
     if cfg.table:
         lines = [" ".join(vector_json(v)) for v in duals]
@@ -286,11 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, metavar="N",
                        help="when the input has no subspace_basis, analyze the "
                             "seeded random hyperplane instead")
-        p.add_argument("--subset-cap", type=int, metavar="N",
-                       help="largest support-search candidate set to enumerate "
-                            f"(default {DEFAULT_SUPPORT_CAP}; env MINPROJ_SUBSET_CAP)")
-        p.add_argument("--skip-support-search", action="store_true",
-                       help="omit the minimal-support certificate search")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="table", action="store_false",
                          help="JSON output (default)")
@@ -298,7 +301,13 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="plain-text output")
         p.set_defaults(table=False)
 
-    common(sub.add_parser("analyze", help="full report for one space/subspace"))
+    analyze = sub.add_parser("analyze", help="full report for one space/subspace")
+    common(analyze)
+    analyze.add_argument("--subset-cap", type=int, metavar="N",
+                         help="largest support-search candidate set to enumerate "
+                              f"(default {DEFAULT_SUPPORT_CAP}; env MINPROJ_SUBSET_CAP)")
+    analyze.add_argument("--skip-support-search", action="store_true",
+                         help="omit the minimal-support certificate search")
     suite = sub.add_parser("paper-suite",
                            help="recompute every named case against expected values")
     common(suite)
@@ -316,26 +325,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.subset_cap is not None:
-        cap, source = args.subset_cap, "--subset-cap"
-    else:
-        source = "MINPROJ_SUBSET_CAP"
-        try:
-            cap = int(os.environ.get(source, DEFAULT_SUPPORT_CAP))
-        except ValueError:
-            print(f"error: {source} must be an integer", file=sys.stderr)
-            return 2
-    if cap < 0:
-        print(f"error: {source} must be non-negative, not {cap}", file=sys.stderr)
-        return 2
     cfg = RunConfig(
         command=args.command,
         input_path=args.input,
         certificate_path=getattr(args, "certificate", None),
         output=args.output,
         seed=args.seed,
-        subset_cap=cap,
-        skip_support_search=args.skip_support_search,
+        subset_cap=getattr(args, "subset_cap", None),
+        skip_support_search=getattr(args, "skip_support_search", False),
         table=args.table,
         only=getattr(args, "only", None),
     )

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .errors import InternalError, NotMinimalError
 from .geometry import PolyhedralSpace, Subspace, norm_eval
-from .linalg import (RMatrix, Vector, dot, int_dot, integer_row_rank, inverse,
+from .linalg import (RMatrix, Vector, int_dot, integer_row_rank, inverse,
                      nullspace_basis, over_denominator, rows_rank)
 from .simplex import OPTIMAL, LinearProgram, solve
 
@@ -55,13 +55,6 @@ class OperatorBasis:
                 out = out.add(op.scale(c))
         return out
 
-    def pair_values(self, x: Vector, f: Vector) -> Vector:
-        """f(L_q x) over the basis operators L_q = y (x) g: the value is
-        f(y) * g(x), in the order of build_operator_basis (y outer, g inner)."""
-        f_at = [dot(f, y) for y in self.y_basis]
-        g_at = [dot(g, x) for g in self.annihilator]
-        return tuple(fy * gx for fy in f_at for gx in g_at)
-
 
 def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     """P0 projects onto Y along the first standard basis vectors independent
@@ -88,15 +81,12 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
                             for j in range(n)] for i in range(n)])
     P0 = M.matmul(D).matmul(Minv)
 
-    ops = []
-    for y in ys:
-        for g in gs:
-            ops.append(RMatrix.from_rows([[y[i] * g[j] for j in range(n)]
-                                          for i in range(n)]))
+    ops = [RMatrix.from_rows([[y[i] * g[j] for j in range(n)] for i in range(n)])
+           for y in ys for g in gs]
 
     if P0.matmul(P0).entries != P0.entries:
         raise InternalError("base projection is not idempotent")
-    if any(P0.apply(y) != y for y in ys):
+    if P0.matmul(Y.basis) != Y.basis:
         raise InternalError("base projection does not fix Y")
     if any(any(op.apply(y)) for op in ops for y in ys):
         raise InternalError("a basis operator does not vanish on Y")
@@ -108,10 +98,11 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
 
 @dataclass(frozen=True)
 class PairGrid:
-    """One row per antipodal class of (primal vertex, dual vertex) pairs,
-    cleared to integers over one grid denominator: the row value at
-    coefficients c is (base_num[r] + coefs_num[r]·c) / denominator
-    = f_j(P x_i).  base and coefs are the same rows as Fractions."""
+    """One row per listed (primal vertex, dual vertex) pair, cleared to
+    integers over one grid denominator: the row value at coefficients c
+    is (base_num[r] + coefs_num[r]·c) / denominator = f_j(P x_i).  base and
+    coefs are the same rows as Fractions.  build_pair_grid lists one pair
+    per antipodal class."""
 
     pairs: tuple[tuple[int, int], ...]
     base_num: tuple[int, ...]
@@ -160,14 +151,14 @@ class PairGrid:
         return [r for r, v in enumerate(values) if v * lam.denominator == target]
 
 
-def build_pair_grid(space: PolyhedralSpace, Y: Subspace,
-                    basis: OperatorBasis) -> PairGrid:
-    """The grid rows in integers: every vector family is cleared to one
-    denominator first, so each row is a few integer dot products.
-    f_j(L_q x_i) factors over the rank-one structure, and its two factors
-    f_j(y) and g(x_i) are computed once per vertex."""
-    negp = space.primal_negation
-    negd = space.dual_negation
+def pair_rows(space: PolyhedralSpace, basis: OperatorBasis,
+              pairs: Sequence[tuple[int, int]]) -> PairGrid:
+    """The rows f(P0 x) and f(L_q x) of the listed pairs (x, f), by index
+    into the space's vertex lists, in integers: every vector family is
+    cleared to one denominator first, so each row is a few integer dot
+    products.  f(L_q x) factors over the rank-one basis operator
+    L_q = y (x) g as f(y)·g(x), in the order of build_operator_basis
+    (y outer, g inner), and the two factors are computed once per vertex."""
     X, dx = _cleared(space.primal_vertices)
     F, df = _cleared(space.dual_vertices)
     Yb, dy = _cleared(basis.y_basis)
@@ -178,20 +169,12 @@ def build_pair_grid(space: PolyhedralSpace, Y: Subspace,
     L = lcm(dy * dg, dp)
     coef_mult = L // (dy * dg)
     base_mult = L // dp
-    g_at = [[int_dot(g, x) * coef_mult for g in G] for x in X]
-    f_at = [[int_dot(f, y) for y in Yb] for f in F]
-    p0x = [[int_dot(row, x) * base_mult for row in P] for x in X]
-
-    pairs = []
-    base = []
-    coefs = []
-    for i in range(len(X)):
-        for j in range(len(F)):
-            if (i, j) > (negp[i], negd[j]):
-                continue
-            pairs.append((i, j))
-            base.append(int_dot(F[j], p0x[i]))
-            coefs.append(tuple(fy * gx for fy in f_at[j] for gx in g_at[i]))
+    xs = {i for i, _ in pairs}
+    g_at = {i: [int_dot(g, X[i]) * coef_mult for g in G] for i in xs}
+    p0x = {i: [int_dot(row, X[i]) * base_mult for row in P] for i in xs}
+    f_at = {j: [int_dot(F[j], y) for y in Yb] for j in {j for _, j in pairs}}
+    base = [int_dot(F[j], p0x[i]) for i, j in pairs]
+    coefs = [tuple(fy * gx for fy in f_at[j] for gx in g_at[i]) for i, j in pairs]
     den = df * dx * L
     g = gcd(den, *base, *(a for row in coefs for a in row))
     if g > 1:
@@ -200,6 +183,18 @@ def build_pair_grid(space: PolyhedralSpace, Y: Subspace,
         den //= g
     return PairGrid(pairs=tuple(pairs), base_num=tuple(base),
                     coefs_num=tuple(coefs), denominator=den)
+
+
+def build_pair_grid(space: PolyhedralSpace, Y: Subspace,
+                    basis: OperatorBasis) -> PairGrid:
+    """pair_rows over one pair per antipodal class: (x, f) and (-x, -f)
+    give the same row, and the class keeps its smaller index pair.  Y is
+    not used and stays in the signature for its callers."""
+    negp = space.primal_negation
+    negd = space.dual_negation
+    return pair_rows(space, basis, [
+        (i, j) for i in range(len(negp)) for j in range(len(negd))
+        if (i, j) <= (negp[i], negd[j])])
 
 
 def _cleared(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:

@@ -30,7 +30,10 @@ Last come the eliminations that ``linalg.reduce_row`` replaced: the
 rational Gauss-Jordan (``rref_by_fractions``, with the nullspace, solve
 and inverse read off it), the in-place Bareiss rank
 (``integer_rank_in_place``) and the support walk with its
-content-dividing reducer (``spanning_subsets_by_content``).
+content-dividing reducer (``spanning_subsets_by_content``).  The oracles
+above solve, rank and reduce through ``rref_by_fractions`` (a rank is its
+number of pivots), never through the ``minproj.linalg`` elimination they
+are meant to check.
 """
 
 import itertools
@@ -43,8 +46,7 @@ from minproj.certificates import (DEFAULT_SUPPORT_CAP, CMVerdict, cm_operator,
 from minproj.errors import (CertificateInvalidError, InternalError,
                             SubsetBudgetExceededError, SupportBudgetExceededError)
 from minproj.geometry import GeneralPositionReport
-from minproj.linalg import (RMatrix, dot, nullspace_basis, rows_rank, rref_rows,
-                            solve_linear)
+from minproj.linalg import RMatrix, dot
 from minproj.projections import (OperatorPoint, _restrict_to_face,
                                   build_operator_basis, face_dimension,
                                   norming_pairs)
@@ -91,8 +93,7 @@ def face_dimension_per_row(report):
         points.append(sub.primal[:d])
         if lam - grid.base[r] - sub.value == 0:
             implicit_rows.append(r)
-    face_dim = d - (rows_rank([grid.coefs[r] for r in implicit_rows])
-                    if implicit_rows else 0)
+    face_dim = d - len(rref_by_fractions([grid.coefs[r] for r in implicit_rows])[1])
     count = Fraction(len(points))
     interior = tuple(sum(p[q] for p in points) / count for q in range(d))
     assert grid.tight_rows(interior, lam) == implicit_rows
@@ -236,7 +237,7 @@ def minimal_support_by_solve(space, Y, candidate_pairs,
     target = (Fraction(0),) * d + (Fraction(1),)
     for size in range(1, min(d + 1, len(candidates)) + 1):
         for subset in itertools.combinations(candidates, size):
-            weights = solve_linear(
+            weights = solve_by_fractions(
                 RMatrix.from_rows(column[p] for p in subset).transpose(), target)
             if weights is not None and all(w > 0 for w in weights):
                 return subset, weights
@@ -246,7 +247,7 @@ def minimal_support_by_solve(space, Y, candidate_pairs,
 def _canonical_span(rows):
     """RREF of the row span with zero rows dropped: equal spans give
     identical tuples."""
-    reduced, pivots = rref_rows(rows)
+    reduced, pivots = rref_by_fractions(rows)
     return tuple(tuple(row) for row in reduced[:len(pivots)])
 
 
@@ -263,7 +264,7 @@ def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
     budget = subset_cap
 
     def stacked_rank(z_rows):
-        return rows_rank(y_rows + list(z_rows))
+        return len(rref_by_fractions(y_rows + list(z_rows))[1])
 
     spans_checked = 0
     seen_spans = set()
@@ -295,7 +296,7 @@ def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
             if f_span in seen_kernels:
                 continue
             seen_kernels.add(f_span)
-            z_rows = nullspace_basis(RMatrix.from_rows(f_span)).transpose().row_list()
+            z_rows = nullspace_by_fractions(RMatrix.from_rows(f_span))
             if stacked_rank(z_rows) != min(k + len(z_rows), n):
                 return GeneralPositionReport(False, "kernel", subset,
                                              spans_checked, kernels_checked)
@@ -349,8 +350,9 @@ def first_non_extreme(vertices):
 
 def verify_cm_by_apply(space, Y, cm, lam, P, basis=None):
     """certificates.verify_cm as it was before it read pair values: (1)
-    applies every basis operator L_q to every vertex, and (3) realizes the
-    matrix of P and applies it.  Same checks, same violation texts."""
+    applies every basis operator L_q to every vertex, (2) tests each T y
+    against Y's annihilator, and (3) realizes the matrix of P and applies
+    it.  Same checks, same violation texts."""
     violations: list[str] = []
     n_p = len(space.primal_vertices)
     n_d = len(space.dual_vertices)
@@ -730,7 +732,7 @@ def _fraction_solve_via_dual(lp):
             unit[var - m] = Fraction(tab.sigma[var - m])
             price_rows.append(tuple(unit))
             price_rhs.append(zero)
-    y = solve_linear(RMatrix.from_rows(price_rows), price_rhs)
+    y = solve_by_fractions(RMatrix.from_rows(price_rows), price_rhs)
     if y is None:
         raise InternalError("singular optimal basis")
     primal = tuple(y)

@@ -63,6 +63,17 @@ def test_non_minimal_projection_breaks_norming(analyzed):
     assert any(v.startswith("norming:") for v in verdict.violations)
 
 
+def test_projection_of_the_wrong_length_is_refused(analyzed):
+    # the norming values are integer dot products, which would silently
+    # drop the missing coefficients
+    a = analyzed["ker-sum-linf-n3"]
+    cm = cm_from_dual(a.report)
+    short = OperatorPoint(a.report.interior.coefficients[:-1])
+    with pytest.raises(ValueError, match="coefficient count"):
+        verify_cm(a.case.space, a.case.subspace, cm, a.report.lam, short,
+                  basis=a.report.basis)
+
+
 def test_cm_operator_maps_into_subspace(analyzed):
     a = analyzed["mixed-extremal-n5-k3"]
     cm = cm_from_dual(a.report)

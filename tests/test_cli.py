@@ -13,9 +13,10 @@ import pytest
 
 import minproj.certificates as certificates
 import minproj.cli as cli
+import minproj.geometry as geometry
 import minproj.projections as projections
 from minproj.catalog import paper_cases
-from minproj.jsonio import space_json
+from minproj.jsonio import dumps, space_json, vector_json
 from minproj.rational import parse_rational
 
 LINF3 = {
@@ -303,6 +304,61 @@ def test_negative_subset_cap_is_malformed_input(space_file, capsys, monkeypatch)
     # the flag still takes precedence over the environment, and 0 is a cap
     assert cli.main(["analyze", "--input", space_file, "--subset-cap", "0"]) == 3
     assert "exceed the cap of 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["banana", "-1"])
+def test_subset_cap_is_read_by_analyze_only(space_file, tmp_path, capsys,
+                                            monkeypatch, cap):
+    # only analyze runs the support search, so only analyze reads the cap
+    assert cli.main(["analyze", "--input", space_file]) == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(json.loads(capsys.readouterr().out)["cm_certificate"]))
+    monkeypatch.setenv("MINPROJ_SUBSET_CAP", cap)
+    for argv in (["polar", "--input", space_file],
+                 ["certify", str(cert), "--input", space_file],
+                 ["general-position", "--input", space_file],
+                 ["paper-suite", "--only", "ker-sum-l1-n3"]):
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
+    assert cli.main(["analyze", "--input", space_file]) == 2
+    assert "MINPROJ_SUBSET_CAP" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--subset-cap", "5"], ["--skip-support-search"]])
+def test_support_flags_belong_to_analyze(space_file, capsys, flag):
+    for command in ("polar", "general-position", "paper-suite"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--input", space_file, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_polar_command_computes_the_polar_once(tmp_path, capsys, monkeypatch):
+    # validation computes the polar; the command prints it sorted
+    calls = []
+    original = geometry.polar_dual
+
+    def counting(vertices):
+        calls.append(len(vertices))
+        return original(vertices)
+
+    monkeypatch.setattr(geometry, "polar_dual", counting)
+    monkeypatch.setattr(cli, "polar_dual", counting, raising=False)
+    path = tmp_path / "l1.json"
+    path.write_text(json.dumps(L1_3))
+    assert cli.main(["polar", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert calls == [6]
+    expected = {"dim": 3, "vertices": [vector_json(v) for v in original(
+        [tuple(parse_rational(x) for x in v) for v in L1_3["vertices"]])]}
+    assert out == dumps(expected)
+    # the polar of the polar is the input ball, in sorted order, byte for byte
+    back = tmp_path / "polar.json"
+    back.write_text(out)
+    assert cli.main(["polar", "--input", str(back)]) == 0
+    assert capsys.readouterr().out == dumps(
+        {"dim": 3, "vertices": sorted(L1_3["vertices"],
+                                      key=lambda v: [parse_rational(x) for x in v])})
 
 
 def test_analyze_builds_operator_basis_once(space_file, capsys, monkeypatch):

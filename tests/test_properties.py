@@ -1,7 +1,7 @@
 """Property-based checks of validation, the polar, general position, the
-minimal projection, its norming pairs, its certificates and the paper's
-bounds on the dimension of its optimal face on random symmetric
-polytopes.
+minimal projection, its norming pairs, its certificates, the check of
+random certificates and the paper's bounds on the dimension of its
+optimal face on random symmetric polytopes.
 
 A ball is the convex hull of a few small-integer points and their
 negations in dimension n <= 4.  For general position its extreme points
@@ -15,18 +15,18 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from minproj.certificates import (cm_from_dual, minimal_support_cm,
+from minproj.certificates import (CMFunctional, cm_from_dual, minimal_support_cm,
                                   trace_on_subspace, verify_cm)
 from minproj.errors import NotExtremeError, SupportBudgetExceededError
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, polar_dual)
-from minproj.linalg import rows_rank
+from minproj.linalg import dot, rows_rank
 from minproj.projections import (face_dimension, max_norming_projection,
                                  norming_pairs, operator_norm,
                                  projection_constant)
 
 from oracles import (first_non_extreme, general_position_exhaustive,
-                     is_extreme, minimal_support_by_solve)
+                     is_extreme, minimal_support_by_solve, verify_cm_by_apply)
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None,
@@ -132,6 +132,50 @@ def test_projection_has_norm_lambda_and_dual_certificate_verifies(case):
                         basis=report.basis)
     assert verdict.ok, verdict.violations
     assert trace_on_subspace(space, Y, cm) == report.lam
+
+
+@_SETTINGS
+@given(spaces_with_subspaces(), st.data())
+def test_verify_cm_agrees_with_apply_oracle_on_random_certificates(case, data):
+    # Random pairs with weights of either sign, summing to one or not, and
+    # lambda the computed one or not: verify_cm reads vanishing and
+    # invariance off g(T y), so they fail together, and the whole verdict
+    # matches the oracle that applies every operator matrix.  Each space
+    # gets three certificates: random pairs; the dual certificate with
+    # random pairs added; and random pairs on one vertex x with the last
+    # weight fitted so that sum a_i f_i(y) = 0 for the first basis vector
+    # y of Y, so T y = 0 and invariance can only fail in a later block.
+    space, Y, report, _ = _analyze(case)
+    y = Y.basis_vectors()[0]
+    for mode in ("random", "dual", "one vertex"):
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, len(space.primal_vertices) - 1),
+                      st.integers(0, len(space.dual_vertices) - 1)),
+            min_size=0 if mode == "dual" else 1, max_size=6))
+        weights = data.draw(st.lists(
+            st.fractions(-2, 2, max_denominator=4).filter(bool),
+            min_size=len(pairs), max_size=len(pairs)))
+        if mode == "dual":
+            dual = cm_from_dual(report)
+            pairs = list(dual.pairs) + pairs
+            weights = list(dual.weights) + weights
+        elif mode == "one vertex":
+            pairs = [(pairs[0][0], j) for _, j in pairs]
+            at_y = [dot(space.dual_vertices[j], y) for _, j in pairs]
+            if at_y[-1]:
+                weights[-1] = -dot(weights[:-1], at_y[:-1]) / at_y[-1]
+        total = sum(weights)
+        if total and data.draw(st.booleans()):
+            weights = [w / total for w in weights]
+        lam = data.draw(st.sampled_from([report.lam])
+                        | st.fractions(1, 3, max_denominator=6))
+        cm = CMFunctional(pairs=tuple(pairs), weights=tuple(weights))
+        for point in (report.witness, report.interior):
+            verdict = verify_cm(space, Y, cm, lam, point, basis=report.basis)
+            assert verdict == verify_cm_by_apply(space, Y, cm, lam, point,
+                                                 basis=report.basis), mode
+            failed = {v.split(":")[0] for v in verdict.violations}
+            assert "invariance" not in failed or "vanishing" in failed
 
 
 @_SETTINGS
