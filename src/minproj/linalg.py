@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -128,6 +128,12 @@ def over_denominator(v: Sequence[Fraction]) -> tuple[list[int], int]:
     v = [x if isinstance(x, Fraction) else Fraction(x) for x in v]
     d = lcm(*(x.denominator for x in v))
     return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def primitive(row: list[int]) -> list[int]:
+    """The row divided by its content (a positive divisor: signs stay)."""
+    g = gcd(*row)
+    return row if g == 1 else [x // g for x in row]
 
 
 def integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:

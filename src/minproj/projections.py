@@ -139,11 +139,6 @@ class PairGrid:
                  for b, row in zip(self.base_num, self.coefs_num)],
                 self.denominator * x_den)
 
-    def row_value(self, r: int, coefficients: Sequence[Fraction]) -> Fraction:
-        x, x_den = over_denominator(coefficients)
-        return Fraction(self.base_num[r] * x_den + int_dot(self.coefs_num[r], x),
-                        self.denominator * x_den)
-
     def tight_rows(self, coefficients: Sequence[Fraction],
                    lam: Fraction) -> list[int]:
         values, den = self.value_numerators(coefficients)

@@ -7,12 +7,14 @@ one entry per variable, which suits the operator-norm grids (many rows
 over few variables).  Phase I drives the artificials to zero, phase II
 minimizes b·u.  Entering columns follow Dantzig's rule (most negative
 reduced cost, ties to the lowest index) until a run of degenerate pivots
-is detected, after which the solver switches permanently to Bland's
-rule, which guarantees termination.  The dual optimum u is the
-certificate; the primal optimum is read off the reduced costs of the
-artificial columns, the exact prices of the final basis.  Every optimal
-solve is re-verified against the strong-duality identities before it is
-returned.
+is detected.  The solver then follows Bland's rule until the objective
+strictly improves, and Dantzig's rule again after that; a new objective
+starts with Dantzig's rule too.  This still terminates: a cycle needs an
+unbroken run of degenerate pivots, and Bland's rule ends every such run.
+The dual optimum u is the certificate; the primal optimum is read off
+the reduced costs of the artificial columns, the exact prices of the
+final basis.  Every optimal solve is re-verified against the
+strong-duality identities before it is returned.
 
 Statuses come from the dual.  An unbounded phase II means the LP is
 infeasible.  A failed phase I means the dual is infeasible, so the LP is
@@ -49,7 +51,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InternalError
-from .linalg import RMatrix, int_dot, over_denominator
+from .linalg import RMatrix, int_dot, over_denominator, primitive
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -112,12 +114,6 @@ class LPSolution:
     pivots: int = 0
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """The row divided by its content (a positive divisor: signs stay)."""
-    g = gcd(*row)
-    return row if g == 1 else [x // g for x in row]
-
-
 def _eliminate(row: list[int], p: int, f: int, support) -> list[int]:
     """(p·row - f·R) / gcd(p, f) for p > 0, with R given by its nonzero
     entries (support: (index, entry) pairs), so zero entries of R cost
@@ -139,7 +135,8 @@ class _DualTableau:
     constraint row of the LP, one equality row (with its artificial) per
     variable, negated where -c_j < 0 so the artificial starts basic.
     Integer rows are scaled through their basic entries, the objective row
-    is priced out over the basis, and pivoting is Dantzig-then-Bland."""
+    is priced out over the basis, and pivoting follows Dantzig's rule, with
+    Bland's rule through runs of degenerate pivots."""
 
     def __init__(self, lp: LinearProgram):
         M, _, D = lp.integer_form
@@ -158,7 +155,7 @@ class _DualTableau:
             row = [factor * M[r][j] for r in range(n_u)] + [0] * (n_eq + 1)
             row[n_u + j] = D * cj.denominator
             row[self.RHS] = -s * cj.numerator * D
-            self.rows.append(_primitive(row))
+            self.rows.append(primitive(row))
             self.basis.append(n_u + j)
         # Artificial columns never (re-)enter the basis.
         self.forbidden = frozenset(range(n_u, n_u + n_eq))
@@ -173,6 +170,8 @@ class _DualTableau:
         current basis."""
         self.on = on
         self.oscale = oscale
+        self.bland = False
+        self.stall = 0
         for r in range(self.nrows):
             if on[self.basis[r]] != 0:
                 self._price_out(r, self.basis[r])
@@ -241,7 +240,7 @@ class _DualTableau:
                 row = rows[i]
                 f = row[c]
                 if f != 0:
-                    rows[i] = _primitive(_eliminate(row, p, f, support))
+                    rows[i] = primitive(_eliminate(row, p, f, support))
         if self.on[c] != 0:
             self._price_out(r, c)
         self.basis[r] = c
@@ -266,6 +265,7 @@ class _DualTableau:
                     self.bland = True
             else:
                 self.stall = 0
+                self.bland = False
 
     def objective_value(self) -> Fraction:
         return -Fraction(self.on[self.RHS], self.oscale)

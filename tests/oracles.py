@@ -25,6 +25,11 @@ one the integer tableau of ``minproj.simplex`` must match pivot for
 pivot; its inequality-form tableau (split free variables, one slack per
 row, artificials on negative right-hand sides), once the second path of
 ``minproj.simplex``, decides infeasible and unbounded LPs independently.
+Beside ``verify_cm_by_apply`` stand the polar dual as it was in
+``Fraction`` arithmetic (``polar_dual_by_fractions``) and a closed form
+of the projection constant of a hyperplane in l-inf^n
+(``linf_hyperplane_lambda``), which checks the lambda LP with no LP at
+all.
 
 Last come the eliminations that ``linalg.reduce_row`` replaced: the
 rational Gauss-Jordan (``rref_by_fractions``, with the nullspace, solve
@@ -33,7 +38,8 @@ and inverse read off it), the in-place Bareiss rank
 content-dividing reducer (``spanning_subsets_by_content``).  The oracles
 above solve, rank and reduce through ``rref_by_fractions`` (a rank is its
 number of pivots), never through the ``minproj.linalg`` elimination they
-are meant to check.
+are meant to check.  ``row_value`` reads one pair-grid row at a point,
+for the oracles and tests that sample rows.
 """
 
 import itertools
@@ -44,9 +50,10 @@ from typing import Sequence
 from minproj.certificates import (DEFAULT_SUPPORT_CAP, CMVerdict, cm_operator,
                                   trace_on_subspace)
 from minproj.errors import (CertificateInvalidError, InternalError,
+                            NotFullDimensionalError, NotSymmetricError,
                             SubsetBudgetExceededError, SupportBudgetExceededError)
 from minproj.geometry import GeneralPositionReport
-from minproj.linalg import RMatrix, dot
+from minproj.linalg import RMatrix, dot, int_dot, over_denominator
 from minproj.projections import (OperatorPoint, _restrict_to_face,
                                   build_operator_basis, face_dimension,
                                   norming_pairs)
@@ -74,6 +81,14 @@ def solve_on_face(lp, fixed_value, secondary_objective):
     return solve(pinned)
 
 
+def row_value(grid, r, coefficients):
+    """The value of grid row r, f(P0 x) + sum_q c_q f(L_q x), at the
+    operator coefficients c."""
+    x, x_den = over_denominator(coefficients)
+    return Fraction(grid.base_num[r] * x_den + int_dot(grid.coefs_num[r], x),
+                    grid.denominator * x_den)
+
+
 def face_dimension_per_row(report):
     """(face_dim, implicit pairs, relative-interior coefficients) by one
     secondary LP per undecided tight row: a row whose maximal slack over
@@ -86,7 +101,7 @@ def face_dimension_per_row(report):
     points = [report.witness.coefficients]
     implicit_rows = []
     for r in report.grid.tight_rows(report.witness.coefficients, lam):
-        if any(grid.row_value(r, p) != lam for p in points):
+        if any(row_value(grid, r, p) != lam for p in points):
             continue
         sub = solve_on_face(grid.lp, lam, grid.coefs[r] + (Fraction(0),))
         assert sub.status == OPTIMAL
@@ -129,7 +144,7 @@ def max_norming_by_greedy(space, Y, report):
     slack0 = {}
     candidates = []
     for r, G in restricted.items():
-        s = lam - grid.row_value(r, interior)
+        s = lam - row_value(grid, r, interior)
         assert s > 0, f"non-implicit row {r} is tight at the relative interior"
         if any(G):
             slack0[r] = s
@@ -348,6 +363,99 @@ def first_non_extreme(vertices):
                  if not is_extreme(vertices, v)), None)
 
 
+def linf_hyperplane_lambda(f):
+    """The projection constant of the hyperplane ker f in l-inf^n, with no
+    LP (Blatter and Cheney, "Minimal projections on hyperplanes in
+    sequence spaces", Ann. Mat. Pura Appl. 1974): with f scaled so that
+    sum |f_i| = 1, it is 1 when some |f_i| >= 1/2, and otherwise
+    1 + 1 / sum(|f_i| / (1 - 2|f_i|))."""
+    size = [abs(Fraction(x)) for x in f]
+    total = sum(size)
+    size = [x / total for x in size]
+    if any(x >= Fraction(1, 2) for x in size):
+        return Fraction(1)
+    return 1 + 1 / sum(x / (1 - 2 * x) for x in size)
+
+
+def polar_dual_by_fractions(vertices):
+    """geometry.polar_dual as it was before it ran in integers: the same
+    checks and messages, the parallelotope of the first n independent
+    points (each found by a rank of all chosen so far), then one
+    Fraction double-description step per remaining listed point, with a
+    Fraction dot of the point against every polytope vertex, a Fraction
+    cut per crossing edge and a Fraction rank per adjacency test.  Every
+    rank and the inverse come from rref_by_fractions."""
+    def rank(rows):
+        return len(rref_by_fractions(rows)[1]) if rows else 0
+
+    def neg(v):
+        return tuple(-x for x in v)
+
+    verts = [tuple(Fraction(x) for x in v) for v in vertices]
+    if not verts:
+        raise NotFullDimensionalError("empty vertex list")
+    n = len(verts[0])
+    if any(len(v) != n for v in verts):
+        raise ValueError("inconsistent vector lengths")
+    vertex_set = set(verts)
+    for v in verts:
+        if neg(v) not in vertex_set:
+            raise NotSymmetricError(f"vertex {v} has no negation in the list")
+    if rank(verts) != n:
+        raise NotFullDimensionalError("vertices do not span the ambient space")
+
+    index_of = {}
+    for i, v in enumerate(verts):
+        index_of.setdefault(v, i)
+
+    chosen = []
+    for i, v in enumerate(verts):
+        if rank([verts[j] for j in chosen] + [v]) > len(chosen):
+            chosen.append(i)
+            if len(chosen) == n:
+                break
+    Vinv = inverse_by_fractions(RMatrix.from_rows([verts[i] for i in chosen]))
+    if Vinv is None:
+        raise InternalError("independent vertices give a singular system")
+    points = []
+    tights = []
+    for signs in itertools.product((1, -1), repeat=n):
+        points.append(tuple(dot(row, signs) for row in Vinv))
+        tights.append({i if s == 1 else index_of[neg(verts[i])]
+                       for s, i in zip(signs, chosen)})
+
+    handled = set(chosen) | {index_of[neg(verts[i])] for i in chosen}
+    for idx, w in enumerate(verts):
+        if idx in handled:
+            continue
+        handled.add(idx)
+        values = [dot(w, p) for p in points]
+        inside = [i for i, val in enumerate(values) if val < 1]
+        boundary = [i for i, val in enumerate(values) if val == 1]
+        outside = [i for i, val in enumerate(values) if val > 1]
+        for i in boundary:
+            tights[i].add(idx)
+        if not outside:
+            continue
+        new_points = {}
+        for i in inside:
+            for j in outside:
+                common = tights[i] & tights[j]
+                if len(common) < n - 1:
+                    continue
+                if rank([verts[t] for t in common]) != n - 1:
+                    continue
+                u, x = points[i], points[j]
+                theta = (1 - values[i]) / (values[j] - values[i])
+                cut = tuple(a + theta * (b - a) for a, b in zip(u, x))
+                new_points.setdefault(cut, set()).update(common | {idx})
+        keep = inside + boundary
+        points = [points[i] for i in keep] + list(new_points)
+        tights = [tights[i] for i in keep] + list(new_points.values())
+
+    return tuple(sorted(points))
+
+
 def verify_cm_by_apply(space, Y, cm, lam, P, basis=None):
     """certificates.verify_cm as it was before it read pair values: (1)
     applies every basis operator L_q to every vertex, (2) tests each T y
@@ -447,7 +555,9 @@ def row_axpy(dnum, dden, snum, sden, fn, fd):
 
 class _FractionPivotCore:
     """Shared full-tableau machinery: rows as parallel num/den lists, an
-    objective row priced out over the basis, Dantzig-then-Bland pivoting."""
+    objective row priced out over the basis, Dantzig-then-Bland pivoting
+    (Bland's rule for good after _STALL_SWITCH degenerate pivots, across
+    phases too)."""
 
     nrows: int
     width: int
@@ -650,7 +760,9 @@ class _FractionStdTableau(_FractionPivotCore):
 def solve_by_fraction_tableau(lp, method="dual"):
     """The LP solved on the rational num/den tableau.  method "dual" takes
     the standard-form dual tableau with the same pivot rules and the same
-    LPSolution (pivots included) as simplex.solve on an optimal LP; method
+    LPSolution (pivots included) as simplex.solve on an optimal LP that
+    never switches to Bland's rule (this tableau keeps Bland's rule once
+    it switches, simplex.solve leaves it on progress); method
     "rows" takes the inequality-form tableau, which decides infeasible and
     unbounded LPs on its own.  Optimal solutions are verified in Fraction
     arithmetic; SOLVE_STATS is not touched."""

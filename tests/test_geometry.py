@@ -12,7 +12,7 @@ from minproj.geometry import (PolyhedralSpace, Subspace,
 from minproj.linalg import RMatrix, dot, inverse
 from minproj.simplex import OPTIMAL, SOLVE_STATS, make_lp, solve
 
-from oracles import is_extreme
+from oracles import is_extreme, polar_dual_by_fractions
 
 F = Fraction
 
@@ -51,9 +51,14 @@ def test_is_extreme_duplicate_is_not_extreme():
 # ----------------------------------------------------------------- polar dual
 
 def test_polar_of_cube_is_cross():
-    for n in (2, 3, 4):
-        assert set(polar_dual(_cube(n))) == set(_cross(n))
-        assert set(polar_dual(_cross(n))) == set(_cube(n))
+    # the sorted tuple itself, up to n = 7, and the Fraction polar's tuple
+    # where that one is still quick
+    for n in range(2, 8):
+        assert polar_dual(_cube(n)) == tuple(sorted(_cross(n)))
+        assert polar_dual(_cross(n)) == tuple(sorted(_cube(n)))
+        if n <= 6:
+            assert polar_dual(_cube(n)) == polar_dual_by_fractions(_cube(n))
+            assert polar_dual(_cross(n)) == polar_dual_by_fractions(_cross(n))
 
 
 def test_polar_involution_on_catalog_balls():

@@ -3,7 +3,8 @@ extremality, certificate-verification and simplex computations against
 the algorithms they replaced (kept in ``oracles.py``): on every catalog
 case, on seeded subspaces of l-inf^n and l1^n, on kernels of small
 integer functionals, and on vertex lists with non-extreme or duplicated
-points."""
+points.  The projection constant of three hyperplanes of l-inf^7 is
+checked against Blatter and Cheney's closed form, with no LP."""
 
 import itertools
 from fractions import Fraction
@@ -25,9 +26,10 @@ from minproj.projections import (OperatorPoint, face_dimension,
 
 from minproj.simplex import solve
 from oracles import (face_dimension_per_row, first_non_extreme,
-                     general_position_exhaustive, max_norming_by_greedy,
-                     minimal_support_by_lp, minimal_support_by_solve,
-                     solve_by_fraction_tableau, verify_cm_by_apply)
+                     general_position_exhaustive, linf_hyperplane_lambda,
+                     max_norming_by_greedy, minimal_support_by_lp,
+                     minimal_support_by_solve, solve_by_fraction_tableau,
+                     verify_cm_by_apply)
 
 # Large enough for every candidate set below: lifts the support-search cap.
 NO_CAP = 10 ** 3
@@ -330,3 +332,22 @@ def test_extremality_matches_lp_oracle_with_duplicates():
     }
     for label, (vertices, first) in cases.items():
         assert _assert_validation_matches(vertices, label) == first, label
+
+
+@pytest.mark.parametrize("f, lam", [
+    ((2, -1, -2, 4, -4, 0, -5), Fraction(1553, 993)),
+    ((-5, -5, 5, 3, -5, 1, 5), Fraction(29300, 17501)),
+    ((7, 1, 1, -1, 1, 1, 1), Fraction(1)),
+])
+def test_linf7_hyperplanes_match_closed_form(f, lam):
+    # n = 7: the only check of lambda there that does not go through the
+    # simplex
+    assert linf_hyperplane_lambda(f) == lam
+    assert projection_constant(linf_ball(7), Subspace.from_kernel([f])).lam == lam
+
+
+def test_closed_form_on_the_sum_functional():
+    # the value the catalog pins for its ker-sum-linf cases
+    for n in range(2, 9):
+        assert linf_hyperplane_lambda((1,) * n) == 2 - Fraction(2, n)
+        assert linf_hyperplane_lambda((-3,) * n) == 2 - Fraction(2, n)

@@ -1,7 +1,9 @@
 """Property-based checks of validation, the polar, general position, the
 minimal projection, its norming pairs, its certificates, the check of
 random certificates and the paper's bounds on the dimension of its
-optimal face on random symmetric polytopes.
+optimal face on random symmetric polytopes.  The polar is also compared
+with the Fraction polar it replaced, and the projection constant of
+random hyperplanes of l-inf^n with Blatter and Cheney's closed form.
 
 A ball is the convex hull of a few small-integer points and their
 negations in dimension n <= 4.  For general position its extreme points
@@ -11,13 +13,17 @@ every dimension 1..n-1.  For validation and the polar the point list is
 kept as drawn, with its non-extreme and duplicated points.
 """
 
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from minproj.catalog import linf_ball
 from minproj.certificates import (CMFunctional, cm_from_dual, minimal_support_cm,
                                   trace_on_subspace, verify_cm)
-from minproj.errors import NotExtremeError, SupportBudgetExceededError
+from minproj.errors import (NotExtremeError, NotFullDimensionalError,
+                            NotSymmetricError, SupportBudgetExceededError)
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, polar_dual)
 from minproj.linalg import dot, rows_rank
@@ -26,7 +32,9 @@ from minproj.projections import (face_dimension, max_norming_projection,
                                  projection_constant)
 
 from oracles import (first_non_extreme, general_position_exhaustive,
-                     is_extreme, minimal_support_by_solve, verify_cm_by_apply)
+                     is_extreme, linf_hyperplane_lambda,
+                     minimal_support_by_solve, polar_dual_by_fractions,
+                     verify_cm_by_apply)
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None,
@@ -111,6 +119,52 @@ def test_double_polar_is_the_extreme_point_set(vertices):
     distinct = list(dict.fromkeys(vertices))
     extreme = {v for v in distinct if is_extreme(distinct, v)}
     assert set(polar_dual(polar_dual(vertices))) == extreme
+
+
+@_SETTINGS
+@given(st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.integers(-5, 5), min_size=n, max_size=n).filter(any)))
+def test_linf_hyperplane_lambda_agrees_with_closed_form(f):
+    # Blatter and Cheney's formula for lambda(ker f, l-inf^n), with no LP
+    n = len(f)
+    report = projection_constant(linf_ball(n), Subspace.from_kernel([f]))
+    assert report.lam == linf_hyperplane_lambda(f)
+
+
+def _polar_outcome(polar, vertices):
+    try:
+        return polar(vertices)
+    except (NotSymmetricError, NotFullDimensionalError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@_SETTINGS
+@given(symmetric_point_lists(), st.data())
+def test_polar_agrees_with_fraction_oracle(vertices, data):
+    # The integer polar returns the Fraction polar's tuple, or raises the
+    # same error, on the list as drawn, on its pairs scaled by positive
+    # rationals (big denominators, other non-extreme points) in any order,
+    # with the vertices of the cube [-1, 1]^n added (many points tight at
+    # once, so sets of n - 1 tight points are often dependent), on its
+    # points scaled one by one (mostly not symmetric), and on the list
+    # flattened into a coordinate hyperplane (not full-dimensional)
+    n = len(vertices[0])
+    positive = st.fractions(0, 5, max_denominator=7).filter(bool)
+    scales = data.draw(st.lists(positive, min_size=len(vertices),
+                                max_size=len(vertices)))
+    by_pair = [tuple(scales[i - i % 2] * x for x in v)
+               for i, v in enumerate(vertices)]
+    cases = {
+        "drawn": vertices,
+        "pairs scaled": data.draw(st.permutations(by_pair)),
+        "with the cube": vertices + list(itertools.product((1, -1), repeat=n)),
+        "points scaled": [tuple(c * x for x in v)
+                          for c, v in zip(scales, vertices)],
+        "flat": [v[:-1] + (0,) for v in vertices],
+    }
+    for label, case in cases.items():
+        assert (_polar_outcome(polar_dual, case)
+                == _polar_outcome(polar_dual_by_fractions, case)), label
 
 
 def _analyze(case):

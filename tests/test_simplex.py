@@ -4,7 +4,10 @@ instances are compared against a brute-force vertex-enumeration oracle.
 The integer tableau is compared with the rational one it replaced (kept
 in ``oracles.py``): optimal solutions pivot for pivot, and every status
 (optimal, infeasible, unbounded) against the inequality-form tableau
-there.  The rational tableau's two row operations are checked against
+there.  With Bland's rule forced after one degenerate pivot, the
+integer tableau leaves it again on progress and still agrees with the
+rational tableaux, which keep it, in status and value.  The rational
+tableau's two row operations are checked against
 Fraction arithmetic, on small entries and on entries far beyond machine
 words.  Each of the six verification identities is shown to reject a
 certificate that breaks it, also under ``python -O``.
@@ -18,6 +21,7 @@ from fractions import Fraction
 
 import pytest
 
+from minproj import simplex
 from minproj.errors import InternalError
 from minproj.linalg import RMatrix, dot, int_dot, solve_linear
 from minproj.simplex import (INFEASIBLE, OPTIMAL, SOLVE_STATS, UNBOUNDED,
@@ -215,6 +219,45 @@ def test_integer_tableau_matches_fraction_tableau_on_random_lps():
         A = lp.constraint_matrix
         seen[sol.status, A.rows >= 3 * (A.cols + 2)] += 1
     assert len(seen) == 6 and min(seen.values()) >= 10, seen
+
+
+def test_bland_mode_keeps_the_oracle_status_and_value(monkeypatch):
+    # With one degenerate pivot enough to switch to Bland's rule, the
+    # integer tableau switches back at every strict improvement, and every
+    # new objective starts with Dantzig's rule, while the rational tableaux
+    # keep their own threshold and stay with Bland's rule once they switch;
+    # statuses and optimal values still agree
+    seen = set()
+    entering = simplex._DualTableau._entering
+    set_objective = simplex._DualTableau.set_objective
+
+    def spy_entering(tab):
+        if tab.bland:
+            seen.add("entered")
+            tab.was_bland = True
+        elif getattr(tab, "was_bland", False):
+            seen.add("left")
+        return entering(tab)
+
+    def spy_set_objective(tab, on, oscale):
+        set_objective(tab, on, oscale)
+        assert not tab.bland and tab.stall == 0
+        tab.was_bland = False
+
+    monkeypatch.setattr(simplex, "_STALL_SWITCH", 1)
+    monkeypatch.setattr(simplex._DualTableau, "_entering", spy_entering)
+    monkeypatch.setattr(simplex._DualTableau, "set_objective", spy_set_objective)
+    modes = Counter()
+    for lp in _oracle_lps():
+        seen.clear()
+        sol = solve(lp)
+        for method in ("dual", "rows"):
+            other = solve_by_fraction_tableau(lp, method=method)
+            assert (sol.status, sol.value) == (other.status, other.value)
+        if sol.status == OPTIMAL:
+            _check_certificate(lp, sol)
+        modes.update(seen)
+    assert modes["entered"] >= 10 and modes["left"] >= 10, modes
 
 
 def _finish_lp():
