@@ -10,7 +10,10 @@ the trace, off T alone, independent of the pair grid and the LP.
 The LP dual of the projection solve is one such certificate; a
 minimum-support one is found by exact linear solves over subsets of the
 implicit pairs, smallest subsets first, with dependent subsets pruned
-by integer elimination.
+by integer elimination.  certify_cm judges a given certificate from the
+Chalmers-Metcalf bound it proves, with one exact solve when its pairs
+determine the projection, one LP when they do not, and the optimal face
+only when the certificate is not valid.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from typing import Iterable, Iterator
 from .errors import (CertificateInvalidError, InternalError,
                      RankGapViolationError, SupportBudgetExceededError)
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import RMatrix, dot, reduce_row, rows_rank, solve_linear
-from .projections import (MinProjReport, OperatorBasis, OperatorPoint,
-                          build_operator_basis, pair_rows)
+from .linalg import (RMatrix, dot, integer_row_rank, reduce_row, rows_rank,
+                     solve_linear)
+from .projections import (MinProjReport, OperatorBasis, OperatorPoint, PairGrid,
+                          build_operator_basis, build_pair_grid, face_dimension,
+                          pair_rows, projection_constant)
 
 #: Largest candidate set the minimal-support search enumerates by default.
 DEFAULT_SUPPORT_CAP = 24
@@ -142,6 +147,71 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
             violations.append(f"trace: {trace} differs from {lam}")
 
     return CMVerdict(ok=not violations, violations=tuple(violations))
+
+
+def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
+               lam: Fraction) -> tuple[Fraction, CMVerdict]:
+    """The projection constant lambda(Y, X) and the verdict of verify_cm on
+    the certificate at a minimal projection in the relative interior of
+    the optimal face, with as little work as the certificate allows.
+
+    The Chalmers-Metcalf bound: when the weights are positive and sum to
+    one, T vanishes on L_Y(X, Y) and T(Y) lies in Y, every projection Q
+    onto Y has sum_i a_i f_i(Q x_i) = tr(T|_Y).  A trace lam then proves
+    lambda >= lam, and a projection of norm at most lam proves lambda =
+    lam.  In that case each pair has f_i(Q x_i) <= lam at every minimal
+    projection Q, with weighted mean lam, so it norms every one of them,
+    and a verdict that is ok at any minimal projection is the verdict at
+    the relative interior.  The routes, in order:
+
+    - no LP: when the certificate's pair rows have rank k(n-k), the one
+      projection they can all norm at lam solves coefs·c = lam - base; it
+      is tried when every grid row is at most lam there;
+    - one LP: otherwise the lambda LP is solved, and its witness is tried
+      when its value is lam;
+    - the face: when verify_cm fails at the projection tried, or there is
+      none, the certificate is not valid.  face_dimension finds the
+      relative interior of the optimal face and verify_cm runs there, as
+      in the full pipeline, so the violations read the same.
+    """
+    basis = build_operator_basis(space, Y)
+    n_p, n_d = len(space.primal_vertices), len(space.dual_vertices)
+    report = point = None
+    if all(0 <= i < n_p and 0 <= j < n_d for i, j in cm.pairs):
+        rows = pair_rows(space, basis, cm.pairs)
+        if integer_row_rank(rows.coefs_num) == len(basis.basis_ops):
+            point = _projection_normed_by(rows, build_pair_grid(space, Y, basis), lam)
+        else:
+            report = projection_constant(space, Y, basis=basis)
+            if report.lam == lam:
+                point = report.witness
+    if point is not None:
+        verdict = verify_cm(space, Y, cm, lam, point, basis=basis)
+        if verdict.ok:
+            return lam, verdict
+    if report is None:
+        report = projection_constant(space, Y, basis=basis)
+    face_dimension(space, Y, report)
+    verdict = verify_cm(space, Y, cm, lam, report.interior, basis=basis)
+    if report.lam < lam and all(v.startswith("norming:") for v in verdict.violations):
+        raise InternalError(
+            f"the certificate proves lambda >= {lam}, the LP gives {report.lam}")
+    return report.lam, verdict
+
+
+def _projection_normed_by(rows: PairGrid, grid: PairGrid,
+                          lam: Fraction) -> OperatorPoint | None:
+    """The projection c at which every row of rows, of full column rank,
+    has value lam, when it exists and every row of grid is at most lam
+    there; otherwise None."""
+    c = solve_linear(RMatrix.from_rows(rows.coefs_num),
+                     [lam * rows.denominator - b for b in rows.base_num])
+    if c is None:
+        return None
+    values, den = grid.value_numerators(c)
+    if max(values) * lam.denominator > lam.numerator * den:
+        return None
+    return OperatorPoint(c)
 
 
 def cm_from_dual(report: MinProjReport) -> CMFunctional:

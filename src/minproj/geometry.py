@@ -43,50 +43,94 @@ def _neg(v: Vector) -> Vector:
 def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
     """Vertices of {f : f·v <= 1 for every listed v}, exactly.
 
-    Incremental double description in integers.  Each antipodal pair ±u
-    of listed points is cleared once to u = w / s (w integer, s > 0), and
-    each point of the polytope is kept as a primitive homogeneous integer
-    vector (P, h), h > 0, standing for P / h, so its slack against u is
-    the integer w·P - s·h (negative inside, zero on the boundary).  The
-    start is the parallelotope cut out by n independent pairs: with the
-    inverse of their matrix cleared to M / D, its 2ⁿ vertices are M·σ
-    over D for the sign vectors σ.  Each further pair is inserted as one
-    step: the polytope is symmetric, so the new vertices are the cuts
-    a_j·(P_i, h_i) - a_i·(P_j, h_j) of the edges (i, j) that cross
-    u·x = 1, each divided by its content, together with their negations,
-    and a vertex is dropped when |u·x| > 1.  Two vertices span an edge
-    when the listed points tight at both have rank n - 1 (an integer
-    rank of the cleared rows); tight sets are bit masks, two bits per
-    pair.  Fractions are formed only for the result.  The polar of the
-    7-cube (128 points, 64 pairs) takes about 20 ms on one core of a
-    2-core Xeon host, against 0.34 s in Fraction arithmetic.
-
+    Incremental double description in integers (see _double_description).
     The result is sorted, so equal inputs give identical output.  A
     listed point that is not extreme gives a redundant halfspace and no
     facet; from_vertices reads each point's extremality off the polar
-    vertices tight at it, with no LP (see _check_extreme).
+    vertices tight at it, with no LP (see _first_non_vertex).
     """
     verts = [_as_vector(v) for v in vertices]
     if not verts:
         raise NotFullDimensionalError("empty vertex list")
-    n = len(verts[0])
-    if any(len(v) != n for v in verts):
+    if any(len(v) != len(verts[0]) for v in verts):
         raise ValueError("inconsistent vector lengths")
-    vertex_set = set(verts)
+    return _vertices_of(_double_description(
+        verts, "vertex", "vertices do not span the ambient space"))
+
+
+@dataclass(frozen=True)
+class _Polar:
+    """The polar's points as primitive homogeneous integer vectors (P, h),
+    h > 0, standing for P / h, each with its tight mask: bit 2p (2p + 1)
+    is set when the point is tight at +u_p (-u_p), u_p the p-th antipodal
+    pair of listed points.  bits holds, per listed point, the bit that
+    stands for it (None for the zero vector)."""
+
+    points: list[list[int]]
+    tights: list[int]
+    bits: list[int | None]
+
+
+def _vertices_of(polar: _Polar) -> tuple[Vector, ...]:
+    return tuple(sorted(tuple(Fraction(x, X[-1]) for x in X[:-1])
+                        for X in polar.points))
+
+
+def _double_description(verts: Sequence[Vector], label: str,
+                        flat_message: str) -> _Polar:
+    """The polar of the listed points, which must be nonempty, of one
+    length n, and symmetric (else NotSymmetricError "<label> v has no
+    negation in the list") and full-dimensional (else
+    NotFullDimensionalError(flat_message)).
+
+    Each listed point is cleared once to u = w / s (w integer, s > 0, s
+    least), and the pair (w, s) keys the symmetry check and the pairing
+    of u with -u.  Each point of the polytope is kept as a primitive
+    homogeneous integer vector (P, h), h > 0, standing for P / h, so its
+    slack against u is the integer w·P - s·h (negative inside, zero on
+    the boundary).  The start is the parallelotope cut out by n
+    independent pairs: with the inverse of their matrix cleared to M / D,
+    its 2ⁿ vertices are M·σ over D for the sign vectors σ.  Each further
+    pair is inserted as one step: the polytope is symmetric, so the new
+    vertices are the cuts a_j·(P_i, h_i) - a_i·(P_j, h_j) of the edges
+    (i, j) that cross u·x = 1, each divided by its content, together with
+    their negations, and a vertex is dropped when |u·x| > 1.  Two
+    vertices span an edge when the listed points tight at both have rank
+    n - 1 (an integer rank of the cleared rows).  Fractions are formed
+    only for the result.  The polar of the 7-cube (128 points, 64 pairs)
+    takes about 20 ms on one core of a 2-core Xeon host, against 0.34 s
+    in Fraction arithmetic.
+
+    A cut of an edge lies strictly inside it, where exactly the pairs
+    tight along the whole edge are tight, so every final mask is the
+    point's exact tight set over all listed pairs.
+    """
+    n = len(verts[0])
+    keys = []
     for v in verts:
-        if _neg(v) not in vertex_set:
-            raise NotSymmetricError(f"vertex {v} has no negation in the list")
+        w, s = over_denominator(v)
+        keys.append((tuple(w), s))
+    present = set(keys)
+    for v, (w, s) in zip(verts, keys):
+        if (tuple(-x for x in w), s) not in present:
+            raise NotSymmetricError(f"{label} {v} has no negation in the list")
 
     # One representative u per antipodal pair, in order of first
     # occurrence; bit 2p of a tight mask stands for +u_p, bit 2p+1 for -u_p.
     # The zero vector is never tight and cuts nothing.
+    bit_of: dict[tuple, int | None] = {}
     reps: list[Vector] = []
-    seen: set[Vector] = set()
-    for v in verts:
-        if v not in seen and any(v):
-            seen.update((v, _neg(v)))
-            reps.append(v)
-    cleared = [over_denominator(u) for u in reps]
+    cleared: list[tuple[list[int], int]] = []
+    for v, key in zip(verts, keys):
+        if key not in bit_of:
+            w, s = key
+            if any(w):
+                bit_of[key] = 2 * len(reps)
+                bit_of[(tuple(-x for x in w), s)] = 2 * len(reps) + 1
+                reps.append(v)
+                cleared.append((list(w), s))
+            else:
+                bit_of[key] = None
     rows = [w for w, _ in cleared]
 
     # The first n independent pairs, by one fraction-free pass.
@@ -101,7 +145,7 @@ def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
             if len(chosen) == n:
                 break
     if len(chosen) < n:
-        raise NotFullDimensionalError("vertices do not span the ambient space")
+        raise NotFullDimensionalError(flat_message)
 
     Vinv = inverse(RMatrix.from_rows([reps[p] for p in chosen]))
     if Vinv is None:
@@ -165,41 +209,31 @@ def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
                                   | (minus if b == 0 else 0))
         points, tights = new_points, new_tights
 
-    return tuple(sorted(tuple(Fraction(x, X[-1]) for x in X[:-1])
-                        for X in points))
+    return _Polar(points, tights, [bit_of[key] for key in keys])
 
 
-def _first_non_vertex(points: Sequence[Vector],
-                      facets: Sequence[Vector]) -> int | None:
-    """Index of the first point that is not a vertex of
-    Q = {x : f·x <= 1 for f in facets}, or None; every point must lie in Q.
+def _first_non_vertex(polar: _Polar, n: int) -> int | None:
+    """Index of the first listed point that is not a vertex of their hull
+    Q, or None.
 
-    A point p of Q is a vertex exactly when the facets tight at it
-    (f·p = 1) have rank n, and a duplicated point is never a vertex.  One
-    integer dot pass and one integer rank per point; no LP.
+    Q is cut out by the polar vertices, and a listed point p of Q is a
+    vertex exactly when the polar vertices tight at it have rank n (none
+    are tight at the zero vector), and a duplicated point is never a
+    vertex.  The tight polar vertices are read off the masks; -p has the
+    negated ones, so one integer rank serves both points of a pair.  No
+    LP.
     """
-    n = len(points[0])
-    counts = Counter(points)
-    cleared = [over_denominator(f) for f in facets]
-    for i, p in enumerate(points):
-        p_num, p_den = over_denominator(p)
-        tight = [f for f, f_den in cleared
-                 if sum(a * b for a, b in zip(f, p_num)) == f_den * p_den]
-        if counts[p] > 1 or integer_row_rank(tight) < n:
+    counts = Counter(polar.bits)
+    rank_of: dict[int | None, int] = {None: 0}
+    for i, bit in enumerate(polar.bits):
+        pair = None if bit is None else bit >> 1
+        if pair not in rank_of:
+            rank_of[pair] = integer_row_rank(
+                [X[:-1] for X, mask in zip(polar.points, polar.tights)
+                 if mask >> bit & 1])
+        if counts[bit] > 1 or rank_of[pair] < n:
             return i
     return None
-
-
-def _check_extreme(points: Sequence[Vector], facets: Sequence[Vector],
-                   side: str) -> None:
-    """Raise NotExtremeError for the first point that is not a vertex of
-    the ball cut out by the facets.  When the facets are the vertices of
-    the polar of the points' hull, that is the first point that is a
-    convex combination of the others (or a duplicate)."""
-    i = _first_non_vertex(points, facets)
-    if i is not None:
-        raise NotExtremeError(
-            f"{side} vertex {i} is a convex combination of the others")
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +254,10 @@ class PolyhedralSpace:
                       validate: bool = True) -> "PolyhedralSpace":
         """Build a space, validating symmetry, full dimension and extremality.
 
-        The polar dual is computed exactly, and each primal vertex is
-        proved extreme by the rank of the polar vertices tight at it, with
-        no LP.  A supplied dual list must then be exactly the polar vertex
+        The polar dual is computed exactly, with one symmetry check, and
+        each primal vertex is proved extreme by the rank of the polar
+        vertices tight at it, read off the polar's tight masks, with no
+        LP.  A supplied dual list must then be exactly the polar vertex
         set, in any order; the list is kept in the order given.  With
         validate=False a supplied list is taken as it is.
         """
@@ -233,16 +268,15 @@ class PolyhedralSpace:
         if any(len(v) != n for v in primal):
             raise ValueError("inconsistent vector lengths")
         if validate:
-            present = set(primal)
-            for v in primal:
-                if _neg(v) not in present:
-                    raise NotSymmetricError(f"primal vertex {v} has no negation in the list")
-            if rows_rank(primal) != n:
-                raise NotFullDimensionalError("vertices do not span the space")
-        if dual_vertices is None or validate:
+            dd = _double_description(primal, "primal vertex",
+                                     "vertices do not span the space")
+            polar = _vertices_of(dd)
+            i = _first_non_vertex(dd, n)
+            if i is not None:
+                raise NotExtremeError(
+                    f"primal vertex {i} is a convex combination of the others")
+        elif dual_vertices is None:
             polar = polar_dual(primal)
-            if validate:
-                _check_extreme(primal, polar, "primal")
         dual = (polar if dual_vertices is None
                 else tuple(_as_vector(f) for f in dual_vertices))
         if validate and sorted(dual) != list(polar):

@@ -227,10 +227,13 @@ class MinProjReport:
     _implicit_rows: tuple[int, ...] = field(default=(), repr=False)
 
 
-def projection_constant(space: PolyhedralSpace, Y: Subspace) -> MinProjReport:
+def projection_constant(space: PolyhedralSpace, Y: Subspace, *,
+                        basis: OperatorBasis | None = None) -> MinProjReport:
     """Solve the operator-norm LP exactly: lambda, one minimal projection,
-    its norming pairs and the positive dual weights."""
-    basis = build_operator_basis(space, Y)
+    its norming pairs and the positive dual weights.  basis, when given,
+    must be build_operator_basis(space, Y)."""
+    if basis is None:
+        basis = build_operator_basis(space, Y)
     grid = build_pair_grid(space, Y, basis)
     solution = solve(grid.lp)
     if solution.status != OPTIMAL:  # always feasible (P0) and bounded (t >= 1)

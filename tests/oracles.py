@@ -25,6 +25,9 @@ one the integer tableau of ``minproj.simplex`` must match pivot for
 pivot; its inequality-form tableau (split free variables, one slack per
 row, artificials on negative right-hand sides), once the second path of
 ``minproj.simplex``, decides infeasible and unbounded LPs independently.
+``certify_by_face`` is the ``certify`` command as it was before
+``certificates.certify_cm``: the lambda LP, the optimal face, and
+``verify_cm`` at its relative interior, for every certificate.
 Beside ``verify_cm_by_apply`` stand the polar dual as it was in
 ``Fraction`` arithmetic (``polar_dual_by_fractions``) and a closed form
 of the projection constant of a hyperplane in l-inf^n
@@ -48,7 +51,7 @@ from math import gcd
 from typing import Sequence
 
 from minproj.certificates import (DEFAULT_SUPPORT_CAP, CMVerdict, cm_operator,
-                                  trace_on_subspace)
+                                  trace_on_subspace, verify_cm)
 from minproj.errors import (CertificateInvalidError, InternalError,
                             NotFullDimensionalError, NotSymmetricError,
                             SubsetBudgetExceededError, SupportBudgetExceededError)
@@ -56,7 +59,7 @@ from minproj.geometry import GeneralPositionReport
 from minproj.linalg import RMatrix, dot, int_dot, over_denominator
 from minproj.projections import (OperatorPoint, _restrict_to_face,
                                   build_operator_basis, face_dimension,
-                                  norming_pairs)
+                                  norming_pairs, projection_constant)
 from minproj.simplex import (_MAX_PIVOTS, _STALL_SWITCH, INFEASIBLE, OPTIMAL,
                              UNBOUNDED, LinearProgram, LPSolution, make_lp,
                              solve)
@@ -507,6 +510,16 @@ def verify_cm_by_apply(space, Y, cm, lam, P, basis=None):
         violations.append(f"trace: {trace} differs from {lam}")
 
     return CMVerdict(ok=not violations, violations=tuple(violations))
+
+
+def certify_by_face(space, Y, cm, lam):
+    """(computed lambda, verdict) of the certify command as it was: solve
+    the lambda LP, find the relative interior of the optimal face, and
+    run verify_cm there, whatever the certificate."""
+    report = projection_constant(space, Y)
+    face_dimension(space, Y, report)
+    return report.lam, verify_cm(space, Y, cm, lam, report.interior,
+                                 basis=report.basis)
 
 
 # The rational tableau that the integer one in minproj.simplex replaced.

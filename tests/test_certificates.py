@@ -1,13 +1,16 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from minproj.catalog import l1_ball
-from minproj.certificates import (CMFunctional, cm_from_dual, cm_operator,
-                                  cm_rank_gap, minimal_support_cm,
+import minproj.certificates as certificates
+import minproj.projections as projections
+from minproj.catalog import l1_ball, linf_ball, random_subspace
+from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
+                                  cm_operator, cm_rank_gap, minimal_support_cm,
                                   trace_on_subspace, verify_cm)
-from minproj.errors import (CertificateInvalidError, RankGapViolationError,
-                            SupportBudgetExceededError)
+from minproj.errors import (CertificateInvalidError, InternalError,
+                            RankGapViolationError, SupportBudgetExceededError)
 from minproj.geometry import Subspace
 from minproj.projections import OperatorPoint, projection_constant
 
@@ -154,3 +157,57 @@ def test_rank_gap_violation_raised_for_fake_lambda(analyzed):
                                a.report.lam, witness=a.report.interior)
     with pytest.raises(RankGapViolationError):
         cm_rank_gap(a.case.space, a.case.subspace, cm, F(3, 2))
+
+
+def _counting(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("ball, k, tamper, solves, faces", [
+    # the pairs of an l1 hyperplane's dual certificate determine the
+    # minimal projection: one exact solve, no LP
+    (l1_ball, 3, False, 0, 0),
+    # an l-inf 2-plane's three pairs do not (rank 2 of 4): the lambda LP
+    (linf_ball, 2, False, 1, 0),
+    # an invalid certificate goes through the optimal face
+    (l1_ball, 3, True, None, 1),
+])
+def test_certify_work_per_route(monkeypatch, ball, k, tamper, solves, faces):
+    space, Y = ball(4), random_subspace(4, k, 7)
+    report = projection_constant(space, Y)
+    cm = cm_from_dual(report)
+    if tamper:
+        cm = CMFunctional(cm.pairs, (F(1, 1000),) + cm.weights[1:])
+    counts = {}
+    _counting(monkeypatch, projections, "solve", counts)
+    _counting(monkeypatch, certificates, "face_dimension", counts)
+    computed, verdict = certify_cm(space, Y, cm, report.lam)
+    assert computed == report.lam
+    assert verdict.ok != tamper
+    assert counts.get("face_dimension", 0) == faces
+    if solves is not None:
+        assert counts.get("solve", 0) == solves
+
+
+def test_certify_refuses_an_lp_value_below_the_certified_bound(monkeypatch):
+    # a certificate that passes every check but norming proves
+    # lambda >= its trace; an LP value below that is an internal failure
+    space, Y = linf_ball(4), random_subspace(4, 2, 7)
+    report = projection_constant(space, Y)
+    cm = cm_from_dual(report)
+    lowered = dataclasses.replace(report, lam=report.lam - F(1, 2))
+
+    def face(space, Y, report):
+        report.interior = report.witness
+
+    monkeypatch.setattr(certificates, "projection_constant",
+                        lambda space, Y, basis: lowered)
+    monkeypatch.setattr(certificates, "face_dimension", face)
+    with pytest.raises(InternalError, match="proves lambda >="):
+        certify_cm(space, Y, cm, report.lam)

@@ -334,22 +334,22 @@ def test_support_flags_belong_to_analyze(space_file, capsys, flag):
 
 
 def test_polar_command_computes_the_polar_once(tmp_path, capsys, monkeypatch):
-    # validation computes the polar; the command prints it sorted
+    # validation computes the polar; the command prints it sorted.  Every
+    # polar, through polar_dual or validation, is one double description
     calls = []
-    original = geometry.polar_dual
+    original = geometry._double_description
 
-    def counting(vertices):
+    def counting(vertices, *messages):
         calls.append(len(vertices))
-        return original(vertices)
+        return original(vertices, *messages)
 
-    monkeypatch.setattr(geometry, "polar_dual", counting)
-    monkeypatch.setattr(cli, "polar_dual", counting, raising=False)
+    monkeypatch.setattr(geometry, "_double_description", counting)
     path = tmp_path / "l1.json"
     path.write_text(json.dumps(L1_3))
     assert cli.main(["polar", "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert calls == [6]
-    expected = {"dim": 3, "vertices": [vector_json(v) for v in original(
+    expected = {"dim": 3, "vertices": [vector_json(v) for v in geometry.polar_dual(
         [tuple(parse_rational(x) for x in v) for v in L1_3["vertices"]])]}
     assert out == dumps(expected)
     # the polar of the polar is the input ball, in sorted order, byte for byte

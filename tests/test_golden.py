@@ -8,7 +8,11 @@ simplex) of the 16 catalog cases and of the eight seeded n = 4 and n = 5
 inputs of the pipeline benchmark (cube and cross-polytope, hyperplane and
 2-plane, ``random_subspace`` at generator seed 7, primal vertices only so
 the CLI computes the polar), plus ``certify`` on one valid and one
-tampered certificate of the seeded l1^4 hyperplane.  The l-inf^5 2-plane
+tampered certificate of the seeded l1^4 hyperplane.  ``certify`` also
+runs, in JSON and ``--table``, on seven more tampered certificates of
+that hyperplane and on the valid certificate of the seeded l-inf^4
+2-plane, whose pairs leave the minimal projection undetermined (rank 2
+of 4), so it is settled by the LP.  The l-inf^5 2-plane
 has more candidate pairs than the support search's default cap, so its
 pinned run is the exit-3 partial report.
 
@@ -32,6 +36,7 @@ from minproj.jsonio import space_json, vector_json
 
 SEED = 7
 CERTIFIED = "seeded-l1-n4-k3"
+RANK_DEFICIENT = "seeded-linf-n4-k2"
 
 GOLDEN = {
     "analyze/ker-sum-l1-n3": "9fc72e2238e1ff01b42450b1c1af7813407675c2dfcffc5da5c94512407d2614",
@@ -52,9 +57,25 @@ GOLDEN = {
     "analyze/first-coordinate-mixed-n5": "5f675c07fa7c18c89f1d4d1e61a5b5166184104e4a70ff2b02f801feb81b7da5",
     "analyze/seeded-linf-n4-k3": "0abdb9eaa90ce27f4f26aa75853166e5f5abce892df1a04447104cdd86ca1e96",
     "analyze/seeded-linf-n4-k2": "94d2b323e9d85fdf6aff3f6f9cbf44a619e7f4e372be2503c948cf40a0b1884c",
+    "certify/seeded-linf-n4-k2-valid/json": "19f54cdb201c57490f74febfb241c5c045920c820f28be2561eacc0baa5fcd76",
+    "certify/seeded-linf-n4-k2-valid/table": "9b520fe713d3e6cd7b913d7749fd4d744d41cdf923053008d3f8f8b3bb8baa1d",
     "analyze/seeded-l1-n4-k3": "b00af86c15696f8237ee68475a2c7cc1c2195a44b0c09976748a9f0eee623312",
     "certify/seeded-l1-n4-k3-valid": "3ad55cf3f5b673879723c1aa8ef0b1bd3450a3b6fcc6ef0554786811b54d17f3",
     "certify/seeded-l1-n4-k3-tampered": "137486a4feafc3cad9f6b52973a4e3b25d9f969359ec4d00f9a3c0328aac2721",
+    "certify/seeded-l1-n4-k3-small-weight/json": "137486a4feafc3cad9f6b52973a4e3b25d9f969359ec4d00f9a3c0328aac2721",
+    "certify/seeded-l1-n4-k3-small-weight/table": "01e4b1d73ddfd76e7ae207f8a6bb95a40c65be46a33cb2384c9d0f1765de6f83",
+    "certify/seeded-l1-n4-k3-lambda-7-3/json": "3b4838a11838e4e7112e0fd08d27dbd235795ae244545faa395e61d289ac647b",
+    "certify/seeded-l1-n4-k3-lambda-7-3/table": "cec9006b8851c0c739bf01b1f3ed237a9f5f01199e66966f024f245222942b23",
+    "certify/seeded-l1-n4-k3-lambda-1-2/json": "0d5e247bc2906dded6ad2c03f5ad5dfe118f16df9b4c91ec46227fe7ecfc0972",
+    "certify/seeded-l1-n4-k3-lambda-1-2/table": "e1da76abda81fe560e0cfb09fdebd0ba799d3463cc99737d930700843207caf6",
+    "certify/seeded-l1-n4-k3-last-functional-0/json": "edcba4d2049cef1d29b738e29d8b1e44063b21cece08acab49c85f521f97a0d6",
+    "certify/seeded-l1-n4-k3-last-functional-0/table": "777e8c59db03b88982416dc3f0a902391165d1c6de72cf6edaa78c69813f32a6",
+    "certify/seeded-l1-n4-k3-extra-pair/json": "6499ade711cea0477870032f510e1193f59ba23de3c34eed8af36017f144f8c2",
+    "certify/seeded-l1-n4-k3-extra-pair/table": "324225f91e068ae0ad635f5e8f5e6c680d4de77f760fec2b938075480e9df036",
+    "certify/seeded-l1-n4-k3-single-pair/json": "d8f36237dab97c1e7040381f4d264bb7216526e5ddc4777058ce56e50114355b",
+    "certify/seeded-l1-n4-k3-single-pair/table": "f9df99b9321d259f53c2992583d62e867d6a44d2f4d5de0f444105bd86def779",
+    "certify/seeded-l1-n4-k3-duplicated-pair/json": "f030a2dca6b14c21bcc4c789e69a9d69bb815c4aa521a5048e494f03d2a27655",
+    "certify/seeded-l1-n4-k3-duplicated-pair/table": "6eb47ffcd859833dfed9886da52439b31f41c2a89b00171930dbaa9baee74538",
     "analyze/seeded-l1-n4-k2": "f7859d8694d418253699a38d4a4cb010a53899f0c226954b58fe03d794584659",
     "analyze/seeded-linf-n5-k4": "904a514d238ee1aded50828f30cde7a71a91d3d949e070080145d01e0a5e5e6d",
     "analyze/seeded-linf-n5-k2": "8866bd32b906a3619f8902170473fad5aaaf4e51dd00160dbe5cdb971b3f6bf7",
@@ -96,13 +117,44 @@ def _runs(tmp_path):
         yield f"analyze/{name}", result
         if name == CERTIFIED:
             cert = json.loads(result[1])["cm_certificate"]
-            for label in ("valid", "tampered"):
-                if label == "tampered":
-                    cert["pairs"][0]["weight"] = "1/1000"
+            tampered = _tampered(cert)
+            for label, doc in (("valid", cert),
+                               ("tampered", tampered["small-weight"])):
                 cert_path = tmp_path / f"{label}.certificate.json"
-                cert_path.write_text(json.dumps(cert))
+                cert_path.write_text(json.dumps(doc))
                 yield f"certify/{name}-{label}", _run(
                     ["certify", str(cert_path), "--input", str(path)])
+            for label, doc in tampered.items():
+                yield from _certify_runs(tmp_path, f"{name}-{label}", doc, path)
+        if name == RANK_DEFICIENT:
+            cert = json.loads(result[1])["cm_certificate"]
+            yield from _certify_runs(tmp_path, f"{name}-valid", cert, path)
+
+
+def _tampered(cert):
+    """Seven invalid variants of a certificate document, by label."""
+    pairs = cert["pairs"]
+    return {
+        "small-weight": {**cert, "pairs": [{**pairs[0], "weight": "1/1000"}]
+                         + pairs[1:]},
+        "lambda-7-3": {**cert, "lambda": "7/3"},
+        "lambda-1-2": {**cert, "lambda": "1/2"},
+        "last-functional-0": {**cert, "pairs": pairs[:-1]
+                              + [{**pairs[-1], "functional": 0}]},
+        "extra-pair": {**cert, "pairs": pairs
+                       + [{"vertex": 0, "functional": 0, "weight": "1/1000"}]},
+        "single-pair": {**cert, "pairs": [{**pairs[0], "weight": "1"}]},
+        "duplicated-pair": {**cert, "pairs": pairs + pairs[:1]},
+    }
+
+
+def _certify_runs(tmp_path, label, cert, path):
+    """certify on one certificate document, in JSON and as a table."""
+    cert_path = tmp_path / "certificate.json"
+    cert_path.write_text(json.dumps(cert))
+    for fmt in ("json", "table"):
+        yield f"certify/{label}/{fmt}", _run(
+            ["certify", str(cert_path), "--input", str(path), f"--{fmt}"])
 
 
 def _digest(result) -> str:

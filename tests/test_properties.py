@@ -1,27 +1,32 @@
 """Property-based checks of validation, the polar, general position, the
 minimal projection, its norming pairs, its certificates, the check of
-random certificates and the paper's bounds on the dimension of its
-optimal face on random symmetric polytopes.  The polar is also compared
-with the Fraction polar it replaced, and the projection constant of
-random hyperplanes of l-inf^n with Blatter and Cheney's closed form.
+random certificates, the certify routes and the paper's bounds on the
+dimension of its optimal face on random symmetric polytopes.  The polar
+is also compared with the Fraction polar it replaced, and the projection
+constant of random hyperplanes of l-inf^n with Blatter and Cheney's
+closed form.
 
 A ball is the convex hull of a few small-integer points and their
 negations in dimension n <= 4.  For general position its extreme points
 are read off the double polar, so the space is built from vertices
 alone, as a user would supply it; subspaces have small-integer bases of
 every dimension 1..n-1.  For validation and the polar the point list is
-kept as drawn, with its non-extreme and duplicated points.
+kept as drawn, with its non-extreme and duplicated points; the polar
+also gets lists in dimension 5 made mostly of cube vertices, where a
+wrong edge test shows.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from minproj.catalog import linf_ball
-from minproj.certificates import (CMFunctional, cm_from_dual, minimal_support_cm,
-                                  trace_on_subspace, verify_cm)
+from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
+                                  minimal_support_cm, trace_on_subspace,
+                                  verify_cm)
 from minproj.errors import (NotExtremeError, NotFullDimensionalError,
                             NotSymmetricError, SupportBudgetExceededError)
 from minproj.geometry import (PolyhedralSpace, Subspace,
@@ -31,8 +36,9 @@ from minproj.projections import (face_dimension, max_norming_projection,
                                  norming_pairs, operator_norm,
                                  projection_constant)
 
-from oracles import (first_non_extreme, general_position_exhaustive,
-                     is_extreme, linf_hyperplane_lambda,
+from oracles import (certify_by_face, first_non_extreme,
+                     general_position_exhaustive, is_extreme,
+                     linf_hyperplane_lambda,
                      minimal_support_by_solve, polar_dual_by_fractions,
                      verify_cm_by_apply)
 
@@ -72,6 +78,19 @@ def symmetric_point_lists(draw):
     if draw(st.integers(0, 3)) == 0:
         points.insert(draw(st.integers(0, count)),
                       draw(st.sampled_from(points)))
+    return [q for p in points for q in (p, tuple(-x for x in p))]
+
+
+@st.composite
+def cube_like_point_lists(draw):
+    """Some vertices of the 5-cube, a few small-integer points besides
+    them, each followed by its negation: many points share each facet,
+    so sets of n - 1 tight points are often dependent."""
+    n = 5
+    corners = draw(st.lists(st.tuples(*[st.sampled_from((1, -1))] * n),
+                            min_size=n, max_size=8, unique=True))
+    points = corners + draw(_vectors(n, draw(st.integers(0, 2))))
+    assume(rows_rank(points) == n)
     return [q for p in points for q in (p, tuple(-x for x in p))]
 
 
@@ -139,7 +158,7 @@ def _polar_outcome(polar, vertices):
 
 
 @_SETTINGS
-@given(symmetric_point_lists(), st.data())
+@given(symmetric_point_lists() | cube_like_point_lists(), st.data())
 def test_polar_agrees_with_fraction_oracle(vertices, data):
     # The integer polar returns the Fraction polar's tuple, or raises the
     # same error, on the list as drawn, on its pairs scaled by positive
@@ -230,6 +249,57 @@ def test_verify_cm_agrees_with_apply_oracle_on_random_certificates(case, data):
                                                  basis=report.basis), mode
             failed = {v.split(":")[0] for v in verdict.violations}
             assert "invariance" not in failed or "vanishing" in failed
+
+
+@_SETTINGS
+@given(spaces_with_subspaces(), st.data())
+def test_certify_agrees_with_face_oracle(case, data):
+    # certify_cm skips the LP, or the optimal face, when the certificate
+    # proves its own lambda; whatever it skips, lambda and the violations
+    # are those of verify_cm at the relative interior of the optimal face.
+    # Five certificates per space: the dual certificate; random distinct
+    # pairs with positive weights summing to one, at the computed lambda
+    # or another; the dual certificate with another lambda; the dual
+    # certificate with one weight changed, renormalized or not; and random
+    # pairs, each with the negated functional beside it, at equal weights:
+    # T = 0 passes every check but norming at lambda 0, and its pairs'
+    # rows often determine a projection, which has norm above 0
+    space, basis = case
+    Y = Subspace.from_basis(basis)
+    report = projection_constant(space, Y)
+    dual = cm_from_dual(report)
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, len(space.primal_vertices) - 1),
+                  st.integers(0, len(space.dual_vertices) - 1)),
+        min_size=1, max_size=6, unique=True))
+    raw = data.draw(st.lists(st.integers(1, 5), min_size=len(pairs),
+                             max_size=len(pairs)))
+    other = st.fractions(1, 3, max_denominator=6).filter(
+        lambda lam: lam != report.lam)
+    changed = list(dual.weights)
+    changed[data.draw(st.integers(0, len(changed) - 1))] += data.draw(
+        st.fractions(-1, 1, max_denominator=8).filter(bool))
+    if sum(changed) and data.draw(st.booleans()):
+        changed = [w / sum(changed) for w in changed]
+    negd = space.dual_negation
+    balanced = sorted({q for i, j in pairs for q in ((i, j), (i, negd[j]))})
+    certificates = {
+        "dual": (dual, report.lam),
+        "random": (CMFunctional(tuple(pairs),
+                                tuple(Fraction(w, sum(raw)) for w in raw)),
+                   data.draw(st.sampled_from([report.lam]) | other)),
+        "lambda": (dual, data.draw(other)),
+        "weight": (CMFunctional(dual.pairs, tuple(changed)), report.lam),
+        "balanced": (CMFunctional(tuple(balanced),
+                                  (Fraction(1, len(balanced)),) * len(balanced)),
+                     Fraction(0)),
+    }
+    for label, (cm, lam) in certificates.items():
+        computed, verdict = certify_cm(space, Y, cm, lam)
+        expected_lam, expected = certify_by_face(space, Y, cm, lam)
+        assert computed == expected_lam, label
+        assert verdict.violations == expected.violations, label
+        assert verdict.ok or label != "dual"
 
 
 @_SETTINGS
