@@ -25,8 +25,8 @@ from typing import Iterable, Iterator
 from .errors import (CertificateInvalidError, InternalError,
                      RankGapViolationError, SupportBudgetExceededError)
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import (RMatrix, dot, integer_row_rank, reduce_row, rows_rank,
-                     solve_linear)
+from .linalg import (RMatrix, dot, int_dot, integer_row_rank, over_denominator,
+                     reduce_row, rows_rank, rref_rows, solve_linear)
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint, PairGrid,
                           build_operator_basis, build_pair_grid, face_dimension,
                           pair_rows, projection_constant)
@@ -96,13 +96,15 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     (2) T(Y) contained in Y, (3) every pair norming for P, (4) trace of
     T|_Y equal to lam.
 
-    T is built once.  For L_q = y_b (x) g_j, q = b(n-k) + j, the vanishing
-    sum is sum_i a_i f_i(y_b) g_j(x_i) = g_j(T y_b), so (1) and (2) fail
+    The images T y_b = sum_i a_i f_i(y_b) x_i are formed in integers, over
+    the cleared vertices, weights and basis of Y, with no matrix of T.
+    For L_q = y_b (x) g_j, q = b(n-k) + j, the vanishing sum is
+    sum_i a_i f_i(y_b) g_j(x_i) = g_j(T y_b), so (1) and (2) fail
     together, at the first nonzero g_j(T y_b): (1) reports its value and
-    q, (2) its block b.  (4) sums the Y-coordinates of the same images T
-    y_b and is undefined when (2) fails.  These three read only the
-    vertices, the weights and Y, never P0, the pair grid or the LP.  (3)
-    reads each pair's value f(P x) off pair_rows."""
+    q, (2) its block b.  (4) sums the Y-coordinates of the same images,
+    read off one exact solve, and is undefined when (2) fails.  These
+    three read only the vertices, the weights and Y, never P0, the pair
+    grid or the LP.  (3) reads each pair's value f(P x) off pair_rows."""
     n_p = len(space.primal_vertices)
     n_d = len(space.dual_vertices)
     for pi, dj in cm.pairs:
@@ -119,17 +121,29 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
 
     if basis is None:
         basis = build_operator_basis(space, Y)
-    T = cm_operator(space, cm)
-    images = [T.apply(y) for y in basis.y_basis]
+    X, dx = space.primal_cleared
+    F, df = space.dual_cleared
+    a, da = over_denominator(cm.weights)
+    # T y_b over t_den; g_j(T y_b) over g_den·t_den.
+    images = []
+    for y in basis.y_num:
+        image = [0] * space.dim
+        for (pi, dj), ai in zip(cm.pairs, a):
+            c = ai * int_dot(F[dj], y)
+            if c:
+                image = [s + c * x for s, x in zip(image, X[pi])]
+        images.append(image)
+    t_den = da * df * dx * basis.y_den
     leak = next(((q, s) for q, s in enumerate(
-        dot(g, image) for image in images for g in basis.annihilator) if s), None)
+        int_dot(g, image) for image in images for g in basis.g_num) if s), None)
     if leak is not None:
         q, s = leak
-        violations.append(f"vanishing: basis operator {q} gives {s}")
         violations.append(
-            f"invariance: T(basis vector {q // len(basis.annihilator)}) leaves Y")
+            f"vanishing: basis operator {q} gives {Fraction(s, basis.g_den * t_den)}")
+        violations.append(
+            f"invariance: T(basis vector {q // len(basis.g_num)}) leaves Y")
 
-    if len(P.coefficients) != len(basis.basis_ops):
+    if len(P.coefficients) != basis.dimension:
         raise ValueError("coefficient count does not match the operator basis")
     values, den = pair_rows(space, basis, cm.pairs).value_numerators(P.coefficients)
     for (pi, dj), v in zip(cm.pairs, values):
@@ -141,8 +155,16 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     if leak is not None:
         violations.append("trace: undefined, T does not map Y into Y")
     else:
-        trace = sum((solve_linear(Y.basis, image)[b]
-                     for b, image in enumerate(images)), Fraction(0))
+        # [y_num_1 .. y_num_k] C = t_den·[T y_1 .. T y_k], so the
+        # coordinates of the images are C·y_den / t_den.
+        k = len(images)
+        reduced, pivots = rref_rows(
+            [list(column) + [image[r] for image in images]
+             for r, column in enumerate(zip(*basis.y_num))])
+        if pivots != list(range(k)):
+            raise InternalError("an image of Y in Y has no coordinates in its basis")
+        trace = (sum((reduced[b][k + b] for b in range(k)), Fraction(0))
+                 * basis.y_den / t_den)
         if trace != lam:
             violations.append(f"trace: {trace} differs from {lam}")
 
@@ -179,7 +201,7 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     report = point = None
     if all(0 <= i < n_p and 0 <= j < n_d for i, j in cm.pairs):
         rows = pair_rows(space, basis, cm.pairs)
-        if integer_row_rank(rows.coefs_num) == len(basis.basis_ops):
+        if integer_row_rank(rows.coefs_num) == basis.dimension:
             point = _projection_normed_by(rows, build_pair_grid(space, Y, basis), lam)
         else:
             report = projection_constant(space, Y, basis=basis)
@@ -270,7 +292,7 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
 
     if basis is None:
         basis = build_operator_basis(space, Y)
-    d = len(basis.basis_ops)
+    d = basis.dimension
     grid = pair_rows(space, basis, candidates)
     columns = [list(row) + [grid.denominator] for row in grid.coefs_num]
     target = [0] * d + [grid.denominator]

@@ -26,6 +26,7 @@ gives (certificates.certify_cm).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -287,7 +288,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every main call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="minproj",
         description="Exact minimal-projection analysis of polyhedral normed spaces.")

@@ -18,9 +18,9 @@ from typing import Sequence
 
 from .errors import (InternalError, NotExtremeError, NotFullDimensionalError,
                      NotSymmetricError, SubsetBudgetExceededError)
-from .linalg import (RMatrix, Vector, dot, int_dot, integer_row_rank,
-                     integer_rows, inverse, nullspace_basis, over_denominator,
-                     primitive, reduce_row, rows_rank)
+from .linalg import (RMatrix, Vector, cleared, dot, int_dot,
+                     integer_row_rank, integer_rows, inverse, nullspace_basis,
+                     over_denominator, primitive, reduce_row, rows_rank)
 
 _ONE = Fraction(1)
 # Default budget of general_position_check: subsets visited, spans and
@@ -30,10 +30,6 @@ DEFAULT_GP_CAP = 10 ** 6
 
 def _as_vector(values: Sequence) -> Vector:
     return tuple(Fraction(x) for x in values)
-
-
-def _neg(v: Vector) -> Vector:
-    return tuple(-x for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +280,23 @@ class PolyhedralSpace:
         return cls(dim=n, primal_vertices=primal, dual_vertices=dual)
 
     @cached_property
+    def primal_cleared(self) -> tuple[list[list[int]], int]:
+        """The primal vertices as integer rows over one common denominator."""
+        return cleared(self.primal_vertices)
+
+    @cached_property
+    def dual_cleared(self) -> tuple[list[list[int]], int]:
+        """The dual vertices as integer rows over one common denominator."""
+        return cleared(self.dual_vertices)
+
+    @cached_property
     def primal_negation(self) -> tuple[int, ...]:
         """Index of -v for each primal vertex v."""
-        index = {v: i for i, v in enumerate(self.primal_vertices)}
-        return tuple(index[_neg(v)] for v in self.primal_vertices)
+        return _negation(self.primal_cleared[0])
 
     @cached_property
     def dual_negation(self) -> tuple[int, ...]:
-        index = {f: i for i, f in enumerate(self.dual_vertices)}
-        return tuple(index[_neg(f)] for f in self.dual_vertices)
+        return _negation(self.dual_cleared[0])
 
     @cached_property
     def primal_class_reps(self) -> tuple[int, ...]:
@@ -302,6 +306,13 @@ class PolyhedralSpace:
     @cached_property
     def dual_class_reps(self) -> tuple[int, ...]:
         return tuple(i for i, j in enumerate(self.dual_negation) if i < j)
+
+
+def _negation(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Index of the row -r for each row r, keyed on the integer rows (over
+    one common denominator, -v clears to the negated row of v)."""
+    index = {tuple(row): i for i, row in enumerate(rows)}
+    return tuple(index[tuple(-x for x in row)] for row in rows)
 
 
 def norm_eval(space: PolyhedralSpace, x: Sequence) -> Fraction:

@@ -107,18 +107,6 @@ def matrix_json(matrix: RMatrix) -> list[list[str]]:
     return [vector_json(row) for row in matrix.row_list()]
 
 
-def space_json(space: PolyhedralSpace, subspace: Subspace | None = None) -> dict:
-    """Serialize in the same schema parse_space_document reads (round-trip)."""
-    out: dict = {
-        "dim": space.dim,
-        "vertices": [vector_json(v) for v in space.primal_vertices],
-        "dual_vertices": [vector_json(f) for f in space.dual_vertices],
-    }
-    if subspace is not None:
-        out["subspace_basis"] = [vector_json(b) for b in subspace.basis_vectors()]
-    return out
-
-
 def certificate_json(cm: CMFunctional, lam: Fraction) -> dict:
     return {
         "lambda": format_rational(lam),

@@ -130,6 +130,16 @@ def over_denominator(v: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
+def cleared(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The vectors as integer lists over one common denominator d > 0, the
+    least one: vectors[i] = rows[i] / d."""
+    flat, den = over_denominator([x for v in vectors for x in v])
+    width = len(vectors[0]) if vectors else 0
+    if width == 0:
+        return [[] for _ in vectors], den
+    return [flat[i:i + width] for i in range(0, len(flat), width)], den
+
+
 def primitive(row: list[int]) -> list[int]:
     """The row divided by its content (a positive divisor: signs stay)."""
     g = gcd(*row)

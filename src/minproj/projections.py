@@ -9,9 +9,14 @@ of the LP is exactly the set of minimal projections, and its affine
 dimension is read off the implicit-equality rows, which a few Gordan
 rounds (one small LP each) decide exactly.
 
-The grid rows are cleared to integers over one grid denominator when they
-are built, and every test on them (tight rows, slacks, rises, restricted
-coefficients) is an integer dot product.
+Everything stays in integers from the subspace to the tableau.  The
+operator basis holds Y's basis, its annihilator and P0 as integers over
+one denominator each, and checks its guards in integers; the space
+holds its vertex lists cleared once.  The grid rows are integer dot
+products of those over one grid denominator, every test on them (tight
+rows, slacks, rises, restricted coefficients) is an integer dot
+product, and the lambda LP and the Gordan rounds hand their integer
+rows to the simplex as they are.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from typing import Iterable, Sequence
 
 from .errors import InternalError, NotMinimalError
 from .geometry import PolyhedralSpace, Subspace, norm_eval
-from .linalg import (RMatrix, Vector, int_dot, integer_row_rank, inverse,
-                     nullspace_basis, over_denominator, rows_rank)
+from .linalg import (RMatrix, Vector, cleared, int_dot, integer_row_rank,
+                     inverse, nullspace_basis, over_denominator, reduce_row)
 from .simplex import OPTIMAL, LinearProgram, solve
 
 
@@ -39,15 +44,46 @@ class OperatorPoint:
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """A fixed projection P0 onto Y plus a basis of L_Y(X, Y)."""
+    """A fixed projection P0 onto Y plus the basis L_q = y_b (x) g_j of
+    L_Y(X, Y), q = b(n-k) + j, in integers: Y's basis vectors are
+    y_num / y_den, the annihilator's functionals g_num / g_den, and P0 is
+    p0_num / p0_den, each family over one common denominator.
+    base_projection, basis_ops, y_basis and annihilator are the same in
+    Fractions."""
 
-    base_projection: RMatrix
-    basis_ops: tuple[RMatrix, ...]
-    y_basis: tuple[Vector, ...]
-    annihilator: tuple[Vector, ...]
+    y_num: tuple[tuple[int, ...], ...]
+    y_den: int
+    g_num: tuple[tuple[int, ...], ...]
+    g_den: int
+    p0_num: tuple[tuple[int, ...], ...]
+    p0_den: int
+
+    @property
+    def dimension(self) -> int:
+        """k(n-k), the number of basis operators."""
+        return len(self.y_num) * len(self.g_num)
+
+    @cached_property
+    def base_projection(self) -> RMatrix:
+        return RMatrix.from_rows([[Fraction(x, self.p0_den) for x in row]
+                                  for row in self.p0_num])
+
+    @cached_property
+    def basis_ops(self) -> tuple[RMatrix, ...]:
+        den = self.y_den * self.g_den
+        return tuple(RMatrix.from_rows([[Fraction(a * b, den) for b in g] for a in y])
+                     for y in self.y_num for g in self.g_num)
+
+    @cached_property
+    def y_basis(self) -> tuple[Vector, ...]:
+        return tuple(tuple(Fraction(x, self.y_den) for x in y) for y in self.y_num)
+
+    @cached_property
+    def annihilator(self) -> tuple[Vector, ...]:
+        return tuple(tuple(Fraction(x, self.g_den) for x in g) for g in self.g_num)
 
     def realize(self, point: OperatorPoint) -> RMatrix:
-        if len(point.coefficients) != len(self.basis_ops):
+        if len(point.coefficients) != self.dimension:
             raise ValueError("coefficient count does not match the operator basis")
         out = self.base_projection
         for c, op in zip(point.coefficients, self.basis_ops):
@@ -57,52 +93,64 @@ class OperatorBasis:
 
 
 def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
-    """P0 projects onto Y along the first standard basis vectors independent
-    from Y; basis ops are y_i (x) g_j over Y's basis and annihilator."""
+    """P0 projects onto Y along the first standard basis vectors
+    independent from Y; basis ops are y_b (x) g_j over Y's basis and
+    annihilator.
+
+    Everything runs in integers.  Y's basis is cleared to y_num / y_den
+    and the annihilator to g_num / g_den.  One reduce_row pass over Y's
+    rows and then e_0, e_1, ... picks the complement.  With M the matrix
+    of the columns y_num_b and the chosen e_j, the first k rows h_b of
+    M^-1 have h_b·y_num_c = [b = c] and vanish on the e_j, so
+    P0 = sum_b y_num_b (x) h_b, over the one denominator of those rows.
+    Four guards raise InternalError: P0^2 = P0, P0 y = y, g_j(y_b) = 0
+    (exactly "L_q vanishes on Y") and the integer rank of the k(n-k)
+    flattened operators y_num_b (x) g_num_j."""
     n = space.dim
     k = Y.dim
-    ys = tuple(Y.basis_vectors())
-    gs = tuple(Y.annihilator_functionals())
+    ys, y_den = cleared(Y.basis_vectors())
+    gs, g_den = cleared(Y.annihilator_functionals())
 
-    complement: list[Vector] = []
-    stack = list(ys)
-    for j in range(n):
-        e = tuple(Fraction(1) if i == j else Fraction(0) for i in range(n))
-        if rows_rank(stack + [e]) > len(stack):
-            stack.append(e)
-            complement.append(e)
-            if len(stack) == n:
+    columns: list[list[int]] = []
+    echelon: list[tuple[int, list[int]]] = []
+    for v in ys + [[int(i == j) for i in range(n)] for j in range(n)]:
+        row = reduce_row(v, echelon)
+        pivot = next((j for j, x in enumerate(row) if x), None)
+        if pivot is not None:
+            echelon.append((pivot, row))
+            columns.append(v)
+            if len(columns) == n:
                 break
-    M = RMatrix.from_rows(stack).transpose()
-    Minv = inverse(M)
+    Minv = inverse(RMatrix.from_rows(columns).transpose())
     if Minv is None:
         raise InternalError("basis of Y plus its complement is singular")
-    D = RMatrix.from_rows([[Fraction(1) if i == j and i < k else Fraction(0)
-                            for j in range(n)] for i in range(n)])
-    P0 = M.matmul(D).matmul(Minv)
+    hs, h_den = cleared(Minv.row_list()[:k])
+    P = [[sum(y[r] * h[c] for y, h in zip(ys, hs)) for c in range(n)]
+         for r in range(n)]
 
-    ops = [RMatrix.from_rows([[y[i] * g[j] for j in range(n)] for i in range(n)])
-           for y in ys for g in gs]
-
-    if P0.matmul(P0).entries != P0.entries:
+    P_cols = list(zip(*P))
+    if any(int_dot(row, col) != h_den * x
+           for row in P for col, x in zip(P_cols, row)):
         raise InternalError("base projection is not idempotent")
-    if P0.matmul(Y.basis) != Y.basis:
+    if any(int_dot(row, y) != h_den * y[r] for y in ys for r, row in enumerate(P)):
         raise InternalError("base projection does not fix Y")
-    if any(any(op.apply(y)) for op in ops for y in ys):
+    if any(int_dot(gj, y) for y in ys for gj in gs):
         raise InternalError("a basis operator does not vanish on Y")
-    if rows_rank([op.entries for op in ops]) != k * (n - k):
+    if integer_row_rank([[a * b for a in y for b in gj]
+                         for y in ys for gj in gs]) != k * (n - k):
         raise InternalError("basis operators are linearly dependent")
-    return OperatorBasis(base_projection=P0, basis_ops=tuple(ops),
-                         y_basis=ys, annihilator=gs)
+    return OperatorBasis(
+        y_num=tuple(map(tuple, ys)), y_den=y_den,
+        g_num=tuple(map(tuple, gs)), g_den=g_den,
+        p0_num=tuple(map(tuple, P)), p0_den=h_den)
 
 
 @dataclass(frozen=True)
 class PairGrid:
     """One row per listed (primal vertex, dual vertex) pair, cleared to
     integers over one grid denominator: the row value at coefficients c
-    is (base_num[r] + coefs_num[r]·c) / denominator = f_j(P x_i).  base and
-    coefs are the same rows as Fractions.  build_pair_grid lists one pair
-    per antipodal class."""
+    is (base_num[r] + coefs_num[r]·c) / denominator = f_j(P x_i).
+    build_pair_grid lists one pair per antipodal class."""
 
     pairs: tuple[tuple[int, int], ...]
     base_num: tuple[int, ...]
@@ -110,25 +158,16 @@ class PairGrid:
     denominator: int
 
     @cached_property
-    def base(self) -> tuple[Fraction, ...]:
-        D = self.denominator
-        return tuple(Fraction(b, D) for b in self.base_num)
-
-    @cached_property
-    def coefs(self) -> tuple[tuple[Fraction, ...], ...]:
-        D = self.denominator
-        return tuple(tuple(Fraction(a, D) for a in row) for row in self.coefs_num)
-
-    @cached_property
     def lp(self) -> LinearProgram:
-        """minimize t  s.t.  coefs[r]·c - t <= -base[r]."""
+        """minimize t  s.t.  coefs[r]·c - t <= -base[r], handed over in
+        integers: [coefs_num | -D] and -base_num over D."""
         d = len(self.coefs_num[0])
-        minus_one = Fraction(-1)
-        entries = tuple(x for row in self.coefs for x in row + (minus_one,))
+        D = self.denominator
         return LinearProgram(
-            objective=tuple([Fraction(0)] * d + [Fraction(1)]),
-            constraint_matrix=RMatrix(len(self.pairs), d + 1, entries),
-            rhs=tuple(-b for b in self.base),
+            objective=(0,) * d + (1,),
+            matrix=tuple(row + (-D,) for row in self.coefs_num),
+            beta=tuple(-b for b in self.base_num),
+            denominator=D,
         )
 
     def value_numerators(self, coefficients: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -153,12 +192,14 @@ def pair_rows(space: PolyhedralSpace, basis: OperatorBasis,
     cleared to one denominator first, so each row is a few integer dot
     products.  f(L_q x) factors over the rank-one basis operator
     L_q = y (x) g as f(y)·g(x), in the order of build_operator_basis
-    (y outer, g inner), and the two factors are computed once per vertex."""
-    X, dx = _cleared(space.primal_vertices)
-    F, df = _cleared(space.dual_vertices)
-    Yb, dy = _cleared(basis.y_basis)
-    G, dg = _cleared(basis.annihilator)
-    P, dp = _cleared(basis.base_projection.row_list())
+    (y outer, g inner), and the two factors are computed once per vertex.
+    The vertex lists are cleared once per space, and the basis holds its
+    families cleared."""
+    X, dx = space.primal_cleared
+    F, df = space.dual_cleared
+    Yb, dy = basis.y_num, basis.y_den
+    G, dg = basis.g_num, basis.g_den
+    P, dp = basis.p0_num, basis.p0_den
     # True values: g(x) = g_at/(dg·dx), f(y) = f_at/(df·dy) and
     # P0 x = p0x/(dp·dx), all over the grid denominator df·dx·L.
     L = lcm(dy * dg, dp)
@@ -190,15 +231,6 @@ def build_pair_grid(space: PolyhedralSpace, Y: Subspace,
     return pair_rows(space, basis, [
         (i, j) for i in range(len(negp)) for j in range(len(negd))
         if (i, j) <= (negp[i], negd[j])])
-
-
-def _cleared(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """The vectors as integer lists over one common denominator."""
-    flat, den = over_denominator([x for v in vectors for x in v])
-    width = len(vectors[0]) if vectors else 0
-    if width == 0:
-        return [[] for _ in vectors], den
-    return [flat[i:i + width] for i in range(0, len(flat), width)], den
 
 
 @dataclass
@@ -238,7 +270,7 @@ def projection_constant(space: PolyhedralSpace, Y: Subspace, *,
     solution = solve(grid.lp)
     if solution.status != OPTIMAL:  # always feasible (P0) and bounded (t >= 1)
         raise InternalError(f"operator-norm LP is {solution.status}")
-    d = len(basis.basis_ops)
+    d = basis.dimension
     lam = solution.value
     if lam < 1:
         raise InternalError(f"projection constant {lam} is below 1")
@@ -281,21 +313,25 @@ def norming_pairs(space: PolyhedralSpace, Y: Subspace, P: OperatorPoint,
 
 
 def _restrict_to_face(grid: PairGrid, implicit: Sequence[int],
-                      rows: Iterable[int], d: int) -> tuple[list[Vector], dict[int, Vector]]:
-    """Columns of a basis N of {z : coefs[r]·z = 0 for r in implicit} and,
-    for each of rows, its coefficients restricted to N (coefs[r]·N).
+                      rows: Iterable[int], d: int
+                      ) -> tuple[list[Vector], dict[int, tuple[int, ...]], int]:
+    """Columns of a basis N of {z : coefs[r]·z = 0 for r in implicit},
+    for each of rows its coefficients restricted to N (coefs[r]·N) as
+    integers, and their one positive denominator.
 
-    The integer grid rows have the same nullspace as the rational ones, and
-    each restricted coefficient is one integer dot product with a column
-    cleared to integers; the columns themselves are not rescaled."""
+    The integer grid rows have the same nullspace as the rational ones.
+    Each column is cleared to integers over its own denominator, and
+    every restricted coefficient is one integer dot product with it,
+    brought to the least common multiple of those denominators; the
+    columns themselves are not rescaled."""
     N = (nullspace_basis(RMatrix.from_rows([grid.coefs_num[r] for r in implicit]))
          if implicit else RMatrix.identity(d))
     cols = [N.col(q) for q in range(N.cols)]
-    cleared = [over_denominator(col) for col in cols]
-    D = grid.denominator
-    return cols, {r: tuple(Fraction(int_dot(grid.coefs_num[r], col), D * col_den)
-                           for col, col_den in cleared)
-                  for r in rows}
+    cleared_cols = [over_denominator(col) for col in cols]
+    C = lcm(*(den for _, den in cleared_cols))
+    scaled = [[x * (C // den) for x in num] for num, den in cleared_cols]
+    return cols, {r: tuple(int_dot(grid.coefs_num[r], col) for col in scaled)
+                  for r in rows}, grid.denominator * C
 
 
 def face_dimension(space: PolyhedralSpace, Y: Subspace,
@@ -327,19 +363,20 @@ def face_dimension(space: PolyhedralSpace, Y: Subspace,
     implicit: list[int] = []
     undecided = list(report._witness_tight)
     while True:
-        cols, restricted = _restrict_to_face(grid, implicit, undecided, d)
+        cols, restricted, den = _restrict_to_face(grid, implicit, undecided, d)
         implicit += [r for r in undecided if not any(restricted[r])]
         undecided = [r for r in undecided if any(restricted[r])]
         m = len(cols)
         if not undecided:
             y = (zero,) * m
             break
+        # G_r·y + delta <= 0 and delta <= 1, over the restricted rows' den.
         sol = solve(LinearProgram(
-            objective=(zero,) * m + (-one,),
-            constraint_matrix=RMatrix.from_rows(
-                [restricted[r] + (one,) for r in undecided]
-                + [(zero,) * m + (one,)]),
-            rhs=(zero,) * len(undecided) + (one,),
+            objective=(0,) * m + (-1,),
+            matrix=tuple(restricted[r] + (den,) for r in undecided)
+            + ((0,) * m + (den,),),
+            beta=(0,) * len(undecided) + (den,),
+            denominator=den,
         ))
         if sol.status != OPTIMAL:
             raise InternalError(f"Gordan round LP is {sol.status}")

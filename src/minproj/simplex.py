@@ -22,11 +22,13 @@ unbounded or infeasible, and the same LP with a zero objective tells
 which: its dual {Aᵀu = 0, u >= 0} is feasible (u = 0), and unbounded
 exactly when the LP is infeasible.
 
-All arithmetic is on Python ints.  The LP is cleared to integer rows
-over one common denominator once (LinearProgram.integer_form).  A
-tableau row is one list of ints equal to the true row times a positive
-factor, and that factor is the row's entry under its basic column (1 in
-the true row), so a basic value is the right-hand side over that entry.
+All arithmetic is on Python ints.  A LinearProgram carries integer
+rows over one common denominator, [A | b] = [M | beta] / D, as its
+builders form them (the pair grid and the Gordan rounds keep their rows
+in integers from the start), so nothing is cleared here.  A tableau row
+is one list of ints equal to the true row times a positive factor, and
+that factor is the row's entry under its basic column (1 in the true
+row), so a basic value is the right-hand side over that entry.
 The reduced-cost row is a list of ints `on` over a positive `oscale`.
 A pivot on the entry p > 0 at (r, c) replaces every other row R by
 p·R − R[c]·R_r and divides out its content (the gcd of its entries), so
@@ -34,8 +36,9 @@ rows stay primitive and no entry ever needs a gcd of its own.  Positive
 factors change no sign and no ratio: Dantzig's rule compares `on`
 directly, and the ratio test and the stall check compare cross-products,
 so the pivot sequence, the primal, the dual and the tight set are the
-ones exact rational arithmetic gives.  Verification runs in integer dot
-products over the same integer form.
+ones exact rational arithmetic gives.  For the same reason one positive
+factor on the whole of (M, beta, D) changes no pivot.  Verification
+runs in integer dot products over the same integers.
 
 Sign convention for certificates: on OPTIMAL, the dual u satisfies
 u >= 0, Aᵀu = -c and u·b = -value (the standard dual of the
@@ -44,11 +47,10 @@ minimization form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-from typing import Sequence
+from math import gcd
 
 from .errors import InternalError
 from .linalg import RMatrix, int_dot, over_denominator, primitive
@@ -68,36 +70,31 @@ SOLVE_STATS = {"solves": 0, "optimal": 0, "duality_verified": 0}
 
 @dataclass(frozen=True)
 class LinearProgram:
-    objective: tuple[Fraction, ...]
-    constraint_matrix: RMatrix
-    rhs: tuple[Fraction, ...]
+    """minimize objective·v  subject to  A·v <= b,  v free, given in
+    integers: [A | b] = [matrix | beta] / denominator, denominator > 0.
+    Scaling matrix, beta and denominator by one positive factor gives the
+    same LP, and the same solution, pivot for pivot."""
+
+    objective: tuple[Fraction | int, ...]
+    matrix: tuple[tuple[int, ...], ...]
+    beta: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self):
-        if len(self.objective) != self.constraint_matrix.cols:
+        if any(len(row) != len(self.objective) for row in self.matrix):
             raise ValueError("objective length does not match constraint columns")
-        if len(self.rhs) != self.constraint_matrix.rows:
+        if len(self.beta) != len(self.matrix):
             raise ValueError("rhs length does not match constraint rows")
+        if self.denominator <= 0:
+            raise ValueError("the denominator must be positive")
 
     @cached_property
-    def integer_form(self) -> tuple[list[list[int]], list[int], int]:
-        """(M, beta, D): integer rows and right-hand sides over the least
-        common denominator D > 0 of all entries, [A | b] = [M | beta] / D."""
-        A = self.constraint_matrix
-        D = lcm(*(x.denominator for x in A.entries),
-                *(x.denominator for x in self.rhs))
-        flat = [x.numerator * (D // x.denominator) for x in A.entries]
-        M = [flat[i * A.cols:(i + 1) * A.cols] for i in range(A.rows)]
-        beta = [x.numerator * (D // x.denominator) for x in self.rhs]
-        return M, beta, D
-
-
-def make_lp(objective: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LinearProgram:
-    """Convenience builder coercing plain numbers to Fractions."""
-    return LinearProgram(
-        objective=tuple(Fraction(x) for x in objective),
-        constraint_matrix=RMatrix.from_rows(rows),
-        rhs=tuple(Fraction(x) for x in rhs),
-    )
+    def constraint_matrix(self) -> RMatrix:
+        """A = matrix / denominator in Fractions, for readers of the LP
+        as rationals; the solver never builds it."""
+        D = self.denominator
+        return RMatrix(len(self.matrix), len(self.objective),
+                       tuple(Fraction(a, D) for row in self.matrix for a in row))
 
 
 @dataclass(frozen=True)
@@ -139,9 +136,9 @@ class _DualTableau:
     Bland's rule through runs of degenerate pivots."""
 
     def __init__(self, lp: LinearProgram):
-        M, _, D = lp.integer_form
+        M, D = lp.matrix, lp.denominator
         n_u = len(M)
-        self.nrows = n_eq = lp.constraint_matrix.cols
+        self.nrows = n_eq = len(lp.objective)
         self.width = n_u + n_eq + 1
         self.RHS = self.width - 1
         self.rows: list[list[int]] = []
@@ -291,7 +288,7 @@ class _DualTableau:
 def _run_dual(lp: LinearProgram) -> tuple[_DualTableau, str | None]:
     """Phase I and phase II on the dual of lp: the tableau and the status of
     phase II, or None when phase I finds the dual infeasible."""
-    m, d = lp.constraint_matrix.rows, lp.constraint_matrix.cols
+    m, d = len(lp.matrix), len(lp.objective)
     tab = _DualTableau(lp)
     on = [0] * tab.width
     on[m:m + d] = [1] * d
@@ -301,21 +298,19 @@ def _run_dual(lp: LinearProgram) -> tuple[_DualTableau, str | None]:
     if tab.objective_value() != 0:
         return tab, None
     tab.clear_artificials(m)
-    _, beta, D = lp.integer_form
-    tab.set_objective(beta + [0] * (d + 1), D)
+    tab.set_objective(list(lp.beta) + [0] * (d + 1), lp.denominator)
     return tab, tab.run()
 
 
 def solve(lp: LinearProgram) -> LPSolution:
     """Solve the LP; on OPTIMAL the returned certificate is exact and verified."""
     SOLVE_STATS["solves"] += 1
-    m, d = lp.constraint_matrix.rows, lp.constraint_matrix.cols
+    m, d = len(lp.matrix), len(lp.objective)
     tab, status = _run_dual(lp)
     if status is None:
         # The dual is infeasible; the zero-objective LP tells infeasible
         # from unbounded (see the module docstring).
-        check, status = _run_dual(LinearProgram((Fraction(0),) * d,
-                                                lp.constraint_matrix, lp.rhs))
+        check, status = _run_dual(replace(lp, objective=(0,) * d))
         return LPSolution(status=INFEASIBLE if status == UNBOUNDED else UNBOUNDED,
                           pivots=tab.pivots + check.pivots)
     if status == UNBOUNDED:
@@ -337,7 +332,7 @@ def solve(lp: LinearProgram) -> LPSolution:
 
 
 def _finish(lp: LinearProgram, value, primal, dual, pivots: int = 0) -> LPSolution:
-    M, beta, _ = lp.integer_form
+    M, beta = lp.matrix, lp.beta
     x, x_den = over_denominator(primal)
     # A_i·v <= b_i  is  M_i·x <= beta_i·x_den  after scaling by D·x_den > 0.
     lhs = [int_dot(row, x) for row in M]
@@ -351,11 +346,11 @@ def _finish(lp: LinearProgram, value, primal, dual, pivots: int = 0) -> LPSoluti
 def _verify_certificate(lp, value, primal, dual, lhs, tight) -> None:
     """Exact optimality verification: feasibility, dual feasibility,
     complementary slackness, the dual equation, strong duality and the
-    primal value, all in integers over lp.integer_form.  lhs[i] is M_i·x
-    for the primal cleared to x / x_den.  Failure means a solver bug,
-    never a property of the input."""
-    M, beta, D = lp.integer_form
-    d = lp.constraint_matrix.cols
+    primal value, all in integers over the LP's [M | beta] / D.  lhs[i]
+    is M_i·x for the primal cleared to x / x_den.  Failure means a solver
+    bug, never a property of the input."""
+    M, beta, D = lp.matrix, lp.beta, lp.denominator
+    d = len(lp.objective)
     x, x_den = over_denominator(primal)
     u, u_den = over_denominator(dual)
     c, c_den = over_denominator(lp.objective)

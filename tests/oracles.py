@@ -28,11 +28,11 @@ row, artificials on negative right-hand sides), once the second path of
 ``certify_by_face`` is the ``certify`` command as it was before
 ``certificates.certify_cm``: the lambda LP, the optimal face, and
 ``verify_cm`` at its relative interior, for every certificate.
-Beside ``verify_cm_by_apply`` stand the polar dual as it was in
-``Fraction`` arithmetic (``polar_dual_by_fractions``) and a closed form
-of the projection constant of a hyperplane in l-inf^n
-(``linf_hyperplane_lambda``), which checks the lambda LP with no LP at
-all.
+Beside ``verify_cm_by_apply`` stand the polar dual and the operator
+basis as they were in ``Fraction`` arithmetic (``polar_dual_by_fractions``,
+``operator_basis_by_fractions``) and a closed form of the projection
+constant of a hyperplane in l-inf^n (``linf_hyperplane_lambda``), which
+checks the lambda LP with no LP at all.
 
 Last come the eliminations that ``linalg.reduce_row`` replaced: the
 rational Gauss-Jordan (``rref_by_fractions``, with the nullspace, solve
@@ -43,11 +43,18 @@ above solve, rank and reduce through ``rref_by_fractions`` (a rank is its
 number of pivots), never through the ``minproj.linalg`` elimination they
 are meant to check.  ``row_value`` reads one pair-grid row at a point,
 for the oracles and tests that sample rows.
+
+A few helpers serve the tests alone: ``make_lp`` builds the integer LP
+of ``minproj.simplex`` from plain numbers and ``lp_rhs`` reads its
+right-hand side back in Fractions, ``grid_base`` and ``grid_coefs`` read
+the pair-grid rows in Fractions, and ``space_json`` writes a space in
+the schema that ``jsonio.parse_space_document`` reads.
 """
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from types import SimpleNamespace
 from typing import Sequence
 
 from minproj.certificates import (DEFAULT_SUPPORT_CAP, CMVerdict, cm_operator,
@@ -56,13 +63,13 @@ from minproj.errors import (CertificateInvalidError, InternalError,
                             NotFullDimensionalError, NotSymmetricError,
                             SubsetBudgetExceededError, SupportBudgetExceededError)
 from minproj.geometry import GeneralPositionReport
+from minproj.jsonio import vector_json
 from minproj.linalg import RMatrix, dot, int_dot, over_denominator
 from minproj.projections import (OperatorPoint, _restrict_to_face,
                                   build_operator_basis, face_dimension,
                                   norming_pairs, projection_constant)
 from minproj.simplex import (_MAX_PIVOTS, _STALL_SWITCH, INFEASIBLE, OPTIMAL,
-                             UNBOUNDED, LinearProgram, LPSolution, make_lp,
-                             solve)
+                             UNBOUNDED, LinearProgram, LPSolution, solve)
 
 
 def solve_on_face(lp, fixed_value, secondary_objective):
@@ -76,12 +83,51 @@ def solve_on_face(lp, fixed_value, secondary_objective):
     rows = lp.constraint_matrix.row_list()
     rows.append(lp.objective)
     rows.append(tuple(-x for x in lp.objective))
-    pinned = LinearProgram(
-        objective=tuple(Fraction(x) for x in secondary_objective),
-        constraint_matrix=RMatrix.from_rows(rows),
-        rhs=lp.rhs + (fixed, -fixed),
-    )
-    return solve(pinned)
+    return solve(make_lp(secondary_objective, rows, lp_rhs(lp) + (fixed, -fixed)))
+
+
+def make_lp(objective, rows, rhs):
+    """The LP  minimize c·v  s.t.  A·v <= b  from plain numbers, in the
+    integer form that simplex.LinearProgram carries: [A | b] cleared over
+    the least common denominator of its entries."""
+    A = [[Fraction(x) for x in row] for row in rows]
+    b = [Fraction(x) for x in rhs]
+    D = lcm(*(x.denominator for row in A for x in row), *(x.denominator for x in b))
+    return LinearProgram(
+        objective=tuple(Fraction(x) for x in objective),
+        matrix=tuple(tuple(x.numerator * (D // x.denominator) for x in row)
+                     for row in A),
+        beta=tuple(x.numerator * (D // x.denominator) for x in b),
+        denominator=D)
+
+
+def lp_rhs(lp):
+    """The right-hand side b of the LP in Fractions."""
+    return tuple(Fraction(x, lp.denominator) for x in lp.beta)
+
+
+def grid_base(grid):
+    """f(P0 x) of every pair-grid row, in Fractions."""
+    return tuple(Fraction(b, grid.denominator) for b in grid.base_num)
+
+
+def grid_coefs(grid):
+    """f(L_q x) of every pair-grid row, in Fractions."""
+    return tuple(tuple(Fraction(a, grid.denominator) for a in row)
+                 for row in grid.coefs_num)
+
+
+def space_json(space, subspace=None):
+    """A space (and subspace) in the schema jsonio.parse_space_document
+    reads, so that the document round-trips."""
+    out = {
+        "dim": space.dim,
+        "vertices": [vector_json(v) for v in space.primal_vertices],
+        "dual_vertices": [vector_json(f) for f in space.dual_vertices],
+    }
+    if subspace is not None:
+        out["subspace_basis"] = [vector_json(b) for b in subspace.basis_vectors()]
+    return out
 
 
 def row_value(grid, r, coefficients):
@@ -99,6 +145,7 @@ def face_dimension_per_row(report):
     at a collected optimum are skipped, and the average of the collected
     optima lies in the relative interior.  The report is not modified."""
     grid = report.grid
+    base, coefs = grid_base(grid), grid_coefs(grid)
     d = len(report.witness.coefficients)
     lam = report.lam
     points = [report.witness.coefficients]
@@ -106,12 +153,12 @@ def face_dimension_per_row(report):
     for r in report.grid.tight_rows(report.witness.coefficients, lam):
         if any(row_value(grid, r, p) != lam for p in points):
             continue
-        sub = solve_on_face(grid.lp, lam, grid.coefs[r] + (Fraction(0),))
+        sub = solve_on_face(grid.lp, lam, coefs[r] + (Fraction(0),))
         assert sub.status == OPTIMAL
         points.append(sub.primal[:d])
-        if lam - grid.base[r] - sub.value == 0:
+        if lam - base[r] - sub.value == 0:
             implicit_rows.append(r)
-    face_dim = d - len(rref_by_fractions([grid.coefs[r] for r in implicit_rows])[1])
+    face_dim = d - len(rref_by_fractions([coefs[r] for r in implicit_rows])[1])
     count = Fraction(len(points))
     interior = tuple(sum(p[q] for p in points) / count for q in range(d))
     assert grid.tight_rows(interior, lam) == implicit_rows
@@ -140,9 +187,11 @@ def max_norming_by_greedy(space, Y, report):
         return report.interior, len(report.implicit_pairs)
 
     implicit = set(report._implicit_rows)
-    ncols, restricted = _restrict_to_face(
+    ncols, restricted, den = _restrict_to_face(
         grid, report._implicit_rows,
         [r for r in range(len(grid.pairs)) if r not in implicit], d)
+    restricted = {r: tuple(Fraction(x, den) for x in row)
+                  for r, row in restricted.items()}
 
     slack0 = {}
     candidates = []
@@ -164,11 +213,7 @@ def max_norming_by_greedy(space, Y, report):
         for q in forced + [r]:
             rows.append(tuple(-x for x in restricted[q]))
             rhs.append(-slack0[q])
-        attempt = solve(LinearProgram(
-            objective=tuple([Fraction(0)] * fd),
-            constraint_matrix=RMatrix.from_rows(rows),
-            rhs=tuple(rhs),
-        ))
+        attempt = solve(make_lp([0] * fd, rows, rhs))
         if attempt.status == OPTIMAL:
             z = attempt.primal
             forced.append(r)
@@ -223,11 +268,7 @@ def minimal_support_by_lp(space, Y, candidate_pairs,
                 rhs.append(zero)
             rows.append([zero] * size + [one])  # tau <= 1
             rhs.append(one)
-            sol = solve(LinearProgram(
-                objective=tuple([zero] * size + [-one]),
-                constraint_matrix=RMatrix.from_rows(rows),
-                rhs=tuple(rhs),
-            ))
+            sol = solve(make_lp([zero] * size + [-one], rows, rhs))
             if sol.status == OPTIMAL and -sol.value > 0:
                 return subset, sol.primal[:size]
     raise CertificateInvalidError("no valid certificate over the candidate pairs")
@@ -512,6 +553,50 @@ def verify_cm_by_apply(space, Y, cm, lam, P, basis=None):
     return CMVerdict(ok=not violations, violations=tuple(violations))
 
 
+def operator_basis_by_fractions(space, Y):
+    """projections.build_operator_basis as it was in Fraction matrices:
+    the complement by one rank per standard basis vector, P0 = M·D·M^-1
+    by Fraction matmuls, the operators y_b (x) g_j as Fraction matrices,
+    and the same four guards (idempotence, P0 fixing Y, every operator
+    vanishing on Y by applying it, the rank of the flattened operators),
+    raising the same InternalError messages.  Ranks and the inverse come
+    from rref_by_fractions.  Returns base_projection, basis_ops, y_basis
+    and annihilator."""
+    def rank(rows):
+        return len(rref_by_fractions(rows)[1]) if rows else 0
+
+    n = space.dim
+    k = Y.dim
+    ys = tuple(Y.basis_vectors())
+    gs = tuple(Y.annihilator_functionals())
+    stack = list(ys)
+    for j in range(n):
+        e = tuple(Fraction(int(i == j)) for i in range(n))
+        if rank(stack + [e]) > len(stack):
+            stack.append(e)
+            if len(stack) == n:
+                break
+    M = RMatrix.from_rows(stack).transpose()
+    Minv = inverse_by_fractions(M)
+    if Minv is None:
+        raise InternalError("basis of Y plus its complement is singular")
+    D = RMatrix.from_rows([[Fraction(int(i == j and i < k)) for j in range(n)]
+                           for i in range(n)])
+    P0 = M.matmul(D).matmul(RMatrix.from_rows(Minv))
+    ops = [RMatrix.from_rows([[y[i] * g[j] for j in range(n)] for i in range(n)])
+           for y in ys for g in gs]
+    if P0.matmul(P0).entries != P0.entries:
+        raise InternalError("base projection is not idempotent")
+    if P0.matmul(Y.basis) != Y.basis:
+        raise InternalError("base projection does not fix Y")
+    if any(any(op.apply(y)) for op in ops for y in ys):
+        raise InternalError("a basis operator does not vanish on Y")
+    if rank([op.entries for op in ops]) != k * (n - k):
+        raise InternalError("basis operators are linearly dependent")
+    return SimpleNamespace(base_projection=P0, basis_ops=tuple(ops),
+                           y_basis=ys, annihilator=gs)
+
+
 def certify_by_face(space, Y, cm, lam):
     """(computed lambda, verdict) of the certify command as it was: solve
     the lambda LP, find the relative interior of the optimal face, and
@@ -711,7 +796,8 @@ class _FractionTableau(_FractionPivotCore):
         self.lp = lp
         self.m = m = A.rows
         self.d = d = A.cols
-        sigma = [1 if lp.rhs[i] >= 0 else -1 for i in range(m)]
+        rhs = lp_rhs(lp)
+        sigma = [1 if rhs[i] >= 0 else -1 for i in range(m)]
         self.sigma = sigma
         art_rows = [i for i in range(m) if sigma[i] < 0]
         self.art_cols = {row: 2 * d + m + idx for idx, row in enumerate(art_rows)}
@@ -729,7 +815,7 @@ class _FractionTableau(_FractionPivotCore):
                     rn[d + j] = -num
                     rd[d + j] = a.denominator
             rn[2 * d + i] = s
-            b = lp.rhs[i] if s > 0 else -lp.rhs[i]
+            b = rhs[i] if s > 0 else -rhs[i]
             rn[self.RHS] = b.numerator
             rd[self.RHS] = b.denominator
             self.rows_n.append(rn)
@@ -838,7 +924,8 @@ def _fraction_solve_via_dual(lp):
         return _fraction_solve_rows(lp, tab.pivots)
     tab.clear_artificials(tab.n_u)
 
-    tab.set_objective({r: lp.rhs[r] for r in range(m) if lp.rhs[r]})
+    rhs = lp_rhs(lp)
+    tab.set_objective({r: rhs[r] for r in range(m) if rhs[r]})
     if tab.run() == UNBOUNDED:
         return LPSolution(status=INFEASIBLE, pivots=tab.pivots)
 
@@ -851,7 +938,7 @@ def _fraction_solve_via_dual(lp):
         if var < m:
             u[var] = Fraction(tab.rows_n[r][tab.RHS], tab.rows_d[r][tab.RHS])
             price_rows.append(columns[var])
-            price_rhs.append(lp.rhs[var])
+            price_rhs.append(rhs[var])
         else:
             unit = [zero] * d
             unit[var - m] = Fraction(tab.sigma[var - m])
@@ -868,12 +955,12 @@ def _fraction_solve_via_dual(lp):
 def _fraction_finish(lp, value, primal, dual, pivots):
     """Feasibility, dual feasibility, complementary slackness, strong
     duality and the primal value, checked in Fraction arithmetic."""
-    A = lp.constraint_matrix
+    A, rhs = lp.constraint_matrix, lp_rhs(lp)
     m, d = A.rows, A.cols
     row_values = [dot(A.row(i), primal) for i in range(m)]
-    tight = frozenset(i for i in range(m) if row_values[i] == lp.rhs[i])
+    tight = frozenset(i for i in range(m) if row_values[i] == rhs[i])
     for i in range(m):
-        if row_values[i] > lp.rhs[i]:
+        if row_values[i] > rhs[i]:
             raise InternalError(f"primal infeasibility on row {i}")
         if dual[i] < 0:
             raise InternalError(f"negative dual weight on row {i}")
@@ -883,7 +970,7 @@ def _fraction_finish(lp, value, primal, dual, pivots):
         lhs = sum((dual[i] * A.at(i, j) for i in range(m)), Fraction(0))
         if lhs != -lp.objective[j]:
             raise InternalError(f"dual equation broken in column {j}")
-    if dot(dual, lp.rhs) != -value:
+    if dot(dual, rhs) != -value:
         raise InternalError("strong duality violated")
     if dot(lp.objective, primal) != value:
         raise InternalError("primal value mismatch")

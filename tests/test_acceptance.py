@@ -13,7 +13,9 @@ from minproj.geometry import Subspace, general_position_check, norm_eval, polar_
 from minproj.linalg import RMatrix, solve_linear
 from minproj.projections import OperatorPoint, face_dimension, max_norming_projection, \
     norming_pairs, operator_norm, projection_constant
-from minproj.simplex import OPTIMAL, SOLVE_STATS, make_lp, solve
+from minproj.simplex import OPTIMAL, SOLVE_STATS, solve
+
+from oracles import make_lp
 
 ONE = Fraction(1)
 

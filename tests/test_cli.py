@@ -16,8 +16,10 @@ import minproj.cli as cli
 import minproj.geometry as geometry
 import minproj.projections as projections
 from minproj.catalog import paper_cases
-from minproj.jsonio import dumps, space_json, vector_json
+from minproj.jsonio import dumps, vector_json
 from minproj.rational import parse_rational
+
+from oracles import space_json
 
 LINF3 = {
     "dim": 3,
@@ -401,3 +403,35 @@ def test_internal_failure_exits_4(space_file, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_reused_parser_gives_the_bytes_of_a_fresh_one(space_file, tmp_path, capsys):
+    # the parser is built once per process; calls in a row with different
+    # flags, each flag before a call without it, print what a freshly
+    # built parser makes them print
+    assert cli.main(["analyze", "--input", space_file]) == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(json.loads(capsys.readouterr().out)["cm_certificate"]))
+    commands = [
+        ["analyze", "--input", space_file, "--table"],
+        ["analyze", "--input", space_file, "--skip-support-search"],
+        ["analyze", "--input", space_file, "--subset-cap", "2"],
+        ["analyze", "--input", space_file],
+        ["certify", str(cert), "--input", space_file, "--table"],
+        ["certify", str(cert), "--input", space_file],
+    ]
+
+    def outcome(argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    reused = [outcome(argv) for argv in commands]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 3, 0, 0, 0]
+    assert len(set(reused)) == len(commands)

@@ -10,9 +10,9 @@ from minproj.errors import (NotExtremeError, NotFullDimensionalError,
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, norm_eval, polar_dual)
 from minproj.linalg import RMatrix, dot, inverse
-from minproj.simplex import OPTIMAL, SOLVE_STATS, make_lp, solve
+from minproj.simplex import OPTIMAL, SOLVE_STATS, solve
 
-from oracles import is_extreme, polar_dual_by_fractions
+from oracles import is_extreme, make_lp, polar_dual_by_fractions
 
 F = Fraction
 

@@ -32,7 +32,9 @@ from pathlib import Path
 
 import minproj.cli as cli
 from minproj.catalog import paper_cases, random_subspace
-from minproj.jsonio import space_json, vector_json
+from minproj.jsonio import vector_json
+
+from oracles import space_json
 
 SEED = 7
 CERTIFIED = "seeded-l1-n4-k3"

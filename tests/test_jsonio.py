@@ -7,8 +7,9 @@ from minproj.catalog import paper_cases
 from minproj.certificates import CMFunctional
 from minproj.errors import InputFormatError
 from minproj.jsonio import (certificate_json, dumps, load_document,
-                            parse_certificate_document, parse_space_document,
-                            space_json)
+                            parse_certificate_document, parse_space_document)
+
+from oracles import space_json
 
 F = Fraction
 

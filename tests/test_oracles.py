@@ -26,7 +26,8 @@ from minproj.projections import (OperatorPoint, face_dimension,
 
 from minproj.simplex import solve
 from oracles import (face_dimension_per_row, first_non_extreme,
-                     general_position_exhaustive, linf_hyperplane_lambda,
+                     general_position_exhaustive, grid_coefs,
+                     linf_hyperplane_lambda,
                      max_norming_by_greedy, minimal_support_by_lp,
                      minimal_support_by_solve, solve_by_fraction_tableau,
                      verify_cm_by_apply)
@@ -120,7 +121,8 @@ def test_verify_cm_matches_apply_oracle(cases):
 def _tight_rank(report, point):
     """Rank of the grid rows [coefs_r, -1] tight at (point, lambda)."""
     grid = report.grid
-    return rows_rank([grid.coefs[r] + (Fraction(-1),)
+    coefs = grid_coefs(grid)
+    return rows_rank([coefs[r] + (Fraction(-1),)
                       for r in grid.tight_rows(point.coefficients, report.lam)])
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from minproj.catalog import l1_ball, linf_ball, random_subspace
-from minproj.errors import NotMinimalError
+import minproj.projections as projections
+from minproj.errors import InternalError, NotMinimalError
 from minproj.geometry import Subspace, norm_eval
 from minproj.linalg import RMatrix, rows_rank
 from minproj.projections import (OperatorPoint, build_operator_basis,
@@ -39,6 +40,41 @@ def test_operator_basis_structure(ker_sum_3):
         assert all(Y.contains(op.col(j)) for j in range(n))
     flat = [sum(op.row_list(), ()) for op in basis.basis_ops]
     assert rows_rank(flat) == k * (n - k)
+
+
+def _wrong_inverse(factor):
+    """projections.inverse with its result scaled by factor."""
+    right = projections.inverse
+    return lambda M: right(M).scale(F(factor))
+
+
+def _with_annihilator(Y, columns):
+    """Y with its annihilator replaced, past the checks of Subspace."""
+    object.__setattr__(Y, "annihilator", RMatrix.from_rows(columns).transpose())
+    return Y
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda mp, Y: mp.setattr(projections, "inverse", lambda M: None),
+     "basis of Y plus its complement is singular"),
+    (lambda mp, Y: mp.setattr(projections, "inverse", _wrong_inverse(2)),
+     "base projection is not idempotent"),
+    (lambda mp, Y: mp.setattr(projections, "inverse", _wrong_inverse(0)),
+     "base projection does not fix Y"),
+    (lambda mp, Y: _with_annihilator(Y, [(1, 0, 0), (0, 1, -1)]),
+     "a basis operator does not vanish on Y"),
+    (lambda mp, Y: _with_annihilator(Y, [(1, -1, 0), (2, -2, 0)]),
+     "basis operators are linearly dependent"),
+])
+def test_operator_basis_guards_raise(monkeypatch, corrupt, message):
+    # every guard raises InternalError itself, so it also fires under
+    # python -O: a wrong inverse (P0 = 2·P0, or P0 = 0, which is
+    # idempotent), an annihilator that misses Y, and one that vanishes on
+    # Y but is dependent
+    Y = Subspace.from_basis([(1, 1, 1)])
+    corrupt(monkeypatch, Y)
+    with pytest.raises(InternalError, match=f"^{message}$"):
+        build_operator_basis(linf_ball(3), Y)
 
 
 def test_realize_checks_length(ker_sum_3):

@@ -9,8 +9,9 @@ closed form.
 A ball is the convex hull of a few small-integer points and their
 negations in dimension n <= 4.  For general position its extreme points
 are read off the double polar, so the space is built from vertices
-alone, as a user would supply it; subspaces have small-integer bases of
-every dimension 1..n-1.  For validation and the polar the point list is
+alone, as a user would supply it; subspaces have small-integer bases,
+mostly hyperplanes in n = 3, 4 and 2-planes.  The operator basis is also
+compared with the Fraction basis it replaced.  For validation and the polar the point list is
 kept as drawn, with its non-extreme and duplicated points; the polar
 also gets lists in dimension 5 made mostly of cube vertices, where a
 wrong edge test shows.
@@ -32,15 +33,15 @@ from minproj.errors import (NotExtremeError, NotFullDimensionalError,
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, polar_dual)
 from minproj.linalg import dot, rows_rank
-from minproj.projections import (face_dimension, max_norming_projection,
-                                 norming_pairs, operator_norm,
-                                 projection_constant)
+from minproj.projections import (build_operator_basis, face_dimension,
+                                 max_norming_projection, norming_pairs,
+                                 operator_norm, projection_constant)
 
 from oracles import (certify_by_face, first_non_extreme,
                      general_position_exhaustive, is_extreme,
                      linf_hyperplane_lambda,
-                     minimal_support_by_solve, polar_dual_by_fractions,
-                     verify_cm_by_apply)
+                     minimal_support_by_solve, operator_basis_by_fractions,
+                     polar_dual_by_fractions, verify_cm_by_apply)
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None,
@@ -55,12 +56,18 @@ def _vectors(n, count, unique=False):
 
 @st.composite
 def spaces_with_subspaces(draw):
-    n = draw(st.integers(2, 4))
-    points = draw(_vectors(n, draw(st.integers(n, n + 1))))
+    """A ball from n to n + 2 small-integer points and their negations,
+    and a subspace with a small-integer basis.  n is 3 or 4 in about four
+    draws of five, else 2; k is n - 1, 2 or 1 for n = 4, 2 for n = 3 and 1
+    for n = 2.  Lines are always 1-complemented, so most draws are
+    hyperplanes in n = 3, 4 and 2-planes, where lambda > 1 occurs, and a
+    failure shrinks toward a hyperplane in n = 3."""
+    n = draw(st.sampled_from((3, 4))) if draw(st.integers(0, 4)) else 2
+    points = draw(_vectors(n, draw(st.integers(n, n + 2))))
     assume(rows_rank(points) == n)
     symmetric = sorted(set(points) | {tuple(-x for x in p) for p in points})
     space = PolyhedralSpace.from_vertices(polar_dual(polar_dual(symmetric)))
-    k = draw(st.integers(1, n - 1))
+    k = draw(st.sampled_from((n - 1, 2, 1)[:n - 1]))
     basis = draw(_vectors(n, k))
     assume(rows_rank(basis) == k)
     return space, basis
@@ -184,6 +191,26 @@ def test_polar_agrees_with_fraction_oracle(vertices, data):
     for label, case in cases.items():
         assert (_polar_outcome(polar_dual, case)
                 == _polar_outcome(polar_dual_by_fractions, case)), label
+
+
+@_SETTINGS
+@given(spaces_with_subspaces(), st.data())
+def test_operator_basis_agrees_with_fraction_oracle(case, data):
+    # The integer basis equals the Fraction one it replaced: P0, every
+    # operator, Y's basis and the annihilator, on the drawn basis of Y and
+    # on its vectors scaled by positive rationals (so Y's basis clears
+    # over a denominator above 1)
+    space, basis = case
+    scales = data.draw(st.lists(st.fractions(0, 5, max_denominator=7).filter(bool),
+                                min_size=len(basis), max_size=len(basis)))
+    for vectors in (basis, [tuple(c * x for x in v) for c, v in zip(scales, basis)]):
+        Y = Subspace.from_basis(vectors)
+        ours = build_operator_basis(space, Y)
+        expected = operator_basis_by_fractions(space, Y)
+        assert ours.base_projection == expected.base_projection
+        assert ours.basis_ops == expected.basis_ops
+        assert ours.y_basis == expected.y_basis
+        assert ours.annihilator == expected.annihilator
 
 
 def _analyze(case):

@@ -25,15 +25,16 @@ from minproj import simplex
 from minproj.errors import InternalError
 from minproj.linalg import RMatrix, dot, int_dot, solve_linear
 from minproj.simplex import (INFEASIBLE, OPTIMAL, SOLVE_STATS, UNBOUNDED,
-                             _finish, _verify_certificate, make_lp, solve)
-from oracles import row_axpy, scale_row, solve_by_fraction_tableau, solve_on_face
+                             _finish, _verify_certificate, solve)
+from oracles import (lp_rhs, make_lp, row_axpy, scale_row,
+                     solve_by_fraction_tableau, solve_on_face)
 
 F = Fraction
 
 
 def _check_certificate(lp, sol):
     """Independent re-derivation of the optimality proof from the solution."""
-    A, b, c = lp.constraint_matrix, lp.rhs, lp.objective
+    A, b, c = lp.constraint_matrix, lp_rhs(lp), lp.objective
     m = A.rows
     for i in range(m):
         assert dot(A.row(i), sol.primal) <= b[i]
@@ -101,7 +102,7 @@ def _random_bounded_lp(seed, d, extra_rows):
 
 
 def _vertex_enumeration_minimum(lp):
-    A, b, c = lp.constraint_matrix, lp.rhs, lp.objective
+    A, b, c = lp.constraint_matrix, lp_rhs(lp), lp.objective
     m, d = A.rows, A.cols
     best = None
     for subset in itertools.combinations(range(m), d):
@@ -133,7 +134,7 @@ def test_row_permutation_invariance():
     permuted = make_lp(
         lp.objective,
         [lp.constraint_matrix.row(i) for i in order],
-        [lp.rhs[i] for i in order])
+        [lp_rhs(lp)[i] for i in order])
     other = solve(permuted)
     assert other.value == base.value
     assert {order[i] for i in other.tight_set} == set(base.tight_set)
@@ -286,7 +287,7 @@ def test_primal_value_check_is_live():
     # forged tight set reaches it: x1 = 1/2 claimed tight on row 1.
     lp = _finish_lp()
     primal = (F(1, 2), F(0))
-    lhs = [int_dot(row, [1, 0]) for row in lp.integer_form[0]]
+    lhs = [int_dot(row, [1, 0]) for row in lp.matrix]
     with pytest.raises(InternalError, match="^primal value mismatch$"):
         _verify_certificate(lp, F(0), primal, (F(0), F(1), F(0), F(0)), lhs,
                             frozenset({1, 3}))
@@ -295,8 +296,9 @@ def test_primal_value_check_is_live():
 def test_finish_checks_survive_python_O():
     code = ("from fractions import Fraction as F\n"
             "from minproj.errors import InternalError\n"
-            "from minproj.simplex import _finish, make_lp\n"
-            "lp = make_lp([1, 0], [[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 0])\n"
+            "from minproj.simplex import LinearProgram, _finish\n"
+            "lp = LinearProgram((1, 0), ((1, 0), (-1, 0), (0, 1), (0, -1)),\n"
+            "                   (1, 0, 1, 0), 1)\n"
             "try:\n"
             "    _finish(lp, F(1), (F(0), F(0)), (F(0), F(1), F(0), F(0)))\n"
             "except InternalError as exc:\n"
