@@ -5,9 +5,8 @@ arithmetic."""
 
 from .catalog import (CaseExpectation, NamedCase, l1_ball, linf_ball,
                       mixed_ball, paper_cases, random_subspace)
-from .certificates import (CMFunctional, CMVerdict, cm_from_dual, cm_operator,
-                           cm_rank_gap, minimal_support_cm, trace_on_subspace,
-                           verify_cm)
+from .certificates import (CMFunctional, CMVerdict, cm_from_dual, cm_rank_gap,
+                           minimal_support_cm, verify_cm)
 from .errors import (CertificateInvalidError, InputFormatError, InternalError,
                      MinprojError, NotExtremeError, NotFullDimensionalError,
                      NotMinimalError, NotSymmetricError, RankGapViolationError,
@@ -30,10 +29,10 @@ __all__ = [
     "OperatorBasis", "OperatorPoint", "PolyhedralSpace", "QQ",
     "RankGapViolationError", "SubsetBudgetExceededError", "Subspace",
     "SupportBudgetExceededError", "approx_decimal", "build_operator_basis",
-    "cm_from_dual", "cm_operator", "cm_rank_gap", "face_dimension",
+    "cm_from_dual", "cm_rank_gap", "face_dimension",
     "format_rational", "general_position_check", "l1_ball",
     "linf_ball", "max_norming_projection", "minimal_support_cm", "mixed_ball",
     "norm_eval", "norming_pairs", "operator_norm", "paper_cases",
     "parse_rational", "polar_dual", "projection_constant", "random_subspace",
-    "trace_on_subspace", "verify_cm",
+    "verify_cm",
 ]

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (CertificateInvalidError, InternalError,
                      RankGapViolationError, SupportBudgetExceededError)
 from .geometry import PolyhedralSpace, Subspace
 from .linalg import (RMatrix, dot, int_dot, integer_row_rank, over_denominator,
-                     reduce_row, rows_rank, rref_rows, solve_linear)
+                     rows_rank, rref_rows, solve_linear, subset_walk)
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint, PairGrid,
                           build_operator_basis, build_pair_grid, face_dimension,
                           pair_rows, projection_constant)
@@ -59,33 +59,6 @@ class CMVerdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def cm_operator(space: PolyhedralSpace, cm: CMFunctional) -> RMatrix:
-    """The matrix of T = sum a_i x_i (x) f_i."""
-    n = space.dim
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for (pi, dj), a in zip(cm.pairs, cm.weights):
-        x = space.primal_vertices[pi]
-        f = space.dual_vertices[dj]
-        for r in range(n):
-            if x[r]:
-                ax = a * x[r]
-                for c in range(n):
-                    entries[r][c] += ax * f[c]
-    return RMatrix.from_rows(entries)
-
-
-def trace_on_subspace(space: PolyhedralSpace, Y: Subspace,
-                      cm: CMFunctional) -> Fraction | None:
-    """trace of T restricted to Y: coordinate b of T(y_b) in Y's basis,
-    by one exact solve per basis vector y_b, summed over b; None when T
-    does not map Y into Y."""
-    T = cm_operator(space, cm)
-    coords = [solve_linear(Y.basis, T.apply(y)) for y in Y.basis_vectors()]
-    if None in coords:
-        return None
-    return sum((c[b] for b, c in enumerate(coords)), Fraction(0))
 
 
 def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
@@ -272,16 +245,17 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
     The walk runs on the integer columns [coefs_num_p; D] = D·[v_p; 1]
     of pair_rows, D its denominator, against the target [0; D]: the same
     system scaled by D > 0, with the same solutions.  Each size is one
-    depth-first walk over the sorted candidates (see
-    _independent_spanning_subsets): a step reduces the new column
-    against its prefix's echelon rows by linalg.reduce_row, the
-    fraction-free step behind every rank and solve.  A column that
-    reduces to zero makes the prefix dependent and prunes its whole
-    subtree.  A full-size subset is a candidate only when the target,
-    reduced against the same rows, vanishes; only then are the weights,
-    unique by independence, solved exactly and tested for w > 0.  The hit
-    is verified with witness, a minimal projection, before it is
-    returned.  basis, when given, must be build_operator_basis(space, Y).
+    linalg.subset_walk over the sorted candidates' columns, with the
+    target carried as one more row that is never chosen: a node holds
+    the columns after its prefix and the target, each reduced against
+    the prefix's echelon rows, so a child costs one linalg.reduce_row
+    step per column it carries on.  A column that reduces to zero makes
+    the prefix dependent and cuts its whole subtree.  A full-size subset
+    is a candidate only when the target, reduced against it, vanishes;
+    only then are the weights, unique by independence, solved exactly
+    and tested for w > 0.  The hit is verified with witness, a minimal
+    projection, before it is returned.  basis, when given, must be
+    build_operator_basis(space, Y).
     """
     candidates = sorted(set(candidate_pairs))
     if not candidates:
@@ -298,7 +272,9 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
     target = [0] * d + [grid.denominator]
 
     for size in range(1, min(d + 1, len(candidates)) + 1):
-        for subset in _independent_spanning_subsets(columns, size):
+        for subset, _, spans in subset_walk(columns, size, target):
+            if not spans:
+                continue
             weights = solve_linear(
                 RMatrix.from_rows(columns[i] for i in subset).transpose(), target)
             if weights is None:
@@ -315,40 +291,6 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
                     + "; ".join(check.violations))
             return cm, size
     raise CertificateInvalidError("no valid certificate over the candidate pairs")
-
-
-def _independent_spanning_subsets(columns: list[list[int]],
-                                  size: int) -> Iterator[tuple[int, ...]]:
-    """Index tuples of `size` linearly independent integer columns whose
-    span holds the last unit vector, in lexicographic order.
-
-    Depth-first: a node holds its prefix's echelon rows (pivot, row), each
-    the linalg.reduce_row reduction of its column against the rows before
-    it.  A column reduced to zero lies in the prefix's span, so every
-    subset through it is dependent and is skipped.  A node one short of
-    `size` reduces the target against its prefix once; a full-size subset
-    spans the target exactly when one more step, against its last row,
-    leaves zero.
-    """
-    last = len(columns) - size
-    unit = [0] * (len(columns[0]) - 1) + [1]
-
-    def walk(start, prefix, rows):
-        depth = len(prefix)
-        if depth + 1 == size:
-            target = reduce_row(unit, rows)
-            prev = rows[-1][1][rows[-1][0]] if rows else 1
-        for i in range(start, last + depth + 1):
-            row = reduce_row(columns[i], rows)
-            pivot = next((p for p, x in enumerate(row) if x), None)
-            if pivot is None:
-                continue
-            if depth + 1 < size:
-                yield from walk(i + 1, prefix + (i,), rows + [(pivot, row)])
-            elif not any(reduce_row(target, [(pivot, row)], prev)):
-                yield prefix + (i,)
-
-    return walk(0, (), [])
 
 
 def cm_rank_gap(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,

@@ -14,16 +14,18 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 from typing import Sequence
 
 from .errors import (InternalError, NotExtremeError, NotFullDimensionalError,
                      NotSymmetricError, SubsetBudgetExceededError)
 from .linalg import (RMatrix, Vector, cleared, dot, int_dot,
                      integer_row_rank, integer_rows, inverse, nullspace_basis,
-                     over_denominator, primitive, reduce_row, rows_rank)
+                     over_denominator, primitive, reduce_row, rows_rank,
+                     subset_walk)
 
 _ONE = Fraction(1)
-# Default budget of general_position_check: subsets visited, spans and
+# Default budget of general_position_check: subsets counted, spans and
 # kernels together.
 DEFAULT_GP_CAP = 10 ** 6
 
@@ -417,12 +419,17 @@ def general_position_check(space: PolyhedralSpace, Y: Subspace,
     With A the annihilator and B the basis of Y, dim(Y + span T) =
     k + rank(v·A, v in T) and dim(Y + ker F) = n - rank F +
     rank(f·B, f in F), so T (or F) passes exactly when its projected
-    rows have the rank of its raw rows.
+    rows have the rank of its raw rows.  The projected rank is read off
+    the walk's rows reduced against their prefix; a raw rank is taken
+    only where the projected rank drops.
 
     Returns the first violating index set as witness.  Enumeration order:
     spans by (size, lexicographic indices), then kernels likewise.
-    spans_checked and kernels_checked count the subsets visited, and
-    subset_cap bounds their sum.
+    spans_checked and kernels_checked count the subsets in that order up
+    to the witness, or all of them, and subset_cap bounds their sum.  A
+    subtree that _first_failing_subset cuts under a dependent prefix is
+    counted, not visited, so the counts and the budget are those of a
+    walk through every subset.
     """
     n = space.dim
     k = Y.dim
@@ -446,20 +453,34 @@ def _first_failing_subset(vectors: Sequence[Vector], reps: Sequence[int],
                           what: str) -> tuple[tuple[int, ...] | None, int]:
     """First subset T of reps, by (size <= max_size, lexicographic), whose
     rows v·d (d in directions) have lower rank than its rows v, and the
-    number of subsets visited.  Rows are cleared to integers once; the raw
-    rank is computed only when the projected rank is below |T|.  Raises
-    once spent plus the subsets visited exceeds subset_cap."""
-    raw = dict(zip(reps, integer_rows(vectors[i] for i in reps)))
-    projected = dict(zip(reps, integer_rows(
-        [dot(vectors[i], d) for d in directions] for i in reps)))
+    number of subsets counted up to it.  Raises once spent plus the
+    subsets counted exceeds subset_cap.
+
+    Each size is one linalg.subset_walk over the projected rows v·d,
+    cleared to integers once.  The first failure is raw-independent: a
+    dependent one has an independent subset with the same span, which
+    fails too and comes first.  So a prefix shorter than T whose
+    projected rows are dependent passed at its own size, is
+    raw-dependent, and its subtree holds no first failure; the walk cuts
+    it, and its comb(m - j - 1, size - |prefix|) subsets, j the position
+    of its last index among the m reps, are counted at once.  A full-size
+    T whose last projected row reduces to zero has projected rank
+    |T| - 1 and fails exactly when its raw rows are independent: one
+    integer rank.
+    """
+    raw = integer_rows(vectors[i] for i in reps)
+    projected = integer_rows([dot(vectors[i], d) for d in directions]
+                             for i in reps)
+    m = len(reps)
     checked = 0
-    for size in range(1, min(max_size, len(reps)) + 1):
-        for subset in itertools.combinations(reps, size):
-            checked += 1
+    for size in range(1, min(max_size, m) + 1):
+        for subset, row, _ in subset_walk(projected, size):
+            depth = len(subset)
+            checked += 1 if depth == size else comb(m - subset[-1] - 1, size - depth)
             if spent + checked > subset_cap:
                 raise SubsetBudgetExceededError(
                     f"{what} enumeration exceeded cap {subset_cap}")
-            rank = integer_row_rank([projected[i] for i in subset])
-            if rank < size and rank != integer_row_rank([raw[i] for i in subset]):
-                return subset, checked
+            if (depth == size and not any(row)
+                    and integer_row_rank([raw[i] for i in subset]) == size):
+                return tuple(reps[i] for i in subset), checked
     return None, checked

@@ -6,7 +6,8 @@ to integers.  The rank folds it over the rows; the reduced row echelon
 form behind nullspaces, solves and inverses folds it too, clears above
 each pivot in integers and builds Fractions only at the end.  Pivots are
 deterministic: each row in turn, at its first nonzero entry after
-reduction.
+reduction.  subset_walk, behind the general-position check and the
+minimal-support search, folds it down a depth-first walk over subsets.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -173,6 +174,11 @@ def reduce_row(vec: Sequence[int], rows: Iterable[tuple[int, Sequence[int]]],
     return vec
 
 
+def _pivot(row: Sequence[int]) -> int | None:
+    """Index of the first nonzero entry, or None."""
+    return next((j for j, x in enumerate(row) if x), None)
+
+
 def _echelon(rows: Iterable[Sequence[int]], full: int) -> list[tuple[int, list[int]]]:
     """Echelon rows (pivot, row) of integer rows, each reduced by
     reduce_row against the ones before it and kept when nonzero; stops
@@ -182,10 +188,63 @@ def _echelon(rows: Iterable[Sequence[int]], full: int) -> list[tuple[int, list[i
         if len(echelon) == full:
             break
         row = reduce_row(row, echelon)
-        pivot = next((j for j, x in enumerate(row) if x), None)
+        pivot = _pivot(row)
         if pivot is not None:
             echelon.append((pivot, row))
     return echelon
+
+
+def subset_walk(rows: Sequence[Sequence[int]], size: int,
+                target: Sequence[int] | None = None
+                ) -> Iterator[tuple[tuple[int, ...], list[int], bool | None]]:
+    """The index subsets of `size` >= 1 integer rows, depth-first in
+    lexicographic order, with the subtrees under dependent prefixes cut.
+
+    A node carries the rows after its prefix, and target when given, which
+    is never chosen, each already reduced against the prefix's echelon
+    rows.  A child takes its carried row as its echelon row and costs one
+    reduce_row step, against that row alone, per row it carries on.
+    Yields (subset, row, spans): row is the subset's last row reduced
+    against the rows before it, which are independent, so it is zero
+    exactly when the subset is dependent.  A subset shorter than `size` is
+    yielded only then, and no subset through it is visited.  spans tells,
+    for an independent subset of `size` rows when target is given,
+    whether target lies in the span of its rows, else it is None.
+
+    A leaf's last step would leave the carried target t zero only if its
+    row has the pivot of t: a pivot before it makes the step scale t, one
+    after it leaves t's pivot entry scaled.  So a leaf takes that step
+    only when the pivots agree.
+    """
+    def walk(prefix, indices, rows, target, prev):
+        depth = len(prefix) + 1
+        if depth == size:
+            t = None if target is None else _pivot(target)
+            for i, row in zip(indices, rows):
+                if target is None or not any(row):
+                    spans = None
+                elif t is None:
+                    spans = True
+                else:
+                    spans = (row[t] != 0 and not any(row[:t]) and not any(
+                        reduce_row(target, [(t, row)], prev)))
+                yield prefix + (i,), row, spans
+            return
+        for pos in range(len(rows) - size + depth):
+            row = rows[pos]
+            subset = prefix + (indices[pos],)
+            if not any(row):
+                yield subset, row, None
+                continue
+            pivot = _pivot(row)
+            step = [(pivot, row)]
+            yield from walk(
+                subset, indices[pos + 1:],
+                [reduce_row(r, step, prev) for r in rows[pos + 1:]],
+                None if target is None else reduce_row(target, step, prev),
+                row[pivot])
+
+    return walk((), range(len(rows)), rows, target, 1)
 
 
 def integer_row_rank(rows: list[list[int]]) -> int:

@@ -9,13 +9,16 @@ with an inclusion-maximal norming set found by greedy tightening from
 the relative interior, and the minimal-support certificate found by one
 "maximize the smallest weight" LP per candidate subset.  The
 minimal-support certificate has a second oracle, one rational linear
-solve per candidate subset with no pruning.  Next comes
-the exhaustive general-position enumeration over every subset size up
-to n, with one stacked rank per distinct subspace.  The last decides
-each vertex's extremality by one feasibility LP over the other listed
-points.  They are slow but independent of the Gordan rounds, the
-integer elimination and the ranks that replaced them, so agreement
-between the two is evidence for both.
+solve per candidate subset with no pruning.  Next comes the exhaustive
+general-position enumeration over every subset size up to n, with one
+stacked rank per distinct subspace, and the per-subset search that the
+subset walk of ``general_position_check`` replaced
+(``general_position_per_subset``), one integer rank per subset in the
+same order, which must give the same report, counts and budget errors
+included (``budget_outcome`` reads a check's report or budget error).
+The last decides each vertex's extremality by one feasibility LP over
+the other listed points.  They are slow but independent of the Gordan rounds, the integer elimination and the ranks
+that replaced them, so agreement between the two is evidence for both.
 
 Two more replaced implementations follow: ``verify_cm`` as it was when
 it applied operator matrices (``verify_cm_by_apply``), and the simplex
@@ -28,11 +31,13 @@ row, artificials on negative right-hand sides), once the second path of
 ``certify_by_face`` is the ``certify`` command as it was before
 ``certificates.certify_cm``: the lambda LP, the optimal face, and
 ``verify_cm`` at its relative interior, for every certificate.
-Beside ``verify_cm_by_apply`` stand the polar dual and the operator
-basis as they were in ``Fraction`` arithmetic (``polar_dual_by_fractions``,
-``operator_basis_by_fractions``) and a closed form of the projection
-constant of a hyperplane in l-inf^n (``linf_hyperplane_lambda``), which
-checks the lambda LP with no LP at all.
+``verify_cm_by_apply`` reads the invariance and the trace off the
+matrix of T (``cm_operator``, ``trace_on_subspace``).  Beside it stand
+the polar dual and the operator basis as they were in ``Fraction``
+arithmetic (``polar_dual_by_fractions``, ``operator_basis_by_fractions``)
+and a closed form of the projection constant of a hyperplane in l-inf^n
+(``linf_hyperplane_lambda``), which checks the lambda LP with no LP at
+all.
 
 Last come the eliminations that ``linalg.reduce_row`` replaced: the
 rational Gauss-Jordan (``rref_by_fractions``, with the nullspace, solve
@@ -40,9 +45,10 @@ and inverse read off it), the in-place Bareiss rank
 (``integer_rank_in_place``) and the support walk with its
 content-dividing reducer (``spanning_subsets_by_content``).  The oracles
 above solve, rank and reduce through ``rref_by_fractions`` (a rank is its
-number of pivots), never through the ``minproj.linalg`` elimination they
-are meant to check.  ``row_value`` reads one pair-grid row at a point,
-for the oracles and tests that sample rows.
+number of pivots) or ``integer_rank_in_place``, never through the
+``minproj.linalg`` elimination they are meant to check.  ``row_value``
+reads one pair-grid row at a point, for the oracles and tests that
+sample rows.
 
 A few helpers serve the tests alone: ``make_lp`` builds the integer LP
 of ``minproj.simplex`` from plain numbers and ``lp_rhs`` reads its
@@ -57,14 +63,14 @@ from math import gcd, lcm
 from types import SimpleNamespace
 from typing import Sequence
 
-from minproj.certificates import (DEFAULT_SUPPORT_CAP, CMVerdict, cm_operator,
-                                  trace_on_subspace, verify_cm)
+from minproj.certificates import DEFAULT_SUPPORT_CAP, CMVerdict, verify_cm
 from minproj.errors import (CertificateInvalidError, InternalError,
                             NotFullDimensionalError, NotSymmetricError,
                             SubsetBudgetExceededError, SupportBudgetExceededError)
-from minproj.geometry import GeneralPositionReport
+from minproj.geometry import DEFAULT_GP_CAP, GeneralPositionReport
 from minproj.jsonio import vector_json
-from minproj.linalg import RMatrix, dot, int_dot, over_denominator
+from minproj.linalg import (RMatrix, dot, int_dot, integer_rows,
+                            over_denominator)
 from minproj.projections import (OperatorPoint, _restrict_to_face,
                                   build_operator_basis, face_dimension,
                                   norming_pairs, projection_constant)
@@ -363,6 +369,54 @@ def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
     return GeneralPositionReport(True, None, None, spans_checked, kernels_checked)
 
 
+def general_position_per_subset(space, Y, subset_cap=DEFAULT_GP_CAP):
+    """geometry.general_position_check as it was before the subset walk:
+    the same subsets in the same order, spans of at most n - k vertices
+    and kernels of at most k functionals, each visited and judged by one
+    integer rank of its projected rows, and of its raw rows when that
+    rank is below the subset's size.  Same report, same budget errors."""
+    n, k = space.dim, Y.dim
+    span, spans_checked = _first_failing_subset(
+        space.primal_vertices, space.primal_class_reps,
+        Y.annihilator_functionals(), n - k, 0, subset_cap, "vertex-span")
+    if span is not None:
+        return GeneralPositionReport(False, "span", span, spans_checked, 0)
+    kernel, kernels_checked = _first_failing_subset(
+        space.dual_vertices, space.dual_class_reps, Y.basis_vectors(), k,
+        spans_checked, subset_cap, "kernel")
+    if kernel is not None:
+        return GeneralPositionReport(False, "kernel", kernel,
+                                     spans_checked, kernels_checked)
+    return GeneralPositionReport(True, None, None, spans_checked, kernels_checked)
+
+
+def budget_outcome(check, space, Y, subset_cap):
+    """The report of a general-position check at subset_cap, or the text
+    of the SubsetBudgetExceededError it raises."""
+    try:
+        return check(space, Y, subset_cap)
+    except SubsetBudgetExceededError as exc:
+        return str(exc)
+
+
+def _first_failing_subset(vectors, reps, directions, max_size, spent,
+                          subset_cap, what):
+    raw = dict(zip(reps, integer_rows(vectors[i] for i in reps)))
+    projected = dict(zip(reps, integer_rows(
+        [dot(vectors[i], d) for d in directions] for i in reps)))
+    checked = 0
+    for size in range(1, min(max_size, len(reps)) + 1):
+        for subset in itertools.combinations(reps, size):
+            checked += 1
+            if spent + checked > subset_cap:
+                raise SubsetBudgetExceededError(
+                    f"{what} enumeration exceeded cap {subset_cap}")
+            rank = integer_rank_in_place([projected[i] for i in subset])
+            if rank < size and rank != integer_rank_in_place([raw[i] for i in subset]):
+                return subset, checked
+    return None, checked
+
+
 def is_extreme(vertices, v):
     """True iff v is not a convex combination of the other listed points.
 
@@ -498,6 +552,32 @@ def polar_dual_by_fractions(vertices):
         tights = [tights[i] for i in keep] + list(new_points.values())
 
     return tuple(sorted(points))
+
+
+def cm_operator(space, cm):
+    """The matrix of T = sum a_i x_i (x) f_i."""
+    n = space.dim
+    entries = [[Fraction(0)] * n for _ in range(n)]
+    for (pi, dj), a in zip(cm.pairs, cm.weights):
+        x = space.primal_vertices[pi]
+        f = space.dual_vertices[dj]
+        for r in range(n):
+            if x[r]:
+                ax = a * x[r]
+                for c in range(n):
+                    entries[r][c] += ax * f[c]
+    return RMatrix.from_rows(entries)
+
+
+def trace_on_subspace(space, Y, cm):
+    """trace of T restricted to Y: coordinate b of T(y_b) in Y's basis,
+    by one exact solve per basis vector y_b, summed over b; None when T
+    does not map Y into Y."""
+    T = cm_operator(space, cm)
+    coords = [solve_by_fractions(Y.basis, T.apply(y)) for y in Y.basis_vectors()]
+    if None in coords:
+        return None
+    return sum((c[b] for b, c in enumerate(coords)), Fraction(0))
 
 
 def verify_cm_by_apply(space, Y, cm, lam, P, basis=None):

@@ -7,15 +7,14 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from minproj.catalog import l1_ball, linf_ball, mixed_ball, paper_cases, random_subspace
-from minproj.certificates import cm_from_dual, cm_rank_gap, minimal_support_cm, \
-    trace_on_subspace, verify_cm
+from minproj.certificates import cm_from_dual, cm_rank_gap, minimal_support_cm, verify_cm
 from minproj.geometry import Subspace, general_position_check, norm_eval, polar_dual
 from minproj.linalg import RMatrix, solve_linear
 from minproj.projections import OperatorPoint, face_dimension, max_norming_projection, \
     norming_pairs, operator_norm, projection_constant
 from minproj.simplex import OPTIMAL, SOLVE_STATS, solve
 
-from oracles import make_lp
+from oracles import make_lp, trace_on_subspace
 
 ONE = Fraction(1)
 

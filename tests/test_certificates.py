@@ -7,12 +7,13 @@ import minproj.certificates as certificates
 import minproj.projections as projections
 from minproj.catalog import l1_ball, linf_ball, random_subspace
 from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
-                                  cm_operator, cm_rank_gap, minimal_support_cm,
-                                  trace_on_subspace, verify_cm)
+                                  cm_rank_gap, minimal_support_cm, verify_cm)
 from minproj.errors import (CertificateInvalidError, InternalError,
                             RankGapViolationError, SupportBudgetExceededError)
 from minproj.geometry import Subspace
 from minproj.projections import OperatorPoint, projection_constant
+
+from oracles import cm_operator, trace_on_subspace
 
 F = Fraction
 

@@ -9,10 +9,11 @@ from minproj.errors import (NotExtremeError, NotFullDimensionalError,
                             NotSymmetricError, SubsetBudgetExceededError)
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, norm_eval, polar_dual)
-from minproj.linalg import RMatrix, dot, inverse
+from minproj.linalg import RMatrix, dot, integer_rows, inverse, subset_walk
 from minproj.simplex import OPTIMAL, SOLVE_STATS, solve
 
-from oracles import is_extreme, make_lp, polar_dual_by_fractions
+from oracles import (budget_outcome, general_position_per_subset,
+                     is_extreme, make_lp, polar_dual_by_fractions)
 
 F = Fraction
 
@@ -288,3 +289,43 @@ def test_general_position_budget():
     Y = Subspace.from_kernel([(2, 1, 1, 1)])
     with pytest.raises(SubsetBudgetExceededError):
         general_position_check(space, Y, subset_cap=5)
+
+
+def test_general_position_budget_boundary_on_l1_6_hyperplane():
+    # Spans of one of the 6 vertex pairs, kernels of at most 5 of the 32
+    # dual pairs: 32 + 496 + 4960 + 35960 + 201376 = 242824.
+    space, Y = l1_ball(6), random_subspace(6, 5, 7)
+    r = general_position_check(space, Y, subset_cap=242_830)
+    assert r.in_general_position
+    assert (r.spans_checked, r.kernels_checked) == (6, 242_824)
+    with pytest.raises(SubsetBudgetExceededError,
+                       match="^kernel enumeration exceeded cap 242829$"):
+        general_position_check(space, Y, subset_cap=242_829)
+
+
+def test_general_position_counts_the_subtree_under_a_dependent_prefix():
+    # e1, e2 and e1 + e2 are dependent vertices, and the vertex pairs
+    # are spaced so that the line Y avoids every span of four of them.
+    # At size 4 the walk cuts the subtree under the prefix of those
+    # three (pair positions 0, 1, 2) and counts its 3 subsets at once.
+    points = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0),
+              (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
+    space = PolyhedralSpace.from_vertices(
+        [q for p in points for q in (p, tuple(-x for x in p))])
+    Y = Subspace.from_basis([(1, 2, 4, 8, 16)])
+    reps = space.primal_class_reps
+    projected = integer_rows([dot(space.primal_vertices[i], g)
+                              for g in Y.annihilator_functionals()]
+                             for i in reps)
+    cut = [subset for subset, _, _ in subset_walk(projected, 4) if len(subset) < 4]
+    assert cut == [(0, 1, 2)]
+
+    r = general_position_check(space, Y)
+    assert r.in_general_position
+    assert (r.spans_checked, r.kernels_checked) == (
+        sum(math.comb(6, s) for s in range(1, 5)), 24)
+    assert r == general_position_per_subset(space, Y)
+    # every cap, those that run out inside the cut subtree included
+    for cap in range(r.spans_checked + r.kernels_checked + 1):
+        assert (budget_outcome(general_position_check, space, Y, cap)
+                == budget_outcome(general_position_per_subset, space, Y, cap))

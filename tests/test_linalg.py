@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minproj.certificates import _independent_spanning_subsets
 from minproj.linalg import (RMatrix, dot, integer_row_rank, integer_rows,
                             inverse, nullspace_basis, rank, rows_rank,
-                            rref_rows, solve_linear)
+                            rref_rows, solve_linear, subset_walk)
 
 from oracles import (integer_rank_in_place, inverse_by_fractions,
                      nullspace_by_fractions, rref_by_fractions,
@@ -156,6 +155,8 @@ def test_eliminations_agree_with_their_oracles(M, data):
     st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(lambda v: v + [1]),
     min_size=1, max_size=8)))
 def test_support_walk_agrees_with_content_reducer(columns):
+    unit = [0] * (len(columns[0]) - 1) + [1]
     for size in range(1, min(len(columns[0]), len(columns)) + 1):
-        assert (list(_independent_spanning_subsets(columns, size))
+        assert ([subset for subset, _, spans in subset_walk(columns, size, unit)
+                 if spans]
                 == list(spanning_subsets_by_content(columns, size)))
