@@ -25,8 +25,9 @@ from typing import Iterable
 from .errors import (CertificateInvalidError, InternalError,
                      RankGapViolationError, SupportBudgetExceededError)
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import (RMatrix, dot, int_dot, integer_row_rank, over_denominator,
-                     rows_rank, rref_rows, solve_linear, subset_walk)
+from .linalg import (RMatrix, dot, int_dot, integer_row_rank, integer_rref,
+                     over_denominator, rows_rank, rref_rows, solve_linear,
+                     subset_walk)
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint, PairGrid,
                           build_operator_basis, build_pair_grid, face_dimension,
                           pair_rows, projection_constant)
@@ -253,9 +254,9 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
     the prefix dependent and cuts its whole subtree.  A full-size subset
     is a candidate only when the target, reduced against it, vanishes;
     only then are the weights, unique by independence, solved exactly
-    and tested for w > 0.  The hit is verified with witness, a minimal
-    projection, before it is returned.  basis, when given, must be
-    build_operator_basis(space, Y).
+    from the same integer columns and tested for w > 0.  The hit is
+    verified with witness, a minimal projection, before it is returned.
+    basis, when given, must be build_operator_basis(space, Y).
     """
     candidates = sorted(set(candidate_pairs))
     if not candidates:
@@ -275,8 +276,7 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
         for subset, _, spans in subset_walk(columns, size, target):
             if not spans:
                 continue
-            weights = solve_linear(
-                RMatrix.from_rows(columns[i] for i in subset).transpose(), target)
+            weights = _support_weights([columns[i] for i in subset], target)
             if weights is None:
                 raise InternalError(
                     "the target reduces to zero but the support system is infeasible")
@@ -291,6 +291,20 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
                     + "; ".join(check.violations))
             return cm, size
     raise CertificateInvalidError("no valid certificate over the candidate pairs")
+
+
+def _support_weights(columns: list[list[int]],
+                     target: list[int]) -> tuple[Fraction, ...] | None:
+    """The w with sum_i w_i columns[i] = target, for independent integer
+    columns, or None when target is not in their span.  The integer system
+    [columns | target] is brought to reduced echelon form; its pivots are
+    then the columns in order, and w_i is a row's last entry over its
+    pivot entry."""
+    s = len(columns)
+    reduced = integer_rref([list(row) for row in zip(*columns, target)])
+    if reduced and reduced[-1][0] == s:
+        return None
+    return tuple(Fraction(row[s], row[pivot]) for pivot, row in reduced)
 
 
 def cm_rank_gap(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,

@@ -20,7 +20,7 @@ from typing import Sequence
 from .errors import (InternalError, NotExtremeError, NotFullDimensionalError,
                      NotSymmetricError, SubsetBudgetExceededError)
 from .linalg import (RMatrix, Vector, cleared, dot, int_dot,
-                     integer_row_rank, integer_rows, inverse, nullspace_basis,
+                     integer_row_rank, inverse, nullspace_basis,
                      over_denominator, primitive, reduce_row, rows_rank,
                      subset_walk)
 
@@ -434,21 +434,22 @@ def general_position_check(space: PolyhedralSpace, Y: Subspace,
     n = space.dim
     k = Y.dim
     span, spans_checked = _first_failing_subset(
-        space.primal_vertices, space.primal_class_reps,
-        Y.annihilator_functionals(), n - k, 0, subset_cap, "vertex-span")
+        space.primal_cleared[0], space.primal_class_reps,
+        cleared(Y.annihilator_functionals())[0], n - k, 0, subset_cap,
+        "vertex-span")
     if span is not None:
         return GeneralPositionReport(False, "span", span, spans_checked, 0)
     kernel, kernels_checked = _first_failing_subset(
-        space.dual_vertices, space.dual_class_reps, Y.basis_vectors(), k,
-        spans_checked, subset_cap, "kernel")
+        space.dual_cleared[0], space.dual_class_reps,
+        cleared(Y.basis_vectors())[0], k, spans_checked, subset_cap, "kernel")
     if kernel is not None:
         return GeneralPositionReport(False, "kernel", kernel,
                                      spans_checked, kernels_checked)
     return GeneralPositionReport(True, None, None, spans_checked, kernels_checked)
 
 
-def _first_failing_subset(vectors: Sequence[Vector], reps: Sequence[int],
-                          directions: Sequence[Vector], max_size: int,
+def _first_failing_subset(vectors: Sequence[Sequence[int]], reps: Sequence[int],
+                          directions: Sequence[Sequence[int]], max_size: int,
                           spent: int, subset_cap: int,
                           what: str) -> tuple[tuple[int, ...] | None, int]:
     """First subset T of reps, by (size <= max_size, lexicographic), whose
@@ -456,21 +457,22 @@ def _first_failing_subset(vectors: Sequence[Vector], reps: Sequence[int],
     number of subsets counted up to it.  Raises once spent plus the
     subsets counted exceeds subset_cap.
 
-    Each size is one linalg.subset_walk over the projected rows v·d,
-    cleared to integers once.  The first failure is raw-independent: a
-    dependent one has an independent subset with the same span, which
-    fails too and comes first.  So a prefix shorter than T whose
-    projected rows are dependent passed at its own size, is
+    vectors and directions are integer rows, each family cleared over one
+    denominator: a positive factor on all vectors, or on all directions,
+    changes no rank.  Each size is one linalg.subset_walk over the
+    projected rows v·d, integer dot products.  The first failure is
+    raw-independent: a dependent one has an independent subset with the
+    same span, which fails too and comes first.  So a prefix shorter
+    than T whose projected rows are dependent passed at its own size, is
     raw-dependent, and its subtree holds no first failure; the walk cuts
     it, and its comb(m - j - 1, size - |prefix|) subsets, j the position
-    of its last index among the m reps, are counted at once.  A full-size
-    T whose last projected row reduces to zero has projected rank
-    |T| - 1 and fails exactly when its raw rows are independent: one
-    integer rank.
+    of its last index among the m reps, are counted at once.  A
+    full-size T whose last projected row reduces to zero has projected
+    rank |T| - 1 and fails exactly when its raw rows are independent:
+    one integer rank.
     """
-    raw = integer_rows(vectors[i] for i in reps)
-    projected = integer_rows([dot(vectors[i], d) for d in directions]
-                             for i in reps)
+    raw = [vectors[i] for i in reps]
+    projected = [[int_dot(v, d) for d in directions] for v in raw]
     m = len(reps)
     checked = 0
     for size in range(1, min(max_size, m) + 1):

@@ -274,12 +274,21 @@ def rref_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]],
     if not work:
         return [], []
     ncols = len(work[0])
-    echelon = _echelon(work, ncols)
-    reduced = sorted((pivot, reduce_row(row, echelon[i + 1:], row[pivot]))
-                     for i, (pivot, row) in enumerate(echelon))
+    reduced = integer_rref(work)
     out = [[Fraction(x, row[pivot]) for x in row] for pivot, row in reduced]
     out += [[_ZERO] * ncols for _ in range(len(work) - len(out))]
     return out, [pivot for pivot, _ in reduced]
+
+
+def integer_rref(rows: list[list[int]]) -> list[tuple[int, list[int]]]:
+    """The nonzero rows of the reduced row echelon form of integer rows,
+    fraction-free: (pivot, row) sorted by pivot, row zero at the other
+    pivots, so that row / row[pivot] is the reduced row."""
+    if not rows:
+        return []
+    echelon = _echelon(rows, len(rows[0]))
+    return sorted((pivot, reduce_row(row, echelon[i + 1:], row[pivot]))
+                  for i, (pivot, row) in enumerate(echelon))
 
 
 def nullspace_basis(M: RMatrix) -> RMatrix:

@@ -83,13 +83,24 @@ class OperatorBasis:
         return tuple(tuple(Fraction(x, self.g_den) for x in g) for g in self.g_num)
 
     def realize(self, point: OperatorPoint) -> RMatrix:
+        """P0 + sum_q c_q L_q, summed in integers.  With the coefficients
+        cleared to cn / cd, L_q = y_b (x) g_j gives the sum
+        sum_b y_num_b (x) w_b / (y_den·g_den·cd), w_b = sum_j cn_q g_num_j,
+        and each entry is one Fraction over the common denominator."""
         if len(point.coefficients) != self.dimension:
             raise ValueError("coefficient count does not match the operator basis")
-        out = self.base_projection
-        for c, op in zip(point.coefficients, self.basis_ops):
-            if c:
-                out = out.add(op.scale(c))
-        return out
+        cn, cd = over_denominator(point.coefficients)
+        G = self.g_num
+        ws = [[int_dot(cn[b * len(G):(b + 1) * len(G)], col) for col in zip(*G)]
+              for b in range(len(self.y_num))]
+        op_den = self.y_den * self.g_den * cd
+        den = lcm(self.p0_den, op_den)
+        p_mult, op_mult = den // self.p0_den, den // op_den
+        n = len(self.p0_num)
+        return RMatrix(n, n, tuple(
+            Fraction(p * p_mult + op_mult * sum(y[r] * w[s] for y, w in zip(self.y_num, ws)),
+                     den)
+            for r, row in enumerate(self.p0_num) for s, p in enumerate(row)))
 
 
 def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:

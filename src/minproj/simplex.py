@@ -25,20 +25,28 @@ exactly when the LP is infeasible.
 All arithmetic is on Python ints.  A LinearProgram carries integer
 rows over one common denominator, [A | b] = [M | beta] / D, as its
 builders form them (the pair grid and the Gordan rounds keep their rows
-in integers from the start), so nothing is cleared here.  A tableau row
-is one list of ints equal to the true row times a positive factor, and
-that factor is the row's entry under its basic column (1 in the true
-row), so a basic value is the right-hand side over that entry.
-The reduced-cost row is a list of ints `on` over a positive `oscale`.
+in integers from the start), so nothing is cleared here.  The method is
+the revised simplex: the artificial columns start as the identity, so
+the artificial block of the current tableau is the basis inverse, and a
+row of the tableau is its artificial block times the starting rows.  A
+stored row is that block and the right-hand side, d + 1 ints for d
+variables, equal to the true row times a positive factor.  The entry of
+row R in real column c is then R·(σ⊙M[c]) / D, with σ the row signs;
+only the entering column is formed, times D.  The cost row keeps the
+reduced costs of the artificials and the negated objective, as ints
+`on` over a positive `oscale`; they give the basis prices, and each
+iteration prices every real column in one pass over the LP's integer
+rows, transposed once per solve, as one int over the common oscale·D.
 A pivot on the entry p > 0 at (r, c) replaces every other row R by
 p·R − R[c]·R_r and divides out its content (the gcd of its entries), so
 rows stay primitive and no entry ever needs a gcd of its own.  Positive
-factors change no sign and no ratio: Dantzig's rule compares `on`
-directly, and the ratio test and the stall check compare cross-products,
-so the pivot sequence, the primal, the dual and the tight set are the
-ones exact rational arithmetic gives.  For the same reason one positive
-factor on the whole of (M, beta, D) changes no pivot.  Verification
-runs in integer dot products over the same integers.
+factors change no sign and no ratio: Dantzig's rule compares the priced
+ints directly, and the ratio test and the stall check compare
+cross-products, so the pivot sequence, the primal, the dual and the
+tight set are the ones exact rational arithmetic gives, and the ones
+the full tableau gives.  For the same reason one positive factor on the
+whole of (M, beta, D) changes no pivot.  Verification runs in integer
+dot products over the same integers.
 
 Sign convention for certificates: on OPTIMAL, the dual u satisfies
 u >= 0, Aᵀu = -c and u·b = -value (the standard dual of the
@@ -127,58 +135,103 @@ def _eliminate(row: list[int], p: int, f: int, support) -> list[int]:
     return row
 
 
-class _DualTableau:
-    """Standard-form tableau of the dual  Aᵀu = -c, u >= 0: one column per
-    constraint row of the LP, one equality row (with its artificial) per
-    variable, negated where -c_j < 0 so the artificial starts basic.
-    Integer rows are scaled through their basic entries, the objective row
-    is priced out over the basis, and pivoting follows Dantzig's rule, with
-    Bland's rule through runs of degenerate pivots."""
+class _RevisedDual:
+    """Revised form of the standard-form tableau of the dual  Aᵀu = -c,
+    u >= 0: one column per constraint row of the LP, one equality row
+    (with its artificial) per variable, negated where -c_j < 0 so the
+    artificial starts basic.  A row stores only its artificial block (a
+    row of B⁻¹) and its right-hand side, the true row times a positive
+    factor; its entries in the real columns, and the reduced costs of
+    those, are priced from the LP's integer rows when needed.  Pivoting
+    follows Dantzig's rule, with Bland's rule through runs of degenerate
+    pivots."""
 
     def __init__(self, lp: LinearProgram):
         M, D = lp.matrix, lp.denominator
-        n_u = len(M)
-        self.nrows = n_eq = len(lp.objective)
-        self.width = n_u + n_eq + 1
-        self.RHS = self.width - 1
+        self.m = len(M)
+        self.nrows = d = len(lp.objective)
+        self.D = D
+        self.beta = lp.beta
+        self.sigma = [1 if cj <= 0 else -1 for cj in lp.objective]
+        # cols[c] is the dual's column c times D, (σ_j·M[c][j])_j; colsT
+        # holds the same numbers one list per variable, for pricing.
+        self.cols = [[s * a for s, a in zip(self.sigma, row)] for row in M]
+        self.colsT = list(zip(*self.cols))
         self.rows: list[list[int]] = []
-        self.basis: list[int] = []
-        self.sigma: list[int] = []
         for j, cj in enumerate(lp.objective):
-            s = 1 if cj <= 0 else -1
-            self.sigma.append(s)
-            # The true row times D·den(c_j).
-            factor = s * cj.denominator
-            row = [factor * M[r][j] for r in range(n_u)] + [0] * (n_eq + 1)
-            row[n_u + j] = D * cj.denominator
-            row[self.RHS] = -s * cj.numerator * D
+            # The true row times D·den(c_j): D·den(c_j) on its artificial.
+            row = [0] * (d + 1)
+            row[j] = D * cj.denominator
+            row[d] = -self.sigma[j] * cj.numerator * D
             self.rows.append(primitive(row))
-            self.basis.append(n_u + j)
-        # Artificial columns never (re-)enter the basis.
-        self.forbidden = frozenset(range(n_u, n_u + n_eq))
+        self.basis = [self.m + j for j in range(d)]
         self.on: list[int] = []
         self.oscale = 1
+        self.phase = 1
         self.bland = False
         self.stall = 0
         self.pivots = 0
 
-    def set_objective(self, on: list[int], oscale: int) -> None:
-        """Install the cost row on / oscale (oscale > 0) and price out the
-        current basis."""
-        self.on = on
-        self.oscale = oscale
+    def set_objective(self, phase: int) -> None:
+        """Install the cost row of the phase and price out the current
+        basis.  Phase I costs 1 on each artificial and 0 on the real
+        columns, phase II costs b_c = beta_c / D on real column c and 0 on
+        the artificials.  on / oscale holds the reduced costs of the
+        artificials and the negated objective value (its last entry)."""
+        self.phase = phase
+        self.on = [int(phase == 1)] * self.nrows + [0]
+        self.oscale = 1
         self.bland = False
         self.stall = 0
         for r in range(self.nrows):
-            if on[self.basis[r]] != 0:
-                self._price_out(r, self.basis[r])
+            c = self.basis[r]
+            f = self._reduced_cost(c)
+            if f != 0:
+                self._price_out(r, self._column(c)[r], f)
 
-    def _price_out(self, r: int, c: int) -> None:
-        """Clear the reduced cost of column c with row r, whose entry p at c
-        is positive: on/oscale - (on[c]/oscale)(R/p) = (p·on - on[c]·R)/(p·oscale)."""
+    def _weights(self) -> tuple[list[int], int]:
+        """w and bf with the reduced cost of real column c equal to
+        (w·cols[c] + bf·beta_c) / (oscale·D): the costs minus the basis
+        prices, which the artificials' reduced costs give."""
+        if self.phase == 1:
+            return [x - self.oscale for x in self.on[:-1]], 0
+        return self.on[:-1], self.oscale
+
+    def _prices(self) -> list[int]:
+        """The reduced costs of all real columns, times oscale·D."""
+        w, bf = self._weights()
+        if bf:
+            vals = [bf * b for b in self.beta]
+        else:
+            vals = [0] * self.m
+        for wj, col in zip(w, self.colsT):
+            if wj:
+                vals = [v + wj * a for v, a in zip(vals, col)]
+        return vals
+
+    def _reduced_cost(self, c: int) -> int:
+        """The reduced cost of column c on the scale of _column(c): times
+        oscale·D for a real column, times oscale for an artificial."""
+        if c >= self.m:
+            return self.on[c - self.m]
+        w, bf = self._weights()
+        return int_dot(w, self.cols[c]) + bf * self.beta[c]
+
+    def _column(self, c: int) -> list[int]:
+        """Column c in every row, each on its row's scale, and times D for
+        a real column: one positive factor for all rows, which leaves the
+        ratio test as it is.  int_dot stops at the shorter list, so a
+        row's rhs entry takes no part."""
+        if c >= self.m:
+            return [row[c - self.m] for row in self.rows]
+        col = self.cols[c]
+        return [int_dot(row, col) for row in self.rows]
+
+    def _price_out(self, r: int, p: int, f: int) -> None:
+        """Clear the reduced cost f of the column whose entry in row r is
+        p > 0, both on one scale: on/oscale - (f/p)(R/oscale) =
+        (p·on - f·R)/(p·oscale)."""
         R = self.rows[r]
-        p = R[c]
-        f = self.on[c]
         on = _eliminate(self.on, p, f, [(j, b) for j, b in enumerate(R) if b])
         scale = self.oscale * (p // gcd(p, f))  # the factor _eliminate applied
         g = gcd(gcd(*on), scale)
@@ -188,32 +241,22 @@ class _DualTableau:
         self.on = on
         self.oscale = scale
 
-    def _entering(self) -> int | None:
-        on = self.on
+    def _entering(self, prices: list[int]) -> int | None:
         if self.bland:
-            for j in range(self.width - 1):
-                if on[j] < 0 and j not in self.forbidden:
-                    return j
-            return None
-        best = None
-        best_v = 0
-        for j in range(self.width - 1):
-            v = on[j]
-            if v < best_v and j not in self.forbidden:
-                best, best_v = j, v
-        return best
+            return next((j for j, v in enumerate(prices) if v < 0), None)
+        best = min(prices, default=0)
+        return prices.index(best) if best < 0 else None
 
-    def _leaving(self, c: int) -> int | None:
-        """Minimum ratio rhs / entry over positive entries of column c (the
-        row factor cancels), ties to the lowest basic variable."""
+    def _leaving(self, alpha: list[int]) -> int | None:
+        """Minimum ratio rhs / entry over the positive entries alpha of the
+        entering column (the row factors cancel), ties to the lowest basic
+        variable."""
         best = None
         best_num = best_den = 0
         best_var = -1
-        RHS = self.RHS
-        for i, row in enumerate(self.rows):
-            a = row[c]
+        for i, a in enumerate(alpha):
             if a > 0:
-                num = row[RHS]
+                num = self.rows[i][-1]
                 if best is None:
                     take = True
                 else:
@@ -224,39 +267,39 @@ class _DualTableau:
                     best, best_num, best_den, best_var = i, num, a, self.basis[i]
         return best
 
-    def pivot(self, r: int, c: int) -> None:
+    def pivot(self, r: int, c: int, alpha: list[int], f: int) -> None:
+        """Pivot column c (entries alpha, reduced cost f, on one scale)
+        into the basis at row r."""
         rows = self.rows
         R = rows[r]
-        p = R[c]
+        p = alpha[r]
         if p < 0:
             R = rows[r] = [-x for x in R]
             p = -p
         support = [(j, b) for j, b in enumerate(R) if b]
-        for i in range(self.nrows):
-            if i != r:
-                row = rows[i]
-                f = row[c]
-                if f != 0:
-                    rows[i] = primitive(_eliminate(row, p, f, support))
-        if self.on[c] != 0:
-            self._price_out(r, c)
+        for i, a in enumerate(alpha):
+            if i != r and a != 0:
+                rows[i] = primitive(_eliminate(rows[i], p, a, support))
+        if f != 0:
+            self._price_out(r, p, f)
         self.basis[r] = c
 
     def run(self) -> str:
-        RHS = self.RHS
         while True:
-            c = self._entering()
+            prices = self._prices()
+            c = self._entering(prices)
             if c is None:
                 return OPTIMAL
-            r = self._leaving(c)
+            alpha = self._column(c)
+            r = self._leaving(alpha)
             if r is None:
                 return UNBOUNDED
-            before_num, before_scale = self.on[RHS], self.oscale
-            self.pivot(r, c)
+            before_num, before_scale = self.on[-1], self.oscale
+            self.pivot(r, c, alpha, prices[c])
             self.pivots += 1
             if self.pivots > _MAX_PIVOTS:
                 raise InternalError("simplex pivot budget exhausted")
-            if self.on[RHS] * before_scale == before_num * self.oscale:
+            if self.on[-1] * before_scale == before_num * self.oscale:
                 self.stall += 1
                 if self.stall >= _STALL_SWITCH:
                     self.bland = True
@@ -265,40 +308,39 @@ class _DualTableau:
                 self.bland = False
 
     def objective_value(self) -> Fraction:
-        return -Fraction(self.on[self.RHS], self.oscale)
+        return -Fraction(self.on[-1], self.oscale)
 
     def basic_value(self, r: int) -> Fraction:
+        """The value of row r's basic real column c: D·rhs / alpha_r(c)."""
         row = self.rows[r]
-        return Fraction(row[self.RHS], row[self.basis[r]])
+        return Fraction(self.D * row[-1], int_dot(row, self.cols[self.basis[r]]))
 
-    def clear_artificials(self, real_cols: int) -> None:
+    def clear_artificials(self) -> None:
         """Pivot basic artificials (all at zero) onto real columns when possible.
 
         A row whose real part vanished entirely is a redundant constraint;
         its artificial stays basic at zero and can never interfere again.
         """
         for r in range(self.nrows):
-            if self.basis[r] >= real_cols:
-                for c in range(real_cols):
-                    if self.rows[r][c] != 0:
-                        self.pivot(r, c)
+            if self.basis[r] >= self.m:
+                row = self.rows[r]
+                for c, col in enumerate(self.cols):
+                    if int_dot(row, col) != 0:
+                        self.pivot(r, c, self._column(c), self._reduced_cost(c))
                         break
 
 
-def _run_dual(lp: LinearProgram) -> tuple[_DualTableau, str | None]:
-    """Phase I and phase II on the dual of lp: the tableau and the status of
+def _run_dual(lp: LinearProgram) -> tuple[_RevisedDual, str | None]:
+    """Phase I and phase II on the dual of lp: the solver and the status of
     phase II, or None when phase I finds the dual infeasible."""
-    m, d = len(lp.matrix), len(lp.objective)
-    tab = _DualTableau(lp)
-    on = [0] * tab.width
-    on[m:m + d] = [1] * d
-    tab.set_objective(on, 1)
+    tab = _RevisedDual(lp)
+    tab.set_objective(1)
     if tab.run() != OPTIMAL:
         raise InternalError("phase I cannot be unbounded")
     if tab.objective_value() != 0:
         return tab, None
-    tab.clear_artificials(m)
-    tab.set_objective(list(lp.beta) + [0] * (d + 1), lp.denominator)
+    tab.clear_artificials()
+    tab.set_objective(2)
     return tab, tab.run()
 
 
@@ -325,7 +367,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     # of equality row j is -pi_j, and v_j = sigma_j·pi_j solves A_r·v = b_r
     # for every basic column r (and v_j = 0 for a basic artificial): the
     # unique primal optimum of this basis.
-    primal = tuple(Fraction(-tab.sigma[j] * tab.on[m + j], tab.oscale)
+    primal = tuple(Fraction(-tab.sigma[j] * tab.on[j], tab.oscale)
                    for j in range(d))
     value = sum((cj * vj for cj, vj in zip(lp.objective, primal)), zero)
     return _finish(lp, value, primal, tuple(u), tab.pivots)

@@ -24,17 +24,20 @@ Two more replaced implementations follow: ``verify_cm`` as it was when
 it applied operator matrices (``verify_cm_by_apply``), and the simplex
 on the rational num/den tableau with its Fraction verification
 (``solve_by_fraction_tableau``).  Its standard-form dual tableau is the
-one the integer tableau of ``minproj.simplex`` must match pivot for
-pivot; its inequality-form tableau (split free variables, one slack per
+one ``minproj.simplex`` must match pivot for pivot; its inequality-form tableau (split free variables, one slack per
 row, artificials on negative right-hand sides), once the second path of
 ``minproj.simplex``, decides infeasible and unbounded LPs independently.
+The full integer tableau that the revised dual simplex replaced
+(``solve_by_full_tableau``) must give the same LPSolution as
+``simplex.solve``, pivot count included, on every LP.
 ``certify_by_face`` is the ``certify`` command as it was before
 ``certificates.certify_cm``: the lambda LP, the optimal face, and
 ``verify_cm`` at its relative interior, for every certificate.
 ``verify_cm_by_apply`` reads the invariance and the trace off the
 matrix of T (``cm_operator``, ``trace_on_subspace``).  Beside it stand
-the polar dual and the operator basis as they were in ``Fraction``
-arithmetic (``polar_dual_by_fractions``, ``operator_basis_by_fractions``)
+the polar dual, the operator basis and the realized projection matrix
+as they were in ``Fraction`` arithmetic (``polar_dual_by_fractions``,
+``operator_basis_by_fractions``, ``realize_by_fractions``)
 and a closed form of the projection constant of a hyperplane in l-inf^n
 (``linf_hyperplane_lambda``), which checks the lambda LP with no LP at
 all.
@@ -58,6 +61,7 @@ the schema that ``jsonio.parse_space_document`` reads.
 """
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
@@ -70,12 +74,14 @@ from minproj.errors import (CertificateInvalidError, InternalError,
 from minproj.geometry import DEFAULT_GP_CAP, GeneralPositionReport
 from minproj.jsonio import vector_json
 from minproj.linalg import (RMatrix, dot, int_dot, integer_rows,
-                            over_denominator)
+                            over_denominator, primitive)
 from minproj.projections import (OperatorPoint, _restrict_to_face,
                                   build_operator_basis, face_dimension,
                                   norming_pairs, projection_constant)
+from minproj import simplex
 from minproj.simplex import (_MAX_PIVOTS, _STALL_SWITCH, INFEASIBLE, OPTIMAL,
-                             UNBOUNDED, LinearProgram, LPSolution, solve)
+                             UNBOUNDED, LinearProgram, LPSolution, _eliminate,
+                             _finish, solve)
 
 
 def solve_on_face(lp, fixed_value, secondary_objective):
@@ -677,6 +683,18 @@ def operator_basis_by_fractions(space, Y):
                            y_basis=ys, annihilator=gs)
 
 
+def realize_by_fractions(basis, point):
+    """OperatorBasis.realize as it was: P0 plus each basis operator scaled
+    by its coefficient, as Fraction matrices."""
+    if len(point.coefficients) != basis.dimension:
+        raise ValueError("coefficient count does not match the operator basis")
+    out = basis.base_projection
+    for c, op in zip(point.coefficients, basis.basis_ops):
+        if c:
+            out = out.add(op.scale(c))
+    return out
+
+
 def certify_by_face(space, Y, cm, lam):
     """(computed lambda, verdict) of the certify command as it was: solve
     the lambda LP, find the relative interior of the optimal face, and
@@ -1056,6 +1074,208 @@ def _fraction_finish(lp, value, primal, dual, pivots):
         raise InternalError("primal value mismatch")
     return LPSolution(status=OPTIMAL, value=value, primal=primal,
                       dual=dual, tight_set=tight, pivots=pivots)
+
+
+# The full integer tableau that the revised dual simplex of
+# minproj.simplex replaced: each of the d rows holds every real column
+# as well as its artificial block and right-hand side, and a pivot
+# rewrites all of it.  It takes the same pivots by the same rules, so
+# solve_by_full_tableau returns the same LPSolution as simplex.solve,
+# pivot count included.  It reads the stall threshold from minproj.simplex
+# at run time, so a test that patches it there patches both.
+
+class _FullDualTableau:
+    """Standard-form tableau of the dual  Aᵀu = -c, u >= 0: one column per
+    constraint row of the LP, one equality row (with its artificial) per
+    variable, negated where -c_j < 0 so the artificial starts basic.
+    Integer rows are scaled through their basic entries, the objective row
+    is priced out over the basis, and pivoting follows Dantzig's rule, with
+    Bland's rule through runs of degenerate pivots."""
+
+    def __init__(self, lp):
+        M, D = lp.matrix, lp.denominator
+        n_u = len(M)
+        self.nrows = n_eq = len(lp.objective)
+        self.width = n_u + n_eq + 1
+        self.RHS = self.width - 1
+        self.rows = []
+        self.basis = []
+        self.sigma = []
+        for j, cj in enumerate(lp.objective):
+            s = 1 if cj <= 0 else -1
+            self.sigma.append(s)
+            # The true row times D·den(c_j).
+            factor = s * cj.denominator
+            row = [factor * M[r][j] for r in range(n_u)] + [0] * (n_eq + 1)
+            row[n_u + j] = D * cj.denominator
+            row[self.RHS] = -s * cj.numerator * D
+            self.rows.append(primitive(row))
+            self.basis.append(n_u + j)
+        # Artificial columns never (re-)enter the basis.
+        self.forbidden = frozenset(range(n_u, n_u + n_eq))
+        self.on = []
+        self.oscale = 1
+        self.bland = False
+        self.stall = 0
+        self.pivots = 0
+
+    def set_objective(self, on, oscale):
+        """Install the cost row on / oscale (oscale > 0) and price out the
+        current basis."""
+        self.on = on
+        self.oscale = oscale
+        self.bland = False
+        self.stall = 0
+        for r in range(self.nrows):
+            if on[self.basis[r]] != 0:
+                self._price_out(r, self.basis[r])
+
+    def _price_out(self, r, c):
+        """Clear the reduced cost of column c with row r, whose entry p at c
+        is positive: on/oscale - (on[c]/oscale)(R/p) = (p·on - on[c]·R)/(p·oscale)."""
+        R = self.rows[r]
+        p = R[c]
+        f = self.on[c]
+        on = _eliminate(self.on, p, f, [(j, b) for j, b in enumerate(R) if b])
+        scale = self.oscale * (p // gcd(p, f))  # the factor _eliminate applied
+        g = gcd(gcd(*on), scale)
+        if g > 1:
+            on = [x // g for x in on]
+            scale //= g
+        self.on = on
+        self.oscale = scale
+
+    def _entering(self):
+        on = self.on
+        if self.bland:
+            for j in range(self.width - 1):
+                if on[j] < 0 and j not in self.forbidden:
+                    return j
+            return None
+        best = None
+        best_v = 0
+        for j in range(self.width - 1):
+            v = on[j]
+            if v < best_v and j not in self.forbidden:
+                best, best_v = j, v
+        return best
+
+    def _leaving(self, c):
+        """Minimum ratio rhs / entry over positive entries of column c (the
+        row factor cancels), ties to the lowest basic variable."""
+        best = None
+        best_num = best_den = 0
+        best_var = -1
+        RHS = self.RHS
+        for i, row in enumerate(self.rows):
+            a = row[c]
+            if a > 0:
+                num = row[RHS]
+                if best is None:
+                    take = True
+                else:
+                    lhs = num * best_den
+                    rhs = best_num * a
+                    take = lhs < rhs or (lhs == rhs and self.basis[i] < best_var)
+                if take:
+                    best, best_num, best_den, best_var = i, num, a, self.basis[i]
+        return best
+
+    def pivot(self, r, c):
+        rows = self.rows
+        R = rows[r]
+        p = R[c]
+        if p < 0:
+            R = rows[r] = [-x for x in R]
+            p = -p
+        support = [(j, b) for j, b in enumerate(R) if b]
+        for i in range(self.nrows):
+            if i != r:
+                row = rows[i]
+                f = row[c]
+                if f != 0:
+                    rows[i] = primitive(_eliminate(row, p, f, support))
+        if self.on[c] != 0:
+            self._price_out(r, c)
+        self.basis[r] = c
+
+    def run(self):
+        RHS = self.RHS
+        while True:
+            c = self._entering()
+            if c is None:
+                return OPTIMAL
+            r = self._leaving(c)
+            if r is None:
+                return UNBOUNDED
+            before_num, before_scale = self.on[RHS], self.oscale
+            self.pivot(r, c)
+            self.pivots += 1
+            if self.pivots > simplex._MAX_PIVOTS:
+                raise InternalError("simplex pivot budget exhausted")
+            if self.on[RHS] * before_scale == before_num * self.oscale:
+                self.stall += 1
+                if self.stall >= simplex._STALL_SWITCH:
+                    self.bland = True
+            else:
+                self.stall = 0
+                self.bland = False
+
+    def objective_value(self):
+        return -Fraction(self.on[self.RHS], self.oscale)
+
+    def basic_value(self, r):
+        row = self.rows[r]
+        return Fraction(row[self.RHS], row[self.basis[r]])
+
+    def clear_artificials(self, real_cols):
+        """Pivot basic artificials (all at zero) onto real columns when possible."""
+        for r in range(self.nrows):
+            if self.basis[r] >= real_cols:
+                for c in range(real_cols):
+                    if self.rows[r][c] != 0:
+                        self.pivot(r, c)
+                        break
+
+
+def _full_tableau_run(lp):
+    """Phase I and phase II on the dual of lp: the tableau and the status of
+    phase II, or None when phase I finds the dual infeasible."""
+    m, d = len(lp.matrix), len(lp.objective)
+    tab = _FullDualTableau(lp)
+    on = [0] * tab.width
+    on[m:m + d] = [1] * d
+    tab.set_objective(on, 1)
+    if tab.run() != OPTIMAL:
+        raise InternalError("phase I cannot be unbounded")
+    if tab.objective_value() != 0:
+        return tab, None
+    tab.clear_artificials(m)
+    tab.set_objective(list(lp.beta) + [0] * (d + 1), lp.denominator)
+    return tab, tab.run()
+
+
+def solve_by_full_tableau(lp):
+    """simplex.solve on the full integer tableau.  An optimal solution goes
+    through simplex._finish, so it is verified and counted in SOLVE_STATS
+    as optimal and verified; the "solves" counter is not touched."""
+    m, d = len(lp.matrix), len(lp.objective)
+    tab, status = _full_tableau_run(lp)
+    if status is None:
+        check, status = _full_tableau_run(replace(lp, objective=(0,) * d))
+        return LPSolution(status=INFEASIBLE if status == UNBOUNDED else UNBOUNDED,
+                          pivots=tab.pivots + check.pivots)
+    if status == UNBOUNDED:
+        return LPSolution(status=INFEASIBLE, pivots=tab.pivots)
+    zero = Fraction(0)
+    u = [zero] * m
+    for r in range(tab.nrows):
+        if tab.basis[r] < m:
+            u[tab.basis[r]] = tab.basic_value(r)
+    primal = tuple(Fraction(-tab.sigma[j] * tab.on[m + j], tab.oscale)
+                   for j in range(d))
+    value = sum((cj * vj for cj, vj in zip(lp.objective, primal)), zero)
+    return _finish(lp, value, primal, tuple(u), tab.pivots)
 
 
 # The eliminations that linalg.reduce_row replaced: the rational

@@ -11,7 +11,8 @@ negations in dimension n <= 4.  For general position its extreme points
 are read off the double polar, so the space is built from vertices
 alone, as a user would supply it; subspaces have small-integer bases,
 mostly hyperplanes in n = 3, 4 and 2-planes.  The operator basis is also
-compared with the Fraction basis it replaced.  For validation and the polar the point list is
+compared with the Fraction basis it replaced, and the realized
+projection matrix with the Fraction sum it replaced.  For validation and the polar the point list is
 kept as drawn, with its non-extreme and duplicated points; the polar
 also gets lists in dimension 5 made mostly of cube vertices, where a
 wrong edge test shows.
@@ -32,16 +33,17 @@ from minproj.errors import (NotExtremeError, NotFullDimensionalError,
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, polar_dual)
 from minproj.linalg import dot, rows_rank
-from minproj.projections import (build_operator_basis, face_dimension,
-                                 max_norming_projection, norming_pairs,
-                                 operator_norm, projection_constant)
+from minproj.projections import (OperatorPoint, build_operator_basis,
+                                 face_dimension, max_norming_projection,
+                                 norming_pairs, operator_norm,
+                                 projection_constant)
 
 from oracles import (budget_outcome, certify_by_face, first_non_extreme,
                      general_position_exhaustive, general_position_per_subset,
                      is_extreme, linf_hyperplane_lambda,
                      minimal_support_by_solve, operator_basis_by_fractions,
-                     polar_dual_by_fractions, trace_on_subspace,
-                     verify_cm_by_apply)
+                     polar_dual_by_fractions, realize_by_fractions,
+                     trace_on_subspace, verify_cm_by_apply)
 
 # No shrink phase: each shrink step re-solves lambda and the face, so a
 # failure took minutes to report.  derandomize=True still reproduces the
@@ -231,6 +233,20 @@ def test_operator_basis_agrees_with_fraction_oracle(case, data):
         assert ours.basis_ops == expected.basis_ops
         assert ours.y_basis == expected.y_basis
         assert ours.annihilator == expected.annihilator
+
+
+@_SETTINGS
+@given(spaces_with_subspaces(), st.data())
+def test_realize_agrees_with_fraction_oracle(case, data):
+    # The integer sum P0 + sum c_q L_q equals the Fraction one it
+    # replaced, at coefficients of both signs, zeros among them
+    space, basis = case
+    ops = build_operator_basis(space, Subspace.from_basis(basis))
+    coefficients = data.draw(st.lists(
+        st.fractions(-5, 5, max_denominator=9),
+        min_size=ops.dimension, max_size=ops.dimension))
+    point = OperatorPoint(tuple(coefficients))
+    assert ops.realize(point) == realize_by_fractions(ops, point)
 
 
 def _analyze(case):

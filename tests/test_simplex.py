@@ -1,12 +1,16 @@
 """The LP layer is the load-bearing wall: everything above it trusts the
 returned optima and certificates.  Alongside the fixed examples, random
 instances are compared against a brute-force vertex-enumeration oracle.
-The integer tableau is compared with the rational one it replaced (kept
-in ``oracles.py``): optimal solutions pivot for pivot, and every status
-(optimal, infeasible, unbounded) against the inequality-form tableau
-there.  With Bland's rule forced after one degenerate pivot, the
-integer tableau leaves it again on progress and still agrees with the
-rational tableaux, which keep it, in status and value.  The rational
+The revised dual simplex is compared with the full integer tableau it
+replaced (kept in ``oracles.py``): the whole LPSolution, pivot count
+included, on random integer LPs of every status, with Bland's rule
+forced after one degenerate pivot too, and on the lambda LPs of the
+l-inf^6 hyperplane and the l1^5 2-plane of the benchmark.  It is also
+compared with the rational tableau before that: optimal solutions pivot
+for pivot, and every status (optimal, infeasible, unbounded) against the
+inequality-form tableau there.  With Bland's rule forced after one
+degenerate pivot, the solver leaves it again on progress and still
+agrees with the rational tableaux, which keep it, in status and value.  The rational
 tableau's two row operations are checked against
 Fraction arithmetic, on small entries and on entries far beyond machine
 words.  Each of the six verification identities is shown to reject a
@@ -20,14 +24,19 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minproj import simplex
+from minproj.catalog import l1_ball, linf_ball, random_subspace
 from minproj.errors import InternalError
 from minproj.linalg import RMatrix, dot, int_dot, solve_linear
+from minproj.projections import build_operator_basis, build_pair_grid
 from minproj.simplex import (INFEASIBLE, OPTIMAL, SOLVE_STATS, UNBOUNDED,
-                             _finish, _verify_certificate, solve)
+                             LinearProgram, _finish, _verify_certificate, solve)
 from oracles import (lp_rhs, make_lp, row_axpy, scale_row,
-                     solve_by_fraction_tableau, solve_on_face)
+                     solve_by_fraction_tableau, solve_by_full_tableau,
+                     solve_on_face)
 
 F = Fraction
 
@@ -207,10 +216,12 @@ def test_integer_tableau_matches_fraction_tableau_on_random_lps():
     # every status and optimal value equal those of the rational
     # inequality-form tableau, which decides them independently; an optimal
     # solution equals the rational dual tableau's whole: value, primal,
-    # dual, tight set and pivot count
+    # dual, tight set and pivot count; every solution equals the full
+    # integer tableau's whole
     seen = Counter()
     for lp in _oracle_lps():
         sol = solve(lp)
+        assert sol == solve_by_full_tableau(lp)
         rows = solve_by_fraction_tableau(lp, method="rows")
         assert sol.status == rows.status
         if sol.status == OPTIMAL:
@@ -229,25 +240,25 @@ def test_bland_mode_keeps_the_oracle_status_and_value(monkeypatch):
     # keep their own threshold and stay with Bland's rule once they switch;
     # statuses and optimal values still agree
     seen = set()
-    entering = simplex._DualTableau._entering
-    set_objective = simplex._DualTableau.set_objective
+    entering = simplex._RevisedDual._entering
+    set_objective = simplex._RevisedDual.set_objective
 
-    def spy_entering(tab):
+    def spy_entering(tab, prices):
         if tab.bland:
             seen.add("entered")
             tab.was_bland = True
         elif getattr(tab, "was_bland", False):
             seen.add("left")
-        return entering(tab)
+        return entering(tab, prices)
 
-    def spy_set_objective(tab, on, oscale):
-        set_objective(tab, on, oscale)
+    def spy_set_objective(tab, phase):
+        set_objective(tab, phase)
         assert not tab.bland and tab.stall == 0
         tab.was_bland = False
 
     monkeypatch.setattr(simplex, "_STALL_SWITCH", 1)
-    monkeypatch.setattr(simplex._DualTableau, "_entering", spy_entering)
-    monkeypatch.setattr(simplex._DualTableau, "set_objective", spy_set_objective)
+    monkeypatch.setattr(simplex._RevisedDual, "_entering", spy_entering)
+    monkeypatch.setattr(simplex._RevisedDual, "set_objective", spy_set_objective)
     modes = Counter()
     for lp in _oracle_lps():
         seen.clear()
@@ -259,6 +270,51 @@ def test_bland_mode_keeps_the_oracle_status_and_value(monkeypatch):
             _check_certificate(lp, sol)
         modes.update(seen)
     assert modes["entered"] >= 10 and modes["left"] >= 10, modes
+
+
+@st.composite
+def integer_lps(draw):
+    """Up to 10 rows over up to 4 variables: small integer rows and
+    right-hand sides over a denominator of 1 to 3, and costs of both signs
+    with small denominators, so optimal, infeasible and unbounded LPs
+    all occur."""
+    m = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    return LinearProgram(
+        objective=tuple(draw(st.lists(st.fractions(-3, 3, max_denominator=3),
+                                      min_size=d, max_size=d))),
+        matrix=tuple(tuple(draw(st.lists(entries, min_size=d, max_size=d)))
+                     for _ in range(m)),
+        beta=tuple(draw(st.lists(entries, min_size=m, max_size=m))),
+        denominator=draw(st.integers(1, 3)))
+
+
+@pytest.mark.parametrize("stall_switch", [simplex._STALL_SWITCH, 1])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lp=integer_lps())
+def test_revised_dual_matches_full_tableau(stall_switch, lp):
+    # the same LPSolution, status, value, primal, dual, tight set and
+    # pivot count, also when one degenerate pivot switches to Bland's rule
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "_STALL_SWITCH", stall_switch)
+        assert solve(lp) == solve_by_full_tableau(lp)
+
+
+@pytest.mark.parametrize("ball, n, k, shape", [
+    (linf_ball, 6, 5, (384, 6)),
+    (l1_ball, 5, 2, (160, 7)),
+])
+def test_benchmark_lambda_lps_match_full_tableau(ball, n, k, shape):
+    # the lambda LPs of the l-inf^6 hyperplane and the l1^5 2-plane at the
+    # benchmark's generator seed, exactly as the full tableau solves them
+    space = ball(n)
+    Y = random_subspace(n, k, 7)
+    lp = build_pair_grid(space, Y, build_operator_basis(space, Y)).lp
+    assert (len(lp.matrix), len(lp.objective)) == shape
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert sol == solve_by_full_tableau(lp)
 
 
 def _finish_lp():
