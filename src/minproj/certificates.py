@@ -25,9 +25,8 @@ from typing import Iterable
 from .errors import (CertificateInvalidError, InternalError,
                      RankGapViolationError, SupportBudgetExceededError)
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import (RMatrix, dot, int_dot, integer_row_rank, integer_rref,
-                     over_denominator, rows_rank, rref_rows, solve_linear,
-                     subset_walk)
+from .linalg import (dot, int_dot, integer_row_rank, integer_rref,
+                     over_denominator, rows_rank, rref_rows, subset_walk)
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint, PairGrid,
                           build_operator_basis, build_pair_grid, face_dimension,
                           pair_rows, projection_constant)
@@ -199,11 +198,21 @@ def _projection_normed_by(rows: PairGrid, grid: PairGrid,
                           lam: Fraction) -> OperatorPoint | None:
     """The projection c at which every row of rows, of full column rank,
     has value lam, when it exists and every row of grid is at most lam
-    there; otherwise None."""
-    c = solve_linear(RMatrix.from_rows(rows.coefs_num),
-                     [lam * rows.denominator - b for b in rows.base_num])
-    if c is None:
+    there; otherwise None.
+
+    coefs·c = lam·D - base is solved in integers as
+    coefs·(lam_den·c) = lam_num·D - lam_den·base: the system is brought
+    to reduced echelon form by linalg.integer_rref, its pivots are then
+    the d columns in order unless the right-hand side is one too (no
+    solution), and c_i is a row's last entry over its pivot entry and
+    lam_den."""
+    d = len(rows.coefs_num[0])
+    D = rows.denominator
+    reduced = integer_rref([list(row) + [lam.numerator * D - lam.denominator * b]
+                            for row, b in zip(rows.coefs_num, rows.base_num)])
+    if reduced[-1][0] == d:
         return None
+    c = tuple(Fraction(row[d], row[pivot] * lam.denominator) for pivot, row in reduced)
     values, den = grid.value_numerators(c)
     if max(values) * lam.denominator > lam.numerator * den:
         return None

@@ -6,8 +6,11 @@ minimization becomes: minimize t subject to f(P x) <= t over the finite
 grid of (ball vertex, dual vertex) pairs.  The optimum is the relative
 projection constant; tight grid rows are norming pairs; the optimal face
 of the LP is exactly the set of minimal projections, and its affine
-dimension is read off the implicit-equality rows, which a few Gordan
-rounds (one small LP each) decide exactly.
+dimension is read off the implicit-equality rows.  By complementary
+slackness every row with positive weight in the LP's verified dual is
+tight at every minimal projection, so those rows are implicit from the
+start; Gordan rounds (one small LP each) decide only the other tight
+rows, and none is needed when the dual's rows already fix the point.
 
 Everything stays in integers from the subspace to the tableau.  The
 operator basis holds Y's basis, its annihilator and P0 as integers over
@@ -16,7 +19,8 @@ holds its vertex lists cleared once.  The grid rows are integer dot
 products of those over one grid denominator, every test on them (tight
 rows, slacks, rises, restricted coefficients) is an integer dot
 product, and the lambda LP and the Gordan rounds hand their integer
-rows to the simplex as they are.
+rows to the simplex as they are.  The face's nullspace basis is read off
+the integer reduced echelon form of the implicit rows.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Iterable, Sequence
 from .errors import InternalError, NotMinimalError
 from .geometry import PolyhedralSpace, Subspace, norm_eval
 from .linalg import (RMatrix, Vector, cleared, int_dot, integer_row_rank,
-                     inverse, nullspace_basis, over_denominator, reduce_row)
+                     integer_rref, inverse, over_denominator, reduce_row)
 from .simplex import OPTIMAL, LinearProgram, solve
 
 
@@ -249,11 +253,12 @@ class MinProjReport:
     """Everything known about P_min(X, Y).
 
     projection_constant fills in lambda, one optimal vertex (witness) with
-    its norming pairs, and the LP dual weights.  face_dimension then fills
-    in, in place, the face fields: the affine dimension of the optimal
-    face, the implicit pairs (norming for every minimal projection), and a
-    relative-interior point, found by Gordan rounds on the cone of
-    directions from the witness."""
+    its norming pairs (grid rows _witness_tight), and the LP dual weights
+    (grid rows _dual_support, a subset of _witness_tight).  face_dimension
+    then fills in, in place, the face fields: the affine dimension of the
+    optimal face, the implicit pairs (norming for every minimal
+    projection), and a relative-interior point, found from the dual's
+    rows and Gordan rounds on the cone of directions from the witness."""
 
     space: PolyhedralSpace
     subspace: Subspace
@@ -267,6 +272,7 @@ class MinProjReport:
     implicit_pairs: frozenset[tuple[int, int]] | None = None
     interior: OperatorPoint | None = None
     _witness_tight: tuple[int, ...] = field(default=(), repr=False)
+    _dual_support: tuple[int, ...] = field(default=(), repr=False)
     _implicit_rows: tuple[int, ...] = field(default=(), repr=False)
 
 
@@ -289,14 +295,14 @@ def projection_constant(space: PolyhedralSpace, Y: Subspace, *,
     if solution.primal[d] != lam:
         raise InternalError("norm variable t differs from the LP value")
     tight = tuple(sorted(solution.tight_set))
-    certificate = {grid.pairs[r]: solution.dual[r]
-                   for r in range(len(grid.pairs)) if solution.dual[r] > 0}
+    support = tuple(r for r, u in enumerate(solution.dual) if u > 0)
     return MinProjReport(
         space=space, subspace=Y, basis=basis, grid=grid, lam=lam,
         witness=witness,
         norming_pairs_of_witness=frozenset(grid.pairs[r] for r in tight),
-        dual_certificate=certificate,
+        dual_certificate={grid.pairs[r]: solution.dual[r] for r in support},
         _witness_tight=tight,
+        _dual_support=support,
     )
 
 
@@ -325,24 +331,31 @@ def norming_pairs(space: PolyhedralSpace, Y: Subspace, P: OperatorPoint,
 
 def _restrict_to_face(grid: PairGrid, implicit: Sequence[int],
                       rows: Iterable[int], d: int
-                      ) -> tuple[list[Vector], dict[int, tuple[int, ...]], int]:
-    """Columns of a basis N of {z : coefs[r]·z = 0 for r in implicit},
-    for each of rows its coefficients restricted to N (coefs[r]·N) as
-    integers, and their one positive denominator.
+                      ) -> tuple[list[list[int]], int, dict[int, tuple[int, ...]]]:
+    """A basis N of {z : coefs[r]·z = 0 for r in implicit} as integer
+    columns over their least common denominator C (column q of N is
+    columns[q] / C), and for each of rows its coefficients restricted to
+    N, coefs[r]·N, as integers over grid.denominator·C.
 
-    The integer grid rows have the same nullspace as the rational ones.
-    Each column is cleared to integers over its own denominator, and
-    every restricted coefficient is one integer dot product with it,
-    brought to the least common multiple of those denominators; the
-    columns themselves are not rescaled."""
-    N = (nullspace_basis(RMatrix.from_rows([grid.coefs_num[r] for r in implicit]))
-         if implicit else RMatrix.identity(d))
-    cols = [N.col(q) for q in range(N.cols)]
-    cleared_cols = [over_denominator(col) for col in cols]
-    C = lcm(*(den for _, den in cleared_cols))
-    scaled = [[x * (C // den) for x in num] for num, den in cleared_cols]
-    return cols, {r: tuple(int_dot(grid.coefs_num[r], col) for col in scaled)
-                  for r in rows}, grid.denominator * C
+    The integer grid rows have the same nullspace as the rational ones,
+    and N is the basis that their reduced row echelon form gives
+    (linalg.integer_rref: pivots p, each row zero at the other pivots):
+    one column per free index f, 1 at f and -row[f] / row[p] at each
+    pivot p.  Every restricted coefficient is then one integer dot
+    product."""
+    reduced = integer_rref([list(grid.coefs_num[r]) for r in implicit])
+    pivots = {p for p, _ in reduced}
+    basis = []
+    for f in range(d):
+        if f not in pivots:
+            col = [Fraction(0)] * d
+            col[f] = Fraction(1)
+            for p, row in reduced:
+                col[p] = Fraction(-row[f], row[p])
+            basis.append(col)
+    columns, C = cleared(basis)
+    return columns, C, {r: tuple(int_dot(grid.coefs_num[r], col) for col in columns)
+                        for r in rows}
 
 
 def face_dimension(space: PolyhedralSpace, Y: Subspace,
@@ -351,36 +364,47 @@ def face_dimension(space: PolyhedralSpace, Y: Subspace,
 
     Only rows tight at the witness can be implicit, and near the witness
     the face is the witness plus the cone K = {z : coefs[r]·z <= 0 for r
-    tight}.  Gordan rounds find the implicit equalities of K.  Each round
-    works in the nullspace N of the rows found implicit so far: rows whose
-    restricted coefficients G_r = coefs[r]·N vanish are implicit, and one
-    LP maximizes delta <= 1 subject to G_r·y + delta <= 0 over the other
-    undecided rows.  If delta* > 0, none of them is implicit and z = N·y
-    points into the relative interior of K.  If delta* = 0, the verified
-    dual u >= 0 has sum u_r G_r = 0 (Gordan's alternative), so every row
-    it charges is implicit and N loses a dimension: at most k(n-k) + 1
-    LPs in all.
+    tight}.  By complementary slackness every row in the support of the
+    lambda LP's verified dual is tight at every minimal projection, so
+    those rows start out implicit.  Gordan rounds decide the other tight
+    rows.  Each round works in the nullspace N of the rows found implicit
+    so far: rows whose restricted coefficients G_r = coefs[r]·N vanish
+    are implicit, and one LP maximizes delta <= 1 subject to
+    G_r·y + delta <= 0 over the other undecided rows.  If delta* > 0,
+    none of them is implicit and z = N·y points into the relative
+    interior of K.  If delta* = 0, the verified dual u >= 0 has
+    sum u_r G_r = 0 (Gordan's alternative), so every row it charges is
+    implicit and N loses a dimension: at most k(n-k) + 1 LPs in all, and
+    none when the dual's rows [coefs_r, -D] have rank d + 1, since N is
+    then zero.
+
+    The last round sees the implicit rows of the face and the rest of
+    the tight rows in witness order whichever rows it starts from, and N
+    is the one basis the reduced echelon form gives, so starting from
+    the dual's rows solves the same last LP as starting from none.
 
     The relative-interior point is witness + eps·z, where eps keeps every
     row that is slack at the witness at least half slack; its norming
     pairs are exactly the implicit pairs, and it is the witness itself
-    when the face is a point.  face_dim is the dimension of N.
+    when no undecided row is left (z = 0), in particular when the face is
+    a point.  face_dim is the dimension of N.
     """
     grid = report.grid
     lam = report.lam
     witness = report.witness.coefficients
     d = len(witness)
-    zero, one = Fraction(0), Fraction(1)
-    implicit: list[int] = []
-    undecided = list(report._witness_tight)
+    support = set(report._dual_support)
+    implicit = list(report._dual_support)
+    undecided = [r for r in report._witness_tight if r not in support]
     while True:
-        cols, restricted, den = _restrict_to_face(grid, implicit, undecided, d)
+        cols, scale, restricted = _restrict_to_face(grid, implicit, undecided, d)
         implicit += [r for r in undecided if not any(restricted[r])]
         undecided = [r for r in undecided if any(restricted[r])]
-        m = len(cols)
         if not undecided:
-            y = (zero,) * m
+            interior = witness
             break
+        m = len(cols)
+        den = grid.denominator * scale
         # G_r·y + delta <= 0 and delta <= 1, over the restricted rows' den.
         sol = solve(LinearProgram(
             objective=(0,) * m + (-1,),
@@ -392,7 +416,13 @@ def face_dimension(space: PolyhedralSpace, Y: Subspace,
         if sol.status != OPTIMAL:
             raise InternalError(f"Gordan round LP is {sol.status}")
         if sol.value < 0:
-            y = sol.primal[:m]
+            y, y_den = over_denominator(sol.primal[:m])
+            z = tuple(Fraction(int_dot(row, y), scale * y_den) for row in zip(*cols))
+            # Keep every row slack at the witness at least half slack.
+            step = _first_slack_step(grid, witness, lam, z,
+                                     skip=set(report._witness_tight))
+            eps = Fraction(1) if step is None else min(Fraction(1), step / 2)
+            interior = tuple(w + eps * zq for w, zq in zip(witness, z))
             break
         charged = {r for r, u in zip(undecided, sol.dual) if u > 0}
         if not charged:
@@ -400,12 +430,6 @@ def face_dimension(space: PolyhedralSpace, Y: Subspace,
         implicit.extend(charged)
         undecided = [r for r in undecided if r not in charged]
 
-    z = tuple(sum((col[i] * yq for col, yq in zip(cols, y)), zero)
-              for i in range(d))
-    # Keep every row slack at the witness at least half slack.
-    step = _first_slack_step(grid, witness, lam, z, skip=set(report._witness_tight))
-    eps = one if step is None else min(one, step / 2)
-    interior = tuple(w + eps * zq for w, zq in zip(witness, z))
     implicit.sort()
     if grid.tight_rows(interior, lam) != implicit:
         raise InternalError("relative-interior point is tight off the implicit rows")

@@ -4,7 +4,9 @@
 and the extremality check of ``geometry.PolyhedralSpace.from_vertices``.
 
 The first three are the earlier loop-of-LPs algorithms: the optimal face
-decided by one pinned-objective LP per tight row, a minimal projection
+decided by one pinned-objective LP per tight row (and by Gordan rounds
+from no implicit row, ``face_dimension_by_rounds``, which must give the
+same face and the same relative-interior point), a minimal projection
 with an inclusion-maximal norming set found by greedy tightening from
 the relative interior, and the minimal-support certificate found by one
 "maximize the smallest weight" LP per candidate subset.  The
@@ -75,7 +77,7 @@ from minproj.geometry import DEFAULT_GP_CAP, GeneralPositionReport
 from minproj.jsonio import vector_json
 from minproj.linalg import (RMatrix, dot, int_dot, integer_rows,
                             over_denominator, primitive)
-from minproj.projections import (OperatorPoint, _restrict_to_face,
+from minproj.projections import (OperatorPoint, _first_slack_step,
                                   build_operator_basis, face_dimension,
                                   norming_pairs, projection_constant)
 from minproj import simplex
@@ -177,6 +179,76 @@ def face_dimension_per_row(report):
     return face_dim, frozenset(grid.pairs[r] for r in implicit_rows), interior
 
 
+def face_basis_by_fractions(grid, implicit, rows, d):
+    """Columns of the nullspace basis N of the implicit grid rows that
+    rref_by_fractions gives (the identity when there are none), in
+    Fractions, and for each of rows its coefficients restricted to N
+    (coefs[r]·N) as integers over one positive denominator: each column
+    cleared over its own least denominator, then brought to their least
+    common multiple."""
+    if implicit:
+        cols = nullspace_by_fractions(
+            RMatrix.from_rows([grid.coefs_num[r] for r in implicit]))
+    else:
+        cols = [tuple(Fraction(int(i == q)) for i in range(d)) for q in range(d)]
+    cleared_cols = [over_denominator(col) for col in cols]
+    C = lcm(*(den for _, den in cleared_cols))
+    scaled = [[x * (C // den) for x in num] for num, den in cleared_cols]
+    return cols, {r: tuple(int_dot(grid.coefs_num[r], col) for col in scaled)
+                  for r in rows}, grid.denominator * C
+
+
+def face_dimension_by_rounds(report):
+    """(face_dim, implicit pairs, relative-interior coefficients) by Gordan
+    rounds from no implicit row, with a rational nullspace per round: the
+    face stage as it was before the lambda LP's dual support was taken
+    as implicit.  Each round restricts the undecided tight rows to the
+    nullspace N of the rows found implicit so far, moves the ones that
+    vanish there to the implicit rows, and solves max delta <= 1 subject
+    to G_r·y + delta <= 0 over the rest; delta* > 0 gives the interior
+    direction N·y, delta* = 0 makes the rows its dual charges implicit.
+    The interior is the witness moved along N·y, keeping every row slack
+    at the witness at least half slack.  The report is not modified."""
+    grid = report.grid
+    lam = report.lam
+    witness = report.witness.coefficients
+    d = len(witness)
+    implicit = []
+    undecided = list(report._witness_tight)
+    while True:
+        cols, restricted, den = face_basis_by_fractions(grid, implicit, undecided, d)
+        implicit += [r for r in undecided if not any(restricted[r])]
+        undecided = [r for r in undecided if any(restricted[r])]
+        m = len(cols)
+        if not undecided:
+            y = (Fraction(0),) * m
+            break
+        sol = solve(LinearProgram(
+            objective=(0,) * m + (-1,),
+            matrix=tuple(restricted[r] + (den,) for r in undecided)
+            + ((0,) * m + (den,),),
+            beta=(0,) * len(undecided) + (den,),
+            denominator=den,
+        ))
+        assert sol.status == OPTIMAL, sol.status
+        if sol.value < 0:
+            y = sol.primal[:m]
+            break
+        charged = {r for r, u in zip(undecided, sol.dual) if u > 0}
+        assert charged, "a Gordan round at delta* = 0 charged no row"
+        implicit.extend(charged)
+        undecided = [r for r in undecided if r not in charged]
+
+    z = tuple(sum((col[i] * yq for col, yq in zip(cols, y)), Fraction(0))
+              for i in range(d))
+    step = _first_slack_step(grid, witness, lam, z, skip=set(report._witness_tight))
+    eps = Fraction(1) if step is None else min(Fraction(1), step / 2)
+    interior = tuple(w + eps * zq for w, zq in zip(witness, z))
+    implicit.sort()
+    assert grid.tight_rows(interior, lam) == implicit
+    return len(cols), frozenset(grid.pairs[r] for r in implicit), interior
+
+
 def max_norming_by_greedy(space, Y, report):
     """(point, norming-pair count) of a minimal projection whose norming
     set is inclusion-maximal, by greedy tightening from the relative
@@ -199,7 +271,7 @@ def max_norming_by_greedy(space, Y, report):
         return report.interior, len(report.implicit_pairs)
 
     implicit = set(report._implicit_rows)
-    ncols, restricted, den = _restrict_to_face(
+    ncols, restricted, den = face_basis_by_fractions(
         grid, report._implicit_rows,
         [r for r in range(len(grid.pairs)) if r not in implicit], d)
     restricted = {r: tuple(Fraction(x, den) for x in row)

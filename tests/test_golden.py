@@ -17,7 +17,9 @@ has more candidate pairs than the support search's default cap, so its
 pinned run is the exit-3 partial report.
 
 The digests hash the exit code, standard output and standard error of
-each run.  To print the table after an intended change of output:
+each run.  The seeded l1^4 hyperplane also runs under ``python -O`` in a
+child interpreter, which must print the same bytes with the same exit
+code.  To print the table after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -26,6 +28,8 @@ import hashlib
 import io
 import itertools
 import json
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -162,6 +166,24 @@ def _certify_runs(tmp_path, label, cert, path):
 def _digest(result) -> str:
     code, out, err = result
     return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+
+
+def test_optimized_interpreter_gives_the_same_report(tmp_path):
+    # The invariants raise explicitly, so python -O, which strips asserts,
+    # runs the same checks and prints the same bytes
+    name, doc = next((name, doc) for name, doc in _seeded_documents(4)
+                     if name == CERTIFIED)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+
+    def run(*flags):
+        return subprocess.run([sys.executable, *flags, "-m", "minproj",
+                               "analyze", "--input", str(path)], capture_output=True)
+
+    plain, optimized = run(), run("-O")
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == plain.returncode
+    assert optimized.stdout == plain.stdout
 
 
 def test_report_bytes_match_golden_digests(tmp_path):

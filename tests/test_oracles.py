@@ -25,7 +25,9 @@ from minproj.projections import (OperatorPoint, face_dimension,
                                  operator_norm, projection_constant)
 
 from minproj.simplex import solve
-from oracles import (face_dimension_per_row, first_non_extreme,
+import oracles
+from oracles import (face_dimension_by_rounds, face_dimension_per_row,
+                     first_non_extreme,
                      general_position_exhaustive, grid_coefs,
                      linf_hyperplane_lambda,
                      max_norming_by_greedy, minimal_support_by_lp,
@@ -65,23 +67,47 @@ def test_face_matches_per_row_oracle(cases):
                                  grid=report.grid) == implicit, name
 
 
+def test_face_matches_rounds_oracle(cases):
+    # Starting from the lambda dual's support gives the face that Gordan
+    # rounds from no implicit row give, relative-interior point included:
+    # the catalog, the seeded n = 4 and n = 5 inputs, faces of dimension
+    # 0 to 6
+    runs = [(a.report, a.face_dim, a.implicit) for a in cases.values()]
+    for ball in (linf_ball, l1_ball):
+        for k in (4, 2):
+            space, Y = ball(5), random_subspace(5, k, 7)
+            report = projection_constant(space, Y)
+            runs.append((report, *face_dimension(space, Y, report)))
+    for report, face_dim, implicit in runs:
+        assert (face_dim, implicit, report.interior.coefficients) == \
+            face_dimension_by_rounds(report)
+    assert {face_dim for _, face_dim, _ in runs} == {0, 1, 2, 3, 4, 6}
+
+
 def test_integer_tableau_matches_fraction_tableau(cases, monkeypatch):
     # lambda LPs of the 16 catalog cases and the four seeded n = 4 grids,
-    # and every Gordan-round LP of their face stages: the whole solution
-    # equals the rational dual tableau's, and the status and value equal
-    # the rational inequality-form tableau's
-    rounds = []
+    # and every Gordan-round LP of their face stages, from the dual's
+    # support and from no implicit row (the rounds oracle): the whole
+    # solution equals the rational dual tableau's, and the status and
+    # value equal the rational inequality-form tableau's
+    rounds, oracle_rounds = [], []
 
-    def recording(lp):
-        rounds.append(lp)
-        return solve(lp)
+    def recording(into):
+        def record(lp):
+            into.append(lp)
+            return solve(lp)
+        return record
 
-    monkeypatch.setattr(projections, "solve", recording)
+    monkeypatch.setattr(projections, "solve", recording(rounds))
+    monkeypatch.setattr(oracles, "solve", recording(oracle_rounds))
     for a in cases.values():
         face_dimension(a.case.space, a.case.subspace, a.report)
+        face_dimension_by_rounds(a.report)
     monkeypatch.undo()
-    assert len(rounds) >= len(cases)
-    for lp in [a.report.grid.lp for a in cases.values()] + rounds:
+    assert len(oracle_rounds) >= len(cases)
+    # each round from the dual's support is one of the oracle's rounds
+    assert rounds and all(lp in oracle_rounds for lp in rounds)
+    for lp in [a.report.grid.lp for a in cases.values()] + rounds + oracle_rounds:
         sol = solve(lp)
         assert sol == solve_by_fraction_tableau(lp)
         rows = solve_by_fraction_tableau(lp, method="rows")

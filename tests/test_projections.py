@@ -6,7 +6,7 @@ from minproj.catalog import l1_ball, linf_ball, random_subspace
 import minproj.projections as projections
 from minproj.errors import InternalError, NotMinimalError
 from minproj.geometry import Subspace, norm_eval
-from minproj.linalg import RMatrix, rows_rank
+from minproj.linalg import RMatrix, integer_row_rank, rows_rank
 from minproj.projections import (OperatorPoint, build_operator_basis,
                                  build_pair_grid, face_dimension,
                                  max_norming_projection, norming_pairs,
@@ -235,12 +235,46 @@ def test_reports_are_deterministic(ker_sum_3):
     assert r1.interior == r2.interior
 
 
+def _face_lps(space, Y, report):
+    """The number of LPs face_dimension solves on the report."""
+    before = SOLVE_STATS["solves"]
+    face_dimension(space, Y, report)
+    return SOLVE_STATS["solves"] - before
+
+
 def test_face_dimension_lp_count(analyzed):
     # at most one Gordan round per dimension the face can lose, plus one
     cases = [(a.case.space, a.case.subspace) for a in analyzed.values()]
     cases.append((linf_ball(6), random_subspace(6, 5, 7)))
     for space, Y in cases:
         report = projection_constant(space, Y)
-        before = SOLVE_STATS["solves"]
-        face_dimension(space, Y, report)
-        assert SOLVE_STATS["solves"] - before <= Y.dim * (space.dim - Y.dim) + 1
+        assert _face_lps(space, Y, report) <= Y.dim * (space.dim - Y.dim) + 1
+
+
+def test_face_dimension_solves_no_lp_when_the_dual_fixes_the_point(analyzed):
+    # The rows of the lambda dual's support are implicit by complementary
+    # slackness; when their [coefs_r, -D] have rank d + 1 they leave the
+    # face no direction, so no Gordan round is needed
+    runs = [(a.case.space, a.case.subspace) for name, a in analyzed.items()
+            if name.startswith("ker-sum")]
+    runs.append((l1_ball(5), random_subspace(5, 4, 7)))
+    for space, Y in runs:
+        report = projection_constant(space, Y)
+        grid, d = report.grid, report.basis.dimension
+        assert integer_row_rank([list(grid.coefs_num[r]) + [-grid.denominator]
+                                 for r in report._dual_support]) == d + 1
+        assert _face_lps(space, Y, report) == 0
+        assert report.face_dim == 0
+        assert report.interior == report.witness
+
+
+def test_face_dimension_lp_count_on_seeded_inputs():
+    # the eight seeded n = 4, 5 inputs of the pipeline benchmark: two
+    # Gordan rounds in all, against ten from no implicit row
+    total = 0
+    for ball in (linf_ball, l1_ball):
+        for n in (4, 5):
+            for k in (n - 1, 2):
+                space, Y = ball(n), random_subspace(n, k, 7)
+                total += _face_lps(space, Y, projection_constant(space, Y))
+    assert total == 2

@@ -1,7 +1,8 @@
 """Property-based checks of validation, the polar, general position, the
 minimal projection, its norming pairs, its certificates, the check of
-random certificates, the certify routes and the paper's bounds on the
-dimension of its optimal face on random symmetric polytopes.  The polar
+random certificates, the certify routes, its optimal face against Gordan
+rounds from no implicit row, and the paper's bounds on the dimension of
+that face on random symmetric polytopes.  The polar
 is also compared with the Fraction polar it replaced, and the projection
 constant of random hyperplanes of l-inf^n with Blatter and Cheney's
 closed form.
@@ -38,7 +39,8 @@ from minproj.projections import (OperatorPoint, build_operator_basis,
                                  norming_pairs, operator_norm,
                                  projection_constant)
 
-from oracles import (budget_outcome, certify_by_face, first_non_extreme,
+from oracles import (budget_outcome, certify_by_face, face_dimension_by_rounds,
+                     first_non_extreme,
                      general_position_exhaustive, general_position_per_subset,
                      is_extreme, linf_hyperplane_lambda,
                      minimal_support_by_solve, operator_basis_by_fractions,
@@ -417,3 +419,14 @@ def test_face_dimension_within_the_paper_bounds(case):
         assert report.face_dim <= top - n + 1
         if k == n - 1:
             assert report.face_dim == 0
+
+
+@_SETTINGS
+@given(spaces_with_subspaces())
+def test_face_agrees_with_rounds_oracle(case):
+    # Taking the lambda dual's support as implicit gives the face, the
+    # implicit pairs and the relative-interior point of Gordan rounds from
+    # no implicit row
+    space, Y, report, implicit = _analyze(case)
+    assert (report.face_dim, implicit, report.interior.coefficients) == \
+        face_dimension_by_rounds(report)
