@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import Vector, rows_rank
+from .linalg import Vector, cleared, integer_row_rank
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -204,5 +204,5 @@ def random_subspace(n: int, k: int, seed: int) -> Subspace:
     stream = _Stream(seed)
     while True:
         rows = [tuple(stream.rational() for _ in range(n)) for _ in range(k)]
-        if rows_rank(rows) == k:
+        if integer_row_rank(cleared(rows)[0]) == k:
             return Subspace.from_basis(rows)

@@ -25,8 +25,8 @@ from typing import Iterable
 from .errors import (CertificateInvalidError, InternalError,
                      RankGapViolationError, SupportBudgetExceededError)
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import (dot, int_dot, integer_row_rank, integer_rref,
-                     over_denominator, rows_rank, rref_rows, subset_walk)
+from .linalg import (int_dot, integer_row_rank, integer_solve, over_denominator,
+                     subset_walk)
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint, PairGrid,
                           build_operator_basis, build_pair_grid, face_dimension,
                           pair_rows, projection_constant)
@@ -131,12 +131,12 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
         # [y_num_1 .. y_num_k] C = t_den·[T y_1 .. T y_k], so the
         # coordinates of the images are C·y_den / t_den.
         k = len(images)
-        reduced, pivots = rref_rows(
+        coords = integer_solve(
             [list(column) + [image[r] for image in images]
-             for r, column in enumerate(zip(*basis.y_num))])
-        if pivots != list(range(k)):
+             for r, column in enumerate(zip(*basis.y_num))], k)
+        if coords is None:
             raise InternalError("an image of Y in Y has no coordinates in its basis")
-        trace = (sum((reduced[b][k + b] for b in range(k)), Fraction(0))
+        trace = (sum((coords[b][b] for b in range(k)), Fraction(0))
                  * basis.y_den / t_den)
         if trace != lam:
             violations.append(f"trace: {trace} differs from {lam}")
@@ -201,18 +201,15 @@ def _projection_normed_by(rows: PairGrid, grid: PairGrid,
     there; otherwise None.
 
     coefs·c = lam·D - base is solved in integers as
-    coefs·(lam_den·c) = lam_num·D - lam_den·base: the system is brought
-    to reduced echelon form by linalg.integer_rref, its pivots are then
-    the d columns in order unless the right-hand side is one too (no
-    solution), and c_i is a row's last entry over its pivot entry and
-    lam_den."""
+    coefs·(lam_den·c) = lam_num·D - lam_den·base by linalg.integer_solve,
+    and c is its solution over lam_den."""
     d = len(rows.coefs_num[0])
     D = rows.denominator
-    reduced = integer_rref([list(row) + [lam.numerator * D - lam.denominator * b]
-                            for row, b in zip(rows.coefs_num, rows.base_num)])
-    if reduced[-1][0] == d:
+    solution = integer_solve([list(row) + [lam.numerator * D - lam.denominator * b]
+                              for row, b in zip(rows.coefs_num, rows.base_num)], d)
+    if solution is None:
         return None
-    c = tuple(Fraction(row[d], row[pivot] * lam.denominator) for pivot, row in reduced)
+    c = tuple(x / lam.denominator for x, in solution)
     values, den = grid.value_numerators(c)
     if max(values) * lam.denominator > lam.numerator * den:
         return None
@@ -305,15 +302,10 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
 def _support_weights(columns: list[list[int]],
                      target: list[int]) -> tuple[Fraction, ...] | None:
     """The w with sum_i w_i columns[i] = target, for independent integer
-    columns, or None when target is not in their span.  The integer system
-    [columns | target] is brought to reduced echelon form; its pivots are
-    then the columns in order, and w_i is a row's last entry over its
-    pivot entry."""
-    s = len(columns)
-    reduced = integer_rref([list(row) for row in zip(*columns, target)])
-    if reduced and reduced[-1][0] == s:
-        return None
-    return tuple(Fraction(row[s], row[pivot]) for pivot, row in reduced)
+    columns, or None when target is not in their span (linalg.integer_solve
+    on the system [columns | target])."""
+    w = integer_solve([list(row) for row in zip(*columns, target)], len(columns))
+    return None if w is None else tuple(x for x, in w)
 
 
 def cm_rank_gap(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
@@ -322,10 +314,11 @@ def cm_rank_gap(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     restrictions to Y.  When lam > 1 is supplied, a missing strict drop
     raises RankGapViolationError: the restricted rank is always strictly
     smaller in that regime, so equality signals an implementation bug."""
-    fs = [space.dual_vertices[dj] for _, dj in cm.pairs]
-    rank_full = rows_rank(fs)
-    restricted = [tuple(dot(f, y) for y in Y.basis_vectors()) for f in fs]
-    rank_restricted = rows_rank(restricted)
+    F = space.dual_cleared[0]
+    fs = [F[dj] for _, dj in cm.pairs]
+    rank_full = integer_row_rank(fs)
+    rank_restricted = integer_row_rank([[int_dot(f, y) for y in Y.basis_num]
+                                        for f in fs])
     if lam is not None and lam > 1 and rank_restricted >= rank_full:
         raise RankGapViolationError(
             f"restricted rank {rank_restricted} does not drop below {rank_full}")

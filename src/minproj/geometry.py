@@ -19,12 +19,10 @@ from typing import Sequence
 
 from .errors import (InternalError, NotExtremeError, NotFullDimensionalError,
                      NotSymmetricError, SubsetBudgetExceededError)
-from .linalg import (RMatrix, Vector, cleared, dot, int_dot,
-                     integer_row_rank, inverse, nullspace_basis,
-                     over_denominator, primitive, reduce_row, rows_rank,
-                     subset_walk)
+from .linalg import (Vector, cleared, dot, int_dot, integer_inverse,
+                     integer_nullspace, integer_row_rank, over_denominator,
+                     primitive, reduce_row, subset_walk)
 
-_ONE = Fraction(1)
 # Default budget of general_position_check: subsets counted, spans and
 # kernels together.
 DEFAULT_GP_CAP = 10 ** 6
@@ -87,8 +85,8 @@ def _double_description(verts: Sequence[Vector], label: str,
     homogeneous integer vector (P, h), h > 0, standing for P / h, so its
     slack against u is the integer w·P - s·h (negative inside, zero on
     the boundary).  The start is the parallelotope cut out by n
-    independent pairs: with the inverse of their matrix cleared to M / D,
-    its 2ⁿ vertices are M·σ over D for the sign vectors σ.  Each further
+    independent pairs: their matrix is diag(s)^-1·W, so with W^-1 = M / D
+    its 2ⁿ vertices are M·(s σ) over D for the sign vectors σ.  Each further
     pair is inserted as one step: the polytope is symmetric, so the new
     vertices are the cuts a_j·(P_i, h_i) - a_i·(P_j, h_j) of the edges
     (i, j) that cross u·x = 1, each divided by its content, together with
@@ -117,15 +115,13 @@ def _double_description(verts: Sequence[Vector], label: str,
     # occurrence; bit 2p of a tight mask stands for +u_p, bit 2p+1 for -u_p.
     # The zero vector is never tight and cuts nothing.
     bit_of: dict[tuple, int | None] = {}
-    reps: list[Vector] = []
     cleared: list[tuple[list[int], int]] = []
-    for v, key in zip(verts, keys):
+    for key in keys:
         if key not in bit_of:
             w, s = key
             if any(w):
-                bit_of[key] = 2 * len(reps)
-                bit_of[(tuple(-x for x in w), s)] = 2 * len(reps) + 1
-                reps.append(v)
+                bit_of[key] = 2 * len(cleared)
+                bit_of[(tuple(-x for x in w), s)] = 2 * len(cleared) + 1
                 cleared.append((list(w), s))
             else:
                 bit_of[key] = None
@@ -145,19 +141,20 @@ def _double_description(verts: Sequence[Vector], label: str,
     if len(chosen) < n:
         raise NotFullDimensionalError(flat_message)
 
-    Vinv = inverse(RMatrix.from_rows([reps[p] for p in chosen]))
-    if Vinv is None:
+    inv = integer_inverse([rows[p] for p in chosen], n)
+    if inv is None:
         raise InternalError("independent vertices give a singular system")
-    flat, D = over_denominator(Vinv.entries)
-    M = [flat[i * n:(i + 1) * n] for i in range(n)]
+    M, D = inv
+    scales = [cleared[p][1] for p in chosen]
     points: list[list[int]] = []
     tights: list[int] = []
     for signs in itertools.product((1, -1), repeat=n):
-        points.append(primitive([int_dot(row, signs) for row in M] + [D]))
+        scaled = [s * sign for s, sign in zip(scales, signs)]
+        points.append(primitive([int_dot(row, scaled) for row in M] + [D]))
         tights.append(sum(1 << (2 * p + (sign < 0))
                           for p, sign in zip(chosen, signs)))
 
-    even = sum(1 << (2 * p) for p in range(len(reps)))
+    even = sum(1 << (2 * p) for p in range(len(cleared)))
     edge: dict[int, bool] = {}
 
     def spans_edge(mask: int) -> bool:
@@ -327,65 +324,84 @@ def norm_eval(space: PolyhedralSpace, x: Sequence) -> Fraction:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Proper subspace with an explicit basis and annihilator.
-
-    basis has k independent columns spanning Y; annihilator has n-k
-    independent columns of functionals vanishing on Y.
+    """Proper subspace Y of R^n with an explicit basis and annihilator, in
+    integers: the k independent basis vectors are basis_num / basis_den
+    and the n - k independent functionals vanishing on Y are
+    annihilator_num / annihilator_den, each family over its least common
+    denominator.  basis_vectors, annihilator_functionals and contains are
+    the Fraction views.
     """
 
     ambient_dim: int
-    basis: RMatrix
-    annihilator: RMatrix
+    basis_num: tuple[tuple[int, ...], ...]
+    basis_den: int
+    annihilator_num: tuple[tuple[int, ...], ...]
+    annihilator_den: int
 
     def __post_init__(self):
-        n, k = self.ambient_dim, self.basis.cols
+        n, k = self.ambient_dim, self.dim
         if not 1 <= k <= n - 1:
             raise ValueError(f"subspace dimension {k} must be in [1, {n - 1}]")
-        if self.basis.rows != n or self.annihilator.rows != n:
+        if any(len(v) != n for v in self.basis_num + self.annihilator_num):
             raise ValueError("basis/annihilator row count must equal ambient dimension")
-        if self.annihilator.cols != n - k:
+        if len(self.annihilator_num) != n - k:
             raise ValueError("annihilator must have n-k columns")
-        if not self.basis.transpose().matmul(self.annihilator).is_zero():
+        if any(int_dot(y, g) for y in self.basis_num for g in self.annihilator_num):
             raise ValueError("annihilator does not vanish on the basis")
-        if rows_rank(self.basis.transpose().row_list()) != k:
+        if integer_row_rank(self.basis_num) != k:
             raise ValueError("basis columns are dependent")
-        if rows_rank(self.annihilator.transpose().row_list()) != n - k:
+        if integer_row_rank(self.annihilator_num) != n - k:
             raise ValueError("annihilator columns are dependent")
 
     @classmethod
     def from_basis(cls, vectors: Sequence[Sequence]) -> "Subspace":
-        rows = [_as_vector(v) for v in vectors]
-        if not rows:
-            raise ValueError("empty basis")
-        n = len(rows[0])
-        if rows_rank(rows) != len(rows):
-            raise ValueError("basis vectors are linearly dependent")
-        basis = RMatrix.from_rows(rows).transpose()
-        annihilator = nullspace_basis(RMatrix.from_rows(rows))
-        return cls(ambient_dim=n, basis=basis, annihilator=annihilator)
+        return cls._spanned_by(*_cleared_family(vectors))
 
     @classmethod
     def from_kernel(cls, functionals: Sequence[Sequence]) -> "Subspace":
         """Subspace cut out as the joint kernel of the given functionals."""
-        rows = [_as_vector(f) for f in functionals]
+        rows, _ = _cleared_family(functionals)
         if not rows:
             raise ValueError("empty functional list")
-        basis_cols = nullspace_basis(RMatrix.from_rows(rows))
-        return cls.from_basis(basis_cols.transpose().row_list())
+        return cls._spanned_by(*integer_nullspace(rows, len(rows[0])))
+
+    @classmethod
+    def _spanned_by(cls, basis: list[list[int]], den: int) -> "Subspace":
+        """The subspace with basis vectors basis / den, its annihilator
+        the integer nullspace of the basis."""
+        if not basis:
+            raise ValueError("empty basis")
+        if integer_row_rank(basis) != len(basis):
+            raise ValueError("basis vectors are linearly dependent")
+        n = len(basis[0])
+        annihilator, a_den = integer_nullspace(basis, n)
+        return cls(ambient_dim=n, basis_num=tuple(map(tuple, basis)), basis_den=den,
+                   annihilator_num=tuple(map(tuple, annihilator)),
+                   annihilator_den=a_den)
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.basis_num)
 
     def basis_vectors(self) -> list[Vector]:
-        return self.basis.transpose().row_list()
+        return [tuple(Fraction(x, self.basis_den) for x in y) for y in self.basis_num]
 
     def annihilator_functionals(self) -> list[Vector]:
-        return self.annihilator.transpose().row_list()
+        return [tuple(Fraction(x, self.annihilator_den) for x in g)
+                for g in self.annihilator_num]
 
     def contains(self, vector: Sequence) -> bool:
         vec = _as_vector(vector)
         return all(dot(g, vec) == 0 for g in self.annihilator_functionals())
+
+
+def _cleared_family(vectors: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Rational vectors of one length as integer rows over their least
+    common denominator."""
+    rows = [_as_vector(v) for v in vectors]
+    if any(len(v) != len(rows[0]) for v in rows):
+        raise ValueError("ragged rows")
+    return cleared(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +450,13 @@ def general_position_check(space: PolyhedralSpace, Y: Subspace,
     n = space.dim
     k = Y.dim
     span, spans_checked = _first_failing_subset(
-        space.primal_cleared[0], space.primal_class_reps,
-        cleared(Y.annihilator_functionals())[0], n - k, 0, subset_cap,
-        "vertex-span")
+        space.primal_cleared[0], space.primal_class_reps, Y.annihilator_num,
+        n - k, 0, subset_cap, "vertex-span")
     if span is not None:
         return GeneralPositionReport(False, "span", span, spans_checked, 0)
     kernel, kernels_checked = _first_failing_subset(
-        space.dual_cleared[0], space.dual_class_reps,
-        cleared(Y.basis_vectors())[0], k, spans_checked, subset_cap, "kernel")
+        space.dual_cleared[0], space.dual_class_reps, Y.basis_num, k,
+        spans_checked, subset_cap, "kernel")
     if kernel is not None:
         return GeneralPositionReport(False, "kernel", kernel,
                                      spans_checked, kernels_checked)

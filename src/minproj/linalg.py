@@ -1,13 +1,19 @@
-"""Exact rational matrices: rank, nullspace, solve and echelon forms.
+"""Exact rational matrices and the one integer elimination under them.
 
-Matrices hold Fraction scalars, but there is one elimination, and it runs
-in integers: reduce_row, a fraction-free (Bareiss) step over rows cleared
-to integers.  The rank folds it over the rows; the reduced row echelon
-form behind nullspaces, solves and inverses folds it too, clears above
-each pivot in integers and builds Fractions only at the end.  Pivots are
-deterministic: each row in turn, at its first nonzero entry after
-reduction.  subset_walk, behind the general-position check and the
-minimal-support search, folds it down a depth-first walk over subsets.
+There is one elimination, and it runs in integers: reduce_row, a
+fraction-free (Bareiss) step over integer rows.  The rank folds it over the
+rows; the reduced row echelon form (integer_rref) folds it too and clears
+above each pivot, and the nullspace, the inverse and the solve are read
+off its rows.  Pivots are deterministic: each row in turn, at its first
+nonzero entry after reduction.  subset_walk, behind the general-position
+check and the minimal-support search, folds it down a depth-first walk
+over subsets.
+
+Fractions are formed only at the edges.  Rational input is cleared to
+integer rows (over_denominator, cleared); a nullspace or an inverse comes
+back as integer rows over their least common denominator, and only a
+solve returns Fractions.  RMatrix is the public value type of operators,
+and solve_linear the Fraction form of the solve.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from typing import Iterable, Iterator, Sequence
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -51,18 +56,6 @@ class RMatrix:
         flat = tuple(x for row in materialized for x in row)
         return cls(len(materialized), width, flat)
 
-    @classmethod
-    def identity(cls, n: int) -> "RMatrix":
-        return cls(n, n, tuple(
-            _ONE if i == j else _ZERO for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RMatrix":
-        return cls(rows, cols, (_ZERO,) * (rows * cols))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
@@ -85,32 +78,6 @@ class RMatrix:
             sum((self.entries[i * self.cols + j] * vec[j]
                  for j in range(self.cols)), _ZERO)
             for i in range(self.rows))
-
-    def matmul(self, other: "RMatrix") -> "RMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions disagree")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(other.cols):
-                acc = _ZERO
-                for t in range(self.cols):
-                    acc += self.entries[base + t] * other.entries[t * other.cols + j]
-                out.append(acc)
-        return RMatrix(self.rows, other.cols, tuple(out))
-
-    def scale(self, factor: Fraction) -> "RMatrix":
-        return RMatrix(self.rows, self.cols,
-                       tuple(factor * x for x in self.entries))
-
-    def add(self, other: "RMatrix") -> "RMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shapes disagree")
-        return RMatrix(self.rows, self.cols, tuple(
-            a + b for a, b in zip(self.entries, other.entries)))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -145,11 +112,6 @@ def primitive(row: list[int]) -> list[int]:
     """The row divided by its content (a positive divisor: signs stay)."""
     g = gcd(*row)
     return row if g == 1 else [x // g for x in row]
-
-
-def integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    """Clear denominators row by row (row scaling preserves row space)."""
-    return [over_denominator(row)[0] for row in rows]
 
 
 def reduce_row(vec: Sequence[int], rows: Iterable[tuple[int, Sequence[int]]],
@@ -247,40 +209,13 @@ def subset_walk(rows: Sequence[Sequence[int]], size: int,
     return walk((), range(len(rows)), rows, target, 1)
 
 
-def integer_row_rank(rows: list[list[int]]) -> int:
+def integer_row_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of integer rows: reduce_row folded over them, stopping at full
     column rank."""
     return len(_echelon(rows, len(rows[0]))) if rows else 0
 
 
-def rows_rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    """Rank of a family of rational row vectors."""
-    return integer_row_rank(integer_rows(rows))
-
-
-def rank(M: RMatrix) -> int:
-    return rows_rank(M.row_list())
-
-
-def rref_rows(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
-
-    Rows are cleared to integers and brought to echelon form by
-    reduce_row.  Each echelon row is then reduced against the rows after
-    it, which finishes a fraction-free Gauss-Jordan elimination: every
-    row ends zero at the other pivots.  One Fraction per entry divides by
-    the row's pivot entry; zero rows follow."""
-    work = integer_rows(rows)
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    reduced = integer_rref(work)
-    out = [[Fraction(x, row[pivot]) for x in row] for pivot, row in reduced]
-    out += [[_ZERO] * ncols for _ in range(len(work) - len(out))]
-    return out, [pivot for pivot, _ in reduced]
-
-
-def integer_rref(rows: list[list[int]]) -> list[tuple[int, list[int]]]:
+def integer_rref(rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
     """The nonzero rows of the reduced row echelon form of integer rows,
     fraction-free: (pivot, row) sorted by pivot, row zero at the other
     pivots, so that row / row[pivot] is the reduced row."""
@@ -291,45 +226,72 @@ def integer_rref(rows: list[list[int]]) -> list[tuple[int, list[int]]]:
                   for i, (pivot, row) in enumerate(echelon))
 
 
-def nullspace_basis(M: RMatrix) -> RMatrix:
-    """Basis of {v : Mv = 0} as matrix columns (cols = nullity)."""
-    reduced, pivots = rref_rows(M.row_list())
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(M.cols) if c not in pivot_set]
-    basis_cols = []
-    for free in free_cols:
-        v = [_ZERO] * M.cols
-        v[free] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][free]
-        basis_cols.append(v)
-    entries = tuple(basis_cols[j][i]
-                    for i in range(M.cols) for j in range(len(basis_cols)))
-    return RMatrix(M.cols, len(basis_cols), entries)
+def _common_denominator(reduced: Iterable[tuple[int, list[int]]]) -> int:
+    """The least common denominator of the entries of the reduced rows
+    row / row[pivot]: per row, the pivot entry over the row's content."""
+    return lcm(*(abs(row[pivot]) // gcd(*row) for pivot, row in reduced))
+
+
+def integer_nullspace(rows: Sequence[Sequence[int]],
+                      width: int) -> tuple[list[list[int]], int]:
+    """A basis of {z : row·z = 0 for every row} of integer rows of length
+    width, as integer vectors over their least common denominator C
+    (vector q of the basis is basis[q] / C).  It is the basis that the
+    reduced row echelon form gives: one vector per free index f, 1 at f
+    and -row[f] / row[pivot] at each pivot; with no rows, the unit
+    vectors."""
+    reduced = integer_rref(rows)
+    C = _common_denominator(reduced)
+    pivots = {pivot for pivot, _ in reduced}
+    basis = []
+    for f in range(width):
+        if f not in pivots:
+            vec = [0] * width
+            vec[f] = C
+            for pivot, row in reduced:
+                vec[pivot] = -row[f] * C // row[pivot]
+            basis.append(vec)
+    return basis, C
+
+
+def integer_inverse(rows: Sequence[Sequence[int]],
+                    count: int) -> tuple[list[list[int]], int] | None:
+    """The first count rows of M^-1, M the square matrix of integer rows,
+    as integer rows over their own least common denominator; None when M
+    is singular.  M^-1 is read off the reduced row echelon form of [M | I],
+    whose pivots are then the n columns of M."""
+    n = len(rows)
+    reduced = integer_rref([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(rows)])
+    if [pivot for pivot, _ in reduced] != list(range(n)):
+        return None
+    D = _common_denominator(reduced[:count])
+    return [[x * D // row[pivot] for x in row[n:]]
+            for pivot, row in reduced[:count]], D
+
+
+def integer_solve(rows: Sequence[Sequence[int]],
+                  width: int) -> list[list[Fraction]] | None:
+    """A solution X of A·X = B for the integer rows [A | B], A of width
+    columns, or None when some column of B is outside the column span of
+    A.  X has one row per column of A: zero at a free column, and
+    row[width:] / row[pivot] for the reduced row with that pivot.  With
+    no rows, every row of X is empty."""
+    reduced = integer_rref(rows)
+    if reduced and reduced[-1][0] >= width:
+        return None
+    X = [[_ZERO] * (len(rows[0]) - width if rows else 0) for _ in range(width)]
+    for pivot, row in reduced:
+        X[pivot] = [Fraction(x, row[pivot]) for x in row[width:]]
+    return X
 
 
 def solve_linear(A: RMatrix, b: Sequence[Fraction]) -> Vector | None:
-    """Some exact solution of Av = b, or None when the system is infeasible."""
+    """Some exact solution of Av = b, with the free variables zero, or None
+    when the system is infeasible: integer_solve on the rows of [A | b],
+    each cleared over its own denominator."""
     if len(b) != A.rows:
         raise ValueError(f"rhs length {len(b)} != rows {A.rows}")
-    augmented = [list(A.row(i)) + [Fraction(b[i])] for i in range(A.rows)]
-    reduced, pivots = rref_rows(augmented)
-    if A.cols in pivots:
-        return None
-    v = [_ZERO] * A.cols
-    for r, pc in enumerate(pivots):
-        v[pc] = reduced[r][A.cols]
-    return tuple(v)
-
-
-def inverse(M: RMatrix) -> RMatrix | None:
-    """Exact inverse, or None if singular."""
-    if M.rows != M.cols:
-        raise ValueError("inverse of a non-square matrix")
-    n = M.rows
-    augmented = [list(M.row(i)) + [_ONE if i == j else _ZERO for j in range(n)]
-                 for i in range(n)]
-    reduced, pivots = rref_rows(augmented)
-    if list(pivots) != list(range(n)):
-        return None
-    return RMatrix.from_rows([row[n:] for row in reduced[:n]])
+    X = integer_solve([over_denominator(A.row(i) + (b[i],))[0]
+                       for i in range(A.rows)], A.cols)
+    return None if X is None else tuple(x for x, in X)

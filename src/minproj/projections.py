@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 
 from .errors import InternalError, NotMinimalError
 from .geometry import PolyhedralSpace, Subspace, norm_eval
-from .linalg import (RMatrix, Vector, cleared, int_dot, integer_row_rank,
-                     integer_rref, inverse, over_denominator, reduce_row)
+from .linalg import (RMatrix, int_dot, integer_inverse, integer_nullspace,
+                     integer_row_rank, over_denominator, reduce_row)
 from .simplex import OPTIMAL, LinearProgram, solve
 
 
@@ -52,8 +52,7 @@ class OperatorBasis:
     L_Y(X, Y), q = b(n-k) + j, in integers: Y's basis vectors are
     y_num / y_den, the annihilator's functionals g_num / g_den, and P0 is
     p0_num / p0_den, each family over one common denominator.
-    base_projection, basis_ops, y_basis and annihilator are the same in
-    Fractions."""
+    base_projection and basis_ops are the same in Fractions."""
 
     y_num: tuple[tuple[int, ...], ...]
     y_den: int
@@ -77,14 +76,6 @@ class OperatorBasis:
         den = self.y_den * self.g_den
         return tuple(RMatrix.from_rows([[Fraction(a * b, den) for b in g] for a in y])
                      for y in self.y_num for g in self.g_num)
-
-    @cached_property
-    def y_basis(self) -> tuple[Vector, ...]:
-        return tuple(tuple(Fraction(x, self.y_den) for x in y) for y in self.y_num)
-
-    @cached_property
-    def annihilator(self) -> tuple[Vector, ...]:
-        return tuple(tuple(Fraction(x, self.g_den) for x in g) for g in self.g_num)
 
     def realize(self, point: OperatorPoint) -> RMatrix:
         """P0 + sum_q c_q L_q, summed in integers.  With the coefficients
@@ -112,23 +103,23 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     independent from Y; basis ops are y_b (x) g_j over Y's basis and
     annihilator.
 
-    Everything runs in integers.  Y's basis is cleared to y_num / y_den
-    and the annihilator to g_num / g_den.  One reduce_row pass over Y's
-    rows and then e_0, e_1, ... picks the complement.  With M the matrix
-    of the columns y_num_b and the chosen e_j, the first k rows h_b of
-    M^-1 have h_b·y_num_c = [b = c] and vanish on the e_j, so
-    P0 = sum_b y_num_b (x) h_b, over the one denominator of those rows.
-    Four guards raise InternalError: P0^2 = P0, P0 y = y, g_j(y_b) = 0
+    Everything runs in integers.  Y's basis y_num / y_den and the
+    annihilator g_num / g_den are Y's own integer families.  One
+    reduce_row pass over Y's rows and then e_0, e_1, ... picks the
+    complement.  With M the matrix of the columns y_num_b and the chosen
+    e_j, the first k rows h_b of M^-1 have h_b·y_num_c = [b = c] and
+    vanish on the e_j, so P0 = sum_b y_num_b (x) h_b, over the least
+    common denominator of those rows (linalg.integer_inverse).  Four
+    guards raise InternalError: P0^2 = P0, P0 y = y, g_j(y_b) = 0
     (exactly "L_q vanishes on Y") and the integer rank of the k(n-k)
     flattened operators y_num_b (x) g_num_j."""
     n = space.dim
     k = Y.dim
-    ys, y_den = cleared(Y.basis_vectors())
-    gs, g_den = cleared(Y.annihilator_functionals())
+    ys, gs = Y.basis_num, Y.annihilator_num
 
-    columns: list[list[int]] = []
+    columns: list[Sequence[int]] = []
     echelon: list[tuple[int, list[int]]] = []
-    for v in ys + [[int(i == j) for i in range(n)] for j in range(n)]:
+    for v in [*ys, *([int(i == j) for i in range(n)] for j in range(n))]:
         row = reduce_row(v, echelon)
         pivot = next((j for j, x in enumerate(row) if x), None)
         if pivot is not None:
@@ -136,10 +127,10 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
             columns.append(v)
             if len(columns) == n:
                 break
-    Minv = inverse(RMatrix.from_rows(columns).transpose())
-    if Minv is None:
+    inv = integer_inverse(list(zip(*columns)), k)
+    if inv is None:
         raise InternalError("basis of Y plus its complement is singular")
-    hs, h_den = cleared(Minv.row_list()[:k])
+    hs, h_den = inv
     P = [[sum(y[r] * h[c] for y, h in zip(ys, hs)) for c in range(n)]
          for r in range(n)]
 
@@ -154,10 +145,9 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     if integer_row_rank([[a * b for a in y for b in gj]
                          for y in ys for gj in gs]) != k * (n - k):
         raise InternalError("basis operators are linearly dependent")
-    return OperatorBasis(
-        y_num=tuple(map(tuple, ys)), y_den=y_den,
-        g_num=tuple(map(tuple, gs)), g_den=g_den,
-        p0_num=tuple(map(tuple, P)), p0_den=h_den)
+    return OperatorBasis(y_num=ys, y_den=Y.basis_den, g_num=gs,
+                         g_den=Y.annihilator_den, p0_num=tuple(map(tuple, P)),
+                         p0_den=h_den)
 
 
 @dataclass(frozen=True)
@@ -338,22 +328,10 @@ def _restrict_to_face(grid: PairGrid, implicit: Sequence[int],
     N, coefs[r]·N, as integers over grid.denominator·C.
 
     The integer grid rows have the same nullspace as the rational ones,
-    and N is the basis that their reduced row echelon form gives
-    (linalg.integer_rref: pivots p, each row zero at the other pivots):
-    one column per free index f, 1 at f and -row[f] / row[p] at each
-    pivot p.  Every restricted coefficient is then one integer dot
-    product."""
-    reduced = integer_rref([list(grid.coefs_num[r]) for r in implicit])
-    pivots = {p for p, _ in reduced}
-    basis = []
-    for f in range(d):
-        if f not in pivots:
-            col = [Fraction(0)] * d
-            col[f] = Fraction(1)
-            for p, row in reduced:
-                col[p] = Fraction(-row[f], row[p])
-            basis.append(col)
-    columns, C = cleared(basis)
+    and N is the basis that linalg.integer_nullspace reads off their
+    reduced row echelon form.  Every restricted coefficient is then one
+    integer dot product."""
+    columns, C = integer_nullspace([grid.coefs_num[r] for r in implicit], d)
     return columns, C, {r: tuple(int_dot(grid.coefs_num[r], col) for col in columns)
                         for r in rows}
 

@@ -58,8 +58,9 @@ sample rows.
 A few helpers serve the tests alone: ``make_lp`` builds the integer LP
 of ``minproj.simplex`` from plain numbers and ``lp_rhs`` reads its
 right-hand side back in Fractions, ``grid_base`` and ``grid_coefs`` read
-the pair-grid rows in Fractions, and ``space_json`` writes a space in
-the schema that ``jsonio.parse_space_document`` reads.
+the pair-grid rows in Fractions, ``matmul`` and ``matadd`` multiply and
+add ``RMatrix`` values, and ``space_json`` writes a space in the schema
+that ``jsonio.parse_space_document`` reads.
 """
 
 import itertools
@@ -75,8 +76,8 @@ from minproj.errors import (CertificateInvalidError, InternalError,
                             SubsetBudgetExceededError, SupportBudgetExceededError)
 from minproj.geometry import DEFAULT_GP_CAP, GeneralPositionReport
 from minproj.jsonio import vector_json
-from minproj.linalg import (RMatrix, dot, int_dot, integer_rows,
-                            over_denominator, primitive)
+from minproj.linalg import (RMatrix, dot, int_dot, over_denominator,
+                            primitive)
 from minproj.projections import (OperatorPoint, _first_slack_step,
                                   build_operator_basis, face_dimension,
                                   norming_pairs, projection_constant)
@@ -129,6 +130,22 @@ def grid_coefs(grid):
     """f(L_q x) of every pair-grid row, in Fractions."""
     return tuple(tuple(Fraction(a, grid.denominator) for a in row)
                  for row in grid.coefs_num)
+
+
+def matmul(A, B):
+    """The product A·B of two RMatrix values."""
+    if A.cols != B.rows:
+        raise ValueError("inner dimensions disagree")
+    return RMatrix.from_rows([[dot(row, col) for col in B.transpose().row_list()]
+                              for row in A.row_list()])
+
+
+def matadd(A, B, scale=1):
+    """A + scale·B for two RMatrix values of one shape."""
+    if (A.rows, A.cols) != (B.rows, B.cols):
+        raise ValueError("shapes disagree")
+    return RMatrix(A.rows, A.cols, tuple(
+        a + scale * b for a, b in zip(A.entries, B.entries)))
 
 
 def space_json(space, subspace=None):
@@ -479,9 +496,9 @@ def budget_outcome(check, space, Y, subset_cap):
 
 def _first_failing_subset(vectors, reps, directions, max_size, spent,
                           subset_cap, what):
-    raw = dict(zip(reps, integer_rows(vectors[i] for i in reps)))
-    projected = dict(zip(reps, integer_rows(
-        [dot(vectors[i], d) for d in directions] for i in reps)))
+    raw = {i: over_denominator(vectors[i])[0] for i in reps}
+    projected = {i: over_denominator([dot(vectors[i], d) for d in directions])[0]
+                 for i in reps}
     checked = 0
     for size in range(1, min(max_size, len(reps)) + 1):
         for subset in itertools.combinations(reps, size):
@@ -652,7 +669,8 @@ def trace_on_subspace(space, Y, cm):
     by one exact solve per basis vector y_b, summed over b; None when T
     does not map Y into Y."""
     T = cm_operator(space, cm)
-    coords = [solve_by_fractions(Y.basis, T.apply(y)) for y in Y.basis_vectors()]
+    B = RMatrix.from_rows(Y.basis_vectors()).transpose()
+    coords = [solve_by_fractions(B, T.apply(y)) for y in Y.basis_vectors()]
     if None in coords:
         return None
     return sum((c[b] for b, c in enumerate(coords)), Fraction(0))
@@ -740,12 +758,12 @@ def operator_basis_by_fractions(space, Y):
         raise InternalError("basis of Y plus its complement is singular")
     D = RMatrix.from_rows([[Fraction(int(i == j and i < k)) for j in range(n)]
                            for i in range(n)])
-    P0 = M.matmul(D).matmul(RMatrix.from_rows(Minv))
+    P0 = matmul(matmul(M, D), RMatrix.from_rows(Minv))
     ops = [RMatrix.from_rows([[y[i] * g[j] for j in range(n)] for i in range(n)])
            for y in ys for g in gs]
-    if P0.matmul(P0).entries != P0.entries:
+    if matmul(P0, P0).entries != P0.entries:
         raise InternalError("base projection is not idempotent")
-    if P0.matmul(Y.basis) != Y.basis:
+    if any(P0.apply(y) != y for y in ys):
         raise InternalError("base projection does not fix Y")
     if any(any(op.apply(y)) for op in ops for y in ys):
         raise InternalError("a basis operator does not vanish on Y")
@@ -763,7 +781,7 @@ def realize_by_fractions(basis, point):
     out = basis.base_projection
     for c, op in zip(point.coefficients, basis.basis_ops):
         if c:
-            out = out.add(op.scale(c))
+            out = matadd(out, op, c)
     return out
 
 
@@ -977,7 +995,7 @@ class _FractionTableau(_FractionPivotCore):
             rd = [1] * self.width
             s = sigma[i]
             for j in range(d):
-                a = A.at(i, j)
+                a = A.row(i)[j]
                 if a:
                     num = a.numerator if s > 0 else -a.numerator
                     rn[j] = num
@@ -1137,7 +1155,7 @@ def _fraction_finish(lp, value, primal, dual, pivots):
         if dual[i] > 0 and i not in tight:
             raise InternalError(f"complementary slackness broken on row {i}")
     for j in range(d):
-        lhs = sum((dual[i] * A.at(i, j) for i in range(m)), Fraction(0))
+        lhs = sum((dual[i] * A.row(i)[j] for i in range(m)), Fraction(0))
         if lhs != -lp.objective[j]:
             raise InternalError(f"dual equation broken in column {j}")
     if dot(dual, rhs) != -value:

@@ -14,7 +14,7 @@ from minproj.projections import OperatorPoint, face_dimension, max_norming_proje
     norming_pairs, operator_norm, projection_constant
 from minproj.simplex import OPTIMAL, SOLVE_STATS, solve
 
-from oracles import make_lp, trace_on_subspace
+from oracles import make_lp, matadd, matmul, trace_on_subspace
 
 ONE = Fraction(1)
 
@@ -32,7 +32,7 @@ def criterion(number, summary):
 def _coordinates_of(basis, matrix):
     """Express matrix - base_projection in the operator basis."""
     A = RMatrix.from_rows([op.entries for op in basis.basis_ops]).transpose()
-    b = matrix.add(basis.base_projection.scale(Fraction(-1))).entries
+    b = matadd(matrix, basis.base_projection, -1).entries
     coeffs = solve_linear(A, b)
     assert coeffs is not None
     return OperatorPoint(coeffs)
@@ -66,7 +66,7 @@ def test_criterion_2_norm_one_slice_in_l1_4(analyzed):
                 entries = [row[:] for row in base]
                 entries[j][i] = ONE
                 P = RMatrix.from_rows(entries)
-                assert P.matmul(P).entries == P.entries
+                assert matmul(P, P).entries == P.entries
                 assert operator_norm(space, P) == 1
                 point = _coordinates_of(rec.report.basis, P)
                 assert norming_pairs(space, Y, point, ONE, rec.report.grid)

@@ -6,7 +6,7 @@ import pytest
 from minproj.catalog import (l1_ball, linf_ball, mixed_ball, paper_cases,
                              random_subspace)
 from minproj.geometry import norm_eval, polar_dual
-from minproj.linalg import rows_rank
+from minproj.linalg import cleared, integer_row_rank
 
 F = Fraction
 
@@ -59,9 +59,9 @@ def test_expected_values_reproduce(analyzed):
 def test_random_subspace_determinism():
     a = random_subspace(4, 3, 1)
     b = random_subspace(4, 3, 1)
-    assert a.basis.row_list() == b.basis.row_list()
+    assert a.basis_vectors() == b.basis_vectors()
     c = random_subspace(4, 3, 2)
-    assert a.basis.row_list() != c.basis.row_list()
+    assert a.basis_vectors() != c.basis_vectors()
 
 
 def test_random_subspace_entry_bounds_and_rank():
@@ -69,8 +69,8 @@ def test_random_subspace_entry_bounds_and_rank():
         for n, k in ((3, 1), (4, 2), (5, 4)):
             Y = random_subspace(n, k, seed)
             assert Y.dim == k
-            rows = Y.basis.row_list()
-            assert rows_rank(rows) == k
+            rows = Y.basis_vectors()
+            assert integer_row_rank(cleared(rows)[0]) == k
             for row in rows:
                 for x in row:
                     assert abs(x.numerator) <= 100

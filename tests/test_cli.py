@@ -397,7 +397,7 @@ def test_analyze_table_output(space_file, capsys):
 
 def test_internal_failure_exits_4(space_file, capsys, monkeypatch):
     # a failed invariant check, not bad input: exit 4 with one line
-    monkeypatch.setattr(projections, "inverse", lambda M: None)
+    monkeypatch.setattr(projections, "integer_inverse", lambda rows, count: None)
     assert cli.main(["analyze", "--input", space_file]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -9,11 +9,12 @@ from minproj.errors import (NotExtremeError, NotFullDimensionalError,
                             NotSymmetricError, SubsetBudgetExceededError)
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, norm_eval, polar_dual)
-from minproj.linalg import RMatrix, dot, integer_rows, inverse, subset_walk
+from minproj.linalg import RMatrix, dot, over_denominator, subset_walk
 from minproj.simplex import OPTIMAL, SOLVE_STATS, solve
 
 from oracles import (budget_outcome, general_position_per_subset,
-                     is_extreme, make_lp, polar_dual_by_fractions)
+                     inverse_by_fractions, is_extreme, make_lp,
+                     polar_dual_by_fractions)
 
 F = Fraction
 
@@ -71,7 +72,7 @@ def test_polar_involution_on_catalog_balls():
 def test_polar_transforms_contravariantly():
     # polar(U V) = U^{-T} polar(V) for any invertible U
     U = RMatrix.from_rows([[1, 2, 0], [0, 1, 0], [1, 0, 1]])
-    Uinv_t = inverse(U).transpose()
+    Uinv_t = RMatrix.from_rows(inverse_by_fractions(U)).transpose()
     skewed = [U.apply(v) for v in _cross(3)]
     expect = {Uinv_t.apply(f) for f in polar_dual(_cross(3))}
     assert set(polar_dual(skewed)) == expect
@@ -314,9 +315,9 @@ def test_general_position_counts_the_subtree_under_a_dependent_prefix():
         [q for p in points for q in (p, tuple(-x for x in p))])
     Y = Subspace.from_basis([(1, 2, 4, 8, 16)])
     reps = space.primal_class_reps
-    projected = integer_rows([dot(space.primal_vertices[i], g)
-                              for g in Y.annihilator_functionals()]
-                             for i in reps)
+    projected = [over_denominator([dot(space.primal_vertices[i], g)
+                                   for g in Y.annihilator_functionals()])[0]
+                 for i in reps]
     cut = [subset for subset, _, _ in subset_walk(projected, 4) if len(subset) < 4]
     assert cut == [(0, 1, 2)]
 

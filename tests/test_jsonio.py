@@ -30,7 +30,7 @@ def test_space_document_round_trip():
     again, sub2 = parse_space_document(space_json(space, subspace))
     assert again.primal_vertices == space.primal_vertices
     assert again.dual_vertices == space.dual_vertices
-    assert sub2.basis.row_list() == subspace.basis.row_list()
+    assert sub2 == subspace
 
 
 def test_paper_cases_export_round_trip():
@@ -40,7 +40,7 @@ def test_paper_cases_export_round_trip():
         space, subspace = parse_space_document(load_document(text))
         assert space.primal_vertices == case.space.primal_vertices
         assert space.dual_vertices == case.space.dual_vertices
-        assert subspace.basis.row_list() == case.subspace.basis.row_list()
+        assert subspace == case.subspace
 
 
 def test_float_rejection_names_field():

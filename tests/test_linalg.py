@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minproj.linalg import (RMatrix, dot, integer_row_rank, integer_rows,
-                            inverse, nullspace_basis, rank, rows_rank,
-                            rref_rows, solve_linear, subset_walk)
+from minproj.linalg import (RMatrix, cleared, dot, int_dot, integer_inverse,
+                            integer_nullspace, integer_row_rank, integer_rref,
+                            integer_solve, over_denominator, solve_linear,
+                            subset_walk)
 
-from oracles import (integer_rank_in_place, inverse_by_fractions,
-                     nullspace_by_fractions, rref_by_fractions,
+from oracles import (integer_rank_in_place, inverse_by_fractions, matadd,
+                     matmul, nullspace_by_fractions, rref_by_fractions,
                      solve_by_fractions, spanning_subsets_by_content)
 
 F = Fraction
@@ -32,59 +33,59 @@ def _random_matrix(seed, m, n, bound=6):
 def test_constructors_and_accessors():
     M = RMatrix.from_rows([[1, F(1, 2)], [0, 3]])
     assert (M.rows, M.cols) == (2, 2)
-    assert M.at(0, 1) == F(1, 2)
+    assert M.entries == (F(1), F(1, 2), F(0), F(3))
     assert M.row(1) == (F(0), F(3))
     assert M.col(0) == (F(1), F(0))
     assert M.transpose().row(0) == (F(1), F(0))
-    assert RMatrix.identity(3).apply((1, 2, 3)) == (F(1), F(2), F(3))
-    assert RMatrix.zeros(2, 3).is_zero()
+    assert M.apply((2, 2)) == (F(3), F(6))
     with pytest.raises(ValueError):
         RMatrix.from_rows([[1, 2], [1]])
 
 
 def test_matmul_and_dot():
+    # the test helpers for products and sums of matrices
     A = RMatrix.from_rows([[1, 2], [3, 4]])
     B = RMatrix.from_rows([[0, 1], [1, 0]])
-    assert A.matmul(B).row_list() == [(F(2), F(1)), (F(4), F(3))]
+    assert matmul(A, B).row_list() == [(F(2), F(1)), (F(4), F(3))]
     assert dot((1, 2, 3), (4, 5, 6)) == 32
-    assert A.add(A.scale(F(-1))).is_zero()
+    assert not any(matadd(A, A, F(-1)).entries)
 
 
 def test_rank_agrees_with_rref_pivot_count():
     for seed in range(25):
-        M = _random_matrix(seed, 4, 6)
-        _, pivots = rref_rows(M.row_list())
-        assert rank(M) == len(pivots)
-        assert rank(M) == rows_rank(M.row_list())
-        assert rank(M.transpose()) == rank(M)
+        rows = cleared(_random_matrix(seed, 4, 6).row_list())[0]
+        assert integer_row_rank(rows) == len(integer_rref(rows))
+        assert integer_row_rank(rows) == integer_row_rank(list(zip(*rows)))
 
 
 def test_rank_of_constructed_deficiency():
     for seed in range(10):
         A = _random_matrix(seed, 5, 2)
         B = _random_matrix(seed + 50, 2, 5)
-        P = A.matmul(B)
-        assert rank(P) <= 2
-        N = nullspace_basis(P)
-        assert N.cols == P.cols - rank(P)
-        if N.cols:
-            assert P.matmul(N).is_zero()
+        rows = cleared(matmul(A, B).row_list())[0]
+        rank = integer_row_rank(rows)
+        assert rank <= 2
+        N, _ = integer_nullspace(rows, 5)
+        assert len(N) == 5 - rank
+        assert all(int_dot(row, v) == 0 for row in rows for v in N)
 
 
 def test_rref_is_canonical():
-    rows, pivots = rref_rows([[F(2), F(4)], [F(1), F(2)]])
-    assert rows == [[F(1), F(2)], [F(0), F(0)]]
-    assert pivots == [0]
+    reduced = integer_rref([[2, 4], [1, 2]])
+    assert [(p, [F(x, row[p]) for x in row]) for p, row in reduced] == [(0, [1, 2])]
 
 
 def test_solve_and_inverse():
     for seed in range(15):
-        M = _random_matrix(seed, 4, 4)
-        Minv = inverse(M)
-        if Minv is None:
-            assert rank(M) < 4
+        rows = cleared(_random_matrix(seed, 4, 4).row_list())[0]
+        inv = integer_inverse(rows, 4)
+        if inv is None:
+            assert integer_row_rank(rows) < 4
             continue
-        assert M.matmul(Minv).row_list() == RMatrix.identity(4).row_list()
+        H, D = inv
+        assert [[int_dot(row, col) for col in zip(*H)] for row in rows] == [
+            [D * (i == j) for j in range(4)] for i in range(4)]
+        M = RMatrix.from_rows(rows)
         b = tuple(F(i + 1, 2) for i in range(4))
         x = solve_linear(M, b)
         assert x is not None
@@ -95,14 +96,17 @@ def test_solve_detects_inconsistency():
     A = RMatrix.from_rows([[1, 0], [1, 0]])
     assert solve_linear(A, (F(1), F(2))) is None
     assert solve_linear(A, (F(1), F(1))) is not None
+    assert integer_solve([[1, 0, 1, 1], [1, 0, 1, 2]], 2) is None
+    assert integer_solve([[1, 0, 1, 2], [1, 0, 1, 2]], 2) == [[1, 2], [0, 0]]
 
 
 def test_nullspace_vectors_annihilated():
-    M = RMatrix.from_rows([[1, 1, 1, 1], [1, -1, 0, 0]])
-    N = nullspace_basis(M)
-    assert N.cols == 2
-    assert M.matmul(N).is_zero()
-    assert rank(N) == 2
+    rows = [[1, 1, 1, 1], [1, -1, 0, 0]]
+    N, C = integer_nullspace(rows, 4)
+    assert len(N) == 2
+    assert all(int_dot(row, v) == 0 for row in rows for v in N)
+    assert integer_row_rank(N) == 2
+    assert (N, C) == ([[-1, -1, 2, 0], [-1, -1, 0, 2]], 2)
 
 
 _SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
@@ -136,18 +140,38 @@ def rational_matrices(draw):
 @given(rational_matrices(), st.data())
 def test_eliminations_agree_with_their_oracles(M, data):
     rows = M.row_list()
-    assert rref_rows(rows) == rref_by_fractions(rows)
-    assert integer_row_rank(integer_rows(rows)) == integer_rank_in_place(integer_rows(rows))
-    assert nullspace_basis(M).transpose().row_list() == nullspace_by_fractions(M)
-    # a right-hand side in the column space, and one drawn freely
+    ints, _ = cleared(rows)
+    assert integer_row_rank(ints) == integer_rank_in_place(ints)
+    expected, pivots = rref_by_fractions(rows)
+    assert [(p, [F(x, row[p]) for x in row]) for p, row in integer_rref(ints)] == list(
+        zip(pivots, expected))
+    # the nullspace over its least common denominator, and with no rows
+    # the unit vectors
+    assert integer_nullspace(ints, M.cols) == tuple(cleared(nullspace_by_fractions(M)))
+    assert integer_nullspace([], M.cols) == (
+        [[int(i == j) for i in range(M.cols)] for j in range(M.cols)], 1)
+    # a right-hand side in the column space and one drawn freely, alone
+    # and as the two columns of one system
     x = data.draw(st.lists(_RATIONALS, min_size=M.cols, max_size=M.cols))
-    for b in (M.apply(x), data.draw(st.lists(_RATIONALS, min_size=M.rows,
-                                             max_size=M.rows))):
-        assert solve_linear(M, b) == solve_by_fractions(M, b)
+    bs = (M.apply(x), data.draw(st.lists(_RATIONALS, min_size=M.rows,
+                                         max_size=M.rows)))
+    solutions = [solve_by_fractions(M, b) for b in bs]
+    for b, expected in zip(bs, solutions):
+        assert solve_linear(M, b) == expected
+    X = integer_solve([over_denominator(row + (b0, b1))[0]
+                       for row, b0, b1 in zip(rows, *bs)], M.cols)
+    if None in solutions:
+        assert X is None
+    else:
+        assert [tuple(col) for col in zip(*X)] == solutions
+    # the inverse of an integer square matrix: its first rows, each count
+    # of them over their least common denominator
     s = min(M.rows, M.cols)
-    square = RMatrix.from_rows(row[:s] for row in rows[:s])
-    Minv = inverse(square)
-    assert (Minv if Minv is None else Minv.row_list()) == inverse_by_fractions(square)
+    square = [row[:s] for row in ints[:s]]
+    Minv = inverse_by_fractions(RMatrix.from_rows(square))
+    for count in range(s + 1):
+        assert integer_inverse(square, count) == (
+            None if Minv is None else tuple(cleared(Minv[:count])))
 
 
 @_SETTINGS

@@ -19,7 +19,7 @@ from minproj.certificates import CMFunctional, cm_from_dual, minimal_support_cm,
 from minproj.errors import NotExtremeError, SupportBudgetExceededError
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, polar_dual)
-from minproj.linalg import rows_rank
+from minproj.linalg import integer_row_rank
 from minproj.projections import (OperatorPoint, face_dimension,
                                  max_norming_projection, norming_pairs,
                                  operator_norm, projection_constant)
@@ -28,7 +28,7 @@ from minproj.simplex import solve
 import oracles
 from oracles import (face_dimension_by_rounds, face_dimension_per_row,
                      first_non_extreme,
-                     general_position_exhaustive, grid_coefs,
+                     general_position_exhaustive,
                      linf_hyperplane_lambda,
                      max_norming_by_greedy, minimal_support_by_lp,
                      minimal_support_by_solve, solve_by_fraction_tableau,
@@ -147,9 +147,8 @@ def test_verify_cm_matches_apply_oracle(cases):
 def _tight_rank(report, point):
     """Rank of the grid rows [coefs_r, -1] tight at (point, lambda)."""
     grid = report.grid
-    coefs = grid_coefs(grid)
-    return rows_rank([coefs[r] + (Fraction(-1),)
-                      for r in grid.tight_rows(point.coefficients, report.lam)])
+    return integer_row_rank([grid.coefs_num[r] + (-grid.denominator,)
+                             for r in grid.tight_rows(point.coefficients, report.lam)])
 
 
 def test_max_norming_vertex_matches_greedy_oracle(cases):

@@ -6,14 +6,14 @@ from minproj.catalog import l1_ball, linf_ball, random_subspace
 import minproj.projections as projections
 from minproj.errors import InternalError, NotMinimalError
 from minproj.geometry import Subspace, norm_eval
-from minproj.linalg import RMatrix, integer_row_rank, rows_rank
+from minproj.linalg import RMatrix, integer_row_rank
 from minproj.projections import (OperatorPoint, build_operator_basis,
                                  build_pair_grid, face_dimension,
                                  max_norming_projection, norming_pairs,
                                  operator_norm, projection_constant)
 from minproj.simplex import SOLVE_STATS
 
-from oracles import row_value
+from oracles import matadd, matmul, rref_by_fractions, row_value
 
 F = Fraction
 
@@ -31,7 +31,7 @@ def test_operator_basis_structure(ker_sum_3):
     n, k = space.dim, Y.dim
     assert len(basis.basis_ops) == k * (n - k)
     P0 = basis.base_projection
-    assert P0.matmul(P0).row_list() == P0.row_list()
+    assert matmul(P0, P0).row_list() == P0.row_list()
     for y in Y.basis_vectors():
         assert P0.apply(y) == y
     for op in basis.basis_ops:
@@ -39,27 +39,32 @@ def test_operator_basis_structure(ker_sum_3):
             assert op.apply(y) == tuple(F(0) for _ in range(n))
         assert all(Y.contains(op.col(j)) for j in range(n))
     flat = [sum(op.row_list(), ()) for op in basis.basis_ops]
-    assert rows_rank(flat) == k * (n - k)
+    assert len(rref_by_fractions(flat)[1]) == k * (n - k)
 
 
 def _wrong_inverse(factor):
-    """projections.inverse with its result scaled by factor."""
-    right = projections.inverse
-    return lambda M: right(M).scale(F(factor))
+    """projections.integer_inverse with its rows scaled by factor."""
+    right = projections.integer_inverse
+
+    def wrong(rows, count):
+        H, den = right(rows, count)
+        return [[factor * x for x in h] for h in H], den
+    return wrong
 
 
-def _with_annihilator(Y, columns):
-    """Y with its annihilator replaced, past the checks of Subspace."""
-    object.__setattr__(Y, "annihilator", RMatrix.from_rows(columns).transpose())
+def _with_annihilator(Y, functionals):
+    """Y with its integer annihilator family replaced, past the checks of
+    Subspace."""
+    object.__setattr__(Y, "annihilator_num", functionals)
     return Y
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda mp, Y: mp.setattr(projections, "inverse", lambda M: None),
+    (lambda mp, Y: mp.setattr(projections, "integer_inverse", lambda rows, count: None),
      "basis of Y plus its complement is singular"),
-    (lambda mp, Y: mp.setattr(projections, "inverse", _wrong_inverse(2)),
+    (lambda mp, Y: mp.setattr(projections, "integer_inverse", _wrong_inverse(2)),
      "base projection is not idempotent"),
-    (lambda mp, Y: mp.setattr(projections, "inverse", _wrong_inverse(0)),
+    (lambda mp, Y: mp.setattr(projections, "integer_inverse", _wrong_inverse(0)),
      "base projection does not fix Y"),
     (lambda mp, Y: _with_annihilator(Y, [(1, 0, 0), (0, 1, -1)]),
      "a basis operator does not vanish on Y"),
@@ -123,7 +128,7 @@ def test_norm_one_slice_is_fully_optimal():
                               [0, 0, 1, 0], [0, 0, 0, 1]])
     assert basis.base_projection.row_list() == diag.row_list()
     for op in basis.basis_ops:
-        assert operator_norm(space, basis.base_projection.add(op)) == 1
+        assert operator_norm(space, matadd(basis.base_projection, op)) == 1
 
 
 def test_operator_norm_attained_on_vertices(ker_sum_3):

@@ -26,14 +26,14 @@ import pytest
 from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from minproj.catalog import linf_ball
+from minproj.catalog import linf_ball, random_subspace
 from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
                                   minimal_support_cm, verify_cm)
 from minproj.errors import (NotExtremeError, NotFullDimensionalError,
                             NotSymmetricError, SupportBudgetExceededError)
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, polar_dual)
-from minproj.linalg import dot, rows_rank
+from minproj.linalg import RMatrix, cleared, dot, integer_row_rank
 from minproj.projections import (OperatorPoint, build_operator_basis,
                                  face_dimension, max_norming_projection,
                                  norming_pairs, operator_norm,
@@ -43,7 +43,8 @@ from oracles import (budget_outcome, certify_by_face, face_dimension_by_rounds,
                      first_non_extreme,
                      general_position_exhaustive, general_position_per_subset,
                      is_extreme, linf_hyperplane_lambda,
-                     minimal_support_by_solve, operator_basis_by_fractions,
+                     minimal_support_by_solve, nullspace_by_fractions,
+                     operator_basis_by_fractions,
                      polar_dual_by_fractions, realize_by_fractions,
                      trace_on_subspace, verify_cm_by_apply)
 
@@ -73,12 +74,12 @@ def spaces_with_subspaces(draw):
     failure shrinks toward a hyperplane in n = 3."""
     n = draw(st.sampled_from((3, 4))) if draw(st.integers(0, 4)) else 2
     points = draw(_vectors(n, draw(st.integers(n, n + 2))))
-    assume(rows_rank(points) == n)
+    assume(integer_row_rank(points) == n)
     symmetric = sorted(set(points) | {tuple(-x for x in p) for p in points})
     space = PolyhedralSpace.from_vertices(polar_dual(polar_dual(symmetric)))
     k = draw(st.sampled_from((n - 1, 2, 1)[:n - 1]))
     basis = draw(_vectors(n, k))
-    assume(rows_rank(basis) == k)
+    assume(integer_row_rank(basis) == k)
     return space, basis
 
 
@@ -90,7 +91,7 @@ def symmetric_point_lists(draw):
     n = draw(st.integers(2, 4))
     count = draw(st.integers(n, n + 3))
     points = draw(_vectors(n, count, unique=True))
-    assume(rows_rank(points) == n)
+    assume(integer_row_rank(points) == n)
     if draw(st.integers(0, 3)) == 0:
         points.insert(draw(st.integers(0, count)),
                       draw(st.sampled_from(points)))
@@ -106,7 +107,7 @@ def cube_like_point_lists(draw):
     corners = draw(st.lists(st.tuples(*[st.sampled_from((1, -1))] * n),
                             min_size=n, max_size=8, unique=True))
     points = corners + draw(_vectors(n, draw(st.integers(0, 2))))
-    assume(rows_rank(points) == n)
+    assume(integer_row_rank(points) == n)
     return [q for p in points for q in (p, tuple(-x for x in p))]
 
 
@@ -144,7 +145,7 @@ def test_general_position_invariant_under_change_of_basis(case, data):
     space, basis = case
     k = len(basis)
     mix = data.draw(_vectors(k, k))
-    assume(rows_rank(mix) == k)
+    assume(integer_row_rank(mix) == k)
     mixed = [tuple(sum(c * b[i] for c, b in zip(row, basis))
                    for i in range(space.dim)) for row in mix]
     assert (general_position_check(space, Subspace.from_basis(mixed))
@@ -233,8 +234,44 @@ def test_operator_basis_agrees_with_fraction_oracle(case, data):
         expected = operator_basis_by_fractions(space, Y)
         assert ours.base_projection == expected.base_projection
         assert ours.basis_ops == expected.basis_ops
-        assert ours.y_basis == expected.y_basis
-        assert ours.annihilator == expected.annihilator
+        assert ([list(y) for y in ours.y_num], ours.y_den) == cleared(expected.y_basis)
+        assert ([list(g) for g in ours.g_num], ours.g_den) == cleared(expected.annihilator)
+
+
+def _assert_subspace_families(vectors):
+    """The families of Subspace against the Fraction nullspace: the
+    annihilator of from_basis, and the basis of from_kernel (the
+    subspace_basis that reports print), each also over its least common
+    denominator."""
+    rows = RMatrix.from_rows(vectors)
+    Y = Subspace.from_basis(vectors)
+    assert Y.annihilator_functionals() == nullspace_by_fractions(rows)
+    assert ([list(g) for g in Y.annihilator_num], Y.annihilator_den) == cleared(
+        nullspace_by_fractions(rows))
+    Z = Subspace.from_kernel(vectors)
+    assert Z.basis_vectors() == nullspace_by_fractions(rows)
+    assert ([list(y) for y in Z.basis_num], Z.basis_den) == cleared(
+        nullspace_by_fractions(rows))
+
+
+@_SETTINGS
+@given(spaces_with_subspaces(), st.data())
+def test_subspace_families_agree_with_fraction_nullspace(case, data):
+    # on the drawn basis and on its vectors scaled by rationals of both
+    # signs, so the rows clear over denominators above 1
+    _, basis = case
+    scales = data.draw(st.lists(st.fractions(-5, 5, max_denominator=7).filter(bool),
+                                min_size=len(basis), max_size=len(basis)))
+    for vectors in (basis, [tuple(c * x for x in v) for c, v in zip(scales, basis)]):
+        _assert_subspace_families(vectors)
+
+
+def test_subspace_families_on_seeded_inputs():
+    # the subspaces of the eight seeded n = 4, 5 inputs of the pipeline
+    # benchmark (one per n and k; the ball does not enter)
+    for n in (4, 5):
+        for k in (n - 1, 2):
+            _assert_subspace_families(random_subspace(n, k, 7).basis_vectors())
 
 
 @_SETTINGS

@@ -49,7 +49,7 @@ def _check_certificate(lp, sol):
         assert dot(A.row(i), sol.primal) <= b[i]
         assert sol.dual[i] >= 0
     for j in range(A.cols):
-        assert sum(sol.dual[i] * A.at(i, j) for i in range(m)) == -c[j]
+        assert sum(sol.dual[i] * A.row(i)[j] for i in range(m)) == -c[j]
     assert dot(sol.dual, b) == -sol.value
     assert dot(c, sol.primal) == sol.value
 
