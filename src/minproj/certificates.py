@@ -251,18 +251,25 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
 
     The walk runs on the integer columns [coefs_num_p; D] = D·[v_p; 1]
     of pair_rows, D its denominator, against the target [0; D]: the same
-    system scaled by D > 0, with the same solutions.  Each size is one
-    linalg.subset_walk over the sorted candidates' columns, with the
-    target carried as one more row that is never chosen: a node holds
-    the columns after its prefix and the target, each reduced against
-    the prefix's echelon rows, so a child costs one linalg.reduce_row
-    step per column it carries on.  A column that reduces to zero makes
-    the prefix dependent and cuts its whole subtree.  A full-size subset
-    is a candidate only when the target, reduced against it, vanishes;
-    only then are the weights, unique by independence, solved exactly
-    from the same integer columns and tested for w > 0.  The hit is
-    verified with witness, a minimal projection, before it is returned.
-    basis, when given, must be build_operator_basis(space, Y).
+    system scaled by D > 0, with the same solutions.  The target spans
+    the last coordinate, so a column's head, its first d entries, is the
+    column modulo the target, and independent columns span the target
+    exactly when their heads are dependent.  Each size is one
+    linalg.subset_walk over the sorted candidates' columns with heads of
+    width d.  It yields, in lexicographic order, the independent subsets
+    whose span holds the target while no prefix's span does.  The
+    weights of a subset are unique, and under a prefix whose span holds
+    the target they are zero on the columns after it, so the walk cuts
+    that subtree with those of the dependent prefixes and loses no
+    support.  It decides the last two columns at once: at a node two
+    columns short of the size, a pair of carried columns completes a
+    yielded subset exactly when their heads are parallel, or the second
+    head is zero (its column is parallel to the carried target), and the
+    columns themselves are not parallel.  Only the yielded subsets are
+    solved exactly for their weights, from the same integer columns, and
+    tested for w > 0.  The hit is verified with witness, a minimal
+    projection, before it is returned.  basis, when given, must be
+    build_operator_basis(space, Y).
     """
     candidates = sorted(set(candidate_pairs))
     if not candidates:
@@ -279,13 +286,13 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
     target = [0] * d + [grid.denominator]
 
     for size in range(1, min(d + 1, len(candidates)) + 1):
-        for subset, _, spans in subset_walk(columns, size, target):
-            if not spans:
+        for _, subset in subset_walk(columns, size, d):
+            if subset is None:
                 continue
             weights = _support_weights([columns[i] for i in subset], target)
             if weights is None:
                 raise InternalError(
-                    "the target reduces to zero but the support system is infeasible")
+                    "the subset walk yielded columns whose span misses the target")
             if any(w <= 0 for w in weights):
                 continue
             cm = CMFunctional(pairs=tuple(candidates[i] for i in subset),

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
 from typing import Sequence
 
 from .errors import (InternalError, NotExtremeError, NotFullDimensionalError,
@@ -435,17 +434,18 @@ def general_position_check(space: PolyhedralSpace, Y: Subspace,
     With A the annihilator and B the basis of Y, dim(Y + span T) =
     k + rank(v·A, v in T) and dim(Y + ker F) = n - rank F +
     rank(f·B, f in F), so T (or F) passes exactly when its projected
-    rows have the rank of its raw rows.  The projected rank is read off
-    the walk's rows reduced against their prefix; a raw rank is taken
-    only where the projected rank drops.
+    rows have the rank of its raw rows.  Both ranks are read off one
+    subset walk over the raw rows carried in lockstep with the projected
+    ones, which decides the last two levels of each size at once (see
+    _first_failing_subset); no rank is taken per subset.
 
     Returns the first violating index set as witness.  Enumeration order:
     spans by (size, lexicographic indices), then kernels likewise.
     spans_checked and kernels_checked count the subsets in that order up
-    to the witness, or all of them, and subset_cap bounds their sum.  A
-    subtree that _first_failing_subset cuts under a dependent prefix is
-    counted, not visited, so the counts and the budget are those of a
-    walk through every subset.
+    to the witness, or all of them, and subset_cap bounds their sum.  The
+    walk counts a subtree it cuts, and the leaves a node decides at once,
+    by binomials, so the counts and the budget are those of a walk
+    through every subset.
     """
     n = space.dim
     k = Y.dim
@@ -474,30 +474,35 @@ def _first_failing_subset(vectors: Sequence[Sequence[int]], reps: Sequence[int],
 
     vectors and directions are integer rows, each family cleared over one
     denominator: a positive factor on all vectors, or on all directions,
-    changes no rank.  Each size is one linalg.subset_walk over the
-    projected rows v·d, integer dot products.  The first failure is
-    raw-independent: a dependent one has an independent subset with the
-    same span, which fails too and comes first.  So a prefix shorter
-    than T whose projected rows are dependent passed at its own size, is
-    raw-dependent, and its subtree holds no first failure; the walk cuts
-    it, and its comb(m - j - 1, size - |prefix|) subsets, j the position
-    of its last index among the m reps, are counted at once.  A
-    full-size T whose last projected row reduces to zero has projected
-    rank |T| - 1 and fails exactly when its raw rows are independent:
-    one integer rank.
+    changes no rank.  Each size is one linalg.subset_walk over the rows
+    [v·d | v], whose heads are the projected rows v·d.  A head is a linear
+    image of its row, so the rows [v·d | v] of a subset have the rank of
+    its raw rows.
+
+    The first failure T is raw-independent: a dependent one has an
+    independent subset with the same span, which fails too and comes
+    first.  Every proper subset of T passes and is raw-independent, so
+    its projected rows are independent.  So T's projected rows are
+    dependent, its prefixes' are not, and its raw rows are independent:
+    it is a subset the walk yields, and every subset the walk yields
+    fails.  At a node two rows short of the size, a leaf's projected rows
+    are dependent when its two carried heads are parallel (or the second
+    is zero), and its raw rows independent when the two carried rows are
+    not parallel: the raw rows ride along in the same reduce_row steps,
+    and no rank is taken per leaf.  The walk's counts, of cut subtrees
+    and of a node's leaves by binomials, are charged as it yields them,
+    so the counts and the budget error are those of a walk through every
+    subset.
     """
-    raw = [vectors[i] for i in reps]
-    projected = [[int_dot(v, d) for d in directions] for v in raw]
-    m = len(reps)
+    rows = [[int_dot(v, d) for d in directions] + list(v)
+            for v in (vectors[i] for i in reps)]
     checked = 0
-    for size in range(1, min(max_size, m) + 1):
-        for subset, row, _ in subset_walk(projected, size):
-            depth = len(subset)
-            checked += 1 if depth == size else comb(m - subset[-1] - 1, size - depth)
+    for size in range(1, min(max_size, len(reps)) + 1):
+        for passed, subset in subset_walk(rows, size, len(directions)):
+            checked += passed
             if spent + checked > subset_cap:
                 raise SubsetBudgetExceededError(
                     f"{what} enumeration exceeded cap {subset_cap}")
-            if (depth == size and not any(row)
-                    and integer_row_rank([raw[i] for i in subset]) == size):
+            if subset is not None:
                 return tuple(reps[i] for i in subset), checked
     return None, checked

@@ -7,7 +7,10 @@ above each pivot, and the nullspace, the inverse and the solve are read
 off its rows.  Pivots are deterministic: each row in turn, at its first
 nonzero entry after reduction.  subset_walk, behind the general-position
 check and the minimal-support search, folds it down a depth-first walk
-over subsets.
+over subsets that stops two levels above the leaves: there the carried
+rows are grouped by direction (parallel classes), and a leaf, the prefix
+plus two carried rows, is dependent exactly when the second row is zero
+or parallel to the first, so no step is taken for the last level.
 
 Fractions are formed only at the edges.  Rational input is cleared to
 integer rows (over_denominator, cleared); a nullspace or an inverse comes
@@ -20,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -156,57 +160,105 @@ def _echelon(rows: Iterable[Sequence[int]], full: int) -> list[tuple[int, list[i
     return echelon
 
 
-def subset_walk(rows: Sequence[Sequence[int]], size: int,
-                target: Sequence[int] | None = None
-                ) -> Iterator[tuple[tuple[int, ...], list[int], bool | None]]:
-    """The index subsets of `size` >= 1 integer rows, depth-first in
-    lexicographic order, with the subtrees under dependent prefixes cut.
+def subset_walk(rows: Sequence[Sequence[int]], size: int, width: int
+                ) -> Iterator[tuple[int, tuple[int, ...] | None]]:
+    """The index subsets T of `size` >= 1 integer rows, in lexicographic
+    order, whose rows are independent while their heads, the first
+    `width` entries, are dependent and the heads of every proper prefix
+    of T are not.
 
-    A node carries the rows after its prefix, and target when given, which
-    is never chosen, each already reduced against the prefix's echelon
-    rows.  A child takes its carried row as its echelon row and costs one
-    reduce_row step, against that row alone, per row it carries on.
-    Yields (subset, row, spans): row is the subset's last row reduced
-    against the rows before it, which are independent, so it is zero
-    exactly when the subset is dependent.  A subset shorter than `size` is
-    yielded only then, and no subset through it is visited.  spans tells,
-    for an independent subset of `size` rows when target is given,
-    whether target lies in the span of its rows, else it is None.
+    A depth-first walk finds them.  A node carries the rows after its
+    prefix, each already reduced against the prefix's echelon rows, and
+    a child costs one reduce_row step per row it carries on.  The walk
+    descends only through prefixes whose heads are independent, so every
+    pivot lies in the heads: a child whose carried head is zero cuts its
+    subtree.  A carried row is then its row modulo the prefix's span, and
+    its head the row's head modulo the span of the prefix's heads.
 
-    A leaf's last step would leave the carried target t zero only if its
-    row has the pivot of t: a pivot before it makes the step scale t, one
-    after it leaves t's pivot entry scaled.  So a leaf takes that step
-    only when the pivots agree.
+    The walk stops two levels above the leaves.  At a node of size - 2
+    rows (the root when size <= 2), every leaf below it is the prefix
+    plus two of its carried rows a < b, and one pass over them decides
+    all of those leaves (_leaves).  The leaf qualifies exactly when a's
+    carried head is nonzero, b's is zero or parallel to it, and b's
+    carried row is nonzero and not parallel to a's.  So the node groups
+    its carried rows by the direction of their heads, and compares whole
+    rows only inside a group or against a zero head.  For size 1 the root
+    decides the leaves (a,): a's head is zero and its row is not.
+
+    Yields (passed, subset).  passed counts the subsets of `size`, in
+    lexicographic order, from the one after the previous yield up to
+    subset, which qualifies.  A cut subtree, and a node's leaves after its
+    last qualifying one, end with one (passed, None) that counts up to
+    their end.  The counts of a walk sum to comb(len(rows), size), so a
+    caller that charges a budget as it goes stops at the same subset as a
+    walk through every leaf.
     """
-    def walk(prefix, indices, rows, target, prev):
+    def walk(prefix, indices, rows, prev):
         depth = len(prefix) + 1
-        if depth == size:
-            t = None if target is None else _pivot(target)
-            for i, row in zip(indices, rows):
-                if target is None or not any(row):
-                    spans = None
-                elif t is None:
-                    spans = True
-                else:
-                    spans = (row[t] != 0 and not any(row[:t]) and not any(
-                        reduce_row(target, [(t, row)], prev)))
-                yield prefix + (i,), row, spans
+        if depth >= size - 1:
+            yield from _leaves(prefix, indices, rows, size - len(prefix), width)
             return
         for pos in range(len(rows) - size + depth):
             row = rows[pos]
-            subset = prefix + (indices[pos],)
-            if not any(row):
-                yield subset, row, None
-                continue
             pivot = _pivot(row)
+            if pivot is None or pivot >= width:
+                yield comb(len(rows) - pos - 1, size - depth), None
+                continue
             step = [(pivot, row)]
-            yield from walk(
-                subset, indices[pos + 1:],
-                [reduce_row(r, step, prev) for r in rows[pos + 1:]],
-                None if target is None else reduce_row(target, step, prev),
-                row[pivot])
+            yield from walk(prefix + (indices[pos],), indices[pos + 1:],
+                            [reduce_row(r, step, prev) for r in rows[pos + 1:]],
+                            row[pivot])
 
-    return walk((), range(len(rows)), rows, target, 1)
+    return walk((), range(len(rows)), rows, 1)
+
+
+def _leaves(prefix: tuple[int, ...], indices: Sequence[int],
+            rows: Sequence[Sequence[int]], left: int,
+            width: int) -> Iterator[tuple[int, tuple[int, ...] | None]]:
+    """subset_walk's (passed, subset) for the leaves made of the prefix
+    and `left` (1 or 2) of the node's carried rows."""
+    count = len(rows)
+    if left == 1:
+        hits = [(a,) for a, row in enumerate(rows)
+                if not any(row[:width]) and any(row)]
+        offsets = [a for a, in hits]
+    else:
+        heads = [_direction(row[:width]) for row in rows]
+        if None not in heads and len(set(heads)) == count:
+            yield comb(count, 2), None
+            return
+        groups: dict[tuple[int, ...] | None, list[int]] = {}
+        for pos, head in enumerate(heads):
+            groups.setdefault(head, []).append(pos)
+        zeros = groups.pop(None, [])
+        pairs = [pair for group in groups.values() for pair in combinations(group, 2)]
+        pairs += [(a, b) for b in zeros for a in range(b) if heads[a] is not None]
+        pairs.sort()
+        whole = {pos: _direction(rows[pos]) for pos in {p for pair in pairs for p in pair}}
+        hits = [(a, b) for a, b in pairs
+                if whole[b] is not None and whole[b] != whole[a]]
+        # the leaves before (a, b): those through a smaller first row, then
+        # those through a with a smaller second row
+        offsets = [comb(count, 2) - comb(count - a, 2) + b - a - 1 for a, b in hits]
+    passed = 0
+    for hit, offset in zip(hits, offsets):
+        yield offset + 1 - passed, prefix + tuple(indices[p] for p in hit)
+        passed = offset + 1
+    if passed < comb(count, left):
+        yield comb(count, left) - passed, None
+
+
+def _direction(row: Sequence[int]) -> tuple[int, ...] | None:
+    """The primitive multiple of the row whose first nonzero entry is
+    positive, or None for a zero row: rows are parallel exactly when
+    their directions are equal."""
+    g = gcd(*row)
+    if not g:
+        return None
+    for x in row:
+        if x:
+            break
+    return tuple([y // g for y in row] if x > 0 else [-y // g for y in row])
 
 
 def integer_row_rank(rows: Sequence[Sequence[int]]) -> int:

@@ -18,9 +18,18 @@ subset walk of ``general_position_check`` replaced
 (``general_position_per_subset``), one integer rank per subset in the
 same order, which must give the same report, counts and budget errors
 included (``budget_outcome`` reads a check's report or budget error).
-The last decides each vertex's extremality by one feasibility LP over
-the other listed points.  They are slow but independent of the Gordan rounds, the integer elimination and the ranks
-that replaced them, so agreement between the two is evidence for both.
+The subset walk itself is kept as it was when it went down to the
+leaves (``subset_walk_by_leaves``, one fraction-free step per leaf,
+with its own step), and so is the check built on it
+(``general_position_by_leaf_walk``, one integer rank per leaf whose
+projected rows are dependent): ``linalg.subset_walk``, which decides the
+last two levels at once by parallel classes, must give the same
+reports and budget errors, and the same support hits less those under
+a prefix whose span holds the target.  The last decides each vertex's
+extremality by one feasibility LP over the other listed points.  They
+are slow but independent of the Gordan rounds, the integer elimination
+and the ranks that replaced them, so agreement between the two is
+evidence for both.
 
 Two more replaced implementations follow: ``verify_cm`` as it was when
 it applied operator matrices (``verify_cm_by_apply``), and the simplex
@@ -66,7 +75,7 @@ that ``jsonio.parse_space_document`` reads.
 import itertools
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -470,15 +479,37 @@ def general_position_per_subset(space, Y, subset_cap=DEFAULT_GP_CAP):
     and kernels of at most k functionals, each visited and judged by one
     integer rank of its projected rows, and of its raw rows when that
     rank is below the subset's size.  Same report, same budget errors."""
-    n, k = space.dim, Y.dim
-    span, spans_checked = _first_failing_subset(
-        space.primal_vertices, space.primal_class_reps,
-        Y.annihilator_functionals(), n - k, 0, subset_cap, "vertex-span")
+    return _general_position_report(
+        _first_failing_subset, (space.primal_vertices, space.primal_class_reps,
+                                Y.annihilator_functionals()),
+        (space.dual_vertices, space.dual_class_reps, Y.basis_vectors()),
+        space.dim - Y.dim, Y.dim, subset_cap)
+
+
+def general_position_by_leaf_walk(space, Y, subset_cap=DEFAULT_GP_CAP):
+    """geometry.general_position_check as it was when its subset walk went
+    down to the leaves (subset_walk_by_leaves over the projected rows): a
+    cut prefix's subtree is counted by a binomial, and a leaf whose last
+    projected row reduces to zero fails when its raw rows have full
+    integer rank.  Same report, same budget errors."""
+    return _general_position_report(
+        _first_failing_by_leaf_walk,
+        (space.primal_cleared[0], space.primal_class_reps, Y.annihilator_num),
+        (space.dual_cleared[0], space.dual_class_reps, Y.basis_num),
+        space.dim - Y.dim, Y.dim, subset_cap)
+
+
+def _general_position_report(first_failing, spans, kernels, max_span,
+                             max_kernel, subset_cap):
+    """The report of first_failing(vectors, reps, directions, max_size,
+    spent, subset_cap, what) run over spans, then over kernels, each a
+    triple (vectors, reps, directions)."""
+    span, spans_checked = first_failing(*spans, max_span, 0, subset_cap,
+                                        "vertex-span")
     if span is not None:
         return GeneralPositionReport(False, "span", span, spans_checked, 0)
-    kernel, kernels_checked = _first_failing_subset(
-        space.dual_vertices, space.dual_class_reps, Y.basis_vectors(), k,
-        spans_checked, subset_cap, "kernel")
+    kernel, kernels_checked = first_failing(*kernels, max_kernel, spans_checked,
+                                            subset_cap, "kernel")
     if kernel is not None:
         return GeneralPositionReport(False, "kernel", kernel,
                                      spans_checked, kernels_checked)
@@ -510,6 +541,65 @@ def _first_failing_subset(vectors, reps, directions, max_size, spent,
             if rank < size and rank != integer_rank_in_place([raw[i] for i in subset]):
                 return subset, checked
     return None, checked
+
+
+def _first_failing_by_leaf_walk(vectors, reps, directions, max_size, spent,
+                                subset_cap, what):
+    raw = [vectors[i] for i in reps]
+    projected = [[int_dot(v, d) for d in directions] for v in raw]
+    m = len(reps)
+    checked = 0
+    for size in range(1, min(max_size, m) + 1):
+        for subset, row, _ in subset_walk_by_leaves(projected, size):
+            depth = len(subset)
+            checked += 1 if depth == size else comb(m - subset[-1] - 1, size - depth)
+            if spent + checked > subset_cap:
+                raise SubsetBudgetExceededError(
+                    f"{what} enumeration exceeded cap {subset_cap}")
+            if (depth == size and not any(row)
+                    and integer_rank_in_place([raw[i] for i in subset]) == size):
+                return tuple(reps[i] for i in subset), checked
+    return None, checked
+
+
+def subset_walk_by_leaves(rows, size, target=None):
+    """linalg.subset_walk as it was when it went down to the leaves, with
+    its own fraction-free step.  The index subsets of `size` integer rows,
+    depth-first in lexicographic order, each node carrying the rows after
+    its prefix (and target, never chosen) reduced against the prefix's
+    echelon rows; a child whose carried row is zero cuts its subtree.
+    Yields (subset, row, spans): row is the subset's last row reduced
+    against the rows before it, zero exactly when the subset is
+    dependent; a subset shorter than `size` is yielded only then.  spans
+    tells, for an independent subset of `size` rows when target is given,
+    whether target lies in the span of its rows, else it is None."""
+    def step(vec, pivot, row, prev):
+        return [(row[pivot] * x - vec[pivot] * y) // prev for x, y in zip(vec, row)]
+
+    def walk(prefix, indices, rows, target, prev):
+        depth = len(prefix) + 1
+        if depth == size:
+            for i, row in zip(indices, rows):
+                spans = None
+                if target is not None and any(row):
+                    pivot = next(j for j, x in enumerate(row) if x)
+                    spans = not any(step(target, pivot, row, prev))
+                yield prefix + (i,), row, spans
+            return
+        for pos in range(len(rows) - size + depth):
+            row = rows[pos]
+            subset = prefix + (indices[pos],)
+            if not any(row):
+                yield subset, row, None
+                continue
+            pivot = next(j for j, x in enumerate(row) if x)
+            yield from walk(
+                subset, indices[pos + 1:],
+                [step(r, pivot, row, prev) for r in rows[pos + 1:]],
+                None if target is None else step(target, pivot, row, prev),
+                row[pivot])
+
+    return walk((), range(len(rows)), rows, target, 1)
 
 
 def is_extreme(vertices, v):

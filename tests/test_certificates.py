@@ -11,7 +11,7 @@ from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
 from minproj.errors import (CertificateInvalidError, InternalError,
                             RankGapViolationError, SupportBudgetExceededError)
 from minproj.geometry import Subspace
-from minproj.projections import OperatorPoint, projection_constant
+from minproj.projections import OperatorPoint, face_dimension, projection_constant
 
 from oracles import cm_operator, trace_on_subspace
 
@@ -212,3 +212,21 @@ def test_certify_refuses_an_lp_value_below_the_certified_bound(monkeypatch):
     monkeypatch.setattr(certificates, "face_dimension", face)
     with pytest.raises(InternalError, match="proves lambda >="):
         certify_cm(space, Y, cm, report.lam)
+
+
+def test_uncapped_support_of_the_linf6_plane():
+    # The 2-plane of l-inf^6 at generator seed 7 has 64 candidate pairs,
+    # beyond the default cap.  Uncapped, the first support in (size,
+    # lexicographic) order has 5 pairs, as the walk through every leaf
+    # (oracles.subset_walk_by_leaves) finds it.
+    space, Y = linf_ball(6), random_subspace(6, 2, 7)
+    report = projection_constant(space, Y)
+    _, implicit = face_dimension(space, Y, report)
+    assert len(set(implicit)) == 64
+    cm, size = minimal_support_cm(space, Y, implicit, report.lam,
+                                  max_candidates=64, witness=report.interior,
+                                  basis=report.basis)
+    assert size == 5
+    assert cm.pairs == ((0, 0), (1, 0), (2, 0), (4, 0), (27, 0))
+    assert cm.weights == (F(2467, 36729), F(3917, 20988), F(513, 1484),
+                          F(303, 2332), F(631, 2332))

@@ -9,12 +9,12 @@ from minproj.errors import (NotExtremeError, NotFullDimensionalError,
                             NotSymmetricError, SubsetBudgetExceededError)
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, norm_eval, polar_dual)
-from minproj.linalg import RMatrix, dot, over_denominator, subset_walk
+from minproj.linalg import RMatrix, dot, over_denominator
 from minproj.simplex import OPTIMAL, SOLVE_STATS, solve
 
 from oracles import (budget_outcome, general_position_per_subset,
                      inverse_by_fractions, is_extreme, make_lp,
-                     polar_dual_by_fractions)
+                     polar_dual_by_fractions, subset_walk_by_leaves)
 
 F = Fraction
 
@@ -304,22 +304,30 @@ def test_general_position_budget_boundary_on_l1_6_hyperplane():
         general_position_check(space, Y, subset_cap=242_829)
 
 
-def test_general_position_counts_the_subtree_under_a_dependent_prefix():
-    # e1, e2 and e1 + e2 are dependent vertices, and the vertex pairs
-    # are spaced so that the line Y avoids every span of four of them.
-    # At size 4 the walk cuts the subtree under the prefix of those
-    # three (pair positions 0, 1, 2) and counts its 3 subsets at once.
-    points = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0),
-              (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
-    space = PolyhedralSpace.from_vertices(
-        [q for p in points for q in (p, tuple(-x for x in p))])
-    Y = Subspace.from_basis([(1, 2, 4, 8, 16)])
-    reps = space.primal_class_reps
+# e1, e2 and e1 + e2 are dependent vertices; the others are e3, e4, e5.
+_DEPENDENT_TRIPLE = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0),
+                     (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
+
+
+def _cut_prefixes(space, Y, size):
+    """The prefixes under which the leaf walk over the projected vertex
+    pairs cuts a subtree at this size."""
     projected = [over_denominator([dot(space.primal_vertices[i], g)
                                    for g in Y.annihilator_functionals()])[0]
-                 for i in reps]
-    cut = [subset for subset, _, _ in subset_walk(projected, 4) if len(subset) < 4]
-    assert cut == [(0, 1, 2)]
+                 for i in space.primal_class_reps]
+    return [subset for subset, _, _ in subset_walk_by_leaves(projected, size)
+            if len(subset) < size]
+
+
+def test_general_position_counts_the_subtree_under_a_dependent_prefix():
+    # The vertex pairs are spaced so that the line Y avoids every span of
+    # four of them.  At size 4 the walk cuts the subtree under the prefix
+    # of e1, e2, e1 + e2 (pair positions 0, 1, 2) and counts its 3 subsets
+    # at once.
+    space = PolyhedralSpace.from_vertices(
+        [q for p in _DEPENDENT_TRIPLE for q in (p, tuple(-x for x in p))])
+    Y = Subspace.from_basis([(1, 2, 4, 8, 16)])
+    assert _cut_prefixes(space, Y, 4) == [(0, 1, 2)]
 
     r = general_position_check(space, Y)
     assert r.in_general_position
@@ -330,3 +338,44 @@ def test_general_position_counts_the_subtree_under_a_dependent_prefix():
     for cap in range(r.spans_checked + r.kernels_checked + 1):
         assert (budget_outcome(general_position_check, space, Y, cap)
                 == budget_outcome(general_position_per_subset, space, Y, cap))
+
+
+def test_general_position_counts_a_subtree_cut_above_the_leaf_batches():
+    # With e6 added, the walk over spans of five vertices cuts the prefix
+    # (0, 1, 2) one level above the nodes that decide their leaves at once,
+    # and counts the 6 subsets under it by a binomial
+    points = [p + (0,) for p in _DEPENDENT_TRIPLE] + [(0, 0, 0, 0, 0, 1)]
+    space = PolyhedralSpace.from_vertices(
+        [q for p in points for q in (p, tuple(-x for x in p))])
+    Y = Subspace.from_basis([(1, 2, 4, 8, 16, 32)])
+    assert _cut_prefixes(space, Y, 5) == [(0, 1, 2)]
+    r = general_position_check(space, Y)
+    assert r.in_general_position
+    assert (r.spans_checked, r.kernels_checked) == (
+        sum(math.comb(7, s) for s in range(1, 6)), len(space.dual_class_reps))
+    for cap in range(r.spans_checked + r.kernels_checked + 1):
+        assert (budget_outcome(general_position_check, space, Y, cap)
+                == budget_outcome(general_position_per_subset, space, Y, cap))
+
+
+def test_general_position_budget_runs_out_inside_a_leaf_batch():
+    # The line Y lies in the span of e1, e2, e3, e5 (pair positions 0, 1,
+    # 3, 5) and in no span of fewer vertices.  The 41 subsets of sizes 1
+    # to 3 pass; at size 4 the node (0, 1) decides its leaves at once: the
+    # 3 under the prefix (0, 1, 2), which the leaf walk cuts at depth 3,
+    # then (0, 1, 3, 4), which passes, then (0, 1, 3, 5), which fails.
+    # Caps 41-43 run out inside the cut subtree, 44 one leaf before the
+    # failing leaf and 45 at the failing leaf, where the budget error wins.
+    space = PolyhedralSpace.from_vertices(
+        [q for p in _DEPENDENT_TRIPLE for q in (p, tuple(-x for x in p))])
+    Y = Subspace.from_basis([(1, 2, 4, 0, 16)])
+    reps = space.primal_class_reps
+    assert _cut_prefixes(space, Y, 4) == [(0, 1, 2)]
+    r = general_position_check(space, Y)
+    assert r == general_position_per_subset(space, Y)
+    assert (r.witness_kind, r.witness) == ("span", tuple(reps[i] for i in (0, 1, 3, 5)))
+    assert (r.spans_checked, r.kernels_checked) == (46, 0)
+    for cap in range(47):
+        outcome = budget_outcome(general_position_check, space, Y, cap)
+        assert outcome == budget_outcome(general_position_per_subset, space, Y, cap)
+        assert (outcome == r) is (cap == 46)

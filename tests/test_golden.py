@@ -89,6 +89,9 @@ GOLDEN = {
     "analyze/seeded-l1-n5-k2": "d898c4c528309c70a3f9925403315460ba3ecdbf35f81e44ee2189d3f09caf2e",
 }
 
+# stdout of general-position on the partial-sum 3-plane of l-inf^5
+GENERAL_POSITION_DIGEST = "96649fbaa94847624c4dd494e096628fd714a6625496b4d7372101818e4d0aea"
+
 
 def _seeded_documents(n):
     cube = [list(v) for v in itertools.product((1, -1), repeat=n)]
@@ -168,6 +171,13 @@ def _digest(result) -> str:
     return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
 
 
+def _plain_and_optimized(*argv):
+    """The runs of python -m minproj argv in a child interpreter, plain
+    and under python -O, which strips asserts."""
+    return [subprocess.run([sys.executable, *flags, "-m", "minproj", *argv],
+                           capture_output=True) for flags in ((), ("-O",))]
+
+
 def test_optimized_interpreter_gives_the_same_report(tmp_path):
     # The invariants raise explicitly, so python -O, which strips asserts,
     # runs the same checks and prints the same bytes
@@ -175,13 +185,25 @@ def test_optimized_interpreter_gives_the_same_report(tmp_path):
                      if name == CERTIFIED)
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
-
-    def run(*flags):
-        return subprocess.run([sys.executable, *flags, "-m", "minproj",
-                               "analyze", "--input", str(path)], capture_output=True)
-
-    plain, optimized = run(), run("-O")
+    plain, optimized = _plain_and_optimized("analyze", "--input", str(path))
     assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == plain.returncode
+    assert optimized.stdout == plain.stdout
+
+
+def test_optimized_interpreter_gives_the_same_general_position_report(tmp_path):
+    # The catalog's partial-sum 3-plane of l-inf^5 fails general position
+    # with a kernel witness of three dual vertices, which the subset walk
+    # finds among the leaves that one node decides at once
+    case = next(case for case in paper_cases()
+                if case.name == "partial-sum-linf-n5-k3")
+    path = tmp_path / f"{case.name}.json"
+    path.write_text(json.dumps(space_json(case.space, case.subspace)))
+    plain, optimized = _plain_and_optimized("general-position", "--input", str(path))
+    assert plain.returncode == 0, plain.stderr
+    report = json.loads(plain.stdout)
+    assert (report["witness_kind"], report["witness"]) == ("kernel", [0, 2, 4])
+    assert hashlib.sha256(plain.stdout).hexdigest() == GENERAL_POSITION_DIGEST
     assert optimized.returncode == plain.returncode
     assert optimized.stdout == plain.stdout
 

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from minproj.linalg import (RMatrix, cleared, dot, int_dot, integer_inverse,
 
 from oracles import (integer_rank_in_place, inverse_by_fractions, matadd,
                      matmul, nullspace_by_fractions, rref_by_fractions,
-                     solve_by_fractions, spanning_subsets_by_content)
+                     solve_by_fractions, spanning_subsets_by_content,
+                     subset_walk_by_leaves)
 
 F = Fraction
 
@@ -179,8 +182,57 @@ def test_eliminations_agree_with_their_oracles(M, data):
     st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(lambda v: v + [1]),
     min_size=1, max_size=8)))
 def test_support_walk_agrees_with_content_reducer(columns):
-    unit = [0] * (len(columns[0]) - 1) + [1]
-    for size in range(1, min(len(columns[0]), len(columns)) + 1):
-        assert ([subset for subset, _, spans in subset_walk(columns, size, unit)
-                 if spans]
-                == list(spanning_subsets_by_content(columns, size)))
+    # At every size the walk yields the subsets whose span holds the target
+    # [0; 1], by the content reducer and by the walk through every leaf,
+    # less those under a spanning prefix: there a solution puts weight
+    # zero on the columns after it.  Every subset that solves for the
+    # target with w > 0 is among them.
+    d = len(columns[0]) - 1
+    target = [0] * d + [1]
+    spanning = {}
+    for size in range(1, min(d + 1, len(columns)) + 1):
+        spanning[size] = list(spanning_subsets_by_content(columns, size))
+        assert spanning[size] == [subset for subset, _, spans
+                                  in subset_walk_by_leaves(columns, size, target)
+                                  if spans]
+        events = list(subset_walk(columns, size, d))
+        assert sum(passed for passed, _ in events) == comb(len(columns), size)
+        got = [subset for _, subset in events if subset is not None]
+        assert got == [subset for subset in spanning[size]
+                       if not any(subset[:j] in spanning[j] for j in range(1, size))]
+        for subset in spanning[size]:
+            weights = solve_by_fractions(
+                RMatrix.from_rows([columns[i] for i in subset]).transpose(), target)
+            if all(w > 0 for w in weights):
+                assert subset in got
+
+
+@_SETTINGS
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.sampled_from((-2, -1, 0, 0, 0, 1, 2)),
+                      min_size=n, max_size=n), min_size=1, max_size=7),
+    st.integers(0, n))))
+def test_subset_walk_agrees_with_brute_force(case):
+    # Every subset T, in lexicographic order, whose heads (first `width`
+    # entries) are dependent while its prefixes' heads are independent and
+    # its rows are independent; each yield counts the subsets up to it
+    rows, width = case
+    heads = [row[:width] for row in rows]
+    for size in range(1, len(rows) + 1):
+        subsets = list(itertools.combinations(range(len(rows)), size))
+        expected = [
+            T for T in subsets
+            if all(integer_rank_in_place([heads[i] for i in T[:j]]) == j
+                   for j in range(1, size))
+            and integer_rank_in_place([heads[i] for i in T]) < size
+            and integer_rank_in_place([rows[i] for i in T]) == size]
+        seen = 0
+        got = []
+        for passed, subset in subset_walk(rows, size, width):
+            assert passed > 0
+            seen += passed
+            if subset is not None:
+                got.append(subset)
+                assert seen == subsets.index(subset) + 1
+        assert got == expected
+        assert seen == len(subsets)

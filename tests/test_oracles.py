@@ -26,9 +26,9 @@ from minproj.projections import (OperatorPoint, face_dimension,
 
 from minproj.simplex import solve
 import oracles
-from oracles import (face_dimension_by_rounds, face_dimension_per_row,
-                     first_non_extreme,
-                     general_position_exhaustive,
+from oracles import (budget_outcome, face_dimension_by_rounds,
+                     face_dimension_per_row, first_non_extreme,
+                     general_position_by_leaf_walk, general_position_exhaustive,
                      linf_hyperplane_lambda,
                      max_norming_by_greedy, minimal_support_by_lp,
                      minimal_support_by_solve, solve_by_fraction_tableau,
@@ -288,6 +288,31 @@ def test_general_position_matches_exhaustive_on_integer_kernels():
     assert ("linf", (1, 1, 1, 1)) in failing
     assert ("l1", (1, 1, 1)) in failing
     assert ("linf", (2, 1, 1, 1)) not in failing
+
+
+def test_general_position_matches_leaf_walk_on_sweep(analyzed):
+    # The whole report and the budget errors at four caps, by the walk
+    # that decides two levels at once and by the walk through every leaf:
+    # the catalog, seeded subspaces of l-inf^n and l1^n for n = 3 to 5,
+    # and kernels of small integer functionals on l-inf^4 and l1^4
+    inputs = [(a.case.space, a.case.subspace) for a in analyzed.values()]
+    inputs += [(ball(n), random_subspace(n, k, seed))
+               for n in (3, 4, 5) for ball in (linf_ball, l1_ball)
+               for k in range(1, n) for seed in (1, 2, 7)]
+    inputs += [(ball(4), Subspace.from_kernel([f]))
+               for f in itertools.product((-1, 0, 1, 2), repeat=4)
+               if any(f) and next(x for x in f if x) > 0
+               for ball in (linf_ball, l1_ball)]
+    failing = 0
+    for space, Y in inputs:
+        report = general_position_check(space, Y)
+        assert report == general_position_by_leaf_walk(space, Y), (space.dim, Y)
+        total = report.spans_checked + report.kernels_checked
+        for cap in (total, total - 1, total // 2, total // 3):
+            assert (budget_outcome(general_position_check, space, Y, cap)
+                    == budget_outcome(general_position_by_leaf_walk, space, Y, cap))
+        failing += not report.in_general_position
+    assert (len(inputs), failing) == (410, 328)
 
 
 def _assert_validation_matches(vertices, label):

@@ -2,7 +2,9 @@
 minimal projection, its norming pairs, its certificates, the check of
 random certificates, the certify routes, its optimal face against Gordan
 rounds from no implicit row, and the paper's bounds on the dimension of
-that face on random symmetric polytopes.  The polar
+that face and on the support of a certificate in general position on
+random symmetric polytopes.  General position is also compared with the
+subset walk through every leaf that it replaced.  The polar
 is also compared with the Fraction polar it replaced, and the projection
 constant of random hyperplanes of l-inf^n with Blatter and Cheney's
 closed form.
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 
 from minproj.catalog import linf_ball, random_subspace
 from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
-                                  minimal_support_cm, verify_cm)
+                                  cm_rank_gap, minimal_support_cm, verify_cm)
 from minproj.errors import (NotExtremeError, NotFullDimensionalError,
                             NotSymmetricError, SupportBudgetExceededError)
 from minproj.geometry import (PolyhedralSpace, Subspace,
@@ -41,6 +43,7 @@ from minproj.projections import (OperatorPoint, build_operator_basis,
 
 from oracles import (budget_outcome, certify_by_face, face_dimension_by_rounds,
                      first_non_extreme,
+                     general_position_by_leaf_walk,
                      general_position_exhaustive, general_position_per_subset,
                      is_extreme, linf_hyperplane_lambda,
                      minimal_support_by_solve, nullspace_by_fractions,
@@ -137,6 +140,23 @@ def test_general_position_agrees_with_per_subset_oracle(case, data):
     for cap in (total, total - 1, data.draw(st.integers(0, total))):
         assert (budget_outcome(general_position_check, space, Y, cap)
                 == budget_outcome(general_position_per_subset, space, Y, cap))
+
+
+@_SETTINGS
+@given(spaces_with_subspaces(), st.data())
+def test_general_position_agrees_with_leaf_walk_oracle(case, data):
+    """The whole report of the walk that decides two levels at once and of
+    the walk through every leaf, and their budget errors at the total
+    count, one below it and two drawn caps."""
+    space, basis = case
+    Y = Subspace.from_basis(basis)
+    report = general_position_check(space, Y)
+    assert report == general_position_by_leaf_walk(space, Y)
+    total = report.spans_checked + report.kernels_checked
+    for cap in (total, total - 1, *data.draw(st.lists(st.integers(0, total),
+                                                      min_size=2, max_size=2))):
+        assert (budget_outcome(general_position_check, space, Y, cap)
+                == budget_outcome(general_position_by_leaf_walk, space, Y, cap))
 
 
 @_SETTINGS
@@ -437,6 +457,27 @@ def test_minimal_support_agrees_with_solve_oracle(case):
                                   witness=report.interior, basis=report.basis)
     assert (cm.pairs, cm.weights) == expected
     assert size == len(cm.pairs)
+
+
+# Five times the draws: about one in ten has lambda > 1 in general position.
+@settings(_SETTINGS, max_examples=300)
+@given(spaces_with_subspaces())
+def test_support_in_general_position_is_at_least_n(case):
+    # arXiv 2211.14008: with lambda > 1 and Y in general position, a
+    # Chalmers-Metcalf certificate charges at least n pairs, and the rank
+    # of its functionals drops strictly when they are restricted to Y
+    space, Y, report, implicit = _analyze(case)
+    if report.lam <= 1 or not general_position_check(space, Y).in_general_position:
+        return
+    try:
+        cm, size = minimal_support_cm(space, Y, implicit, report.lam,
+                                      max_candidates=_SUPPORT_CAP,
+                                      witness=report.interior, basis=report.basis)
+    except SupportBudgetExceededError:
+        return
+    assert size >= space.dim
+    rank_full, rank_restricted = cm_rank_gap(space, Y, cm, report.lam)
+    assert rank_restricted < rank_full
 
 
 @_SETTINGS
