@@ -1,16 +1,20 @@
-"""Command-line front end.
+"""Command-line front end: one argparse subparser and one handler per
+command, with the parsed arguments as the only configuration.
 
-Subcommands: analyze (full report for one space/subspace), paper-suite
+Commands: analyze (full report for one space/subspace), paper-suite
 (recompute every named case and diff against its expected values),
 general-position (just the genericity check), polar (dual vertices of an
-input ball), certify (check a certificate file against a space).
+input ball), certify (check a certificate file against a space).  Each
+subparser declares only the flags its handler reads.
 
-Exit codes: 0 success, 1 mismatch or failed verification, 2 malformed
-input, 3 enumeration budget exceeded (a partial report is still
-emitted), 4 internal failure (an invariant of the computation broke).
-All vertex/functional indices in reports are 0-based and refer to the
-order in which vertices are stored on the space.  Output is
-byte-identical for identical inputs and flags.
+Exit codes, set in main except for analyze's partial report: 0 success,
+1 mismatch or failed verification, 2 malformed input, 3 enumeration
+budget exceeded (analyze still emits a partial report), 4 internal
+failure (an invariant of the computation broke, or a certificate built
+from the pipeline's own solve failed verification).  All vertex/functional
+indices in reports are 0-based and refer to the order in which vertices
+are stored on the space.  Output is byte-identical for identical inputs
+and flags.
 
 certify reads the certificate as a Chalmers-Metcalf bound: if its
 weights, vanishing, invariance and trace checks pass, every projection
@@ -29,14 +33,14 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import paper_cases, random_subspace
 from .certificates import (DEFAULT_SUPPORT_CAP, certify_cm, cm_from_dual,
                            minimal_support_cm)
-from .errors import (InputFormatError, InternalError, MinprojError,
-                     SubsetBudgetExceededError, SupportBudgetExceededError)
+from .errors import (CertificateInvalidError, InputFormatError, InternalError,
+                     MinprojError, SubsetBudgetExceededError,
+                     SupportBudgetExceededError)
 from .geometry import PolyhedralSpace, Subspace, general_position_check
 from .jsonio import (certificate_json, dumps, load_document, matrix_json,
                      parse_certificate_document, parse_space_document,
@@ -47,19 +51,6 @@ from .rational import approx_decimal, format_rational
 _CHECK_NAMES = ("weights", "vanishing", "invariance", "norming", "trace")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    certificate_path: str | None = None
-    output: str | None = None
-    seed: int | None = None
-    subset_cap: int | None = None
-    skip_support_search: bool = False
-    table: bool = False
-    only: str | None = None
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -67,26 +58,29 @@ def _read_text(path: str) -> str:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
 
 
-def _load_space_file(path: str | None):
-    if path is None:
+def _read_space(args: argparse.Namespace) -> tuple[PolyhedralSpace, Subspace | None]:
+    """The space of the --input document and its subspace_basis, or None."""
+    if args.input is None:
         raise InputFormatError("this command requires --input PATH")
-    return parse_space_document(load_document(_read_text(path)))
+    return parse_space_document(load_document(_read_text(args.input)))
 
 
-def _resolve_subspace(space: PolyhedralSpace, subspace: Subspace | None,
-                      seed: int | None) -> Subspace:
+def _space_and_subspace(args: argparse.Namespace) -> tuple[PolyhedralSpace, Subspace]:
+    """The space of --input and its subspace_basis, else the seeded random
+    hyperplane of --seed."""
+    space, subspace = _read_space(args)
     if subspace is not None:
-        return subspace
-    if seed is not None:
-        return random_subspace(space.dim, space.dim - 1, seed)
-    raise InputFormatError(
-        "input has no subspace_basis; supply one or pass --seed N "
-        "for a random hyperplane")
+        return space, subspace
+    if args.seed is None:
+        raise InputFormatError(
+            "input has no subspace_basis; supply one or pass --seed N "
+            "for a random hyperplane")
+    return space, random_subspace(space.dim, space.dim - 1, args.seed)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        Path(cfg.output).write_text(text)
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -101,8 +95,8 @@ def _gp_json(gp) -> dict:
     }
 
 
-def _cmd_analyze(cfg: RunConfig) -> int:
-    cap, source = cfg.subset_cap, "--subset-cap"
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    cap, source = args.subset_cap, "--subset-cap"
     if cap is None:
         source = "MINPROJ_SUBSET_CAP"
         try:
@@ -111,15 +105,14 @@ def _cmd_analyze(cfg: RunConfig) -> int:
             raise InputFormatError(f"{source} must be an integer") from None
     if cap < 0:
         raise InputFormatError(f"{source} must be non-negative, not {cap}")
-    space, subspace = _load_space_file(cfg.input_path)
-    subspace = _resolve_subspace(space, subspace, cfg.seed)
+    space, subspace = _space_and_subspace(args)
 
     report = projection_constant(space, subspace)
     face_dim, implicit = face_dimension(space, subspace, report)
     cm = cm_from_dual(report)
 
     exit_code = 0
-    if cfg.skip_support_search:
+    if args.skip_support_search:
         support: object = "skipped"
     else:
         try:
@@ -154,7 +147,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         "support_search": support,
         "general_position": gp,
     }
-    if cfg.table:
+    if args.table:
         lines = [
             f"dim           {space.dim}",
             f"subspace dim  {subspace.dim}",
@@ -169,15 +162,15 @@ def _cmd_analyze(cfg: RunConfig) -> int:
             "general pos   " + (("yes" if gp["in_general_position"] else "no")
                                 if isinstance(gp, dict) else "skipped"),
         ]
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit(cfg, dumps(out))
+        _emit(args, dumps(out))
     return exit_code
 
 
-def _cmd_paper_suite(cfg: RunConfig) -> int:
+def _cmd_paper_suite(args: argparse.Namespace) -> int:
     cases = [c for c in paper_cases()
-             if cfg.only is None or c.name.startswith(cfg.only)]
+             if args.only is None or c.name.startswith(args.only)]
     if not cases:
         print("warning: no catalog cases selected", file=sys.stderr)
     rows = []
@@ -203,7 +196,7 @@ def _cmd_paper_suite(cfg: RunConfig) -> int:
             "expected_face_dim": expected_fd,
             "verdict": verdict,
         })
-    if cfg.table:
+    if args.table:
         width = max((len(r["name"]) for r in rows), default=4)
         lines = [f"{'case':<{width}}  lambda  expected  fd  expected  verdict"]
         for r in rows:
@@ -213,63 +206,56 @@ def _cmd_paper_suite(cfg: RunConfig) -> int:
                 f"{str(r['expected_face_dim'] if r['expected_face_dim'] is not None else '-'):<8}  "
                 f"{r['verdict']}")
         lines.append(f"{'all pass' if all_pass else 'FAILURES PRESENT'}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit(cfg, dumps({"rows": rows, "all_pass": all_pass}))
+        _emit(args, dumps({"rows": rows, "all_pass": all_pass}))
     return 0 if all_pass else 1
 
 
-def _cmd_general_position(cfg: RunConfig) -> int:
-    space, subspace = _load_space_file(cfg.input_path)
-    subspace = _resolve_subspace(space, subspace, cfg.seed)
-    try:
-        gp = general_position_check(space, subspace)
-    except SubsetBudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if cfg.table:
+def _cmd_general_position(args: argparse.Namespace) -> int:
+    gp = general_position_check(*_space_and_subspace(args))
+    if args.table:
         verdict = "yes" if gp.in_general_position else "no"
         lines = [f"general position  {verdict}"]
         if gp.witness is not None:
             lines.append(f"witness {gp.witness_kind}  {list(gp.witness)}")
         lines.append(f"spans checked     {gp.spans_checked}")
         lines.append(f"kernels checked   {gp.kernels_checked}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit(cfg, dumps(_gp_json(gp)))
+        _emit(args, dumps(_gp_json(gp)))
     return 0
 
 
-def _cmd_polar(cfg: RunConfig) -> int:
-    space, _ = _load_space_file(cfg.input_path)
+def _cmd_polar(args: argparse.Namespace) -> int:
+    space, _ = _read_space(args)
     duals = sorted(space.dual_vertices)  # validated: the polar, up to order
     out = {"dim": space.dim, "vertices": [vector_json(v) for v in duals]}
-    if cfg.table:
+    if args.table:
         lines = [" ".join(vector_json(v)) for v in duals]
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit(cfg, dumps(out))
+        _emit(args, dumps(out))
     return 0
 
 
-def _cmd_certify(cfg: RunConfig) -> int:
-    space, subspace = _load_space_file(cfg.input_path)
-    subspace = _resolve_subspace(space, subspace, cfg.seed)
+def _cmd_certify(args: argparse.Namespace) -> int:
+    space, subspace = _space_and_subspace(args)
     cm, lam = parse_certificate_document(
-        load_document(_read_text(cfg.certificate_path)), space)
+        load_document(_read_text(args.certificate)), space)
 
     computed_lambda, verdict = certify_cm(space, subspace, cm, lam)
     checks = {name: not any(v.startswith(name + ":") for v in verdict.violations)
               for name in _CHECK_NAMES}
-    if cfg.table:
+    if args.table:
         lines = [f"{name:<10} {'PASS' if ok else 'FAIL'}"
                  for name, ok in checks.items()]
         for violation in verdict.violations:
             lines.append(f"  {violation}")
         lines.append(f"certificate {'VALID' if verdict.ok else 'INVALID'}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit(cfg, dumps({
+        _emit(args, dumps({
             "lambda": format_rational(lam),
             "computed_lambda": format_rational(computed_lambda),
             "checks": checks,
@@ -279,79 +265,69 @@ def _cmd_certify(cfg: RunConfig) -> int:
     return 0 if verdict.ok else 1
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "paper-suite": _cmd_paper_suite,
-    "general-position": _cmd_general_position,
-    "polar": _cmd_polar,
-    "certify": _cmd_certify,
-}
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
-    unchanged, so every main call can reuse it."""
+    unchanged, so every main call can reuse it.  Each command declares
+    only the flags its handler reads, and binds the handler."""
     parser = argparse.ArgumentParser(
         prog="minproj",
         description="Exact minimal-projection analysis of polyhedral normed spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--input", metavar="PATH",
-                       help="space/subspace JSON file")
+    def command(name, handler, help, *, space=True, seed=True):
+        p = sub.add_parser(name, help=help)
+        if space:
+            p.add_argument("--input", metavar="PATH",
+                           help="space/subspace JSON file")
         p.add_argument("--output", metavar="PATH",
                        help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, metavar="N",
-                       help="when the input has no subspace_basis, analyze the "
-                            "seeded random hyperplane instead")
+        if seed:
+            p.add_argument("--seed", type=int, metavar="N",
+                           help="when the input has no subspace_basis, analyze the "
+                                "seeded random hyperplane instead")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="table", action="store_false",
                          help="JSON output (default)")
         fmt.add_argument("--table", dest="table", action="store_true",
                          help="plain-text output")
-        p.set_defaults(table=False)
+        p.set_defaults(handler=handler, table=False)
+        return p
 
-    analyze = sub.add_parser("analyze", help="full report for one space/subspace")
-    common(analyze)
+    analyze = command("analyze", _cmd_analyze, "full report for one space/subspace")
     analyze.add_argument("--subset-cap", type=int, metavar="N",
                          help="largest support-search candidate set to enumerate "
                               f"(default {DEFAULT_SUPPORT_CAP}; env MINPROJ_SUBSET_CAP)")
     analyze.add_argument("--skip-support-search", action="store_true",
                          help="omit the minimal-support certificate search")
-    suite = sub.add_parser("paper-suite",
-                           help="recompute every named case against expected values")
-    common(suite)
+    suite = command("paper-suite", _cmd_paper_suite,
+                    "recompute every named case against expected values",
+                    space=False, seed=False)
     suite.add_argument("--only", metavar="PREFIX",
                        help="restrict to cases whose name starts with PREFIX")
-    common(sub.add_parser("general-position", help="genericity check only"))
-    common(sub.add_parser("polar", help="dual vertices of the input ball"))
-    certify = sub.add_parser("certify",
-                             help="verify a certificate file against a space")
+    command("general-position", _cmd_general_position, "genericity check only")
+    command("polar", _cmd_polar, "dual vertices of the input ball", seed=False)
+    certify = command("certify", _cmd_certify,
+                      "verify a certificate file against a space")
     certify.add_argument("certificate", metavar="CERT",
                          help="certificate JSON file")
-    common(certify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; the exit-code contract of the module
+    docstring.  The commands feed cm_from_dual and minimal_support_cm
+    only the pipeline's own solve, so a CertificateInvalidError is an
+    internal failure here, as is InternalError."""
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        certificate_path=getattr(args, "certificate", None),
-        output=args.output,
-        seed=args.seed,
-        subset_cap=getattr(args, "subset_cap", None),
-        skip_support_search=getattr(args, "skip_support_search", False),
-        table=args.table,
-        only=getattr(args, "only", None),
-    )
     try:
-        return _HANDLERS[cfg.command](cfg)
-    except InternalError as exc:
+        return args.handler(args)
+    except (InternalError, CertificateInvalidError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except (SubsetBudgetExceededError, SupportBudgetExceededError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (MinprojError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -42,9 +42,9 @@ class SupportBudgetExceededError(MinprojError):
     """Minimal-support search exceeded the configured candidate cap."""
 
 
-class RankGapViolationError(MinprojError):
-    """The rank-drop law for certificates with constant > 1 failed (implementation bug)."""
-
-
 class InternalError(MinprojError):
     """An invariant of the computation failed: a bug, never a property of the input."""
+
+
+class RankGapViolationError(InternalError):
+    """The rank-drop law for certificates with constant > 1 failed (implementation bug)."""

@@ -18,9 +18,9 @@ from typing import Sequence
 
 from .errors import (InternalError, NotExtremeError, NotFullDimensionalError,
                      NotSymmetricError, SubsetBudgetExceededError)
-from .linalg import (Vector, cleared, dot, int_dot, integer_inverse,
-                     integer_nullspace, integer_row_rank, over_denominator,
-                     primitive, reduce_row, subset_walk)
+from .linalg import (Vector, cleared, dot, independent_rows, int_dot,
+                     integer_inverse, integer_nullspace, integer_row_rank,
+                     over_denominator, primitive, subset_walk)
 
 # Default budget of general_position_check: subsets counted, spans and
 # kernels together.
@@ -127,16 +127,7 @@ def _double_description(verts: Sequence[Vector], label: str,
     rows = [w for w, _ in cleared]
 
     # The first n independent pairs, by one fraction-free pass.
-    chosen: list[int] = []
-    echelon: list[tuple[int, list[int]]] = []
-    for p, w in enumerate(rows):
-        row = reduce_row(w, echelon)
-        pivot = next((j for j, x in enumerate(row) if x), None)
-        if pivot is not None:
-            echelon.append((pivot, row))
-            chosen.append(p)
-            if len(chosen) == n:
-                break
+    chosen = independent_rows(rows, n)
     if len(chosen) < n:
         raise NotFullDimensionalError(flat_message)
 

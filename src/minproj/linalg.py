@@ -1,16 +1,17 @@
 """Exact rational matrices and the one integer elimination under them.
 
 There is one elimination, and it runs in integers: reduce_row, a
-fraction-free (Bareiss) step over integer rows.  The rank folds it over the
-rows; the reduced row echelon form (integer_rref) folds it too and clears
-above each pivot, and the nullspace, the inverse and the solve are read
-off its rows.  Pivots are deterministic: each row in turn, at its first
-nonzero entry after reduction.  subset_walk, behind the general-position
-check and the minimal-support search, folds it down a depth-first walk
-over subsets that stops two levels above the leaves: there the carried
-rows are grouped by direction (parallel classes), and a leaf, the prefix
-plus two carried rows, is dependent exactly when the second row is zero
-or parallel to the first, so no step is taken for the last level.
+fraction-free (Bareiss) step over integer rows.  The rank and
+independent_rows fold it over the rows; the reduced row echelon form
+(integer_rref) folds it too and clears above each pivot, and the
+nullspace, the inverse and the solve are read off its rows.  Pivots are
+deterministic: each row in turn, at its first nonzero entry after
+reduction.  subset_walk, behind the general-position check and the
+minimal-support search, folds it down a depth-first walk over subsets
+that stops two levels above the leaves: there the carried rows are
+grouped by direction (parallel classes), and a leaf, the prefix plus two
+carried rows, is dependent exactly when the second row is zero or
+parallel to the first, so no step is taken for the last level.
 
 Fractions are formed only at the edges.  Rational input is cleared to
 integer rows (over_denominator, cleared); a nullspace or an inverse comes
@@ -145,19 +146,28 @@ def _pivot(row: Sequence[int]) -> int | None:
     return next((j for j, x in enumerate(row) if x), None)
 
 
-def _echelon(rows: Iterable[Sequence[int]], full: int) -> list[tuple[int, list[int]]]:
-    """Echelon rows (pivot, row) of integer rows, each reduced by
-    reduce_row against the ones before it and kept when nonzero; stops
-    once `full` rows are kept."""
+def _echelon(rows: Iterable[Sequence[int]], full: int
+             ) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """The indices of the kept rows and their echelon rows (pivot, row):
+    each integer row is reduced by reduce_row against the ones kept
+    before it and kept when nonzero, until `full` rows are kept."""
+    kept: list[int] = []
     echelon: list[tuple[int, list[int]]] = []
-    for row in rows:
+    for i, row in enumerate(rows):
         if len(echelon) == full:
             break
         row = reduce_row(row, echelon)
         pivot = _pivot(row)
         if pivot is not None:
+            kept.append(i)
             echelon.append((pivot, row))
-    return echelon
+    return kept, echelon
+
+
+def independent_rows(rows: Iterable[Sequence[int]], full: int) -> list[int]:
+    """The indices of the first integer rows, at most `full` of them, that
+    are independent of the rows kept before them."""
+    return _echelon(rows, full)[0]
 
 
 def subset_walk(rows: Sequence[Sequence[int]], size: int, width: int
@@ -264,7 +274,7 @@ def _direction(row: Sequence[int]) -> tuple[int, ...] | None:
 def integer_row_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of integer rows: reduce_row folded over them, stopping at full
     column rank."""
-    return len(_echelon(rows, len(rows[0]))) if rows else 0
+    return len(_echelon(rows, len(rows[0]))[1]) if rows else 0
 
 
 def integer_rref(rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
@@ -273,7 +283,7 @@ def integer_rref(rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
     pivots, so that row / row[pivot] is the reduced row."""
     if not rows:
         return []
-    echelon = _echelon(rows, len(rows[0]))
+    _, echelon = _echelon(rows, len(rows[0]))
     return sorted((pivot, reduce_row(row, echelon[i + 1:], row[pivot]))
                   for i, (pivot, row) in enumerate(echelon))
 

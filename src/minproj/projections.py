@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 
 from .errors import InternalError, NotMinimalError
 from .geometry import PolyhedralSpace, Subspace, norm_eval
-from .linalg import (RMatrix, int_dot, integer_inverse, integer_nullspace,
-                     integer_row_rank, over_denominator, reduce_row)
+from .linalg import (RMatrix, independent_rows, int_dot, integer_inverse,
+                     integer_nullspace, integer_row_rank, over_denominator)
 from .simplex import OPTIMAL, LinearProgram, solve
 
 
@@ -104,9 +104,9 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     annihilator.
 
     Everything runs in integers.  Y's basis y_num / y_den and the
-    annihilator g_num / g_den are Y's own integer families.  One
-    reduce_row pass over Y's rows and then e_0, e_1, ... picks the
-    complement.  With M the matrix of the columns y_num_b and the chosen
+    annihilator g_num / g_den are Y's own integer families.
+    linalg.independent_rows over Y's rows and then e_0, e_1, ... picks
+    the complement.  With M the matrix of the columns y_num_b and the chosen
     e_j, the first k rows h_b of M^-1 have h_b·y_num_c = [b = c] and
     vanish on the e_j, so P0 = sum_b y_num_b (x) h_b, over the least
     common denominator of those rows (linalg.integer_inverse).  Four
@@ -117,16 +117,8 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     k = Y.dim
     ys, gs = Y.basis_num, Y.annihilator_num
 
-    columns: list[Sequence[int]] = []
-    echelon: list[tuple[int, list[int]]] = []
-    for v in [*ys, *([int(i == j) for i in range(n)] for j in range(n))]:
-        row = reduce_row(v, echelon)
-        pivot = next((j for j, x in enumerate(row) if x), None)
-        if pivot is not None:
-            echelon.append((pivot, row))
-            columns.append(v)
-            if len(columns) == n:
-                break
+    candidates = [*ys, *([int(i == j) for i in range(n)] for j in range(n))]
+    columns = [candidates[i] for i in independent_rows(candidates, n)]
     inv = integer_inverse(list(zip(*columns)), k)
     if inv is None:
         raise InternalError("basis of Y plus its complement is singular")

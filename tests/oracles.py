@@ -6,7 +6,9 @@ and the extremality check of ``geometry.PolyhedralSpace.from_vertices``.
 The first three are the earlier loop-of-LPs algorithms: the optimal face
 decided by one pinned-objective LP per tight row (and by Gordan rounds
 from no implicit row, ``face_dimension_by_rounds``, which must give the
-same face and the same relative-interior point), a minimal projection
+same face and the same relative-interior point, and for k(n-k) <= 2 by
+enumerating its vertices, ``face_dimension_by_vertices``, which must give
+the same dimension), a minimal projection
 with an inclusion-maximal norming set found by greedy tightening from
 the relative interior, and the minimal-support certificate found by one
 "maximize the smallest weight" LP per candidate subset.  The
@@ -273,6 +275,35 @@ def face_dimension_by_rounds(report):
     implicit.sort()
     assert grid.tight_rows(interior, lam) == implicit
     return len(cols), frozenset(grid.pairs[r] for r in implicit), interior
+
+
+def face_dimension_by_vertices(report):
+    """The affine dimension of the optimal face {c : every grid row is at
+    most lambda} by enumerating its vertices, for d = k(n-k) <= 2.  The
+    face is a bounded polyhedron in R^d, so it is the hull of its
+    vertices, and each vertex is the one solution of some d grid rows
+    with independent coefficients, all at lambda.  Every such set of rows
+    is solved exactly (rref_by_fractions), the solutions at which every
+    grid row is at most lambda are kept, and the dimension is the rank
+    of their differences from one of them.  No LP, no pair outside the
+    grid and nothing of face_dimension is used."""
+    grid, lam = report.grid, report.lam
+    base, coefs = grid_base(grid), grid_coefs(grid)
+    d = len(coefs[0])
+    if d > 2:
+        raise ValueError(f"vertex enumeration is for k(n-k) <= 2, not {d}")
+    vertices = set()
+    for rows in itertools.combinations(range(len(coefs)), d):
+        reduced, pivots = rref_by_fractions(
+            [list(coefs[r]) + [lam - base[r]] for r in rows])
+        if pivots != list(range(d)):
+            continue
+        point = tuple(row[d] for row in reduced)
+        if all(b + dot(c, point) <= lam for b, c in zip(base, coefs)):
+            vertices.add(point)
+    first, *rest = sorted(vertices)
+    return len(rref_by_fractions([[x - y for x, y in zip(v, first)]
+                                  for v in rest])[1])
 
 
 def max_norming_by_greedy(space, Y, report):

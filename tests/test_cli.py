@@ -326,13 +326,22 @@ def test_subset_cap_is_read_by_analyze_only(space_file, tmp_path, capsys,
     assert "MINPROJ_SUBSET_CAP" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["--subset-cap", "5"], ["--skip-support-search"]])
+@pytest.mark.parametrize("flag", [["--subset-cap", "5"], ["--skip-support-search"],
+                                  ["--seed", "1"], ["--input", "space.json"]])
 def test_support_flags_belong_to_analyze(space_file, capsys, flag):
+    # each command declares only the flags its handler reads: the support
+    # flags belong to analyze, --seed to the commands that resolve a
+    # subspace, and --input to every command but paper-suite
+    readers = {"--seed": ("general-position",), "--input": ("polar", "general-position")}
     for command in ("polar", "general-position", "paper-suite"):
+        if command in readers.get(flag[0], ()):
+            continue
+        argv = [command, *flag] if command == "paper-suite" else [
+            command, "--input", space_file, *flag]
         with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--input", space_file, *flag])
+            cli.main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_polar_command_computes_the_polar_once(tmp_path, capsys, monkeypatch):
@@ -403,6 +412,38 @@ def test_internal_failure_exits_4(space_file, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("failure", ["dual", "support-hit", "no-support"])
+def test_pipeline_certificate_failure_exits_4(tmp_path, capsys, monkeypatch, failure):
+    # analyze hands cm_from_dual and minimal_support_cm only its own solve,
+    # so a certificate they reject is an internal failure, not bad input
+    path = tmp_path / "l1.json"
+    path.write_text(json.dumps(dict(L1_3, subspace_basis=[["1", "-1", "0"],
+                                                          ["0", "1", "-1"]])))
+    original = certificates.verify_cm
+    calls = []
+
+    def rejecting(*args, **kwargs):
+        calls.append(args)
+        if failure == "dual" or len(calls) > 1:
+            return certificates.CMVerdict(False, ("trace: simulated bug",))
+        return original(*args, **kwargs)
+
+    if failure == "no-support":
+        monkeypatch.setattr(certificates, "_support_weights",
+                            lambda columns, target: (Fraction(-1),) * len(columns))
+    else:
+        monkeypatch.setattr(certificates, "verify_cm", rejecting)
+    assert cli.main(["analyze", "--input", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == {
+        "dual": "internal error: trace: simulated bug\n",
+        "support-hit": "internal error: subset search produced an invalid "
+                       "certificate: trace: simulated bug\n",
+        "no-support": "internal error: no valid certificate over the candidate pairs\n",
+    }[failure]
 
 
 def test_reused_parser_gives_the_bytes_of_a_fresh_one(space_file, tmp_path, capsys):

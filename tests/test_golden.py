@@ -17,9 +17,13 @@ has more candidate pairs than the support search's default cap, so its
 pinned run is the exit-3 partial report.
 
 The digests hash the exit code, standard output and standard error of
-each run.  The seeded l1^4 hyperplane also runs under ``python -O`` in a
-child interpreter, which must print the same bytes with the same exit
-code.  To print the table after an intended change of output:
+each run.  Five pinned runs also run in child interpreters, plain and
+under ``python -O``, which must print the same bytes with the same exit
+code: ``analyze`` on the seeded l1^4 hyperplane, ``general-position`` on
+the partial-sum 3-plane of l-inf^5, and ``certify`` on the valid
+certificates of the seeded l1^4 hyperplane (no LP) and l-inf^4 2-plane
+(one LP) and on the small-weight tampered one (the optimal face).  To
+print the table after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -33,6 +37,8 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
 
 import minproj.cli as cli
 from minproj.catalog import paper_cases, random_subspace
@@ -171,39 +177,49 @@ def _digest(result) -> str:
     return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
 
 
-def _plain_and_optimized(*argv):
-    """The runs of python -m minproj argv in a child interpreter, plain
-    and under python -O, which strips asserts."""
-    return [subprocess.run([sys.executable, *flags, "-m", "minproj", *argv],
-                           capture_output=True) for flags in ((), ("-O",))]
-
-
-def test_optimized_interpreter_gives_the_same_report(tmp_path):
-    # The invariants raise explicitly, so python -O, which strips asserts,
-    # runs the same checks and prints the same bytes
-    name, doc = next((name, doc) for name, doc in _seeded_documents(4)
-                     if name == CERTIFIED)
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(doc))
-    plain, optimized = _plain_and_optimized("analyze", "--input", str(path))
-    assert plain.returncode == 0, plain.stderr
-    assert optimized.returncode == plain.returncode
-    assert optimized.stdout == plain.stdout
-
-
-def test_optimized_interpreter_gives_the_same_general_position_report(tmp_path):
-    # The catalog's partial-sum 3-plane of l-inf^5 fails general position
-    # with a kernel witness of three dual vertices, which the subset walk
-    # finds among the leaves that one node decides at once
-    case = next(case for case in paper_cases()
-                if case.name == "partial-sum-linf-n5-k3")
-    path = tmp_path / f"{case.name}.json"
-    path.write_text(json.dumps(space_json(case.space, case.subspace)))
-    plain, optimized = _plain_and_optimized("general-position", "--input", str(path))
-    assert plain.returncode == 0, plain.stderr
-    report = json.loads(plain.stdout)
-    assert (report["witness_kind"], report["witness"]) == ("kernel", [0, 2, 4])
-    assert hashlib.sha256(plain.stdout).hexdigest() == GENERAL_POSITION_DIGEST
+@pytest.mark.parametrize("command, case, certificate, pinned", [
+    pytest.param("analyze", CERTIFIED, None, "analyze/seeded-l1-n4-k3",
+                 id="analyze"),
+    # the partial-sum 3-plane of l-inf^5 fails general position with a
+    # kernel witness of three dual vertices, which the subset walk finds
+    # among the leaves that one node decides at once
+    pytest.param("general-position", "partial-sum-linf-n5-k3", None, None,
+                 id="general-position"),
+    # the valid certificate's pairs determine the projection: no LP
+    pytest.param("certify", CERTIFIED, "valid", "certify/seeded-l1-n4-k3-valid",
+                 id="certify-no-lp"),
+    # pairs of rank 2 of 4: one LP
+    pytest.param("certify", RANK_DEFICIENT, "valid",
+                 "certify/seeded-linf-n4-k2-valid/json", id="certify-one-lp"),
+    # an invalid certificate: the optimal face
+    pytest.param("certify", CERTIFIED, "small-weight",
+                 "certify/seeded-l1-n4-k3-tampered", id="certify-tampered"),
+])
+def test_optimized_interpreter_gives_the_same_bytes(tmp_path, command, case,
+                                                    certificate, pinned):
+    # The invariants raise explicitly, so python -m minproj under python -O,
+    # which strips asserts, runs the same checks and prints the pinned bytes
+    documents = {c.name: space_json(c.space, c.subspace) for c in paper_cases()}
+    documents.update(_seeded_documents(4))
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(documents[case]))
+    argv = [command, "--input", str(path)]
+    if certificate is not None:
+        cert = json.loads(_run(["analyze", "--input", str(path)])[1])["cm_certificate"]
+        cert_path = tmp_path / "certificate.json"
+        cert_path.write_text(json.dumps(
+            cert if certificate == "valid" else _tampered(cert)[certificate]))
+        argv.insert(1, str(cert_path))
+    plain, optimized = [
+        subprocess.run([sys.executable, *flags, "-m", "minproj", *argv],
+                       capture_output=True, text=True) for flags in ((), ("-O",))]
+    if pinned is None:
+        assert plain.returncode == 0, plain.stderr
+        report = json.loads(plain.stdout)
+        assert (report["witness_kind"], report["witness"]) == ("kernel", [0, 2, 4])
+        assert hashlib.sha256(plain.stdout.encode()).hexdigest() == GENERAL_POSITION_DIGEST
+    else:
+        assert _digest((plain.returncode, plain.stdout, plain.stderr)) == GOLDEN[pinned]
     assert optimized.returncode == plain.returncode
     assert optimized.stdout == plain.stdout
 

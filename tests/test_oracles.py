@@ -27,7 +27,7 @@ from minproj.projections import (OperatorPoint, face_dimension,
 from minproj.simplex import solve
 import oracles
 from oracles import (budget_outcome, face_dimension_by_rounds,
-                     face_dimension_per_row, first_non_extreme,
+                     face_dimension_by_vertices, face_dimension_per_row, first_non_extreme,
                      general_position_by_leaf_walk, general_position_exhaustive,
                      linf_hyperplane_lambda,
                      max_norming_by_greedy, minimal_support_by_lp,
@@ -82,6 +82,18 @@ def test_face_matches_rounds_oracle(cases):
         assert (face_dim, implicit, report.interior.coefficients) == \
             face_dimension_by_rounds(report)
     assert {face_dim for _, face_dim, _ in runs} == {0, 1, 2, 3, 4, 6}
+
+
+def test_face_dimension_matches_vertex_enumeration(analyzed):
+    # every catalog case with k(n-k) = 2: the optimal face's vertices, each
+    # solved from two grid rows at lambda, span a face of the same dimension
+    names = [name for name, a in analyzed.items()
+             if a.case.subspace.dim * (a.case.space.dim - a.case.subspace.dim) == 2]
+    assert sorted(names) == ["coordinate-span-l1-n3-k2", "ker-sum-l1-n3",
+                             "ker-sum-linf-n3"]
+    for name in names:
+        assert face_dimension_by_vertices(analyzed[name].report) == \
+            analyzed[name].face_dim, name
 
 
 def test_integer_tableau_matches_fraction_tableau(cases, monkeypatch):

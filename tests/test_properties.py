@@ -1,7 +1,8 @@
 """Property-based checks of validation, the polar, general position, the
 minimal projection, its norming pairs, its certificates, the check of
 random certificates, the certify routes, its optimal face against Gordan
-rounds from no implicit row, and the paper's bounds on the dimension of
+rounds from no implicit row and, for n <= 3, against the hull of its
+enumerated vertices, and the paper's bounds on the dimension of
 that face and on the support of a certificate in general position on
 random symmetric polytopes.  General position is also compared with the
 subset walk through every leaf that it replaced.  The polar
@@ -42,7 +43,7 @@ from minproj.projections import (OperatorPoint, build_operator_basis,
                                  projection_constant)
 
 from oracles import (budget_outcome, certify_by_face, face_dimension_by_rounds,
-                     first_non_extreme,
+                     face_dimension_by_vertices, first_non_extreme,
                      general_position_by_leaf_walk,
                      general_position_exhaustive, general_position_per_subset,
                      is_extreme, linf_hyperplane_lambda,
@@ -497,6 +498,15 @@ def test_face_dimension_within_the_paper_bounds(case):
         assert report.face_dim <= top - n + 1
         if k == n - 1:
             assert report.face_dim == 0
+
+
+@_SETTINGS
+@given(spaces_with_subspaces().filter(lambda case: case[0].dim <= 3))
+def test_face_dimension_agrees_with_vertex_enumeration(case):
+    # for n <= 3, k(n-k) <= 2: the affine hull of the optimal face's
+    # vertices, each solved from k(n-k) grid rows at lambda
+    _, _, report, _ = _analyze(case)
+    assert report.face_dim == face_dimension_by_vertices(report)
 
 
 @_SETTINGS
