@@ -10,17 +10,17 @@ the trace, off T alone, independent of the pair grid and the LP.
 The LP dual of the projection solve is one such certificate; a
 minimum-support one is found by exact linear solves over subsets of the
 implicit pairs, smallest subsets first, with dependent subsets pruned
-by integer elimination.  certify_cm judges a given certificate from the
-Chalmers-Metcalf bound it proves, with one exact solve when its pairs
-determine the projection, one LP when they do not, and the optimal face
-only when the certificate is not valid.
+by integer elimination.  Both read lambda, the basis and the grid off
+the MinProjReport they extend.  certify_cm judges a given certificate
+from the Chalmers-Metcalf bound it proves, with one exact solve when its
+pairs determine the projection, one LP when they do not, and the optimal
+face only when the certificate is not valid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import (CertificateInvalidError, InternalError,
                      RankGapViolationError, SupportBudgetExceededError)
@@ -28,8 +28,8 @@ from .geometry import PolyhedralSpace, Subspace
 from .linalg import (int_dot, integer_row_rank, integer_solve, over_denominator,
                      subset_walk)
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint, PairGrid,
-                          build_operator_basis, build_pair_grid, face_dimension,
-                          pair_rows, projection_constant)
+                          _solve_lambda, build_operator_basis, build_pair_grid,
+                          face_dimension, pair_rows)
 
 #: Largest candidate set the minimal-support search enumerates by default.
 DEFAULT_SUPPORT_CAP = 24
@@ -169,15 +169,17 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
       relative interior of the optimal face and verify_cm runs there, as
       in the full pipeline, so the violations read the same.
     """
+    # One operator basis and one pair grid serve every route.
     basis = build_operator_basis(space, Y)
+    grid = build_pair_grid(space, basis)
     n_p, n_d = len(space.primal_vertices), len(space.dual_vertices)
     report = point = None
     if all(0 <= i < n_p and 0 <= j < n_d for i, j in cm.pairs):
         rows = pair_rows(space, basis, cm.pairs)
         if integer_row_rank(rows.coefs_num) == basis.dimension:
-            point = _projection_normed_by(rows, build_pair_grid(space, Y, basis), lam)
+            point = _projection_normed_by(rows, grid, lam)
         else:
-            report = projection_constant(space, Y, basis=basis)
+            report = _solve_lambda(space, Y, basis, grid)
             if report.lam == lam:
                 point = report.witness
     if point is not None:
@@ -185,8 +187,8 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
         if verdict.ok:
             return lam, verdict
     if report is None:
-        report = projection_constant(space, Y, basis=basis)
-    face_dimension(space, Y, report)
+        report = _solve_lambda(space, Y, basis, grid)
+    face_dimension(report)
     verdict = verify_cm(space, Y, cm, lam, report.interior, basis=basis)
     if report.lam < lam and all(v.startswith("norming:") for v in verdict.violations):
         raise InternalError(
@@ -232,30 +234,30 @@ def cm_from_dual(report: MinProjReport) -> CMFunctional:
     return cm
 
 
-def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
-                       candidate_pairs: Iterable[tuple[int, int]],
-                       lam: Fraction, max_candidates: int = DEFAULT_SUPPORT_CAP,
-                       *, witness: OperatorPoint,
-                       basis: OperatorBasis | None = None) -> tuple[CMFunctional, int]:
-    """Smallest-support certificate over the candidate pairs.
+def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPPORT_CAP
+                       ) -> tuple[CMFunctional, int]:
+    """Smallest-support certificate over the implicit pairs of a report
+    whose face is settled (face_dimension); ValueError otherwise.
 
     Each pair p contributes the column [v_p; 1], where v_p lists its
     values on the basis operators of L_Y(X, Y); a subset is a valid
     support exactly when [v_p; 1]·w = [0; 1] has a solution w > 0.
     Subsets are visited by cardinality, then lexicographically, and the
     first valid one is returned, so it has globally minimal support over
-    the candidate set.  A smallest support has linearly independent
+    the implicit pairs.  A smallest support has linearly independent
     columns (Caratheodory: a dependent one could be shrunk, and smaller
     sizes come first), so sizes beyond k(n-k) + 1 are never tried and
-    every dependent subset can be skipped.
+    every dependent subset can be skipped.  The implicit pairs hold the
+    lambda dual's support, so they are never empty.
 
     The walk runs on the integer columns [coefs_num_p; D] = D·[v_p; 1]
-    of pair_rows, D its denominator, against the target [0; D]: the same
-    system scaled by D > 0, with the same solutions.  The target spans
-    the last coordinate, so a column's head, its first d entries, is the
-    column modulo the target, and independent columns span the target
-    exactly when their heads are dependent.  Each size is one
-    linalg.subset_walk over the sorted candidates' columns with heads of
+    of the grid, D its denominator, against the target [0; D]: the same
+    system scaled by D > 0, with the same solutions.  The grid lists its
+    pairs sorted, so the implicit rows are in pair order.  The target
+    spans the last coordinate, so a column's head, its first d entries,
+    is the column modulo the target, and independent columns span the
+    target exactly when their heads are dependent.  Each size is one
+    linalg.subset_walk over the implicit rows' columns with heads of
     width d.  It yields, in lexicographic order, the independent subsets
     whose span holds the target while no prefix's span does.  The
     weights of a subset are unique, and under a prefix whose span holds
@@ -267,25 +269,22 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
     head is zero (its column is parallel to the carried target), and the
     columns themselves are not parallel.  Only the yielded subsets are
     solved exactly for their weights, from the same integer columns, and
-    tested for w > 0.  The hit is verified with witness, a minimal
-    projection, before it is returned.  basis, when given, must be
-    build_operator_basis(space, Y).
+    tested for w > 0.  The hit is verified at the report's
+    relative-interior point, a minimal projection, before it is returned.
     """
-    candidates = sorted(set(candidate_pairs))
-    if not candidates:
-        raise CertificateInvalidError("no candidate pairs to search")
-    if len(candidates) > max_candidates:
+    if report.interior is None:
+        raise ValueError("the report's optimal face is not settled")
+    rows = report._implicit_rows
+    if len(rows) > max_candidates:
         raise SupportBudgetExceededError(
-            f"{len(candidates)} candidate pairs exceed the cap of {max_candidates}")
+            f"{len(rows)} candidate pairs exceed the cap of {max_candidates}")
 
-    if basis is None:
-        basis = build_operator_basis(space, Y)
-    d = basis.dimension
-    grid = pair_rows(space, basis, candidates)
-    columns = [list(row) + [grid.denominator] for row in grid.coefs_num]
+    grid = report.grid
+    d = report.basis.dimension
+    columns = [list(grid.coefs_num[r]) + [grid.denominator] for r in rows]
     target = [0] * d + [grid.denominator]
 
-    for size in range(1, min(d + 1, len(candidates)) + 1):
+    for size in range(1, min(d + 1, len(rows)) + 1):
         for _, subset in subset_walk(columns, size, d):
             if subset is None:
                 continue
@@ -295,9 +294,10 @@ def minimal_support_cm(space: PolyhedralSpace, Y: Subspace,
                     "the subset walk yielded columns whose span misses the target")
             if any(w <= 0 for w in weights):
                 continue
-            cm = CMFunctional(pairs=tuple(candidates[i] for i in subset),
+            cm = CMFunctional(pairs=tuple(grid.pairs[rows[i]] for i in subset),
                               weights=weights)
-            check = verify_cm(space, Y, cm, lam, witness, basis=basis)
+            check = verify_cm(report.space, report.subspace, cm, report.lam,
+                              report.interior, basis=report.basis)
             if not check.ok:
                 raise CertificateInvalidError(
                     "subset search produced an invalid certificate: "

@@ -8,13 +8,13 @@ input ball), certify (check a certificate file against a space).  Each
 subparser declares only the flags its handler reads.
 
 Exit codes, set in main except for analyze's partial report: 0 success,
-1 mismatch or failed verification, 2 malformed input, 3 enumeration
-budget exceeded (analyze still emits a partial report), 4 internal
-failure (an invariant of the computation broke, or a certificate built
-from the pipeline's own solve failed verification).  All vertex/functional
-indices in reports are 0-based and refer to the order in which vertices
-are stored on the space.  Output is byte-identical for identical inputs
-and flags.
+1 mismatch or failed verification, 2 malformed input or an unwritable
+--output, 3 enumeration budget exceeded (analyze still emits a partial
+report), 4 internal failure (an invariant of the computation broke, or
+a certificate built from the pipeline's own solve failed
+verification).  All vertex/functional indices in reports are 0-based
+and refer to the order in which vertices are stored on the space.
+Output is byte-identical for identical inputs and flags.
 
 certify reads the certificate as a Chalmers-Metcalf bound: if its
 weights, vanishing, invariance and trace checks pass, every projection
@@ -80,7 +80,10 @@ def _space_and_subspace(args: argparse.Namespace) -> tuple[PolyhedralSpace, Subs
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -108,7 +111,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     space, subspace = _space_and_subspace(args)
 
     report = projection_constant(space, subspace)
-    face_dim, implicit = face_dimension(space, subspace, report)
+    face_dim, implicit = face_dimension(report)
     cm = cm_from_dual(report)
 
     exit_code = 0
@@ -116,10 +119,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         support: object = "skipped"
     else:
         try:
-            small, size = minimal_support_cm(
-                space, subspace, implicit, report.lam,
-                max_candidates=cap, witness=report.interior,
-                basis=report.basis)
+            small, size = minimal_support_cm(report, max_candidates=cap)
             support = {"size": size,
                        "certificate": certificate_json(small, report.lam)}
         except SupportBudgetExceededError as exc:
@@ -177,7 +177,7 @@ def _cmd_paper_suite(args: argparse.Namespace) -> int:
     all_pass = True
     for case in sorted(cases, key=lambda c: c.name):
         report = projection_constant(case.space, case.subspace)
-        face_dim, _ = face_dimension(case.space, case.subspace, report)
+        face_dim, _ = face_dimension(report)
         if case.expected is None:
             verdict = "PASS"
             expected_lam = expected_fd = None

@@ -21,6 +21,9 @@ rows, slacks, rises, restricted coefficients) is an integer dot
 product, and the lambda LP and the Gordan rounds hand their integer
 rows to the simplex as they are.  The face's nullspace basis is read off
 the integer reduced echelon form of the implicit rows.
+
+Every stage after the lambda solve reads the space, Y, the operator
+basis, the grid and the witness off the MinProjReport it returns.
 """
 
 from __future__ import annotations
@@ -218,11 +221,9 @@ def pair_rows(space: PolyhedralSpace, basis: OperatorBasis,
                     coefs_num=tuple(coefs), denominator=den)
 
 
-def build_pair_grid(space: PolyhedralSpace, Y: Subspace,
-                    basis: OperatorBasis) -> PairGrid:
+def build_pair_grid(space: PolyhedralSpace, basis: OperatorBasis) -> PairGrid:
     """pair_rows over one pair per antipodal class: (x, f) and (-x, -f)
-    give the same row, and the class keeps its smaller index pair.  Y is
-    not used and stays in the signature for its callers."""
+    give the same row, and the class keeps its smaller index pair."""
     negp = space.primal_negation
     negd = space.dual_negation
     return pair_rows(space, basis, [
@@ -232,7 +233,8 @@ def build_pair_grid(space: PolyhedralSpace, Y: Subspace,
 
 @dataclass
 class MinProjReport:
-    """Everything known about P_min(X, Y).
+    """Everything known about P_min(X, Y), and the one input of every
+    stage after the lambda solve.
 
     projection_constant fills in lambda, one optimal vertex (witness) with
     its norming pairs (grid rows _witness_tight), and the LP dual weights
@@ -258,14 +260,16 @@ class MinProjReport:
     _implicit_rows: tuple[int, ...] = field(default=(), repr=False)
 
 
-def projection_constant(space: PolyhedralSpace, Y: Subspace, *,
-                        basis: OperatorBasis | None = None) -> MinProjReport:
+def projection_constant(space: PolyhedralSpace, Y: Subspace) -> MinProjReport:
     """Solve the operator-norm LP exactly: lambda, one minimal projection,
-    its norming pairs and the positive dual weights.  basis, when given,
-    must be build_operator_basis(space, Y)."""
-    if basis is None:
-        basis = build_operator_basis(space, Y)
-    grid = build_pair_grid(space, Y, basis)
+    its norming pairs and the positive dual weights."""
+    basis = build_operator_basis(space, Y)
+    return _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
+
+
+def _solve_lambda(space: PolyhedralSpace, Y: Subspace, basis: OperatorBasis,
+                  grid: PairGrid) -> MinProjReport:
+    """projection_constant on the basis and grid of (space, Y), built."""
     solution = solve(grid.lp)
     if solution.status != OPTIMAL:  # always feasible (P0) and bounded (t >= 1)
         raise InternalError(f"operator-norm LP is {solution.status}")
@@ -293,21 +297,18 @@ def operator_norm(space: PolyhedralSpace, matrix: RMatrix) -> Fraction:
     return max(norm_eval(space, matrix.apply(v)) for v in space.primal_vertices)
 
 
-def norming_pairs(space: PolyhedralSpace, Y: Subspace, P: OperatorPoint,
-                  lam: Fraction, grid: PairGrid | None = None) -> frozenset[tuple[int, int]]:
-    """Pairs (vertex index, dual index) with f(P x) = lam, one per antipodal
-    class.  Raises NotMinimalError unless the norm of P is exactly lam."""
-    if grid is None:
-        grid = build_pair_grid(space, Y, build_operator_basis(space, Y))
+def norming_pairs(report: MinProjReport,
+                  P: OperatorPoint) -> frozenset[tuple[int, int]]:
+    """Pairs (vertex index, dual index) with f(P x) = lambda, one per
+    antipodal class, off the report's grid.  No projection has norm below
+    lambda, so NotMinimalError is raised exactly when a pair exceeds it."""
+    grid = report.grid
     values, den = grid.value_numerators(P.coefficients)
     top = max(values)
     norm = Fraction(top, den)
-    if norm > lam:
-        worst = values.index(top)
-        raise NotMinimalError(
-            f"pair {grid.pairs[worst]} reaches {norm} > {lam}: not a minimal projection")
-    if norm < lam:
-        raise NotMinimalError(f"operator norm is {norm}, not {lam}")
+    if norm > report.lam:
+        raise NotMinimalError(f"pair {grid.pairs[values.index(top)]} reaches "
+                              f"{norm} > {report.lam}: not a minimal projection")
     return frozenset(grid.pairs[r] for r, v in enumerate(values) if v == top)
 
 
@@ -328,8 +329,7 @@ def _restrict_to_face(grid: PairGrid, implicit: Sequence[int],
                         for r in rows}
 
 
-def face_dimension(space: PolyhedralSpace, Y: Subspace,
-                   report: MinProjReport) -> tuple[int, frozenset[tuple[int, int]]]:
+def face_dimension(report: MinProjReport) -> tuple[int, frozenset[tuple[int, int]]]:
     """Decide which tight rows are implicit equalities of the optimal face.
 
     Only rows tight at the witness can be implicit, and near the witness
@@ -435,8 +435,7 @@ def _first_slack_step(grid: PairGrid, point: Sequence[Fraction], lam: Fraction,
                     lam.denominator * den * best_rise)
 
 
-def max_norming_projection(space: PolyhedralSpace, Y: Subspace,
-                           report: MinProjReport) -> tuple[OperatorPoint, int]:
+def max_norming_projection(report: MinProjReport) -> tuple[OperatorPoint, int]:
     """A minimal projection whose norming-pair set is inclusion-maximal,
     with the number of its norming pairs: the LP witness, a vertex of the
     optimal face, with no further LP.
@@ -454,9 +453,6 @@ def max_norming_projection(space: PolyhedralSpace, Y: Subspace,
     every row the same value is zero).  So no artificial stays basic, and
     the witness has d + 1 independent tight rows: it is a vertex, and the
     rank test only confirms it.
-
-    Everything is read from the report; space and Y are not used and stay
-    in the signature for its callers.
     """
     grid = report.grid
     tight = report._witness_tight

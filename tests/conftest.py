@@ -27,7 +27,7 @@ def analyzed():
     out = {}
     for case in paper_cases():
         report = projection_constant(case.space, case.subspace)
-        face_dim, implicit = face_dimension(case.space, case.subspace, report)
+        face_dim, implicit = face_dimension(report)
         out[case.name] = SimpleNamespace(
             case=case, report=report, face_dim=face_dim, implicit=implicit)
     return out

@@ -318,7 +318,7 @@ def max_norming_by_greedy(space, Y, report):
     coefficients vanish can never change their slack and are skipped.
     Fills in the report's face fields if they are missing."""
     if report.face_dim is None:
-        face_dimension(space, Y, report)
+        face_dimension(report)
     grid = report.grid
     lam = report.lam
     d = len(report.witness.coefficients)
@@ -364,7 +364,7 @@ def max_norming_by_greedy(space, Y, report):
     final = tuple(interior[q] + sum(col[q] * zv for col, zv in zip(ncols, z))
                   for q in range(d))
     point = OperatorPoint(final)
-    pairs = norming_pairs(space, Y, point, lam, grid=grid)
+    pairs = norming_pairs(report, point)
     assert len(pairs) >= len(report.implicit_pairs) + len(forced)
     return point, len(pairs)
 
@@ -911,7 +911,7 @@ def certify_by_face(space, Y, cm, lam):
     the lambda LP, find the relative interior of the optimal face, and
     run verify_cm there, whatever the certificate."""
     report = projection_constant(space, Y)
-    face_dimension(space, Y, report)
+    face_dimension(report)
     return report.lam, verify_cm(space, Y, cm, lam, report.interior,
                                  basis=report.basis)
 

@@ -58,7 +58,7 @@ def test_criterion_2_norm_one_slice_in_l1_4(analyzed):
         rec = analyzed["coordinate-span-l1-n4-k2"]
         assert rec.report.lam == 1
         assert rec.face_dim == 4 == 2 * (4 - 2)
-        space, Y = rec.case.space, rec.case.subspace
+        space = rec.case.space
         base = [[Fraction(0)] * 4 for _ in range(4)]
         base[2][2] = base[3][3] = ONE
         for i in (0, 1):
@@ -69,7 +69,7 @@ def test_criterion_2_norm_one_slice_in_l1_4(analyzed):
                 assert matmul(P, P).entries == P.entries
                 assert operator_norm(space, P) == 1
                 point = _coordinates_of(rec.report.basis, P)
-                assert norming_pairs(space, Y, point, ONE, rec.report.grid)
+                assert norming_pairs(rec.report, point)
 
 
 def test_criterion_3_mixed_extremal_face(analyzed):
@@ -119,9 +119,7 @@ def test_criterion_6_support_lower_bounds(analyzed):
             if rec.report.lam <= 1:
                 continue
             space, Y = rec.case.space, rec.case.subspace
-            cm, size = minimal_support_cm(space, Y, rec.implicit,
-                                          rec.report.lam,
-                                          witness=rec.report.interior)
+            cm, size = minimal_support_cm(rec.report)
             assert size >= 3
             if general_position_check(space, Y).in_general_position:
                 generic.add(rec.case.name)
@@ -136,8 +134,7 @@ def test_criterion_7_norming_pair_counts(analyzed):
     with criterion(7, "a minimal projection with >= n norming pairs exists "
                       "on every catalog case"):
         for rec in analyzed.values():
-            _, count = max_norming_projection(
-                rec.case.space, rec.case.subspace, rec.report)
+            _, count = max_norming_projection(rec.report)
             assert count >= rec.case.space.dim
 
 
@@ -154,7 +151,7 @@ def test_criterion_8_genericity_sweep():
                     skipped.append((k, seed))
                     continue
                 report = projection_constant(space, Y)
-                fd, _ = face_dimension(space, Y, report)
+                fd, _ = face_dimension(report)
                 assert fd <= bound
                 if k == 3:
                     assert fd == 0

@@ -92,8 +92,7 @@ def test_minimal_support_sizes(analyzed):
                 "partial-sum-linf-n5-k4": 4, "coordinate-span-l1-n3-k2": 1}
     for name, size in expected.items():
         a = analyzed[name]
-        cm, got = minimal_support_cm(a.case.space, a.case.subspace, a.implicit,
-                                     a.report.lam, witness=a.report.interior)
+        cm, got = minimal_support_cm(a.report)
         assert got == size, name
         assert len(cm.pairs) == size
         assert trace_on_subspace(a.case.space, a.case.subspace, cm) == a.report.lam
@@ -116,12 +115,10 @@ def test_single_pair_certificate_on_l1_coordinate_case():
 def test_support_budget(analyzed):
     a = analyzed["ker-sum-linf-n5"]
     with pytest.raises(SupportBudgetExceededError):
-        minimal_support_cm(a.case.space, a.case.subspace, a.implicit,
-                           a.report.lam, max_candidates=4,
-                           witness=a.report.interior)
-    with pytest.raises(CertificateInvalidError):
-        minimal_support_cm(a.case.space, a.case.subspace, [],
-                           a.report.lam, witness=a.report.interior)
+        minimal_support_cm(a.report, max_candidates=4)
+    # the candidates are the implicit pairs of a settled face
+    with pytest.raises(ValueError, match="not settled"):
+        minimal_support_cm(projection_constant(a.case.space, a.case.subspace))
 
 
 def test_tampered_dual_is_rejected(analyzed):
@@ -144,8 +141,7 @@ def test_rank_gap(analyzed):
 
 def test_rank_gap_lambda_one_reports_only(analyzed):
     a = analyzed["coordinate-span-l1-n3-k2"]
-    cm, _ = minimal_support_cm(a.case.space, a.case.subspace, a.implicit,
-                               a.report.lam, witness=a.report.interior)
+    cm, _ = minimal_support_cm(a.report)
     full, restricted = cm_rank_gap(a.case.space, a.case.subspace, cm, F(1))
     assert (full, restricted) == (1, 1)
 
@@ -154,8 +150,7 @@ def test_rank_gap_violation_raised_for_fake_lambda(analyzed):
     # a single-pair certificate with full restricted rank is fine at
     # lambda = 1 but must trip the check if lambda > 1 is claimed
     a = analyzed["coordinate-span-l1-n3-k2"]
-    cm, _ = minimal_support_cm(a.case.space, a.case.subspace, a.implicit,
-                               a.report.lam, witness=a.report.interior)
+    cm, _ = minimal_support_cm(a.report)
     with pytest.raises(RankGapViolationError):
         cm_rank_gap(a.case.space, a.case.subspace, cm, F(3, 2))
 
@@ -204,11 +199,11 @@ def test_certify_refuses_an_lp_value_below_the_certified_bound(monkeypatch):
     cm = cm_from_dual(report)
     lowered = dataclasses.replace(report, lam=report.lam - F(1, 2))
 
-    def face(space, Y, report):
+    def face(report):
         report.interior = report.witness
 
-    monkeypatch.setattr(certificates, "projection_constant",
-                        lambda space, Y, basis: lowered)
+    monkeypatch.setattr(certificates, "_solve_lambda",
+                        lambda space, Y, basis, grid: lowered)
     monkeypatch.setattr(certificates, "face_dimension", face)
     with pytest.raises(InternalError, match="proves lambda >="):
         certify_cm(space, Y, cm, report.lam)
@@ -221,11 +216,9 @@ def test_uncapped_support_of_the_linf6_plane():
     # (oracles.subset_walk_by_leaves) finds it.
     space, Y = linf_ball(6), random_subspace(6, 2, 7)
     report = projection_constant(space, Y)
-    _, implicit = face_dimension(space, Y, report)
+    _, implicit = face_dimension(report)
     assert len(set(implicit)) == 64
-    cm, size = minimal_support_cm(space, Y, implicit, report.lam,
-                                  max_candidates=64, witness=report.interior,
-                                  basis=report.basis)
+    cm, size = minimal_support_cm(report, max_candidates=64)
     assert size == 5
     assert cm.pairs == ((0, 0), (1, 0), (2, 0), (4, 0), (27, 0))
     assert cm.weights == (F(2467, 36729), F(3917, 20988), F(513, 1484),

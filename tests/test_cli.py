@@ -15,8 +15,8 @@ import minproj.certificates as certificates
 import minproj.cli as cli
 import minproj.geometry as geometry
 import minproj.projections as projections
-from minproj.catalog import paper_cases
-from minproj.jsonio import dumps, vector_json
+from minproj.catalog import l1_ball, linf_ball, paper_cases, random_subspace
+from minproj.jsonio import certificate_json, dumps, vector_json
 from minproj.rational import parse_rational
 
 from oracles import space_json
@@ -372,28 +372,75 @@ def test_polar_command_computes_the_polar_once(tmp_path, capsys, monkeypatch):
                                       key=lambda v: [parse_rational(x) for x in v])})
 
 
+def _count_builds(monkeypatch):
+    """Patch build_operator_basis and build_pair_grid wherever they are
+    called; the returned dict counts the calls of each."""
+    counts = {}
+    for name in ("build_operator_basis", "build_pair_grid"):
+        original = getattr(projections, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args)
+
+        for module in (projections, certificates):
+            monkeypatch.setattr(module, name, counting)
+    return counts
+
+
 def test_analyze_builds_operator_basis_once(space_file, capsys, monkeypatch):
-    # the support search reuses the basis of the lambda solve
-    built = []
-    original = projections.build_operator_basis
-
-    def counting(space, Y):
-        built.append(Y)
-        return original(space, Y)
-
-    for module in (projections, certificates):
-        monkeypatch.setattr(module, "build_operator_basis", counting)
+    # every stage after the lambda solve reads the basis and the grid
+    # from its report
+    counts = _count_builds(monkeypatch)
     assert cli.main(["analyze", "--input", space_file]) == 0
     assert json.loads(capsys.readouterr().out)["support_search"]["size"] == 3
-    assert len(built) == 1
+    assert counts == {"build_operator_basis": 1, "build_pair_grid": 1}
 
-    a = next(c for c in paper_cases() if c.name == "ker-sum-linf-n4")
-    report = projections.projection_constant(a.space, a.subspace)
-    _, implicit = projections.face_dimension(a.space, a.subspace, report)
-    args = (a.space, a.subspace, implicit, report.lam)
-    assert (certificates.minimal_support_cm(*args, witness=report.interior,
-                                            basis=report.basis)
-            == certificates.minimal_support_cm(*args, witness=report.interior))
+
+@pytest.mark.parametrize("route", ["no-lp", "one-lp", "tampered", "out-of-range"])
+def test_certify_builds_basis_and_grid_once(tmp_path, capsys, monkeypatch, route):
+    # certify_cm's routes (no LP, one LP, the optimal face) share one
+    # operator basis and one pair grid; the CLI refuses an out-of-range
+    # pair while parsing, so that certificate goes to certify_cm directly
+    ball, k = (linf_ball, 2) if route == "one-lp" else (l1_ball, 3)
+    space, Y = ball(4), random_subspace(4, k, 7)
+    report = projections.projection_constant(space, Y)
+    cm = certificates.cm_from_dual(report)
+    if route == "tampered":
+        cm = certificates.CMFunctional(cm.pairs, (Fraction(1, 1000),) + cm.weights[1:])
+    counts = _count_builds(monkeypatch)
+    if route == "out-of-range":
+        cm = certificates.CMFunctional(((len(space.primal_vertices), 0),), (Fraction(1),))
+        _, verdict = certificates.certify_cm(space, Y, cm, report.lam)
+        assert not verdict.ok
+    else:
+        path, cert = tmp_path / "space.json", tmp_path / "cert.json"
+        path.write_text(json.dumps(space_json(space, Y)))
+        cert.write_text(dumps(certificate_json(cm, report.lam)))
+        code = cli.main(["certify", str(cert), "--input", str(path)])
+        assert code == (1 if route == "tampered" else 0)
+        capsys.readouterr()
+    assert counts == {"build_operator_basis": 1, "build_pair_grid": 1}
+
+
+@pytest.mark.parametrize("command", ["analyze", "paper-suite"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_is_malformed_input(space_file, tmp_path, capsys,
+                                              command, target):
+    # exit 1 means a mismatch; a path that cannot be written is exit 2
+    # with one error line, as an unreadable input is
+    output = tmp_path / "missing" / "report.json" if target == "missing-directory" \
+        else tmp_path
+    argv = [command, "--output", str(output)]
+    if command == "analyze":
+        argv += ["--input", space_file]
+    else:
+        argv += ["--only", "ker-sum-linf-n3"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {output}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_analyze_table_output(space_file, capsys):

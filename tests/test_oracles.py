@@ -46,7 +46,7 @@ def cases(analyzed):
         for k in (3, 2):
             Y = random_subspace(4, k, 7)
             report = projection_constant(space, Y)
-            face_dim, implicit = face_dimension(space, Y, report)
+            face_dim, implicit = face_dimension(report)
             out[f"seed7-{tag}4-k{k}"] = SimpleNamespace(
                 case=SimpleNamespace(space=space, subspace=Y),
                 report=report, face_dim=face_dim, implicit=implicit)
@@ -63,8 +63,7 @@ def test_face_matches_per_row_oracle(cases):
         # implicit pairs, though they need not be the same point
         for point in (report.interior, OperatorPoint(oracle_interior)):
             assert operator_norm(space, report.basis.realize(point)) == report.lam
-            assert norming_pairs(space, Y, point, report.lam,
-                                 grid=report.grid) == implicit, name
+            assert norming_pairs(report, point) == implicit, name
 
 
 def test_face_matches_rounds_oracle(cases):
@@ -77,7 +76,7 @@ def test_face_matches_rounds_oracle(cases):
         for k in (4, 2):
             space, Y = ball(5), random_subspace(5, k, 7)
             report = projection_constant(space, Y)
-            runs.append((report, *face_dimension(space, Y, report)))
+            runs.append((report, *face_dimension(report)))
     for report, face_dim, implicit in runs:
         assert (face_dim, implicit, report.interior.coefficients) == \
             face_dimension_by_rounds(report)
@@ -113,7 +112,7 @@ def test_integer_tableau_matches_fraction_tableau(cases, monkeypatch):
     monkeypatch.setattr(projections, "solve", recording(rounds))
     monkeypatch.setattr(oracles, "solve", recording(oracle_rounds))
     for a in cases.values():
-        face_dimension(a.case.space, a.case.subspace, a.report)
+        face_dimension(a.report)
         face_dimension_by_rounds(a.report)
     monkeypatch.undo()
     assert len(oracle_rounds) >= len(cases)
@@ -179,10 +178,9 @@ def test_max_norming_vertex_matches_greedy_oracle(cases):
         space, Y, report = a.case.space, a.case.subspace, a.report
         d = len(report.witness.coefficients)
         assert _tight_rank(report, report.witness) == d + 1, name
-        point, count = max_norming_projection(space, Y, report)
+        point, count = max_norming_projection(report)
         assert point == report.witness, name
-        assert len(norming_pairs(space, Y, point, report.lam,
-                                 grid=report.grid)) == count, name
+        assert len(norming_pairs(report, point)) == count, name
         _, greedy_count = max_norming_by_greedy(space, Y, report)
         assert count == greedy_count, name
         counts[name] = count
@@ -194,17 +192,15 @@ def test_max_norming_vertex_matches_greedy_oracle(cases):
 def test_support_matches_subset_lp_oracle(cases):
     capped = []
     for name, a in cases.items():
-        space, Y, lam = a.case.space, a.case.subspace, a.report.lam
         try:
-            expected = minimal_support_by_lp(space, Y, a.implicit)
+            expected = minimal_support_by_lp(a.case.space, a.case.subspace,
+                                             a.implicit)
         except SupportBudgetExceededError:
             with pytest.raises(SupportBudgetExceededError):
-                minimal_support_cm(space, Y, a.implicit, lam,
-                                   witness=a.report.interior)
+                minimal_support_cm(a.report)
             capped.append(name)
             continue
-        cm, size = minimal_support_cm(space, Y, a.implicit, lam,
-                                      witness=a.report.interior)
+        cm, size = minimal_support_cm(a.report)
         assert (cm.pairs, cm.weights) == expected, name
         assert size == len(expected[0])
     assert capped == ["coordinate-span-l1-n5-k2", "first-coordinate-mixed-n5"]
@@ -222,16 +218,14 @@ def seeded_analyze():
         for k in (n - 1, 2):
             Y = random_subspace(n, k, 7)
             report = projection_constant(space, Y)
-            _, implicit = face_dimension(space, Y, report)
+            _, implicit = face_dimension(report)
             out[f"{tag}{n}-k{k}"] = (space, Y, report, implicit)
     return out
 
 
 def _assert_support_matches_solve(space, Y, report, implicit, label):
     expected = minimal_support_by_solve(space, Y, implicit, max_candidates=NO_CAP)
-    cm, size = minimal_support_cm(space, Y, implicit, report.lam,
-                                  max_candidates=NO_CAP, witness=report.interior,
-                                  basis=report.basis)
+    cm, size = minimal_support_cm(report, max_candidates=NO_CAP)
     assert (cm.pairs, cm.weights) == expected, label
     assert size == len(expected[0]), label
     return size

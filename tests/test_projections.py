@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -92,7 +93,7 @@ def test_realize_checks_length(ker_sum_3):
 def test_pair_grid_antipodal_dedup(ker_sum_3):
     space, Y = ker_sum_3
     basis = build_operator_basis(space, Y)
-    grid = build_pair_grid(space, Y, basis)
+    grid = build_pair_grid(space, basis)
     assert len(grid.pairs) == len(space.primal_vertices) * len(space.dual_vertices) // 2
     negp, negd = space.primal_negation, space.dual_negation
     seen = set(grid.pairs)
@@ -104,7 +105,7 @@ def test_hyperplane_unique_minimal_projection(ker_sum_3):
     space, Y = ker_sum_3
     report = projection_constant(space, Y)
     assert report.lam == F(4, 3)
-    fd, implicit = face_dimension(space, Y, report)
+    fd, implicit = face_dimension(report)
     assert fd == 0
     assert len(implicit) == 3
     expected = RMatrix.from_rows([
@@ -121,7 +122,7 @@ def test_norm_one_slice_is_fully_optimal():
     Y = Subspace.from_basis([(0, 0, 1, 0), (0, 0, 0, 1)])
     report = projection_constant(space, Y)
     assert report.lam == 1
-    fd, _ = face_dimension(space, Y, report)
+    fd, _ = face_dimension(report)
     assert fd == 4
     basis = report.basis
     diag = RMatrix.from_rows([[0, 0, 0, 0], [0, 0, 0, 0],
@@ -153,15 +154,16 @@ def test_norming_pairs_rejects_non_minimal(ker_sum_3):
     p0 = OperatorPoint((F(0),) * len(report.basis.basis_ops))
     if operator_norm(space, report.basis.base_projection) != report.lam:
         with pytest.raises(NotMinimalError):
-            norming_pairs(space, Y, p0, report.lam)
-    with pytest.raises(NotMinimalError, match="operator norm is"):
-        norming_pairs(space, Y, report.witness, report.lam + 1)
+            norming_pairs(report, p0)
+    lowered = dataclasses.replace(report, lam=report.lam - 1)
+    with pytest.raises(NotMinimalError, match="not a minimal projection"):
+        norming_pairs(lowered, report.witness)
 
 
 def test_norming_pairs_of_witness_match_report(ker_sum_3):
     space, Y = ker_sum_3
     report = projection_constant(space, Y)
-    pairs = norming_pairs(space, Y, report.witness, report.lam, grid=report.grid)
+    pairs = norming_pairs(report, report.witness)
     assert pairs == report.norming_pairs_of_witness
     for i, j in pairs:
         f = space.dual_vertices[j]
@@ -196,10 +198,8 @@ def test_max_norming_extends_implicit(analyzed):
     for name in ("ker-sum-linf-n3", "partial-sum-linf-n4-k3",
                  "coordinate-span-l1-n3-k2"):
         a = analyzed[name]
-        point, count = max_norming_projection(a.case.space, a.case.subspace,
-                                              a.report)
-        pairs = norming_pairs(a.case.space, a.case.subspace, point,
-                              a.report.lam, grid=a.report.grid)
+        point, count = max_norming_projection(a.report)
+        pairs = norming_pairs(a.report, point)
         assert count == len(pairs)
         assert pairs >= a.implicit
         assert count >= a.case.space.dim
@@ -211,7 +211,7 @@ def test_max_norming_pinned_counts(analyzed):
                 "coordinate-span-l1-n3-k2": 12}
     for name, count in expected.items():
         a = analyzed[name]
-        _, got = max_norming_projection(a.case.space, a.case.subspace, a.report)
+        _, got = max_norming_projection(a.report)
         assert got == count, name
 
 
@@ -219,14 +219,13 @@ def test_max_norming_projection_solves_no_lp(analyzed):
     # l1^2 onto span(e1): the optimal face is the segment c in [-1, 1], and
     # the LP witness is already one of its vertices, normed by 4 pairs
     space, Y = l1_ball(2), Subspace.from_basis([[1, 0]])
-    segment = (space, Y, projection_constant(space, Y))
-    runs = [(a.case.space, a.case.subspace, a.report) for a in analyzed.values()]
-    for space, Y, report in runs + [segment]:
+    segment = projection_constant(space, Y)
+    for report in [a.report for a in analyzed.values()] + [segment]:
         before = SOLVE_STATS["solves"]
-        max_norming_projection(space, Y, report)
+        max_norming_projection(report)
         assert SOLVE_STATS["solves"] == before
-    assert max_norming_projection(*segment) == (OperatorPoint((F(-1),)), 4)
-    assert segment[2].witness == OperatorPoint((F(-1),))
+    assert max_norming_projection(segment) == (OperatorPoint((F(-1),)), 4)
+    assert segment.witness == OperatorPoint((F(-1),))
 
 
 def test_reports_are_deterministic(ker_sum_3):
@@ -236,14 +235,14 @@ def test_reports_are_deterministic(ker_sum_3):
     assert r1.lam == r2.lam
     assert r1.witness == r2.witness
     assert r1.dual_certificate == r2.dual_certificate
-    assert face_dimension(space, Y, r1) == face_dimension(space, Y, r2)
+    assert face_dimension(r1) == face_dimension(r2)
     assert r1.interior == r2.interior
 
 
-def _face_lps(space, Y, report):
+def _face_lps(report):
     """The number of LPs face_dimension solves on the report."""
     before = SOLVE_STATS["solves"]
-    face_dimension(space, Y, report)
+    face_dimension(report)
     return SOLVE_STATS["solves"] - before
 
 
@@ -253,7 +252,7 @@ def test_face_dimension_lp_count(analyzed):
     cases.append((linf_ball(6), random_subspace(6, 5, 7)))
     for space, Y in cases:
         report = projection_constant(space, Y)
-        assert _face_lps(space, Y, report) <= Y.dim * (space.dim - Y.dim) + 1
+        assert _face_lps(report) <= Y.dim * (space.dim - Y.dim) + 1
 
 
 def test_face_dimension_solves_no_lp_when_the_dual_fixes_the_point(analyzed):
@@ -268,7 +267,7 @@ def test_face_dimension_solves_no_lp_when_the_dual_fixes_the_point(analyzed):
         grid, d = report.grid, report.basis.dimension
         assert integer_row_rank([list(grid.coefs_num[r]) + [-grid.denominator]
                                  for r in report._dual_support]) == d + 1
-        assert _face_lps(space, Y, report) == 0
+        assert _face_lps(report) == 0
         assert report.face_dim == 0
         assert report.interior == report.witness
 
@@ -281,5 +280,5 @@ def test_face_dimension_lp_count_on_seeded_inputs():
         for n in (4, 5):
             for k in (n - 1, 2):
                 space, Y = ball(n), random_subspace(n, k, 7)
-                total += _face_lps(space, Y, projection_constant(space, Y))
+                total += _face_lps(projection_constant(space, Y))
     assert total == 2

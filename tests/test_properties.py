@@ -72,16 +72,16 @@ def _vectors(n, count, unique=False):
 def spaces_with_subspaces(draw):
     """A ball from n to n + 2 small-integer points and their negations,
     and a subspace with a small-integer basis.  n is 3 or 4 in about four
-    draws of five, else 2; k is n - 1, 2 or 1 for n = 4, 2 for n = 3 and 1
-    for n = 2.  Lines are always 1-complemented, so most draws are
-    hyperplanes in n = 3, 4 and 2-planes, where lambda > 1 occurs, and a
-    failure shrinks toward a hyperplane in n = 3."""
+    draws of five, else 2; k is drawn from n - 1, ..., 1, so it is 3, 2
+    or 1 for n = 4, 2 or 1 for n = 3 and 1 for n = 2.  Lines are always
+    1-complemented (lambda = 1), but a line in n = 3 has k(n-k) = 2, as
+    a plane there has.  A failure shrinks toward a hyperplane in n = 3."""
     n = draw(st.sampled_from((3, 4))) if draw(st.integers(0, 4)) else 2
     points = draw(_vectors(n, draw(st.integers(n, n + 2))))
     assume(integer_row_rank(points) == n)
     symmetric = sorted(set(points) | {tuple(-x for x in p) for p in points})
     space = PolyhedralSpace.from_vertices(polar_dual(polar_dual(symmetric)))
-    k = draw(st.sampled_from((n - 1, 2, 1)[:n - 1]))
+    k = draw(st.sampled_from(range(n - 1, 0, -1)))
     basis = draw(_vectors(n, k))
     assume(integer_row_rank(basis) == k)
     return space, basis
@@ -313,7 +313,7 @@ def _analyze(case):
     space, basis = case
     Y = Subspace.from_basis(basis)
     report = projection_constant(space, Y)
-    _, implicit = face_dimension(space, Y, report)
+    _, implicit = face_dimension(report)
     return space, Y, report, implicit
 
 
@@ -429,8 +429,8 @@ def test_certify_agrees_with_face_oracle(case, data):
 @given(spaces_with_subspaces())
 def test_max_norming_projection_has_n_pairs_over_the_implicit_ones(case):
     space, Y, report, implicit = _analyze(case)
-    point, count = max_norming_projection(space, Y, report)
-    pairs = norming_pairs(space, Y, point, report.lam, grid=report.grid)
+    point, count = max_norming_projection(report)
+    pairs = norming_pairs(report, point)
     assert count == len(pairs) >= space.dim
     assert pairs >= implicit
 
@@ -449,13 +449,9 @@ def test_minimal_support_agrees_with_solve_oracle(case):
                                             max_candidates=_SUPPORT_CAP)
     except SupportBudgetExceededError:
         with pytest.raises(SupportBudgetExceededError):
-            minimal_support_cm(space, Y, implicit, report.lam,
-                               max_candidates=_SUPPORT_CAP,
-                               witness=report.interior, basis=report.basis)
+            minimal_support_cm(report, max_candidates=_SUPPORT_CAP)
         return
-    cm, size = minimal_support_cm(space, Y, implicit, report.lam,
-                                  max_candidates=_SUPPORT_CAP,
-                                  witness=report.interior, basis=report.basis)
+    cm, size = minimal_support_cm(report, max_candidates=_SUPPORT_CAP)
     assert (cm.pairs, cm.weights) == expected
     assert size == len(cm.pairs)
 
@@ -467,13 +463,11 @@ def test_support_in_general_position_is_at_least_n(case):
     # arXiv 2211.14008: with lambda > 1 and Y in general position, a
     # Chalmers-Metcalf certificate charges at least n pairs, and the rank
     # of its functionals drops strictly when they are restricted to Y
-    space, Y, report, implicit = _analyze(case)
+    space, Y, report, _ = _analyze(case)
     if report.lam <= 1 or not general_position_check(space, Y).in_general_position:
         return
     try:
-        cm, size = minimal_support_cm(space, Y, implicit, report.lam,
-                                      max_candidates=_SUPPORT_CAP,
-                                      witness=report.interior, basis=report.basis)
+        cm, size = minimal_support_cm(report, max_candidates=_SUPPORT_CAP)
     except SupportBudgetExceededError:
         return
     assert size >= space.dim

@@ -310,7 +310,7 @@ def test_benchmark_lambda_lps_match_full_tableau(ball, n, k, shape):
     # benchmark's generator seed, exactly as the full tableau solves them
     space = ball(n)
     Y = random_subspace(n, k, 7)
-    lp = build_pair_grid(space, Y, build_operator_basis(space, Y)).lp
+    lp = build_pair_grid(space, build_operator_basis(space, Y)).lp
     assert (len(lp.matrix), len(lp.objective)) == shape
     sol = solve(lp)
     assert sol.status == OPTIMAL
