@@ -38,11 +38,12 @@ def _as_vector(values: Sequence) -> Vector:
 def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
     """Vertices of {f : f·v <= 1 for every listed v}, exactly.
 
-    Incremental double description in integers (see _double_description).
-    The result is sorted, so equal inputs give identical output.  A
-    listed point that is not extreme gives a redundant halfspace and no
-    facet; from_vertices reads each point's extremality off the polar
-    vertices tight at it, with no LP (see _first_non_vertex).
+    Incremental double description in integers, its edges read off the
+    tight masks with no rank (see _double_description).  The result is
+    sorted, so equal inputs give identical output.  A listed point that
+    is not extreme gives a redundant halfspace and no facet;
+    from_vertices reads each point's extremality off the polar vertices
+    tight at it, with no LP (see _first_non_vertex).
     """
     verts = [_as_vector(v) for v in vertices]
     if not verts:
@@ -89,16 +90,23 @@ def _double_description(verts: Sequence[Vector], label: str,
     pair is inserted as one step: the polytope is symmetric, so the new
     vertices are the cuts a_j·(P_i, h_i) - a_i·(P_j, h_j) of the edges
     (i, j) that cross u·x = 1, each divided by its content, together with
-    their negations, and a vertex is dropped when |u·x| > 1.  Two
-    vertices span an edge when the listed points tight at both have rank
-    n - 1 (an integer rank of the cleared rows).  Fractions are formed
-    only for the result.  The polar of the 7-cube (128 points, 64 pairs)
-    takes about 20 ms on one core of a 2-core Xeon host, against 0.34 s
-    in Fraction arithmetic.
+    their negations, and a vertex is dropped when |u·x| > 1.
 
-    A cut of an edge lies strictly inside it, where exactly the pairs
-    tight along the whole edge are tight, so every final mask is the
-    point's exact tight set over all listed pairs.
+    Edges come from the tight masks alone, by the combinatorial test of
+    Fukuda and Prodon ("Double description method revisited", LNCS 1120,
+    1996): two vertices span an edge exactly when their common mask has
+    at least n - 1 bits and no third vertex's mask contains it.  The
+    vertices tight on every constraint the two share are those of the
+    smallest face holding both, and a face with two vertices is an edge.
+    The test is exact because each step keeps the points equal to the
+    vertex set of the current polytope and each mask equal to its point's
+    tight set over the pairs inserted so far: a cut lies strictly inside
+    its edge, where exactly the pairs tight along the whole edge are
+    tight, and a kept vertex gains the bits of the new pair it lies on.
+    No rank is taken, and Fractions are formed only for the result.  The
+    polar of the 7-cube (128 points, 64 pairs) takes about 8 ms on one
+    core of a 2-core Xeon host, against 21 ms with one integer rank of
+    the tight points per edge test.
     """
     n = len(verts[0])
     keys = []
@@ -145,22 +153,6 @@ def _double_description(verts: Sequence[Vector], label: str,
                           for p, sign in zip(chosen, signs)))
 
     even = sum(1 << (2 * p) for p in range(len(cleared)))
-    edge: dict[int, bool] = {}
-
-    def spans_edge(mask: int) -> bool:
-        """Whether the listed points of a tight mask have rank n - 1."""
-        if mask.bit_count() < n - 1:
-            return False
-        if mask not in edge:
-            tight_rows = []
-            rest = mask
-            while rest:
-                low = rest & -rest
-                tight_rows.append(rows[(low.bit_length() - 1) >> 1])
-                rest ^= low
-            edge[mask] = integer_row_rank(tight_rows) == n - 1
-        return edge[mask]
-
     started = set(chosen)
     for p, (w, s) in enumerate(cleared):
         if p in started:
@@ -177,7 +169,9 @@ def _double_description(verts: Sequence[Vector], label: str,
             Xj, tj = points[j], tights[j]
             for i in inside:
                 common = tights[i] & tj
-                if spans_edge(common):
+                if common.bit_count() >= n - 1 and not any(
+                        t & common == common and k != i and k != j
+                        for k, t in enumerate(tights)):
                     ai = slacks[i]
                     cut = primitive([aj * x - ai * y
                                      for x, y in zip(points[i], Xj)])

@@ -25,7 +25,9 @@ class _FloatLiteral(str):
 
 
 def load_document(text: str) -> object:
-    """Parse a JSON document, tagging float literals for later rejection."""
+    """Parse a JSON document, tagging float literals for later rejection.
+    A document nested deeper than the parser's recursion limit is
+    malformed input too."""
     try:
         return json.loads(text, parse_float=_FloatLiteral,
                           parse_constant=_FloatLiteral)
@@ -33,6 +35,9 @@ def load_document(text: str) -> object:
         raise InputFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise InputFormatError(
+            "invalid JSON: arrays and objects are nested too deeply") from None
 
 
 def _rational_at(value: object, path: str) -> Fraction:

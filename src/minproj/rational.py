@@ -11,6 +11,7 @@ and are clearly marked as approximate by the callers.
 from __future__ import annotations
 
 import re
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -18,14 +19,15 @@ from .errors import InputFormatError
 
 QQ = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def parse_rational(value: object) -> Fraction:
     """Parse an ``int`` or a ``"p/q"`` / ``"p"`` string into a Fraction.
 
     Floats, decimal strings ("1.5") and scientific notation are rejected:
-    only exact integer and ratio syntax is allowed.
+    only exact integer and ratio syntax in ASCII digits is allowed, with
+    integers no longer than int() converts (sys.get_int_max_str_digits()).
     """
     if isinstance(value, bool):
         raise InputFormatError(f"expected a rational, got boolean {value!r}")
@@ -42,11 +44,15 @@ def parse_rational(value: object) -> Fraction:
             raise InputFormatError(
                 f"malformed rational string {value!r}: expected \"p\" or \"p/q\"")
         num, _, den = text.partition("/")
-        if den:
-            if int(den) == 0:
-                raise InputFormatError(f"zero denominator in {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        try:
+            p, q = int(num), int(den or 1)
+        except ValueError:
+            raise InputFormatError(
+                f"rational string of {len(text)} characters: an integer in it "
+                f"has more than {sys.get_int_max_str_digits()} digits") from None
+        if q == 0:
+            raise InputFormatError(f"zero denominator in {value!r}")
+        return Fraction(p, q)
     raise InputFormatError(f"cannot interpret {value!r} as a rational")
 
 

@@ -265,6 +265,18 @@ def test_polar_command_round_trips(tmp_path, capsys):
     assert {tuple(v) for v in polar2["vertices"]} == original
 
 
+def test_deeply_nested_input_is_malformed(tmp_path):
+    # json.loads raises RecursionError on it: malformed input, exit 2, not
+    # a traceback with exit 1, the mismatch code
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    result = _run(["polar", "--input", str(path)])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: invalid JSON: arrays and objects are nested too deeply\n")
+
+
 def test_skip_support_search(space_file, capsys):
     assert cli.main(["analyze", "--input", space_file,
                      "--skip-support-search"]) == 0

@@ -53,9 +53,9 @@ def test_is_extreme_duplicate_is_not_extreme():
 # ----------------------------------------------------------------- polar dual
 
 def test_polar_of_cube_is_cross():
-    # the sorted tuple itself, up to n = 7, and the Fraction polar's tuple
+    # the sorted tuple itself, up to n = 9, and the Fraction polar's tuple
     # where that one is still quick
-    for n in range(2, 8):
+    for n in range(2, 10):
         assert polar_dual(_cube(n)) == tuple(sorted(_cross(n)))
         assert polar_dual(_cross(n)) == tuple(sorted(_cube(n)))
         if n <= 6:

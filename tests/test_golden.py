@@ -14,15 +14,18 @@ that hyperplane and on the valid certificate of the seeded l-inf^4
 2-plane, whose pairs leave the minimal projection undetermined (rank 2
 of 4), so it is settled by the LP.  The l-inf^5 2-plane
 has more candidate pairs than the support search's default cap, so its
-pinned run is the exit-3 partial report.
+pinned run is the exit-3 partial report.  ``polar`` runs on primal-only
+documents of l-inf^8, l1^8 and mixed_ball(5, 3), whose polar the double
+description computes.
 
 The digests hash the exit code, standard output and standard error of
-each run.  Five pinned runs also run in child interpreters, plain and
+each run.  Six pinned runs also run in child interpreters, plain and
 under ``python -O``, which must print the same bytes with the same exit
 code: ``analyze`` on the seeded l1^4 hyperplane, ``general-position`` on
 the partial-sum 3-plane of l-inf^5, and ``certify`` on the valid
 certificates of the seeded l1^4 hyperplane (no LP) and l-inf^4 2-plane
-(one LP) and on the small-weight tampered one (the optimal face).  To
+(one LP) and on the small-weight tampered one (the optimal face), and
+``polar`` on l-inf^8.  To
 print the table after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -41,7 +44,8 @@ from pathlib import Path
 import pytest
 
 import minproj.cli as cli
-from minproj.catalog import paper_cases, random_subspace
+from minproj.catalog import (l1_ball, linf_ball, mixed_ball, paper_cases,
+                             random_subspace)
 from minproj.jsonio import vector_json
 
 from oracles import space_json
@@ -93,6 +97,9 @@ GOLDEN = {
     "analyze/seeded-linf-n5-k2": "8866bd32b906a3619f8902170473fad5aaaf4e51dd00160dbe5cdb971b3f6bf7",
     "analyze/seeded-l1-n5-k4": "ddb295a448b99b14df04a25d76150e4c01cd66b0627889b0abbcc9f36144110d",
     "analyze/seeded-l1-n5-k2": "d898c4c528309c70a3f9925403315460ba3ecdbf35f81e44ee2189d3f09caf2e",
+    "polar/linf-n8": "baa6aabcec54ea0b1c174ea9835e193384663b9f01b96d8897e144198a82a787",
+    "polar/l1-n8": "12291cbaefb8e0d4706ef9acaf4840138216744c3c9446d3ca90e0301c13825c",
+    "polar/mixed-n5-k3": "2e5ccf11874741c3d0859a7f015e59f10b1e66f628d648d79f77b455db7b4394",
 }
 
 # stdout of general-position on the partial-sum 3-plane of l-inf^5
@@ -110,6 +117,14 @@ def _seeded_documents(n):
                 "vertices": [vector_json(v) for v in verts],
                 "subspace_basis": [vector_json(b) for b in subspace.basis_vectors()],
             }
+
+
+def _polar_documents():
+    """Primal-only documents of three balls: the CLI computes their polar."""
+    for name, space in (("linf-n8", linf_ball(8)), ("l1-n8", l1_ball(8)),
+                        ("mixed-n5-k3", mixed_ball(5, 3))):
+        yield name, {"dim": space.dim,
+                     "vertices": [vector_json(v) for v in space.primal_vertices]}
 
 
 def _run(argv):
@@ -144,6 +159,10 @@ def _runs(tmp_path):
         if name == RANK_DEFICIENT:
             cert = json.loads(result[1])["cm_certificate"]
             yield from _certify_runs(tmp_path, f"{name}-valid", cert, path)
+    for name, doc in _polar_documents():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        yield f"polar/{name}", _run(["polar", "--input", str(path)])
 
 
 def _tampered(cert):
@@ -194,6 +213,8 @@ def _digest(result) -> str:
     # an invalid certificate: the optimal face
     pytest.param("certify", CERTIFIED, "small-weight",
                  "certify/seeded-l1-n4-k3-tampered", id="certify-tampered"),
+    # the polar of the 8-cube, computed by the double description
+    pytest.param("polar", "linf-n8", None, "polar/linf-n8", id="polar"),
 ])
 def test_optimized_interpreter_gives_the_same_bytes(tmp_path, command, case,
                                                     certificate, pinned):
@@ -201,6 +222,7 @@ def test_optimized_interpreter_gives_the_same_bytes(tmp_path, command, case,
     # which strips asserts, runs the same checks and prints the pinned bytes
     documents = {c.name: space_json(c.space, c.subspace) for c in paper_cases()}
     documents.update(_seeded_documents(4))
+    documents.update(_polar_documents())
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(documents[case]))
     argv = [command, "--input", str(path)]

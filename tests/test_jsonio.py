@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,13 @@ def test_nan_and_infinity_rejected():
     with pytest.raises(InputFormatError, match="vertices"):
         parse_space_document(load_document(
             '{"dim": 1, "vertices": [[NaN], [Infinity]]}'))
+
+
+def test_integer_past_the_conversion_limit_names_field():
+    doc = json.loads(LINF3)
+    doc["vertices"][3][2] = "1/" + "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(InputFormatError, match=r"^vertices\[3\]\[2\]: .* digits$"):
+        parse_space_document(load_document(json.dumps(doc)))
 
 
 def test_decimal_string_rejected():

@@ -6,8 +6,10 @@ enumerated vertices, and the paper's bounds on the dimension of
 that face and on the support of a certificate in general position on
 random symmetric polytopes.  General position is also compared with the
 subset walk through every leaf that it replaced.  The polar
-is also compared with the Fraction polar it replaced, and the projection
-constant of random hyperplanes of l-inf^n with Blatter and Cheney's
+is also compared with the Fraction polar it replaced, which takes a rank
+per edge test, and the tight masks of its double description with the
+tight sets recomputed by dot products.  The projection constant of
+random hyperplanes of l-inf^n is compared with Blatter and Cheney's
 closed form.
 
 A ball is the convex hull of a few small-integer points and their
@@ -23,6 +25,7 @@ wrong edge test shows.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,8 +37,8 @@ from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
                                   cm_rank_gap, minimal_support_cm, verify_cm)
 from minproj.errors import (NotExtremeError, NotFullDimensionalError,
                             NotSymmetricError, SupportBudgetExceededError)
-from minproj.geometry import (PolyhedralSpace, Subspace,
-                              general_position_check, polar_dual)
+from minproj.geometry import (PolyhedralSpace, Subspace, _double_description,
+                              _vertices_of, general_position_check, polar_dual)
 from minproj.linalg import RMatrix, cleared, dot, integer_row_rank
 from minproj.projections import (OperatorPoint, build_operator_basis,
                                  face_dimension, max_norming_projection,
@@ -210,23 +213,20 @@ def _polar_outcome(polar, vertices):
         return type(exc), str(exc)
 
 
-@_SETTINGS
-@given(symmetric_point_lists() | cube_like_point_lists(), st.data())
-def test_polar_agrees_with_fraction_oracle(vertices, data):
-    # The integer polar returns the Fraction polar's tuple, or raises the
-    # same error, on the list as drawn, on its pairs scaled by positive
-    # rationals (big denominators, other non-extreme points) in any order,
-    # with the vertices of the cube [-1, 1]^n added (many points tight at
-    # once, so sets of n - 1 tight points are often dependent), on its
-    # points scaled one by one (mostly not symmetric), and on the list
-    # flattened into a coordinate hyperplane (not full-dimensional)
+def _polar_cases(vertices, data):
+    """The list as drawn, its pairs scaled by positive rationals (big
+    denominators, other non-extreme points) in any order, with the
+    vertices of the cube [-1, 1]^n added (many points tight at once, so
+    sets of n - 1 tight points are often dependent), its points scaled
+    one by one (mostly not symmetric), and the list flattened into a
+    coordinate hyperplane (not full-dimensional), by label."""
     n = len(vertices[0])
     positive = st.fractions(0, 5, max_denominator=7).filter(bool)
     scales = data.draw(st.lists(positive, min_size=len(vertices),
                                 max_size=len(vertices)))
     by_pair = [tuple(scales[i - i % 2] * x for x in v)
                for i, v in enumerate(vertices)]
-    cases = {
+    return {
         "drawn": vertices,
         "pairs scaled": data.draw(st.permutations(by_pair)),
         "with the cube": vertices + list(itertools.product((1, -1), repeat=n)),
@@ -234,9 +234,65 @@ def test_polar_agrees_with_fraction_oracle(vertices, data):
                           for c, v in zip(scales, vertices)],
         "flat": [v[:-1] + (0,) for v in vertices],
     }
-    for label, case in cases.items():
+
+
+@_SETTINGS
+@given(symmetric_point_lists() | cube_like_point_lists(), st.data())
+def test_polar_agrees_with_fraction_oracle(vertices, data):
+    # The integer polar returns the Fraction polar's tuple, or raises the
+    # same error, on every case of _polar_cases
+    for label, case in _polar_cases(vertices, data).items():
         assert (_polar_outcome(polar_dual, case)
                 == _polar_outcome(polar_dual_by_fractions, case)), label
+
+
+def _pairs_and_bits(vertices):
+    """The antipodal pairs of a symmetric list in order of first
+    occurrence, each representative u cleared to (w, s) with u = w / s,
+    and per listed point the bit that stands for it: 2p for u_p, 2p + 1
+    for -u_p, None for the zero vector."""
+    pairs, bit_of = [], {}
+    for v in vertices:
+        v = tuple(Fraction(x) for x in v)
+        if v not in bit_of and any(v):
+            s = math.lcm(*(x.denominator for x in v))
+            bit_of[v] = 2 * len(pairs)
+            bit_of[tuple(-x for x in v)] = 2 * len(pairs) + 1
+            pairs.append(([int(x * s) for x in v], s))
+    return pairs, [bit_of.get(tuple(Fraction(x) for x in v)) for v in vertices]
+
+
+def _tight_mask(X, pairs):
+    """Bit 2p (2p + 1) set when w_p·P = s_p·h (-w_p·P = s_p·h) for the
+    homogeneous point X = (P, h)."""
+    mask = 0
+    for p, (w, s) in enumerate(pairs):
+        value, bound = sum(a * b for a, b in zip(w, X)), s * X[-1]
+        mask |= (value == bound) << (2 * p) | (-value == bound) << (2 * p + 1)
+    return mask
+
+
+@_SETTINGS
+@given(symmetric_point_lists() | cube_like_point_lists(), st.data())
+def test_double_description_masks_are_the_tight_sets(vertices, data):
+    # The whole double description: its points are the Fraction polar's
+    # (which takes a rank per edge test), each mask is its point's tight
+    # set recomputed by integer dot products, and each listed point has
+    # its bit; or it raises the Fraction polar's error.  The masks are
+    # what _first_non_vertex reads.
+    for label, case in _polar_cases(vertices, data).items():
+        expected = _polar_outcome(polar_dual_by_fractions, case)
+        verts = [tuple(Fraction(x) for x in v) for v in case]
+        try:
+            dd = _double_description(verts, "vertex",
+                                     "vertices do not span the ambient space")
+        except (NotSymmetricError, NotFullDimensionalError) as exc:
+            assert (type(exc), str(exc)) == expected, label
+            continue
+        assert _vertices_of(dd) == expected, label
+        pairs, bits = _pairs_and_bits(case)
+        assert dd.bits == bits, label
+        assert dd.tights == [_tight_mask(X, pairs) for X in dd.points], label
 
 
 @_SETTINGS

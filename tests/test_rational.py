@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,20 @@ def test_parse_ints_and_strings():
 
 @pytest.mark.parametrize("bad", [
     1.5, True, False, "1.5", "1e3", "3/0", "a/b", "1/2/3", "", None, [1],
+    # decimal digits of other scripts, which int() would read as 3/4 and 3
+    "３/４", "٣",
 ])
 def test_parse_rejects(bad):
     with pytest.raises(InputFormatError):
         parse_rational(bad)
+
+
+def test_parse_rejects_integers_past_the_conversion_limit():
+    digits = sys.get_int_max_str_digits()
+    assert parse_rational("7" * digits) == int("7" * digits)
+    for text in ("7" * (digits + 1), "1/" + "7" * (digits + 1)):
+        with pytest.raises(InputFormatError, match=f"more than {digits} digits"):
+            parse_rational(text)
 
 
 def test_format_round_trip():
