@@ -14,7 +14,9 @@ by integer elimination.  Both read lambda, the basis and the grid off
 the MinProjReport they extend.  certify_cm judges a given certificate
 from the Chalmers-Metcalf bound it proves, with one exact solve when its
 pairs determine the projection, one LP when they do not, and the optimal
-face only when the certificate is not valid.
+face only when the certificate is not valid.  The solved projection is
+accepted by its exact operator norm on the vertex lists, so that route
+builds no pair grid; the grid is built only for the lambda LP.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .linalg import (int_dot, integer_row_rank, integer_solve, over_denominator,
                      subset_walk)
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint, PairGrid,
                           _solve_lambda, build_operator_basis, build_pair_grid,
-                          face_dimension, pair_rows)
+                          face_dimension, operator_norm, pair_rows)
+from .rational import format_rational
 
 #: Largest candidate set the minimal-support search enumerates by default.
 DEFAULT_SUPPORT_CAP = 24
@@ -90,7 +93,7 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
         violations.append("weights: non-positive weight")
     total = sum(cm.weights, Fraction(0))
     if total != 1:
-        violations.append(f"weights: sum is {total}, not 1")
+        violations.append(f"weights: sum is {format_rational(total)}, not 1")
 
     if basis is None:
         basis = build_operator_basis(space, Y)
@@ -112,7 +115,8 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     if leak is not None:
         q, s = leak
         violations.append(
-            f"vanishing: basis operator {q} gives {Fraction(s, basis.g_den * t_den)}")
+            f"vanishing: basis operator {q} gives "
+            f"{format_rational(Fraction(s, basis.g_den * t_den))}")
         violations.append(
             f"invariance: T(basis vector {q // len(basis.g_num)}) leaves Y")
 
@@ -122,7 +126,8 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     for (pi, dj), v in zip(cm.pairs, values):
         if Fraction(v, den) != lam:
             violations.append(
-                f"norming: pair ({pi}, {dj}) gives {Fraction(v, den)}, expected {lam}")
+                f"norming: pair ({pi}, {dj}) gives {format_rational(Fraction(v, den))}, "
+                f"expected {format_rational(lam)}")
             break
 
     if leak is not None:
@@ -139,7 +144,8 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
         trace = (sum((coords[b][b] for b in range(k)), Fraction(0))
                  * basis.y_den / t_den)
         if trace != lam:
-            violations.append(f"trace: {trace} differs from {lam}")
+            violations.append(
+                f"trace: {format_rational(trace)} differs from {format_rational(lam)}")
 
     return CMVerdict(ok=not violations, violations=tuple(violations))
 
@@ -161,25 +167,27 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
 
     - no LP: when the certificate's pair rows have rank k(n-k), the one
       projection they can all norm at lam solves coefs·c = lam - base; it
-      is tried when every grid row is at most lam there;
+      is tried when its operator norm, read off the vertex lists, is at
+      most lam, and no pair grid is built;
     - one LP: otherwise the lambda LP is solved, and its witness is tried
       when its value is lam;
     - the face: when verify_cm fails at the projection tried, or there is
       none, the certificate is not valid.  face_dimension finds the
       relative interior of the optimal face and verify_cm runs there, as
       in the full pipeline, so the violations read the same.
+
+    One operator basis serves every route; the pair grid is built only
+    for the lambda LP, at most once.
     """
-    # One operator basis and one pair grid serve every route.
     basis = build_operator_basis(space, Y)
-    grid = build_pair_grid(space, basis)
     n_p, n_d = len(space.primal_vertices), len(space.dual_vertices)
     report = point = None
     if all(0 <= i < n_p and 0 <= j < n_d for i, j in cm.pairs):
         rows = pair_rows(space, basis, cm.pairs)
         if integer_row_rank(rows.coefs_num) == basis.dimension:
-            point = _projection_normed_by(rows, grid, lam)
+            point = _projection_normed_by(rows, space, basis, lam)
         else:
-            report = _solve_lambda(space, Y, basis, grid)
+            report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
             if report.lam == lam:
                 point = report.witness
     if point is not None:
@@ -187,35 +195,39 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
         if verdict.ok:
             return lam, verdict
     if report is None:
-        report = _solve_lambda(space, Y, basis, grid)
+        report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
     face_dimension(report)
     verdict = verify_cm(space, Y, cm, lam, report.interior, basis=basis)
     if report.lam < lam and all(v.startswith("norming:") for v in verdict.violations):
         raise InternalError(
-            f"the certificate proves lambda >= {lam}, the LP gives {report.lam}")
+            f"the certificate proves lambda >= {format_rational(lam)}, "
+            f"the LP gives {format_rational(report.lam)}")
     return report.lam, verdict
 
 
-def _projection_normed_by(rows: PairGrid, grid: PairGrid,
-                          lam: Fraction) -> OperatorPoint | None:
+def _projection_normed_by(rows: PairGrid, space: PolyhedralSpace,
+                          basis: OperatorBasis, lam: Fraction
+                          ) -> OperatorPoint | None:
     """The projection c at which every row of rows, of full column rank,
-    has value lam, when it exists and every row of grid is at most lam
-    there; otherwise None.
+    has value lam, when it exists and its operator norm is at most lam;
+    otherwise None.
 
     coefs·c = lam·D - base is solved in integers as
     coefs·(lam_den·c) = lam_num·D - lam_den·base by linalg.integer_solve,
-    and c is its solution over lam_den."""
+    and c is its solution over lam_den.  The norm is
+    projections.operator_norm of the realized matrix: the largest f(P x)
+    over the vertex lists, which is the largest value over every pair,
+    with no pair grid."""
     d = len(rows.coefs_num[0])
     D = rows.denominator
     solution = integer_solve([list(row) + [lam.numerator * D - lam.denominator * b]
                               for row, b in zip(rows.coefs_num, rows.base_num)], d)
     if solution is None:
         return None
-    c = tuple(x / lam.denominator for x, in solution)
-    values, den = grid.value_numerators(c)
-    if max(values) * lam.denominator > lam.numerator * den:
+    point = OperatorPoint(tuple(x / lam.denominator for x, in solution))
+    if operator_norm(space, basis.realize(point)) > lam:
         return None
-    return OperatorPoint(c)
+    return point
 
 
 def cm_from_dual(report: MinProjReport) -> CMFunctional:

@@ -21,8 +21,8 @@ weights, vanishing, invariance and trace checks pass, every projection
 has sum_i a_i f_i(P x_i) = lambda_c, so lambda >= lambda_c, and any
 projection of norm at most lambda_c closes the gap.  When the
 certificate's pairs determine a projection, that one is solved for and
-checked against the whole pair grid, with no LP; otherwise one lambda
-LP supplies the projection.  Only a certificate that fails there goes
+checked by its exact operator norm on the vertex lists, with no LP and
+no pair grid; otherwise one lambda LP supplies the projection.  Only a certificate that fails there goes
 through the optimal face, and its report is the one the full pipeline
 gives (certificates.certify_cm).
 """

@@ -21,6 +21,7 @@ from .errors import (InternalError, NotExtremeError, NotFullDimensionalError,
 from .linalg import (Vector, cleared, dot, independent_rows, int_dot,
                      integer_inverse, integer_nullspace, integer_row_rank,
                      over_denominator, primitive, subset_walk)
+from .rational import format_rational
 
 # Default budget of general_position_check: subsets counted, spans and
 # kernels together.
@@ -28,7 +29,8 @@ DEFAULT_GP_CAP = 10 ** 6
 
 
 def _as_vector(values: Sequence) -> Vector:
-    return tuple(Fraction(x) for x in values)
+    """The values as a tuple of Fractions; a Fraction is kept as it is."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +118,9 @@ def _double_description(verts: Sequence[Vector], label: str,
     present = set(keys)
     for v, (w, s) in zip(verts, keys):
         if (tuple(-x for x in w), s) not in present:
-            raise NotSymmetricError(f"{label} {v} has no negation in the list")
+            raise NotSymmetricError(
+                f"{label} ({', '.join(map(format_rational, v))}) has no negation "
+                "in the list")
 
     # One representative u per antipodal pair, in order of first
     # occurrence; bit 2p of a tight mask stands for +u_p, bit 2p+1 for -u_p.
@@ -191,26 +195,29 @@ def _double_description(verts: Sequence[Vector], label: str,
     return _Polar(points, tights, [bit_of[key] for key in keys])
 
 
-def _first_non_vertex(polar: _Polar, n: int) -> int | None:
+def _first_non_vertex(polar: _Polar) -> int | None:
     """Index of the first listed point that is not a vertex of their hull
     Q, or None.
 
-    Q is cut out by the polar vertices, and a listed point p of Q is a
-    vertex exactly when the polar vertices tight at it have rank n (none
-    are tight at the zero vector), and a duplicated point is never a
-    vertex.  The tight polar vertices are read off the masks; -p has the
-    negated ones, so one integer rank serves both points of a pair.  No
-    LP.
+    Q is cut out by the polar vertices, so the polar vertices tight at a
+    listed point p are the facets of Q through p, and the AND of their
+    masks holds the listed points on every one of those facets: the
+    listed points of the smallest face of Q holding p.  That face is the
+    hull of the listed points in it, so p is a vertex exactly when the
+    AND is p's own bit.  An interior point has no tight polar vertex,
+    and the AND of no mask (all bits) is never one bit.  The zero vector
+    has no bit, and a duplicated point is never a vertex.  No rank and
+    no LP.
     """
     counts = Counter(polar.bits)
-    rank_of: dict[int | None, int] = {None: 0}
     for i, bit in enumerate(polar.bits):
-        pair = None if bit is None else bit >> 1
-        if pair not in rank_of:
-            rank_of[pair] = integer_row_rank(
-                [X[:-1] for X, mask in zip(polar.points, polar.tights)
-                 if mask >> bit & 1])
-        if counts[bit] > 1 or rank_of[pair] < n:
+        if bit is None or counts[bit] > 1:
+            return i
+        face = -1
+        for mask in polar.tights:
+            if mask >> bit & 1:
+                face &= mask
+        if face != 1 << bit:
             return i
     return None
 
@@ -234,10 +241,11 @@ class PolyhedralSpace:
         """Build a space, validating symmetry, full dimension and extremality.
 
         The polar dual is computed exactly, with one symmetry check, and
-        each primal vertex is proved extreme by the rank of the polar
-        vertices tight at it, read off the polar's tight masks, with no
-        LP.  A supplied dual list must then be exactly the polar vertex
-        set, in any order; the list is kept in the order given.  With
+        each primal vertex is proved extreme off the polar's tight masks
+        alone: the polar vertices tight at it share no other listed
+        point (see _first_non_vertex), with no rank and no LP.  A
+        supplied dual list must then be exactly the polar vertex set, in
+        any order; the list is kept in the order given.  With
         validate=False a supplied list is taken as it is.
         """
         primal = tuple(_as_vector(v) for v in vertices)
@@ -250,7 +258,7 @@ class PolyhedralSpace:
             dd = _double_description(primal, "primal vertex",
                                      "vertices do not span the space")
             polar = _vertices_of(dd)
-            i = _first_non_vertex(dd, n)
+            i = _first_non_vertex(dd)
             if i is not None:
                 raise NotExtremeError(
                     f"primal vertex {i} is a convex combination of the others")

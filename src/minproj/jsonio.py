@@ -24,12 +24,25 @@ class _FloatLiteral(str):
     """Marker for a float token found while parsing; reported, never used."""
 
 
-def load_document(text: str) -> object:
-    """Parse a JSON document, tagging float literals for later rejection.
-    A document nested deeper than the parser's recursion limit is
-    malformed input too."""
+class _LongIntLiteral(str):
+    """Marker for an integer token with more digits than int() converts
+    (sys.get_int_max_str_digits()); a rational field reads it as the
+    rational string it spells, and rejects it with that string's message."""
+
+
+def _parse_int(token: str) -> int | _LongIntLiteral:
     try:
-        return json.loads(text, parse_float=_FloatLiteral,
+        return int(token)
+    except ValueError:
+        return _LongIntLiteral(token)
+
+
+def load_document(text: str) -> object:
+    """Parse a JSON document, tagging float literals and over-long integer
+    literals for later rejection.  A document nested deeper than the
+    parser's recursion limit is malformed input too."""
+    try:
+        return json.loads(text, parse_float=_FloatLiteral, parse_int=_parse_int,
                           parse_constant=_FloatLiteral)
     except json.JSONDecodeError as exc:
         raise InputFormatError(

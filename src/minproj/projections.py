@@ -35,9 +35,10 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InternalError, NotMinimalError
-from .geometry import PolyhedralSpace, Subspace, norm_eval
+from .geometry import PolyhedralSpace, Subspace
 from .linalg import (RMatrix, independent_rows, int_dot, integer_inverse,
                      integer_nullspace, integer_row_rank, over_denominator)
+from .rational import format_rational
 from .simplex import OPTIMAL, LinearProgram, solve
 
 
@@ -276,7 +277,7 @@ def _solve_lambda(space: PolyhedralSpace, Y: Subspace, basis: OperatorBasis,
     d = basis.dimension
     lam = solution.value
     if lam < 1:
-        raise InternalError(f"projection constant {lam} is below 1")
+        raise InternalError(f"projection constant {format_rational(lam)} is below 1")
     witness = OperatorPoint(solution.primal[:d])
     if solution.primal[d] != lam:
         raise InternalError("norm variable t differs from the LP value")
@@ -293,8 +294,25 @@ def _solve_lambda(space: PolyhedralSpace, Y: Subspace, basis: OperatorBasis,
 
 
 def operator_norm(space: PolyhedralSpace, matrix: RMatrix) -> Fraction:
-    """Exact operator norm: max over ball vertices of the image norm."""
-    return max(norm_eval(space, matrix.apply(v)) for v in space.primal_vertices)
+    """Exact operator norm: the largest f(M x) over the ball's vertices x
+    and the dual vertices f, in integers.
+
+    The matrix is cleared once to M / m_den and the vertex lists are the
+    space's cleared ones, so each image M x and each value f(M x) is an
+    integer dot product, and the maximum becomes one Fraction over
+    m_den·dx·df.  Every listed vertex is taken, so neither list needs to
+    be symmetric (a space built with validate=False is taken as given)."""
+    n = space.dim
+    if (matrix.rows, matrix.cols) != (n, n):
+        raise ValueError(f"a {matrix.rows}x{matrix.cols} matrix on a space "
+                         f"of dimension {n}")
+    flat, m_den = over_denominator(matrix.entries)
+    M = [flat[r * n:(r + 1) * n] for r in range(n)]
+    X, dx = space.primal_cleared
+    F, df = space.dual_cleared
+    images = ([int_dot(row, x) for row in M] for x in X)
+    top = max(int_dot(f, image) for image in images for f in F)
+    return Fraction(top, m_den * dx * df)
 
 
 def norming_pairs(report: MinProjReport,
@@ -308,7 +326,8 @@ def norming_pairs(report: MinProjReport,
     norm = Fraction(top, den)
     if norm > report.lam:
         raise NotMinimalError(f"pair {grid.pairs[values.index(top)]} reaches "
-                              f"{norm} > {report.lam}: not a minimal projection")
+                              f"{format_rational(norm)} > {format_rational(report.lam)}: "
+                              "not a minimal projection")
     return frozenset(grid.pairs[r] for r, v in enumerate(values) if v == top)
 
 

@@ -57,10 +57,28 @@ def parse_rational(value: object) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``"p/q"``, or ``"p"`` when the denominator is 1."""
+    """Render a Fraction as ``"p/q"``, or ``"p"`` when the denominator is 1,
+    at any length (see _decimal)."""
+    num = _decimal(value.numerator)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return num
+    return f"{num}/{_decimal(value.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """The decimal form of n, exactly, also past the interpreter's
+    limit on int-to-str conversion (sys.get_int_max_str_digits()), which
+    is left as it is.  Below 8**limit, so with at most limit digits, this
+    is str(n); past it, n splits as divmod(n, 10**k) at about half its
+    digits, and the lower half is zero-padded to k digits."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or n.bit_length() <= 3 * limit:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 def approx_decimal(value: Fraction, significant_digits: int = 12) -> str:

@@ -28,7 +28,9 @@ projected rows are dependent): ``linalg.subset_walk``, which decides the
 last two levels at once by parallel classes, must give the same
 reports and budget errors, and the same support hits less those under
 a prefix whose span holds the target.  The last decides each vertex's
-extremality by one feasibility LP over the other listed points.  They
+extremality by one feasibility LP over the other listed points, and
+the test it gave way to, which took the rank of the polar vertices
+tight at each point, is kept too (``first_non_vertex_by_rank``).  They
 are slow but independent of the Gordan rounds, the integer elimination
 and the ranks that replaced them, so agreement between the two is
 evidence for both.
@@ -48,12 +50,13 @@ The full integer tableau that the revised dual simplex replaced
 ``verify_cm`` at its relative interior, for every certificate.
 ``verify_cm_by_apply`` reads the invariance and the trace off the
 matrix of T (``cm_operator``, ``trace_on_subspace``).  Beside it stand
-the polar dual, the operator basis and the realized projection matrix
-as they were in ``Fraction`` arithmetic (``polar_dual_by_fractions``,
-``operator_basis_by_fractions``, ``realize_by_fractions``)
-and a closed form of the projection constant of a hyperplane in l-inf^n
-(``linf_hyperplane_lambda``), which checks the lambda LP with no LP at
-all.
+the polar dual, the operator basis, the realized projection matrix and
+the operator norm (the largest norm of a vertex's image) as they were in
+``Fraction`` arithmetic (``polar_dual_by_fractions``,
+``operator_basis_by_fractions``, ``realize_by_fractions``,
+``operator_norm_by_fractions``) and a closed form of the projection
+constant of a hyperplane in l-inf^n (``linf_hyperplane_lambda``), which
+checks the lambda LP with no LP at all.
 
 Last come the eliminations that ``linalg.reduce_row`` replaced: the
 rational Gauss-Jordan (``rref_by_fractions``, with the nullspace, solve
@@ -75,6 +78,7 @@ that ``jsonio.parse_space_document`` reads.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -85,13 +89,14 @@ from minproj.certificates import DEFAULT_SUPPORT_CAP, CMVerdict, verify_cm
 from minproj.errors import (CertificateInvalidError, InternalError,
                             NotFullDimensionalError, NotSymmetricError,
                             SubsetBudgetExceededError, SupportBudgetExceededError)
-from minproj.geometry import DEFAULT_GP_CAP, GeneralPositionReport
+from minproj.geometry import DEFAULT_GP_CAP, GeneralPositionReport, norm_eval
 from minproj.jsonio import vector_json
 from minproj.linalg import (RMatrix, dot, int_dot, over_denominator,
                             primitive)
 from minproj.projections import (OperatorPoint, _first_slack_step,
                                   build_operator_basis, face_dimension,
                                   norming_pairs, projection_constant)
+from minproj.rational import format_rational
 from minproj import simplex
 from minproj.simplex import (_MAX_PIVOTS, _STALL_SWITCH, INFEASIBLE, OPTIMAL,
                              UNBOUNDED, LinearProgram, LPSolution, _eliminate,
@@ -677,6 +682,32 @@ def first_non_extreme(vertices):
                  if not is_extreme(vertices, v)), None)
 
 
+def first_non_vertex_by_rank(polar, n):
+    """geometry._first_non_vertex as it was before it read the masks
+    alone: a listed point of the hull Q is a vertex exactly when the
+    polar vertices tight at it, read off the masks, have rank n (none
+    are tight at the zero vector), and a duplicated point is never a
+    vertex.  One rank (integer_rank_in_place) per antipodal pair."""
+    counts = Counter(polar.bits)
+    rank_of = {None: 0}
+    for i, bit in enumerate(polar.bits):
+        pair = None if bit is None else bit >> 1
+        if pair not in rank_of:
+            rank_of[pair] = integer_rank_in_place(
+                [X[:-1] for X, mask in zip(polar.points, polar.tights)
+                 if mask >> bit & 1])
+        if counts[bit] > 1 or rank_of[pair] < n:
+            return i
+    return None
+
+
+def operator_norm_by_fractions(space, matrix):
+    """projections.operator_norm as it was before it ran in integers: the
+    largest norm_eval of the image of a ball vertex, each image and each
+    dual value a Fraction product."""
+    return max(norm_eval(space, matrix.apply(v)) for v in space.primal_vertices)
+
+
 def linf_hyperplane_lambda(f):
     """The projection constant of the hyperplane ker f in l-inf^n, with no
     LP (Blatter and Cheney, "Minimal projections on hyperplanes in
@@ -714,7 +745,9 @@ def polar_dual_by_fractions(vertices):
     vertex_set = set(verts)
     for v in verts:
         if neg(v) not in vertex_set:
-            raise NotSymmetricError(f"vertex {v} has no negation in the list")
+            raise NotSymmetricError(
+                f"vertex ({', '.join(map(format_rational, v))}) has no negation "
+                "in the list")
     if rank(verts) != n:
         raise NotFullDimensionalError("vertices do not span the ambient space")
 

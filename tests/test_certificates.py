@@ -11,7 +11,9 @@ from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
 from minproj.errors import (CertificateInvalidError, InternalError,
                             RankGapViolationError, SupportBudgetExceededError)
 from minproj.geometry import Subspace
-from minproj.projections import OperatorPoint, face_dimension, projection_constant
+from minproj.linalg import integer_row_rank
+from minproj.projections import (OperatorPoint, face_dimension, pair_rows,
+                                 projection_constant)
 
 from oracles import cm_operator, trace_on_subspace
 
@@ -175,6 +177,8 @@ def _counting(monkeypatch, module, name, counts):
     (l1_ball, 3, True, None, 1),
 ])
 def test_certify_work_per_route(monkeypatch, ball, k, tamper, solves, faces):
+    # the pair grid is built for the lambda LP alone: once on every route
+    # that solves it, never on the no-LP route
     space, Y = ball(4), random_subspace(4, k, 7)
     report = projection_constant(space, Y)
     cm = cm_from_dual(report)
@@ -183,12 +187,44 @@ def test_certify_work_per_route(monkeypatch, ball, k, tamper, solves, faces):
     counts = {}
     _counting(monkeypatch, projections, "solve", counts)
     _counting(monkeypatch, certificates, "face_dimension", counts)
+    _counting(monkeypatch, certificates, "build_pair_grid", counts)
     computed, verdict = certify_cm(space, Y, cm, report.lam)
     assert computed == report.lam
     assert verdict.ok != tamper
     assert counts.get("face_dimension", 0) == faces
+    assert counts.get("build_pair_grid", 0) == (0 if solves == 0 else 1)
     if solves is not None:
         assert counts.get("solve", 0) == solves
+
+
+def test_certify_rejects_the_no_lp_point_below_lambda(monkeypatch):
+    # Three pairs of the seeded l1^4 hyperplane's dual certificate have
+    # pair rows of full rank k(n-k) = 3, so at any lambda_c one projection
+    # gives them all the value lambda_c.  Below the true lambda its norm
+    # is larger, since no projection has norm below lambda: the point is
+    # solved and rejected, and certify falls through to the face, builds
+    # one grid and reports the true lambda
+    space, Y = l1_ball(4), random_subspace(4, 3, 7)
+    report = projection_constant(space, Y)
+    cm = CMFunctional(cm_from_dual(report).pairs[:3], (F(1, 3),) * 3)
+    basis = report.basis
+    assert integer_row_rank(pair_rows(space, basis, cm.pairs).coefs_num) == basis.dimension
+    counts, norms = {}, []
+    original = certificates.operator_norm
+
+    def norm(space, matrix):
+        norms.append(original(space, matrix))
+        return norms[-1]
+
+    monkeypatch.setattr(certificates, "operator_norm", norm)
+    _counting(monkeypatch, certificates, "build_pair_grid", counts)
+    _counting(monkeypatch, certificates, "face_dimension", counts)
+    computed, verdict = certify_cm(space, Y, cm, report.lam - F(1, 10))
+    assert len(norms) == 1 and norms[0] >= report.lam
+    assert counts == {"build_pair_grid": 1, "face_dimension": 1}
+    assert computed == report.lam
+    assert not verdict.ok
+    assert any(v.startswith("trace:") for v in verdict.violations)
 
 
 def test_certify_refuses_an_lp_value_below_the_certified_bound(monkeypatch):

@@ -277,6 +277,44 @@ def test_deeply_nested_input_is_malformed(tmp_path):
         "error: invalid JSON: arrays and objects are nested too deeply\n")
 
 
+def test_polar_prints_integers_past_the_conversion_limit(tmp_path, capsys):
+    # the polar of ±(A/B, 1), ±(1, B/A9), with A = 1 then 2,500 threes and
+    # B = 2,500 sevens then 1, has integers of about 10,000 digits, past
+    # sys.get_int_max_str_digits(): a valid document, printed exactly
+    a, b = "1" + "3" * 2500, "7" * 2500 + "1"
+    vertices = [[f"{a}/{b}", "1"], ["1", f"{b}/{a}9"]]
+    vertices += [["-" + x for x in v] for v in vertices]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": vertices}))
+    assert cli.main(["polar", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    duals = geometry.polar_dual([[parse_rational(x) for x in v] for v in vertices])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = dumps({"dim": 2, "vertices": [[str(x) for x in v] for v in duals]})
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert captured.out == expected
+    assert max(len(x) for v in json.loads(captured.out)["vertices"] for x in v) > limit
+
+
+@pytest.mark.parametrize("literal", ["1" * 5000, "-" + "1" * 5000],
+                         ids=["positive", "negative"])
+def test_long_integer_literal_names_its_field(tmp_path, capsys, literal):
+    # an integer literal past sys.get_int_max_str_digits() is rejected as
+    # the same digits in a rational string are, with the field named
+    path = tmp_path / "long.json"
+    path.write_text('{"dim": 1, "vertices": [[%s], [-1]]}' % literal)
+    assert cli.main(["polar", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: vertices[0][0]: rational string of {len(literal)} characters: "
+        f"an integer in it has more than {sys.get_int_max_str_digits()} digits\n")
+
+
 def test_skip_support_search(space_file, capsys):
     assert cli.main(["analyze", "--input", space_file,
                      "--skip-support-search"]) == 0
@@ -412,8 +450,10 @@ def test_analyze_builds_operator_basis_once(space_file, capsys, monkeypatch):
 @pytest.mark.parametrize("route", ["no-lp", "one-lp", "tampered", "out-of-range"])
 def test_certify_builds_basis_and_grid_once(tmp_path, capsys, monkeypatch, route):
     # certify_cm's routes (no LP, one LP, the optimal face) share one
-    # operator basis and one pair grid; the CLI refuses an out-of-range
-    # pair while parsing, so that certificate goes to certify_cm directly
+    # operator basis; the pair grid is built once for the lambda LP, and
+    # not at all on the no-LP route, which reads the solved projection's
+    # norm off the vertex lists.  The CLI refuses an out-of-range pair
+    # while parsing, so that certificate goes to certify_cm directly
     ball, k = (linf_ball, 2) if route == "one-lp" else (l1_ball, 3)
     space, Y = ball(4), random_subspace(4, k, 7)
     report = projections.projection_constant(space, Y)
@@ -432,7 +472,8 @@ def test_certify_builds_basis_and_grid_once(tmp_path, capsys, monkeypatch, route
         code = cli.main(["certify", str(cert), "--input", str(path)])
         assert code == (1 if route == "tampered" else 0)
         capsys.readouterr()
-    assert counts == {"build_operator_basis": 1, "build_pair_grid": 1}
+    assert counts["build_operator_basis"] == 1
+    assert counts.get("build_pair_grid", 0) == (0 if route == "no-lp" else 1)
 
 
 @pytest.mark.parametrize("command", ["analyze", "paper-suite"])

@@ -9,8 +9,9 @@ inputs of the pipeline benchmark (cube and cross-polytope, hyperplane and
 2-plane, ``random_subspace`` at generator seed 7, primal vertices only so
 the CLI computes the polar), plus ``certify`` on one valid and one
 tampered certificate of the seeded l1^4 hyperplane.  ``certify`` also
-runs, in JSON and ``--table``, on seven more tampered certificates of
-that hyperplane and on the valid certificate of the seeded l-inf^4
+runs, in JSON and ``--table``, on eight more tampered certificates of
+that hyperplane (the last claims three of its pairs at lambda 1, below
+the true lambda) and on the valid certificate of the seeded l-inf^4
 2-plane, whose pairs leave the minimal projection undetermined (rank 2
 of 4), so it is settled by the LP.  The l-inf^5 2-plane
 has more candidate pairs than the support search's default cap, so its
@@ -19,13 +20,14 @@ documents of l-inf^8, l1^8 and mixed_ball(5, 3), whose polar the double
 description computes.
 
 The digests hash the exit code, standard output and standard error of
-each run.  Six pinned runs also run in child interpreters, plain and
+each run.  Seven pinned runs also run in child interpreters, plain and
 under ``python -O``, which must print the same bytes with the same exit
 code: ``analyze`` on the seeded l1^4 hyperplane, ``general-position`` on
 the partial-sum 3-plane of l-inf^5, and ``certify`` on the valid
 certificates of the seeded l1^4 hyperplane (no LP) and l-inf^4 2-plane
-(one LP) and on the small-weight tampered one (the optimal face), and
-``polar`` on l-inf^8.  To
+(one LP), on the small-weight tampered one (the optimal face) and on the
+three pairs claimed at lambda 1 (the no-LP point rejected by its norm,
+then the optimal face), and ``polar`` on l-inf^8.  To
 print the table after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -92,6 +94,8 @@ GOLDEN = {
     "certify/seeded-l1-n4-k3-single-pair/table": "f9df99b9321d259f53c2992583d62e867d6a44d2f4d5de0f444105bd86def779",
     "certify/seeded-l1-n4-k3-duplicated-pair/json": "f030a2dca6b14c21bcc4c789e69a9d69bb815c4aa521a5048e494f03d2a27655",
     "certify/seeded-l1-n4-k3-duplicated-pair/table": "6eb47ffcd859833dfed9886da52439b31f41c2a89b00171930dbaa9baee74538",
+    "certify/seeded-l1-n4-k3-three-pairs-lambda-1/json": "8e769310c6108cbedfc563162d7752353d2470d4f9eb7483eed526c373afe4e4",
+    "certify/seeded-l1-n4-k3-three-pairs-lambda-1/table": "d0061b494f4b682b1ee0720d3c27cd5a1efa62ed6fb0eed8003409e9f1d10775",
     "analyze/seeded-l1-n4-k2": "f7859d8694d418253699a38d4a4cb010a53899f0c226954b58fe03d794584659",
     "analyze/seeded-linf-n5-k4": "904a514d238ee1aded50828f30cde7a71a91d3d949e070080145d01e0a5e5e6d",
     "analyze/seeded-linf-n5-k2": "8866bd32b906a3619f8902170473fad5aaaf4e51dd00160dbe5cdb971b3f6bf7",
@@ -166,7 +170,11 @@ def _runs(tmp_path):
 
 
 def _tampered(cert):
-    """Seven invalid variants of a certificate document, by label."""
+    """Eight invalid variants of a certificate document, by label.  The
+    last keeps three pairs, whose rows have full rank k(n-k) = 3, and
+    claims lambda_c = 1, below the true lambda: certify solves the one
+    projection they norm at 1, rejects it by its norm, and goes through
+    the optimal face."""
     pairs = cert["pairs"]
     return {
         "small-weight": {**cert, "pairs": [{**pairs[0], "weight": "1/1000"}]
@@ -179,6 +187,8 @@ def _tampered(cert):
                        + [{"vertex": 0, "functional": 0, "weight": "1/1000"}]},
         "single-pair": {**cert, "pairs": [{**pairs[0], "weight": "1"}]},
         "duplicated-pair": {**cert, "pairs": pairs + pairs[:1]},
+        "three-pairs-lambda-1": {"lambda": "1", "pairs": [
+            {**pair, "weight": "1/3"} for pair in pairs[:3]]},
     }
 
 
@@ -213,6 +223,11 @@ def _digest(result) -> str:
     # an invalid certificate: the optimal face
     pytest.param("certify", CERTIFIED, "small-weight",
                  "certify/seeded-l1-n4-k3-tampered", id="certify-tampered"),
+    # pairs of full rank claimed below lambda: the solved projection's
+    # norm exceeds the claim, so the optimal face
+    pytest.param("certify", CERTIFIED, "three-pairs-lambda-1",
+                 "certify/seeded-l1-n4-k3-three-pairs-lambda-1/json",
+                 id="certify-no-lp-rejected"),
     # the polar of the 8-cube, computed by the double description
     pytest.param("polar", "linf-n8", None, "polar/linf-n8", id="polar"),
 ])

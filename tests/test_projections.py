@@ -6,7 +6,7 @@ import pytest
 from minproj.catalog import l1_ball, linf_ball, random_subspace
 import minproj.projections as projections
 from minproj.errors import InternalError, NotMinimalError
-from minproj.geometry import Subspace, norm_eval
+from minproj.geometry import PolyhedralSpace, Subspace, norm_eval
 from minproj.linalg import RMatrix, integer_row_rank
 from minproj.projections import (OperatorPoint, build_operator_basis,
                                  build_pair_grid, face_dimension,
@@ -14,7 +14,8 @@ from minproj.projections import (OperatorPoint, build_operator_basis,
                                  operator_norm, projection_constant)
 from minproj.simplex import SOLVE_STATS
 
-from oracles import matadd, matmul, rref_by_fractions, row_value
+from oracles import (matadd, matmul, operator_norm_by_fractions,
+                     rref_by_fractions, row_value)
 
 F = Fraction
 
@@ -146,6 +147,35 @@ def test_operator_norm_attained_on_vertices(ker_sum_3):
         x = [sum(F(w, total) * v[i] for w, v in zip(weights, space.primal_vertices[:4]))
              for i in range(3)]
         assert norm_eval(space, P.apply(x)) <= norm
+
+
+def test_operator_norm_is_lambda_on_every_catalog_case(analyzed):
+    # at the witness and at the relative interior, by the integer norm
+    # and by the Fraction one it replaced
+    for name, a in analyzed.items():
+        for point in (a.report.witness, a.report.interior):
+            P = a.report.basis.realize(point)
+            assert operator_norm(a.case.space, P) == a.report.lam, name
+            assert operator_norm_by_fractions(a.case.space, P) == a.report.lam, name
+    with pytest.raises(ValueError, match="2x2 matrix on a space of dimension 3"):
+        operator_norm(l1_ball(3), RMatrix.from_rows([[1, 0], [0, 1]]))
+
+
+def test_operator_norm_on_unvalidated_lists():
+    # validate=False takes the lists as given, symmetric or not: the norm
+    # still reads every listed vertex, as the Fraction one does
+    P = RMatrix.from_rows([[F(1, 2), F(-3)], [F(2, 3), F(1, 5)]])
+    spaces = [
+        PolyhedralSpace.from_vertices([(1, 0), (0, 1), (-1, -1)],
+                                      dual_vertices=[(2, -1), (-1, 2), (-1, -1)],
+                                      validate=False),
+        PolyhedralSpace.from_vertices(linf_ball(2).primal_vertices,
+                                      dual_vertices=[(1, 0), (0, 1)],
+                                      validate=False),
+    ]
+    for space in spaces:
+        assert operator_norm(space, P) == operator_norm_by_fractions(space, P)
+    assert operator_norm(spaces[1], P) == F(7, 2)
 
 
 def test_norming_pairs_rejects_non_minimal(ker_sum_3):

@@ -8,7 +8,10 @@ random symmetric polytopes.  General position is also compared with the
 subset walk through every leaf that it replaced.  The polar
 is also compared with the Fraction polar it replaced, which takes a rank
 per edge test, and the tight masks of its double description with the
-tight sets recomputed by dot products.  The projection constant of
+tight sets recomputed by dot products.  Extremality read off the masks
+alone is compared with the rank of the tight polar vertices and the LP
+test, and the integer operator norm with the Fraction one it replaced,
+also on the catalog spaces and mixed balls.  The projection constant of
 random hyperplanes of l-inf^n is compared with Blatter and Cheney's
 closed form.
 
@@ -32,13 +35,14 @@ import pytest
 from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from minproj.catalog import linf_ball, random_subspace
+from minproj.catalog import linf_ball, mixed_ball, paper_cases, random_subspace
 from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
                                   cm_rank_gap, minimal_support_cm, verify_cm)
 from minproj.errors import (NotExtremeError, NotFullDimensionalError,
                             NotSymmetricError, SupportBudgetExceededError)
 from minproj.geometry import (PolyhedralSpace, Subspace, _double_description,
-                              _vertices_of, general_position_check, polar_dual)
+                              _first_non_vertex, _vertices_of,
+                              general_position_check, polar_dual)
 from minproj.linalg import RMatrix, cleared, dot, integer_row_rank
 from minproj.projections import (OperatorPoint, build_operator_basis,
                                  face_dimension, max_norming_projection,
@@ -47,11 +51,12 @@ from minproj.projections import (OperatorPoint, build_operator_basis,
 
 from oracles import (budget_outcome, certify_by_face, face_dimension_by_rounds,
                      face_dimension_by_vertices, first_non_extreme,
+                     first_non_vertex_by_rank,
                      general_position_by_leaf_walk,
                      general_position_exhaustive, general_position_per_subset,
                      is_extreme, linf_hyperplane_lambda,
                      minimal_support_by_solve, nullspace_by_fractions,
-                     operator_basis_by_fractions,
+                     operator_basis_by_fractions, operator_norm_by_fractions,
                      polar_dual_by_fractions, realize_by_fractions,
                      trace_on_subspace, verify_cm_by_apply)
 
@@ -186,6 +191,28 @@ def test_validation_agrees_with_lp_oracle(vertices):
         with pytest.raises(NotExtremeError,
                            match=f"^primal vertex {failing} is a convex"):
             PolyhedralSpace.from_vertices(vertices)
+
+
+@_SETTINGS
+@given(symmetric_point_lists() | cube_like_point_lists(), st.data())
+def test_extremality_from_masks_agrees_with_rank_and_lp_oracles(vertices, data):
+    # The first non-vertex read off the masks alone is the one the rank
+    # of the tight polar vertices names and the one the LP oracle names,
+    # also with half a listed point and its negation (interior points)
+    # or the zero vector inserted, and with the duplicates the lists hold
+    n = len(vertices[0])
+    points = list(vertices)
+    if data.draw(st.booleans()):
+        half = tuple(Fraction(x, 2) for x in data.draw(st.sampled_from(vertices)))
+        for point in (half, tuple(-x for x in half)):
+            points.insert(data.draw(st.integers(0, len(points))), point)
+    if data.draw(st.booleans()):
+        points.insert(data.draw(st.integers(0, len(points))), (0,) * n)
+    dd = _double_description([tuple(Fraction(x) for x in p) for p in points],
+                             "vertex", "vertices do not span the ambient space")
+    first = _first_non_vertex(dd)
+    assert first == first_non_vertex_by_rank(dd, n)
+    assert first == first_non_extreme(points)
 
 
 @_SETTINGS
@@ -363,6 +390,30 @@ def test_realize_agrees_with_fraction_oracle(case, data):
         min_size=ops.dimension, max_size=ops.dimension))
     point = OperatorPoint(tuple(coefficients))
     assert ops.realize(point) == realize_by_fractions(ops, point)
+
+
+_NORM_SPACES = tuple(c.space for c in paper_cases()) + (
+    mixed_ball(5, 4), mixed_ball(6, 3), mixed_ball(6, 5))
+
+
+def _polytope_or_its_polar(case):
+    space = case[0]
+    return st.sampled_from((space, PolyhedralSpace.from_vertices(space.dual_vertices)))
+
+
+@_SETTINGS
+@given(st.sampled_from(_NORM_SPACES)
+       | spaces_with_subspaces().flatmap(_polytope_or_its_polar), st.data())
+def test_operator_norm_agrees_with_fraction_oracle(space, data):
+    # The integer norm over the cleared vertex lists equals the largest
+    # Fraction norm of a vertex's image, on random rational matrices over
+    # the catalog spaces, mixed balls, random polytopes and their polars
+    # (whose dual or primal vertices clear over denominators above 1)
+    n = space.dim
+    entries = data.draw(st.lists(st.fractions(-5, 5, max_denominator=9),
+                                 min_size=n * n, max_size=n * n))
+    matrix = RMatrix(n, n, tuple(entries))
+    assert operator_norm(space, matrix) == operator_norm_by_fractions(space, matrix)
 
 
 def _analyze(case):

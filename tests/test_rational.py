@@ -51,3 +51,15 @@ def test_approx_decimal_significant_digits():
     assert approx_decimal(Fraction(-8, 5)) == "-1.6"
     assert approx_decimal(Fraction(1, 7), significant_digits=5) == "0.14286"
 
+
+
+def test_format_past_the_conversion_limit():
+    # integers with more digits than str() converts are printed exactly,
+    # and the limit is left as it is
+    limit = sys.get_int_max_str_digits()
+    high, low = "4" * (limit - 2), "0" * 5 + "7" * (limit - 6)
+    n = int(high) * 10 ** (limit - 1) + int(low)
+    assert format_rational(Fraction(n)) == high + low
+    assert format_rational(Fraction(-n, 10)) == "-" + high + low + "/10"
+    assert format_rational(Fraction(1, 10 ** (3 * limit))) == "1/1" + "0" * (3 * limit)
+    assert sys.get_int_max_str_digits() == limit
