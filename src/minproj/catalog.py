@@ -85,7 +85,7 @@ class NamedCase:
     name: str
     space: PolyhedralSpace
     subspace: Subspace
-    expected: CaseExpectation | None = None
+    expected: CaseExpectation
 
 
 def _ker(functionals) -> Subspace:

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (CertificateInvalidError, InternalError,
-                     RankGapViolationError, SupportBudgetExceededError)
+from .errors import (BudgetExceededError, CertificateInvalidError,
+                     InternalError, RankGapViolationError)
 from .geometry import PolyhedralSpace, Subspace
 from .linalg import (int_dot, integer_row_rank, integer_solve, over_denominator,
                      subset_walk)
@@ -59,9 +59,6 @@ class CMFunctional:
 class CMVerdict:
     ok: bool
     violations: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
@@ -288,7 +285,7 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
         raise ValueError("the report's optimal face is not settled")
     rows = report._implicit_rows
     if len(rows) > max_candidates:
-        raise SupportBudgetExceededError(
+        raise BudgetExceededError(
             f"{len(rows)} candidate pairs exceed the cap of {max_candidates}")
 
     grid = report.grid

@@ -38,9 +38,8 @@ from pathlib import Path
 from .catalog import paper_cases, random_subspace
 from .certificates import (DEFAULT_SUPPORT_CAP, certify_cm, cm_from_dual,
                            minimal_support_cm)
-from .errors import (CertificateInvalidError, InputFormatError, InternalError,
-                     MinprojError, SubsetBudgetExceededError,
-                     SupportBudgetExceededError)
+from .errors import (BudgetExceededError, CertificateInvalidError,
+                     InputFormatError, InternalError, MinprojError)
 from .geometry import PolyhedralSpace, Subspace, general_position_check
 from .jsonio import (certificate_json, dumps, load_document, matrix_json,
                      parse_certificate_document, parse_space_document,
@@ -115,24 +114,25 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     cm = cm_from_dual(report)
 
     exit_code = 0
-    if args.skip_support_search:
-        support: object = "skipped"
-    else:
-        try:
-            small, size = minimal_support_cm(report, max_candidates=cap)
-            support = {"size": size,
-                       "certificate": certificate_json(small, report.lam)}
-        except SupportBudgetExceededError as exc:
-            print(f"warning: {exc}", file=sys.stderr)
-            support = "skipped"
-            exit_code = 3
 
-    try:
-        gp: object = _gp_json(general_position_check(space, subspace))
-    except SubsetBudgetExceededError as exc:
-        print(f"warning: {exc}", file=sys.stderr)
-        gp = "skipped"
-        exit_code = 3
+    def within_budget(stage):
+        """stage(), or "skipped" after one warning line when its subset
+        enumeration runs out of budget: the report goes on, exiting 3."""
+        nonlocal exit_code
+        try:
+            return stage()
+        except BudgetExceededError as exc:
+            print(f"warning: {exc}", file=sys.stderr)
+            exit_code = 3
+            return "skipped"
+
+    def support_search() -> dict:
+        small, size = minimal_support_cm(report, max_candidates=cap)
+        return {"size": size, "certificate": certificate_json(small, report.lam)}
+
+    support = ("skipped" if args.skip_support_search
+               else within_budget(support_search))
+    gp = within_budget(lambda: _gp_json(general_position_check(space, subspace)))
 
     out = {
         "dim": space.dim,
@@ -178,23 +178,16 @@ def _cmd_paper_suite(args: argparse.Namespace) -> int:
     for case in sorted(cases, key=lambda c: c.name):
         report = projection_constant(case.space, case.subspace)
         face_dim, _ = face_dimension(report)
-        if case.expected is None:
-            verdict = "PASS"
-            expected_lam = expected_fd = None
-        else:
-            expected_lam = format_rational(case.expected.lam)
-            expected_fd = case.expected.face_dim
-            ok = (report.lam == case.expected.lam
-                  and face_dim == case.expected.face_dim)
-            verdict = "PASS" if ok else "FAIL"
-            all_pass = all_pass and ok
+        ok = (report.lam == case.expected.lam
+              and face_dim == case.expected.face_dim)
+        all_pass = all_pass and ok
         rows.append({
             "name": case.name,
             "lambda": format_rational(report.lam),
-            "expected_lambda": expected_lam,
+            "expected_lambda": format_rational(case.expected.lam),
             "face_dim": face_dim,
-            "expected_face_dim": expected_fd,
-            "verdict": verdict,
+            "expected_face_dim": case.expected.face_dim,
+            "verdict": "PASS" if ok else "FAIL",
         })
     if args.table:
         width = max((len(r["name"]) for r in rows), default=4)
@@ -202,8 +195,8 @@ def _cmd_paper_suite(args: argparse.Namespace) -> int:
         for r in rows:
             lines.append(
                 f"{r['name']:<{width}}  {r['lambda']:<6}  "
-                f"{r['expected_lambda'] or '-':<8}  {r['face_dim']:<2}  "
-                f"{str(r['expected_face_dim'] if r['expected_face_dim'] is not None else '-'):<8}  "
+                f"{r['expected_lambda']:<8}  {r['face_dim']:<2}  "
+                f"{r['expected_face_dim']:<8}  "
                 f"{r['verdict']}")
         lines.append(f"{'all pass' if all_pass else 'FAILURES PRESENT'}")
         _emit(args, "\n".join(lines) + "\n")
@@ -325,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InternalError, CertificateInvalidError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (SubsetBudgetExceededError, SupportBudgetExceededError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (MinprojError, ValueError) as exc:

@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Every error that callers are expected to catch has its own class; the CLI
-maps them onto its exit-code contract (2 for bad input, 3 for exhausted
-enumeration budgets, 4 for an internal failure).
+maps them onto its exit-code contract (2 for bad input, 3 for an
+exhausted enumeration budget, 4 for an internal failure).  Both subset
+enumerations, the minimal-support search and the general-position
+check, stop at their budget with the one BudgetExceededError.
 """
 
 
@@ -34,12 +36,9 @@ class CertificateInvalidError(MinprojError):
     """An optimality certificate failed one of its exact defining identities."""
 
 
-class SubsetBudgetExceededError(MinprojError):
-    """General-position enumeration exceeded the configured subset cap."""
-
-
-class SupportBudgetExceededError(MinprojError):
-    """Minimal-support search exceeded the configured candidate cap."""
+class BudgetExceededError(MinprojError):
+    """A subset enumeration (minimal-support search or general-position
+    check) exceeded its configured cap."""
 
 
 class InternalError(MinprojError):

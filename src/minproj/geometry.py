@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import (InternalError, NotExtremeError, NotFullDimensionalError,
-                     NotSymmetricError, SubsetBudgetExceededError)
+from .errors import (BudgetExceededError, InternalError, NotExtremeError,
+                     NotFullDimensionalError, NotSymmetricError)
 from .linalg import (Vector, cleared, dot, independent_rows, int_dot,
                      integer_inverse, integer_nullspace, integer_row_rank,
                      over_denominator, primitive, subset_walk)
@@ -494,7 +494,7 @@ def _first_failing_subset(vectors: Sequence[Sequence[int]], reps: Sequence[int],
         for passed, subset in subset_walk(rows, size, len(directions)):
             checked += passed
             if spent + checked > subset_cap:
-                raise SubsetBudgetExceededError(
+                raise BudgetExceededError(
                     f"{what} enumeration exceeded cap {subset_cap}")
             if subset is not None:
                 return tuple(reps[i] for i in subset), checked

@@ -86,9 +86,9 @@ from types import SimpleNamespace
 from typing import Sequence
 
 from minproj.certificates import DEFAULT_SUPPORT_CAP, CMVerdict, verify_cm
-from minproj.errors import (CertificateInvalidError, InternalError,
-                            NotFullDimensionalError, NotSymmetricError,
-                            SubsetBudgetExceededError, SupportBudgetExceededError)
+from minproj.errors import (BudgetExceededError, CertificateInvalidError,
+                            InternalError, NotFullDimensionalError,
+                            NotSymmetricError)
 from minproj.geometry import DEFAULT_GP_CAP, GeneralPositionReport, norm_eval
 from minproj.jsonio import vector_json
 from minproj.linalg import (RMatrix, dot, int_dot, over_denominator,
@@ -384,7 +384,7 @@ def minimal_support_by_lp(space, Y, candidate_pairs,
     if not candidates:
         raise CertificateInvalidError("no candidate pairs to search")
     if len(candidates) > max_candidates:
-        raise SupportBudgetExceededError(
+        raise BudgetExceededError(
             f"{len(candidates)} candidate pairs exceed the cap of {max_candidates}")
     basis = build_operator_basis(space, Y)
     d = len(basis.basis_ops)
@@ -431,7 +431,7 @@ def minimal_support_by_solve(space, Y, candidate_pairs,
     if not candidates:
         raise CertificateInvalidError("no candidate pairs to search")
     if len(candidates) > max_candidates:
-        raise SupportBudgetExceededError(
+        raise BudgetExceededError(
             f"{len(candidates)} candidate pairs exceed the cap of {max_candidates}")
     basis = build_operator_basis(space, Y)
     d = len(basis.basis_ops)
@@ -478,7 +478,7 @@ def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
         for subset in itertools.combinations(reps, size):
             spans_checked += 1
             if spans_checked > budget:
-                raise SubsetBudgetExceededError(
+                raise BudgetExceededError(
                     f"vertex-span enumeration exceeded cap {subset_cap}")
             z_rows = _canonical_span([space.primal_vertices[i] for i in subset])
             if z_rows in seen_spans:
@@ -495,7 +495,7 @@ def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
         for subset in itertools.combinations(dreps, size):
             kernels_checked += 1
             if spans_checked + kernels_checked > budget:
-                raise SubsetBudgetExceededError(
+                raise BudgetExceededError(
                     f"kernel enumeration exceeded cap {subset_cap}")
             f_span = _canonical_span([space.dual_vertices[j] for j in subset])
             if f_span in seen_kernels:
@@ -554,10 +554,10 @@ def _general_position_report(first_failing, spans, kernels, max_span,
 
 def budget_outcome(check, space, Y, subset_cap):
     """The report of a general-position check at subset_cap, or the text
-    of the SubsetBudgetExceededError it raises."""
+    of the BudgetExceededError it raises."""
     try:
         return check(space, Y, subset_cap)
-    except SubsetBudgetExceededError as exc:
+    except BudgetExceededError as exc:
         return str(exc)
 
 
@@ -571,7 +571,7 @@ def _first_failing_subset(vectors, reps, directions, max_size, spent,
         for subset in itertools.combinations(reps, size):
             checked += 1
             if spent + checked > subset_cap:
-                raise SubsetBudgetExceededError(
+                raise BudgetExceededError(
                     f"{what} enumeration exceeded cap {subset_cap}")
             rank = integer_rank_in_place([projected[i] for i in subset])
             if rank < size and rank != integer_rank_in_place([raw[i] for i in subset]):
@@ -590,7 +590,7 @@ def _first_failing_by_leaf_walk(vectors, reps, directions, max_size, spent,
             depth = len(subset)
             checked += 1 if depth == size else comb(m - subset[-1] - 1, size - depth)
             if spent + checked > subset_cap:
-                raise SubsetBudgetExceededError(
+                raise BudgetExceededError(
                     f"{what} enumeration exceeded cap {subset_cap}")
             if (depth == size and not any(row)
                     and integer_rank_in_place([raw[i] for i in subset]) == size):

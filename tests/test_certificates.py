@@ -8,8 +8,8 @@ import minproj.projections as projections
 from minproj.catalog import l1_ball, linf_ball, random_subspace
 from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
                                   cm_rank_gap, minimal_support_cm, verify_cm)
-from minproj.errors import (CertificateInvalidError, InternalError,
-                            RankGapViolationError, SupportBudgetExceededError)
+from minproj.errors import (BudgetExceededError, CertificateInvalidError,
+                            InternalError, RankGapViolationError)
 from minproj.geometry import Subspace
 from minproj.linalg import integer_row_rank
 from minproj.projections import (OperatorPoint, face_dimension, pair_rows,
@@ -116,7 +116,7 @@ def test_single_pair_certificate_on_l1_coordinate_case():
 
 def test_support_budget(analyzed):
     a = analyzed["ker-sum-linf-n5"]
-    with pytest.raises(SupportBudgetExceededError):
+    with pytest.raises(BudgetExceededError):
         minimal_support_cm(a.report, max_candidates=4)
     # the candidates are the implicit pairs of a settled face
     with pytest.raises(ValueError, match="not settled"):

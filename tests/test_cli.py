@@ -2,6 +2,7 @@
 byte determinism and environment handling, in-process runs (faster) for
 the flag and exit-code matrix."""
 
+import functools
 import itertools
 import json
 import subprocess
@@ -251,6 +252,30 @@ def test_general_position_command(space_file, capsys):
     assert verdict["spans_checked"] == 4
 
 
+@pytest.mark.parametrize("case, table", [
+    (None, "general position  yes\nspans checked     4\nkernels checked   6\n"),
+    ("partial-sum-linf-n5-k3", "general position  no\nwitness kernel  [0, 2, 4]\n"
+                               "spans checked     16\nkernels checked   16\n"),
+], ids=["linf-n3", "partial-sum-linf-n5-k3"])
+def test_general_position_table(space_file, tmp_path, capsys, case, table):
+    path = space_file
+    if case is not None:
+        named = next(c for c in paper_cases() if c.name == case)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(space_json(named.space, named.subspace)))
+    assert cli.main(["general-position", "--input", str(path), "--table"]) == 0
+    assert capsys.readouterr() == (table, "")
+
+
+def test_polar_table(tmp_path, capsys):
+    # one line per dual vertex, in the sorted order of the JSON report
+    path = tmp_path / "l1.json"
+    path.write_text(json.dumps(L1_3))
+    assert cli.main(["polar", "--input", str(path), "--table"]) == 0
+    assert capsys.readouterr() == ("".join(
+        f"{a} {b} {c}\n" for a, b, c in itertools.product((-1, 1), repeat=3)), "")
+
+
 def test_polar_command_round_trips(tmp_path, capsys):
     path = tmp_path / "l1.json"
     path.write_text(json.dumps(L1_3))
@@ -356,6 +381,54 @@ def test_negative_subset_cap_is_malformed_input(space_file, capsys, monkeypatch)
     # the flag still takes precedence over the environment, and 0 is a cap
     assert cli.main(["analyze", "--input", space_file, "--subset-cap", "0"]) == 3
     assert "exceed the cap of 0" in capsys.readouterr().err
+
+
+SUPPORT_STOP = "warning: 32 candidate pairs exceed the cap of 24\n"
+GP_STOP = "warning: vertex-span enumeration exceeded cap 3\n"
+
+
+@pytest.fixture
+def small_gp_cap(monkeypatch):
+    """The CLI's general-position check with a budget of 3 subsets, which
+    every seeded input below runs past among its one-vertex spans."""
+    monkeypatch.setattr(cli, "general_position_check", functools.partial(
+        geometry.general_position_check, subset_cap=3))
+
+
+def _seeded_input(tmp_path, ball, n, k):
+    path = tmp_path / f"seeded-n{n}-k{k}.json"
+    path.write_text(json.dumps(space_json(ball(n), random_subspace(n, k, 7))))
+    return str(path)
+
+
+@pytest.mark.parametrize("ball, n, k, flags, stderr", [
+    # the support search finds its certificate; only general position stops
+    (l1_ball, 4, 3, [], GP_STOP),
+    # the l-inf^5 2-plane has 32 candidate pairs, past the default cap of
+    # 24: both stages stop, and warn in the order they run
+    (linf_ball, 5, 2, [], SUPPORT_STOP + GP_STOP),
+    # a skipped search is no budget stop, and prints no warning
+    (linf_ball, 5, 2, ["--skip-support-search"], GP_STOP),
+], ids=["l1-n4-k3", "linf-n5-k2", "linf-n5-k2-skip-support"])
+def test_budget_stops_give_a_partial_report(tmp_path, capsys, small_gp_cap,
+                                            ball, n, k, flags, stderr):
+    # one rule for both budgeted stages: a warning line, "skipped" in the
+    # stage's field, the rest of the report, and exit 3
+    path = _seeded_input(tmp_path, ball, n, k)
+    assert cli.main(["analyze", "--input", path, *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == stderr
+    report = json.loads(captured.out)
+    assert report["general_position"] == "skipped"
+    assert (report["support_search"] == "skipped") is (n == 5)
+    assert parse_rational(report["lambda"]) >= 1
+
+
+def test_general_position_budget_stop_is_an_error(tmp_path, capsys, small_gp_cap):
+    path = _seeded_input(tmp_path, l1_ball, 4, 3)
+    assert cli.main(["general-position", "--input", path]) == 3
+    assert capsys.readouterr() == (
+        "", "error: vertex-span enumeration exceeded cap 3\n")
 
 
 @pytest.mark.parametrize("cap", ["banana", "-1"])
@@ -493,6 +566,16 @@ def test_unwritable_output_is_malformed_input(space_file, tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {output}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unreadable_input_is_malformed_input(tmp_path, capsys, target):
+    path = tmp_path / "missing.json" if target == "missing" else tmp_path
+    assert cli.main(["analyze", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: ")
     assert captured.err.count("\n") == 1
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from minproj.catalog import l1_ball, linf_ball, mixed_ball, random_subspace
-from minproj.errors import (NotExtremeError, NotFullDimensionalError,
-                            NotSymmetricError, SubsetBudgetExceededError)
+from minproj.errors import (BudgetExceededError, NotExtremeError,
+                            NotFullDimensionalError, NotSymmetricError)
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, norm_eval, polar_dual)
 from minproj.linalg import RMatrix, dot, over_denominator
@@ -288,7 +288,7 @@ def test_general_position_invariant_under_change_of_basis():
 def test_general_position_budget():
     space = linf_ball(4)
     Y = Subspace.from_kernel([(2, 1, 1, 1)])
-    with pytest.raises(SubsetBudgetExceededError):
+    with pytest.raises(BudgetExceededError):
         general_position_check(space, Y, subset_cap=5)
 
 
@@ -299,7 +299,7 @@ def test_general_position_budget_boundary_on_l1_6_hyperplane():
     r = general_position_check(space, Y, subset_cap=242_830)
     assert r.in_general_position
     assert (r.spans_checked, r.kernels_checked) == (6, 242_824)
-    with pytest.raises(SubsetBudgetExceededError,
+    with pytest.raises(BudgetExceededError,
                        match="^kernel enumeration exceeded cap 242829$"):
         general_position_check(space, Y, subset_cap=242_829)
 

@@ -20,9 +20,10 @@ documents of l-inf^8, l1^8 and mixed_ball(5, 3), whose polar the double
 description computes.
 
 The digests hash the exit code, standard output and standard error of
-each run.  Seven pinned runs also run in child interpreters, plain and
+each run.  Eight pinned runs also run in child interpreters, plain and
 under ``python -O``, which must print the same bytes with the same exit
-code: ``analyze`` on the seeded l1^4 hyperplane, ``general-position`` on
+code: ``analyze`` on the seeded l1^4 hyperplane and on the seeded l-inf^5
+2-plane (the exit-3 partial report), ``general-position`` on
 the partial-sum 3-plane of l-inf^5, and ``certify`` on the valid
 certificates of the seeded l1^4 hyperplane (no LP) and l-inf^4 2-plane
 (one LP), on the small-weight tampered one (the optimal face) and on the
@@ -209,6 +210,9 @@ def _digest(result) -> str:
 @pytest.mark.parametrize("command, case, certificate, pinned", [
     pytest.param("analyze", CERTIFIED, None, "analyze/seeded-l1-n4-k3",
                  id="analyze"),
+    # past the support search's candidate cap: the exit-3 partial report
+    pytest.param("analyze", "seeded-linf-n5-k2", None, "analyze/seeded-linf-n5-k2",
+                 id="analyze-budget-stop"),
     # the partial-sum 3-plane of l-inf^5 fails general position with a
     # kernel witness of three dual vertices, which the subset walk finds
     # among the leaves that one node decides at once
@@ -237,6 +241,7 @@ def test_optimized_interpreter_gives_the_same_bytes(tmp_path, command, case,
     # which strips asserts, runs the same checks and prints the pinned bytes
     documents = {c.name: space_json(c.space, c.subspace) for c in paper_cases()}
     documents.update(_seeded_documents(4))
+    documents.update(_seeded_documents(5))
     documents.update(_polar_documents())
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(documents[case]))

@@ -16,7 +16,7 @@ from minproj.catalog import (l1_ball, linf_ball, mixed_ball, paper_cases,
                              random_subspace)
 import minproj.projections as projections
 from minproj.certificates import CMFunctional, cm_from_dual, minimal_support_cm, verify_cm
-from minproj.errors import NotExtremeError, SupportBudgetExceededError
+from minproj.errors import BudgetExceededError, NotExtremeError
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, polar_dual)
 from minproj.linalg import integer_row_rank
@@ -195,8 +195,8 @@ def test_support_matches_subset_lp_oracle(cases):
         try:
             expected = minimal_support_by_lp(a.case.space, a.case.subspace,
                                              a.implicit)
-        except SupportBudgetExceededError:
-            with pytest.raises(SupportBudgetExceededError):
+        except BudgetExceededError:
+            with pytest.raises(BudgetExceededError):
                 minimal_support_cm(a.report)
             capped.append(name)
             continue

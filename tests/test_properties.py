@@ -38,8 +38,8 @@ from hypothesis import strategies as st
 from minproj.catalog import linf_ball, mixed_ball, paper_cases, random_subspace
 from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
                                   cm_rank_gap, minimal_support_cm, verify_cm)
-from minproj.errors import (NotExtremeError, NotFullDimensionalError,
-                            NotSymmetricError, SupportBudgetExceededError)
+from minproj.errors import (BudgetExceededError, NotExtremeError,
+                            NotFullDimensionalError, NotSymmetricError)
 from minproj.geometry import (PolyhedralSpace, Subspace, _double_description,
                               _first_non_vertex, _vertices_of,
                               general_position_check, polar_dual)
@@ -554,8 +554,8 @@ def test_minimal_support_agrees_with_solve_oracle(case):
     try:
         expected = minimal_support_by_solve(space, Y, implicit,
                                             max_candidates=_SUPPORT_CAP)
-    except SupportBudgetExceededError:
-        with pytest.raises(SupportBudgetExceededError):
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
             minimal_support_cm(report, max_candidates=_SUPPORT_CAP)
         return
     cm, size = minimal_support_cm(report, max_candidates=_SUPPORT_CAP)
@@ -575,7 +575,7 @@ def test_support_in_general_position_is_at_least_n(case):
         return
     try:
         cm, size = minimal_support_cm(report, max_candidates=_SUPPORT_CAP)
-    except SupportBudgetExceededError:
+    except BudgetExceededError:
         return
     assert size >= space.dim
     rank_full, rank_restricted = cm_rank_gap(space, Y, cm, report.lam)
