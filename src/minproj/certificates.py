@@ -283,7 +283,7 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
     """
     if report.interior is None:
         raise ValueError("the report's optimal face is not settled")
-    rows = report._implicit_rows
+    rows = report.implicit_rows
     if len(rows) > max_candidates:
         raise BudgetExceededError(
             f"{len(rows)} candidate pairs exceed the cap of {max_candidates}")

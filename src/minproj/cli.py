@@ -74,6 +74,8 @@ def _space_and_subspace(args: argparse.Namespace) -> tuple[PolyhedralSpace, Subs
         raise InputFormatError(
             "input has no subspace_basis; supply one or pass --seed N "
             "for a random hyperplane")
+    if space.dim == 1:
+        raise InputFormatError("a 1-dimensional space has no proper subspace")
     return space, random_subspace(space.dim, space.dim - 1, args.seed)
 
 

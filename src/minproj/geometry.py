@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import (BudgetExceededError, InternalError, NotExtremeError,
                      NotFullDimensionalError, NotSymmetricError)
-from .linalg import (Vector, cleared, dot, independent_rows, int_dot,
+from .linalg import (Vector, cleared, independent_rows, int_dot,
                      integer_inverse, integer_nullspace, integer_row_rank,
                      over_denominator, primitive, subset_walk)
 from .rational import format_rational
@@ -307,11 +307,14 @@ def _negation(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 
 def norm_eval(space: PolyhedralSpace, x: Sequence) -> Fraction:
-    """The norm of x: max over dual vertices f of f·x."""
-    vec = _as_vector(x)
-    if len(vec) != space.dim:
-        raise ValueError(f"vector length {len(vec)} != dimension {space.dim}")
-    return max(dot(f, vec) for f in space.dual_vertices)
+    """The norm of x: max over dual vertices f of f·x, in integers over
+    every listed dual vertex (a space built with validate=False is taken
+    as given)."""
+    if len(x) != space.dim:
+        raise ValueError(f"vector length {len(x)} != dimension {space.dim}")
+    vec, den = over_denominator(x)
+    F, df = space.dual_cleared
+    return Fraction(max(int_dot(f, vec) for f in F), den * df)
 
 
 @dataclass(frozen=True)
@@ -383,8 +386,10 @@ class Subspace:
                 for g in self.annihilator_num]
 
     def contains(self, vector: Sequence) -> bool:
-        vec = _as_vector(vector)
-        return all(dot(g, vec) == 0 for g in self.annihilator_functionals())
+        if len(vector) != self.ambient_dim:
+            raise ValueError("vector lengths disagree")
+        vec, _ = over_denominator(vector)
+        return not any(int_dot(g, vec) for g in self.annihilator_num)
 
 
 def _cleared_family(vectors: Sequence[Sequence]) -> tuple[list[list[int]], int]:

@@ -85,12 +85,6 @@ class RMatrix:
             for i in range(self.rows))
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError("vector lengths disagree")
-    return sum((a * b for a, b in zip(u, v)), _ZERO)
-
-
 def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
     """Dot product of two integer vectors."""
     return sum(map(mul, u, v))

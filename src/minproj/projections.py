@@ -28,7 +28,7 @@ basis, the grid and the witness off the MinProjReport it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -237,13 +237,15 @@ class MinProjReport:
     """Everything known about P_min(X, Y), and the one input of every
     stage after the lambda solve.
 
-    projection_constant fills in lambda, one optimal vertex (witness) with
-    its norming pairs (grid rows _witness_tight), and the LP dual weights
-    (grid rows _dual_support, a subset of _witness_tight).  face_dimension
-    then fills in, in place, the face fields: the affine dimension of the
-    optimal face, the implicit pairs (norming for every minimal
-    projection), and a relative-interior point, found from the dual's
-    rows and Gordan rounds on the cone of directions from the witness."""
+    The paper's pair sets are kept as sorted grid rows (grid.pairs[r] is
+    the pair of row r).  projection_constant fills in lambda, one optimal
+    vertex (witness) with its norming pairs (witness_rows), and the LP
+    dual weights (dual_certificate, on dual_rows, a subset of
+    witness_rows).  face_dimension then fills in, in place, the face
+    fields: the affine dimension of the optimal face, the implicit rows
+    (norming for every minimal projection), and a relative-interior
+    point, found from the dual's rows and Gordan rounds on the cone of
+    directions from the witness."""
 
     space: PolyhedralSpace
     subspace: Subspace
@@ -251,14 +253,12 @@ class MinProjReport:
     grid: PairGrid
     lam: Fraction
     witness: OperatorPoint
-    norming_pairs_of_witness: frozenset[tuple[int, int]]
     dual_certificate: dict[tuple[int, int], Fraction]
+    witness_rows: tuple[int, ...]
+    dual_rows: tuple[int, ...]
     face_dim: int | None = None
-    implicit_pairs: frozenset[tuple[int, int]] | None = None
+    implicit_rows: tuple[int, ...] | None = None
     interior: OperatorPoint | None = None
-    _witness_tight: tuple[int, ...] = field(default=(), repr=False)
-    _dual_support: tuple[int, ...] = field(default=(), repr=False)
-    _implicit_rows: tuple[int, ...] = field(default=(), repr=False)
 
 
 def projection_constant(space: PolyhedralSpace, Y: Subspace) -> MinProjReport:
@@ -286,10 +286,8 @@ def _solve_lambda(space: PolyhedralSpace, Y: Subspace, basis: OperatorBasis,
     return MinProjReport(
         space=space, subspace=Y, basis=basis, grid=grid, lam=lam,
         witness=witness,
-        norming_pairs_of_witness=frozenset(grid.pairs[r] for r in tight),
         dual_certificate={grid.pairs[r]: solution.dual[r] for r in support},
-        _witness_tight=tight,
-        _dual_support=support,
+        witness_rows=tight, dual_rows=support,
     )
 
 
@@ -382,9 +380,9 @@ def face_dimension(report: MinProjReport) -> tuple[int, frozenset[tuple[int, int
     lam = report.lam
     witness = report.witness.coefficients
     d = len(witness)
-    support = set(report._dual_support)
-    implicit = list(report._dual_support)
-    undecided = [r for r in report._witness_tight if r not in support]
+    support = set(report.dual_rows)
+    implicit = list(report.dual_rows)
+    undecided = [r for r in report.witness_rows if r not in support]
     while True:
         cols, scale, restricted = _restrict_to_face(grid, implicit, undecided, d)
         implicit += [r for r in undecided if not any(restricted[r])]
@@ -409,7 +407,7 @@ def face_dimension(report: MinProjReport) -> tuple[int, frozenset[tuple[int, int
             z = tuple(Fraction(int_dot(row, y), scale * y_den) for row in zip(*cols))
             # Keep every row slack at the witness at least half slack.
             step = _first_slack_step(grid, witness, lam, z,
-                                     skip=set(report._witness_tight))
+                                     skip=set(report.witness_rows))
             eps = Fraction(1) if step is None else min(Fraction(1), step / 2)
             interior = tuple(w + eps * zq for w, zq in zip(witness, z))
             break
@@ -423,10 +421,9 @@ def face_dimension(report: MinProjReport) -> tuple[int, frozenset[tuple[int, int
     if grid.tight_rows(interior, lam) != implicit:
         raise InternalError("relative-interior point is tight off the implicit rows")
     report.face_dim = len(cols)
-    report.implicit_pairs = frozenset(grid.pairs[r] for r in implicit)
+    report.implicit_rows = tuple(implicit)
     report.interior = OperatorPoint(interior)
-    report._implicit_rows = tuple(implicit)
-    return report.face_dim, report.implicit_pairs
+    return report.face_dim, frozenset(grid.pairs[r] for r in implicit)
 
 
 def _first_slack_step(grid: PairGrid, point: Sequence[Fraction], lam: Fraction,
@@ -474,7 +471,7 @@ def max_norming_projection(report: MinProjReport) -> tuple[OperatorPoint, int]:
     rank test only confirms it.
     """
     grid = report.grid
-    tight = report._witness_tight
+    tight = report.witness_rows
     d = len(report.witness.coefficients)
     D = grid.denominator
     if integer_row_rank([list(grid.coefs_num[r]) + [-D] for r in tight]) != d + 1:

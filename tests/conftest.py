@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,3 +32,25 @@ def analyzed():
         out[case.name] = SimpleNamespace(
             case=case, report=report, face_dim=face_dim, implicit=implicit)
     return out
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(module, name) replaces module.name, for this test, by a wrapper
+    that counts its calls, and returns the Counter of every spy in the
+    test, keyed by name.  It counts the calls made through that binding
+    only: a module that imported the function under its own name calls
+    the original unless it is spied on too."""
+    counts = Counter()
+
+    def install(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return counts
+
+    return install

@@ -56,7 +56,9 @@ the operator norm (the largest norm of a vertex's image) as they were in
 ``operator_basis_by_fractions``, ``realize_by_fractions``,
 ``operator_norm_by_fractions``) and a closed form of the projection
 constant of a hyperplane in l-inf^n (``linf_hyperplane_lambda``), which
-checks the lambda LP with no LP at all.
+checks the lambda LP with no LP at all.  ``gauge_lp_norm`` is the norm
+by its definition, one LP over the primal vertices, which checks
+``geometry.norm_eval``.
 
 Last come the eliminations that ``linalg.reduce_row`` replaced: the
 rational Gauss-Jordan (``rref_by_fractions``, with the nullspace, solve
@@ -72,9 +74,10 @@ sample rows.
 A few helpers serve the tests alone: ``make_lp`` builds the integer LP
 of ``minproj.simplex`` from plain numbers and ``lp_rhs`` reads its
 right-hand side back in Fractions, ``grid_base`` and ``grid_coefs`` read
-the pair-grid rows in Fractions, ``matmul`` and ``matadd`` multiply and
-add ``RMatrix`` values, and ``space_json`` writes a space in the schema
-that ``jsonio.parse_space_document`` reads.
+the pair-grid rows in Fractions, ``dot`` is the Fraction dot product,
+``matmul`` and ``matadd`` multiply and add ``RMatrix`` values, and
+``space_json`` writes a space in the schema that
+``jsonio.parse_space_document`` reads.
 """
 
 import itertools
@@ -91,7 +94,7 @@ from minproj.errors import (BudgetExceededError, CertificateInvalidError,
                             NotSymmetricError)
 from minproj.geometry import DEFAULT_GP_CAP, GeneralPositionReport, norm_eval
 from minproj.jsonio import vector_json
-from minproj.linalg import (RMatrix, dot, int_dot, over_denominator,
+from minproj.linalg import (RMatrix, int_dot, over_denominator,
                             primitive)
 from minproj.projections import (OperatorPoint, _first_slack_step,
                                   build_operator_basis, face_dimension,
@@ -137,6 +140,27 @@ def lp_rhs(lp):
     return tuple(Fraction(x, lp.denominator) for x in lp.beta)
 
 
+def gauge_lp_norm(space, x):
+    """min sum(lam) s.t. V^T lam = x, lam >= 0 -- the definition of the norm."""
+    verts = space.primal_vertices
+    n, N = space.dim, len(verts)
+    rows, rhs = [], []
+    for i in range(n):
+        col = [verts[j][i] for j in range(N)]
+        rows.append(col)
+        rhs.append(x[i])
+        rows.append([-c for c in col])
+        rhs.append(-x[i])
+    for j in range(N):
+        e = [0] * N
+        e[j] = -1
+        rows.append(e)
+        rhs.append(0)
+    sol = solve(make_lp([1] * N, rows, rhs))
+    assert sol.status == OPTIMAL
+    return sol.value
+
+
 def grid_base(grid):
     """f(P0 x) of every pair-grid row, in Fractions."""
     return tuple(Fraction(b, grid.denominator) for b in grid.base_num)
@@ -146,6 +170,13 @@ def grid_coefs(grid):
     """f(L_q x) of every pair-grid row, in Fractions."""
     return tuple(tuple(Fraction(a, grid.denominator) for a in row)
                  for row in grid.coefs_num)
+
+
+def dot(u, v):
+    """The dot product of two vectors of equal length, a Fraction."""
+    if len(u) != len(v):
+        raise ValueError("vector lengths disagree")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def matmul(A, B):
@@ -247,7 +278,7 @@ def face_dimension_by_rounds(report):
     witness = report.witness.coefficients
     d = len(witness)
     implicit = []
-    undecided = list(report._witness_tight)
+    undecided = list(report.witness_rows)
     while True:
         cols, restricted, den = face_basis_by_fractions(grid, implicit, undecided, d)
         implicit += [r for r in undecided if not any(restricted[r])]
@@ -274,7 +305,7 @@ def face_dimension_by_rounds(report):
 
     z = tuple(sum((col[i] * yq for col, yq in zip(cols, y)), Fraction(0))
               for i in range(d))
-    step = _first_slack_step(grid, witness, lam, z, skip=set(report._witness_tight))
+    step = _first_slack_step(grid, witness, lam, z, skip=set(report.witness_rows))
     eps = Fraction(1) if step is None else min(Fraction(1), step / 2)
     interior = tuple(w + eps * zq for w, zq in zip(witness, z))
     implicit.sort()
@@ -330,11 +361,11 @@ def max_norming_by_greedy(space, Y, report):
     interior = report.interior.coefficients
     fd = report.face_dim
     if fd == 0:
-        return report.interior, len(report.implicit_pairs)
+        return report.interior, len(report.implicit_rows)
 
-    implicit = set(report._implicit_rows)
+    implicit = set(report.implicit_rows)
     ncols, restricted, den = face_basis_by_fractions(
-        grid, report._implicit_rows,
+        grid, report.implicit_rows,
         [r for r in range(len(grid.pairs)) if r not in implicit], d)
     restricted = {r: tuple(Fraction(x, den) for x in row)
                   for r, row in restricted.items()}
@@ -370,7 +401,7 @@ def max_norming_by_greedy(space, Y, report):
                   for q in range(d))
     point = OperatorPoint(final)
     pairs = norming_pairs(report, point)
-    assert len(pairs) >= len(report.implicit_pairs) + len(forced)
+    assert len(pairs) >= len(report.implicit_rows) + len(forced)
     return point, len(pairs)
 
 
@@ -1206,7 +1237,7 @@ def solve_by_fraction_tableau(lp, method="dual"):
     it switches, simplex.solve leaves it on progress); method
     "rows" takes the inequality-form tableau, which decides infeasible and
     unbounded LPs on its own.  Optimal solutions are verified in Fraction
-    arithmetic; SOLVE_STATS is not touched."""
+    arithmetic, not by simplex._finish."""
     if method == "dual":
         return _fraction_solve_via_dual(lp)
     if method != "rows":
@@ -1501,8 +1532,7 @@ def _full_tableau_run(lp):
 
 def solve_by_full_tableau(lp):
     """simplex.solve on the full integer tableau.  An optimal solution goes
-    through simplex._finish, so it is verified and counted in SOLVE_STATS
-    as optimal and verified; the "solves" counter is not touched."""
+    through simplex._finish, so it is verified as simplex.solve's are."""
     m, d = len(lp.matrix), len(lp.objective)
     tab, status = _full_tableau_run(lp)
     if status is None:

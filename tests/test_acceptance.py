@@ -12,9 +12,9 @@ from minproj.geometry import Subspace, general_position_check, norm_eval, polar_
 from minproj.linalg import RMatrix, solve_linear
 from minproj.projections import OperatorPoint, face_dimension, max_norming_projection, \
     norming_pairs, operator_norm, projection_constant
-from minproj.simplex import OPTIMAL, SOLVE_STATS, solve
+from minproj import simplex
 
-from oracles import make_lp, matadd, matmul, trace_on_subspace
+from oracles import gauge_lp_norm, matadd, matmul, trace_on_subspace
 
 ONE = Fraction(1)
 
@@ -159,7 +159,11 @@ def test_criterion_8_genericity_sweep():
               f"{len(skipped)} skipped: {skipped}")
 
 
-def test_criterion_9_oracle_equivalences(analyzed):
+def test_criterion_9_oracle_equivalences(analyzed, spy):
+    # _finish and _verify_certificate are looked up at call time, so the
+    # spies see every optimal solve below, the gauge LPs included
+    spy(simplex, "_finish")
+    counts = spy(simplex, "_verify_certificate")
     with criterion(9, "norm oracle matches the gauge LP, polar duality is an "
                       "involution, every optimal solve verified strong duality"):
         balls = (l1_ball(3), l1_ball(4), l1_ball(5), linf_ball(3),
@@ -173,28 +177,7 @@ def test_criterion_9_oracle_equivalences(analyzed):
             for _ in range(100):
                 x = tuple(Fraction(next_value() % 19 - 9, next_value() % 4 + 1)
                           for _ in range(space.dim))
-                assert norm_eval(space, x) == _gauge_lp_norm(space, x)
+                assert norm_eval(space, x) == gauge_lp_norm(space, x)
             back = polar_dual(polar_dual(space.primal_vertices))
             assert set(back) == set(space.primal_vertices)
-        assert SOLVE_STATS["optimal"] == SOLVE_STATS["duality_verified"] > 0
-
-
-def _gauge_lp_norm(space, x):
-    """min sum(lam) s.t. V^T lam = x, lam >= 0 -- the definition of the norm."""
-    verts = space.primal_vertices
-    n, N = space.dim, len(verts)
-    rows, rhs = [], []
-    for i in range(n):
-        col = [verts[j][i] for j in range(N)]
-        rows.append(col)
-        rhs.append(x[i])
-        rows.append([-c for c in col])
-        rhs.append(-x[i])
-    for j in range(N):
-        e = [0] * N
-        e[j] = -1
-        rows.append(e)
-        rhs.append(0)
-    sol = solve(make_lp([1] * N, rows, rhs))
-    assert sol.status == OPTIMAL
-    return sol.value
+        assert counts["_finish"] == counts["_verify_certificate"] > 0

@@ -157,16 +157,6 @@ def test_rank_gap_violation_raised_for_fake_lambda(analyzed):
         cm_rank_gap(a.case.space, a.case.subspace, cm, F(3, 2))
 
 
-def _counting(monkeypatch, module, name, counts):
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        counts[name] = counts.get(name, 0) + 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-
-
 @pytest.mark.parametrize("ball, k, tamper, solves, faces", [
     # the pairs of an l1 hyperplane's dual certificate determine the
     # minimal projection: one exact solve, no LP
@@ -176,7 +166,7 @@ def _counting(monkeypatch, module, name, counts):
     # an invalid certificate goes through the optimal face
     (l1_ball, 3, True, None, 1),
 ])
-def test_certify_work_per_route(monkeypatch, ball, k, tamper, solves, faces):
+def test_certify_work_per_route(spy, ball, k, tamper, solves, faces):
     # the pair grid is built for the lambda LP alone: once on every route
     # that solves it, never on the no-LP route
     space, Y = ball(4), random_subspace(4, k, 7)
@@ -184,20 +174,19 @@ def test_certify_work_per_route(monkeypatch, ball, k, tamper, solves, faces):
     cm = cm_from_dual(report)
     if tamper:
         cm = CMFunctional(cm.pairs, (F(1, 1000),) + cm.weights[1:])
-    counts = {}
-    _counting(monkeypatch, projections, "solve", counts)
-    _counting(monkeypatch, certificates, "face_dimension", counts)
-    _counting(monkeypatch, certificates, "build_pair_grid", counts)
+    spy(projections, "solve")
+    spy(certificates, "face_dimension")
+    counts = spy(certificates, "build_pair_grid")
     computed, verdict = certify_cm(space, Y, cm, report.lam)
     assert computed == report.lam
     assert verdict.ok != tamper
-    assert counts.get("face_dimension", 0) == faces
-    assert counts.get("build_pair_grid", 0) == (0 if solves == 0 else 1)
+    assert counts["face_dimension"] == faces
+    assert counts["build_pair_grid"] == (0 if solves == 0 else 1)
     if solves is not None:
-        assert counts.get("solve", 0) == solves
+        assert counts["solve"] == solves
 
 
-def test_certify_rejects_the_no_lp_point_below_lambda(monkeypatch):
+def test_certify_rejects_the_no_lp_point_below_lambda(monkeypatch, spy):
     # Three pairs of the seeded l1^4 hyperplane's dual certificate have
     # pair rows of full rank k(n-k) = 3, so at any lambda_c one projection
     # gives them all the value lambda_c.  Below the true lambda its norm
@@ -209,7 +198,7 @@ def test_certify_rejects_the_no_lp_point_below_lambda(monkeypatch):
     cm = CMFunctional(cm_from_dual(report).pairs[:3], (F(1, 3),) * 3)
     basis = report.basis
     assert integer_row_rank(pair_rows(space, basis, cm.pairs).coefs_num) == basis.dimension
-    counts, norms = {}, []
+    norms = []
     original = certificates.operator_norm
 
     def norm(space, matrix):
@@ -217,8 +206,8 @@ def test_certify_rejects_the_no_lp_point_below_lambda(monkeypatch):
         return norms[-1]
 
     monkeypatch.setattr(certificates, "operator_norm", norm)
-    _counting(monkeypatch, certificates, "build_pair_grid", counts)
-    _counting(monkeypatch, certificates, "face_dimension", counts)
+    spy(certificates, "build_pair_grid")
+    counts = spy(certificates, "face_dimension")
     computed, verdict = certify_cm(space, Y, cm, report.lam - F(1, 10))
     assert len(norms) == 1 and norms[0] >= report.lam
     assert counts == {"build_pair_grid": 1, "face_dimension": 1}

@@ -160,6 +160,18 @@ def test_analyze_requires_subspace_or_seed(tmp_path, capsys):
     assert parse_rational(report["lambda"]) >= 1
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["general-position"],
+                                     ["certify", "cert.json"]])
+def test_seed_on_a_line_is_malformed_input(tmp_path, capsys, command):
+    # --seed asks for a random hyperplane, and R^1 has none; the user gave
+    # no k, so the error names the space
+    path = tmp_path / "line.json"
+    path.write_text('{"dim": 1, "vertices": [["1"], ["-1"]]}')
+    assert cli.main(command + ["--input", str(path), "--seed", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: a 1-dimensional space has no proper subspace\n")
+
+
 def test_missing_input_flag(capsys):
     assert cli.main(["analyze"]) == 2
     assert "--input" in capsys.readouterr().err
@@ -495,33 +507,26 @@ def test_polar_command_computes_the_polar_once(tmp_path, capsys, monkeypatch):
                                       key=lambda v: [parse_rational(x) for x in v])})
 
 
-def _count_builds(monkeypatch):
-    """Patch build_operator_basis and build_pair_grid wherever they are
-    called; the returned dict counts the calls of each."""
-    counts = {}
-    for name in ("build_operator_basis", "build_pair_grid"):
-        original = getattr(projections, name)
-
-        def counting(*args, _name=name, _original=original):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _original(*args)
-
-        for module in (projections, certificates):
-            monkeypatch.setattr(module, name, counting)
+def _count_builds(spy):
+    """Spy on build_operator_basis and build_pair_grid wherever they are
+    called; the returned Counter counts the calls of each."""
+    for module in (projections, certificates):
+        for name in ("build_operator_basis", "build_pair_grid"):
+            counts = spy(module, name)
     return counts
 
 
-def test_analyze_builds_operator_basis_once(space_file, capsys, monkeypatch):
+def test_analyze_builds_operator_basis_once(space_file, capsys, spy):
     # every stage after the lambda solve reads the basis and the grid
     # from its report
-    counts = _count_builds(monkeypatch)
+    counts = _count_builds(spy)
     assert cli.main(["analyze", "--input", space_file]) == 0
     assert json.loads(capsys.readouterr().out)["support_search"]["size"] == 3
     assert counts == {"build_operator_basis": 1, "build_pair_grid": 1}
 
 
 @pytest.mark.parametrize("route", ["no-lp", "one-lp", "tampered", "out-of-range"])
-def test_certify_builds_basis_and_grid_once(tmp_path, capsys, monkeypatch, route):
+def test_certify_builds_basis_and_grid_once(tmp_path, capsys, spy, route):
     # certify_cm's routes (no LP, one LP, the optimal face) share one
     # operator basis; the pair grid is built once for the lambda LP, and
     # not at all on the no-LP route, which reads the solved projection's
@@ -533,7 +538,7 @@ def test_certify_builds_basis_and_grid_once(tmp_path, capsys, monkeypatch, route
     cm = certificates.cm_from_dual(report)
     if route == "tampered":
         cm = certificates.CMFunctional(cm.pairs, (Fraction(1, 1000),) + cm.weights[1:])
-    counts = _count_builds(monkeypatch)
+    counts = _count_builds(spy)
     if route == "out-of-range":
         cm = certificates.CMFunctional(((len(space.primal_vertices), 0),), (Fraction(1),))
         _, verdict = certificates.certify_cm(space, Y, cm, report.lam)
@@ -546,7 +551,7 @@ def test_certify_builds_basis_and_grid_once(tmp_path, capsys, monkeypatch, route
         assert code == (1 if route == "tampered" else 0)
         capsys.readouterr()
     assert counts["build_operator_basis"] == 1
-    assert counts.get("build_pair_grid", 0) == (0 if route == "no-lp" else 1)
+    assert counts["build_pair_grid"] == (0 if route == "no-lp" else 1)
 
 
 @pytest.mark.parametrize("command", ["analyze", "paper-suite"])

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minproj.linalg import (RMatrix, cleared, dot, int_dot, integer_inverse,
+from minproj.linalg import (RMatrix, cleared, int_dot, integer_inverse,
                             integer_nullspace, integer_row_rank, integer_rref,
                             integer_solve, over_denominator, solve_linear,
                             subset_walk)
 
-from oracles import (integer_rank_in_place, inverse_by_fractions, matadd,
+from oracles import (dot, integer_rank_in_place, inverse_by_fractions, matadd,
                      matmul, nullspace_by_fractions, rref_by_fractions,
                      solve_by_fractions, spanning_subsets_by_content,
                      subset_walk_by_leaves)

@@ -12,7 +12,6 @@ from minproj.projections import (OperatorPoint, build_operator_basis,
                                  build_pair_grid, face_dimension,
                                  max_norming_projection, norming_pairs,
                                  operator_norm, projection_constant)
-from minproj.simplex import SOLVE_STATS
 
 from oracles import (matadd, matmul, operator_norm_by_fractions,
                      rref_by_fractions, row_value)
@@ -190,11 +189,11 @@ def test_norming_pairs_rejects_non_minimal(ker_sum_3):
         norming_pairs(lowered, report.witness)
 
 
-def test_norming_pairs_of_witness_match_report(ker_sum_3):
+def test_witness_rows_are_its_norming_pairs(ker_sum_3):
     space, Y = ker_sum_3
     report = projection_constant(space, Y)
     pairs = norming_pairs(report, report.witness)
-    assert pairs == report.norming_pairs_of_witness
+    assert pairs == {report.grid.pairs[r] for r in report.witness_rows}
     for i, j in pairs:
         f = space.dual_vertices[j]
         Px = report.basis.realize(report.witness).apply(space.primal_vertices[i])
@@ -245,15 +244,15 @@ def test_max_norming_pinned_counts(analyzed):
         assert got == count, name
 
 
-def test_max_norming_projection_solves_no_lp(analyzed):
+def test_max_norming_projection_solves_no_lp(analyzed, spy):
     # l1^2 onto span(e1): the optimal face is the segment c in [-1, 1], and
     # the LP witness is already one of its vertices, normed by 4 pairs
     space, Y = l1_ball(2), Subspace.from_basis([[1, 0]])
     segment = projection_constant(space, Y)
+    counts = spy(projections, "solve")
     for report in [a.report for a in analyzed.values()] + [segment]:
-        before = SOLVE_STATS["solves"]
         max_norming_projection(report)
-        assert SOLVE_STATS["solves"] == before
+    assert counts["solve"] == 0
     assert max_norming_projection(segment) == (OperatorPoint((F(-1),)), 4)
     assert segment.witness == OperatorPoint((F(-1),))
 
@@ -269,46 +268,50 @@ def test_reports_are_deterministic(ker_sum_3):
     assert r1.interior == r2.interior
 
 
-def _face_lps(report):
-    """The number of LPs face_dimension solves on the report."""
-    before = SOLVE_STATS["solves"]
+def _face_lps(report, counts):
+    """The number of LPs face_dimension solves on the report, read off
+    the spy on projections.solve that keeps counts."""
+    before = counts["solve"]
     face_dimension(report)
-    return SOLVE_STATS["solves"] - before
+    return counts["solve"] - before
 
 
-def test_face_dimension_lp_count(analyzed):
+def test_face_dimension_lp_count(analyzed, spy):
     # at most one Gordan round per dimension the face can lose, plus one
     cases = [(a.case.space, a.case.subspace) for a in analyzed.values()]
     cases.append((linf_ball(6), random_subspace(6, 5, 7)))
+    counts = spy(projections, "solve")
     for space, Y in cases:
         report = projection_constant(space, Y)
-        assert _face_lps(report) <= Y.dim * (space.dim - Y.dim) + 1
+        assert _face_lps(report, counts) <= Y.dim * (space.dim - Y.dim) + 1
 
 
-def test_face_dimension_solves_no_lp_when_the_dual_fixes_the_point(analyzed):
+def test_face_dimension_solves_no_lp_when_the_dual_fixes_the_point(analyzed, spy):
     # The rows of the lambda dual's support are implicit by complementary
     # slackness; when their [coefs_r, -D] have rank d + 1 they leave the
     # face no direction, so no Gordan round is needed
     runs = [(a.case.space, a.case.subspace) for name, a in analyzed.items()
             if name.startswith("ker-sum")]
     runs.append((l1_ball(5), random_subspace(5, 4, 7)))
+    counts = spy(projections, "solve")
     for space, Y in runs:
         report = projection_constant(space, Y)
         grid, d = report.grid, report.basis.dimension
         assert integer_row_rank([list(grid.coefs_num[r]) + [-grid.denominator]
-                                 for r in report._dual_support]) == d + 1
-        assert _face_lps(report) == 0
+                                 for r in report.dual_rows]) == d + 1
+        assert _face_lps(report, counts) == 0
         assert report.face_dim == 0
         assert report.interior == report.witness
 
 
-def test_face_dimension_lp_count_on_seeded_inputs():
+def test_face_dimension_lp_count_on_seeded_inputs(spy):
     # the eight seeded n = 4, 5 inputs of the pipeline benchmark: two
     # Gordan rounds in all, against ten from no implicit row
+    counts = spy(projections, "solve")
     total = 0
     for ball in (linf_ball, l1_ball):
         for n in (4, 5):
             for k in (n - 1, 2):
                 space, Y = ball(n), random_subspace(n, k, 7)
-                total += _face_lps(projection_constant(space, Y))
+                total += _face_lps(projection_constant(space, Y), counts)
     assert total == 2

@@ -43,13 +43,14 @@ from minproj.errors import (BudgetExceededError, NotExtremeError,
 from minproj.geometry import (PolyhedralSpace, Subspace, _double_description,
                               _first_non_vertex, _vertices_of,
                               general_position_check, polar_dual)
-from minproj.linalg import RMatrix, cleared, dot, integer_row_rank
+from minproj.linalg import RMatrix, cleared, integer_row_rank
 from minproj.projections import (OperatorPoint, build_operator_basis,
                                  face_dimension, max_norming_projection,
                                  norming_pairs, operator_norm,
                                  projection_constant)
 
-from oracles import (budget_outcome, certify_by_face, face_dimension_by_rounds,
+from oracles import (budget_outcome, certify_by_face, dot,
+                     face_dimension_by_rounds,
                      face_dimension_by_vertices, first_non_extreme,
                      first_non_vertex_by_rank,
                      general_position_by_leaf_walk,
