@@ -7,10 +7,9 @@ from .catalog import (CaseExpectation, NamedCase, l1_ball, linf_ball,
                       mixed_ball, paper_cases, random_subspace)
 from .certificates import (CMFunctional, CMVerdict, cm_from_dual, cm_rank_gap,
                            minimal_support_cm, verify_cm)
-from .errors import (BudgetExceededError, CertificateInvalidError,
-                     InputFormatError, InternalError, MinprojError,
-                     NotExtremeError, NotFullDimensionalError, NotMinimalError,
-                     NotSymmetricError, RankGapViolationError)
+from .errors import (BudgetExceededError, InputFormatError, InternalError,
+                     MinprojError, NotExtremeError, NotFullDimensionalError,
+                     NotMinimalError, NotSymmetricError)
 from .geometry import (GeneralPositionReport, PolyhedralSpace, Subspace,
                        general_position_check, norm_eval, polar_dual)
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint,
@@ -23,14 +22,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError", "CMFunctional", "CMVerdict", "CaseExpectation",
-    "CertificateInvalidError", "GeneralPositionReport", "InputFormatError",
-    "InternalError", "MinProjReport", "MinprojError", "NamedCase",
-    "NotExtremeError", "NotFullDimensionalError", "NotMinimalError",
-    "NotSymmetricError", "OperatorBasis", "OperatorPoint", "PolyhedralSpace",
-    "QQ", "RankGapViolationError", "Subspace", "approx_decimal",
-    "build_operator_basis", "cm_from_dual", "cm_rank_gap", "face_dimension",
-    "format_rational", "general_position_check", "l1_ball", "linf_ball",
-    "max_norming_projection", "minimal_support_cm", "mixed_ball", "norm_eval",
-    "norming_pairs", "operator_norm", "paper_cases", "parse_rational",
-    "polar_dual", "projection_constant", "random_subspace", "verify_cm",
+    "GeneralPositionReport", "InputFormatError", "InternalError",
+    "MinProjReport", "MinprojError", "NamedCase", "NotExtremeError",
+    "NotFullDimensionalError", "NotMinimalError", "NotSymmetricError",
+    "OperatorBasis", "OperatorPoint", "PolyhedralSpace", "QQ", "Subspace",
+    "approx_decimal", "build_operator_basis", "cm_from_dual", "cm_rank_gap",
+    "face_dimension", "format_rational", "general_position_check", "l1_ball",
+    "linf_ball", "max_norming_projection", "minimal_support_cm", "mixed_ball",
+    "norm_eval", "norming_pairs", "operator_norm", "paper_cases",
+    "parse_rational", "polar_dual", "projection_constant", "random_subspace",
+    "verify_cm",
 ]

@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (BudgetExceededError, CertificateInvalidError,
-                     InternalError, RankGapViolationError)
+from .errors import BudgetExceededError, InternalError
 from .geometry import PolyhedralSpace, Subspace
 from .linalg import (int_dot, integer_row_rank, integer_solve, over_denominator,
                      subset_walk)
@@ -36,6 +35,9 @@ from .rational import format_rational
 
 #: Largest candidate set the minimal-support search enumerates by default.
 DEFAULT_SUPPORT_CAP = 24
+
+#: The checks of verify_cm, in the order it reports them.
+CHECKS = ("weights", "vanishing", "invariance", "norming", "trace")
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,19 @@ class CMFunctional:
 
 @dataclass(frozen=True)
 class CMVerdict:
-    ok: bool
+    """The violations verify_cm found, each "<check>: <detail>" for a
+    check named in CHECKS; the certificate is valid when there are none."""
+
     violations: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    @property
+    def failed(self) -> frozenset[str]:
+        """The names of the checks that have a violation."""
+        return frozenset(v.split(":", 1)[0] for v in self.violations)
 
 
 def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
@@ -82,7 +95,7 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     n_d = len(space.dual_vertices)
     for pi, dj in cm.pairs:
         if not (0 <= pi < n_p and 0 <= dj < n_d):
-            return CMVerdict(False, (f"weights: pair ({pi}, {dj}) out of range",))
+            return CMVerdict((f"weights: pair ({pi}, {dj}) out of range",))
     violations: list[str] = []
     if len(set(cm.pairs)) != len(cm.pairs):
         violations.append("weights: duplicate pairs")
@@ -144,7 +157,7 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
             violations.append(
                 f"trace: {format_rational(trace)} differs from {format_rational(lam)}")
 
-    return CMVerdict(ok=not violations, violations=tuple(violations))
+    return CMVerdict(tuple(violations))
 
 
 def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
@@ -195,7 +208,7 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
         report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
     face_dimension(report)
     verdict = verify_cm(space, Y, cm, lam, report.interior, basis=basis)
-    if report.lam < lam and all(v.startswith("norming:") for v in verdict.violations):
+    if report.lam < lam and verdict.failed <= {"norming"}:
         raise InternalError(
             f"the certificate proves lambda >= {format_rational(lam)}, "
             f"the LP gives {format_rational(report.lam)}")
@@ -228,18 +241,18 @@ def _projection_normed_by(rows: PairGrid, space: PolyhedralSpace,
 
 
 def cm_from_dual(report: MinProjReport) -> CMFunctional:
-    """Certificate from the positive LP dual weights, as they are: the
-    verified dual equation of the t column makes them sum to one.
-    Verified before being returned."""
-    items = sorted(report.dual_certificate.items())
-    if not items:
-        raise CertificateInvalidError("empty dual certificate")
-    cm = CMFunctional(pairs=tuple(p for p, _ in items),
-                      weights=tuple(w for _, w in items))
+    """Certificate from the positive LP dual weights on dual_rows, as
+    they are: the verified dual equation of the t column makes them sum
+    to one.  The rows and the grid's pairs are ascending, so the pairs
+    come sorted.  Verified before being returned."""
+    if not report.dual_rows:
+        raise InternalError("empty dual certificate")
+    cm = CMFunctional(pairs=tuple(report.grid.pairs[r] for r in report.dual_rows),
+                      weights=report.dual_weights)
     verdict = verify_cm(report.space, report.subspace, cm, report.lam,
                         report.witness, basis=report.basis)
     if not verdict.ok:
-        raise CertificateInvalidError("; ".join(verdict.violations))
+        raise InternalError("; ".join(verdict.violations))
     return cm
 
 
@@ -308,11 +321,11 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
             check = verify_cm(report.space, report.subspace, cm, report.lam,
                               report.interior, basis=report.basis)
             if not check.ok:
-                raise CertificateInvalidError(
+                raise InternalError(
                     "subset search produced an invalid certificate: "
                     + "; ".join(check.violations))
             return cm, size
-    raise CertificateInvalidError("no valid certificate over the candidate pairs")
+    raise InternalError("no valid certificate over the candidate pairs")
 
 
 def _support_weights(columns: list[list[int]],
@@ -328,14 +341,14 @@ def cm_rank_gap(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
                 lam: Fraction | None = None) -> tuple[int, int]:
     """Rank of the certificate functionals in X* versus the rank of their
     restrictions to Y.  When lam > 1 is supplied, a missing strict drop
-    raises RankGapViolationError: the restricted rank is always strictly
-    smaller in that regime, so equality signals an implementation bug."""
+    raises InternalError: the restricted rank is always strictly smaller
+    in that regime, so equality signals an implementation bug."""
     F = space.dual_cleared[0]
     fs = [F[dj] for _, dj in cm.pairs]
     rank_full = integer_row_rank(fs)
     rank_restricted = integer_row_rank([[int_dot(f, y) for y in Y.basis_num]
                                         for f in fs])
     if lam is not None and lam > 1 and rank_restricted >= rank_full:
-        raise RankGapViolationError(
+        raise InternalError(
             f"restricted rank {rank_restricted} does not drop below {rank_full}")
     return rank_full, rank_restricted

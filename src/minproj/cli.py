@@ -10,10 +10,11 @@ subparser declares only the flags its handler reads.
 Exit codes, set in main except for analyze's partial report: 0 success,
 1 mismatch or failed verification, 2 malformed input or an unwritable
 --output, 3 enumeration budget exceeded (analyze still emits a partial
-report), 4 internal failure (an invariant of the computation broke, or
-a certificate built from the pipeline's own solve failed
-verification).  All vertex/functional indices in reports are 0-based
-and refer to the order in which vertices are stored on the space.
+report), 4 internal failure (an InternalError: an invariant of the
+computation broke, such as a certificate built from the pipeline's own
+solve failing verification).  All vertex/functional indices in reports
+are 0-based and refer to the order in which vertices are stored on the
+space.
 Output is byte-identical for identical inputs and flags.
 
 certify reads the certificate as a Chalmers-Metcalf bound: if its
@@ -22,9 +23,11 @@ has sum_i a_i f_i(P x_i) = lambda_c, so lambda >= lambda_c, and any
 projection of norm at most lambda_c closes the gap.  When the
 certificate's pairs determine a projection, that one is solved for and
 checked by its exact operator norm on the vertex lists, with no LP and
-no pair grid; otherwise one lambda LP supplies the projection.  Only a certificate that fails there goes
-through the optimal face, and its report is the one the full pipeline
-gives (certificates.certify_cm).
+no pair grid; otherwise one lambda LP supplies the projection.  Only a
+certificate that fails there goes through the optimal face, and its
+report is the one the full pipeline gives (certificates.certify_cm).
+Its checks object has one entry per name of certificates.CHECKS, false
+for the checks the verdict failed.
 """
 
 from __future__ import annotations
@@ -36,18 +39,16 @@ import sys
 from pathlib import Path
 
 from .catalog import paper_cases, random_subspace
-from .certificates import (DEFAULT_SUPPORT_CAP, certify_cm, cm_from_dual,
-                           minimal_support_cm)
-from .errors import (BudgetExceededError, CertificateInvalidError,
-                     InputFormatError, InternalError, MinprojError)
+from .certificates import (CHECKS, DEFAULT_SUPPORT_CAP, certify_cm,
+                           cm_from_dual, minimal_support_cm)
+from .errors import (BudgetExceededError, InputFormatError, InternalError,
+                     MinprojError)
 from .geometry import PolyhedralSpace, Subspace, general_position_check
 from .jsonio import (certificate_json, dumps, load_document, matrix_json,
                      parse_certificate_document, parse_space_document,
                      vector_json)
 from .projections import face_dimension, projection_constant
 from .rational import approx_decimal, format_rational
-
-_CHECK_NAMES = ("weights", "vanishing", "invariance", "norming", "trace")
 
 
 def _read_text(path: str) -> str:
@@ -240,8 +241,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         load_document(_read_text(args.certificate)), space)
 
     computed_lambda, verdict = certify_cm(space, subspace, cm, lam)
-    checks = {name: not any(v.startswith(name + ":") for v in verdict.violations)
-              for name in _CHECK_NAMES}
+    checks = {name: name not in verdict.failed for name in CHECKS}
     if args.table:
         lines = [f"{name:<10} {'PASS' if ok else 'FAIL'}"
                  for name, ok in checks.items()]
@@ -311,13 +311,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command line; the exit-code contract of the module
-    docstring.  The commands feed cm_from_dual and minimal_support_cm
-    only the pipeline's own solve, so a CertificateInvalidError is an
-    internal failure here, as is InternalError."""
+    docstring.  An InternalError, such as cm_from_dual or
+    minimal_support_cm rejecting a certificate of the pipeline's own
+    solve, exits 4."""
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (InternalError, CertificateInvalidError) as exc:
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except BudgetExceededError as exc:

@@ -32,10 +32,6 @@ class NotMinimalError(MinprojError):
     """An operator claimed to be a minimal projection exceeds the projection constant."""
 
 
-class CertificateInvalidError(MinprojError):
-    """An optimality certificate failed one of its exact defining identities."""
-
-
 class BudgetExceededError(MinprojError):
     """A subset enumeration (minimal-support search or general-position
     check) exceeded its configured cap."""
@@ -43,7 +39,3 @@ class BudgetExceededError(MinprojError):
 
 class InternalError(MinprojError):
     """An invariant of the computation failed: a bug, never a property of the input."""
-
-
-class RankGapViolationError(InternalError):
-    """The rank-drop law for certificates with constant > 1 failed (implementation bug)."""

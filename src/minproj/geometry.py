@@ -38,7 +38,8 @@ def _as_vector(values: Sequence) -> Vector:
 
 
 def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
-    """Vertices of {f : f·v <= 1 for every listed v}, exactly.
+    """Vertices of {f : f·v <= 1 for every listed v}, exactly: the dual
+    list of PolyhedralSpace.from_vertices(vertices, validate=False).
 
     Incremental double description in integers, its edges read off the
     tight masks with no rank (see _double_description).  The result is
@@ -47,13 +48,7 @@ def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
     from_vertices reads each point's extremality off the polar vertices
     tight at it, with no LP (see _first_non_vertex).
     """
-    verts = [_as_vector(v) for v in vertices]
-    if not verts:
-        raise NotFullDimensionalError("empty vertex list")
-    if any(len(v) != len(verts[0]) for v in verts):
-        raise ValueError("inconsistent vector lengths")
-    return _vertices_of(_double_description(
-        verts, "vertex", "vertices do not span the ambient space"))
+    return PolyhedralSpace.from_vertices(vertices, validate=False).dual_vertices
 
 
 @dataclass(frozen=True)
@@ -74,12 +69,11 @@ def _vertices_of(polar: _Polar) -> tuple[Vector, ...]:
                         for X in polar.points))
 
 
-def _double_description(verts: Sequence[Vector], label: str,
-                        flat_message: str) -> _Polar:
+def _double_description(verts: Sequence[Vector]) -> _Polar:
     """The polar of the listed points, which must be nonempty, of one
-    length n, and symmetric (else NotSymmetricError "<label> v has no
-    negation in the list") and full-dimensional (else
-    NotFullDimensionalError(flat_message)).
+    length n, and symmetric (else NotSymmetricError "primal vertex v has
+    no negation in the list") and full-dimensional (else
+    NotFullDimensionalError "vertices do not span the space").
 
     Each listed point is cleared once to u = w / s (w integer, s > 0, s
     least), and the pair (w, s) keys the symmetry check and the pairing
@@ -105,10 +99,7 @@ def _double_description(verts: Sequence[Vector], label: str,
     tight set over the pairs inserted so far: a cut lies strictly inside
     its edge, where exactly the pairs tight along the whole edge are
     tight, and a kept vertex gains the bits of the new pair it lies on.
-    No rank is taken, and Fractions are formed only for the result.  The
-    polar of the 7-cube (128 points, 64 pairs) takes about 8 ms on one
-    core of a 2-core Xeon host, against 21 ms with one integer rank of
-    the tight points per edge test.
+    No rank is taken, and Fractions are formed only for the result.
     """
     n = len(verts[0])
     keys = []
@@ -119,8 +110,8 @@ def _double_description(verts: Sequence[Vector], label: str,
     for v, (w, s) in zip(verts, keys):
         if (tuple(-x for x in w), s) not in present:
             raise NotSymmetricError(
-                f"{label} ({', '.join(map(format_rational, v))}) has no negation "
-                "in the list")
+                f"primal vertex ({', '.join(map(format_rational, v))}) has no "
+                "negation in the list")
 
     # One representative u per antipodal pair, in order of first
     # occurrence; bit 2p of a tight mask stands for +u_p, bit 2p+1 for -u_p.
@@ -141,7 +132,7 @@ def _double_description(verts: Sequence[Vector], label: str,
     # The first n independent pairs, by one fraction-free pass.
     chosen = independent_rows(rows, n)
     if len(chosen) < n:
-        raise NotFullDimensionalError(flat_message)
+        raise NotFullDimensionalError("vertices do not span the space")
 
     inv = integer_inverse([rows[p] for p in chosen], n)
     if inv is None:
@@ -246,7 +237,8 @@ class PolyhedralSpace:
         point (see _first_non_vertex), with no rank and no LP.  A
         supplied dual list must then be exactly the polar vertex set, in
         any order; the list is kept in the order given.  With
-        validate=False a supplied list is taken as it is.
+        validate=False a supplied list is taken as it is, and a missing
+        one is the polar with no extremality check (polar_dual).
         """
         primal = tuple(_as_vector(v) for v in vertices)
         if not primal:
@@ -254,16 +246,12 @@ class PolyhedralSpace:
         n = len(primal[0])
         if any(len(v) != n for v in primal):
             raise ValueError("inconsistent vector lengths")
-        if validate:
-            dd = _double_description(primal, "primal vertex",
-                                     "vertices do not span the space")
+        if validate or dual_vertices is None:
+            dd = _double_description(primal)
             polar = _vertices_of(dd)
-            i = _first_non_vertex(dd)
-            if i is not None:
+            if validate and (i := _first_non_vertex(dd)) is not None:
                 raise NotExtremeError(
                     f"primal vertex {i} is a convex combination of the others")
-        elif dual_vertices is None:
-            polar = polar_dual(primal)
         dual = (polar if dual_vertices is None
                 else tuple(_as_vector(f) for f in dual_vertices))
         if validate and sorted(dual) != list(polar):
@@ -335,6 +323,8 @@ class Subspace:
 
     def __post_init__(self):
         n, k = self.ambient_dim, self.dim
+        if n == 1:
+            raise ValueError("a 1-dimensional space has no proper subspace")
         if not 1 <= k <= n - 1:
             raise ValueError(f"subspace dimension {k} must be in [1, {n - 1}]")
         if any(len(v) != n for v in self.basis_num + self.annihilator_num):

@@ -239,13 +239,13 @@ class MinProjReport:
 
     The paper's pair sets are kept as sorted grid rows (grid.pairs[r] is
     the pair of row r).  projection_constant fills in lambda, one optimal
-    vertex (witness) with its norming pairs (witness_rows), and the LP
-    dual weights (dual_certificate, on dual_rows, a subset of
-    witness_rows).  face_dimension then fills in, in place, the face
-    fields: the affine dimension of the optimal face, the implicit rows
-    (norming for every minimal projection), and a relative-interior
-    point, found from the dual's rows and Gordan rounds on the cone of
-    directions from the witness."""
+    vertex (witness) with its norming pairs (witness_rows), and the
+    positive LP dual weights (dual_weights, one per row of dual_rows, a
+    subset of witness_rows).  face_dimension then fills in, in place,
+    the face fields: the affine dimension of the optimal face, the
+    implicit rows (norming for every minimal projection), and a
+    relative-interior point, found from the dual's rows and Gordan
+    rounds on the cone of directions from the witness."""
 
     space: PolyhedralSpace
     subspace: Subspace
@@ -253,9 +253,9 @@ class MinProjReport:
     grid: PairGrid
     lam: Fraction
     witness: OperatorPoint
-    dual_certificate: dict[tuple[int, int], Fraction]
     witness_rows: tuple[int, ...]
     dual_rows: tuple[int, ...]
+    dual_weights: tuple[Fraction, ...]
     face_dim: int | None = None
     implicit_rows: tuple[int, ...] | None = None
     interior: OperatorPoint | None = None
@@ -285,9 +285,8 @@ def _solve_lambda(space: PolyhedralSpace, Y: Subspace, basis: OperatorBasis,
     support = tuple(r for r, u in enumerate(solution.dual) if u > 0)
     return MinProjReport(
         space=space, subspace=Y, basis=basis, grid=grid, lam=lam,
-        witness=witness,
-        dual_certificate={grid.pairs[r]: solution.dual[r] for r in support},
-        witness_rows=tight, dual_rows=support,
+        witness=witness, witness_rows=tight, dual_rows=support,
+        dual_weights=tuple(solution.dual[r] for r in support),
     )
 
 

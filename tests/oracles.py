@@ -89,9 +89,8 @@ from types import SimpleNamespace
 from typing import Sequence
 
 from minproj.certificates import DEFAULT_SUPPORT_CAP, CMVerdict, verify_cm
-from minproj.errors import (BudgetExceededError, CertificateInvalidError,
-                            InternalError, NotFullDimensionalError,
-                            NotSymmetricError)
+from minproj.errors import (BudgetExceededError, InternalError,
+                            NotFullDimensionalError, NotSymmetricError)
 from minproj.geometry import DEFAULT_GP_CAP, GeneralPositionReport, norm_eval
 from minproj.jsonio import vector_json
 from minproj.linalg import (RMatrix, int_dot, over_denominator,
@@ -413,7 +412,7 @@ def minimal_support_by_lp(space, Y, candidate_pairs,
     conditions and weight sum 1; the first subset with tau* > 0 wins."""
     candidates = sorted(set(candidate_pairs))
     if not candidates:
-        raise CertificateInvalidError("no candidate pairs to search")
+        raise InternalError("no candidate pairs to search")
     if len(candidates) > max_candidates:
         raise BudgetExceededError(
             f"{len(candidates)} candidate pairs exceed the cap of {max_candidates}")
@@ -448,7 +447,7 @@ def minimal_support_by_lp(space, Y, candidate_pairs,
             sol = solve(make_lp([zero] * size + [-one], rows, rhs))
             if sol.status == OPTIMAL and -sol.value > 0:
                 return subset, sol.primal[:size]
-    raise CertificateInvalidError("no valid certificate over the candidate pairs")
+    raise InternalError("no valid certificate over the candidate pairs")
 
 
 def minimal_support_by_solve(space, Y, candidate_pairs,
@@ -460,7 +459,7 @@ def minimal_support_by_solve(space, Y, candidate_pairs,
     (free variables are set to zero, so a dependent subset never wins)."""
     candidates = sorted(set(candidate_pairs))
     if not candidates:
-        raise CertificateInvalidError("no candidate pairs to search")
+        raise InternalError("no candidate pairs to search")
     if len(candidates) > max_candidates:
         raise BudgetExceededError(
             f"{len(candidates)} candidate pairs exceed the cap of {max_candidates}")
@@ -477,7 +476,7 @@ def minimal_support_by_solve(space, Y, candidate_pairs,
                 RMatrix.from_rows(column[p] for p in subset).transpose(), target)
             if weights is not None and all(w > 0 for w in weights):
                 return subset, weights
-    raise CertificateInvalidError("no valid certificate over the candidate pairs")
+    raise InternalError("no valid certificate over the candidate pairs")
 
 
 def _canonical_span(rows):
@@ -777,10 +776,10 @@ def polar_dual_by_fractions(vertices):
     for v in verts:
         if neg(v) not in vertex_set:
             raise NotSymmetricError(
-                f"vertex ({', '.join(map(format_rational, v))}) has no negation "
-                "in the list")
+                f"primal vertex ({', '.join(map(format_rational, v))}) has no "
+                "negation in the list")
     if rank(verts) != n:
-        raise NotFullDimensionalError("vertices do not span the ambient space")
+        raise NotFullDimensionalError("vertices do not span the space")
 
     index_of = {}
     for i, v in enumerate(verts):
@@ -872,7 +871,7 @@ def verify_cm_by_apply(space, Y, cm, lam, P, basis=None):
     for pi, dj in cm.pairs:
         if not (0 <= pi < n_p and 0 <= dj < n_d):
             violations.append(f"weights: pair ({pi}, {dj}) out of range")
-            return CMVerdict(ok=False, violations=tuple(violations))
+            return CMVerdict(tuple(violations))
     if len(set(cm.pairs)) != len(cm.pairs):
         violations.append("weights: duplicate pairs")
     if any(a <= 0 for a in cm.weights):
@@ -911,7 +910,7 @@ def verify_cm_by_apply(space, Y, cm, lam, P, basis=None):
     elif trace != lam:
         violations.append(f"trace: {trace} differs from {lam}")
 
-    return CMVerdict(ok=not violations, violations=tuple(violations))
+    return CMVerdict(tuple(violations))
 
 
 def operator_basis_by_fractions(space, Y):

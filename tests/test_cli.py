@@ -172,6 +172,19 @@ def test_seed_on_a_line_is_malformed_input(tmp_path, capsys, command):
         "", "error: a 1-dimensional space has no proper subspace\n")
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["general-position"],
+                                     ["certify", "cert.json"]])
+def test_subspace_of_a_line_is_malformed_input(tmp_path, capsys, command):
+    # R^1 has no proper subspace, so a subspace_basis on a line is refused
+    # with the message of the seeded route
+    path = tmp_path / "line.json"
+    path.write_text('{"dim": 1, "vertices": [["1"], ["-1"]], '
+                    '"subspace_basis": [["1"]]}')
+    assert cli.main(command + ["--input", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: a 1-dimensional space has no proper subspace\n")
+
+
 def test_missing_input_flag(capsys):
     assert cli.main(["analyze"]) == 2
     assert "--input" in capsys.readouterr().err
@@ -485,9 +498,9 @@ def test_polar_command_computes_the_polar_once(tmp_path, capsys, monkeypatch):
     calls = []
     original = geometry._double_description
 
-    def counting(vertices, *messages):
+    def counting(vertices):
         calls.append(len(vertices))
-        return original(vertices, *messages)
+        return original(vertices)
 
     monkeypatch.setattr(geometry, "_double_description", counting)
     path = tmp_path / "l1.json"
@@ -615,7 +628,7 @@ def test_pipeline_certificate_failure_exits_4(tmp_path, capsys, monkeypatch, fai
     def rejecting(*args, **kwargs):
         calls.append(args)
         if failure == "dual" or len(calls) > 1:
-            return certificates.CMVerdict(False, ("trace: simulated bug",))
+            return certificates.CMVerdict(("trace: simulated bug",))
         return original(*args, **kwargs)
 
     if failure == "no-support":

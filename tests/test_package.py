@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import types
 
 import minproj
 
@@ -19,3 +20,13 @@ def test_no_module_keeps_mutable_state():
                   if not (name.startswith("__") and name.endswith("__"))
                   and isinstance(value, (dict, list, set, bytearray))]
     assert found == []
+
+
+def test_all_lists_every_public_name():
+    # from minproj import * binds exactly __all__: a name listed there
+    # but no longer bound (a deleted class) breaks it, and a public name
+    # left out of it is missing from it
+    public = [name for name, value in vars(minproj).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)]
+    assert sorted(minproj.__all__) == sorted(public)
