@@ -199,8 +199,7 @@ def random_subspace(n: int, k: int, seed: int) -> Subspace:
     """Deterministic pseudorandom k-dimensional subspace of R^n with
     entries p/q, |p| <= 100, 1 <= q <= 10; the same seed always produces
     the same subspace, and rank-deficient draws are redrawn."""
-    if not 1 <= k <= n - 1:
-        raise ValueError("k must satisfy 1 <= k <= n-1")
+    Subspace.check_dimension(n, k)
     stream = _Stream(seed)
     while True:
         rows = [tuple(stream.rational() for _ in range(n)) for _ in range(k)]

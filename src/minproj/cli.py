@@ -12,9 +12,10 @@ Exit codes, set in main except for analyze's partial report: 0 success,
 --output, 3 enumeration budget exceeded (analyze still emits a partial
 report), 4 internal failure (an InternalError: an invariant of the
 computation broke, such as a certificate built from the pipeline's own
-solve failing verification).  All vertex/functional indices in reports
-are 0-based and refer to the order in which vertices are stored on the
-space.
+solve failing verification; or any other exception that escapes a
+command, reported as "internal error: <type>: <message>").  All
+vertex/functional indices in reports are 0-based and refer to the order
+in which vertices are stored on the space.
 Output is byte-identical for identical inputs and flags.
 
 certify reads the certificate as a Chalmers-Metcalf bound: if its
@@ -75,8 +76,6 @@ def _space_and_subspace(args: argparse.Namespace) -> tuple[PolyhedralSpace, Subs
         raise InputFormatError(
             "input has no subspace_basis; supply one or pass --seed N "
             "for a random hyperplane")
-    if space.dim == 1:
-        raise InputFormatError("a 1-dimensional space has no proper subspace")
     return space, random_subspace(space.dim, space.dim - 1, args.seed)
 
 
@@ -313,7 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command line; the exit-code contract of the module
     docstring.  An InternalError, such as cm_from_dual or
     minimal_support_cm rejecting a certificate of the pipeline's own
-    solve, exits 4."""
+    solve, exits 4, and so does any exception that no other code claims:
+    it can only come from a bug, and its line names its type."""
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
@@ -326,6 +326,9 @@ def main(argv: list[str] | None = None) -> int:
     except (MinprojError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

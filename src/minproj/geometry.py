@@ -323,10 +323,7 @@ class Subspace:
 
     def __post_init__(self):
         n, k = self.ambient_dim, self.dim
-        if n == 1:
-            raise ValueError("a 1-dimensional space has no proper subspace")
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"subspace dimension {k} must be in [1, {n - 1}]")
+        self.check_dimension(n, k)
         if any(len(v) != n for v in self.basis_num + self.annihilator_num):
             raise ValueError("basis/annihilator row count must equal ambient dimension")
         if len(self.annihilator_num) != n - k:
@@ -337,6 +334,14 @@ class Subspace:
             raise ValueError("basis columns are dependent")
         if integer_row_rank(self.annihilator_num) != n - k:
             raise ValueError("annihilator columns are dependent")
+
+    @staticmethod
+    def check_dimension(n: int, k: int) -> None:
+        """Raise ValueError unless R^n has proper subspaces of dimension k."""
+        if n == 1:
+            raise ValueError("a 1-dimensional space has no proper subspace")
+        if not 1 <= k <= n - 1:
+            raise ValueError(f"subspace dimension {k} must be in [1, {n - 1}]")
 
     @classmethod
     def from_basis(cls, vectors: Sequence[Sequence]) -> "Subspace":

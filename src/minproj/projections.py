@@ -28,7 +28,7 @@ basis, the grid and the witness off the MinProjReport it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -151,12 +151,17 @@ class PairGrid:
     """One row per listed (primal vertex, dual vertex) pair, cleared to
     integers over one grid denominator: the row value at coefficients c
     is (base_num[r] + coefs_num[r]·c) / denominator = f_j(P x_i).
-    build_pair_grid lists one pair per antipodal class."""
+    build_pair_grid lists one pair per antipodal class, and partner[r] is
+    the row of the class of (x, -f): its row is row r negated, so the
+    two LP rows add up to the same row for every r, and the lambda LP
+    prices one of them (simplex.LinearProgram.partner).  Empty when the
+    rows are not so paired (pair_rows)."""
 
     pairs: tuple[tuple[int, int], ...]
     base_num: tuple[int, ...]
     coefs_num: tuple[tuple[int, ...], ...]
     denominator: int
+    partner: tuple[int, ...] = ()
 
     @cached_property
     def lp(self) -> LinearProgram:
@@ -169,6 +174,7 @@ class PairGrid:
             matrix=tuple(row + (-D,) for row in self.coefs_num),
             beta=tuple(-b for b in self.base_num),
             denominator=D,
+            partner=self.partner,
         )
 
     def value_numerators(self, coefficients: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -224,12 +230,18 @@ def pair_rows(space: PolyhedralSpace, basis: OperatorBasis,
 
 def build_pair_grid(space: PolyhedralSpace, basis: OperatorBasis) -> PairGrid:
     """pair_rows over one pair per antipodal class: (x, f) and (-x, -f)
-    give the same row, and the class keeps its smaller index pair."""
+    give the same row, and the class keeps its smaller index pair, the one
+    whose primal vertex x_i has i < negp[i] (a vertex is never its own
+    negation).  So the rows come in one block per kept x_i, with every
+    dual vertex in order, and the partner of the row of (x_i, f_j), the
+    row of the class of (x_i, -f_j), is the row of (i, negd[j]) in the
+    same block."""
     negp = space.primal_negation
     negd = space.dual_negation
-    return pair_rows(space, basis, [
-        (i, j) for i in range(len(negp)) for j in range(len(negd))
-        if (i, j) <= (negp[i], negd[j])])
+    nd = len(negd)
+    pairs = [(i, j) for i in range(len(negp)) if i < negp[i] for j in range(nd)]
+    partner = tuple(start + nj for start in range(0, len(pairs), nd) for nj in negd)
+    return replace(pair_rows(space, basis, pairs), partner=partner)
 
 
 @dataclass

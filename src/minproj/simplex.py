@@ -48,6 +48,21 @@ the full tableau gives.  For the same reason one positive factor on the
 whole of (M, beta, D) changes no pivot.  Verification runs in integer
 dot products over the same integers.
 
+An LP may declare its rows in partner pairs (LinearProgram.partner):
+rows r and r' whose integer rows [M | beta] add up to the same row for
+every pair, as the pair grid's (x, f) and (x, -f) do.  A real column's
+price is linear in its row, so the prices of r and r' are integers that
+add up to one constant K of the round, w·(σ⊙e) + bf·b0 for the common
+sum [e | b0].  Pricing then takes only the representative r < r' of each
+pair, with one dot product for K, and each partner costs K minus its
+representative: the same integers the full pass gives.  Dantzig's rule
+takes the least of min p and K - max p and, among the representatives
+priced so and the partners of those priced K minus it, the lowest
+column; Bland's rule reads the unfolded list in row order.  Either rule
+picks the column the full pass picks, so no pivot changes.  The partner
+claim is checked when the LP is built and is never trusted by the
+verification, which reads every row.
+
 Sign convention for certificates: on OPTIMAL, the dual u satisfies
 u >= 0, Aᵀu = -c and u·b = -value (the standard dual of the
 minimization form).
@@ -59,6 +74,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import add, eq, itemgetter
 
 from .errors import InternalError
 from .linalg import RMatrix, int_dot, over_denominator, primitive
@@ -77,12 +93,19 @@ class LinearProgram:
     """minimize objective·v  subject to  A·v <= b,  v free, given in
     integers: [A | b] = [matrix | beta] / denominator, denominator > 0.
     Scaling matrix, beta and denominator by one positive factor gives the
-    same LP, and the same solution, pivot for pivot."""
+    same LP, and the same solution, pivot for pivot.
+
+    partner, when not empty, pairs the rows: partner[r] is the row whose
+    integer row [matrix | beta] adds to row r's to give the same sum for
+    every r.  It is an involution without fixed points, and the solver
+    prices one row of each pair (see the module docstring); the LP and
+    its solution are the same without it."""
 
     objective: tuple[Fraction | int, ...]
     matrix: tuple[tuple[int, ...], ...]
     beta: tuple[int, ...]
     denominator: int
+    partner: tuple[int, ...] = ()
 
     def __post_init__(self):
         if any(len(row) != len(self.objective) for row in self.matrix):
@@ -91,6 +114,25 @@ class LinearProgram:
             raise ValueError("rhs length does not match constraint rows")
         if self.denominator <= 0:
             raise ValueError("the denominator must be positive")
+        if self.partner:
+            self._check_partner()
+
+    def _check_partner(self) -> None:
+        """Column by column, in C-level passes: the check runs on every
+        lambda LP, and a loop over the rows would cost a share of the
+        time the pairing saves."""
+        M, P = self.matrix, self.partner
+        m = len(M)
+        if len(P) != m:
+            raise ValueError("partner length does not match constraint rows")
+        # An involution without fixed points pairs the rows, so m is even;
+        # mate then gathers the partner of every row as a tuple.
+        mate = itemgetter(*P) if m % 2 == 0 and 0 <= min(P) and max(P) < m else None
+        if (mate is None or any(map(eq, P, range(m)))
+                or mate(P) != tuple(range(m))):
+            raise ValueError("partner is not an involution without fixed points")
+        if any(len(set(map(add, col, mate(col)))) != 1 for col in (*zip(*M), self.beta)):
+            raise ValueError("partner rows do not all add up to the same row")
 
     @cached_property
     def constraint_matrix(self) -> RMatrix:
@@ -131,6 +173,17 @@ def _eliminate(row: list[int], p: int, f: int, support) -> list[int]:
     return row
 
 
+def _positions(vals: list[int], v: int):
+    """The indices of v in vals, ascending."""
+    i = -1
+    try:
+        while True:
+            i = vals.index(v, i + 1)
+            yield i
+    except ValueError:
+        return
+
+
 class _RevisedDual:
     """Revised form of the standard-form tableau of the dual  Aᵀu = -c,
     u >= 0: one column per constraint row of the LP, one equality row
@@ -138,8 +191,9 @@ class _RevisedDual:
     artificial starts basic.  A row stores only its artificial block (a
     row of B⁻¹) and its right-hand side, the true row times a positive
     factor; its entries in the real columns, and the reduced costs of
-    those, are priced from the LP's integer rows when needed.  Pivoting
-    follows Dantzig's rule, with Bland's rule through runs of degenerate
+    those, are priced from the LP's integer rows when needed, one row of
+    each partner pair when the LP declares them.  Pivoting follows
+    Dantzig's rule, with Bland's rule through runs of degenerate
     pivots."""
 
     def __init__(self, lp: LinearProgram):
@@ -149,10 +203,25 @@ class _RevisedDual:
         self.D = D
         self.beta = lp.beta
         self.sigma = [1 if cj <= 0 else -1 for cj in lp.objective]
-        # cols[c] is the dual's column c times D, (σ_j·M[c][j])_j; colsT
-        # holds the same numbers one list per variable, for pricing.
-        self.cols = [[s * a for s, a in zip(self.sigma, row)] for row in M]
-        self.colsT = list(zip(*self.cols))
+        # cols[c] is the dual's column c times D, (σ_j·M[c][j])_j: M[c]
+        # with the entries of the negated equality rows flipped.  colsT
+        # holds those of the priced columns one list per variable: the
+        # representatives r < partner[r] when partners are declared, whose
+        # partners mates[i] are priced through the pair sum (σ⊙e, b0).
+        flip = [j for j, s in enumerate(self.sigma) if s < 0]
+        self.cols = [list(row) for row in M]
+        for col in self.cols:
+            for j in flip:
+                col[j] = -col[j]
+        P = lp.partner
+        self.priced = [r for r, p in enumerate(P) if r < p] if P else range(self.m)
+        self.mates = self.pair_sum = None
+        if P:
+            self.mates = [P[r] for r in self.priced]
+            self.pair_sum = ([s * (a + b) for s, a, b in zip(self.sigma, M[0], M[P[0]])],
+                             lp.beta[0] + lp.beta[P[0]])
+        self.colsT = list(zip(*(self.cols[r] for r in self.priced)))
+        self.beta_priced = [lp.beta[r] for r in self.priced]
         self.rows: list[list[int]] = []
         for j, cj in enumerate(lp.objective):
             # The true row times D·den(c_j): D·den(c_j) on its artificial.
@@ -193,17 +262,23 @@ class _RevisedDual:
             return [x - self.oscale for x in self.on[:-1]], 0
         return self.on[:-1], self.oscale
 
-    def _prices(self) -> list[int]:
-        """The reduced costs of all real columns, times oscale·D."""
+    def _prices(self) -> tuple[list[int], int | None]:
+        """The reduced costs of the priced columns, times oscale·D, and the
+        pair constant K: the partner mates[i] of the priced column
+        priced[i] costs K - vals[i].  K is None when no partners are
+        declared, and then every real column is priced."""
         w, bf = self._weights()
         if bf:
-            vals = [bf * b for b in self.beta]
+            vals = [bf * b for b in self.beta_priced]
         else:
-            vals = [0] * self.m
+            vals = [0] * len(self.priced)
         for wj, col in zip(w, self.colsT):
             if wj:
                 vals = [v + wj * a for v, a in zip(vals, col)]
-        return vals
+        if self.pair_sum is None:
+            return vals, None
+        e, b0 = self.pair_sum
+        return vals, int_dot(w, e) + bf * b0
 
     def _reduced_cost(self, c: int) -> int:
         """The reduced cost of column c on the scale of _column(c): times
@@ -237,11 +312,35 @@ class _RevisedDual:
         self.on = on
         self.oscale = scale
 
-    def _entering(self, prices: list[int]) -> int | None:
+    def _entering(self, prices: tuple[list[int], int | None]) -> int | None:
+        """The entering column of _prices' output, or None at an optimum:
+        the lowest column of negative price under Bland's rule, the
+        lowest of least price under Dantzig's."""
+        vals, K = prices
+        if K is not None and self.bland:
+            vals, K = self._unfolded(vals, K), None
         if self.bland:
-            return next((j for j, v in enumerate(prices) if v < 0), None)
-        best = min(prices, default=0)
-        return prices.index(best) if best < 0 else None
+            return next((j for j, v in enumerate(vals) if v < 0), None)
+        if K is None:
+            best = min(vals, default=0)
+            return vals.index(best) if best < 0 else None
+        lo, hi = min(vals), max(vals)
+        best = min(lo, K - hi)
+        if best >= 0:
+            return None
+        # Every partner priced best, and the lowest representative so priced.
+        found = [self.mates[i] for i in _positions(vals, hi)] if K - hi == best else []
+        if lo == best:
+            found.append(self.priced[vals.index(lo)])
+        return min(found)
+
+    def _unfolded(self, vals: list[int], K: int) -> list[int]:
+        """The prices of all real columns, in row order."""
+        full = [0] * self.m
+        for r, p, v in zip(self.priced, self.mates, vals):
+            full[r] = v
+            full[p] = K - v
+        return full
 
     def _leaving(self, alpha: list[int]) -> int | None:
         """Minimum ratio rhs / entry over the positive entries alpha of the
@@ -291,7 +390,7 @@ class _RevisedDual:
             if r is None:
                 return UNBOUNDED
             before_num, before_scale = self.on[-1], self.oscale
-            self.pivot(r, c, alpha, prices[c])
+            self.pivot(r, c, alpha, self._reduced_cost(c))
             self.pivots += 1
             if self.pivots > _MAX_PIVOTS:
                 raise InternalError("simplex pivot budget exhausted")

@@ -79,3 +79,15 @@ def test_random_subspace_entry_bounds_and_rank():
         random_subspace(4, 0, 1)
     with pytest.raises(ValueError):
         random_subspace(4, 4, 1)
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (1, 0, "a 1-dimensional space has no proper subspace"),
+    (1, 1, "a 1-dimensional space has no proper subspace"),
+    (4, 0, r"subspace dimension 0 must be in \[1, 3\]"),
+    (4, 4, r"subspace dimension 4 must be in \[1, 3\]"),
+])
+def test_random_subspace_refuses_with_the_subspace_message(n, k, message):
+    # the range of subspace dimensions is stated once, by Subspace
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        random_subspace(n, k, 1)

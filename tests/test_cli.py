@@ -615,6 +615,27 @@ def test_internal_failure_exits_4(space_file, capsys, monkeypatch):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("error, line", [
+    (ZeroDivisionError("simulated bug"), "ZeroDivisionError: simulated bug"),
+    (KeyError("simulated bug"), "KeyError: 'simulated bug'"),
+])
+@pytest.mark.parametrize("command, stage", [
+    (["analyze"], "projection_constant"),
+    (["general-position"], "general_position_check"),
+    (["polar"], "vector_json"),
+])
+def test_any_other_exception_exits_4(space_file, capsys, monkeypatch, error, line,
+                                     command, stage):
+    # an exception that no input check raises can only come from a bug:
+    # exit 4 with one line naming its type, never a traceback with exit 1
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, stage, broken)
+    assert cli.main(command + ["--input", space_file]) == 4
+    assert capsys.readouterr() == ("", f"internal error: {line}\n")
+
+
 @pytest.mark.parametrize("failure", ["dual", "support-hit", "no-support"])
 def test_pipeline_certificate_failure_exits_4(tmp_path, capsys, monkeypatch, failure):
     # analyze hands cm_from_dual and minimal_support_cm only its own solve,

@@ -5,7 +5,10 @@ The revised dual simplex is compared with the full integer tableau it
 replaced (kept in ``oracles.py``): the whole LPSolution, pivot count
 included, on random integer LPs of every status, with Bland's rule
 forced after one degenerate pivot too, and on the lambda LPs of the
-l-inf^6 hyperplane and the l1^5 2-plane of the benchmark.  It is also
+l-inf^6 hyperplane and the l1^5 2-plane of the benchmark.  Pricing one
+row of each partner pair of a lambda LP is compared with pricing every
+row, pivot for pivot, under both rules, and a partner declaration that
+does not pair rows of one sum is refused, also under ``python -O``.  It is also
 compared with the rational tableau before that: optimal solutions pivot
 for pivot, and every status (optimal, infeasible, unbounded) against the
 inequality-form tableau there.  With Bland's rule forced after one
@@ -21,6 +24,7 @@ import itertools
 from collections import Counter
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -303,9 +307,88 @@ def test_benchmark_lambda_lps_match_full_tableau(ball, n, k, shape):
     Y = random_subspace(n, k, 7)
     lp = build_pair_grid(space, build_operator_basis(space, Y)).lp
     assert (len(lp.matrix), len(lp.objective)) == shape
+    assert sum(r < p for r, p in enumerate(lp.partner)) == shape[0] // 2
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol == solve_by_full_tableau(lp)
+
+
+def _seeded_grid(ball, n, k, seed):
+    space = ball(n)
+    return build_pair_grid(space, build_operator_basis(space, random_subspace(n, k, seed)))
+
+
+@pytest.mark.parametrize("stall_switch", [simplex._STALL_SWITCH, 1])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(ball=st.sampled_from([linf_ball, l1_ball]), n=st.integers(3, 6),
+       k_index=st.integers(0, 4), seed=st.integers(0, 99))
+def test_folded_pricing_keeps_every_pivot(stall_switch, ball, n, k_index, seed):
+    # pricing one row of each partner pair gives the LPSolution of pricing
+    # every row, pivots included, also under Bland's rule; each row's
+    # partner is its negation in the coefficients and the base
+    grid = _seeded_grid(ball, n, 1 + k_index % (n - 1), seed)
+    assert all(grid.coefs_num[p] == tuple(-a for a in grid.coefs_num[r])
+               and grid.base_num[p] == -grid.base_num[r]
+               for r, p in enumerate(grid.partner))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "_STALL_SWITCH", stall_switch)
+        assert solve(grid.lp) == solve(replace(grid.lp, partner=()))
+
+
+def test_bland_rule_runs_on_the_folded_path(monkeypatch):
+    # with one degenerate pivot enough to switch, the folded pricing enters
+    # Bland's rule on the lambda LPs, as the full pass does on the same
+    # LPs without partners, and both pivot alike
+    bland_rounds = Counter()
+    entering = simplex._RevisedDual._entering
+
+    def spy_entering(tab, prices):
+        if tab.bland:
+            bland_rounds["folded" if prices[1] is not None else "full"] += 1
+        return entering(tab, prices)
+
+    monkeypatch.setattr(simplex, "_STALL_SWITCH", 1)
+    monkeypatch.setattr(simplex._RevisedDual, "_entering", spy_entering)
+    for ball in (linf_ball, l1_ball):
+        for n, k in ((3, 1), (4, 2), (5, 2)):
+            lp = _seeded_grid(ball, n, k, 7).lp
+            assert solve(lp) == solve(replace(lp, partner=()))
+    assert bland_rounds["folded"] >= 10, bland_rounds
+    assert bland_rounds["folded"] == bland_rounds["full"]
+
+
+_PAIRED_ROWS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+@pytest.mark.parametrize("partner, beta, message", [
+    ((0, 1, 3, 2), (1, 1, 1, 1), "partner is not an involution without fixed points"),
+    ((1, 2, 3, 0), (1, 1, 1, 1), "partner is not an involution without fixed points"),
+    ((1, 0, 3, 4), (1, 1, 1, 1), "partner is not an involution without fixed points"),
+    ((1, 0), (1, 1, 1, 1), "partner length does not match constraint rows"),
+    ((1, 0, 3, 2), (1, 1, 1, 2), "partner rows do not all add up to the same row"),
+    ((2, 3, 0, 1), (1, 1, 1, 1), "partner rows do not all add up to the same row"),
+])
+def test_partner_must_pair_rows_of_one_sum(partner, beta, message):
+    assert LinearProgram((1, 1), _PAIRED_ROWS, (1, 1, 1, 1), 1, (1, 0, 3, 2)).partner
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LinearProgram((1, 1), _PAIRED_ROWS, beta, 1, partner)
+
+
+def test_partner_checks_survive_python_O():
+    code = ("from minproj.simplex import LinearProgram\n"
+            "rows = ((1, 0), (-1, 0), (0, 1), (0, -1))\n"
+            "for partner, beta in (((0, 1, 3, 2), (1, 1, 1, 1)),\n"
+            "                      ((1, 2, 3, 0), (1, 1, 1, 1)),\n"
+            "                      ((1, 0, 3, 2), (1, 1, 1, 2))):\n"
+            "    try:\n"
+            "        LinearProgram((1, 1), rows, beta, 1, partner)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ("partner is not an involution without fixed points\n"
+                          "partner is not an involution without fixed points\n"
+                          "partner rows do not all add up to the same row\n")
 
 
 def _finish_lp():
