@@ -91,8 +91,8 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     read off one exact solve, and is undefined when (2) fails.  These
     three read only the vertices, the weights and Y, never P0, the pair
     grid or the LP.  (3) reads each pair's value f(P x) off pair_rows."""
-    n_p = len(space.primal_vertices)
-    n_d = len(space.dual_vertices)
+    n_p = len(space.primal_cleared[0])
+    n_d = len(space.dual_cleared[0])
     for pi, dj in cm.pairs:
         if not (0 <= pi < n_p and 0 <= dj < n_d):
             return CMVerdict((f"weights: pair ({pi}, {dj}) out of range",))
@@ -190,7 +190,7 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     for the lambda LP, at most once.
     """
     basis = build_operator_basis(space, Y)
-    n_p, n_d = len(space.primal_vertices), len(space.dual_vertices)
+    n_p, n_d = len(space.primal_cleared[0]), len(space.dual_cleared[0])
     report = point = None
     if all(0 <= i < n_p and 0 <= j < n_d for i, j in cm.pairs):
         rows = pair_rows(space, basis, cm.pairs)

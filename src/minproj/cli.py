@@ -37,6 +37,7 @@ import argparse
 import functools
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .catalog import paper_cases, random_subspace
@@ -224,10 +225,13 @@ def _cmd_general_position(args: argparse.Namespace) -> int:
 
 def _cmd_polar(args: argparse.Namespace) -> int:
     space, _ = _read_space(args)
-    duals = sorted(space.dual_vertices)  # validated: the polar, up to order
-    out = {"dim": space.dim, "vertices": [vector_json(v) for v in duals]}
+    # validated: the polar, up to order; the rows share one denominator
+    # den > 0, so sorted rows are sorted vertices
+    rows, den = space.dual_cleared
+    duals = [vector_json(Fraction(x, den) for x in row) for row in sorted(rows)]
+    out = {"dim": space.dim, "vertices": duals}
     if args.table:
-        lines = [" ".join(vector_json(v)) for v in duals]
+        lines = [" ".join(v) for v in duals]
         _emit(args, "\n".join(lines) + "\n")
     else:
         _emit(args, dumps(out))

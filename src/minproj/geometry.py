@@ -5,6 +5,11 @@ explicitly) together with the vertex list of the dual ball; the dual
 side can be computed exactly from the primal side by an incremental
 double-description polar computation.  Norms and operator norms then
 reduce to finite maxima over these vertex lists.
+
+Each list is held as integer rows over one denominator, the least common
+one of all its vertices, not one per vertex: the input is cleared once,
+the double description runs on those rows and hands the polar back the
+same way, and the Fraction vertex lists are views formed on demand.
 """
 
 from __future__ import annotations
@@ -14,13 +19,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .errors import (BudgetExceededError, InternalError, NotExtremeError,
                      NotFullDimensionalError, NotSymmetricError)
-from .linalg import (Vector, cleared, independent_rows, int_dot,
-                     integer_inverse, integer_nullspace, integer_row_rank,
-                     over_denominator, primitive, subset_walk)
+from .linalg import (Vector, independent_rows, int_dot, integer_inverse,
+                     integer_nullspace, integer_row_rank, over_denominator,
+                     primitive, subset_walk)
 from .rational import format_rational
 
 # Default budget of general_position_check: subsets counted, spans and
@@ -28,9 +34,8 @@ from .rational import format_rational
 DEFAULT_GP_CAP = 10 ** 6
 
 
-def _as_vector(values: Sequence) -> Vector:
-    """The values as a tuple of Fractions; a Fraction is kept as it is."""
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
+# A vertex list: integer rows, all over one denominator held beside them.
+Rows = tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -41,12 +46,13 @@ def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
     """Vertices of {f : f·v <= 1 for every listed v}, exactly: the dual
     list of PolyhedralSpace.from_vertices(vertices, validate=False).
 
-    Incremental double description in integers, its edges read off the
-    tight masks with no rank (see _double_description).  The result is
-    sorted, so equal inputs give identical output.  A listed point that
-    is not extreme gives a redundant halfspace and no facet;
-    from_vertices reads each point's extremality off the polar vertices
-    tight at it, with no LP (see _first_non_vertex).
+    Incremental double description in integers on the listed points
+    cleared over one denominator, its edges read off the tight masks with
+    no rank (see _double_description).  The result is sorted, so equal
+    inputs give identical output.  A listed point that is not extreme
+    gives a redundant halfspace and no facet; from_vertices reads each
+    point's extremality off the polar vertices tight at it, with no LP
+    (see _first_non_vertex).
     """
     return PolyhedralSpace.from_vertices(vertices, validate=False).dual_vertices
 
@@ -64,29 +70,40 @@ class _Polar:
     bits: list[int | None]
 
 
-def _vertices_of(polar: _Polar) -> tuple[Vector, ...]:
-    return tuple(sorted(tuple(Fraction(x, X[-1]) for x in X[:-1])
-                        for X in polar.points))
+def _vertices_of(polar: _Polar) -> tuple[Rows, int]:
+    """The polar's vertices as sorted integer rows over H, the lcm of the
+    points' h.  A primitive (P, h) has least denominator h, so H is the
+    least common denominator of the vertices; every row is over the one
+    H > 0, so integer order is the order of the Fraction vertices."""
+    H = lcm(*(X[-1] for X in polar.points))
+    rows = []
+    for X in polar.points:
+        q = H // X[-1]
+        rows.append(tuple(X[:-1]) if q == 1 else tuple(q * x for x in X[:-1]))
+    return tuple(sorted(rows)), H
 
 
-def _double_description(verts: Sequence[Vector]) -> _Polar:
-    """The polar of the listed points, which must be nonempty, of one
-    length n, and symmetric (else NotSymmetricError "primal vertex v has
-    no negation in the list") and full-dimensional (else
-    NotFullDimensionalError "vertices do not span the space").
+def _double_description(rows: Rows, den: int) -> _Polar:
+    """The polar of the listed points rows[i] / den, which must be
+    nonempty, of one length n, and symmetric (else NotSymmetricError
+    "primal vertex v has no negation in the list") and full-dimensional
+    (else NotFullDimensionalError "vertices do not span the space").
 
-    Each listed point is cleared once to u = w / s (w integer, s > 0, s
-    least), and the pair (w, s) keys the symmetry check and the pairing
-    of u with -u.  Each point of the polytope is kept as a primitive
-    homogeneous integer vector (P, h), h > 0, standing for P / h, so its
-    slack against u is the integer w·P - s·h (negative inside, zero on
-    the boundary).  The start is the parallelotope cut out by n
-    independent pairs: their matrix is diag(s)^-1·W, so with W^-1 = M / D
-    its 2ⁿ vertices are M·(s σ) over D for the sign vectors σ.  Each further
-    pair is inserted as one step: the polytope is symmetric, so the new
-    vertices are the cuts a_j·(P_i, h_i) - a_i·(P_j, h_j) of the edges
-    (i, j) that cross u·x = 1, each divided by its content, together with
-    their negations, and a vertex is dropped when |u·x| > 1.
+    All points share the one denominator den > 0, so a point u = w / den
+    and -u are the rows w and -w, and the integer row keys the symmetry
+    check and the pairing of u with -u.  Each point of the polytope is
+    kept as a primitive homogeneous integer vector (P, h), h > 0, standing
+    for P / h, so its slack against u is the integer w·P - den·h
+    (negative inside, zero on the boundary).  The start is the
+    parallelotope cut out by n independent pairs: their matrix is W / den,
+    so with W^-1 = M / D its 2ⁿ vertices are M·(den σ) over D for the sign
+    vectors σ.  Each further pair is inserted as one step: the polytope is
+    symmetric, so the new vertices are the cuts a_j·(P_i, h_i) -
+    a_i·(P_j, h_j) of the edges (i, j) that cross u·x = 1, each divided by
+    its content, together with their negations, and a vertex is dropped
+    when |u·x| > 1.  Scaling a row w by a positive factor changes no
+    point, mask or cut: every point is primitive, and the factor cancels
+    in its content.
 
     Edges come from the tight masks alone, by the combinatorial test of
     Fukuda and Prodon ("Double description method revisited", LNCS 1120,
@@ -99,61 +116,53 @@ def _double_description(verts: Sequence[Vector]) -> _Polar:
     tight set over the pairs inserted so far: a cut lies strictly inside
     its edge, where exactly the pairs tight along the whole edge are
     tight, and a kept vertex gains the bits of the new pair it lies on.
-    No rank is taken, and Fractions are formed only for the result.
+    No rank is taken, and no Fraction is formed.
     """
-    n = len(verts[0])
-    keys = []
-    for v in verts:
-        w, s = over_denominator(v)
-        keys.append((tuple(w), s))
-    present = set(keys)
-    for v, (w, s) in zip(verts, keys):
-        if (tuple(-x for x in w), s) not in present:
+    n = len(rows[0])
+    present = set(rows)
+    for w in rows:
+        if tuple(-x for x in w) not in present:
+            vertex = ", ".join(format_rational(Fraction(x, den)) for x in w)
             raise NotSymmetricError(
-                f"primal vertex ({', '.join(map(format_rational, v))}) has no "
-                "negation in the list")
+                f"primal vertex ({vertex}) has no negation in the list")
 
     # One representative u per antipodal pair, in order of first
     # occurrence; bit 2p of a tight mask stands for +u_p, bit 2p+1 for -u_p.
     # The zero vector is never tight and cuts nothing.
-    bit_of: dict[tuple, int | None] = {}
-    cleared: list[tuple[list[int], int]] = []
-    for key in keys:
-        if key not in bit_of:
-            w, s = key
+    bit_of: dict[tuple[int, ...], int | None] = {}
+    reps: list[list[int]] = []
+    for w in rows:
+        if w not in bit_of:
             if any(w):
-                bit_of[key] = 2 * len(cleared)
-                bit_of[(tuple(-x for x in w), s)] = 2 * len(cleared) + 1
-                cleared.append((list(w), s))
+                bit_of[w] = 2 * len(reps)
+                bit_of[tuple(-x for x in w)] = 2 * len(reps) + 1
+                reps.append(list(w))
             else:
-                bit_of[key] = None
-    rows = [w for w, _ in cleared]
+                bit_of[w] = None
 
     # The first n independent pairs, by one fraction-free pass.
-    chosen = independent_rows(rows, n)
+    chosen = independent_rows(reps, n)
     if len(chosen) < n:
         raise NotFullDimensionalError("vertices do not span the space")
 
-    inv = integer_inverse([rows[p] for p in chosen], n)
+    inv = integer_inverse([reps[p] for p in chosen], n)
     if inv is None:
         raise InternalError("independent vertices give a singular system")
     M, D = inv
-    scales = [cleared[p][1] for p in chosen]
     points: list[list[int]] = []
     tights: list[int] = []
-    for signs in itertools.product((1, -1), repeat=n):
-        scaled = [s * sign for s, sign in zip(scales, signs)]
-        points.append(primitive([int_dot(row, scaled) for row in M] + [D]))
+    for signs in itertools.product((den, -den), repeat=n):
+        points.append(primitive([int_dot(row, signs) for row in M] + [D]))
         tights.append(sum(1 << (2 * p + (sign < 0))
                           for p, sign in zip(chosen, signs)))
 
-    even = sum(1 << (2 * p) for p in range(len(cleared)))
+    even = sum(1 << (2 * p) for p in range(len(reps)))
     started = set(chosen)
-    for p, (w, s) in enumerate(cleared):
+    for p, w in enumerate(reps):
         if p in started:
             continue
         plus, minus = 1 << (2 * p), 1 << (2 * p + 1)
-        slack_row = w + [-s]
+        slack_row = w + [-den]
         slacks = [int_dot(slack_row, X) for X in points]
         inside = [i for i, a in enumerate(slacks) if a < 0]
         new_points: list[list[int]] = []
@@ -174,16 +183,16 @@ def _double_description(verts: Sequence[Vector]) -> _Polar:
                     new_points += (cut, [-x for x in cut[:-1]] + cut[-1:])
                     new_tights += (mask, ((mask & even) << 1)
                                    | ((mask >> 1) & even))
-        # Keep |u·x| <= 1; the slack against -u is -w·P - s·h = -a - 2·s·h.
+        # Keep |u·x| <= 1; the slack against -u is -w·P - den·h = -a - 2·den·h.
         for X, mask, a in zip(points, tights, slacks):
-            b = -a - 2 * s * X[-1]
+            b = -a - 2 * den * X[-1]
             if a <= 0 and b <= 0:
                 new_points.append(X)
                 new_tights.append(mask | (plus if a == 0 else 0)
                                   | (minus if b == 0 else 0))
         points, tights = new_points, new_tights
 
-    return _Polar(points, tights, [bit_of[key] for key in keys])
+    return _Polar(points, tights, [bit_of[w] for w in rows])
 
 
 def _first_non_vertex(polar: _Polar) -> int | None:
@@ -219,11 +228,15 @@ def _first_non_vertex(polar: _Polar) -> int | None:
 
 @dataclass(frozen=True)
 class PolyhedralSpace:
-    """Unit-ball vertex list and dual-ball vertex list of a polyhedral norm."""
+    """Unit-ball vertex list and dual-ball vertex list of a polyhedral norm,
+    in integers: each list is a tuple of integer rows over one common
+    denominator, the least one of all its vertices (primal_cleared,
+    dual_cleared).  primal_vertices and dual_vertices are the Fraction
+    views."""
 
     dim: int
-    primal_vertices: tuple[Vector, ...]
-    dual_vertices: tuple[Vector, ...]
+    primal_cleared: tuple[Rows, int]
+    dual_cleared: tuple[Rows, int]
 
     @classmethod
     def from_vertices(cls, vertices: Sequence[Sequence],
@@ -239,34 +252,41 @@ class PolyhedralSpace:
         any order; the list is kept in the order given.  With
         validate=False a supplied list is taken as it is, and a missing
         one is the polar with no extremality check (polar_dual).
+
+        Entries may be ints, Fractions or anything Fraction() takes.
+        Each list is cleared once, and a supplied dual list is compared
+        with the polar as sorted rows over its least common denominator.
         """
-        primal = tuple(_as_vector(v) for v in vertices)
-        if not primal:
+        primal = rows, den = _cleared_rows(vertices)
+        if not rows:
             raise NotFullDimensionalError("empty vertex list")
-        n = len(primal[0])
-        if any(len(v) != n for v in primal):
+        n = len(rows[0])
+        if any(len(v) != n for v in rows):
             raise ValueError("inconsistent vector lengths")
         if validate or dual_vertices is None:
-            dd = _double_description(primal)
+            dd = _double_description(rows, den)
             polar = _vertices_of(dd)
             if validate and (i := _first_non_vertex(dd)) is not None:
                 raise NotExtremeError(
                     f"primal vertex {i} is a convex combination of the others")
-        dual = (polar if dual_vertices is None
-                else tuple(_as_vector(f) for f in dual_vertices))
-        if validate and sorted(dual) != list(polar):
-            raise NotExtremeError("supplied dual vertices are not the polar vertex set")
-        return cls(dim=n, primal_vertices=primal, dual_vertices=dual)
+        if dual_vertices is None:
+            dual = polar
+        else:
+            dual = _cleared_rows(dual_vertices)
+            if validate and (tuple(sorted(dual[0])), dual[1]) != polar:
+                raise NotExtremeError(
+                    "supplied dual vertices are not the polar vertex set")
+        return cls(dim=n, primal_cleared=primal, dual_cleared=dual)
 
     @cached_property
-    def primal_cleared(self) -> tuple[list[list[int]], int]:
-        """The primal vertices as integer rows over one common denominator."""
-        return cleared(self.primal_vertices)
+    def primal_vertices(self) -> tuple[Vector, ...]:
+        """The primal vertices as Fractions, a view of primal_cleared."""
+        return _fraction_rows(*self.primal_cleared)
 
     @cached_property
-    def dual_cleared(self) -> tuple[list[list[int]], int]:
-        """The dual vertices as integer rows over one common denominator."""
-        return cleared(self.dual_vertices)
+    def dual_vertices(self) -> tuple[Vector, ...]:
+        """The dual vertices as Fractions, a view of dual_cleared."""
+        return _fraction_rows(*self.dual_cleared)
 
     @cached_property
     def primal_negation(self) -> tuple[int, ...]:
@@ -287,11 +307,23 @@ class PolyhedralSpace:
         return tuple(i for i, j in enumerate(self.dual_negation) if i < j)
 
 
-def _negation(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def _negation(rows: Rows) -> tuple[int, ...]:
     """Index of the row -r for each row r, keyed on the integer rows (over
     one common denominator, -v clears to the negated row of v)."""
-    index = {tuple(row): i for i, row in enumerate(rows)}
+    index = {row: i for i, row in enumerate(rows)}
     return tuple(index[tuple(-x for x in row)] for row in rows)
+
+
+def _cleared_rows(vectors: Sequence[Sequence]) -> tuple[Rows, int]:
+    """The vectors as integer rows over their least common denominator,
+    each row as long as its vector."""
+    flat, den = over_denominator([x for v in vectors for x in v])
+    entries = iter(flat)
+    return tuple(tuple(itertools.islice(entries, len(v))) for v in vectors), den
+
+
+def _fraction_rows(rows: Rows, den: int) -> tuple[Vector, ...]:
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 def norm_eval(space: PolyhedralSpace, x: Sequence) -> Fraction:
@@ -356,7 +388,7 @@ class Subspace:
         return cls._spanned_by(*integer_nullspace(rows, len(rows[0])))
 
     @classmethod
-    def _spanned_by(cls, basis: list[list[int]], den: int) -> "Subspace":
+    def _spanned_by(cls, basis: Sequence[Sequence[int]], den: int) -> "Subspace":
         """The subspace with basis vectors basis / den, its annihilator
         the integer nullspace of the basis."""
         if not basis:
@@ -387,13 +419,12 @@ class Subspace:
         return not any(int_dot(g, vec) for g in self.annihilator_num)
 
 
-def _cleared_family(vectors: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+def _cleared_family(vectors: Sequence[Sequence]) -> tuple[Rows, int]:
     """Rational vectors of one length as integer rows over their least
     common denominator."""
-    rows = [_as_vector(v) for v in vectors]
-    if any(len(v) != len(rows[0]) for v in rows):
+    if any(len(v) != len(vectors[0]) for v in vectors):
         raise ValueError("ragged rows")
-    return cleared(rows)
+    return _cleared_rows(vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ under keys that say so.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .certificates import CMFunctional
@@ -64,16 +65,37 @@ def _rational_at(value: object, path: str) -> Fraction:
         raise InputFormatError(f"{path}: {exc}") from None
 
 
-def _vector_at(value: object, path: str, length: int) -> tuple[Fraction, ...]:
+# An integer token in ASCII digits with no blank, which int() reads as
+# parse_rational does; every other string goes through parse_rational.
+_INTEGER_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _entry_at(value: object, path: str, i: int) -> int | Fraction:
+    """Entry i of the vector at path: an integer token as an int, anything
+    else through _rational_at, with the same value or the same message."""
+    if type(value) is str and _INTEGER_TOKEN.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    return _rational_at(value, f"{path}[{i}]")
+
+
+def _vector_at(value: object, path: str, length: int) -> tuple[int | Fraction, ...]:
+    """The list at path as a vector of the given length.  JSON ints and
+    integer strings are read straight to ints; no Fraction is formed for
+    them."""
     if not isinstance(value, list):
         raise InputFormatError(f"{path}: expected a list of rationals")
     if len(value) != length:
         raise InputFormatError(
             f"{path}: expected {length} entries, got {len(value)}")
-    return tuple(_rational_at(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return tuple(v if type(v) is int else _entry_at(v, path, i)
+                 for i, v in enumerate(value))
 
 
-def _vector_list_at(value: object, path: str, length: int) -> list[tuple[Fraction, ...]]:
+def _vector_list_at(value: object, path: str, length: int
+                    ) -> list[tuple[int | Fraction, ...]]:
     if not isinstance(value, list) or not value:
         raise InputFormatError(f"{path}: expected a non-empty list of vectors")
     return [_vector_at(v, f"{path}[{i}]", length) for i, v in enumerate(value)]
@@ -148,8 +170,8 @@ def parse_certificate_document(data: object, space: PolyhedralSpace
         raise InputFormatError("pairs: expected a non-empty list")
     pairs = []
     weights = []
-    n_primal = len(space.primal_vertices)
-    n_dual = len(space.dual_vertices)
+    n_primal = len(space.primal_cleared[0])
+    n_dual = len(space.dual_cleared[0])
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise InputFormatError(f"pairs[{i}]: expected an object")

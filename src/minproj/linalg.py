@@ -91,8 +91,9 @@ def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def over_denominator(v: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers w and the least denominator d > 0 with v = w / d."""
-    v = [x if isinstance(x, Fraction) else Fraction(x) for x in v]
+    """Integers w and the least denominator d > 0 with v = w / d.  Ints
+    and Fractions are read as they are, anything else through Fraction()."""
+    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     d = lcm(*(x.denominator for x in v))
     return [x.numerator * (d // x.denominator) for x in v], d
 

@@ -1623,7 +1623,7 @@ def inverse_by_fractions(M):
 def integer_rank_in_place(rows):
     """Rank of integer rows by Bareiss elimination in place, pivots in
     column order."""
-    work = [row[:] for row in rows if any(row)]
+    work = [list(row) for row in rows if any(row)]
     if not work:
         return 0
     nrows, ncols = len(work), len(work[0])

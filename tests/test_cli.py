@@ -498,9 +498,9 @@ def test_polar_command_computes_the_polar_once(tmp_path, capsys, monkeypatch):
     calls = []
     original = geometry._double_description
 
-    def counting(vertices):
-        calls.append(len(vertices))
-        return original(vertices)
+    def counting(rows, den):
+        calls.append(len(rows))
+        return original(rows, den)
 
     monkeypatch.setattr(geometry, "_double_description", counting)
     path = tmp_path / "l1.json"
@@ -565,6 +565,44 @@ def test_certify_builds_basis_and_grid_once(tmp_path, capsys, spy, route):
         capsys.readouterr()
     assert counts["build_operator_basis"] == 1
     assert counts["build_pair_grid"] == (0 if route == "no-lp" else 1)
+
+
+@pytest.mark.parametrize("ball, k", [(linf_ball, 2), (l1_ball, 3)])
+def test_no_stage_builds_the_fraction_vertex_lists(tmp_path, capsys, monkeypatch,
+                                                   ball, k):
+    # analyze, certify (its no-LP or one-LP route, and the optimal face for
+    # a tampered certificate) and general-position read the vertex lists
+    # only as integer rows; with both Fraction views raising, every output
+    # is the same, on a document with its dual list and on one without
+    space, Y = ball(4), random_subspace(4, k, 7)
+    report = projections.projection_constant(space, Y)
+    cm = certificates.cm_from_dual(report)
+    tampered = certificates.CMFunctional(cm.pairs,
+                                         (Fraction(1, 1000),) + cm.weights[1:])
+    doc = space_json(space, Y)
+    argvs = []
+    for name, document in (("supplied", doc),
+                           ("computed", dict(doc, dual_vertices=None))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document))
+        argvs += [["analyze", "--input", str(path)],
+                  ["general-position", "--input", str(path)]]
+        for label, certificate in (("valid", cm), ("tampered", tampered)):
+            cert = tmp_path / f"{label}.json"
+            cert.write_text(dumps(certificate_json(certificate, report.lam)))
+            argvs.append(["certify", str(cert), "--input", str(path)])
+    expected = []
+    for argv in argvs:
+        expected.append((cli.main(argv), capsys.readouterr()))
+    assert {code for code, _ in expected} <= {0, 1}
+
+    def unbuilt(self):
+        raise AssertionError("a Fraction vertex list was built")
+
+    for view in ("primal_vertices", "dual_vertices"):
+        monkeypatch.setattr(geometry.PolyhedralSpace, view, property(unbuilt))
+    for argv, before in zip(argvs, expected):
+        assert (cli.main(argv), capsys.readouterr()) == before, argv
 
 
 @pytest.mark.parametrize("command", ["analyze", "paper-suite"])

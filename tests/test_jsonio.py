@@ -1,14 +1,18 @@
 import json
+import re
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minproj.catalog import paper_cases
 from minproj.certificates import CMFunctional
 from minproj.errors import InputFormatError
-from minproj.jsonio import (certificate_json, dumps, load_document,
-                            parse_certificate_document, parse_space_document)
+from minproj.jsonio import (_rational_at, _vector_at, certificate_json, dumps,
+                            load_document, parse_certificate_document,
+                            parse_space_document)
 
 from oracles import space_json
 
@@ -127,3 +131,60 @@ def test_dumps_deterministic_and_newline_terminated():
     doc = space_json(paper_cases()[0].space)
     assert dumps(doc) == dumps(doc)
     assert dumps(doc).endswith("\n")
+
+
+_LONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+# JSON tokens as written in a document: int, float and constant literals,
+# and strings, among them integer strings with a sign, blanks, "_",
+# non-ASCII digits or more digits than int() converts.
+_NAMED_TOKENS = (
+    ["0", "-7", "true", "false", "null", "1.5", "-0.0", "1e3", "NaN",
+     "Infinity", "-Infinity", _LONG, "-" + _LONG]
+    + [json.dumps(text) for text in (
+        "+1", "-0", " 7 ", "7\n", "1_000", "\u0661\u0662", "2/4", "-6/4", "1/0",
+        "", "+", "0x10", _LONG, "-" + _LONG, "1/" + _LONG)])
+_TOKENS = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.sampled_from(_NAMED_TOKENS),
+    st.text("0123456789+-/ _.e\u0661\n", max_size=6).map(json.dumps),
+)
+
+
+def _read_entry_by_entry(value, path):
+    """The vector as it was read before integer tokens were taken straight
+    to ints: every entry through parse_rational, with its field path."""
+    return tuple(_rational_at(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _outcome(read, value):
+    try:
+        return "value", read(value, "vertices[2]")
+    except InputFormatError as exc:
+        return "error", str(exc)
+
+
+def _check_tokens(tokens):
+    # Integer tokens are read straight to ints and every other token as
+    # before: the vector accepts and rejects what parse_rational does, with
+    # equal values and the same message and field path
+    value = load_document(f"[{', '.join(tokens)}]")
+    ours = _outcome(lambda v, path: _vector_at(v, path, len(v)), value)
+    assert ours == _outcome(_read_entry_by_entry, value)
+    if ours[0] == "value":
+        for v, x in zip(value, ours[1]):
+            integer = type(v) is int or (
+                type(v) is str and re.fullmatch(r"[+-]?[0-9]+", v))
+            assert type(x) is (int if integer else Fraction), (v, x)
+    return ours
+
+
+@pytest.mark.parametrize("token", _NAMED_TOKENS, ids=lambda t: t[:12])
+def test_each_named_token_reads_as_parse_rational_reads_it(token):
+    _check_tokens([token])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_TOKENS, min_size=1, max_size=4))
+def test_vector_tokens_read_as_parse_rational_reads_them(tokens):
+    _check_tokens(tokens)

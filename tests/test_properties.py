@@ -40,8 +40,8 @@ from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
                                   cm_rank_gap, minimal_support_cm, verify_cm)
 from minproj.errors import (BudgetExceededError, NotExtremeError,
                             NotFullDimensionalError, NotSymmetricError)
-from minproj.geometry import (PolyhedralSpace, Subspace, _double_description,
-                              _first_non_vertex, _vertices_of,
+from minproj.geometry import (PolyhedralSpace, Subspace, _cleared_rows,
+                              _double_description, _first_non_vertex, _vertices_of,
                               general_position_check, polar_dual)
 from minproj.linalg import RMatrix, cleared, integer_row_rank
 from minproj.projections import (OperatorPoint, build_operator_basis,
@@ -209,7 +209,7 @@ def test_extremality_from_masks_agrees_with_rank_and_lp_oracles(vertices, data):
             points.insert(data.draw(st.integers(0, len(points))), point)
     if data.draw(st.booleans()):
         points.insert(data.draw(st.integers(0, len(points))), (0,) * n)
-    dd = _double_description([tuple(Fraction(x) for x in p) for p in points])
+    dd = _double_description(*_cleared_rows(points))
     first = _first_non_vertex(dd)
     assert first == first_non_vertex_by_rank(dd, n)
     assert first == first_non_extreme(points)
@@ -309,16 +309,61 @@ def test_double_description_masks_are_the_tight_sets(vertices, data):
     # what _first_non_vertex reads.
     for label, case in _polar_cases(vertices, data).items():
         expected = _polar_outcome(polar_dual_by_fractions, case)
-        verts = [tuple(Fraction(x) for x in v) for v in case]
         try:
-            dd = _double_description(verts)
+            dd = _double_description(*_cleared_rows(case))
         except (NotSymmetricError, NotFullDimensionalError) as exc:
             assert (type(exc), str(exc)) == expected, label
             continue
-        assert _vertices_of(dd) == expected, label
+        rows, den = _vertices_of(dd)
+        assert tuple(tuple(Fraction(x, den) for x in row) for row in rows) == expected, label
+        # sorted integer rows over the least common denominator
+        assert (rows, den) == _cleared_rows(expected), label
         pairs, bits = _pairs_and_bits(case)
         assert dd.bits == bits, label
         assert dd.tights == [_tight_mask(X, pairs) for X in dd.points], label
+
+
+def _unreduced(vector, c):
+    """The entries as strings p·c / q·c, not in lowest terms."""
+    return [f"{Fraction(x).numerator * c}/{Fraction(x).denominator * c}"
+            for x in vector]
+
+
+@_SETTINGS
+@given(symmetric_point_lists() | cube_like_point_lists(), st.data())
+def test_space_holds_its_vertex_lists_cleared(vertices, data):
+    # A space stores each vertex list as integer rows over its least
+    # common denominator, and the Fraction views are those rows over it:
+    # computed or supplied duals, validated or not, supplied lists
+    # permuted or written unreduced.  The computed dual is the Fraction
+    # polar.  The ball's pairs are scaled by rationals with denominators
+    # up to 7, and its extreme points read off the double polar
+    positive = st.fractions(0, 5, max_denominator=7).filter(bool)
+    scales = data.draw(st.lists(positive, min_size=len(vertices),
+                                max_size=len(vertices)))
+    scaled = [tuple(scales[i - i % 2] * x for x in v) for i, v in enumerate(vertices)]
+    primal = data.draw(st.permutations(polar_dual(polar_dual(scaled))))
+    polar = polar_dual_by_fractions(primal)
+    dual = data.draw(st.permutations(polar))
+    c = data.draw(st.integers(2, 6))
+    spaces = {
+        "computed": PolyhedralSpace.from_vertices(primal),
+        "computed, not validated": PolyhedralSpace.from_vertices(primal, validate=False),
+        "supplied": PolyhedralSpace.from_vertices(primal, dual_vertices=dual),
+        "supplied, not validated": PolyhedralSpace.from_vertices(
+            primal, dual_vertices=dual, validate=False),
+        "unreduced": PolyhedralSpace.from_vertices(
+            [_unreduced(v, c) for v in primal],
+            dual_vertices=[_unreduced(f, c) for f in dual]),
+    }
+    for label, space in spaces.items():
+        for stored, view in ((space.primal_cleared, space.primal_vertices),
+                             (space.dual_cleared, space.dual_vertices)):
+            rows, den = cleared(view)
+            assert stored == (tuple(map(tuple, rows)), den), label
+        assert space.primal_vertices == tuple(primal), label
+        expected = polar if label.startswith("computed") else tuple(dual)
+        assert space.dual_vertices == expected, label
 
 
 @_SETTINGS
