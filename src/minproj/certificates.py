@@ -194,7 +194,7 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     report = point = None
     if all(0 <= i < n_p and 0 <= j < n_d for i, j in cm.pairs):
         rows = pair_rows(space, basis, cm.pairs)
-        if integer_row_rank(rows.coefs_num) == basis.dimension:
+        if integer_row_rank([rows.row(r) for r in range(len(cm.pairs))]) == basis.dimension:
             point = _projection_normed_by(rows, space, basis, lam)
         else:
             report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
@@ -228,10 +228,10 @@ def _projection_normed_by(rows: PairGrid, space: PolyhedralSpace,
     projections.operator_norm of the realized matrix: the largest f(P x)
     over the vertex lists, which is the largest value over every pair,
     with no pair grid."""
-    d = len(rows.coefs_num[0])
+    d = basis.dimension
     D = rows.denominator
-    solution = integer_solve([list(row) + [lam.numerator * D - lam.denominator * b]
-                              for row, b in zip(rows.coefs_num, rows.base_num)], d)
+    solution = integer_solve([list(rows.row(r)) + [lam.numerator * D - lam.denominator * b]
+                              for r, b in enumerate(rows.base_num)], d)
     if solution is None:
         return None
     point = OperatorPoint(tuple(x / lam.denominator for x, in solution))
@@ -272,10 +272,11 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
     every dependent subset can be skipped.  The implicit pairs hold the
     lambda dual's support, so they are never empty.
 
-    The walk runs on the integer columns [coefs_num_p; D] = D·[v_p; 1]
-    of the grid, D its denominator, against the target [0; D]: the same
-    system scaled by D > 0, with the same solutions.  The grid lists its
-    pairs sorted, so the implicit rows are in pair order.  The target
+    The walk runs on the integer columns [coefs_num_p; D] = D·[v_p; 1],
+    the implicit pairs' grid rows formed from the grid's factors and D
+    its denominator, against the target [0; D]: the same system scaled
+    by D > 0, with the same solutions.  The grid lists its pairs
+    sorted, so the implicit rows are in pair order.  The target
     spans the last coordinate, so a column's head, its first d entries,
     is the column modulo the target, and independent columns span the
     target exactly when their heads are dependent.  Each size is one
@@ -303,7 +304,7 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
 
     grid = report.grid
     d = report.basis.dimension
-    columns = [list(grid.coefs_num[r]) + [grid.denominator] for r in rows]
+    columns = [list(grid.row(r)) + [grid.denominator] for r in rows]
     target = [0] * d + [grid.denominator]
 
     for size in range(1, min(d + 1, len(rows)) + 1):

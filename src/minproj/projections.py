@@ -15,12 +15,20 @@ rows, and none is needed when the dual's rows already fix the point.
 Everything stays in integers from the subspace to the tableau.  The
 operator basis holds Y's basis, its annihilator and P0 as integers over
 one denominator each, and checks its guards in integers; the space
-holds its vertex lists cleared once.  The grid rows are integer dot
-products of those over one grid denominator, every test on them (tight
-rows, slacks, rises, restricted coefficients) is an integer dot
-product, and the lambda LP and the Gordan rounds hand their integer
-rows to the simplex as they are.  The face's nullspace basis is read off
-the integer reduced echelon form of the implicit rows.
+holds its vertex lists cleared once.  The grid rows are integers over
+one grid denominator, and the grid keeps them as their rank-one
+factors: the row of the pair (x, f) is f(y_b)·g(x) over the basis
+operators y_b (x) g, the outer product of the k values f(y_b) and the
+n - k values g(x), so the grid holds k + (n - k) integers per vertex in
+place of k(n - k) per pair.  A row is formed only where a stage reads
+it: the LP's entering column and basis, the tight rows of the face
+stage, the support columns and a certificate's rows.  Every pass over
+all rows (the bases f(P0 x), row values, tight rows, slacks and rises,
+the lambda LP's pricing and its verification) is a factored pass, one
+short dot product per pair after one side is formed per vertex.  The Gordan
+rounds hand their integer rows to the simplex as they are.  The face's
+nullspace basis is read off the integer reduced echelon form of the
+implicit rows.
 
 Every stage after the lambda solve reads the space, Y, the operator
 basis, the grid and the witness off the MinProjReport it returns.
@@ -31,7 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd, lcm
+from operator import add, eq, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InternalError, NotMinimalError
@@ -39,7 +49,8 @@ from .geometry import PolyhedralSpace, Subspace
 from .linalg import (RMatrix, independent_rows, int_dot, integer_inverse,
                      integer_nullspace, integer_row_rank, over_denominator)
 from .rational import format_rational
-from .simplex import OPTIMAL, LinearProgram, solve
+from .simplex import (OPTIMAL, LinearProgram, check_involution, priced_rows,
+                      solve)
 
 
 @dataclass(frozen=True)
@@ -151,6 +162,16 @@ class PairGrid:
     """One row per listed (primal vertex, dual vertex) pair, cleared to
     integers over one grid denominator: the row value at coefficients c
     is (base_num[r] + coefs_num[r]·c) / denominator = f_j(P x_i).
+
+    The grid keeps the coefficients as their rank-one factors: for the
+    pair (x_i, f_j), f(L_q x) = f(y_b)·g(x) over L_q = y_b (x) g, so
+    coefs_num[r] is f_at[j] (x) g_at[i] // content, with f_at[j] the k
+    values f_j(y_b) and g_at[i] the n - k values g(x_i), both integers,
+    and content the common factor divided out of every row.  row(r)
+    forms one row where a stage reads it, and products(v) gives
+    coefs_num[r]·v for every row through the factors; coefs_num itself
+    is a view for tests, and no stage builds it.
+
     build_pair_grid lists one pair per antipodal class, and partner[r] is
     the row of the class of (x, -f): its row is row r negated, so the
     two LP rows add up to the same row for every r, and the lambda LP
@@ -159,30 +180,52 @@ class PairGrid:
 
     pairs: tuple[tuple[int, int], ...]
     base_num: tuple[int, ...]
-    coefs_num: tuple[tuple[int, ...], ...]
+    g_at: dict[int, tuple[int, ...]]
+    f_at: dict[int, tuple[int, ...]]
+    content: int
     denominator: int
     partner: tuple[int, ...] = ()
 
+    def row(self, r: int) -> tuple[int, ...]:
+        """coefs_num[r], formed from its factors."""
+        i, j = self.pairs[r]
+        g, c = self.g_at[i], self.content
+        if c == 1:
+            return tuple([a * b for a in self.f_at[j] for b in g])
+        return tuple([a * b // c for a in self.f_at[j] for b in g])
+
     @cached_property
-    def lp(self) -> LinearProgram:
-        """minimize t  s.t.  coefs[r]·c - t <= -base[r], handed over in
-        integers: [coefs_num | -D] and -base_num over D."""
-        d = len(self.coefs_num[0])
-        D = self.denominator
-        return LinearProgram(
-            objective=(0,) * d + (1,),
-            matrix=tuple(row + (-D,) for row in self.coefs_num),
-            beta=tuple(-b for b in self.base_num),
-            denominator=D,
-            partner=self.partner,
-        )
+    def coefs_num(self) -> tuple[tuple[int, ...], ...]:
+        """Every row, formed: a view for tests."""
+        return tuple(self.row(r) for r in range(len(self.pairs)))
+
+    @cached_property
+    def _plan(self) -> _ProductPlan:
+        return _ProductPlan.of(self.f_at, self.g_at, self.pairs)
+
+    def products(self, v: Sequence[int]) -> list[int]:
+        """coefs_num[r]·v for every row r, for integers v, through the
+        factors: f_at[j]·V·g_at[i] // content, with V the k x (n-k)
+        matrix of v.  content divides every product f(y_b)·g(x) of the
+        row, so it divides the sum exactly."""
+        raw = self._plan.products(v)
+        c = self.content
+        return raw if c == 1 else [a // c for a in raw]
+
+    @property
+    def lp(self) -> GridLP:
+        """minimize t  s.t.  coefs[r]·c - t <= -base[r] (GridLP), a new LP
+        per access: the LP refers to its grid, and a grid that kept it
+        would make a reference cycle, freed only by the cyclic collector."""
+        i, j = self.pairs[0]
+        d = len(self.f_at[j]) * len(self.g_at[i])
+        return GridLP(grid=self, objective=(0,) * d + (1,))
 
     def value_numerators(self, coefficients: Sequence[Fraction]) -> tuple[list[int], int]:
         """Every row value at the coefficients, as integers over one
         positive denominator."""
         x, x_den = over_denominator(coefficients)
-        return ([b * x_den + int_dot(row, x)
-                 for b, row in zip(self.base_num, self.coefs_num)],
+        return ([b * x_den + v for b, v in zip(self.base_num, self.products(x))],
                 self.denominator * x_den)
 
     def tight_rows(self, coefficients: Sequence[Fraction],
@@ -192,6 +235,154 @@ class PairGrid:
         return [r for r, v in enumerate(values) if v * lam.denominator == target]
 
 
+@dataclass(frozen=True)
+class _ProductPlan:
+    """The factored pass over a list of pairs (i, j) of two factor tables:
+    f_at[j]·V·g_at[i] for each pair, in order, with V the k x h matrix of
+    a vector v, for f_at's entries of length k and g_at's of length h.
+    For a grid's tables, h = n - k and this is coefs·v.
+
+    One side is formed first, over the distinct vertices of that side:
+    W_i = V·g_at[i] per primal vertex, after which each pair costs the k
+    products W_i·f_at[j], or A_j = f_at[j]·V per dual vertex, after which
+    it costs the h products A_j·g_at[i], whichever costs fewer products
+    in all.  Per component, the formed side is a combination of the near
+    factors' columns, and the pass adds one product per pair:
+    an outer product of two columns when the pairs are the product
+    (primal vertices) x (dual vertices) in that order, as the grid of
+    build_pair_grid is, and one gathered product per pair otherwise."""
+
+    near: tuple[tuple[int, ...], ...]  # columns of the factors formed first
+    far: tuple[tuple[int, ...], ...]   # columns of the other factors
+    by_dual: bool                      # near is f_at (A_j), else g_at (W_i)
+    positions: tuple[tuple[int, int], ...] | None  # per pair, when no product
+    size: int                          # the number of pairs
+
+    @classmethod
+    def of(cls, f_at, g_at, pairs: Sequence[tuple[int, int]]) -> _ProductPlan:
+        """The plan over the pairs (i, j) for the factor tables f_at[j]
+        and g_at[i] (dicts or lists, by vertex index)."""
+        xs = {i: p for p, i in enumerate(dict.fromkeys(map(itemgetter(0), pairs)))}
+        fs = {j: p for p, j in enumerate(dict.fromkeys(map(itemgetter(1), pairs)))}
+        k, h = len(f_at[pairs[0][1]]), len(g_at[pairs[0][0]])
+        # |xs|·kh + |pairs|·k products against |fs|·kh + |pairs|·h.
+        by_dual = (len(fs) - len(xs)) * k * h < len(pairs) * (k - h)
+        positions = None
+        if len(pairs) != len(xs) * len(fs) or not all(map(eq, pairs, product(xs, fs))):
+            positions = tuple((xs[i], fs[j]) for i, j in pairs)
+        g_cols = tuple(zip(*(g_at[i] for i in xs)))
+        f_cols = tuple(zip(*(f_at[j] for j in fs)))
+        near, far = (f_cols, g_cols) if by_dual else (g_cols, f_cols)
+        return cls(near, far, by_dual, positions, len(pairs))
+
+    def products(self, v: Sequence[int]) -> list[int]:
+        """f_at[j]·V·g_at[i] for every pair."""
+        h = len(self.far if self.by_dual else self.near)
+        V = [v[b:b + h] for b in range(0, len(v), h)]
+        if self.by_dual:
+            V = list(zip(*V))
+        out = None
+        for coefficients, far in zip(V, self.far):
+            formed = None
+            for a, column in zip(coefficients, self.near):
+                if a:
+                    formed = ([a * x for x in column] if formed is None
+                              else [s + a * x for s, x in zip(formed, column)])
+            if formed is None:
+                continue
+            xv, fv = (far, formed) if self.by_dual else (formed, far)
+            if self.positions is None:
+                terms = [a * b for a in xv for b in fv]
+            else:
+                terms = [xv[p] * fv[q] for p, q in self.positions]
+            out = terms if out is None else list(map(add, out, terms))
+        return [0] * self.size if out is None else out
+
+
+@dataclass(frozen=True)
+class GridLP:
+    """The lambda LP of a pair grid: minimize t  s.t.
+    coefs[r]·c - t <= -base[r], in integers [coefs_num | -D] and
+    -base_num over D, with the grid's partners.
+
+    Its reads of the matrix (simplex.LinearProgram's row, row_values and
+    prices) go through the grid's factors.  row forms one row; row_values
+    is grid.products less D·t, over every row, both partners included.
+    prices takes the priced rows r < partner[r], which build_pair_grid's
+    block order makes (kept x_i) x (f_j with j < negd[j]), and returns
+    the prices times the grid's content g > 0:
+    g·(w·coefs[r] - D·w_t + bf·beta_r) = f_at[j]·W·g_at[i] + g·(bf·beta_r
+    - D·w_t), with W the k x (n-k) matrix of w.  Each partner's row is
+    its representative's negated, the t entry -D and beta summing to 0,
+    so the pair constant is K = -2g·D·w_t.  The partner claim is checked
+    here on the factors: the partner of (x_i, f_j) is a pair (x_i, f')
+    with f_at of f' equal to -f_at[j], and its base is -base[r]."""
+
+    grid: PairGrid
+    objective: tuple[int, ...]
+
+    def __post_init__(self):
+        grid = self.grid
+        if grid.partner:
+            f_at = grid.f_at
+            mate = check_involution(grid.partner, len(grid.pairs))
+            xs, js = zip(*grid.pairs)
+            if (any(map(add, grid.base_num, mate(grid.base_num))) or mate(xs) != xs
+                    or any(f_at[j2] != tuple(-a for a in f_at[j])
+                           for j, j2 in set(zip(js, mate(js))))):
+                raise ValueError("partner rows do not all add up to the same row")
+
+    @property
+    def denominator(self) -> int:
+        return self.grid.denominator
+
+    @property
+    def partner(self) -> tuple[int, ...]:
+        return self.grid.partner
+
+    @cached_property
+    def beta(self) -> tuple[int, ...]:
+        return tuple(-b for b in self.grid.base_num)
+
+    @cached_property
+    def priced(self) -> list[int] | range:
+        return priced_rows(self.partner, len(self.beta))
+
+    @cached_property
+    def _priced_plan(self) -> tuple[_ProductPlan, list[int]]:
+        grid = self.grid
+        return (_ProductPlan.of(grid.f_at, grid.g_at, [grid.pairs[r] for r in self.priced]),
+                [self.beta[r] for r in self.priced])
+
+    def row(self, r: int) -> tuple[int, ...]:
+        return self.grid.row(r) + (-self.denominator,)
+
+    def row_values(self, x: list[int]) -> list[int]:
+        t = self.denominator * x[-1]
+        return [a - t for a in self.grid.products(x[:-1])]
+
+    def prices(self, w: list[int], bf: int) -> tuple[list[int], int | None]:
+        plan, beta = self._priced_plan
+        g = self.grid.content
+        c0 = -g * self.denominator * w[-1]
+        raw = plan.products(w[:-1])
+        if bf:
+            gbf = g * bf
+            vals = [a + c0 + gbf * b for a, b in zip(raw, beta)]
+        else:
+            vals = [a + c0 for a in raw]
+        return vals, (2 * c0 if self.partner else None)
+
+    @cached_property
+    def constraint_matrix(self) -> RMatrix:
+        """A = [coefs_num | -D] / D in Fractions, every row formed, for
+        readers of the LP as rationals; the solver never builds it."""
+        D = self.denominator
+        return RMatrix(len(self.beta), len(self.objective),
+                       tuple(Fraction(a, D) for r in range(len(self.beta))
+                             for a in self.row(r)))
+
+
 def pair_rows(space: PolyhedralSpace, basis: OperatorBasis,
               pairs: Sequence[tuple[int, int]]) -> PairGrid:
     """The rows f(P0 x) and f(L_q x) of the listed pairs (x, f), by index
@@ -199,9 +390,13 @@ def pair_rows(space: PolyhedralSpace, basis: OperatorBasis,
     cleared to one denominator first, so each row is a few integer dot
     products.  f(L_q x) factors over the rank-one basis operator
     L_q = y (x) g as f(y)·g(x), in the order of build_operator_basis
-    (y outer, g inner), and the two factors are computed once per vertex.
-    The vertex lists are cleared once per space, and the basis holds its
-    families cleared."""
+    (y outer, g inner), and the grid keeps the two factors, computed
+    once per vertex, in place of their products.  The bases f(P0 x) are
+    a factored pass too, the bilinear form of P0 between the dual and the
+    primal vertex lists.  The content divided out of the rows is
+    gcd(den, base, every product), and the products of one pair have the
+    gcd gcd(f_at[j])·gcd(g_at[i]).  The vertex lists are cleared once per
+    space, and the basis holds its families cleared."""
     X, dx = space.primal_cleared
     F, df = space.dual_cleared
     Yb, dy = basis.y_num, basis.y_den
@@ -213,19 +408,19 @@ def pair_rows(space: PolyhedralSpace, basis: OperatorBasis,
     coef_mult = L // (dy * dg)
     base_mult = L // dp
     xs = {i for i, _ in pairs}
-    g_at = {i: [int_dot(g, X[i]) * coef_mult for g in G] for i in xs}
-    p0x = {i: [int_dot(row, X[i]) * base_mult for row in P] for i in xs}
-    f_at = {j: [int_dot(F[j], y) for y in Yb] for j in {j for _, j in pairs}}
-    base = [int_dot(F[j], p0x[i]) for i, j in pairs]
-    coefs = [tuple(fy * gx for fy in f_at[j] for gx in g_at[i]) for i, j in pairs]
+    g_at = {i: tuple(int_dot(g, X[i]) * coef_mult for g in G) for i in xs}
+    f_at = {j: tuple(int_dot(F[j], y) for y in Yb) for j in {j for _, j in pairs}}
+    # f(P0 x) is the bilinear form of P0 between the vertex lists.
+    base = _ProductPlan.of(F, X, pairs).products([a * base_mult for row in P for a in row])
     den = df * dx * L
-    g = gcd(den, *base, *(a for row in coefs for a in row))
-    if g > 1:
-        base = [b // g for b in base]
-        coefs = [tuple(a // g for a in row) for row in coefs]
-        den //= g
-    return PairGrid(pairs=tuple(pairs), base_num=tuple(base),
-                    coefs_num=tuple(coefs), denominator=den)
+    f_gcd = {j: gcd(*f) for j, f in f_at.items()}
+    g_gcd = {i: gcd(*g) for i, g in g_at.items()}
+    content = gcd(den, *base, *{f_gcd[j] * g_gcd[i] for i, j in pairs})
+    if content > 1:
+        base = [b // content for b in base]
+        den //= content
+    return PairGrid(pairs=tuple(pairs), base_num=tuple(base), g_at=g_at,
+                    f_at=f_at, content=content, denominator=den)
 
 
 def build_pair_grid(space: PolyhedralSpace, basis: OperatorBasis) -> PairGrid:
@@ -294,7 +489,7 @@ def _solve_lambda(space: PolyhedralSpace, Y: Subspace, basis: OperatorBasis,
     if solution.primal[d] != lam:
         raise InternalError("norm variable t differs from the LP value")
     tight = tuple(sorted(solution.tight_set))
-    support = tuple(r for r, u in enumerate(solution.dual) if u > 0)
+    support = tuple(r for r, u in enumerate(solution.dual) if u.numerator > 0)
     return MinProjReport(
         space=space, subspace=Y, basis=basis, grid=grid, lam=lam,
         witness=witness, witness_rows=tight, dual_rows=support,
@@ -340,20 +535,21 @@ def norming_pairs(report: MinProjReport,
     return frozenset(grid.pairs[r] for r, v in enumerate(values) if v == top)
 
 
-def _restrict_to_face(grid: PairGrid, implicit: Sequence[int],
+def _restrict_to_face(coefs: dict[int, tuple[int, ...]], implicit: Sequence[int],
                       rows: Iterable[int], d: int
                       ) -> tuple[list[list[int]], int, dict[int, tuple[int, ...]]]:
     """A basis N of {z : coefs[r]·z = 0 for r in implicit} as integer
     columns over their least common denominator C (column q of N is
     columns[q] / C), and for each of rows its coefficients restricted to
-    N, coefs[r]·N, as integers over grid.denominator·C.
+    N, coefs[r]·N, as integers over grid.denominator·C; coefs holds the
+    formed grid rows.
 
     The integer grid rows have the same nullspace as the rational ones,
     and N is the basis that linalg.integer_nullspace reads off their
     reduced row echelon form.  Every restricted coefficient is then one
     integer dot product."""
-    columns, C = integer_nullspace([grid.coefs_num[r] for r in implicit], d)
-    return columns, C, {r: tuple(int_dot(grid.coefs_num[r], col) for col in columns)
+    columns, C = integer_nullspace([coefs[r] for r in implicit], d)
+    return columns, C, {r: tuple(int_dot(coefs[r], col) for col in columns)
                         for r in rows}
 
 
@@ -394,8 +590,9 @@ def face_dimension(report: MinProjReport) -> tuple[int, frozenset[tuple[int, int
     support = set(report.dual_rows)
     implicit = list(report.dual_rows)
     undecided = [r for r in report.witness_rows if r not in support]
+    coefs = {r: grid.row(r) for r in report.witness_rows}
     while True:
-        cols, scale, restricted = _restrict_to_face(grid, implicit, undecided, d)
+        cols, scale, restricted = _restrict_to_face(coefs, implicit, undecided, d)
         implicit += [r for r in undecided if not any(restricted[r])]
         undecided = [r for r in undecided if any(restricted[r])]
         if not undecided:
@@ -447,11 +644,8 @@ def _first_slack_step(grid: PairGrid, point: Sequence[Fraction], lam: Fraction,
     top = lam.numerator * den
     z_num, z_den = over_denominator(z)
     best_slack = best_rise = None
-    for r, row in enumerate(grid.coefs_num):
-        if r in skip:
-            continue
-        rise = int_dot(row, z_num)
-        if rise > 0:
+    for r, rise in enumerate(grid.products(z_num)):
+        if rise > 0 and r not in skip:
             slack = top - lam.denominator * values[r]
             if best_rise is None or slack * best_rise < best_slack * rise:
                 best_slack, best_rise = slack, rise
@@ -485,6 +679,6 @@ def max_norming_projection(report: MinProjReport) -> tuple[OperatorPoint, int]:
     tight = report.witness_rows
     d = len(report.witness.coefficients)
     D = grid.denominator
-    if integer_row_rank([list(grid.coefs_num[r]) + [-D] for r in tight]) != d + 1:
+    if integer_row_rank([grid.row(r) + (-D,) for r in tight]) != d + 1:
         raise InternalError("the LP witness is not a vertex of the optimal face")
     return report.witness, len(tight)

@@ -22,10 +22,10 @@ unbounded or infeasible, and the same LP with a zero objective tells
 which: its dual {Aᵀu = 0, u >= 0} is feasible (u = 0), and unbounded
 exactly when the LP is infeasible.
 
-All arithmetic is on Python ints.  A LinearProgram carries integer
-rows over one common denominator, [A | b] = [M | beta] / D, as its
-builders form them (the pair grid and the Gordan rounds keep their rows
-in integers from the start), so nothing is cleared here.  The method is
+All arithmetic is on Python ints.  An LP carries integer rows over one
+common denominator, [A | b] = [M | beta] / D, as its builders form them
+(the pair grid and the Gordan rounds keep their rows in integers from
+the start), so nothing is cleared here.  The method is
 the revised simplex: the artificial columns start as the identity, so
 the artificial block of the current tableau is the basis inverse, and a
 row of the tableau is its artificial block times the starting rows.  A
@@ -35,8 +35,8 @@ row R in real column c is then R·(σ⊙M[c]) / D, with σ the row signs;
 only the entering column is formed, times D.  The cost row keeps the
 reduced costs of the artificials and the negated objective, as ints
 `on` over a positive `oscale`; they give the basis prices, and each
-iteration prices every real column in one pass over the LP's integer
-rows, transposed once per solve, as one int over the common oscale·D.
+iteration prices every real column in one pass, as one int over the
+common oscale·D.
 A pivot on the entry p > 0 at (r, c) replaces every other row R by
 p·R − R[c]·R_r and divides out its content (the gcd of its entries), so
 rows stay primitive and no entry ever needs a gcd of its own.  Positive
@@ -48,20 +48,39 @@ the full tableau gives.  For the same reason one positive factor on the
 whole of (M, beta, D) changes no pivot.  Verification runs in integer
 dot products over the same integers.
 
+The solver reads the matrix M through three methods of the LP and
+nothing else: row(c), one integer row, formed for the entering column
+and the rows a basis or the dual's support names; row_values(x), M[r]·x
+for every row r at an integer x; and prices(w, bf), the integers
+w·M[r] + bf·beta[r] of the priced rows (below) times one positive
+factor of the LP, with the pair constant K on the same scale, for
+signed weights w = σ⊙(costs minus basis prices).  LinearProgram
+implements them over its matrix: a pricing pass is one list pass per
+nonzero weight over the priced rows transposed.  The pair grid's LP
+(projections.GridLP) implements them over the grid's rank-one factors,
+M[r] = [f_at[j] (x) g_at[i] / g | -D], so a pricing pass is one
+factored product per row, g times the integers above, with g > 0 the
+grid's content.  One positive factor on every price of a round, K
+included, changes no sign and no comparison, so Dantzig's and Bland's
+rules pick the same column, and the reduced cost of the entering column
+is taken exactly from its row.  The verification reads every row
+through row_values, both rows of a partner pair included, and the rows
+of the dual's support through row.
+
 An LP may declare its rows in partner pairs (LinearProgram.partner):
 rows r and r' whose integer rows [M | beta] add up to the same row for
 every pair, as the pair grid's (x, f) and (x, -f) do.  A real column's
 price is linear in its row, so the prices of r and r' are integers that
-add up to one constant K of the round, w·(σ⊙e) + bf·b0 for the common
-sum [e | b0].  Pricing then takes only the representative r < r' of each
-pair, with one dot product for K, and each partner costs K minus its
-representative: the same integers the full pass gives.  Dantzig's rule
-takes the least of min p and K - max p and, among the representatives
-priced so and the partners of those priced K minus it, the lowest
-column; Bland's rule reads the unfolded list in row order.  Either rule
-picks the column the full pass picks, so no pivot changes.  The partner
-claim is checked when the LP is built and is never trusted by the
-verification, which reads every row.
+add up to one constant K of the round, w·e + bf·b0 for the signed
+weights w and the common sum [e | b0].  Pricing then takes only the
+representative r < r' of each pair, with K priced once, and each
+partner costs K minus its representative: the same integers the full
+pass gives.  Dantzig's rule takes the least of min p and K - max p and,
+among the representatives priced so and the partners of those priced
+K minus it, the lowest column; Bland's rule reads the unfolded list in
+row order.  Either rule picks the column the full pass picks, so no
+pivot changes.  The partner claim is checked when the LP is built and
+is never trusted by the verification, which reads every row.
 
 Sign convention for certificates: on OPTIMAL, the dual u satisfies
 u >= 0, Aᵀu = -c and u·b = -value (the standard dual of the
@@ -88,6 +107,28 @@ _STALL_SWITCH = 24
 _MAX_PIVOTS = 500_000
 
 
+def priced_rows(partner: tuple[int, ...], m: int) -> list[int] | range:
+    """The rows an LP prices: the representatives r < partner[r] of its
+    partner pairs, ascending, or every row when it declares none."""
+    return [r for r, p in enumerate(partner) if r < p] if partner else range(m)
+
+
+def check_involution(partner: tuple[int, ...], m: int):
+    """The partner of every row as a C-level gather over a sequence, after
+    checking that partner is an involution of the m rows without fixed
+    points; ValueError otherwise."""
+    if len(partner) != m:
+        raise ValueError("partner length does not match constraint rows")
+    # An involution without fixed points pairs the rows, so m is even;
+    # mate then gathers the partner of every row as a tuple.
+    mate = (itemgetter(*partner)
+            if m % 2 == 0 and 0 <= min(partner) and max(partner) < m else None)
+    if (mate is None or any(map(eq, partner, range(m)))
+            or mate(partner) != tuple(range(m))):
+        raise ValueError("partner is not an involution without fixed points")
+    return mate
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """minimize objective·v  subject to  A·v <= b,  v free, given in
@@ -99,7 +140,10 @@ class LinearProgram:
     integer row [matrix | beta] adds to row r's to give the same sum for
     every r.  It is an involution without fixed points, and the solver
     prices one row of each pair (see the module docstring); the LP and
-    its solution are the same without it."""
+    its solution are the same without it.
+
+    priced, row, row_values and prices are the solver's reads of the
+    matrix (see the module docstring), here over matrix itself."""
 
     objective: tuple[Fraction | int, ...]
     matrix: tuple[tuple[int, ...], ...]
@@ -119,20 +163,46 @@ class LinearProgram:
 
     def _check_partner(self) -> None:
         """Column by column, in C-level passes: the check runs on every
-        lambda LP, and a loop over the rows would cost a share of the
-        time the pairing saves."""
-        M, P = self.matrix, self.partner
-        m = len(M)
-        if len(P) != m:
-            raise ValueError("partner length does not match constraint rows")
-        # An involution without fixed points pairs the rows, so m is even;
-        # mate then gathers the partner of every row as a tuple.
-        mate = itemgetter(*P) if m % 2 == 0 and 0 <= min(P) and max(P) < m else None
-        if (mate is None or any(map(eq, P, range(m)))
-                or mate(P) != tuple(range(m))):
-            raise ValueError("partner is not an involution without fixed points")
-        if any(len(set(map(add, col, mate(col)))) != 1 for col in (*zip(*M), self.beta)):
+        LP that declares partners, and a loop over the rows would cost a
+        share of the time the pairing saves."""
+        mate = check_involution(self.partner, len(self.matrix))
+        if any(len(set(map(add, col, mate(col)))) != 1
+               for col in (*zip(*self.matrix), self.beta)):
             raise ValueError("partner rows do not all add up to the same row")
+
+    @cached_property
+    def priced(self) -> list[int] | range:
+        return priced_rows(self.partner, len(self.matrix))
+
+    @cached_property
+    def _priced_columns(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """The priced rows transposed, one tuple per variable, and their
+        beta entries."""
+        return (list(zip(*(self.matrix[r] for r in self.priced))),
+                [self.beta[r] for r in self.priced])
+
+    def row(self, r: int) -> tuple[int, ...]:
+        """matrix[r]."""
+        return self.matrix[r]
+
+    def row_values(self, x: list[int]) -> list[int]:
+        """matrix[r]·x for every row r."""
+        return [int_dot(row, x) for row in self.matrix]
+
+    def prices(self, w: list[int], bf: int) -> tuple[list[int], int | None]:
+        """w·matrix[r] + bf·beta[r] for the priced rows, one list pass per
+        nonzero weight, and the pair constant K, the same for the pair sum
+        (None without partners)."""
+        columns, beta = self._priced_columns
+        vals = [bf * b for b in beta] if bf else [0] * len(beta)
+        for wj, col in zip(w, columns):
+            if wj:
+                vals = [v + wj * a for v, a in zip(vals, col)]
+        if not self.partner:
+            return vals, None
+        p = self.partner[0]
+        return vals, (int_dot(w, map(add, self.matrix[0], self.matrix[p]))
+                      + bf * (self.beta[0] + self.beta[p]))
 
     @cached_property
     def constraint_matrix(self) -> RMatrix:
@@ -196,32 +266,19 @@ class _RevisedDual:
     Dantzig's rule, with Bland's rule through runs of degenerate
     pivots."""
 
-    def __init__(self, lp: LinearProgram):
-        M, D = lp.matrix, lp.denominator
-        self.m = len(M)
+    def __init__(self, lp):
+        D = lp.denominator
+        self.lp = lp
+        self.m = len(lp.beta)
         self.nrows = d = len(lp.objective)
         self.D = D
         self.beta = lp.beta
         self.sigma = [1 if cj <= 0 else -1 for cj in lp.objective]
-        # cols[c] is the dual's column c times D, (σ_j·M[c][j])_j: M[c]
-        # with the entries of the negated equality rows flipped.  colsT
-        # holds those of the priced columns one list per variable: the
-        # representatives r < partner[r] when partners are declared, whose
-        # partners mates[i] are priced through the pair sum (σ⊙e, b0).
-        flip = [j for j, s in enumerate(self.sigma) if s < 0]
-        self.cols = [list(row) for row in M]
-        for col in self.cols:
-            for j in flip:
-                col[j] = -col[j]
-        P = lp.partner
-        self.priced = [r for r, p in enumerate(P) if r < p] if P else range(self.m)
-        self.mates = self.pair_sum = None
-        if P:
-            self.mates = [P[r] for r in self.priced]
-            self.pair_sum = ([s * (a + b) for s, a, b in zip(self.sigma, M[0], M[P[0]])],
-                             lp.beta[0] + lp.beta[P[0]])
-        self.colsT = list(zip(*(self.cols[r] for r in self.priced)))
-        self.beta_priced = [lp.beta[r] for r in self.priced]
+        # The priced columns: the representatives r < partner[r] when
+        # partners are declared, whose partners mates[i] cost K minus them.
+        self.priced = lp.priced
+        self.mates = [lp.partner[r] for r in self.priced] if lp.partner else None
+        self.columns: dict[int, list[int]] = {}  # the real columns formed so far
         self.rows: list[list[int]] = []
         for j, cj in enumerate(lp.objective):
             # The true row times D·den(c_j): D·den(c_j) on its artificial.
@@ -256,29 +313,22 @@ class _RevisedDual:
 
     def _weights(self) -> tuple[list[int], int]:
         """w and bf with the reduced cost of real column c equal to
-        (w·cols[c] + bf·beta_c) / (oscale·D): the costs minus the basis
+        (w·(σ⊙M[c]) + bf·beta_c) / (oscale·D): the costs minus the basis
         prices, which the artificials' reduced costs give."""
         if self.phase == 1:
             return [x - self.oscale for x in self.on[:-1]], 0
         return self.on[:-1], self.oscale
 
     def _prices(self) -> tuple[list[int], int | None]:
-        """The reduced costs of the priced columns, times oscale·D, and the
-        pair constant K: the partner mates[i] of the priced column
-        priced[i] costs K - vals[i].  K is None when no partners are
-        declared, and then every real column is priced."""
+        """The reduced costs of the priced columns, times oscale·D and the
+        LP's one positive factor, and the pair constant K on the same
+        scale: the partner mates[i] of the priced column priced[i] costs
+        K - vals[i].  K is None when no partners are declared, and then
+        every real column is priced.  The LP prices its rows M[c] at the
+        signed weights σ⊙w, which carry the row signs of the dual's
+        columns σ⊙M[c]."""
         w, bf = self._weights()
-        if bf:
-            vals = [bf * b for b in self.beta_priced]
-        else:
-            vals = [0] * len(self.priced)
-        for wj, col in zip(w, self.colsT):
-            if wj:
-                vals = [v + wj * a for v, a in zip(vals, col)]
-        if self.pair_sum is None:
-            return vals, None
-        e, b0 = self.pair_sum
-        return vals, int_dot(w, e) + bf * b0
+        return self.lp.prices([s * x for s, x in zip(self.sigma, w)], bf)
 
     def _reduced_cost(self, c: int) -> int:
         """The reduced cost of column c on the scale of _column(c): times
@@ -286,7 +336,16 @@ class _RevisedDual:
         if c >= self.m:
             return self.on[c - self.m]
         w, bf = self._weights()
-        return int_dot(w, self.cols[c]) + bf * self.beta[c]
+        return int_dot(w, self._real_column(c)) + bf * self.beta[c]
+
+    def _real_column(self, c: int) -> list[int]:
+        """The dual's real column c times D, σ⊙M[c]: the LP's row c with
+        the entries of the negated equality rows flipped, formed once per
+        solve."""
+        col = self.columns.get(c)
+        if col is None:
+            col = self.columns[c] = [s * a for s, a in zip(self.sigma, self.lp.row(c))]
+        return col
 
     def _column(self, c: int) -> list[int]:
         """Column c in every row, each on its row's scale, and times D for
@@ -295,7 +354,7 @@ class _RevisedDual:
         row's rhs entry takes no part."""
         if c >= self.m:
             return [row[c - self.m] for row in self.rows]
-        col = self.cols[c]
+        col = self._real_column(c)
         return [int_dot(row, col) for row in self.rows]
 
     def _price_out(self, r: int, p: int, f: int) -> None:
@@ -408,7 +467,7 @@ class _RevisedDual:
     def basic_value(self, r: int) -> Fraction:
         """The value of row r's basic real column c: D·rhs / alpha_r(c)."""
         row = self.rows[r]
-        return Fraction(self.D * row[-1], int_dot(row, self.cols[self.basis[r]]))
+        return Fraction(self.D * row[-1], int_dot(row, self._real_column(self.basis[r])))
 
     def clear_artificials(self) -> None:
         """Pivot basic artificials (all at zero) onto real columns when possible.
@@ -419,13 +478,13 @@ class _RevisedDual:
         for r in range(self.nrows):
             if self.basis[r] >= self.m:
                 row = self.rows[r]
-                for c, col in enumerate(self.cols):
-                    if int_dot(row, col) != 0:
+                for c in range(self.m):
+                    if int_dot(row, self._real_column(c)) != 0:
                         self.pivot(r, c, self._column(c), self._reduced_cost(c))
                         break
 
 
-def _run_dual(lp: LinearProgram) -> tuple[_RevisedDual, str | None]:
+def _run_dual(lp) -> tuple[_RevisedDual, str | None]:
     """Phase I and phase II on the dual of lp: the solver and the status of
     phase II, or None when phase I finds the dual infeasible."""
     tab = _RevisedDual(lp)
@@ -439,9 +498,11 @@ def _run_dual(lp: LinearProgram) -> tuple[_RevisedDual, str | None]:
     return tab, tab.run()
 
 
-def solve(lp: LinearProgram) -> LPSolution:
-    """Solve the LP; on OPTIMAL the returned certificate is exact and verified."""
-    m, d = len(lp.matrix), len(lp.objective)
+def solve(lp) -> LPSolution:
+    """Solve the LP, a LinearProgram or any LP with its reads of the matrix
+    (see the module docstring); on OPTIMAL the returned certificate is
+    exact and verified."""
+    m, d = len(lp.beta), len(lp.objective)
     tab, status = _run_dual(lp)
     if status is None:
         # The dual is infeasible; the zero-objective LP tells infeasible
@@ -467,12 +528,12 @@ def solve(lp: LinearProgram) -> LPSolution:
     return _finish(lp, value, primal, tuple(u), tab.pivots)
 
 
-def _finish(lp: LinearProgram, value, primal, dual, pivots: int = 0) -> LPSolution:
-    M, beta = lp.matrix, lp.beta
+def _finish(lp, value, primal, dual, pivots: int = 0) -> LPSolution:
     x, x_den = over_denominator(primal)
     # A_i·v <= b_i  is  M_i·x <= beta_i·x_den  after scaling by D·x_den > 0.
-    lhs = [int_dot(row, x) for row in M]
-    tight = frozenset(i for i, (s, b) in enumerate(zip(lhs, beta)) if s == b * x_den)
+    lhs = lp.row_values(x)
+    tight = frozenset(i for i, (s, b) in enumerate(zip(lhs, lp.beta))
+                      if s == b * x_den)
     _verify_certificate(lp, value, primal, dual, lhs, tight)
     return LPSolution(status=OPTIMAL, value=value, primal=primal,
                       dual=dual, tight_set=tight, pivots=pivots)
@@ -484,22 +545,23 @@ def _verify_certificate(lp, value, primal, dual, lhs, tight) -> None:
     primal value, all in integers over the LP's [M | beta] / D.  lhs[i]
     is M_i·x for the primal cleared to x / x_den.  Failure means a solver
     bug, never a property of the input."""
-    M, beta, D = lp.matrix, lp.beta, lp.denominator
+    beta, D = lp.beta, lp.denominator
     d = len(lp.objective)
     x, x_den = over_denominator(primal)
     u, u_den = over_denominator(dual)
     c, c_den = over_denominator(lp.objective)
-    for i in range(len(M)):
+    for i in range(len(beta)):
         if lhs[i] > beta[i] * x_den:
             raise InternalError(f"primal infeasibility on row {i}")
         if u[i] < 0:
             raise InternalError(f"negative dual weight on row {i}")
         if u[i] > 0 and i not in tight:
             raise InternalError(f"complementary slackness broken on row {i}")
-    # Aᵀu = -c  is  c_den·Σ u_i M_ij = -c_j·D·u_den; only the support of u counts.
-    support = [i for i in range(len(M)) if u[i]]
+    # Aᵀu = -c  is  c_den·Σ u_i M_ij = -c_j·D·u_den; only the support of u
+    # counts, and only its rows are read.
+    support = [(u[i], lp.row(i)) for i in range(len(beta)) if u[i]]
     for j in range(d):
-        if c_den * sum(u[i] * M[i][j] for i in support) != -c[j] * D * u_den:
+        if c_den * sum(ui * row[j] for ui, row in support) != -c[j] * D * u_den:
             raise InternalError(f"dual equation broken in column {j}")
     v_num, v_den = value.numerator, value.denominator
     if v_den * int_dot(u, beta) != -v_num * D * u_den:

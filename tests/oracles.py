@@ -44,7 +44,11 @@ row, artificials on negative right-hand sides), once the second path of
 ``minproj.simplex``, decides infeasible and unbounded LPs independently.
 The full integer tableau that the revised dual simplex replaced
 (``solve_by_full_tableau``) must give the same LPSolution as
-``simplex.solve``, pivot count included, on every LP.
+``simplex.solve``, pivot count included, on every LP.  The lambda LP as
+it was before the pair grid kept its rank-one factors
+(``dense_grid_lp``, a ``LinearProgram`` over every formed row, priced by
+the list pass over the transposed rows) must give the same LPSolution as
+the grid's own factored LP, pivots included.
 ``certify_by_face`` is the ``certify`` command as it was before
 ``certificates.certify_cm``: the lambda LP, the optimal face, and
 ``verify_cm`` at its relative interior, for every certificate.
@@ -74,8 +78,10 @@ sample rows.
 A few helpers serve the tests alone: ``make_lp`` builds the integer LP
 of ``minproj.simplex`` from plain numbers and ``lp_rhs`` reads its
 right-hand side back in Fractions, ``grid_base`` and ``grid_coefs`` read
-the pair-grid rows in Fractions, ``dot`` is the Fraction dot product,
-``matmul`` and ``matadd`` multiply and add ``RMatrix`` values, and
+the pair-grid rows in Fractions, ``pair_rows_by_fractions`` forms them
+from the space and the operator basis in Fractions, ``dot`` is the
+Fraction dot product, ``matmul`` and ``matadd`` multiply and add
+``RMatrix`` values, and
 ``space_json`` writes a space in the schema that
 ``jsonio.parse_space_document`` reads.
 """
@@ -160,6 +166,33 @@ def gauge_lp_norm(space, x):
     return sol.value
 
 
+def dense_grid_lp(grid):
+    """The lambda LP of a pair grid over its formed rows: minimize t
+    s.t. coefs[r]·c - t <= -base[r], as [coefs_num | -D] and -base_num
+    over D with the grid's partners, priced, read and verified through
+    the matrix."""
+    d = len(grid.coefs_num[0])
+    D = grid.denominator
+    return LinearProgram(
+        objective=(0,) * d + (1,),
+        matrix=tuple(row + (-D,) for row in grid.coefs_num),
+        beta=tuple(-b for b in grid.base_num),
+        denominator=D,
+        partner=grid.partner,
+    )
+
+
+def pair_rows_by_fractions(space, basis, pairs):
+    """(f(P0 x), (f(L_q x))_q) of each listed pair (x, f), in Fractions:
+    the base projection and every basis operator applied to the vertex,
+    as Fraction matrices (basis as operator_basis_by_fractions returns
+    it), and the functional dotted with the image."""
+    X, F = space.primal_vertices, space.dual_vertices
+    return [(dot(F[j], basis.base_projection.apply(X[i])),
+             tuple(dot(F[j], op.apply(X[i])) for op in basis.basis_ops))
+            for i, j in pairs]
+
+
 def grid_base(grid):
     """f(P0 x) of every pair-grid row, in Fractions."""
     return tuple(Fraction(b, grid.denominator) for b in grid.base_num)
@@ -230,7 +263,7 @@ def face_dimension_per_row(report):
     for r in report.grid.tight_rows(report.witness.coefficients, lam):
         if any(row_value(grid, r, p) != lam for p in points):
             continue
-        sub = solve_on_face(grid.lp, lam, coefs[r] + (Fraction(0),))
+        sub = solve_on_face(dense_grid_lp(grid), lam, coefs[r] + (Fraction(0),))
         assert sub.status == OPTIMAL
         points.append(sub.primal[:d])
         if lam - base[r] - sub.value == 0:

@@ -605,6 +605,45 @@ def test_no_stage_builds_the_fraction_vertex_lists(tmp_path, capsys, monkeypatch
         assert (cli.main(argv), capsys.readouterr()) == before, argv
 
 
+def test_no_stage_forms_the_dense_grid_rows(tmp_path, capsys, monkeypatch, spy):
+    # analyze, paper-suite and certify on each of its routes read the pair
+    # grid through its rank-one factors: no LP on the l1^6 2-plane, one LP
+    # on the l-inf^6 hyperplane (lambda = 1) and the optimal face for a
+    # wrong lambda_c (exit 1).  With the dense coefs_num view raising,
+    # every output and exit code is the same
+    argvs, routes = [], []
+    for ball, k in ((linf_ball, 2), (l1_ball, 3)):
+        path = tmp_path / f"{ball.__name__}4-k{k}.json"
+        path.write_text(json.dumps(space_json(ball(4), random_subspace(4, k, 7))))
+        argvs.append(["analyze", "--input", str(path)])
+    argvs.append(["paper-suite"])
+    for route, ball, k, wrong in (("no-lp", l1_ball, 2, False),
+                                  ("one-lp", linf_ball, 5, False),
+                                  ("face", linf_ball, 5, True)):
+        space, Y = ball(6), random_subspace(6, k, 7)
+        report = projections.projection_constant(space, Y)
+        path, cert = tmp_path / f"{route}.json", tmp_path / f"{route}.cert.json"
+        path.write_text(json.dumps(space_json(space, Y)))
+        lam = report.lam + 1 if wrong else report.lam
+        cert.write_text(dumps(certificate_json(certificates.cm_from_dual(report), lam)))
+        argvs.append(["certify", str(cert), "--input", str(path)])
+        routes.append((route, report.lam))
+    assert [lam == 1 for _, lam in routes] == [False, True, True]
+    expected = []
+    counts = spy(certificates, "build_pair_grid")
+    for argv in argvs:
+        expected.append((cli.main(argv), capsys.readouterr()))
+    assert [code for code, _ in expected] == [0, 0, 0, 0, 0, 1]
+    assert counts["build_pair_grid"] == 2  # the one-LP and the face route
+
+    def unbuilt(self):
+        raise AssertionError("the dense grid rows were formed")
+
+    monkeypatch.setattr(projections.PairGrid, "coefs_num", property(unbuilt))
+    for argv, before in zip(argvs, expected):
+        assert (cli.main(argv), capsys.readouterr()) == before, argv
+
+
 @pytest.mark.parametrize("command", ["analyze", "paper-suite"])
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 def test_unwritable_output_is_malformed_input(space_file, tmp_path, capsys,

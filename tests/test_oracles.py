@@ -26,7 +26,7 @@ from minproj.projections import (OperatorPoint, face_dimension,
 
 from minproj.simplex import solve
 import oracles
-from oracles import (budget_outcome, face_dimension_by_rounds,
+from oracles import (budget_outcome, dense_grid_lp, face_dimension_by_rounds,
                      face_dimension_by_vertices, face_dimension_per_row, first_non_extreme,
                      general_position_by_leaf_walk, general_position_exhaustive,
                      linf_hyperplane_lambda,
@@ -96,8 +96,9 @@ def test_face_dimension_matches_vertex_enumeration(analyzed):
 
 
 def test_integer_tableau_matches_fraction_tableau(cases, monkeypatch):
-    # lambda LPs of the 16 catalog cases and the four seeded n = 4 grids,
-    # and every Gordan-round LP of their face stages, from the dual's
+    # lambda LPs of the 16 catalog cases and the four seeded n = 4 grids
+    # (the factored grid LP solved, its dense oracle LP read by the
+    # tableaux), and every Gordan-round LP of their face stages, from the dual's
     # support and from no implicit row (the rounds oracle): the whole
     # solution equals the rational dual tableau's, and the status and
     # value equal the rational inequality-form tableau's
@@ -118,10 +119,11 @@ def test_integer_tableau_matches_fraction_tableau(cases, monkeypatch):
     assert len(oracle_rounds) >= len(cases)
     # each round from the dual's support is one of the oracle's rounds
     assert rounds and all(lp in oracle_rounds for lp in rounds)
-    for lp in [a.report.grid.lp for a in cases.values()] + rounds + oracle_rounds:
+    lps = [(a.report.grid.lp, dense_grid_lp(a.report.grid)) for a in cases.values()]
+    for lp, dense in lps + [(lp, lp) for lp in rounds + oracle_rounds]:
         sol = solve(lp)
-        assert sol == solve_by_fraction_tableau(lp)
-        rows = solve_by_fraction_tableau(lp, method="rows")
+        assert sol == solve_by_fraction_tableau(dense)
+        rows = solve_by_fraction_tableau(dense, method="rows")
         assert (sol.status, sol.value) == (rows.status, rows.value)
 
 

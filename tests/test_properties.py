@@ -21,7 +21,10 @@ are read off the double polar, so the space is built from vertices
 alone, as a user would supply it; subspaces have small-integer bases,
 mostly hyperplanes in n = 3, 4 and 2-planes.  The operator basis is also
 compared with the Fraction basis it replaced, and the realized
-projection matrix with the Fraction sum it replaced.  For validation and the polar the point list is
+projection matrix with the Fraction sum it replaced.  The pair grid kept
+as its rank-one factors is compared with its rows formed in Fractions,
+and its factored LP (values, row values, prices and the whole solve)
+with the dense LP over every formed row.  For validation and the polar the point list is
 kept as drawn, with its non-extreme and duplicated points; the polar
 also gets lists in dimension 5 made mostly of cube vertices, where a
 wrong edge test shows.
@@ -43,13 +46,14 @@ from minproj.errors import (BudgetExceededError, NotExtremeError,
 from minproj.geometry import (PolyhedralSpace, Subspace, _cleared_rows,
                               _double_description, _first_non_vertex, _vertices_of,
                               general_position_check, polar_dual)
-from minproj.linalg import RMatrix, cleared, integer_row_rank
+from minproj.linalg import RMatrix, cleared, int_dot, integer_row_rank, over_denominator
 from minproj.projections import (OperatorPoint, build_operator_basis,
-                                 face_dimension, max_norming_projection,
-                                 norming_pairs, operator_norm,
-                                 projection_constant)
+                                 build_pair_grid, face_dimension,
+                                 max_norming_projection, norming_pairs,
+                                 operator_norm, projection_constant)
+from minproj.simplex import solve
 
-from oracles import (budget_outcome, certify_by_face, dot,
+from oracles import (budget_outcome, certify_by_face, dense_grid_lp, dot,
                      face_dimension_by_rounds,
                      face_dimension_by_vertices, first_non_extreme,
                      first_non_vertex_by_rank,
@@ -58,6 +62,7 @@ from oracles import (budget_outcome, certify_by_face, dot,
                      is_extreme, linf_hyperplane_lambda,
                      minimal_support_by_solve, nullspace_by_fractions,
                      operator_basis_by_fractions, operator_norm_by_fractions,
+                     pair_rows_by_fractions,
                      polar_dual_by_fractions, realize_by_fractions,
                      trace_on_subspace, verify_cm_by_apply)
 
@@ -384,6 +389,44 @@ def test_operator_basis_agrees_with_fraction_oracle(case, data):
         assert ours.basis_ops == expected.basis_ops
         assert ([list(y) for y in ours.y_num], ours.y_den) == cleared(expected.y_basis)
         assert ([list(g) for g in ours.g_num], ours.g_den) == cleared(expected.annihilator)
+
+
+@_SETTINGS
+@given(spaces_with_subspaces(), st.data())
+def test_factored_grid_agrees_with_dense_oracle(case, data):
+    # The grid kept as its rank-one factors against every row formed:
+    # each formed row and base is f(L_q x) and f(P0 x) in Fractions; the
+    # factored value pass equals the dense one at the LP's optimum and at
+    # a drawn point; the factored LP's row values and prices at drawn
+    # weights equal the dense oracle LP's (the prices times the grid's
+    # content); and its solve is the dense LP's LPSolution, pivots included
+    space, vectors = case
+    Y = Subspace.from_basis(vectors)
+    basis = build_operator_basis(space, Y)
+    grid = build_pair_grid(space, basis)
+    D, d = grid.denominator, basis.dimension
+    for r, (base, coefs) in enumerate(pair_rows_by_fractions(
+            space, operator_basis_by_fractions(space, Y), grid.pairs)):
+        assert Fraction(grid.base_num[r], D) == base
+        assert tuple(Fraction(a, D) for a in grid.row(r)) == coefs
+    dense = dense_grid_lp(grid)
+    sol = solve(grid.lp)
+    assert sol == solve(dense)
+    point = data.draw(st.lists(st.fractions(-3, 3, max_denominator=5),
+                               min_size=d, max_size=d))
+    for c in (sol.primal[:d], point):
+        x, x_den = over_denominator(c)
+        assert grid.value_numerators(c) == (
+            [b * x_den + int_dot(row, x) for b, row in zip(grid.base_num, grid.coefs_num)],
+            D * x_den)
+    ints = st.integers(-10 ** 6, 10 ** 6)
+    x = data.draw(st.lists(ints, min_size=d + 1, max_size=d + 1))
+    assert grid.lp.row_values(x) == dense.row_values(x)
+    w = data.draw(st.lists(ints, min_size=d + 1, max_size=d + 1))
+    bf = data.draw(st.integers(0, 10 ** 6))
+    vals, K = grid.lp.prices(w, bf)
+    dense_vals, dense_K = dense.prices(w, bf)
+    assert (vals, K) == ([grid.content * v for v in dense_vals], grid.content * dense_K)
 
 
 def _assert_subspace_families(vectors):

@@ -5,10 +5,15 @@ The revised dual simplex is compared with the full integer tableau it
 replaced (kept in ``oracles.py``): the whole LPSolution, pivot count
 included, on random integer LPs of every status, with Bland's rule
 forced after one degenerate pivot too, and on the lambda LPs of the
-l-inf^6 hyperplane and the l1^5 2-plane of the benchmark.  Pricing one
-row of each partner pair of a lambda LP is compared with pricing every
-row, pivot for pivot, under both rules, and a partner declaration that
-does not pair rows of one sum is refused, also under ``python -O``.  It is also
+l-inf^6 hyperplane and the l1^5 2-plane of the benchmark.  The pair
+grid's own LP, which prices and reads its rows through the grid's
+rank-one factors, is compared with the dense LP over every formed row
+(``oracles.dense_grid_lp``), also on the three n = 6 shapes of the
+certify benchmark.  Pricing one row of each partner pair of a lambda LP
+is compared with pricing every row, pivot for pivot, under both rules,
+and a partner declaration that does not pair rows of one sum is
+refused by the dense LP, also under ``python -O``, and on the grid's
+factors.  It is also
 compared with the rational tableau before that: optimal solutions pivot
 for pivot, and every status (optimal, infeasible, unbounded) against the
 inequality-form tableau there.  With Bland's rule forced after one
@@ -38,7 +43,7 @@ from minproj.linalg import RMatrix, int_dot, solve_linear
 from minproj.projections import build_operator_basis, build_pair_grid
 from minproj.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                              _finish, _verify_certificate, solve)
-from oracles import (dot, lp_rhs, make_lp, row_axpy, scale_row,
+from oracles import (dense_grid_lp, dot, lp_rhs, make_lp, row_axpy, scale_row,
                      solve_by_fraction_tableau, solve_by_full_tableau,
                      solve_on_face)
 
@@ -302,13 +307,15 @@ def test_revised_dual_matches_full_tableau(stall_switch, lp):
 ])
 def test_benchmark_lambda_lps_match_full_tableau(ball, n, k, shape):
     # the lambda LPs of the l-inf^6 hyperplane and the l1^5 2-plane at the
-    # benchmark's generator seed, exactly as the full tableau solves them
+    # benchmark's generator seed, the grid's factored LP exactly as the
+    # full tableau solves its dense oracle LP
     space = ball(n)
     Y = random_subspace(n, k, 7)
-    lp = build_pair_grid(space, build_operator_basis(space, Y)).lp
+    grid = build_pair_grid(space, build_operator_basis(space, Y))
+    lp = dense_grid_lp(grid)
     assert (len(lp.matrix), len(lp.objective)) == shape
     assert sum(r < p for r, p in enumerate(lp.partner)) == shape[0] // 2
-    sol = solve(lp)
+    sol = solve(grid.lp)
     assert sol.status == OPTIMAL
     assert sol == solve_by_full_tableau(lp)
 
@@ -318,27 +325,78 @@ def _seeded_grid(ball, n, k, seed):
     return build_pair_grid(space, build_operator_basis(space, random_subspace(n, k, seed)))
 
 
+@pytest.mark.parametrize("ball, k, content, lam_is_one", [
+    (linf_ball, 5, 1, True),
+    (l1_ball, 5, 2, False),
+    (l1_ball, 2, 2, False),
+])
+def test_n6_lambda_lps_match_the_dense_oracle(ball, k, content, lam_is_one):
+    # the three n = 6 shapes of the certify benchmark at generator seed 7:
+    # the factored LP gives its dense oracle LP's LPSolution, pivots
+    # included, where the l1 rows have a content of 2 divided out and the
+    # l-inf hyperplane has lambda = 1
+    grid = _seeded_grid(ball, 6, k, 7)
+    assert grid.content == content
+    sol = solve(grid.lp)
+    assert sol == solve(dense_grid_lp(grid))
+    assert (sol.value == 1) == lam_is_one
+
+
+def _tampered_partners(grid, negd):
+    """(partner, base_num, message): involutions of the grid's rows that
+    are not its antipodal pairing, and a base that breaks the negation."""
+    m, nd = len(grid.pairs), len(negd)
+    yield tuple(range(m)), grid.base_num, \
+        "partner is not an involution without fixed points"
+    # the row of (x_i, f_j) paired with (x_i', -f_j) from the next block
+    yield tuple((r // nd ^ 1) * nd + negd[r % nd] for r in range(m)), grid.base_num, \
+        "partner rows do not all add up to the same row"
+    # (x_i, f_j) paired with (x_i, f') in the block, for f' not -f_j
+    a, b = [j for j in range(nd) if j < negd[j]][:2]
+    swap = {a: b, b: a, negd[a]: negd[b], negd[b]: negd[a]}
+    swap.update({j: negd[j] for j in range(nd) if j not in swap})
+    yield tuple(r - r % nd + swap[r % nd] for r in range(m)), grid.base_num, \
+        "partner rows do not all add up to the same row"
+    yield grid.partner, (grid.base_num[0] + 1,) + grid.base_num[1:], \
+        "partner rows do not all add up to the same row"
+
+
+def test_grid_lp_checks_its_partners_on_the_factors():
+    # the factored LP checks the pairing as the dense one does, on the
+    # factors: the same primal vertex, negated f_at, negated base
+    space = linf_ball(3)
+    grid = build_pair_grid(space, build_operator_basis(space, random_subspace(3, 2, 7)))
+    assert grid.lp.partner == grid.partner
+    for partner, base, message in _tampered_partners(grid, space.dual_negation):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(grid, partner=partner, base_num=base).lp
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(dense_grid_lp(grid), partner=partner,
+                    beta=tuple(-b for b in base))
+
+
 @pytest.mark.parametrize("stall_switch", [simplex._STALL_SWITCH, 1])
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(ball=st.sampled_from([linf_ball, l1_ball]), n=st.integers(3, 6),
        k_index=st.integers(0, 4), seed=st.integers(0, 99))
 def test_folded_pricing_keeps_every_pivot(stall_switch, ball, n, k_index, seed):
-    # pricing one row of each partner pair gives the LPSolution of pricing
-    # every row, pivots included, also under Bland's rule; each row's
-    # partner is its negation in the coefficients and the base
+    # pricing one row of each partner pair through the grid's factors
+    # gives the LPSolution of pricing every formed row, pivots included,
+    # also under Bland's rule; each row's partner is its negation in the
+    # coefficients and the base
     grid = _seeded_grid(ball, n, 1 + k_index % (n - 1), seed)
     assert all(grid.coefs_num[p] == tuple(-a for a in grid.coefs_num[r])
                and grid.base_num[p] == -grid.base_num[r]
                for r, p in enumerate(grid.partner))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex, "_STALL_SWITCH", stall_switch)
-        assert solve(grid.lp) == solve(replace(grid.lp, partner=()))
+        assert solve(grid.lp) == solve(replace(dense_grid_lp(grid), partner=()))
 
 
 def test_bland_rule_runs_on_the_folded_path(monkeypatch):
-    # with one degenerate pivot enough to switch, the folded pricing enters
-    # Bland's rule on the lambda LPs, as the full pass does on the same
-    # LPs without partners, and both pivot alike
+    # with one degenerate pivot enough to switch, the folded factored
+    # pricing enters Bland's rule on the lambda LPs, as the full pass does
+    # on their dense oracle LPs without partners, and both pivot alike
     bland_rounds = Counter()
     entering = simplex._RevisedDual._entering
 
@@ -351,8 +409,8 @@ def test_bland_rule_runs_on_the_folded_path(monkeypatch):
     monkeypatch.setattr(simplex._RevisedDual, "_entering", spy_entering)
     for ball in (linf_ball, l1_ball):
         for n, k in ((3, 1), (4, 2), (5, 2)):
-            lp = _seeded_grid(ball, n, k, 7).lp
-            assert solve(lp) == solve(replace(lp, partner=()))
+            grid = _seeded_grid(ball, n, k, 7)
+            assert solve(grid.lp) == solve(replace(dense_grid_lp(grid), partner=()))
     assert bland_rounds["folded"] >= 10, bland_rounds
     assert bland_rounds["folded"] == bland_rounds["full"]
 
