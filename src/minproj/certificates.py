@@ -9,9 +9,10 @@ so vanishing on L_Y(X, Y) is invariance of Y; verify_cm reads both, and
 the trace, off T alone, independent of the pair grid and the LP.
 The LP dual of the projection solve is one such certificate; a
 minimum-support one is found by exact linear solves over subsets of the
-implicit pairs, smallest subsets first, with dependent subsets pruned
-by integer elimination.  Both read lambda, the basis and the grid off
-the MinProjReport they extend.  certify_cm judges a given certificate
+implicit pairs, smallest subsets first (from n when the paper's lower
+bound applies), with dependent subsets pruned by integer elimination.
+Both read lambda, the basis and the grid off the MinProjReport they
+extend.  certify_cm judges a given certificate
 from the Chalmers-Metcalf bound it proves, with one exact solve when its
 pairs determine the projection, one LP when they do not, and the optimal
 face only when the certificate is not valid.  The solved projection is
@@ -256,10 +257,19 @@ def cm_from_dual(report: MinProjReport) -> CMFunctional:
     return cm
 
 
-def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPPORT_CAP
-                       ) -> tuple[CMFunctional, int]:
+def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPPORT_CAP,
+                       in_general_position: bool = False) -> tuple[CMFunctional, int]:
     """Smallest-support certificate over the implicit pairs of a report
     whose face is settled (face_dimension); ValueError otherwise.
+
+    in_general_position is the verdict of geometry.general_position_check
+    on the report's space and subspace, when it was reached; leave it
+    False when it was not.  arXiv 2211.14008 shows that when lambda > 1
+    and Y is in general position, every Chalmers-Metcalf certificate
+    charges at least n pairs, n the dimension of X.  When the report has
+    lambda > 1 and the verdict is true, no size below n holds a support,
+    so the walk starts at size n and returns the same first subset as
+    the walk from size 1.  Otherwise it starts at 1.
 
     Each pair p contributes the column [v_p; 1], where v_p lists its
     values on the basis operators of L_Y(X, Y); a subset is a valid
@@ -307,7 +317,8 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
     columns = [list(grid.row(r)) + [grid.denominator] for r in rows]
     target = [0] * d + [grid.denominator]
 
-    for size in range(1, min(d + 1, len(rows)) + 1):
+    smallest = report.space.dim if in_general_position and report.lam > 1 else 1
+    for size in range(smallest, min(d + 1, len(rows)) + 1):
         for _, subset in subset_walk(columns, size, d):
             if subset is None:
                 continue

@@ -116,26 +116,31 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     face_dim, implicit = face_dimension(report)
     cm = cm_from_dual(report)
 
-    exit_code = 0
+    stops = {}
 
-    def within_budget(stage):
-        """stage(), or "skipped" after one warning line when its subset
-        enumeration runs out of budget: the report goes on, exiting 3."""
-        nonlocal exit_code
+    def within_budget(field, stage):
+        """stage(), or "skipped" when its subset enumeration runs out of
+        budget: the report goes on, and the stop's warning is printed
+        once every stage has run, in the order of the report's fields."""
         try:
             return stage()
         except BudgetExceededError as exc:
-            print(f"warning: {exc}", file=sys.stderr)
-            exit_code = 3
+            stops[field] = exc
             return "skipped"
 
+    # General position runs first: its verdict lets the support search
+    # skip the sizes that cannot hold a certificate.
+    gp = within_budget("general_position",
+                       lambda: _gp_json(general_position_check(space, subspace)))
+
     def support_search() -> dict:
-        small, size = minimal_support_cm(report, max_candidates=cap)
+        small, size = minimal_support_cm(
+            report, max_candidates=cap,
+            in_general_position=isinstance(gp, dict) and gp["in_general_position"])
         return {"size": size, "certificate": certificate_json(small, report.lam)}
 
     support = ("skipped" if args.skip_support_search
-               else within_budget(support_search))
-    gp = within_budget(lambda: _gp_json(general_position_check(space, subspace)))
+               else within_budget("support_search", support_search))
 
     out = {
         "dim": space.dim,
@@ -150,6 +155,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "support_search": support,
         "general_position": gp,
     }
+    for field in out:
+        if field in stops:
+            print(f"warning: {stops[field]}", file=sys.stderr)
     if args.table:
         lines = [
             f"dim           {space.dim}",
@@ -168,7 +176,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         _emit(args, "\n".join(lines) + "\n")
     else:
         _emit(args, dumps(out))
-    return exit_code
+    return 3 if stops else 0
 
 
 def _cmd_paper_suite(args: argparse.Namespace) -> int:

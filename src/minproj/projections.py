@@ -126,8 +126,9 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     vanish on the e_j, so P0 = sum_b y_num_b (x) h_b, over the least
     common denominator of those rows (linalg.integer_inverse).  Four
     guards raise InternalError: P0^2 = P0, P0 y = y, g_j(y_b) = 0
-    (exactly "L_q vanishes on Y") and the integer rank of the k(n-k)
-    flattened operators y_num_b (x) g_num_j."""
+    (exactly "L_q vanishes on Y") and the rank of the k(n-k) flattened
+    operators y_num_b (x) g_num_j, taken as the rank of Y's basis times
+    that of its annihilator (rank(A (x) B) = rank A · rank B)."""
     n = space.dim
     k = Y.dim
     ys, gs = Y.basis_num, Y.annihilator_num
@@ -149,8 +150,7 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
         raise InternalError("base projection does not fix Y")
     if any(int_dot(gj, y) for y in ys for gj in gs):
         raise InternalError("a basis operator does not vanish on Y")
-    if integer_row_rank([[a * b for a in y for b in gj]
-                         for y in ys for gj in gs]) != k * (n - k):
+    if integer_row_rank(ys) * integer_row_rank(gs) != k * (n - k):
         raise InternalError("basis operators are linearly dependent")
     return OperatorBasis(y_num=ys, y_den=Y.basis_den, g_num=gs,
                          g_den=Y.annihilator_den, p0_num=tuple(map(tuple, P)),
@@ -502,8 +502,12 @@ def operator_norm(space: PolyhedralSpace, matrix: RMatrix) -> Fraction:
     and the dual vertices f, in integers.
 
     The matrix is cleared once to M / m_den and the vertex lists are the
-    space's cleared ones, so each image M x and each value f(M x) is an
-    integer dot product, and the maximum becomes one Fraction over
+    space's cleared ones.  Per primal vertex x, the image M x is n
+    integer dot products, and the values f(M x) of every dual vertex f
+    at once are the dual list's columns weighted by the image, one list
+    pass per nonzero entry.  As f(M x) = x·(Mᵀ f), the same values come
+    per dual vertex from Mᵀ and the primal list's columns, and the loop
+    runs over the shorter list.  The maximum becomes one Fraction over
     m_den·dx·df.  Every listed vertex is taken, so neither list needs to
     be symmetric (a space built with validate=False is taken as given)."""
     n = space.dim
@@ -514,9 +518,18 @@ def operator_norm(space: PolyhedralSpace, matrix: RMatrix) -> Fraction:
     M = [flat[r * n:(r + 1) * n] for r in range(n)]
     X, dx = space.primal_cleared
     F, df = space.dual_cleared
-    images = ([int_dot(row, x) for row in M] for x in X)
-    top = max(int_dot(f, image) for image in images for f in F)
-    return Fraction(top, m_den * dx * df)
+    if len(X) > len(F):
+        M, X, F = list(zip(*M)), F, X
+    columns = list(zip(*F))
+
+    def values(x):
+        out = [0] * len(F)
+        for v, column in zip([int_dot(row, x) for row in M], columns):
+            if v:
+                out = [s + v * f for s, f in zip(out, column)]
+        return out
+
+    return Fraction(max(max(values(x)) for x in X), m_den * dx * df)
 
 
 def norming_pairs(report: MinProjReport,

@@ -92,8 +92,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count, repeat
 from math import gcd
-from operator import add, eq, itemgetter
+from operator import add, eq, gt, itemgetter, mul
 
 from .errors import InternalError
 from .linalg import RMatrix, int_dot, over_denominator, primitive
@@ -532,39 +533,46 @@ def _finish(lp, value, primal, dual, pivots: int = 0) -> LPSolution:
     x, x_den = over_denominator(primal)
     # A_i·v <= b_i  is  M_i·x <= beta_i·x_den  after scaling by D·x_den > 0.
     lhs = lp.row_values(x)
-    tight = frozenset(i for i, (s, b) in enumerate(zip(lhs, lp.beta))
-                      if s == b * x_den)
-    _verify_certificate(lp, value, primal, dual, lhs, tight)
+    tight = frozenset(compress(count(), map(eq, lhs, _scaled(lp.beta, x_den))))
+    _verify_certificate(lp, value, x, x_den, dual, lhs, tight)
     return LPSolution(status=OPTIMAL, value=value, primal=primal,
                       dual=dual, tight_set=tight, pivots=pivots)
 
 
-def _verify_certificate(lp, value, primal, dual, lhs, tight) -> None:
+def _scaled(values, factor: int):
+    """factor·v for every v of values, lazily."""
+    return map(mul, values, repeat(factor))
+
+
+def _verify_certificate(lp, value, x, x_den, dual, lhs, tight) -> None:
     """Exact optimality verification: feasibility, dual feasibility,
     complementary slackness, the dual equation, strong duality and the
-    primal value, all in integers over the LP's [M | beta] / D.  lhs[i]
-    is M_i·x for the primal cleared to x / x_den.  Failure means a solver
+    primal value, all in integers over the LP's [M | beta] / D, checked
+    in that order.  The primal is x / x_den, and lhs[i] is M_i·x.
+    Feasibility reads every row, in C-level passes over lhs; the other
+    checks read the dual's support, the rows where it is nonzero, and
+    the dual is cleared over that support alone.  Failure means a solver
     bug, never a property of the input."""
     beta, D = lp.beta, lp.denominator
-    d = len(lp.objective)
-    x, x_den = over_denominator(primal)
-    u, u_den = over_denominator(dual)
-    c, c_den = over_denominator(lp.objective)
-    for i in range(len(beta)):
-        if lhs[i] > beta[i] * x_den:
-            raise InternalError(f"primal infeasibility on row {i}")
-        if u[i] < 0:
+    infeasible = next(compress(count(), map(gt, lhs, _scaled(beta, x_den))), None)
+    if infeasible is not None:
+        raise InternalError(f"primal infeasibility on row {infeasible}")
+    support = list(compress(count(), dual))
+    u, u_den = over_denominator([dual[i] for i in support])
+    for i, ui in zip(support, u):
+        if ui < 0:
             raise InternalError(f"negative dual weight on row {i}")
-        if u[i] > 0 and i not in tight:
+    for i in support:
+        if i not in tight:
             raise InternalError(f"complementary slackness broken on row {i}")
-    # Aᵀu = -c  is  c_den·Σ u_i M_ij = -c_j·D·u_den; only the support of u
-    # counts, and only its rows are read.
-    support = [(u[i], lp.row(i)) for i in range(len(beta)) if u[i]]
-    for j in range(d):
-        if c_den * sum(ui * row[j] for ui, row in support) != -c[j] * D * u_den:
+    # Aᵀu = -c  is  c_den·Σ u_i M_ij = -c_j·D·u_den.
+    c, c_den = over_denominator(lp.objective)
+    rows = [lp.row(i) for i in support]
+    for j, cj in enumerate(c):
+        if c_den * sum(ui * row[j] for ui, row in zip(u, rows)) != -cj * D * u_den:
             raise InternalError(f"dual equation broken in column {j}")
     v_num, v_den = value.numerator, value.denominator
-    if v_den * int_dot(u, beta) != -v_num * D * u_den:
+    if v_den * int_dot(u, [beta[i] for i in support]) != -v_num * D * u_den:
         raise InternalError("strong duality violated")
     if v_den * int_dot(c, x) != v_num * c_den * x_den:
         raise InternalError("primal value mismatch")

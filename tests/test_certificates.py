@@ -9,7 +9,7 @@ from minproj.catalog import l1_ball, linf_ball, random_subspace
 from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
                                   cm_rank_gap, minimal_support_cm, verify_cm)
 from minproj.errors import BudgetExceededError, InternalError
-from minproj.geometry import Subspace
+from minproj.geometry import Subspace, general_position_check
 from minproj.linalg import integer_row_rank
 from minproj.projections import (OperatorPoint, face_dimension, pair_rows,
                                  projection_constant)
@@ -246,3 +246,17 @@ def test_uncapped_support_of_the_linf6_plane():
     assert cm.pairs == ((0, 0), (1, 0), (2, 0), (4, 0), (27, 0))
     assert cm.weights == (F(2467, 36729), F(3917, 20988), F(513, 1484),
                           F(303, 2332), F(631, 2332))
+
+
+def test_support_of_the_l15_hyperplane_from_the_bound():
+    # The hyperplane of l1^5 at generator seed 7 has lambda > 1 and is in
+    # general position, so the search starts at n = 5, where the search
+    # from size 1 finds its first support too.
+    space, Y = l1_ball(5), random_subspace(5, 4, 7)
+    report = projection_constant(space, Y)
+    face_dimension(report)
+    assert report.lam > 1
+    assert general_position_check(space, Y).in_general_position
+    from_one = minimal_support_cm(report)
+    assert from_one[1] == 5
+    assert minimal_support_cm(report, in_general_position=True) == from_one

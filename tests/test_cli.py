@@ -430,7 +430,7 @@ def _seeded_input(tmp_path, ball, n, k):
     # the support search finds its certificate; only general position stops
     (l1_ball, 4, 3, [], GP_STOP),
     # the l-inf^5 2-plane has 32 candidate pairs, past the default cap of
-    # 24: both stages stop, and warn in the order they run
+    # 24: both stages stop, and warn in the order of the report's fields
     (linf_ball, 5, 2, [], SUPPORT_STOP + GP_STOP),
     # a skipped search is no budget stop, and prints no warning
     (linf_ball, 5, 2, ["--skip-support-search"], GP_STOP),
@@ -447,6 +447,32 @@ def test_budget_stops_give_a_partial_report(tmp_path, capsys, small_gp_cap,
     assert report["general_position"] == "skipped"
     assert (report["support_search"] == "skipped") is (n == 5)
     assert parse_rational(report["lambda"]) >= 1
+
+
+def test_support_search_starts_at_one_when_general_position_stops(
+        tmp_path, capsys, monkeypatch, request):
+    # the l1^4 hyperplane has lambda > 1 in general position: the search
+    # starts at n = 4 when general position finishes, and at 1 when it
+    # stops at its budget, with the same support either way
+    starts = []
+
+    def search(report, max_candidates, in_general_position):
+        starts.append(in_general_position)
+        return certificates.minimal_support_cm(report, max_candidates,
+                                               in_general_position)
+
+    monkeypatch.setattr(cli, "minimal_support_cm", search)
+    path = _seeded_input(tmp_path, l1_ball, 4, 3)
+    assert cli.main(["analyze", "--input", path]) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert full["general_position"]["in_general_position"]
+    assert parse_rational(full["lambda"]) > 1
+    request.getfixturevalue("small_gp_cap")
+    assert cli.main(["analyze", "--input", path]) == 3
+    capped = json.loads(capsys.readouterr().out)
+    assert capped["general_position"] == "skipped"
+    assert capped["support_search"] == full["support_search"]
+    assert starts == [True, False]
 
 
 def test_general_position_budget_stop_is_an_error(tmp_path, capsys, small_gp_cap):

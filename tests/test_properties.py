@@ -668,6 +668,22 @@ def test_support_in_general_position_is_at_least_n(case):
     assert rank_restricted < rank_full
 
 
+@settings(_SETTINGS, max_examples=300)
+@given(spaces_with_subspaces())
+def test_support_search_from_the_bound_matches_the_search_from_one(case):
+    # the search that starts at n, with lambda > 1 in general position,
+    # returns the first support of the search from size 1, the oracle
+    space, Y, report, _ = _analyze(case)
+    if report.lam <= 1 or not general_position_check(space, Y).in_general_position:
+        return
+    try:
+        expected = minimal_support_cm(report, max_candidates=_SUPPORT_CAP)
+    except BudgetExceededError:
+        return
+    assert minimal_support_cm(report, max_candidates=_SUPPORT_CAP,
+                              in_general_position=True) == expected
+
+
 @_SETTINGS
 @given(spaces_with_subspaces())
 def test_face_dimension_within_the_paper_bounds(case):

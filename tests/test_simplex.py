@@ -474,10 +474,10 @@ def test_primal_value_check_is_live():
     # The primal value follows from the five checks before it, so only a
     # forged tight set reaches it: x1 = 1/2 claimed tight on row 1.
     lp = _finish_lp()
-    primal = (F(1, 2), F(0))
-    lhs = [int_dot(row, [1, 0]) for row in lp.matrix]
+    x, x_den = [1, 0], 2
+    lhs = [int_dot(row, x) for row in lp.matrix]
     with pytest.raises(InternalError, match="^primal value mismatch$"):
-        _verify_certificate(lp, F(0), primal, (F(0), F(1), F(0), F(0)), lhs,
+        _verify_certificate(lp, F(0), x, x_den, (F(0), F(1), F(0), F(0)), lhs,
                             frozenset({1, 3}))
 
 
