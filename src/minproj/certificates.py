@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, InternalError
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import (int_dot, integer_row_rank, integer_solve, over_denominator,
-                     subset_walk)
+from .linalg import (int_dot, integer_row_rank, integer_rref, integer_solve,
+                     over_denominator, subset_walk)
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint, PairGrid,
                           _solve_lambda, build_operator_basis, build_pair_grid,
                           face_dimension, operator_norm, pair_rows)
@@ -97,6 +97,16 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     for pi, dj in cm.pairs:
         if not (0 <= pi < n_p and 0 <= dj < n_d):
             return CMVerdict((f"weights: pair ({pi}, {dj}) out of range",))
+    if basis is None:
+        basis = build_operator_basis(space, Y)
+    return _verdict(space, Y, cm, lam, P, basis, pair_rows(space, basis, cm.pairs))
+
+
+def _verdict(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
+             lam: Fraction, P: OperatorPoint, basis: OperatorBasis,
+             rows: PairGrid) -> CMVerdict:
+    """verify_cm of a certificate whose pairs are in range, with their
+    pair rows built (pair_rows of cm.pairs)."""
     violations: list[str] = []
     if len(set(cm.pairs)) != len(cm.pairs):
         violations.append("weights: duplicate pairs")
@@ -106,8 +116,6 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     if total != 1:
         violations.append(f"weights: sum is {format_rational(total)}, not 1")
 
-    if basis is None:
-        basis = build_operator_basis(space, Y)
     X, dx = space.primal_cleared
     F, df = space.dual_cleared
     a, da = over_denominator(cm.weights)
@@ -133,7 +141,7 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
 
     if len(P.coefficients) != basis.dimension:
         raise ValueError("coefficient count does not match the operator basis")
-    values, den = pair_rows(space, basis, cm.pairs).value_numerators(P.coefficients)
+    values, den = rows.value_numerators(P.coefficients)
     for (pi, dj), v in zip(cm.pairs, values):
         if Fraction(v, den) != lam:
             violations.append(
@@ -178,8 +186,9 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
 
     - no LP: when the certificate's pair rows have rank k(n-k), the one
       projection they can all norm at lam solves coefs·c = lam - base; it
-      is tried when its operator norm, read off the vertex lists, is at
-      most lam, and no pair grid is built;
+      is tried when its operator norm, read off the vertex lists over
+      each antipodal class once, is at most lam, and no pair grid is
+      built;
     - one LP: otherwise the lambda LP is solved, and its witness is tried
       when its value is lam;
     - the face: when verify_cm fails at the projection tried, or there is
@@ -187,28 +196,32 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
       relative interior of the optimal face and verify_cm runs there, as
       in the full pipeline, so the violations read the same.
 
-    One operator basis serves every route; the pair grid is built only
-    for the lambda LP, at most once.
+    One operator basis serves every route, and the certificate's pair
+    rows are built once: they give the rank, the no-LP solve and the
+    norming values of every verdict.  The pair grid is built only for
+    the lambda LP, at most once.
     """
     basis = build_operator_basis(space, Y)
     n_p, n_d = len(space.primal_cleared[0]), len(space.dual_cleared[0])
-    report = point = None
+    report = point = rows = None
     if all(0 <= i < n_p and 0 <= j < n_d for i, j in cm.pairs):
         rows = pair_rows(space, basis, cm.pairs)
-        if integer_row_rank([rows.row(r) for r in range(len(cm.pairs))]) == basis.dimension:
-            point = _projection_normed_by(rows, space, basis, lam)
-        else:
+        full_rank, point = _projection_normed_by(rows, space, basis, lam)
+        if not full_rank:
             report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
             if report.lam == lam:
                 point = report.witness
     if point is not None:
-        verdict = verify_cm(space, Y, cm, lam, point, basis=basis)
+        verdict = _verdict(space, Y, cm, lam, point, basis, rows)
         if verdict.ok:
             return lam, verdict
     if report is None:
         report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
     face_dimension(report)
-    verdict = verify_cm(space, Y, cm, lam, report.interior, basis=basis)
+    if rows is None:  # a pair out of range
+        verdict = verify_cm(space, Y, cm, lam, report.interior, basis=basis)
+    else:
+        verdict = _verdict(space, Y, cm, lam, report.interior, basis, rows)
     if report.lam < lam and verdict.failed <= {"norming"}:
         raise InternalError(
             f"the certificate proves lambda >= {format_rational(lam)}, "
@@ -218,27 +231,36 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
 
 def _projection_normed_by(rows: PairGrid, space: PolyhedralSpace,
                           basis: OperatorBasis, lam: Fraction
-                          ) -> OperatorPoint | None:
-    """The projection c at which every row of rows, of full column rank,
-    has value lam, when it exists and its operator norm is at most lam;
-    otherwise None.
+                          ) -> tuple[bool, OperatorPoint | None]:
+    """Whether rows has full column rank k(n-k), and then the projection
+    c at which every row has value lam, when it exists and its operator
+    norm is at most lam, or None.
 
-    coefs·c = lam·D - base is solved in integers as
-    coefs·(lam_den·c) = lam_num·D - lam_den·base by linalg.integer_solve,
-    and c is its solution over lam_den.  The norm is
-    projections.operator_norm of the realized matrix: the largest f(P x)
+    coefs·c = lam·D - base is cleared to coefs·(lam_den·c) =
+    lam_num·D - lam_den·base, and one linalg.integer_rref of that system
+    gives both answers: the rows have full column rank when its pivots
+    hold the first d columns, and a further pivot, in the last column,
+    means no c exists.  c is the last column over the pivot entries, over
+    lam_den.  The projection is realized in integers as M / den
+    (OperatorBasis.realize_cleared), and its norm is
+    projections.operator_norm of M against lam·den: the largest f(P x)
     over the vertex lists, which is the largest value over every pair,
-    with no pair grid."""
+    with no pair grid and no Fraction per entry."""
     d = basis.dimension
     D = rows.denominator
-    solution = integer_solve([list(rows.row(r)) + [lam.numerator * D - lam.denominator * b]
-                              for r, b in enumerate(rows.base_num)], d)
-    if solution is None:
-        return None
-    point = OperatorPoint(tuple(x / lam.denominator for x, in solution))
-    if operator_norm(space, basis.realize(point)) > lam:
-        return None
-    return point
+    reduced = integer_rref([list(rows.row(r)) + [lam.numerator * D - lam.denominator * b]
+                            for r, b in enumerate(rows.base_num)])
+    pivots = [pivot for pivot, _ in reduced]
+    if pivots[:d] != list(range(d)):
+        return False, None
+    if len(pivots) > d:
+        return True, None
+    point = OperatorPoint(tuple(Fraction(row[d], row[pivot] * lam.denominator)
+                                for pivot, row in reduced))
+    M, den = basis.realize_cleared(point)
+    if operator_norm(space, M) > lam * den:
+        return True, None
+    return True, point
 
 
 def cm_from_dual(report: MinProjReport) -> CMFunctional:

@@ -3,8 +3,9 @@
 A space is given by the vertex list of its unit ball (both signs stored
 explicitly) together with the vertex list of the dual ball; the dual
 side can be computed exactly from the primal side by an incremental
-double-description polar computation.  Norms and operator norms then
-reduce to finite maxima over these vertex lists.
+double-description polar computation, which holds one vertex of each
+antipodal pair.  Norms and operator norms then reduce to finite maxima
+over these vertex lists, taken over each antipodal class once.
 
 Each list is held as integer rows over one denominator, the least common
 one of all its vertices, not one per vertex: the input is cleared once,
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import neg
 from typing import Sequence
 
 from .errors import (BudgetExceededError, InternalError, NotExtremeError,
@@ -94,16 +96,23 @@ def _double_description(rows: Rows, den: int) -> _Polar:
     check and the pairing of u with -u.  Each point of the polytope is
     kept as a primitive homogeneous integer vector (P, h), h > 0, standing
     for P / h, so its slack against u is the integer w·P - den·h
-    (negative inside, zero on the boundary).  The start is the
-    parallelotope cut out by n independent pairs: their matrix is W / den,
-    so with W^-1 = M / D its 2ⁿ vertices are M·(den σ) over D for the sign
-    vectors σ.  Each further pair is inserted as one step: the polytope is
-    symmetric, so the new vertices are the cuts a_j·(P_i, h_i) -
-    a_i·(P_j, h_j) of the edges (i, j) that cross u·x = 1, each divided by
-    its content, together with their negations, and a vertex is dropped
-    when |u·x| > 1.  Scaling a row w by a positive factor changes no
-    point, mask or cut: every point is primitive, and the factor cancels
-    in its content.
+    (negative inside, zero on the boundary).  The polytope is symmetric,
+    and only one point of each antipodal pair is kept: the partner of
+    (P, h) is (-P, h), its mask the kept one with bits 2p and 2p + 1
+    exchanged, and its slack against u is -a - 2·den·h when the kept
+    point's is a.  The start is the parallelotope cut out by n
+    independent pairs: their matrix is W / den, so with W^-1 = M / D its
+    vertices are M·(den σ) over D for the sign vectors σ, and the 2ⁿ⁻¹
+    with σ_0 = + are built by doubling, adding ±den·M[:, c] column by
+    column.  Each further pair is inserted as one step, with one slack
+    per kept point: the new vertices are the cuts a_j·(P_i, h_i) -
+    a_i·(P_j, h_j) of the edges (i, j) between the polytope's vertices,
+    partners included, that cross u·x = 1, each divided by its content,
+    and each stands for itself and its negation, the cut across
+    -u·x = 1; a pair is dropped when |u·x| > 1.  The partners are added
+    at the end.  Scaling a row w by a positive factor changes no point,
+    mask or cut: every point is primitive, and the factor cancels in its
+    content.
 
     Edges come from the tight masks alone, by the combinatorial test of
     Fukuda and Prodon ("Double description method revisited", LNCS 1120,
@@ -111,12 +120,12 @@ def _double_description(rows: Rows, den: int) -> _Polar:
     at least n - 1 bits and no third vertex's mask contains it.  The
     vertices tight on every constraint the two share are those of the
     smallest face holding both, and a face with two vertices is an edge.
-    The test is exact because each step keeps the points equal to the
-    vertex set of the current polytope and each mask equal to its point's
-    tight set over the pairs inserted so far: a cut lies strictly inside
-    its edge, where exactly the pairs tight along the whole edge are
-    tight, and a kept vertex gains the bits of the new pair it lies on.
-    No rank is taken, and no Fraction is formed.
+    The test is exact because after each step the kept points and their
+    partners are the vertex set of the current polytope and each mask is
+    its point's tight set over the pairs inserted so far: a cut lies
+    strictly inside its edge, where exactly the pairs tight along the
+    whole edge are tight, and a kept vertex gains the bits of the new pair
+    it lies on.  No rank is taken, and no Fraction is formed.
     """
     n = len(rows[0])
     present = set(rows)
@@ -149,49 +158,68 @@ def _double_description(rows: Rows, den: int) -> _Polar:
     if inv is None:
         raise InternalError("independent vertices give a singular system")
     M, D = inv
-    points: list[list[int]] = []
-    tights: list[int] = []
-    for signs in itertools.product((den, -den), repeat=n):
-        points.append(primitive([int_dot(row, signs) for row in M] + [D]))
-        tights.append(sum(1 << (2 * p + (sign < 0))
-                          for p, sign in zip(chosen, signs)))
-
     even = sum(1 << (2 * p) for p in range(len(reps)))
+
+    def partner(X: list[int]) -> list[int]:
+        """The point (-P, h) of the point (P, h)."""
+        return [-x for x in X[:-1]] + X[-1:]
+
+    def swapped(masks: list[int]) -> list[int]:
+        """The masks of the partners: bits 2p and 2p + 1 exchanged."""
+        return [((t & even) << 1) | ((t >> 1) & even) for t in masks]
+
+    # One vertex of each antipodal pair of the parallelotope, the sign
+    # vectors with σ_0 = +, by doubling over the chosen pairs' columns.
+    columns = [[den * x for x in column] for column in zip(*M)]
+    sums, tights = [columns[0]], [1 << (2 * chosen[0])]
+    for p, column in zip(chosen[1:], columns[1:]):
+        sums = [w for v in sums for w in ([s + x for s, x in zip(v, column)],
+                                          [s - x for s, x in zip(v, column)])]
+        tights = [t | bit for t in tights for bit in (1 << (2 * p), 2 << (2 * p))]
+    points = [primitive(v + [D]) for v in sums]
+
     started = set(chosen)
     for p, w in enumerate(reps):
         if p in started:
             continue
         plus, minus = 1 << (2 * p), 1 << (2 * p + 1)
         slack_row = w + [-den]
+        count = len(points)
+        # The slacks against u of the kept vertices, then of their
+        # partners -X = (-P, h): -w·P - den·h = -a - 2·den·h.
         slacks = [int_dot(slack_row, X) for X in points]
+        slacks += [-a - 2 * den * X[-1] for a, X in zip(slacks, points)]
+        masks = tights + swapped(tights)
+
+        def vertex(i: int) -> list[int]:
+            return points[i] if i < count else partner(points[i - count])
+
         inside = [i for i, a in enumerate(slacks) if a < 0]
         new_points: list[list[int]] = []
         new_tights: list[int] = []
         for j, aj in enumerate(slacks):
             if aj <= 0:
                 continue
-            Xj, tj = points[j], tights[j]
+            Xj, tj = vertex(j), masks[j]
             for i in inside:
-                common = tights[i] & tj
+                common = masks[i] & tj
                 if common.bit_count() >= n - 1 and not any(
                         t & common == common and k != i and k != j
-                        for k, t in enumerate(tights)):
+                        for k, t in enumerate(masks)):
                     ai = slacks[i]
-                    cut = primitive([aj * x - ai * y
-                                     for x, y in zip(points[i], Xj)])
-                    mask = common | plus
-                    new_points += (cut, [-x for x in cut[:-1]] + cut[-1:])
-                    new_tights += (mask, ((mask & even) << 1)
-                                   | ((mask >> 1) & even))
-        # Keep |u·x| <= 1; the slack against -u is -w·P - den·h = -a - 2·den·h.
-        for X, mask, a in zip(points, tights, slacks):
-            b = -a - 2 * den * X[-1]
+                    new_points.append(primitive([aj * x - ai * y
+                                                 for x, y in zip(vertex(i), Xj)]))
+                    new_tights.append(common | plus)
+        # Keep |u·x| <= 1.
+        for X, mask, a, b in zip(points, tights, slacks, slacks[count:]):
             if a <= 0 and b <= 0:
                 new_points.append(X)
                 new_tights.append(mask | (plus if a == 0 else 0)
                                   | (minus if b == 0 else 0))
         points, tights = new_points, new_tights
 
+    points += [partner(X) for X in points]
+    tights += swapped(tights)
     return _Polar(points, tights, [bit_of[w] for w in rows])
 
 
@@ -298,13 +326,14 @@ class PolyhedralSpace:
         return _negation(self.dual_cleared[0])
 
     @cached_property
-    def primal_class_reps(self) -> tuple[int, ...]:
-        """One index per antipodal vertex pair (first occurrence)."""
-        return tuple(i for i, j in enumerate(self.primal_negation) if i < j)
+    def primal_classes(self) -> tuple[tuple[int, ...], int]:
+        """One index per antipodal class of the primal vertices, and the
+        number of pairs among the classes (see _classes)."""
+        return _classes(self.primal_cleared[0])
 
     @cached_property
-    def dual_class_reps(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.dual_negation) if i < j)
+    def dual_classes(self) -> tuple[tuple[int, ...], int]:
+        return _classes(self.dual_cleared[0])
 
 
 def _negation(rows: Rows) -> tuple[int, ...]:
@@ -312,6 +341,35 @@ def _negation(rows: Rows) -> tuple[int, ...]:
     one common denominator, -v clears to the negated row of v)."""
     index = {row: i for i, row in enumerate(rows)}
     return tuple(index[tuple(-x for x in row)] for row in rows)
+
+
+def _classes(rows: Rows) -> tuple[tuple[int, ...], int]:
+    """The index of the first row of each antipodal class, in order, the
+    classes {v, -v} whose -v is listed first and then the classes {v}
+    whose -v is not, and the number of the former.  Over a validated list
+    (symmetric, with no zero or repeated row) these are the rows i whose
+    negation comes after them."""
+    listed = set(rows)
+    seen: set[tuple[int, ...]] = set()
+    pairs: list[int] = []
+    singles: list[int] = []
+    for i, row in enumerate(rows):
+        if row not in seen:
+            negated = tuple(map(neg, row))
+            seen.update((row, negated))
+            (pairs if negated in listed else singles).append(i)
+    return tuple(pairs + singles), len(pairs)
+
+
+def class_max(values: Sequence[int], pairs: int, paired: bool = False) -> int:
+    """The largest value over every listed vertex, given the values at the
+    first row of each class, in the order of _classes: a pair {v, -v}
+    takes |value|, and so does every class when the value is a product
+    with a pair on the other side (`paired`); a singleton against a
+    singleton takes the value itself."""
+    if paired or pairs == len(values):
+        return max(map(abs, values))
+    return max(itertools.chain(map(abs, values[:pairs]), values[pairs:]))
 
 
 def _cleared_rows(vectors: Sequence[Sequence]) -> tuple[Rows, int]:
@@ -328,13 +386,15 @@ def _fraction_rows(rows: Rows, den: int) -> tuple[Vector, ...]:
 
 def norm_eval(space: PolyhedralSpace, x: Sequence) -> Fraction:
     """The norm of x: max over dual vertices f of f·x, in integers over
-    every listed dual vertex (a space built with validate=False is taken
-    as given)."""
+    each antipodal class of the dual list once (class_max).  A space
+    built with validate=False is taken as given: a dual vertex whose
+    negation is not listed counts with its own sign."""
     if len(x) != space.dim:
         raise ValueError(f"vector length {len(x)} != dimension {space.dim}")
     vec, den = over_denominator(x)
     F, df = space.dual_cleared
-    return Fraction(max(int_dot(f, vec) for f in F), den * df)
+    reps, pairs = space.dual_classes
+    return Fraction(class_max([int_dot(F[i], vec) for i in reps], pairs), den * df)
 
 
 @dataclass(frozen=True)
@@ -474,12 +534,12 @@ def general_position_check(space: PolyhedralSpace, Y: Subspace,
     n = space.dim
     k = Y.dim
     span, spans_checked = _first_failing_subset(
-        space.primal_cleared[0], space.primal_class_reps, Y.annihilator_num,
+        space.primal_cleared[0], space.primal_classes[0], Y.annihilator_num,
         n - k, 0, subset_cap, "vertex-span")
     if span is not None:
         return GeneralPositionReport(False, "span", span, spans_checked, 0)
     kernel, kernels_checked = _first_failing_subset(
-        space.dual_cleared[0], space.dual_class_reps, Y.basis_num, k,
+        space.dual_cleared[0], space.dual_classes[0], Y.basis_num, k,
         spans_checked, subset_cap, "kernel")
     if kernel is not None:
         return GeneralPositionReport(False, "kernel", kernel,

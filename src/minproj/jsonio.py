@@ -68,6 +68,9 @@ def _rational_at(value: object, path: str) -> Fraction:
 # An integer token in ASCII digits with no blank, which int() reads as
 # parse_rational does; every other string goes through parse_rational.
 _INTEGER_TOKEN = re.compile(r"[+-]?[0-9]+")
+# Integer tokens joined by commas.  An entry holding a comma itself can
+# match too, and int() refuses it.
+_INTEGER_VECTOR = re.compile(r"[+-]?[0-9]+(?:,[+-]?[0-9]+)*")
 
 
 def _entry_at(value: object, path: str, i: int) -> int | Fraction:
@@ -84,12 +87,18 @@ def _entry_at(value: object, path: str, i: int) -> int | Fraction:
 def _vector_at(value: object, path: str, length: int) -> tuple[int | Fraction, ...]:
     """The list at path as a vector of the given length.  JSON ints and
     integer strings are read straight to ints; no Fraction is formed for
-    them."""
+    them.  A vector of integer strings alone is matched by one regex and
+    read by one map(int, ...); any other takes the per-entry path."""
     if not isinstance(value, list):
         raise InputFormatError(f"{path}: expected a list of rationals")
     if len(value) != length:
         raise InputFormatError(
             f"{path}: expected {length} entries, got {len(value)}")
+    try:
+        if _INTEGER_VECTOR.fullmatch(",".join(value)):
+            return tuple(map(int, value))
+    except (TypeError, ValueError):  # an entry that is no string, or not an int
+        pass
     return tuple(v if type(v) is int else _entry_at(v, path, i)
                  for i, v in enumerate(value))
 

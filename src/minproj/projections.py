@@ -45,7 +45,7 @@ from operator import add, eq, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InternalError, NotMinimalError
-from .geometry import PolyhedralSpace, Subspace
+from .geometry import PolyhedralSpace, Subspace, class_max
 from .linalg import (RMatrix, independent_rows, int_dot, integer_inverse,
                      integer_nullspace, integer_row_rank, over_denominator)
 from .rational import format_rational
@@ -93,10 +93,16 @@ class OperatorBasis:
                      for y in self.y_num for g in self.g_num)
 
     def realize(self, point: OperatorPoint) -> RMatrix:
-        """P0 + sum_q c_q L_q, summed in integers.  With the coefficients
-        cleared to cn / cd, L_q = y_b (x) g_j gives the sum
-        sum_b y_num_b (x) w_b / (y_den·g_den·cd), w_b = sum_j cn_q g_num_j,
-        and each entry is one Fraction over the common denominator."""
+        """P0 + sum_q c_q L_q in Fractions: realize_cleared over its
+        denominator."""
+        M, den = self.realize_cleared(point)
+        return RMatrix(M.rows, M.cols, tuple(Fraction(x, den) for x in M.entries))
+
+    def realize_cleared(self, point: OperatorPoint) -> tuple[RMatrix, int]:
+        """P0 + sum_q c_q L_q as an integer matrix over a denominator.
+        With the coefficients cleared to cn / cd, L_q = y_b (x) g_j gives
+        the sum sum_b y_num_b (x) w_b / (y_den·g_den·cd),
+        w_b = sum_j cn_q g_num_j, taken over the lcm with P0's."""
         if len(point.coefficients) != self.dimension:
             raise ValueError("coefficient count does not match the operator basis")
         cn, cd = over_denominator(point.coefficients)
@@ -108,9 +114,8 @@ class OperatorBasis:
         p_mult, op_mult = den // self.p0_den, den // op_den
         n = len(self.p0_num)
         return RMatrix(n, n, tuple(
-            Fraction(p * p_mult + op_mult * sum(y[r] * w[s] for y, w in zip(self.y_num, ws)),
-                     den)
-            for r, row in enumerate(self.p0_num) for s, p in enumerate(row)))
+            p * p_mult + op_mult * sum(y[r] * w[s] for y, w in zip(self.y_num, ws))
+            for r, row in enumerate(self.p0_num) for s, p in enumerate(row))), den
 
 
 def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
@@ -499,27 +504,27 @@ def _solve_lambda(space: PolyhedralSpace, Y: Subspace, basis: OperatorBasis,
 
 def operator_norm(space: PolyhedralSpace, matrix: RMatrix) -> Fraction:
     """Exact operator norm: the largest f(M x) over the ball's vertices x
-    and the dual vertices f, in integers.
+    and the dual vertices f, in integers over each antipodal class once.
 
-    The matrix is cleared once to M / m_den and the vertex lists are the
-    space's cleared ones.  Per primal vertex x, the image M x is n
-    integer dot products, and the values f(M x) of every dual vertex f
-    at once are the dual list's columns weighted by the image, one list
-    pass per nonzero entry.  As f(M x) = x·(Mᵀ f), the same values come
-    per dual vertex from Mᵀ and the primal list's columns, and the loop
-    runs over the shorter list.  The maximum becomes one Fraction over
-    m_den·dx·df.  Every listed vertex is taken, so neither list needs to
-    be symmetric (a space built with validate=False is taken as given)."""
+    The matrix is cleared once to M / m_den, and each cleared vertex list
+    is read at the first vertex of each class (geometry._classes).  Per
+    primal class x, the values f(M x) of every dual class f are their
+    columns weighted by the image M x, one list pass per nonzero entry;
+    as f(M x) = x·(Mᵀ f), the loop runs over the shorter list.  Over two
+    classes the largest value is |f(M x)| when either is a pair {v, -v}
+    and f(M x) when both are singletons (geometry.class_max), so neither
+    list needs to be symmetric (validate=False takes them as given)."""
     n = space.dim
     if (matrix.rows, matrix.cols) != (n, n):
         raise ValueError(f"a {matrix.rows}x{matrix.cols} matrix on a space "
                          f"of dimension {n}")
     flat, m_den = over_denominator(matrix.entries)
     M = [flat[r * n:(r + 1) * n] for r in range(n)]
-    X, dx = space.primal_cleared
-    F, df = space.dual_cleared
+    (X, dx), (x_reps, x_pairs) = space.primal_cleared, space.primal_classes
+    (F, df), (f_reps, f_pairs) = space.dual_cleared, space.dual_classes
+    X, F = [X[i] for i in x_reps], [F[j] for j in f_reps]
     if len(X) > len(F):
-        M, X, F = list(zip(*M)), F, X
+        M, X, x_pairs, F, f_pairs = list(zip(*M)), F, f_pairs, X, x_pairs
     columns = list(zip(*F))
 
     def values(x):
@@ -529,7 +534,8 @@ def operator_norm(space: PolyhedralSpace, matrix: RMatrix) -> Fraction:
                 out = [s + v * f for s, f in zip(out, column)]
         return out
 
-    return Fraction(max(max(values(x)) for x in X), m_den * dx * df)
+    return Fraction(max(class_max(values(x), f_pairs, c < x_pairs)
+                        for c, x in enumerate(X)), m_den * dx * df)
 
 
 def norming_pairs(report: MinProjReport,

@@ -58,7 +58,12 @@ the polar dual, the operator basis, the realized projection matrix and
 the operator norm (the largest norm of a vertex's image) as they were in
 ``Fraction`` arithmetic (``polar_dual_by_fractions``,
 ``operator_basis_by_fractions``, ``realize_by_fractions``,
-``operator_norm_by_fractions``) and a closed form of the projection
+``operator_norm_by_fractions``), the double description, the operator
+norm and the norm as they were in integers before they read each
+antipodal class once (``double_description_both_signs``, which must give
+the same set of (point, mask) and the same bits, ``operator_norm_every_vertex``
+and ``norm_every_vertex``, which must give the same values, also on
+lists that are not symmetric) and a closed form of the projection
 constant of a hyperplane in l-inf^n (``linf_hyperplane_lambda``), which
 checks the lambda LP with no LP at all.  ``gauge_lp_norm`` is the norm
 by its definition, one LP over the primal vertices, which checks
@@ -97,10 +102,11 @@ from typing import Sequence
 from minproj.certificates import DEFAULT_SUPPORT_CAP, CMVerdict, verify_cm
 from minproj.errors import (BudgetExceededError, InternalError,
                             NotFullDimensionalError, NotSymmetricError)
-from minproj.geometry import DEFAULT_GP_CAP, GeneralPositionReport, norm_eval
+from minproj.geometry import (DEFAULT_GP_CAP, GeneralPositionReport, _Polar,
+                              norm_eval)
 from minproj.jsonio import vector_json
-from minproj.linalg import (RMatrix, int_dot, over_denominator,
-                            primitive)
+from minproj.linalg import (RMatrix, independent_rows, int_dot, integer_inverse,
+                            over_denominator, primitive)
 from minproj.projections import (OperatorPoint, _first_slack_step,
                                   build_operator_basis, face_dimension,
                                   norming_pairs, projection_constant)
@@ -536,7 +542,7 @@ def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
 
     spans_checked = 0
     seen_spans = set()
-    reps = space.primal_class_reps
+    reps = space.primal_classes[0]
     for size in range(1, min(n, len(reps)) + 1):
         for subset in itertools.combinations(reps, size):
             spans_checked += 1
@@ -553,7 +559,7 @@ def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
 
     kernels_checked = 0
     seen_kernels = set()
-    dreps = space.dual_class_reps
+    dreps = space.dual_classes[0]
     for size in range(1, min(n, len(dreps)) + 1):
         for subset in itertools.combinations(dreps, size):
             kernels_checked += 1
@@ -579,9 +585,9 @@ def general_position_per_subset(space, Y, subset_cap=DEFAULT_GP_CAP):
     integer rank of its projected rows, and of its raw rows when that
     rank is below the subset's size.  Same report, same budget errors."""
     return _general_position_report(
-        _first_failing_subset, (space.primal_vertices, space.primal_class_reps,
+        _first_failing_subset, (space.primal_vertices, space.primal_classes[0],
                                 Y.annihilator_functionals()),
-        (space.dual_vertices, space.dual_class_reps, Y.basis_vectors()),
+        (space.dual_vertices, space.dual_classes[0], Y.basis_vectors()),
         space.dim - Y.dim, Y.dim, subset_cap)
 
 
@@ -593,8 +599,8 @@ def general_position_by_leaf_walk(space, Y, subset_cap=DEFAULT_GP_CAP):
     integer rank.  Same report, same budget errors."""
     return _general_position_report(
         _first_failing_by_leaf_walk,
-        (space.primal_cleared[0], space.primal_class_reps, Y.annihilator_num),
-        (space.dual_cleared[0], space.dual_class_reps, Y.basis_num),
+        (space.primal_cleared[0], space.primal_classes[0], Y.annihilator_num),
+        (space.dual_cleared[0], space.dual_classes[0], Y.basis_num),
         space.dim - Y.dim, Y.dim, subset_cap)
 
 
@@ -769,6 +775,116 @@ def operator_norm_by_fractions(space, matrix):
     largest norm_eval of the image of a ball vertex, each image and each
     dual value a Fraction product."""
     return max(norm_eval(space, matrix.apply(v)) for v in space.primal_vertices)
+
+
+def operator_norm_every_vertex(space, matrix):
+    """projections.operator_norm as it was before it read each antipodal
+    class once: the largest f(M x) in integers over every listed primal
+    vertex x and every listed dual vertex f, the loop over the shorter
+    list."""
+    n = space.dim
+    flat, m_den = over_denominator(matrix.entries)
+    M = [flat[r * n:(r + 1) * n] for r in range(n)]
+    X, dx = space.primal_cleared
+    F, df = space.dual_cleared
+    if len(X) > len(F):
+        M, X, F = list(zip(*M)), F, X
+    columns = list(zip(*F))
+
+    def values(x):
+        out = [0] * len(F)
+        for v, column in zip([int_dot(row, x) for row in M], columns):
+            if v:
+                out = [s + v * f for s, f in zip(out, column)]
+        return out
+
+    return Fraction(max(max(values(x)) for x in X), m_den * dx * df)
+
+
+def norm_every_vertex(space, x):
+    """geometry.norm_eval as it was before it read each antipodal class
+    once: the largest f·x over every listed dual vertex f, in integers."""
+    vec, den = over_denominator(x)
+    F, df = space.dual_cleared
+    return Fraction(max(int_dot(f, vec) for f in F), den * df)
+
+
+def double_description_both_signs(rows, den):
+    """geometry._double_description as it was before it kept one point of
+    each antipodal pair: every vertex of the current polytope is held
+    with its negation, the 2^n start points take n dot products each, and
+    each insertion takes one slack per vertex and adds each cut with its
+    negation.  Same checks and messages, same _Polar."""
+    n = len(rows[0])
+    present = set(rows)
+    for w in rows:
+        if tuple(-x for x in w) not in present:
+            vertex = ", ".join(format_rational(Fraction(x, den)) for x in w)
+            raise NotSymmetricError(
+                f"primal vertex ({vertex}) has no negation in the list")
+
+    bit_of = {}
+    reps = []
+    for w in rows:
+        if w not in bit_of:
+            if any(w):
+                bit_of[w] = 2 * len(reps)
+                bit_of[tuple(-x for x in w)] = 2 * len(reps) + 1
+                reps.append(list(w))
+            else:
+                bit_of[w] = None
+
+    chosen = independent_rows(reps, n)
+    if len(chosen) < n:
+        raise NotFullDimensionalError("vertices do not span the space")
+
+    inv = integer_inverse([reps[p] for p in chosen], n)
+    if inv is None:
+        raise InternalError("independent vertices give a singular system")
+    M, D = inv
+    points = []
+    tights = []
+    for signs in itertools.product((den, -den), repeat=n):
+        points.append(primitive([int_dot(row, signs) for row in M] + [D]))
+        tights.append(sum(1 << (2 * p + (sign < 0))
+                          for p, sign in zip(chosen, signs)))
+
+    even = sum(1 << (2 * p) for p in range(len(reps)))
+    started = set(chosen)
+    for p, w in enumerate(reps):
+        if p in started:
+            continue
+        plus, minus = 1 << (2 * p), 1 << (2 * p + 1)
+        slack_row = w + [-den]
+        slacks = [int_dot(slack_row, X) for X in points]
+        inside = [i for i, a in enumerate(slacks) if a < 0]
+        new_points = []
+        new_tights = []
+        for j, aj in enumerate(slacks):
+            if aj <= 0:
+                continue
+            Xj, tj = points[j], tights[j]
+            for i in inside:
+                common = tights[i] & tj
+                if common.bit_count() >= n - 1 and not any(
+                        t & common == common and k != i and k != j
+                        for k, t in enumerate(tights)):
+                    ai = slacks[i]
+                    cut = primitive([aj * x - ai * y
+                                     for x, y in zip(points[i], Xj)])
+                    mask = common | plus
+                    new_points += (cut, [-x for x in cut[:-1]] + cut[-1:])
+                    new_tights += (mask, ((mask & even) << 1)
+                                   | ((mask >> 1) & even))
+        for X, mask, a in zip(points, tights, slacks):
+            b = -a - 2 * den * X[-1]
+            if a <= 0 and b <= 0:
+                new_points.append(X)
+                new_tights.append(mask | (plus if a == 0 else 0)
+                                  | (minus if b == 0 else 0))
+        points, tights = new_points, new_tights
+
+    return _Polar(points, tights, [bit_of[w] for w in rows])
 
 
 def linf_hyperplane_lambda(f):

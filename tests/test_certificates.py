@@ -6,8 +6,9 @@ import pytest
 import minproj.certificates as certificates
 import minproj.projections as projections
 from minproj.catalog import l1_ball, linf_ball, random_subspace
-from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
-                                  cm_rank_gap, minimal_support_cm, verify_cm)
+from minproj.certificates import (CMFunctional, _projection_normed_by, certify_cm,
+                                  cm_from_dual, cm_rank_gap, minimal_support_cm,
+                                  verify_cm)
 from minproj.errors import BudgetExceededError, InternalError
 from minproj.geometry import Subspace, general_position_check
 from minproj.linalg import integer_row_rank
@@ -190,28 +191,55 @@ def test_certify_rejects_the_no_lp_point_below_lambda(monkeypatch, spy):
     # gives them all the value lambda_c.  Below the true lambda its norm
     # is larger, since no projection has norm below lambda: the point is
     # solved and rejected, and certify falls through to the face, builds
-    # one grid and reports the true lambda
+    # one grid and reports the true lambda.  The point is realized as an
+    # integer matrix M over a denominator den, and ||P|| = ||M|| / den
     space, Y = l1_ball(4), random_subspace(4, 3, 7)
     report = projection_constant(space, Y)
     cm = CMFunctional(cm_from_dual(report).pairs[:3], (F(1, 3),) * 3)
     basis = report.basis
     assert integer_row_rank(pair_rows(space, basis, cm.pairs).coefs_num) == basis.dimension
-    norms = []
+    norms, dens = [], []
     original = certificates.operator_norm
+    original_realize = projections.OperatorBasis.realize_cleared
 
     def norm(space, matrix):
         norms.append(original(space, matrix))
         return norms[-1]
 
+    def realize(basis, point):
+        M, den = original_realize(basis, point)
+        dens.append(den)
+        return M, den
+
     monkeypatch.setattr(certificates, "operator_norm", norm)
+    monkeypatch.setattr(projections.OperatorBasis, "realize_cleared", realize)
     spy(certificates, "build_pair_grid")
     counts = spy(certificates, "face_dimension")
     computed, verdict = certify_cm(space, Y, cm, report.lam - F(1, 10))
-    assert len(norms) == 1 and norms[0] >= report.lam
+    assert len(norms) == len(dens) == 1 and norms[0] / dens[0] >= report.lam
     assert counts == {"build_pair_grid": 1, "face_dimension": 1}
     assert computed == report.lam
     assert not verdict.ok
     assert "trace" in verdict.failed
+
+
+def test_no_lp_point_is_refused_by_its_norm():
+    # The three pairs of the seeded l1^4 hyperplane have rows of full rank
+    # k(n-k) = 3, so at every lambda_c one projection gives them all the
+    # value lambda_c.  At lambda it is the minimal projection; below
+    # lambda its norm exceeds lambda_c and it is refused.  The l-inf
+    # 2-plane's three pairs have rank 2 of 4, and no point is solved
+    space, Y = l1_ball(4), random_subspace(4, 3, 7)
+    report = projection_constant(space, Y)
+    rows = pair_rows(space, report.basis, cm_from_dual(report).pairs[:3])
+    assert (_projection_normed_by(rows, space, report.basis, report.lam)
+            == (True, report.witness))
+    assert (_projection_normed_by(rows, space, report.basis, report.lam - F(1, 10))
+            == (True, None))
+    space, Y = linf_ball(4), random_subspace(4, 2, 7)
+    report = projection_constant(space, Y)
+    rows = pair_rows(space, report.basis, cm_from_dual(report).pairs)
+    assert _projection_normed_by(rows, space, report.basis, report.lam) == (False, None)
 
 
 def test_certify_refuses_an_lp_value_below_the_certified_bound(monkeypatch):

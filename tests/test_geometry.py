@@ -289,7 +289,7 @@ def _cut_prefixes(space, Y, size):
     pairs cuts a subtree at this size."""
     projected = [over_denominator([dot(space.primal_vertices[i], g)
                                    for g in Y.annihilator_functionals()])[0]
-                 for i in space.primal_class_reps]
+                 for i in space.primal_classes[0]]
     return [subset for subset, _, _ in subset_walk_by_leaves(projected, size)
             if len(subset) < size]
 
@@ -327,7 +327,7 @@ def test_general_position_counts_a_subtree_cut_above_the_leaf_batches():
     r = general_position_check(space, Y)
     assert r.in_general_position
     assert (r.spans_checked, r.kernels_checked) == (
-        sum(math.comb(7, s) for s in range(1, 6)), len(space.dual_class_reps))
+        sum(math.comb(7, s) for s in range(1, 6)), len(space.dual_classes[0]))
     for cap in range(r.spans_checked + r.kernels_checked + 1):
         assert (budget_outcome(general_position_check, space, Y, cap)
                 == budget_outcome(general_position_per_subset, space, Y, cap))
@@ -344,7 +344,7 @@ def test_general_position_budget_runs_out_inside_a_leaf_batch():
     space = PolyhedralSpace.from_vertices(
         [q for p in _DEPENDENT_TRIPLE for q in (p, tuple(-x for x in p))])
     Y = Subspace.from_basis([(1, 2, 4, 0, 16)])
-    reps = space.primal_class_reps
+    reps = space.primal_classes[0]
     assert _cut_prefixes(space, Y, 4) == [(0, 1, 2)]
     r = general_position_check(space, Y)
     assert r == general_position_per_subset(space, Y)

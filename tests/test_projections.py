@@ -14,7 +14,7 @@ from minproj.projections import (OperatorPoint, build_operator_basis,
                                  operator_norm, projection_constant)
 
 from oracles import (matadd, matmul, operator_norm_by_fractions,
-                     rref_by_fractions, row_value)
+                     operator_norm_every_vertex, rref_by_fractions, row_value)
 
 F = Fraction
 
@@ -162,7 +162,12 @@ def test_operator_norm_is_lambda_on_every_catalog_case(analyzed):
 
 def test_operator_norm_on_unvalidated_lists():
     # validate=False takes the lists as given, symmetric or not: the norm
-    # still reads every listed vertex, as the Fraction one does
+    # reads each antipodal class once and still gives the maximum over
+    # every listed vertex, as the Fraction one and the pass over every
+    # vertex do.  A symmetric list against a list of singletons takes
+    # |f(Px)|, either way round; two lists of singletons take f(Px); a
+    # list mixing pairs, singletons, a repeat and the zero vector takes
+    # each class by its own rule
     P = RMatrix.from_rows([[F(1, 2), F(-3)], [F(2, 3), F(1, 5)]])
     spaces = [
         PolyhedralSpace.from_vertices([(1, 0), (0, 1), (-1, -1)],
@@ -171,10 +176,18 @@ def test_operator_norm_on_unvalidated_lists():
         PolyhedralSpace.from_vertices(linf_ball(2).primal_vertices,
                                       dual_vertices=[(1, 0), (0, 1)],
                                       validate=False),
+        PolyhedralSpace.from_vertices([(1, 0), (0, 1), (-1, -1)],
+                                      dual_vertices=linf_ball(2).primal_vertices,
+                                      validate=False),
+        PolyhedralSpace.from_vertices([(1, 0), (0, 1), (0, 0), (1, 0), (-1, 0)],
+                                      dual_vertices=[(0, 1), (1, 1), (-1, -1)],
+                                      validate=False),
     ]
     for space in spaces:
         assert operator_norm(space, P) == operator_norm_by_fractions(space, P)
+        assert operator_norm(space, P) == operator_norm_every_vertex(space, P)
     assert operator_norm(spaces[1], P) == F(7, 2)
+    assert operator_norm(spaces[2], P) == F(101, 30)
 
 
 def test_norming_pairs_rejects_non_minimal(ker_sum_3):

@@ -11,7 +11,11 @@ per edge test, and the tight masks of its double description with the
 tight sets recomputed by dot products.  Extremality read off the masks
 alone is compared with the rank of the tight polar vertices and the LP
 test, and the integer operator norm with the Fraction one it replaced,
-also on the catalog spaces and mixed balls.  The projection constant of
+also on the catalog spaces and mixed balls.  The double description,
+the norm and the operator norm, which read each antipodal class once,
+are compared with the passes over both signs and over every listed
+vertex that they replaced, the norms also on lists taken as given that
+mix pairs {v, -v} with singletons.  The projection constant of
 random hyperplanes of l-inf^n is compared with Blatter and Cheney's
 closed form.
 
@@ -45,7 +49,7 @@ from minproj.errors import (BudgetExceededError, NotExtremeError,
                             NotFullDimensionalError, NotSymmetricError)
 from minproj.geometry import (PolyhedralSpace, Subspace, _cleared_rows,
                               _double_description, _first_non_vertex, _vertices_of,
-                              general_position_check, polar_dual)
+                              general_position_check, norm_eval, polar_dual)
 from minproj.linalg import RMatrix, cleared, int_dot, integer_row_rank, over_denominator
 from minproj.projections import (OperatorPoint, build_operator_basis,
                                  build_pair_grid, face_dimension,
@@ -54,14 +58,15 @@ from minproj.projections import (OperatorPoint, build_operator_basis,
 from minproj.simplex import solve
 
 from oracles import (budget_outcome, certify_by_face, dense_grid_lp, dot,
-                     face_dimension_by_rounds,
+                     double_description_both_signs, face_dimension_by_rounds,
                      face_dimension_by_vertices, first_non_extreme,
                      first_non_vertex_by_rank,
                      general_position_by_leaf_walk,
                      general_position_exhaustive, general_position_per_subset,
                      is_extreme, linf_hyperplane_lambda,
-                     minimal_support_by_solve, nullspace_by_fractions,
-                     operator_basis_by_fractions, operator_norm_by_fractions,
+                     minimal_support_by_solve, norm_every_vertex,
+                     nullspace_by_fractions, operator_basis_by_fractions,
+                     operator_norm_by_fractions, operator_norm_every_vertex,
                      pair_rows_by_fractions,
                      polar_dual_by_fractions, realize_by_fractions,
                      trace_on_subspace, verify_cm_by_apply)
@@ -199,6 +204,20 @@ def test_validation_agrees_with_lp_oracle(vertices):
             PolyhedralSpace.from_vertices(vertices)
 
 
+def _with_inner_points(vertices, data):
+    """The list with half a listed point and its negation (interior
+    points) inserted, and the zero vector, each when drawn and where
+    drawn."""
+    points = list(vertices)
+    if data.draw(st.booleans()):
+        half = tuple(Fraction(x, 2) for x in data.draw(st.sampled_from(vertices)))
+        for point in (half, tuple(-x for x in half)):
+            points.insert(data.draw(st.integers(0, len(points))), point)
+    if data.draw(st.booleans()):
+        points.insert(data.draw(st.integers(0, len(points))), (0,) * len(vertices[0]))
+    return points
+
+
 @_SETTINGS
 @given(symmetric_point_lists() | cube_like_point_lists(), st.data())
 def test_extremality_from_masks_agrees_with_rank_and_lp_oracles(vertices, data):
@@ -206,17 +225,10 @@ def test_extremality_from_masks_agrees_with_rank_and_lp_oracles(vertices, data):
     # of the tight polar vertices names and the one the LP oracle names,
     # also with half a listed point and its negation (interior points)
     # or the zero vector inserted, and with the duplicates the lists hold
-    n = len(vertices[0])
-    points = list(vertices)
-    if data.draw(st.booleans()):
-        half = tuple(Fraction(x, 2) for x in data.draw(st.sampled_from(vertices)))
-        for point in (half, tuple(-x for x in half)):
-            points.insert(data.draw(st.integers(0, len(points))), point)
-    if data.draw(st.booleans()):
-        points.insert(data.draw(st.integers(0, len(points))), (0,) * n)
+    points = _with_inner_points(vertices, data)
     dd = _double_description(*_cleared_rows(points))
     first = _first_non_vertex(dd)
-    assert first == first_non_vertex_by_rank(dd, n)
+    assert first == first_non_vertex_by_rank(dd, len(vertices[0]))
     assert first == first_non_extreme(points)
 
 
@@ -479,6 +491,31 @@ def test_realize_agrees_with_fraction_oracle(case, data):
     assert ops.realize(point) == realize_by_fractions(ops, point)
 
 
+def _description_outcome(double_description, points):
+    """The set of (point, mask) of a double description, its number of
+    points and its bits, or the error it raises."""
+    try:
+        dd = double_description(*_cleared_rows(points))
+    except (NotSymmetricError, NotFullDimensionalError) as exc:
+        return type(exc), str(exc)
+    return set(zip(map(tuple, dd.points), dd.tights)), len(dd.points), dd.bits
+
+
+@_SETTINGS
+@given(symmetric_point_lists() | cube_like_point_lists(), st.data())
+def test_double_description_by_classes_matches_both_signs(vertices, data):
+    # Keeping one point of each antipodal pair and expanding at the end
+    # gives the (point, mask) set, the point count and the bits of the
+    # pass over both signs, or the same error, on every case of
+    # _polar_cases and with interior points, the zero vector and the
+    # duplicates the lists hold
+    cases = _polar_cases(vertices, data)
+    cases["inner points"] = _with_inner_points(vertices, data)
+    for label, case in cases.items():
+        assert (_description_outcome(_double_description, case)
+                == _description_outcome(double_description_both_signs, case)), label
+
+
 _NORM_SPACES = tuple(c.space for c in paper_cases()) + (
     mixed_ball(5, 4), mixed_ball(6, 3), mixed_ball(6, 5))
 
@@ -495,12 +532,53 @@ def test_operator_norm_agrees_with_fraction_oracle(space, data):
     # The integer norm over the cleared vertex lists equals the largest
     # Fraction norm of a vertex's image, on random rational matrices over
     # the catalog spaces, mixed balls, random polytopes and their polars
-    # (whose dual or primal vertices clear over denominators above 1)
+    # (whose dual or primal vertices clear over denominators above 1).
+    # Read over each antipodal class once, the norm and the operator norm
+    # equal their integer passes over every listed vertex
     n = space.dim
     entries = data.draw(st.lists(st.fractions(-5, 5, max_denominator=9),
                                  min_size=n * n, max_size=n * n))
     matrix = RMatrix(n, n, tuple(entries))
-    assert operator_norm(space, matrix) == operator_norm_by_fractions(space, matrix)
+    norm = operator_norm(space, matrix)
+    assert norm == operator_norm_by_fractions(space, matrix)
+    assert norm == operator_norm_every_vertex(space, matrix)
+    assert norm_eval(space, entries[:n]) == norm_every_vertex(space, entries[:n])
+
+
+@st.composite
+def unvalidated_spaces(draw):
+    """A primal and a dual list taken as given (validate=False): small
+    rational points, the zero vector and repeats allowed, each followed
+    by its negation or not, as drawn, so a list mixes pairs {v, -v} and
+    singletons {v}."""
+    n = draw(st.integers(2, 4))
+
+    def points():
+        drawn = draw(st.lists(st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * n),
+                              min_size=1, max_size=n + 3))
+        out = []
+        for p in drawn:
+            out.append(p)
+            if draw(st.booleans()):
+                out.append(tuple(-x for x in p))
+        return out
+
+    return PolyhedralSpace.from_vertices(points(), dual_vertices=points(),
+                                         validate=False)
+
+
+@_SETTINGS
+@given(unvalidated_spaces(), st.data())
+def test_norms_by_classes_on_unvalidated_lists(space, data):
+    # The class rule (|f(Mx)| when either class is a pair, f(Mx) when both
+    # are singletons) gives the maximum over every listed vertex, on lists
+    # that mix pairs and singletons
+    n = space.dim
+    entries = data.draw(st.lists(st.fractions(-5, 5, max_denominator=9),
+                                 min_size=n * n, max_size=n * n))
+    matrix = RMatrix(n, n, tuple(entries))
+    assert operator_norm(space, matrix) == operator_norm_every_vertex(space, matrix)
+    assert norm_eval(space, entries[:n]) == norm_every_vertex(space, entries[:n])
 
 
 def _analyze(case):
