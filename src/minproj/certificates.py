@@ -6,7 +6,11 @@ projection, and its trace restricted to Y equals the projection
 constant, which makes it an exact optimality witness for lambda(Y, X).
 T annihilates y (x) g exactly when g(T y) = sum_i a_i f_i(y) g(x_i) = 0,
 so vanishing on L_Y(X, Y) is invariance of Y; verify_cm reads both, and
-the trace, off T alone, independent of the pair grid and the LP.
+the trace, off T alone, independent of the pair grid and the LP.  It
+reads each pair's value f(P x) off P realized as an integer matrix, as
+the operator norm reads every pair, so a verdict builds no pair rows:
+projections.pair_rows stays the one home of grid rows, here built only
+for the rank and the solve of certify_cm's no-LP route.
 The LP dual of the projection solve is one such certificate; a
 minimum-support one is found by exact linear solves over subsets of the
 implicit pairs, smallest subsets first (from n when the paper's lower
@@ -24,14 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import BudgetExceededError, InternalError
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import (int_dot, integer_row_rank, integer_rref, integer_solve,
-                     over_denominator, subset_walk)
+from .linalg import (RMatrix, int_dot, integer_row_rank, integer_rref,
+                     integer_solve, over_denominator, subset_walk)
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint, PairGrid,
                           _solve_lambda, build_operator_basis, build_pair_grid,
-                          face_dimension, operator_norm, pair_rows)
+                          face_dimension, operator_norm, pair_rows, pair_values)
 from .rational import format_rational
 
 #: Largest candidate set the minimal-support search enumerates by default.
@@ -77,7 +82,8 @@ class CMVerdict:
 
 def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
               lam: Fraction, P: OperatorPoint,
-              basis: OperatorBasis | None = None) -> CMVerdict:
+              basis: OperatorBasis | None = None,
+              realized: tuple[RMatrix, int] | None = None) -> CMVerdict:
     """Exact check of the certificate: weight sanity plus the four defining
     conditions -- (1) vanishing on every basis operator of L_Y(X, Y),
     (2) T(Y) contained in Y, (3) every pair norming for P, (4) trace of
@@ -89,9 +95,14 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     sum_i a_i f_i(y_b) g_j(x_i) = g_j(T y_b), so (1) and (2) fail
     together, at the first nonzero g_j(T y_b): (1) reports its value and
     q, (2) its block b.  (4) sums the Y-coordinates of the same images,
-    read off one exact solve, and is undefined when (2) fails.  These
-    three read only the vertices, the weights and Y, never P0, the pair
-    grid or the LP.  (3) reads each pair's value f(P x) off pair_rows."""
+    read off one integer reduced echelon form, and is undefined when (2)
+    fails.  These three read only the vertices, the weights and Y, never
+    P0, the pair grid or the LP.  (3) reads each pair's value f(P x) off
+    P realized as an integer matrix (projections.pair_values), as
+    operator_norm reads every pair; realized is that matrix over its
+    denominator, OperatorBasis.realize_cleared of P, when the caller
+    holds it.  The weights' sum, the values and the trace are compared
+    with 1 and lam in integers."""
     n_p = len(space.primal_cleared[0])
     n_d = len(space.dual_cleared[0])
     for pi, dj in cm.pairs:
@@ -99,26 +110,18 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
             return CMVerdict((f"weights: pair ({pi}, {dj}) out of range",))
     if basis is None:
         basis = build_operator_basis(space, Y)
-    return _verdict(space, Y, cm, lam, P, basis, pair_rows(space, basis, cm.pairs))
-
-
-def _verdict(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
-             lam: Fraction, P: OperatorPoint, basis: OperatorBasis,
-             rows: PairGrid) -> CMVerdict:
-    """verify_cm of a certificate whose pairs are in range, with their
-    pair rows built (pair_rows of cm.pairs)."""
     violations: list[str] = []
     if len(set(cm.pairs)) != len(cm.pairs):
         violations.append("weights: duplicate pairs")
     if any(a <= 0 for a in cm.weights):
         violations.append("weights: non-positive weight")
-    total = sum(cm.weights, Fraction(0))
-    if total != 1:
-        violations.append(f"weights: sum is {format_rational(total)}, not 1")
+    a, da = over_denominator(cm.weights)
+    if sum(a) != da:
+        violations.append(
+            f"weights: sum is {format_rational(Fraction(sum(a), da))}, not 1")
 
     X, dx = space.primal_cleared
     F, df = space.dual_cleared
-    a, da = over_denominator(cm.weights)
     # T y_b over t_den; g_j(T y_b) over g_den·t_den.
     images = []
     for y in basis.y_num:
@@ -139,11 +142,12 @@ def _verdict(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
         violations.append(
             f"invariance: T(basis vector {q // len(basis.g_num)}) leaves Y")
 
-    if len(P.coefficients) != basis.dimension:
-        raise ValueError("coefficient count does not match the operator basis")
-    values, den = rows.value_numerators(P.coefficients)
+    M, m_den = basis.realize_cleared(P) if realized is None else realized
+    values, den = pair_values(space, M, cm.pairs)
+    den *= m_den
+    target = lam.numerator * den
     for (pi, dj), v in zip(cm.pairs, values):
-        if Fraction(v, den) != lam:
+        if v * lam.denominator != target:
             violations.append(
                 f"norming: pair ({pi}, {dj}) gives {format_rational(Fraction(v, den))}, "
                 f"expected {format_rational(lam)}")
@@ -152,19 +156,21 @@ def _verdict(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     if leak is not None:
         violations.append("trace: undefined, T does not map Y into Y")
     else:
-        # [y_num_1 .. y_num_k] C = t_den·[T y_1 .. T y_k], so the
-        # coordinates of the images are C·y_den / t_den.
+        # [y_num_1 .. y_num_k] C = t_den·[T y_1 .. T y_k]: C[b][b] is
+        # row[k + b] / row[b] for the reduced row with pivot b, and the
+        # trace of the images' coordinates is tr C·y_den / t_den.
         k = len(images)
-        coords = integer_solve(
-            [list(column) + [image[r] for image in images]
-             for r, column in enumerate(zip(*basis.y_num))], k)
-        if coords is None:
+        reduced = integer_rref([list(column) + [image[r] for image in images]
+                                for r, column in enumerate(zip(*basis.y_num))])
+        if reduced[-1][0] >= k:
             raise InternalError("an image of Y in Y has no coordinates in its basis")
-        trace = (sum((coords[b][b] for b in range(k)), Fraction(0))
-                 * basis.y_den / t_den)
-        if trace != lam:
+        L = lcm(*(row[b] for b, row in reduced))
+        trace_num = sum(row[k + b] * (L // row[b]) for b, row in reduced) * basis.y_den
+        trace_den = L * t_den
+        if trace_num * lam.denominator != lam.numerator * trace_den:
             violations.append(
-                f"trace: {format_rational(trace)} differs from {format_rational(lam)}")
+                f"trace: {format_rational(Fraction(trace_num, trace_den))} "
+                f"differs from {format_rational(lam)}")
 
     return CMVerdict(tuple(violations))
 
@@ -197,31 +203,30 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
       in the full pipeline, so the violations read the same.
 
     One operator basis serves every route, and the certificate's pair
-    rows are built once: they give the rank, the no-LP solve and the
-    norming values of every verdict.  The pair grid is built only for
-    the lambda LP, at most once.
+    rows are built once, for the rank and the no-LP solve.  Each point
+    tried is realized as an integer matrix once: its operator norm and
+    the verdict's norming values read the same matrix.  The pair grid is
+    built only for the lambda LP, at most once.
     """
     basis = build_operator_basis(space, Y)
     n_p, n_d = len(space.primal_cleared[0]), len(space.dual_cleared[0])
-    report = point = rows = None
+    report = point = realized = None
     if all(0 <= i < n_p and 0 <= j < n_d for i, j in cm.pairs):
         rows = pair_rows(space, basis, cm.pairs)
-        full_rank, point = _projection_normed_by(rows, space, basis, lam)
+        full_rank, point, realized = _projection_normed_by(rows, space, basis, lam)
         if not full_rank:
             report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
             if report.lam == lam:
-                point = report.witness
+                point, realized = report.witness, report.witness_cleared
     if point is not None:
-        verdict = _verdict(space, Y, cm, lam, point, basis, rows)
+        verdict = verify_cm(space, Y, cm, lam, point, basis=basis, realized=realized)
         if verdict.ok:
             return lam, verdict
     if report is None:
         report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
     face_dimension(report)
-    if rows is None:  # a pair out of range
-        verdict = verify_cm(space, Y, cm, lam, report.interior, basis=basis)
-    else:
-        verdict = _verdict(space, Y, cm, lam, report.interior, basis, rows)
+    verdict = verify_cm(space, Y, cm, lam, report.interior, basis=basis,
+                        realized=report.interior_cleared)
     if report.lam < lam and verdict.failed <= {"norming"}:
         raise InternalError(
             f"the certificate proves lambda >= {format_rational(lam)}, "
@@ -231,10 +236,12 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
 
 def _projection_normed_by(rows: PairGrid, space: PolyhedralSpace,
                           basis: OperatorBasis, lam: Fraction
-                          ) -> tuple[bool, OperatorPoint | None]:
+                          ) -> tuple[bool, OperatorPoint | None,
+                                     tuple[RMatrix, int] | None]:
     """Whether rows has full column rank k(n-k), and then the projection
-    c at which every row has value lam, when it exists and its operator
-    norm is at most lam, or None.
+    c at which every row has value lam, with c realized as an integer
+    matrix over a denominator, when c exists and its operator norm is at
+    most lam, or None and None.
 
     coefs·c = lam·D - base is cleared to coefs·(lam_den·c) =
     lam_num·D - lam_den·base, and one linalg.integer_rref of that system
@@ -252,15 +259,15 @@ def _projection_normed_by(rows: PairGrid, space: PolyhedralSpace,
                             for r, b in enumerate(rows.base_num)])
     pivots = [pivot for pivot, _ in reduced]
     if pivots[:d] != list(range(d)):
-        return False, None
+        return False, None, None
     if len(pivots) > d:
-        return True, None
+        return True, None, None
     point = OperatorPoint(tuple(Fraction(row[d], row[pivot] * lam.denominator)
                                 for pivot, row in reduced))
-    M, den = basis.realize_cleared(point)
+    M, den = realized = basis.realize_cleared(point)
     if operator_norm(space, M) > lam * den:
-        return True, None
-    return True, point
+        return True, None, None
+    return True, point, realized
 
 
 def cm_from_dual(report: MinProjReport) -> CMFunctional:
@@ -273,7 +280,8 @@ def cm_from_dual(report: MinProjReport) -> CMFunctional:
     cm = CMFunctional(pairs=tuple(report.grid.pairs[r] for r in report.dual_rows),
                       weights=report.dual_weights)
     verdict = verify_cm(report.space, report.subspace, cm, report.lam,
-                        report.witness, basis=report.basis)
+                        report.witness, basis=report.basis,
+                        realized=report.witness_cleared)
     if not verdict.ok:
         raise InternalError("; ".join(verdict.violations))
     return cm
@@ -353,7 +361,8 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
             cm = CMFunctional(pairs=tuple(grid.pairs[rows[i]] for i in subset),
                               weights=weights)
             check = verify_cm(report.space, report.subspace, cm, report.lam,
-                              report.interior, basis=report.basis)
+                              report.interior, basis=report.basis,
+                              realized=report.interior_cleared)
             if not check.ok:
                 raise InternalError(
                     "subset search produced an invalid certificate: "

@@ -142,14 +142,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     support = ("skipped" if args.skip_support_search
                else within_budget("support_search", support_search))
 
+    projection, den = report.interior_cleared
     out = {
         "dim": space.dim,
         "subspace_dim": subspace.dim,
-        "subspace_basis": [vector_json(b) for b in subspace.basis_vectors()],
+        "subspace_basis": matrix_json(subspace.basis_num, subspace.basis_den),
         "lambda": format_rational(report.lam),
         "lambda_approx": approx_decimal(report.lam),
         "face_dim": face_dim,
-        "minimal_projection": matrix_json(report.basis.realize(report.interior)),
+        "minimal_projection": matrix_json(projection.row_list(), den),
         "norming_pairs": [list(p) for p in implicit],
         "cm_certificate": certificate_json(cm, report.lam),
         "support_search": support,

@@ -450,13 +450,14 @@ class Subspace:
     @classmethod
     def _spanned_by(cls, basis: Sequence[Sequence[int]], den: int) -> "Subspace":
         """The subspace with basis vectors basis / den, its annihilator
-        the integer nullspace of the basis."""
+        the integer nullspace of the basis.  The basis is independent
+        exactly when that nullspace has n - k vectors."""
         if not basis:
             raise ValueError("empty basis")
-        if integer_row_rank(basis) != len(basis):
-            raise ValueError("basis vectors are linearly dependent")
         n = len(basis[0])
         annihilator, a_den = integer_nullspace(basis, n)
+        if len(annihilator) != n - len(basis):
+            raise ValueError("basis vectors are linearly dependent")
         return cls(ambient_dim=n, basis_num=tuple(map(tuple, basis)), basis_den=den,
                    annihilator_num=tuple(map(tuple, annihilator)),
                    annihilator_den=a_den)

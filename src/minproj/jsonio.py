@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .certificates import CMFunctional
 from .errors import InputFormatError
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import RMatrix
-from .rational import format_rational, parse_rational
+from .rational import format_ratio, format_rational, parse_rational
 
 
 class _FloatLiteral(str):
@@ -152,8 +152,10 @@ def vector_json(vec) -> list[str]:
     return [format_rational(Fraction(x)) for x in vec]
 
 
-def matrix_json(matrix: RMatrix) -> list[list[str]]:
-    return [vector_json(row) for row in matrix.row_list()]
+def matrix_json(rows: Iterable[Sequence[int]], den: int) -> list[list[str]]:
+    """Integer rows over one denominator den > 0, as the rows of
+    rationals they stand for."""
+    return [[format_ratio(x, den) for x in row] for row in rows]
 
 
 def certificate_json(cm: CMFunctional, lam: Fraction) -> dict:

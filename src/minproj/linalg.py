@@ -7,8 +7,10 @@ independent_rows fold it over the rows; the reduced row echelon form
 nullspace, the inverse and the solve are read off its rows.  Pivots are
 deterministic: each row in turn, at its first nonzero entry after
 reduction.  subset_walk, behind the general-position check and the
-minimal-support search, folds it down a depth-first walk over subsets
-that stops two levels above the leaves: there the carried rows are
+minimal-support search, folds it down a depth-first walk over subsets,
+as one batch step per node (reduce_rows: the step of reduce_row against
+one echelon row, applied to every row the node carries on).  The walk
+stops two levels above the leaves: there the carried rows are
 grouped by direction (parallel classes), and a leaf, the prefix plus two
 carried rows, is dependent exactly when the second row is zero or
 parallel to the first, so no step is taken for the last level.
@@ -136,9 +138,29 @@ def reduce_row(vec: Sequence[int], rows: Iterable[tuple[int, Sequence[int]]],
     return vec
 
 
+def reduce_rows(vecs: Iterable[Sequence[int]], pivot: int, row: Sequence[int],
+                prev: int = 1) -> list[list[int]]:
+    """reduce_row's one step against the echelon row (pivot, row), on
+    each of vecs: the batch step of subset_walk, which carries many rows
+    down one level.  A vec zero at the pivot is only rescaled, by
+    row[pivot] / prev."""
+    a = row[pivot]
+    out = []
+    for vec in vecs:
+        c = vec[pivot]
+        if c:
+            out.append([(a * x - c * y) // prev for x, y in zip(vec, row)])
+        else:
+            out.append([a * x // prev for x in vec])
+    return out
+
+
 def _pivot(row: Sequence[int]) -> int | None:
     """Index of the first nonzero entry, or None."""
-    return next((j for j, x in enumerate(row) if x), None)
+    for j, x in enumerate(row):
+        if x:
+            return j
+    return None
 
 
 def _echelon(rows: Iterable[Sequence[int]], full: int
@@ -174,7 +196,8 @@ def subset_walk(rows: Sequence[Sequence[int]], size: int, width: int
 
     A depth-first walk finds them.  A node carries the rows after its
     prefix, each already reduced against the prefix's echelon rows, and
-    a child costs one reduce_row step per row it carries on.  The walk
+    a child reduces the rows it carries on with one batch step
+    (reduce_rows) against its new row.  The walk
     descends only through prefixes whose heads are independent, so every
     pivot lies in the heads: a child whose carried head is zero cuts its
     subtree.  A carried row is then its row modulo the prefix's span, and
@@ -209,10 +232,8 @@ def subset_walk(rows: Sequence[Sequence[int]], size: int, width: int
             if pivot is None or pivot >= width:
                 yield comb(len(rows) - pos - 1, size - depth), None
                 continue
-            step = [(pivot, row)]
             yield from walk(prefix + (indices[pos],), indices[pos + 1:],
-                            [reduce_row(r, step, prev) for r in rows[pos + 1:]],
-                            row[pivot])
+                            reduce_rows(rows[pos + 1:], pivot, row, prev), row[pivot])
 
     return walk((), range(len(rows)), rows, 1)
 

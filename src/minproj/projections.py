@@ -113,9 +113,11 @@ class OperatorBasis:
         den = lcm(self.p0_den, op_den)
         p_mult, op_mult = den // self.p0_den, den // op_den
         n = len(self.p0_num)
+        w_cols = list(zip(*ws))
         return RMatrix(n, n, tuple(
-            p * p_mult + op_mult * sum(y[r] * w[s] for y, w in zip(self.y_num, ws))
-            for r, row in enumerate(self.p0_num) for s, p in enumerate(row))), den
+            p * p_mult + op_mult * int_dot(y, w)
+            for row, y in zip(self.p0_num, zip(*self.y_num))
+            for p, w in zip(row, w_cols))), den
 
 
 def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
@@ -126,10 +128,13 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     Everything runs in integers.  Y's basis y_num / y_den and the
     annihilator g_num / g_den are Y's own integer families.
     linalg.independent_rows over Y's rows and then e_0, e_1, ... picks
-    the complement.  With M the matrix of the columns y_num_b and the chosen
-    e_j, the first k rows h_b of M^-1 have h_b·y_num_c = [b = c] and
-    vanish on the e_j, so P0 = sum_b y_num_b (x) h_b, over the least
-    common denominator of those rows (linalg.integer_inverse).  Four
+    the complement e_J.  With M the matrix of the columns y_num_b and the
+    chosen e_j, the first k rows h_b of M^-1 have h_b·y_num_c = [b = c]
+    and vanish on the e_j, so P0 = sum_b y_num_b (x) h_b, over the least
+    common denominator of those rows.  As h_b is zero on J, its entries
+    on the other k coordinates I are row b of the inverse of Y's k x k
+    minor there, the matrix of rows (y_num_c[i])_c for i in I
+    (linalg.integer_inverse), and M itself is never inverted.  Four
     guards raise InternalError: P0^2 = P0, P0 y = y, g_j(y_b) = 0
     (exactly "L_q vanishes on Y") and the rank of the k(n-k) flattened
     operators y_num_b (x) g_num_j, taken as the rank of Y's basis times
@@ -139,13 +144,20 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     ys, gs = Y.basis_num, Y.annihilator_num
 
     candidates = [*ys, *([int(i == j) for i in range(n)] for j in range(n))]
-    columns = [candidates[i] for i in independent_rows(candidates, n)]
-    inv = integer_inverse(list(zip(*columns)), k)
+    kept = independent_rows(candidates, n)
+    J = {i - k for i in kept[k:]}
+    I = [i for i in range(n) if i not in J]
+    inv = (integer_inverse([[y[i] for y in ys] for i in I], k)
+           if kept[:k] == list(range(k)) else None)
     if inv is None:
         raise InternalError("basis of Y plus its complement is singular")
-    hs, h_den = inv
-    P = [[sum(y[r] * h[c] for y, h in zip(ys, hs)) for c in range(n)]
-         for r in range(n)]
+    minor_inv, h_den = inv
+    hs = [[0] * n for _ in range(k)]
+    for h, row in zip(hs, minor_inv):
+        for i, x in zip(I, row):
+            h[i] = x
+    h_cols = list(zip(*hs))
+    P = [[int_dot(y, h) for h in h_cols] for y in zip(*ys)]
 
     P_cols = list(zip(*P))
     if any(int_dot(row, col) != h_den * x
@@ -280,8 +292,9 @@ class _ProductPlan:
         near, far = (f_cols, g_cols) if by_dual else (g_cols, f_cols)
         return cls(near, far, by_dual, positions, len(pairs))
 
-    def products(self, v: Sequence[int]) -> list[int]:
-        """f_at[j]·V·g_at[i] for every pair."""
+    def products(self, v: Sequence[int], start: int = 0) -> list[int]:
+        """start + f_at[j]·V·g_at[i] for every pair: start is added in the
+        first product formed, so it costs no pass of its own."""
         h = len(self.far if self.by_dual else self.near)
         V = [v[b:b + h] for b in range(0, len(v), h)]
         if self.by_dual:
@@ -296,12 +309,15 @@ class _ProductPlan:
             if formed is None:
                 continue
             xv, fv = (far, formed) if self.by_dual else (formed, far)
+            c = start if out is None else 0
             if self.positions is None:
-                terms = [a * b for a in xv for b in fv]
+                terms = ([a * b + c for a in xv for b in fv] if c
+                         else [a * b for a in xv for b in fv])
             else:
-                terms = [xv[p] * fv[q] for p, q in self.positions]
+                terms = ([xv[p] * fv[q] + c for p, q in self.positions] if c
+                         else [xv[p] * fv[q] for p, q in self.positions])
             out = terms if out is None else list(map(add, out, terms))
-        return [0] * self.size if out is None else out
+        return [start] * self.size if out is None else out
 
 
 @dataclass(frozen=True)
@@ -317,7 +333,8 @@ class GridLP:
     block order makes (kept x_i) x (f_j with j < negd[j]), and returns
     the prices times the grid's content g > 0:
     g·(w·coefs[r] - D·w_t + bf·beta_r) = f_at[j]·W·g_at[i] + g·(bf·beta_r
-    - D·w_t), with W the k x (n-k) matrix of w.  Each partner's row is
+    - D·w_t), with W the k x (n-k) matrix of w, and the constant
+    -g·D·w_t is added inside the factored product.  Each partner's row is
     its representative's negated, the t entry -D and beta summing to 0,
     so the pair constant is K = -2g·D·w_t.  The partner claim is checked
     here on the factors: the partner of (x_i, f_j) is a pair (x_i, f')
@@ -370,12 +387,10 @@ class GridLP:
         plan, beta = self._priced_plan
         g = self.grid.content
         c0 = -g * self.denominator * w[-1]
-        raw = plan.products(w[:-1])
+        vals = plan.products(w[:-1], c0)
         if bf:
             gbf = g * bf
-            vals = [a + c0 + gbf * b for a, b in zip(raw, beta)]
-        else:
-            vals = [a + c0 for a in raw]
+            vals = [a + gbf * b for a, b in zip(vals, beta)]
         return vals, (2 * c0 if self.partner else None)
 
     @cached_property
@@ -472,6 +487,23 @@ class MinProjReport:
     implicit_rows: tuple[int, ...] | None = None
     interior: OperatorPoint | None = None
 
+    @cached_property
+    def witness_cleared(self) -> tuple[RMatrix, int]:
+        """The witness realized as an integer matrix over its denominator
+        (OperatorBasis.realize_cleared), formed once for every stage that
+        reads it."""
+        return self.basis.realize_cleared(self.witness)
+
+    @cached_property
+    def interior_cleared(self) -> tuple[RMatrix, int]:
+        """The relative-interior point realized likewise; the witness's
+        matrix when the point is the witness."""
+        if self.interior is None:
+            raise ValueError("the report's optimal face is not settled")
+        if self.interior == self.witness:
+            return self.witness_cleared
+        return self.basis.realize_cleared(self.interior)
+
 
 def projection_constant(space: PolyhedralSpace, Y: Subspace) -> MinProjReport:
     """Solve the operator-norm LP exactly: lambda, one minimal projection,
@@ -538,6 +570,25 @@ def operator_norm(space: PolyhedralSpace, matrix: RMatrix) -> Fraction:
                         for c, x in enumerate(X)), m_den * dx * df)
 
 
+def pair_values(space: PolyhedralSpace, matrix: RMatrix,
+                pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """f(M x) for each listed pair (x, f), by index into the space's
+    vertex lists, for an integer matrix M: integers over the vertex
+    lists' denominators, M x formed once per primal vertex."""
+    n = space.dim
+    X, dx = space.primal_cleared
+    F, df = space.dual_cleared
+    rows = [matrix.entries[r * n:(r + 1) * n] for r in range(n)]
+    images: dict[int, list[int]] = {}
+    values = []
+    for i, j in pairs:
+        image = images.get(i)
+        if image is None:
+            image = images[i] = [int_dot(row, X[i]) for row in rows]
+        values.append(int_dot(F[j], image))
+    return values, dx * df
+
+
 def norming_pairs(report: MinProjReport,
                   P: OperatorPoint) -> frozenset[tuple[int, int]]:
     """Pairs (vertex index, dual index) with f(P x) = lambda, one per
@@ -600,7 +651,9 @@ def face_dimension(report: MinProjReport) -> tuple[int, frozenset[tuple[int, int
     row that is slack at the witness at least half slack; its norming
     pairs are exactly the implicit pairs, and it is the witness itself
     when no undecided row is left (z = 0), in particular when the face is
-    a point.  face_dim is the dimension of N.
+    a point.  A closing check compares the point's tight rows with the
+    implicit rows; at the witness those are witness_rows, with no pass
+    over the grid.  face_dim is the dimension of N.
     """
     grid = report.grid
     lam = report.lam
@@ -645,7 +698,11 @@ def face_dimension(report: MinProjReport) -> tuple[int, frozenset[tuple[int, int
         undecided = [r for r in undecided if r not in charged]
 
     implicit.sort()
-    if grid.tight_rows(interior, lam) != implicit:
+    # At the witness the tight rows are witness_rows, which _finish took
+    # from the same row values.
+    tight = (list(report.witness_rows) if interior is witness
+             else grid.tight_rows(interior, lam))
+    if tight != implicit:
         raise InternalError("relative-interior point is tight off the implicit rows")
     report.face_dim = len(cols)
     report.implicit_rows = tuple(implicit)

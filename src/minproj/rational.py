@@ -14,6 +14,7 @@ import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import gcd
 
 from .errors import InputFormatError
 
@@ -59,10 +60,15 @@ def parse_rational(value: object) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as ``"p/q"``, or ``"p"`` when the denominator is 1,
     at any length (see _decimal)."""
-    num = _decimal(value.numerator)
-    if value.denominator == 1:
-        return num
-    return f"{num}/{_decimal(value.denominator)}"
+    return format_ratio(value.numerator, value.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """format_rational of num / den for integers, den > 0, with no
+    Fraction: the ratio in lowest terms, at any length."""
+    g = gcd(num, den)
+    text = _decimal(num // g)
+    return text if den == g else f"{text}/{_decimal(den // g)}"
 
 
 def _decimal(n: int) -> str:

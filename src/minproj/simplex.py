@@ -38,7 +38,8 @@ reduced costs of the artificials and the negated objective, as ints
 iteration prices every real column in one pass, as one int over the
 common oscale·D.
 A pivot on the entry p > 0 at (r, c) replaces every other row R by
-p·R − R[c]·R_r and divides out its content (the gcd of its entries), so
+p·R − R[c]·R_r, one dense list pass per row, and divides out its
+content (the gcd of its entries), so
 rows stay primitive and no entry ever needs a gcd of its own.  Positive
 factors change no sign and no ratio: Dantzig's rule compares the priced
 ints directly, and the ratio test and the stall check compare
@@ -60,7 +61,9 @@ nonzero weight over the priced rows transposed.  The pair grid's LP
 (projections.GridLP) implements them over the grid's rank-one factors,
 M[r] = [f_at[j] (x) g_at[i] / g | -D], so a pricing pass is one
 factored product per row, g times the integers above, with g > 0 the
-grid's content.  One positive factor on every price of a round, K
+grid's content; the t column's share -g·D·w_t, the same for every row,
+is added inside the first product formed, so a phase-I round (bf = 0)
+is that one pass.  One positive factor on every price of a round, K
 included, changes no sign and no comparison, so Dantzig's and Bland's
 rules pick the same column, and the reduced cost of the entering column
 is taken exactly from its row.  The verification reads every row
@@ -228,20 +231,16 @@ class LPSolution:
     pivots: int = 0
 
 
-def _eliminate(row: list[int], p: int, f: int, support) -> list[int]:
-    """(p·row - f·R) / gcd(p, f) for p > 0, with R given by its nonzero
-    entries (support: (index, entry) pairs), so zero entries of R cost
-    one multiplication at most.  row is updated in place when its factor
-    p / gcd(p, f) is 1."""
+def _eliminate(row: list[int], p: int, f: int, R: list[int]) -> list[int]:
+    """(p·row - f·R) / gcd(p, f) for p > 0, one list pass over the two
+    rows of one length."""
     g = gcd(p, f)
     if g > 1:
         p //= g
         f //= g
-    if p != 1:
-        row = [p * a for a in row]
-    for j, b in support:
-        row[j] -= f * b
-    return row
+    if p == 1:
+        return [a - f * b for a, b in zip(row, R)]
+    return [p * a - f * b for a, b in zip(row, R)]
 
 
 def _positions(vals: list[int], v: int):
@@ -310,7 +309,10 @@ class _RevisedDual:
             c = self.basis[r]
             f = self._reduced_cost(c)
             if f != 0:
-                self._price_out(r, self._column(c)[r], f)
+                # Row r's entry of _column(c), formed alone.
+                row = self.rows[r]
+                p = row[c - self.m] if c >= self.m else int_dot(row, self._real_column(c))
+                self._price_out(r, p, f)
 
     def _weights(self) -> tuple[list[int], int]:
         """w and bf with the reduced cost of real column c equal to
@@ -362,8 +364,7 @@ class _RevisedDual:
         """Clear the reduced cost f of the column whose entry in row r is
         p > 0, both on one scale: on/oscale - (f/p)(R/oscale) =
         (p·on - f·R)/(p·oscale)."""
-        R = self.rows[r]
-        on = _eliminate(self.on, p, f, [(j, b) for j, b in enumerate(R) if b])
+        on = _eliminate(self.on, p, f, self.rows[r])
         scale = self.oscale * (p // gcd(p, f))  # the factor _eliminate applied
         g = gcd(gcd(*on), scale)
         if g > 1:
@@ -431,10 +432,9 @@ class _RevisedDual:
         if p < 0:
             R = rows[r] = [-x for x in R]
             p = -p
-        support = [(j, b) for j, b in enumerate(R) if b]
         for i, a in enumerate(alpha):
             if i != r and a != 0:
-                rows[i] = primitive(_eliminate(rows[i], p, a, support))
+                rows[i] = primitive(_eliminate(rows[i], p, a, R))
         if f != 0:
             self._price_out(r, p, f)
         self.basis[r] = c

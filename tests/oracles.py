@@ -36,7 +36,9 @@ and the ranks that replaced them, so agreement between the two is
 evidence for both.
 
 Two more replaced implementations follow: ``verify_cm`` as it was when
-it applied operator matrices (``verify_cm_by_apply``), and the simplex
+it applied operator matrices (``verify_cm_by_apply``) and as it was when
+it read the norming values off the certificate's pair rows
+(``verify_cm_by_pair_rows``), and the simplex
 on the rational num/den tableau with its Fraction verification
 (``solve_by_fraction_tableau``).  Its standard-form dual tableau is the
 one ``minproj.simplex`` must match pivot for pivot; its inequality-form tableau (split free variables, one slack per
@@ -106,10 +108,10 @@ from minproj.geometry import (DEFAULT_GP_CAP, GeneralPositionReport, _Polar,
                               norm_eval)
 from minproj.jsonio import vector_json
 from minproj.linalg import (RMatrix, independent_rows, int_dot, integer_inverse,
-                            over_denominator, primitive)
+                            integer_solve, over_denominator, primitive)
 from minproj.projections import (OperatorPoint, _first_slack_step,
                                   build_operator_basis, face_dimension,
-                                  norming_pairs, projection_constant)
+                                  norming_pairs, pair_rows, projection_constant)
 from minproj.rational import format_rational
 from minproj import simplex
 from minproj.simplex import (_MAX_PIVOTS, _STALL_SWITCH, INFEASIBLE, OPTIMAL,
@@ -1062,6 +1064,78 @@ def verify_cm_by_apply(space, Y, cm, lam, P, basis=None):
     return CMVerdict(tuple(violations))
 
 
+def verify_cm_by_pair_rows(space, Y, cm, lam, P, basis=None):
+    """certificates.verify_cm as it was before it read the norming values
+    off the realized integer projection: (3) builds the certificate's
+    pair rows (projections.pair_rows) and reads each value f(P x) off
+    them, and the weights' sum and the trace are Fractions (the trace
+    from linalg.integer_solve).  Same checks, same violation texts."""
+    n_p = len(space.primal_cleared[0])
+    n_d = len(space.dual_cleared[0])
+    for pi, dj in cm.pairs:
+        if not (0 <= pi < n_p and 0 <= dj < n_d):
+            return CMVerdict((f"weights: pair ({pi}, {dj}) out of range",))
+    if basis is None:
+        basis = build_operator_basis(space, Y)
+    rows = pair_rows(space, basis, cm.pairs)
+    violations = []
+    if len(set(cm.pairs)) != len(cm.pairs):
+        violations.append("weights: duplicate pairs")
+    if any(a <= 0 for a in cm.weights):
+        violations.append("weights: non-positive weight")
+    total = sum(cm.weights, Fraction(0))
+    if total != 1:
+        violations.append(f"weights: sum is {format_rational(total)}, not 1")
+
+    X, dx = space.primal_cleared
+    F, df = space.dual_cleared
+    a, da = over_denominator(cm.weights)
+    images = []
+    for y in basis.y_num:
+        image = [0] * space.dim
+        for (pi, dj), ai in zip(cm.pairs, a):
+            c = ai * int_dot(F[dj], y)
+            if c:
+                image = [s + c * x for s, x in zip(image, X[pi])]
+        images.append(image)
+    t_den = da * df * dx * basis.y_den
+    leak = next(((q, s) for q, s in enumerate(
+        int_dot(g, image) for image in images for g in basis.g_num) if s), None)
+    if leak is not None:
+        q, s = leak
+        violations.append(
+            f"vanishing: basis operator {q} gives "
+            f"{format_rational(Fraction(s, basis.g_den * t_den))}")
+        violations.append(
+            f"invariance: T(basis vector {q // len(basis.g_num)}) leaves Y")
+
+    if len(P.coefficients) != basis.dimension:
+        raise ValueError("coefficient count does not match the operator basis")
+    values, den = rows.value_numerators(P.coefficients)
+    for (pi, dj), v in zip(cm.pairs, values):
+        if Fraction(v, den) != lam:
+            violations.append(
+                f"norming: pair ({pi}, {dj}) gives {format_rational(Fraction(v, den))}, "
+                f"expected {format_rational(lam)}")
+            break
+
+    if leak is not None:
+        violations.append("trace: undefined, T does not map Y into Y")
+    else:
+        k = len(images)
+        coords = integer_solve(
+            [list(column) + [image[r] for image in images]
+             for r, column in enumerate(zip(*basis.y_num))], k)
+        if coords is None:
+            raise InternalError("an image of Y in Y has no coordinates in its basis")
+        trace = (sum((coords[b][b] for b in range(k)), Fraction(0))
+                 * basis.y_den / t_den)
+        if trace != lam:
+            violations.append(
+                f"trace: {format_rational(trace)} differs from {format_rational(lam)}")
+    return CMVerdict(tuple(violations))
+
+
 def operator_basis_by_fractions(space, Y):
     """projections.build_operator_basis as it was in Fraction matrices:
     the complement by one rank per standard basis vector, P0 = M·D·M^-1
@@ -1559,7 +1633,7 @@ class _FullDualTableau:
         R = self.rows[r]
         p = R[c]
         f = self.on[c]
-        on = _eliminate(self.on, p, f, [(j, b) for j, b in enumerate(R) if b])
+        on = _eliminate(self.on, p, f, R)
         scale = self.oscale * (p // gcd(p, f))  # the factor _eliminate applied
         g = gcd(gcd(*on), scale)
         if g > 1:
@@ -1611,13 +1685,12 @@ class _FullDualTableau:
         if p < 0:
             R = rows[r] = [-x for x in R]
             p = -p
-        support = [(j, b) for j, b in enumerate(R) if b]
         for i in range(self.nrows):
             if i != r:
                 row = rows[i]
                 f = row[c]
                 if f != 0:
-                    rows[i] = primitive(_eliminate(row, p, f, support))
+                    rows[i] = primitive(_eliminate(row, p, f, R))
         if self.on[c] != 0:
             self._price_out(r, c)
         self.basis[r] = c

@@ -192,7 +192,8 @@ def test_certify_rejects_the_no_lp_point_below_lambda(monkeypatch, spy):
     # is larger, since no projection has norm below lambda: the point is
     # solved and rejected, and certify falls through to the face, builds
     # one grid and reports the true lambda.  The point is realized as an
-    # integer matrix M over a denominator den, and ||P|| = ||M|| / den
+    # integer matrix M over a denominator den, and ||P|| = ||M|| / den;
+    # the face's interior is realized once more, for the verdict
     space, Y = l1_ball(4), random_subspace(4, 3, 7)
     report = projection_constant(space, Y)
     cm = CMFunctional(cm_from_dual(report).pairs[:3], (F(1, 3),) * 3)
@@ -216,7 +217,7 @@ def test_certify_rejects_the_no_lp_point_below_lambda(monkeypatch, spy):
     spy(certificates, "build_pair_grid")
     counts = spy(certificates, "face_dimension")
     computed, verdict = certify_cm(space, Y, cm, report.lam - F(1, 10))
-    assert len(norms) == len(dens) == 1 and norms[0] / dens[0] >= report.lam
+    assert len(norms) == 1 and len(dens) == 2 and norms[0] / dens[0] >= report.lam
     assert counts == {"build_pair_grid": 1, "face_dimension": 1}
     assert computed == report.lam
     assert not verdict.ok
@@ -226,20 +227,22 @@ def test_certify_rejects_the_no_lp_point_below_lambda(monkeypatch, spy):
 def test_no_lp_point_is_refused_by_its_norm():
     # The three pairs of the seeded l1^4 hyperplane have rows of full rank
     # k(n-k) = 3, so at every lambda_c one projection gives them all the
-    # value lambda_c.  At lambda it is the minimal projection; below
-    # lambda its norm exceeds lambda_c and it is refused.  The l-inf
-    # 2-plane's three pairs have rank 2 of 4, and no point is solved
+    # value lambda_c.  At lambda it is the minimal projection, returned
+    # with the integer matrix its norm was read off; below lambda its
+    # norm exceeds lambda_c and it is refused.  The l-inf 2-plane's three
+    # pairs have rank 2 of 4, and no point is solved
     space, Y = l1_ball(4), random_subspace(4, 3, 7)
     report = projection_constant(space, Y)
     rows = pair_rows(space, report.basis, cm_from_dual(report).pairs[:3])
     assert (_projection_normed_by(rows, space, report.basis, report.lam)
-            == (True, report.witness))
+            == (True, report.witness, report.basis.realize_cleared(report.witness)))
     assert (_projection_normed_by(rows, space, report.basis, report.lam - F(1, 10))
-            == (True, None))
+            == (True, None, None))
     space, Y = linf_ball(4), random_subspace(4, 2, 7)
     report = projection_constant(space, Y)
     rows = pair_rows(space, report.basis, cm_from_dual(report).pairs)
-    assert _projection_normed_by(rows, space, report.basis, report.lam) == (False, None)
+    assert (_projection_normed_by(rows, space, report.basis, report.lam)
+            == (False, None, None))
 
 
 def test_certify_refuses_an_lp_value_below_the_certified_bound(monkeypatch):

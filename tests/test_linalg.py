@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from minproj.linalg import (RMatrix, cleared, int_dot, integer_inverse,
                             integer_nullspace, integer_row_rank, integer_rref,
-                            integer_solve, over_denominator, solve_linear,
-                            subset_walk)
+                            integer_solve, over_denominator, reduce_row,
+                            reduce_rows, solve_linear, subset_walk)
 
 from oracles import (dot, integer_rank_in_place, inverse_by_fractions, matadd,
                      matmul, nullspace_by_fractions, rref_by_fractions,
@@ -205,6 +205,20 @@ def test_support_walk_agrees_with_content_reducer(columns):
                 RMatrix.from_rows([columns[i] for i in subset]).transpose(), target)
             if all(w > 0 for w in weights):
                 assert subset in got
+
+
+def test_batch_step_is_one_reduce_row_step_per_row():
+    # Rows carried below a first pivot (prev = 2), one zero and one
+    # nonzero at the second pivot: the batch step gives what reduce_row
+    # gives row by row, and every entry stays an integer minor
+    rows = [[2, 1, 0], [4, 5, 1], [6, 3, 2], [2, 3, 5]]
+    first = (0, rows[0])
+    carried = reduce_rows(rows[1:], *first)
+    assert carried == [reduce_row(r, [first]) for r in rows[1:]] == [
+        [0, 6, 2], [0, 0, 4], [0, 4, 10]]
+    second = (1, carried[0])
+    assert reduce_rows(carried[1:], *second, 2) == [
+        reduce_row(r, [first, second]) for r in rows[2:]] == [[0, 0, 12], [0, 0, 26]]
 
 
 @_SETTINGS

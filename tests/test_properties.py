@@ -69,7 +69,8 @@ from oracles import (budget_outcome, certify_by_face, dense_grid_lp, dot,
                      operator_norm_by_fractions, operator_norm_every_vertex,
                      pair_rows_by_fractions,
                      polar_dual_by_fractions, realize_by_fractions,
-                     trace_on_subspace, verify_cm_by_apply)
+                     trace_on_subspace, verify_cm_by_apply,
+                     verify_cm_by_pair_rows)
 
 # No shrink phase: each shrink step re-solves lambda and the face, so a
 # failure took minutes to report.  derandomize=True still reproduces the
@@ -643,6 +644,49 @@ def test_verify_cm_agrees_with_apply_oracle_on_random_certificates(case, data):
             assert verdict == verify_cm_by_apply(space, Y, cm, lam, point,
                                                  basis=report.basis), mode
             assert "invariance" not in verdict.failed or "vanishing" in verdict.failed
+
+
+@_SETTINGS
+@given(spaces_with_subspaces(), st.data())
+def test_verify_cm_agrees_with_pair_rows_oracle_on_tampered_certificates(case, data):
+    # verify_cm reads the norming values off the realized integer
+    # projection; the oracle reads them off the certificate's pair rows.
+    # The dual certificate and three tamperings of it: a weight moved
+    # from one pair to another (the sum stays 1), one pair replaced by a
+    # random one, and the dual certificate at a point moved off the
+    # optimal face.  The verdicts, violation texts included, are equal,
+    # and equal again when the caller hands the realized matrix over.
+    space, Y, report, _ = _analyze(case)
+    basis = report.basis
+    dual = cm_from_dual(report)
+    pairs, weights = list(dual.pairs), list(dual.weights)
+    point_index = st.integers(0, len(space.primal_vertices) - 1)
+    dual_index = st.integers(0, len(space.dual_vertices) - 1)
+    moved = list(weights)
+    if len(moved) > 1:
+        a, b = data.draw(st.permutations(range(len(moved))))[:2]
+        step = data.draw(st.fractions(-1, 1, max_denominator=5).filter(bool))
+        moved[a] += step
+        moved[b] -= step
+    replaced = list(pairs)
+    replaced[data.draw(st.integers(0, len(pairs) - 1))] = (
+        data.draw(point_index), data.draw(dual_index))
+    shift = data.draw(st.lists(st.fractions(-1, 1, max_denominator=3),
+                               min_size=basis.dimension, max_size=basis.dimension))
+    off_face = OperatorPoint(tuple(c + s for c, s in
+                                   zip(report.interior.coefficients, shift)))
+    for mode, cm, points in (
+            ("dual", dual, (report.witness, report.interior)),
+            ("moved", CMFunctional(tuple(pairs), tuple(moved)), (report.interior,)),
+            ("replaced", CMFunctional(tuple(replaced), tuple(weights)),
+             (report.witness, report.interior)),
+            ("off the face", dual, (off_face,))):
+        for point in points:
+            expected = verify_cm_by_pair_rows(space, Y, cm, report.lam, point,
+                                              basis=basis)
+            assert verify_cm(space, Y, cm, report.lam, point, basis=basis) == expected, mode
+            assert verify_cm(space, Y, cm, report.lam, point, basis=basis,
+                             realized=basis.realize_cleared(point)) == expected, mode
 
 
 @_SETTINGS
