@@ -8,9 +8,10 @@ T annihilates y (x) g exactly when g(T y) = sum_i a_i f_i(y) g(x_i) = 0,
 so vanishing on L_Y(X, Y) is invariance of Y; verify_cm reads both, and
 the trace, off T alone, independent of the pair grid and the LP.  It
 reads each pair's value f(P x) off P realized as an integer matrix, as
-the operator norm reads every pair, so a verdict builds no pair rows:
-projections.pair_rows stays the one home of grid rows, here built only
-for the rank and the solve of certify_cm's no-LP route.
+the operator norm reads every pair, so a verdict builds no pair rows.
+certify_cm's no-LP route forms the certificate's own rows, one by one
+(projections.pair_rows), for their rank and the solve; the pair grid,
+the lambda LP, is built only when an LP is solved.
 The LP dual of the projection solve is one such certificate; a
 minimum-support one is found by exact linear solves over subsets of the
 implicit pairs, smallest subsets first (from n when the paper's lower
@@ -34,9 +35,9 @@ from .errors import BudgetExceededError, InternalError
 from .geometry import PolyhedralSpace, Subspace
 from .linalg import (RMatrix, int_dot, integer_row_rank, integer_rref,
                      integer_solve, over_denominator, subset_walk)
-from .projections import (MinProjReport, OperatorBasis, OperatorPoint, PairGrid,
-                          _solve_lambda, build_operator_basis, build_pair_grid,
-                          face_dimension, operator_norm, pair_rows, pair_values)
+from .projections import (MinProjReport, OperatorBasis, OperatorPoint, _solve_lambda,
+                          build_operator_basis, build_pair_grid, face_dimension,
+                          operator_norm, pair_rows, pair_values)
 from .rational import format_rational
 
 #: Largest candidate set the minimal-support search enumerates by default.
@@ -203,7 +204,7 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
       in the full pipeline, so the violations read the same.
 
     One operator basis serves every route, and the certificate's pair
-    rows are built once, for the rank and the no-LP solve.  Each point
+    rows are formed once, for the rank and the no-LP solve.  Each point
     tried is realized as an integer matrix once: its operator norm and
     the verdict's norming values read the same matrix.  The pair grid is
     built only for the lambda LP, at most once.
@@ -212,8 +213,8 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     n_p, n_d = len(space.primal_cleared[0]), len(space.dual_cleared[0])
     report = point = realized = None
     if all(0 <= i < n_p and 0 <= j < n_d for i, j in cm.pairs):
-        rows = pair_rows(space, basis, cm.pairs)
-        full_rank, point, realized = _projection_normed_by(rows, space, basis, lam)
+        full_rank, point, realized = _projection_normed_by(
+            pair_rows(space, basis, cm.pairs), space, basis, lam)
         if not full_rank:
             report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
             if report.lam == lam:
@@ -234,14 +235,16 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     return report.lam, verdict
 
 
-def _projection_normed_by(rows: PairGrid, space: PolyhedralSpace,
-                          basis: OperatorBasis, lam: Fraction
+def _projection_normed_by(rows: tuple[list[list[int]], list[int], int],
+                          space: PolyhedralSpace, basis: OperatorBasis,
+                          lam: Fraction
                           ) -> tuple[bool, OperatorPoint | None,
                                      tuple[RMatrix, int] | None]:
-    """Whether rows has full column rank k(n-k), and then the projection
-    c at which every row has value lam, with c realized as an integer
-    matrix over a denominator, when c exists and its operator norm is at
-    most lam, or None and None.
+    """Whether the certificate's pair rows (coefs, base, D), the integer
+    rows of projections.pair_rows over their denominator D, have full
+    column rank k(n-k), and then the projection c at which every row has
+    value lam, with c realized as an integer matrix over a denominator,
+    when c exists and its operator norm is at most lam, or None and None.
 
     coefs·c = lam·D - base is cleared to coefs·(lam_den·c) =
     lam_num·D - lam_den·base, and one linalg.integer_rref of that system
@@ -254,9 +257,9 @@ def _projection_normed_by(rows: PairGrid, space: PolyhedralSpace,
     over the vertex lists, which is the largest value over every pair,
     with no pair grid and no Fraction per entry."""
     d = basis.dimension
-    D = rows.denominator
-    reduced = integer_rref([list(rows.row(r)) + [lam.numerator * D - lam.denominator * b]
-                            for r, b in enumerate(rows.base_num)])
+    coefs, base, D = rows
+    reduced = integer_rref([row + [lam.numerator * D - lam.denominator * b]
+                            for row, b in zip(coefs, base)])
     pivots = [pivot for pivot, _ in reduced]
     if pivots[:d] != list(range(d)):
         return False, None, None
@@ -344,7 +347,7 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
 
     grid = report.grid
     d = report.basis.dimension
-    columns = [list(grid.row(r)) + [grid.denominator] for r in rows]
+    columns = [list(grid.coefs(r)) + [grid.denominator] for r in rows]
     target = [0] * d + [grid.denominator]
 
     smallest = report.space.dim if in_general_position and report.lam > 1 else 1

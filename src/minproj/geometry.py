@@ -319,11 +319,11 @@ class PolyhedralSpace:
     @cached_property
     def primal_negation(self) -> tuple[int, ...]:
         """Index of -v for each primal vertex v."""
-        return _negation(self.primal_cleared[0])
+        return _negation(*self.primal_cleared, "primal")
 
     @cached_property
     def dual_negation(self) -> tuple[int, ...]:
-        return _negation(self.dual_cleared[0])
+        return _negation(*self.dual_cleared, "dual")
 
     @cached_property
     def primal_classes(self) -> tuple[tuple[int, ...], int]:
@@ -336,11 +336,19 @@ class PolyhedralSpace:
         return _classes(self.dual_cleared[0])
 
 
-def _negation(rows: Rows) -> tuple[int, ...]:
+def _negation(rows: Rows, den: int, kind: str) -> tuple[int, ...]:
     """Index of the row -r for each row r, keyed on the integer rows (over
-    one common denominator, -v clears to the negated row of v)."""
+    one common denominator, -v clears to the negated row of v).  A list
+    taken as given (validate=False) may miss a negation: NotSymmetricError
+    names the first such vertex."""
     index = {row: i for i, row in enumerate(rows)}
-    return tuple(index[tuple(-x for x in row)] for row in rows)
+    try:
+        return tuple(index[tuple(-x for x in row)] for row in rows)
+    except KeyError:
+        row = next(row for row in rows if tuple(-x for x in row) not in index)
+        vertex = ", ".join(format_rational(Fraction(x, den)) for x in row)
+        raise NotSymmetricError(
+            f"{kind} vertex ({vertex}) has no negation in the list") from None
 
 
 def _classes(rows: Rows) -> tuple[tuple[int, ...], int]:

@@ -15,20 +15,21 @@ rows, and none is needed when the dual's rows already fix the point.
 Everything stays in integers from the subspace to the tableau.  The
 operator basis holds Y's basis, its annihilator and P0 as integers over
 one denominator each, and checks its guards in integers; the space
-holds its vertex lists cleared once.  The grid rows are integers over
-one grid denominator, and the grid keeps them as their rank-one
-factors: the row of the pair (x, f) is f(y_b)·g(x) over the basis
-operators y_b (x) g, the outer product of the k values f(y_b) and the
-n - k values g(x), so the grid holds k + (n - k) integers per vertex in
-place of k(n - k) per pair.  A row is formed only where a stage reads
+holds its vertex lists cleared once.  The pair grid is the lambda LP
+itself, its rows integers over one grid denominator, kept as their
+rank-one factors: the row of the pair (x, f) is f(y_b)·g(x) over the
+basis operators y_b (x) g, the outer product of the k values f(y_b) and
+the n - k values g(x), so the grid holds k + (n - k) integers per vertex
+in place of k(n - k) per pair.  A row is formed only where a stage reads
 it: the LP's entering column and basis, the tight rows of the face
-stage, the support columns and a certificate's rows.  Every pass over
-all rows (the bases f(P0 x), row values, tight rows, slacks and rises,
-the lambda LP's pricing and its verification) is a factored pass, one
-short dot product per pair after one side is formed per vertex.  The Gordan
-rounds hand their integer rows to the simplex as they are.  The face's
-nullspace basis is read off the integer reduced echelon form of the
-implicit rows.
+stage and the support columns.  Every pass over all rows (the bases
+f(P0 x), row values, tight rows, slacks and rises, the lambda LP's
+pricing and its verification) is a factored pass over the product of
+the two vertex lists, one short dot product per pair after one side is
+formed per vertex.  A certificate's few rows are formed one by one
+(pair_rows).  The Gordan rounds hand their integer rows to the simplex
+as they are.  The face's nullspace basis is read off the integer
+reduced echelon form of the implicit rows.
 
 Every stage after the lambda solve reads the space, Y, the operator
 basis, the grid and the witness off the MinProjReport it returns.
@@ -36,10 +37,10 @@ basis, the grid and the witness off the MinProjReport it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
 from operator import add, eq, itemgetter
 from typing import Iterable, Sequence
@@ -49,8 +50,7 @@ from .geometry import PolyhedralSpace, Subspace, class_max
 from .linalg import (RMatrix, independent_rows, int_dot, integer_inverse,
                      integer_nullspace, integer_row_rank, over_denominator)
 from .rational import format_rational
-from .simplex import (OPTIMAL, LinearProgram, check_involution, priced_rows,
-                      solve)
+from .simplex import OPTIMAL, LinearProgram, solve
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,6 @@ class OperatorBasis:
         return tuple(RMatrix.from_rows([[Fraction(a * b, den) for b in g] for a in y])
                      for y in self.y_num for g in self.g_num)
 
-    def realize(self, point: OperatorPoint) -> RMatrix:
-        """P0 + sum_q c_q L_q in Fractions: realize_cleared over its
-        denominator."""
-        M, den = self.realize_cleared(point)
-        return RMatrix(M.rows, M.cols, tuple(Fraction(x, den) for x in M.entries))
-
     def realize_cleared(self, point: OperatorPoint) -> tuple[RMatrix, int]:
         """P0 + sum_q c_q L_q as an integer matrix over a denominator.
         With the coefficients cleared to cn / cd, L_q = y_b (x) g_j gives
@@ -134,11 +128,12 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     common denominator of those rows.  As h_b is zero on J, its entries
     on the other k coordinates I are row b of the inverse of Y's k x k
     minor there, the matrix of rows (y_num_c[i])_c for i in I
-    (linalg.integer_inverse), and M itself is never inverted.  Four
-    guards raise InternalError: P0^2 = P0, P0 y = y, g_j(y_b) = 0
-    (exactly "L_q vanishes on Y") and the rank of the k(n-k) flattened
-    operators y_num_b (x) g_num_j, taken as the rank of Y's basis times
-    that of its annihilator (rank(A (x) B) = rank A · rank B)."""
+    (linalg.integer_inverse), and M itself is never inverted.  Three
+    guards raise InternalError: P0^2 = P0, P0 y = y and g_j(y_b) = 0
+    (exactly "L_q vanishes on Y").  The k(n-k) operators
+    y_num_b (x) g_num_j are independent because Y's basis and its
+    annihilator are (rank(A (x) B) = rank A · rank B), which Subspace
+    checks when it is built."""
     n = space.dim
     k = Y.dim
     ys, gs = Y.basis_num, Y.annihilator_num
@@ -167,8 +162,6 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
         raise InternalError("base projection does not fix Y")
     if any(int_dot(gj, y) for y in ys for gj in gs):
         raise InternalError("a basis operator does not vanish on Y")
-    if integer_row_rank(ys) * integer_row_rank(gs) != k * (n - k):
-        raise InternalError("basis operators are linearly dependent")
     return OperatorBasis(y_num=ys, y_den=Y.basis_den, g_num=gs,
                          g_den=Y.annihilator_den, p0_num=tuple(map(tuple, P)),
                          p0_den=h_den)
@@ -176,52 +169,120 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
 
 @dataclass(frozen=True)
 class PairGrid:
-    """One row per listed (primal vertex, dual vertex) pair, cleared to
-    integers over one grid denominator: the row value at coefficients c
-    is (base_num[r] + coefs_num[r]·c) / denominator = f_j(P x_i).
+    """The lambda LP: minimize t  s.t.  f(P x) <= t over one (primal
+    vertex, dual vertex) pair per antipodal class, in integers over one
+    grid denominator D.  The pairs are the kept primal vertices (g_at's
+    keys) x the dual vertices (f_at's keys); the value of row r, the pair
+    (x_i, f_j), at coefficients c is (base_num[r] + coefs(r)·c) / D =
+    f_j(P x_i), its LP row is [coefs(r) | -D], and beta[r] = -base_num[r].
 
-    The grid keeps the coefficients as their rank-one factors: for the
-    pair (x_i, f_j), f(L_q x) = f(y_b)·g(x) over L_q = y_b (x) g, so
-    coefs_num[r] is f_at[j] (x) g_at[i] // content, with f_at[j] the k
-    values f_j(y_b) and g_at[i] the n - k values g(x_i), both integers,
-    and content the common factor divided out of every row.  row(r)
-    forms one row where a stage reads it, and products(v) gives
-    coefs_num[r]·v for every row through the factors; coefs_num itself
-    is a view for tests, and no stage builds it.
+    The grid keeps the coefficients as their rank-one factors:
+    f(L_q x) = f(y_b)·g(x) over L_q = y_b (x) g, so coefs(r) is
+    f_at[j] (x) g_at[i] // content, with f_at[j] the k values f_j(y_b),
+    g_at[i] the n - k values g(x_i) and content the common factor divided
+    out of every row.  coefs(r) and row(r) form one row where a stage
+    reads it, and products(v) gives coefs(r)·v for every row through the
+    factors; coefs_num and constraint_matrix, every row formed, are views
+    for tests and the benchmark's tracer.
 
-    build_pair_grid lists one pair per antipodal class, and partner[r] is
-    the row of the class of (x, -f): its row is row r negated, so the
-    two LP rows add up to the same row for every r, and the lambda LP
-    prices one of them (simplex.LinearProgram.partner).  Empty when the
-    rows are not so paired (pair_rows)."""
+    The solver reads the LP through priced, partner, row, row_values and
+    prices (see the simplex module docstring).  partner[r] is the row of
+    (x_i, f') in the same block with f_at of f' equal to -f_at[j] and base
+    -base_num[r], the class of (x_i, -f_j), so the two LP rows add up to
+    [0 | -2D] and beta 0.  prices takes the representatives
+    r < partner[r] and returns them times the content g > 0:
+    g·(w·coefs(r) - D·w_t + bf·beta[r]) = f_at[j]·W·g_at[i] - g·D·w_t +
+    g·bf·beta[r], with W the k x (n-k) matrix of w, the constant added
+    inside the factored product, and the pair constant K = -2g·D·w_t.
+    The partner claim is checked once, when the grid is built."""
 
-    pairs: tuple[tuple[int, int], ...]
-    base_num: tuple[int, ...]
     g_at: dict[int, tuple[int, ...]]
     f_at: dict[int, tuple[int, ...]]
+    base_num: tuple[int, ...]
     content: int
     denominator: int
-    partner: tuple[int, ...] = ()
+    partner: tuple[int, ...]
 
-    def row(self, r: int) -> tuple[int, ...]:
-        """coefs_num[r], formed from its factors."""
+    def __post_init__(self):
+        m, partner = len(self.base_num), self.partner
+        if len(partner) != m:
+            raise ValueError("partner length does not match constraint rows")
+        # An involution without fixed points pairs the rows, so m is even;
+        # mate then gathers the partner of every row as a tuple.
+        mate = (itemgetter(*partner)
+                if m % 2 == 0 and 0 <= min(partner) and max(partner) < m else None)
+        if (mate is None or any(map(eq, partner, range(m)))
+                or mate(partner) != tuple(range(m))):
+            raise ValueError("partner is not an involution without fixed points")
+        xs, js = zip(*self.pairs)
+        mates = set(zip(js, mate(js)))
+        if (any(map(add, self.base_num, mate(self.base_num))) or mate(xs) != xs
+                or any(self.f_at[j2] != tuple(-a for a in self.f_at[j])
+                       for j, j2 in mates)):
+            raise ValueError("partner rows do not all add up to the same row")
+        if len(mates) != len(self.f_at):
+            raise ValueError("partner does not pair the dual vertices alike in every block")
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(i, j) of every row: the kept primal vertices x the dual vertices."""
+        return tuple(product(self.g_at, self.f_at))
+
+    @cached_property
+    def objective(self) -> tuple[int, ...]:
+        """0 on the k(n-k) coefficients, 1 on t."""
+        f, g = next(iter(self.f_at.values())), next(iter(self.g_at.values()))
+        return (0,) * (len(f) * len(g)) + (1,)
+
+    @cached_property
+    def beta(self) -> tuple[int, ...]:
+        return tuple(-b for b in self.base_num)
+
+    @cached_property
+    def priced(self) -> list[int]:
+        """The representatives r < partner[r], ascending."""
+        return [r for r, p in enumerate(self.partner) if r < p]
+
+    def coefs(self, r: int) -> tuple[int, ...]:
+        """The coefficient row of row r, formed from its factors."""
         i, j = self.pairs[r]
         g, c = self.g_at[i], self.content
         if c == 1:
             return tuple([a * b for a in self.f_at[j] for b in g])
         return tuple([a * b // c for a in self.f_at[j] for b in g])
 
+    def row(self, r: int) -> tuple[int, ...]:
+        """The LP row [coefs(r) | -D]."""
+        return self.coefs(r) + (-self.denominator,)
+
     @cached_property
     def coefs_num(self) -> tuple[tuple[int, ...], ...]:
-        """Every row, formed: a view for tests."""
-        return tuple(self.row(r) for r in range(len(self.pairs)))
+        """Every coefficient row, formed: a view for tests."""
+        return tuple(self.coefs(r) for r in range(len(self.base_num)))
+
+    @property
+    def constraint_matrix(self) -> RMatrix:
+        """A = [coefs_num | -D] / D in Fractions, every row formed on each
+        read, for readers of the LP as rationals; the solver never reads
+        it."""
+        D, d = self.denominator, len(self.objective)
+        return RMatrix(len(self.beta), d, tuple(
+            Fraction(a, D) for r in range(len(self.beta)) for a in self.row(r)))
 
     @cached_property
     def _plan(self) -> _ProductPlan:
-        return _ProductPlan.of(self.f_at, self.g_at, self.pairs)
+        return _ProductPlan.of(self.f_at, self.g_at, list(self.g_at), list(self.f_at))
+
+    @cached_property
+    def _priced_plan(self) -> tuple[_ProductPlan, list[int]]:
+        """The plan over the priced rows, (kept x_i) x (f_j before its
+        partner), and their beta entries."""
+        fs = [j for p, j in enumerate(self.f_at) if p < self.partner[p]]
+        return (_ProductPlan.of(self.f_at, self.g_at, list(self.g_at), fs),
+                [self.beta[r] for r in self.priced])
 
     def products(self, v: Sequence[int]) -> list[int]:
-        """coefs_num[r]·v for every row r, for integers v, through the
+        """coefs(r)·v for every row r, for integers v, through the
         factors: f_at[j]·V·g_at[i] // content, with V the k x (n-k)
         matrix of v.  content divides every product f(y_b)·g(x) of the
         row, so it divides the sum exactly."""
@@ -229,14 +290,22 @@ class PairGrid:
         c = self.content
         return raw if c == 1 else [a // c for a in raw]
 
-    @property
-    def lp(self) -> GridLP:
-        """minimize t  s.t.  coefs[r]·c - t <= -base[r] (GridLP), a new LP
-        per access: the LP refers to its grid, and a grid that kept it
-        would make a reference cycle, freed only by the cyclic collector."""
-        i, j = self.pairs[0]
-        d = len(self.f_at[j]) * len(self.g_at[i])
-        return GridLP(grid=self, objective=(0,) * d + (1,))
+    def row_values(self, x: list[int]) -> list[int]:
+        """row(r)·x for every row r, both partners included."""
+        t = self.denominator * x[-1]
+        return [a - t for a in self.products(x[:-1])]
+
+    def prices(self, w: list[int], bf: int) -> tuple[list[int], int]:
+        """The prices of the priced rows times the content, and the pair
+        constant K on the same scale (see the class docstring)."""
+        plan, beta = self._priced_plan
+        g = self.content
+        c0 = -g * self.denominator * w[-1]
+        vals = plan.products(w[:-1], c0)
+        if bf:
+            gbf = g * bf
+            vals = [a + gbf * b for a, b in zip(vals, beta)]
+        return vals, 2 * c0
 
     def value_numerators(self, coefficients: Sequence[Fraction]) -> tuple[list[int], int]:
         """Every row value at the coefficients, as integers over one
@@ -254,43 +323,36 @@ class PairGrid:
 
 @dataclass(frozen=True)
 class _ProductPlan:
-    """The factored pass over a list of pairs (i, j) of two factor tables:
-    f_at[j]·V·g_at[i] for each pair, in order, with V the k x h matrix of
-    a vector v, for f_at's entries of length k and g_at's of length h.
-    For a grid's tables, h = n - k and this is coefs·v.
+    """The factored pass over the product xs x fs of two index lists into
+    two factor tables: f_at[j]·V·g_at[i] for every pair (i, j), x outer,
+    with V the k x h matrix of a vector v, for f_at's entries of length k
+    and g_at's of length h.  For a grid's tables, h = n - k and this is
+    coefs·v; for P0's integer matrix between the dual and the primal
+    vertex lists, it is the bilinear form f(P0 x).
 
-    One side is formed first, over the distinct vertices of that side:
-    W_i = V·g_at[i] per primal vertex, after which each pair costs the k
-    products W_i·f_at[j], or A_j = f_at[j]·V per dual vertex, after which
-    it costs the h products A_j·g_at[i], whichever costs fewer products
-    in all.  Per component, the formed side is a combination of the near
-    factors' columns, and the pass adds one product per pair:
-    an outer product of two columns when the pairs are the product
-    (primal vertices) x (dual vertices) in that order, as the grid of
-    build_pair_grid is, and one gathered product per pair otherwise."""
+    One side is formed first: W_i = V·g_at[i] per primal vertex, after
+    which each pair costs the k products W_i·f_at[j], or A_j = f_at[j]·V
+    per dual vertex, after which it costs the h products A_j·g_at[i],
+    whichever costs fewer products in all.  Per component, the formed
+    side is a combination of the near factors' columns, and the pass adds
+    the outer product of that column with a far factors' column."""
 
     near: tuple[tuple[int, ...], ...]  # columns of the factors formed first
     far: tuple[tuple[int, ...], ...]   # columns of the other factors
     by_dual: bool                      # near is f_at (A_j), else g_at (W_i)
-    positions: tuple[tuple[int, int], ...] | None  # per pair, when no product
     size: int                          # the number of pairs
 
     @classmethod
-    def of(cls, f_at, g_at, pairs: Sequence[tuple[int, int]]) -> _ProductPlan:
-        """The plan over the pairs (i, j) for the factor tables f_at[j]
-        and g_at[i] (dicts or lists, by vertex index)."""
-        xs = {i: p for p, i in enumerate(dict.fromkeys(map(itemgetter(0), pairs)))}
-        fs = {j: p for p, j in enumerate(dict.fromkeys(map(itemgetter(1), pairs)))}
-        k, h = len(f_at[pairs[0][1]]), len(g_at[pairs[0][0]])
+    def of(cls, f_at, g_at, xs: Sequence[int], fs: Sequence[int]) -> _ProductPlan:
+        """The plan over xs x fs for the factor tables f_at[j] and
+        g_at[i] (dicts or lists, by vertex index)."""
+        k, h = len(f_at[fs[0]]), len(g_at[xs[0]])
         # |xs|·kh + |pairs|·k products against |fs|·kh + |pairs|·h.
-        by_dual = (len(fs) - len(xs)) * k * h < len(pairs) * (k - h)
-        positions = None
-        if len(pairs) != len(xs) * len(fs) or not all(map(eq, pairs, product(xs, fs))):
-            positions = tuple((xs[i], fs[j]) for i, j in pairs)
+        by_dual = (len(fs) - len(xs)) * k * h < len(xs) * len(fs) * (k - h)
         g_cols = tuple(zip(*(g_at[i] for i in xs)))
         f_cols = tuple(zip(*(f_at[j] for j in fs)))
         near, far = (f_cols, g_cols) if by_dual else (g_cols, f_cols)
-        return cls(near, far, by_dual, positions, len(pairs))
+        return cls(near, far, by_dual, len(xs) * len(fs))
 
     def products(self, v: Sequence[int], start: int = 0) -> list[int]:
         """start + f_at[j]·V·g_at[i] for every pair: start is added in the
@@ -310,153 +372,74 @@ class _ProductPlan:
                 continue
             xv, fv = (far, formed) if self.by_dual else (formed, far)
             c = start if out is None else 0
-            if self.positions is None:
-                terms = ([a * b + c for a in xv for b in fv] if c
-                         else [a * b for a in xv for b in fv])
-            else:
-                terms = ([xv[p] * fv[q] + c for p, q in self.positions] if c
-                         else [xv[p] * fv[q] for p, q in self.positions])
+            terms = ([a * b + c for a in xv for b in fv] if c
+                     else [a * b for a in xv for b in fv])
             out = terms if out is None else list(map(add, out, terms))
         return [start] * self.size if out is None else out
 
 
-@dataclass(frozen=True)
-class GridLP:
-    """The lambda LP of a pair grid: minimize t  s.t.
-    coefs[r]·c - t <= -base[r], in integers [coefs_num | -D] and
-    -base_num over D, with the grid's partners.
-
-    Its reads of the matrix (simplex.LinearProgram's row, row_values and
-    prices) go through the grid's factors.  row forms one row; row_values
-    is grid.products less D·t, over every row, both partners included.
-    prices takes the priced rows r < partner[r], which build_pair_grid's
-    block order makes (kept x_i) x (f_j with j < negd[j]), and returns
-    the prices times the grid's content g > 0:
-    g·(w·coefs[r] - D·w_t + bf·beta_r) = f_at[j]·W·g_at[i] + g·(bf·beta_r
-    - D·w_t), with W the k x (n-k) matrix of w, and the constant
-    -g·D·w_t is added inside the factored product.  Each partner's row is
-    its representative's negated, the t entry -D and beta summing to 0,
-    so the pair constant is K = -2g·D·w_t.  The partner claim is checked
-    here on the factors: the partner of (x_i, f_j) is a pair (x_i, f')
-    with f_at of f' equal to -f_at[j], and its base is -base[r]."""
-
-    grid: PairGrid
-    objective: tuple[int, ...]
-
-    def __post_init__(self):
-        grid = self.grid
-        if grid.partner:
-            f_at = grid.f_at
-            mate = check_involution(grid.partner, len(grid.pairs))
-            xs, js = zip(*grid.pairs)
-            if (any(map(add, grid.base_num, mate(grid.base_num))) or mate(xs) != xs
-                    or any(f_at[j2] != tuple(-a for a in f_at[j])
-                           for j, j2 in set(zip(js, mate(js))))):
-                raise ValueError("partner rows do not all add up to the same row")
-
-    @property
-    def denominator(self) -> int:
-        return self.grid.denominator
-
-    @property
-    def partner(self) -> tuple[int, ...]:
-        return self.grid.partner
-
-    @cached_property
-    def beta(self) -> tuple[int, ...]:
-        return tuple(-b for b in self.grid.base_num)
-
-    @cached_property
-    def priced(self) -> list[int] | range:
-        return priced_rows(self.partner, len(self.beta))
-
-    @cached_property
-    def _priced_plan(self) -> tuple[_ProductPlan, list[int]]:
-        grid = self.grid
-        return (_ProductPlan.of(grid.f_at, grid.g_at, [grid.pairs[r] for r in self.priced]),
-                [self.beta[r] for r in self.priced])
-
-    def row(self, r: int) -> tuple[int, ...]:
-        return self.grid.row(r) + (-self.denominator,)
-
-    def row_values(self, x: list[int]) -> list[int]:
-        t = self.denominator * x[-1]
-        return [a - t for a in self.grid.products(x[:-1])]
-
-    def prices(self, w: list[int], bf: int) -> tuple[list[int], int | None]:
-        plan, beta = self._priced_plan
-        g = self.grid.content
-        c0 = -g * self.denominator * w[-1]
-        vals = plan.products(w[:-1], c0)
-        if bf:
-            gbf = g * bf
-            vals = [a + gbf * b for a, b in zip(vals, beta)]
-        return vals, (2 * c0 if self.partner else None)
-
-    @cached_property
-    def constraint_matrix(self) -> RMatrix:
-        """A = [coefs_num | -D] / D in Fractions, every row formed, for
-        readers of the LP as rationals; the solver never builds it."""
-        D = self.denominator
-        return RMatrix(len(self.beta), len(self.objective),
-                       tuple(Fraction(a, D) for r in range(len(self.beta))
-                             for a in self.row(r)))
+def _pair_factors(space: PolyhedralSpace, basis: OperatorBasis,
+                  xs: Iterable[int], fs: Iterable[int]
+                  ) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]],
+                             int, int]:
+    """The rank-one factors of the rows f(L_q x) = f(y)·g(x) over the
+    listed primal and dual vertices, in the order of build_operator_basis
+    (y outer, g inner), as integers: g_at, f_at, the multiplier of P0's
+    entries and the row denominator.  f(y) = f_at/(df·dy),
+    g(x) = g_at/(dg·dx)·(L/(dy·dg)) and P0 = p0_num/dp are all read over
+    df·dx·L, L = lcm(dy·dg, dp)."""
+    X, dx = space.primal_cleared
+    F, df = space.dual_cleared
+    L = lcm(basis.y_den * basis.g_den, basis.p0_den)
+    coef_mult = L // (basis.y_den * basis.g_den)
+    g_at = {i: tuple(int_dot(g, X[i]) * coef_mult for g in basis.g_num) for i in xs}
+    f_at = {j: tuple(int_dot(F[j], y) for y in basis.y_num) for j in fs}
+    return g_at, f_at, L // basis.p0_den, df * dx * L
 
 
 def pair_rows(space: PolyhedralSpace, basis: OperatorBasis,
-              pairs: Sequence[tuple[int, int]]) -> PairGrid:
-    """The rows f(P0 x) and f(L_q x) of the listed pairs (x, f), by index
-    into the space's vertex lists, in integers: every vector family is
-    cleared to one denominator first, so each row is a few integer dot
-    products.  f(L_q x) factors over the rank-one basis operator
-    L_q = y (x) g as f(y)·g(x), in the order of build_operator_basis
-    (y outer, g inner), and the grid keeps the two factors, computed
-    once per vertex, in place of their products.  The bases f(P0 x) are
-    a factored pass too, the bilinear form of P0 between the dual and the
-    primal vertex lists.  The content divided out of the rows is
-    gcd(den, base, every product), and the products of one pair have the
-    gcd gcd(f_at[j])·gcd(g_at[i]).  The vertex lists are cleared once per
-    space, and the basis holds its families cleared."""
-    X, dx = space.primal_cleared
-    F, df = space.dual_cleared
-    Yb, dy = basis.y_num, basis.y_den
-    G, dg = basis.g_num, basis.g_den
-    P, dp = basis.p0_num, basis.p0_den
-    # True values: g(x) = g_at/(dg·dx), f(y) = f_at/(df·dy) and
-    # P0 x = p0x/(dp·dx), all over the grid denominator df·dx·L.
-    L = lcm(dy * dg, dp)
-    coef_mult = L // (dy * dg)
-    base_mult = L // dp
-    xs = {i for i, _ in pairs}
-    g_at = {i: tuple(int_dot(g, X[i]) * coef_mult for g in G) for i in xs}
-    f_at = {j: tuple(int_dot(F[j], y) for y in Yb) for j in {j for _, j in pairs}}
-    # f(P0 x) is the bilinear form of P0 between the vertex lists.
-    base = _ProductPlan.of(F, X, pairs).products([a * base_mult for row in P for a in row])
-    den = df * dx * L
-    f_gcd = {j: gcd(*f) for j, f in f_at.items()}
-    g_gcd = {i: gcd(*g) for i, g in g_at.items()}
-    content = gcd(den, *base, *{f_gcd[j] * g_gcd[i] for i, j in pairs})
-    if content > 1:
-        base = [b // content for b in base]
-        den //= content
-    return PairGrid(pairs=tuple(pairs), base_num=tuple(base), g_at=g_at,
-                    f_at=f_at, content=content, denominator=den)
+              pairs: Sequence[tuple[int, int]]
+              ) -> tuple[list[list[int]], list[int], int]:
+    """The coefficient rows f(L_q x) and the bases f(P0 x) of the listed
+    pairs (x, f), by index into the space's vertex lists, as integers
+    over one denominator, formed row by row: the products of the grid's
+    factors (_pair_factors), and pair_values on P0's integer matrix."""
+    g_at, f_at, base_mult, den = _pair_factors(
+        space, basis, {i for i, _ in pairs}, {j for _, j in pairs})
+    n = space.dim
+    P0 = RMatrix(n, n, tuple(a for row in basis.p0_num for a in row))
+    values, _ = pair_values(space, P0, pairs)
+    return ([[a * b for a in f_at[j] for b in g_at[i]] for i, j in pairs],
+            [v * base_mult for v in values], den)
 
 
 def build_pair_grid(space: PolyhedralSpace, basis: OperatorBasis) -> PairGrid:
-    """pair_rows over one pair per antipodal class: (x, f) and (-x, -f)
-    give the same row, and the class keeps its smaller index pair, the one
-    whose primal vertex x_i has i < negp[i] (a vertex is never its own
-    negation).  So the rows come in one block per kept x_i, with every
-    dual vertex in order, and the partner of the row of (x_i, f_j), the
-    row of the class of (x_i, -f_j), is the row of (i, negd[j]) in the
-    same block."""
+    """The lambda LP over one pair per antipodal class: (x, f) and
+    (-x, -f) give the same row, and the class keeps the pair whose primal
+    vertex x_i has i < negp[i].  So the rows come in one block per kept
+    x_i, with every dual vertex in order, and the partner of the row of
+    (x_i, f_j), the class of (x_i, -f_j), is the row of (i, negd[j]) in
+    the same block.  The bases f(P0 x) are P0's bilinear form between the
+    dual and the primal vertex lists, one factored pass over the grid.
+    The content divided out of the rows is gcd(den, base, every
+    product), and over a product of vertex lists the products
+    f_at[j]·g_at[i] have the gcd gcd(f_at)·gcd(g_at)."""
     negp = space.primal_negation
     negd = space.dual_negation
     nd = len(negd)
-    pairs = [(i, j) for i in range(len(negp)) if i < negp[i] for j in range(nd)]
-    partner = tuple(start + nj for start in range(0, len(pairs), nd) for nj in negd)
-    return replace(pair_rows(space, basis, pairs), partner=partner)
+    xs = [i for i in range(len(negp)) if i < negp[i]]
+    g_at, f_at, base_mult, den = _pair_factors(space, basis, xs, range(nd))
+    base = _ProductPlan.of(space.dual_cleared[0], space.primal_cleared[0],
+                           xs, range(nd)).products(
+        [a * base_mult for row in basis.p0_num for a in row])
+    content = gcd(den, *base, gcd(*chain.from_iterable(f_at.values()))
+                  * gcd(*chain.from_iterable(g_at.values())))
+    if content > 1:
+        base = [b // content for b in base]
+        den //= content
+    partner = tuple(start + nj for start in range(0, len(base), nd) for nj in negd)
+    return PairGrid(g_at=g_at, f_at=f_at, base_num=tuple(base), content=content,
+                    denominator=den, partner=partner)
 
 
 @dataclass
@@ -515,7 +498,7 @@ def projection_constant(space: PolyhedralSpace, Y: Subspace) -> MinProjReport:
 def _solve_lambda(space: PolyhedralSpace, Y: Subspace, basis: OperatorBasis,
                   grid: PairGrid) -> MinProjReport:
     """projection_constant on the basis and grid of (space, Y), built."""
-    solution = solve(grid.lp)
+    solution = solve(grid)
     if solution.status != OPTIMAL:  # always feasible (P0) and bounded (t >= 1)
         raise InternalError(f"operator-norm LP is {solution.status}")
     d = basis.dimension
@@ -662,7 +645,7 @@ def face_dimension(report: MinProjReport) -> tuple[int, frozenset[tuple[int, int
     support = set(report.dual_rows)
     implicit = list(report.dual_rows)
     undecided = [r for r in report.witness_rows if r not in support]
-    coefs = {r: grid.row(r) for r in report.witness_rows}
+    coefs = {r: grid.coefs(r) for r in report.witness_rows}
     while True:
         cols, scale, restricted = _restrict_to_face(coefs, implicit, undecided, d)
         implicit += [r for r in undecided if not any(restricted[r])]
@@ -754,7 +737,6 @@ def max_norming_projection(report: MinProjReport) -> tuple[OperatorPoint, int]:
     grid = report.grid
     tight = report.witness_rows
     d = len(report.witness.coefficients)
-    D = grid.denominator
-    if integer_row_rank([grid.row(r) + (-D,) for r in tight]) != d + 1:
+    if integer_row_rank([grid.row(r) for r in tight]) != d + 1:
         raise InternalError("the LP witness is not a vertex of the optimal face")
     return report.witness, len(tight)

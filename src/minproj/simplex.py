@@ -49,41 +49,43 @@ the full tableau gives.  For the same reason one positive factor on the
 whole of (M, beta, D) changes no pivot.  Verification runs in integer
 dot products over the same integers.
 
-The solver reads the matrix M through three methods of the LP and
-nothing else: row(c), one integer row, formed for the entering column
-and the rows a basis or the dual's support names; row_values(x), M[r]·x
-for every row r at an integer x; and prices(w, bf), the integers
-w·M[r] + bf·beta[r] of the priced rows (below) times one positive
-factor of the LP, with the pair constant K on the same scale, for
-signed weights w = σ⊙(costs minus basis prices).  LinearProgram
-implements them over its matrix: a pricing pass is one list pass per
-nonzero weight over the priced rows transposed.  The pair grid's LP
-(projections.GridLP) implements them over the grid's rank-one factors,
-M[r] = [f_at[j] (x) g_at[i] / g | -D], so a pricing pass is one
-factored product per row, g times the integers above, with g > 0 the
-grid's content; the t column's share -g·D·w_t, the same for every row,
-is added inside the first product formed, so a phase-I round (bf = 0)
-is that one pass.  One positive factor on every price of a round, K
-included, changes no sign and no comparison, so Dantzig's and Bland's
-rules pick the same column, and the reduced cost of the entering column
-is taken exactly from its row.  The verification reads every row
-through row_values, both rows of a partner pair included, and the rows
-of the dual's support through row.
+The solver reads the matrix M through the LP's partner list (and its
+priced rows, when partner is not empty) and three methods, and nothing
+else: row(c), one integer row, formed for the entering column and the
+rows a basis or the dual's support names; row_values(x), M[r]·x for
+every row r at an integer x; and prices(w, bf), the integers
+w·M[r] + bf·beta[r] of the priced rows times one positive factor of the
+LP, with the pair constant K (below) on the same scale, for signed
+weights w = σ⊙(costs minus basis prices).
+LinearProgram implements them over its matrix: it declares no partners
+(partner = ()), so every row is priced, in one list pass per nonzero
+weight over the matrix transposed, and K is None.  The pair grid
+(projections.PairGrid) is the lambda LP and implements them over its
+rank-one factors, M[r] = [f_at[j] (x) g_at[i] / g | -D], so a pricing
+pass is one factored product per priced row, g times the integers
+above, with g > 0 the grid's content; the t column's share -g·D·w_t,
+the same for every row, is added inside the first product formed, so a
+phase-I round (bf = 0) is that one pass.  One positive factor on every
+price of a round, K included, changes no sign and no comparison, so
+Dantzig's and Bland's rules pick the same column, and the reduced cost
+of the entering column is taken exactly from its row.
 
-An LP may declare its rows in partner pairs (LinearProgram.partner):
-rows r and r' whose integer rows [M | beta] add up to the same row for
-every pair, as the pair grid's (x, f) and (x, -f) do.  A real column's
-price is linear in its row, so the prices of r and r' are integers that
-add up to one constant K of the round, w·e + bf·b0 for the signed
-weights w and the common sum [e | b0].  Pricing then takes only the
+The grid declares its rows in partner pairs (PairGrid.partner): rows r
+and r' whose integer rows [M | beta] add up to the same row for every
+pair, as the rows of (x, f) and (x, -f) do.  A real column's price is
+linear in its row, so the prices of r and r' are integers that add up
+to one constant K of the round, w·e + bf·b0 for the signed weights w
+and the common sum [e | b0].  Pricing then takes only the
 representative r < r' of each pair, with K priced once, and each
 partner costs K minus its representative: the same integers the full
 pass gives.  Dantzig's rule takes the least of min p and K - max p and,
 among the representatives priced so and the partners of those priced
 K minus it, the lowest column; Bland's rule reads the unfolded list in
 row order.  Either rule picks the column the full pass picks, so no
-pivot changes.  The partner claim is checked when the LP is built and
-is never trusted by the verification, which reads every row.
+pivot changes.  The grid checks its partner claim when it is built,
+and the verification never trusts it: it reads every row through
+row_values, both rows of a partner pair included, and the rows of the
+dual's support through row.
 
 Sign convention for certificates: on OPTIMAL, the dual u satisfies
 u >= 0, Aᵀu = -c and u·b = -value (the standard dual of the
@@ -97,7 +99,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count, repeat
 from math import gcd
-from operator import add, eq, gt, itemgetter, mul
+from operator import eq, gt, mul
 
 from .errors import InternalError
 from .linalg import RMatrix, int_dot, over_denominator, primitive
@@ -111,28 +113,6 @@ _STALL_SWITCH = 24
 _MAX_PIVOTS = 500_000
 
 
-def priced_rows(partner: tuple[int, ...], m: int) -> list[int] | range:
-    """The rows an LP prices: the representatives r < partner[r] of its
-    partner pairs, ascending, or every row when it declares none."""
-    return [r for r, p in enumerate(partner) if r < p] if partner else range(m)
-
-
-def check_involution(partner: tuple[int, ...], m: int):
-    """The partner of every row as a C-level gather over a sequence, after
-    checking that partner is an involution of the m rows without fixed
-    points; ValueError otherwise."""
-    if len(partner) != m:
-        raise ValueError("partner length does not match constraint rows")
-    # An involution without fixed points pairs the rows, so m is even;
-    # mate then gathers the partner of every row as a tuple.
-    mate = (itemgetter(*partner)
-            if m % 2 == 0 and 0 <= min(partner) and max(partner) < m else None)
-    if (mate is None or any(map(eq, partner, range(m)))
-            or mate(partner) != tuple(range(m))):
-        raise ValueError("partner is not an involution without fixed points")
-    return mate
-
-
 @dataclass(frozen=True)
 class LinearProgram:
     """minimize objective·v  subject to  A·v <= b,  v free, given in
@@ -140,20 +120,16 @@ class LinearProgram:
     Scaling matrix, beta and denominator by one positive factor gives the
     same LP, and the same solution, pivot for pivot.
 
-    partner, when not empty, pairs the rows: partner[r] is the row whose
-    integer row [matrix | beta] adds to row r's to give the same sum for
-    every r.  It is an involution without fixed points, and the solver
-    prices one row of each pair (see the module docstring); the LP and
-    its solution are the same without it.
-
-    priced, row, row_values and prices are the solver's reads of the
-    matrix (see the module docstring), here over matrix itself."""
+    row, row_values and prices are the solver's reads of the matrix (see
+    the module docstring), here over matrix itself.  It declares no
+    partner rows, so every row is priced."""
 
     objective: tuple[Fraction | int, ...]
     matrix: tuple[tuple[int, ...], ...]
     beta: tuple[int, ...]
     denominator: int
-    partner: tuple[int, ...] = ()
+
+    partner = ()  # a class constant, not a field: no row has a partner
 
     def __post_init__(self):
         if any(len(row) != len(self.objective) for row in self.matrix):
@@ -162,28 +138,11 @@ class LinearProgram:
             raise ValueError("rhs length does not match constraint rows")
         if self.denominator <= 0:
             raise ValueError("the denominator must be positive")
-        if self.partner:
-            self._check_partner()
-
-    def _check_partner(self) -> None:
-        """Column by column, in C-level passes: the check runs on every
-        LP that declares partners, and a loop over the rows would cost a
-        share of the time the pairing saves."""
-        mate = check_involution(self.partner, len(self.matrix))
-        if any(len(set(map(add, col, mate(col)))) != 1
-               for col in (*zip(*self.matrix), self.beta)):
-            raise ValueError("partner rows do not all add up to the same row")
 
     @cached_property
-    def priced(self) -> list[int] | range:
-        return priced_rows(self.partner, len(self.matrix))
-
-    @cached_property
-    def _priced_columns(self) -> tuple[list[tuple[int, ...]], list[int]]:
-        """The priced rows transposed, one tuple per variable, and their
-        beta entries."""
-        return (list(zip(*(self.matrix[r] for r in self.priced))),
-                [self.beta[r] for r in self.priced])
+    def _columns(self) -> list[tuple[int, ...]]:
+        """The matrix transposed, one tuple per variable."""
+        return list(zip(*self.matrix))
 
     def row(self, r: int) -> tuple[int, ...]:
         """matrix[r]."""
@@ -193,20 +152,14 @@ class LinearProgram:
         """matrix[r]·x for every row r."""
         return [int_dot(row, x) for row in self.matrix]
 
-    def prices(self, w: list[int], bf: int) -> tuple[list[int], int | None]:
-        """w·matrix[r] + bf·beta[r] for the priced rows, one list pass per
-        nonzero weight, and the pair constant K, the same for the pair sum
-        (None without partners)."""
-        columns, beta = self._priced_columns
-        vals = [bf * b for b in beta] if bf else [0] * len(beta)
-        for wj, col in zip(w, columns):
+    def prices(self, w: list[int], bf: int) -> tuple[list[int], None]:
+        """w·matrix[r] + bf·beta[r] for every row, one list pass per
+        nonzero weight, and no pair constant."""
+        vals = [bf * b for b in self.beta] if bf else [0] * len(self.beta)
+        for wj, col in zip(w, self._columns):
             if wj:
                 vals = [v + wj * a for v, a in zip(vals, col)]
-        if not self.partner:
-            return vals, None
-        p = self.partner[0]
-        return vals, (int_dot(w, map(add, self.matrix[0], self.matrix[p]))
-                      + bf * (self.beta[0] + self.beta[p]))
+        return vals, None
 
     @cached_property
     def constraint_matrix(self) -> RMatrix:
@@ -275,9 +228,12 @@ class _RevisedDual:
         self.beta = lp.beta
         self.sigma = [1 if cj <= 0 else -1 for cj in lp.objective]
         # The priced columns: the representatives r < partner[r] when
-        # partners are declared, whose partners mates[i] cost K minus them.
-        self.priced = lp.priced
-        self.mates = [lp.partner[r] for r in self.priced] if lp.partner else None
+        # partners are declared, whose partners mates[i] cost K minus them;
+        # every column otherwise.
+        self.priced = self.mates = None
+        if lp.partner:
+            self.priced = lp.priced
+            self.mates = [lp.partner[r] for r in self.priced]
         self.columns: dict[int, list[int]] = {}  # the real columns formed so far
         self.rows: list[list[int]] = []
         for j, cj in enumerate(lp.objective):
@@ -500,9 +456,11 @@ def _run_dual(lp) -> tuple[_RevisedDual, str | None]:
 
 
 def solve(lp) -> LPSolution:
-    """Solve the LP, a LinearProgram or any LP with its reads of the matrix
-    (see the module docstring); on OPTIMAL the returned certificate is
-    exact and verified."""
+    """Solve the LP, a LinearProgram or the pair grid (see the module
+    docstring); on OPTIMAL the returned certificate is exact and
+    verified.  Only a LinearProgram can fail phase I: the grid's LP is
+    feasible (at P0) and bounded (t >= 0), so the zero-objective check
+    never runs on it."""
     m, d = len(lp.beta), len(lp.objective)
     tab, status = _run_dual(lp)
     if status is None:

@@ -48,9 +48,10 @@ The full integer tableau that the revised dual simplex replaced
 (``solve_by_full_tableau``) must give the same LPSolution as
 ``simplex.solve``, pivot count included, on every LP.  The lambda LP as
 it was before the pair grid kept its rank-one factors
-(``dense_grid_lp``, a ``LinearProgram`` over every formed row, priced by
-the list pass over the transposed rows) must give the same LPSolution as
-the grid's own factored LP, pivots included.
+(``dense_grid_lp``, a ``LinearProgram`` over every formed row, every
+row priced by the list pass over the transposed rows) must give the
+same LPSolution as the grid's own factored LP, which prices one row of
+each partner pair, pivots included.
 ``certify_by_face`` is the ``certify`` command as it was before
 ``certificates.certify_cm``: the lambda LP, the optimal face, and
 ``verify_cm`` at its relative interior, for every certificate.
@@ -177,8 +178,8 @@ def gauge_lp_norm(space, x):
 def dense_grid_lp(grid):
     """The lambda LP of a pair grid over its formed rows: minimize t
     s.t. coefs[r]·c - t <= -base[r], as [coefs_num | -D] and -base_num
-    over D with the grid's partners, priced, read and verified through
-    the matrix."""
+    over D, with no partners: every row priced, read and verified
+    through the matrix."""
     d = len(grid.coefs_num[0])
     D = grid.denominator
     return LinearProgram(
@@ -186,7 +187,6 @@ def dense_grid_lp(grid):
         matrix=tuple(row + (-D,) for row in grid.coefs_num),
         beta=tuple(-b for b in grid.base_num),
         denominator=D,
-        partner=grid.partner,
     )
 
 
@@ -1047,7 +1047,7 @@ def verify_cm_by_apply(space, Y, cm, lam, P, basis=None):
             violations.append(f"invariance: T(basis vector {b}) leaves Y")
             break
 
-    Pm = basis.realize(P)
+    Pm = realize_by_fractions(basis, P)
     for pi, dj in cm.pairs:
         value = dot(space.dual_vertices[dj], Pm.apply(space.primal_vertices[pi]))
         if value != lam:
@@ -1077,7 +1077,7 @@ def verify_cm_by_pair_rows(space, Y, cm, lam, P, basis=None):
             return CMVerdict((f"weights: pair ({pi}, {dj}) out of range",))
     if basis is None:
         basis = build_operator_basis(space, Y)
-    rows = pair_rows(space, basis, cm.pairs)
+    coefs, base, D = pair_rows(space, basis, cm.pairs)
     violations = []
     if len(set(cm.pairs)) != len(cm.pairs):
         violations.append("weights: duplicate pairs")
@@ -1111,7 +1111,9 @@ def verify_cm_by_pair_rows(space, Y, cm, lam, P, basis=None):
 
     if len(P.coefficients) != basis.dimension:
         raise ValueError("coefficient count does not match the operator basis")
-    values, den = rows.value_numerators(P.coefficients)
+    x, x_den = over_denominator(P.coefficients)
+    values = [b * x_den + int_dot(row, x) for row, b in zip(coefs, base)]
+    den = D * x_den
     for (pi, dj), v in zip(cm.pairs, values):
         if Fraction(v, den) != lam:
             violations.append(

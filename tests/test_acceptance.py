@@ -14,7 +14,8 @@ from minproj.projections import OperatorPoint, face_dimension, max_norming_proje
     norming_pairs, operator_norm, projection_constant
 from minproj import simplex
 
-from oracles import gauge_lp_norm, matadd, matmul, trace_on_subspace
+from oracles import (gauge_lp_norm, matadd, matmul, realize_by_fractions,
+                     trace_on_subspace)
 
 ONE = Fraction(1)
 
@@ -46,7 +47,7 @@ def test_criterion_1_hyperplane_constants(analyzed):
                 rec = analyzed[f"ker-sum-{tag}-n{n}"]
                 assert rec.report.lam == 2 - Fraction(2, n)
                 assert rec.face_dim == 0
-                matrix = rec.report.basis.realize(rec.report.interior)
+                matrix = realize_by_fractions(rec.report.basis, rec.report.interior)
                 expected = [[(ONE if i == j else 0) - Fraction(1, n)
                              for j in range(n)] for i in range(n)]
                 assert matrix.entries == RMatrix.from_rows(expected).entries

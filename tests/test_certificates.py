@@ -198,7 +198,7 @@ def test_certify_rejects_the_no_lp_point_below_lambda(monkeypatch, spy):
     report = projection_constant(space, Y)
     cm = CMFunctional(cm_from_dual(report).pairs[:3], (F(1, 3),) * 3)
     basis = report.basis
-    assert integer_row_rank(pair_rows(space, basis, cm.pairs).coefs_num) == basis.dimension
+    assert integer_row_rank(pair_rows(space, basis, cm.pairs)[0]) == basis.dimension
     norms, dens = [], []
     original = certificates.operator_norm
     original_realize = projections.OperatorBasis.realize_cleared

@@ -199,6 +199,23 @@ def test_subspace_roundtrip():
     assert Z.contains(Y.basis_vectors()[0])
 
 
+@pytest.mark.parametrize("basis, annihilator, message", [
+    (((1, 1, 0),), ((1, -1, 0),), "annihilator must have n-k columns"),
+    (((1, 1, 0),), ((1, 0, 0), (0, 0, 1)), "annihilator does not vanish on the basis"),
+    (((1, 1, 0), (2, 2, 0)), ((0, 0, 1),), "basis columns are dependent"),
+    (((1, 1, 0),), ((1, -1, 0), (2, -2, 0)), "annihilator columns are dependent"),
+])
+def test_subspace_built_directly_is_checked(basis, annihilator, message):
+    # a Subspace built directly, not through from_basis or from_kernel,
+    # is checked when it is built: the operator basis takes the
+    # independence of its k(n-k) operators from these checks
+    Subspace(ambient_dim=3, basis_num=((1, 1, 0),), basis_den=1,
+             annihilator_num=((1, -1, 0), (0, 0, 1)), annihilator_den=1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Subspace(ambient_dim=3, basis_num=basis, basis_den=1,
+                 annihilator_num=annihilator, annihilator_den=1)
+
+
 def test_subspace_rejects_degenerate():
     with pytest.raises(ValueError):
         Subspace.from_basis([(1, 0), (0, 1)])      # k = n

@@ -31,8 +31,8 @@ from oracles import (budget_outcome, dense_grid_lp, face_dimension_by_rounds,
                      general_position_by_leaf_walk, general_position_exhaustive,
                      linf_hyperplane_lambda,
                      max_norming_by_greedy, minimal_support_by_lp,
-                     minimal_support_by_solve, solve_by_fraction_tableau,
-                     verify_cm_by_apply)
+                     minimal_support_by_solve, realize_by_fractions,
+                     solve_by_fraction_tableau, verify_cm_by_apply)
 
 # Large enough for every candidate set below: lifts the support-search cap.
 NO_CAP = 10 ** 3
@@ -62,7 +62,7 @@ def test_face_matches_per_row_oracle(cases):
         # both interiors are minimal projections normed by exactly the
         # implicit pairs, though they need not be the same point
         for point in (report.interior, OperatorPoint(oracle_interior)):
-            assert operator_norm(space, report.basis.realize(point)) == report.lam
+            assert operator_norm(space, realize_by_fractions(report.basis, point)) == report.lam
             assert norming_pairs(report, point) == implicit, name
 
 
@@ -119,7 +119,7 @@ def test_integer_tableau_matches_fraction_tableau(cases, monkeypatch):
     assert len(oracle_rounds) >= len(cases)
     # each round from the dual's support is one of the oracle's rounds
     assert rounds and all(lp in oracle_rounds for lp in rounds)
-    lps = [(a.report.grid.lp, dense_grid_lp(a.report.grid)) for a in cases.values()]
+    lps = [(a.report.grid, dense_grid_lp(a.report.grid)) for a in cases.values()]
     for lp, dense in lps + [(lp, lp) for lp in rounds + oracle_rounds]:
         sol = solve(lp)
         assert sol == solve_by_fraction_tableau(dense)

@@ -5,8 +5,9 @@ import pytest
 
 from minproj.catalog import l1_ball, linf_ball, random_subspace
 import minproj.projections as projections
-from minproj.errors import InternalError, NotMinimalError
-from minproj.geometry import PolyhedralSpace, Subspace, norm_eval
+from minproj.errors import InternalError, NotMinimalError, NotSymmetricError
+from minproj.geometry import (PolyhedralSpace, Subspace, general_position_check,
+                              norm_eval)
 from minproj.linalg import RMatrix, integer_row_rank
 from minproj.projections import (OperatorPoint, build_operator_basis,
                                  build_pair_grid, face_dimension,
@@ -14,7 +15,8 @@ from minproj.projections import (OperatorPoint, build_operator_basis,
                                  operator_norm, projection_constant)
 
 from oracles import (matadd, matmul, operator_norm_by_fractions,
-                     operator_norm_every_vertex, rref_by_fractions, row_value)
+                     operator_norm_every_vertex, realize_by_fractions,
+                     rref_by_fractions, row_value)
 
 F = Fraction
 
@@ -69,14 +71,11 @@ def _with_annihilator(Y, functionals):
      "base projection does not fix Y"),
     (lambda mp, Y: _with_annihilator(Y, [(1, 0, 0), (0, 1, -1)]),
      "a basis operator does not vanish on Y"),
-    (lambda mp, Y: _with_annihilator(Y, [(1, -1, 0), (2, -2, 0)]),
-     "basis operators are linearly dependent"),
 ])
 def test_operator_basis_guards_raise(monkeypatch, corrupt, message):
     # every guard raises InternalError itself, so it also fires under
     # python -O: a wrong inverse (P0 = 2·P0, or P0 = 0, which is
-    # idempotent), an annihilator that misses Y, and one that vanishes on
-    # Y but is dependent
+    # idempotent) and an annihilator that misses Y
     Y = Subspace.from_basis([(1, 1, 1)])
     corrupt(monkeypatch, Y)
     with pytest.raises(InternalError, match=f"^{message}$"):
@@ -87,7 +86,7 @@ def test_realize_checks_length(ker_sum_3):
     space, Y = ker_sum_3
     basis = build_operator_basis(space, Y)
     with pytest.raises(ValueError):
-        basis.realize(OperatorPoint((F(0),)))
+        basis.realize_cleared(OperatorPoint((F(0),)))
 
 
 def test_pair_grid_antipodal_dedup(ker_sum_3):
@@ -112,7 +111,7 @@ def test_hyperplane_unique_minimal_projection(ker_sum_3):
         [F(2, 3), F(-1, 3), F(-1, 3)],
         [F(-1, 3), F(2, 3), F(-1, 3)],
         [F(-1, 3), F(-1, 3), F(2, 3)]])
-    assert report.basis.realize(report.witness).row_list() == expected.row_list()
+    assert realize_by_fractions(report.basis, report.witness).row_list() == expected.row_list()
     # face dimension zero: the witness and the interior coincide
     assert report.interior == report.witness
 
@@ -135,7 +134,7 @@ def test_norm_one_slice_is_fully_optimal():
 def test_operator_norm_attained_on_vertices(ker_sum_3):
     space, Y = ker_sum_3
     report = projection_constant(space, Y)
-    P = report.basis.realize(report.witness)
+    P = realize_by_fractions(report.basis, report.witness)
     norm = operator_norm(space, P)
     assert norm == report.lam
     state = 99
@@ -153,7 +152,7 @@ def test_operator_norm_is_lambda_on_every_catalog_case(analyzed):
     # and by the Fraction one it replaced
     for name, a in analyzed.items():
         for point in (a.report.witness, a.report.interior):
-            P = a.report.basis.realize(point)
+            P = realize_by_fractions(a.report.basis, point)
             assert operator_norm(a.case.space, P) == a.report.lam, name
             assert operator_norm_by_fractions(a.case.space, P) == a.report.lam, name
     with pytest.raises(ValueError, match="2x2 matrix on a space of dimension 3"):
@@ -190,6 +189,28 @@ def test_operator_norm_on_unvalidated_lists():
     assert operator_norm(spaces[2], P) == F(101, 30)
 
 
+def test_lambda_refuses_a_list_without_negations():
+    # validate=False takes the lists as given: the operator norm and the
+    # general-position check read a dual list that is not symmetric, but
+    # the lambda LP keeps one pair per antipodal class, so a vertex whose
+    # negation is missing, dual or primal, is a NotSymmetricError naming it
+    Y = Subspace.from_basis([(1, 1)])
+    space = PolyhedralSpace.from_vertices([(1, 0), (-1, 0), (0, 1), (0, -1)],
+                                          dual_vertices=[(1, 1), (-1, -1), (1, -1)],
+                                          validate=False)
+    assert operator_norm(space, RMatrix.from_rows([[1, 0], [0, 1]])) == 1
+    assert general_position_check(space, Y).witness == (2,)
+    with pytest.raises(NotSymmetricError,
+                       match=r"^dual vertex \(1, -1\) has no negation in the list$"):
+        projection_constant(space, Y)
+    space = PolyhedralSpace.from_vertices([(1, 0), (-1, 0), (F(1, 2), 1)],
+                                          dual_vertices=l1_ball(2).primal_vertices,
+                                          validate=False)
+    with pytest.raises(NotSymmetricError,
+                       match=r"^primal vertex \(1/2, 1\) has no negation in the list$"):
+        projection_constant(space, Y)
+
+
 def test_norming_pairs_rejects_non_minimal(ker_sum_3):
     space, Y = ker_sum_3
     report = projection_constant(space, Y)
@@ -209,7 +230,7 @@ def test_witness_rows_are_its_norming_pairs(ker_sum_3):
     assert pairs == {report.grid.pairs[r] for r in report.witness_rows}
     for i, j in pairs:
         f = space.dual_vertices[j]
-        Px = report.basis.realize(report.witness).apply(space.primal_vertices[i])
+        Px = realize_by_fractions(report.basis, report.witness).apply(space.primal_vertices[i])
         assert sum(a * b for a, b in zip(f, Px)) == report.lam
 
 
@@ -219,7 +240,7 @@ def test_face_dimension_bound_and_interior(analyzed):
         assert 0 <= a.face_dim <= k * (n - k)
         if a.report.lam > 1:
             assert a.face_dim <= k * (n - k) - 2
-        P = a.report.basis.realize(a.report.interior)
+        P = realize_by_fractions(a.report.basis, a.report.interior)
         assert operator_norm(a.case.space, P) == a.report.lam, name
 
 

@@ -410,9 +410,11 @@ def test_factored_grid_agrees_with_dense_oracle(case, data):
     # The grid kept as its rank-one factors against every row formed:
     # each formed row and base is f(L_q x) and f(P0 x) in Fractions; the
     # factored value pass equals the dense one at the LP's optimum and at
-    # a drawn point; the factored LP's row values and prices at drawn
-    # weights equal the dense oracle LP's (the prices times the grid's
-    # content); and its solve is the dense LP's LPSolution, pivots included
+    # a drawn point; the grid's row values at drawn integers equal the
+    # dense oracle LP's, its prices at drawn weights are the dense prices
+    # of its priced rows times the grid's content, and each partner's
+    # dense price is the pair constant less its representative's; and
+    # its solve is the dense LP's LPSolution, pivots included
     space, vectors = case
     Y = Subspace.from_basis(vectors)
     basis = build_operator_basis(space, Y)
@@ -421,9 +423,9 @@ def test_factored_grid_agrees_with_dense_oracle(case, data):
     for r, (base, coefs) in enumerate(pair_rows_by_fractions(
             space, operator_basis_by_fractions(space, Y), grid.pairs)):
         assert Fraction(grid.base_num[r], D) == base
-        assert tuple(Fraction(a, D) for a in grid.row(r)) == coefs
+        assert tuple(Fraction(a, D) for a in grid.coefs(r)) == coefs
     dense = dense_grid_lp(grid)
-    sol = solve(grid.lp)
+    sol = solve(grid)
     assert sol == solve(dense)
     point = data.draw(st.lists(st.fractions(-3, 3, max_denominator=5),
                                min_size=d, max_size=d))
@@ -434,12 +436,15 @@ def test_factored_grid_agrees_with_dense_oracle(case, data):
             D * x_den)
     ints = st.integers(-10 ** 6, 10 ** 6)
     x = data.draw(st.lists(ints, min_size=d + 1, max_size=d + 1))
-    assert grid.lp.row_values(x) == dense.row_values(x)
+    assert grid.row_values(x) == dense.row_values(x)
     w = data.draw(st.lists(ints, min_size=d + 1, max_size=d + 1))
     bf = data.draw(st.integers(0, 10 ** 6))
-    vals, K = grid.lp.prices(w, bf)
+    vals, K = grid.prices(w, bf)
     dense_vals, dense_K = dense.prices(w, bf)
-    assert (vals, K) == ([grid.content * v for v in dense_vals], grid.content * dense_K)
+    assert dense_K is None
+    assert vals == [grid.content * dense_vals[r] for r in grid.priced]
+    assert {grid.content * (v + dense_vals[p])
+            for v, p in zip(dense_vals, grid.partner)} == {K}
 
 
 def _assert_subspace_families(vectors):
@@ -489,7 +494,9 @@ def test_realize_agrees_with_fraction_oracle(case, data):
         st.fractions(-5, 5, max_denominator=9),
         min_size=ops.dimension, max_size=ops.dimension))
     point = OperatorPoint(tuple(coefficients))
-    assert ops.realize(point) == realize_by_fractions(ops, point)
+    M, den = ops.realize_cleared(point)
+    assert (RMatrix(M.rows, M.cols, tuple(Fraction(x, den) for x in M.entries))
+            == realize_by_fractions(ops, point))
 
 
 def _description_outcome(double_description, points):
@@ -595,7 +602,7 @@ def _analyze(case):
 def test_projection_has_norm_lambda_and_dual_cm_verifies(case):
     space, Y, report, _ = _analyze(case)
     for point in (report.witness, report.interior):
-        assert operator_norm(space, report.basis.realize(point)) == report.lam
+        assert operator_norm(space, realize_by_fractions(report.basis, point)) == report.lam
     cm = cm_from_dual(report)
     verdict = verify_cm(space, Y, cm, report.lam, report.interior,
                         basis=report.basis)

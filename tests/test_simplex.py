@@ -6,14 +6,13 @@ replaced (kept in ``oracles.py``): the whole LPSolution, pivot count
 included, on random integer LPs of every status, with Bland's rule
 forced after one degenerate pivot too, and on the lambda LPs of the
 l-inf^6 hyperplane and the l1^5 2-plane of the benchmark.  The pair
-grid's own LP, which prices and reads its rows through the grid's
-rank-one factors, is compared with the dense LP over every formed row
-(``oracles.dense_grid_lp``), also on the three n = 6 shapes of the
-certify benchmark.  Pricing one row of each partner pair of a lambda LP
-is compared with pricing every row, pivot for pivot, under both rules,
-and a partner declaration that does not pair rows of one sum is
-refused by the dense LP, also under ``python -O``, and on the grid's
-factors.  It is also
+grid, the lambda LP, which prices one row of each partner pair and
+reads its rows through its rank-one factors, is compared with the dense
+LP over every formed row that prices every row
+(``oracles.dense_grid_lp``), pivot for pivot under both rules, also on
+the three n = 6 shapes of the certify benchmark.  A partner list that
+does not pair rows of one sum, alike in every block, is refused when
+the grid is built, also under ``python -O``.  It is also
 compared with the rational tableau before that: optimal solutions pivot
 for pivot, and every status (optimal, infeasible, unbounded) against the
 inequality-form tableau there.  With Bland's rule forced after one
@@ -39,6 +38,7 @@ from hypothesis import strategies as st
 from minproj import simplex
 from minproj.catalog import l1_ball, linf_ball, random_subspace
 from minproj.errors import InternalError
+from minproj.geometry import Subspace
 from minproj.linalg import RMatrix, int_dot, solve_linear
 from minproj.projections import build_operator_basis, build_pair_grid
 from minproj.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
@@ -314,8 +314,8 @@ def test_benchmark_lambda_lps_match_full_tableau(ball, n, k, shape):
     grid = build_pair_grid(space, build_operator_basis(space, Y))
     lp = dense_grid_lp(grid)
     assert (len(lp.matrix), len(lp.objective)) == shape
-    assert sum(r < p for r, p in enumerate(lp.partner)) == shape[0] // 2
-    sol = solve(grid.lp)
+    assert len(grid.priced) == shape[0] // 2
+    sol = solve(grid)
     assert sol.status == OPTIMAL
     assert sol == solve_by_full_tableau(lp)
 
@@ -332,12 +332,12 @@ def _seeded_grid(ball, n, k, seed):
 ])
 def test_n6_lambda_lps_match_the_dense_oracle(ball, k, content, lam_is_one):
     # the three n = 6 shapes of the certify benchmark at generator seed 7:
-    # the factored LP gives its dense oracle LP's LPSolution, pivots
-    # included, where the l1 rows have a content of 2 divided out and the
-    # l-inf hyperplane has lambda = 1
+    # the folded, factored grid gives the LPSolution of its dense oracle
+    # LP, which prices every row, pivots included, where the l1 rows have
+    # a content of 2 divided out and the l-inf hyperplane has lambda = 1
     grid = _seeded_grid(ball, 6, k, 7)
     assert grid.content == content
-    sol = solve(grid.lp)
+    sol = solve(grid)
     assert sol == solve(dense_grid_lp(grid))
     assert (sol.value == 1) == lam_is_one
 
@@ -362,17 +362,15 @@ def _tampered_partners(grid, negd):
 
 
 def test_grid_lp_checks_its_partners_on_the_factors():
-    # the factored LP checks the pairing as the dense one does, on the
-    # factors: the same primal vertex, negated f_at, negated base
+    # the grid checks its pairing once, when it is built, on the factors:
+    # the same primal vertex, negated f_at, negated base
     space = linf_ball(3)
     grid = build_pair_grid(space, build_operator_basis(space, random_subspace(3, 2, 7)))
-    assert grid.lp.partner == grid.partner
+    assert grid.partner == tuple(start + nj for start in range(0, len(grid.pairs), 6)
+                                 for nj in space.dual_negation)
     for partner, base, message in _tampered_partners(grid, space.dual_negation):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            replace(grid, partner=partner, base_num=base).lp
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            replace(dense_grid_lp(grid), partner=partner,
-                    beta=tuple(-b for b in base))
+            replace(grid, partner=partner, base_num=base)
 
 
 @pytest.mark.parametrize("stall_switch", [simplex._STALL_SWITCH, 1])
@@ -390,13 +388,13 @@ def test_folded_pricing_keeps_every_pivot(stall_switch, ball, n, k_index, seed):
                for r, p in enumerate(grid.partner))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex, "_STALL_SWITCH", stall_switch)
-        assert solve(grid.lp) == solve(replace(dense_grid_lp(grid), partner=()))
+        assert solve(grid) == solve(dense_grid_lp(grid))
 
 
 def test_bland_rule_runs_on_the_folded_path(monkeypatch):
     # with one degenerate pivot enough to switch, the folded factored
     # pricing enters Bland's rule on the lambda LPs, as the full pass does
-    # on their dense oracle LPs without partners, and both pivot alike
+    # on their dense oracle LPs, and both pivot alike
     bland_rounds = Counter()
     entering = simplex._RevisedDual._entering
 
@@ -410,42 +408,73 @@ def test_bland_rule_runs_on_the_folded_path(monkeypatch):
     for ball in (linf_ball, l1_ball):
         for n, k in ((3, 1), (4, 2), (5, 2)):
             grid = _seeded_grid(ball, n, k, 7)
-            assert solve(grid.lp) == solve(replace(dense_grid_lp(grid), partner=()))
+            assert solve(grid) == solve(dense_grid_lp(grid))
     assert bland_rounds["folded"] >= 10, bland_rounds
     assert bland_rounds["folded"] == bland_rounds["full"]
 
 
-_PAIRED_ROWS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+def _small_grid():
+    """The grid of the line through (1, 2) in l-inf^2: two blocks of four
+    rows, partner (1, 0, 3, 2, 5, 4, 7, 6), beta (-1, 1, -2, 2, 1, -1, 2, -2)."""
+    space = linf_ball(2)
+    return build_pair_grid(space, build_operator_basis(space, Subspace.from_basis([(1, 2)])))
+
+
+_PAIRED = (1, 0, 3, 2, 5, 4, 7, 6)
+_BETA = (-1, 1, -2, 2, 1, -1, 2, -2)
 
 
 @pytest.mark.parametrize("partner, beta, message", [
-    ((0, 1, 3, 2), (1, 1, 1, 1), "partner is not an involution without fixed points"),
-    ((1, 2, 3, 0), (1, 1, 1, 1), "partner is not an involution without fixed points"),
-    ((1, 0, 3, 4), (1, 1, 1, 1), "partner is not an involution without fixed points"),
-    ((1, 0), (1, 1, 1, 1), "partner length does not match constraint rows"),
-    ((1, 0, 3, 2), (1, 1, 1, 2), "partner rows do not all add up to the same row"),
-    ((2, 3, 0, 1), (1, 1, 1, 1), "partner rows do not all add up to the same row"),
+    ((0, 1, 3, 2, 5, 4, 7, 6), _BETA, "partner is not an involution without fixed points"),
+    ((1, 2, 3, 0, 5, 4, 7, 6), _BETA, "partner is not an involution without fixed points"),
+    ((1, 0, 3, 8, 5, 4, 7, 6), _BETA, "partner is not an involution without fixed points"),
+    ((1, 0), _BETA, "partner length does not match constraint rows"),
+    (_PAIRED, (-1, 1, -2, 2, 1, -1, 2, -1), "partner rows do not all add up to the same row"),
+    ((2, 3, 0, 1, 6, 7, 4, 5), _BETA, "partner rows do not all add up to the same row"),
 ])
 def test_partner_must_pair_rows_of_one_sum(partner, beta, message):
-    assert LinearProgram((1, 1), _PAIRED_ROWS, (1, 1, 1, 1), 1, (1, 0, 3, 2)).partner
+    # a fixed point, a 4-cycle, a row out of range, a short list, a base
+    # that does not negate, and rows (x, f), (x, f') with f' not -f
+    grid = _small_grid()
+    assert (grid.partner, grid.beta) == (_PAIRED, _BETA)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        LinearProgram((1, 1), _PAIRED_ROWS, beta, 1, partner)
+        replace(grid, partner=partner, base_num=tuple(-b for b in beta))
+
+
+def test_partner_pairs_the_dual_vertices_alike_in_every_block():
+    # two dual vertices with one restriction to Y give equal rows, so a
+    # pairing that differs between blocks adds up right and is refused
+    grid = replace(_small_grid(), f_at={0: (1,), 1: (-1,), 2: (1,), 3: (-1,)},
+                   base_num=(1, -1, 1, -1, -1, 1, -1, 1))
+    with pytest.raises(ValueError,
+                       match="^partner does not pair the dual vertices alike in every block$"):
+        replace(grid, partner=(1, 0, 3, 2, 7, 6, 5, 4))
 
 
 def test_partner_checks_survive_python_O():
-    code = ("from minproj.simplex import LinearProgram\n"
-            "rows = ((1, 0), (-1, 0), (0, 1), (0, -1))\n"
-            "for partner, beta in (((0, 1, 3, 2), (1, 1, 1, 1)),\n"
-            "                      ((1, 2, 3, 0), (1, 1, 1, 1)),\n"
-            "                      ((1, 0, 3, 2), (1, 1, 1, 2))):\n"
+    code = ("from dataclasses import replace\n"
+            "from minproj.catalog import linf_ball\n"
+            "from minproj.geometry import Subspace\n"
+            "from minproj.projections import build_operator_basis, build_pair_grid\n"
+            "space = linf_ball(2)\n"
+            "grid = build_pair_grid(space, build_operator_basis(\n"
+            "    space, Subspace.from_basis([(1, 2)])))\n"
+            "beta = (1, -1, 2, -2, -1, 1, -2, 2)\n"
+            "for partner, base in (((0, 1, 3, 2, 5, 4, 7, 6), beta),\n"
+            "                      ((1, 2, 3, 0, 5, 4, 7, 6), beta),\n"
+            "                      ((1, 0, 3, 8, 5, 4, 7, 6), beta),\n"
+            "                      ((1, 0), beta),\n"
+            "                      ((1, 0, 3, 2, 5, 4, 7, 6), (1, -1, 2, -2, -1, 1, -2, 1))):\n"
             "    try:\n"
-            "        LinearProgram((1, 1), rows, beta, 1, partner)\n"
+            "        replace(grid, partner=partner, base_num=base)\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n")
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == ("partner is not an involution without fixed points\n"
                           "partner is not an involution without fixed points\n"
+                          "partner is not an involution without fixed points\n"
+                          "partner length does not match constraint rows\n"
                           "partner rows do not all add up to the same row\n")
 
 
