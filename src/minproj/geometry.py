@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -27,8 +27,8 @@ from typing import Sequence
 from .errors import (BudgetExceededError, InternalError, NotExtremeError,
                      NotFullDimensionalError, NotSymmetricError)
 from .linalg import (Vector, independent_rows, int_dot, integer_inverse,
-                     integer_nullspace, integer_row_rank, over_denominator,
-                     primitive, subset_walk)
+                     integer_nullspace, over_denominator, primitive,
+                     subset_walk)
 from .rational import format_rational
 
 # Default budget of general_position_check: subsets counted, spans and
@@ -407,33 +407,36 @@ def norm_eval(space: PolyhedralSpace, x: Sequence) -> Fraction:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Proper subspace Y of R^n with an explicit basis and annihilator, in
-    integers: the k independent basis vectors are basis_num / basis_den
-    and the n - k independent functionals vanishing on Y are
-    annihilator_num / annihilator_den, each family over its least common
-    denominator.  basis_vectors, annihilator_functionals and contains are
-    the Fraction views.
+    """Proper subspace Y of R^n given by its basis, in integers: the k
+    independent basis vectors are basis_num / basis_den, over their least
+    common denominator.  The n - k functionals vanishing on Y are
+    computed when Y is built, as annihilator_num / annihilator_den: the
+    integer nullspace of the basis (linalg.integer_nullspace), so they
+    vanish on the basis and are independent by construction, and the
+    basis is independent exactly when there are n - k of them.
+    basis_vectors, annihilator_functionals and contains are the Fraction
+    views.
     """
 
-    ambient_dim: int
-    basis_num: tuple[tuple[int, ...], ...]
+    basis_num: Rows
     basis_den: int
-    annihilator_num: tuple[tuple[int, ...], ...]
-    annihilator_den: int
+    annihilator_num: Rows = field(init=False)
+    annihilator_den: int = field(init=False)
 
     def __post_init__(self):
-        n, k = self.ambient_dim, self.dim
+        basis = tuple(map(tuple, self.basis_num))
+        if not basis:
+            raise ValueError("empty basis")
+        n, k = len(basis[0]), len(basis)
+        if any(len(y) != n for y in basis):
+            raise ValueError("ragged rows")
+        annihilator, den = integer_nullspace(basis, n)
+        if len(annihilator) != n - k:
+            raise ValueError("basis vectors are linearly dependent")
         self.check_dimension(n, k)
-        if any(len(v) != n for v in self.basis_num + self.annihilator_num):
-            raise ValueError("basis/annihilator row count must equal ambient dimension")
-        if len(self.annihilator_num) != n - k:
-            raise ValueError("annihilator must have n-k columns")
-        if any(int_dot(y, g) for y in self.basis_num for g in self.annihilator_num):
-            raise ValueError("annihilator does not vanish on the basis")
-        if integer_row_rank(self.basis_num) != k:
-            raise ValueError("basis columns are dependent")
-        if integer_row_rank(self.annihilator_num) != n - k:
-            raise ValueError("annihilator columns are dependent")
+        object.__setattr__(self, "basis_num", basis)
+        object.__setattr__(self, "annihilator_num", tuple(map(tuple, annihilator)))
+        object.__setattr__(self, "annihilator_den", den)
 
     @staticmethod
     def check_dimension(n: int, k: int) -> None:
@@ -445,30 +448,21 @@ class Subspace:
 
     @classmethod
     def from_basis(cls, vectors: Sequence[Sequence]) -> "Subspace":
-        return cls._spanned_by(*_cleared_family(vectors))
+        return cls(*_cleared_rows(vectors))
 
     @classmethod
     def from_kernel(cls, functionals: Sequence[Sequence]) -> "Subspace":
         """Subspace cut out as the joint kernel of the given functionals."""
-        rows, _ = _cleared_family(functionals)
+        rows, _ = _cleared_rows(functionals)
         if not rows:
             raise ValueError("empty functional list")
-        return cls._spanned_by(*integer_nullspace(rows, len(rows[0])))
+        if any(len(g) != len(rows[0]) for g in rows):
+            raise ValueError("ragged rows")
+        return cls(*integer_nullspace(rows, len(rows[0])))
 
-    @classmethod
-    def _spanned_by(cls, basis: Sequence[Sequence[int]], den: int) -> "Subspace":
-        """The subspace with basis vectors basis / den, its annihilator
-        the integer nullspace of the basis.  The basis is independent
-        exactly when that nullspace has n - k vectors."""
-        if not basis:
-            raise ValueError("empty basis")
-        n = len(basis[0])
-        annihilator, a_den = integer_nullspace(basis, n)
-        if len(annihilator) != n - len(basis):
-            raise ValueError("basis vectors are linearly dependent")
-        return cls(ambient_dim=n, basis_num=tuple(map(tuple, basis)), basis_den=den,
-                   annihilator_num=tuple(map(tuple, annihilator)),
-                   annihilator_den=a_den)
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.basis_num[0])
 
     @property
     def dim(self) -> int:
@@ -486,14 +480,6 @@ class Subspace:
             raise ValueError("vector lengths disagree")
         vec, _ = over_denominator(vector)
         return not any(int_dot(g, vec) for g in self.annihilator_num)
-
-
-def _cleared_family(vectors: Sequence[Sequence]) -> tuple[Rows, int]:
-    """Rational vectors of one length as integer rows over their least
-    common denominator."""
-    if any(len(v) != len(vectors[0]) for v in vectors):
-        raise ValueError("ragged rows")
-    return _cleared_rows(vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -13,22 +13,22 @@ start; Gordan rounds (one small LP each) decide only the other tight
 rows, and none is needed when the dual's rows already fix the point.
 
 Everything stays in integers from the subspace to the tableau.  The
-operator basis holds Y's basis, its annihilator and P0 as integers over
-one denominator each, and checks its guards in integers; the space
-holds its vertex lists cleared once.  The pair grid is the lambda LP
-itself, its rows integers over one grid denominator, kept as their
-rank-one factors: the row of the pair (x, f) is f(y_b)·g(x) over the
-basis operators y_b (x) g, the outer product of the k values f(y_b) and
-the n - k values g(x), so the grid holds k + (n - k) integers per vertex
-in place of k(n - k) per pair.  A row is formed only where a stage reads
-it: the LP's entering column and basis, the tight rows of the face
-stage and the support columns.  Every pass over all rows (the bases
-f(P0 x), row values, tight rows, slacks and rises, the lambda LP's
-pricing and its verification) is a factored pass over the product of
-the two vertex lists, one short dot product per pair after one side is
-formed per vertex.  A certificate's few rows are formed one by one
-(pair_rows).  The Gordan rounds hand their integer rows to the simplex
-as they are.  The face's nullspace basis is read off the integer
+operator basis holds Y's basis, the annihilator that Subspace computes
+from it, and P0 as integers over one denominator each, and checks P0 in
+integers; the space holds its vertex lists cleared once.  The pair grid
+is the lambda LP itself, its rows integers over one grid denominator,
+kept as their rank-one factors: the row of the pair (x, f) is
+f(y_b)·g(x) over the basis operators y_b (x) g, the outer product of the
+k values f(y_b) and the n - k values g(x), so the grid holds k + (n - k)
+integers per vertex in place of k(n - k) per pair.  A row is formed only
+where a stage reads it: the LP's entering column and basis, the tight
+rows of the face stage and the support columns.  Every pass over all
+rows (the bases f(P0 x), row values, tight rows, slacks and rises, the
+lambda LP's pricing and its verification) is a factored pass over the
+product of the two vertex lists, one short dot product per pair after
+one side is formed per vertex.  A certificate's few rows are formed one
+by one (pair_rows).  The Gordan rounds hand their integer rows to the
+simplex as they are.  The face's nullspace basis is read off the integer
 reduced echelon form of the implicit rows.
 
 Every stage after the lambda solve reads the space, Y, the operator
@@ -40,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
-from math import gcd, lcm
+from itertools import product
+from math import lcm
 from operator import add, eq, itemgetter
 from typing import Iterable, Sequence
 
@@ -128,22 +128,21 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     common denominator of those rows.  As h_b is zero on J, its entries
     on the other k coordinates I are row b of the inverse of Y's k x k
     minor there, the matrix of rows (y_num_c[i])_c for i in I
-    (linalg.integer_inverse), and M itself is never inverted.  Three
-    guards raise InternalError: P0^2 = P0, P0 y = y and g_j(y_b) = 0
-    (exactly "L_q vanishes on Y").  The k(n-k) operators
-    y_num_b (x) g_num_j are independent because Y's basis and its
-    annihilator are (rank(A (x) B) = rank A · rank B), which Subspace
-    checks when it is built."""
+    (linalg.integer_inverse), and M itself is never inverted.  Two
+    guards raise InternalError, P0^2 = P0 and P0 y = y, and so does a
+    singular minor.  Each L_q vanishes on Y and the k(n-k) operators
+    y_num_b (x) g_num_j are independent (rank(A (x) B) = rank A · rank B)
+    by construction: Subspace computes its annihilator as the nullspace
+    of its independent basis."""
     n = space.dim
     k = Y.dim
-    ys, gs = Y.basis_num, Y.annihilator_num
+    ys = Y.basis_num
 
     candidates = [*ys, *([int(i == j) for i in range(n)] for j in range(n))]
     kept = independent_rows(candidates, n)
     J = {i - k for i in kept[k:]}
     I = [i for i in range(n) if i not in J]
-    inv = (integer_inverse([[y[i] for y in ys] for i in I], k)
-           if kept[:k] == list(range(k)) else None)
+    inv = integer_inverse([[y[i] for y in ys] for i in I], k)
     if inv is None:
         raise InternalError("basis of Y plus its complement is singular")
     minor_inv, h_den = inv
@@ -160,9 +159,7 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
         raise InternalError("base projection is not idempotent")
     if any(int_dot(row, y) != h_den * y[r] for y in ys for r, row in enumerate(P)):
         raise InternalError("base projection does not fix Y")
-    if any(int_dot(gj, y) for y in ys for gj in gs):
-        raise InternalError("a basis operator does not vanish on Y")
-    return OperatorBasis(y_num=ys, y_den=Y.basis_den, g_num=gs,
+    return OperatorBasis(y_num=ys, y_den=Y.basis_den, g_num=Y.annihilator_num,
                          g_den=Y.annihilator_den, p0_num=tuple(map(tuple, P)),
                          p0_den=h_den)
 
@@ -178,28 +175,26 @@ class PairGrid:
 
     The grid keeps the coefficients as their rank-one factors:
     f(L_q x) = f(y_b)·g(x) over L_q = y_b (x) g, so coefs(r) is
-    f_at[j] (x) g_at[i] // content, with f_at[j] the k values f_j(y_b),
-    g_at[i] the n - k values g(x_i) and content the common factor divided
-    out of every row.  coefs(r) and row(r) form one row where a stage
-    reads it, and products(v) gives coefs(r)·v for every row through the
-    factors; coefs_num and constraint_matrix, every row formed, are views
-    for tests and the benchmark's tracer.
+    f_at[j] (x) g_at[i], with f_at[j] the k values f_j(y_b) and g_at[i]
+    the n - k values g(x_i).  coefs(r) and row(r) form one row where a
+    stage reads it, and products(v) gives coefs(r)·v for every row
+    through the factors; coefs_num and constraint_matrix, every row
+    formed, are views for tests and the benchmark's tracer.
 
     The solver reads the LP through priced, partner, row, row_values and
     prices (see the simplex module docstring).  partner[r] is the row of
     (x_i, f') in the same block with f_at of f' equal to -f_at[j] and base
     -base_num[r], the class of (x_i, -f_j), so the two LP rows add up to
     [0 | -2D] and beta 0.  prices takes the representatives
-    r < partner[r] and returns them times the content g > 0:
-    g·(w·coefs(r) - D·w_t + bf·beta[r]) = f_at[j]·W·g_at[i] - g·D·w_t +
-    g·bf·beta[r], with W the k x (n-k) matrix of w, the constant added
-    inside the factored product, and the pair constant K = -2g·D·w_t.
+    r < partner[r] and returns w·coefs(r) - D·w_t + bf·beta[r] =
+    f_at[j]·W·g_at[i] - D·w_t + bf·beta[r], with W the k x (n-k) matrix
+    of w, the constant added inside the factored product, and the pair
+    constant K = -2D·w_t.
     The partner claim is checked once, when the grid is built."""
 
     g_at: dict[int, tuple[int, ...]]
     f_at: dict[int, tuple[int, ...]]
     base_num: tuple[int, ...]
-    content: int
     denominator: int
     partner: tuple[int, ...]
 
@@ -246,10 +241,7 @@ class PairGrid:
     def coefs(self, r: int) -> tuple[int, ...]:
         """The coefficient row of row r, formed from its factors."""
         i, j = self.pairs[r]
-        g, c = self.g_at[i], self.content
-        if c == 1:
-            return tuple([a * b for a in self.f_at[j] for b in g])
-        return tuple([a * b // c for a in self.f_at[j] for b in g])
+        return tuple([a * b for a in self.f_at[j] for b in self.g_at[i]])
 
     def row(self, r: int) -> tuple[int, ...]:
         """The LP row [coefs(r) | -D]."""
@@ -283,12 +275,8 @@ class PairGrid:
 
     def products(self, v: Sequence[int]) -> list[int]:
         """coefs(r)·v for every row r, for integers v, through the
-        factors: f_at[j]·V·g_at[i] // content, with V the k x (n-k)
-        matrix of v.  content divides every product f(y_b)·g(x) of the
-        row, so it divides the sum exactly."""
-        raw = self._plan.products(v)
-        c = self.content
-        return raw if c == 1 else [a // c for a in raw]
+        factors: f_at[j]·V·g_at[i], with V the k x (n-k) matrix of v."""
+        return self._plan.products(v)
 
     def row_values(self, x: list[int]) -> list[int]:
         """row(r)·x for every row r, both partners included."""
@@ -296,15 +284,13 @@ class PairGrid:
         return [a - t for a in self.products(x[:-1])]
 
     def prices(self, w: list[int], bf: int) -> tuple[list[int], int]:
-        """The prices of the priced rows times the content, and the pair
-        constant K on the same scale (see the class docstring)."""
+        """The prices of the priced rows and the pair constant K (see
+        the class docstring)."""
         plan, beta = self._priced_plan
-        g = self.content
-        c0 = -g * self.denominator * w[-1]
+        c0 = -self.denominator * w[-1]
         vals = plan.products(w[:-1], c0)
         if bf:
-            gbf = g * bf
-            vals = [a + gbf * b for a, b in zip(vals, beta)]
+            vals = [a + bf * b for a, b in zip(vals, beta)]
         return vals, 2 * c0
 
     def value_numerators(self, coefficients: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -420,10 +406,7 @@ def build_pair_grid(space: PolyhedralSpace, basis: OperatorBasis) -> PairGrid:
     x_i, with every dual vertex in order, and the partner of the row of
     (x_i, f_j), the class of (x_i, -f_j), is the row of (i, negd[j]) in
     the same block.  The bases f(P0 x) are P0's bilinear form between the
-    dual and the primal vertex lists, one factored pass over the grid.
-    The content divided out of the rows is gcd(den, base, every
-    product), and over a product of vertex lists the products
-    f_at[j]·g_at[i] have the gcd gcd(f_at)·gcd(g_at)."""
+    dual and the primal vertex lists, one factored pass over the grid."""
     negp = space.primal_negation
     negd = space.dual_negation
     nd = len(negd)
@@ -432,13 +415,8 @@ def build_pair_grid(space: PolyhedralSpace, basis: OperatorBasis) -> PairGrid:
     base = _ProductPlan.of(space.dual_cleared[0], space.primal_cleared[0],
                            xs, range(nd)).products(
         [a * base_mult for row in basis.p0_num for a in row])
-    content = gcd(den, *base, gcd(*chain.from_iterable(f_at.values()))
-                  * gcd(*chain.from_iterable(g_at.values())))
-    if content > 1:
-        base = [b // content for b in base]
-        den //= content
     partner = tuple(start + nj for start in range(0, len(base), nd) for nj in negd)
-    return PairGrid(g_at=g_at, f_at=f_at, base_num=tuple(base), content=content,
+    return PairGrid(g_at=g_at, f_at=f_at, base_num=tuple(base),
                     denominator=den, partner=partner)
 
 
@@ -499,7 +477,8 @@ def _solve_lambda(space: PolyhedralSpace, Y: Subspace, basis: OperatorBasis,
                   grid: PairGrid) -> MinProjReport:
     """projection_constant on the basis and grid of (space, Y), built."""
     solution = solve(grid)
-    if solution.status != OPTIMAL:  # always feasible (P0) and bounded (t >= 1)
+    # always feasible (P0) and bounded: the rows come in ± pairs, so t >= 0
+    if solution.status != OPTIMAL:
         raise InternalError(f"operator-norm LP is {solution.status}")
     d = basis.dimension
     lam = solution.value

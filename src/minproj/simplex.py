@@ -54,21 +54,16 @@ priced rows, when partner is not empty) and three methods, and nothing
 else: row(c), one integer row, formed for the entering column and the
 rows a basis or the dual's support names; row_values(x), M[r]·x for
 every row r at an integer x; and prices(w, bf), the integers
-w·M[r] + bf·beta[r] of the priced rows times one positive factor of the
-LP, with the pair constant K (below) on the same scale, for signed
-weights w = σ⊙(costs minus basis prices).
+w·M[r] + bf·beta[r] of the priced rows, with the pair constant K
+(below), for signed weights w = σ⊙(costs minus basis prices).
 LinearProgram implements them over its matrix: it declares no partners
 (partner = ()), so every row is priced, in one list pass per nonzero
 weight over the matrix transposed, and K is None.  The pair grid
 (projections.PairGrid) is the lambda LP and implements them over its
-rank-one factors, M[r] = [f_at[j] (x) g_at[i] / g | -D], so a pricing
-pass is one factored product per priced row, g times the integers
-above, with g > 0 the grid's content; the t column's share -g·D·w_t,
+rank-one factors, M[r] = [f_at[j] (x) g_at[i] | -D], so a pricing pass
+is one factored product per priced row; the t column's share -D·w_t,
 the same for every row, is added inside the first product formed, so a
-phase-I round (bf = 0) is that one pass.  One positive factor on every
-price of a round, K included, changes no sign and no comparison, so
-Dantzig's and Bland's rules pick the same column, and the reduced cost
-of the entering column is taken exactly from its row.
+phase-I round (bf = 0) is that one pass.
 
 The grid declares its rows in partner pairs (PairGrid.partner): rows r
 and r' whose integer rows [M | beta] add up to the same row for every
@@ -279,13 +274,12 @@ class _RevisedDual:
         return self.on[:-1], self.oscale
 
     def _prices(self) -> tuple[list[int], int | None]:
-        """The reduced costs of the priced columns, times oscale·D and the
-        LP's one positive factor, and the pair constant K on the same
-        scale: the partner mates[i] of the priced column priced[i] costs
-        K - vals[i].  K is None when no partners are declared, and then
-        every real column is priced.  The LP prices its rows M[c] at the
-        signed weights σ⊙w, which carry the row signs of the dual's
-        columns σ⊙M[c]."""
+        """The reduced costs of the priced columns, times oscale·D, and
+        the pair constant K on the same scale: the partner mates[i] of
+        the priced column priced[i] costs K - vals[i].  K is None when no
+        partners are declared, and then every real column is priced.  The
+        LP prices its rows M[c] at the signed weights σ⊙w, which carry the
+        row signs of the dual's columns σ⊙M[c]."""
         w, bf = self._weights()
         return self.lp.prices([s * x for s, x in zip(self.sigma, w)], bf)
 

@@ -1,10 +1,12 @@
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from minproj import projections
+from minproj import geometry, linalg, projections
 from minproj.catalog import l1_ball, linf_ball, mixed_ball, random_subspace
 from minproj.errors import (BudgetExceededError, NotExtremeError,
                             NotFullDimensionalError, NotSymmetricError)
@@ -199,21 +201,48 @@ def test_subspace_roundtrip():
     assert Z.contains(Y.basis_vectors()[0])
 
 
-@pytest.mark.parametrize("basis, annihilator, message", [
-    (((1, 1, 0),), ((1, -1, 0),), "annihilator must have n-k columns"),
-    (((1, 1, 0),), ((1, 0, 0), (0, 0, 1)), "annihilator does not vanish on the basis"),
-    (((1, 1, 0), (2, 2, 0)), ((0, 0, 1),), "basis columns are dependent"),
-    (((1, 1, 0),), ((1, -1, 0), (2, -2, 0)), "annihilator columns are dependent"),
+@pytest.mark.parametrize("basis", [
+    ((1, 1, 0),),
+    ((2, -1, 0, 3), (0, 1, 1, 1)),
+    ((1, 2),),
 ])
-def test_subspace_built_directly_is_checked(basis, annihilator, message):
-    # a Subspace built directly, not through from_basis or from_kernel,
-    # is checked when it is built: the operator basis takes the
-    # independence of its k(n-k) operators from these checks
-    Subspace(ambient_dim=3, basis_num=((1, 1, 0),), basis_den=1,
-             annihilator_num=((1, -1, 0), (0, 0, 1)), annihilator_den=1)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        Subspace(ambient_dim=3, basis_num=basis, basis_den=1,
-                 annihilator_num=annihilator, annihilator_den=1)
+def test_subspace_built_directly_is_checked(basis):
+    # the basis is the one input of a Subspace: built directly it is the
+    # subspace from_basis gives, annihilator included, and a dependent
+    # basis is refused when it is built
+    assert Subspace(basis, 1) == Subspace.from_basis(basis)
+    with pytest.raises(ValueError, match="^basis vectors are linearly dependent$"):
+        Subspace(basis + (tuple(2 * x for x in basis[0]),), 1)
+
+
+def test_subspace_refusal_survives_python_O():
+    code = ("from minproj.geometry import Subspace\n"
+            "try:\n"
+            "    Subspace(((1, 1, 0), (2, 2, 0)), 1)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "basis vectors are linearly dependent\n"
+
+
+def test_from_basis_takes_one_elimination(monkeypatch):
+    # the annihilator is the nullspace of the basis, and no rank of
+    # either family is taken again
+    calls = []
+
+    def spy(name, original):
+        def wrapped(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapped
+    monkeypatch.setattr(linalg, "_echelon", spy("_echelon", linalg._echelon))
+    for module in (linalg, geometry):
+        monkeypatch.setattr(module, "integer_row_rank",
+                            spy("integer_row_rank", linalg.integer_row_rank),
+                            raising=False)
+    Subspace.from_basis([(1, 2, 0, 1), (0, 1, -1, 3)])
+    assert calls == ["_echelon"]
 
 
 def test_subspace_rejects_degenerate():

@@ -412,7 +412,7 @@ def test_factored_grid_agrees_with_dense_oracle(case, data):
     # factored value pass equals the dense one at the LP's optimum and at
     # a drawn point; the grid's row values at drawn integers equal the
     # dense oracle LP's, its prices at drawn weights are the dense prices
-    # of its priced rows times the grid's content, and each partner's
+    # of its priced rows, and each partner's
     # dense price is the pair constant less its representative's; and
     # its solve is the dense LP's LPSolution, pivots included
     space, vectors = case
@@ -442,9 +442,8 @@ def test_factored_grid_agrees_with_dense_oracle(case, data):
     vals, K = grid.prices(w, bf)
     dense_vals, dense_K = dense.prices(w, bf)
     assert dense_K is None
-    assert vals == [grid.content * dense_vals[r] for r in grid.priced]
-    assert {grid.content * (v + dense_vals[p])
-            for v, p in zip(dense_vals, grid.partner)} == {K}
+    assert vals == [dense_vals[r] for r in grid.priced]
+    assert {v + dense_vals[p] for v, p in zip(dense_vals, grid.partner)} == {K}
 
 
 def _assert_subspace_families(vectors):
