@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import BudgetExceededError, InternalError
+from .errors import BudgetExceededError, InputFormatError, InternalError
 from .geometry import PolyhedralSpace, Subspace
 from .linalg import (RMatrix, int_dot, integer_row_rank, integer_rref,
                      integer_solve, over_denominator, subset_walk)
@@ -59,9 +59,9 @@ class CMFunctional:
 
     def __post_init__(self):
         if len(self.pairs) != len(self.weights):
-            raise ValueError("pairs and weights must have equal length")
+            raise InputFormatError("pairs and weights must have equal length")
         if not self.pairs:
-            raise ValueError("empty certificate")
+            raise InputFormatError("empty certificate")
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,14 @@ input ball), certify (check a certificate file against a space).  Each
 subparser declares only the flags its handler reads.
 
 Exit codes, set in main except for analyze's partial report: 0 success,
-1 mismatch or failed verification, 2 malformed input or an unwritable
---output, 3 enumeration budget exceeded (analyze still emits a partial
-report), 4 internal failure (an InternalError: an invariant of the
-computation broke, such as a certificate built from the pipeline's own
-solve failing verification; or any other exception that escapes a
-command, reported as "internal error: <type>: <message>").  All
+1 mismatch or failed verification, 2 malformed input (any other
+MinprojError: a document that is not UTF-8 text or not valid, or an
+unwritable --output), 3 enumeration budget exceeded (analyze still
+emits a partial report), 4 internal failure (an InternalError: an
+invariant of the computation broke, such as a certificate built from
+the pipeline's own solve failing verification; or any other exception
+that escapes a command, a plain ValueError included, reported as
+"internal error: <type>: <message>").  All
 vertex/functional indices in reports are 0-based and refer to the order
 in which vertices are stored on the space.
 Output is byte-identical for identical inputs and flags.
@@ -54,9 +56,10 @@ from .rational import approx_decimal, format_rational
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at path."""
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
 
 
@@ -325,8 +328,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command line; the exit-code contract of the module
     docstring.  An InternalError, such as cm_from_dual or
     minimal_support_cm rejecting a certificate of the pipeline's own
-    solve, exits 4, and so does any exception that no other code claims:
-    it can only come from a bug, and its line names its type."""
+    solve, exits 4, and so does any exception that is no MinprojError,
+    a plain ValueError included: input is judged by MinprojErrors, so it
+    can only come from a bug, and its line names its type."""
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
@@ -336,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (MinprojError, ValueError) as exc:
+    except MinprojError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

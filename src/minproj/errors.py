@@ -12,8 +12,10 @@ class MinprojError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InputFormatError(MinprojError):
-    """Malformed input data (bad rational string, float literal, missing field)."""
+class InputFormatError(MinprojError, ValueError):
+    """Malformed input data (bad rational string, float literal, missing
+    field, a subspace basis or certificate that cannot be).  It is a
+    ValueError too, so callers that catch ValueError keep working."""
 
 
 class NotSymmetricError(MinprojError):

@@ -24,8 +24,8 @@ from math import lcm
 from operator import neg
 from typing import Sequence
 
-from .errors import (BudgetExceededError, InternalError, NotExtremeError,
-                     NotFullDimensionalError, NotSymmetricError)
+from .errors import (BudgetExceededError, InputFormatError, InternalError,
+                     NotExtremeError, NotFullDimensionalError, NotSymmetricError)
 from .linalg import (Vector, independent_rows, int_dot, integer_inverse,
                      integer_nullspace, over_denominator, primitive,
                      subset_walk)
@@ -290,7 +290,7 @@ class PolyhedralSpace:
             raise NotFullDimensionalError("empty vertex list")
         n = len(rows[0])
         if any(len(v) != n for v in rows):
-            raise ValueError("inconsistent vector lengths")
+            raise InputFormatError("inconsistent vector lengths")
         if validate or dual_vertices is None:
             dd = _double_description(rows, den)
             polar = _vertices_of(dd)
@@ -426,13 +426,13 @@ class Subspace:
     def __post_init__(self):
         basis = tuple(map(tuple, self.basis_num))
         if not basis:
-            raise ValueError("empty basis")
+            raise InputFormatError("empty basis")
         n, k = len(basis[0]), len(basis)
         if any(len(y) != n for y in basis):
-            raise ValueError("ragged rows")
+            raise InputFormatError("ragged rows")
         annihilator, den = integer_nullspace(basis, n)
         if len(annihilator) != n - k:
-            raise ValueError("basis vectors are linearly dependent")
+            raise InputFormatError("basis vectors are linearly dependent")
         self.check_dimension(n, k)
         object.__setattr__(self, "basis_num", basis)
         object.__setattr__(self, "annihilator_num", tuple(map(tuple, annihilator)))
@@ -440,11 +440,12 @@ class Subspace:
 
     @staticmethod
     def check_dimension(n: int, k: int) -> None:
-        """Raise ValueError unless R^n has proper subspaces of dimension k."""
+        """Raise InputFormatError unless R^n has proper subspaces of
+        dimension k."""
         if n == 1:
-            raise ValueError("a 1-dimensional space has no proper subspace")
+            raise InputFormatError("a 1-dimensional space has no proper subspace")
         if not 1 <= k <= n - 1:
-            raise ValueError(f"subspace dimension {k} must be in [1, {n - 1}]")
+            raise InputFormatError(f"subspace dimension {k} must be in [1, {n - 1}]")
 
     @classmethod
     def from_basis(cls, vectors: Sequence[Sequence]) -> "Subspace":
@@ -455,9 +456,9 @@ class Subspace:
         """Subspace cut out as the joint kernel of the given functionals."""
         rows, _ = _cleared_rows(functionals)
         if not rows:
-            raise ValueError("empty functional list")
+            raise InputFormatError("empty functional list")
         if any(len(g) != len(rows[0]) for g in rows):
-            raise ValueError("ragged rows")
+            raise InputFormatError("ragged rows")
         return cls(*integer_nullspace(rows, len(rows[0])))
 
     @property

@@ -40,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import compress, product, repeat
 from math import lcm
-from operator import add, eq, itemgetter
+from operator import add, eq
 from typing import Iterable, Sequence
 
 from .errors import InternalError, NotMinimalError
@@ -50,7 +50,7 @@ from .geometry import PolyhedralSpace, Subspace, class_max
 from .linalg import (RMatrix, independent_rows, int_dot, integer_inverse,
                      integer_nullspace, integer_row_rank, over_denominator)
 from .rational import format_rational
-from .simplex import OPTIMAL, LinearProgram, solve
+from .simplex import OPTIMAL, LinearProgram, entering_column, solve
 
 
 @dataclass(frozen=True)
@@ -181,42 +181,49 @@ class PairGrid:
     through the factors; coefs_num and constraint_matrix, every row
     formed, are views for tests and the benchmark's tracer.
 
-    The solver reads the LP through priced, partner, row, row_values and
-    prices (see the simplex module docstring).  partner[r] is the row of
-    (x_i, f') in the same block with f_at of f' equal to -f_at[j] and base
-    -base_num[r], the class of (x_i, -f_j), so the two LP rows add up to
-    [0 | -2D] and beta 0.  prices takes the representatives
-    r < partner[r] and returns w·coefs(r) - D·w_t + bf·beta[r] =
+    The solver reads the LP through objective, beta, denominator, row,
+    row_values and entering (see the simplex module docstring), and the
+    grid folds its antipodal rows for entering.  negation[p] is the
+    position in f_at of the negation of the p-th dual vertex (f_at holds
+    every dual vertex in order, so this is the space's dual_negation).
+    The rows of (x_i, f) and (x_i, -f) in one block are partners: their
+    LP rows add up to [0 | -2D] and their beta entries to 0.  A real
+    column's reduced cost is linear in its row, so the costs of two
+    partners are integers that add up to one constant K of the round,
+    -2D·w_t for the signed weights w, the same for every pair.
+    entering therefore forms only the representative r of each pair,
+    the row of f before its negation in the block, as
     f_at[j]·W·g_at[i] - D·w_t + bf·beta[r], with W the k x (n-k) matrix
-    of w, the constant added inside the factored product, and the pair
-    constant K = -2D·w_t.
-    The partner claim is checked once, when the grid is built."""
+    of w and the constant added inside the factored product; each
+    partner costs K minus its representative, the same integers the
+    full pass gives.  Over the representatives' costs p, Dantzig's rule
+    takes the least of min p and K - max p and, among the representatives
+    costed so and the partners of those costed K minus it, the lowest row; Bland's rule reads the
+    unfolded list in row order (simplex.entering_column).  Either rule
+    picks the column the full pass picks, so no pivot changes.  The
+    pairing is checked once, when the grid is built: negation is an
+    involution without fixed points, it negates f_at, and the bases of
+    partner rows add up to 0.  One pairing of the dual vertices serves
+    every block."""
 
     g_at: dict[int, tuple[int, ...]]
     f_at: dict[int, tuple[int, ...]]
     base_num: tuple[int, ...]
     denominator: int
-    partner: tuple[int, ...]
+    negation: tuple[int, ...]
 
     def __post_init__(self):
-        m, partner = len(self.base_num), self.partner
-        if len(partner) != m:
-            raise ValueError("partner length does not match constraint rows")
-        # An involution without fixed points pairs the rows, so m is even;
-        # mate then gathers the partner of every row as a tuple.
-        mate = (itemgetter(*partner)
-                if m % 2 == 0 and 0 <= min(partner) and max(partner) < m else None)
-        if (mate is None or any(map(eq, partner, range(m)))
-                or mate(partner) != tuple(range(m))):
-            raise ValueError("partner is not an involution without fixed points")
-        xs, js = zip(*self.pairs)
-        mates = set(zip(js, mate(js)))
-        if (any(map(add, self.base_num, mate(self.base_num))) or mate(xs) != xs
-                or any(self.f_at[j2] != tuple(-a for a in self.f_at[j])
-                       for j, j2 in mates)):
+        neg = self.negation
+        if len(neg) != len(self.f_at) or any(
+                not 0 <= nj < len(neg) or nj == j or neg[nj] != j
+                for j, nj in enumerate(neg)):
+            raise ValueError("negation is not an involution without fixed points")
+        fs = list(self.f_at.values())
+        _, reps, mates, _ = self._folded
+        base = self.base_num
+        if (any(fs[nj] != tuple(-a for a in fs[j]) for j, nj in enumerate(neg))
+                or any(base[r] + base[p] for r, p in zip(reps, mates))):
             raise ValueError("partner rows do not all add up to the same row")
-        if len(mates) != len(self.f_at):
-            raise ValueError("partner does not pair the dual vertices alike in every block")
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -232,11 +239,6 @@ class PairGrid:
     @cached_property
     def beta(self) -> tuple[int, ...]:
         return tuple(-b for b in self.base_num)
-
-    @cached_property
-    def priced(self) -> list[int]:
-        """The representatives r < partner[r], ascending."""
-        return [r for r, p in enumerate(self.partner) if r < p]
 
     def coefs(self, r: int) -> tuple[int, ...]:
         """The coefficient row of row r, formed from its factors."""
@@ -266,12 +268,18 @@ class PairGrid:
         return _ProductPlan.of(self.f_at, self.g_at, list(self.g_at), list(self.f_at))
 
     @cached_property
-    def _priced_plan(self) -> tuple[_ProductPlan, list[int]]:
-        """The plan over the priced rows, (kept x_i) x (f_j before its
-        partner), and their beta entries."""
-        fs = [j for p, j in enumerate(self.f_at) if p < self.partner[p]]
-        return (_ProductPlan.of(self.f_at, self.g_at, list(self.g_at), fs),
-                [self.beta[r] for r in self.priced])
+    def _folded(self) -> tuple[_ProductPlan, list[int], list[int], list[int]]:
+        """The plan over the representatives, (kept x_i) x (f_j before its
+        negation), their rows in ascending order, their partners' rows and
+        their beta entries."""
+        neg, nd = self.negation, len(self.negation)
+        ps = [p for p in range(nd) if p < neg[p]]
+        starts = range(0, len(self.base_num), nd)
+        reps = [s + p for s in starts for p in ps]
+        fs = list(self.f_at)
+        return (_ProductPlan.of(self.f_at, self.g_at, list(self.g_at), [fs[p] for p in ps]),
+                reps, [s + neg[p] for s in starts for p in ps],
+                [self.beta[r] for r in reps])
 
     def products(self, v: Sequence[int]) -> list[int]:
         """coefs(r)·v for every row r, for integers v, through the
@@ -283,15 +291,31 @@ class PairGrid:
         t = self.denominator * x[-1]
         return [a - t for a in self.products(x[:-1])]
 
-    def prices(self, w: list[int], bf: int) -> tuple[list[int], int]:
-        """The prices of the priced rows and the pair constant K (see
-        the class docstring)."""
-        plan, beta = self._priced_plan
+    def entering(self, w: list[int], bf: int, bland: bool) -> int | None:
+        """The entering column at the reduced costs w·row(r) + bf·beta[r],
+        from the representatives' costs and the pair constant K (see the
+        class docstring)."""
+        plan, reps, mates, beta = self._folded
         c0 = -self.denominator * w[-1]
         vals = plan.products(w[:-1], c0)
         if bf:
             vals = [a + bf * b for a, b in zip(vals, beta)]
-        return vals, 2 * c0
+        K = 2 * c0
+        if bland:
+            full = [0] * len(self.base_num)
+            for r, p, v in zip(reps, mates, vals):
+                full[r] = v
+                full[p] = K - v
+            return entering_column(full, True)
+        lo, hi = min(vals), max(vals)
+        best = min(lo, K - hi)
+        if best >= 0:
+            return None
+        # The lowest partner costed best, and the lowest representative so costed.
+        found = [min(compress(mates, map(eq, vals, repeat(hi))))] if K - hi == best else []
+        if lo == best:
+            found.append(reps[vals.index(lo)])
+        return min(found)
 
     def value_numerators(self, coefficients: Sequence[Fraction]) -> tuple[list[int], int]:
         """Every row value at the coefficients, as integers over one
@@ -405,8 +429,9 @@ def build_pair_grid(space: PolyhedralSpace, basis: OperatorBasis) -> PairGrid:
     vertex x_i has i < negp[i].  So the rows come in one block per kept
     x_i, with every dual vertex in order, and the partner of the row of
     (x_i, f_j), the class of (x_i, -f_j), is the row of (i, negd[j]) in
-    the same block.  The bases f(P0 x) are P0's bilinear form between the
-    dual and the primal vertex lists, one factored pass over the grid."""
+    the same block: the grid's negation is the dual list's.  The bases
+    f(P0 x) are P0's bilinear form between the dual and the primal vertex
+    lists, one factored pass over the grid."""
     negp = space.primal_negation
     negd = space.dual_negation
     nd = len(negd)
@@ -415,9 +440,8 @@ def build_pair_grid(space: PolyhedralSpace, basis: OperatorBasis) -> PairGrid:
     base = _ProductPlan.of(space.dual_cleared[0], space.primal_cleared[0],
                            xs, range(nd)).products(
         [a * base_mult for row in basis.p0_num for a in row])
-    partner = tuple(start + nj for start in range(0, len(base), nd) for nj in negd)
     return PairGrid(g_at=g_at, f_at=f_at, base_num=tuple(base),
-                    denominator=den, partner=partner)
+                    denominator=den, negation=tuple(negd))
 
 
 @dataclass

@@ -12,9 +12,9 @@ strictly improves, and Dantzig's rule again after that; a new objective
 starts with Dantzig's rule too.  This still terminates: a cycle needs an
 unbroken run of degenerate pivots, and Bland's rule ends every such run.
 The dual optimum u is the certificate; the primal optimum is read off
-the reduced costs of the artificial columns, the exact prices of the
-final basis.  Every optimal solve is re-verified against the
-strong-duality identities before it is returned.
+the reduced costs of the artificial columns, the exact simplex
+multipliers of the final basis.  Every optimal solve is re-verified
+against the strong-duality identities before it is returned.
 
 Statuses come from the dual.  An unbounded phase II means the LP is
 infeasible.  A failed phase I means the dual is infeasible, so the LP is
@@ -34,14 +34,14 @@ variables, equal to the true row times a positive factor.  The entry of
 row R in real column c is then R·(σ⊙M[c]) / D, with σ the row signs;
 only the entering column is formed, times D.  The cost row keeps the
 reduced costs of the artificials and the negated objective, as ints
-`on` over a positive `oscale`; they give the basis prices, and each
-iteration prices every real column in one pass, as one int over the
-common oscale·D.
+`on` over a positive `oscale`; they give the basis multipliers, from
+which each iteration has the LP pick the entering column, its reduced
+costs ints over the common oscale·D.
 A pivot on the entry p > 0 at (r, c) replaces every other row R by
 p·R − R[c]·R_r, one dense list pass per row, and divides out its
 content (the gcd of its entries), so
 rows stay primitive and no entry ever needs a gcd of its own.  Positive
-factors change no sign and no ratio: Dantzig's rule compares the priced
+factors change no sign and no ratio: Dantzig's rule compares the reduced-cost
 ints directly, and the ratio test and the stall check compare
 cross-products, so the pivot sequence, the primal, the dual and the
 tight set are the ones exact rational arithmetic gives, and the ones
@@ -49,37 +49,23 @@ the full tableau gives.  For the same reason one positive factor on the
 whole of (M, beta, D) changes no pivot.  Verification runs in integer
 dot products over the same integers.
 
-The solver reads the matrix M through the LP's partner list (and its
-priced rows, when partner is not empty) and three methods, and nothing
-else: row(c), one integer row, formed for the entering column and the
-rows a basis or the dual's support names; row_values(x), M[r]·x for
-every row r at an integer x; and prices(w, bf), the integers
-w·M[r] + bf·beta[r] of the priced rows, with the pair constant K
-(below), for signed weights w = σ⊙(costs minus basis prices).
-LinearProgram implements them over its matrix: it declares no partners
-(partner = ()), so every row is priced, in one list pass per nonzero
-weight over the matrix transposed, and K is None.  The pair grid
-(projections.PairGrid) is the lambda LP and implements them over its
-rank-one factors, M[r] = [f_at[j] (x) g_at[i] | -D], so a pricing pass
-is one factored product per priced row; the t column's share -D·w_t,
-the same for every row, is added inside the first product formed, so a
-phase-I round (bf = 0) is that one pass.
-
-The grid declares its rows in partner pairs (PairGrid.partner): rows r
-and r' whose integer rows [M | beta] add up to the same row for every
-pair, as the rows of (x, f) and (x, -f) do.  A real column's price is
-linear in its row, so the prices of r and r' are integers that add up
-to one constant K of the round, w·e + bf·b0 for the signed weights w
-and the common sum [e | b0].  Pricing then takes only the
-representative r < r' of each pair, with K priced once, and each
-partner costs K minus its representative: the same integers the full
-pass gives.  Dantzig's rule takes the least of min p and K - max p and,
-among the representatives priced so and the partners of those priced
-K minus it, the lowest column; Bland's rule reads the unfolded list in
-row order.  Either rule picks the column the full pass picks, so no
-pivot changes.  The grid checks its partner claim when it is built,
-and the verification never trusts it: it reads every row through
-row_values, both rows of a partner pair included, and the rows of the
+The solver reads an LP through six names and nothing else: objective,
+beta and denominator, and three methods over the matrix M.  row(c) is
+one integer row, formed for the entering column and the rows a basis
+or the dual's support names; row_values(x) is M[r]·x for every row r
+at an integer x; and entering(w, bf, bland) is the entering column at
+the reduced costs w·M[c] + bf·beta[c], for signed weights
+w = σ⊙(costs minus basis multipliers), or None at an optimum.  The
+column is the one Dantzig's rule (the least reduced cost when it is
+negative, ties to the lowest index) or, with bland, Bland's rule (the
+lowest index of negative reduced cost) picks, as entering_column picks
+it off a full list.  LinearProgram implements the three over its
+matrix, costing every row in one list pass per nonzero weight over the
+matrix transposed.  The pair grid (projections.PairGrid) is the lambda
+LP and implements them over its rank-one factors, costing one row of
+each antipodal pair; its docstring tells how that picks the same
+column.  The verification never trusts
+the pricing: it reads every row through row_values and the rows of the
 dual's support through row.
 
 Sign convention for certificates: on OPTIMAL, the dual u satisfies
@@ -89,7 +75,7 @@ minimization form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count, repeat
@@ -115,16 +101,13 @@ class LinearProgram:
     Scaling matrix, beta and denominator by one positive factor gives the
     same LP, and the same solution, pivot for pivot.
 
-    row, row_values and prices are the solver's reads of the matrix (see
-    the module docstring), here over matrix itself.  It declares no
-    partner rows, so every row is priced."""
+    row, row_values and entering are the solver's reads of the matrix
+    (see the module docstring), here over matrix itself."""
 
     objective: tuple[Fraction | int, ...]
     matrix: tuple[tuple[int, ...], ...]
     beta: tuple[int, ...]
     denominator: int
-
-    partner = ()  # a class constant, not a field: no row has a partner
 
     def __post_init__(self):
         if any(len(row) != len(self.objective) for row in self.matrix):
@@ -147,14 +130,14 @@ class LinearProgram:
         """matrix[r]·x for every row r."""
         return [int_dot(row, x) for row in self.matrix]
 
-    def prices(self, w: list[int], bf: int) -> tuple[list[int], None]:
-        """w·matrix[r] + bf·beta[r] for every row, one list pass per
-        nonzero weight, and no pair constant."""
+    def entering(self, w: list[int], bf: int, bland: bool) -> int | None:
+        """entering_column of the reduced costs w·matrix[r] + bf·beta[r]
+        of every row, formed in one list pass per nonzero weight."""
         vals = [bf * b for b in self.beta] if bf else [0] * len(self.beta)
         for wj, col in zip(w, self._columns):
             if wj:
                 vals = [v + wj * a for v, a in zip(vals, col)]
-        return vals, None
+        return entering_column(vals, bland)
 
     @cached_property
     def constraint_matrix(self) -> RMatrix:
@@ -191,15 +174,14 @@ def _eliminate(row: list[int], p: int, f: int, R: list[int]) -> list[int]:
     return [p * a - f * b for a, b in zip(row, R)]
 
 
-def _positions(vals: list[int], v: int):
-    """The indices of v in vals, ascending."""
-    i = -1
-    try:
-        while True:
-            i = vals.index(v, i + 1)
-            yield i
-    except ValueError:
-        return
+def entering_column(vals: list[int], bland: bool) -> int | None:
+    """The column that enters at the reduced costs vals, or None when
+    none is negative: the lowest column of negative cost under Bland's
+    rule, the lowest of least cost under Dantzig's."""
+    if bland:
+        return next((j for j, v in enumerate(vals) if v < 0), None)
+    best = min(vals, default=0)
+    return vals.index(best) if best < 0 else None
 
 
 class _RevisedDual:
@@ -209,29 +191,22 @@ class _RevisedDual:
     artificial starts basic.  A row stores only its artificial block (a
     row of B⁻¹) and its right-hand side, the true row times a positive
     factor; its entries in the real columns, and the reduced costs of
-    those, are priced from the LP's integer rows when needed, one row of
-    each partner pair when the LP declares them.  Pivoting follows
-    Dantzig's rule, with Bland's rule through runs of degenerate
-    pivots."""
+    those, are formed from the LP's integer rows when needed.  The costs
+    c are objective, the LP's own or the zero objective of the check in
+    solve.  Pivoting follows Dantzig's rule, with Bland's rule through
+    runs of degenerate pivots."""
 
-    def __init__(self, lp):
+    def __init__(self, lp, objective):
         D = lp.denominator
         self.lp = lp
         self.m = len(lp.beta)
-        self.nrows = d = len(lp.objective)
+        self.nrows = d = len(objective)
         self.D = D
         self.beta = lp.beta
-        self.sigma = [1 if cj <= 0 else -1 for cj in lp.objective]
-        # The priced columns: the representatives r < partner[r] when
-        # partners are declared, whose partners mates[i] cost K minus them;
-        # every column otherwise.
-        self.priced = self.mates = None
-        if lp.partner:
-            self.priced = lp.priced
-            self.mates = [lp.partner[r] for r in self.priced]
+        self.sigma = [1 if cj <= 0 else -1 for cj in objective]
         self.columns: dict[int, list[int]] = {}  # the real columns formed so far
         self.rows: list[list[int]] = []
-        for j, cj in enumerate(lp.objective):
+        for j, cj in enumerate(objective):
             # The true row times D·den(c_j): D·den(c_j) on its artificial.
             row = [0] * (d + 1)
             row[j] = D * cj.denominator
@@ -268,20 +243,18 @@ class _RevisedDual:
     def _weights(self) -> tuple[list[int], int]:
         """w and bf with the reduced cost of real column c equal to
         (w·(σ⊙M[c]) + bf·beta_c) / (oscale·D): the costs minus the basis
-        prices, which the artificials' reduced costs give."""
+        multipliers, which the artificials' reduced costs give."""
         if self.phase == 1:
             return [x - self.oscale for x in self.on[:-1]], 0
         return self.on[:-1], self.oscale
 
-    def _prices(self) -> tuple[list[int], int | None]:
-        """The reduced costs of the priced columns, times oscale·D, and
-        the pair constant K on the same scale: the partner mates[i] of
-        the priced column priced[i] costs K - vals[i].  K is None when no
-        partners are declared, and then every real column is priced.  The
-        LP prices its rows M[c] at the signed weights σ⊙w, which carry the
-        row signs of the dual's columns σ⊙M[c]."""
+    def _entering(self) -> int | None:
+        """The entering column, or None at an optimum, by the rule in
+        force: the LP weighs its rows M[c] by the signed weights σ⊙w,
+        which carry the row signs of the dual's columns σ⊙M[c], so it
+        reads the real columns' reduced costs times oscale·D."""
         w, bf = self._weights()
-        return self.lp.prices([s * x for s, x in zip(self.sigma, w)], bf)
+        return self.lp.entering([s * x for s, x in zip(self.sigma, w)], bf, self.bland)
 
     def _reduced_cost(self, c: int) -> int:
         """The reduced cost of column c on the scale of _column(c): times
@@ -323,36 +296,6 @@ class _RevisedDual:
         self.on = on
         self.oscale = scale
 
-    def _entering(self, prices: tuple[list[int], int | None]) -> int | None:
-        """The entering column of _prices' output, or None at an optimum:
-        the lowest column of negative price under Bland's rule, the
-        lowest of least price under Dantzig's."""
-        vals, K = prices
-        if K is not None and self.bland:
-            vals, K = self._unfolded(vals, K), None
-        if self.bland:
-            return next((j for j, v in enumerate(vals) if v < 0), None)
-        if K is None:
-            best = min(vals, default=0)
-            return vals.index(best) if best < 0 else None
-        lo, hi = min(vals), max(vals)
-        best = min(lo, K - hi)
-        if best >= 0:
-            return None
-        # Every partner priced best, and the lowest representative so priced.
-        found = [self.mates[i] for i in _positions(vals, hi)] if K - hi == best else []
-        if lo == best:
-            found.append(self.priced[vals.index(lo)])
-        return min(found)
-
-    def _unfolded(self, vals: list[int], K: int) -> list[int]:
-        """The prices of all real columns, in row order."""
-        full = [0] * self.m
-        for r, p, v in zip(self.priced, self.mates, vals):
-            full[r] = v
-            full[p] = K - v
-        return full
-
     def _leaving(self, alpha: list[int]) -> int | None:
         """Minimum ratio rhs / entry over the positive entries alpha of the
         entering column (the row factors cancel), ties to the lowest basic
@@ -391,8 +334,7 @@ class _RevisedDual:
 
     def run(self) -> str:
         while True:
-            prices = self._prices()
-            c = self._entering(prices)
+            c = self._entering()
             if c is None:
                 return OPTIMAL
             alpha = self._column(c)
@@ -435,10 +377,11 @@ class _RevisedDual:
                         break
 
 
-def _run_dual(lp) -> tuple[_RevisedDual, str | None]:
-    """Phase I and phase II on the dual of lp: the solver and the status of
-    phase II, or None when phase I finds the dual infeasible."""
-    tab = _RevisedDual(lp)
+def _run_dual(lp, objective) -> tuple[_RevisedDual, str | None]:
+    """Phase I and phase II on the dual of lp with the given objective: the
+    solver and the status of phase II, or None when phase I finds the
+    dual infeasible."""
+    tab = _RevisedDual(lp, objective)
     tab.set_objective(1)
     if tab.run() != OPTIMAL:
         raise InternalError("phase I cannot be unbounded")
@@ -456,11 +399,11 @@ def solve(lp) -> LPSolution:
     feasible (at P0) and bounded (t >= 0), so the zero-objective check
     never runs on it."""
     m, d = len(lp.beta), len(lp.objective)
-    tab, status = _run_dual(lp)
+    tab, status = _run_dual(lp, lp.objective)
     if status is None:
         # The dual is infeasible; the zero-objective LP tells infeasible
         # from unbounded (see the module docstring).
-        check, status = _run_dual(replace(lp, objective=(0,) * d))
+        check, status = _run_dual(lp, (0,) * d)
         return LPSolution(status=INFEASIBLE if status == UNBOUNDED else UNBOUNDED,
                           pivots=tab.pivots + check.pivots)
     if status == UNBOUNDED:
@@ -471,7 +414,7 @@ def solve(lp) -> LPSolution:
     for r in range(tab.nrows):
         if tab.basis[r] < m:
             u[tab.basis[r]] = tab.basic_value(r)
-    # Basis prices pi solve pi·B = c_B; the reduced cost of the artificial
+    # Basis multipliers pi solve pi·B = c_B; the reduced cost of the artificial
     # of equality row j is -pi_j, and v_j = sigma_j·pi_j solves A_r·v = b_r
     # for every basic column r (and v_j = 0 for a basic artificial): the
     # unique primal optimum of this basis.

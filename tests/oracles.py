@@ -49,8 +49,8 @@ The full integer tableau that the revised dual simplex replaced
 ``simplex.solve``, pivot count included, on every LP.  The lambda LP as
 it was before the pair grid kept its rank-one factors
 (``dense_grid_lp``, a ``LinearProgram`` over every formed row, every
-row priced by the list pass over the transposed rows) must give the
-same LPSolution as the grid's own factored LP, which prices one row of
+row costed by the list pass over the transposed rows) must give the
+same LPSolution as the grid's own factored LP, which costs one row of
 each partner pair, pivots included.
 ``certify_by_face`` is the ``certify`` command as it was before
 ``certificates.certify_cm``: the lambda LP, the optimal face, and
@@ -178,8 +178,7 @@ def gauge_lp_norm(space, x):
 def dense_grid_lp(grid):
     """The lambda LP of a pair grid over its formed rows: minimize t
     s.t. coefs[r]·c - t <= -base[r], as [coefs_num | -D] and -base_num
-    over D, with no partners: every row priced, read and verified
-    through the matrix."""
+    over D: every row costed, read and verified through the matrix."""
     d = len(grid.coefs_num[0])
     D = grid.denominator
     return LinearProgram(

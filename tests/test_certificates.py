@@ -9,7 +9,7 @@ from minproj.catalog import l1_ball, linf_ball, random_subspace
 from minproj.certificates import (CMFunctional, _projection_normed_by, certify_cm,
                                   cm_from_dual, cm_rank_gap, minimal_support_cm,
                                   verify_cm)
-from minproj.errors import BudgetExceededError, InternalError
+from minproj.errors import BudgetExceededError, InputFormatError, InternalError
 from minproj.geometry import Subspace, general_position_check
 from minproj.linalg import integer_row_rank
 from minproj.projections import (OperatorPoint, face_dimension, pair_rows,
@@ -21,9 +21,9 @@ F = Fraction
 
 
 def test_cmfunctional_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputFormatError, match="^empty certificate$"):
         CMFunctional(pairs=(), weights=())
-    with pytest.raises(ValueError):
+    with pytest.raises(InputFormatError, match="^pairs and weights must have equal length$"):
         CMFunctional(pairs=((0, 0),), weights=(F(1, 2), F(1, 2)))
 
 

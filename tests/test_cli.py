@@ -692,9 +692,13 @@ def test_unwritable_output_is_malformed_input(space_file, tmp_path, capsys,
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("target", ["missing", "directory", "utf-16"])
 def test_unreadable_input_is_malformed_input(tmp_path, capsys, target):
-    path = tmp_path / "missing.json" if target == "missing" else tmp_path
+    # a missing file, a directory, and a document that is not UTF-8 text
+    path = {"missing": tmp_path / "missing.json", "directory": tmp_path,
+            "utf-16": tmp_path / "utf16.json"}[target]
+    if target == "utf-16":
+        path.write_bytes(json.dumps(L1_3).encode("utf-16"))  # starts ff fe
     assert cli.main(["analyze", "--input", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -723,6 +727,7 @@ def test_internal_failure_exits_4(space_file, capsys, monkeypatch):
 @pytest.mark.parametrize("error, line", [
     (ZeroDivisionError("simulated bug"), "ZeroDivisionError: simulated bug"),
     (KeyError("simulated bug"), "KeyError: 'simulated bug'"),
+    (ValueError("simulated bug"), "ValueError: simulated bug"),
 ])
 @pytest.mark.parametrize("command, stage", [
     (["analyze"], "projection_constant"),
@@ -732,7 +737,8 @@ def test_internal_failure_exits_4(space_file, capsys, monkeypatch):
 def test_any_other_exception_exits_4(space_file, capsys, monkeypatch, error, line,
                                      command, stage):
     # an exception that no input check raises can only come from a bug:
-    # exit 4 with one line naming its type, never a traceback with exit 1
+    # exit 4 with one line naming its type, never a traceback with exit 1;
+    # input checks raise MinprojErrors, so a plain ValueError is a bug too
     def broken(*args, **kwargs):
         raise error
 

@@ -8,7 +8,7 @@ import pytest
 
 from minproj import geometry, linalg, projections
 from minproj.catalog import l1_ball, linf_ball, mixed_ball, random_subspace
-from minproj.errors import (BudgetExceededError, NotExtremeError,
+from minproj.errors import (BudgetExceededError, InputFormatError, NotExtremeError,
                             NotFullDimensionalError, NotSymmetricError)
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, norm_eval, polar_dual)
@@ -246,14 +246,20 @@ def test_from_basis_takes_one_elimination(monkeypatch):
 
 
 def test_subspace_rejects_degenerate():
-    with pytest.raises(ValueError):
+    # input is judged by InputFormatError, which is a ValueError too
+    assert issubclass(InputFormatError, ValueError)
+    with pytest.raises(InputFormatError):
         Subspace.from_basis([(1, 0), (0, 1)])      # k = n
-    with pytest.raises(ValueError):
+    with pytest.raises(InputFormatError):
         Subspace.from_basis([(1, 1, 0), (2, 2, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputFormatError):
         Subspace.from_kernel([(0, 0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputFormatError, match="^ragged rows$"):
+        Subspace.from_kernel([(1, 0, 0), (0, 1)])
+    with pytest.raises(InputFormatError):
         Subspace.from_basis([])
+    with pytest.raises(InputFormatError, match="^inconsistent vector lengths$"):
+        PolyhedralSpace.from_vertices([(1, 0), (-1, 0), (0, 1, 0), (0, -1, 0)])
 
 
 # ----------------------------------------------------------- general position

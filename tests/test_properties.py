@@ -27,7 +27,7 @@ mostly hyperplanes in n = 3, 4 and 2-planes.  The operator basis is also
 compared with the Fraction basis it replaced, and the realized
 projection matrix with the Fraction sum it replaced.  The pair grid kept
 as its rank-one factors is compared with its rows formed in Fractions,
-and its factored LP (values, row values, prices and the whole solve)
+and its factored LP (values, row values, entering columns and the whole solve)
 with the dense LP over every formed row.  For validation and the polar the point list is
 kept as drawn, with its non-extreme and duplicated points; the polar
 also gets lists in dimension 5 made mostly of cube vertices, where a
@@ -411,10 +411,10 @@ def test_factored_grid_agrees_with_dense_oracle(case, data):
     # each formed row and base is f(L_q x) and f(P0 x) in Fractions; the
     # factored value pass equals the dense one at the LP's optimum and at
     # a drawn point; the grid's row values at drawn integers equal the
-    # dense oracle LP's, its prices at drawn weights are the dense prices
-    # of its priced rows, and each partner's
-    # dense price is the pair constant less its representative's; and
-    # its solve is the dense LP's LPSolution, pivots included
+    # dense oracle LP's, its folded entering column at drawn weights is
+    # the one the dense LP picks off every row, under Dantzig's and
+    # Bland's rule; and its solve is the dense LP's LPSolution, pivots
+    # included
     space, vectors = case
     Y = Subspace.from_basis(vectors)
     basis = build_operator_basis(space, Y)
@@ -439,11 +439,8 @@ def test_factored_grid_agrees_with_dense_oracle(case, data):
     assert grid.row_values(x) == dense.row_values(x)
     w = data.draw(st.lists(ints, min_size=d + 1, max_size=d + 1))
     bf = data.draw(st.integers(0, 10 ** 6))
-    vals, K = grid.prices(w, bf)
-    dense_vals, dense_K = dense.prices(w, bf)
-    assert dense_K is None
-    assert vals == [dense_vals[r] for r in grid.priced]
-    assert {v + dense_vals[p] for v, p in zip(dense_vals, grid.partner)} == {K}
+    for bland in (False, True):
+        assert grid.entering(w, bf, bland) == dense.entering(w, bf, bland)
 
 
 def _assert_subspace_families(vectors):

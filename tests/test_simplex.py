@@ -5,13 +5,16 @@ The revised dual simplex is compared with the full integer tableau it
 replaced (kept in ``oracles.py``): the whole LPSolution, pivot count
 included, on random integer LPs of every status, with Bland's rule
 forced after one degenerate pivot too, and on the lambda LPs of the
-l-inf^6 hyperplane and the l1^5 2-plane of the benchmark.  The pair
-grid, the lambda LP, which prices one row of each partner pair and
-reads its rows through its rank-one factors, is compared with the dense
-LP over every formed row that prices every row
-(``oracles.dense_grid_lp``), pivot for pivot under both rules, also on
-the three n = 6 shapes of the certify benchmark.  A partner list that
-does not pair rows of one sum, alike in every block, is refused when
+l-inf^6 hyperplane and the l1^5 2-plane of the benchmark.  The solver
+reads an LP through six names alone (objective, beta, denominator, row,
+row_values, entering): an LP that has only those solves as the
+LinearProgram behind it.  The pair grid, the lambda LP, which costs one
+row of each partner pair when it picks the entering column and reads
+its rows through its rank-one factors, is compared with the dense LP
+over every formed row (``oracles.dense_grid_lp``), pivot for pivot under
+both rules, also on the three n = 6 shapes of the certify benchmark,
+and its entering column is pinned on exact ties.  A negation that does
+not pair the dual vertices into partner rows of one sum is refused when
 the grid is built, also under ``python -O``.  It is also
 compared with the rational tableau before that: optimal solutions pivot
 for pivot, and every status (optimal, infeasible, unbounded) against the
@@ -30,6 +33,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +44,7 @@ from minproj.catalog import l1_ball, linf_ball, random_subspace
 from minproj.errors import InternalError
 from minproj.geometry import Subspace
 from minproj.linalg import RMatrix, int_dot, solve_linear
-from minproj.projections import build_operator_basis, build_pair_grid
+from minproj.projections import PairGrid, build_operator_basis, build_pair_grid
 from minproj.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                              _finish, _verify_certificate, solve)
 from oracles import (dense_grid_lp, dot, lp_rhs, make_lp, row_axpy, scale_row,
@@ -243,13 +247,13 @@ def test_bland_mode_keeps_the_oracle_status_and_value(monkeypatch):
     entering = simplex._RevisedDual._entering
     set_objective = simplex._RevisedDual.set_objective
 
-    def spy_entering(tab, prices):
+    def spy_entering(tab):
         if tab.bland:
             seen.add("entered")
             tab.was_bland = True
         elif getattr(tab, "was_bland", False):
             seen.add("left")
-        return entering(tab, prices)
+        return entering(tab)
 
     def spy_set_objective(tab, phase):
         set_objective(tab, phase)
@@ -314,7 +318,7 @@ def test_benchmark_lambda_lps_match_full_tableau(ball, n, k, shape):
     grid = build_pair_grid(space, build_operator_basis(space, Y))
     lp = dense_grid_lp(grid)
     assert (len(lp.matrix), len(lp.objective)) == shape
-    assert len(grid.priced) == shape[0] // 2
+    assert len(grid.g_at) * len(grid.negation) == shape[0]
     sol = solve(grid)
     assert sol.status == OPTIMAL
     assert sol == solve_by_full_tableau(lp)
@@ -341,35 +345,33 @@ def test_n6_lambda_lps_match_the_dense_oracle(ball, k, lam_is_one):
     assert (sol.value == 1) == lam_is_one
 
 
-def _tampered_partners(grid, negd):
-    """(partner, base_num, message): involutions of the grid's rows that
-    are not its antipodal pairing, and a base that breaks the negation."""
-    m, nd = len(grid.pairs), len(negd)
-    yield tuple(range(m)), grid.base_num, \
-        "partner is not an involution without fixed points"
-    # the row of (x_i, f_j) paired with (x_i', -f_j) from the next block
-    yield tuple((r // nd ^ 1) * nd + negd[r % nd] for r in range(m)), grid.base_num, \
+def _tampered_negations(grid):
+    """(negation, f_at, base_num, message): pairings of the dual vertices
+    that are not the grid's, and factors that its pairing does not
+    negate."""
+    neg, nd = grid.negation, len(grid.negation)
+    yield tuple(range(nd)), grid.f_at, grid.base_num, \
+        "negation is not an involution without fixed points"
+    # f paired with f' for f' not -f: two representatives swap partners
+    a, b = [j for j in range(nd) if j < neg[j]][:2]
+    swap = {a: neg[b], neg[b]: a, b: neg[a], neg[a]: b}
+    yield tuple(swap.get(j, neg[j]) for j in range(nd)), grid.f_at, grid.base_num, \
         "partner rows do not all add up to the same row"
-    # (x_i, f_j) paired with (x_i, f') in the block, for f' not -f_j
-    a, b = [j for j in range(nd) if j < negd[j]][:2]
-    swap = {a: b, b: a, negd[a]: negd[b], negd[b]: negd[a]}
-    swap.update({j: negd[j] for j in range(nd) if j not in swap})
-    yield tuple(r - r % nd + swap[r % nd] for r in range(m)), grid.base_num, \
+    yield neg, {**grid.f_at, 0: tuple(2 * x for x in grid.f_at[0])}, grid.base_num, \
         "partner rows do not all add up to the same row"
-    yield grid.partner, (grid.base_num[0] + 1,) + grid.base_num[1:], \
+    yield neg, grid.f_at, (grid.base_num[0] + 1,) + grid.base_num[1:], \
         "partner rows do not all add up to the same row"
 
 
 def test_grid_lp_checks_its_partners_on_the_factors():
     # the grid checks its pairing once, when it is built, on the factors:
-    # the same primal vertex, negated f_at, negated base
+    # negated f_at, and negated bases in every block
     space = linf_ball(3)
     grid = build_pair_grid(space, build_operator_basis(space, random_subspace(3, 2, 7)))
-    assert grid.partner == tuple(start + nj for start in range(0, len(grid.pairs), 6)
-                                 for nj in space.dual_negation)
-    for partner, base, message in _tampered_partners(grid, space.dual_negation):
+    assert grid.negation == space.dual_negation
+    for negation, f_at, base, message in _tampered_negations(grid):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            replace(grid, partner=partner, base_num=base)
+            replace(grid, negation=negation, f_at=f_at, base_num=base)
 
 
 @pytest.mark.parametrize("stall_switch", [simplex._STALL_SWITCH, 1])
@@ -377,33 +379,37 @@ def test_grid_lp_checks_its_partners_on_the_factors():
 @given(ball=st.sampled_from([linf_ball, l1_ball]), n=st.integers(3, 6),
        k_index=st.integers(0, 4), seed=st.integers(0, 99))
 def test_folded_pricing_keeps_every_pivot(stall_switch, ball, n, k_index, seed):
-    # pricing one row of each partner pair through the grid's factors
-    # gives the LPSolution of pricing every formed row, pivots included,
-    # also under Bland's rule; each row's partner is its negation in the
-    # coefficients and the base
+    # costing one row of each partner pair through the grid's factors
+    # gives the LPSolution of costing every formed row, pivots included,
+    # also under Bland's rule; each row's partner, the row of the negated
+    # dual vertex in its block, is its negation in the coefficients and
+    # the base
     grid = _seeded_grid(ball, n, 1 + k_index % (n - 1), seed)
+    nd = len(grid.negation)
     assert all(grid.coefs_num[p] == tuple(-a for a in grid.coefs_num[r])
                and grid.base_num[p] == -grid.base_num[r]
-               for r, p in enumerate(grid.partner))
+               for r, p in ((r, r - r % nd + grid.negation[r % nd])
+                            for r in range(len(grid.pairs))))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex, "_STALL_SWITCH", stall_switch)
         assert solve(grid) == solve(dense_grid_lp(grid))
 
 
 def test_bland_rule_runs_on_the_folded_path(monkeypatch):
-    # with one degenerate pivot enough to switch, the folded factored
-    # pricing enters Bland's rule on the lambda LPs, as the full pass does
+    # with one degenerate pivot enough to switch, the grid's folded
+    # entering takes Bland's rule on the lambda LPs, as the full pass does
     # on their dense oracle LPs, and both pivot alike
     bland_rounds = Counter()
-    entering = simplex._RevisedDual._entering
 
-    def spy_entering(tab, prices):
-        if tab.bland:
-            bland_rounds["folded" if prices[1] is not None else "full"] += 1
-        return entering(tab, prices)
+    def spy(kind, entering):
+        def spied(lp, w, bf, bland):
+            bland_rounds[kind] += bland
+            return entering(lp, w, bf, bland)
+        return spied
 
     monkeypatch.setattr(simplex, "_STALL_SWITCH", 1)
-    monkeypatch.setattr(simplex._RevisedDual, "_entering", spy_entering)
+    monkeypatch.setattr(PairGrid, "entering", spy("folded", PairGrid.entering))
+    monkeypatch.setattr(LinearProgram, "entering", spy("full", LinearProgram.entering))
     for ball in (linf_ball, l1_ball):
         for n, k in ((3, 1), (4, 2), (5, 2)):
             grid = _seeded_grid(ball, n, k, 7)
@@ -414,40 +420,34 @@ def test_bland_rule_runs_on_the_folded_path(monkeypatch):
 
 def _small_grid():
     """The grid of the line through (1, 2) in l-inf^2: two blocks of four
-    rows, partner (1, 0, 3, 2, 5, 4, 7, 6), beta (-1, 1, -2, 2, 1, -1, 2, -2)."""
+    rows over the dual vertices e1, -e1, e2, -e2, negation (1, 0, 3, 2),
+    f_at (1), (-1), (2), (-2), g_at (-2), (-6), D = 2 and beta
+    (-1, 1, -2, 2, 1, -1, 2, -2)."""
     space = linf_ball(2)
     return build_pair_grid(space, build_operator_basis(space, Subspace.from_basis([(1, 2)])))
 
 
-_PAIRED = (1, 0, 3, 2, 5, 4, 7, 6)
+_NEGATION = (1, 0, 3, 2)
 _BETA = (-1, 1, -2, 2, 1, -1, 2, -2)
 
 
 @pytest.mark.parametrize("partner, beta, message", [
-    ((0, 1, 3, 2, 5, 4, 7, 6), _BETA, "partner is not an involution without fixed points"),
-    ((1, 2, 3, 0, 5, 4, 7, 6), _BETA, "partner is not an involution without fixed points"),
-    ((1, 0, 3, 8, 5, 4, 7, 6), _BETA, "partner is not an involution without fixed points"),
-    ((1, 0), _BETA, "partner length does not match constraint rows"),
-    (_PAIRED, (-1, 1, -2, 2, 1, -1, 2, -1), "partner rows do not all add up to the same row"),
-    ((2, 3, 0, 1, 6, 7, 4, 5), _BETA, "partner rows do not all add up to the same row"),
+    ((0, 1, 3, 2), _BETA, "negation is not an involution without fixed points"),
+    ((1, 2, 0, 3), _BETA, "negation is not an involution without fixed points"),
+    ((1, 0, 3, 4), _BETA, "negation is not an involution without fixed points"),
+    ((1, 0), _BETA, "negation is not an involution without fixed points"),
+    (_NEGATION, (-1, 1, -2, 2, 1, -1, 2, -1), "partner rows do not all add up to the same row"),
+    ((2, 3, 0, 1), (-1, 1, 1, -1, 1, -1, -1, 1), "partner rows do not all add up to the same row"),
 ])
 def test_partner_must_pair_rows_of_one_sum(partner, beta, message):
-    # a fixed point, a 4-cycle, a row out of range, a short list, a base
-    # that does not negate, and rows (x, f), (x, f') with f' not -f
+    # partner is each dual vertex's partner, the grid's negation: a fixed
+    # point, a 3-cycle, a vertex out of range, a short list, a base that
+    # does not negate, and f_at that does not negate (rows (x, f) and
+    # (x, f') with f' not -f, whose bases do add up to 0)
     grid = _small_grid()
-    assert (grid.partner, grid.beta) == (_PAIRED, _BETA)
+    assert (grid.negation, grid.beta) == (_NEGATION, _BETA)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        replace(grid, partner=partner, base_num=tuple(-b for b in beta))
-
-
-def test_partner_pairs_the_dual_vertices_alike_in_every_block():
-    # two dual vertices with one restriction to Y give equal rows, so a
-    # pairing that differs between blocks adds up right and is refused
-    grid = replace(_small_grid(), f_at={0: (1,), 1: (-1,), 2: (1,), 3: (-1,)},
-                   base_num=(1, -1, 1, -1, -1, 1, -1, 1))
-    with pytest.raises(ValueError,
-                       match="^partner does not pair the dual vertices alike in every block$"):
-        replace(grid, partner=(1, 0, 3, 2, 7, 6, 5, 4))
+        replace(grid, negation=partner, base_num=tuple(-b for b in beta))
 
 
 def test_partner_checks_survive_python_O():
@@ -458,23 +458,58 @@ def test_partner_checks_survive_python_O():
             "space = linf_ball(2)\n"
             "grid = build_pair_grid(space, build_operator_basis(\n"
             "    space, Subspace.from_basis([(1, 2)])))\n"
-            "beta = (1, -1, 2, -2, -1, 1, -2, 2)\n"
-            "for partner, base in (((0, 1, 3, 2, 5, 4, 7, 6), beta),\n"
-            "                      ((1, 2, 3, 0, 5, 4, 7, 6), beta),\n"
-            "                      ((1, 0, 3, 8, 5, 4, 7, 6), beta),\n"
-            "                      ((1, 0), beta),\n"
-            "                      ((1, 0, 3, 2, 5, 4, 7, 6), (1, -1, 2, -2, -1, 1, -2, 1))):\n"
+            "base = (1, -1, 2, -2, -1, 1, -2, 2)\n"
+            "for negation, base in (((0, 1, 3, 2), base),\n"
+            "                       ((1, 2, 0, 3), base),\n"
+            "                       ((1, 0, 3, 4), base),\n"
+            "                       ((1, 0), base),\n"
+            "                       ((1, 0, 3, 2), (1, -1, 2, -2, -1, 1, -2, 1)),\n"
+            "                       ((2, 3, 0, 1), (1, -1, -1, 1, -1, 1, 1, -1))):\n"
             "    try:\n"
-            "        replace(grid, partner=partner, base_num=base)\n"
+            "        replace(grid, negation=negation, base_num=base)\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n")
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == ("partner is not an involution without fixed points\n"
-                          "partner is not an involution without fixed points\n"
-                          "partner is not an involution without fixed points\n"
-                          "partner length does not match constraint rows\n"
-                          "partner rows do not all add up to the same row\n")
+    assert out.stdout == ("negation is not an involution without fixed points\n" * 4
+                          + "partner rows do not all add up to the same row\n" * 2)
+
+
+@pytest.mark.parametrize("basis, w, bf, dantzig, bland", [
+    # every row costs -D·w_t = -2: a tie of all eight rows
+    ((1, 2), (0, 1), 0, 0, 0),
+    # every row costs +2: an optimum
+    ((1, 2), (0, -1), 0, None, None),
+    # costs (-1, 1, -2, 2, 1, -1, 2, -2): representative 2 ties with partner 7
+    ((1, 2), (0, 0), 1, 2, 0),
+    # costs (1, -1, 1, -1, 0, 0, -1, 1, -1, 1, 0, 0, ...): partners 1 and 3
+    # tie with representatives 6 and 8, and partner 1 is the lowest
+    ((1, 1, 0), (0, 1, 0), 0, 1, 1),
+])
+def test_grid_entering_is_pinned_on_exact_ties(basis, w, bf, dantzig, bland):
+    # the folded rule on the grid of a line in l-inf^n, pinned, and equal
+    # to the rule on every formed row
+    space = linf_ball(len(basis))
+    grid = build_pair_grid(space, build_operator_basis(space, Subspace.from_basis([basis])))
+    dense = dense_grid_lp(grid)
+    assert (grid.entering(list(w), bf, False), grid.entering(list(w), bf, True)) \
+        == (dantzig, bland)
+    assert (dense.entering(list(w), bf, False), dense.entering(list(w), bf, True)) \
+        == (dantzig, bland)
+
+
+def test_solver_reads_only_the_lp_contract():
+    # an object with the six names alone, its data and the methods of a
+    # LinearProgram, solves as that LP in every status, the zero-objective
+    # check of a failed phase I included
+    statuses = Counter()
+    for lp in _oracle_lps():
+        sol = solve(SimpleNamespace(objective=lp.objective, beta=lp.beta,
+                                    denominator=lp.denominator, row=lp.row,
+                                    row_values=lp.row_values, entering=lp.entering))
+        assert sol == solve(lp)
+        statuses[sol.status] += 1
+    assert len(statuses) == 3, statuses
 
 
 def _finish_lp():
