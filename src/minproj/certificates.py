@@ -16,6 +16,10 @@ The LP dual of the projection solve is one such certificate; a
 minimum-support one is found by exact linear solves over subsets of the
 implicit pairs, smallest subsets first (from n when the paper's lower
 bound applies), with dependent subsets pruned by integer elimination.
+When the implicit pairs are the dual's own pairs, the dual is the only
+certificate over them, and so the minimum-support one, with no search:
+its pairs' columns are independent, so its weights are the one
+representation of the target over them.
 Both read lambda, the basis and the grid off the MinProjReport they
 extend.  certify_cm judges a given certificate
 from the Chalmers-Metcalf bound it proves, with one exact solve when its
@@ -304,6 +308,19 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
     so the walk starts at size n and returns the same first subset as
     the walk from size 1.  Otherwise it starts at 1.
 
+    When the implicit rows are the lambda dual's rows (dual_rows), and
+    there are at least as many as the starting size, the lambda dual is
+    returned with no walk, because it is the walk's own answer.  Its
+    positive rows are columns of the final simplex basis, so their
+    columns [v_p; 1] are independent.  As they are all the implicit
+    rows, [0; 1] has one representation over the candidates' columns,
+    and its weights are the positive dual weights.  A proper subset that
+    held a support would give a second one, zero off the subset, so the
+    only valid support is the whole set, the one subset of the walk's
+    last size, len(dual_rows).  The dual optimal face is then a
+    point: the lambda dual is the only certificate over the implicit
+    pairs.
+
     Each pair p contributes the column [v_p; 1], where v_p lists its
     values on the basis operators of L_Y(X, Y); a subset is a valid
     support exactly when [v_p; 1]·w = [0; 1] has a solution w > 0.
@@ -335,8 +352,9 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
     head is zero (its column is parallel to the carried target), and the
     columns themselves are not parallel.  Only the yielded subsets are
     solved exactly for their weights, from the same integer columns, and
-    tested for w > 0.  The hit is verified at the report's
-    relative-interior point, a minimal projection, before it is returned.
+    tested for w > 0.  The hit, the lambda dual's certificate included,
+    is verified at the report's relative-interior point, a minimal
+    projection, before it is returned.
     """
     if report.interior is None:
         raise ValueError("the report's optimal face is not settled")
@@ -346,11 +364,14 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
             f"{len(rows)} candidate pairs exceed the cap of {max_candidates}")
 
     grid = report.grid
+    smallest = report.space.dim if in_general_position and report.lam > 1 else 1
+    if rows == report.dual_rows and len(rows) >= smallest:
+        return _verified(report, CMFunctional(
+            pairs=tuple(grid.pairs[r] for r in rows), weights=report.dual_weights))
+
     d = report.basis.dimension
     columns = [list(grid.coefs(r)) + [grid.denominator] for r in rows]
     target = [0] * d + [grid.denominator]
-
-    smallest = report.space.dim if in_general_position and report.lam > 1 else 1
     for size in range(smallest, min(d + 1, len(rows)) + 1):
         for _, subset in subset_walk(columns, size, d):
             if subset is None:
@@ -361,17 +382,22 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
                     "the subset walk yielded columns whose span misses the target")
             if any(w <= 0 for w in weights):
                 continue
-            cm = CMFunctional(pairs=tuple(grid.pairs[rows[i]] for i in subset),
-                              weights=weights)
-            check = verify_cm(report.space, report.subspace, cm, report.lam,
-                              report.interior, basis=report.basis,
-                              realized=report.interior_cleared)
-            if not check.ok:
-                raise InternalError(
-                    "subset search produced an invalid certificate: "
-                    + "; ".join(check.violations))
-            return cm, size
+            return _verified(report, CMFunctional(
+                pairs=tuple(grid.pairs[rows[i]] for i in subset), weights=weights))
     raise InternalError("no valid certificate over the candidate pairs")
+
+
+def _verified(report: MinProjReport, cm: CMFunctional) -> tuple[CMFunctional, int]:
+    """The support search's hit and its size, once verify_cm accepts it at
+    the report's relative-interior point; InternalError otherwise."""
+    check = verify_cm(report.space, report.subspace, cm, report.lam,
+                      report.interior, basis=report.basis,
+                      realized=report.interior_cleared)
+    if not check.ok:
+        raise InternalError(
+            "subset search produced an invalid certificate: "
+            + "; ".join(check.violations))
+    return cm, len(cm.pairs)
 
 
 def _support_weights(columns: list[list[int]],

@@ -26,9 +26,9 @@ from typing import Sequence
 
 from .errors import (BudgetExceededError, InputFormatError, InternalError,
                      NotExtremeError, NotFullDimensionalError, NotSymmetricError)
-from .linalg import (Vector, independent_rows, int_dot, integer_inverse,
-                     integer_nullspace, over_denominator, primitive,
-                     subset_walk)
+from .linalg import (Vector, complement_coordinates, independent_rows, int_dot,
+                     integer_inverse, integer_nullspace, over_denominator,
+                     primitive, subset_walk)
 from .rational import format_rational
 
 # Default budget of general_position_check: subsets counted, spans and
@@ -515,9 +515,15 @@ def general_position_check(space: PolyhedralSpace, Y: Subspace,
     k + rank(v·A, v in T) and dim(Y + ker F) = n - rank F +
     rank(f·B, f in F), so T (or F) passes exactly when its projected
     rows have the rank of its raw rows.  Both ranks are read off one
-    subset walk over the raw rows carried in lockstep with the projected
-    ones, which decides the last two levels of each size at once (see
-    _first_failing_subset); no rank is taken per subset.
+    subset walk over rows n entries wide, [v·A | v_J] or [f·B | f_J]:
+    the projected row, then the coordinates J that complete the
+    directions to a basis of R^n (linalg.complement_coordinates).  Such
+    a row is the raw row under an invertible linear map, so it has the
+    raw row's rank, and the walk decides the last two levels of each
+    size at once (see _first_failing_subset); no rank is taken per
+    subset.  They are the rows [v·d | v] with the coordinates outside J
+    dropped, which the rest of each row determines, so every step, cut,
+    event, count and witness is that of the walk over [v·d | v].
 
     Returns the first violating index set as witness.  Enumeration order:
     spans by (size, lexicographic indices), then kernels likewise.
@@ -555,9 +561,19 @@ def _first_failing_subset(vectors: Sequence[Sequence[int]], reps: Sequence[int],
     vectors and directions are integer rows, each family cleared over one
     denominator: a positive factor on all vectors, or on all directions,
     changes no rank.  Each size is one linalg.subset_walk over the rows
-    [v·d | v], whose heads are the projected rows v·d.  A head is a linear
-    image of its row, so the rows [v·d | v] of a subset have the rank of
-    its raw rows.
+    [v·d | v_J] (_walk_rows), whose heads are the projected rows v·d.  J
+    completes the directions to a basis of R^n, so v -> (v·d, v_J) is
+    invertible and the rows of a subset have the rank of its raw rows.
+
+    The rows are n entries wide, where the rows [v·d | v] that carry the
+    whole raw row are 2n - k (spans) or n + k (kernels), and the walk
+    over them takes the same steps and yields the same events.  They
+    are the rows [v·d | v] with the coordinates outside J dropped, and
+    the walk pivots only in the heads, so each kept entry is the same
+    Bareiss minor and every division stays exact.  A dropped coordinate
+    is a linear function of the head and v_J, in every carried row as
+    in every row, so a carried row is zero, or parallel to another, in
+    both walks alike.
 
     The first failure T is raw-independent: a dependent one has an
     independent subset with the same span, which fails too and comes
@@ -568,14 +584,13 @@ def _first_failing_subset(vectors: Sequence[Sequence[int]], reps: Sequence[int],
     fails.  At a node two rows short of the size, a leaf's projected rows
     are dependent when its two carried heads are parallel (or the second
     is zero), and its raw rows independent when the two carried rows are
-    not parallel: the raw rows ride along in the same reduce_row steps,
+    not parallel: the tails v_J ride along in the same reduce_row steps,
     and no rank is taken per leaf.  The walk's counts, of cut subtrees
     and of a node's leaves by binomials, are charged as it yields them,
     so the counts and the budget error are those of a walk through every
     subset.
     """
-    rows = [[int_dot(v, d) for d in directions] + list(v)
-            for v in (vectors[i] for i in reps)]
+    rows = _walk_rows(vectors, reps, directions)
     checked = 0
     for size in range(1, min(max_size, len(reps)) + 1):
         for passed, subset in subset_walk(rows, size, len(directions)):
@@ -586,3 +601,13 @@ def _first_failing_subset(vectors: Sequence[Sequence[int]], reps: Sequence[int],
             if subset is not None:
                 return tuple(reps[i] for i in subset), checked
     return None, checked
+
+
+def _walk_rows(vectors: Sequence[Sequence[int]], reps: Sequence[int],
+               directions: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows [v·d | v_J] of _first_failing_subset, one per index of
+    reps, J the coordinates that complete the directions to a basis of
+    R^n."""
+    J = complement_coordinates(directions, len(directions[0]))
+    return [[int_dot(v, d) for d in directions] + [v[j] for j in J]
+            for v in (vectors[i] for i in reps)]

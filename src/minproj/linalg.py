@@ -2,7 +2,9 @@
 
 There is one elimination, and it runs in integers: reduce_row, a
 fraction-free (Bareiss) step over integer rows.  The rank and
-independent_rows fold it over the rows; the reduced row echelon form
+independent_rows fold it over the rows (complement_coordinates folds it
+over given rows and then the unit vectors, for the coordinates that
+complete them to a basis); the reduced row echelon form
 (integer_rref) folds it too and clears above each pivot, and the
 nullspace, the inverse and the solve are read off its rows.  Pivots are
 deterministic: each row in turn, at its first nonzero entry after
@@ -185,6 +187,16 @@ def independent_rows(rows: Iterable[Sequence[int]], full: int) -> list[int]:
     """The indices of the first integer rows, at most `full` of them, that
     are independent of the rows kept before them."""
     return _echelon(rows, full)[0]
+
+
+def complement_coordinates(rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The coordinates J, ascending, whose unit vectors e_J complete the
+    independent integer rows of length n to a basis of R^n: the first
+    ones that independent_rows keeps over the rows and then e_0, e_1, ...
+    The rows must be independent, so that all of them are kept."""
+    k = len(rows)
+    units = ([int(i == j) for i in range(n)] for j in range(n))
+    return [i - k for i in independent_rows([*rows, *units], n)[k:]]
 
 
 def subset_walk(rows: Sequence[Sequence[int]], size: int, width: int

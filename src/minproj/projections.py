@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 
 from .errors import InternalError, NotMinimalError
 from .geometry import PolyhedralSpace, Subspace, class_max
-from .linalg import (RMatrix, independent_rows, int_dot, integer_inverse,
+from .linalg import (RMatrix, complement_coordinates, int_dot, integer_inverse,
                      integer_nullspace, integer_row_rank, over_denominator)
 from .rational import format_rational
 from .simplex import OPTIMAL, LinearProgram, entering_column, solve
@@ -121,44 +121,41 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
 
     Everything runs in integers.  Y's basis y_num / y_den and the
     annihilator g_num / g_den are Y's own integer families.
-    linalg.independent_rows over Y's rows and then e_0, e_1, ... picks
-    the complement e_J.  With M the matrix of the columns y_num_b and the
-    chosen e_j, the first k rows h_b of M^-1 have h_b·y_num_c = [b = c]
-    and vanish on the e_j, so P0 = sum_b y_num_b (x) h_b, over the least
-    common denominator of those rows.  As h_b is zero on J, its entries
-    on the other k coordinates I are row b of the inverse of Y's k x k
-    minor there, the matrix of rows (y_num_c[i])_c for i in I
-    (linalg.integer_inverse), and M itself is never inverted.  Two
-    guards raise InternalError, P0^2 = P0 and P0 y = y, and so does a
-    singular minor.  Each L_q vanishes on Y and the k(n-k) operators
-    y_num_b (x) g_num_j are independent (rank(A (x) B) = rank A · rank B)
-    by construction: Subspace computes its annihilator as the nullspace
-    of its independent basis."""
+    linalg.complement_coordinates picks the complement e_J of Y's basis,
+    the one general_position_check also reads.  With M the matrix of the
+    columns y_num_b and the chosen e_j, the first k rows h_b of M^-1 have
+    h_b·y_num_c = [b = c] and vanish on the e_j, so P0 = sum_b y_num_b (x)
+    h_b, over the least common denominator h_den of those rows.  As h_b
+    is zero on J, its entries on the other k coordinates I are row b of
+    the inverse of Y's k x k minor there, the matrix of rows
+    (y_num_c[i])_c for i in I (linalg.integer_inverse), and M itself is
+    never inverted.  One guard raises InternalError: H·Y = h_den·I, k^2
+    dot products of length k over I.  P0^2 = P0 and P0 y = y both follow
+    from it, as P0 y_c = sum_b y_b (h_b·y_c) / h_den = y_c.  A singular
+    minor raises InternalError too.  Each L_q vanishes on Y and the
+    k(n-k) operators y_num_b (x) g_num_j are independent (rank(A (x) B)
+    = rank A · rank B) by construction: Subspace computes its
+    annihilator as the nullspace of its independent basis."""
     n = space.dim
     k = Y.dim
     ys = Y.basis_num
 
-    candidates = [*ys, *([int(i == j) for i in range(n)] for j in range(n))]
-    kept = independent_rows(candidates, n)
-    J = {i - k for i in kept[k:]}
+    J = set(complement_coordinates(ys, n))
     I = [i for i in range(n) if i not in J]
-    inv = integer_inverse([[y[i] for y in ys] for i in I], k)
+    minor = [[y[i] for y in ys] for i in I]
+    inv = integer_inverse(minor, k)
     if inv is None:
         raise InternalError("basis of Y plus its complement is singular")
     minor_inv, h_den = inv
+    if any(int_dot(h, y) != h_den * (b == c)
+           for b, h in enumerate(minor_inv) for c, y in enumerate(zip(*minor))):
+        raise InternalError("base projection does not fix Y")
     hs = [[0] * n for _ in range(k)]
     for h, row in zip(hs, minor_inv):
         for i, x in zip(I, row):
             h[i] = x
     h_cols = list(zip(*hs))
     P = [[int_dot(y, h) for h in h_cols] for y in zip(*ys)]
-
-    P_cols = list(zip(*P))
-    if any(int_dot(row, col) != h_den * x
-           for row in P for col, x in zip(P_cols, row)):
-        raise InternalError("base projection is not idempotent")
-    if any(int_dot(row, y) != h_den * y[r] for y in ys for r, row in enumerate(P)):
-        raise InternalError("base projection does not fix Y")
     return OperatorBasis(y_num=ys, y_den=Y.basis_den, g_num=Y.annihilator_num,
                          g_den=Y.annihilator_den, p0_num=tuple(map(tuple, P)),
                          p0_den=h_den)

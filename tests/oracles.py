@@ -27,7 +27,10 @@ with its own step), and so is the check built on it
 projected rows are dependent): ``linalg.subset_walk``, which decides the
 last two levels at once by parallel classes, must give the same
 reports and budget errors, and the same support hits less those under
-a prefix whose span holds the target.  The last decides each vertex's
+a prefix whose span holds the target.  The rows that walk took in the
+general-position check before they were n entries wide,
+[v·d | v] (``general_position_rows_by_raw_vectors``), must give the
+same walk events as ``geometry._walk_rows``.  The last decides each vertex's
 extremality by one feasibility LP over the other listed points, and
 the test it gave way to, which took the rank of the polar vertices
 tight at each point, is kept too (``first_non_vertex_by_rank``).  They
@@ -647,6 +650,14 @@ def _first_failing_subset(vectors, reps, directions, max_size, spent,
             if rank < size and rank != integer_rank_in_place([raw[i] for i in subset]):
                 return subset, checked
     return None, checked
+
+
+def general_position_rows_by_raw_vectors(vectors, reps, directions):
+    """geometry._walk_rows as it was before its rows were n entries wide:
+    [v·d | v], the projected row and then the whole raw row, for each
+    index of reps."""
+    return [[int_dot(v, d) for d in directions] + list(v)
+            for v in (vectors[i] for i in reps)]
 
 
 def _first_failing_by_leaf_walk(vectors, reps, directions, max_size, spent,

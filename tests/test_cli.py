@@ -1,8 +1,12 @@
 """End-to-end command-line checks: subprocess runs for the entry point,
 byte determinism and environment handling, in-process runs (faster) for
-the flag and exit-code matrix."""
+the flag and exit-code matrix, and a property that runs mutated
+documents through four commands."""
 
+import contextlib
+import copy
 import functools
+import io
 import itertools
 import json
 import subprocess
@@ -11,6 +15,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 import minproj.certificates as certificates
 import minproj.cli as cli
@@ -750,10 +756,17 @@ def test_any_other_exception_exits_4(space_file, capsys, monkeypatch, error, lin
 @pytest.mark.parametrize("failure", ["dual", "support-hit", "no-support"])
 def test_pipeline_certificate_failure_exits_4(tmp_path, capsys, monkeypatch, failure):
     # analyze hands cm_from_dual and minimal_support_cm only its own solve,
-    # so a certificate they reject is an internal failure, not bad input
+    # so a certificate they reject is an internal failure, not bad input.
+    # The l1^3 2-plane's lambda dual is its only certificate, so the
+    # support search returns it with no walk, and "support-hit" rejects
+    # that return; the seeded l1^4 hyperplane has 6 implicit pairs over
+    # 4 dual ones, so "no-support" reaches the walk
     path = tmp_path / "l1.json"
-    path.write_text(json.dumps(dict(L1_3, subspace_basis=[["1", "-1", "0"],
-                                                          ["0", "1", "-1"]])))
+    if failure == "no-support":
+        path.write_text(json.dumps(space_json(l1_ball(4), random_subspace(4, 3, 7))))
+    else:
+        path.write_text(json.dumps(dict(L1_3, subspace_basis=[["1", "-1", "0"],
+                                                              ["0", "1", "-1"]])))
     original = certificates.verify_cm
     calls = []
 
@@ -763,12 +776,18 @@ def test_pipeline_certificate_failure_exits_4(tmp_path, capsys, monkeypatch, fai
             return certificates.CMVerdict(("trace: simulated bug",))
         return original(*args, **kwargs)
 
+    walked = []
+
+    def no_positive_weights(columns, target):
+        walked.append(columns)
+        return (Fraction(-1),) * len(columns)
+
     if failure == "no-support":
-        monkeypatch.setattr(certificates, "_support_weights",
-                            lambda columns, target: (Fraction(-1),) * len(columns))
+        monkeypatch.setattr(certificates, "_support_weights", no_positive_weights)
     else:
         monkeypatch.setattr(certificates, "verify_cm", rejecting)
     assert cli.main(["analyze", "--input", str(path)]) == 4
+    assert bool(walked) == (failure == "no-support")
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == {
@@ -809,3 +828,112 @@ def test_reused_parser_gives_the_bytes_of_a_fresh_one(space_file, tmp_path, caps
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 0, 3, 0, 0, 0]
     assert len(set(reused)) == len(commands)
+
+
+# Documents of n <= 3 that every command accepts, and a certificate of
+# the first, which analyze emits for it.
+_BASE_DOCUMENTS = (
+    LINF3,
+    dict(L1_3, subspace_basis=[["1", "-1", "0"], ["0", "1", "-1"]]),
+    {"dim": 2, "vertices": [["1", "1"], ["1", "-1"], ["-1", "1"], ["-1", "-1"]],
+     "dual_vertices": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]],
+     "subspace_basis": [["1", "2"]]},
+)
+_BASE_CERTIFICATE = {"lambda": "4/3", "pairs": [
+    {"vertex": 1, "functional": 2, "weight": "1/3"},
+    {"vertex": 2, "functional": 1, "weight": "1/3"},
+    {"vertex": 3, "functional": 5, "weight": "1/3"}]}
+
+# Most replacements are small rationals and indices, which keep a
+# document well formed, so that the commands run on it, or tokens a
+# parser must refuse; the rest are any JSON value.
+_LEAVES = (st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30) | st.floats()
+           | st.text(max_size=4))
+_VALUES = (st.sampled_from((0, 1, 2, 3, 5, "0", "1", "-1", "2", "-2", "1/2",
+                            "-1/3", "3/2", "4/3"))
+           | st.sampled_from(("", "1/0", "0/0", "2/-3", "1e3", "0x1", " 1", "+1",
+                              "1\n2", "\u00bd", "1.5", "NaN", True, -1, 10 ** 30))
+           | st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                          | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                          max_leaves=6))
+
+
+def _paths(value, path=()):
+    """Every path into a JSON value below the value itself, each with
+    whether it leads to a leaf."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield path + (key,), not isinstance(inner, (dict, list))
+        yield from _paths(inner, path + (key,))
+
+
+@st.composite
+def _mutated(draw, document, within=()):
+    """The document's text after one or two edits inside the part at path
+    `within`, then sometimes cut short or given a byte that is not UTF-8.
+    An edit replaces a leaf (most often), removes or doubles a key or list
+    entry, or puts any JSON value in place of a part."""
+    doc = copy.deepcopy(document)
+    for _ in range(draw(st.integers(1, 2))):
+        edit = draw(st.sampled_from(("leaf",) * 3 + ("remove", "double", "value")))
+        paths = [path for path, leaf in _paths(doc)
+                 if path[:len(within)] == within and (leaf or edit != "leaf")]
+        if not paths:  # `within` was removed by the edit before
+            continue
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if edit in ("leaf", "value"):
+            parent[key] = draw(_VALUES)
+        elif edit == "remove":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = [parent[key], copy.deepcopy(parent[key])]
+    text = json.dumps(doc).encode()
+    tail = draw(st.sampled_from(("keep",) * 8 + ("cut", "byte")))
+    if tail == "cut":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif tail == "byte":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + b"\xff" + text[at:]
+    return text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate],
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_documents_exit_0_to_3_with_one_line_messages(tmp_path_factory, data):
+    # A mutated space document through analyze, polar, general-position
+    # and certify, or a mutated certificate through certify, is judged as
+    # input: the exit code is 0 to 3 (1 is a certificate that fails
+    # verification), never a bug's 4, and stderr holds only "error: " and
+    # "warning: " lines.  Some mutations touch the subspace alone, so
+    # that the commands run past parsing.
+    directory = tmp_path_factory.mktemp("mutated")
+    space, cert = directory / "space.json", directory / "cert.json"
+    target = data.draw(st.sampled_from(("space", "subspace", "certificate")))
+    document = data.draw(st.sampled_from(_BASE_DOCUMENTS))
+    if target == "certificate":
+        space.write_text(json.dumps(LINF3))
+        cert.write_bytes(data.draw(_mutated(_BASE_CERTIFICATE)))
+        argvs = [["certify", str(cert), "--input", str(space)]]
+    else:
+        within = ("subspace_basis",) if target == "subspace" else ()
+        space.write_bytes(data.draw(_mutated(document, within)))
+        cert.write_text(json.dumps(_BASE_CERTIFICATE))
+        argvs = [[command, "--input", str(space)]
+                 for command in ("analyze", "polar", "general-position")]
+        argvs.append(["certify", str(cert), "--input", str(space)])
+    for argv in argvs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        for line in err.getvalue().splitlines():
+            assert line.startswith(("error: ", "warning: ")), (argv, line)

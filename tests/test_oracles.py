@@ -4,7 +4,9 @@ the algorithms they replaced (kept in ``oracles.py``): on every catalog
 case, on seeded subspaces of l-inf^n and l1^n, on kernels of small
 integer functionals, and on vertex lists with non-extreme or duplicated
 points.  The projection constant of three hyperplanes of l-inf^7 is
-checked against Blatter and Cheney's closed form, with no LP."""
+checked against Blatter and Cheney's closed form, with no LP.  A spy
+pins that the support search walks no subset when the lambda dual's
+pairs are all the implicit ones."""
 
 import itertools
 from fractions import Fraction
@@ -14,12 +16,13 @@ import pytest
 
 from minproj.catalog import (l1_ball, linf_ball, mixed_ball, paper_cases,
                              random_subspace)
+import minproj.certificates as certificates
 import minproj.projections as projections
 from minproj.certificates import CMFunctional, cm_from_dual, minimal_support_cm, verify_cm
 from minproj.errors import BudgetExceededError, NotExtremeError
-from minproj.geometry import (PolyhedralSpace, Subspace,
+from minproj.geometry import (PolyhedralSpace, Subspace, _walk_rows,
                               general_position_check, polar_dual)
-from minproj.linalg import integer_row_rank
+from minproj.linalg import integer_row_rank, subset_walk
 from minproj.projections import (OperatorPoint, face_dimension,
                                  max_norming_projection, norming_pairs,
                                  operator_norm, projection_constant)
@@ -29,6 +32,7 @@ import oracles
 from oracles import (budget_outcome, dense_grid_lp, face_dimension_by_rounds,
                      face_dimension_by_vertices, face_dimension_per_row, first_non_extreme,
                      general_position_by_leaf_walk, general_position_exhaustive,
+                     general_position_rows_by_raw_vectors,
                      linf_hyperplane_lambda,
                      max_norming_by_greedy, minimal_support_by_lp,
                      minimal_support_by_solve, realize_by_fractions,
@@ -210,12 +214,13 @@ def test_support_matches_subset_lp_oracle(cases):
 
 @pytest.fixture(scope="module")
 def seeded_analyze():
-    """The inputs of the seeded-analyze benchmark: random_subspace(n, k, 7)
-    in l-inf^n and l1^n for n = 4, 5 and k in {n-1, 2}, on spaces whose
-    polar is computed, as the CLI builds them from a vertex list."""
+    """random_subspace(n, k, 7) in l-inf^n and l1^n for n = 4, 5, 6 and k
+    in {n-1, 2}, on spaces whose polar is computed, as the CLI builds them
+    from a vertex list: at n = 4 and 5 the inputs of the seeded-analyze
+    benchmark."""
     out = {}
-    for n, (tag, ball) in itertools.product((4, 5), (("linf", linf_ball),
-                                                     ("l1", l1_ball))):
+    for n, (tag, ball) in itertools.product((4, 5, 6), (("linf", linf_ball),
+                                                        ("l1", l1_ball))):
         space = PolyhedralSpace.from_vertices(ball(n).primal_vertices)
         for k in (n - 1, 2):
             Y = random_subspace(n, k, 7)
@@ -243,13 +248,78 @@ def test_support_matches_solve_oracle_on_catalog(analyzed):
     assert sizes["first-coordinate-mixed-n5"] == 1
 
 
+# The largest n = 6 candidate set the solve oracle runs on: it solves
+# every subset up to the first support, and took 40 s on the 24
+# candidates of the l1^6 hyperplane.
+_N6_ORACLE_CAP = 16
+
+
 def test_support_matches_solve_oracle_on_seeded_subspaces(seeded_analyze):
-    capped = []
+    capped, uncompared = [], []
     for name, (space, Y, report, implicit) in seeded_analyze.items():
+        if space.dim == 6 and len(implicit) > _N6_ORACLE_CAP:
+            uncompared.append(name)
+            continue
         size = _assert_support_matches_solve(space, Y, report, implicit, name)
         if len(set(implicit)) > 24:
             capped.append((name, len(set(implicit)), size))
     assert capped == [("linf5-k2", 32, 4)]
+    assert uncompared == ["linf6-k5", "linf6-k2", "l16-k5"]
+
+
+def test_support_walk_runs_exactly_when_the_dual_is_not_the_implicit_set(
+        analyzed, seeded_analyze, spy):
+    # When the implicit rows are the lambda dual's rows, the dual is the
+    # only certificate over them, and the search returns it with no walk;
+    # otherwise it walks.  The general-position verdict goes in as
+    # analyze passes it, so where the paper's bound applies the search
+    # starts at n.
+    calls = spy(certificates, "subset_walk")
+    reports = {name: a.report for name, a in analyzed.items()}
+    reports.update((name, report) for name, (_, _, report, _) in seeded_analyze.items())
+    skipped = []
+    for name, report in reports.items():
+        try:
+            gp = general_position_check(report.space, report.subspace)
+        except BudgetExceededError:
+            gp = None
+        before = calls["subset_walk"]
+        try:
+            cm, size = minimal_support_cm(
+                report, in_general_position=gp is not None and gp.in_general_position)
+        except BudgetExceededError:
+            assert calls["subset_walk"] == before, name
+            continue
+        unique = report.implicit_rows == report.dual_rows
+        assert (calls["subset_walk"] == before) == unique, name
+        if unique:
+            assert cm == cm_from_dual(report), name
+            assert size == len(report.dual_rows), name
+            skipped.append(name)
+    assert skipped == [
+        "ker-sum-l1-n3", "ker-sum-linf-n3", "ker-sum-l1-n4", "ker-sum-linf-n4",
+        "ker-sum-l1-n5", "ker-sum-linf-n5",
+        "linf4-k3", "l14-k2", "linf5-k4", "l15-k2", "l16-k2"]
+
+
+def test_general_position_rows_walk_as_the_raw_rows_do(analyzed, seeded_analyze):
+    # The n-wide rows [v·d | v_J] give the walk events of the rows
+    # [v·d | v] at every size the check walks, spans and kernels, whether
+    # or not an earlier size fails
+    inputs = [(name, a.case.space, a.case.subspace) for name, a in analyzed.items()]
+    inputs += [(name, space, Y) for name, (space, Y, _, _) in seeded_analyze.items()]
+    for name, space, Y in inputs:
+        n, k = space.dim, Y.dim
+        for vectors, reps, directions, max_size in (
+                (space.primal_cleared[0], space.primal_classes[0],
+                 Y.annihilator_num, n - k),
+                (space.dual_cleared[0], space.dual_classes[0], Y.basis_num, k)):
+            rows = _walk_rows(vectors, reps, directions)
+            raw = general_position_rows_by_raw_vectors(vectors, reps, directions)
+            assert [len(row) for row in rows] == [n] * len(reps), name
+            for size in range(1, min(max_size, len(reps)) + 1):
+                assert (list(subset_walk(rows, size, len(directions)))
+                        == list(subset_walk(raw, size, len(directions)))), (name, size)
 
 
 def _verdict(report):

@@ -58,15 +58,17 @@ def _wrong_inverse(factor):
 @pytest.mark.parametrize("corrupt, message", [
     (lambda mp, Y: mp.setattr(projections, "integer_inverse", lambda rows, count: None),
      "basis of Y plus its complement is singular"),
-    (lambda mp, Y: mp.setattr(projections, "integer_inverse", _wrong_inverse(2)),
-     "base projection is not idempotent"),
+    pytest.param(lambda mp, Y: mp.setattr(projections, "integer_inverse",
+                                          _wrong_inverse(2)),
+                 "base projection does not fix Y", id="doubled-inverse"),
     (lambda mp, Y: mp.setattr(projections, "integer_inverse", _wrong_inverse(0)),
      "base projection does not fix Y"),
 ])
 def test_operator_basis_guards_raise(monkeypatch, corrupt, message):
     # every guard raises InternalError itself, so it also fires under
     # python -O: a wrong inverse (P0 = 2·P0, or P0 = 0, which is
-    # idempotent)
+    # idempotent) breaks H·Y = h_den·I, from which P0^2 = P0 and P0 y = y
+    # follow
     Y = Subspace.from_basis([(1, 1, 1)])
     corrupt(monkeypatch, Y)
     with pytest.raises(InternalError, match=f"^{message}$"):

@@ -5,7 +5,9 @@ rounds from no implicit row and, for n <= 3, against the hull of its
 enumerated vertices, and the paper's bounds on the dimension of
 that face and on the support of a certificate in general position on
 random symmetric polytopes.  General position is also compared with the
-subset walk through every leaf that it replaced.  The polar
+subset walk through every leaf that it replaced, and its n-wide walk
+rows with the rows [v·d | v] they replaced, by the walk's events on
+random integer rows.  The polar
 is also compared with the Fraction polar it replaced, which takes a rank
 per edge test, and the tight masks of its double description with the
 tight sets recomputed by dot products.  Extremality read off the masks
@@ -49,8 +51,10 @@ from minproj.errors import (BudgetExceededError, NotExtremeError,
                             NotFullDimensionalError, NotSymmetricError)
 from minproj.geometry import (PolyhedralSpace, Subspace, _cleared_rows,
                               _double_description, _first_non_vertex, _vertices_of,
-                              general_position_check, norm_eval, polar_dual)
-from minproj.linalg import RMatrix, cleared, int_dot, integer_row_rank, over_denominator
+                              _walk_rows, general_position_check, norm_eval,
+                              polar_dual)
+from minproj.linalg import (RMatrix, cleared, int_dot, integer_row_rank,
+                            over_denominator, subset_walk)
 from minproj.projections import (OperatorPoint, build_operator_basis,
                                  build_pair_grid, face_dimension,
                                  max_norming_projection, norming_pairs,
@@ -63,6 +67,7 @@ from oracles import (budget_outcome, certify_by_face, dense_grid_lp, dot,
                      first_non_vertex_by_rank,
                      general_position_by_leaf_walk,
                      general_position_exhaustive, general_position_per_subset,
+                     general_position_rows_by_raw_vectors,
                      is_extreme, linf_hyperplane_lambda,
                      minimal_support_by_solve, norm_every_vertex,
                      nullspace_by_fractions, operator_basis_by_fractions,
@@ -178,6 +183,27 @@ def test_general_position_agrees_with_leaf_walk_oracle(case, data):
                                                       min_size=2, max_size=2))):
         assert (budget_outcome(general_position_check, space, Y, cap)
                 == budget_outcome(general_position_by_leaf_walk, space, Y, cap))
+
+
+@_SETTINGS
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.sampled_from((-2, -1, 0, 0, 0, 1, 2)),
+                      min_size=n, max_size=n), min_size=1, max_size=7),
+    _vectors(n, n - 1).flatmap(lambda d: st.sampled_from(
+        [d[:r] for r in range(1, n)])))))
+def test_general_position_rows_walk_as_the_raw_rows_do(case):
+    """On random integer rows v and independent directions d, the n-wide
+    rows [v·d | v_J] give the subset walk's events of the rows [v·d | v]
+    at every size."""
+    vectors, directions = case
+    assume(integer_row_rank(directions) == len(directions))
+    reps = range(len(vectors))
+    rows = _walk_rows(vectors, reps, directions)
+    raw = general_position_rows_by_raw_vectors(vectors, reps, directions)
+    assert all(len(row) == len(vectors[0]) for row in rows)
+    for size in range(1, len(vectors) + 1):
+        assert (list(subset_walk(rows, size, len(directions)))
+                == list(subset_walk(raw, size, len(directions))))
 
 
 @_SETTINGS
