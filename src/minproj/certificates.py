@@ -86,13 +86,13 @@ class CMVerdict:
 
 
 def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
-              lam: Fraction, P: OperatorPoint,
-              basis: OperatorBasis | None = None,
+              lam: Fraction, P: OperatorPoint, *, basis: OperatorBasis,
               realized: tuple[RMatrix, int] | None = None) -> CMVerdict:
     """Exact check of the certificate: weight sanity plus the four defining
     conditions -- (1) vanishing on every basis operator of L_Y(X, Y),
     (2) T(Y) contained in Y, (3) every pair norming for P, (4) trace of
-    T|_Y equal to lam.
+    T|_Y equal to lam.  basis is the operator basis of (space, Y) that
+    the caller built (projections.build_operator_basis).
 
     The images T y_b = sum_i a_i f_i(y_b) x_i are formed in integers, over
     the cleared vertices, weights and basis of Y, with no matrix of T.
@@ -113,8 +113,6 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     for pi, dj in cm.pairs:
         if not (0 <= pi < n_p and 0 <= dj < n_d):
             return CMVerdict((f"weights: pair ({pi}, {dj}) out of range",))
-    if basis is None:
-        basis = build_operator_basis(space, Y)
     violations: list[str] = []
     if len(set(cm.pairs)) != len(cm.pairs):
         violations.append("weights: duplicate pairs")
@@ -332,7 +330,7 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
     every dependent subset can be skipped.  The implicit pairs hold the
     lambda dual's support, so they are never empty.
 
-    The walk runs on the integer columns [coefs_num_p; D] = D·[v_p; 1],
+    The walk runs on the integer columns [coefs(p); D] = D·[v_p; 1],
     the implicit pairs' grid rows formed from the grid's factors and D
     its denominator, against the target [0; D]: the same system scaled
     by D > 0, with the same solutions.  The grid lists its pairs

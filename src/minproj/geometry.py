@@ -4,8 +4,11 @@ A space is given by the vertex list of its unit ball (both signs stored
 explicitly) together with the vertex list of the dual ball; the dual
 side can be computed exactly from the primal side by an incremental
 double-description polar computation, which holds one vertex of each
-antipodal pair.  Norms and operator norms then reduce to finite maxima
-over these vertex lists, taken over each antipodal class once.
+antipodal pair.  Every space, validated or not, pairs each vertex of
+each list with its negation when it is built, and refuses a list whose
+pairing is not an involution without fixed points.  Norms and operator
+norms then reduce to finite maxima of |value| over one vertex of each
+pair.
 
 Each list is held as integer rows over one denominator, the least common
 one of all its vertices, not one per vertex: the input is cleared once,
@@ -21,7 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import neg
 from typing import Sequence
 
 from .errors import (BudgetExceededError, InputFormatError, InternalError,
@@ -45,8 +47,9 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
-    """Vertices of {f : f·v <= 1 for every listed v}, exactly: the dual
-    list of PolyhedralSpace.from_vertices(vertices, validate=False).
+    """Vertices of {f : f·v <= 1 for every listed v}, exactly, for any
+    symmetric full-dimensional point list: interior points, the zero
+    vector and repeats included.
 
     Incremental double description in integers on the listed points
     cleared over one denominator, its edges read off the tight masks with
@@ -56,7 +59,7 @@ def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
     point's extremality off the polar vertices tight at it, with no LP
     (see _first_non_vertex).
     """
-    return PolyhedralSpace.from_vertices(vertices, validate=False).dual_vertices
+    return _fraction_rows(*_vertices_of(_double_description(*_point_rows(vertices))))
 
 
 @dataclass(frozen=True)
@@ -128,12 +131,7 @@ def _double_description(rows: Rows, den: int) -> _Polar:
     it lies on.  No rank is taken, and no Fraction is formed.
     """
     n = len(rows[0])
-    present = set(rows)
-    for w in rows:
-        if tuple(-x for x in w) not in present:
-            vertex = ", ".join(format_rational(Fraction(x, den)) for x in w)
-            raise NotSymmetricError(
-                f"primal vertex ({vertex}) has no negation in the list")
+    _negation(rows, den, "primal")
 
     # One representative u per antipodal pair, in order of first
     # occurrence; bit 2p of a tight mask stands for +u_p, bit 2p+1 for -u_p.
@@ -260,11 +258,29 @@ class PolyhedralSpace:
     in integers: each list is a tuple of integer rows over one common
     denominator, the least one of all its vertices (primal_cleared,
     dual_cleared).  primal_vertices and dual_vertices are the Fraction
-    views."""
+    views.  The space owns each list's pairing, primal_negation and
+    dual_negation, the index of -v for each vertex v (see _negation):
+    every space is refused when it is built unless both are involutions
+    without fixed points, and no later stage checks them again.  A zero
+    row is its own negation, and a repeated row r sends the negation of
+    -r to r's last occurrence, so the first index not paired back to
+    itself is the first zero or repeated row, a NotExtremeError as
+    validation reports it (_first_non_vertex)."""
 
     dim: int
     primal_cleared: tuple[Rows, int]
     dual_cleared: tuple[Rows, int]
+    primal_negation: tuple[int, ...] = field(init=False)
+    dual_negation: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        for kind, cleared in (("primal", self.primal_cleared), ("dual", self.dual_cleared)):
+            negation = _negation(*cleared, kind)
+            if (i := next((i for i, j in enumerate(negation)
+                           if j == i or negation[j] != i), None)) is not None:
+                raise NotExtremeError(
+                    f"{kind} vertex {i} is a convex combination of the others")
+            object.__setattr__(self, f"{kind}_negation", negation)
 
     @classmethod
     def from_vertices(cls, vertices: Sequence[Sequence],
@@ -279,18 +295,15 @@ class PolyhedralSpace:
         supplied dual list must then be exactly the polar vertex set, in
         any order; the list is kept in the order given.  With
         validate=False a supplied list is taken as it is, and a missing
-        one is the polar with no extremality check (polar_dual).
+        one is the polar with no extremality check; either way the space
+        still checks the pairing of both lists, so a missing negation, a
+        zero row or a repeated row is refused.
 
         Entries may be ints, Fractions or anything Fraction() takes.
         Each list is cleared once, and a supplied dual list is compared
         with the polar as sorted rows over its least common denominator.
         """
-        primal = rows, den = _cleared_rows(vertices)
-        if not rows:
-            raise NotFullDimensionalError("empty vertex list")
-        n = len(rows[0])
-        if any(len(v) != n for v in rows):
-            raise InputFormatError("inconsistent vector lengths")
+        primal = rows, den = _point_rows(vertices)
         if validate or dual_vertices is None:
             dd = _double_description(rows, den)
             polar = _vertices_of(dd)
@@ -304,7 +317,7 @@ class PolyhedralSpace:
             if validate and (tuple(sorted(dual[0])), dual[1]) != polar:
                 raise NotExtremeError(
                     "supplied dual vertices are not the polar vertex set")
-        return cls(dim=n, primal_cleared=primal, dual_cleared=dual)
+        return cls(dim=len(rows[0]), primal_cleared=primal, dual_cleared=dual)
 
     @cached_property
     def primal_vertices(self) -> tuple[Vector, ...]:
@@ -317,30 +330,22 @@ class PolyhedralSpace:
         return _fraction_rows(*self.dual_cleared)
 
     @cached_property
-    def primal_negation(self) -> tuple[int, ...]:
-        """Index of -v for each primal vertex v."""
-        return _negation(*self.primal_cleared, "primal")
+    def primal_reps(self) -> tuple[int, ...]:
+        """One primal vertex of each antipodal pair: the indices i with
+        i < primal_negation[i], in order."""
+        return tuple(i for i, j in enumerate(self.primal_negation) if i < j)
 
     @cached_property
-    def dual_negation(self) -> tuple[int, ...]:
-        return _negation(*self.dual_cleared, "dual")
-
-    @cached_property
-    def primal_classes(self) -> tuple[tuple[int, ...], int]:
-        """One index per antipodal class of the primal vertices, and the
-        number of pairs among the classes (see _classes)."""
-        return _classes(self.primal_cleared[0])
-
-    @cached_property
-    def dual_classes(self) -> tuple[tuple[int, ...], int]:
-        return _classes(self.dual_cleared[0])
+    def dual_reps(self) -> tuple[int, ...]:
+        """One dual vertex of each antipodal pair, likewise."""
+        return tuple(i for i, j in enumerate(self.dual_negation) if i < j)
 
 
 def _negation(rows: Rows, den: int, kind: str) -> tuple[int, ...]:
-    """Index of the row -r for each row r, keyed on the integer rows (over
-    one common denominator, -v clears to the negated row of v).  A list
-    taken as given (validate=False) may miss a negation: NotSymmetricError
-    names the first such vertex."""
+    """Index of the last row -r for each row r, keyed on the integer rows
+    (over one common denominator, -v clears to the negated row of v).  A
+    row whose negation is not listed is a NotSymmetricError naming the
+    first such vertex."""
     index = {row: i for i, row in enumerate(rows)}
     try:
         return tuple(index[tuple(-x for x in row)] for row in rows)
@@ -351,33 +356,14 @@ def _negation(rows: Rows, den: int, kind: str) -> tuple[int, ...]:
             f"{kind} vertex ({vertex}) has no negation in the list") from None
 
 
-def _classes(rows: Rows) -> tuple[tuple[int, ...], int]:
-    """The index of the first row of each antipodal class, in order, the
-    classes {v, -v} whose -v is listed first and then the classes {v}
-    whose -v is not, and the number of the former.  Over a validated list
-    (symmetric, with no zero or repeated row) these are the rows i whose
-    negation comes after them."""
-    listed = set(rows)
-    seen: set[tuple[int, ...]] = set()
-    pairs: list[int] = []
-    singles: list[int] = []
-    for i, row in enumerate(rows):
-        if row not in seen:
-            negated = tuple(map(neg, row))
-            seen.update((row, negated))
-            (pairs if negated in listed else singles).append(i)
-    return tuple(pairs + singles), len(pairs)
-
-
-def class_max(values: Sequence[int], pairs: int, paired: bool = False) -> int:
-    """The largest value over every listed vertex, given the values at the
-    first row of each class, in the order of _classes: a pair {v, -v}
-    takes |value|, and so does every class when the value is a product
-    with a pair on the other side (`paired`); a singleton against a
-    singleton takes the value itself."""
-    if paired or pairs == len(values):
-        return max(map(abs, values))
-    return max(itertools.chain(map(abs, values[:pairs]), values[pairs:]))
+def _point_rows(vectors: Sequence[Sequence]) -> tuple[Rows, int]:
+    """A nonempty point list of one length, cleared (_cleared_rows)."""
+    rows, den = _cleared_rows(vectors)
+    if not rows:
+        raise NotFullDimensionalError("empty vertex list")
+    if any(len(v) != len(rows[0]) for v in rows):
+        raise InputFormatError("inconsistent vector lengths")
+    return rows, den
 
 
 def _cleared_rows(vectors: Sequence[Sequence]) -> tuple[Rows, int]:
@@ -393,16 +379,13 @@ def _fraction_rows(rows: Rows, den: int) -> tuple[Vector, ...]:
 
 
 def norm_eval(space: PolyhedralSpace, x: Sequence) -> Fraction:
-    """The norm of x: max over dual vertices f of f·x, in integers over
-    each antipodal class of the dual list once (class_max).  A space
-    built with validate=False is taken as given: a dual vertex whose
-    negation is not listed counts with its own sign."""
+    """The norm of x: max over dual vertices f of f·x, in integers, read
+    as |f·x| over one dual vertex of each antipodal pair (dual_reps)."""
     if len(x) != space.dim:
         raise ValueError(f"vector length {len(x)} != dimension {space.dim}")
     vec, den = over_denominator(x)
     F, df = space.dual_cleared
-    reps, pairs = space.dual_classes
-    return Fraction(class_max([int_dot(F[i], vec) for i in reps], pairs), den * df)
+    return Fraction(max(abs(int_dot(F[i], vec)) for i in space.dual_reps), den * df)
 
 
 @dataclass(frozen=True)
@@ -536,12 +519,12 @@ def general_position_check(space: PolyhedralSpace, Y: Subspace,
     n = space.dim
     k = Y.dim
     span, spans_checked = _first_failing_subset(
-        space.primal_cleared[0], space.primal_classes[0], Y.annihilator_num,
+        space.primal_cleared[0], space.primal_reps, Y.annihilator_num,
         n - k, 0, subset_cap, "vertex-span")
     if span is not None:
         return GeneralPositionReport(False, "span", span, spans_checked, 0)
     kernel, kernels_checked = _first_failing_subset(
-        space.dual_cleared[0], space.dual_classes[0], Y.basis_num, k,
+        space.dual_cleared[0], space.dual_reps, Y.basis_num, k,
         spans_checked, subset_cap, "kernel")
     if kernel is not None:
         return GeneralPositionReport(False, "kernel", kernel,

@@ -46,7 +46,7 @@ from operator import add, eq
 from typing import Iterable, Sequence
 
 from .errors import InternalError, NotMinimalError
-from .geometry import PolyhedralSpace, Subspace, class_max
+from .geometry import PolyhedralSpace, Subspace
 from .linalg import (RMatrix, complement_coordinates, int_dot, integer_inverse,
                      integer_nullspace, integer_row_rank, over_denominator)
 from .rational import format_rational
@@ -175,15 +175,17 @@ class PairGrid:
     f_at[j] (x) g_at[i], with f_at[j] the k values f_j(y_b) and g_at[i]
     the n - k values g(x_i).  coefs(r) and row(r) form one row where a
     stage reads it, and products(v) gives coefs(r)·v for every row
-    through the factors; coefs_num and constraint_matrix, every row
-    formed, are views for tests and the benchmark's tracer.
+    through the factors; constraint_matrix, every row formed, is a view
+    for the benchmark's tracer.
 
     The solver reads the LP through objective, beta, denominator, row,
     row_values and entering (see the simplex module docstring), and the
     grid folds its antipodal rows for entering.  negation[p] is the
-    position in f_at of the negation of the p-th dual vertex (f_at holds
-    every dual vertex in order, so this is the space's dual_negation).
-    The rows of (x_i, f) and (x_i, -f) in one block are partners: their
+    position in f_at of the negation of the p-th dual vertex: f_at holds
+    every dual vertex in order, so this is the space's dual_negation, an
+    involution without fixed points that the space checked when it was
+    built.  The rows of (x_i, f) and (x_i, -f) in one block are
+    partners: f_at and the bases are linear in the dual vertex, so their
     LP rows add up to [0 | -2D] and their beta entries to 0.  A real
     column's reduced cost is linear in its row, so the costs of two
     partners are integers that add up to one constant K of the round,
@@ -197,30 +199,14 @@ class PairGrid:
     takes the least of min p and K - max p and, among the representatives
     costed so and the partners of those costed K minus it, the lowest row; Bland's rule reads the
     unfolded list in row order (simplex.entering_column).  Either rule
-    picks the column the full pass picks, so no pivot changes.  The
-    pairing is checked once, when the grid is built: negation is an
-    involution without fixed points, it negates f_at, and the bases of
-    partner rows add up to 0.  One pairing of the dual vertices serves
-    every block."""
+    picks the column the full pass picks, so no pivot changes.  One
+    pairing of the dual vertices serves every block."""
 
     g_at: dict[int, tuple[int, ...]]
     f_at: dict[int, tuple[int, ...]]
     base_num: tuple[int, ...]
     denominator: int
     negation: tuple[int, ...]
-
-    def __post_init__(self):
-        neg = self.negation
-        if len(neg) != len(self.f_at) or any(
-                not 0 <= nj < len(neg) or nj == j or neg[nj] != j
-                for j, nj in enumerate(neg)):
-            raise ValueError("negation is not an involution without fixed points")
-        fs = list(self.f_at.values())
-        _, reps, mates, _ = self._folded
-        base = self.base_num
-        if (any(fs[nj] != tuple(-a for a in fs[j]) for j, nj in enumerate(neg))
-                or any(base[r] + base[p] for r, p in zip(reps, mates))):
-            raise ValueError("partner rows do not all add up to the same row")
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -246,14 +232,9 @@ class PairGrid:
         """The LP row [coefs(r) | -D]."""
         return self.coefs(r) + (-self.denominator,)
 
-    @cached_property
-    def coefs_num(self) -> tuple[tuple[int, ...], ...]:
-        """Every coefficient row, formed: a view for tests."""
-        return tuple(self.coefs(r) for r in range(len(self.base_num)))
-
     @property
     def constraint_matrix(self) -> RMatrix:
-        """A = [coefs_num | -D] / D in Fractions, every row formed on each
+        """A = [coefs(r) | -D] / D in Fractions, every row formed on each
         read, for readers of the LP as rationals; the solver never reads
         it."""
         D, d = self.denominator, len(self.objective)
@@ -426,19 +407,17 @@ def build_pair_grid(space: PolyhedralSpace, basis: OperatorBasis) -> PairGrid:
     vertex x_i has i < negp[i].  So the rows come in one block per kept
     x_i, with every dual vertex in order, and the partner of the row of
     (x_i, f_j), the class of (x_i, -f_j), is the row of (i, negd[j]) in
-    the same block: the grid's negation is the dual list's.  The bases
-    f(P0 x) are P0's bilinear form between the dual and the primal vertex
-    lists, one factored pass over the grid."""
-    negp = space.primal_negation
-    negd = space.dual_negation
-    nd = len(negd)
-    xs = [i for i in range(len(negp)) if i < negp[i]]
-    g_at, f_at, base_mult, den = _pair_factors(space, basis, xs, range(nd))
+    the same block: the grid's negation is the dual list's.  The kept
+    x_i are the space's primal_reps.  The bases f(P0 x) are P0's
+    bilinear form between the dual and the primal vertex lists, one
+    factored pass over the grid."""
+    xs, fs = space.primal_reps, range(len(space.dual_negation))
+    g_at, f_at, base_mult, den = _pair_factors(space, basis, xs, fs)
     base = _ProductPlan.of(space.dual_cleared[0], space.primal_cleared[0],
-                           xs, range(nd)).products(
+                           xs, fs).products(
         [a * base_mult for row in basis.p0_num for a in row])
     return PairGrid(g_at=g_at, f_at=f_at, base_num=tuple(base),
-                    denominator=den, negation=tuple(negd))
+                    denominator=den, negation=space.dual_negation)
 
 
 @dataclass
@@ -519,27 +498,26 @@ def _solve_lambda(space: PolyhedralSpace, Y: Subspace, basis: OperatorBasis,
 
 def operator_norm(space: PolyhedralSpace, matrix: RMatrix) -> Fraction:
     """Exact operator norm: the largest f(M x) over the ball's vertices x
-    and the dual vertices f, in integers over each antipodal class once.
+    and the dual vertices f, in integers over one vertex of each
+    antipodal pair.
 
     The matrix is cleared once to M / m_den, and each cleared vertex list
-    is read at the first vertex of each class (geometry._classes).  Per
-    primal class x, the values f(M x) of every dual class f are their
-    columns weighted by the image M x, one list pass per nonzero entry;
-    as f(M x) = x·(Mᵀ f), the loop runs over the shorter list.  Over two
-    classes the largest value is |f(M x)| when either is a pair {v, -v}
-    and f(M x) when both are singletons (geometry.class_max), so neither
-    list needs to be symmetric (validate=False takes them as given)."""
+    is read at its representatives (primal_reps, dual_reps).  Both lists
+    are symmetric, so the largest value over two pairs is |f(M x)| at
+    their representatives.  Per primal representative x, the values
+    f(M x) of every dual representative f are their columns weighted by
+    the image M x, one list pass per nonzero entry; as
+    f(M x) = x·(Mᵀ f), the loop runs over the shorter list."""
     n = space.dim
     if (matrix.rows, matrix.cols) != (n, n):
         raise ValueError(f"a {matrix.rows}x{matrix.cols} matrix on a space "
                          f"of dimension {n}")
     flat, m_den = over_denominator(matrix.entries)
     M = [flat[r * n:(r + 1) * n] for r in range(n)]
-    (X, dx), (x_reps, x_pairs) = space.primal_cleared, space.primal_classes
-    (F, df), (f_reps, f_pairs) = space.dual_cleared, space.dual_classes
-    X, F = [X[i] for i in x_reps], [F[j] for j in f_reps]
+    (X, dx), (F, df) = space.primal_cleared, space.dual_cleared
+    X, F = [X[i] for i in space.primal_reps], [F[j] for j in space.dual_reps]
     if len(X) > len(F):
-        M, X, x_pairs, F, f_pairs = list(zip(*M)), F, f_pairs, X, x_pairs
+        M, X, F = list(zip(*M)), F, X
     columns = list(zip(*F))
 
     def values(x):
@@ -549,8 +527,7 @@ def operator_norm(space: PolyhedralSpace, matrix: RMatrix) -> Fraction:
                 out = [s + v * f for s, f in zip(out, column)]
         return out
 
-    return Fraction(max(class_max(values(x), f_pairs, c < x_pairs)
-                        for c, x in enumerate(X)), m_den * dx * df)
+    return Fraction(max(max(map(abs, values(x))) for x in X), m_den * dx * df)
 
 
 def pair_values(space: PolyhedralSpace, matrix: RMatrix,

@@ -69,7 +69,7 @@ norm and the norm as they were in integers before they read each
 antipodal class once (``double_description_both_signs``, which must give
 the same set of (point, mask) and the same bits, ``operator_norm_every_vertex``
 and ``norm_every_vertex``, which must give the same values, also on
-lists that are not symmetric) and a closed form of the projection
+symmetric lists taken as given) and a closed form of the projection
 constant of a hyperplane in l-inf^n (``linf_hyperplane_lambda``), which
 checks the lambda LP with no LP at all.  ``gauge_lp_norm`` is the norm
 by its definition, one LP over the primal vertices, which checks
@@ -178,15 +178,20 @@ def gauge_lp_norm(space, x):
     return sol.value
 
 
+def grid_rows(grid):
+    """Every coefficient row of a pair grid, formed through grid.coefs."""
+    return tuple(grid.coefs(r) for r in range(len(grid.pairs)))
+
+
 def dense_grid_lp(grid):
     """The lambda LP of a pair grid over its formed rows: minimize t
-    s.t. coefs[r]·c - t <= -base[r], as [coefs_num | -D] and -base_num
+    s.t. coefs[r]·c - t <= -base[r], as [coefs | -D] and -base_num
     over D: every row costed, read and verified through the matrix."""
-    d = len(grid.coefs_num[0])
+    rows = grid_rows(grid)
     D = grid.denominator
     return LinearProgram(
-        objective=(0,) * d + (1,),
-        matrix=tuple(row + (-D,) for row in grid.coefs_num),
+        objective=(0,) * len(rows[0]) + (1,),
+        matrix=tuple(row + (-D,) for row in rows),
         beta=tuple(-b for b in grid.base_num),
         denominator=D,
     )
@@ -211,7 +216,7 @@ def grid_base(grid):
 def grid_coefs(grid):
     """f(L_q x) of every pair-grid row, in Fractions."""
     return tuple(tuple(Fraction(a, grid.denominator) for a in row)
-                 for row in grid.coefs_num)
+                 for row in grid_rows(grid))
 
 
 def dot(u, v):
@@ -254,7 +259,7 @@ def row_value(grid, r, coefficients):
     """The value of grid row r, f(P0 x) + sum_q c_q f(L_q x), at the
     operator coefficients c."""
     x, x_den = over_denominator(coefficients)
-    return Fraction(grid.base_num[r] * x_den + int_dot(grid.coefs_num[r], x),
+    return Fraction(grid.base_num[r] * x_den + int_dot(grid.coefs(r), x),
                     grid.denominator * x_den)
 
 
@@ -294,13 +299,13 @@ def face_basis_by_fractions(grid, implicit, rows, d):
     common multiple."""
     if implicit:
         cols = nullspace_by_fractions(
-            RMatrix.from_rows([grid.coefs_num[r] for r in implicit]))
+            RMatrix.from_rows([grid.coefs(r) for r in implicit]))
     else:
         cols = [tuple(Fraction(int(i == q)) for i in range(d)) for q in range(d)]
     cleared_cols = [over_denominator(col) for col in cols]
     C = lcm(*(den for _, den in cleared_cols))
     scaled = [[x * (C // den) for x in num] for num, den in cleared_cols]
-    return cols, {r: tuple(int_dot(grid.coefs_num[r], col) for col in scaled)
+    return cols, {r: tuple(int_dot(grid.coefs(r), col) for col in scaled)
                   for r in rows}, grid.denominator * C
 
 
@@ -546,7 +551,7 @@ def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
 
     spans_checked = 0
     seen_spans = set()
-    reps = space.primal_classes[0]
+    reps = space.primal_reps
     for size in range(1, min(n, len(reps)) + 1):
         for subset in itertools.combinations(reps, size):
             spans_checked += 1
@@ -563,7 +568,7 @@ def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
 
     kernels_checked = 0
     seen_kernels = set()
-    dreps = space.dual_classes[0]
+    dreps = space.dual_reps
     for size in range(1, min(n, len(dreps)) + 1):
         for subset in itertools.combinations(dreps, size):
             kernels_checked += 1
@@ -589,9 +594,9 @@ def general_position_per_subset(space, Y, subset_cap=DEFAULT_GP_CAP):
     integer rank of its projected rows, and of its raw rows when that
     rank is below the subset's size.  Same report, same budget errors."""
     return _general_position_report(
-        _first_failing_subset, (space.primal_vertices, space.primal_classes[0],
+        _first_failing_subset, (space.primal_vertices, space.primal_reps,
                                 Y.annihilator_functionals()),
-        (space.dual_vertices, space.dual_classes[0], Y.basis_vectors()),
+        (space.dual_vertices, space.dual_reps, Y.basis_vectors()),
         space.dim - Y.dim, Y.dim, subset_cap)
 
 
@@ -603,8 +608,8 @@ def general_position_by_leaf_walk(space, Y, subset_cap=DEFAULT_GP_CAP):
     integer rank.  Same report, same budget errors."""
     return _general_position_report(
         _first_failing_by_leaf_walk,
-        (space.primal_cleared[0], space.primal_classes[0], Y.annihilator_num),
-        (space.dual_cleared[0], space.dual_classes[0], Y.basis_num),
+        (space.primal_cleared[0], space.primal_reps, Y.annihilator_num),
+        (space.dual_cleared[0], space.dual_reps, Y.basis_num),
         space.dim - Y.dim, Y.dim, subset_cap)
 
 

@@ -641,9 +641,9 @@ def test_no_stage_forms_the_dense_grid_rows(tmp_path, capsys, monkeypatch, spy):
     # analyze, paper-suite and certify on each of its routes read the pair
     # grid through its rank-one factors: no LP on the l1^6 2-plane, one LP
     # on the l-inf^6 hyperplane (lambda = 1) and the optimal face for a
-    # wrong lambda_c (exit 1).  With the dense coefs_num view and the
-    # Fraction constraint_matrix (read by the benchmark's tracer alone)
-    # raising, every output and exit code is the same
+    # wrong lambda_c (exit 1).  With the Fraction constraint_matrix (read
+    # by the benchmark's tracer alone) raising, every output and exit code
+    # is the same
     argvs, routes = [], []
     for ball, k in ((linf_ball, 2), (l1_ball, 3)):
         path = tmp_path / f"{ball.__name__}4-k{k}.json"
@@ -672,7 +672,6 @@ def test_no_stage_forms_the_dense_grid_rows(tmp_path, capsys, monkeypatch, spy):
     def unbuilt(self):
         raise AssertionError("the dense grid rows were formed")
 
-    monkeypatch.setattr(projections.PairGrid, "coefs_num", property(unbuilt))
     monkeypatch.setattr(projections.PairGrid, "constraint_matrix", property(unbuilt))
     for argv, before in zip(argvs, expected):
         assert (cli.main(argv), capsys.readouterr()) == before, argv

@@ -1,12 +1,13 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from minproj import geometry, linalg, projections
+from minproj import errors, geometry, linalg, projections
 from minproj.catalog import l1_ball, linf_ball, mixed_ball, random_subspace
 from minproj.errors import (BudgetExceededError, InputFormatError, NotExtremeError,
                             NotFullDimensionalError, NotSymmetricError)
@@ -163,6 +164,50 @@ def test_validation_solves_no_lp(spy):
 def test_supplied_duals_accepted_when_exact():
     space = PolyhedralSpace.from_vertices(_cross(4), dual_vertices=_cube(4))
     assert norm_eval(space, (1, -2, 3, 0)) == 6
+
+
+# (primal list, dual list or None, error, message): lists taken as given
+# (validate=False) whose pairing is not an involution without fixed
+# points, refused when the space is built
+_UNPAIRED = {
+    "primal-missing": ([(1, 0), (-1, 0), ("1/2", 1)], [(1, 1), (-1, -1), (1, -1), (-1, 1)],
+                       "NotSymmetricError", "primal vertex (1/2, 1) has no negation in the list"),
+    "dual-missing": ([(1, 0), (-1, 0), (0, 1), (0, -1)], [(1, 1), (-1, -1), (1, -1)],
+                     "NotSymmetricError", "dual vertex (1, -1) has no negation in the list"),
+    "primal-zero": ([(1, 0), (-1, 0), (0, 0), (0, 1), (0, -1)], None,
+                    "NotExtremeError", "primal vertex 2 is a convex combination of the others"),
+    "dual-zero": ([(1, 0), (-1, 0), (0, 1), (0, -1)], [(1, 1), (-1, -1), (0, 0)],
+                  "NotExtremeError", "dual vertex 2 is a convex combination of the others"),
+    "primal-repeated": ([(1, 0), (0, 1), (-1, 0), (0, -1), (0, 1)], None,
+                        "NotExtremeError", "primal vertex 1 is a convex combination of the others"),
+    "dual-repeated": ([(1, 0), (-1, 0), (0, 1), (0, -1)], [(1, 1), (-1, -1), ("2/2", 1)],
+                      "NotExtremeError", "dual vertex 0 is a convex combination of the others"),
+}
+
+
+@pytest.mark.parametrize("case", _UNPAIRED)
+def test_unvalidated_space_refuses_an_unpaired_list(case):
+    # every space pairs each list with its negations when it is built,
+    # validate=False included: a missing negation, a zero row and a
+    # repeated row are refused there, whether the dual list is supplied
+    # or computed (the polar of a list with a zero or repeated row exists)
+    vertices, duals, error, message = _UNPAIRED[case]
+    with pytest.raises(getattr(errors, error), match=f"^{re.escape(message)}$"):
+        PolyhedralSpace.from_vertices(vertices, dual_vertices=duals, validate=False)
+
+
+def test_pairing_refusals_survive_python_O():
+    code = ("from minproj.errors import MinprojError\n"
+            "from minproj.geometry import PolyhedralSpace\n"
+            f"for vertices, duals, _, _ in {list(_UNPAIRED.values())!r}:\n"
+            "    try:\n"
+            "        PolyhedralSpace.from_vertices(vertices, duals, validate=False)\n"
+            "    except MinprojError as exc:\n"
+            "        print(type(exc).__name__, exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "".join(f"{error} {message}\n"
+                                 for _, _, error, message in _UNPAIRED.values())
 
 
 def test_norm_eval_matches_gauge_lp():
@@ -341,7 +386,7 @@ def _cut_prefixes(space, Y, size):
     pairs cuts a subtree at this size."""
     projected = [over_denominator([dot(space.primal_vertices[i], g)
                                    for g in Y.annihilator_functionals()])[0]
-                 for i in space.primal_classes[0]]
+                 for i in space.primal_reps]
     return [subset for subset, _, _ in subset_walk_by_leaves(projected, size)
             if len(subset) < size]
 
@@ -379,7 +424,7 @@ def test_general_position_counts_a_subtree_cut_above_the_leaf_batches():
     r = general_position_check(space, Y)
     assert r.in_general_position
     assert (r.spans_checked, r.kernels_checked) == (
-        sum(math.comb(7, s) for s in range(1, 6)), len(space.dual_classes[0]))
+        sum(math.comb(7, s) for s in range(1, 6)), len(space.dual_reps))
     for cap in range(r.spans_checked + r.kernels_checked + 1):
         assert (budget_outcome(general_position_check, space, Y, cap)
                 == budget_outcome(general_position_per_subset, space, Y, cap))
@@ -396,7 +441,7 @@ def test_general_position_budget_runs_out_inside_a_leaf_batch():
     space = PolyhedralSpace.from_vertices(
         [q for p in _DEPENDENT_TRIPLE for q in (p, tuple(-x for x in p))])
     Y = Subspace.from_basis([(1, 2, 4, 0, 16)])
-    reps = space.primal_classes[0]
+    reps = space.primal_reps
     assert _cut_prefixes(space, Y, 4) == [(0, 1, 2)]
     r = general_position_check(space, Y)
     assert r == general_position_per_subset(space, Y)

@@ -164,7 +164,7 @@ def test_verify_cm_matches_apply_oracle(cases):
 def _tight_rank(report, point):
     """Rank of the grid rows [coefs_r, -1] tight at (point, lambda)."""
     grid = report.grid
-    return integer_row_rank([grid.coefs_num[r] + (-grid.denominator,)
+    return integer_row_rank([grid.row(r)
                              for r in grid.tight_rows(point.coefficients, report.lam)])
 
 
@@ -311,9 +311,9 @@ def test_general_position_rows_walk_as_the_raw_rows_do(analyzed, seeded_analyze)
     for name, space, Y in inputs:
         n, k = space.dim, Y.dim
         for vectors, reps, directions, max_size in (
-                (space.primal_cleared[0], space.primal_classes[0],
+                (space.primal_cleared[0], space.primal_reps,
                  Y.annihilator_num, n - k),
-                (space.dual_cleared[0], space.dual_classes[0], Y.basis_num, k)):
+                (space.dual_cleared[0], space.dual_reps, Y.basis_num, k)):
             rows = _walk_rows(vectors, reps, directions)
             raw = general_position_rows_by_raw_vectors(vectors, reps, directions)
             assert [len(row) for row in rows] == [n] * len(reps), name

@@ -1,8 +1,10 @@
 """Package-wide properties of minproj."""
 
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import minproj
 
@@ -30,3 +32,13 @@ def test_all_lists_every_public_name():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)]
     assert sorted(minproj.__all__) == sorted(public)
+
+
+def test_no_module_asserts():
+    # python -O strips assert statements, so every check that matters is
+    # an explicit raise: no module of the package holds an assert
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(minproj.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -14,10 +14,10 @@ tight sets recomputed by dot products.  Extremality read off the masks
 alone is compared with the rank of the tight polar vertices and the LP
 test, and the integer operator norm with the Fraction one it replaced,
 also on the catalog spaces and mixed balls.  The double description,
-the norm and the operator norm, which read each antipodal class once,
-are compared with the passes over both signs and over every listed
-vertex that they replaced, the norms also on lists taken as given that
-mix pairs {v, -v} with singletons.  The projection constant of
+the norm and the operator norm, which read one vertex of each antipodal
+pair, are compared with the passes over both signs and over every
+listed vertex that they replaced, the norms also on symmetric lists
+taken as given that are neither extreme nor each other's polar.  The projection constant of
 random hyperplanes of l-inf^n is compared with Blatter and Cheney's
 closed form.
 
@@ -61,7 +61,7 @@ from minproj.projections import (OperatorPoint, build_operator_basis,
                                  operator_norm, projection_constant)
 from minproj.simplex import solve
 
-from oracles import (budget_outcome, certify_by_face, dense_grid_lp, dot,
+from oracles import (budget_outcome, certify_by_face, dense_grid_lp, dot, grid_rows,
                      double_description_both_signs, face_dimension_by_rounds,
                      face_dimension_by_vertices, first_non_extreme,
                      first_non_vertex_by_rank,
@@ -458,7 +458,7 @@ def test_factored_grid_agrees_with_dense_oracle(case, data):
     for c in (sol.primal[:d], point):
         x, x_den = over_denominator(c)
         assert grid.value_numerators(c) == (
-            [b * x_den + int_dot(row, x) for b, row in zip(grid.base_num, grid.coefs_num)],
+            [b * x_den + int_dot(row, x) for b, row in zip(grid.base_num, grid_rows(grid))],
             D * x_den)
     ints = st.integers(-10 ** 6, 10 ** 6)
     x = data.draw(st.lists(ints, min_size=d + 1, max_size=d + 1))
@@ -578,20 +578,16 @@ def test_operator_norm_agrees_with_fraction_oracle(space, data):
 @st.composite
 def unvalidated_spaces(draw):
     """A primal and a dual list taken as given (validate=False): small
-    rational points, the zero vector and repeats allowed, each followed
-    by its negation or not, as drawn, so a list mixes pairs {v, -v} and
-    singletons {v}."""
+    rational points, each list symmetric with no zero or repeated row,
+    the pairs {v, -v} in any order and neither list extreme nor the
+    other's polar."""
     n = draw(st.integers(2, 4))
 
     def points():
-        drawn = draw(st.lists(st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * n),
-                              min_size=1, max_size=n + 3))
-        out = []
-        for p in drawn:
-            out.append(p)
-            if draw(st.booleans()):
-                out.append(tuple(-x for x in p))
-        return out
+        drawn = draw(st.lists(st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * n)
+                              .filter(any), min_size=1, max_size=n + 3,
+                              unique_by=lambda p: max(p, tuple(-x for x in p))))
+        return draw(st.permutations([q for p in drawn for q in (p, tuple(-x for x in p))]))
 
     return PolyhedralSpace.from_vertices(points(), dual_vertices=points(),
                                          validate=False)
@@ -600,9 +596,9 @@ def unvalidated_spaces(draw):
 @_SETTINGS
 @given(unvalidated_spaces(), st.data())
 def test_norms_by_classes_on_unvalidated_lists(space, data):
-    # The class rule (|f(Mx)| when either class is a pair, f(Mx) when both
-    # are singletons) gives the maximum over every listed vertex, on lists
-    # that mix pairs and singletons
+    # Read as |value| over one vertex of each antipodal pair, the norm
+    # and the operator norm give the maximum over every listed vertex, on
+    # symmetric lists that are not extreme and not each other's polar
     n = space.dim
     entries = data.draw(st.lists(st.fractions(-5, 5, max_denominator=9),
                                  min_size=n * n, max_size=n * n))

@@ -13,9 +13,8 @@ row of each partner pair when it picks the entering column and reads
 its rows through its rank-one factors, is compared with the dense LP
 over every formed row (``oracles.dense_grid_lp``), pivot for pivot under
 both rules, also on the three n = 6 shapes of the certify benchmark,
-and its entering column is pinned on exact ties.  A negation that does
-not pair the dual vertices into partner rows of one sum is refused when
-the grid is built, also under ``python -O``.  It is also
+and its entering column is pinned on exact ties; it pairs its rows by
+the space's dual_negation.  It is also
 compared with the rational tableau before that: optimal solutions pivot
 for pivot, and every status (optimal, infeasible, unbounded) against the
 inequality-form tableau there.  With Bland's rule forced after one
@@ -31,7 +30,6 @@ import itertools
 from collections import Counter
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -47,7 +45,7 @@ from minproj.linalg import RMatrix, int_dot, solve_linear
 from minproj.projections import PairGrid, build_operator_basis, build_pair_grid
 from minproj.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                              _finish, _verify_certificate, solve)
-from oracles import (dense_grid_lp, dot, lp_rhs, make_lp, row_axpy, scale_row,
+from oracles import (dense_grid_lp, dot, grid_rows, lp_rhs, make_lp, row_axpy, scale_row,
                      solve_by_fraction_tableau, solve_by_full_tableau,
                      solve_on_face)
 
@@ -345,33 +343,19 @@ def test_n6_lambda_lps_match_the_dense_oracle(ball, k, lam_is_one):
     assert (sol.value == 1) == lam_is_one
 
 
-def _tampered_negations(grid):
-    """(negation, f_at, base_num, message): pairings of the dual vertices
-    that are not the grid's, and factors that its pairing does not
-    negate."""
-    neg, nd = grid.negation, len(grid.negation)
-    yield tuple(range(nd)), grid.f_at, grid.base_num, \
-        "negation is not an involution without fixed points"
-    # f paired with f' for f' not -f: two representatives swap partners
-    a, b = [j for j in range(nd) if j < neg[j]][:2]
-    swap = {a: neg[b], neg[b]: a, b: neg[a], neg[a]: b}
-    yield tuple(swap.get(j, neg[j]) for j in range(nd)), grid.f_at, grid.base_num, \
-        "partner rows do not all add up to the same row"
-    yield neg, {**grid.f_at, 0: tuple(2 * x for x in grid.f_at[0])}, grid.base_num, \
-        "partner rows do not all add up to the same row"
-    yield neg, grid.f_at, (grid.base_num[0] + 1,) + grid.base_num[1:], \
-        "partner rows do not all add up to the same row"
-
-
-def test_grid_lp_checks_its_partners_on_the_factors():
-    # the grid checks its pairing once, when it is built, on the factors:
-    # negated f_at, and negated bases in every block
-    space = linf_ball(3)
-    grid = build_pair_grid(space, build_operator_basis(space, random_subspace(3, 2, 7)))
-    assert grid.negation == space.dual_negation
-    for negation, f_at, base, message in _tampered_negations(grid):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            replace(grid, negation=negation, f_at=f_at, base_num=base)
+def test_grid_pairs_its_rows_by_the_space():
+    # the grid keeps the space's primal representatives and pairs its dual
+    # vertices by the space's dual_negation: f_at negates at each
+    # partner, and partner rows have bases that add up to 0 in every block
+    for ball in (linf_ball, l1_ball):
+        space = ball(3)
+        grid = build_pair_grid(space, build_operator_basis(space, random_subspace(3, 2, 7)))
+        neg, nd = grid.negation, len(grid.negation)
+        assert neg is space.dual_negation
+        assert tuple(grid.g_at) == space.primal_reps
+        assert all(grid.f_at[neg[j]] == tuple(-a for a in grid.f_at[j]) for j in range(nd))
+        assert all(grid.base_num[r] + grid.base_num[r - r % nd + neg[r % nd]] == 0
+                   for r in range(len(grid.pairs)))
 
 
 @pytest.mark.parametrize("stall_switch", [simplex._STALL_SWITCH, 1])
@@ -386,7 +370,8 @@ def test_folded_pricing_keeps_every_pivot(stall_switch, ball, n, k_index, seed):
     # the base
     grid = _seeded_grid(ball, n, 1 + k_index % (n - 1), seed)
     nd = len(grid.negation)
-    assert all(grid.coefs_num[p] == tuple(-a for a in grid.coefs_num[r])
+    rows = grid_rows(grid)
+    assert all(rows[p] == tuple(-a for a in rows[r])
                and grid.base_num[p] == -grid.base_num[r]
                for r, p in ((r, r - r % nd + grid.negation[r % nd])
                             for r in range(len(grid.pairs))))
@@ -416,63 +401,6 @@ def test_bland_rule_runs_on_the_folded_path(monkeypatch):
             assert solve(grid) == solve(dense_grid_lp(grid))
     assert bland_rounds["folded"] >= 10, bland_rounds
     assert bland_rounds["folded"] == bland_rounds["full"]
-
-
-def _small_grid():
-    """The grid of the line through (1, 2) in l-inf^2: two blocks of four
-    rows over the dual vertices e1, -e1, e2, -e2, negation (1, 0, 3, 2),
-    f_at (1), (-1), (2), (-2), g_at (-2), (-6), D = 2 and beta
-    (-1, 1, -2, 2, 1, -1, 2, -2)."""
-    space = linf_ball(2)
-    return build_pair_grid(space, build_operator_basis(space, Subspace.from_basis([(1, 2)])))
-
-
-_NEGATION = (1, 0, 3, 2)
-_BETA = (-1, 1, -2, 2, 1, -1, 2, -2)
-
-
-@pytest.mark.parametrize("partner, beta, message", [
-    ((0, 1, 3, 2), _BETA, "negation is not an involution without fixed points"),
-    ((1, 2, 0, 3), _BETA, "negation is not an involution without fixed points"),
-    ((1, 0, 3, 4), _BETA, "negation is not an involution without fixed points"),
-    ((1, 0), _BETA, "negation is not an involution without fixed points"),
-    (_NEGATION, (-1, 1, -2, 2, 1, -1, 2, -1), "partner rows do not all add up to the same row"),
-    ((2, 3, 0, 1), (-1, 1, 1, -1, 1, -1, -1, 1), "partner rows do not all add up to the same row"),
-])
-def test_partner_must_pair_rows_of_one_sum(partner, beta, message):
-    # partner is each dual vertex's partner, the grid's negation: a fixed
-    # point, a 3-cycle, a vertex out of range, a short list, a base that
-    # does not negate, and f_at that does not negate (rows (x, f) and
-    # (x, f') with f' not -f, whose bases do add up to 0)
-    grid = _small_grid()
-    assert (grid.negation, grid.beta) == (_NEGATION, _BETA)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        replace(grid, negation=partner, base_num=tuple(-b for b in beta))
-
-
-def test_partner_checks_survive_python_O():
-    code = ("from dataclasses import replace\n"
-            "from minproj.catalog import linf_ball\n"
-            "from minproj.geometry import Subspace\n"
-            "from minproj.projections import build_operator_basis, build_pair_grid\n"
-            "space = linf_ball(2)\n"
-            "grid = build_pair_grid(space, build_operator_basis(\n"
-            "    space, Subspace.from_basis([(1, 2)])))\n"
-            "base = (1, -1, 2, -2, -1, 1, -2, 2)\n"
-            "for negation, base in (((0, 1, 3, 2), base),\n"
-            "                       ((1, 2, 0, 3), base),\n"
-            "                       ((1, 0, 3, 4), base),\n"
-            "                       ((1, 0), base),\n"
-            "                       ((1, 0, 3, 2), (1, -1, 2, -2, -1, 1, -2, 1)),\n"
-            "                       ((2, 3, 0, 1), (1, -1, -1, 1, -1, 1, 1, -1))):\n"
-            "    try:\n"
-            "        replace(grid, negation=negation, base_num=base)\n"
-            "    except ValueError as exc:\n"
-            "        print(exc)\n")
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == ("negation is not an involution without fixed points\n" * 4
-                          + "partner rows do not all add up to the same row\n" * 2)
 
 
 @pytest.mark.parametrize("basis, w, bf, dantzig, bland", [
