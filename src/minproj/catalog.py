@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InputFormatError
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import Vector, cleared, integer_row_rank
+from .linalg import Vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -203,5 +204,7 @@ def random_subspace(n: int, k: int, seed: int) -> Subspace:
     stream = _Stream(seed)
     while True:
         rows = [tuple(stream.rational() for _ in range(n)) for _ in range(k)]
-        if integer_row_rank(cleared(rows)[0]) == k:
+        try:
             return Subspace.from_basis(rows)
+        except InputFormatError:  # the rows are dependent
+            continue

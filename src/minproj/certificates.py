@@ -92,10 +92,10 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     conditions -- (1) vanishing on every basis operator of L_Y(X, Y),
     (2) T(Y) contained in Y, (3) every pair norming for P, (4) trace of
     T|_Y equal to lam.  basis is the operator basis of (space, Y) that
-    the caller built (projections.build_operator_basis).
+    the caller built (projections.build_operator_basis), read only by (3).
 
     The images T y_b = sum_i a_i f_i(y_b) x_i are formed in integers, over
-    the cleared vertices, weights and basis of Y, with no matrix of T.
+    the cleared vertices, weights and Y's own families, with no matrix of T.
     For L_q = y_b (x) g_j, q = b(n-k) + j, the vanishing sum is
     sum_i a_i f_i(y_b) g_j(x_i) = g_j(T y_b), so (1) and (2) fail
     together, at the first nonzero g_j(T y_b): (1) reports its value and
@@ -127,23 +127,23 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     F, df = space.dual_cleared
     # T y_b over t_den; g_j(T y_b) over g_den·t_den.
     images = []
-    for y in basis.y_num:
+    for y in Y.basis_num:
         image = [0] * space.dim
         for (pi, dj), ai in zip(cm.pairs, a):
             c = ai * int_dot(F[dj], y)
             if c:
                 image = [s + c * x for s, x in zip(image, X[pi])]
         images.append(image)
-    t_den = da * df * dx * basis.y_den
+    t_den = da * df * dx * Y.basis_den
     leak = next(((q, s) for q, s in enumerate(
-        int_dot(g, image) for image in images for g in basis.g_num) if s), None)
+        int_dot(g, image) for image in images for g in Y.annihilator_num) if s), None)
     if leak is not None:
         q, s = leak
         violations.append(
             f"vanishing: basis operator {q} gives "
-            f"{format_rational(Fraction(s, basis.g_den * t_den))}")
+            f"{format_rational(Fraction(s, Y.annihilator_den * t_den))}")
         violations.append(
-            f"invariance: T(basis vector {q // len(basis.g_num)}) leaves Y")
+            f"invariance: T(basis vector {q // len(Y.annihilator_num)}) leaves Y")
 
     M, m_den = basis.realize_cleared(P) if realized is None else realized
     values, den = pair_values(space, M, cm.pairs)
@@ -164,11 +164,11 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
         # trace of the images' coordinates is tr C·y_den / t_den.
         k = len(images)
         reduced = integer_rref([list(column) + [image[r] for image in images]
-                                for r, column in enumerate(zip(*basis.y_num))])
+                                for r, column in enumerate(zip(*Y.basis_num))])
         if reduced[-1][0] >= k:
             raise InternalError("an image of Y in Y has no coordinates in its basis")
         L = lcm(*(row[b] for b, row in reduced))
-        trace_num = sum(row[k + b] * (L // row[b]) for b, row in reduced) * basis.y_den
+        trace_num = sum(row[k + b] * (L // row[b]) for b, row in reduced) * Y.basis_den
         trace_den = L * t_den
         if trace_num * lam.denominator != lam.numerator * trace_den:
             violations.append(
@@ -293,7 +293,8 @@ def cm_from_dual(report: MinProjReport) -> CMFunctional:
 
 
 def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPPORT_CAP,
-                       in_general_position: bool = False) -> tuple[CMFunctional, int]:
+                       in_general_position: bool = False,
+                       dual: CMFunctional | None = None) -> tuple[CMFunctional, int]:
     """Smallest-support certificate over the implicit pairs of a report
     whose face is settled (face_dimension); ValueError otherwise.
 
@@ -352,7 +353,9 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
     solved exactly for their weights, from the same integer columns, and
     tested for w > 0.  The hit, the lambda dual's certificate included,
     is verified at the report's relative-interior point, a minimal
-    projection, before it is returned.
+    projection, before it is returned, except dual, cm_from_dual(report)
+    when the caller holds it, which is returned as it is when that point
+    is the witness, where cm_from_dual verified it.
     """
     if report.interior is None:
         raise ValueError("the report's optimal face is not settled")
@@ -364,7 +367,9 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
     grid = report.grid
     smallest = report.space.dim if in_general_position and report.lam > 1 else 1
     if rows == report.dual_rows and len(rows) >= smallest:
-        return _verified(report, CMFunctional(
+        if dual is not None and report.interior == report.witness:
+            return dual, len(dual.pairs)
+        return _verified(report, dual or CMFunctional(
             pairs=tuple(grid.pairs[r] for r in rows), weights=report.dual_weights))
 
     d = report.basis.dimension

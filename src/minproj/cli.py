@@ -139,7 +139,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     def support_search() -> dict:
         small, size = minimal_support_cm(
             report, max_candidates=cap,
-            in_general_position=isinstance(gp, dict) and gp["in_general_position"])
+            in_general_position=isinstance(gp, dict) and gp["in_general_position"],
+            dual=cm)
         return {"size": size, "certificate": certificate_json(small, report.lam)}
 
     support = ("skipped" if args.skip_support_search

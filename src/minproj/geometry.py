@@ -18,7 +18,6 @@ same way, and the Fraction vertex lists are views formed on demand.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,8 +27,8 @@ from typing import Sequence
 
 from .errors import (BudgetExceededError, InputFormatError, InternalError,
                      NotExtremeError, NotFullDimensionalError, NotSymmetricError)
-from .linalg import (Vector, complement_coordinates, independent_rows, int_dot,
-                     integer_inverse, integer_nullspace, over_denominator,
+from .linalg import (Vector, cleared, complement_coordinates, independent_rows,
+                     int_dot, integer_inverse, integer_nullspace, over_denominator,
                      primitive, subset_walk)
 from .rational import format_rational
 
@@ -313,7 +312,7 @@ class PolyhedralSpace:
         if dual_vertices is None:
             dual = polar
         else:
-            dual = _cleared_rows(dual_vertices)
+            dual = cleared(dual_vertices)
             if validate and (tuple(sorted(dual[0])), dual[1]) != polar:
                 raise NotExtremeError(
                     "supplied dual vertices are not the polar vertex set")
@@ -357,21 +356,13 @@ def _negation(rows: Rows, den: int, kind: str) -> tuple[int, ...]:
 
 
 def _point_rows(vectors: Sequence[Sequence]) -> tuple[Rows, int]:
-    """A nonempty point list of one length, cleared (_cleared_rows)."""
-    rows, den = _cleared_rows(vectors)
+    """A nonempty point list of one length, cleared (linalg.cleared)."""
+    rows, den = cleared(vectors)
     if not rows:
         raise NotFullDimensionalError("empty vertex list")
     if any(len(v) != len(rows[0]) for v in rows):
         raise InputFormatError("inconsistent vector lengths")
     return rows, den
-
-
-def _cleared_rows(vectors: Sequence[Sequence]) -> tuple[Rows, int]:
-    """The vectors as integer rows over their least common denominator,
-    each row as long as its vector."""
-    flat, den = over_denominator([x for v in vectors for x in v])
-    entries = iter(flat)
-    return tuple(tuple(itertools.islice(entries, len(v))) for v in vectors), den
 
 
 def _fraction_rows(rows: Rows, den: int) -> tuple[Vector, ...]:
@@ -432,12 +423,12 @@ class Subspace:
 
     @classmethod
     def from_basis(cls, vectors: Sequence[Sequence]) -> "Subspace":
-        return cls(*_cleared_rows(vectors))
+        return cls(*cleared(vectors))
 
     @classmethod
     def from_kernel(cls, functionals: Sequence[Sequence]) -> "Subspace":
         """Subspace cut out as the joint kernel of the given functionals."""
-        rows, _ = _cleared_rows(functionals)
+        rows, _ = cleared(functionals)
         if not rows:
             raise InputFormatError("empty functional list")
         if any(len(g) != len(rows[0]) for g in rows):

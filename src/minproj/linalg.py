@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -102,14 +102,12 @@ def over_denominator(v: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
-def cleared(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """The vectors as integer lists over one common denominator d > 0, the
-    least one: vectors[i] = rows[i] / d."""
+def cleared(vectors: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The vectors as integer rows over their least common denominator
+    d > 0, vectors[i] = rows[i] / d, each row as long as its vector."""
     flat, den = over_denominator([x for v in vectors for x in v])
-    width = len(vectors[0]) if vectors else 0
-    if width == 0:
-        return [[] for _ in vectors], den
-    return [flat[i:i + width] for i in range(0, len(flat), width)], den
+    entries = iter(flat)
+    return tuple(tuple(islice(entries, len(v))) for v in vectors), den
 
 
 def primitive(row: list[int]) -> list[int]:

@@ -13,23 +13,25 @@ start; Gordan rounds (one small LP each) decide only the other tight
 rows, and none is needed when the dual's rows already fix the point.
 
 Everything stays in integers from the subspace to the tableau.  The
-operator basis holds Y's basis, the annihilator that Subspace computes
-from it, and P0 as integers over one denominator each, and checks P0 in
-integers; the space holds its vertex lists cleared once.  The pair grid
-is the lambda LP itself, its rows integers over one grid denominator,
-kept as their rank-one factors: the row of the pair (x, f) is
-f(y_b)·g(x) over the basis operators y_b (x) g, the outer product of the
-k values f(y_b) and the n - k values g(x), so the grid holds k + (n - k)
-integers per vertex in place of k(n - k) per pair.  A row is formed only
-where a stage reads it: the LP's entering column and basis, the tight
-rows of the face stage and the support columns.  Every pass over all
-rows (the bases f(P0 x), row values, tight rows, slacks and rises, the
-lambda LP's pricing and its verification) is a factored pass over the
-product of the two vertex lists, one short dot product per pair after
-one side is formed per vertex.  A certificate's few rows are formed one
-by one (pair_rows).  The Gordan rounds hand their integer rows to the
-simplex as they are.  The face's nullspace basis is read off the integer
-reduced echelon form of the implicit rows.
+operator basis reads its operators off Y's own basis and annihilator
+and holds P0 = sum_b y_b (x) h_b as its k functionals h_b, checked in
+integers; no n x n matrix of P0 is formed.  The space holds its vertex
+lists cleared once.  The pair grid is the lambda LP itself, its rows
+integers over one grid denominator, kept as their rank-one factors: the
+row of the pair (x, f) is f(y_b)·g(x) over the basis operators
+y_b (x) g, the outer product of the k values f(y_b) and the n - k values
+g(x), so the grid holds k + (n - k) integers per vertex in place of
+k(n - k) per pair; its base f(P0 x) is the same f(y_b) against the k
+values h_b(x).  A row is formed only where a stage reads it: the LP's
+entering column and basis, the tight rows of the face stage and the
+support columns.  Every pass over all rows (the bases, row values,
+tight rows, slacks and rises, the lambda LP's pricing and its
+verification) is a factored pass over the product of the two vertex
+lists, one short dot product per pair after one side is formed per
+vertex.  A certificate's few rows are formed one by one (pair_rows).
+The Gordan rounds hand their integer rows to the simplex as they are.
+The face's nullspace basis is read off the integer reduced echelon form
+of the implicit rows.
 
 Every stage after the lambda solve reads the space, Y, the operator
 basis, the grid and the witness off the MinProjReport it returns.
@@ -64,78 +66,78 @@ class OperatorPoint:
 @dataclass(frozen=True)
 class OperatorBasis:
     """A fixed projection P0 onto Y plus the basis L_q = y_b (x) g_j of
-    L_Y(X, Y), q = b(n-k) + j, in integers: Y's basis vectors are
-    y_num / y_den, the annihilator's functionals g_num / g_den, and P0 is
-    p0_num / p0_den, each family over one common denominator.
-    base_projection and basis_ops are the same in Fractions."""
+    L_Y(X, Y), q = b(n-k) + j, in integers.  The operators are read off
+    the subspace's own families, its basis y_b = basis_num_b / basis_den
+    and its annihilator g_j = annihilator_num_j / annihilator_den, and P0
+    is held as its k functionals: P0 = sum_b basis_num_b (x) h_num_b /
+    h_den, with h_num_b·basis_num_c = h_den·[b = c].  base_projection and
+    basis_ops are the same in Fractions."""
 
-    y_num: tuple[tuple[int, ...], ...]
-    y_den: int
-    g_num: tuple[tuple[int, ...], ...]
-    g_den: int
-    p0_num: tuple[tuple[int, ...], ...]
-    p0_den: int
+    subspace: Subspace
+    h_num: tuple[tuple[int, ...], ...]
+    h_den: int
 
     @property
     def dimension(self) -> int:
         """k(n-k), the number of basis operators."""
-        return len(self.y_num) * len(self.g_num)
+        return len(self.h_num) * len(self.subspace.annihilator_num)
 
     @cached_property
     def base_projection(self) -> RMatrix:
-        return RMatrix.from_rows([[Fraction(x, self.p0_den) for x in row]
-                                  for row in self.p0_num])
+        hs = list(zip(*self.h_num))
+        return RMatrix.from_rows([[Fraction(int_dot(y, h), self.h_den) for h in hs]
+                                  for y in zip(*self.subspace.basis_num)])
 
     @cached_property
     def basis_ops(self) -> tuple[RMatrix, ...]:
-        den = self.y_den * self.g_den
+        Y = self.subspace
+        den = Y.basis_den * Y.annihilator_den
         return tuple(RMatrix.from_rows([[Fraction(a * b, den) for b in g] for a in y])
-                     for y in self.y_num for g in self.g_num)
+                     for y in Y.basis_num for g in Y.annihilator_num)
 
     def realize_cleared(self, point: OperatorPoint) -> tuple[RMatrix, int]:
         """P0 + sum_q c_q L_q as an integer matrix over a denominator.
         With the coefficients cleared to cn / cd, L_q = y_b (x) g_j gives
-        the sum sum_b y_num_b (x) w_b / (y_den·g_den·cd),
-        w_b = sum_j cn_q g_num_j, taken over the lcm with P0's."""
+        P = sum_b basis_num_b (x) (h_mult·h_num_b + op_mult·w_b) / den,
+        w_b = sum_j cn_q annihilator_num_j (q = b(n-k) + j), with den the
+        lcm of h_den and basis_den·annihilator_den·cd: one k x n
+        combination, then its product with Y's basis."""
         if len(point.coefficients) != self.dimension:
             raise ValueError("coefficient count does not match the operator basis")
         cn, cd = over_denominator(point.coefficients)
-        G = self.g_num
-        ws = [[int_dot(cn[b * len(G):(b + 1) * len(G)], col) for col in zip(*G)]
-              for b in range(len(self.y_num))]
-        op_den = self.y_den * self.g_den * cd
-        den = lcm(self.p0_den, op_den)
-        p_mult, op_mult = den // self.p0_den, den // op_den
-        n = len(self.p0_num)
-        w_cols = list(zip(*ws))
-        return RMatrix(n, n, tuple(
-            p * p_mult + op_mult * int_dot(y, w)
-            for row, y in zip(self.p0_num, zip(*self.y_num))
-            for p, w in zip(row, w_cols))), den
+        Y = self.subspace
+        G, m = list(zip(*Y.annihilator_num)), len(Y.annihilator_num)
+        op_den = Y.basis_den * Y.annihilator_den * cd
+        den = lcm(self.h_den, op_den)
+        h_mult, op_mult = den // self.h_den, den // op_den
+        combination = [[h_mult * h + op_mult * int_dot(cn[b * m:(b + 1) * m], g)
+                        for h, g in zip(h_row, G)] for b, h_row in enumerate(self.h_num)]
+        cols = list(zip(*combination))
+        return RMatrix(len(cols), len(cols), tuple(
+            int_dot(y, col) for y in zip(*Y.basis_num) for col in cols)), den
 
 
 def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     """P0 projects onto Y along the first standard basis vectors
     independent from Y; basis ops are y_b (x) g_j over Y's basis and
-    annihilator.
+    annihilator, which Y holds.
 
-    Everything runs in integers.  Y's basis y_num / y_den and the
-    annihilator g_num / g_den are Y's own integer families.
-    linalg.complement_coordinates picks the complement e_J of Y's basis,
-    the one general_position_check also reads.  With M the matrix of the
-    columns y_num_b and the chosen e_j, the first k rows h_b of M^-1 have
-    h_b·y_num_c = [b = c] and vanish on the e_j, so P0 = sum_b y_num_b (x)
-    h_b, over the least common denominator h_den of those rows.  As h_b
-    is zero on J, its entries on the other k coordinates I are row b of
-    the inverse of Y's k x k minor there, the matrix of rows
-    (y_num_c[i])_c for i in I (linalg.integer_inverse), and M itself is
-    never inverted.  One guard raises InternalError: H·Y = h_den·I, k^2
-    dot products of length k over I.  P0^2 = P0 and P0 y = y both follow
-    from it, as P0 y_c = sum_b y_b (h_b·y_c) / h_den = y_c.  A singular
-    minor raises InternalError too.  Each L_q vanishes on Y and the
-    k(n-k) operators y_num_b (x) g_num_j are independent (rank(A (x) B)
-    = rank A · rank B) by construction: Subspace computes its
-    annihilator as the nullspace of its independent basis."""
+    Everything runs in integers.  linalg.complement_coordinates picks the
+    complement e_J of Y's basis, the one general_position_check also
+    reads.  With M the matrix of the columns basis_num_b and the chosen
+    e_j, the first k rows h_b of M^-1 have h_b·basis_num_c = [b = c] and
+    vanish on the e_j, so P0 = sum_b basis_num_b (x) h_b, kept as those k
+    rows over their least common denominator h_den.  As h_b is zero on
+    J, its entries on the other k coordinates I are row b of the inverse
+    of Y's k x k minor there, the matrix of rows (basis_num_c[i])_c for i
+    in I (linalg.integer_inverse), and M itself is never inverted.  One
+    guard raises InternalError: H·Y = h_den·I, k^2 dot products of length
+    k over I.  P0^2 = P0 and P0 y = y both follow from it, as P0 y_c =
+    sum_b y_b (h_b·y_c) / h_den = y_c.  A singular minor raises
+    InternalError too.  Each L_q vanishes on Y and the k(n-k) operators
+    y_b (x) g_j are independent (rank(A (x) B) = rank A · rank B) by
+    construction: Subspace computes its annihilator as the nullspace of
+    its independent basis."""
     n = space.dim
     k = Y.dim
     ys = Y.basis_num
@@ -150,15 +152,9 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     if any(int_dot(h, y) != h_den * (b == c)
            for b, h in enumerate(minor_inv) for c, y in enumerate(zip(*minor))):
         raise InternalError("base projection does not fix Y")
-    hs = [[0] * n for _ in range(k)]
-    for h, row in zip(hs, minor_inv):
-        for i, x in zip(I, row):
-            h[i] = x
-    h_cols = list(zip(*hs))
-    P = [[int_dot(y, h) for h in h_cols] for y in zip(*ys)]
-    return OperatorBasis(y_num=ys, y_den=Y.basis_den, g_num=Y.annihilator_num,
-                         g_den=Y.annihilator_den, p0_num=tuple(map(tuple, P)),
-                         p0_den=h_den)
+    at = {i: c for c, i in enumerate(I)}
+    h_num = tuple(tuple(row[at[i]] if i in at else 0 for i in range(n)) for row in minor_inv)
+    return OperatorBasis(subspace=Y, h_num=h_num, h_den=h_den)
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,8 @@ class PairGrid:
     position in f_at of the negation of the p-th dual vertex: f_at holds
     every dual vertex in order, so this is the space's dual_negation, an
     involution without fixed points that the space checked when it was
-    built.  The rows of (x_i, f) and (x_i, -f) in one block are
+    built, and reps, the positions p < negation[p], is its dual_reps.
+    The rows of (x_i, f) and (x_i, -f) in one block are
     partners: f_at and the bases are linear in the dual vertex, so their
     LP rows add up to [0 | -2D] and their beta entries to 0.  A real
     column's reduced cost is linear in its row, so the costs of two
@@ -207,6 +204,7 @@ class PairGrid:
     base_num: tuple[int, ...]
     denominator: int
     negation: tuple[int, ...]
+    reps: tuple[int, ...]
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -250,9 +248,8 @@ class PairGrid:
         """The plan over the representatives, (kept x_i) x (f_j before its
         negation), their rows in ascending order, their partners' rows and
         their beta entries."""
-        neg, nd = self.negation, len(self.negation)
-        ps = [p for p in range(nd) if p < neg[p]]
-        starts = range(0, len(self.base_num), nd)
+        neg, ps = self.negation, self.reps
+        starts = range(0, len(self.base_num), len(neg))
         reps = [s + p for s in starts for p in ps]
         fs = list(self.f_at)
         return (_ProductPlan.of(self.f_at, self.g_at, list(self.g_at), [fs[p] for p in ps]),
@@ -315,8 +312,8 @@ class _ProductPlan:
     two factor tables: f_at[j]·V·g_at[i] for every pair (i, j), x outer,
     with V the k x h matrix of a vector v, for f_at's entries of length k
     and g_at's of length h.  For a grid's tables, h = n - k and this is
-    coefs·v; for P0's integer matrix between the dual and the primal
-    vertex lists, it is the bilinear form f(P0 x).
+    coefs·v; between f_at and the primal vertex list, h = n, and at P0's
+    k functionals it is the bases f(P0 x).
 
     One side is formed first: W_i = V·g_at[i] per primal vertex, after
     which each pair costs the k products W_i·f_at[j], or A_j = f_at[j]·V
@@ -369,20 +366,25 @@ class _ProductPlan:
 def _pair_factors(space: PolyhedralSpace, basis: OperatorBasis,
                   xs: Iterable[int], fs: Iterable[int]
                   ) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]],
-                             int, int]:
-    """The rank-one factors of the rows f(L_q x) = f(y)·g(x) over the
-    listed primal and dual vertices, in the order of build_operator_basis
-    (y outer, g inner), as integers: g_at, f_at, the multiplier of P0's
-    entries and the row denominator.  f(y) = f_at/(df·dy),
-    g(x) = g_at/(dg·dx)·(L/(dy·dg)) and P0 = p0_num/dp are all read over
-    df·dx·L, L = lcm(dy·dg, dp)."""
+                             list[list[int]], int]:
+    """The factors of the rows f(L_q x) = f(y_b)·g(x) and of the bases
+    f(P0 x) = sum_b f(y_b)·h_b(x) over the listed primal and dual
+    vertices, in the order of build_operator_basis (y outer, g inner), as
+    integers: g_at, f_at, P0's k functionals hs and the row denominator.
+    With f_at[j] = F_j·y_num_b, g_at[i] = g_num·x_i·L/(dy·dg) and
+    hs = h_num·L/dh, the row of (x_i, f_j) is f_at[j] (x) g_at[i] and its
+    base f_at[j]·hs·x_i, over df·dx·L, L = lcm(dy·dg, dh), with x_i and
+    F_j the cleared vertices and dy, dg and dh the denominators of Y's
+    basis, its annihilator and P0's functionals."""
     X, dx = space.primal_cleared
     F, df = space.dual_cleared
-    L = lcm(basis.y_den * basis.g_den, basis.p0_den)
-    coef_mult = L // (basis.y_den * basis.g_den)
-    g_at = {i: tuple(int_dot(g, X[i]) * coef_mult for g in basis.g_num) for i in xs}
-    f_at = {j: tuple(int_dot(F[j], y) for y in basis.y_num) for j in fs}
-    return g_at, f_at, L // basis.p0_den, df * dx * L
+    Y = basis.subspace
+    op_den = Y.basis_den * Y.annihilator_den
+    L = lcm(op_den, basis.h_den)
+    g_mult, h_mult = L // op_den, L // basis.h_den
+    g_at = {i: tuple(int_dot(g, X[i]) * g_mult for g in Y.annihilator_num) for i in xs}
+    f_at = {j: tuple(int_dot(F[j], y) for y in Y.basis_num) for j in fs}
+    return g_at, f_at, [[a * h_mult for a in h] for h in basis.h_num], df * dx * L
 
 
 def pair_rows(space: PolyhedralSpace, basis: OperatorBasis,
@@ -390,15 +392,15 @@ def pair_rows(space: PolyhedralSpace, basis: OperatorBasis,
               ) -> tuple[list[list[int]], list[int], int]:
     """The coefficient rows f(L_q x) and the bases f(P0 x) of the listed
     pairs (x, f), by index into the space's vertex lists, as integers
-    over one denominator, formed row by row: the products of the grid's
-    factors (_pair_factors), and pair_values on P0's integer matrix."""
-    g_at, f_at, base_mult, den = _pair_factors(
+    over one denominator, formed row by row from the grid's factors
+    (_pair_factors): f_at[j] (x) g_at[i], and f_at[j] against the k
+    values hs·x_i, formed once per primal vertex."""
+    g_at, f_at, hs, den = _pair_factors(
         space, basis, {i for i, _ in pairs}, {j for _, j in pairs})
-    n = space.dim
-    P0 = RMatrix(n, n, tuple(a for row in basis.p0_num for a in row))
-    values, _ = pair_values(space, P0, pairs)
+    X = space.primal_cleared[0]
+    h_at = {i: [int_dot(h, X[i]) for h in hs] for i in g_at}
     return ([[a * b for a in f_at[j] for b in g_at[i]] for i, j in pairs],
-            [v * base_mult for v in values], den)
+            [int_dot(f_at[j], h_at[i]) for i, j in pairs], den)
 
 
 def build_pair_grid(space: PolyhedralSpace, basis: OperatorBasis) -> PairGrid:
@@ -407,17 +409,16 @@ def build_pair_grid(space: PolyhedralSpace, basis: OperatorBasis) -> PairGrid:
     vertex x_i has i < negp[i].  So the rows come in one block per kept
     x_i, with every dual vertex in order, and the partner of the row of
     (x_i, f_j), the class of (x_i, -f_j), is the row of (i, negd[j]) in
-    the same block: the grid's negation is the dual list's.  The kept
-    x_i are the space's primal_reps.  The bases f(P0 x) are P0's
-    bilinear form between the dual and the primal vertex lists, one
-    factored pass over the grid."""
+    the same block: the grid's negation and representatives are the dual
+    list's.  The kept x_i are the space's primal_reps.  The bases
+    f_at[j]·hs·x_i (_pair_factors) are one factored pass between f_at
+    and the primal vertex list at V = hs, P0's k x n functionals."""
     xs, fs = space.primal_reps, range(len(space.dual_negation))
-    g_at, f_at, base_mult, den = _pair_factors(space, basis, xs, fs)
-    base = _ProductPlan.of(space.dual_cleared[0], space.primal_cleared[0],
-                           xs, fs).products(
-        [a * base_mult for row in basis.p0_num for a in row])
-    return PairGrid(g_at=g_at, f_at=f_at, base_num=tuple(base),
-                    denominator=den, negation=space.dual_negation)
+    g_at, f_at, hs, den = _pair_factors(space, basis, xs, fs)
+    base = _ProductPlan.of(f_at, space.primal_cleared[0], xs, fs).products(
+        [a for h in hs for a in h])
+    return PairGrid(g_at=g_at, f_at=f_at, base_num=tuple(base), denominator=den,
+                    negation=space.dual_negation, reps=space.dual_reps)
 
 
 @dataclass

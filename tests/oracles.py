@@ -90,7 +90,10 @@ A few helpers serve the tests alone: ``make_lp`` builds the integer LP
 of ``minproj.simplex`` from plain numbers and ``lp_rhs`` reads its
 right-hand side back in Fractions, ``grid_base`` and ``grid_coefs`` read
 the pair-grid rows in Fractions, ``pair_rows_by_fractions`` forms them
-from the space and the operator basis in Fractions, ``dot`` is the
+from the space and the operator basis in Fractions,
+``bases_by_base_projection`` forms each base f(P0 x) through the n x n
+matrix of P0, as the grid did before P0 was held as its k functionals,
+``dot`` is the
 Fraction dot product, ``matmul`` and ``matadd`` multiply and add
 ``RMatrix`` values, and
 ``space_json`` writes a space in the schema that
@@ -115,7 +118,8 @@ from minproj.linalg import (RMatrix, independent_rows, int_dot, integer_inverse,
                             integer_solve, over_denominator, primitive)
 from minproj.projections import (OperatorPoint, _first_slack_step,
                                   build_operator_basis, face_dimension,
-                                  norming_pairs, pair_rows, projection_constant)
+                                  norming_pairs, pair_rows, pair_values,
+                                  projection_constant)
 from minproj.rational import format_rational
 from minproj import simplex
 from minproj.simplex import (_MAX_PIVOTS, _STALL_SWITCH, INFEASIBLE, OPTIMAL,
@@ -206,6 +210,19 @@ def pair_rows_by_fractions(space, basis, pairs):
     return [(dot(F[j], basis.base_projection.apply(X[i])),
              tuple(dot(F[j], op.apply(X[i])) for op in basis.basis_ops))
             for i, j in pairs]
+
+
+def bases_by_base_projection(space, basis, pairs):
+    """f(P0 x) of each listed pair (x, f), in Fractions, by the n x n
+    route: base_projection cleared to one integer matrix over its
+    denominator and applied to the cleared vertex lists
+    (projections.pair_values), the bilinear form the pair grid and
+    pair_rows read their bases from before P0 was held as its k
+    functionals."""
+    n = space.dim
+    flat, den = over_denominator(basis.base_projection.entries)
+    values, vertex_den = pair_values(space, RMatrix(n, n, tuple(flat)), pairs)
+    return [Fraction(v, den * vertex_den) for v in values]
 
 
 def grid_base(grid):
@@ -1105,24 +1122,25 @@ def verify_cm_by_pair_rows(space, Y, cm, lam, P, basis=None):
     X, dx = space.primal_cleared
     F, df = space.dual_cleared
     a, da = over_denominator(cm.weights)
+    Z = basis.subspace
     images = []
-    for y in basis.y_num:
+    for y in Z.basis_num:
         image = [0] * space.dim
         for (pi, dj), ai in zip(cm.pairs, a):
             c = ai * int_dot(F[dj], y)
             if c:
                 image = [s + c * x for s, x in zip(image, X[pi])]
         images.append(image)
-    t_den = da * df * dx * basis.y_den
+    t_den = da * df * dx * Z.basis_den
     leak = next(((q, s) for q, s in enumerate(
-        int_dot(g, image) for image in images for g in basis.g_num) if s), None)
+        int_dot(g, image) for image in images for g in Z.annihilator_num) if s), None)
     if leak is not None:
         q, s = leak
         violations.append(
             f"vanishing: basis operator {q} gives "
-            f"{format_rational(Fraction(s, basis.g_den * t_den))}")
+            f"{format_rational(Fraction(s, Z.annihilator_den * t_den))}")
         violations.append(
-            f"invariance: T(basis vector {q // len(basis.g_num)}) leaves Y")
+            f"invariance: T(basis vector {q // len(Z.annihilator_num)}) leaves Y")
 
     if len(P.coefficients) != basis.dimension:
         raise ValueError("coefficient count does not match the operator basis")
@@ -1142,11 +1160,11 @@ def verify_cm_by_pair_rows(space, Y, cm, lam, P, basis=None):
         k = len(images)
         coords = integer_solve(
             [list(column) + [image[r] for image in images]
-             for r, column in enumerate(zip(*basis.y_num))], k)
+             for r, column in enumerate(zip(*Z.basis_num))], k)
         if coords is None:
             raise InternalError("an image of Y in Y has no coordinates in its basis")
         trace = (sum((coords[b][b] for b in range(k)), Fraction(0))
-                 * basis.y_den / t_den)
+                 * Z.basis_den / t_den)
         if trace != lam:
             violations.append(
                 f"trace: {format_rational(trace)} differs from {format_rational(lam)}")

@@ -462,10 +462,10 @@ def test_support_search_starts_at_one_when_general_position_stops(
     # stops at its budget, with the same support either way
     starts = []
 
-    def search(report, max_candidates, in_general_position):
+    def search(report, max_candidates, in_general_position, dual):
         starts.append(in_general_position)
         return certificates.minimal_support_cm(report, max_candidates,
-                                               in_general_position)
+                                               in_general_position, dual)
 
     monkeypatch.setattr(cli, "minimal_support_cm", search)
     path = _seeded_input(tmp_path, l1_ball, 4, 3)
@@ -756,12 +756,12 @@ def test_any_other_exception_exits_4(space_file, capsys, monkeypatch, error, lin
 def test_pipeline_certificate_failure_exits_4(tmp_path, capsys, monkeypatch, failure):
     # analyze hands cm_from_dual and minimal_support_cm only its own solve,
     # so a certificate they reject is an internal failure, not bad input.
-    # The l1^3 2-plane's lambda dual is its only certificate, so the
-    # support search returns it with no walk, and "support-hit" rejects
-    # that return; the seeded l1^4 hyperplane has 6 implicit pairs over
-    # 4 dual ones, so "no-support" reaches the walk
+    # The seeded l1^4 hyperplane has 6 implicit pairs over 4 dual ones, so
+    # the support search walks: "support-hit" rejects the verification of
+    # the walk's hit, and "no-support" finds none.  "dual" rejects the
+    # l1^3 2-plane's lambda dual
     path = tmp_path / "l1.json"
-    if failure == "no-support":
+    if failure != "dual":
         path.write_text(json.dumps(space_json(l1_ball(4), random_subspace(4, 3, 7))))
     else:
         path.write_text(json.dumps(dict(L1_3, subspace_basis=[["1", "-1", "0"],
@@ -795,6 +795,30 @@ def test_pipeline_certificate_failure_exits_4(tmp_path, capsys, monkeypatch, fai
                        "certificate: trace: simulated bug\n",
         "no-support": "internal error: no valid certificate over the candidate pairs\n",
     }[failure]
+
+
+@pytest.mark.parametrize("ball, n, k", [(linf_ball, 4, 3), (l1_ball, 4, 2),
+                                        (linf_ball, 5, 4), (l1_ball, 5, 2)])
+def test_a_dual_only_certificate_is_verified_once(tmp_path, capsys, monkeypatch,
+                                                  ball, n, k):
+    # On these seeded inputs the lambda dual is the only certificate over
+    # the implicit pairs and the relative-interior point is the witness:
+    # cm_from_dual verifies it there, and the support search hands the
+    # same certificate back with no second verify_cm
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space_json(ball(n), random_subspace(n, k, 7))))
+    calls = []
+    original = certificates.verify_cm
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "verify_cm", counting)
+    assert cli.main(["analyze", "--input", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["support_search"]["certificate"] == report["cm_certificate"]
+    assert len(calls) == 1
 
 
 def test_reused_parser_gives_the_bytes_of_a_fresh_one(space_file, tmp_path, capsys):

@@ -26,6 +26,12 @@ def _lcg_stream(seed):
         yield state >> 33
 
 
+def _as_rows(result):
+    """(rows, den) with the rows as tuples, the form linalg.cleared returns."""
+    rows, den = result
+    return tuple(map(tuple, rows)), den
+
+
 def _random_matrix(seed, m, n, bound=6):
     g = _lcg_stream(seed)
     return RMatrix.from_rows([
@@ -150,7 +156,7 @@ def test_eliminations_agree_with_their_oracles(M, data):
         zip(pivots, expected))
     # the nullspace over its least common denominator, and with no rows
     # the unit vectors
-    assert integer_nullspace(ints, M.cols) == tuple(cleared(nullspace_by_fractions(M)))
+    assert _as_rows(integer_nullspace(ints, M.cols)) == cleared(nullspace_by_fractions(M))
     assert integer_nullspace([], M.cols) == (
         [[int(i == j) for i in range(M.cols)] for j in range(M.cols)], 1)
     # a right-hand side in the column space and one drawn freely, alone
@@ -173,8 +179,9 @@ def test_eliminations_agree_with_their_oracles(M, data):
     square = [row[:s] for row in ints[:s]]
     Minv = inverse_by_fractions(RMatrix.from_rows(square))
     for count in range(s + 1):
-        assert integer_inverse(square, count) == (
-            None if Minv is None else tuple(cleared(Minv[:count])))
+        inv = integer_inverse(square, count)
+        assert (None if inv is None else _as_rows(inv)) == (
+            None if Minv is None else cleared(Minv[:count]))
 
 
 @_SETTINGS

@@ -44,21 +44,20 @@ import pytest
 from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from minproj.catalog import linf_ball, mixed_ball, paper_cases, random_subspace
+from minproj.catalog import l1_ball, linf_ball, mixed_ball, paper_cases, random_subspace
 from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
                                   cm_rank_gap, minimal_support_cm, verify_cm)
 from minproj.errors import (BudgetExceededError, NotExtremeError,
                             NotFullDimensionalError, NotSymmetricError)
-from minproj.geometry import (PolyhedralSpace, Subspace, _cleared_rows,
-                              _double_description, _first_non_vertex, _vertices_of,
-                              _walk_rows, general_position_check, norm_eval,
-                              polar_dual)
+from minproj.geometry import (PolyhedralSpace, Subspace, _double_description,
+                              _first_non_vertex, _vertices_of, _walk_rows,
+                              general_position_check, norm_eval, polar_dual)
 from minproj.linalg import (RMatrix, cleared, int_dot, integer_row_rank,
                             over_denominator, subset_walk)
 from minproj.projections import (OperatorPoint, build_operator_basis,
                                  build_pair_grid, face_dimension,
                                  max_norming_projection, norming_pairs,
-                                 operator_norm, projection_constant)
+                                 operator_norm, pair_rows, projection_constant)
 from minproj.simplex import solve
 
 from oracles import (budget_outcome, certify_by_face, dense_grid_lp, dot, grid_rows,
@@ -69,7 +68,8 @@ from oracles import (budget_outcome, certify_by_face, dense_grid_lp, dot, grid_r
                      general_position_exhaustive, general_position_per_subset,
                      general_position_rows_by_raw_vectors,
                      is_extreme, linf_hyperplane_lambda,
-                     minimal_support_by_solve, norm_every_vertex,
+                     bases_by_base_projection, minimal_support_by_solve,
+                     norm_every_vertex,
                      nullspace_by_fractions, operator_basis_by_fractions,
                      operator_norm_by_fractions, operator_norm_every_vertex,
                      pair_rows_by_fractions,
@@ -253,7 +253,7 @@ def test_extremality_from_masks_agrees_with_rank_and_lp_oracles(vertices, data):
     # also with half a listed point and its negation (interior points)
     # or the zero vector inserted, and with the duplicates the lists hold
     points = _with_inner_points(vertices, data)
-    dd = _double_description(*_cleared_rows(points))
+    dd = _double_description(*cleared(points))
     first = _first_non_vertex(dd)
     assert first == first_non_vertex_by_rank(dd, len(vertices[0]))
     assert first == first_non_extreme(points)
@@ -354,14 +354,14 @@ def test_double_description_masks_are_the_tight_sets(vertices, data):
     for label, case in _polar_cases(vertices, data).items():
         expected = _polar_outcome(polar_dual_by_fractions, case)
         try:
-            dd = _double_description(*_cleared_rows(case))
+            dd = _double_description(*cleared(case))
         except (NotSymmetricError, NotFullDimensionalError) as exc:
             assert (type(exc), str(exc)) == expected, label
             continue
         rows, den = _vertices_of(dd)
         assert tuple(tuple(Fraction(x, den) for x in row) for row in rows) == expected, label
         # sorted integer rows over the least common denominator
-        assert (rows, den) == _cleared_rows(expected), label
+        assert (rows, den) == cleared(expected), label
         pairs, bits = _pairs_and_bits(case)
         assert dd.bits == bits, label
         assert dd.tights == [_tight_mask(X, pairs) for X in dd.points], label
@@ -426,8 +426,9 @@ def test_operator_basis_agrees_with_fraction_oracle(case, data):
         expected = operator_basis_by_fractions(space, Y)
         assert ours.base_projection == expected.base_projection
         assert ours.basis_ops == expected.basis_ops
-        assert ([list(y) for y in ours.y_num], ours.y_den) == cleared(expected.y_basis)
-        assert ([list(g) for g in ours.g_num], ours.g_den) == cleared(expected.annihilator)
+        Z = ours.subspace
+        assert (Z.basis_num, Z.basis_den) == cleared(expected.y_basis)
+        assert (Z.annihilator_num, Z.annihilator_den) == cleared(expected.annihilator)
 
 
 @_SETTINGS
@@ -469,6 +470,35 @@ def test_factored_grid_agrees_with_dense_oracle(case, data):
         assert grid.entering(w, bf, bland) == dense.entering(w, bf, bland)
 
 
+def _assert_bases_agree(space, Y):
+    """The grid's bases base_num / denominator, and the bases pair_rows
+    forms on every (primal, dual) pair, against f(P0 x) by the n x n
+    route (oracles.bases_by_base_projection)."""
+    basis = build_operator_basis(space, Y)
+    grid = build_pair_grid(space, basis)
+    assert [Fraction(b, grid.denominator) for b in grid.base_num] == (
+        bases_by_base_projection(space, basis, grid.pairs))
+    pairs = list(itertools.product(range(len(space.primal_negation)),
+                         range(len(space.dual_negation))))
+    _, bases, D = pair_rows(space, basis, pairs)
+    assert [Fraction(b, D) for b in bases] == bases_by_base_projection(space, basis, pairs)
+
+
+def test_grid_bases_agree_with_the_base_projection_oracle_on_the_catalog():
+    # Each grid base is f_at[j]·h_at[i] over P0's k functionals; the
+    # n x n matrix of P0 gives the same values on every catalog case
+    for case in paper_cases():
+        _assert_bases_agree(case.space, case.subspace)
+
+
+@_SETTINGS
+@given(st.sampled_from((l1_ball, linf_ball)), st.integers(2, 5), st.data())
+def test_grid_bases_agree_with_the_base_projection_oracle(ball, n, data):
+    # The same on seeded subspaces of every dimension of both balls, n <= 5
+    k = data.draw(st.integers(1, n - 1))
+    _assert_bases_agree(ball(n), random_subspace(n, k, data.draw(st.integers(0, 10 ** 6))))
+
+
 def _assert_subspace_families(vectors):
     """The families of Subspace against the Fraction nullspace: the
     annihilator of from_basis, and the basis of from_kernel (the
@@ -477,12 +507,10 @@ def _assert_subspace_families(vectors):
     rows = RMatrix.from_rows(vectors)
     Y = Subspace.from_basis(vectors)
     assert Y.annihilator_functionals() == nullspace_by_fractions(rows)
-    assert ([list(g) for g in Y.annihilator_num], Y.annihilator_den) == cleared(
-        nullspace_by_fractions(rows))
+    assert (Y.annihilator_num, Y.annihilator_den) == cleared(nullspace_by_fractions(rows))
     Z = Subspace.from_kernel(vectors)
     assert Z.basis_vectors() == nullspace_by_fractions(rows)
-    assert ([list(y) for y in Z.basis_num], Z.basis_den) == cleared(
-        nullspace_by_fractions(rows))
+    assert (Z.basis_num, Z.basis_den) == cleared(nullspace_by_fractions(rows))
 
 
 @_SETTINGS
@@ -525,7 +553,7 @@ def _description_outcome(double_description, points):
     """The set of (point, mask) of a double description, its number of
     points and its bits, or the error it raises."""
     try:
-        dd = double_description(*_cleared_rows(points))
+        dd = double_description(*cleared(points))
     except (NotSymmetricError, NotFullDimensionalError) as exc:
         return type(exc), str(exc)
     return set(zip(map(tuple, dd.points), dd.tights)), len(dd.points), dd.bits
