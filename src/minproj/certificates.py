@@ -23,8 +23,9 @@ representation of the target over them.
 Both read lambda, the basis and the grid off the MinProjReport they
 extend.  certify_cm judges a given certificate
 from the Chalmers-Metcalf bound it proves, with one exact solve when its
-pairs determine the projection, one LP when they do not, and the optimal
-face only when the certificate is not valid.  The solved projection is
+pairs determine the projection, one LP started at the certificate when
+they do not, and the optimal face only when the certificate is not
+valid.  The solved projection is
 accepted by its exact operator norm on the vertex lists, so that route
 builds no pair grid; the grid is built only for the lambda LP.
 """
@@ -39,9 +40,9 @@ from .errors import BudgetExceededError, InputFormatError, InternalError
 from .geometry import PolyhedralSpace, Subspace
 from .linalg import (RMatrix, int_dot, integer_row_rank, integer_rref,
                      integer_solve, over_denominator, subset_walk)
-from .projections import (MinProjReport, OperatorBasis, OperatorPoint, _solve_lambda,
-                          build_operator_basis, build_pair_grid, face_dimension,
-                          operator_norm, pair_rows, pair_values)
+from .projections import (MinProjReport, OperatorBasis, OperatorPoint, PairGrid,
+                          _solve_lambda, build_operator_basis, build_pair_grid,
+                          face_dimension, operator_norm, pair_rows, pair_values)
 from .rational import format_rational
 
 #: Largest candidate set the minimal-support search enumerates by default.
@@ -199,34 +200,45 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
       each antipodal class once, is at most lam, and no pair grid is
       built;
     - one LP: otherwise the lambda LP is solved, and its witness is tried
-      when its value is lam;
+      when its value is lam.  A valid certificate is a feasible point of
+      the LP's dual, so the solve starts at the certificate's own grid
+      rows (_lp_start) and runs phase II from there, or, when that point
+      is not a feasible basic one, the two-phase solve from scratch
+      (simplex.solve); either witness is a minimal projection;
     - the face: when verify_cm fails at the projection tried, or there is
       none, the certificate is not valid.  face_dimension finds the
       relative interior of the optimal face and verify_cm runs there, as
-      in the full pipeline, so the violations read the same.
+      in the full pipeline, so the violations read the same.  The
+      interior is read off the witness of the lambda LP solved with no
+      start, as the full pipeline solves it, so a started certificate
+      that fails costs a second solve on the same grid and moves no
+      byte.
 
     One operator basis serves every route, and the certificate's pair
-    rows are formed once, for the rank and the no-LP solve.  Each point
-    tried is realized as an integer matrix once: its operator norm and
-    the verdict's norming values read the same matrix.  The pair grid is
-    built only for the lambda LP, at most once.
+    rows are formed once, for the rank, the no-LP solve and the start.
+    Each point tried is realized as an integer matrix once: its operator
+    norm and the verdict's norming values read the same matrix.  The
+    pair grid is built only for the lambda LP, at most once.
     """
     basis = build_operator_basis(space, Y)
     n_p, n_d = len(space.primal_cleared[0]), len(space.dual_cleared[0])
-    report = point = realized = None
+    grid = report = point = realized = None
+    start: list[int] = []
     if all(0 <= i < n_p and 0 <= j < n_d for i, j in cm.pairs):
-        full_rank, point, realized = _projection_normed_by(
-            pair_rows(space, basis, cm.pairs), space, basis, lam)
+        rows = pair_rows(space, basis, cm.pairs)
+        full_rank, point, realized = _projection_normed_by(rows, space, basis, lam)
         if not full_rank:
-            report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
+            grid = build_pair_grid(space, basis)
+            start = _lp_start(space, grid, cm, rows, lam)
+            report = _solve_lambda(space, Y, basis, grid, start)
             if report.lam == lam:
                 point, realized = report.witness, report.witness_cleared
     if point is not None:
         verdict = verify_cm(space, Y, cm, lam, point, basis=basis, realized=realized)
         if verdict.ok:
             return lam, verdict
-    if report is None:
-        report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
+    if report is None or start:
+        report = _solve_lambda(space, Y, basis, grid or build_pair_grid(space, basis))
     face_dimension(report)
     verdict = verify_cm(space, Y, cm, lam, report.interior, basis=basis,
                         realized=report.interior_cleared)
@@ -235,6 +247,31 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
             f"the certificate proves lambda >= {format_rational(lam)}, "
             f"the LP gives {format_rational(report.lam)}")
     return report.lam, verdict
+
+
+def _lp_start(space: PolyhedralSpace, grid: PairGrid, cm: CMFunctional,
+              rows: tuple[list[list[int]], list[int], int], lam: Fraction) -> list[int]:
+    """The grid's rows of the certificate's pairs (PairGrid.rows_of),
+    where the lambda LP starts, or none when the certificate is not a
+    feasible point of the LP's dual of value lam.  rows are the pairs'
+    rows (coefs, base, D) of projections.pair_rows, over the grid's
+    denominator.
+
+    The weights a are such a point when they are positive, sum to one
+    and vanish against the rows, sum_i a_i coefs_i = 0, which is T
+    vanishing on L_Y(X, Y); its value is then sum_i a_i f_i(P0 x_i),
+    the trace of T by the Chalmers-Metcalf identity.  When one of these
+    fails, or two pairs repeat, so does verify_cm (weights, vanishing
+    or trace), whatever the LP gives, and no start is tried.  Otherwise
+    the start's basic point is a itself unless its columns are
+    dependent."""
+    coefs, base, D = rows
+    a, da = over_denominator(cm.weights)
+    if (min(a) <= 0 or sum(a) != da or len(set(cm.pairs)) < len(cm.pairs)
+            or any(int_dot(a, column) for column in zip(*coefs))
+            or int_dot(a, base) * lam.denominator != lam.numerator * da * D):
+        return []
+    return grid.rows_of(cm.pairs, space.primal_negation)
 
 
 def _projection_normed_by(rows: tuple[list[list[int]], list[int], int],

@@ -26,9 +26,11 @@ has sum_i a_i f_i(P x_i) = lambda_c, so lambda >= lambda_c, and any
 projection of norm at most lambda_c closes the gap.  When the
 certificate's pairs determine a projection, that one is solved for and
 checked by its exact operator norm on the vertex lists, with no LP and
-no pair grid; otherwise one lambda LP supplies the projection.  Only a
-certificate that fails there goes through the optimal face, and its
-report is the one the full pipeline gives (certificates.certify_cm).
+no pair grid; otherwise one lambda LP supplies the projection, started
+at the certificate's own pairs, a feasible point of its dual.  Only a
+certificate that fails there goes through the optimal face, with the
+LP solved from scratch, and its report is the one the full pipeline
+gives (certificates.certify_cm).
 Its checks object has one entry per name of certificates.CHECKS, false
 for the checks the verdict failed.
 """

@@ -19,7 +19,7 @@ same way, and the Fraction vertex lists are views formed on demand.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -67,11 +67,13 @@ class _Polar:
     h > 0, standing for P / h, each with its tight mask: bit 2p (2p + 1)
     is set when the point is tight at +u_p (-u_p), u_p the p-th antipodal
     pair of listed points.  bits holds, per listed point, the bit that
-    stands for it (None for the zero vector)."""
+    stands for it (None for the zero vector), and negation the listed
+    points' pairing (_negation), which the symmetry check formed."""
 
     points: list[list[int]]
     tights: list[int]
     bits: list[int | None]
+    negation: tuple[int, ...]
 
 
 def _vertices_of(polar: _Polar) -> tuple[Rows, int]:
@@ -130,7 +132,7 @@ def _double_description(rows: Rows, den: int) -> _Polar:
     it lies on.  No rank is taken, and no Fraction is formed.
     """
     n = len(rows[0])
-    _negation(rows, den, "primal")
+    negation = _negation(rows, den, "primal")
 
     # One representative u per antipodal pair, in order of first
     # occurrence; bit 2p of a tight mask stands for +u_p, bit 2p+1 for -u_p.
@@ -217,7 +219,7 @@ def _double_description(rows: Rows, den: int) -> _Polar:
 
     points += [partner(X) for X in points]
     tights += swapped(tights)
-    return _Polar(points, tights, [bit_of[w] for w in rows])
+    return _Polar(points, tights, [bit_of[w] for w in rows], negation)
 
 
 def _first_non_vertex(polar: _Polar) -> int | None:
@@ -264,17 +266,23 @@ class PolyhedralSpace:
     row is its own negation, and a repeated row r sends the negation of
     -r to r's last occurrence, so the first index not paired back to
     itself is the first zero or repeated row, a NotExtremeError as
-    validation reports it (_first_non_vertex)."""
+    validation reports it (_first_non_vertex).  pairing is the primal
+    list's _negation when the caller has formed it, as from_vertices
+    has when the double description ran, so the list is paired once; it
+    is checked as one formed here would be."""
 
     dim: int
     primal_cleared: tuple[Rows, int]
     dual_cleared: tuple[Rows, int]
     primal_negation: tuple[int, ...] = field(init=False)
     dual_negation: tuple[int, ...] = field(init=False)
+    pairing: InitVar[tuple[int, ...] | None] = None
 
-    def __post_init__(self):
-        for kind, cleared in (("primal", self.primal_cleared), ("dual", self.dual_cleared)):
-            negation = _negation(*cleared, kind)
+    def __post_init__(self, pairing):
+        for kind, cleared, negation in (("primal", self.primal_cleared, pairing),
+                                        ("dual", self.dual_cleared, None)):
+            if negation is None:
+                negation = _negation(*cleared, kind)
             if (i := next((i for i, j in enumerate(negation)
                            if j == i or negation[j] != i), None)) is not None:
                 raise NotExtremeError(
@@ -287,8 +295,9 @@ class PolyhedralSpace:
                       validate: bool = True) -> "PolyhedralSpace":
         """Build a space, validating symmetry, full dimension and extremality.
 
-        The polar dual is computed exactly, with one symmetry check, and
-        each primal vertex is proved extreme off the polar's tight masks
+        The polar dual is computed exactly, with one symmetry check,
+        whose pairing of the primal list the space keeps, and each
+        primal vertex is proved extreme off the polar's tight masks
         alone: the polar vertices tight at it share no other listed
         point (see _first_non_vertex), with no rank and no LP.  A
         supplied dual list must then be exactly the polar vertex set, in
@@ -303,8 +312,10 @@ class PolyhedralSpace:
         with the polar as sorted rows over its least common denominator.
         """
         primal = rows, den = _point_rows(vertices)
+        pairing = None
         if validate or dual_vertices is None:
             dd = _double_description(rows, den)
+            pairing = dd.negation
             polar = _vertices_of(dd)
             if validate and (i := _first_non_vertex(dd)) is not None:
                 raise NotExtremeError(
@@ -316,7 +327,8 @@ class PolyhedralSpace:
             if validate and (tuple(sorted(dual[0])), dual[1]) != polar:
                 raise NotExtremeError(
                     "supplied dual vertices are not the polar vertex set")
-        return cls(dim=len(rows[0]), primal_cleared=primal, dual_cleared=dual)
+        return cls(dim=len(rows[0]), primal_cleared=primal, dual_cleared=dual,
+                   pairing=pairing)
 
     @cached_property
     def primal_vertices(self) -> tuple[Vector, ...]:

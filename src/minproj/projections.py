@@ -221,6 +221,17 @@ class PairGrid:
     def beta(self) -> tuple[int, ...]:
         return tuple(-b for b in self.base_num)
 
+    def rows_of(self, pairs: Iterable[tuple[int, int]],
+                primal_negation: Sequence[int]) -> list[int]:
+        """The row of each pair (x_i, f_j), by index into the space's
+        vertex lists: j in the block of x_i when x_i is kept, else the row
+        of its antipodal class, (x_{negp[i]}, f_{negation[j]}), with negp
+        the space's primal_negation."""
+        nd = len(self.negation)
+        block = {i: b * nd for b, i in enumerate(self.g_at)}
+        return [block[i] + j if i in block else block[primal_negation[i]] + self.negation[j]
+                for i, j in pairs]
+
     def coefs(self, r: int) -> tuple[int, ...]:
         """The coefficient row of row r, formed from its factors."""
         i, j = self.pairs[r]
@@ -412,13 +423,20 @@ def build_pair_grid(space: PolyhedralSpace, basis: OperatorBasis) -> PairGrid:
     the same block: the grid's negation and representatives are the dual
     list's.  The kept x_i are the space's primal_reps.  The bases
     f_at[j]·hs·x_i (_pair_factors) are one factored pass between f_at
-    and the primal vertex list at V = hs, P0's k x n functionals."""
-    xs, fs = space.primal_reps, range(len(space.dual_negation))
-    g_at, f_at, hs, den = _pair_factors(space, basis, xs, fs)
-    base = _ProductPlan.of(f_at, space.primal_cleared[0], xs, fs).products(
-        [a for h in hs for a in h])
+    at the dual representatives (dual_reps) and the primal vertex list at
+    V = hs, P0's k x n functionals; f_at is linear in the dual vertex, so
+    each partner's base is the negated one of its representative."""
+    xs, neg, reps = space.primal_reps, space.dual_negation, space.dual_reps
+    g_at, f_at, hs, den = _pair_factors(space, basis, xs, range(len(neg)))
+    folded = iter(_ProductPlan.of(f_at, space.primal_cleared[0], xs, reps).products(
+        [a for h in hs for a in h]))
+    base = [0] * (len(xs) * len(neg))
+    for s in range(0, len(base), len(neg)):
+        for p in reps:
+            v = next(folded)
+            base[s + p], base[s + neg[p]] = v, -v
     return PairGrid(g_at=g_at, f_at=f_at, base_num=tuple(base), denominator=den,
-                    negation=space.dual_negation, reps=space.dual_reps)
+                    negation=neg, reps=reps)
 
 
 @dataclass
@@ -475,9 +493,11 @@ def projection_constant(space: PolyhedralSpace, Y: Subspace) -> MinProjReport:
 
 
 def _solve_lambda(space: PolyhedralSpace, Y: Subspace, basis: OperatorBasis,
-                  grid: PairGrid) -> MinProjReport:
-    """projection_constant on the basis and grid of (space, Y), built."""
-    solution = solve(grid)
+                  grid: PairGrid, start: Sequence[int] = ()) -> MinProjReport:
+    """projection_constant on the basis and grid of (space, Y), built,
+    with the LP started at the grid rows start when they give a feasible
+    dual point (simplex.solve)."""
+    solution = solve(grid, start)
     # always feasible (P0) and bounded: the rows come in ± pairs, so t >= 0
     if solution.status != OPTIMAL:
         raise InternalError(f"operator-norm LP is {solution.status}")

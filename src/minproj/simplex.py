@@ -16,6 +16,22 @@ the reduced costs of the artificial columns, the exact simplex
 multipliers of the final basis.  Every optimal solve is re-verified
 against the strong-duality identities before it is returned.
 
+solve may take a start, LP rows, as a guess at the dual's optimal
+basis: a certificate already in hand, such as a Chalmers-Metcalf
+certificate of the lambda LP, is a feasible point of the dual.  Their
+columns are pivoted into the artificial basis in order, with no
+pricing.  When the basic point is feasible (every basic real column
+>= 0 and every artificial left basic at 0), the artificials are
+cleared and phase II runs from there, with no phase I.  When the
+columns are dependent, the point is not feasible, or phase II does not
+end OPTIMAL, the solve is the two-phase one with no start, pivot for
+pivot.  Either way the result goes through the same verification.
+pivots counts every pivot of the solve that returns: phase I's and
+phase II's, the zero-objective check's, and a start's own pivots when
+the start is taken; the degenerate pivots that clear artificials
+before phase II are not counted, and a start that is not taken adds
+none.
+
 Statuses come from the dual.  An unbounded phase II means the LP is
 infeasible.  A failed phase I means the dual is infeasible, so the LP is
 unbounded or infeasible, and the same LP with a zero objective tells
@@ -81,6 +97,7 @@ from functools import cached_property
 from itertools import compress, count, repeat
 from math import gcd
 from operator import eq, gt, mul
+from typing import Sequence
 
 from .errors import InternalError
 from .linalg import RMatrix, int_dot, over_denominator, primitive
@@ -152,7 +169,8 @@ class LinearProgram:
 class LPSolution:
     """status plus, when OPTIMAL: exact value, a primal optimum, the dual
     certificate (one weight per constraint) and the set of tight rows.
-    pivots counts the simplex iterations of every phase and tableau."""
+    pivots counts the simplex iterations of every phase and tableau,
+    and a start's pivots when it is taken (see the module docstring)."""
 
     status: str
     value: Fraction | None = None
@@ -367,13 +385,15 @@ class _RevisedDual:
 
         A row whose real part vanished entirely is a redundant constraint;
         its artificial stays basic at zero and can never interfere again.
+        The pivots leave the cost row as it is: set_objective installs
+        phase II's afterwards, priced out from scratch.
         """
         for r in range(self.nrows):
             if self.basis[r] >= self.m:
                 row = self.rows[r]
                 for c in range(self.m):
                     if int_dot(row, self._real_column(c)) != 0:
-                        self.pivot(r, c, self._column(c), self._reduced_cost(c))
+                        self.pivot(r, c, self._column(c), 0)
                         break
 
 
@@ -392,22 +412,54 @@ def _run_dual(lp, objective) -> tuple[_RevisedDual, str | None]:
     return tab, tab.run()
 
 
-def solve(lp) -> LPSolution:
+def _started_dual(lp, start: Sequence[int]) -> _RevisedDual | None:
+    """Phase II on the dual of lp from the basis of the start's columns,
+    or None when that basis is no start: the columns of start, LP rows,
+    are pivoted into the artificial basis in order, each on the first row
+    whose artificial is basic and whose entry is nonzero, with no
+    pricing.  A column with no such row depends on those before it.  The
+    basic point is feasible when every basic real column is >= 0 and
+    every artificial left basic is at 0; a basic column's entry in its
+    row stays positive, so each is the sign of its row's rhs.  Phase II
+    then runs as after phase I, and must end OPTIMAL."""
+    tab = _RevisedDual(lp, lp.objective)
+    for c in start:
+        alpha = tab._column(c)
+        r = next((r for r, b in enumerate(tab.basis) if b >= tab.m and alpha[r]), None)
+        if r is None:
+            return None
+        tab.pivot(r, c, alpha, 0)
+        tab.pivots += 1
+    if any(row[-1] < 0 or (b >= tab.m and row[-1]) for row, b in zip(tab.rows, tab.basis)):
+        return None
+    tab.clear_artificials()
+    tab.set_objective(2)
+    return tab if tab.run() == OPTIMAL else None
+
+
+def solve(lp, start: Sequence[int] = ()) -> LPSolution:
     """Solve the LP, a LinearProgram or the pair grid (see the module
     docstring); on OPTIMAL the returned certificate is exact and
     verified.  Only a LinearProgram can fail phase I: the grid's LP is
     feasible (at P0) and bounded (t >= 0), so the zero-objective check
-    never runs on it."""
+    never runs on it.
+
+    start, LP rows, is a guess at the dual's optimal basis: phase II
+    runs from the basis of those rows when its point is feasible
+    (_started_dual), and otherwise the solve is the two-phase one with no
+    start, pivot for pivot."""
     m, d = len(lp.beta), len(lp.objective)
-    tab, status = _run_dual(lp, lp.objective)
-    if status is None:
-        # The dual is infeasible; the zero-objective LP tells infeasible
-        # from unbounded (see the module docstring).
-        check, status = _run_dual(lp, (0,) * d)
-        return LPSolution(status=INFEASIBLE if status == UNBOUNDED else UNBOUNDED,
-                          pivots=tab.pivots + check.pivots)
-    if status == UNBOUNDED:
-        return LPSolution(status=INFEASIBLE, pivots=tab.pivots)
+    tab = _started_dual(lp, start) if start else None
+    if tab is None:
+        tab, status = _run_dual(lp, lp.objective)
+        if status is None:
+            # The dual is infeasible; the zero-objective LP tells infeasible
+            # from unbounded (see the module docstring).
+            check, status = _run_dual(lp, (0,) * d)
+            return LPSolution(status=INFEASIBLE if status == UNBOUNDED else UNBOUNDED,
+                              pivots=tab.pivots + check.pivots)
+        if status == UNBOUNDED:
+            return LPSolution(status=INFEASIBLE, pivots=tab.pivots)
 
     zero = Fraction(0)
     u = [zero] * m

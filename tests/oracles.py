@@ -58,6 +58,9 @@ each partner pair, pivots included.
 ``certify_by_face`` is the ``certify`` command as it was before
 ``certificates.certify_cm``: the lambda LP, the optimal face, and
 ``verify_cm`` at its relative interior, for every certificate.
+``certify_by_cold_lp`` is ``certify_cm`` as it was before its one-LP
+route started the lambda LP at the certificate's own rows: every
+lambda LP from scratch, through phase I.
 ``verify_cm_by_apply`` reads the invariance and the trace off the
 matrix of T (``cm_operator``, ``trace_on_subspace``).  Beside it stand
 the polar dual, the operator basis, the realized projection matrix and
@@ -108,7 +111,8 @@ from math import comb, gcd, lcm
 from types import SimpleNamespace
 from typing import Sequence
 
-from minproj.certificates import DEFAULT_SUPPORT_CAP, CMVerdict, verify_cm
+from minproj.certificates import (DEFAULT_SUPPORT_CAP, CMVerdict, _projection_normed_by,
+                                  verify_cm)
 from minproj.errors import (BudgetExceededError, InternalError,
                             NotFullDimensionalError, NotSymmetricError)
 from minproj.geometry import (DEFAULT_GP_CAP, GeneralPositionReport, _Polar,
@@ -116,8 +120,8 @@ from minproj.geometry import (DEFAULT_GP_CAP, GeneralPositionReport, _Polar,
 from minproj.jsonio import vector_json
 from minproj.linalg import (RMatrix, independent_rows, int_dot, integer_inverse,
                             integer_solve, over_denominator, primitive)
-from minproj.projections import (OperatorPoint, _first_slack_step,
-                                  build_operator_basis, face_dimension,
+from minproj.projections import (OperatorPoint, _first_slack_step, _solve_lambda,
+                                  build_operator_basis, build_pair_grid, face_dimension,
                                   norming_pairs, pair_rows, pair_values,
                                   projection_constant)
 from minproj.rational import format_rational
@@ -918,7 +922,9 @@ def double_description_both_signs(rows, den):
                                   | (minus if b == 0 else 0))
         points, tights = new_points, new_tights
 
-    return _Polar(points, tights, [bit_of[w] for w in rows])
+    index = {w: i for i, w in enumerate(rows)}
+    return _Polar(points, tights, [bit_of[w] for w in rows],
+                  tuple(index[tuple(-x for x in w)] for w in rows))
 
 
 def linf_hyperplane_lambda(f):
@@ -1235,6 +1241,32 @@ def certify_by_face(space, Y, cm, lam):
     face_dimension(report)
     return report.lam, verify_cm(space, Y, cm, lam, report.interior,
                                  basis=report.basis)
+
+
+def certify_by_cold_lp(space, Y, cm, lam):
+    """(computed lambda, verdict) of certificates.certify_cm as it was
+    before its one-LP route started the lambda LP at the certificate: the
+    same routes, the no-LP solve, one LP and the optimal face, with the
+    lambda LP solved from scratch, once at most."""
+    basis = build_operator_basis(space, Y)
+    n_p, n_d = len(space.primal_cleared[0]), len(space.dual_cleared[0])
+    report = point = realized = None
+    if all(0 <= i < n_p and 0 <= j < n_d for i, j in cm.pairs):
+        full_rank, point, realized = _projection_normed_by(
+            pair_rows(space, basis, cm.pairs), space, basis, lam)
+        if not full_rank:
+            report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
+            if report.lam == lam:
+                point, realized = report.witness, report.witness_cleared
+    if point is not None:
+        verdict = verify_cm(space, Y, cm, lam, point, basis=basis, realized=realized)
+        if verdict.ok:
+            return lam, verdict
+    if report is None:
+        report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
+    face_dimension(report)
+    return report.lam, verify_cm(space, Y, cm, lam, report.interior, basis=basis,
+                                 realized=report.interior_cleared)
 
 
 # The rational tableau that the integer one in minproj.simplex replaced.

@@ -257,7 +257,7 @@ def test_certify_refuses_an_lp_value_below_the_certified_bound(monkeypatch):
         report.interior = report.witness
 
     monkeypatch.setattr(certificates, "_solve_lambda",
-                        lambda space, Y, basis, grid: lowered)
+                        lambda space, Y, basis, grid, start=(): lowered)
     monkeypatch.setattr(certificates, "face_dimension", face)
     with pytest.raises(InternalError, match="proves lambda >="):
         certify_cm(space, Y, cm, report.lam)

@@ -13,22 +13,26 @@ runs, in JSON and ``--table``, on eight more tampered certificates of
 that hyperplane (the last claims three of its pairs at lambda 1, below
 the true lambda) and on the valid certificate of the seeded l-inf^4
 2-plane, whose pairs leave the minimal projection undetermined (rank 2
-of 4), so it is settled by the LP.  The l-inf^5 2-plane
-has more candidate pairs than the support search's default cap, so its
-pinned run is the exit-3 partial report.  ``polar`` runs on primal-only
+of 4), so it is settled by the LP, and on the valid certificate of the
+seeded l-inf^6 hyperplane, whose two pairs leave it undetermined too
+(lambda = 1): its LP starts at the certificate's own rows and skips
+phase I, and its digest was taken before the LP had a start.  The
+l-inf^5 2-plane has more candidate pairs than the support search's
+default cap, so its pinned run is the exit-3 partial report.  ``polar`` runs on primal-only
 documents of l-inf^8, l1^8 and mixed_ball(5, 3), whose polar the double
 description computes.
 
 The digests hash the exit code, standard output and standard error of
-each run.  Eight pinned runs also run in child interpreters, plain and
+each run.  Nine pinned runs also run in child interpreters, plain and
 under ``python -O``, which must print the same bytes with the same exit
 code: ``analyze`` on the seeded l1^4 hyperplane and on the seeded l-inf^5
 2-plane (the exit-3 partial report), ``general-position`` on
 the partial-sum 3-plane of l-inf^5, and ``certify`` on the valid
-certificates of the seeded l1^4 hyperplane (no LP) and l-inf^4 2-plane
-(one LP), on the small-weight tampered one (the optimal face) and on the
-three pairs claimed at lambda 1 (the no-LP point rejected by its norm,
-then the optimal face), and ``polar`` on l-inf^8.  To
+certificates of the seeded l1^4 hyperplane (no LP), l-inf^4 2-plane
+(one LP) and l-inf^6 hyperplane (one started LP), on the small-weight
+tampered one (the optimal face) and on the three pairs claimed at
+lambda 1 (the no-LP point rejected by its norm, then the optimal
+face), and ``polar`` on l-inf^8.  To
 print the table after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -56,6 +60,7 @@ from oracles import space_json
 SEED = 7
 CERTIFIED = "seeded-l1-n4-k3"
 RANK_DEFICIENT = "seeded-linf-n4-k2"
+LAMBDA_ONE = "seeded-linf-n6-k5"
 
 GOLDEN = {
     "analyze/ker-sum-l1-n3": "9fc72e2238e1ff01b42450b1c1af7813407675c2dfcffc5da5c94512407d2614",
@@ -102,6 +107,8 @@ GOLDEN = {
     "analyze/seeded-linf-n5-k2": "8866bd32b906a3619f8902170473fad5aaaf4e51dd00160dbe5cdb971b3f6bf7",
     "analyze/seeded-l1-n5-k4": "ddb295a448b99b14df04a25d76150e4c01cd66b0627889b0abbcc9f36144110d",
     "analyze/seeded-l1-n5-k2": "d898c4c528309c70a3f9925403315460ba3ecdbf35f81e44ee2189d3f09caf2e",
+    "certify/seeded-linf-n6-k5-valid/json": "19f54cdb201c57490f74febfb241c5c045920c820f28be2561eacc0baa5fcd76",
+    "certify/seeded-linf-n6-k5-valid/table": "9b520fe713d3e6cd7b913d7749fd4d744d41cdf923053008d3f8f8b3bb8baa1d",
     "polar/linf-n8": "baa6aabcec54ea0b1c174ea9835e193384663b9f01b96d8897e144198a82a787",
     "polar/l1-n8": "12291cbaefb8e0d4706ef9acaf4840138216744c3c9446d3ca90e0301c13825c",
     "polar/mixed-n5-k3": "2e5ccf11874741c3d0859a7f015e59f10b1e66f628d648d79f77b455db7b4394",
@@ -164,6 +171,10 @@ def _runs(tmp_path):
         if name == RANK_DEFICIENT:
             cert = json.loads(result[1])["cm_certificate"]
             yield from _certify_runs(tmp_path, f"{name}-valid", cert, path)
+    path = tmp_path / f"{LAMBDA_ONE}.json"
+    path.write_text(json.dumps(dict(_seeded_documents(6))[LAMBDA_ONE]))
+    cert = json.loads(_run(["analyze", "--input", str(path)])[1])["cm_certificate"]
+    yield from _certify_runs(tmp_path, f"{LAMBDA_ONE}-valid", cert, path)
     for name, doc in _polar_documents():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -224,6 +235,9 @@ def _digest(result) -> str:
     # pairs of rank 2 of 4: one LP
     pytest.param("certify", RANK_DEFICIENT, "valid",
                  "certify/seeded-linf-n4-k2-valid/json", id="certify-one-lp"),
+    # lambda = 1 from two pairs: the one LP, started at the certificate
+    pytest.param("certify", LAMBDA_ONE, "valid",
+                 "certify/seeded-linf-n6-k5-valid/json", id="certify-one-lp-started"),
     # an invalid certificate: the optimal face
     pytest.param("certify", CERTIFIED, "small-weight",
                  "certify/seeded-l1-n4-k3-tampered", id="certify-tampered"),
@@ -242,6 +256,7 @@ def test_optimized_interpreter_gives_the_same_bytes(tmp_path, command, case,
     documents = {c.name: space_json(c.space, c.subspace) for c in paper_cases()}
     documents.update(_seeded_documents(4))
     documents.update(_seeded_documents(5))
+    documents.update(_seeded_documents(6))
     documents.update(_polar_documents())
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(documents[case]))

@@ -6,9 +6,13 @@ integer functionals, and on vertex lists with non-extreme or duplicated
 points.  The projection constant of three hyperplanes of l-inf^7 is
 checked against Blatter and Cheney's closed form, with no LP.  A spy
 pins that the support search walks no subset when the lambda dual's
-pairs are all the implicit ones."""
+pairs are all the implicit ones.  certify on certificates whose pairs do
+not fix the projection matches its route with the lambda LP solved from
+scratch (``certify_by_cold_lp``), whether its start is skipped, taken
+or refused."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -18,18 +22,21 @@ from minproj.catalog import (l1_ball, linf_ball, mixed_ball, paper_cases,
                              random_subspace)
 import minproj.certificates as certificates
 import minproj.projections as projections
-from minproj.certificates import CMFunctional, cm_from_dual, minimal_support_cm, verify_cm
+from minproj import simplex
+from minproj.certificates import (CMFunctional, _projection_normed_by, certify_cm,
+                                  cm_from_dual, minimal_support_cm, verify_cm)
 from minproj.errors import BudgetExceededError, NotExtremeError
 from minproj.geometry import (PolyhedralSpace, Subspace, _walk_rows,
                               general_position_check, polar_dual)
 from minproj.linalg import integer_row_rank, subset_walk
 from minproj.projections import (OperatorPoint, face_dimension,
                                  max_norming_projection, norming_pairs,
-                                 operator_norm, projection_constant)
+                                 operator_norm, pair_rows, projection_constant)
 
 from minproj.simplex import solve
 import oracles
-from oracles import (budget_outcome, dense_grid_lp, face_dimension_by_rounds,
+from oracles import (budget_outcome, certify_by_cold_lp, dense_grid_lp,
+                     face_dimension_by_rounds,
                      face_dimension_by_vertices, face_dimension_per_row, first_non_extreme,
                      general_position_by_leaf_walk, general_position_exhaustive,
                      general_position_rows_by_raw_vectors,
@@ -320,6 +327,95 @@ def test_general_position_rows_walk_as_the_raw_rows_do(analyzed, seeded_analyze)
             for size in range(1, min(max_size, len(reps)) + 1):
                 assert (list(subset_walk(rows, size, len(directions)))
                         == list(subset_walk(raw, size, len(directions)))), (name, size)
+
+
+def _one_lp_certificates(report):
+    """(label, certificate, lambda_c): the lambda dual's certificate at
+    lambda and at lambda + 1, the same with its first pair's weight
+    split with that pair's antipodal twin (x_{negp[i]}, f_{negd[j]}),
+    a valid certificate whose two pairs share one grid row, so its start
+    is dependent, the same split with the pair itself, a duplicate, and
+    tampered ones claimed at their value
+    at P0, sum_i a_i f_i(P0 x_i), where the trace check passes: one
+    weight raised and the weights renormalized, the first weight
+    negated, the last pair replaced by its functional's negation, the
+    first of the grid pairs off the implicit rows of the largest value
+    at the relative interior added at weight 0, and that pair beside
+    its functional's negation at equal weights, T = 0, whose rows give
+    a feasible start of value 0.  The last two hold a pair off the
+    implicit rows, whose value at the relative interior, which a
+    norming violation reads, depends on the point."""
+    space, cm = report.space, cm_from_dual(report)
+    negd = space.dual_negation
+
+    def claimed(label, pairs, weights):
+        _, base, D = pair_rows(space, report.basis, pairs)
+        return label, CMFunctional(tuple(pairs), tuple(weights)), \
+            sum(w * b for w, b in zip(weights, base)) / D
+
+    yield "valid", cm, report.lam
+    yield "wrong-lambda", cm, report.lam + 1
+    (i, j), half = cm.pairs[0], cm.weights[0] / 2
+    yield ("split", CMFunctional((*cm.pairs, (space.primal_negation[i], negd[j])),
+                                 (half, *cm.weights[1:], half)), report.lam)
+    yield ("duplicated", CMFunctional((*cm.pairs, (i, j)), (half, *cm.weights[1:], half)),
+           report.lam)
+    raised = [cm.weights[0] + Fraction(1, 1000), *cm.weights[1:]]
+    yield claimed("perturbed", cm.pairs, [w / sum(raised) for w in raised])
+    yield claimed("negative", cm.pairs, [-cm.weights[0], *cm.weights[1:]])
+    (i, j) = cm.pairs[-1]
+    yield claimed("replaced", [*cm.pairs[:-1], (i, negd[j])], cm.weights)
+    implicit = set(report.implicit_rows)
+    values = report.grid.value_numerators(report.interior.coefficients)[0]
+    _, r = max((v, -r) for r, v in enumerate(values) if r not in implicit)
+    (i, j) = report.grid.pairs[-r]
+    yield claimed("zero-weight", [*cm.pairs, (i, j)], [*cm.weights, Fraction(0)])
+    yield claimed("balanced", [(i, j), (i, negd[j])], [Fraction(1, 2)] * 2)
+
+
+def test_one_lp_route_matches_the_cold_lp_oracle(analyzed, seeded_analyze, monkeypatch):
+    # certify_cm on certificates whose pairs do not determine the
+    # projection gives the (lambda, verdict) of the route that solved
+    # the lambda LP from scratch, whether its start is skipped (the
+    # certificate is no feasible dual point of value lambda_c), accepted,
+    # or refused by the solver and the solve run from scratch; the
+    # optimal face, when it is reached, is that of the solve from
+    # scratch, the fixture's report
+    starts = Counter()
+    started, settled = simplex._started_dual, certificates.face_dimension
+    faces = []
+
+    def counted(lp, start):
+        tab = started(lp, start)
+        starts["accepted" if tab is not None else "refused"] += 1
+        return tab
+
+    def face(report):
+        faces.append((report.witness, report.dual_rows))
+        return settled(report)
+
+    monkeypatch.setattr(simplex, "_started_dual", counted)
+    monkeypatch.setattr(certificates, "face_dimension", face)
+    reports = {name: a.report for name, a in analyzed.items()}
+    reports.update((name, report) for name, (_, _, report, _) in seeded_analyze.items())
+    labels = Counter()
+    for name, report in reports.items():
+        space, Y, basis = report.space, report.subspace, report.basis
+        for label, cm, lam in _one_lp_certificates(report):
+            if _projection_normed_by(pair_rows(space, basis, cm.pairs),
+                                     space, basis, lam)[0]:
+                continue
+            tried = sum(starts.values())
+            assert certify_cm(space, Y, cm, lam) == certify_by_cold_lp(space, Y, cm, lam), \
+                (name, label)
+            assert set(faces) <= {(report.witness, report.dual_rows)}, (name, label)
+            faces.clear()
+            if sum(starts.values()) == tried:
+                starts["skipped"] += 1
+            labels[label] += 1
+    assert set(labels) == {"valid", "wrong-lambda", "split", "duplicated", "perturbed",
+                           "negative", "replaced", "zero-weight", "balanced"}, labels
+    assert set(starts) == {"accepted", "refused", "skipped"}, starts
 
 
 def _verdict(report):

@@ -14,7 +14,12 @@ its rows through its rank-one factors, is compared with the dense LP
 over every formed row (``oracles.dense_grid_lp``), pivot for pivot under
 both rules, also on the three n = 6 shapes of the certify benchmark,
 and its entering column is pinned on exact ties; it pairs its rows by
-the space's dual_negation.  It is also
+the space's dual_negation.  A solve started at a guessed basis keeps
+the cold solve's value, and its primal where that is unique, on the
+catalog's and seeded n = 4 to 6 lambda LPs; a start with dependent
+columns, a negative weight or a point off the dual equation, and the
+empty start, give the cold LPSolution, pivots included; and the l-inf^6
+hyperplane started at its certificate runs no phase I.  It is also
 compared with the rational tableau before that: optimal solutions pivot
 for pivot, and every status (optimal, infeasible, unbounded) against the
 inequality-form tableau there.  With Bland's rule forced after one
@@ -27,6 +32,7 @@ certificate that breaks it, also under ``python -O``.
 """
 
 import itertools
+import random
 from collections import Counter
 import subprocess
 import sys
@@ -37,17 +43,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minproj import simplex
+from minproj import certificates, simplex
 from minproj.catalog import l1_ball, linf_ball, random_subspace
+from minproj.certificates import cm_from_dual
 from minproj.errors import InternalError
 from minproj.geometry import Subspace
 from minproj.linalg import RMatrix, int_dot, solve_linear
-from minproj.projections import PairGrid, build_operator_basis, build_pair_grid
+from minproj.projections import (PairGrid, build_operator_basis, build_pair_grid,
+                                 face_dimension, pair_rows, projection_constant)
 from minproj.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                              _finish, _verify_certificate, solve)
-from oracles import (dense_grid_lp, dot, grid_rows, lp_rhs, make_lp, row_axpy, scale_row,
-                     solve_by_fraction_tableau, solve_by_full_tableau,
-                     solve_on_face)
+from oracles import (dense_grid_lp, dot, grid_rows, lp_rhs, make_lp, row_axpy,
+                     rref_by_fractions, scale_row, solve_by_fraction_tableau,
+                     solve_by_full_tableau, solve_on_face)
 
 F = Fraction
 
@@ -346,7 +354,8 @@ def test_n6_lambda_lps_match_the_dense_oracle(ball, k, lam_is_one):
 def test_grid_pairs_its_rows_by_the_space():
     # the grid keeps the space's primal representatives and pairs its dual
     # vertices by the space's dual_negation: f_at negates at each
-    # partner, and partner rows have bases that add up to 0 in every block
+    # partner, and partner rows have bases that add up to 0 in every block;
+    # rows_of finds the row of every pair
     for ball in (linf_ball, l1_ball):
         space = ball(3)
         grid = build_pair_grid(space, build_operator_basis(space, random_subspace(3, 2, 7)))
@@ -356,6 +365,11 @@ def test_grid_pairs_its_rows_by_the_space():
         assert all(grid.f_at[neg[j]] == tuple(-a for a in grid.f_at[j]) for j in range(nd))
         assert all(grid.base_num[r] + grid.base_num[r - r % nd + neg[r % nd]] == 0
                    for r in range(len(grid.pairs)))
+        # every pair's row is its own or its antipodal class's
+        negp = space.primal_negation
+        pairs = list(itertools.product(range(len(negp)), range(nd)))
+        assert [grid.pairs[r] for r in grid.rows_of(pairs, negp)] == [
+            (i, j) if i in grid.g_at else (negp[i], neg[j]) for i, j in pairs]
 
 
 @pytest.mark.parametrize("stall_switch", [simplex._STALL_SWITCH, 1])
@@ -424,6 +438,131 @@ def test_grid_entering_is_pinned_on_exact_ties(basis, w, bf, dantzig, bland):
         == (dantzig, bland)
     assert (dense.entering(list(w), bf, False), dense.entering(list(w), bf, True)) \
         == (dantzig, bland)
+
+
+def _start_kind(lp, start):
+    """The basic point of the start's columns in the dual  Aᵀu = -c,
+    u >= 0, classified in Fractions, apart from the solver: "dependent"
+    when the columns are, "misses" when no u on them solves Aᵀu = -c,
+    "negative" when the one u that does has a negative weight, and
+    "feasible" otherwise."""
+    D, s = lp.denominator, len(start)
+    reduced, pivots = rref_by_fractions(
+        [[F(lp.row(r)[j], D) for r in start] + [-F(c)] for j, c in enumerate(lp.objective)])
+    if pivots[:s] != list(range(s)):
+        return "dependent"
+    if s in pivots:
+        return "misses"
+    return "negative" if any(row[s] < 0 for row in reduced[:s]) else "feasible"
+
+
+@pytest.fixture(scope="module")
+def lambda_lps(analyzed):
+    """(grid, whether its primal optimum is unique) of the lambda LP of
+    every catalog case and of random_subspace(n, k, 7) in l-inf^n and
+    l1^n, n = 4, 5, 6, k in {n - 1, 2}."""
+    reports = {name: a.report for name, a in analyzed.items()}
+    for n, ball, k in itertools.product((4, 5, 6), (linf_ball, l1_ball), (None, 2)):
+        space = ball(n)
+        report = projection_constant(space, random_subspace(n, k or n - 1, 7))
+        face_dimension(report)
+        reports[f"{ball.__name__}{n}-k{k or n - 1}"] = report
+    return {name: (report.grid, report.face_dim == 0) for name, report in reports.items()}
+
+
+def test_started_solve_keeps_the_value_and_the_unique_primal(lambda_lps):
+    # From a start whose basic point is feasible, phase II ends at the
+    # cold solve's value, and at its primal where that is unique; from
+    # any other start the solve is the cold one, LPSolution and pivots
+    # included.  The starts: the cold dual's support, in order and
+    # reversed, and seeded random rows, one more than the d variables
+    # (always dependent), d and fewer.
+    rng = random.Random(7)
+    kinds = Counter()
+    for name, (grid, unique) in lambda_lps.items():
+        cold = solve(grid)
+        m, d = len(grid.beta), len(grid.objective)
+        support = [r for r, u in enumerate(cold.dual) if u]
+        starts = [support, support[::-1]] + [rng.sample(range(m), size)
+                                             for size in (d, d, d - 1, 1, d + 1)]
+        for start in starts:
+            kind = _start_kind(grid, start)
+            kinds[kind] += 1
+            warm = solve(grid, start)
+            if kind != "feasible":
+                assert warm == cold, (name, start)
+                continue
+            assert (warm.status, warm.value) == (OPTIMAL, cold.value), (name, start)
+            assert warm.primal == cold.primal or not unique, (name, start)
+    assert set(kinds) == {"feasible", "dependent", "misses", "negative"}, kinds
+
+
+def _start_of_kind(kind, lp, support):
+    """A start of the kind on the LP whose cold dual has the support:
+    the support with its first row repeated (dependent), the support
+    less its last row (a certificate that lost a pair: the support's
+    weights are the one solution over its columns, so the rest misses
+    Aᵀu = -c), or the first of seeded random starts of one row per
+    variable whose point has a negative weight."""
+    if kind == "dependent":
+        return support + support[:1]
+    if kind == "misses":
+        return support[:-1]
+    m, d = len(lp.beta), len(lp.objective)
+    rng = random.Random(7)
+    return next(start for start in (rng.sample(range(m), d) for _ in range(1000))
+                if _start_kind(lp, start) == kind)
+
+
+# min v  s.t.  -v <= 0, v <= 5: the dual  -u0 + u1 = -1  has u1 = -1 on row
+# 1 alone.
+_TWO_ROWS = make_lp([1], [[-1], [1]], [0, 5])
+_GRIDS = {"linf6-k5": _seeded_grid(linf_ball, 6, 5, 7),
+          "l15-k2": _seeded_grid(l1_ball, 5, 2, 7)}
+
+
+@pytest.mark.parametrize("lp, kind", [pytest.param(_TWO_ROWS, "negative",
+                                                   id="two-rows-negative")] + [
+    pytest.param(grid, kind, id=f"{name}-{kind}")
+    for name, grid in _GRIDS.items() for kind in ("dependent", "negative", "misses")])
+def test_a_start_that_is_no_start_gives_the_cold_solution(lp, kind):
+    # a start with dependent columns, one whose basic point has a
+    # negative weight, and one whose point misses Aᵀu = -c leave the
+    # solve as it is with no start, pivots included; so does the empty one
+    cold = solve(lp)
+    support = [r for r, u in enumerate(cold.dual) if u]
+    start = [1] if lp is _TWO_ROWS else _start_of_kind(kind, lp, support)
+    assert _start_kind(lp, start) == kind
+    assert solve(lp, start) == cold
+    assert solve(lp, ()) == cold
+
+
+def test_linf6_hyperplane_starts_at_its_certificate(monkeypatch):
+    # The lambda LP of the l-inf^6 hyperplane (lambda = 1, 384 rows)
+    # started at its own dual's two certificate pairs: no phase I, and
+    # at most 6 pivots in all, the two of the start included, against
+    # the 16 of the cold solve
+    space, Y = linf_ball(6), random_subspace(6, 5, 7)
+    report = projection_constant(space, Y)
+    cm = cm_from_dual(report)
+    start = certificates._lp_start(space, report.grid, cm,
+                                   pair_rows(space, report.basis, cm.pairs), report.lam)
+    assert start == list(report.dual_rows)
+    phases = []
+    install = simplex._RevisedDual.set_objective
+
+    def recorded(tab, phase):
+        phases.append(phase)
+        install(tab, phase)
+
+    monkeypatch.setattr(simplex._RevisedDual, "set_objective", recorded)
+    warm = solve(report.grid, start)
+    assert phases == [2]
+    cold = solve(report.grid)
+    assert phases == [2, 1, 2]
+    assert (warm.status, warm.value, warm.primal) == (OPTIMAL, 1, cold.primal)
+    assert warm.pivots <= 6
+    assert cold.pivots == 16
 
 
 def test_solver_reads_only_the_lp_contract():
