@@ -9,9 +9,6 @@ so vanishing on L_Y(X, Y) is invariance of Y; verify_cm reads both, and
 the trace, off T alone, independent of the pair grid and the LP.  It
 reads each pair's value f(P x) off P realized as an integer matrix, as
 the operator norm reads every pair, so a verdict builds no pair rows.
-certify_cm's no-LP route forms the certificate's own rows, one by one
-(projections.pair_rows), for their rank and the solve; the pair grid,
-the lambda LP, is built only when an LP is solved.
 The LP dual of the projection solve is one such certificate; a
 minimum-support one is found by exact linear solves over subsets of the
 implicit pairs, smallest subsets first (from n when the paper's lower
@@ -21,13 +18,8 @@ certificate over them, and so the minimum-support one, with no search:
 its pairs' columns are independent, so its weights are the one
 representation of the target over them.
 Both read lambda, the basis and the grid off the MinProjReport they
-extend.  certify_cm judges a given certificate
-from the Chalmers-Metcalf bound it proves, with one exact solve when its
-pairs determine the projection, one LP started at the certificate when
-they do not, and the optimal face only when the certificate is not
-valid.  The solved projection is
-accepted by its exact operator norm on the vertex lists, so that route
-builds no pair grid; the grid is built only for the lambda LP.
+extend.  certify_cm judges a given certificate from the
+Chalmers-Metcalf bound it proves, by the routes its docstring lists.
 """
 
 from __future__ import annotations
@@ -40,9 +32,9 @@ from .errors import BudgetExceededError, InputFormatError, InternalError
 from .geometry import PolyhedralSpace, Subspace
 from .linalg import (RMatrix, int_dot, integer_row_rank, integer_rref,
                      integer_solve, over_denominator, subset_walk)
-from .projections import (MinProjReport, OperatorBasis, OperatorPoint, PairGrid,
-                          _solve_lambda, build_operator_basis, build_pair_grid,
-                          face_dimension, operator_norm, pair_rows, pair_values)
+from .projections import (MinProjReport, OperatorBasis, OperatorPoint, _solve_lambda,
+                          build_operator_basis, build_pair_grid, face_dimension,
+                          operator_norm, pair_rows, pair_values)
 from .rational import format_rational
 
 #: Largest candidate set the minimal-support search enumerates by default.
@@ -95,6 +87,29 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     T|_Y equal to lam.  basis is the operator basis of (space, Y) that
     the caller built (projections.build_operator_basis), read only by (3).
 
+    All but (3) are decided by T and lam alone, never by P, the pair grid
+    or the LP (_conditions_of_T).  (3) reads each pair's value f(P x) off
+    P realized as an integer matrix (projections.pair_values), as
+    operator_norm reads every pair; realized is that matrix over its
+    denominator, OperatorBasis.realize_cleared of P, when the caller
+    holds it.  The values are compared with lam in integers."""
+    head, trace = _conditions_of_T(space, Y, cm, lam)
+    if trace is None:
+        return CMVerdict(head)
+    M, den = basis.realize_cleared(P) if realized is None else realized
+    return CMVerdict(head + _norming(space, cm, lam, M, den) + trace)
+
+
+def _conditions_of_T(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
+                     lam: Fraction) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
+    """The violations of verify_cm's checks that T = sum_i a_i x_i (x) f_i
+    and lam decide with no projection, split where the norming check
+    goes: those of the pairs' range and repeats, the weights, (1) and
+    (2), then those of (4).  A pair out of range is the one violation,
+    and the second part is None: no value f(P x) can be read at it.
+    When both parts are empty, T is a Chalmers-Metcalf bound of value
+    lam: every projection Q onto Y has sum_i a_i f_i(Q x_i) = lam.
+
     The images T y_b = sum_i a_i f_i(y_b) x_i are formed in integers, over
     the cleared vertices, weights and Y's own families, with no matrix of T.
     For L_q = y_b (x) g_j, q = b(n-k) + j, the vanishing sum is
@@ -102,18 +117,13 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     together, at the first nonzero g_j(T y_b): (1) reports its value and
     q, (2) its block b.  (4) sums the Y-coordinates of the same images,
     read off one integer reduced echelon form, and is undefined when (2)
-    fails.  These three read only the vertices, the weights and Y, never
-    P0, the pair grid or the LP.  (3) reads each pair's value f(P x) off
-    P realized as an integer matrix (projections.pair_values), as
-    operator_norm reads every pair; realized is that matrix over its
-    denominator, OperatorBasis.realize_cleared of P, when the caller
-    holds it.  The weights' sum, the values and the trace are compared
-    with 1 and lam in integers."""
+    fails.  The weights' sum and the trace are compared with 1 and lam in
+    integers."""
     n_p = len(space.primal_cleared[0])
     n_d = len(space.dual_cleared[0])
     for pi, dj in cm.pairs:
         if not (0 <= pi < n_p and 0 <= dj < n_d):
-            return CMVerdict((f"weights: pair ({pi}, {dj}) out of range",))
+            return (f"weights: pair ({pi}, {dj}) out of range",), None
     violations: list[str] = []
     if len(set(cm.pairs)) != len(cm.pairs):
         violations.append("weights: duplicate pairs")
@@ -145,38 +155,38 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
             f"{format_rational(Fraction(s, Y.annihilator_den * t_den))}")
         violations.append(
             f"invariance: T(basis vector {q // len(Y.annihilator_num)}) leaves Y")
+        return tuple(violations), ("trace: undefined, T does not map Y into Y",)
 
-    M, m_den = basis.realize_cleared(P) if realized is None else realized
+    # [y_num_1 .. y_num_k] C = t_den·[T y_1 .. T y_k]: C[b][b] is
+    # row[k + b] / row[b] for the reduced row with pivot b, and the
+    # trace of the images' coordinates is tr C·y_den / t_den.
+    k = len(images)
+    reduced = integer_rref([list(column) + [image[r] for image in images]
+                            for r, column in enumerate(zip(*Y.basis_num))])
+    if reduced[-1][0] >= k:
+        raise InternalError("an image of Y in Y has no coordinates in its basis")
+    L = lcm(*(row[b] for b, row in reduced))
+    trace_num = sum(row[k + b] * (L // row[b]) for b, row in reduced) * Y.basis_den
+    trace_den = L * t_den
+    if trace_num * lam.denominator != lam.numerator * trace_den:
+        return tuple(violations), (
+            f"trace: {format_rational(Fraction(trace_num, trace_den))} "
+            f"differs from {format_rational(lam)}",)
+    return tuple(violations), ()
+
+
+def _norming(space: PolyhedralSpace, cm: CMFunctional, lam: Fraction,
+             M: RMatrix, m_den: int) -> tuple[str, ...]:
+    """The norming check at the projection M / m_den: the first pair
+    whose value f(P x) is not lam, or no violation."""
     values, den = pair_values(space, M, cm.pairs)
     den *= m_den
     target = lam.numerator * den
     for (pi, dj), v in zip(cm.pairs, values):
         if v * lam.denominator != target:
-            violations.append(
-                f"norming: pair ({pi}, {dj}) gives {format_rational(Fraction(v, den))}, "
-                f"expected {format_rational(lam)}")
-            break
-
-    if leak is not None:
-        violations.append("trace: undefined, T does not map Y into Y")
-    else:
-        # [y_num_1 .. y_num_k] C = t_den·[T y_1 .. T y_k]: C[b][b] is
-        # row[k + b] / row[b] for the reduced row with pivot b, and the
-        # trace of the images' coordinates is tr C·y_den / t_den.
-        k = len(images)
-        reduced = integer_rref([list(column) + [image[r] for image in images]
-                                for r, column in enumerate(zip(*Y.basis_num))])
-        if reduced[-1][0] >= k:
-            raise InternalError("an image of Y in Y has no coordinates in its basis")
-        L = lcm(*(row[b] for b, row in reduced))
-        trace_num = sum(row[k + b] * (L // row[b]) for b, row in reduced) * Y.basis_den
-        trace_den = L * t_den
-        if trace_num * lam.denominator != lam.numerator * trace_den:
-            violations.append(
-                f"trace: {format_rational(Fraction(trace_num, trace_den))} "
-                f"differs from {format_rational(lam)}")
-
-    return CMVerdict(tuple(violations))
+            return (f"norming: pair ({pi}, {dj}) gives {format_rational(Fraction(v, den))}, "
+                    f"expected {format_rational(lam)}",)
+    return ()
 
 
 def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
@@ -192,86 +202,66 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     lam.  In that case each pair has f_i(Q x_i) <= lam at every minimal
     projection Q, with weighted mean lam, so it norms every one of them,
     and a verdict that is ok at any minimal projection is the verdict at
-    the relative interior.  The routes, in order:
+    the relative interior.
 
-    - no LP: when the certificate's pair rows have rank k(n-k), the one
-      projection they can all norm at lam solves coefs·c = lam - base; it
-      is tried when its operator norm, read off the vertex lists over
-      each antipodal class once, is at most lam, and no pair grid is
-      built;
-    - one LP: otherwise the lambda LP is solved, and its witness is tried
-      when its value is lam.  A valid certificate is a feasible point of
-      the LP's dual, so the solve starts at the certificate's own grid
-      rows (_lp_start) and runs phase II from there, or, when that point
-      is not a feasible basic one, the two-phase solve from scratch
-      (simplex.solve); either witness is a minimal projection;
-    - the face: when verify_cm fails at the projection tried, or there is
-      none, the certificate is not valid.  face_dimension finds the
-      relative interior of the optimal face and verify_cm runs there, as
-      in the full pipeline, so the violations read the same.  The
-      interior is read off the witness of the lambda LP solved with no
-      start, as the full pipeline solves it, so a started certificate
-      that fails costs a second solve on the same grid and moves no
-      byte.
+    The checks that T and lam decide alone (_conditions_of_T: all but
+    norming) are made once, and pick the route:
 
-    One operator basis serves every route, and the certificate's pair
-    rows are formed once, for the rank, the no-LP solve and the start.
-    Each point tried is realized as an integer matrix once: its operator
-    norm and the verdict's norming values read the same matrix.  The
-    pair grid is built only for the lambda LP, at most once.
+    - a violation: no projection makes the certificate valid, so the
+      optimal face is found at once;
+    - none, no LP: T is then a feasible point of the lambda LP's dual of
+      value lam.  When the certificate's pair rows have rank k(n-k), the
+      one projection they can all norm at lam solves coefs·c = lam -
+      base; it is tried when its operator norm, read off the vertex
+      lists over each antipodal class once, is at most lam, and no pair
+      grid is built;
+    - none, one LP: otherwise the lambda LP is solved, started at the
+      certificate's own grid rows (PairGrid.rows_of), which pivots them
+      into the basis and runs phase II from there; when that point is not
+      a feasible basic one, simplex.solve falls back to the two-phase
+      solve.  Either witness is a minimal projection, and it is tried
+      when the LP value is lam;
+    - the optimal face: on a violation, or when no point tried is normed
+      by every pair, the lambda LP is solved cold, face_dimension finds
+      the relative interior of the optimal face, and the verdict is
+      taken there, as in the full pipeline, so the violations read the
+      same.  The interior is read off the cold solve's witness, so a
+      started certificate that lands here (a feasible dual point of
+      value lam below lambda) costs a second solve on the same grid and
+      moves no byte.
+
+    At each point tried only the norming check is made, off the point
+    realized as an integer matrix once, the matrix its operator norm
+    reads.  A certificate with no violation of the other checks proves
+    lambda >= lam, so a lambda LP value below lam is an InternalError.
+    One operator basis serves every route, and the pair grid is built
+    only for the lambda LP, at most once.
     """
     basis = build_operator_basis(space, Y)
-    n_p, n_d = len(space.primal_cleared[0]), len(space.dual_cleared[0])
-    grid = report = point = realized = None
-    start: list[int] = []
-    if all(0 <= i < n_p and 0 <= j < n_d for i, j in cm.pairs):
-        rows = pair_rows(space, basis, cm.pairs)
-        full_rank, point, realized = _projection_normed_by(rows, space, basis, lam)
+    head, trace = _conditions_of_T(space, Y, cm, lam)
+    bound = not head and trace == ()
+    grid = None
+    if bound:
+        full_rank, point, realized = _projection_normed_by(
+            pair_rows(space, basis, cm.pairs), space, basis, lam)
         if not full_rank:
             grid = build_pair_grid(space, basis)
-            start = _lp_start(space, grid, cm, rows, lam)
-            report = _solve_lambda(space, Y, basis, grid, start)
-            if report.lam == lam:
-                point, realized = report.witness, report.witness_cleared
-    if point is not None:
-        verdict = verify_cm(space, Y, cm, lam, point, basis=basis, realized=realized)
-        if verdict.ok:
-            return lam, verdict
-    if report is None or start:
-        report = _solve_lambda(space, Y, basis, grid or build_pair_grid(space, basis))
+            started = _solve_lambda(space, Y, basis, grid,
+                                    grid.rows_of(cm.pairs, space.primal_negation))
+            if started.lam == lam:
+                point, realized = started.witness, started.witness_cleared
+        if point is not None and not _norming(space, cm, lam, *realized):
+            return lam, CMVerdict()
+    report = _solve_lambda(space, Y, basis, grid or build_pair_grid(space, basis))
     face_dimension(report)
-    verdict = verify_cm(space, Y, cm, lam, report.interior, basis=basis,
-                        realized=report.interior_cleared)
-    if report.lam < lam and verdict.failed <= {"norming"}:
+    if bound and report.lam < lam:
         raise InternalError(
             f"the certificate proves lambda >= {format_rational(lam)}, "
             f"the LP gives {format_rational(report.lam)}")
-    return report.lam, verdict
-
-
-def _lp_start(space: PolyhedralSpace, grid: PairGrid, cm: CMFunctional,
-              rows: tuple[list[list[int]], list[int], int], lam: Fraction) -> list[int]:
-    """The grid's rows of the certificate's pairs (PairGrid.rows_of),
-    where the lambda LP starts, or none when the certificate is not a
-    feasible point of the LP's dual of value lam.  rows are the pairs'
-    rows (coefs, base, D) of projections.pair_rows, over the grid's
-    denominator.
-
-    The weights a are such a point when they are positive, sum to one
-    and vanish against the rows, sum_i a_i coefs_i = 0, which is T
-    vanishing on L_Y(X, Y); its value is then sum_i a_i f_i(P0 x_i),
-    the trace of T by the Chalmers-Metcalf identity.  When one of these
-    fails, or two pairs repeat, so does verify_cm (weights, vanishing
-    or trace), whatever the LP gives, and no start is tried.  Otherwise
-    the start's basic point is a itself unless its columns are
-    dependent."""
-    coefs, base, D = rows
-    a, da = over_denominator(cm.weights)
-    if (min(a) <= 0 or sum(a) != da or len(set(cm.pairs)) < len(cm.pairs)
-            or any(int_dot(a, column) for column in zip(*coefs))
-            or int_dot(a, base) * lam.denominator != lam.numerator * da * D):
-        return []
-    return grid.rows_of(cm.pairs, space.primal_negation)
+    if trace is None:
+        return report.lam, CMVerdict(head)
+    return report.lam, CMVerdict(
+        head + _norming(space, cm, lam, *report.interior_cleared) + trace)
 
 
 def _projection_normed_by(rows: tuple[list[list[int]], list[int], int],
@@ -388,11 +378,12 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
     head is zero (its column is parallel to the carried target), and the
     columns themselves are not parallel.  Only the yielded subsets are
     solved exactly for their weights, from the same integer columns, and
-    tested for w > 0.  The hit, the lambda dual's certificate included,
-    is verified at the report's relative-interior point, a minimal
-    projection, before it is returned, except dual, cm_from_dual(report)
-    when the caller holds it, which is returned as it is when that point
-    is the witness, where cm_from_dual verified it.
+    tested for w > 0.  The lambda dual's certificate is dual,
+    cm_from_dual(report), or built by it when the caller does not hold
+    it.  The hit, that certificate included, is verified at the report's
+    relative-interior point, a minimal projection, before it is
+    returned, except dual, which is returned as it is when that point is
+    the witness, where cm_from_dual verified it.
     """
     if report.interior is None:
         raise ValueError("the report's optimal face is not settled")
@@ -406,8 +397,7 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
     if rows == report.dual_rows and len(rows) >= smallest:
         if dual is not None and report.interior == report.witness:
             return dual, len(dual.pairs)
-        return _verified(report, dual or CMFunctional(
-            pairs=tuple(grid.pairs[r] for r in rows), weights=report.dual_weights))
+        return _verified(report, dual or cm_from_dual(report))
 
     d = report.basis.dimension
     columns = [list(grid.coefs(r)) + [grid.denominator] for r in rows]

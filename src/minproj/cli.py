@@ -20,17 +20,9 @@ vertex/functional indices in reports are 0-based and refer to the order
 in which vertices are stored on the space.
 Output is byte-identical for identical inputs and flags.
 
-certify reads the certificate as a Chalmers-Metcalf bound: if its
-weights, vanishing, invariance and trace checks pass, every projection
-has sum_i a_i f_i(P x_i) = lambda_c, so lambda >= lambda_c, and any
-projection of norm at most lambda_c closes the gap.  When the
-certificate's pairs determine a projection, that one is solved for and
-checked by its exact operator norm on the vertex lists, with no LP and
-no pair grid; otherwise one lambda LP supplies the projection, started
-at the certificate's own pairs, a feasible point of its dual.  Only a
-certificate that fails there goes through the optimal face, with the
-LP solved from scratch, and its report is the one the full pipeline
-gives (certificates.certify_cm).
+certify's report is the one the full pipeline gives; it reaches it
+with as little work as the certificate allows, by the routes that
+certificates.certify_cm lists.
 Its checks object has one entry per name of certificates.CHECKS, false
 for the checks the verdict failed.
 """

@@ -368,12 +368,14 @@ def _negation(rows: Rows, den: int, kind: str) -> tuple[int, ...]:
 
 
 def _point_rows(vectors: Sequence[Sequence]) -> tuple[Rows, int]:
-    """A nonempty point list of one length, cleared (linalg.cleared)."""
+    """A nonempty point list of one length n >= 1, cleared (linalg.cleared)."""
     rows, den = cleared(vectors)
     if not rows:
         raise NotFullDimensionalError("empty vertex list")
     if any(len(v) != len(rows[0]) for v in rows):
         raise InputFormatError("inconsistent vector lengths")
+    if not rows[0]:
+        raise InputFormatError("vectors have no entries")
     return rows, den
 
 

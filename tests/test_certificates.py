@@ -15,7 +15,7 @@ from minproj.linalg import integer_row_rank
 from minproj.projections import (OperatorPoint, face_dimension, pair_rows,
                                  projection_constant)
 
-from oracles import cm_operator, trace_on_subspace
+from oracles import certify_by_cold_lp, cm_operator, trace_on_subspace
 
 F = Fraction
 
@@ -186,17 +186,22 @@ def test_certify_work_per_route(spy, ball, k, tamper, solves, faces):
 
 
 def test_certify_rejects_the_no_lp_point_below_lambda(monkeypatch, spy):
-    # Three pairs of the seeded l1^4 hyperplane's dual certificate have
-    # pair rows of full rank k(n-k) = 3, so at any lambda_c one projection
-    # gives them all the value lambda_c.  Below the true lambda its norm
-    # is larger, since no projection has norm below lambda: the point is
-    # solved and rejected, and certify falls through to the face, builds
-    # one grid and reports the true lambda.  The point is realized as an
-    # integer matrix M over a denominator den, and ||P|| = ||M|| / den;
-    # the face's interior is realized once more, for the verdict
+    # Three pairs (x, f) of the seeded l1^4 hyperplane's dual certificate
+    # have pair rows of full rank k(n-k) = 3.  With their antipodes
+    # (x, -f), all six at weight 1/6, T = 0: a certificate that passes
+    # every check but norming at lambda_c = 0, so its pairs' rows are
+    # solved for the one projection that gives them all the value 0.  Its
+    # norm is at least lambda > 0, since no projection has norm below
+    # lambda: the point is rejected, and certify falls through to the
+    # face, builds one grid and reports the true lambda.  The point is
+    # realized as an integer matrix M over a denominator den, and ||P|| =
+    # ||M|| / den; the face's interior is realized once more, for the
+    # verdict
     space, Y = l1_ball(4), random_subspace(4, 3, 7)
     report = projection_constant(space, Y)
-    cm = CMFunctional(cm_from_dual(report).pairs[:3], (F(1, 3),) * 3)
+    pairs = cm_from_dual(report).pairs[:3]
+    cm = CMFunctional(pairs + tuple((i, space.dual_negation[j]) for i, j in pairs),
+                      (F(1, 6),) * 6)
     basis = report.basis
     assert integer_row_rank(pair_rows(space, basis, cm.pairs)[0]) == basis.dimension
     norms, dens = [], []
@@ -216,12 +221,33 @@ def test_certify_rejects_the_no_lp_point_below_lambda(monkeypatch, spy):
     monkeypatch.setattr(projections.OperatorBasis, "realize_cleared", realize)
     spy(certificates, "build_pair_grid")
     counts = spy(certificates, "face_dimension")
-    computed, verdict = certify_cm(space, Y, cm, report.lam - F(1, 10))
+    computed, verdict = certify_cm(space, Y, cm, F(0))
     assert len(norms) == 1 and len(dens) == 2 and norms[0] / dens[0] >= report.lam
     assert counts == {"build_pair_grid": 1, "face_dimension": 1}
     assert computed == report.lam
-    assert not verdict.ok
-    assert "trace" in verdict.failed
+    assert verdict.failed == {"norming"}
+
+
+def test_a_certificate_that_fails_without_a_projection_goes_to_the_face(spy):
+    # The seeded l1^4 hyperplane's dual certificate has pair rows of full
+    # rank, the no-LP route's case.  With one weight set to 0 it fails
+    # the weight checks, which no projection can mend: certify solves no
+    # projection from its pairs and starts no LP, but solves the lambda
+    # LP once, cold, and reads the verdict at the face's interior, as the
+    # cold one-LP route does
+    space, Y = l1_ball(4), random_subspace(4, 3, 7)
+    report = projection_constant(space, Y)
+    cm = cm_from_dual(report)
+    assert (integer_row_rank(pair_rows(space, report.basis, cm.pairs)[0])
+            == report.basis.dimension)
+    cm = CMFunctional(cm.pairs, (F(0),) + cm.weights[1:])
+    spy(certificates, "_projection_normed_by")
+    spy(certificates, "face_dimension")
+    counts = spy(projections, "solve")
+    computed, verdict = certify_cm(space, Y, cm, report.lam)
+    assert counts == {"solve": 1, "face_dimension": 1}
+    assert "weights" in verdict.failed
+    assert (computed, verdict) == certify_by_cold_lp(space, Y, cm, report.lam)
 
 
 def test_no_lp_point_is_refused_by_its_norm():

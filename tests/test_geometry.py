@@ -307,6 +307,15 @@ def test_subspace_rejects_degenerate():
         PolyhedralSpace.from_vertices([(1, 0), (-1, 0), (0, 1, 0), (0, -1, 0)])
 
 
+@pytest.mark.parametrize("build", [polar_dual, PolyhedralSpace.from_vertices])
+def test_vectors_with_no_entries_are_refused(build):
+    # R^0 has no ball: a list of zero-length vectors is malformed input,
+    # refused before the polar is formed
+    for vectors in ([()], [(), ()]):
+        with pytest.raises(InputFormatError, match="^vectors have no entries$"):
+            build(vectors)
+
+
 # ----------------------------------------------------------- general position
 
 def test_general_position_verdicts():

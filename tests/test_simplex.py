@@ -43,14 +43,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minproj import certificates, simplex
+from minproj import simplex
 from minproj.catalog import l1_ball, linf_ball, random_subspace
 from minproj.certificates import cm_from_dual
 from minproj.errors import InternalError
 from minproj.geometry import Subspace
 from minproj.linalg import RMatrix, int_dot, solve_linear
 from minproj.projections import (PairGrid, build_operator_basis, build_pair_grid,
-                                 face_dimension, pair_rows, projection_constant)
+                                 face_dimension, projection_constant)
 from minproj.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                              _finish, _verify_certificate, solve)
 from oracles import (dense_grid_lp, dot, grid_rows, lp_rhs, make_lp, row_axpy,
@@ -545,8 +545,7 @@ def test_linf6_hyperplane_starts_at_its_certificate(monkeypatch):
     space, Y = linf_ball(6), random_subspace(6, 5, 7)
     report = projection_constant(space, Y)
     cm = cm_from_dual(report)
-    start = certificates._lp_start(space, report.grid, cm,
-                                   pair_rows(space, report.basis, cm.pairs), report.lam)
+    start = report.grid.rows_of(cm.pairs, space.primal_negation)
     assert start == list(report.dual_rows)
     phases = []
     install = simplex._RevisedDual.set_objective
