@@ -30,15 +30,13 @@ from math import lcm
 
 from .errors import BudgetExceededError, InputFormatError, InternalError
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import (RMatrix, int_dot, integer_row_rank, integer_rref,
-                     integer_solve, over_denominator, subset_walk)
+from .linalg import (DEFAULT_WORK_BUDGET, RMatrix, WorkBudget, int_dot,
+                     integer_row_rank, integer_rref, integer_solve,
+                     over_denominator, subset_walk)
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint, _solve_lambda,
                           build_operator_basis, build_pair_grid, face_dimension,
                           operator_norm, pair_rows, pair_values)
 from .rational import format_rational
-
-#: Largest candidate set the minimal-support search enumerates by default.
-DEFAULT_SUPPORT_CAP = 24
 
 #: The checks of verify_cm, in the order it reports them.
 CHECKS = ("weights", "vanishing", "invariance", "norming", "trace")
@@ -319,9 +317,10 @@ def cm_from_dual(report: MinProjReport) -> CMFunctional:
     return cm
 
 
-def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPPORT_CAP,
+def minimal_support_cm(report: MinProjReport, max_candidates: int | None = None,
                        in_general_position: bool = False,
-                       dual: CMFunctional | None = None) -> tuple[CMFunctional, int]:
+                       dual: CMFunctional | None = None,
+                       budget: int = DEFAULT_WORK_BUDGET) -> tuple[CMFunctional, int]:
     """Smallest-support certificate over the implicit pairs of a report
     whose face is settled (face_dimension); ValueError otherwise.
 
@@ -382,30 +381,40 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int = DEFAULT_SUPP
     cm_from_dual(report), or built by it when the caller does not hold
     it.  The hit, that certificate included, is verified at the report's
     relative-interior point, a minimal projection, before it is
-    returned, except dual, which is returned as it is when that point is
-    the witness, where cm_from_dual verified it.
+    returned, except the lambda dual's, which is returned as it is when
+    that point is the witness, where cm_from_dual verified it.
+
+    The search runs on budget row steps (linalg.WorkBudget): the walks
+    charge the rows they carry and group, and each exact solve is charged
+    (d + 1)(size + 1) steps, each of its d + 1 rows reduced against at
+    most size + 1 pivots.  Past the budget it raises BudgetExceededError,
+    as it does before any work when max_candidates is given and the
+    implicit pairs outnumber it.
     """
     if report.interior is None:
         raise ValueError("the report's optimal face is not settled")
     rows = report.implicit_rows
-    if len(rows) > max_candidates:
+    if max_candidates is not None and len(rows) > max_candidates:
         raise BudgetExceededError(
             f"{len(rows)} candidate pairs exceed the cap of {max_candidates}")
 
     grid = report.grid
     smallest = report.space.dim if in_general_position and report.lam > 1 else 1
     if rows == report.dual_rows and len(rows) >= smallest:
-        if dual is not None and report.interior == report.witness:
-            return dual, len(dual.pairs)
-        return _verified(report, dual or cm_from_dual(report))
+        cm = dual or cm_from_dual(report)
+        if report.interior == report.witness:
+            return cm, len(cm.pairs)
+        return _verified(report, cm)
 
     d = report.basis.dimension
     columns = [list(grid.coefs(r)) + [grid.denominator] for r in rows]
     target = [0] * d + [grid.denominator]
+    work = WorkBudget(budget, "support search")
     for size in range(smallest, min(d + 1, len(rows)) + 1):
-        for _, subset in subset_walk(columns, size, d):
+        for _, subset in subset_walk(columns, size, d, work):
             if subset is None:
                 continue
+            work.charge(len(target) * (size + 1))
             weights = _support_weights([columns[i] for i in subset], target)
             if weights is None:
                 raise InternalError(

@@ -20,6 +20,16 @@ vertex/functional indices in reports are 0-based and refer to the order
 in which vertices are stored on the space.
 Output is byte-identical for identical inputs and flags.
 
+The budget: the general-position check and the minimal-support search
+each run on linalg.DEFAULT_WORK_BUDGET row steps of their subset walk
+(linalg.WorkBudget), a deterministic count of the work done, so a stop
+falls at the same point on every run.  analyze's --subset-cap (or
+MINPROJ_SUBSET_CAP) adds an opt-in cap on the support search's
+candidate pairs, none by default.  A stage that runs out prints one
+"warning: <message>" line, reports "skipped" in its field, and analyze
+exits 3 with the rest of the report; general-position exits 3 with one
+"error:" line.
+
 certify's report is the one the full pipeline gives; it reaches it
 with as little work as the certificate allows, by the routes that
 certificates.certify_cm lists.
@@ -37,8 +47,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .catalog import paper_cases, random_subspace
-from .certificates import (CHECKS, DEFAULT_SUPPORT_CAP, certify_cm,
-                           cm_from_dual, minimal_support_cm)
+from .certificates import CHECKS, certify_cm, cm_from_dual, minimal_support_cm
 from .errors import (BudgetExceededError, InputFormatError, InternalError,
                      MinprojError)
 from .geometry import PolyhedralSpace, Subspace, general_position_check
@@ -99,13 +108,13 @@ def _gp_json(gp) -> dict:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cap, source = args.subset_cap, "--subset-cap"
-    if cap is None:
+    if cap is None and "MINPROJ_SUBSET_CAP" in os.environ:
         source = "MINPROJ_SUBSET_CAP"
         try:
-            cap = int(os.environ.get(source, DEFAULT_SUPPORT_CAP))
+            cap = int(os.environ[source])
         except ValueError:
             raise InputFormatError(f"{source} must be an integer") from None
-    if cap < 0:
+    if cap is not None and cap < 0:
         raise InputFormatError(f"{source} must be non-negative, not {cap}")
     space, subspace = _space_and_subspace(args)
 
@@ -302,7 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = command("analyze", _cmd_analyze, "full report for one space/subspace")
     analyze.add_argument("--subset-cap", type=int, metavar="N",
                          help="largest support-search candidate set to enumerate "
-                              f"(default {DEFAULT_SUPPORT_CAP}; env MINPROJ_SUBSET_CAP)")
+                              "(default: none; env MINPROJ_SUBSET_CAP); the "
+                              "work budget applies either way")
     analyze.add_argument("--skip-support-search", action="store_true",
                          help="omit the minimal-support certificate search")
     suite = command("paper-suite", _cmd_paper_suite,

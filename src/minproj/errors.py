@@ -4,7 +4,7 @@ Every error that callers are expected to catch has its own class; the CLI
 maps them onto its exit-code contract (2 for bad input, 3 for an
 exhausted enumeration budget, 4 for an internal failure).  Both subset
 enumerations, the minimal-support search and the general-position
-check, stop at their budget with the one BudgetExceededError.
+check, stop at their work budget with the one BudgetExceededError.
 """
 
 
@@ -36,7 +36,9 @@ class NotMinimalError(MinprojError):
 
 class BudgetExceededError(MinprojError):
     """A subset enumeration (minimal-support search or general-position
-    check) exceeded its configured cap."""
+    check) ran past its work budget, counted in the row steps of its
+    subset walk (linalg.WorkBudget), or the support search was refused by
+    the opt-in cap on its candidate pairs."""
 
 
 class InternalError(MinprojError):

@@ -25,16 +25,13 @@ from functools import cached_property
 from math import lcm
 from typing import Sequence
 
-from .errors import (BudgetExceededError, InputFormatError, InternalError,
-                     NotExtremeError, NotFullDimensionalError, NotSymmetricError)
-from .linalg import (Vector, cleared, complement_coordinates, independent_rows,
-                     int_dot, integer_inverse, integer_nullspace, over_denominator,
+from .errors import (InputFormatError, InternalError, NotExtremeError,
+                     NotFullDimensionalError, NotSymmetricError)
+from .linalg import (DEFAULT_WORK_BUDGET, Vector, WorkBudget, cleared,
+                     complement_coordinates, independent_rows, int_dot,
+                     integer_inverse, integer_nullspace, over_denominator,
                      primitive, subset_walk)
 from .rational import format_rational
-
-# Default budget of general_position_check: subsets counted, spans and
-# kernels together.
-DEFAULT_GP_CAP = 10 ** 6
 
 
 # A vertex list: integer rows, all over one denominator held beside them.
@@ -485,7 +482,7 @@ class GeneralPositionReport:
 
 
 def general_position_check(space: PolyhedralSpace, Y: Subspace,
-                           subset_cap: int = DEFAULT_GP_CAP) -> GeneralPositionReport:
+                           budget: int = DEFAULT_WORK_BUDGET) -> GeneralPositionReport:
     """Check the maximal-joint-span condition of Y against every vertex span
     and every intersection of dual-vertex kernels.
 
@@ -516,21 +513,22 @@ def general_position_check(space: PolyhedralSpace, Y: Subspace,
     Returns the first violating index set as witness.  Enumeration order:
     spans by (size, lexicographic indices), then kernels likewise.
     spans_checked and kernels_checked count the subsets in that order up
-    to the witness, or all of them, and subset_cap bounds their sum.  The
-    walk counts a subtree it cuts, and the leaves a node decides at once,
-    by binomials, so the counts and the budget are those of a walk
-    through every subset.
+    to the witness, or all of them.  The walk counts a subtree it cuts,
+    and the leaves a node decides at once, by binomials, so the counts
+    are those of a walk through every subset.  budget bounds the work of
+    the walks, spans and kernels together, in the row steps of
+    linalg.WorkBudget; past it the check raises BudgetExceededError.
     """
     n = space.dim
     k = Y.dim
+    spans = WorkBudget(budget, "vertex-span enumeration")
     span, spans_checked = _first_failing_subset(
-        space.primal_cleared[0], space.primal_reps, Y.annihilator_num,
-        n - k, 0, subset_cap, "vertex-span")
+        space.primal_cleared[0], space.primal_reps, Y.annihilator_num, n - k, spans)
     if span is not None:
         return GeneralPositionReport(False, "span", span, spans_checked, 0)
     kernel, kernels_checked = _first_failing_subset(
         space.dual_cleared[0], space.dual_reps, Y.basis_num, k,
-        spans_checked, subset_cap, "kernel")
+        WorkBudget(budget, "kernel enumeration", spans.spent))
     if kernel is not None:
         return GeneralPositionReport(False, "kernel", kernel,
                                      spans_checked, kernels_checked)
@@ -539,12 +537,11 @@ def general_position_check(space: PolyhedralSpace, Y: Subspace,
 
 def _first_failing_subset(vectors: Sequence[Sequence[int]], reps: Sequence[int],
                           directions: Sequence[Sequence[int]], max_size: int,
-                          spent: int, subset_cap: int,
-                          what: str) -> tuple[tuple[int, ...] | None, int]:
+                          budget: WorkBudget) -> tuple[tuple[int, ...] | None, int]:
     """First subset T of reps, by (size <= max_size, lexicographic), whose
     rows v·d (d in directions) have lower rank than its rows v, and the
-    number of subsets counted up to it.  Raises once spent plus the
-    subsets counted exceeds subset_cap.
+    number of subsets counted up to it.  The walks charge budget, which
+    raises once they run past it.
 
     vectors and directions are integer rows, each family cleared over one
     denominator: a positive factor on all vectors, or on all directions,
@@ -574,18 +571,14 @@ def _first_failing_subset(vectors: Sequence[Sequence[int]], reps: Sequence[int],
     is zero), and its raw rows independent when the two carried rows are
     not parallel: the tails v_J ride along in the same reduce_row steps,
     and no rank is taken per leaf.  The walk's counts, of cut subtrees
-    and of a node's leaves by binomials, are charged as it yields them,
-    so the counts and the budget error are those of a walk through every
-    subset.
+    and of a node's leaves by binomials, add up as it yields them, so the
+    counts are those of a walk through every subset.
     """
     rows = _walk_rows(vectors, reps, directions)
     checked = 0
     for size in range(1, min(max_size, len(reps)) + 1):
-        for passed, subset in subset_walk(rows, size, len(directions)):
+        for passed, subset in subset_walk(rows, size, len(directions), budget):
             checked += passed
-            if spent + checked > subset_cap:
-                raise BudgetExceededError(
-                    f"{what} enumeration exceeded cap {subset_cap}")
             if subset is not None:
                 return tuple(reps[i] for i in subset), checked
     return None, checked

@@ -15,7 +15,9 @@ one echelon row, applied to every row the node carries on).  The walk
 stops two levels above the leaves: there the carried rows are
 grouped by direction (parallel classes), and a leaf, the prefix plus two
 carried rows, is dependent exactly when the second row is zero or
-parallel to the first, so no step is taken for the last level.
+parallel to the first, so no step is taken for the last level.  Both
+walks run on one WorkBudget, in row steps, which the walk charges as it
+goes and which stops it with BudgetExceededError.
 
 Fractions are formed only at the edges.  Rational input is cleared to
 integer rows (over_denominator, cleared); a nullspace or an inverse comes
@@ -32,6 +34,8 @@ from itertools import combinations, islice
 from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
+
+from .errors import BudgetExceededError
 
 Vector = tuple[Fraction, ...]
 
@@ -197,8 +201,39 @@ def complement_coordinates(rows: Sequence[Sequence[int]], n: int) -> list[int]:
     return [i - k for i in independent_rows([*rows, *units], n)[k:]]
 
 
-def subset_walk(rows: Sequence[Sequence[int]], size: int, width: int
-                ) -> Iterator[tuple[int, tuple[int, ...] | None]]:
+#: The work budget of one subset search (the general-position check, or
+#: the minimal-support search), in row steps: see WorkBudget.
+DEFAULT_WORK_BUDGET = 2 * 10 ** 5
+
+
+class WorkBudget:
+    """A deterministic budget of work, in row steps, that a subset search
+    charges as it goes.  subset_walk charges one step for each row that a
+    reduce_rows step carries to a child node, and one for each row that a
+    node two levels above the leaves groups by direction (_leaves); the
+    support search charges each exact solve too, by its size.  A charge
+    is made before its work, and raises BudgetExceededError once the
+    steps charged exceed `units`: a budget equal to a search's total
+    completes it, and one step less stops it, at the same point on every
+    run.  `what` names the search in the error; `spent` starts a budget
+    that goes on from another one."""
+
+    __slots__ = ("units", "what", "spent")
+
+    def __init__(self, units: int, what: str, spent: int = 0):
+        self.units = units
+        self.what = what
+        self.spent = spent
+
+    def charge(self, steps: int) -> None:
+        self.spent += steps
+        if self.spent > self.units:
+            raise BudgetExceededError(
+                f"{self.what} exceeded its work budget of {self.units} row steps")
+
+
+def subset_walk(rows: Sequence[Sequence[int]], size: int, width: int,
+                budget: WorkBudget) -> Iterator[tuple[int, tuple[int, ...] | None]]:
     """The index subsets T of `size` >= 1 integer rows, in lexicographic
     order, whose rows are independent while their heads, the first
     `width` entries, are dependent and the heads of every proper prefix
@@ -228,12 +263,18 @@ def subset_walk(rows: Sequence[Sequence[int]], size: int, width: int
     subset, which qualifies.  A cut subtree, and a node's leaves after its
     last qualifying one, end with one (passed, None) that counts up to
     their end.  The counts of a walk sum to comb(len(rows), size), so a
-    caller that charges a budget as it goes stops at the same subset as a
-    walk through every leaf.
+    caller that adds them up as it goes counts what a walk through every
+    leaf counts up to the same subset.
+
+    The walk charges budget (WorkBudget) before each batch step, for the
+    rows it carries, and before each node decides its leaves, for the
+    rows it groups, so its work is bounded by the budget and not by the
+    number of subsets, which the leaves and cuts count by binomials.
     """
     def walk(prefix, indices, rows, prev):
         depth = len(prefix) + 1
         if depth >= size - 1:
+            budget.charge(len(rows))
             yield from _leaves(prefix, indices, rows, size - len(prefix), width)
             return
         for pos in range(len(rows) - size + depth):
@@ -242,8 +283,10 @@ def subset_walk(rows: Sequence[Sequence[int]], size: int, width: int
             if pivot is None or pivot >= width:
                 yield comb(len(rows) - pos - 1, size - depth), None
                 continue
+            carried = rows[pos + 1:]
+            budget.charge(len(carried))
             yield from walk(prefix + (indices[pos],), indices[pos + 1:],
-                            reduce_rows(rows[pos + 1:], pivot, row, prev), row[pivot])
+                            reduce_rows(carried, pivot, row, prev), row[pivot])
 
     return walk((), range(len(rows)), rows, 1)
 

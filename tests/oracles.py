@@ -18,16 +18,19 @@ general-position enumeration over every subset size up to n, with one
 stacked rank per distinct subspace, and the per-subset search that the
 subset walk of ``general_position_check`` replaced
 (``general_position_per_subset``), one integer rank per subset in the
-same order, which must give the same report, counts and budget errors
-included (``budget_outcome`` reads a check's report or budget error).
+same order, which must give the same report, counts included
+(``budget_outcome`` reads a check's report or budget error).
 The subset walk itself is kept as it was when it went down to the
 leaves (``subset_walk_by_leaves``, one fraction-free step per leaf,
 with its own step), and so is the check built on it
 (``general_position_by_leaf_walk``, one integer rank per leaf whose
 projected rows are dependent): ``linalg.subset_walk``, which decides the
 last two levels at once by parallel classes, must give the same
-reports and budget errors, and the same support hits less those under
-a prefix whose span holds the target.  The rows that walk took in the
+reports, and the same support hits less those under a prefix whose
+span holds the target.  That walk is kept as it was before it charged a
+work budget (``subset_walk_by_classes``): a budgeted walk that
+completes must give its events, and ``work_edge`` reads the row steps
+that a run charges to the work budgets of a module.  The rows that walk took in the
 general-position check before they were n entries wide,
 [v·d | v] (``general_position_rows_by_raw_vectors``), must give the
 same walk events as ``geometry._walk_rows``.  The last decides each vertex's
@@ -111,15 +114,14 @@ from math import comb, gcd, lcm
 from types import SimpleNamespace
 from typing import Sequence
 
-from minproj.certificates import (DEFAULT_SUPPORT_CAP, CMVerdict, _projection_normed_by,
-                                  verify_cm)
+from minproj.certificates import CMVerdict, _projection_normed_by, verify_cm
 from minproj.errors import (BudgetExceededError, InternalError,
                             NotFullDimensionalError, NotSymmetricError)
-from minproj.geometry import (DEFAULT_GP_CAP, GeneralPositionReport, _Polar,
-                              norm_eval)
+from minproj.geometry import GeneralPositionReport, _Polar, norm_eval
 from minproj.jsonio import vector_json
-from minproj.linalg import (RMatrix, independent_rows, int_dot, integer_inverse,
-                            integer_solve, over_denominator, primitive)
+from minproj.linalg import (RMatrix, WorkBudget, _leaves, _pivot,
+                            independent_rows, int_dot, integer_inverse, integer_solve,
+                            over_denominator, primitive, reduce_rows)
 from minproj.projections import (OperatorPoint, _first_slack_step, _solve_lambda,
                                   build_operator_basis, build_pair_grid, face_dimension,
                                   norming_pairs, pair_rows, pair_values,
@@ -473,8 +475,7 @@ def max_norming_by_greedy(space, Y, report):
     return point, len(pairs)
 
 
-def minimal_support_by_lp(space, Y, candidate_pairs,
-                          max_candidates=DEFAULT_SUPPORT_CAP):
+def minimal_support_by_lp(space, Y, candidate_pairs, max_candidates=None):
     """(pairs, weights) of the smallest-support certificate over the
     candidates: subsets by cardinality, then lexicographically, each tested
     by an LP maximizing the smallest weight tau subject to the vanishing
@@ -482,7 +483,7 @@ def minimal_support_by_lp(space, Y, candidate_pairs,
     candidates = sorted(set(candidate_pairs))
     if not candidates:
         raise InternalError("no candidate pairs to search")
-    if len(candidates) > max_candidates:
+    if max_candidates is not None and len(candidates) > max_candidates:
         raise BudgetExceededError(
             f"{len(candidates)} candidate pairs exceed the cap of {max_candidates}")
     basis = build_operator_basis(space, Y)
@@ -519,8 +520,7 @@ def minimal_support_by_lp(space, Y, candidate_pairs,
     raise InternalError("no valid certificate over the candidate pairs")
 
 
-def minimal_support_by_solve(space, Y, candidate_pairs,
-                             max_candidates=DEFAULT_SUPPORT_CAP):
+def minimal_support_by_solve(space, Y, candidate_pairs, max_candidates=None):
     """(pairs, weights) of the smallest-support certificate over the
     candidates: subsets by cardinality up to k(n-k) + 1, then
     lexicographically, each tested by an exact rational solve of
@@ -529,7 +529,7 @@ def minimal_support_by_solve(space, Y, candidate_pairs,
     candidates = sorted(set(candidate_pairs))
     if not candidates:
         raise InternalError("no candidate pairs to search")
-    if len(candidates) > max_candidates:
+    if max_candidates is not None and len(candidates) > max_candidates:
         raise BudgetExceededError(
             f"{len(candidates)} candidate pairs exceed the cap of {max_candidates}")
     basis = build_operator_basis(space, Y)
@@ -608,60 +608,99 @@ def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
     return GeneralPositionReport(True, None, None, spans_checked, kernels_checked)
 
 
-def general_position_per_subset(space, Y, subset_cap=DEFAULT_GP_CAP):
+def general_position_per_subset(space, Y):
     """geometry.general_position_check as it was before the subset walk:
     the same subsets in the same order, spans of at most n - k vertices
     and kernels of at most k functionals, each visited and judged by one
     integer rank of its projected rows, and of its raw rows when that
-    rank is below the subset's size.  Same report, same budget errors."""
+    rank is below the subset's size.  Same report."""
     return _general_position_report(
         _first_failing_subset, (space.primal_vertices, space.primal_reps,
                                 Y.annihilator_functionals()),
         (space.dual_vertices, space.dual_reps, Y.basis_vectors()),
-        space.dim - Y.dim, Y.dim, subset_cap)
+        space.dim - Y.dim, Y.dim)
 
 
-def general_position_by_leaf_walk(space, Y, subset_cap=DEFAULT_GP_CAP):
+def general_position_by_leaf_walk(space, Y):
     """geometry.general_position_check as it was when its subset walk went
     down to the leaves (subset_walk_by_leaves over the projected rows): a
     cut prefix's subtree is counted by a binomial, and a leaf whose last
     projected row reduces to zero fails when its raw rows have full
-    integer rank.  Same report, same budget errors."""
+    integer rank.  Same report."""
     return _general_position_report(
         _first_failing_by_leaf_walk,
         (space.primal_cleared[0], space.primal_reps, Y.annihilator_num),
         (space.dual_cleared[0], space.dual_reps, Y.basis_num),
-        space.dim - Y.dim, Y.dim, subset_cap)
+        space.dim - Y.dim, Y.dim)
 
 
-def _general_position_report(first_failing, spans, kernels, max_span,
-                             max_kernel, subset_cap):
-    """The report of first_failing(vectors, reps, directions, max_size,
-    spent, subset_cap, what) run over spans, then over kernels, each a
-    triple (vectors, reps, directions)."""
-    span, spans_checked = first_failing(*spans, max_span, 0, subset_cap,
-                                        "vertex-span")
+def _general_position_report(first_failing, spans, kernels, max_span, max_kernel):
+    """The report of first_failing(vectors, reps, directions, max_size)
+    run over spans, then over kernels, each a triple (vectors, reps,
+    directions)."""
+    span, spans_checked = first_failing(*spans, max_span)
     if span is not None:
         return GeneralPositionReport(False, "span", span, spans_checked, 0)
-    kernel, kernels_checked = first_failing(*kernels, max_kernel, spans_checked,
-                                            subset_cap, "kernel")
+    kernel, kernels_checked = first_failing(*kernels, max_kernel)
     if kernel is not None:
         return GeneralPositionReport(False, "kernel", kernel,
                                      spans_checked, kernels_checked)
     return GeneralPositionReport(True, None, None, spans_checked, kernels_checked)
 
 
-def budget_outcome(check, space, Y, subset_cap):
-    """The report of a general-position check at subset_cap, or the text
-    of the BudgetExceededError it raises."""
+def budget_outcome(check, *args, budget):
+    """The result of check(*args, budget=budget), or the text of the
+    BudgetExceededError it raises."""
     try:
-        return check(space, Y, subset_cap)
+        return check(*args, budget=budget)
     except BudgetExceededError as exc:
         return str(exc)
 
 
-def _first_failing_subset(vectors, reps, directions, max_size, spent,
-                          subset_cap, what):
+def work_edge(module, check, *args):
+    """The row steps check(*args) charges, in all, to the linalg.WorkBudgets
+    that module makes, when it runs to the end with its default budget:
+    the least budget it completes with (0 when it walks no subset)."""
+    made = []
+
+    class Recorded(WorkBudget):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    original = module.WorkBudget
+    module.WorkBudget = Recorded
+    try:
+        check(*args)
+    finally:
+        module.WorkBudget = original
+    return max((budget.spent for budget in made), default=0)
+
+
+def subset_walk_by_classes(rows, size, width):
+    """linalg.subset_walk as it was before it charged a work budget: the
+    same walk, nodes and events (it decides a node's leaves with the
+    same linalg._leaves), with no budget."""
+    def walk(prefix, indices, rows, prev):
+        depth = len(prefix) + 1
+        if depth >= size - 1:
+            yield from _leaves(prefix, indices, rows, size - len(prefix), width)
+            return
+        for pos in range(len(rows) - size + depth):
+            row = rows[pos]
+            pivot = _pivot(row)
+            if pivot is None or pivot >= width:
+                yield comb(len(rows) - pos - 1, size - depth), None
+                continue
+            yield from walk(prefix + (indices[pos],), indices[pos + 1:],
+                            reduce_rows(rows[pos + 1:], pivot, row, prev), row[pivot])
+
+    return walk((), range(len(rows)), rows, 1)
+
+
+def _first_failing_subset(vectors, reps, directions, max_size):
     raw = {i: over_denominator(vectors[i])[0] for i in reps}
     projected = {i: over_denominator([dot(vectors[i], d) for d in directions])[0]
                  for i in reps}
@@ -669,9 +708,6 @@ def _first_failing_subset(vectors, reps, directions, max_size, spent,
     for size in range(1, min(max_size, len(reps)) + 1):
         for subset in itertools.combinations(reps, size):
             checked += 1
-            if spent + checked > subset_cap:
-                raise BudgetExceededError(
-                    f"{what} enumeration exceeded cap {subset_cap}")
             rank = integer_rank_in_place([projected[i] for i in subset])
             if rank < size and rank != integer_rank_in_place([raw[i] for i in subset]):
                 return subset, checked
@@ -686,8 +722,7 @@ def general_position_rows_by_raw_vectors(vectors, reps, directions):
             for v in (vectors[i] for i in reps)]
 
 
-def _first_failing_by_leaf_walk(vectors, reps, directions, max_size, spent,
-                                subset_cap, what):
+def _first_failing_by_leaf_walk(vectors, reps, directions, max_size):
     raw = [vectors[i] for i in reps]
     projected = [[int_dot(v, d) for d in directions] for v in raw]
     m = len(reps)
@@ -696,9 +731,6 @@ def _first_failing_by_leaf_walk(vectors, reps, directions, max_size, spent,
         for subset, row, _ in subset_walk_by_leaves(projected, size):
             depth = len(subset)
             checked += 1 if depth == size else comb(m - subset[-1] - 1, size - depth)
-            if spent + checked > subset_cap:
-                raise BudgetExceededError(
-                    f"{what} enumeration exceeded cap {subset_cap}")
             if (depth == size and not any(row)
                     and integer_rank_in_place([raw[i] for i in subset]) == size):
                 return tuple(reps[i] for i in subset), checked

@@ -10,7 +10,7 @@ from minproj.certificates import (CMFunctional, _projection_normed_by, certify_c
                                   cm_from_dual, cm_rank_gap, minimal_support_cm,
                                   verify_cm)
 from minproj.errors import BudgetExceededError, InputFormatError, InternalError
-from minproj.geometry import Subspace, general_position_check
+from minproj.geometry import PolyhedralSpace, Subspace, general_position_check
 from minproj.linalg import integer_row_rank
 from minproj.projections import (OperatorPoint, face_dimension, pair_rows,
                                  projection_constant)
@@ -121,6 +121,37 @@ def test_support_budget(analyzed):
     # the candidates are the implicit pairs of a settled face
     with pytest.raises(ValueError, match="not settled"):
         minimal_support_cm(projection_constant(a.case.space, a.case.subspace))
+
+
+def test_support_budget_edge_on_the_linf5_plane():
+    # The seeded l-inf^5 2-plane, as analyze builds it: lambda = 1, so the
+    # search starts at size 1, over 32 candidate pairs in d + 1 = 7
+    # coordinates.  Its walks carry and group 1203 rows, and it solves
+    # two subsets of size 4, each charged (d + 1)(size + 1) = 35 steps:
+    # 1273 in all.  With that budget it finds its support of size 4; one
+    # step less stops it at its second solve.
+    space = PolyhedralSpace.from_vertices(linf_ball(5).primal_vertices)
+    report = projection_constant(space, random_subspace(5, 2, 7))
+    face_dimension(report)
+    assert (report.lam, len(report.implicit_rows)) == (1, 32)
+    cm, size = minimal_support_cm(report, budget=1203 + 2 * 35)
+    assert size == 4
+    assert (cm, size) == minimal_support_cm(report)
+    with pytest.raises(BudgetExceededError,
+                       match="^support search exceeded its work budget of 1272 row steps$"):
+        minimal_support_cm(report, budget=1272)
+
+
+def test_support_of_a_unique_dual_is_verified_once(analyzed, spy):
+    # When the implicit rows are the dual's and the face is the witness,
+    # the search returns cm_from_dual's certificate, verified there once
+    report = analyzed["ker-sum-l1-n3"].report
+    assert report.implicit_rows == report.dual_rows
+    assert report.interior == report.witness
+    calls = spy(certificates, "verify_cm")
+    cm, size = minimal_support_cm(report)
+    assert calls["verify_cm"] == 1
+    assert (cm, size) == (cm_from_dual(report), len(report.dual_rows))
 
 
 def test_tampered_dual_is_rejected(analyzed):
@@ -290,15 +321,15 @@ def test_certify_refuses_an_lp_value_below_the_certified_bound(monkeypatch):
 
 
 def test_uncapped_support_of_the_linf6_plane():
-    # The 2-plane of l-inf^6 at generator seed 7 has 64 candidate pairs,
-    # beyond the default cap.  Uncapped, the first support in (size,
+    # The 2-plane of l-inf^6 at generator seed 7 has 64 candidate pairs.
+    # Within the default work budget, the first support in (size,
     # lexicographic) order has 5 pairs, as the walk through every leaf
     # (oracles.subset_walk_by_leaves) finds it.
     space, Y = linf_ball(6), random_subspace(6, 2, 7)
     report = projection_constant(space, Y)
     _, implicit = face_dimension(report)
     assert len(set(implicit)) == 64
-    cm, size = minimal_support_cm(report, max_candidates=64)
+    cm, size = minimal_support_cm(report)
     assert size == 5
     assert cm.pairs == ((0, 0), (1, 0), (2, 0), (4, 0), (27, 0))
     assert cm.weights == (F(2467, 36729), F(3917, 20988), F(513, 1484),

@@ -414,16 +414,24 @@ def test_negative_subset_cap_is_malformed_input(space_file, capsys, monkeypatch)
     assert "exceed the cap of 0" in capsys.readouterr().err
 
 
-SUPPORT_STOP = "warning: 32 candidate pairs exceed the cap of 24\n"
-GP_STOP = "warning: vertex-span enumeration exceeded cap 3\n"
+SUPPORT_STOP = "warning: support search exceeded its work budget of 3 row steps\n"
+GP_STOP = "warning: vertex-span enumeration exceeded its work budget of 3 row steps\n"
 
 
 @pytest.fixture
 def small_gp_cap(monkeypatch):
-    """The CLI's general-position check with a budget of 3 subsets, which
-    every seeded input below runs past among its one-vertex spans."""
+    """The CLI's general-position check with a budget of 3 row steps,
+    which every seeded input below runs past among its one-vertex spans."""
     monkeypatch.setattr(cli, "general_position_check", functools.partial(
-        geometry.general_position_check, subset_cap=3))
+        geometry.general_position_check, budget=3))
+
+
+@pytest.fixture
+def small_support_budget(monkeypatch):
+    """The CLI's support search with a budget of 3 row steps, which the
+    l-inf^5 2-plane's walk runs past at once."""
+    monkeypatch.setattr(cli, "minimal_support_cm", functools.partial(
+        certificates.minimal_support_cm, budget=3))
 
 
 def _seeded_input(tmp_path, ball, n, k):
@@ -432,26 +440,35 @@ def _seeded_input(tmp_path, ball, n, k):
     return str(path)
 
 
-@pytest.mark.parametrize("ball, n, k, flags, stderr", [
+@pytest.mark.parametrize("ball, n, k, flags, small_support, stderr", [
     # the support search finds its certificate; only general position stops
-    (l1_ball, 4, 3, [], GP_STOP),
-    # the l-inf^5 2-plane has 32 candidate pairs, past the default cap of
-    # 24: both stages stop, and warn in the order of the report's fields
-    (linf_ball, 5, 2, [], SUPPORT_STOP + GP_STOP),
+    (l1_ball, 4, 3, [], False, GP_STOP),
+    # the l-inf^5 2-plane's 32 candidate pairs are searched within the
+    # default work budget: the search finds its support, of size 4
+    (linf_ball, 5, 2, [], False, GP_STOP),
     # a skipped search is no budget stop, and prints no warning
-    (linf_ball, 5, 2, ["--skip-support-search"], GP_STOP),
-], ids=["l1-n4-k3", "linf-n5-k2", "linf-n5-k2-skip-support"])
-def test_budget_stops_give_a_partial_report(tmp_path, capsys, small_gp_cap,
-                                            ball, n, k, flags, stderr):
+    (linf_ball, 5, 2, ["--skip-support-search"], False, GP_STOP),
+    # with a tiny budget both stages stop, and warn in the order of the
+    # report's fields
+    (linf_ball, 5, 2, [], True, SUPPORT_STOP + GP_STOP),
+], ids=["l1-n4-k3", "linf-n5-k2", "linf-n5-k2-skip-support",
+        "linf-n5-k2-support-budget"])
+def test_budget_stops_give_a_partial_report(tmp_path, capsys, small_gp_cap, request,
+                                            ball, n, k, flags, small_support, stderr):
     # one rule for both budgeted stages: a warning line, "skipped" in the
     # stage's field, the rest of the report, and exit 3
+    if small_support:
+        request.getfixturevalue("small_support_budget")
     path = _seeded_input(tmp_path, ball, n, k)
     assert cli.main(["analyze", "--input", path, *flags]) == 3
     captured = capsys.readouterr()
     assert captured.err == stderr
     report = json.loads(captured.out)
     assert report["general_position"] == "skipped"
-    assert (report["support_search"] == "skipped") is (n == 5)
+    if flags or small_support:
+        assert report["support_search"] == "skipped"
+    else:
+        assert report["support_search"]["size"] == 4
     assert parse_rational(report["lambda"]) >= 1
 
 
@@ -485,7 +502,7 @@ def test_general_position_budget_stop_is_an_error(tmp_path, capsys, small_gp_cap
     path = _seeded_input(tmp_path, l1_ball, 4, 3)
     assert cli.main(["general-position", "--input", path]) == 3
     assert capsys.readouterr() == (
-        "", "error: vertex-span enumeration exceeded cap 3\n")
+        "", "error: vertex-span enumeration exceeded its work budget of 3 row steps\n")
 
 
 @pytest.mark.parametrize("cap", ["banana", "-1"])

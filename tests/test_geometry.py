@@ -18,7 +18,7 @@ from minproj.linalg import RMatrix, over_denominator
 from oracles import (budget_outcome, dot, gauge_lp_norm,
                      general_position_per_subset, inverse_by_fractions,
                      is_extreme, polar_dual_by_fractions,
-                     subset_walk_by_leaves)
+                     subset_walk_by_leaves, work_edge)
 
 F = Fraction
 
@@ -370,19 +370,40 @@ def test_general_position_budget():
     space = linf_ball(4)
     Y = Subspace.from_kernel([(2, 1, 1, 1)])
     with pytest.raises(BudgetExceededError):
-        general_position_check(space, Y, subset_cap=5)
+        general_position_check(space, Y, budget=5)
 
 
 def test_general_position_budget_boundary_on_l1_6_hyperplane():
     # Spans of one of the 6 vertex pairs, kernels of at most 5 of the 32
-    # dual pairs: 32 + 496 + 4960 + 35960 + 201376 = 242824.
+    # dual pairs: 32 + 496 + 4960 + 35960 + 201376 = 242824 subsets.  No
+    # subtree is cut, so the walks charge 6 row steps for the spans (the
+    # root groups its 6 rows) and 32, 32, 990, 10353 and 76412 for the
+    # kernels of sizes 1 to 5: the rows each node carries to each child,
+    # and the rows each node two levels above the leaves groups.
     space, Y = l1_ball(6), random_subspace(6, 5, 7)
-    r = general_position_check(space, Y, subset_cap=242_830)
+    assert 6 + 32 + 32 + 990 + 10_353 + 76_412 == 87_825
+    r = general_position_check(space, Y, budget=87_825)
     assert r.in_general_position
     assert (r.spans_checked, r.kernels_checked) == (6, 242_824)
-    with pytest.raises(BudgetExceededError,
-                       match="^kernel enumeration exceeded cap 242829$"):
-        general_position_check(space, Y, subset_cap=242_829)
+    with pytest.raises(
+            BudgetExceededError,
+            match="^kernel enumeration exceeded its work budget of 87824 row steps$"):
+        general_position_check(space, Y, budget=87_824)
+
+
+def _assert_completes_from_its_work(space, Y, report):
+    """The check gives report at every budget from the row steps it
+    charges, and below that stops with the budget error of the walk it
+    is in."""
+    edge = work_edge(geometry, general_position_check, space, Y)
+    for budget in range(edge + 2):
+        outcome = budget_outcome(general_position_check, space, Y, budget=budget)
+        if budget >= edge:
+            assert outcome == report, budget
+        else:
+            assert re.fullmatch(r"(vertex-span|kernel) enumeration exceeded its "
+                                rf"work budget of {budget} row steps", outcome)
+    return edge
 
 
 # e1, e2 and e1 + e2 are dependent vertices; the others are e3, e4, e5.
@@ -415,10 +436,7 @@ def test_general_position_counts_the_subtree_under_a_dependent_prefix():
     assert (r.spans_checked, r.kernels_checked) == (
         sum(math.comb(6, s) for s in range(1, 5)), 24)
     assert r == general_position_per_subset(space, Y)
-    # every cap, those that run out inside the cut subtree included
-    for cap in range(r.spans_checked + r.kernels_checked + 1):
-        assert (budget_outcome(general_position_check, space, Y, cap)
-                == budget_outcome(general_position_per_subset, space, Y, cap))
+    _assert_completes_from_its_work(space, Y, r)
 
 
 def test_general_position_counts_a_subtree_cut_above_the_leaf_batches():
@@ -434,9 +452,8 @@ def test_general_position_counts_a_subtree_cut_above_the_leaf_batches():
     assert r.in_general_position
     assert (r.spans_checked, r.kernels_checked) == (
         sum(math.comb(7, s) for s in range(1, 6)), len(space.dual_reps))
-    for cap in range(r.spans_checked + r.kernels_checked + 1):
-        assert (budget_outcome(general_position_check, space, Y, cap)
-                == budget_outcome(general_position_per_subset, space, Y, cap))
+    assert r == general_position_per_subset(space, Y)
+    _assert_completes_from_its_work(space, Y, r)
 
 
 def test_general_position_budget_runs_out_inside_a_leaf_batch():
@@ -445,8 +462,13 @@ def test_general_position_budget_runs_out_inside_a_leaf_batch():
     # to 3 pass; at size 4 the node (0, 1) decides its leaves at once: the
     # 3 under the prefix (0, 1, 2), which the leaf walk cuts at depth 3,
     # then (0, 1, 3, 4), which passes, then (0, 1, 3, 5), which fails.
-    # Caps 41-43 run out inside the cut subtree, 44 one leaf before the
-    # failing leaf and 45 at the failing leaf, where the budget error wins.
+    # No head is zero, so no subtree is cut: the walks charge 6 and 6 row
+    # steps at sizes 1 and 2 (the root groups its 6 rows), 2 * (5 + 4 + 3
+    # + 2) at size 3 (the rows carried to each child, which groups them),
+    # and at size 4 the 5 rows carried to (0,), the 4 carried to (0, 1)
+    # and the 4 it groups before it decides its leaves.  So every budget
+    # from 49 to 52 stops at that last charge, and the budget error wins
+    # over the failing leaf in its batch.
     space = PolyhedralSpace.from_vertices(
         [q for p in _DEPENDENT_TRIPLE for q in (p, tuple(-x for x in p))])
     Y = Subspace.from_basis([(1, 2, 4, 0, 16)])
@@ -456,7 +478,5 @@ def test_general_position_budget_runs_out_inside_a_leaf_batch():
     assert r == general_position_per_subset(space, Y)
     assert (r.witness_kind, r.witness) == ("span", tuple(reps[i] for i in (0, 1, 3, 5)))
     assert (r.spans_checked, r.kernels_checked) == (46, 0)
-    for cap in range(47):
-        outcome = budget_outcome(general_position_check, space, Y, cap)
-        assert outcome == budget_outcome(general_position_per_subset, space, Y, cap)
-        assert (outcome == r) is (cap == 46)
+    edge = _assert_completes_from_its_work(space, Y, r)
+    assert edge == 6 + 6 + 2 * (5 + 4 + 3 + 2) + 5 + 4 + 4 == 53

@@ -17,8 +17,8 @@ of 4), so it is settled by the LP, and on the valid certificate of the
 seeded l-inf^6 hyperplane, whose two pairs leave it undetermined too
 (lambda = 1): its LP starts at the certificate's own rows and skips
 phase I, and its digest was taken before the LP had a start.  The
-l-inf^5 2-plane has more candidate pairs than the support search's
-default cap, so its pinned run is the exit-3 partial report.  ``polar`` runs on primal-only
+l-inf^5 2-plane's support search walks 32 candidate pairs to a support
+of size 4 within the default work budget.  ``polar`` runs on primal-only
 documents of l-inf^8, l1^8 and mixed_ball(5, 3), whose polar the double
 description computes.
 
@@ -26,7 +26,7 @@ The digests hash the exit code, standard output and standard error of
 each run.  Nine pinned runs also run in child interpreters, plain and
 under ``python -O``, which must print the same bytes with the same exit
 code: ``analyze`` on the seeded l1^4 hyperplane and on the seeded l-inf^5
-2-plane (the exit-3 partial report), ``general-position`` on
+2-plane (its support found by the subset walk), ``general-position`` on
 the partial-sum 3-plane of l-inf^5, and ``certify`` on the valid
 certificates of the seeded l1^4 hyperplane (no LP), l-inf^4 2-plane
 (one LP) and l-inf^6 hyperplane (one started LP), on the small-weight
@@ -71,14 +71,14 @@ GOLDEN = {
     "analyze/ker-sum-linf-n5": "682489d8feaf4c38e97ce7aaf102c4c310df1095365f6dc23b82d241fd99c0d1",
     "analyze/coordinate-span-l1-n3-k2": "6284d7d1e779d970b41b5b9c8b9bc7268a0a770354a9656648ffc4241251aa63",
     "analyze/coordinate-span-l1-n4-k2": "ebcc01847fc0846a007731fe19e17219ae4dd9a8fdd1883c0f741bf1eefab031",
-    "analyze/coordinate-span-l1-n5-k2": "d0ad85cb45436b1361d175de546412f02cb041e03328c93ef02df31414963e1f",
+    "analyze/coordinate-span-l1-n5-k2": "c5a693c4f195f61c7d58f516584397362fa48b06fd79da157ba32ca01a676aae",
     "analyze/mixed-extremal-n4-k3": "c21d62eba9100b89f37fa65e14fbfcbdea0eb90526a71940aeeee27789daeb81",
     "analyze/mixed-extremal-n5-k3": "9632b8a49665ec1455fa0c926779c0a6e3c36332d6cf9050c50466b3042f3b35",
     "analyze/partial-sum-linf-n4-k3": "36b50221e74a3f0d62421efa028d682304d3c7b607a18be6de1f917e5c422465",
     "analyze/partial-sum-linf-n5-k3": "c6bb1dade88506ce237dffb2d7a5860ba1c2630ce64f677ba7db4d07a1af085c",
     "analyze/partial-sum-linf-n5-k4": "738b25e2925e531c40129976c113b2471fd7cd6c0a6de0a17789cc3c9efabc45",
     "analyze/first-coordinate-mixed-n4": "25cd6532984164c4155379d30b092b611d5e0f94d8d5c13f7971a3ed4470f2bd",
-    "analyze/first-coordinate-mixed-n5": "5f675c07fa7c18c89f1d4d1e61a5b5166184104e4a70ff2b02f801feb81b7da5",
+    "analyze/first-coordinate-mixed-n5": "5de2f6d84bf99751f536a2b3f801553c774db4eb624bfe3c5c984f4c4e3257c2",
     "analyze/seeded-linf-n4-k3": "0abdb9eaa90ce27f4f26aa75853166e5f5abce892df1a04447104cdd86ca1e96",
     "analyze/seeded-linf-n4-k2": "94d2b323e9d85fdf6aff3f6f9cbf44a619e7f4e372be2503c948cf40a0b1884c",
     "certify/seeded-linf-n4-k2-valid/json": "19f54cdb201c57490f74febfb241c5c045920c820f28be2561eacc0baa5fcd76",
@@ -104,7 +104,7 @@ GOLDEN = {
     "certify/seeded-l1-n4-k3-three-pairs-lambda-1/table": "d0061b494f4b682b1ee0720d3c27cd5a1efa62ed6fb0eed8003409e9f1d10775",
     "analyze/seeded-l1-n4-k2": "f7859d8694d418253699a38d4a4cb010a53899f0c226954b58fe03d794584659",
     "analyze/seeded-linf-n5-k4": "904a514d238ee1aded50828f30cde7a71a91d3d949e070080145d01e0a5e5e6d",
-    "analyze/seeded-linf-n5-k2": "8866bd32b906a3619f8902170473fad5aaaf4e51dd00160dbe5cdb971b3f6bf7",
+    "analyze/seeded-linf-n5-k2": "6b124b57ae6821fe570e8b7ed7f1a0eaf22b067a0a79fbd7c44c301329dc250c",
     "analyze/seeded-l1-n5-k4": "ddb295a448b99b14df04a25d76150e4c01cd66b0627889b0abbcc9f36144110d",
     "analyze/seeded-l1-n5-k2": "d898c4c528309c70a3f9925403315460ba3ecdbf35f81e44ee2189d3f09caf2e",
     "certify/seeded-linf-n6-k5-valid/json": "19f54cdb201c57490f74febfb241c5c045920c820f28be2561eacc0baa5fcd76",
@@ -221,9 +221,9 @@ def _digest(result) -> str:
 @pytest.mark.parametrize("command, case, certificate, pinned", [
     pytest.param("analyze", CERTIFIED, None, "analyze/seeded-l1-n4-k3",
                  id="analyze"),
-    # past the support search's candidate cap: the exit-3 partial report
+    # the support search walks its 32 candidate pairs to a support of 4
     pytest.param("analyze", "seeded-linf-n5-k2", None, "analyze/seeded-linf-n5-k2",
-                 id="analyze-budget-stop"),
+                 id="analyze-support-walk"),
     # the partial-sum 3-plane of l-inf^5 fails general position with a
     # kernel witness of three dual vertices, which the subset walk finds
     # among the leaves that one node decides at once

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minproj.linalg import (RMatrix, cleared, int_dot, integer_inverse,
-                            integer_nullspace, integer_row_rank, integer_rref,
-                            integer_solve, over_denominator, reduce_row,
+from minproj.errors import BudgetExceededError
+from minproj.linalg import (DEFAULT_WORK_BUDGET, RMatrix, WorkBudget, cleared, int_dot,
+                            integer_inverse, integer_nullspace, integer_row_rank,
+                            integer_rref, integer_solve, over_denominator, reduce_row,
                             reduce_rows, solve_linear, subset_walk)
 
 from oracles import (dot, integer_rank_in_place, inverse_by_fractions, matadd,
@@ -202,7 +203,7 @@ def test_support_walk_agrees_with_content_reducer(columns):
         assert spanning[size] == [subset for subset, _, spans
                                   in subset_walk_by_leaves(columns, size, target)
                                   if spans]
-        events = list(subset_walk(columns, size, d))
+        events = list(subset_walk(columns, size, d, WorkBudget(DEFAULT_WORK_BUDGET, "walk")))
         assert sum(passed for passed, _ in events) == comb(len(columns), size)
         got = [subset for _, subset in events if subset is not None]
         assert got == [subset for subset in spanning[size]
@@ -249,7 +250,8 @@ def test_subset_walk_agrees_with_brute_force(case):
             and integer_rank_in_place([rows[i] for i in T]) == size]
         seen = 0
         got = []
-        for passed, subset in subset_walk(rows, size, width):
+        for passed, subset in subset_walk(rows, size, width,
+                                          WorkBudget(DEFAULT_WORK_BUDGET, "walk")):
             assert passed > 0
             seen += passed
             if subset is not None:
@@ -257,3 +259,21 @@ def test_subset_walk_agrees_with_brute_force(case):
                 assert seen == subsets.index(subset) + 1
         assert got == expected
         assert seen == len(subsets)
+
+
+def test_subset_walk_charges_the_rows_it_carries_and_groups():
+    # Size 3 over four rows with heads of width 2: the root carries 3 rows
+    # to the node (0,) and 2 to (1,), and each node groups the rows it
+    # carries to decide its leaves, 3 + 3 + 2 + 2 = 10 row steps.  The
+    # last charge, (1,) grouping its rows, comes after the leaves of (0,)
+    # are yielded, so a budget of 9 stops the walk there.
+    rows = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
+    events = [(2, (0, 1, 3)), (1, (0, 2, 3)), (1, (1, 2, 3))]
+    budget = WorkBudget(10, "walk")
+    assert list(subset_walk(rows, 3, 2, budget)) == events
+    assert budget.spent == 10
+    walk = subset_walk(rows, 3, 2, WorkBudget(9, "walk"))
+    assert [next(walk), next(walk)] == events[:2]
+    with pytest.raises(BudgetExceededError,
+                       match="^walk exceeded its work budget of 9 row steps$"):
+        next(walk)

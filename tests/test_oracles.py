@@ -21,6 +21,7 @@ import pytest
 from minproj.catalog import (l1_ball, linf_ball, mixed_ball, paper_cases,
                              random_subspace)
 import minproj.certificates as certificates
+import minproj.geometry as geometry
 import minproj.projections as projections
 from minproj import simplex
 from minproj.certificates import (CMFunctional, _projection_normed_by, certify_cm,
@@ -28,14 +29,14 @@ from minproj.certificates import (CMFunctional, _projection_normed_by, certify_c
 from minproj.errors import BudgetExceededError, NotExtremeError
 from minproj.geometry import (PolyhedralSpace, Subspace, _walk_rows,
                               general_position_check, polar_dual)
-from minproj.linalg import integer_row_rank, subset_walk
+from minproj.linalg import DEFAULT_WORK_BUDGET, WorkBudget, integer_row_rank, subset_walk
 from minproj.projections import (OperatorPoint, face_dimension,
                                  max_norming_projection, norming_pairs,
                                  operator_norm, pair_rows, projection_constant)
 
 from minproj.simplex import solve
 import oracles
-from oracles import (budget_outcome, certify_by_cold_lp, dense_grid_lp,
+from oracles import (certify_by_cold_lp, dense_grid_lp,
                      face_dimension_by_rounds,
                      face_dimension_by_vertices, face_dimension_per_row, first_non_extreme,
                      general_position_by_leaf_walk, general_position_exhaustive,
@@ -43,11 +44,7 @@ from oracles import (budget_outcome, certify_by_cold_lp, dense_grid_lp,
                      linf_hyperplane_lambda,
                      max_norming_by_greedy, minimal_support_by_lp,
                      minimal_support_by_solve, realize_by_fractions,
-                     solve_by_fraction_tableau, verify_cm_by_apply)
-
-# Large enough for every candidate set below: lifts the support-search cap.
-NO_CAP = 10 ** 3
-
+                     solve_by_fraction_tableau, verify_cm_by_apply, work_edge)
 
 @pytest.fixture(scope="module")
 def cases(analyzed):
@@ -203,20 +200,13 @@ def test_max_norming_vertex_matches_greedy_oracle(cases):
 
 
 def test_support_matches_subset_lp_oracle(cases):
-    capped = []
+    # every case, the two with 32 and 56 candidate pairs included, is
+    # searched to its end within the default work budget
     for name, a in cases.items():
-        try:
-            expected = minimal_support_by_lp(a.case.space, a.case.subspace,
-                                             a.implicit)
-        except BudgetExceededError:
-            with pytest.raises(BudgetExceededError):
-                minimal_support_cm(a.report)
-            capped.append(name)
-            continue
+        expected = minimal_support_by_lp(a.case.space, a.case.subspace, a.implicit)
         cm, size = minimal_support_cm(a.report)
         assert (cm.pairs, cm.weights) == expected, name
         assert size == len(expected[0])
-    assert capped == ["coordinate-span-l1-n5-k2", "first-coordinate-mixed-n5"]
 
 
 @pytest.fixture(scope="module")
@@ -238,8 +228,8 @@ def seeded_analyze():
 
 
 def _assert_support_matches_solve(space, Y, report, implicit, label):
-    expected = minimal_support_by_solve(space, Y, implicit, max_candidates=NO_CAP)
-    cm, size = minimal_support_cm(report, max_candidates=NO_CAP)
+    expected = minimal_support_by_solve(space, Y, implicit)
+    cm, size = minimal_support_cm(report)
     assert (cm.pairs, cm.weights) == expected, label
     assert size == len(expected[0]), label
     return size
@@ -250,7 +240,7 @@ def test_support_matches_solve_oracle_on_catalog(analyzed):
                  a.case.space, a.case.subspace, a.report, a.implicit, name)
              for name, a in analyzed.items()}
     assert len(sizes) == 16
-    # the two cases beyond the default cap of 24 candidates
+    # the two cases with the most candidate pairs, 32 and 56
     assert sizes["coordinate-span-l1-n5-k2"] == 1
     assert sizes["first-coordinate-mixed-n5"] == 1
 
@@ -262,15 +252,15 @@ _N6_ORACLE_CAP = 16
 
 
 def test_support_matches_solve_oracle_on_seeded_subspaces(seeded_analyze):
-    capped, uncompared = [], []
+    compared, uncompared = [], []
     for name, (space, Y, report, implicit) in seeded_analyze.items():
         if space.dim == 6 and len(implicit) > _N6_ORACLE_CAP:
             uncompared.append(name)
             continue
         size = _assert_support_matches_solve(space, Y, report, implicit, name)
-        if len(set(implicit)) > 24:
-            capped.append((name, len(set(implicit)), size))
-    assert capped == [("linf5-k2", 32, 4)]
+        compared.append((len(set(implicit)), name, size))
+    # the most candidate pairs compared: the l-inf^5 2-plane of seeded-analyze
+    assert max(compared) == (32, "linf5-k2", 4)
     assert uncompared == ["linf6-k5", "linf6-k2", "l16-k5"]
 
 
@@ -280,23 +270,15 @@ def test_support_walk_runs_exactly_when_the_dual_is_not_the_implicit_set(
     # only certificate over them, and the search returns it with no walk;
     # otherwise it walks.  The general-position verdict goes in as
     # analyze passes it, so where the paper's bound applies the search
-    # starts at n.
+    # starts at n.  Every case completes both within the default budget.
     calls = spy(certificates, "subset_walk")
     reports = {name: a.report for name, a in analyzed.items()}
     reports.update((name, report) for name, (_, _, report, _) in seeded_analyze.items())
     skipped = []
     for name, report in reports.items():
-        try:
-            gp = general_position_check(report.space, report.subspace)
-        except BudgetExceededError:
-            gp = None
+        gp = general_position_check(report.space, report.subspace)
         before = calls["subset_walk"]
-        try:
-            cm, size = minimal_support_cm(
-                report, in_general_position=gp is not None and gp.in_general_position)
-        except BudgetExceededError:
-            assert calls["subset_walk"] == before, name
-            continue
+        cm, size = minimal_support_cm(report, in_general_position=gp.in_general_position)
         unique = report.implicit_rows == report.dual_rows
         assert (calls["subset_walk"] == before) == unique, name
         if unique:
@@ -325,8 +307,10 @@ def test_general_position_rows_walk_as_the_raw_rows_do(analyzed, seeded_analyze)
             raw = general_position_rows_by_raw_vectors(vectors, reps, directions)
             assert [len(row) for row in rows] == [n] * len(reps), name
             for size in range(1, min(max_size, len(reps)) + 1):
-                assert (list(subset_walk(rows, size, len(directions)))
-                        == list(subset_walk(raw, size, len(directions)))), (name, size)
+                narrow, wide = (WorkBudget(DEFAULT_WORK_BUDGET, "walk") for _ in "ab")
+                assert (list(subset_walk(rows, size, len(directions), narrow))
+                        == list(subset_walk(raw, size, len(directions), wide))), (name, size)
+                assert narrow.spent == wide.spent, (name, size)
 
 
 def _one_lp_certificates(report):
@@ -465,8 +449,8 @@ def test_general_position_matches_exhaustive_on_integer_kernels():
 
 
 def test_general_position_matches_leaf_walk_on_sweep(analyzed):
-    # The whole report and the budget errors at four caps, by the walk
-    # that decides two levels at once and by the walk through every leaf:
+    # The whole report, by the walk that decides two levels at once and by
+    # the walk through every leaf, and the check's work edge:
     # the catalog, seeded subspaces of l-inf^n and l1^n for n = 3 to 5,
     # and kernels of small integer functionals on l-inf^4 and l1^4
     inputs = [(a.case.space, a.case.subspace) for a in analyzed.values()]
@@ -481,10 +465,10 @@ def test_general_position_matches_leaf_walk_on_sweep(analyzed):
     for space, Y in inputs:
         report = general_position_check(space, Y)
         assert report == general_position_by_leaf_walk(space, Y), (space.dim, Y)
-        total = report.spans_checked + report.kernels_checked
-        for cap in (total, total - 1, total // 2, total // 3):
-            assert (budget_outcome(general_position_check, space, Y, cap)
-                    == budget_outcome(general_position_by_leaf_walk, space, Y, cap))
+        edge = work_edge(geometry, general_position_check, space, Y)
+        assert general_position_check(space, Y, budget=edge) == report
+        with pytest.raises(BudgetExceededError):
+            general_position_check(space, Y, budget=edge - 1)
         failing += not report.in_general_position
     assert (len(inputs), failing) == (410, 328)
 

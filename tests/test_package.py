@@ -42,3 +42,23 @@ def test_no_module_asserts():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_budget_errors_are_raised_at_two_sites():
+    # One unit of budget: BudgetExceededError is raised where a walk's
+    # work is charged (linalg.WorkBudget.charge) and by the opt-in cap on
+    # the support search's candidates (certificates.minimal_support_cm),
+    # and nowhere else, so no second budget can come back unnoticed
+    found = []
+    for path in sorted(Path(minproj.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = {}  # node -> name of its innermost function
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update((node, function.name) for node in ast.walk(function))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(raised, "id", getattr(raised, "attr", None)) == "BudgetExceededError":
+                    found.append(f"{path.stem}.{scope.get(node, '<module>')}")
+    assert sorted(found) == ["certificates.minimal_support_cm", "linalg.charge"]

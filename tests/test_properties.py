@@ -7,7 +7,9 @@ that face and on the support of a certificate in general position on
 random symmetric polytopes.  General position is also compared with the
 subset walk through every leaf that it replaced, and its n-wide walk
 rows with the rows [v·d | v] they replaced, by the walk's events on
-random integer rows.  The polar
+random integer rows; on such rows the budgeted walk is compared with
+the walk before it charged a budget, and stops one step short of its
+work.  The polar
 is also compared with the Fraction polar it replaced, which takes a rank
 per edge test, and the tight masks of its double description with the
 tight sets recomputed by dot products.  Extremality read off the masks
@@ -52,8 +54,9 @@ from minproj.errors import (BudgetExceededError, NotExtremeError,
 from minproj.geometry import (PolyhedralSpace, Subspace, _double_description,
                               _first_non_vertex, _vertices_of, _walk_rows,
                               general_position_check, norm_eval, polar_dual)
-from minproj.linalg import (RMatrix, cleared, int_dot, integer_row_rank,
-                            over_denominator, subset_walk)
+from minproj import geometry
+from minproj.linalg import (DEFAULT_WORK_BUDGET, RMatrix, WorkBudget, cleared, int_dot,
+                            integer_row_rank, over_denominator, subset_walk)
 from minproj.projections import (OperatorPoint, build_operator_basis,
                                  build_pair_grid, face_dimension,
                                  max_norming_projection, norming_pairs,
@@ -74,8 +77,8 @@ from oracles import (budget_outcome, certify_by_face, dense_grid_lp, dot, grid_r
                      operator_norm_by_fractions, operator_norm_every_vertex,
                      pair_rows_by_fractions,
                      polar_dual_by_fractions, realize_by_fractions,
-                     trace_on_subspace, verify_cm_by_apply,
-                     verify_cm_by_pair_rows)
+                     subset_walk_by_classes, trace_on_subspace, verify_cm_by_apply,
+                     verify_cm_by_pair_rows, work_edge)
 
 # No shrink phase: each shrink step re-solves lambda and the face, so a
 # failure took minutes to report.  derandomize=True still reproduces the
@@ -153,36 +156,39 @@ def test_general_position_agrees_with_exhaustive_oracle(case):
             == _verdict(general_position_exhaustive(space, Y)))
 
 
+def _assert_completes_from_its_work(space, Y, report, data):
+    """The check gives report with a budget of the row steps it charges,
+    and stops with a budget error one step below and at a drawn budget
+    below."""
+    edge = work_edge(geometry, general_position_check, space, Y)
+    assert general_position_check(space, Y, budget=edge) == report
+    for budget in (edge - 1, data.draw(st.integers(0, edge - 1))):
+        assert budget_outcome(general_position_check, space, Y,
+                              budget=budget).endswith(f"budget of {budget} row steps")
+
+
 @_SETTINGS
 @given(spaces_with_subspaces(), st.data())
 def test_general_position_agrees_with_per_subset_oracle(case, data):
-    """The whole report, counts included, and the budget error at the
-    total count, one below it and a drawn cap."""
+    """The whole report, counts included, and the stop below the check's
+    work."""
     space, basis = case
     Y = Subspace.from_basis(basis)
     report = general_position_check(space, Y)
     assert report == general_position_per_subset(space, Y)
-    total = report.spans_checked + report.kernels_checked
-    for cap in (total, total - 1, data.draw(st.integers(0, total))):
-        assert (budget_outcome(general_position_check, space, Y, cap)
-                == budget_outcome(general_position_per_subset, space, Y, cap))
+    _assert_completes_from_its_work(space, Y, report, data)
 
 
 @_SETTINGS
 @given(spaces_with_subspaces(), st.data())
 def test_general_position_agrees_with_leaf_walk_oracle(case, data):
     """The whole report of the walk that decides two levels at once and of
-    the walk through every leaf, and their budget errors at the total
-    count, one below it and two drawn caps."""
+    the walk through every leaf, and the stop below the check's work."""
     space, basis = case
     Y = Subspace.from_basis(basis)
     report = general_position_check(space, Y)
     assert report == general_position_by_leaf_walk(space, Y)
-    total = report.spans_checked + report.kernels_checked
-    for cap in (total, total - 1, *data.draw(st.lists(st.integers(0, total),
-                                                      min_size=2, max_size=2))):
-        assert (budget_outcome(general_position_check, space, Y, cap)
-                == budget_outcome(general_position_by_leaf_walk, space, Y, cap))
+    _assert_completes_from_its_work(space, Y, report, data)
 
 
 @_SETTINGS
@@ -202,8 +208,31 @@ def test_general_position_rows_walk_as_the_raw_rows_do(case):
     raw = general_position_rows_by_raw_vectors(vectors, reps, directions)
     assert all(len(row) == len(vectors[0]) for row in rows)
     for size in range(1, len(vectors) + 1):
-        assert (list(subset_walk(rows, size, len(directions)))
-                == list(subset_walk(raw, size, len(directions))))
+        narrow, wide = (WorkBudget(DEFAULT_WORK_BUDGET, "walk") for _ in "ab")
+        assert (list(subset_walk(rows, size, len(directions), narrow))
+                == list(subset_walk(raw, size, len(directions), wide)))
+        assert narrow.spent == wide.spent
+
+
+@_SETTINGS
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+             min_size=1, max_size=8),
+    st.integers(1, n))), st.data())
+def test_budgeted_walk_completes_with_the_events_of_the_walk_without_budget(case, data):
+    """On random small integer rows, a budgeted subset walk that completes
+    yields the (passed, subset) events of the walk as it was before it
+    charged a budget; it completes with a budget of the row steps it
+    charged, and stops one step below."""
+    rows, width = case
+    size = data.draw(st.integers(1, len(rows)))
+    budget = WorkBudget(DEFAULT_WORK_BUDGET, "walk")
+    events = list(subset_walk(rows, size, width, budget))
+    assert events == list(subset_walk_by_classes(rows, size, width))
+    assert list(subset_walk(rows, size, width, WorkBudget(budget.spent, "walk"))) == events
+    if budget.spent:  # a walk that cuts every child of its root charges nothing
+        with pytest.raises(BudgetExceededError, match="^walk exceeded its work budget"):
+            list(subset_walk(rows, size, width, WorkBudget(budget.spent - 1, "walk")))
 
 
 @_SETTINGS
