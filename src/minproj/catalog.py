@@ -93,85 +93,75 @@ def _ker(functionals) -> Subspace:
     return Subspace.from_kernel(functionals)
 
 
+def _unit(n: int, j: int) -> tuple[int, ...]:
+    return tuple(int(i == j) for i in range(n))
+
+
+def ker_sum(n: int) -> tuple[NamedCase, NamedCase]:
+    """The hyperplane ker(x_1+...+x_n) in l1^n and in linf^n: lambda =
+    2 - 2/n, with a unique minimal projection."""
+    lam, Y = 2 - Fraction(2, n), _ker([(1,) * n])
+    return tuple(NamedCase(
+        name=f"ker-sum-{ball}-n{n}", space=space, subspace=Y,
+        expected=CaseExpectation(lam, 0, "hyperplane constant 2 - 2/n"))
+        for ball, space in (("l1", l1_ball(n)), ("linf", linf_ball(n))))
+
+
+def coordinate_span(n: int) -> NamedCase:
+    """The span of the last two coordinates in l1^n: lambda = 1, with the
+    whole operator slice optimal, of dimension k(n-k) for k = 2."""
+    k = 2
+    return NamedCase(
+        name=f"coordinate-span-l1-n{n}-k{k}", space=l1_ball(n),
+        subspace=Subspace.from_basis([_unit(n, j) for j in range(n - k, n)]),
+        expected=CaseExpectation(
+            _ONE, k * (n - k), "norm-1 projections fill the whole slice"))
+
+
+def mixed_extremal(n: int) -> NamedCase:
+    """The mixed ball of k = 3 with Y cutting its first block: lambda =
+    4/3 and face dimension k(n-k) - 2, the largest possible when
+    lambda > 1."""
+    k = 3
+    funcs = [(1, 1, 1) + (0,) * (n - 3)] + [_unit(n, j) for j in range(3, n - k + 2)]
+    return NamedCase(
+        name=f"mixed-extremal-n{n}-k{k}",
+        space=mixed_ball(n, k), subspace=_ker(funcs),
+        expected=CaseExpectation(
+            Fraction(4, 3), k * (n - k) - 2,
+            "largest face dimension possible when lambda > 1"))
+
+
+def partial_sum(n: int, k: int) -> NamedCase:
+    """ker(x_1+...+x_k) in linf^n: lambda = 2 - 2/k and face dimension
+    n - k."""
+    return NamedCase(
+        name=f"partial-sum-linf-n{n}-k{k}",
+        space=linf_ball(n), subspace=_ker([(1,) * k + (0,) * (n - k)]),
+        expected=CaseExpectation(
+            2 - Fraction(2, k), n - k,
+            "face dimension equals the number of free coordinates"))
+
+
+def first_coordinate(n: int) -> NamedCase:
+    """The mixed ball of k = 3 with Y = {x_1 = 0}: lambda = 1 and face
+    dimension n - 2."""
+    return NamedCase(
+        name=f"first-coordinate-mixed-n{n}",
+        space=mixed_ball(n, 3), subspace=_ker([_unit(n, 0)]),
+        expected=CaseExpectation(_ONE, n - 2, "norm-1 hyperplane with face dimension n - 2"))
+
+
 def paper_cases() -> tuple[NamedCase, ...]:
-    """All named constructions with their known constants, n in {3,4,5}:
-
-    - ker-sum: the hyperplane ker(x_1+...+x_n) in l1 and linf,
-      lambda = 2 - 2/n with a unique minimal projection;
-    - coordinate-span: the span of the last two coordinates in l1,
-      lambda = 1 with the full operator slice optimal;
-    - mixed-extremal: the mixed ball with Y cutting the first block,
-      lambda = 4/3 and face dimension k(n-k) - 2;
-    - partial-sum: ker(x_1+...+x_k) in linf^n, lambda = 2 - 2/k and
-      face dimension n - k;
-    - first-coordinate: the mixed ball with Y = {x_1 = 0}, lambda = 1
-      and face dimension n - 2.
-    """
-    cases: list[NamedCase] = []
-
-    for n in (3, 4, 5):
-        lam = 2 - Fraction(2, n)
-        ones = (1,) * n
-        cases.append(NamedCase(
-            name=f"ker-sum-l1-n{n}",
-            space=l1_ball(n), subspace=_ker([ones]),
-            expected=CaseExpectation(lam, 0, "hyperplane constant 2 - 2/n"),
-        ))
-        cases.append(NamedCase(
-            name=f"ker-sum-linf-n{n}",
-            space=linf_ball(n), subspace=_ker([ones]),
-            expected=CaseExpectation(lam, 0, "hyperplane constant 2 - 2/n"),
-        ))
-
-    for n in (3, 4, 5):
-        k = 2
-        basis = []
-        for j in range(n - k, n):
-            e = [0] * n
-            e[j] = 1
-            basis.append(tuple(e))
-        cases.append(NamedCase(
-            name=f"coordinate-span-l1-n{n}-k2",
-            space=l1_ball(n), subspace=Subspace.from_basis(basis),
-            expected=CaseExpectation(
-                _ONE, k * (n - k), "norm-1 projections fill the whole slice"),
-        ))
-
-    for n in (4, 5):
-        k = 3
-        head = n - k + 2
-        funcs = [(1, 1, 1) + (0,) * (n - 3)]
-        for j in range(3, head):
-            e = [0] * n
-            e[j] = 1
-            funcs.append(tuple(e))
-        cases.append(NamedCase(
-            name=f"mixed-extremal-n{n}-k3",
-            space=mixed_ball(n, k), subspace=_ker(funcs),
-            expected=CaseExpectation(
-                Fraction(4, 3), k * (n - k) - 2,
-                "largest face dimension possible when lambda > 1"),
-        ))
-
-    for n, k in ((4, 3), (5, 3), (5, 4)):
-        f = (1,) * k + (0,) * (n - k)
-        cases.append(NamedCase(
-            name=f"partial-sum-linf-n{n}-k{k}",
-            space=linf_ball(n), subspace=_ker([f]),
-            expected=CaseExpectation(
-                2 - Fraction(2, k), n - k,
-                "face dimension equals the number of free coordinates"),
-        ))
-
-    for n in (4, 5):
-        e1 = (1,) + (0,) * (n - 1)
-        cases.append(NamedCase(
-            name=f"first-coordinate-mixed-n{n}",
-            space=mixed_ball(n, 3), subspace=_ker([e1]),
-            expected=CaseExpectation(_ONE, n - 2, "norm-1 hyperplane with face dimension n - 2"),
-        ))
-
-    return tuple(cases)
+    """The five families above, each at n in {3,4,5} where it is
+    defined: ker-sum, coordinate-span, mixed-extremal (n = 4, 5),
+    partial-sum (k = 3 for n = 4, 5 and k = 4 for n = 5) and
+    first-coordinate (n = 4, 5)."""
+    return (*(case for n in (3, 4, 5) for case in ker_sum(n)),
+            *(coordinate_span(n) for n in (3, 4, 5)),
+            *(mixed_extremal(n) for n in (4, 5)),
+            *(partial_sum(n, k) for n, k in ((4, 3), (5, 3), (5, 4))),
+            *(first_coordinate(n) for n in (4, 5)))
 
 
 _LCG_MULT = 6364136223846793005

@@ -12,7 +12,8 @@ the operator norm reads every pair, so a verdict builds no pair rows.
 The LP dual of the projection solve is one such certificate; a
 minimum-support one is found by exact linear solves over subsets of the
 implicit pairs, smallest subsets first (from n when the paper's lower
-bound applies), with dependent subsets pruned by integer elimination.
+bound applies), with dependent subsets pruned by integer elimination;
+the search's one stop is a work budget in row steps (linalg.WorkBudget).
 When the implicit pairs are the dual's own pairs, the dual is the only
 certificate over them, and so the minimum-support one, with no search:
 its pairs' columns are independent, so its weights are the one
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import BudgetExceededError, InputFormatError, InternalError
+from .errors import InputFormatError, InternalError
 from .geometry import PolyhedralSpace, Subspace
 from .linalg import (DEFAULT_WORK_BUDGET, RMatrix, WorkBudget, int_dot,
                      integer_row_rank, integer_rref, integer_solve,
@@ -317,8 +318,7 @@ def cm_from_dual(report: MinProjReport) -> CMFunctional:
     return cm
 
 
-def minimal_support_cm(report: MinProjReport, max_candidates: int | None = None,
-                       in_general_position: bool = False,
+def minimal_support_cm(report: MinProjReport, in_general_position: bool = False,
                        dual: CMFunctional | None = None,
                        budget: int = DEFAULT_WORK_BUDGET) -> tuple[CMFunctional, int]:
     """Smallest-support certificate over the implicit pairs of a report
@@ -387,17 +387,12 @@ def minimal_support_cm(report: MinProjReport, max_candidates: int | None = None,
     The search runs on budget row steps (linalg.WorkBudget): the walks
     charge the rows they carry and group, and each exact solve is charged
     (d + 1)(size + 1) steps, each of its d + 1 rows reduced against at
-    most size + 1 pivots.  Past the budget it raises BudgetExceededError,
-    as it does before any work when max_candidates is given and the
-    implicit pairs outnumber it.
+    most size + 1 pivots.  Past the budget, the search's one stop, it
+    raises BudgetExceededError.
     """
     if report.interior is None:
         raise ValueError("the report's optimal face is not settled")
     rows = report.implicit_rows
-    if max_candidates is not None and len(rows) > max_candidates:
-        raise BudgetExceededError(
-            f"{len(rows)} candidate pairs exceed the cap of {max_candidates}")
-
     grid = report.grid
     smallest = report.space.dim if in_general_position and report.lam > 1 else 1
     if rows == report.dual_rows and len(rows) >= smallest:

@@ -23,12 +23,11 @@ Output is byte-identical for identical inputs and flags.
 The budget: the general-position check and the minimal-support search
 each run on linalg.DEFAULT_WORK_BUDGET row steps of their subset walk
 (linalg.WorkBudget), a deterministic count of the work done, so a stop
-falls at the same point on every run.  analyze's --subset-cap (or
-MINPROJ_SUBSET_CAP) adds an opt-in cap on the support search's
-candidate pairs, none by default.  A stage that runs out prints one
-"warning: <message>" line, reports "skipped" in its field, and analyze
-exits 3 with the rest of the report; general-position exits 3 with one
-"error:" line.
+falls at the same point on every run.  It is their one stop, and no
+flag or environment variable sets it.  A stage that runs out prints
+one "warning: <message>" line, reports "skipped" in its field, and
+analyze exits 3 with the rest of the report; general-position exits 3
+with one "error:" line.
 
 certify's report is the one the full pipeline gives; it reaches it
 with as little work as the certificate allows, by the routes that
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -107,15 +105,6 @@ def _gp_json(gp) -> dict:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    cap, source = args.subset_cap, "--subset-cap"
-    if cap is None and "MINPROJ_SUBSET_CAP" in os.environ:
-        source = "MINPROJ_SUBSET_CAP"
-        try:
-            cap = int(os.environ[source])
-        except ValueError:
-            raise InputFormatError(f"{source} must be an integer") from None
-    if cap is not None and cap < 0:
-        raise InputFormatError(f"{source} must be non-negative, not {cap}")
     space, subspace = _space_and_subspace(args)
 
     report = projection_constant(space, subspace)
@@ -141,9 +130,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     def support_search() -> dict:
         small, size = minimal_support_cm(
-            report, max_candidates=cap,
-            in_general_position=isinstance(gp, dict) and gp["in_general_position"],
-            dual=cm)
+            report, dual=cm,
+            in_general_position=isinstance(gp, dict) and gp["in_general_position"])
         return {"size": size, "certificate": certificate_json(small, report.lam)}
 
     support = ("skipped" if args.skip_support_search
@@ -309,10 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     analyze = command("analyze", _cmd_analyze, "full report for one space/subspace")
-    analyze.add_argument("--subset-cap", type=int, metavar="N",
-                         help="largest support-search candidate set to enumerate "
-                              "(default: none; env MINPROJ_SUBSET_CAP); the "
-                              "work budget applies either way")
     analyze.add_argument("--skip-support-search", action="store_true",
                          help="omit the minimal-support certificate search")
     suite = command("paper-suite", _cmd_paper_suite,

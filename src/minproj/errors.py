@@ -37,8 +37,7 @@ class NotMinimalError(MinprojError):
 class BudgetExceededError(MinprojError):
     """A subset enumeration (minimal-support search or general-position
     check) ran past its work budget, counted in the row steps of its
-    subset walk (linalg.WorkBudget), or the support search was refused by
-    the opt-in cap on its candidate pairs."""
+    subset walk (linalg.WorkBudget)."""
 
 
 class InternalError(MinprojError):

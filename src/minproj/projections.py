@@ -42,9 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, product, repeat
+from itertools import chain, compress, product, repeat
 from math import lcm
-from operator import add, eq
+from operator import add, eq, gt, lt
 from typing import Iterable, Sequence
 
 from .errors import InternalError, NotMinimalError
@@ -52,7 +52,7 @@ from .geometry import PolyhedralSpace, Subspace
 from .linalg import (RMatrix, complement_coordinates, int_dot, integer_inverse,
                      integer_nullspace, integer_row_rank, over_denominator)
 from .rational import format_rational
-from .simplex import OPTIMAL, LinearProgram, entering_column, solve
+from .simplex import OPTIMAL, LinearProgram, solve
 
 
 @dataclass(frozen=True)
@@ -194,10 +194,11 @@ class PairGrid:
     partner costs K minus its representative, the same integers the
     full pass gives.  Over the representatives' costs p, Dantzig's rule
     takes the least of min p and K - max p and, among the representatives
-    costed so and the partners of those costed K minus it, the lowest row; Bland's rule reads the
-    unfolded list in row order (simplex.entering_column).  Either rule
-    picks the column the full pass picks, so no pivot changes.  One
-    pairing of the dual vertices serves every block."""
+    costed so and the partners of those costed K minus it, the lowest
+    row.  Bland's rule takes the lowest row of negative cost: a
+    representative costed below 0, or the partner of one costed above K.
+    Either rule picks the column the full pass picks, so no pivot
+    changes.  One pairing of the dual vertices serves every block."""
 
     g_at: dict[int, tuple[int, ...]]
     f_at: dict[int, tuple[int, ...]]
@@ -288,11 +289,8 @@ class PairGrid:
             vals = [a + bf * b for a, b in zip(vals, beta)]
         K = 2 * c0
         if bland:
-            full = [0] * len(self.base_num)
-            for r, p, v in zip(reps, mates, vals):
-                full[r] = v
-                full[p] = K - v
-            return entering_column(full, True)
+            return min(chain(compress(reps, map(lt, vals, repeat(0))),
+                             compress(mates, map(gt, vals, repeat(K)))), default=None)
         lo, hi = min(vals), max(vals)
         best = min(lo, K - hi)
         if best >= 0:
@@ -525,30 +523,18 @@ def operator_norm(space: PolyhedralSpace, matrix: RMatrix) -> Fraction:
     The matrix is cleared once to M / m_den, and each cleared vertex list
     is read at its representatives (primal_reps, dual_reps).  Both lists
     are symmetric, so the largest value over two pairs is |f(M x)| at
-    their representatives.  Per primal representative x, the values
-    f(M x) of every dual representative f are their columns weighted by
-    the image M x, one list pass per nonzero entry; as
-    f(M x) = x·(Mᵀ f), the loop runs over the shorter list."""
+    their representatives.  The values f·M·x of every pair of
+    representatives are one _ProductPlan pass, with the dual vertices as
+    f_at, the primal ones as g_at and M as V; the plan forms M x per
+    primal or fᵀM per dual representative, whichever side is shorter."""
     n = space.dim
     if (matrix.rows, matrix.cols) != (n, n):
         raise ValueError(f"a {matrix.rows}x{matrix.cols} matrix on a space "
                          f"of dimension {n}")
     flat, m_den = over_denominator(matrix.entries)
-    M = [flat[r * n:(r + 1) * n] for r in range(n)]
     (X, dx), (F, df) = space.primal_cleared, space.dual_cleared
-    X, F = [X[i] for i in space.primal_reps], [F[j] for j in space.dual_reps]
-    if len(X) > len(F):
-        M, X, F = list(zip(*M)), F, X
-    columns = list(zip(*F))
-
-    def values(x):
-        out = [0] * len(F)
-        for v, column in zip([int_dot(row, x) for row in M], columns):
-            if v:
-                out = [s + v * f for s, f in zip(out, column)]
-        return out
-
-    return Fraction(max(max(map(abs, values(x))) for x in X), m_den * dx * df)
+    values = _ProductPlan.of(F, X, space.primal_reps, space.dual_reps).products(flat)
+    return Fraction(max(map(abs, values)), m_den * dx * df)
 
 
 def pair_values(space: PolyhedralSpace, matrix: RMatrix,

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from minproj.catalog import (l1_ball, linf_ball, mixed_ball, paper_cases,
-                             random_subspace)
+from minproj.catalog import (coordinate_span, first_coordinate, ker_sum, l1_ball,
+                             linf_ball, mixed_ball, mixed_extremal, paper_cases,
+                             partial_sum, random_subspace)
 from minproj.geometry import norm_eval, polar_dual
 from minproj.linalg import cleared, integer_row_rank
+from minproj.projections import face_dimension, projection_constant
 
 F = Fraction
 
@@ -54,6 +56,22 @@ def test_expected_values_reproduce(analyzed):
     for name, a in analyzed.items():
         assert a.report.lam == a.case.expected.lam, name
         assert a.face_dim == a.case.expected.face_dim, name
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_closed_forms_beyond_the_paper_suite(n):
+    # paper_cases checks its five families at n <= 5, but each has a
+    # closed form in n; at k(n-k) - 2 the mixed-extremal face attains the
+    # paper's bound for lambda > 1
+    expected = [(case, 2 - F(2, n), 0) for case in ker_sum(n)] + [
+        (coordinate_span(n), F(1), 2 * (n - 2)),
+        (mixed_extremal(n), F(4, 3), 3 * (n - 3) - 2),
+        *((partial_sum(n, k), 2 - F(2, k), n - k) for k in range(3, n)),
+        (first_coordinate(n), F(1), n - 2)]
+    for case, lam, face in expected:
+        assert (case.expected.lam, case.expected.face_dim) == (lam, face), case.name
+        report = projection_constant(case.space, case.subspace)
+        assert (report.lam, face_dimension(report)[0]) == (lam, face), case.name
 
 
 def test_random_subspace_determinism():

@@ -116,8 +116,9 @@ def test_single_pair_certificate_on_l1_coordinate_case():
 
 def test_support_budget(analyzed):
     a = analyzed["ker-sum-linf-n5"]
-    with pytest.raises(BudgetExceededError):
-        minimal_support_cm(a.report, max_candidates=4)
+    # the budget counts walk work: its five implicit pairs are the lambda
+    # dual's, returned with no walk, so even a zero budget holds
+    assert minimal_support_cm(a.report, budget=0)[1] == 5
     # the candidates are the implicit pairs of a settled face
     with pytest.raises(ValueError, match="not settled"):
         minimal_support_cm(projection_constant(a.case.space, a.case.subspace))

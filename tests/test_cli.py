@@ -377,41 +377,15 @@ def test_skip_support_search(space_file, capsys):
     assert json.loads(capsys.readouterr().out)["support_search"] == "skipped"
 
 
-def test_subset_cap_partial_report(space_file, capsys):
-    assert cli.main(["analyze", "--input", space_file, "--subset-cap", "2"]) == 3
-    captured = capsys.readouterr()
-    report = json.loads(captured.out)
-    assert report["support_search"] == "skipped"
-    assert report["lambda"] == "4/3"          # rest of the report still present
-    assert "exceed the cap" in captured.err
-
-
-def test_env_cap_and_flag_precedence(space_file, capsys, monkeypatch):
-    monkeypatch.setenv("MINPROJ_SUBSET_CAP", "2")
-    assert cli.main(["analyze", "--input", space_file]) == 3
-    capsys.readouterr()
-    assert cli.main(["analyze", "--input", space_file, "--subset-cap", "50"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("MINPROJ_SUBSET_CAP", "banana")
-    assert cli.main(["analyze", "--input", space_file]) == 2
-    assert "MINPROJ_SUBSET_CAP" in capsys.readouterr().err
-
-
-def test_negative_subset_cap_is_malformed_input(space_file, capsys, monkeypatch):
-    # a negative cap is rejected up front (exit 2, one line), not reported
-    # as a support search over the cap (exit 3)
-    assert cli.main(["analyze", "--input", space_file, "--subset-cap", "-5"]) == 2
+def test_subset_cap_flag_is_unrecognized(space_file, capsys):
+    # the support search's one stop is its work budget: analyze takes no
+    # candidate cap
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--input", space_file, "--subset-cap", "2"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --subset-cap must be non-negative, not -5\n"
-    monkeypatch.setenv("MINPROJ_SUBSET_CAP", "-1")
-    assert cli.main(["analyze", "--input", space_file]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: MINPROJ_SUBSET_CAP must be non-negative, not -1\n"
-    # the flag still takes precedence over the environment, and 0 is a cap
-    assert cli.main(["analyze", "--input", space_file, "--subset-cap", "0"]) == 3
-    assert "exceed the cap of 0" in capsys.readouterr().err
+    assert "unrecognized arguments: --subset-cap 2" in captured.err
 
 
 SUPPORT_STOP = "warning: support search exceeded its work budget of 3 row steps\n"
@@ -479,10 +453,9 @@ def test_support_search_starts_at_one_when_general_position_stops(
     # stops at its budget, with the same support either way
     starts = []
 
-    def search(report, max_candidates, in_general_position, dual):
+    def search(report, in_general_position, dual):
         starts.append(in_general_position)
-        return certificates.minimal_support_cm(report, max_candidates,
-                                               in_general_position, dual)
+        return certificates.minimal_support_cm(report, in_general_position, dual)
 
     monkeypatch.setattr(cli, "minimal_support_cm", search)
     path = _seeded_input(tmp_path, l1_ball, 4, 3)
@@ -505,31 +478,41 @@ def test_general_position_budget_stop_is_an_error(tmp_path, capsys, small_gp_cap
         "", "error: vertex-span enumeration exceeded its work budget of 3 row steps\n")
 
 
-@pytest.mark.parametrize("cap", ["banana", "-1"])
-def test_subset_cap_is_read_by_analyze_only(space_file, tmp_path, capsys,
-                                            monkeypatch, cap):
-    # only analyze runs the support search, so only analyze reads the cap
+@pytest.mark.parametrize("cap", ["2", "-1", "banana"])
+def test_subset_cap_environment_is_read_by_no_command(space_file, tmp_path, capsys,
+                                                     monkeypatch, cap):
+    # configuration is the parsed arguments alone: with MINPROJ_SUBSET_CAP
+    # set, every command gives the bytes, stderr and exit code it gives
+    # with it unset
     assert cli.main(["analyze", "--input", space_file]) == 0
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(json.loads(capsys.readouterr().out)["cm_certificate"]))
+    commands = [["analyze", "--input", space_file],
+                ["analyze", "--input", space_file, "--table"],
+                ["polar", "--input", space_file],
+                ["certify", str(cert), "--input", space_file],
+                ["general-position", "--input", space_file],
+                ["paper-suite", "--only", "ker-sum-l1-n3"]]
+
+    def outcomes():
+        return [(cli.main(argv), *capsys.readouterr()) for argv in commands]
+
+    monkeypatch.delenv("MINPROJ_SUBSET_CAP", raising=False)
+    unset = outcomes()
     monkeypatch.setenv("MINPROJ_SUBSET_CAP", cap)
-    for argv in (["polar", "--input", space_file],
-                 ["certify", str(cert), "--input", space_file],
-                 ["general-position", "--input", space_file],
-                 ["paper-suite", "--only", "ker-sum-l1-n3"]):
-        assert cli.main(argv) == 0, argv
-        assert capsys.readouterr().err == ""
-    assert cli.main(["analyze", "--input", space_file]) == 2
-    assert "MINPROJ_SUBSET_CAP" in capsys.readouterr().err
+    assert outcomes() == unset
+    assert [code for code, _, _ in unset] == [0] * len(commands)
 
 
-@pytest.mark.parametrize("flag", [["--subset-cap", "5"], ["--skip-support-search"],
+@pytest.mark.parametrize("flag", [["--only", "ker"], ["--skip-support-search"],
                                   ["--seed", "1"], ["--input", "space.json"]])
 def test_support_flags_belong_to_analyze(space_file, capsys, flag):
     # each command declares only the flags its handler reads: the support
-    # flags belong to analyze, --seed to the commands that resolve a
-    # subspace, and --input to every command but paper-suite
-    readers = {"--seed": ("general-position",), "--input": ("polar", "general-position")}
+    # flag belongs to analyze, --only to paper-suite, --seed to the
+    # commands that resolve a subspace, and --input to every command but
+    # paper-suite
+    readers = {"--only": ("paper-suite",), "--seed": ("general-position",),
+               "--input": ("polar", "general-position")}
     for command in ("polar", "general-position", "paper-suite"):
         if command in readers.get(flag[0], ()):
             continue
@@ -838,17 +821,20 @@ def test_a_dual_only_certificate_is_verified_once(tmp_path, capsys, monkeypatch,
     assert len(calls) == 1
 
 
-def test_reused_parser_gives_the_bytes_of_a_fresh_one(space_file, tmp_path, capsys):
+def test_reused_parser_gives_the_bytes_of_a_fresh_one(space_file, tmp_path, capsys,
+                                                     small_support_budget):
     # the parser is built once per process; calls in a row with different
     # flags, each flag before a call without it, print what a freshly
-    # built parser makes them print
+    # built parser makes them print, a budget stop (exit 3) among them.
+    # The l-inf^3 plane's support search runs no walk, so the small
+    # budget stops only the l-inf^5 2-plane's
     assert cli.main(["analyze", "--input", space_file]) == 0
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(json.loads(capsys.readouterr().out)["cm_certificate"]))
     commands = [
         ["analyze", "--input", space_file, "--table"],
         ["analyze", "--input", space_file, "--skip-support-search"],
-        ["analyze", "--input", space_file, "--subset-cap", "2"],
+        ["analyze", "--input", _seeded_input(tmp_path, linf_ball, 5, 2)],
         ["analyze", "--input", space_file],
         ["certify", str(cert), "--input", space_file, "--table"],
         ["certify", str(cert), "--input", space_file],

@@ -44,11 +44,10 @@ def test_no_module_asserts():
     assert found == []
 
 
-def test_budget_errors_are_raised_at_two_sites():
+def test_budget_errors_are_raised_at_one_site():
     # One unit of budget: BudgetExceededError is raised where a walk's
-    # work is charged (linalg.WorkBudget.charge) and by the opt-in cap on
-    # the support search's candidates (certificates.minimal_support_cm),
-    # and nowhere else, so no second budget can come back unnoticed
+    # work is charged (linalg.WorkBudget.charge) and nowhere else, so no
+    # second budget can come back unnoticed
     found = []
     for path in sorted(Path(minproj.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -61,4 +60,4 @@ def test_budget_errors_are_raised_at_two_sites():
                 raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if getattr(raised, "id", getattr(raised, "attr", None)) == "BudgetExceededError":
                     found.append(f"{path.stem}.{scope.get(node, '<module>')}")
-    assert sorted(found) == ["certificates.minimal_support_cm", "linalg.charge"]
+    assert found == ["linalg.charge"]
