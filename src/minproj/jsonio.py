@@ -15,7 +15,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .certificates import CMFunctional
 from .errors import InputFormatError
 from .geometry import PolyhedralSpace, Subspace
 from .rational import format_ratio, format_rational, parse_rational
@@ -171,6 +170,11 @@ def certificate_json(cm: CMFunctional, lam: Fraction) -> dict:
 def parse_certificate_document(data: object, space: PolyhedralSpace
                                ) -> tuple[CMFunctional, Fraction]:
     """Read a certificate file and range-check its indices against a space."""
+    # Imported here, not at the top: only this function builds a
+    # certificate, and a client that only reads and writes spaces should
+    # not load the solver stages behind certificates.
+    from .certificates import CMFunctional
+
     if not isinstance(data, dict):
         raise InputFormatError("certificate: expected a JSON object")
     if "lambda" not in data:

@@ -3,35 +3,72 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import minproj
+
+# Every submodule but __main__, which runs the CLI when imported.
+MODULES = sorted(info.name for info in pkgutil.iter_modules(minproj.__path__)
+                 if info.name != "__main__")
+
+
+def _in_child(code: str) -> list[str]:
+    """The words a fresh interpreter prints after running code."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
 
 
 def test_no_module_keeps_mutable_state():
     # Every result is a function of its inputs: no module holds a mutable
-    # container that a call could write to and a later call read.
-    # __main__ runs the CLI when imported, so it is left out.
+    # container that a call could write to and a later call read.  The
+    # package module counts too: its table of lazy names is immutable.
     found = []
-    for info in pkgutil.iter_modules(minproj.__path__):
-        if info.name == "__main__":
-            continue
-        module = importlib.import_module(f"minproj.{info.name}")
-        found += [f"{info.name}.{name}" for name, value in vars(module).items()
+    for module in [minproj, *(importlib.import_module(f"minproj.{name}")
+                              for name in MODULES)]:
+        found += [f"{module.__name__}.{name}" for name, value in vars(module).items()
                   if not (name.startswith("__") and name.endswith("__"))
                   and isinstance(value, (dict, list, set, bytearray))]
     assert found == []
 
 
 def test_all_lists_every_public_name():
-    # from minproj import * binds exactly __all__: a name listed there
-    # but no longer bound (a deleted class) breaks it, and a public name
-    # left out of it is missing from it
-    public = [name for name, value in vars(minproj).items()
-              if not name.startswith("_")
-              and not isinstance(value, types.ModuleType)]
-    assert sorted(minproj.__all__) == sorted(public)
+    # Public names resolve on first use: each one in __all__ is the object
+    # its home module binds, and resolving it leaves nothing behind in the
+    # package's namespace
+    for name in minproj.__all__:
+        home = importlib.import_module(f"minproj.{minproj._HOMES[name]}")
+        assert getattr(minproj, name) is getattr(home, name), name
+    assert [name for name, value in vars(minproj).items()
+            if not name.startswith("_")
+            and not isinstance(value, types.ModuleType)] == []
+    assert set(minproj.__all__) <= set(dir(minproj))
+    # perfbench/run.py reads an optional name with a default
+    assert getattr(minproj, "no_such_name", "absent") == "absent"
+    # from minproj import * binds exactly __all__
+    assert _in_child("from minproj import *\n"
+                     "print(*sorted(n for n in dir() if not n.startswith('__')))"
+                     ) == sorted(minproj.__all__)
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    # the package alone loads no stage
+    ("import minproj", []),
+    # building and writing inputs needs the geometry layer, not the solver
+    ("import minproj.catalog, minproj.jsonio",
+     ["catalog", "errors", "geometry", "jsonio", "linalg", "rational"]),
+    # the CLI loads every stage up front, so no command pays an import
+    ("import minproj.cli", MODULES),
+])
+def test_import_loads_only_what_it_uses(statement, loaded):
+    assert _in_child(f"import sys\n{statement}\n"
+                     "print(*sorted(m.split('.')[1] for m in sys.modules"
+                     " if m.startswith('minproj.')))") == loaded
 
 
 def test_no_module_asserts():
