@@ -11,8 +11,9 @@ reads each pair's value f(P x) off P realized as an integer matrix, as
 the operator norm reads every pair, so a verdict builds no pair rows.
 The LP dual of the projection solve is one such certificate; a
 minimum-support one is found by exact linear solves over subsets of the
-implicit pairs, smallest subsets first (from n when the paper's lower
-bound applies), with dependent subsets pruned by integer elimination;
+implicit pairs, smallest subsets first (in general position from n
+when lambda > 1, the paper's lower bound, and from n - k + 1 at
+lambda = 1), with dependent subsets pruned by integer elimination;
 the search's one stop is a work budget in row steps (linalg.WorkBudget).
 When the implicit pairs are the dual's own pairs, the dual is the only
 certificate over them, and so the minimum-support one, with no search:
@@ -326,16 +327,24 @@ def minimal_support_cm(report: MinProjReport, in_general_position: bool = False,
 
     in_general_position is the verdict of geometry.general_position_check
     on the report's space and subspace, when it was reached; leave it
-    False when it was not.  arXiv 2211.14008 shows that when lambda > 1
-    and Y is in general position, every Chalmers-Metcalf certificate
-    charges at least n pairs, n the dimension of X.  When the report has
-    lambda > 1 and the verdict is true, no size below n holds a support,
-    so the walk starts at size n and returns the same first subset as
-    the walk from size 1.  Otherwise it starts at 1.
+    False when it was not.  When it is true, no size below a bound holds
+    a support, so the walk starts at the bound and returns the same
+    first subset as the walk from size 1; otherwise it starts at 1.
+    arXiv 2211.14008 shows that when lambda > 1 and Y is in general
+    position, every Chalmers-Metcalf certificate charges at least n
+    pairs, n the dimension of X, so the bound is n.  At every lambda the
+    span half of general position gives n - k + 1, k the dimension of
+    Y: the vertices x_i of a certificate T = sum_i a_i x_i (x) f_i over
+    s pairs span a W of dimension r <= s, and T(Y) lies in Y and in W.
+    While r <= n - k, an independent set of r vertices spans W, so Y + W
+    has dimension k + r and Y meets W in 0; then T vanishes on Y and
+    its trace there is 0, not lambda >= 1.  So s >= r >= n - k + 1,
+    the bound when lambda = 1.
 
     When the implicit rows are the lambda dual's rows (dual_rows), and
-    there are at least as many as the starting size, the lambda dual is
-    returned with no walk, because it is the walk's own answer.  Its
+    there are at least as many as the starting size (a certificate
+    itself, the dual always has), the lambda dual is returned with no
+    walk, because it is the walk's own answer.  Its
     positive rows are columns of the final simplex basis, so their
     columns [v_p; 1] are independent.  As they are all the implicit
     rows, [0; 1] has one representation over the candidates' columns,
@@ -394,7 +403,8 @@ def minimal_support_cm(report: MinProjReport, in_general_position: bool = False,
         raise ValueError("the report's optimal face is not settled")
     rows = report.implicit_rows
     grid = report.grid
-    smallest = report.space.dim if in_general_position and report.lam > 1 else 1
+    n, k = report.space.dim, report.subspace.dim
+    smallest = (n if report.lam > 1 else n - k + 1) if in_general_position else 1
     if rows == report.dual_rows and len(rows) >= smallest:
         cm = dual or cm_from_dual(report)
         if report.interior == report.witness:

@@ -11,11 +11,11 @@ from minproj.certificates import (CMFunctional, _projection_normed_by, certify_c
                                   verify_cm)
 from minproj.errors import BudgetExceededError, InputFormatError, InternalError
 from minproj.geometry import PolyhedralSpace, Subspace, general_position_check
-from minproj.linalg import integer_row_rank
+from minproj.linalg import integer_row_rank, subset_walk
 from minproj.projections import (OperatorPoint, face_dimension, pair_rows,
                                  projection_constant)
 
-from oracles import certify_by_cold_lp, cm_operator, trace_on_subspace
+from oracles import certify_by_cold_lp, cm_operator, trace_on_subspace, work_edge
 
 F = Fraction
 
@@ -124,16 +124,24 @@ def test_support_budget(analyzed):
         minimal_support_cm(projection_constant(a.case.space, a.case.subspace))
 
 
-def test_support_budget_edge_on_the_linf5_plane():
-    # The seeded l-inf^5 2-plane, as analyze builds it: lambda = 1, so the
-    # search starts at size 1, over 32 candidate pairs in d + 1 = 7
-    # coordinates.  Its walks carry and group 1203 rows, and it solves
-    # two subsets of size 4, each charged (d + 1)(size + 1) = 35 steps:
-    # 1273 in all.  With that budget it finds its support of size 4; one
-    # step less stops it at its second solve.
+def _seeded_linf5_plane():
+    """The seeded l-inf^5 2-plane and its report with the face settled,
+    as analyze builds them."""
     space = PolyhedralSpace.from_vertices(linf_ball(5).primal_vertices)
-    report = projection_constant(space, random_subspace(5, 2, 7))
+    Y = random_subspace(5, 2, 7)
+    report = projection_constant(space, Y)
     face_dimension(report)
+    return space, Y, report
+
+
+def test_support_budget_edge_on_the_linf5_plane():
+    # The seeded l-inf^5 2-plane, called without a general-position
+    # verdict: the search starts at size 1, over 32 candidate pairs in
+    # d + 1 = 7 coordinates.  Its walks carry and group 1203 rows, and it
+    # solves two subsets of size 4, each charged (d + 1)(size + 1) = 35
+    # steps: 1273 in all.  With that budget it finds its support of size
+    # 4; one step less stops it at its second solve.
+    _, _, report = _seeded_linf5_plane()
     assert (report.lam, len(report.implicit_rows)) == (1, 32)
     cm, size = minimal_support_cm(report, budget=1203 + 2 * 35)
     assert size == 4
@@ -141,6 +149,30 @@ def test_support_budget_edge_on_the_linf5_plane():
     with pytest.raises(BudgetExceededError,
                        match="^support search exceeded its work budget of 1272 row steps$"):
         minimal_support_cm(report, budget=1272)
+
+
+def test_support_of_the_linf5_plane_from_the_general_position_bound(monkeypatch):
+    # The same 2-plane is in general position with lambda = 1, so no
+    # certificate has fewer than n - k + 1 = 4 pairs, and the search with
+    # the verdict walks size 4 only.  That walk carries and groups 149
+    # rows and solves the same two subsets: 219 steps in all, against
+    # 1273 from size 1.  One step less stops it at its second solve.
+    space, Y, report = _seeded_linf5_plane()
+    assert general_position_check(space, Y).in_general_position
+    from_one = minimal_support_cm(report)
+    sizes = []
+
+    def walk(columns, size, width, work):
+        sizes.append(size)
+        return subset_walk(columns, size, width, work)
+
+    monkeypatch.setattr(certificates, "subset_walk", walk)
+    assert minimal_support_cm(report, in_general_position=True,
+                              budget=149 + 2 * 35) == from_one
+    assert sizes == [4]
+    with pytest.raises(BudgetExceededError,
+                       match="^support search exceeded its work budget of 218 row steps$"):
+        minimal_support_cm(report, in_general_position=True, budget=218)
 
 
 def test_support_of_a_unique_dual_is_verified_once(analyzed, spy):
@@ -335,6 +367,24 @@ def test_uncapped_support_of_the_linf6_plane():
     assert cm.pairs == ((0, 0), (1, 0), (2, 0), (4, 0), (27, 0))
     assert cm.weights == (F(2467, 36729), F(3917, 20988), F(513, 1484),
                           F(303, 2332), F(631, 2332))
+
+
+def test_support_of_the_linf6_plane_from_the_general_position_bound():
+    # The same 2-plane is in general position with lambda = 1, so the
+    # search with the verdict starts at n - k + 1 = 5, the size of its
+    # support, and finds the same certificate in 4204 carried and grouped
+    # rows and 20 solves of (d + 1)(size + 1) = 54 steps: 5284 row steps,
+    # against 94659 from size 1.
+    space, Y = linf_ball(6), random_subspace(6, 2, 7)
+    report = projection_constant(space, Y)
+    face_dimension(report)
+    assert general_position_check(space, Y).in_general_position
+    assert work_edge(certificates, minimal_support_cm, report) == 94659
+    assert work_edge(certificates, minimal_support_cm, report, True) == 4204 + 20 * 54
+    assert minimal_support_cm(report, in_general_position=True) == (
+        CMFunctional(pairs=((0, 0), (1, 0), (2, 0), (4, 0), (27, 0)),
+                     weights=(F(2467, 36729), F(3917, 20988), F(513, 1484),
+                              F(303, 2332), F(631, 2332))), 5)
 
 
 def test_support_of_the_l15_hyperplane_from_the_bound():
