@@ -109,6 +109,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     report = projection_constant(space, subspace)
     face_dim, implicit = face_dimension(report)
+    norming = sorted(implicit)
     cm = cm_from_dual(report)
 
     stops = {}
@@ -146,7 +147,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "lambda_approx": approx_decimal(report.lam),
         "face_dim": face_dim,
         "minimal_projection": matrix_json(projection.row_list(), den),
-        "norming_pairs": [list(p) for p in implicit],
+        "norming_pairs": [list(p) for p in norming],
         "cm_certificate": certificate_json(cm, report.lam),
         "support_search": support,
         "general_position": gp,
@@ -160,7 +161,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"subspace dim  {subspace.dim}",
             f"lambda        {out['lambda']} (approx {out['lambda_approx']})",
             f"face dim      {face_dim}",
-            "norming pairs " + " ".join(f"({i},{j})" for i, j in implicit),
+            "norming pairs " + " ".join(f"({i},{j})" for i, j in norming),
             "cm weights    " + " ".join(
                 f"({i},{j})={format_rational(w)}"
                 for (i, j), w in zip(cm.pairs, cm.weights)),

@@ -471,6 +471,19 @@ def test_support_search_starts_at_one_when_general_position_stops(
     assert starts == [True, False]
 
 
+def test_norming_pairs_are_listed_ascending(tmp_path, capsys):
+    # face_dimension hands the implicit pairs over as a set; the report
+    # lists them ascending, in the JSON and in the table
+    path = _seeded_input(tmp_path, linf_ball, 4, 3)
+    assert cli.main(["analyze", "--input", path]) == 0
+    pairs = [tuple(p) for p in json.loads(capsys.readouterr().out)["norming_pairs"]]
+    assert len(pairs) == 4
+    assert pairs == sorted(pairs)
+    assert cli.main(["analyze", "--input", path, "--table"]) == 0
+    assert ("norming pairs " + " ".join(f"({i},{j})" for i, j in pairs)
+            in capsys.readouterr().out.splitlines())
+
+
 def test_general_position_budget_stop_is_an_error(tmp_path, capsys, small_gp_cap):
     path = _seeded_input(tmp_path, l1_ball, 4, 3)
     assert cli.main(["general-position", "--input", path]) == 3

@@ -63,27 +63,27 @@ RANK_DEFICIENT = "seeded-linf-n4-k2"
 LAMBDA_ONE = "seeded-linf-n6-k5"
 
 GOLDEN = {
-    "analyze/ker-sum-l1-n3": "9fc72e2238e1ff01b42450b1c1af7813407675c2dfcffc5da5c94512407d2614",
-    "analyze/ker-sum-linf-n3": "424bc46f7650b4f2486825c5673537417bcef69bcd55c3a3878dca5cf3dbd768",
-    "analyze/ker-sum-l1-n4": "4645359076a7598343419d6297a1934f0cd2c88ee6d4a84f177e94001ca750f3",
-    "analyze/ker-sum-linf-n4": "ea12073898922a00d13c79ebc82caf4a3b873d2eb5a792aa8fbb33d684379544",
-    "analyze/ker-sum-l1-n5": "5a38ff49b90a1e2db8fe6dfb646541c708d2e37c60f7682586fc347a7d271cae",
-    "analyze/ker-sum-linf-n5": "682489d8feaf4c38e97ce7aaf102c4c310df1095365f6dc23b82d241fd99c0d1",
-    "analyze/coordinate-span-l1-n3-k2": "6284d7d1e779d970b41b5b9c8b9bc7268a0a770354a9656648ffc4241251aa63",
-    "analyze/coordinate-span-l1-n4-k2": "ebcc01847fc0846a007731fe19e17219ae4dd9a8fdd1883c0f741bf1eefab031",
-    "analyze/coordinate-span-l1-n5-k2": "c5a693c4f195f61c7d58f516584397362fa48b06fd79da157ba32ca01a676aae",
-    "analyze/mixed-extremal-n4-k3": "c21d62eba9100b89f37fa65e14fbfcbdea0eb90526a71940aeeee27789daeb81",
-    "analyze/mixed-extremal-n5-k3": "9632b8a49665ec1455fa0c926779c0a6e3c36332d6cf9050c50466b3042f3b35",
-    "analyze/partial-sum-linf-n4-k3": "36b50221e74a3f0d62421efa028d682304d3c7b607a18be6de1f917e5c422465",
-    "analyze/partial-sum-linf-n5-k3": "c6bb1dade88506ce237dffb2d7a5860ba1c2630ce64f677ba7db4d07a1af085c",
-    "analyze/partial-sum-linf-n5-k4": "738b25e2925e531c40129976c113b2471fd7cd6c0a6de0a17789cc3c9efabc45",
-    "analyze/first-coordinate-mixed-n4": "25cd6532984164c4155379d30b092b611d5e0f94d8d5c13f7971a3ed4470f2bd",
-    "analyze/first-coordinate-mixed-n5": "5de2f6d84bf99751f536a2b3f801553c774db4eb624bfe3c5c984f4c4e3257c2",
-    "analyze/seeded-linf-n4-k3": "0abdb9eaa90ce27f4f26aa75853166e5f5abce892df1a04447104cdd86ca1e96",
-    "analyze/seeded-linf-n4-k2": "94d2b323e9d85fdf6aff3f6f9cbf44a619e7f4e372be2503c948cf40a0b1884c",
+    "analyze/ker-sum-l1-n3": "f243c0df0d7917b5a2fd2e595bef69a1bdafca4d1ca11700a4dc85ab4ad14b5f",
+    "analyze/ker-sum-linf-n3": "a144cc9aae6d41224123f41370b13b3d2c2623192db53f5deee008a009772227",
+    "analyze/ker-sum-l1-n4": "4aeef2d52ef337d3722ccb070a33da19e674d0bfaad59ecc0cfbc0f964de5c3e",
+    "analyze/ker-sum-linf-n4": "1695f2a48909d0083aedb0eca9250053cc5b26d72f1e64cdb0768a46f7374afa",
+    "analyze/ker-sum-l1-n5": "d73e8fc4b3d9500b157bd1d39f894482743819bc2f9155411389634cae31fadc",
+    "analyze/ker-sum-linf-n5": "4624d9d30bbfceb2225bb52b619cd46aad16622860edd061e005bcbf0c20958f",
+    "analyze/coordinate-span-l1-n3-k2": "a744feb44f3bb5554817234563ce5335456547d9db50ed16f7ef219b6fc0f960",
+    "analyze/coordinate-span-l1-n4-k2": "ff6dcf40038ec9dd831e25931873f3a03aacf5dec566462cd218e25982e81014",
+    "analyze/coordinate-span-l1-n5-k2": "2578328c61827c321f8a75ce0da13f378cb531952df6a8d7ab6d55598a6f803f",
+    "analyze/mixed-extremal-n4-k3": "6197997a25ef2b81d6f02b239c1c8f897face87af1de1154e26e43798ee83a3d",
+    "analyze/mixed-extremal-n5-k3": "14c5631c05be78b73b7f54686612683238827a641aafe97e6f1fe44fee7b6449",
+    "analyze/partial-sum-linf-n4-k3": "300119a1d442b5aceec998827c5889cca5ffdebe77fffd1895124ca663168349",
+    "analyze/partial-sum-linf-n5-k3": "0f92bf92a529cd790079aa763f72dd23ea9f10615d847edeb62d05e13013d8c4",
+    "analyze/partial-sum-linf-n5-k4": "be9e1838f7dd2cf954d394c25d1b8251899bb10eaa21d60735ee367067eec8bb",
+    "analyze/first-coordinate-mixed-n4": "713c9ad8732a3489713fd0291f70878a3d95f3787c318127ccff27c6820bfced",
+    "analyze/first-coordinate-mixed-n5": "8f08e12fb94dd33e41aaf0f45a48c3bd062035afadfa5d9f2e2a126d6f856d33",
+    "analyze/seeded-linf-n4-k3": "f9721986d7dc4ccad8b18bddc018cf378c531420c105ad6fd22b4ada6311fb56",
+    "analyze/seeded-linf-n4-k2": "741a68ceeefb4a7097234330eb3bf700a5ca4eeac64a45ca172d3bdbce6c2644",
     "certify/seeded-linf-n4-k2-valid/json": "19f54cdb201c57490f74febfb241c5c045920c820f28be2561eacc0baa5fcd76",
     "certify/seeded-linf-n4-k2-valid/table": "9b520fe713d3e6cd7b913d7749fd4d744d41cdf923053008d3f8f8b3bb8baa1d",
-    "analyze/seeded-l1-n4-k3": "b00af86c15696f8237ee68475a2c7cc1c2195a44b0c09976748a9f0eee623312",
+    "analyze/seeded-l1-n4-k3": "d50a14e93457258be1dcc703b3703d597ed6ea619543fa849da02dfe7d60e506",
     "certify/seeded-l1-n4-k3-valid": "3ad55cf3f5b673879723c1aa8ef0b1bd3450a3b6fcc6ef0554786811b54d17f3",
     "certify/seeded-l1-n4-k3-tampered": "137486a4feafc3cad9f6b52973a4e3b25d9f969359ec4d00f9a3c0328aac2721",
     "certify/seeded-l1-n4-k3-small-weight/json": "137486a4feafc3cad9f6b52973a4e3b25d9f969359ec4d00f9a3c0328aac2721",
@@ -102,11 +102,11 @@ GOLDEN = {
     "certify/seeded-l1-n4-k3-duplicated-pair/table": "6eb47ffcd859833dfed9886da52439b31f41c2a89b00171930dbaa9baee74538",
     "certify/seeded-l1-n4-k3-three-pairs-lambda-1/json": "8e769310c6108cbedfc563162d7752353d2470d4f9eb7483eed526c373afe4e4",
     "certify/seeded-l1-n4-k3-three-pairs-lambda-1/table": "d0061b494f4b682b1ee0720d3c27cd5a1efa62ed6fb0eed8003409e9f1d10775",
-    "analyze/seeded-l1-n4-k2": "f7859d8694d418253699a38d4a4cb010a53899f0c226954b58fe03d794584659",
-    "analyze/seeded-linf-n5-k4": "904a514d238ee1aded50828f30cde7a71a91d3d949e070080145d01e0a5e5e6d",
-    "analyze/seeded-linf-n5-k2": "6b124b57ae6821fe570e8b7ed7f1a0eaf22b067a0a79fbd7c44c301329dc250c",
-    "analyze/seeded-l1-n5-k4": "ddb295a448b99b14df04a25d76150e4c01cd66b0627889b0abbcc9f36144110d",
-    "analyze/seeded-l1-n5-k2": "d898c4c528309c70a3f9925403315460ba3ecdbf35f81e44ee2189d3f09caf2e",
+    "analyze/seeded-l1-n4-k2": "ff3d54785ef2b851a20604e2d871e08d68c2da631d1ed68ad42758142f2a3d61",
+    "analyze/seeded-linf-n5-k4": "87043baabbe316e449a1370e2f18f132823c095bdbce0eacfb7aa7b55ffe3a00",
+    "analyze/seeded-linf-n5-k2": "79473106579965a9ee2d6f726205bf8ead42d663016914035886f5cfb43b04cf",
+    "analyze/seeded-l1-n5-k4": "87f00550feddd178a116240a3050e64af597cdb90d3442fc03b715a93bd83c7e",
+    "analyze/seeded-l1-n5-k2": "8ce3dd4b56118e1a66aefdb5dcbb0a0b4bd14cad2a95b913b7acb7960d549d66",
     "certify/seeded-linf-n6-k5-valid/json": "19f54cdb201c57490f74febfb241c5c045920c820f28be2561eacc0baa5fcd76",
     "certify/seeded-linf-n6-k5-valid/table": "9b520fe713d3e6cd7b913d7749fd4d744d41cdf923053008d3f8f8b3bb8baa1d",
     "polar/linf-n8": "baa6aabcec54ea0b1c174ea9835e193384663b9f01b96d8897e144198a82a787",
