@@ -336,19 +336,19 @@ def minimal_support_cm(report: MinProjReport, in_general_position: bool = False,
     span half of general position gives n - k + 1, k the dimension of
     Y: the vertices x_i of a certificate T = sum_i a_i x_i (x) f_i over
     s pairs span a W of dimension r <= s, and T(Y) lies in Y and in W.
-    While r <= n - k, an independent set of r vertices spans W, so Y + W
-    has dimension k + r and Y meets W in 0; then T vanishes on Y and
-    its trace there is 0, not lambda >= 1.  So s >= r >= n - k + 1,
-    the bound when lambda = 1.
+    While r <= n - k, an independent set of r vertices spans W, and
+    general position gives Y + W dimension k + r, so Y meets W in 0;
+    then T vanishes on Y and its trace there is 0, not lambda >= 1.  So
+    s >= r >= n - k + 1, the bound when lambda = 1.
 
     When the implicit rows are the lambda dual's rows (dual_rows), and
     there are at least as many as the starting size (a certificate
     itself, the dual always has), the lambda dual is returned with no
-    walk, because it is the walk's own answer.  Its
-    positive rows are columns of the final simplex basis, so their
-    columns [v_p; 1] are independent.  As they are all the implicit
-    rows, [0; 1] has one representation over the candidates' columns,
-    and its weights are the positive dual weights.  A proper subset that
+    walk, because it is the walk's own answer.  Its positive rows are
+    columns of the final simplex basis, so their columns [v_p; 1] are
+    independent.  As they are all the implicit rows, [0; 1] has one
+    representation over the candidates' columns, and its weights are
+    the positive dual weights.  A proper subset that
     held a support would give a second one, zero off the subset, so the
     only valid support is the whole set, the one subset of the walk's
     last size, len(dual_rows).  The dual optimal face is then a
