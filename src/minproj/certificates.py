@@ -6,9 +6,10 @@ projection, and its trace restricted to Y equals the projection
 constant, which makes it an exact optimality witness for lambda(Y, X).
 T annihilates y (x) g exactly when g(T y) = sum_i a_i f_i(y) g(x_i) = 0,
 so vanishing on L_Y(X, Y) is invariance of Y; verify_cm reads both, and
-the trace, off T alone, independent of the pair grid and the LP.  It
-reads each pair's value f(P x) off P realized as an integer matrix, as
-the operator norm reads every pair, so a verdict builds no pair rows.
+the trace (through P0's functionals), off T alone, independent of the
+pair grid and the LP.  It reads each pair's value f(P x) off P realized
+as an integer matrix, as the operator norm reads every pair, so a
+verdict builds no pair rows.
 The LP dual of the projection solve is one such certificate; a
 minimum-support one is found by exact linear solves over subsets of the
 implicit pairs, smallest subsets first (in general position from n
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import InputFormatError, InternalError
 from .geometry import PolyhedralSpace, Subspace
@@ -85,7 +85,9 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     conditions -- (1) vanishing on every basis operator of L_Y(X, Y),
     (2) T(Y) contained in Y, (3) every pair norming for P, (4) trace of
     T|_Y equal to lam.  basis is the operator basis of (space, Y) that
-    the caller built (projections.build_operator_basis), read only by (3).
+    the caller built (projections.build_operator_basis): (3) reads P
+    through it, and (4) reads the trace through P0's functionals, so a
+    basis built for a subspace other than Y raises ValueError.
 
     All but (3) are decided by T and lam alone, never by P, the pair grid
     or the LP (_conditions_of_T).  (3) reads each pair's value f(P x) off
@@ -93,14 +95,16 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     operator_norm reads every pair; realized is that matrix over its
     denominator, OperatorBasis.realize_cleared of P, when the caller
     holds it.  The values are compared with lam in integers."""
-    head, trace = _conditions_of_T(space, Y, cm, lam)
+    if basis.subspace is not Y and basis.subspace != Y:
+        raise ValueError("the operator basis was built for another subspace")
+    head, trace = _conditions_of_T(space, basis, cm, lam)
     if trace is None:
         return CMVerdict(head)
     M, den = basis.realize_cleared(P) if realized is None else realized
     return CMVerdict(head + _norming(space, cm, lam, M, den) + trace)
 
 
-def _conditions_of_T(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
+def _conditions_of_T(space: PolyhedralSpace, basis: OperatorBasis, cm: CMFunctional,
                      lam: Fraction) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
     """The violations of verify_cm's checks that T = sum_i a_i x_i (x) f_i
     and lam decide with no projection, split where the norming check
@@ -110,15 +114,16 @@ def _conditions_of_T(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     When both parts are empty, T is a Chalmers-Metcalf bound of value
     lam: every projection Q onto Y has sum_i a_i f_i(Q x_i) = lam.
 
-    The images T y_b = sum_i a_i f_i(y_b) x_i are formed in integers, over
-    the cleared vertices, weights and Y's own families, with no matrix of T.
-    For L_q = y_b (x) g_j, q = b(n-k) + j, the vanishing sum is
-    sum_i a_i f_i(y_b) g_j(x_i) = g_j(T y_b), so (1) and (2) fail
-    together, at the first nonzero g_j(T y_b): (1) reports its value and
-    q, (2) its block b.  (4) sums the Y-coordinates of the same images,
-    read off one integer reduced echelon form, and is undefined when (2)
-    fails.  The weights' sum and the trace are compared with 1 and lam in
-    integers."""
+    Y is basis.subspace.  The images T y_b = sum_i a_i f_i(y_b) x_i are
+    formed in integers, over the cleared vertices, weights and Y's own
+    families, with no matrix of T.  For L_q = y_b (x) g_j, q = b(n-k) + j,
+    the vanishing sum is sum_i a_i f_i(y_b) g_j(x_i) = g_j(T y_b), so (1)
+    and (2) fail together, at the first nonzero g_j(T y_b): (1) reports
+    its value and q, (2) its block b.  (4) is undefined when (2) fails;
+    otherwise the images lie in Y, where P0's functionals h_num_b / h_den
+    (OperatorBasis) give the coordinates over the basis_num_c, so the
+    trace is k dot products, with no elimination.  The weights' sum and
+    the trace are compared with 1 and lam in integers."""
     n_p = len(space.primal_cleared[0])
     n_d = len(space.dual_cleared[0])
     for pi, dj in cm.pairs:
@@ -134,6 +139,7 @@ def _conditions_of_T(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
         violations.append(
             f"weights: sum is {format_rational(Fraction(sum(a), da))}, not 1")
 
+    Y = basis.subspace
     X, dx = space.primal_cleared
     F, df = space.dual_cleared
     # T y_b over t_den; g_j(T y_b) over g_den·t_den.
@@ -157,17 +163,10 @@ def _conditions_of_T(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
             f"invariance: T(basis vector {q // len(Y.annihilator_num)}) leaves Y")
         return tuple(violations), ("trace: undefined, T does not map Y into Y",)
 
-    # [y_num_1 .. y_num_k] C = t_den·[T y_1 .. T y_k]: C[b][b] is
-    # row[k + b] / row[b] for the reduced row with pivot b, and the
-    # trace of the images' coordinates is tr C·y_den / t_den.
-    k = len(images)
-    reduced = integer_rref([list(column) + [image[r] for image in images]
-                            for r, column in enumerate(zip(*Y.basis_num))])
-    if reduced[-1][0] >= k:
-        raise InternalError("an image of Y in Y has no coordinates in its basis")
-    L = lcm(*(row[b] for b, row in reduced))
-    trace_num = sum(row[k + b] * (L // row[b]) for b, row in reduced) * Y.basis_den
-    trace_den = L * t_den
+    # T basis_num_b = basis_den·image_b / t_den, whose b-th coordinate
+    # is h_num_b·that / h_den.
+    trace_num = sum(map(int_dot, basis.h_num, images)) * Y.basis_den
+    trace_den = basis.h_den * t_den
     if trace_num * lam.denominator != lam.numerator * trace_den:
         return tuple(violations), (
             f"trace: {format_rational(Fraction(trace_num, trace_den))} "
@@ -238,7 +237,7 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     only for the lambda LP, at most once.
     """
     basis = build_operator_basis(space, Y)
-    head, trace = _conditions_of_T(space, Y, cm, lam)
+    head, trace = _conditions_of_T(space, basis, cm, lam)
     bound = not head and trace == ()
     grid = None
     if bound:

@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .catalog import paper_cases, random_subspace
@@ -50,8 +49,7 @@ from .errors import (BudgetExceededError, InputFormatError, InternalError,
                      MinprojError)
 from .geometry import PolyhedralSpace, Subspace, general_position_check
 from .jsonio import (certificate_json, dumps, load_document, matrix_json,
-                     parse_certificate_document, parse_space_document,
-                     vector_json)
+                     parse_certificate_document, parse_space_document)
 from .projections import face_dimension, projection_constant
 from .rational import approx_decimal, format_rational
 
@@ -233,7 +231,7 @@ def _cmd_polar(args: argparse.Namespace) -> int:
     # validated: the polar, up to order; the rows share one denominator
     # den > 0, so sorted rows are sorted vertices
     rows, den = space.dual_cleared
-    duals = [vector_json(Fraction(x, den) for x in row) for row in sorted(rows)]
+    duals = matrix_json(sorted(rows), den)
     out = {"dim": space.dim, "vertices": duals}
     if args.table:
         lines = [" ".join(v) for v in duals]

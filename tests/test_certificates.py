@@ -80,6 +80,23 @@ def test_projection_of_the_wrong_length_is_refused(analyzed):
                   basis=a.report.basis)
 
 
+def test_operator_basis_of_another_subspace_is_refused(analyzed):
+    # the trace is read through the basis's functionals of P0, so a basis
+    # built for a second subspace of the same dimension would give a
+    # verdict about neither; an equal copy of Y is the same subspace
+    a = analyzed["ker-sum-linf-n3"]
+    space, Y = a.case.space, a.case.subspace
+    cm = cm_from_dual(a.report)
+    other = projections.build_operator_basis(space, random_subspace(space.dim, Y.dim, 1))
+    assert other.dimension == a.report.basis.dimension
+    with pytest.raises(ValueError, match="another subspace"):
+        verify_cm(space, Y, cm, a.report.lam, a.report.interior, basis=other)
+    copy = Subspace(basis_num=Y.basis_num, basis_den=Y.basis_den)
+    assert copy is not Y
+    assert verify_cm(space, copy, cm, a.report.lam, a.report.interior,
+                     basis=a.report.basis).ok
+
+
 def test_cm_operator_maps_into_subspace(analyzed):
     a = analyzed["mixed-extremal-n5-k3"]
     cm = cm_from_dual(a.report)

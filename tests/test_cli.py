@@ -750,7 +750,7 @@ def test_internal_failure_exits_4(space_file, capsys, monkeypatch):
 @pytest.mark.parametrize("command, stage", [
     (["analyze"], "projection_constant"),
     (["general-position"], "general_position_check"),
-    (["polar"], "vector_json"),
+    (["polar"], "matrix_json"),
 ])
 def test_any_other_exception_exits_4(space_file, capsys, monkeypatch, error, line,
                                      command, stage):

@@ -98,3 +98,24 @@ def test_budget_errors_are_raised_at_one_site():
                 if getattr(raised, "id", getattr(raised, "attr", None)) == "BudgetExceededError":
                     found.append(f"{path.stem}.{scope.get(node, '<module>')}")
     assert found == ["linalg.charge"]
+
+
+def test_every_import_is_used():
+    # A name a module imports is read somewhere in that module, so a
+    # deletion cannot leave its import behind; __future__ imports bind
+    # no name
+    found = []
+    for path in sorted(Path(minproj.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((alias.asname or alias.name, node.lineno)
+                                for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used]
+    assert found == []
