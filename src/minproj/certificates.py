@@ -11,10 +11,10 @@ pair grid and the LP.  It reads each pair's value f(P x) off P realized
 as an integer matrix, as the operator norm reads every pair, so a
 verdict builds no pair rows.
 The LP dual of the projection solve is one such certificate; a
-minimum-support one is found by exact linear solves over subsets of the
-implicit pairs, smallest subsets first (in general position from n
-when lambda > 1, the paper's lower bound, and from n - k + 1 at
-lambda = 1), with dependent subsets pruned by integer elimination;
+minimum-support one is found over subsets of the implicit pairs,
+smallest first (in general position from n when lambda > 1, the
+paper's lower bound, and from n - k + 1 at lambda = 1), with dependent
+subsets pruned by integer elimination and weights read off a kernel;
 the search's one stop is a work budget in row steps (linalg.WorkBudget).
 When the implicit pairs are the dual's own pairs, the dual is the only
 certificate over them, and so the minimum-support one, with no search:
@@ -33,7 +33,7 @@ from fractions import Fraction
 from .errors import InputFormatError, InternalError
 from .geometry import PolyhedralSpace, Subspace
 from .linalg import (DEFAULT_WORK_BUDGET, RMatrix, WorkBudget, int_dot,
-                     integer_row_rank, integer_rref, integer_solve,
+                     integer_nullspace, integer_row_rank, integer_rref,
                      over_denominator, subset_walk)
 from .projections import (MinProjReport, OperatorBasis, OperatorPoint, _solve_lambda,
                           build_operator_basis, build_pair_grid, face_dimension,
@@ -365,14 +365,14 @@ def minimal_support_cm(report: MinProjReport, in_general_position: bool = False,
     every dependent subset can be skipped.  The implicit pairs hold the
     lambda dual's support, so they are never empty.
 
-    The walk runs on the integer columns [coefs(p); D] = D·[v_p; 1],
+    The walk runs on the integer columns [coefs(p); 1], coefs(p) = D·v_p
     the implicit pairs' grid rows formed from the grid's factors and D
-    its denominator, against the target [0; D]: the same system scaled
-    by D > 0, with the same solutions.  The grid lists its pairs
-    sorted, so the implicit rows are in pair order.  The target
-    spans the last coordinate, so a column's head, its first d entries,
-    is the column modulo the target, and independent columns span the
-    target exactly when their heads are dependent.  Each size is one
+    their denominator.  Their heads, the first d entries, have the
+    kernels of the v_p, and so the same weights.  The target [0; 1]
+    spans the last coordinate, so a column's head is the column modulo
+    the target, and independent columns span the target exactly when
+    their heads are dependent.  The grid lists its pairs sorted, so the
+    implicit rows are in pair order.  Each size is one
     linalg.subset_walk over the implicit rows' columns with heads of
     width d.  It yields, in lexicographic order, the independent subsets
     whose span holds the target while no prefix's span does.  The
@@ -382,21 +382,24 @@ def minimal_support_cm(report: MinProjReport, in_general_position: bool = False,
     support.  It decides the last two columns at once: at a node two
     columns short of the size, a pair of carried columns completes a
     yielded subset exactly when their heads are parallel, or the second
-    head is zero (its column is parallel to the carried target), and the
-    columns themselves are not parallel.  Only the yielded subsets are
-    solved exactly for their weights, from the same integer columns, and
-    tested for w > 0.  The lambda dual's certificate is dual,
-    cm_from_dual(report), or built by it when the caller does not hold
-    it.  The hit, that certificate included, is verified at the report's
-    relative-interior point, a minimal projection, before it is
-    returned, except the lambda dual's, which is returned as it is when
-    that point is the witness, where cm_from_dual verified it.
+    head is zero (its column is parallel to the target), and the columns
+    themselves are not parallel.  A yielded subset's columns are
+    independent and its heads h_p dependent, so they have a kernel line,
+    spanned by c, and sum_p c_p·[h_p; 1] = [0; sum_p c_p]: the weights
+    are c / sum_p c_p, positive when every c_p has the sum's sign
+    (_support_weights), and no system is solved.  The lambda
+    dual's certificate is dual, cm_from_dual(report), or built by it when
+    the caller does not hold it.  The hit, that certificate included, is
+    verified at the report's relative-interior point, a minimal
+    projection, before it is returned, except the lambda dual's, which
+    is returned as it is when that point is the witness, where
+    cm_from_dual verified it.
 
     The search runs on budget row steps (linalg.WorkBudget): the walks
-    charge the rows they carry and group, and each exact solve is charged
-    (d + 1)(size + 1) steps, each of its d + 1 rows reduced against at
-    most size + 1 pivots.  Past the budget, the search's one stop, it
-    raises BudgetExceededError.
+    charge the rows they carry and group, and each yielded subset is
+    charged (d + 1)(size + 1) steps, the d + 1 rows of its system
+    [v_p; 1]·w = [0; 1] times its size + 1 columns.  Past the budget,
+    the search's one stop, it raises BudgetExceededError.
     """
     if report.interior is None:
         raise ValueError("the report's optimal face is not settled")
@@ -411,22 +414,18 @@ def minimal_support_cm(report: MinProjReport, in_general_position: bool = False,
         return _verified(report, cm)
 
     d = report.basis.dimension
-    columns = [list(grid.coefs(r)) + [grid.denominator] for r in rows]
-    target = [0] * d + [grid.denominator]
+    heads = [grid.coefs(r) for r in rows]
+    columns = [head + (1,) for head in heads]
     work = WorkBudget(budget, "support search")
     for size in range(smallest, min(d + 1, len(rows)) + 1):
         for _, subset in subset_walk(columns, size, d, work):
             if subset is None:
                 continue
-            work.charge(len(target) * (size + 1))
-            weights = _support_weights([columns[i] for i in subset], target)
-            if weights is None:
-                raise InternalError(
-                    "the subset walk yielded columns whose span misses the target")
-            if any(w <= 0 for w in weights):
-                continue
-            return _verified(report, CMFunctional(
-                pairs=tuple(grid.pairs[rows[i]] for i in subset), weights=weights))
+            work.charge((d + 1) * (size + 1))
+            weights = _support_weights([heads[i] for i in subset])
+            if weights is not None:
+                return _verified(report, CMFunctional(
+                    pairs=tuple(grid.pairs[rows[i]] for i in subset), weights=weights))
     raise InternalError("no valid certificate over the candidate pairs")
 
 
@@ -443,13 +442,21 @@ def _verified(report: MinProjReport, cm: CMFunctional) -> tuple[CMFunctional, in
     return cm, len(cm.pairs)
 
 
-def _support_weights(columns: list[list[int]],
-                     target: list[int]) -> tuple[Fraction, ...] | None:
-    """The w with sum_i w_i columns[i] = target, for independent integer
-    columns, or None when target is not in their span (linalg.integer_solve
-    on the system [columns | target])."""
-    w = integer_solve([list(row) for row in zip(*columns, target)], len(columns))
-    return None if w is None else tuple(x for x, in w)
+def _support_weights(heads: list[tuple[int, ...]]) -> tuple[Fraction, ...] | None:
+    """The weights c / sum(c) of a subset the support walk yielded, c
+    spanning the kernel of its heads (linalg.integer_nullspace), or None
+    when one is not positive.  A kernel that is not a line, or sums to
+    0, is an InternalError: the columns [h_p; 1] are dependent or miss
+    the target [0; 1]."""
+    kernel, _ = integer_nullspace(list(zip(*heads)), len(heads))
+    total = sum(kernel[0]) if len(kernel) == 1 else 0
+    if not total:
+        raise InternalError(
+            "the subset walk yielded columns whose span misses the target")
+    c = kernel[0] if total > 0 else [-x for x in kernel[0]]
+    if min(c) <= 0:
+        return None
+    return tuple(Fraction(x, abs(total)) for x in c)
 
 
 def cm_rank_gap(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,

@@ -6,8 +6,8 @@ independent_rows fold it over the rows (complement_coordinates folds it
 over given rows and then the unit vectors, for the coordinates that
 complete them to a basis); the reduced row echelon form
 (integer_rref) folds it too and clears above each pivot, and the
-nullspace, the inverse and the solve are read off its rows.  Pivots are
-deterministic: each row in turn, at its first nonzero entry after
+nullspace, the inverse and solve_linear are read off its rows.  Pivots
+are deterministic: each row in turn, at its first nonzero entry after
 reduction.  subset_walk, behind the general-position check and the
 minimal-support search, folds it down a depth-first walk over subsets,
 as one batch step per node (reduce_rows: the step of reduce_row against
@@ -21,9 +21,9 @@ goes and which stops it with BudgetExceededError.
 
 Fractions are formed only at the edges.  Rational input is cleared to
 integer rows (over_denominator, cleared); a nullspace or an inverse comes
-back as integer rows over their least common denominator, and only a
-solve returns Fractions.  RMatrix is the public value type of operators,
-and solve_linear the Fraction form of the solve.
+back as integer rows over their least common denominator, and only
+solve_linear returns Fractions.  RMatrix is the public value type of
+operators.
 """
 
 from __future__ import annotations
@@ -211,12 +211,13 @@ class WorkBudget:
     charges as it goes.  subset_walk charges one step for each row that a
     reduce_rows step carries to a child node, and one for each row that a
     node two levels above the leaves groups by direction (_leaves); the
-    support search charges each exact solve too, by its size.  A charge
-    is made before its work, and raises BudgetExceededError once the
-    steps charged exceed `units`: a budget equal to a search's total
-    completes it, and one step less stops it, at the same point on every
-    run.  `what` names the search in the error; `spent` starts a budget
-    that goes on from another one."""
+    support search charges each subset the walk yields too, by its size
+    (certificates.minimal_support_cm).  A charge is made before its
+    work, and raises BudgetExceededError once the steps charged exceed
+    `units`: a budget equal to a search's total completes it, and one
+    step less stops it, at the same point on every run.  `what` names
+    the search in the error; `spent` starts a budget that goes on from
+    another one."""
 
     __slots__ = ("units", "what", "spent")
 
@@ -401,28 +402,18 @@ def integer_inverse(rows: Sequence[Sequence[int]],
             for pivot, row in reduced[:count]], D
 
 
-def integer_solve(rows: Sequence[Sequence[int]],
-                  width: int) -> list[list[Fraction]] | None:
-    """A solution X of A·X = B for the integer rows [A | B], A of width
-    columns, or None when some column of B is outside the column span of
-    A.  X has one row per column of A: zero at a free column, and
-    row[width:] / row[pivot] for the reduced row with that pivot.  With
-    no rows, every row of X is empty."""
-    reduced = integer_rref(rows)
-    if reduced and reduced[-1][0] >= width:
-        return None
-    X = [[_ZERO] * (len(rows[0]) - width if rows else 0) for _ in range(width)]
-    for pivot, row in reduced:
-        X[pivot] = [Fraction(x, row[pivot]) for x in row[width:]]
-    return X
-
-
 def solve_linear(A: RMatrix, b: Sequence[Fraction]) -> Vector | None:
     """Some exact solution of Av = b, with the free variables zero, or None
-    when the system is infeasible: integer_solve on the rows of [A | b],
-    each cleared over its own denominator."""
+    when the system is infeasible, read off integer_rref of the rows of
+    [A | b], each cleared over its own denominator: None when a pivot
+    lies in the b column, else row[-1] / row[pivot] at each pivot."""
     if len(b) != A.rows:
         raise ValueError(f"rhs length {len(b)} != rows {A.rows}")
-    X = integer_solve([over_denominator(A.row(i) + (b[i],))[0]
-                       for i in range(A.rows)], A.cols)
-    return None if X is None else tuple(x for x, in X)
+    reduced = integer_rref([over_denominator(A.row(i) + (b[i],))[0]
+                            for i in range(A.rows)])
+    if reduced and reduced[-1][0] == A.cols:
+        return None
+    v = [_ZERO] * A.cols
+    for pivot, row in reduced:
+        v[pivot] = Fraction(row[-1], row[pivot])
+    return tuple(v)

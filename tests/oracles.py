@@ -13,7 +13,10 @@ with an inclusion-maximal norming set found by greedy tightening from
 the relative interior, and the minimal-support certificate found by one
 "maximize the smallest weight" LP per candidate subset.  The
 minimal-support certificate has a second oracle, one rational linear
-solve per candidate subset with no pruning.  Next comes the exhaustive
+solve per candidate subset with no pruning, and the weights of a subset
+that the walk yields have theirs, the integer solve of its augmented
+system (``support_weights_by_solve``, through ``integer_solve``, the
+solve that ``linalg.solve_linear`` took in).  Next comes the exhaustive
 general-position enumeration over every subset size up to n, with one
 stacked rank per distinct subspace, and the per-subset search that the
 subset walk of ``general_position_check`` replaced
@@ -120,7 +123,7 @@ from minproj.errors import (BudgetExceededError, InternalError,
 from minproj.geometry import GeneralPositionReport, _Polar, norm_eval
 from minproj.jsonio import vector_json
 from minproj.linalg import (RMatrix, WorkBudget, _leaves, _pivot,
-                            independent_rows, int_dot, integer_inverse, integer_solve,
+                            independent_rows, int_dot, integer_inverse, integer_rref,
                             over_denominator, primitive, reduce_rows)
 from minproj.projections import (OperatorPoint, _first_slack_step, _solve_lambda,
                                   build_operator_basis, build_pair_grid, face_dimension,
@@ -546,6 +549,32 @@ def minimal_support_by_solve(space, Y, candidate_pairs, max_candidates=None):
             if weights is not None and all(w > 0 for w in weights):
                 return subset, weights
     raise InternalError("no valid certificate over the candidate pairs")
+
+
+def integer_solve(rows, width):
+    """linalg.integer_solve as it was before linalg.solve_linear took it
+    in: a solution X of A·X = B for the integer rows [A | B], A of width
+    columns, or None when some column of B is outside the column span of
+    A.  X has one row per column of A: zero at a free column, and
+    row[width:] / row[pivot] for the reduced row with that pivot.  With
+    no rows, every row of X is empty."""
+    reduced = integer_rref(rows)
+    if reduced and reduced[-1][0] >= width:
+        return None
+    X = [[Fraction(0)] * (len(rows[0]) - width if rows else 0) for _ in range(width)]
+    for pivot, row in reduced:
+        X[pivot] = [Fraction(x, row[pivot]) for x in row[width:]]
+    return X
+
+
+def support_weights_by_solve(columns, target):
+    """The weights of a subset in certificates.minimal_support_cm as they
+    were before they were read off its heads' kernel: the w with
+    sum_i w_i columns[i] = target, for independent integer columns, or
+    None when target is not in their span (integer_solve on the system
+    [columns | target])."""
+    w = integer_solve([list(row) for row in zip(*columns, target)], len(columns))
+    return None if w is None else tuple(x for x, in w)
 
 
 def _canonical_span(rows):
@@ -1139,7 +1168,7 @@ def verify_cm_by_pair_rows(space, Y, cm, lam, P, basis=None):
     off the realized integer projection: (3) builds the certificate's
     pair rows (projections.pair_rows) and reads each value f(P x) off
     them, and the weights' sum and the trace are Fractions (the trace
-    from linalg.integer_solve).  Same checks, same violation texts."""
+    from integer_solve).  Same checks, same violation texts."""
     n_p = len(space.primal_cleared[0])
     n_d = len(space.dual_cleared[0])
     for pi, dj in cm.pairs:

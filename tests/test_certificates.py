@@ -404,6 +404,43 @@ def test_support_of_the_linf6_plane_from_the_general_position_bound():
                               F(303, 2332), F(631, 2332))), 5)
 
 
+def test_support_search_of_the_l16_hyperplane(monkeypatch):
+    # The hyperplane of l1^6 at generator seed 7, over the polar that
+    # analyze computes from the cross-polytope's vertices, is in general
+    # position with lambda > 1, so the search walks size n = 6 only.  Its
+    # walk yields 260 spanning subsets, the last the first with positive
+    # weights, and the search charges 11,156 row steps in all
+    space = PolyhedralSpace.from_vertices(l1_ball(6).primal_vertices)
+    Y = random_subspace(6, 5, 7)
+    report = projection_constant(space, Y)
+    face_dimension(report)
+    assert report.lam > 1
+    assert general_position_check(space, Y).in_general_position
+    yielded = []
+
+    def walk(columns, size, width, work):
+        for passed, subset in subset_walk(columns, size, width, work):
+            yielded.append(subset)
+            yield passed, subset
+
+    monkeypatch.setattr(certificates, "subset_walk", walk)
+    cm, size = minimal_support_cm(report, in_general_position=True)
+    assert size == 6
+    assert cm.pairs == ((2, 21), (2, 23), (2, 29), (6, 20), (6, 52), (10, 27))
+    assert sum(subset is not None for subset in yielded) == 260
+    monkeypatch.undo()
+    assert work_edge(certificates, minimal_support_cm, report, True) == 11156
+
+
+@pytest.mark.parametrize("heads", [[(1, 0), (0, 1)], [(0,), (0,), (0,)], [(1,), (1,)]])
+def test_support_weights_refuse_a_kernel_that_is_no_line_of_nonzero_sum(heads):
+    # independent heads (no kernel), a kernel plane, and a kernel line
+    # summing to zero: the columns [h_p; 1] miss [0; 1] or are dependent,
+    # which no subset the walk yields can be
+    with pytest.raises(InternalError, match="misses the target"):
+        certificates._support_weights(heads)
+
+
 def test_support_of_the_l15_hyperplane_from_the_bound():
     # The hyperplane of l1^5 at generator seed 7 has lambda > 1 and is in
     # general position, so the search starts at n = 5, where the search

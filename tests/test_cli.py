@@ -790,9 +790,9 @@ def test_pipeline_certificate_failure_exits_4(tmp_path, capsys, monkeypatch, fai
 
     walked = []
 
-    def no_positive_weights(columns, target):
-        walked.append(columns)
-        return (Fraction(-1),) * len(columns)
+    def no_positive_weights(heads):
+        walked.append(heads)
+        return None
 
     if failure == "no-support":
         monkeypatch.setattr(certificates, "_support_weights", no_positive_weights)

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from minproj.errors import BudgetExceededError
 from minproj.linalg import (DEFAULT_WORK_BUDGET, RMatrix, WorkBudget, cleared, int_dot,
                             integer_inverse, integer_nullspace, integer_row_rank,
-                            integer_rref, integer_solve, over_denominator, reduce_row,
+                            integer_rref, over_denominator, reduce_row,
                             reduce_rows, solve_linear, subset_walk)
 
-from oracles import (dot, integer_rank_in_place, inverse_by_fractions, matadd,
-                     matmul, nullspace_by_fractions, rref_by_fractions,
+from oracles import (dot, integer_rank_in_place, integer_solve, inverse_by_fractions,
+                     matadd, matmul, nullspace_by_fractions, rref_by_fractions,
                      solve_by_fractions, spanning_subsets_by_content,
                      subset_walk_by_leaves)
 
@@ -108,6 +108,15 @@ def test_solve_detects_inconsistency():
     assert solve_linear(A, (F(1), F(1))) is not None
     assert integer_solve([[1, 0, 1, 1], [1, 0, 1, 2]], 2) is None
     assert integer_solve([[1, 0, 1, 2], [1, 0, 1, 2]], 2) == [[1, 2], [0, 0]]
+
+
+def test_solve_with_no_rows_or_no_columns():
+    # With no rows every v solves Av = b, and the free variables are zero;
+    # with no columns only b = 0 is solved, by the empty vector
+    assert solve_linear(RMatrix(0, 2, ()), []) == (F(0), F(0))
+    assert solve_linear(RMatrix(0, 0, ()), []) == ()
+    assert solve_linear(RMatrix(2, 0, ()), [F(0), F(0)]) == ()
+    assert solve_linear(RMatrix(2, 0, ()), [F(0), F(1, 2)]) is None
 
 
 def test_nullspace_vectors_annihilated():

@@ -119,3 +119,50 @@ def test_every_import_is_used():
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
     assert found == []
+
+
+
+def _read_names(tree: ast.AST, skip: ast.AST | None = None,
+                imports: bool = False) -> set[str]:
+    """The names that the code of tree reads, as names or attributes,
+    outside the node skip; with imports, also the names it imports and
+    the dotted parts of its strings."""
+    skipped = set(ast.walk(skip)) if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if node in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif imports and isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif imports and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_every_function_has_a_caller():
+    # A module-level function or class of the package is read by the
+    # package's own code outside its definition, read by perfbench/
+    # (imported, called, or named in a string, as its tracer names what
+    # it wraps), or public (named in __all__), so a change that takes its
+    # last use away must take it away too.  An import in the package is
+    # not a use: test_every_import_is_used asks for a read beside it
+    package = Path(minproj.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))]
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    read = set(minproj.__all__)
+    for path in sorted(perfbench.glob("*.py")):
+        read |= _read_names(ast.parse(path.read_text(encoding="utf-8")), imports=True)
+    found = []
+    for path, tree in zip(sorted(package.glob("*.py")), trees):
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in read
+                    and not any(node.name in _read_names(other, node) for other in trees)):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []

@@ -35,7 +35,9 @@ and its factored LP (values, row values, entering columns and the whole solve)
 with the dense LP over every formed row.  For validation and the polar the point list is
 kept as drawn, with its non-extreme and duplicated points; the polar
 also gets lists in dimension 5 made mostly of cube vertices, where a
-wrong edge test shows.
+wrong edge test shows.  The weights that the support search reads off
+a spanning set's kernel are compared with the augmented solve they
+replaced, on random small integer columns.
 """
 
 import itertools
@@ -47,8 +49,9 @@ from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from minproj.catalog import l1_ball, linf_ball, mixed_ball, paper_cases, random_subspace
-from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
-                                  cm_rank_gap, minimal_support_cm, verify_cm)
+from minproj.certificates import (CMFunctional, _support_weights, certify_cm,
+                                  cm_from_dual, cm_rank_gap, minimal_support_cm,
+                                  verify_cm)
 from minproj.errors import (BudgetExceededError, NotExtremeError,
                             NotFullDimensionalError, NotSymmetricError)
 from minproj.geometry import (PolyhedralSpace, Subspace, _double_description,
@@ -77,7 +80,8 @@ from oracles import (budget_outcome, certify_by_face, dense_grid_lp, dot, grid_r
                      operator_norm_by_fractions, operator_norm_every_vertex,
                      pair_rows_by_fractions,
                      polar_dual_by_fractions, realize_by_fractions,
-                     subset_walk_by_classes, trace_on_subspace, verify_cm_by_apply,
+                     subset_walk_by_classes, support_weights_by_solve,
+                     trace_on_subspace, verify_cm_by_apply,
                      verify_cm_by_pair_rows, work_edge)
 
 # No shrink phase: each shrink step re-solves lambda and the face, so a
@@ -849,6 +853,38 @@ def test_minimal_support_agrees_with_solve_oracle(case):
     cm, size = minimal_support_cm(report)
     assert (cm.pairs, cm.weights) == expected
     assert size == len(cm.pairs)
+
+
+@st.composite
+def spanning_heads(draw):
+    """Heads h_p of width d <= 4, one per column [h_p; 1] of a set the
+    support walk can yield: s <= d + 1 independent columns whose span
+    holds [0; 1], so one head is an integer combination of the others.
+    In half the draws its coefficients are all negative, so that every
+    weight is positive and the set is a support."""
+    d = draw(st.integers(1, 4))
+    s = draw(st.integers(1, d + 1))
+    heads = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                          min_size=s - 1, max_size=s - 1))
+    coef = st.integers(-3, -1) if draw(st.booleans()) else st.integers(-2, 2)
+    coefs = draw(st.lists(coef, min_size=s - 1, max_size=s - 1))
+    heads.insert(draw(st.integers(0, s - 1)),
+                 [sum(c * h[i] for c, h in zip(coefs, heads)) for i in range(d)])
+    assume(integer_row_rank([h + [1] for h in heads]) == s)
+    return heads
+
+
+@settings(_SETTINGS, max_examples=300)
+@given(spanning_heads())
+def test_support_weights_off_the_kernel_agree_with_the_solve(heads):
+    # The weights read off the heads' kernel are the solution of the
+    # augmented system [h_p; 1]·w = [0; 1], and a set is rejected exactly
+    # when some solved weight is not positive
+    solved = support_weights_by_solve([h + [1] for h in heads],
+                                      [0] * len(heads[0]) + [1])
+    assert solved is not None
+    weights = _support_weights([tuple(h) for h in heads])
+    assert weights == (solved if all(w > 0 for w in solved) else None)
 
 
 # Five times the draws: about one in five is in general position, one in
