@@ -42,9 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, product, repeat
+from itertools import compress, product, repeat
 from math import lcm
-from operator import add, eq, gt, lt
+from operator import add, eq
 from typing import Iterable, Sequence
 
 from .errors import InternalError, NotMinimalError
@@ -195,10 +195,8 @@ class PairGrid:
     full pass gives.  Over the representatives' costs p, Dantzig's rule
     takes the least of min p and K - max p and, among the representatives
     costed so and the partners of those costed K minus it, the lowest
-    row.  Bland's rule takes the lowest row of negative cost: a
-    representative costed below 0, or the partner of one costed above K.
-    Either rule picks the column the full pass picks, so no pivot
-    changes.  One pairing of the dual vertices serves every block."""
+    row.  That is the column the full pass picks, so no pivot changes.
+    One pairing of the dual vertices serves every block."""
 
     g_at: dict[int, tuple[int, ...]]
     f_at: dict[int, tuple[int, ...]]
@@ -278,7 +276,7 @@ class PairGrid:
         t = self.denominator * x[-1]
         return [a - t for a in self.products(x[:-1])]
 
-    def entering(self, w: list[int], bf: int, bland: bool) -> int | None:
+    def entering(self, w: list[int], bf: int) -> int | None:
         """The entering column at the reduced costs w·row(r) + bf·beta[r],
         from the representatives' costs and the pair constant K (see the
         class docstring)."""
@@ -288,9 +286,6 @@ class PairGrid:
         if bf:
             vals = [a + bf * b for a, b in zip(vals, beta)]
         K = 2 * c0
-        if bland:
-            return min(chain(compress(reps, map(lt, vals, repeat(0))),
-                             compress(mates, map(gt, vals, repeat(K)))), default=None)
         lo, hi = min(vals), max(vals)
         best = min(lo, K - hi)
         if best >= 0:

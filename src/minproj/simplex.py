@@ -6,11 +6,14 @@ per variable and one nonnegative column per constraint, so the basis has
 one entry per variable, which suits the operator-norm grids (many rows
 over few variables).  Phase I drives the artificials to zero, phase II
 minimizes b·u.  Entering columns follow Dantzig's rule (most negative
-reduced cost, ties to the lowest index) until a run of degenerate pivots
-is detected.  The solver then follows Bland's rule until the objective
-strictly improves, and Dantzig's rule again after that; a new objective
-starts with Dantzig's rule too.  This still terminates: a cycle needs an
-unbroken run of degenerate pivots, and Bland's rule ends every such run.
+reduced cost, ties to the lowest index), and the leaving row is the
+lexicographic ratio test's: the least ratio rhs / entry, ties broken by
+the least (rhs, entries in the columns of B0) / entry, with B0 the basis
+the phase starts from (the artificials in phase I).  Each phase starts
+with B⁻¹·B0 = I and rhs >= 0, so every row starts lexicographically
+positive and stays so, the objective row rises lexicographically at
+every pivot, and no basis repeats (Dantzig, Orden and Wolfe, Pacific J.
+Math. 5, 1955): the solver terminates whatever the entering rule.
 The dual optimum u is the certificate; the primal optimum is read off
 the reduced costs of the artificial columns, the exact simplex
 multipliers of the final basis.  Every optimal solve is re-verified
@@ -58,10 +61,10 @@ p·R − R[c]·R_r, one dense list pass per row, and divides out its
 content (the gcd of its entries), so
 rows stay primitive and no entry ever needs a gcd of its own.  Positive
 factors change no sign and no ratio: Dantzig's rule compares the reduced-cost
-ints directly, and the ratio test and the stall check compare
-cross-products, so the pivot sequence, the primal, the dual and the
-tight set are the ones exact rational arithmetic gives, and the ones
-the full tableau gives.  For the same reason one positive factor on the
+ints directly, and the ratio test compares cross-products, reading the
+B0 columns only for rows still tied, so the pivot sequence, the primal,
+the dual and the tight set are the ones exact rational arithmetic gives,
+and the ones the full tableau gives.  For the same reason one positive factor on the
 whole of (M, beta, D) changes no pivot.  Verification runs in integer
 dot products over the same integers.
 
@@ -69,13 +72,12 @@ The solver reads an LP through six names and nothing else: objective,
 beta and denominator, and three methods over the matrix M.  row(c) is
 one integer row, formed for the entering column and the rows a basis
 or the dual's support names; row_values(x) is M[r]·x for every row r
-at an integer x; and entering(w, bf, bland) is the entering column at
-the reduced costs w·M[c] + bf·beta[c], for signed weights
+at an integer x; and entering(w, bf) is the entering column at the
+reduced costs w·M[c] + bf·beta[c], for signed weights
 w = σ⊙(costs minus basis multipliers), or None at an optimum.  The
 column is the one Dantzig's rule (the least reduced cost when it is
-negative, ties to the lowest index) or, with bland, Bland's rule (the
-lowest index of negative reduced cost) picks, as entering_column picks
-it off a full list.  LinearProgram implements the three over its
+negative, ties to the lowest index) picks, as entering_column picks it
+off a full list.  LinearProgram implements the three over its
 matrix, costing every row in one list pass per nonzero weight over the
 matrix transposed.  The pair grid (projections.PairGrid) is the lambda
 LP and implements them over its rank-one factors, costing one row of
@@ -106,8 +108,6 @@ OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
 
-# Consecutive degenerate pivots tolerated before switching to Bland's rule.
-_STALL_SWITCH = 24
 _MAX_PIVOTS = 500_000
 
 
@@ -147,14 +147,14 @@ class LinearProgram:
         """matrix[r]·x for every row r."""
         return [int_dot(row, x) for row in self.matrix]
 
-    def entering(self, w: list[int], bf: int, bland: bool) -> int | None:
+    def entering(self, w: list[int], bf: int) -> int | None:
         """entering_column of the reduced costs w·matrix[r] + bf·beta[r]
         of every row, formed in one list pass per nonzero weight."""
         vals = [bf * b for b in self.beta] if bf else [0] * len(self.beta)
         for wj, col in zip(w, self._columns):
             if wj:
                 vals = [v + wj * a for v, a in zip(vals, col)]
-        return entering_column(vals, bland)
+        return entering_column(vals)
 
     @cached_property
     def constraint_matrix(self) -> RMatrix:
@@ -192,12 +192,22 @@ def _eliminate(row: list[int], p: int, f: int, R: list[int]) -> list[int]:
     return [p * a - f * b for a, b in zip(row, R)]
 
 
-def entering_column(vals: list[int], bland: bool) -> int | None:
-    """The column that enters at the reduced costs vals, or None when
-    none is negative: the lowest column of negative cost under Bland's
-    rule, the lowest of least cost under Dantzig's."""
-    if bland:
-        return next((j for j, v in enumerate(vals) if v < 0), None)
+def _least_ratios(rows: list[int], nums: list[int], dens: list[int]) -> list[int]:
+    """The rows i of rows, in order, whose ratio num / dens[i] is least,
+    with nums their numerators and dens[i] > 0, by cross-products."""
+    least, top, bottom = [], 0, 1
+    for i, num in zip(rows, nums):
+        lhs, rhs = num * bottom, top * dens[i]
+        if not least or lhs < rhs:
+            least, top, bottom = [i], num, dens[i]
+        elif lhs == rhs:
+            least.append(i)
+    return least
+
+
+def entering_column(vals: list[int]) -> int | None:
+    """The column that enters at the reduced costs vals by Dantzig's
+    rule, the lowest of least cost, or None when none is negative."""
     best = min(vals, default=0)
     return vals.index(best) if best < 0 else None
 
@@ -211,8 +221,9 @@ class _RevisedDual:
     factor; its entries in the real columns, and the reduced costs of
     those, are formed from the LP's integer rows when needed.  The costs
     c are objective, the LP's own or the zero objective of the check in
-    solve.  Pivoting follows Dantzig's rule, with Bland's rule through
-    runs of degenerate pivots."""
+    solve.  Pivoting follows Dantzig's rule, and the leaving row the
+    lexicographic ratio test over the columns of start, the basis the
+    phase started from (see the module docstring)."""
 
     def __init__(self, lp, objective):
         D = lp.denominator
@@ -231,11 +242,10 @@ class _RevisedDual:
             row[d] = -self.sigma[j] * cj.numerator * D
             self.rows.append(primitive(row))
         self.basis = [self.m + j for j in range(d)]
+        self.start: list[int] = []  # B0, the basis set_objective found
         self.on: list[int] = []
         self.oscale = 1
         self.phase = 1
-        self.bland = False
-        self.stall = 0
         self.pivots = 0
 
     def set_objective(self, phase: int) -> None:
@@ -243,12 +253,12 @@ class _RevisedDual:
         basis.  Phase I costs 1 on each artificial and 0 on the real
         columns, phase II costs b_c = beta_c / D on real column c and 0 on
         the artificials.  on / oscale holds the reduced costs of the
-        artificials and the negated objective value (its last entry)."""
+        artificials and the negated objective value (its last entry).
+        The current basis becomes start, the phase's B0."""
         self.phase = phase
         self.on = [int(phase == 1)] * self.nrows + [0]
         self.oscale = 1
-        self.bland = False
-        self.stall = 0
+        self.start = self.basis[:]
         for r in range(self.nrows):
             c = self.basis[r]
             f = self._reduced_cost(c)
@@ -267,12 +277,12 @@ class _RevisedDual:
         return self.on[:-1], self.oscale
 
     def _entering(self) -> int | None:
-        """The entering column, or None at an optimum, by the rule in
-        force: the LP weighs its rows M[c] by the signed weights σ⊙w,
-        which carry the row signs of the dual's columns σ⊙M[c], so it
-        reads the real columns' reduced costs times oscale·D."""
+        """The entering column, or None at an optimum: the LP weighs its
+        rows M[c] by the signed weights σ⊙w, which carry the row signs of
+        the dual's columns σ⊙M[c], so it reads the real columns' reduced
+        costs times oscale·D."""
         w, bf = self._weights()
-        return self.lp.entering([s * x for s, x in zip(self.sigma, w)], bf, self.bland)
+        return self.lp.entering([s * x for s, x in zip(self.sigma, w)], bf)
 
     def _reduced_cost(self, c: int) -> int:
         """The reduced cost of column c on the scale of _column(c): times
@@ -315,24 +325,26 @@ class _RevisedDual:
         self.oscale = scale
 
     def _leaving(self, alpha: list[int]) -> int | None:
-        """Minimum ratio rhs / entry over the positive entries alpha of the
-        entering column (the row factors cancel), ties to the lowest basic
-        variable."""
-        best = None
-        best_num = best_den = 0
-        best_var = -1
-        for i, a in enumerate(alpha):
-            if a > 0:
-                num = self.rows[i][-1]
-                if best is None:
-                    take = True
-                else:
-                    lhs = num * best_den
-                    rhs = best_num * a
-                    take = lhs < rhs or (lhs == rhs and self.basis[i] < best_var)
-                if take:
-                    best, best_num, best_den, best_var = i, num, a, self.basis[i]
-        return best
+        """The row of the lexicographically least (rhs, B⁻¹·B0 row) / entry
+        over the positive entries alpha of the entering column (the row
+        factors cancel), with B0 the columns of start in row order, or
+        None when no entry is positive.  The rows of B⁻¹·B0 are
+        independent, so one row is least.  A column of B0 is read only for
+        the rows still tied: an artificial's entry is the row's own, a
+        real column's one int_dot."""
+        rows, m = self.rows, self.m
+        tied = [i for i, a in enumerate(alpha) if a > 0]
+        # m + nrows stands for the rhs, the entry after the artificial block.
+        for b in [m + self.nrows] + self.start:
+            if len(tied) < 2:
+                break
+            if b >= m:
+                nums = [rows[i][b - m] for i in tied]
+            else:
+                col = self._real_column(b)
+                nums = [int_dot(rows[i], col) for i in tied]
+            tied = _least_ratios(tied, nums, alpha)
+        return tied[0] if tied else None
 
     def pivot(self, r: int, c: int, alpha: list[int], f: int) -> None:
         """Pivot column c (entries alpha, reduced cost f, on one scale)
@@ -359,18 +371,10 @@ class _RevisedDual:
             r = self._leaving(alpha)
             if r is None:
                 return UNBOUNDED
-            before_num, before_scale = self.on[-1], self.oscale
             self.pivot(r, c, alpha, self._reduced_cost(c))
             self.pivots += 1
             if self.pivots > _MAX_PIVOTS:
                 raise InternalError("simplex pivot budget exhausted")
-            if self.on[-1] * before_scale == before_num * self.oscale:
-                self.stall += 1
-                if self.stall >= _STALL_SWITCH:
-                    self.bland = True
-            else:
-                self.stall = 0
-                self.bland = False
 
     def objective_value(self) -> Fraction:
         return -Fraction(self.on[-1], self.oscale)

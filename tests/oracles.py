@@ -49,12 +49,17 @@ it applied operator matrices (``verify_cm_by_apply``) and as it was when
 it read the norming values off the certificate's pair rows
 (``verify_cm_by_pair_rows``), and the simplex
 on the rational num/den tableau with its Fraction verification
-(``solve_by_fraction_tableau``).  Its standard-form dual tableau is the
-one ``minproj.simplex`` must match pivot for pivot; its inequality-form tableau (split free variables, one slack per
-row, artificials on negative right-hand sides), once the second path of
-``minproj.simplex``, decides infeasible and unbounded LPs independently.
-The full integer tableau that the revised dual simplex replaced
-(``solve_by_full_tableau``) must give the same LPSolution as
+(``solve_by_fraction_tableau``).  Its standard-form dual tableau keeps
+the pivot rules ``minproj.simplex`` had before its lexicographic ratio
+test (ratio ties to the lowest basic variable, and a switch to Bland's
+rule after ``_STALL_SWITCH`` degenerate pivots), and must give the same
+status and value (``fraction_phase_two`` runs its phase II from a
+given basis); its inequality-form tableau (split free variables, one
+slack per row, artificials on negative right-hand sides), once the
+second path of ``minproj.simplex``, decides infeasible and unbounded
+LPs independently.  The full integer tableau that the revised dual
+simplex replaced (``solve_by_full_tableau``), with the same
+lexicographic ratio test, must give the same LPSolution as
 ``simplex.solve``, pivot count included, on every LP.  The lambda LP as
 it was before the pair grid kept its rank-one factors
 (``dense_grid_lp``, a ``LinearProgram`` over every formed row, every
@@ -131,9 +136,13 @@ from minproj.projections import (OperatorPoint, _first_slack_step, _solve_lambda
                                   projection_constant)
 from minproj.rational import format_rational
 from minproj import simplex
-from minproj.simplex import (_MAX_PIVOTS, _STALL_SWITCH, INFEASIBLE, OPTIMAL,
-                             UNBOUNDED, LinearProgram, LPSolution, _eliminate,
-                             _finish, solve)
+from minproj.simplex import (_MAX_PIVOTS, INFEASIBLE, OPTIMAL, UNBOUNDED,
+                             LinearProgram, LPSolution, _eliminate, _finish, solve)
+
+# Consecutive degenerate pivots the rational tableau tolerates before it
+# switches to Bland's rule for good; a test that sets it past _MAX_PIVOTS
+# disables the switch.
+_STALL_SWITCH = 24
 
 
 def solve_on_face(lp, fixed_value, secondary_objective):
@@ -1581,11 +1590,10 @@ class _FractionStdTableau(_FractionPivotCore):
 
 def solve_by_fraction_tableau(lp, method="dual"):
     """The LP solved on the rational num/den tableau.  method "dual" takes
-    the standard-form dual tableau with the same pivot rules and the same
-    LPSolution (pivots included) as simplex.solve on an optimal LP that
-    never switches to Bland's rule (this tableau keeps Bland's rule once
-    it switches, simplex.solve leaves it on progress); method
-    "rows" takes the inequality-form tableau, which decides infeasible and
+    the standard-form dual tableau with the pivot rules simplex.solve had
+    before its lexicographic ratio test: Dantzig's rule, ratio ties to the
+    lowest basic variable, and Bland's rule for good after _STALL_SWITCH
+    degenerate pivots; method "rows" takes the inequality-form tableau, which decides infeasible and
     unbounded LPs on its own.  Optimal solutions are verified in Fraction
     arithmetic, not by simplex._finish."""
     if method == "dual":
@@ -1675,6 +1683,22 @@ def _fraction_solve_via_dual(lp):
     return _fraction_finish(lp, value, primal, tuple(u), tab.pivots)
 
 
+def fraction_phase_two(lp, start):
+    """Phase II of the rational dual tableau, by the rules of
+    solve_by_fraction_tableau, from the basis of the LP rows start, one
+    per variable, the i-th pivoted onto row i, as simplex.solve takes a
+    start whose point is feasible: the tableau after its run, and the
+    status."""
+    A = lp.constraint_matrix
+    tab = _FractionStdTableau([A.row(r) for r in range(A.rows)],
+                              [-Fraction(cj) for cj in lp.objective])
+    tab.set_objective({})
+    for r, c in enumerate(start):
+        tab.pivot(r, c)
+    tab.set_objective({r: b for r, b in enumerate(lp_rhs(lp)) if b})
+    return tab, tab.run()
+
+
 def _fraction_finish(lp, value, primal, dual, pivots):
     """Feasibility, dual feasibility, complementary slackness, strong
     duality and the primal value, checked in Fraction arithmetic."""
@@ -1706,16 +1730,16 @@ def _fraction_finish(lp, value, primal, dual, pivots):
 # as well as its artificial block and right-hand side, and a pivot
 # rewrites all of it.  It takes the same pivots by the same rules, so
 # solve_by_full_tableau returns the same LPSolution as simplex.solve,
-# pivot count included.  It reads the stall threshold from minproj.simplex
-# at run time, so a test that patches it there patches both.
+# pivot count included.
 
 class _FullDualTableau:
     """Standard-form tableau of the dual  Aᵀu = -c, u >= 0: one column per
     constraint row of the LP, one equality row (with its artificial) per
     variable, negated where -c_j < 0 so the artificial starts basic.
     Integer rows are scaled through their basic entries, the objective row
-    is priced out over the basis, and pivoting follows Dantzig's rule, with
-    Bland's rule through runs of degenerate pivots."""
+    is priced out over the basis, pivoting follows Dantzig's rule, and the
+    leaving row is the lexicographically least (rhs, B0 entries) / entry,
+    B0 the basis the phase started from."""
 
     def __init__(self, lp):
         M, D = lp.matrix, lp.denominator
@@ -1740,17 +1764,14 @@ class _FullDualTableau:
         self.forbidden = frozenset(range(n_u, n_u + n_eq))
         self.on = []
         self.oscale = 1
-        self.bland = False
-        self.stall = 0
         self.pivots = 0
 
     def set_objective(self, on, oscale):
-        """Install the cost row on / oscale (oscale > 0) and price out the
-        current basis."""
+        """Install the cost row on / oscale (oscale > 0), price out the
+        current basis and take it as the phase's B0."""
         self.on = on
         self.oscale = oscale
-        self.bland = False
-        self.stall = 0
+        self.start = self.basis[:]
         for r in range(self.nrows):
             if on[self.basis[r]] != 0:
                 self._price_out(r, self.basis[r])
@@ -1772,11 +1793,6 @@ class _FullDualTableau:
 
     def _entering(self):
         on = self.on
-        if self.bland:
-            for j in range(self.width - 1):
-                if on[j] < 0 and j not in self.forbidden:
-                    return j
-            return None
         best = None
         best_v = 0
         for j in range(self.width - 1):
@@ -1786,25 +1802,12 @@ class _FullDualTableau:
         return best
 
     def _leaving(self, c):
-        """Minimum ratio rhs / entry over positive entries of column c (the
-        row factor cancels), ties to the lowest basic variable."""
-        best = None
-        best_num = best_den = 0
-        best_var = -1
-        RHS = self.RHS
-        for i, row in enumerate(self.rows):
-            a = row[c]
-            if a > 0:
-                num = row[RHS]
-                if best is None:
-                    take = True
-                else:
-                    lhs = num * best_den
-                    rhs = best_num * a
-                    take = lhs < rhs or (lhs == rhs and self.basis[i] < best_var)
-                if take:
-                    best, best_num, best_den, best_var = i, num, a, self.basis[i]
-        return best
+        """The row of the lexicographically least (rhs, entries in the
+        columns of B0) / entry over the positive entries of column c, the
+        keys compared in Fractions (the row factor cancels)."""
+        keys = {i: [Fraction(row[j], row[c]) for j in [self.RHS] + self.start]
+                for i, row in enumerate(self.rows) if row[c] > 0}
+        return min(keys, key=keys.get, default=None)
 
     def pivot(self, r, c):
         rows = self.rows
@@ -1824,7 +1827,6 @@ class _FullDualTableau:
         self.basis[r] = c
 
     def run(self):
-        RHS = self.RHS
         while True:
             c = self._entering()
             if c is None:
@@ -1832,18 +1834,10 @@ class _FullDualTableau:
             r = self._leaving(c)
             if r is None:
                 return UNBOUNDED
-            before_num, before_scale = self.on[RHS], self.oscale
             self.pivot(r, c)
             self.pivots += 1
             if self.pivots > simplex._MAX_PIVOTS:
                 raise InternalError("simplex pivot budget exhausted")
-            if self.on[RHS] * before_scale == before_num * self.oscale:
-                self.stall += 1
-                if self.stall >= simplex._STALL_SWITCH:
-                    self.bland = True
-            else:
-                self.stall = 0
-                self.bland = False
 
     def objective_value(self):
         return -Fraction(self.on[self.RHS], self.oscale)

@@ -154,10 +154,10 @@ def _seeded_linf5_plane():
 def test_support_budget_edge_on_the_linf5_plane():
     # The seeded l-inf^5 2-plane, called without a general-position
     # verdict: the search starts at size 1, over 32 candidate pairs in
-    # d + 1 = 7 coordinates.  Its walks carry and group 1203 rows, and it
-    # solves two subsets of size 4, each charged (d + 1)(size + 1) = 35
-    # steps: 1273 in all.  With that budget it finds its support of size
-    # 4; one step less stops it at its second solve.
+    # d + 1 = 7 coordinates.  Its walks carry and group 1203 rows, and
+    # they yield two subsets of size 4, each charged (d + 1)(size + 1) =
+    # 35 steps: 1273 in all.  With that budget it finds its support of
+    # size 4; one step less stops it at the charge of its second subset.
     _, _, report = _seeded_linf5_plane()
     assert (report.lam, len(report.implicit_rows)) == (1, 32)
     cm, size = minimal_support_cm(report, budget=1203 + 2 * 35)
@@ -172,8 +172,9 @@ def test_support_of_the_linf5_plane_from_the_general_position_bound(monkeypatch)
     # The same 2-plane is in general position with lambda = 1, so no
     # certificate has fewer than n - k + 1 = 4 pairs, and the search with
     # the verdict walks size 4 only.  That walk carries and groups 149
-    # rows and solves the same two subsets: 219 steps in all, against
-    # 1273 from size 1.  One step less stops it at its second solve.
+    # rows and yields the same two subsets, each charged 35 steps: 219 in
+    # all, against 1273 from size 1.  One step less stops it at the
+    # charge of its second subset.
     space, Y, report = _seeded_linf5_plane()
     assert general_position_check(space, Y).in_general_position
     from_one = minimal_support_cm(report)
@@ -390,8 +391,8 @@ def test_support_of_the_linf6_plane_from_the_general_position_bound():
     # The same 2-plane is in general position with lambda = 1, so the
     # search with the verdict starts at n - k + 1 = 5, the size of its
     # support, and finds the same certificate in 4204 carried and grouped
-    # rows and 20 solves of (d + 1)(size + 1) = 54 steps: 5284 row steps,
-    # against 94659 from size 1.
+    # rows and 20 yielded subsets, each charged (d + 1)(size + 1) = 54
+    # steps: 5284 row steps, against 94659 from size 1.
     space, Y = linf_ball(6), random_subspace(6, 2, 7)
     report = projection_constant(space, Y)
     face_dimension(report)

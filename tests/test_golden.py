@@ -3,8 +3,9 @@
 Every exact method in the pipeline can be replaced by another that gives
 the same answers; these digests make sure the replacement also gives the
 same bytes.  They cover the full ``analyze`` JSON (including the emitted
-``minimal_projection``, which depends on the pivot sequence of the
-simplex) of the 16 catalog cases and of the eight seeded n = 4 and n = 5
+``minimal_projection`` and ``cm_certificate``, which depend on the pivot
+sequence of the simplex: Dantzig's rule with the lexicographic ratio
+test) of the 16 catalog cases and of the eight seeded n = 4 and n = 5
 inputs of the pipeline benchmark (cube and cross-polytope, hyperplane and
 2-plane, ``random_subspace`` at generator seed 7, primal vertices only so
 the CLI computes the polar), plus ``certify`` on one valid and one
@@ -73,7 +74,7 @@ GOLDEN = {
     "analyze/coordinate-span-l1-n4-k2": "ff6dcf40038ec9dd831e25931873f3a03aacf5dec566462cd218e25982e81014",
     "analyze/coordinate-span-l1-n5-k2": "2578328c61827c321f8a75ce0da13f378cb531952df6a8d7ab6d55598a6f803f",
     "analyze/mixed-extremal-n4-k3": "6197997a25ef2b81d6f02b239c1c8f897face87af1de1154e26e43798ee83a3d",
-    "analyze/mixed-extremal-n5-k3": "14c5631c05be78b73b7f54686612683238827a641aafe97e6f1fe44fee7b6449",
+    "analyze/mixed-extremal-n5-k3": "19c5b9deb22f674874d582d63a43555a2b30f1e8155be36fcb2c89af6157e92c",
     "analyze/partial-sum-linf-n4-k3": "300119a1d442b5aceec998827c5889cca5ffdebe77fffd1895124ca663168349",
     "analyze/partial-sum-linf-n5-k3": "0f92bf92a529cd790079aa763f72dd23ea9f10615d847edeb62d05e13013d8c4",
     "analyze/partial-sum-linf-n5-k4": "be9e1838f7dd2cf954d394c25d1b8251899bb10eaa21d60735ee367067eec8bb",
@@ -104,7 +105,7 @@ GOLDEN = {
     "certify/seeded-l1-n4-k3-three-pairs-lambda-1/table": "d0061b494f4b682b1ee0720d3c27cd5a1efa62ed6fb0eed8003409e9f1d10775",
     "analyze/seeded-l1-n4-k2": "ff3d54785ef2b851a20604e2d871e08d68c2da631d1ed68ad42758142f2a3d61",
     "analyze/seeded-linf-n5-k4": "87043baabbe316e449a1370e2f18f132823c095bdbce0eacfb7aa7b55ffe3a00",
-    "analyze/seeded-linf-n5-k2": "79473106579965a9ee2d6f726205bf8ead42d663016914035886f5cfb43b04cf",
+    "analyze/seeded-linf-n5-k2": "e9186502ae90fecb98ca9715442a3f0f4d8f48ba494d658ac667a97438050843",
     "analyze/seeded-l1-n5-k4": "87f00550feddd178a116240a3050e64af597cdb90d3442fc03b715a93bd83c7e",
     "analyze/seeded-l1-n5-k2": "8ce3dd4b56118e1a66aefdb5dcbb0a0b4bd14cad2a95b913b7acb7960d549d66",
     "certify/seeded-linf-n6-k5-valid/json": "19f54cdb201c57490f74febfb241c5c045920c820f28be2561eacc0baa5fcd76",

@@ -44,7 +44,8 @@ from oracles import (certify_by_cold_lp, dense_grid_lp,
                      linf_hyperplane_lambda,
                      max_norming_by_greedy, minimal_support_by_lp,
                      minimal_support_by_solve, realize_by_fractions,
-                     solve_by_fraction_tableau, verify_cm_by_apply, work_edge)
+                     solve_by_fraction_tableau, solve_by_full_tableau, verify_cm_by_apply,
+                     work_edge)
 
 @pytest.fixture(scope="module")
 def cases(analyzed):
@@ -108,8 +109,10 @@ def test_integer_tableau_matches_fraction_tableau(cases, monkeypatch):
     # (the factored grid LP solved, its dense oracle LP read by the
     # tableaux), and every Gordan-round LP of their face stages, from the dual's
     # support and from no implicit row (the rounds oracle): the whole
-    # solution equals the rational dual tableau's, and the status and
-    # value equal the rational inequality-form tableau's
+    # solution equals the full integer tableau's, and the status and
+    # value equal those of the rational dual and inequality-form
+    # tableaux, which keep the pivot rules before the lexicographic
+    # ratio test
     rounds, oracle_rounds = [], []
 
     def recording(into):
@@ -130,9 +133,10 @@ def test_integer_tableau_matches_fraction_tableau(cases, monkeypatch):
     lps = [(a.report.grid, dense_grid_lp(a.report.grid)) for a in cases.values()]
     for lp, dense in lps + [(lp, lp) for lp in rounds + oracle_rounds]:
         sol = solve(lp)
-        assert sol == solve_by_fraction_tableau(dense)
-        rows = solve_by_fraction_tableau(dense, method="rows")
-        assert (sol.status, sol.value) == (rows.status, rows.value)
+        assert sol == solve_by_full_tableau(dense)
+        for method in ("dual", "rows"):
+            other = solve_by_fraction_tableau(dense, method=method)
+            assert (sol.status, sol.value) == (other.status, other.value)
 
 
 def _tampered(a, cm):

@@ -143,13 +143,26 @@ def _read_names(tree: ast.AST, skip: ast.AST | None = None,
     return names
 
 
+def _bound_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement binds by definition or
+    assignment: a function's or class's name, or the plain names its
+    assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)]
+
+
 def test_every_function_has_a_caller():
-    # A module-level function or class of the package is read by the
-    # package's own code outside its definition, read by perfbench/
-    # (imported, called, or named in a string, as its tracer names what
-    # it wraps), or public (named in __all__), so a change that takes its
-    # last use away must take it away too.  An import in the package is
-    # not a use: test_every_import_is_used asks for a read beside it
+    # A module-level function, class or constant of the package is read
+    # by the package's own code outside its definition, read by
+    # perfbench/ (imported, called, or named in a string, as its tracer
+    # names what it wraps), or public (named in __all__), so a change
+    # that takes its last use away must take it away too.  An import in
+    # the package is not a use: test_every_import_is_used asks for a
+    # read beside it
     package = Path(minproj.__file__).parent
     trees = [ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))]
@@ -160,9 +173,8 @@ def test_every_function_has_a_caller():
     found = []
     for path, tree in zip(sorted(package.glob("*.py")), trees):
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not (node.name.startswith("__") and node.name.endswith("__"))
-                    and node.name not in read
-                    and not any(node.name in _read_names(other, node) for other in trees)):
-                found.append(f"{path.name}:{node.lineno} {node.name}")
+            found += [f"{path.name}:{node.lineno} {name}" for name in _bound_names(node)
+                      if not (name.startswith("__") and name.endswith("__"))
+                      and name not in read
+                      and not any(name in _read_names(other, node) for other in trees)]
     assert found == []

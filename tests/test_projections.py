@@ -252,8 +252,8 @@ def test_max_norming_projection_solves_no_lp(analyzed, spy):
     for report in [a.report for a in analyzed.values()] + [segment]:
         max_norming_projection(report)
     assert counts["solve"] == 0
-    assert max_norming_projection(segment) == (OperatorPoint((F(-1),)), 4)
-    assert segment.witness == OperatorPoint((F(-1),))
+    assert max_norming_projection(segment) == (OperatorPoint((F(1),)), 4)
+    assert segment.witness == OperatorPoint((F(1),))
 
 
 def test_reports_are_deterministic(ker_sum_3):

@@ -472,9 +472,8 @@ def test_factored_grid_agrees_with_dense_oracle(case, data):
     # factored value pass equals the dense one at the LP's optimum and at
     # a drawn point; the grid's row values at drawn integers equal the
     # dense oracle LP's, its folded entering column at drawn weights is
-    # the one the dense LP picks off every row, under Dantzig's and
-    # Bland's rule; and its solve is the dense LP's LPSolution, pivots
-    # included
+    # the one the dense LP picks off every row; and its solve is the
+    # dense LP's LPSolution, pivots included
     space, vectors = case
     Y = Subspace.from_basis(vectors)
     basis = build_operator_basis(space, Y)
@@ -499,8 +498,7 @@ def test_factored_grid_agrees_with_dense_oracle(case, data):
     assert grid.row_values(x) == dense.row_values(x)
     w = data.draw(st.lists(ints, min_size=d + 1, max_size=d + 1))
     bf = data.draw(st.integers(0, 10 ** 6))
-    for bland in (False, True):
-        assert grid.entering(w, bf, bland) == dense.entering(w, bf, bland)
+    assert grid.entering(w, bf) == dense.entering(w, bf)
 
 
 def _assert_bases_agree(space, Y):

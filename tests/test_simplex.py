@@ -2,17 +2,17 @@
 returned optima and certificates.  Alongside the fixed examples, random
 instances are compared against a brute-force vertex-enumeration oracle.
 The revised dual simplex is compared with the full integer tableau it
-replaced (kept in ``oracles.py``): the whole LPSolution, pivot count
-included, on random integer LPs of every status, with Bland's rule
-forced after one degenerate pivot too, and on the lambda LPs of the
-l-inf^6 hyperplane and the l1^5 2-plane of the benchmark.  The solver
+replaced (kept in ``oracles.py``, with the same lexicographic ratio
+test): the whole LPSolution, pivot count included, on random integer LPs
+of every status, and on the lambda LPs of the l-inf^6 hyperplane and the
+l1^5 2-plane of the benchmark.  The solver
 reads an LP through six names alone (objective, beta, denominator, row,
 row_values, entering): an LP that has only those solves as the
 LinearProgram behind it.  The pair grid, the lambda LP, which costs one
 row of each partner pair when it picks the entering column and reads
 its rows through its rank-one factors, is compared with the dense LP
-over every formed row (``oracles.dense_grid_lp``), pivot for pivot under
-both rules, also on the three n = 6 shapes of the certify benchmark,
+over every formed row (``oracles.dense_grid_lp``), pivot for pivot,
+also on the three n = 6 shapes of the certify benchmark,
 and its entering column is pinned on exact ties; it pairs its rows by
 the space's dual_negation.  A solve started at a guessed basis keeps
 the cold solve's value, and its primal where that is unique, on the
@@ -20,11 +20,17 @@ catalog's and seeded n = 4 to 6 lambda LPs; a start with dependent
 columns, a negative weight or a point off the dual equation, and the
 empty start, give the cold LPSolution, pivots included; and the l-inf^6
 hyperplane started at its certificate runs no phase I.  It is also
-compared with the rational tableau before that: optimal solutions pivot
-for pivot, and every status (optimal, infeasible, unbounded) against the
-inequality-form tableau there.  With Bland's rule forced after one
-degenerate pivot, the solver leaves it again on progress and still
-agrees with the rational tableaux, which keep it, in status and value.  The rational
+compared with the rational tableau before that, which keeps the pivot
+rules the solver had before its lexicographic ratio test (ratio ties to
+the lowest basic variable, and Bland's rule after a run of degenerate
+pivots): every status and optimal value, against its dual tableau and
+its inequality-form tableau, also on random LPs whose ratio tests tie.
+Beale's cycling example, started at its slack basis, ends optimal in 5
+pivots, and cycles under the old rules with their switch to Bland's rule
+disabled until the pivot budget runs out.  At every round, on those LPs
+and on Beale's, each row's (rhs, entries in the columns of the phase's
+starting basis) stays lexicographically positive, the invariant that
+keeps a basis from repeating.  The rational
 tableau's two row operations are checked against
 Fraction arithmetic, on small entries and on entries far beyond machine
 words.  Each of the six verification identities is shown to reject a
@@ -36,6 +42,7 @@ import random
 from collections import Counter
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -49,12 +56,13 @@ from minproj.certificates import cm_from_dual
 from minproj.errors import InternalError
 from minproj.geometry import Subspace
 from minproj.linalg import RMatrix, int_dot, solve_linear
-from minproj.projections import (PairGrid, build_operator_basis, build_pair_grid,
+from minproj.projections import (build_operator_basis, build_pair_grid,
                                  face_dimension, projection_constant)
 from minproj.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
                              _finish, _verify_certificate, solve)
-from oracles import (dense_grid_lp, dot, grid_rows, lp_rhs, make_lp, row_axpy,
-                     rref_by_fractions, scale_row, solve_by_fraction_tableau,
+import oracles
+from oracles import (dense_grid_lp, dot, fraction_phase_two, grid_rows, lp_rhs, make_lp,
+                     row_axpy, rref_by_fractions, scale_row, solve_by_fraction_tableau,
                      solve_by_full_tableau, solve_on_face)
 
 F = Fraction
@@ -224,10 +232,11 @@ def _oracle_lps():
 
 def test_integer_tableau_matches_fraction_tableau_on_random_lps():
     # every status and optimal value equal those of the rational
-    # inequality-form tableau, which decides them independently; an optimal
-    # solution equals the rational dual tableau's whole: value, primal,
-    # dual, tight set and pivot count; every solution equals the full
-    # integer tableau's whole
+    # inequality-form tableau, which decides them independently, and an
+    # optimal value that of the rational dual tableau, whose ratio ties
+    # go to the lowest basic variable; every solution equals the full
+    # integer tableau's whole: value, primal, dual, tight set and pivot
+    # count
     seen = Counter()
     for lp in _oracle_lps():
         sol = solve(lp)
@@ -235,51 +244,11 @@ def test_integer_tableau_matches_fraction_tableau_on_random_lps():
         rows = solve_by_fraction_tableau(lp, method="rows")
         assert sol.status == rows.status
         if sol.status == OPTIMAL:
-            assert sol.value == rows.value
-            assert sol == solve_by_fraction_tableau(lp)
+            assert sol.value == rows.value == solve_by_fraction_tableau(lp).value
             _check_certificate(lp, sol)
         A = lp.constraint_matrix
         seen[sol.status, A.rows >= 3 * (A.cols + 2)] += 1
     assert len(seen) == 6 and min(seen.values()) >= 10, seen
-
-
-def test_bland_mode_keeps_the_oracle_status_and_value(monkeypatch):
-    # With one degenerate pivot enough to switch to Bland's rule, the
-    # integer tableau switches back at every strict improvement, and every
-    # new objective starts with Dantzig's rule, while the rational tableaux
-    # keep their own threshold and stay with Bland's rule once they switch;
-    # statuses and optimal values still agree
-    seen = set()
-    entering = simplex._RevisedDual._entering
-    set_objective = simplex._RevisedDual.set_objective
-
-    def spy_entering(tab):
-        if tab.bland:
-            seen.add("entered")
-            tab.was_bland = True
-        elif getattr(tab, "was_bland", False):
-            seen.add("left")
-        return entering(tab)
-
-    def spy_set_objective(tab, phase):
-        set_objective(tab, phase)
-        assert not tab.bland and tab.stall == 0
-        tab.was_bland = False
-
-    monkeypatch.setattr(simplex, "_STALL_SWITCH", 1)
-    monkeypatch.setattr(simplex._RevisedDual, "_entering", spy_entering)
-    monkeypatch.setattr(simplex._RevisedDual, "set_objective", spy_set_objective)
-    modes = Counter()
-    for lp in _oracle_lps():
-        seen.clear()
-        sol = solve(lp)
-        for method in ("dual", "rows"):
-            other = solve_by_fraction_tableau(lp, method=method)
-            assert (sol.status, sol.value) == (other.status, other.value)
-        if sol.status == OPTIMAL:
-            _check_certificate(lp, sol)
-        modes.update(seen)
-    assert modes["entered"] >= 10 and modes["left"] >= 10, modes
 
 
 @st.composite
@@ -300,15 +269,126 @@ def integer_lps(draw):
         denominator=draw(st.integers(1, 3)))
 
 
-@pytest.mark.parametrize("stall_switch", [simplex._STALL_SWITCH, 1])
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(lp=integer_lps())
-def test_revised_dual_matches_full_tableau(stall_switch, lp):
+def test_revised_dual_matches_full_tableau(lp):
     # the same LPSolution, status, value, primal, dual, tight set and
-    # pivot count, also when one degenerate pivot switches to Bland's rule
+    # pivot count
+    assert solve(lp) == solve_by_full_tableau(lp)
+
+
+@st.composite
+def degenerate_lps(draw):
+    """LPs of integer_lps whose costs are mostly 0, so the dual's
+    right-hand sides are mostly 0 and its ratio tests tie."""
+    lp = draw(integer_lps())
+    costs = st.sampled_from((0, 0, 0, 1, -1, F(1, 2)))
+    return replace(lp, objective=tuple(draw(costs) for _ in lp.objective))
+
+
+def test_lexicographic_rule_keeps_the_old_rules_status_and_value():
+    # on random LPs whose ratio tests tie, the solver and the rational
+    # dual tableau of the old rules (ties to the lowest basic variable,
+    # Bland's rule after a run of degenerate pivots) reach the same
+    # status and value, and the solver's optimum verifies; the ties are
+    # counted off the solver's ratio tests
+    tied = Counter()
+    least_ratios = simplex._least_ratios
+
+    def spy(rows, nums, dens):
+        least = least_ratios(rows, nums, dens)
+        tied["ratio ties"] += len(least) > 1
+        return least
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lp=degenerate_lps())
+    def check(lp):
+        before = tied["ratio ties"]
+        sol = solve(lp)
+        tied["LPs"] += tied["ratio ties"] > before
+        for method in ("dual", "rows"):
+            other = solve_by_fraction_tableau(lp, method=method)
+            assert (sol.status, sol.value) == (other.status, other.value)
+        if sol.status == OPTIMAL:
+            _check_certificate(lp, sol)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simplex, "_STALL_SWITCH", stall_switch)
-        assert solve(lp) == solve_by_full_tableau(lp)
+        patch.setattr(simplex, "_least_ratios", spy)
+        check()
+    assert tied["LPs"] >= 100, tied
+
+
+# Beale's cycling example (Naval Res. Logist. Q. 2, 1955) as the dual of
+# this LP: minimize -3/4 u3 + 20 u4 - 1/2 u5 + 6 u6 over u >= 0 with rows
+# 0, 1, 2 its slacks.  From the slack basis, Dantzig's rule with ratio
+# ties to the lowest basic variable cycles.
+_BEALE = LinearProgram(
+    objective=(0, 0, -1),
+    matrix=((4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 2, 0), (-32, -48, 0), (-4, -2, 4),
+            (36, 12, 0)),
+    beta=(0, 0, 0, -3, 80, -2, 24), denominator=4)
+
+
+def test_beale_example_ends_optimal_from_its_slack_basis():
+    sol = solve(_BEALE, (0, 1, 2))
+    assert (sol.status, sol.value) == (OPTIMAL, F(5, 4))
+    assert sol.pivots <= 5
+    _check_certificate(_BEALE, sol)
+
+
+def test_beale_example_cycles_under_the_old_rules_without_their_switch(monkeypatch):
+    # the old rules end it only through their switch to Bland's rule;
+    # with the switch past the pivot budget they run the budget out
+    tab, status = fraction_phase_two(_BEALE, (0, 1, 2))
+    assert (status, tab.objective_value()) == (OPTIMAL, F(-5, 4))
+    monkeypatch.setattr(oracles, "_STALL_SWITCH", oracles._MAX_PIVOTS + 1)
+    with pytest.raises(InternalError, match="^simplex pivot budget exhausted$"):
+        fraction_phase_two(_BEALE, (0, 1, 2))
+
+
+@pytest.mark.parametrize("rows, nums, least", [
+    # 1/2 = 2/4 ties, and ties keep the order given
+    ([0, 1, 2], [1, 2, 3], [0, 1]),
+    # -1/2 < 0/1 < 3/1: a negative numerator is least
+    ([2, 1, 0], [3, 0, -1], [0]),
+    # one row
+    ([1], [7], [1]),
+])
+def test_least_ratios_compares_by_cross_products(rows, nums, least):
+    # dens is indexed by row, as the entering column's entries are
+    dens = [2, 4, 1]
+    assert simplex._least_ratios(rows, nums, dens) == least
+
+
+def _lex_keys(tab):
+    """Each row's (rhs, entries in the columns of start), on its row's
+    scale: an artificial's entry is its own, a real column's one dot
+    product."""
+    return [[row[-1]] + [row[b - tab.m] if b >= tab.m else int_dot(row, tab._real_column(b))
+                         for b in tab.start] for row in tab.rows]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lp=degenerate_lps())
+def test_rows_stay_lexicographically_positive(lp):
+    # the invariant the lexicographic ratio test keeps: at every round of
+    # either phase, each row's (rhs, entries in the columns of B0) has a
+    # positive first nonzero entry, so no basis repeats; also from
+    # Beale's slack basis
+    rounds = Counter()
+    entering = simplex._RevisedDual._entering
+
+    def checked(tab):
+        for key in _lex_keys(tab):
+            assert next(x for x in key if x) > 0, key
+        rounds["checked"] += 1
+        return entering(tab)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex._RevisedDual, "_entering", checked)
+        sol = solve(lp)
+        assert solve(_BEALE, (0, 1, 2)).value == F(5, 4)
+    assert rounds["checked"] > sol.pivots
 
 
 @pytest.mark.parametrize("ball, n, k, shape", [
@@ -372,16 +452,14 @@ def test_grid_pairs_its_rows_by_the_space():
             (i, j) if i in grid.g_at else (negp[i], neg[j]) for i, j in pairs]
 
 
-@pytest.mark.parametrize("stall_switch", [simplex._STALL_SWITCH, 1])
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(ball=st.sampled_from([linf_ball, l1_ball]), n=st.integers(3, 6),
        k_index=st.integers(0, 4), seed=st.integers(0, 99))
-def test_folded_pricing_keeps_every_pivot(stall_switch, ball, n, k_index, seed):
+def test_folded_pricing_keeps_every_pivot(ball, n, k_index, seed):
     # costing one row of each partner pair through the grid's factors
-    # gives the LPSolution of costing every formed row, pivots included,
-    # also under Bland's rule; each row's partner, the row of the negated
-    # dual vertex in its block, is its negation in the coefficients and
-    # the base
+    # gives the LPSolution of costing every formed row, pivots included;
+    # each row's partner, the row of the negated dual vertex in its
+    # block, is its negation in the coefficients and the base
     grid = _seeded_grid(ball, n, 1 + k_index % (n - 1), seed)
     nd = len(grid.negation)
     rows = grid_rows(grid)
@@ -389,55 +467,27 @@ def test_folded_pricing_keeps_every_pivot(stall_switch, ball, n, k_index, seed):
                and grid.base_num[p] == -grid.base_num[r]
                for r, p in ((r, r - r % nd + grid.negation[r % nd])
                             for r in range(len(grid.pairs))))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simplex, "_STALL_SWITCH", stall_switch)
-        assert solve(grid) == solve(dense_grid_lp(grid))
+    assert solve(grid) == solve(dense_grid_lp(grid))
 
 
-def test_bland_rule_runs_on_the_folded_path(monkeypatch):
-    # with one degenerate pivot enough to switch, the grid's folded
-    # entering takes Bland's rule on the lambda LPs, as the full pass does
-    # on their dense oracle LPs, and both pivot alike
-    bland_rounds = Counter()
-
-    def spy(kind, entering):
-        def spied(lp, w, bf, bland):
-            bland_rounds[kind] += bland
-            return entering(lp, w, bf, bland)
-        return spied
-
-    monkeypatch.setattr(simplex, "_STALL_SWITCH", 1)
-    monkeypatch.setattr(PairGrid, "entering", spy("folded", PairGrid.entering))
-    monkeypatch.setattr(LinearProgram, "entering", spy("full", LinearProgram.entering))
-    for ball in (linf_ball, l1_ball):
-        for n, k in ((3, 1), (4, 2), (5, 2)):
-            grid = _seeded_grid(ball, n, k, 7)
-            assert solve(grid) == solve(dense_grid_lp(grid))
-    assert bland_rounds["folded"] >= 10, bland_rounds
-    assert bland_rounds["folded"] == bland_rounds["full"]
-
-
-@pytest.mark.parametrize("basis, w, bf, dantzig, bland", [
+@pytest.mark.parametrize("basis, w, bf, dantzig", [
     # every row costs -D·w_t = -2: a tie of all eight rows
-    ((1, 2), (0, 1), 0, 0, 0),
+    ((1, 2), (0, 1), 0, 0),
     # every row costs +2: an optimum
-    ((1, 2), (0, -1), 0, None, None),
+    ((1, 2), (0, -1), 0, None),
     # costs (-1, 1, -2, 2, 1, -1, 2, -2): representative 2 ties with partner 7
-    ((1, 2), (0, 0), 1, 2, 0),
+    ((1, 2), (0, 0), 1, 2),
     # costs (1, -1, 1, -1, 0, 0, -1, 1, -1, 1, 0, 0, ...): partners 1 and 3
     # tie with representatives 6 and 8, and partner 1 is the lowest
-    ((1, 1, 0), (0, 1, 0), 0, 1, 1),
+    ((1, 1, 0), (0, 1, 0), 0, 1),
 ])
-def test_grid_entering_is_pinned_on_exact_ties(basis, w, bf, dantzig, bland):
+def test_grid_entering_is_pinned_on_exact_ties(basis, w, bf, dantzig):
     # the folded rule on the grid of a line in l-inf^n, pinned, and equal
     # to the rule on every formed row
     space = linf_ball(len(basis))
     grid = build_pair_grid(space, build_operator_basis(space, Subspace.from_basis([basis])))
     dense = dense_grid_lp(grid)
-    assert (grid.entering(list(w), bf, False), grid.entering(list(w), bf, True)) \
-        == (dantzig, bland)
-    assert (dense.entering(list(w), bf, False), dense.entering(list(w), bf, True)) \
-        == (dantzig, bland)
+    assert grid.entering(list(w), bf) == dense.entering(list(w), bf) == dantzig
 
 
 def _start_kind(lp, start):
@@ -541,7 +591,7 @@ def test_linf6_hyperplane_starts_at_its_certificate(monkeypatch):
     # The lambda LP of the l-inf^6 hyperplane (lambda = 1, 384 rows)
     # started at its own dual's two certificate pairs: no phase I, and
     # at most 6 pivots in all, the two of the start included, against
-    # the 16 of the cold solve
+    # the 11 of the cold solve
     space, Y = linf_ball(6), random_subspace(6, 5, 7)
     report = projection_constant(space, Y)
     cm = cm_from_dual(report)
@@ -561,7 +611,7 @@ def test_linf6_hyperplane_starts_at_its_certificate(monkeypatch):
     assert phases == [2, 1, 2]
     assert (warm.status, warm.value, warm.primal) == (OPTIMAL, 1, cold.primal)
     assert warm.pivots <= 6
-    assert cold.pivots == 16
+    assert cold.pivots == 11
 
 
 def test_solver_reads_only_the_lp_contract():
