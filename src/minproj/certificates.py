@@ -22,7 +22,9 @@ its pairs' columns are independent, so its weights are the one
 representation of the target over them.
 Both read lambda, the basis and the grid off the MinProjReport they
 extend.  certify_cm judges a given certificate from the
-Chalmers-Metcalf bound it proves, by the routes its docstring lists.
+Chalmers-Metcalf bound it proves: one that passes every check T
+decides alone is valid exactly when lambda equals its trace, and only
+one that fails such a check is read at the optimal face.
 """
 
 from __future__ import annotations
@@ -94,7 +96,12 @@ def verify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     P realized as an integer matrix (projections.pair_values), as
     operator_norm reads every pair; realized is that matrix over its
     denominator, OperatorBasis.realize_cleared of P, when the caller
-    holds it.  The values are compared with lam in integers."""
+    holds it.  The values are compared with lam in integers, so (3) means
+    what it says only when lam is P's operator norm.  Every caller
+    passes a minimal projection and lambda: cm_from_dual and the support
+    search, which analyze runs, and perfbench/checks.py, against the
+    reported projection once its norm is lambda.  certify_cm, which
+    judges a certificate claimed at any lam, reads (3) itself."""
     if basis.subspace is not Y and basis.subspace != Y:
         raise ValueError("the operator basis was built for another subspace")
     head, trace = _conditions_of_T(space, basis, cm, lam)
@@ -190,73 +197,66 @@ def _norming(space: PolyhedralSpace, cm: CMFunctional, lam: Fraction,
 
 def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
                lam: Fraction) -> tuple[Fraction, CMVerdict]:
-    """The projection constant lambda(Y, X) and the verdict of verify_cm on
-    the certificate at a minimal projection in the relative interior of
-    the optimal face, with as little work as the certificate allows.
+    """The projection constant lambda(Y, X) and the verdict on the
+    certificate claimed at lam, with as little work as it allows.
 
     The Chalmers-Metcalf bound: when the weights are positive and sum to
     one, T vanishes on L_Y(X, Y) and T(Y) lies in Y, every projection Q
     onto Y has sum_i a_i f_i(Q x_i) = tr(T|_Y).  A trace lam then proves
-    lambda >= lam, and a projection of norm at most lam proves lambda =
-    lam.  In that case each pair has f_i(Q x_i) <= lam at every minimal
-    projection Q, with weighted mean lam, so it norms every one of them,
-    and a verdict that is ok at any minimal projection is the verdict at
-    the relative interior.
+    lambda >= lam, and certifies lambda exactly when lambda = lam; each
+    pair then has f_i(Q x_i) <= lam at every minimal projection Q, with
+    weighted mean lam, so it norms every one of them.
 
     The checks that T and lam decide alone (_conditions_of_T: all but
     norming) are made once, and pick the route:
 
-    - a violation: no projection makes the certificate valid, so the
-      optimal face is found at once;
-    - none, no LP: T is then a feasible point of the lambda LP's dual of
-      value lam.  When the certificate's pair rows have rank k(n-k), the
+    - none, no LP: when the certificate's pair rows have rank k(n-k), the
       one projection they can all norm at lam solves coefs·c = lam -
-      base; it is tried when its operator norm, read off the vertex
-      lists over each antipodal class once, is at most lam, and no pair
-      grid is built;
+      base; when it exists and its operator norm, read off the vertex
+      lists over each antipodal class once, is at most lam, lambda = lam
+      and no pair grid is built;
     - none, one LP: otherwise the lambda LP is solved, started at the
       certificate's own grid rows (PairGrid.rows_of), which pivots them
-      into the basis and runs phase II from there; when that point is not
-      a feasible basic one, simplex.solve falls back to the two-phase
-      solve.  Either witness is a minimal projection, and it is tried
-      when the LP value is lam;
-    - the optimal face: on a violation, or when no point tried is normed
-      by every pair, the lambda LP is solved cold, face_dimension finds
-      the relative interior of the optimal face, and the verdict is
-      taken there, as in the full pipeline, so the violations read the
-      same.  The interior is read off the cold solve's witness, so a
-      started certificate that lands here (a feasible dual point of
-      value lam below lambda) costs a second solve on the same grid and
-      moves no byte.
+      into the basis and runs phase II from there; when they give no
+      feasible basic point, simplex.solve falls back to the two-phase
+      solve.  The certificate is valid when the LP value is lam, and
+      otherwise fails norming alone: its pairs average lam, below
+      lambda, at every projection onto Y;
+    - a violation: no projection makes the certificate valid, so the
+      lambda LP is solved cold, face_dimension finds the relative
+      interior of the optimal face, and the verdict is taken there.
 
-    At each point tried only the norming check is made, off the point
-    realized as an integer matrix once, the matrix its operator norm
-    reads.  A certificate with no violation of the other checks proves
-    lambda >= lam, so a lambda LP value below lam is an InternalError.
-    One operator basis serves every route, and the pair grid is built
-    only for the lambda LP, at most once.
+    A valid certificate's pairs are checked at the minimal projection
+    found, realized as an integer matrix, the matrix its operator norm
+    reads; a pair that fails there, or an LP value below lam, is an
+    InternalError.  The lambda LP is solved at most once.
     """
     basis = build_operator_basis(space, Y)
     head, trace = _conditions_of_T(space, basis, cm, lam)
-    bound = not head and trace == ()
-    grid = None
-    if bound:
-        full_rank, point, realized = _projection_normed_by(
-            pair_rows(space, basis, cm.pairs), space, basis, lam)
-        if not full_rank:
+    if not head and trace == ():
+        found = _projection_normed_by(pair_rows(space, basis, cm.pairs), space, basis, lam)
+        if found is None:
             grid = build_pair_grid(space, basis)
-            started = _solve_lambda(space, Y, basis, grid,
-                                    grid.rows_of(cm.pairs, space.primal_negation))
-            if started.lam == lam:
-                point, realized = started.witness, started.witness_cleared
-        if point is not None and not _norming(space, cm, lam, *realized):
-            return lam, CMVerdict()
-    report = _solve_lambda(space, Y, basis, grid or build_pair_grid(space, basis))
+            report = _solve_lambda(space, Y, basis, grid,
+                                   grid.rows_of(cm.pairs, space.primal_negation))
+            if report.lam < lam:
+                raise InternalError(
+                    f"the certificate proves lambda >= {format_rational(lam)}, "
+                    f"the LP gives {format_rational(report.lam)}")
+            if report.lam > lam:
+                return report.lam, CMVerdict((
+                    f"norming: the pairs average {format_rational(lam)} at every "
+                    f"projection onto Y, below lambda {format_rational(report.lam)}",))
+            found = report.witness, report.witness_cleared
+        _, realized = found
+        broken = _norming(space, cm, lam, *realized)
+        if broken:
+            raise InternalError(
+                f"a certificate of lambda {format_rational(lam)} fails at a "
+                f"minimal projection: {broken[0]}")
+        return lam, CMVerdict()
+    report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
     face_dimension(report)
-    if bound and report.lam < lam:
-        raise InternalError(
-            f"the certificate proves lambda >= {format_rational(lam)}, "
-            f"the LP gives {format_rational(report.lam)}")
     if trace is None:
         return report.lam, CMVerdict(head)
     return report.lam, CMVerdict(
@@ -266,13 +266,12 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
 def _projection_normed_by(rows: tuple[list[list[int]], list[int], int],
                           space: PolyhedralSpace, basis: OperatorBasis,
                           lam: Fraction
-                          ) -> tuple[bool, OperatorPoint | None,
-                                     tuple[RMatrix, int] | None]:
-    """Whether the certificate's pair rows (coefs, base, D), the integer
-    rows of projections.pair_rows over their denominator D, have full
-    column rank k(n-k), and then the projection c at which every row has
-    value lam, with c realized as an integer matrix over a denominator,
-    when c exists and its operator norm is at most lam, or None and None.
+                          ) -> tuple[OperatorPoint, tuple[RMatrix, int]] | None:
+    """The projection c at which every one of the certificate's pair rows
+    (coefs, base, D), the integer rows of projections.pair_rows over
+    their denominator D, has value lam, with c realized as an integer
+    matrix over a denominator, when the rows have full column rank
+    k(n-k), c exists and its operator norm is at most lam; else None.
 
     coefs·c = lam·D - base is cleared to coefs·(lam_den·c) =
     lam_num·D - lam_den·base, and one linalg.integer_rref of that system
@@ -289,16 +288,14 @@ def _projection_normed_by(rows: tuple[list[list[int]], list[int], int],
     reduced = integer_rref([row + [lam.numerator * D - lam.denominator * b]
                             for row, b in zip(coefs, base)])
     pivots = [pivot for pivot, _ in reduced]
-    if pivots[:d] != list(range(d)):
-        return False, None, None
-    if len(pivots) > d:
-        return True, None, None
+    if pivots != list(range(d)):
+        return None
     point = OperatorPoint(tuple(Fraction(row[d], row[pivot] * lam.denominator)
                                 for pivot, row in reduced))
     M, den = realized = basis.realize_cleared(point)
     if operator_norm(space, M) > lam * den:
-        return True, None, None
-    return True, point, realized
+        return None
+    return point, realized
 
 
 def cm_from_dual(report: MinProjReport) -> CMFunctional:

@@ -29,9 +29,11 @@ one "warning: <message>" line, reports "skipped" in its field, and
 analyze exits 3 with the rest of the report; general-position exits 3
 with one "error:" line.
 
-certify's report is the one the full pipeline gives; it reaches it
-with as little work as the certificate allows, by the routes that
-certificates.certify_cm lists.
+certify reports the computed lambda and the verdict of
+certificates.certify_cm, by the routes it lists: a certificate that
+passes every check but norming is valid exactly when lambda equals its
+trace, and any other is judged at the relative interior of the optimal
+face.
 Its checks object has one entry per name of certificates.CHECKS, false
 for the checks the verdict failed.
 """

@@ -66,12 +66,14 @@ it was before the pair grid kept its rank-one factors
 row costed by the list pass over the transposed rows) must give the
 same LPSolution as the grid's own factored LP, which costs one row of
 each partner pair, pivots included.
-``certify_by_face`` is the ``certify`` command as it was before
-``certificates.certify_cm``: the lambda LP, the optimal face, and
-``verify_cm`` at its relative interior, for every certificate.
-``certify_by_cold_lp`` is ``certify_cm`` as it was before its one-LP
-route started the lambda LP at the certificate's own rows: every
-lambda LP from scratch, through phase I.
+``certify_by_face`` is the ``certify`` command with no routes: the
+lambda LP, the optimal face, and ``verify_cm`` at its relative interior,
+for every certificate, with lambda deciding the one that fails norming
+alone.  ``certify_by_cold_lp`` is ``certify_cm`` as it was before its
+one-LP route started the lambda LP at the certificate's own rows: every
+lambda LP from scratch, through phase I, and the no-LP point solved by
+``projection_normed_by_full_rank``, the no-LP solve as it was while it
+also reported the rank of the pair rows.
 ``verify_cm_by_apply`` reads the invariance and the trace off the
 matrix of T (``cm_operator``, ``trace_on_subspace``).  Beside it stand
 the polar dual, the operator basis, the realized projection matrix and
@@ -122,7 +124,7 @@ from math import comb, gcd, lcm
 from types import SimpleNamespace
 from typing import Sequence
 
-from minproj.certificates import CMVerdict, _projection_normed_by, verify_cm
+from minproj.certificates import CMVerdict, verify_cm
 from minproj.errors import (BudgetExceededError, InternalError,
                             NotFullDimensionalError, NotSymmetricError)
 from minproj.geometry import GeneralPositionReport, _Polar, norm_eval
@@ -132,7 +134,7 @@ from minproj.linalg import (RMatrix, WorkBudget, _leaves, _pivot,
                             over_denominator, primitive, reduce_rows)
 from minproj.projections import (OperatorPoint, _first_slack_step, _solve_lambda,
                                   build_operator_basis, build_pair_grid, face_dimension,
-                                  norming_pairs, pair_rows, pair_values,
+                                  norming_pairs, operator_norm, pair_rows, pair_values,
                                   projection_constant)
 from minproj.rational import format_rational
 from minproj import simplex
@@ -1304,13 +1306,50 @@ def realize_by_fractions(basis, point):
 
 
 def certify_by_face(space, Y, cm, lam):
-    """(computed lambda, verdict) of the certify command as it was: solve
-    the lambda LP, find the relative interior of the optimal face, and
-    run verify_cm there, whatever the certificate."""
+    """(computed lambda, verdict) of the certify command with no routes:
+    solve the lambda LP, find the relative interior of the optimal face,
+    and run verify_cm there, whatever the certificate.  A certificate
+    that fails norming alone there, or no check, proves lambda >= lam,
+    and is valid exactly when lambda = lam (decided_by_lambda)."""
     report = projection_constant(space, Y)
     face_dimension(report)
-    return report.lam, verify_cm(space, Y, cm, lam, report.interior,
-                                 basis=report.basis)
+    return decided_by_lambda(report.lam, verify_cm(
+        space, Y, cm, lam, report.interior, basis=report.basis), lam)
+
+
+def decided_by_lambda(computed, verdict, lam):
+    """(computed, verdict), where a verdict that fails no check but
+    norming is replaced, when computed differs from lam, by the one
+    violation that the pairs average lam, below lambda, at every
+    projection onto Y: such a certificate proves lambda >= lam and is
+    valid exactly when lambda = lam."""
+    if verdict.failed <= {"norming"} and computed != lam:
+        verdict = CMVerdict((
+            f"norming: the pairs average {format_rational(lam)} at every "
+            f"projection onto Y, below lambda {format_rational(computed)}",))
+    return computed, verdict
+
+
+def projection_normed_by_full_rank(rows, space, basis, lam):
+    """certificates._projection_normed_by as it was: whether the pair rows
+    (coefs, base, D) have full column rank k(n-k), and then the point
+    where every row has value lam with its realization, when it exists
+    and has operator norm at most lam, or None and None."""
+    d = basis.dimension
+    coefs, base, D = rows
+    reduced = integer_rref([row + [lam.numerator * D - lam.denominator * b]
+                            for row, b in zip(coefs, base)])
+    pivots = [pivot for pivot, _ in reduced]
+    if pivots[:d] != list(range(d)):
+        return False, None, None
+    if len(pivots) > d:
+        return True, None, None
+    point = OperatorPoint(tuple(Fraction(row[d], row[pivot] * lam.denominator)
+                                for pivot, row in reduced))
+    M, den = realized = basis.realize_cleared(point)
+    if operator_norm(space, M) > lam * den:
+        return True, None, None
+    return True, point, realized
 
 
 def certify_by_cold_lp(space, Y, cm, lam):
@@ -1322,7 +1361,7 @@ def certify_by_cold_lp(space, Y, cm, lam):
     n_p, n_d = len(space.primal_cleared[0]), len(space.dual_cleared[0])
     report = point = realized = None
     if all(0 <= i < n_p and 0 <= j < n_d for i, j in cm.pairs):
-        full_rank, point, realized = _projection_normed_by(
+        full_rank, point, realized = projection_normed_by_full_rank(
             pair_rows(space, basis, cm.pairs), space, basis, lam)
         if not full_rank:
             report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))

@@ -274,11 +274,11 @@ def test_certify_rejects_the_no_lp_point_below_lambda(monkeypatch, spy):
     # every check but norming at lambda_c = 0, so its pairs' rows are
     # solved for the one projection that gives them all the value 0.  Its
     # norm is at least lambda > 0, since no projection has norm below
-    # lambda: the point is rejected, and certify falls through to the
-    # face, builds one grid and reports the true lambda.  The point is
-    # realized as an integer matrix M over a denominator den, and ||P|| =
-    # ||M|| / den; the face's interior is realized once more, for the
-    # verdict
+    # lambda: the point is rejected, and certify starts the lambda LP at
+    # the certificate's rows, builds one grid and reports the true
+    # lambda, above lambda_c, as the one norming violation, with no
+    # optimal face.  The point is realized as an integer matrix M over a
+    # denominator den, and ||P|| = ||M|| / den; nothing else is realized
     space, Y = l1_ball(4), random_subspace(4, 3, 7)
     report = projection_constant(space, Y)
     pairs = cm_from_dual(report).pairs[:3]
@@ -304,10 +304,38 @@ def test_certify_rejects_the_no_lp_point_below_lambda(monkeypatch, spy):
     spy(certificates, "build_pair_grid")
     counts = spy(certificates, "face_dimension")
     computed, verdict = certify_cm(space, Y, cm, F(0))
-    assert len(norms) == 1 and len(dens) == 2 and norms[0] / dens[0] >= report.lam
-    assert counts == {"build_pair_grid": 1, "face_dimension": 1}
+    assert len(norms) == 1 and len(dens) == 1 and norms[0] / dens[0] >= report.lam
+    assert counts == {"build_pair_grid": 1}
     assert computed == report.lam
     assert verdict.failed == {"norming"}
+
+
+@pytest.mark.parametrize("ball, n, k", [(l1_ball, 4, 3), (linf_ball, 4, 2),
+                                        (linf_ball, 6, 5)])
+@pytest.mark.parametrize("t", [F(0), F(1, 2)])
+def test_a_bound_below_lambda_solves_one_lambda_lp_and_no_face(spy, ball, n, k, t):
+    # t·(dual certificate) + (1 - t)·T0, T0 = 0 over the pairs (x_0, g)
+    # and (x_0, -g) of a functional g paired with x_0 in neither sign,
+    # passes every check that T decides alone at lambda_c = t·lambda <
+    # lambda.  certify solves the lambda LP once, started at its rows,
+    # settles no optimal face, and fails norming alone
+    space, Y = ball(n), random_subspace(n, k, 7)
+    report = projection_constant(space, Y)
+    dual, negd = cm_from_dual(report), space.dual_negation
+    g = next(j for j in range(len(negd))
+             if not {(0, j), (0, negd[j])} & set(dual.pairs))
+    weights = {(0, g): (1 - t) / 2, (0, negd[g]): (1 - t) / 2}
+    weights.update((pair, t * a) for pair, a in zip(dual.pairs, dual.weights) if t)
+    cm = CMFunctional(*zip(*sorted(weights.items())))
+    lam = t * report.lam
+    spy(certificates, "face_dimension")
+    counts = spy(projections, "solve")
+    computed, verdict = certify_cm(space, Y, cm, lam)
+    assert counts == {"solve": 1}
+    assert computed == report.lam
+    assert verdict.violations == (
+        f"norming: the pairs average {lam} at every projection onto Y, "
+        f"below lambda {report.lam}",)
 
 
 def test_a_certificate_that_fails_without_a_projection_goes_to_the_face(spy):
@@ -343,14 +371,12 @@ def test_no_lp_point_is_refused_by_its_norm():
     report = projection_constant(space, Y)
     rows = pair_rows(space, report.basis, cm_from_dual(report).pairs[:3])
     assert (_projection_normed_by(rows, space, report.basis, report.lam)
-            == (True, report.witness, report.basis.realize_cleared(report.witness)))
-    assert (_projection_normed_by(rows, space, report.basis, report.lam - F(1, 10))
-            == (True, None, None))
+            == (report.witness, report.basis.realize_cleared(report.witness)))
+    assert _projection_normed_by(rows, space, report.basis, report.lam - F(1, 10)) is None
     space, Y = linf_ball(4), random_subspace(4, 2, 7)
     report = projection_constant(space, Y)
     rows = pair_rows(space, report.basis, cm_from_dual(report).pairs)
-    assert (_projection_normed_by(rows, space, report.basis, report.lam)
-            == (False, None, None))
+    assert _projection_normed_by(rows, space, report.basis, report.lam) is None
 
 
 def test_certify_refuses_an_lp_value_below_the_certified_bound(monkeypatch):
@@ -368,6 +394,21 @@ def test_certify_refuses_an_lp_value_below_the_certified_bound(monkeypatch):
                         lambda space, Y, basis, grid, start=(): lowered)
     monkeypatch.setattr(certificates, "face_dimension", face)
     with pytest.raises(InternalError, match="proves lambda >="):
+        certify_cm(space, Y, cm, report.lam)
+
+
+@pytest.mark.parametrize("ball, k", [(l1_ball, 3), (linf_ball, 2)])
+def test_certify_refuses_a_valid_certificate_that_fails_norming(monkeypatch, ball, k):
+    # once lambda equals the trace of a certificate that passes every
+    # check T decides alone, every pair norms every minimal projection:
+    # a pair that fails at the point certify found, with no LP (l1) or by
+    # the LP (l-inf), is an internal failure, not a verdict
+    space, Y = ball(4), random_subspace(4, k, 7)
+    report = projection_constant(space, Y)
+    cm = cm_from_dual(report)
+    monkeypatch.setattr(certificates, "_norming",
+                        lambda *args: ("norming: pair (0, 0) gives 0, expected 1",))
+    with pytest.raises(InternalError, match="fails at a minimal projection"):
         certify_cm(space, Y, cm, report.lam)
 
 

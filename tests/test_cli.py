@@ -276,6 +276,28 @@ def test_certify_out_of_range_index(space_file, tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_certify_rejects_a_bound_below_lambda(tmp_path, capsys):
+    # (x, f) and (x, -f) at weights 1/2 make T = 0, which passes every
+    # check that T decides alone at lambda_c = 0: it proves lambda >= 0,
+    # and the ker-sum plane of l-inf^3 has lambda 4/3, so it certifies
+    # nothing, whatever its pairs give at a minimal projection
+    case = next(c for c in paper_cases() if c.name == "ker-sum-linf-n3")
+    path, cert = tmp_path / "space.json", tmp_path / "cert.json"
+    path.write_text(json.dumps(space_json(case.space, case.subspace)))
+    cert.write_text(json.dumps({"lambda": "0", "pairs": [
+        {"vertex": 0, "functional": j, "weight": "1/2"}
+        for j in (0, case.space.dual_negation[0])]}))
+    assert cli.main(["certify", str(cert), "--input", str(path)]) == 1
+    verdict = json.loads(capsys.readouterr().out)
+    assert (verdict["ok"], verdict["computed_lambda"]) == (False, "4/3")
+    assert [name for name, ok in verdict["checks"].items() if not ok] == ["norming"]
+    assert cli.main(["certify", str(cert), "--input", str(path), "--table"]) == 1
+    out = capsys.readouterr().out
+    assert "norming    FAIL" in out
+    assert "below lambda 4/3" in out
+    assert "certificate INVALID" in out
+
+
 def test_general_position_command(space_file, capsys):
     assert cli.main(["general-position", "--input", space_file]) == 0
     verdict = json.loads(capsys.readouterr().out)

@@ -10,11 +10,14 @@ inputs of the pipeline benchmark (cube and cross-polytope, hyperplane and
 2-plane, ``random_subspace`` at generator seed 7, primal vertices only so
 the CLI computes the polar), plus ``certify`` on one valid and one
 tampered certificate of the seeded l1^4 hyperplane.  ``certify`` also
-runs, in JSON and ``--table``, on eight more tampered certificates of
-that hyperplane (the last claims three of its pairs at lambda 1, below
-the true lambda) and on the valid certificate of the seeded l-inf^4
-2-plane, whose pairs leave the minimal projection undetermined (rank 2
-of 4), so it is settled by the LP, and on the valid certificate of the
+runs, in JSON and ``--table``, on nine more tampered certificates of
+that hyperplane (one claims three of its pairs at lambda 1, below the
+true lambda, and fails vanishing; the last puts those three pairs
+beside their functionals' negations, T = 0, which passes every check
+that T decides alone at lambda 0 and fails norming by lambda alone)
+and on the valid certificate of the seeded l-inf^4 2-plane, whose pairs
+leave the minimal projection undetermined (rank 2 of 4), so it is
+settled by the LP, and on the valid certificate of the
 seeded l-inf^6 hyperplane, whose two pairs leave it undetermined too
 (lambda = 1): its LP starts at the certificate's own rows and skips
 phase I, and its digest was taken before the LP had a start.  The
@@ -24,16 +27,16 @@ documents of l-inf^8, l1^8 and mixed_ball(5, 3), whose polar the double
 description computes.
 
 The digests hash the exit code, standard output and standard error of
-each run.  Nine pinned runs also run in child interpreters, plain and
+each run.  Ten pinned runs also run in child interpreters, plain and
 under ``python -O``, which must print the same bytes with the same exit
 code: ``analyze`` on the seeded l1^4 hyperplane and on the seeded l-inf^5
 2-plane (its support found by the subset walk), ``general-position`` on
 the partial-sum 3-plane of l-inf^5, and ``certify`` on the valid
 certificates of the seeded l1^4 hyperplane (no LP), l-inf^4 2-plane
 (one LP) and l-inf^6 hyperplane (one started LP), on the small-weight
-tampered one (the optimal face) and on the three pairs claimed at
-lambda 1 (the no-LP point rejected by its norm, then the optimal
-face), and ``polar`` on l-inf^8.  To
+tampered one and the three pairs claimed at lambda 1 (the optimal
+face), and on T = 0 (the no-LP point refused by its norm, then the
+started LP), and ``polar`` on l-inf^8.  To
 print the table after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -54,7 +57,7 @@ import pytest
 import minproj.cli as cli
 from minproj.catalog import (l1_ball, linf_ball, mixed_ball, paper_cases,
                              random_subspace)
-from minproj.jsonio import vector_json
+from minproj.jsonio import parse_space_document, vector_json
 
 from oracles import space_json
 
@@ -103,6 +106,8 @@ GOLDEN = {
     "certify/seeded-l1-n4-k3-duplicated-pair/table": "6eb47ffcd859833dfed9886da52439b31f41c2a89b00171930dbaa9baee74538",
     "certify/seeded-l1-n4-k3-three-pairs-lambda-1/json": "8e769310c6108cbedfc563162d7752353d2470d4f9eb7483eed526c373afe4e4",
     "certify/seeded-l1-n4-k3-three-pairs-lambda-1/table": "d0061b494f4b682b1ee0720d3c27cd5a1efa62ed6fb0eed8003409e9f1d10775",
+    "certify/seeded-l1-n4-k3-zero-operator/json": "767e4caaa4ffc8a1f3a8448ad470518e1dd591a4f349340b2fcdc11097fdb0c9",
+    "certify/seeded-l1-n4-k3-zero-operator/table": "d0891bbebd289b1b1bccaeea605d1038c3612cdc9fd72bc46ca2a0dacfdc2a67",
     "analyze/seeded-l1-n4-k2": "ff3d54785ef2b851a20604e2d871e08d68c2da631d1ed68ad42758142f2a3d61",
     "analyze/seeded-linf-n5-k4": "87043baabbe316e449a1370e2f18f132823c095bdbce0eacfb7aa7b55ffe3a00",
     "analyze/seeded-linf-n5-k2": "e9186502ae90fecb98ca9715442a3f0f4d8f48ba494d658ac667a97438050843",
@@ -160,7 +165,7 @@ def _runs(tmp_path):
         yield f"analyze/{name}", result
         if name == CERTIFIED:
             cert = json.loads(result[1])["cm_certificate"]
-            tampered = _tampered(cert)
+            tampered = _tampered(cert, parse_space_document(doc)[0].dual_negation)
             for label, doc in (("valid", cert),
                                ("tampered", tampered["small-weight"])):
                 cert_path = tmp_path / f"{label}.certificate.json"
@@ -182,12 +187,16 @@ def _runs(tmp_path):
         yield f"polar/{name}", _run(["polar", "--input", str(path)])
 
 
-def _tampered(cert):
-    """Eight invalid variants of a certificate document, by label.  The
-    last keeps three pairs, whose rows have full rank k(n-k) = 3, and
-    claims lambda_c = 1, below the true lambda: certify solves the one
-    projection they norm at 1, rejects it by its norm, and goes through
-    the optimal face."""
+def _tampered(cert, negation):
+    """Nine invalid variants of a certificate document, by label, with
+    negation the dual_negation of its space.  Three pairs, whose rows
+    have full rank k(n-k) = 3, claimed at lambda_c = 1 at equal weights
+    fail vanishing, so certify goes through the optimal face.  The same
+    three pairs beside their functionals' negations, all six at weight
+    1/6, make T = 0, which passes every check that T decides alone at
+    lambda_c = 0: certify solves the one projection they norm at 0,
+    refuses it by its norm, and starts the lambda LP at their rows,
+    whose value, above 0, fails norming alone."""
     pairs = cert["pairs"]
     return {
         "small-weight": {**cert, "pairs": [{**pairs[0], "weight": "1/1000"}]
@@ -202,6 +211,10 @@ def _tampered(cert):
         "duplicated-pair": {**cert, "pairs": pairs + pairs[:1]},
         "three-pairs-lambda-1": {"lambda": "1", "pairs": [
             {**pair, "weight": "1/3"} for pair in pairs[:3]]},
+        "zero-operator": {"lambda": "0", "pairs": [
+            {**pair, "weight": "1/6"} for pair in pairs[:3]] + [
+            {**pair, "functional": negation[pair["functional"]], "weight": "1/6"}
+            for pair in pairs[:3]]},
     }
 
 
@@ -242,10 +255,15 @@ def _digest(result) -> str:
     # an invalid certificate: the optimal face
     pytest.param("certify", CERTIFIED, "small-weight",
                  "certify/seeded-l1-n4-k3-tampered", id="certify-tampered"),
-    # pairs of full rank claimed below lambda: the solved projection's
-    # norm exceeds the claim, so the optimal face
+    # pairs of full rank claimed below lambda that fail vanishing: the
+    # optimal face
     pytest.param("certify", CERTIFIED, "three-pairs-lambda-1",
                  "certify/seeded-l1-n4-k3-three-pairs-lambda-1/json",
+                 id="certify-three-pairs"),
+    # T = 0 at lambda_c = 0: the solved projection's norm exceeds the
+    # claim, so the started LP, whose lambda fails norming alone
+    pytest.param("certify", CERTIFIED, "zero-operator",
+                 "certify/seeded-l1-n4-k3-zero-operator/json",
                  id="certify-no-lp-rejected"),
     # the polar of the 8-cube, computed by the double description
     pytest.param("polar", "linf-n8", None, "polar/linf-n8", id="polar"),
@@ -265,8 +283,9 @@ def test_optimized_interpreter_gives_the_same_bytes(tmp_path, command, case,
     if certificate is not None:
         cert = json.loads(_run(["analyze", "--input", str(path)])[1])["cm_certificate"]
         cert_path = tmp_path / "certificate.json"
+        negation = parse_space_document(documents[case])[0].dual_negation
         cert_path.write_text(json.dumps(
-            cert if certificate == "valid" else _tampered(cert)[certificate]))
+            cert if certificate == "valid" else _tampered(cert, negation)[certificate]))
         argv.insert(1, str(cert_path))
     plain, optimized = [
         subprocess.run([sys.executable, *flags, "-m", "minproj", *argv],

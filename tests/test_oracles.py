@@ -9,7 +9,8 @@ pins that the support search walks no subset when the lambda dual's
 pairs are all the implicit ones.  certify on certificates whose pairs do
 not fix the projection matches its route with the lambda LP solved from
 scratch (``certify_by_cold_lp``), whether its start is skipped, taken
-or refused."""
+or refused, once lambda decides a certificate that fails norming
+alone."""
 
 import itertools
 from collections import Counter
@@ -24,8 +25,8 @@ import minproj.certificates as certificates
 import minproj.geometry as geometry
 import minproj.projections as projections
 from minproj import simplex
-from minproj.certificates import (CMFunctional, _projection_normed_by, certify_cm,
-                                  cm_from_dual, minimal_support_cm, verify_cm)
+from minproj.certificates import (CMFunctional, certify_cm, cm_from_dual,
+                                  minimal_support_cm, verify_cm)
 from minproj.errors import BudgetExceededError, NotExtremeError
 from minproj.geometry import (PolyhedralSpace, Subspace, _walk_rows,
                               general_position_check, polar_dual)
@@ -36,14 +37,15 @@ from minproj.projections import (OperatorPoint, face_dimension,
 
 from minproj.simplex import solve
 import oracles
-from oracles import (certify_by_cold_lp, dense_grid_lp,
+from oracles import (certify_by_cold_lp, decided_by_lambda, dense_grid_lp,
                      face_dimension_by_rounds,
                      face_dimension_by_vertices, face_dimension_per_row, first_non_extreme,
                      general_position_by_leaf_walk, general_position_exhaustive,
                      general_position_rows_by_raw_vectors,
                      linf_hyperplane_lambda,
                      max_norming_by_greedy, minimal_support_by_lp,
-                     minimal_support_by_solve, realize_by_fractions,
+                     minimal_support_by_solve, projection_normed_by_full_rank,
+                     realize_by_fractions,
                      solve_by_fraction_tableau, solve_by_full_tableau, verify_cm_by_apply,
                      work_edge)
 
@@ -366,8 +368,9 @@ def test_one_lp_route_matches_the_cold_lp_oracle(analyzed, seeded_analyze, monke
     # projection gives the (lambda, verdict) of the route that solved
     # the lambda LP from scratch, whether its start is skipped (the
     # certificate is no feasible dual point of value lambda_c), accepted,
-    # or refused by the solver and the solve run from scratch; the
-    # optimal face, when it is reached, is that of the solve from
+    # or refused by the solver and the solve run from scratch, with
+    # lambda deciding one that fails norming alone (decided_by_lambda);
+    # the optimal face, when it is reached, is that of the solve from
     # scratch, the fixture's report
     starts = Counter()
     started, settled = simplex._started_dual, certificates.face_dimension
@@ -390,12 +393,12 @@ def test_one_lp_route_matches_the_cold_lp_oracle(analyzed, seeded_analyze, monke
     for name, report in reports.items():
         space, Y, basis = report.space, report.subspace, report.basis
         for label, cm, lam in _one_lp_certificates(report):
-            if _projection_normed_by(pair_rows(space, basis, cm.pairs),
-                                     space, basis, lam)[0]:
+            if projection_normed_by_full_rank(pair_rows(space, basis, cm.pairs),
+                                              space, basis, lam)[0]:
                 continue
             tried = sum(starts.values())
-            assert certify_cm(space, Y, cm, lam) == certify_by_cold_lp(space, Y, cm, lam), \
-                (name, label)
+            expected = decided_by_lambda(*certify_by_cold_lp(space, Y, cm, lam), lam)
+            assert certify_cm(space, Y, cm, lam) == expected, (name, label)
             assert set(faces) <= {(report.witness, report.dual_rows)}, (name, label)
             faces.clear()
             if sum(starts.values()) == tried:

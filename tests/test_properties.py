@@ -49,7 +49,7 @@ from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from minproj.catalog import l1_ball, linf_ball, mixed_ball, paper_cases, random_subspace
-from minproj.certificates import (CMFunctional, _support_weights, certify_cm,
+from minproj.certificates import (CHECKS, CMFunctional, _support_weights, certify_cm,
                                   cm_from_dual, cm_rank_gap, minimal_support_cm,
                                   verify_cm)
 from minproj.errors import (BudgetExceededError, NotExtremeError,
@@ -778,7 +778,8 @@ def test_verify_cm_agrees_with_pair_rows_oracle_on_tampered_certificates(case, d
 def test_certify_agrees_with_face_oracle(case, data):
     # certify_cm skips the LP, or the optimal face, when the certificate
     # proves its own lambda; whatever it skips, lambda and the violations
-    # are those of verify_cm at the relative interior of the optimal face.
+    # are those of verify_cm at the relative interior of the optimal face,
+    # with lambda deciding a certificate that fails norming alone.
     # Five certificates per space: the dual certificate; random distinct
     # pairs with positive weights summing to one, at the computed lambda
     # or another; the dual certificate with another lambda; the dual
@@ -822,6 +823,49 @@ def test_certify_agrees_with_face_oracle(case, data):
         assert computed == expected_lam, label
         assert verdict.violations == expected.violations, label
         assert verdict.ok or label != "dual"
+
+
+@_SETTINGS
+@given(spaces_with_subspaces(), st.data())
+def test_certify_decides_a_chalmers_metcalf_bound_by_lambda(case, data):
+    # A certificate that passes every check T decides alone proves
+    # lambda >= its trace lambda_c, and certifies lambda exactly when
+    # lambda = lambda_c, whatever its pairs give at a minimal projection.
+    # t·(dual certificate) + (1 - t)·T0, T0 = 0 over random pairs beside
+    # their functionals' negations, passes those checks at lambda_c =
+    # t·lambda, and so, at lambda_c, does the dual certificate (t = 1)
+    # and T0 (t = 0).  Claimed at another value, or drawn at random,
+    # a certificate mostly fails a check that T decides alone, the
+    # oracle's verify_cm_by_apply at the witness tells which
+    space, basis = case
+    Y = Subspace.from_basis(basis)
+    report = projection_constant(space, Y)
+    dual = cm_from_dual(report)
+    negd = space.dual_negation
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, len(space.primal_vertices) - 1),
+                  st.integers(0, len(space.dual_vertices) - 1)),
+        min_size=1, max_size=4, unique=True))
+    balanced = sorted({q for i, j in pairs for q in ((i, j), (i, negd[j]))})
+    t = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                                   Fraction(1)]))
+    weights = dict.fromkeys(balanced, (1 - t) / len(balanced))
+    for pair, a in zip(dual.pairs, dual.weights):
+        weights[pair] = weights.get(pair, 0) + t * a
+    mixed = CMFunctional(*zip(*sorted((q, a) for q, a in weights.items() if a)))
+    raw = data.draw(st.lists(st.integers(1, 5), min_size=len(pairs),
+                             max_size=len(pairs)))
+    other = st.fractions(0, 3, max_denominator=6)
+    drawn = [(mixed, t * report.lam), (mixed, data.draw(other)),
+             (CMFunctional(tuple(pairs), tuple(Fraction(w, sum(raw)) for w in raw)),
+              data.draw(other))]
+    for cm, lam in drawn:
+        computed, verdict = certify_cm(space, Y, cm, lam)
+        assert computed == report.lam
+        assert verdict.failed <= set(CHECKS)
+        bound = verify_cm_by_apply(space, Y, cm, lam, report.witness, basis=report.basis)
+        if bound.failed <= {"norming"}:
+            assert verdict.ok == (computed == lam), (cm, lam)
 
 
 @_SETTINGS
