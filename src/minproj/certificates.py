@@ -372,7 +372,8 @@ def minimal_support_cm(report: MinProjReport, in_general_position: bool = False,
     implicit rows are in pair order.  Each size is one
     linalg.subset_walk over the implicit rows' columns with heads of
     width d.  It yields, in lexicographic order, the independent subsets
-    whose span holds the target while no prefix's span does.  The
+    whose span holds the target while no prefix's span does, and only
+    those, so each one it yields is weighed.  The
     weights of a subset are unique, and under a prefix whose span holds
     the target they are zero on the columns after it, so the walk cuts
     that subtree with those of the dependent prefixes and loses no
@@ -415,9 +416,7 @@ def minimal_support_cm(report: MinProjReport, in_general_position: bool = False,
     columns = [head + (1,) for head in heads]
     work = WorkBudget(budget, "support search")
     for size in range(smallest, min(d + 1, len(rows)) + 1):
-        for _, subset in subset_walk(columns, size, d, work):
-            if subset is None:
-                continue
+        for subset in subset_walk(columns, size, d, work):
             work.charge((d + 1) * (size + 1))
             weights = _support_weights([heads[i] for i in subset])
             if weights is not None:
@@ -461,7 +460,9 @@ def cm_rank_gap(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
     """Rank of the certificate functionals in X* versus the rank of their
     restrictions to Y.  When lam > 1 is supplied, a missing strict drop
     raises InternalError: the restricted rank is always strictly smaller
-    in that regime, so equality signals an implementation bug."""
+    in that regime, so equality signals an implementation bug.  Y must
+    be a subspace of R^n (Subspace.check_ambient)."""
+    Y.check_ambient(space.dim)
     F = space.dual_cleared[0]
     fs = [F[dj] for _, dj in cm.pairs]
     rank_full = integer_row_rank(fs)

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import comb, lcm
 from typing import Sequence
 
 from .errors import (InputFormatError, InternalError, NotExtremeError,
@@ -450,6 +450,12 @@ class Subspace:
     def ambient_dim(self) -> int:
         return len(self.basis_num[0])
 
+    def check_ambient(self, n: int) -> None:
+        """Raise ValueError unless Y is a subspace of R^n."""
+        if self.ambient_dim != n:
+            raise ValueError(f"a subspace of R^{self.ambient_dim} in a space "
+                             f"of dimension {n}")
+
     @property
     def dim(self) -> int:
         return len(self.basis_num)
@@ -508,18 +514,20 @@ def general_position_check(space: PolyhedralSpace, Y: Subspace,
     size at once (see _first_failing_subset); no rank is taken per
     subset.  They are the rows [v·d | v] with the coordinates outside J
     dropped, which the rest of each row determines, so every step, cut,
-    event, count and witness is that of the walk over [v·d | v].
+    yielded subset and witness is that of the walk over [v·d | v].
 
     Returns the first violating index set as witness.  Enumeration order:
     spans by (size, lexicographic indices), then kernels likewise.
     spans_checked and kernels_checked count the subsets in that order up
-    to the witness, or all of them.  The walk counts a subtree it cuts,
-    and the leaves a node decides at once, by binomials, so the counts
-    are those of a walk through every subset.  budget bounds the work of
-    the walks, spans and kernels together, in the row steps of
-    linalg.WorkBudget; past it the check raises BudgetExceededError.
+    to the witness, or all of them: the witness's position in that
+    order, read off its indices (see _first_failing_subset), so the
+    counts are those of a walk through every subset.  budget bounds the
+    work of the walks, spans and kernels together, in the row steps of
+    linalg.WorkBudget; past it the check raises BudgetExceededError.  Y
+    must be a subspace of R^n (Subspace.check_ambient).
     """
     n = space.dim
+    Y.check_ambient(n)
     k = Y.dim
     spans = WorkBudget(budget, "vertex-span enumeration")
     span, spans_checked = _first_failing_subset(
@@ -540,8 +548,8 @@ def _first_failing_subset(vectors: Sequence[Sequence[int]], reps: Sequence[int],
                           budget: WorkBudget) -> tuple[tuple[int, ...] | None, int]:
     """First subset T of reps, by (size <= max_size, lexicographic), whose
     rows v·d (d in directions) have lower rank than its rows v, and the
-    number of subsets counted up to it.  The walks charge budget, which
-    raises once they run past it.
+    number of subsets counted up to it, or of all of them when there is
+    none.  The walks charge budget, which raises once they run past it.
 
     vectors and directions are integer rows, each family cleared over one
     denominator: a positive factor on all vectors, or on all directions,
@@ -552,7 +560,7 @@ def _first_failing_subset(vectors: Sequence[Sequence[int]], reps: Sequence[int],
 
     The rows are n entries wide, where the rows [v·d | v] that carry the
     whole raw row are 2n - k (spans) or n + k (kernels), and the walk
-    over them takes the same steps and yields the same events.  They
+    over them takes the same steps and yields the same subsets.  They
     are the rows [v·d | v] with the coordinates outside J dropped, and
     the walk pivots only in the heads, so each kept entry is the same
     Bareiss minor and every division stays exact.  A dropped coordinate
@@ -570,17 +578,24 @@ def _first_failing_subset(vectors: Sequence[Sequence[int]], reps: Sequence[int],
     are dependent when its two carried heads are parallel (or the second
     is zero), and its raw rows independent when the two carried rows are
     not parallel: the tails v_J ride along in the same reduce_row steps,
-    and no rank is taken per leaf.  The walk's counts, of cut subtrees
-    and of a node's leaves by binomials, add up as it yields them, so the
-    counts are those of a walk through every subset.
+    and no rank is taken per leaf.
+
+    The count is the witness's position in (size, lexicographic) order,
+    in closed form (the combinatorial number system): with m = len(reps)
+    and the witness at positions t_0 < ... < t_{s-1}, the subsets of its
+    size after it are those that agree with it before some i and take a
+    larger position there, sum_i C(m - 1 - t_i, s - i) of them, so it is
+    the sum of C(m, s') over s' <= s less that.  With no witness, the
+    count is the sum of C(m, s) over every size walked.
     """
     rows = _walk_rows(vectors, reps, directions)
+    m = len(rows)
     checked = 0
-    for size in range(1, min(max_size, len(reps)) + 1):
-        for passed, subset in subset_walk(rows, size, len(directions), budget):
-            checked += passed
-            if subset is not None:
-                return tuple(reps[i] for i in subset), checked
+    for size in range(1, min(max_size, m) + 1):
+        checked += comb(m, size)
+        for subset in subset_walk(rows, size, len(directions), budget):
+            after = sum(comb(m - 1 - t, size - i) for i, t in enumerate(subset))
+            return tuple(reps[i] for i in subset), checked - after
     return None, checked
 
 

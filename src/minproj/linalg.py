@@ -15,7 +15,8 @@ one echelon row, applied to every row the node carries on).  The walk
 stops two levels above the leaves: there the carried rows are
 grouped by direction (parallel classes), and a leaf, the prefix plus two
 carried rows, is dependent exactly when the second row is zero or
-parallel to the first, so no step is taken for the last level.  Both
+parallel to the first, so no step is taken for the last level.  The
+walk yields the qualifying subsets alone, in lexicographic order.  Both
 walks run on one WorkBudget, in row steps, which the walk charges as it
 goes and which stops it with BudgetExceededError.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -234,7 +235,7 @@ class WorkBudget:
 
 
 def subset_walk(rows: Sequence[Sequence[int]], size: int, width: int,
-                budget: WorkBudget) -> Iterator[tuple[int, tuple[int, ...] | None]]:
+                budget: WorkBudget) -> Iterator[tuple[int, ...]]:
     """The index subsets T of `size` >= 1 integer rows, in lexicographic
     order, whose rows are independent while their heads, the first
     `width` entries, are dependent and the heads of every proper prefix
@@ -259,18 +260,10 @@ def subset_walk(rows: Sequence[Sequence[int]], size: int, width: int,
     rows only inside a group or against a zero head.  For size 1 the root
     decides the leaves (a,): a's head is zero and its row is not.
 
-    Yields (passed, subset).  passed counts the subsets of `size`, in
-    lexicographic order, from the one after the previous yield up to
-    subset, which qualifies.  A cut subtree, and a node's leaves after its
-    last qualifying one, end with one (passed, None) that counts up to
-    their end.  The counts of a walk sum to comb(len(rows), size), so a
-    caller that adds them up as it goes counts what a walk through every
-    leaf counts up to the same subset.
-
     The walk charges budget (WorkBudget) before each batch step, for the
     rows it carries, and before each node decides its leaves, for the
     rows it groups, so its work is bounded by the budget and not by the
-    number of subsets, which the leaves and cuts count by binomials.
+    number of subsets.
     """
     def walk(prefix, indices, rows, prev):
         depth = len(prefix) + 1
@@ -282,7 +275,6 @@ def subset_walk(rows: Sequence[Sequence[int]], size: int, width: int,
             row = rows[pos]
             pivot = _pivot(row)
             if pivot is None or pivot >= width:
-                yield comb(len(rows) - pos - 1, size - depth), None
                 continue
             carried = rows[pos + 1:]
             budget.charge(len(carried))
@@ -294,19 +286,14 @@ def subset_walk(rows: Sequence[Sequence[int]], size: int, width: int,
 
 def _leaves(prefix: tuple[int, ...], indices: Sequence[int],
             rows: Sequence[Sequence[int]], left: int,
-            width: int) -> Iterator[tuple[int, tuple[int, ...] | None]]:
-    """subset_walk's (passed, subset) for the leaves made of the prefix
-    and `left` (1 or 2) of the node's carried rows."""
-    count = len(rows)
+            width: int) -> Iterator[tuple[int, ...]]:
+    """The qualifying subsets of subset_walk made of the prefix and `left`
+    (1 or 2) of the node's carried rows, in lexicographic order."""
     if left == 1:
         hits = [(a,) for a, row in enumerate(rows)
                 if not any(row[:width]) and any(row)]
-        offsets = [a for a, in hits]
     else:
         heads = [_direction(row[:width]) for row in rows]
-        if None not in heads and len(set(heads)) == count:
-            yield comb(count, 2), None
-            return
         groups: dict[tuple[int, ...] | None, list[int]] = {}
         for pos, head in enumerate(heads):
             groups.setdefault(head, []).append(pos)
@@ -317,15 +304,8 @@ def _leaves(prefix: tuple[int, ...], indices: Sequence[int],
         whole = {pos: _direction(rows[pos]) for pos in {p for pair in pairs for p in pair}}
         hits = [(a, b) for a, b in pairs
                 if whole[b] is not None and whole[b] != whole[a]]
-        # the leaves before (a, b): those through a smaller first row, then
-        # those through a with a smaller second row
-        offsets = [comb(count, 2) - comb(count - a, 2) + b - a - 1 for a, b in hits]
-    passed = 0
-    for hit, offset in zip(hits, offsets):
-        yield offset + 1 - passed, prefix + tuple(indices[p] for p in hit)
-        passed = offset + 1
-    if passed < comb(count, left):
-        yield comb(count, left) - passed, None
+    for hit in hits:
+        yield prefix + tuple(indices[p] for p in hit)
 
 
 def _direction(row: Sequence[int]) -> tuple[int, ...] | None:

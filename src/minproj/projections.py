@@ -137,8 +137,10 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     InternalError too.  Each L_q vanishes on Y and the k(n-k) operators
     y_b (x) g_j are independent (rank(A (x) B) = rank A · rank B) by
     construction: Subspace computes its annihilator as the nullspace of
-    its independent basis."""
+    its independent basis.  Y must be a subspace of R^n
+    (Subspace.check_ambient)."""
     n = space.dim
+    Y.check_ambient(n)
     k = Y.dim
     ys = Y.basis_num
 

@@ -31,12 +31,13 @@ projected rows are dependent): ``linalg.subset_walk``, which decides the
 last two levels at once by parallel classes, must give the same
 reports, and the same support hits less those under a prefix whose
 span holds the target.  That walk is kept as it was before it charged a
-work budget (``subset_walk_by_classes``): a budgeted walk that
-completes must give its events, and ``work_edge`` reads the row steps
+work budget, when it yielded (passed, subset) events that counted
+every subset it passed (``subset_walk_by_classes``): a budgeted walk
+that completes must yield its subsets, and ``work_edge`` reads the row steps
 that a run charges to the work budgets of a module.  The rows that walk took in the
 general-position check before they were n entries wide,
 [v·d | v] (``general_position_rows_by_raw_vectors``), must give the
-same walk events as ``geometry._walk_rows``.  The last decides each vertex's
+same yielded subsets as ``geometry._walk_rows``.  The last decides each vertex's
 extremality by one feasibility LP over the other listed points, and
 the test it gave way to, which took the rank of the polar vertices
 tight at each point, is kept too (``first_non_vertex_by_rank``).  They
@@ -129,7 +130,7 @@ from minproj.errors import (BudgetExceededError, InternalError,
                             NotFullDimensionalError, NotSymmetricError)
 from minproj.geometry import GeneralPositionReport, _Polar, norm_eval
 from minproj.jsonio import vector_json
-from minproj.linalg import (RMatrix, WorkBudget, _leaves, _pivot,
+from minproj.linalg import (RMatrix, WorkBudget, _direction, _pivot,
                             independent_rows, int_dot, integer_inverse, integer_rref,
                             over_denominator, primitive, reduce_rows)
 from minproj.projections import (OperatorPoint, _first_slack_step, _solve_lambda,
@@ -720,13 +721,17 @@ def work_edge(module, check, *args):
 
 
 def subset_walk_by_classes(rows, size, width):
-    """linalg.subset_walk as it was before it charged a work budget: the
-    same walk, nodes and events (it decides a node's leaves with the
-    same linalg._leaves), with no budget."""
+    """linalg.subset_walk as it was before it charged a work budget, when
+    it yielded (passed, subset) events: the same walk and nodes, with no
+    budget.  passed counts the subsets of `size`, in lexicographic order,
+    from the one after the previous event up to subset, which qualifies;
+    a cut subtree, and a node's leaves after its last qualifying one,
+    end with one (passed, None) that counts up to their end, so the
+    counts of a walk sum to comb(len(rows), size)."""
     def walk(prefix, indices, rows, prev):
         depth = len(prefix) + 1
         if depth >= size - 1:
-            yield from _leaves(prefix, indices, rows, size - len(prefix), width)
+            yield from _counted_leaves(prefix, indices, rows, size - len(prefix), width)
             return
         for pos in range(len(rows) - size + depth):
             row = rows[pos]
@@ -738,6 +743,42 @@ def subset_walk_by_classes(rows, size, width):
                             reduce_rows(rows[pos + 1:], pivot, row, prev), row[pivot])
 
     return walk((), range(len(rows)), rows, 1)
+
+
+def _counted_leaves(prefix, indices, rows, left, width):
+    """subset_walk_by_classes's (passed, subset) events for the leaves
+    made of the prefix and `left` (1 or 2) of the node's carried rows,
+    decided by the parallel classes of their heads."""
+    count = len(rows)
+    if left == 1:
+        hits = [(a,) for a, row in enumerate(rows)
+                if not any(row[:width]) and any(row)]
+        offsets = [a for a, in hits]
+    else:
+        heads = [_direction(row[:width]) for row in rows]
+        if None not in heads and len(set(heads)) == count:
+            yield comb(count, 2), None
+            return
+        groups = {}
+        for pos, head in enumerate(heads):
+            groups.setdefault(head, []).append(pos)
+        zeros = groups.pop(None, [])
+        pairs = [pair for group in groups.values()
+                 for pair in itertools.combinations(group, 2)]
+        pairs += [(a, b) for b in zeros for a in range(b) if heads[a] is not None]
+        pairs.sort()
+        whole = {pos: _direction(rows[pos]) for pos in {p for pair in pairs for p in pair}}
+        hits = [(a, b) for a, b in pairs
+                if whole[b] is not None and whole[b] != whole[a]]
+        # the leaves before (a, b): those through a smaller first row, then
+        # those through a with a smaller second row
+        offsets = [comb(count, 2) - comb(count - a, 2) + b - a - 1 for a, b in hits]
+    passed = 0
+    for hit, offset in zip(hits, offsets):
+        yield offset + 1 - passed, prefix + tuple(indices[p] for p in hit)
+        passed = offset + 1
+    if passed < comb(count, left):
+        yield comb(count, left) - passed, None
 
 
 def _first_failing_subset(vectors, reps, directions, max_size):

@@ -23,6 +23,7 @@ import minproj.cli as cli
 import minproj.geometry as geometry
 import minproj.projections as projections
 from minproj.catalog import l1_ball, linf_ball, paper_cases, random_subspace
+from minproj.geometry import Subspace
 from minproj.jsonio import certificate_json, dumps, vector_json
 from minproj.rational import parse_rational
 
@@ -318,6 +319,36 @@ def test_general_position_table(space_file, tmp_path, capsys, case, table):
         path.write_text(json.dumps(space_json(named.space, named.subspace)))
     assert cli.main(["general-position", "--input", str(path), "--table"]) == 0
     assert capsys.readouterr() == (table, "")
+
+
+@pytest.mark.parametrize("space, Y, verdict", [
+    # four cube vertices span a plane through the seeded line: the
+    # witness comes after the 16 + 120 + 560 subsets of sizes 1 to 3 and
+    # 192 of size 4
+    (linf_ball(5), random_subspace(5, 1, 7),
+     {"in_general_position": False, "witness_kind": "span",
+      "witness": [0, 3, 6, 9], "spans_checked": 889, "kernels_checked": 0}),
+    # the line lies in the span of e3 and e4, the last pair of the 4
+    # vertex pairs: 4 + 6 subsets
+    (l1_ball(4), Subspace.from_basis([(0, 0, 1, 2)]),
+     {"in_general_position": False, "witness_kind": "span",
+      "witness": [4, 6], "spans_checked": 10, "kernels_checked": 0}),
+    # the plane holds e1, the joint kernel of the last pair of dual
+    # vertices e2*, e3*: 3 + 3 kernels after the 4 spans
+    (linf_ball(3), Subspace.from_basis([(1, 0, 0), (0, 1, 2)]),
+     {"in_general_position": False, "witness_kind": "kernel",
+      "witness": [2, 4], "spans_checked": 4, "kernels_checked": 6}),
+    # no witness: every span of at most 4 of the 16 vertex pairs, and
+    # each of the 5 dual pairs
+    (linf_ball(5), random_subspace(5, 1, 1),
+     {"in_general_position": True, "witness_kind": None, "witness": None,
+      "spans_checked": 16 + 120 + 560 + 1820, "kernels_checked": 5}),
+], ids=["linf5-seed7-line", "l14-last-pair", "linf3-last-kernel", "linf5-seed1-line"])
+def test_general_position_counts_up_to_the_witness(tmp_path, capsys, space, Y, verdict):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(space_json(space, Y)))
+    assert cli.main(["general-position", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == verdict
 
 
 def test_polar_table(tmp_path, capsys):

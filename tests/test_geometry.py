@@ -366,6 +366,14 @@ def test_general_position_invariant_under_change_of_basis():
         assert general_position_check(space, Y2).in_general_position is expected
 
 
+@pytest.mark.parametrize("basis, ambient", [([(1, 2)], 2), ([(1, 2, 3, 4)], 4)])
+def test_general_position_refuses_a_subspace_of_another_dimension(basis, ambient):
+    # the walk rows would be dot products of vectors of unequal lengths
+    with pytest.raises(ValueError,
+                       match=f"^a subspace of R\\^{ambient} in a space of dimension 3$"):
+        general_position_check(linf_ball(3), Subspace.from_basis(basis))
+
+
 def test_general_position_budget():
     space = linf_ball(4)
     Y = Subspace.from_kernel([(2, 1, 1, 1)])

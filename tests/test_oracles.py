@@ -298,8 +298,8 @@ def test_support_walk_runs_exactly_when_the_dual_is_not_the_implicit_set(
 
 
 def test_general_position_rows_walk_as_the_raw_rows_do(analyzed, seeded_analyze):
-    # The n-wide rows [v·d | v_J] give the walk events of the rows
-    # [v·d | v] at every size the check walks, spans and kernels, whether
+    # The n-wide rows [v·d | v_J] give the subsets the walk yields on the
+    # rows [v·d | v] at every size the check walks, spans and kernels, whether
     # or not an earlier size fails
     inputs = [(name, a.case.space, a.case.subspace) for name, a in analyzed.items()]
     inputs += [(name, space, Y) for name, (space, Y, _, _) in seeded_analyze.items()]

@@ -151,6 +151,18 @@ def test_operator_norm_is_lambda_on_every_catalog_case(analyzed):
         operator_norm(l1_ball(3), RMatrix.from_rows([[1, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize("basis, ambient", [([(1, 2)], 2), ([(1, 2, 3, 4)], 4)])
+def test_projection_constant_refuses_a_subspace_of_another_dimension(basis, ambient):
+    # a line of R^2 or R^4 is no subspace of l-inf^3: the operator basis
+    # would read its entries against three coordinates
+    Y = Subspace.from_basis(basis)
+    message = f"^a subspace of R\\^{ambient} in a space of dimension 3$"
+    with pytest.raises(ValueError, match=message):
+        build_operator_basis(linf_ball(3), Y)
+    with pytest.raises(ValueError, match=message):
+        projection_constant(linf_ball(3), Y)
+
+
 def test_operator_norm_on_unvalidated_lists():
     # validate=False takes symmetric lists as given, neither extreme nor
     # each other's polar: the norm reads one vertex of each antipodal

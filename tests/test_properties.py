@@ -6,10 +6,11 @@ enumerated vertices, and the paper's bounds on the dimension of
 that face and on the support of a certificate in general position on
 random symmetric polytopes.  General position is also compared with the
 subset walk through every leaf that it replaced, and its n-wide walk
-rows with the rows [v·d | v] they replaced, by the walk's events on
-random integer rows; on such rows the budgeted walk is compared with
-the walk before it charged a budget, and stops one step short of its
-work.  The polar
+rows with the rows [v·d | v] they replaced, by the subsets the walk
+yields on random integer rows; on such rows the first failing subset
+and its count are compared with every subset in (size, lexicographic)
+order, and the budgeted walk with the walk before it charged a budget,
+and it stops one step short of its work.  The polar
 is also compared with the Fraction polar it replaced, which takes a rank
 per edge test, and the tight masks of its double description with the
 tight sets recomputed by dot products.  Extremality read off the masks
@@ -73,7 +74,7 @@ from oracles import (budget_outcome, certify_by_face, dense_grid_lp, dot, grid_r
                      general_position_by_leaf_walk,
                      general_position_exhaustive, general_position_per_subset,
                      general_position_rows_by_raw_vectors,
-                     is_extreme, linf_hyperplane_lambda,
+                     integer_rank_in_place, is_extreme, linf_hyperplane_lambda,
                      bases_by_base_projection, minimal_support_by_solve,
                      norm_every_vertex,
                      nullspace_by_fractions, operator_basis_by_fractions,
@@ -203,8 +204,8 @@ def test_general_position_agrees_with_leaf_walk_oracle(case, data):
         [d[:r] for r in range(1, n)])))))
 def test_general_position_rows_walk_as_the_raw_rows_do(case):
     """On random integer rows v and independent directions d, the n-wide
-    rows [v·d | v_J] give the subset walk's events of the rows [v·d | v]
-    at every size."""
+    rows [v·d | v_J] give the subsets that the subset walk yields on the
+    rows [v·d | v] at every size."""
     vectors, directions = case
     assume(integer_row_rank(directions) == len(directions))
     reps = range(len(vectors))
@@ -219,21 +220,51 @@ def test_general_position_rows_walk_as_the_raw_rows_do(case):
 
 
 @_SETTINGS
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.sampled_from((-2, -1, 0, 0, 0, 1, 2)),
+                      min_size=n, max_size=n), min_size=1, max_size=7),
+    _vectors(n, n - 1).flatmap(lambda d: st.sampled_from(
+        [d[:r] for r in range(1, n)])))), st.data())
+def test_first_failing_subset_counts_up_to_its_witness(case, data):
+    """On random integer rows v and independent directions d, the first
+    subset whose rows v·d have lower rank than its rows v is the
+    witness, and the count is its position among every subset of at
+    most max_size indices in (size, lexicographic) order, or their
+    number when none fails."""
+    vectors, directions = case
+    assume(integer_row_rank(directions) == len(directions))
+    max_size = data.draw(st.integers(1, len(vectors)))
+    reps = range(len(vectors))
+    projected = [[int_dot(v, d) for d in directions] for v in vectors]
+    subsets = [T for size in range(1, max_size + 1)
+               for T in itertools.combinations(reps, size)]
+    failing = [T for T in subsets
+               if integer_rank_in_place([projected[i] for i in T])
+               < integer_rank_in_place([vectors[i] for i in T])]
+    expected = (failing[0], subsets.index(failing[0]) + 1) if failing else (None, len(subsets))
+    assert geometry._first_failing_subset(
+        vectors, reps, directions, max_size,
+        WorkBudget(DEFAULT_WORK_BUDGET, "walk")) == expected
+
+
+@_SETTINGS
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
              min_size=1, max_size=8),
     st.integers(1, n))), st.data())
 def test_budgeted_walk_completes_with_the_events_of_the_walk_without_budget(case, data):
     """On random small integer rows, a budgeted subset walk that completes
-    yields the (passed, subset) events of the walk as it was before it
-    charged a budget; it completes with a budget of the row steps it
-    charged, and stops one step below."""
+    yields the subsets of the (passed, subset) events of the walk as it
+    was before it charged a budget, those that are not None; it
+    completes with a budget of the row steps it charged, and stops one
+    step below."""
     rows, width = case
     size = data.draw(st.integers(1, len(rows)))
     budget = WorkBudget(DEFAULT_WORK_BUDGET, "walk")
-    events = list(subset_walk(rows, size, width, budget))
-    assert events == list(subset_walk_by_classes(rows, size, width))
-    assert list(subset_walk(rows, size, width, WorkBudget(budget.spent, "walk"))) == events
+    subsets = list(subset_walk(rows, size, width, budget))
+    assert subsets == [subset for _, subset in subset_walk_by_classes(rows, size, width)
+                       if subset is not None]
+    assert list(subset_walk(rows, size, width, WorkBudget(budget.spent, "walk"))) == subsets
     if budget.spent:  # a walk that cuts every child of its root charges nothing
         with pytest.raises(BudgetExceededError, match="^walk exceeded its work budget"):
             list(subset_walk(rows, size, width, WorkBudget(budget.spent - 1, "walk")))
