@@ -20,13 +20,13 @@ _HOMES = types.MappingProxyType({name: module for module, names in (
                      "minimal_support_cm verify_cm"),
     ("errors", "BudgetExceededError InputFormatError InternalError "
                "MinprojError NotExtremeError NotFullDimensionalError "
-               "NotMinimalError NotSymmetricError"),
+               "NotSymmetricError"),
     ("geometry", "GeneralPositionReport PolyhedralSpace Subspace "
-                 "general_position_check norm_eval polar_dual"),
+                 "general_position_check polar_dual"),
     ("projections", "MinProjReport OperatorBasis OperatorPoint "
                     "build_operator_basis face_dimension max_norming_projection "
-                    "norming_pairs operator_norm projection_constant"),
-    ("rational", "QQ approx_decimal format_rational parse_rational"),
+                    "operator_norm projection_constant"),
+    ("rational", "approx_decimal format_rational parse_rational"),
 ) for name in names.split()})
 
 __all__ = tuple(sorted(_HOMES))

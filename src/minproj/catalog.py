@@ -11,25 +11,17 @@ from functools import lru_cache
 
 from .errors import InputFormatError
 from .geometry import PolyhedralSpace, Subspace
-from .linalg import Vector
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _cross_vertices(n: int) -> list[Vector]:
-    out = []
-    for i in range(n):
-        e = [_ZERO] * n
-        e[i] = _ONE
-        out.append(tuple(e))
-        out.append(tuple(-x for x in e))
-    return out
+def _cross_vertices(n: int) -> list[tuple[int, ...]]:
+    return [tuple(sign * (i == j) for j in range(n))
+            for i in range(n) for sign in (1, -1)]
 
 
-def _cube_vertices(n: int) -> list[Vector]:
-    return [tuple(Fraction(s) for s in signs)
-            for signs in itertools.product((1, -1), repeat=n)]
+def _cube_vertices(n: int) -> list[tuple[int, ...]]:
+    return list(itertools.product((1, -1), repeat=n))
 
 
 @lru_cache(maxsize=None)
@@ -64,13 +56,9 @@ def mixed_ball(n: int, k: int) -> PolyhedralSpace:
     head = n - k + 2
     tail = n - head
     primal = [hv + tv for hv in _cross_vertices(head)
-              for tv in itertools.product((_ONE, -_ONE), repeat=tail)]
-    dual = [hv + (_ZERO,) * tail for hv in _cube_vertices(head)]
-    for i in range(tail):
-        e = [_ZERO] * tail
-        e[i] = _ONE
-        dual.append((_ZERO,) * head + tuple(e))
-        dual.append((_ZERO,) * head + tuple(-x for x in e))
+              for tv in itertools.product((1, -1), repeat=tail)]
+    dual = [hv + (0,) * tail for hv in _cube_vertices(head)]
+    dual += [(0,) * head + ev for ev in _cross_vertices(tail)]
     return PolyhedralSpace.from_vertices(primal, dual_vertices=dual)
 
 
@@ -89,10 +77,6 @@ class NamedCase:
     expected: CaseExpectation
 
 
-def _ker(functionals) -> Subspace:
-    return Subspace.from_kernel(functionals)
-
-
 def _unit(n: int, j: int) -> tuple[int, ...]:
     return tuple(int(i == j) for i in range(n))
 
@@ -100,7 +84,7 @@ def _unit(n: int, j: int) -> tuple[int, ...]:
 def ker_sum(n: int) -> tuple[NamedCase, NamedCase]:
     """The hyperplane ker(x_1+...+x_n) in l1^n and in linf^n: lambda =
     2 - 2/n, with a unique minimal projection."""
-    lam, Y = 2 - Fraction(2, n), _ker([(1,) * n])
+    lam, Y = 2 - Fraction(2, n), Subspace.from_kernel([(1,) * n])
     return tuple(NamedCase(
         name=f"ker-sum-{ball}-n{n}", space=space, subspace=Y,
         expected=CaseExpectation(lam, 0, "hyperplane constant 2 - 2/n"))
@@ -126,7 +110,7 @@ def mixed_extremal(n: int) -> NamedCase:
     funcs = [(1, 1, 1) + (0,) * (n - 3)] + [_unit(n, j) for j in range(3, n - k + 2)]
     return NamedCase(
         name=f"mixed-extremal-n{n}-k{k}",
-        space=mixed_ball(n, k), subspace=_ker(funcs),
+        space=mixed_ball(n, k), subspace=Subspace.from_kernel(funcs),
         expected=CaseExpectation(
             Fraction(4, 3), k * (n - k) - 2,
             "largest face dimension possible when lambda > 1"))
@@ -137,7 +121,7 @@ def partial_sum(n: int, k: int) -> NamedCase:
     n - k."""
     return NamedCase(
         name=f"partial-sum-linf-n{n}-k{k}",
-        space=linf_ball(n), subspace=_ker([(1,) * k + (0,) * (n - k)]),
+        space=linf_ball(n), subspace=Subspace.from_kernel([(1,) * k + (0,) * (n - k)]),
         expected=CaseExpectation(
             2 - Fraction(2, k), n - k,
             "face dimension equals the number of free coordinates"))
@@ -148,7 +132,7 @@ def first_coordinate(n: int) -> NamedCase:
     dimension n - 2."""
     return NamedCase(
         name=f"first-coordinate-mixed-n{n}",
-        space=mixed_ball(n, 3), subspace=_ker([_unit(n, 0)]),
+        space=mixed_ball(n, 3), subspace=Subspace.from_kernel([_unit(n, 0)]),
         expected=CaseExpectation(_ONE, n - 2, "norm-1 hyperplane with face dimension n - 2"))
 
 

@@ -222,8 +222,10 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
       solve.  The certificate is valid when the LP value is lam, and
       otherwise fails norming alone: its pairs average lam, below
       lambda, at every projection onto Y;
-    - a violation: no projection makes the certificate valid, so the
-      lambda LP is solved cold, face_dimension finds the relative
+    - a pair out of range: the lambda LP is solved cold, and that
+      violation is the verdict, since no value f(P x) can be read at it;
+    - another violation: no projection makes the certificate valid, so
+      the lambda LP is solved cold, face_dimension finds the relative
       interior of the optimal face, and the verdict is taken there.
 
     A valid certificate's pairs are checked at the minimal projection
@@ -256,9 +258,9 @@ def certify_cm(space: PolyhedralSpace, Y: Subspace, cm: CMFunctional,
                 f"minimal projection: {broken[0]}")
         return lam, CMVerdict()
     report = _solve_lambda(space, Y, basis, build_pair_grid(space, basis))
-    face_dimension(report)
     if trace is None:
         return report.lam, CMVerdict(head)
+    face_dimension(report)
     return report.lam, CMVerdict(
         head + _norming(space, cm, lam, *report.interior_cleared) + trace)
 

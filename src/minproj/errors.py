@@ -30,10 +30,6 @@ class NotExtremeError(MinprojError):
     """A listed vertex is a convex combination of the others (or a duplicate)."""
 
 
-class NotMinimalError(MinprojError):
-    """An operator claimed to be a minimal projection exceeds the projection constant."""
-
-
 class BudgetExceededError(MinprojError):
     """A subset enumeration (minimal-support search or general-position
     check) ran past its work budget, counted in the row steps of its

@@ -13,7 +13,7 @@ pair.
 Each list is held as integer rows over one denominator, the least common
 one of all its vertices, not one per vertex: the input is cleared once,
 the double description runs on those rows and hands the polar back the
-same way, and the Fraction vertex lists are views formed on demand.
+same way, and the space keeps its lists in no other form.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
     point's extremality off the polar vertices tight at it, with no LP
     (see _first_non_vertex).
     """
-    return _fraction_rows(*_vertices_of(_double_description(*_point_rows(vertices))))
+    rows, den = _vertices_of(_double_description(*_point_rows(vertices)))
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -255,8 +256,7 @@ class PolyhedralSpace:
     """Unit-ball vertex list and dual-ball vertex list of a polyhedral norm,
     in integers: each list is a tuple of integer rows over one common
     denominator, the least one of all its vertices (primal_cleared,
-    dual_cleared).  primal_vertices and dual_vertices are the Fraction
-    views.  The space owns each list's pairing, primal_negation and
+    dual_cleared).  The space owns each list's pairing, primal_negation and
     dual_negation, the index of -v for each vertex v (see _negation):
     every space is refused when it is built unless both are involutions
     without fixed points, and no later stage checks them again.  A zero
@@ -328,16 +328,6 @@ class PolyhedralSpace:
                    pairing=pairing)
 
     @cached_property
-    def primal_vertices(self) -> tuple[Vector, ...]:
-        """The primal vertices as Fractions, a view of primal_cleared."""
-        return _fraction_rows(*self.primal_cleared)
-
-    @cached_property
-    def dual_vertices(self) -> tuple[Vector, ...]:
-        """The dual vertices as Fractions, a view of dual_cleared."""
-        return _fraction_rows(*self.dual_cleared)
-
-    @cached_property
     def primal_reps(self) -> tuple[int, ...]:
         """One primal vertex of each antipodal pair: the indices i with
         i < primal_negation[i], in order."""
@@ -376,20 +366,6 @@ def _point_rows(vectors: Sequence[Sequence]) -> tuple[Rows, int]:
     return rows, den
 
 
-def _fraction_rows(rows: Rows, den: int) -> tuple[Vector, ...]:
-    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-
-
-def norm_eval(space: PolyhedralSpace, x: Sequence) -> Fraction:
-    """The norm of x: max over dual vertices f of f·x, in integers, read
-    as |f·x| over one dual vertex of each antipodal pair (dual_reps)."""
-    if len(x) != space.dim:
-        raise ValueError(f"vector length {len(x)} != dimension {space.dim}")
-    vec, den = over_denominator(x)
-    F, df = space.dual_cleared
-    return Fraction(max(abs(int_dot(F[i], vec)) for i in space.dual_reps), den * df)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Proper subspace Y of R^n given by its basis, in integers: the k
@@ -399,8 +375,8 @@ class Subspace:
     integer nullspace of the basis (linalg.integer_nullspace), so they
     vanish on the basis and are independent by construction, and the
     basis is independent exactly when there are n - k of them.
-    basis_vectors, annihilator_functionals and contains are the Fraction
-    views.
+    basis_vectors is the basis in Fractions, and contains tests a vector
+    of any rational entries.
     """
 
     basis_num: Rows
@@ -462,10 +438,6 @@ class Subspace:
 
     def basis_vectors(self) -> list[Vector]:
         return [tuple(Fraction(x, self.basis_den) for x in y) for y in self.basis_num]
-
-    def annihilator_functionals(self) -> list[Vector]:
-        return [tuple(Fraction(x, self.annihilator_den) for x in g)
-                for g in self.annihilator_num]
 
     def contains(self, vector: Sequence) -> bool:
         if len(vector) != self.ambient_dim:

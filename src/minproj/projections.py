@@ -47,7 +47,7 @@ from math import lcm
 from operator import add, eq
 from typing import Iterable, Sequence
 
-from .errors import InternalError, NotMinimalError
+from .errors import InternalError
 from .geometry import PolyhedralSpace, Subspace
 from .linalg import (RMatrix, complement_coordinates, int_dot, integer_inverse,
                      integer_nullspace, integer_row_rank, over_denominator)
@@ -551,22 +551,6 @@ def pair_values(space: PolyhedralSpace, matrix: RMatrix,
             image = images[i] = [int_dot(row, X[i]) for row in rows]
         values.append(int_dot(F[j], image))
     return values, dx * df
-
-
-def norming_pairs(report: MinProjReport,
-                  P: OperatorPoint) -> frozenset[tuple[int, int]]:
-    """Pairs (vertex index, dual index) with f(P x) = lambda, one per
-    antipodal class, off the report's grid.  No projection has norm below
-    lambda, so NotMinimalError is raised exactly when a pair exceeds it."""
-    grid = report.grid
-    values, den = grid.value_numerators(P.coefficients)
-    top = max(values)
-    norm = Fraction(top, den)
-    if norm > report.lam:
-        raise NotMinimalError(f"pair {grid.pairs[values.index(top)]} reaches "
-                              f"{format_rational(norm)} > {format_rational(report.lam)}: "
-                              "not a minimal projection")
-    return frozenset(grid.pairs[r] for r, v in enumerate(values) if v == top)
 
 
 def _restrict_to_face(coefs: dict[int, tuple[int, ...]], implicit: Sequence[int],

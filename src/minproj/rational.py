@@ -1,10 +1,10 @@
 """Exact rational scalars and their serialized forms.
 
-The whole package computes over ``fractions.Fraction`` (aliased ``QQ``),
-which already guarantees lowest terms, a positive denominator and value
-equality.  Files and reports carry rationals as strings ``"p/q"`` or
-``"p"``; anything float-shaped is rejected so that no approximation ever
-sneaks into an exact pipeline.  Decimal renderings exist only for humans
+The whole package computes over ``fractions.Fraction``, which already
+guarantees lowest terms, a positive denominator and value equality.
+Files and reports carry rationals as strings ``"p/q"`` or ``"p"``;
+anything float-shaped is rejected so that no approximation ever sneaks
+into an exact pipeline.  Decimal renderings exist only for humans
 and are clearly marked as approximate by the callers.
 """
 
@@ -17,8 +17,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InputFormatError
-
-QQ = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 

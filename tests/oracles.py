@@ -84,13 +84,14 @@ the operator norm (the largest norm of a vertex's image) as they were in
 ``operator_norm_by_fractions``), the double description, the operator
 norm and the norm as they were in integers before they read each
 antipodal class once (``double_description_both_signs``, which must give
-the same set of (point, mask) and the same bits, ``operator_norm_every_vertex``
-and ``norm_every_vertex``, which must give the same values, also on
-symmetric lists taken as given) and a closed form of the projection
-constant of a hyperplane in l-inf^n (``linf_hyperplane_lambda``), which
+the same set of (point, mask) and the same bits, and
+``operator_norm_every_vertex``, which must give the same values, also on
+symmetric lists taken as given; ``norm_every_vertex``, the norm of one
+vector, has no counterpart left in the package) and a closed form of the
+projection constant of a hyperplane in l-inf^n (``linf_hyperplane_lambda``), which
 checks the lambda LP with no LP at all.  ``gauge_lp_norm`` is the norm
 by its definition, one LP over the primal vertices, which checks
-``geometry.norm_eval``.
+``norm_every_vertex``.
 
 Last come the eliminations that ``linalg.reduce_row`` replaced: the
 rational Gauss-Jordan (``rref_by_fractions``, with the nullspace, solve
@@ -112,9 +113,13 @@ from the space and the operator basis in Fractions,
 matrix of P0, as the grid did before P0 was held as its k functionals,
 ``dot`` is the
 Fraction dot product, ``matmul`` and ``matadd`` multiply and add
-``RMatrix`` values, and
+``RMatrix`` values,
 ``space_json`` writes a space in the schema that
-``jsonio.parse_space_document`` reads.
+``jsonio.parse_space_document`` reads, ``primal_vertices``,
+``dual_vertices`` and ``annihilator_functionals`` read a space's vertex
+lists and a subspace's annihilator in Fractions, and ``norming_pairs``
+reads off the report's grid the pairs at which a projection reaches
+lambda.  The package held these four until only the tests read them.
 """
 
 import itertools
@@ -128,14 +133,14 @@ from typing import Sequence
 from minproj.certificates import CMVerdict, verify_cm
 from minproj.errors import (BudgetExceededError, InternalError,
                             NotFullDimensionalError, NotSymmetricError)
-from minproj.geometry import GeneralPositionReport, _Polar, norm_eval
+from minproj.geometry import GeneralPositionReport, _Polar
 from minproj.jsonio import vector_json
 from minproj.linalg import (RMatrix, WorkBudget, _direction, _pivot,
                             independent_rows, int_dot, integer_inverse, integer_rref,
                             over_denominator, primitive, reduce_rows)
 from minproj.projections import (OperatorPoint, _first_slack_step, _solve_lambda,
                                   build_operator_basis, build_pair_grid, face_dimension,
-                                  norming_pairs, operator_norm, pair_rows, pair_values,
+                                  operator_norm, pair_rows, pair_values,
                                   projection_constant)
 from minproj.rational import format_rational
 from minproj import simplex
@@ -184,7 +189,7 @@ def lp_rhs(lp):
 
 def gauge_lp_norm(space, x):
     """min sum(lam) s.t. V^T lam = x, lam >= 0 -- the definition of the norm."""
-    verts = space.primal_vertices
+    verts = primal_vertices(space)
     n, N = space.dim, len(verts)
     rows, rhs = [], []
     for i in range(n):
@@ -227,7 +232,7 @@ def pair_rows_by_fractions(space, basis, pairs):
     the base projection and every basis operator applied to the vertex,
     as Fraction matrices (basis as operator_basis_by_fractions returns
     it), and the functional dotted with the image."""
-    X, F = space.primal_vertices, space.dual_vertices
+    X, F = primal_vertices(space), dual_vertices(space)
     return [(dot(F[j], basis.base_projection.apply(X[i])),
              tuple(dot(F[j], op.apply(X[i])) for op in basis.basis_ops))
             for i, j in pairs]
@@ -264,6 +269,41 @@ def dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def primal_vertices(space):
+    """The primal vertices as Fractions: primal_cleared over its
+    denominator."""
+    rows, den = space.primal_cleared
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def dual_vertices(space):
+    """The dual vertices as Fractions: dual_cleared over its denominator."""
+    rows, den = space.dual_cleared
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def annihilator_functionals(Y):
+    """The functionals vanishing on Y as Fractions: annihilator_num over
+    annihilator_den."""
+    return [tuple(Fraction(x, Y.annihilator_den) for x in g) for g in Y.annihilator_num]
+
+
+def norming_pairs(report, P):
+    """Pairs (vertex index, dual index) with f(P x) = lambda, one per
+    antipodal class, off the report's grid (PairGrid.value_numerators).
+    No projection has norm below lambda, so a pair above it means P is
+    no minimal projection: a ValueError."""
+    grid = report.grid
+    values, den = grid.value_numerators(P.coefficients)
+    top = max(values)
+    norm = Fraction(top, den)
+    if norm > report.lam:
+        raise ValueError(f"pair {grid.pairs[values.index(top)]} reaches "
+                         f"{format_rational(norm)} > {format_rational(report.lam)}: "
+                         "not a minimal projection")
+    return frozenset(grid.pairs[r] for r, v in enumerate(values) if v == top)
+
+
 def matmul(A, B):
     """The product A·B of two RMatrix values."""
     if A.cols != B.rows:
@@ -285,8 +325,8 @@ def space_json(space, subspace=None):
     reads, so that the document round-trips."""
     out = {
         "dim": space.dim,
-        "vertices": [vector_json(v) for v in space.primal_vertices],
-        "dual_vertices": [vector_json(f) for f in space.dual_vertices],
+        "vertices": [vector_json(v) for v in primal_vertices(space)],
+        "dual_vertices": [vector_json(f) for f in dual_vertices(space)],
     }
     if subspace is not None:
         out["subspace_basis"] = [vector_json(b) for b in subspace.basis_vectors()]
@@ -503,8 +543,8 @@ def minimal_support_by_lp(space, Y, candidate_pairs, max_candidates=None):
             f"{len(candidates)} candidate pairs exceed the cap of {max_candidates}")
     basis = build_operator_basis(space, Y)
     d = len(basis.basis_ops)
-    vanish = {(pi, dj): tuple(dot(space.dual_vertices[dj],
-                                  L.apply(space.primal_vertices[pi]))
+    X, F = primal_vertices(space), dual_vertices(space)
+    vanish = {(pi, dj): tuple(dot(F[dj], L.apply(X[pi]))
                               for L in basis.basis_ops)
               for pi, dj in candidates}
     one, zero = Fraction(1), Fraction(0)
@@ -549,8 +589,8 @@ def minimal_support_by_solve(space, Y, candidate_pairs, max_candidates=None):
             f"{len(candidates)} candidate pairs exceed the cap of {max_candidates}")
     basis = build_operator_basis(space, Y)
     d = len(basis.basis_ops)
-    column = {(pi, dj): tuple(dot(space.dual_vertices[dj],
-                                  L.apply(space.primal_vertices[pi]))
+    X, F = primal_vertices(space), dual_vertices(space)
+    column = {(pi, dj): tuple(dot(F[dj], L.apply(X[pi]))
                               for L in basis.basis_ops) + (Fraction(1),)
               for pi, dj in candidates}
     target = (Fraction(0),) * d + (Fraction(1),)
@@ -606,6 +646,7 @@ def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
     n = space.dim
     k = Y.dim
     y_rows = Y.basis_vectors()
+    X, F = primal_vertices(space), dual_vertices(space)
     budget = subset_cap
 
     def stacked_rank(z_rows):
@@ -620,7 +661,7 @@ def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
             if spans_checked > budget:
                 raise BudgetExceededError(
                     f"vertex-span enumeration exceeded cap {subset_cap}")
-            z_rows = _canonical_span([space.primal_vertices[i] for i in subset])
+            z_rows = _canonical_span([X[i] for i in subset])
             if z_rows in seen_spans:
                 continue
             seen_spans.add(z_rows)
@@ -637,7 +678,7 @@ def general_position_exhaustive(space, Y, subset_cap=10 ** 6):
             if spans_checked + kernels_checked > budget:
                 raise BudgetExceededError(
                     f"kernel enumeration exceeded cap {subset_cap}")
-            f_span = _canonical_span([space.dual_vertices[j] for j in subset])
+            f_span = _canonical_span([F[j] for j in subset])
             if f_span in seen_kernels:
                 continue
             seen_kernels.add(f_span)
@@ -656,9 +697,9 @@ def general_position_per_subset(space, Y):
     integer rank of its projected rows, and of its raw rows when that
     rank is below the subset's size.  Same report."""
     return _general_position_report(
-        _first_failing_subset, (space.primal_vertices, space.primal_reps,
-                                Y.annihilator_functionals()),
-        (space.dual_vertices, space.dual_reps, Y.basis_vectors()),
+        _first_failing_subset, (primal_vertices(space), space.primal_reps,
+                                annihilator_functionals(Y)),
+        (dual_vertices(space), space.dual_reps, Y.basis_vectors()),
         space.dim - Y.dim, Y.dim)
 
 
@@ -923,9 +964,9 @@ def first_non_vertex_by_rank(polar, n):
 
 def operator_norm_by_fractions(space, matrix):
     """projections.operator_norm as it was before it ran in integers: the
-    largest norm_eval of the image of a ball vertex, each image and each
-    dual value a Fraction product."""
-    return max(norm_eval(space, matrix.apply(v)) for v in space.primal_vertices)
+    largest norm of the image of a ball vertex (norm_every_vertex), each
+    image a Fraction product."""
+    return max(norm_every_vertex(space, matrix.apply(v)) for v in primal_vertices(space))
 
 
 def operator_norm_every_vertex(space, matrix):
@@ -953,8 +994,9 @@ def operator_norm_every_vertex(space, matrix):
 
 
 def norm_every_vertex(space, x):
-    """geometry.norm_eval as it was before it read each antipodal class
-    once: the largest f·x over every listed dual vertex f, in integers."""
+    """The norm of x, the largest f·x over every listed dual vertex f, in
+    integers: geometry.norm_eval as it was before it read each antipodal
+    class once, and before the package dropped it for want of a caller."""
     vec, den = over_denominator(x)
     F, df = space.dual_cleared
     return Fraction(max(int_dot(f, vec) for f in F), den * df)
@@ -1139,9 +1181,9 @@ def cm_operator(space, cm):
     """The matrix of T = sum a_i x_i (x) f_i."""
     n = space.dim
     entries = [[Fraction(0)] * n for _ in range(n)]
+    X, F = primal_vertices(space), dual_vertices(space)
     for (pi, dj), a in zip(cm.pairs, cm.weights):
-        x = space.primal_vertices[pi]
-        f = space.dual_vertices[dj]
+        x, f = X[pi], F[dj]
         for r in range(n):
             if x[r]:
                 ax = a * x[r]
@@ -1168,8 +1210,8 @@ def verify_cm_by_apply(space, Y, cm, lam, P, basis=None):
     against Y's annihilator, and (3) realizes the matrix of P and applies
     it.  Same checks, same violation texts."""
     violations: list[str] = []
-    n_p = len(space.primal_vertices)
-    n_d = len(space.dual_vertices)
+    X, F = primal_vertices(space), dual_vertices(space)
+    n_p, n_d = len(X), len(F)
     for pi, dj in cm.pairs:
         if not (0 <= pi < n_p and 0 <= dj < n_d):
             violations.append(f"weights: pair ({pi}, {dj}) out of range")
@@ -1187,7 +1229,7 @@ def verify_cm_by_apply(space, Y, cm, lam, P, basis=None):
     for q, L in enumerate(basis.basis_ops):
         s = Fraction(0)
         for (pi, dj), a in zip(cm.pairs, cm.weights):
-            s += a * dot(space.dual_vertices[dj], L.apply(space.primal_vertices[pi]))
+            s += a * dot(F[dj], L.apply(X[pi]))
         if s != 0:
             violations.append(f"vanishing: basis operator {q} gives {s}")
             break
@@ -1200,7 +1242,7 @@ def verify_cm_by_apply(space, Y, cm, lam, P, basis=None):
 
     Pm = realize_by_fractions(basis, P)
     for pi, dj in cm.pairs:
-        value = dot(space.dual_vertices[dj], Pm.apply(space.primal_vertices[pi]))
+        value = dot(F[dj], Pm.apply(X[pi]))
         if value != lam:
             violations.append(
                 f"norming: pair ({pi}, {dj}) gives {value}, expected {lam}")
@@ -1305,7 +1347,7 @@ def operator_basis_by_fractions(space, Y):
     n = space.dim
     k = Y.dim
     ys = tuple(Y.basis_vectors())
-    gs = tuple(Y.annihilator_functionals())
+    gs = tuple(annihilator_functionals(Y))
     stack = list(ys)
     for j in range(n):
         e = tuple(Fraction(int(i == j)) for i in range(n))

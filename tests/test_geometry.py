@@ -12,13 +12,13 @@ from minproj.catalog import l1_ball, linf_ball, mixed_ball, random_subspace
 from minproj.errors import (BudgetExceededError, InputFormatError, NotExtremeError,
                             NotFullDimensionalError, NotSymmetricError)
 from minproj.geometry import (PolyhedralSpace, Subspace,
-                              general_position_check, norm_eval, polar_dual)
+                              general_position_check, polar_dual)
 from minproj.linalg import RMatrix, over_denominator
 
-from oracles import (budget_outcome, dot, gauge_lp_norm,
+from oracles import (annihilator_functionals, budget_outcome, dot, dual_vertices,
                      general_position_per_subset, inverse_by_fractions,
-                     is_extreme, polar_dual_by_fractions,
-                     subset_walk_by_leaves, work_edge)
+                     is_extreme, norm_every_vertex, polar_dual_by_fractions,
+                     primal_vertices, subset_walk_by_leaves, work_edge)
 
 F = Fraction
 
@@ -69,7 +69,7 @@ def test_polar_of_cube_is_cross():
 
 def test_polar_involution_on_catalog_balls():
     for space in (l1_ball(3), linf_ball(3), mixed_ball(4, 3), mixed_ball(5, 3)):
-        v = space.primal_vertices
+        v = primal_vertices(space)
         assert set(polar_dual(polar_dual(v))) == set(v)
 
 
@@ -99,7 +99,7 @@ def test_polar_drops_non_extreme_points():
 
 def test_space_construction_and_validation():
     space = PolyhedralSpace.from_vertices(_cross(3))
-    assert set(space.dual_vertices) == set(_cube(3))
+    assert set(dual_vertices(space)) == set(_cube(3))
     with pytest.raises(NotExtremeError):
         PolyhedralSpace.from_vertices(
             _cross(2) + [(F(1, 2), F(0)), (F(-1, 2), F(0))])
@@ -149,7 +149,7 @@ def test_supplied_duals_missing_polar_vertices_rejected():
                        match="^supplied dual vertices are not the polar vertex set$"):
         PolyhedralSpace.from_vertices(_cross(3), dual_vertices=duals)
     space = PolyhedralSpace.from_vertices(_cross(3), dual_vertices=duals, validate=False)
-    assert norm_eval(space, (1, 1, 1)) == 1
+    assert norm_every_vertex(space, (1, 1, 1)) == 1
 
 
 def test_validation_solves_no_lp(spy):
@@ -163,7 +163,7 @@ def test_validation_solves_no_lp(spy):
 
 def test_supplied_duals_accepted_when_exact():
     space = PolyhedralSpace.from_vertices(_cross(4), dual_vertices=_cube(4))
-    assert norm_eval(space, (1, -2, 3, 0)) == 6
+    assert norm_every_vertex(space, (1, -2, 3, 0)) == 6
 
 
 # (primal list, dual list or None, error, message): lists taken as given
@@ -210,36 +210,12 @@ def test_pairing_refusals_survive_python_O():
                                  for _, _, error, message in _UNPAIRED.values())
 
 
-def test_norm_eval_matches_gauge_lp():
-    state = 12345
-
-    def rnd():
-        nonlocal state
-        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
-        return F((state >> 33) % 11 - 5, (state >> 20) % 4 + 1)
-
-    for space in (l1_ball(3), linf_ball(3), mixed_ball(4, 3)):
-        for _ in range(12):
-            x = tuple(rnd() for _ in range(space.dim))
-            assert norm_eval(space, x) == gauge_lp_norm(space, x)
-
-
-def test_norm_eval_on_vertices_is_one():
-    for space in (l1_ball(4), linf_ball(3), mixed_ball(5, 3)):
-        for v in space.primal_vertices:
-            assert norm_eval(space, v) == 1
-    with pytest.raises(ValueError):
-        norm_eval(l1_ball(3), (1, 2))
-
-
-# ------------------------------------------------------------------ subspace
-
 def test_subspace_roundtrip():
     Y = Subspace.from_kernel([(1, 1, 1, 0), (0, 0, 0, 1)])
     assert Y.dim == 2
     assert Y.contains((1, -1, 0, 0))
     assert not Y.contains((1, 0, 0, 0))
-    for g in Y.annihilator_functionals():
+    for g in annihilator_functionals(Y):
         for b in Y.basis_vectors():
             assert dot(g, b) == 0
     Z = Subspace.from_basis(Y.basis_vectors())
@@ -422,8 +398,8 @@ _DEPENDENT_TRIPLE = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0),
 def _cut_prefixes(space, Y, size):
     """The prefixes under which the leaf walk over the projected vertex
     pairs cuts a subtree at this size."""
-    projected = [over_denominator([dot(space.primal_vertices[i], g)
-                                   for g in Y.annihilator_functionals()])[0]
+    X, G = primal_vertices(space), annihilator_functionals(Y)
+    projected = [over_denominator([dot(X[i], g) for g in G])[0]
                  for i in space.primal_reps]
     return [subset for subset, _, _ in subset_walk_by_leaves(projected, size)
             if len(subset) < size]

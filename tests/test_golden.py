@@ -59,7 +59,7 @@ from minproj.catalog import (l1_ball, linf_ball, mixed_ball, paper_cases,
                              random_subspace)
 from minproj.jsonio import parse_space_document, vector_json
 
-from oracles import space_json
+from oracles import primal_vertices, space_json
 
 SEED = 7
 CERTIFIED = "seeded-l1-n4-k3"
@@ -142,7 +142,7 @@ def _polar_documents():
     for name, space in (("linf-n8", linf_ball(8)), ("l1-n8", l1_ball(8)),
                         ("mixed-n5-k3", mixed_ball(5, 3))):
         yield name, {"dim": space.dim,
-                     "vertices": [vector_json(v) for v in space.primal_vertices]}
+                     "vertices": [vector_json(v) for v in primal_vertices(space)]}
 
 
 def _run(argv):

@@ -14,7 +14,7 @@ from minproj.jsonio import (_rational_at, _vector_at, certificate_json, dumps,
                             load_document, parse_certificate_document,
                             parse_space_document)
 
-from oracles import space_json
+from oracles import dual_vertices, primal_vertices, space_json
 
 F = Fraction
 
@@ -33,8 +33,8 @@ def test_space_document_round_trip():
     assert space.dim == 3
     assert subspace.dim == 2
     again, sub2 = parse_space_document(space_json(space, subspace))
-    assert again.primal_vertices == space.primal_vertices
-    assert again.dual_vertices == space.dual_vertices
+    assert primal_vertices(again) == primal_vertices(space)
+    assert dual_vertices(again) == dual_vertices(space)
     assert sub2 == subspace
 
 
@@ -43,8 +43,8 @@ def test_paper_cases_export_round_trip():
         doc = space_json(case.space, case.subspace)
         text = dumps(doc)
         space, subspace = parse_space_document(load_document(text))
-        assert space.primal_vertices == case.space.primal_vertices
-        assert space.dual_vertices == case.space.dual_vertices
+        assert primal_vertices(space) == primal_vertices(case.space)
+        assert dual_vertices(space) == dual_vertices(case.space)
         assert subspace == case.subspace
 
 

@@ -32,8 +32,8 @@ from minproj.geometry import (PolyhedralSpace, Subspace, _walk_rows,
                               general_position_check, polar_dual)
 from minproj.linalg import DEFAULT_WORK_BUDGET, WorkBudget, integer_row_rank, subset_walk
 from minproj.projections import (OperatorPoint, face_dimension,
-                                 max_norming_projection, norming_pairs,
-                                 operator_norm, pair_rows, projection_constant)
+                                 max_norming_projection, operator_norm, pair_rows,
+                                 projection_constant)
 
 from minproj.simplex import solve
 import oracles
@@ -44,8 +44,8 @@ from oracles import (certify_by_cold_lp, decided_by_lambda, dense_grid_lp,
                      general_position_rows_by_raw_vectors,
                      linf_hyperplane_lambda,
                      max_norming_by_greedy, minimal_support_by_lp,
-                     minimal_support_by_solve, projection_normed_by_full_rank,
-                     realize_by_fractions,
+                     minimal_support_by_solve, norming_pairs, primal_vertices,
+                     projection_normed_by_full_rank, realize_by_fractions,
                      solve_by_fraction_tableau, solve_by_full_tableau, verify_cm_by_apply,
                      work_edge)
 
@@ -224,7 +224,7 @@ def seeded_analyze():
     out = {}
     for n, (tag, ball) in itertools.product((4, 5, 6), (("linf", linf_ball),
                                                         ("l1", l1_ball))):
-        space = PolyhedralSpace.from_vertices(ball(n).primal_vertices)
+        space = PolyhedralSpace.from_vertices(primal_vertices(ball(n)))
         for k in (n - 1, 2):
             Y = random_subspace(n, k, 7)
             report = projection_constant(space, Y)
@@ -504,20 +504,20 @@ def _pm(*points):
 
 
 def test_extremality_matches_lp_oracle_on_catalog_balls():
-    balls = {f"{tag}{n}": ball(n).primal_vertices
+    balls = {f"{tag}{n}": primal_vertices(ball(n))
              for n in (2, 3, 4) for tag, ball in (("linf", linf_ball),
                                                   ("l1", l1_ball))}
-    balls.update({f"mixed{n}-{k}": mixed_ball(n, k).primal_vertices
+    balls.update({f"mixed{n}-{k}": primal_vertices(mixed_ball(n, k))
                   for n, k in ((4, 3), (5, 3), (5, 4))})
     for case in paper_cases():
-        balls.setdefault(case.name, case.space.primal_vertices)
+        balls.setdefault(case.name, primal_vertices(case.space))
     for label, vertices in balls.items():
         assert _assert_validation_matches(vertices, label) is None
 
 
 def test_extremality_matches_lp_oracle_with_non_extreme_points():
-    cube2, cross2 = linf_ball(2).primal_vertices, l1_ball(2).primal_vertices
-    cube3, cross3 = linf_ball(3).primal_vertices, l1_ball(3).primal_vertices
+    cube2, cross2 = primal_vertices(linf_ball(2)), primal_vertices(l1_ball(2))
+    cube3, cross3 = primal_vertices(linf_ball(3)), primal_vertices(l1_ball(3))
     half = Fraction(1, 2)
     cases = {
         "cross2 + half e1": (list(cross2) + _pm((half, 0)), 4),
@@ -536,7 +536,7 @@ def test_extremality_matches_lp_oracle_with_non_extreme_points():
 
 
 def test_extremality_matches_lp_oracle_with_duplicates():
-    cross2, cube3 = l1_ball(2).primal_vertices, linf_ball(3).primal_vertices
+    cross2, cube3 = primal_vertices(l1_ball(2)), primal_vertices(linf_ball(3))
     half = Fraction(1, 2)
     cases = {
         "cross2 twice": (list(cross2) * 2, 0),

@@ -1,21 +1,21 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from minproj.catalog import l1_ball, linf_ball, random_subspace
 import minproj.projections as projections
-from minproj.errors import InternalError, NotMinimalError
-from minproj.geometry import PolyhedralSpace, Subspace, norm_eval
+from minproj.errors import InternalError
+from minproj.geometry import PolyhedralSpace, Subspace
 from minproj.linalg import RMatrix, integer_row_rank
 from minproj.projections import (OperatorPoint, build_operator_basis,
                                  build_pair_grid, face_dimension,
-                                 max_norming_projection, norming_pairs,
-                                 operator_norm, projection_constant)
+                                 max_norming_projection, operator_norm,
+                                 projection_constant)
 
-from oracles import (matadd, matmul, operator_norm_by_fractions,
-                     operator_norm_every_vertex, realize_by_fractions,
-                     rref_by_fractions, row_value)
+from oracles import (dual_vertices, matadd, matmul, norm_every_vertex, norming_pairs,
+                     operator_norm_by_fractions, operator_norm_every_vertex,
+                     primal_vertices, realize_by_fractions, rref_by_fractions,
+                     row_value)
 
 F = Fraction
 
@@ -85,7 +85,7 @@ def test_pair_grid_antipodal_dedup(ker_sum_3):
     space, Y = ker_sum_3
     basis = build_operator_basis(space, Y)
     grid = build_pair_grid(space, basis)
-    assert len(grid.pairs) == len(space.primal_vertices) * len(space.dual_vertices) // 2
+    assert len(grid.pairs) == len(space.primal_cleared[0]) * len(space.dual_cleared[0]) // 2
     negp, negd = space.primal_negation, space.dual_negation
     seen = set(grid.pairs)
     for i, j in grid.pairs:
@@ -129,14 +129,15 @@ def test_operator_norm_attained_on_vertices(ker_sum_3):
     P = realize_by_fractions(report.basis, report.witness)
     norm = operator_norm(space, P)
     assert norm == report.lam
+    X = primal_vertices(space)[:4]
     state = 99
     for _ in range(25):
         state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
         weights = [(state >> (8 * i)) % 5 for i in range(4)]
         total = sum(weights) or 1
-        x = [sum(F(w, total) * v[i] for w, v in zip(weights, space.primal_vertices[:4]))
+        x = [sum(F(w, total) * v[i] for w, v in zip(weights, X))
              for i in range(3)]
-        assert norm_eval(space, P.apply(x)) <= norm
+        assert norm_every_vertex(space, P.apply(x)) <= norm
 
 
 def test_operator_norm_is_lambda_on_every_catalog_case(analyzed):
@@ -175,7 +176,7 @@ def test_operator_norm_on_unvalidated_lists():
         PolyhedralSpace.from_vertices(
             [(1, 0), (-1, 0), (0, 1), (0, -1), (F(1, 2), F(1, 2)), (F(-1, 2), F(-1, 2))],
             dual_vertices=[(2, -1), (-2, 1), (-1, 2), (1, -2)], validate=False),
-        PolyhedralSpace.from_vertices(linf_ball(2).primal_vertices,
+        PolyhedralSpace.from_vertices(primal_vertices(linf_ball(2)),
                                       dual_vertices=[(1, 0), (-1, 0)],
                                       validate=False),
         PolyhedralSpace.from_vertices([(1, 1), (-1, -1)],
@@ -188,26 +189,15 @@ def test_operator_norm_on_unvalidated_lists():
     assert [operator_norm(space, P) for space in spaces] == [F(31, 5), F(7, 2), F(5, 2)]
 
 
-def test_norming_pairs_rejects_non_minimal(ker_sum_3):
-    space, Y = ker_sum_3
-    report = projection_constant(space, Y)
-    p0 = OperatorPoint((F(0),) * len(report.basis.basis_ops))
-    if operator_norm(space, report.basis.base_projection) != report.lam:
-        with pytest.raises(NotMinimalError):
-            norming_pairs(report, p0)
-    lowered = dataclasses.replace(report, lam=report.lam - 1)
-    with pytest.raises(NotMinimalError, match="not a minimal projection"):
-        norming_pairs(lowered, report.witness)
-
-
 def test_witness_rows_are_its_norming_pairs(ker_sum_3):
     space, Y = ker_sum_3
     report = projection_constant(space, Y)
     pairs = norming_pairs(report, report.witness)
     assert pairs == {report.grid.pairs[r] for r in report.witness_rows}
+    X, D = primal_vertices(space), dual_vertices(space)
+    P = realize_by_fractions(report.basis, report.witness)
     for i, j in pairs:
-        f = space.dual_vertices[j]
-        Px = realize_by_fractions(report.basis, report.witness).apply(space.primal_vertices[i])
+        f, Px = D[j], P.apply(X[i])
         assert sum(a * b for a, b in zip(f, Px)) == report.lam
 
 

@@ -57,17 +57,18 @@ from minproj.errors import (BudgetExceededError, NotExtremeError,
                             NotFullDimensionalError, NotSymmetricError)
 from minproj.geometry import (PolyhedralSpace, Subspace, _double_description,
                               _first_non_vertex, _vertices_of, _walk_rows,
-                              general_position_check, norm_eval, polar_dual)
+                              general_position_check, polar_dual)
 from minproj import geometry
 from minproj.linalg import (DEFAULT_WORK_BUDGET, RMatrix, WorkBudget, cleared, int_dot,
                             integer_row_rank, over_denominator, subset_walk)
 from minproj.projections import (OperatorPoint, build_operator_basis,
                                  build_pair_grid, face_dimension,
-                                 max_norming_projection, norming_pairs,
-                                 operator_norm, pair_rows, projection_constant)
+                                 max_norming_projection, operator_norm, pair_rows,
+                                 projection_constant)
 from minproj.simplex import solve
 
-from oracles import (budget_outcome, certify_by_face, dense_grid_lp, dot, grid_rows,
+from oracles import (annihilator_functionals, budget_outcome, certify_by_face,
+                     dense_grid_lp, dot, dual_vertices, grid_rows,
                      double_description_both_signs, face_dimension_by_rounds,
                      face_dimension_by_vertices, first_non_extreme,
                      first_non_vertex_by_rank,
@@ -76,11 +77,10 @@ from oracles import (budget_outcome, certify_by_face, dense_grid_lp, dot, grid_r
                      general_position_rows_by_raw_vectors,
                      integer_rank_in_place, is_extreme, linf_hyperplane_lambda,
                      bases_by_base_projection, minimal_support_by_solve,
-                     norm_every_vertex,
-                     nullspace_by_fractions, operator_basis_by_fractions,
+                     norming_pairs, nullspace_by_fractions, operator_basis_by_fractions,
                      operator_norm_by_fractions, operator_norm_every_vertex,
                      pair_rows_by_fractions,
-                     polar_dual_by_fractions, realize_by_fractions,
+                     polar_dual_by_fractions, primal_vertices, realize_by_fractions,
                      subset_walk_by_classes, support_weights_by_solve,
                      trace_on_subspace, verify_cm_by_apply,
                      verify_cm_by_pair_rows, work_edge)
@@ -465,13 +465,13 @@ def test_space_holds_its_vertex_lists_cleared(vertices, data):
             dual_vertices=[_unreduced(f, c) for f in dual]),
     }
     for label, space in spaces.items():
-        for stored, view in ((space.primal_cleared, space.primal_vertices),
-                             (space.dual_cleared, space.dual_vertices)):
+        for stored, view in ((space.primal_cleared, primal_vertices(space)),
+                             (space.dual_cleared, dual_vertices(space))):
             rows, den = cleared(view)
             assert stored == (tuple(map(tuple, rows)), den), label
-        assert space.primal_vertices == tuple(primal), label
+        assert primal_vertices(space) == tuple(primal), label
         expected = polar if label.startswith("computed") else tuple(dual)
-        assert space.dual_vertices == expected, label
+        assert dual_vertices(space) == expected, label
 
 
 @_SETTINGS
@@ -568,7 +568,7 @@ def _assert_subspace_families(vectors):
     denominator."""
     rows = RMatrix.from_rows(vectors)
     Y = Subspace.from_basis(vectors)
-    assert Y.annihilator_functionals() == nullspace_by_fractions(rows)
+    assert annihilator_functionals(Y) == nullspace_by_fractions(rows)
     assert (Y.annihilator_num, Y.annihilator_den) == cleared(nullspace_by_fractions(rows))
     Z = Subspace.from_kernel(vectors)
     assert Z.basis_vectors() == nullspace_by_fractions(rows)
@@ -642,7 +642,7 @@ _NORM_SPACES = tuple(c.space for c in paper_cases()) + (
 
 def _polytope_or_its_polar(case):
     space = case[0]
-    return st.sampled_from((space, PolyhedralSpace.from_vertices(space.dual_vertices)))
+    return st.sampled_from((space, PolyhedralSpace.from_vertices(dual_vertices(space))))
 
 
 @_SETTINGS
@@ -653,8 +653,8 @@ def test_operator_norm_agrees_with_fraction_oracle(space, data):
     # Fraction norm of a vertex's image, on random rational matrices over
     # the catalog spaces, mixed balls, random polytopes and their polars
     # (whose dual or primal vertices clear over denominators above 1).
-    # Read over each antipodal class once, the norm and the operator norm
-    # equal their integer passes over every listed vertex
+    # Read over each antipodal class once, the operator norm equals its
+    # integer pass over every listed vertex
     n = space.dim
     entries = data.draw(st.lists(st.fractions(-5, 5, max_denominator=9),
                                  min_size=n * n, max_size=n * n))
@@ -662,7 +662,6 @@ def test_operator_norm_agrees_with_fraction_oracle(space, data):
     norm = operator_norm(space, matrix)
     assert norm == operator_norm_by_fractions(space, matrix)
     assert norm == operator_norm_every_vertex(space, matrix)
-    assert norm_eval(space, entries[:n]) == norm_every_vertex(space, entries[:n])
 
 
 @st.composite
@@ -686,15 +685,14 @@ def unvalidated_spaces(draw):
 @_SETTINGS
 @given(unvalidated_spaces(), st.data())
 def test_norms_by_classes_on_unvalidated_lists(space, data):
-    # Read as |value| over one vertex of each antipodal pair, the norm
-    # and the operator norm give the maximum over every listed vertex, on
+    # Read as |value| over one vertex of each antipodal pair, the
+    # operator norm gives the maximum over every listed vertex, on
     # symmetric lists that are not extreme and not each other's polar
     n = space.dim
     entries = data.draw(st.lists(st.fractions(-5, 5, max_denominator=9),
                                  min_size=n * n, max_size=n * n))
     matrix = RMatrix(n, n, tuple(entries))
     assert operator_norm(space, matrix) == operator_norm_every_vertex(space, matrix)
-    assert norm_eval(space, entries[:n]) == norm_every_vertex(space, entries[:n])
 
 
 def _analyze(case):
@@ -730,11 +728,11 @@ def test_verify_cm_agrees_with_apply_oracle_on_random_certificates(case, data):
     # weight fitted so that sum a_i f_i(y) = 0 for the first basis vector
     # y of Y, so T y = 0 and invariance can only fail in a later block.
     space, Y, report, _ = _analyze(case)
-    y = Y.basis_vectors()[0]
+    y, F = Y.basis_vectors()[0], dual_vertices(space)
     for mode in ("random", "dual", "one vertex"):
         pairs = data.draw(st.lists(
-            st.tuples(st.integers(0, len(space.primal_vertices) - 1),
-                      st.integers(0, len(space.dual_vertices) - 1)),
+            st.tuples(st.integers(0, len(space.primal_cleared[0]) - 1),
+                      st.integers(0, len(space.dual_cleared[0]) - 1)),
             min_size=0 if mode == "dual" else 1, max_size=6))
         weights = data.draw(st.lists(
             st.fractions(-2, 2, max_denominator=4).filter(bool),
@@ -745,7 +743,7 @@ def test_verify_cm_agrees_with_apply_oracle_on_random_certificates(case, data):
             weights = list(dual.weights) + weights
         elif mode == "one vertex":
             pairs = [(pairs[0][0], j) for _, j in pairs]
-            at_y = [dot(space.dual_vertices[j], y) for _, j in pairs]
+            at_y = [dot(F[j], y) for _, j in pairs]
             if at_y[-1]:
                 weights[-1] = -dot(weights[:-1], at_y[:-1]) / at_y[-1]
         total = sum(weights)
@@ -775,8 +773,8 @@ def test_verify_cm_agrees_with_pair_rows_oracle_on_tampered_certificates(case, d
     basis = report.basis
     dual = cm_from_dual(report)
     pairs, weights = list(dual.pairs), list(dual.weights)
-    point_index = st.integers(0, len(space.primal_vertices) - 1)
-    dual_index = st.integers(0, len(space.dual_vertices) - 1)
+    point_index = st.integers(0, len(space.primal_cleared[0]) - 1)
+    dual_index = st.integers(0, len(space.dual_cleared[0]) - 1)
     moved = list(weights)
     if len(moved) > 1:
         a, b = data.draw(st.permutations(range(len(moved))))[:2]
@@ -823,8 +821,8 @@ def test_certify_agrees_with_face_oracle(case, data):
     report = projection_constant(space, Y)
     dual = cm_from_dual(report)
     pairs = data.draw(st.lists(
-        st.tuples(st.integers(0, len(space.primal_vertices) - 1),
-                  st.integers(0, len(space.dual_vertices) - 1)),
+        st.tuples(st.integers(0, len(space.primal_cleared[0]) - 1),
+                  st.integers(0, len(space.dual_cleared[0]) - 1)),
         min_size=1, max_size=6, unique=True))
     raw = data.draw(st.lists(st.integers(1, 5), min_size=len(pairs),
                              max_size=len(pairs)))
@@ -874,8 +872,8 @@ def test_certify_decides_a_chalmers_metcalf_bound_by_lambda(case, data):
     dual = cm_from_dual(report)
     negd = space.dual_negation
     pairs = data.draw(st.lists(
-        st.tuples(st.integers(0, len(space.primal_vertices) - 1),
-                  st.integers(0, len(space.dual_vertices) - 1)),
+        st.tuples(st.integers(0, len(space.primal_cleared[0]) - 1),
+                  st.integers(0, len(space.dual_cleared[0]) - 1)),
         min_size=1, max_size=4, unique=True))
     balanced = sorted({q for i, j in pairs for q in ((i, j), (i, negd[j]))})
     t = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2),
