@@ -151,7 +151,7 @@ def _double_description(rows: Rows, den: int) -> _Polar:
     if len(chosen) < n:
         raise NotFullDimensionalError("vertices do not span the space")
 
-    inv = integer_inverse([reps[p] for p in chosen], n)
+    inv = integer_inverse([reps[p] for p in chosen])
     if inv is None:
         raise InternalError("independent vertices give a singular system")
     M, D = inv

@@ -366,20 +366,18 @@ def integer_nullspace(rows: Sequence[Sequence[int]],
     return basis, C
 
 
-def integer_inverse(rows: Sequence[Sequence[int]],
-                    count: int) -> tuple[list[list[int]], int] | None:
-    """The first count rows of M^-1, M the square matrix of integer rows,
-    as integer rows over their own least common denominator; None when M
-    is singular.  M^-1 is read off the reduced row echelon form of [M | I],
-    whose pivots are then the n columns of M."""
+def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | None:
+    """M^-1, M the square matrix of integer rows, as integer rows over
+    their least common denominator; None when M is singular.  M^-1 is
+    read off the reduced row echelon form of [M | I], whose pivots are
+    then the n columns of M."""
     n = len(rows)
     reduced = integer_rref([list(row) + [int(i == j) for j in range(n)]
                             for i, row in enumerate(rows)])
     if [pivot for pivot, _ in reduced] != list(range(n)):
         return None
-    D = _common_denominator(reduced[:count])
-    return [[x * D // row[pivot] for x in row[n:]]
-            for pivot, row in reduced[:count]], D
+    D = _common_denominator(reduced)
+    return [[x * D // row[pivot] for x in row[n:]] for pivot, row in reduced], D
 
 
 def solve_linear(A: RMatrix, b: Sequence[Fraction]) -> Vector | None:

@@ -52,7 +52,7 @@ from .geometry import PolyhedralSpace, Subspace
 from .linalg import (RMatrix, complement_coordinates, int_dot, integer_inverse,
                      integer_nullspace, integer_row_rank, over_denominator)
 from .rational import format_rational
-from .simplex import OPTIMAL, LinearProgram, solve
+from .simplex import LinearProgram, solve
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def build_operator_basis(space: PolyhedralSpace, Y: Subspace) -> OperatorBasis:
     J = set(complement_coordinates(ys, n))
     I = [i for i in range(n) if i not in J]
     minor = [[y[i] for y in ys] for i in I]
-    inv = integer_inverse(minor, k)
+    inv = integer_inverse(minor)
     if inv is None:
         raise InternalError("basis of Y plus its complement is singular")
     minor_inv, h_den = inv
@@ -492,10 +492,8 @@ def _solve_lambda(space: PolyhedralSpace, Y: Subspace, basis: OperatorBasis,
     """projection_constant on the basis and grid of (space, Y), built,
     with the LP started at the grid rows start when they give a feasible
     dual point (simplex.solve)."""
+    # feasible (P0) and bounded (the rows come in ± pairs, so t >= 0)
     solution = solve(grid, start)
-    # always feasible (P0) and bounded: the rows come in ± pairs, so t >= 0
-    if solution.status != OPTIMAL:
-        raise InternalError(f"operator-norm LP is {solution.status}")
     d = basis.dimension
     lam = solution.value
     if lam < 1:
@@ -504,11 +502,10 @@ def _solve_lambda(space: PolyhedralSpace, Y: Subspace, basis: OperatorBasis,
     if solution.primal[d] != lam:
         raise InternalError("norm variable t differs from the LP value")
     tight = tuple(sorted(solution.tight_set))
-    support = tuple(r for r, u in enumerate(solution.dual) if u.numerator > 0)
     return MinProjReport(
         space=space, subspace=Y, basis=basis, grid=grid, lam=lam,
-        witness=witness, witness_rows=tight, dual_rows=support,
-        dual_weights=tuple(solution.dual[r] for r in support),
+        witness=witness, witness_rows=tight, dual_rows=solution.dual_rows,
+        dual_weights=solution.dual,
     )
 
 
@@ -620,7 +617,8 @@ def face_dimension(report: MinProjReport) -> tuple[int, frozenset[tuple[int, int
             break
         m = len(cols)
         den = grid.denominator * scale
-        # G_r·y + delta <= 0 and delta <= 1, over the restricted rows' den.
+        # G_r·y + delta <= 0 and delta <= 1, over the restricted rows' den:
+        # feasible (y = 0) and bounded (delta <= 1).
         sol = solve(LinearProgram(
             objective=(0,) * m + (-1,),
             matrix=tuple(restricted[r] + (den,) for r in undecided)
@@ -628,8 +626,6 @@ def face_dimension(report: MinProjReport) -> tuple[int, frozenset[tuple[int, int
             beta=(0,) * len(undecided) + (den,),
             denominator=den,
         ))
-        if sol.status != OPTIMAL:
-            raise InternalError(f"Gordan round LP is {sol.status}")
         if sol.value < 0:
             y, y_den = over_denominator(sol.primal[:m])
             z = tuple(Fraction(int_dot(row, y), scale * y_den) for row in zip(*cols))
@@ -639,7 +635,8 @@ def face_dimension(report: MinProjReport) -> tuple[int, frozenset[tuple[int, int
             eps = Fraction(1) if step is None else min(Fraction(1), step / 2)
             interior = tuple(w + eps * zq for w, zq in zip(witness, z))
             break
-        charged = {r for r, u in zip(undecided, sol.dual) if u > 0}
+        # delta <= 1 is slack at delta* = 0, so the dual charges undecided rows alone.
+        charged = {undecided[i] for i in sol.dual_rows}
         if not charged:
             raise InternalError("Gordan round charged no row at delta* = 0")
         implicit.extend(charged)

@@ -14,10 +14,12 @@ with B⁻¹·B0 = I and rhs >= 0, so every row starts lexicographically
 positive and stays so, the objective row rises lexicographically at
 every pivot, and no basis repeats (Dantzig, Orden and Wolfe, Pacific J.
 Math. 5, 1955): the solver terminates whatever the entering rule.
-The dual optimum u is the certificate; the primal optimum is read off
-the reduced costs of the artificial columns, the exact simplex
-multipliers of the final basis.  Every optimal solve is re-verified
-against the strong-duality identities before it is returned.
+The dual optimum u is the certificate, read off the final basis as its
+support: the basic real columns of nonzero value, in ascending order,
+and their weights.  The primal optimum is read off the reduced costs of
+the artificial columns, the exact simplex multipliers of the final
+basis.  Every solve is re-verified against the strong-duality
+identities before it is returned.
 
 solve may take a start, LP rows, as a guess at the dual's optimal
 basis: a certificate already in hand, such as a Chalmers-Metcalf
@@ -26,20 +28,22 @@ columns are pivoted into the artificial basis in order, with no
 pricing.  When the basic point is feasible (every basic real column
 >= 0 and every artificial left basic at 0), the artificials are
 cleared and phase II runs from there, with no phase I.  When the
-columns are dependent, the point is not feasible, or phase II does not
-end OPTIMAL, the solve is the two-phase one with no start, pivot for
-pivot.  Either way the result goes through the same verification.
-pivots counts every pivot of the solve that returns: phase I's and
-phase II's, the zero-objective check's, and a start's own pivots when
-the start is taken; the degenerate pivots that clear artificials
+columns are dependent or the point is not feasible, the solve is the
+two-phase one with no start, pivot for pivot.  Either way the result
+goes through the same verification.  pivots counts every pivot of the
+solve that returns: phase I's and phase II's, and a start's own pivots
+when the start is taken; the degenerate pivots that clear artificials
 before phase II are not counted, and a start that is not taken adds
 none.
 
-Statuses come from the dual.  An unbounded phase II means the LP is
-infeasible.  A failed phase I means the dual is infeasible, so the LP is
-unbounded or infeasible, and the same LP with a zero objective tells
-which: its dual {Aᵀu = 0, u >= 0} is feasible (u = 0), and unbounded
-exactly when the LP is infeasible.
+minproj solves two LP families, and both are feasible and bounded by
+construction: the lambda LP (the pair grid) is feasible at P0 and
+bounded because its partner rows force t >= 0, and each Gordan round of
+the optimal face is feasible at y = 0 and bounded by delta <= 1.  So
+every solve ends optimal, and one that does not is a solver fault that
+raises InternalError where it shows: an unbounded dual (an infeasible
+LP) where the ratio test finds no leaving row, an infeasible dual (an
+unbounded or infeasible LP) where phase I ends above zero.
 
 All arithmetic is on Python ints.  An LP carries integer rows over one
 common denominator, [A | b] = [M | beta] / D, as its builders form them
@@ -86,9 +90,9 @@ column.  The verification never trusts
 the pricing: it reads every row through row_values and the rows of the
 dual's support through row.
 
-Sign convention for certificates: on OPTIMAL, the dual u satisfies
-u >= 0, Aᵀu = -c and u·b = -value (the standard dual of the
-minimization form).
+Sign convention for certificates: the dual u, the weights dual on the
+rows dual_rows and 0 on every other row, satisfies u >= 0, Aᵀu = -c and
+u·b = -value (the standard dual of the minimization form).
 """
 
 from __future__ import annotations
@@ -105,8 +109,6 @@ from .errors import InternalError
 from .linalg import RMatrix, int_dot, over_denominator, primitive
 
 OPTIMAL = "OPTIMAL"
-INFEASIBLE = "INFEASIBLE"
-UNBOUNDED = "UNBOUNDED"
 
 _MAX_PIVOTS = 500_000
 
@@ -167,14 +169,19 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """status plus, when OPTIMAL: exact value, a primal optimum, the dual
-    certificate (one weight per constraint) and the set of tight rows.
-    pivots counts the simplex iterations of every phase and tableau,
-    and a start's pivots when it is taken (see the module docstring)."""
+    """An optimum: exact value, a primal optimum, the dual certificate as
+    its support (the rows dual_rows, ascending, with the positive weights
+    dual; every other row weighs 0) and the set of tight rows.  status is
+    OPTIMAL on every solution solve returns; it stays, and the other
+    fields stay optional, for the span tracer and the test oracles that
+    return other statuses through this type.  pivots counts the simplex
+    iterations of every phase, and a start's pivots when it is taken
+    (see the module docstring)."""
 
     status: str
     value: Fraction | None = None
     primal: tuple[Fraction, ...] | None = None
+    dual_rows: tuple[int, ...] = ()
     dual: tuple[Fraction, ...] | None = None
     tight_set: frozenset[int] = frozenset()
     pivots: int = 0
@@ -219,14 +226,13 @@ class _RevisedDual:
     artificial starts basic.  A row stores only its artificial block (a
     row of B⁻¹) and its right-hand side, the true row times a positive
     factor; its entries in the real columns, and the reduced costs of
-    those, are formed from the LP's integer rows when needed.  The costs
-    c are objective, the LP's own or the zero objective of the check in
-    solve.  Pivoting follows Dantzig's rule, and the leaving row the
-    lexicographic ratio test over the columns of start, the basis the
+    those, are formed from the LP's integer rows when needed; c is the
+    LP's objective.  Pivoting follows Dantzig's rule, and the leaving row
+    the lexicographic ratio test over the columns of start, the basis the
     phase started from (see the module docstring)."""
 
-    def __init__(self, lp, objective):
-        D = lp.denominator
+    def __init__(self, lp):
+        D, objective = lp.denominator, lp.objective
         self.lp = lp
         self.m = len(lp.beta)
         self.nrows = d = len(objective)
@@ -362,15 +368,18 @@ class _RevisedDual:
             self._price_out(r, p, f)
         self.basis[r] = c
 
-    def run(self) -> str:
+    def run(self) -> None:
+        """Pivot to an optimum of the phase, or raise InternalError when
+        the ratio test finds no leaving row: the dual is unbounded, so the
+        LP is infeasible (phase I, bounded below by 0, never is)."""
         while True:
             c = self._entering()
             if c is None:
-                return OPTIMAL
+                return
             alpha = self._column(c)
             r = self._leaving(alpha)
             if r is None:
-                return UNBOUNDED
+                raise InternalError("the LP is infeasible: its dual is unbounded")
             self.pivot(r, c, alpha, self._reduced_cost(c))
             self.pivots += 1
             if self.pivots > _MAX_PIVOTS:
@@ -401,19 +410,19 @@ class _RevisedDual:
                         break
 
 
-def _run_dual(lp, objective) -> tuple[_RevisedDual, str | None]:
-    """Phase I and phase II on the dual of lp with the given objective: the
-    solver and the status of phase II, or None when phase I finds the
-    dual infeasible."""
-    tab = _RevisedDual(lp, objective)
+def _run_dual(lp) -> _RevisedDual:
+    """Phase I and phase II on the dual of lp, to its optimum, or
+    InternalError when phase I ends above zero: the dual is infeasible,
+    so the LP is unbounded or infeasible."""
+    tab = _RevisedDual(lp)
     tab.set_objective(1)
-    if tab.run() != OPTIMAL:
-        raise InternalError("phase I cannot be unbounded")
+    tab.run()
     if tab.objective_value() != 0:
-        return tab, None
+        raise InternalError("the LP is unbounded or infeasible: its dual is infeasible")
     tab.clear_artificials()
     tab.set_objective(2)
-    return tab, tab.run()
+    tab.run()
+    return tab
 
 
 def _started_dual(lp, start: Sequence[int]) -> _RevisedDual | None:
@@ -425,8 +434,8 @@ def _started_dual(lp, start: Sequence[int]) -> _RevisedDual | None:
     basic point is feasible when every basic real column is >= 0 and
     every artificial left basic is at 0; a basic column's entry in its
     row stays positive, so each is the sign of its row's rhs.  Phase II
-    then runs as after phase I, and must end OPTIMAL."""
-    tab = _RevisedDual(lp, lp.objective)
+    then runs to the optimum as after phase I."""
+    tab = _RevisedDual(lp)
     for c in start:
         alpha = tab._column(c)
         r = next((r for r, b in enumerate(tab.basis) if b >= tab.m and alpha[r]), None)
@@ -438,15 +447,15 @@ def _started_dual(lp, start: Sequence[int]) -> _RevisedDual | None:
         return None
     tab.clear_artificials()
     tab.set_objective(2)
-    return tab if tab.run() == OPTIMAL else None
+    tab.run()
+    return tab
 
 
 def solve(lp, start: Sequence[int] = ()) -> LPSolution:
     """Solve the LP, a LinearProgram or the pair grid (see the module
-    docstring); on OPTIMAL the returned certificate is exact and
-    verified.  Only a LinearProgram can fail phase I: the grid's LP is
-    feasible (at P0) and bounded (t >= 0), so the zero-objective check
-    never runs on it.
+    docstring): its optimum, with the dual's support read off the final
+    basis, exact and verified.  An LP that is infeasible or unbounded
+    raises InternalError; the LPs minproj builds are neither.
 
     start, LP rows, is a guess at the dual's optimal basis: phase II
     runs from the basis of those rows when its point is feasible
@@ -455,38 +464,27 @@ def solve(lp, start: Sequence[int] = ()) -> LPSolution:
     m, d = len(lp.beta), len(lp.objective)
     tab = _started_dual(lp, start) if start else None
     if tab is None:
-        tab, status = _run_dual(lp, lp.objective)
-        if status is None:
-            # The dual is infeasible; the zero-objective LP tells infeasible
-            # from unbounded (see the module docstring).
-            check, status = _run_dual(lp, (0,) * d)
-            return LPSolution(status=INFEASIBLE if status == UNBOUNDED else UNBOUNDED,
-                              pivots=tab.pivots + check.pivots)
-        if status == UNBOUNDED:
-            return LPSolution(status=INFEASIBLE, pivots=tab.pivots)
-
-    zero = Fraction(0)
-    u = [zero] * m
-    for r in range(tab.nrows):
-        if tab.basis[r] < m:
-            u[tab.basis[r]] = tab.basic_value(r)
+        tab = _run_dual(lp)
+    weights = {c: tab.basic_value(r) for r, c in enumerate(tab.basis) if c < m}
+    dual_rows = tuple(sorted(c for c, u in weights.items() if u))
     # Basis multipliers pi solve pi·B = c_B; the reduced cost of the artificial
     # of equality row j is -pi_j, and v_j = sigma_j·pi_j solves A_r·v = b_r
     # for every basic column r (and v_j = 0 for a basic artificial): the
     # unique primal optimum of this basis.
     primal = tuple(Fraction(-tab.sigma[j] * tab.on[j], tab.oscale)
                    for j in range(d))
-    value = sum((cj * vj for cj, vj in zip(lp.objective, primal)), zero)
-    return _finish(lp, value, primal, tuple(u), tab.pivots)
+    value = sum((cj * vj for cj, vj in zip(lp.objective, primal)), Fraction(0))
+    return _finish(lp, value, primal, dual_rows, tuple(weights[c] for c in dual_rows),
+                   tab.pivots)
 
 
-def _finish(lp, value, primal, dual, pivots: int = 0) -> LPSolution:
+def _finish(lp, value, primal, dual_rows, dual, pivots: int = 0) -> LPSolution:
     x, x_den = over_denominator(primal)
     # A_i·v <= b_i  is  M_i·x <= beta_i·x_den  after scaling by D·x_den > 0.
     lhs = lp.row_values(x)
     tight = frozenset(compress(count(), map(eq, lhs, _scaled(lp.beta, x_den))))
-    _verify_certificate(lp, value, x, x_den, dual, lhs, tight)
-    return LPSolution(status=OPTIMAL, value=value, primal=primal,
+    _verify_certificate(lp, value, x, x_den, dual_rows, dual, lhs, tight)
+    return LPSolution(status=OPTIMAL, value=value, primal=primal, dual_rows=dual_rows,
                       dual=dual, tight_set=tight, pivots=pivots)
 
 
@@ -495,35 +493,34 @@ def _scaled(values, factor: int):
     return map(mul, values, repeat(factor))
 
 
-def _verify_certificate(lp, value, x, x_den, dual, lhs, tight) -> None:
+def _verify_certificate(lp, value, x, x_den, dual_rows, dual, lhs, tight) -> None:
     """Exact optimality verification: feasibility, dual feasibility,
     complementary slackness, the dual equation, strong duality and the
     primal value, all in integers over the LP's [M | beta] / D, checked
-    in that order.  The primal is x / x_den, and lhs[i] is M_i·x.
+    in that order.  The primal is x / x_den, lhs[i] is M_i·x, and the
+    dual is the weights dual on the rows dual_rows, 0 elsewhere.
     Feasibility reads every row, in C-level passes over lhs; the other
-    checks read the dual's support, the rows where it is nonzero, and
-    the dual is cleared over that support alone.  Failure means a solver
-    bug, never a property of the input."""
+    checks read the rows dual_rows alone, and the dual is cleared over
+    them.  Failure means a solver bug, never a property of the input."""
     beta, D = lp.beta, lp.denominator
     infeasible = next(compress(count(), map(gt, lhs, _scaled(beta, x_den))), None)
     if infeasible is not None:
         raise InternalError(f"primal infeasibility on row {infeasible}")
-    support = list(compress(count(), dual))
-    u, u_den = over_denominator([dual[i] for i in support])
-    for i, ui in zip(support, u):
+    u, u_den = over_denominator(dual)
+    for i, ui in zip(dual_rows, u):
         if ui < 0:
             raise InternalError(f"negative dual weight on row {i}")
-    for i in support:
+    for i in dual_rows:
         if i not in tight:
             raise InternalError(f"complementary slackness broken on row {i}")
     # Aᵀu = -c  is  c_den·Σ u_i M_ij = -c_j·D·u_den.
     c, c_den = over_denominator(lp.objective)
-    rows = [lp.row(i) for i in support]
+    rows = [lp.row(i) for i in dual_rows]
     for j, cj in enumerate(c):
         if c_den * sum(ui * row[j] for ui, row in zip(u, rows)) != -cj * D * u_den:
             raise InternalError(f"dual equation broken in column {j}")
     v_num, v_den = value.numerator, value.denominator
-    if v_den * int_dot(u, [beta[i] for i in support]) != -v_num * D * u_den:
+    if v_den * int_dot(u, [beta[i] for i in dual_rows]) != -v_num * D * u_den:
         raise InternalError("strong duality violated")
     if v_den * int_dot(c, x) != v_num * c_den * x_den:
         raise InternalError("primal value mismatch")

@@ -61,7 +61,13 @@ second path of ``minproj.simplex``, decides infeasible and unbounded
 LPs independently.  The full integer tableau that the revised dual
 simplex replaced (``solve_by_full_tableau``), with the same
 lexicographic ratio test, must give the same LPSolution as
-``simplex.solve``, pivot count included, on every LP.  The lambda LP as
+``simplex.solve``, pivot count included, on every LP it finds optimal,
+and ``simplex.solve`` must raise ``InternalError`` on every other.  It
+keeps the INFEASIBLE and UNBOUNDED statuses that ``simplex.solve``
+returned before it raised, and ``is_extreme``,
+``max_norming_by_greedy``, ``minimal_support_by_lp`` and
+``solve_on_face`` take their feasibility verdicts from it, not from the
+solver they check.  The lambda LP as
 it was before the pair grid kept its rank-one factors
 (``dense_grid_lp``, a ``LinearProgram`` over every formed row, every
 row costed by the list pass over the transposed rows) must give the
@@ -144,8 +150,13 @@ from minproj.projections import (OperatorPoint, _first_slack_step, _solve_lambda
                                   projection_constant)
 from minproj.rational import format_rational
 from minproj import simplex
-from minproj.simplex import (_MAX_PIVOTS, INFEASIBLE, OPTIMAL, UNBOUNDED,
-                             LinearProgram, LPSolution, _eliminate, _finish, solve)
+from minproj.simplex import (_MAX_PIVOTS, OPTIMAL, LinearProgram, LPSolution, _eliminate,
+                             _finish, solve)
+
+# The statuses of an LP that is not optimal, which the oracle solvers
+# return and simplex.solve raises InternalError on.
+INFEASIBLE = "INFEASIBLE"
+UNBOUNDED = "UNBOUNDED"
 
 # Consecutive degenerate pivots the rational tableau tolerates before it
 # switches to Bland's rule for good; a test that sets it past _MAX_PIVOTS
@@ -157,14 +168,16 @@ def solve_on_face(lp, fixed_value, secondary_objective):
     """Optimize a secondary objective over the optimal face of a solved LP.
 
     The face is encoded by pinning objective·v = fixed_value with two
-    inequality rows appended to the original system.  INFEASIBLE here
-    means the caller passed a value that is not the optimum.
+    inequality rows appended to the original system, and solved by
+    solve_by_full_tableau.  INFEASIBLE here means the caller passed a
+    value that is not the optimum.
     """
     fixed = Fraction(fixed_value)
     rows = lp.constraint_matrix.row_list()
     rows.append(lp.objective)
     rows.append(tuple(-x for x in lp.objective))
-    return solve(make_lp(secondary_objective, rows, lp_rhs(lp) + (fixed, -fixed)))
+    return solve_by_full_tableau(make_lp(secondary_objective, rows,
+                                         lp_rhs(lp) + (fixed, -fixed)))
 
 
 def make_lp(objective, rows, rhs):
@@ -203,9 +216,7 @@ def gauge_lp_norm(space, x):
         e[j] = -1
         rows.append(e)
         rhs.append(0)
-    sol = solve(make_lp([1] * N, rows, rhs))
-    assert sol.status == OPTIMAL
-    return sol.value
+    return solve(make_lp([1] * N, rows, rhs)).value
 
 
 def grid_rows(grid):
@@ -419,11 +430,10 @@ def face_dimension_by_rounds(report):
             beta=(0,) * len(undecided) + (den,),
             denominator=den,
         ))
-        assert sol.status == OPTIMAL, sol.status
         if sol.value < 0:
             y = sol.primal[:m]
             break
-        charged = {r for r, u in zip(undecided, sol.dual) if u > 0}
+        charged = {undecided[i] for i in sol.dual_rows}
         assert charged, "a Gordan round at delta* = 0 charged no row"
         implicit.extend(charged)
         undecided = [r for r in undecided if r not in charged]
@@ -515,7 +525,7 @@ def max_norming_by_greedy(space, Y, report):
         for q in forced + [r]:
             rows.append(tuple(-x for x in restricted[q]))
             rhs.append(-slack0[q])
-        attempt = solve(make_lp([0] * fd, rows, rhs))
+        attempt = solve_by_full_tableau(make_lp([0] * fd, rows, rhs))
         if attempt.status == OPTIMAL:
             z = attempt.primal
             forced.append(r)
@@ -569,7 +579,7 @@ def minimal_support_by_lp(space, Y, candidate_pairs, max_candidates=None):
                 rhs.append(zero)
             rows.append([zero] * size + [one])  # tau <= 1
             rhs.append(one)
-            sol = solve(make_lp([zero] * size + [-one], rows, rhs))
+            sol = solve_by_full_tableau(make_lp([zero] * size + [-one], rows, rhs))
             if sol.status == OPTIMAL and -sol.value > 0:
                 return subset, sol.primal[:size]
     raise InternalError("no valid certificate over the candidate pairs")
@@ -932,7 +942,7 @@ def is_extreme(vertices, v):
         row[i] = -1
         rows.append(row)
         rhs.append(0)
-    solution = solve(make_lp([0] * count, rows, rhs))
+    solution = solve_by_full_tableau(make_lp([0] * count, rows, rhs))
     return solution.status == INFEASIBLE
 
 
@@ -1031,7 +1041,7 @@ def double_description_both_signs(rows, den):
     if len(chosen) < n:
         raise NotFullDimensionalError("vertices do not span the space")
 
-    inv = integer_inverse([reps[p] for p in chosen], n)
+    inv = integer_inverse([reps[p] for p in chosen])
     if inv is None:
         raise InternalError("independent vertices give a singular system")
     M, D = inv
@@ -1843,8 +1853,9 @@ def _fraction_finish(lp, value, primal, dual, pivots):
         raise InternalError("strong duality violated")
     if dot(lp.objective, primal) != value:
         raise InternalError("primal value mismatch")
-    return LPSolution(status=OPTIMAL, value=value, primal=primal,
-                      dual=dual, tight_set=tight, pivots=pivots)
+    support = tuple(i for i in range(m) if dual[i])
+    return LPSolution(status=OPTIMAL, value=value, primal=primal, dual_rows=support,
+                      dual=tuple(dual[i] for i in support), tight_set=tight, pivots=pivots)
 
 
 # The full integer tableau that the revised dual simplex of
@@ -1997,7 +2008,12 @@ def _full_tableau_run(lp):
 
 def solve_by_full_tableau(lp):
     """simplex.solve on the full integer tableau.  An optimal solution goes
-    through simplex._finish, so it is verified as simplex.solve's are."""
+    through simplex._finish with the dual's nonzero rows and weights, so
+    it is verified as simplex.solve's are.  An LP that is not optimal
+    gets INFEASIBLE or UNBOUNDED, the statuses simplex.solve returned
+    before it raised, told apart by the same LP with a zero objective:
+    its dual {Aᵀu = 0, u >= 0} is feasible at u = 0, and unbounded
+    exactly when the LP is infeasible."""
     m, d = len(lp.matrix), len(lp.objective)
     tab, status = _full_tableau_run(lp)
     if status is None:
@@ -2014,7 +2030,8 @@ def solve_by_full_tableau(lp):
     primal = tuple(Fraction(-tab.sigma[j] * tab.on[m + j], tab.oscale)
                    for j in range(d))
     value = sum((cj * vj for cj, vj in zip(lp.objective, primal)), zero)
-    return _finish(lp, value, primal, tuple(u), tab.pivots)
+    support = tuple(r for r in range(m) if u[r])
+    return _finish(lp, value, primal, support, tuple(u[r] for r in support), tab.pivots)
 
 
 # The eliminations that linalg.reduce_row replaced: the rational

@@ -27,10 +27,12 @@ documents of l-inf^8, l1^8 and mixed_ball(5, 3), whose polar the double
 description computes.
 
 The digests hash the exit code, standard output and standard error of
-each run.  Ten pinned runs also run in child interpreters, plain and
+each run.  Eleven pinned runs also run in child interpreters, plain and
 under ``python -O``, which must print the same bytes with the same exit
-code: ``analyze`` on the seeded l1^4 hyperplane and on the seeded l-inf^5
-2-plane (its support found by the subset walk), ``general-position`` on
+code: ``analyze`` on the seeded l1^4 hyperplane, on the seeded l-inf^5
+2-plane (its support found by the subset walk) and on the partial-sum
+3-plane of l-inf^5 (a face of dimension 2, settled by one Gordan round
+that ends at delta* = 1), ``general-position`` on
 the partial-sum 3-plane of l-inf^5, and ``certify`` on the valid
 certificates of the seeded l1^4 hyperplane (no LP), l-inf^4 2-plane
 (one LP) and l-inf^6 hyperplane (one started LP), on the small-weight
@@ -238,6 +240,10 @@ def _digest(result) -> str:
     # the support search walks its 32 candidate pairs to a support of 4
     pytest.param("analyze", "seeded-linf-n5-k2", None, "analyze/seeded-linf-n5-k2",
                  id="analyze-support-walk"),
+    # a face of dimension 2: one Gordan round, which ends at delta* = 1,
+    # then the step to the first slack row
+    pytest.param("analyze", "partial-sum-linf-n5-k3", None, "analyze/partial-sum-linf-n5-k3",
+                 id="analyze-gordan-round"),
     # the partial-sum 3-plane of l-inf^5 fails general position with a
     # kernel witness of three dual vertices, which the subset walk finds
     # among the leaves that one node decides at once

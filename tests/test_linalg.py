@@ -87,7 +87,7 @@ def test_rref_is_canonical():
 def test_solve_and_inverse():
     for seed in range(15):
         rows = cleared(_random_matrix(seed, 4, 4).row_list())[0]
-        inv = integer_inverse(rows, 4)
+        inv = integer_inverse(rows)
         if inv is None:
             assert integer_row_rank(rows) < 4
             continue
@@ -182,15 +182,14 @@ def test_eliminations_agree_with_their_oracles(M, data):
         assert X is None
     else:
         assert [tuple(col) for col in zip(*X)] == solutions
-    # the inverse of an integer square matrix: its first rows, each count
-    # of them over their least common denominator
+    # the inverse of an integer square matrix over its least common
+    # denominator
     s = min(M.rows, M.cols)
     square = [row[:s] for row in ints[:s]]
     Minv = inverse_by_fractions(RMatrix.from_rows(square))
-    for count in range(s + 1):
-        inv = integer_inverse(square, count)
-        assert (None if inv is None else _as_rows(inv)) == (
-            None if Minv is None else cleared(Minv[:count]))
+    inv = integer_inverse(square)
+    assert (None if inv is None else _as_rows(inv)) == (
+        None if Minv is None else cleared(Minv))
 
 
 @_SETTINGS

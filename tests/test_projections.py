@@ -48,14 +48,14 @@ def _wrong_inverse(factor):
     """projections.integer_inverse with its rows scaled by factor."""
     right = projections.integer_inverse
 
-    def wrong(rows, count):
-        H, den = right(rows, count)
+    def wrong(rows):
+        H, den = right(rows)
         return [[factor * x for x in h] for h in H], den
     return wrong
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda mp, Y: mp.setattr(projections, "integer_inverse", lambda rows, count: None),
+    (lambda mp, Y: mp.setattr(projections, "integer_inverse", lambda rows: None),
      "basis of Y plus its complement is singular"),
     pytest.param(lambda mp, Y: mp.setattr(projections, "integer_inverse",
                                           _wrong_inverse(2)),

@@ -3,12 +3,16 @@ returned optima and certificates.  Alongside the fixed examples, random
 instances are compared against a brute-force vertex-enumeration oracle.
 The revised dual simplex is compared with the full integer tableau it
 replaced (kept in ``oracles.py``, with the same lexicographic ratio
-test): the whole LPSolution, pivot count included, on random integer LPs
-of every status, and on the lambda LPs of the l-inf^6 hyperplane and the
-l1^5 2-plane of the benchmark.  The solver
+test, and the statuses the solver returned before it raised): on random
+integer LPs of every status, the solver raises InternalError exactly on
+those the full tableau finds infeasible or unbounded, and gives the
+whole LPSolution of the rest, pivot count and the dual's support
+included, as it does on the lambda LPs of the l-inf^6 hyperplane and
+the l1^5 2-plane of the benchmark.  An infeasible and an unbounded LP
+raise InternalError, also under ``python -O``.  The solver
 reads an LP through six names alone (objective, beta, denominator, row,
-row_values, entering): an LP that has only those solves as the
-LinearProgram behind it.  The pair grid, the lambda LP, which costs one
+row_values, entering): an LP that has only those solves, or raises, as
+the full tableau solves the LinearProgram behind it.  The pair grid, the lambda LP, which costs one
 row of each partner pair when it picks the entering column and reads
 its rows through its rank-one factors, is compared with the dense LP
 over every formed row (``oracles.dense_grid_lp``), pivot for pivot,
@@ -23,8 +27,9 @@ hyperplane started at its certificate runs no phase I.  It is also
 compared with the rational tableau before that, which keeps the pivot
 rules the solver had before its lexicographic ratio test (ratio ties to
 the lowest basic variable, and Bland's rule after a run of degenerate
-pivots): every status and optimal value, against its dual tableau and
-its inequality-form tableau, also on random LPs whose ratio tests tie.
+pivots): every status (the full tableau's where the solver raises) and
+optimal value, against its dual tableau and its inequality-form
+tableau, also on random LPs whose ratio tests tie.
 Beale's cycling example, started at its slack basis, ends optimal in 5
 pivots, and cycles under the old rules with their switch to Bland's rule
 disabled until the pivot budget runs out.  At every round, on those LPs
@@ -58,27 +63,45 @@ from minproj.geometry import Subspace
 from minproj.linalg import RMatrix, int_dot, solve_linear
 from minproj.projections import (build_operator_basis, build_pair_grid,
                                  face_dimension, projection_constant)
-from minproj.simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                             _finish, _verify_certificate, solve)
+from minproj.simplex import OPTIMAL, LinearProgram, _finish, _verify_certificate, solve
 import oracles
-from oracles import (dense_grid_lp, dot, fraction_phase_two, grid_rows, lp_rhs, make_lp,
-                     row_axpy, rref_by_fractions, scale_row, solve_by_fraction_tableau,
-                     solve_by_full_tableau, solve_on_face)
+from oracles import (INFEASIBLE, dense_grid_lp, dot, fraction_phase_two, grid_rows, lp_rhs,
+                     make_lp, row_axpy, rref_by_fractions, scale_row,
+                     solve_by_fraction_tableau, solve_by_full_tableau, solve_on_face)
 
 F = Fraction
 
 
 def _check_certificate(lp, sol):
-    """Independent re-derivation of the optimality proof from the solution."""
+    """Independent re-derivation of the optimality proof from the solution:
+    the dual is its positive weights on its ascending rows, 0 elsewhere."""
     A, b, c = lp.constraint_matrix, lp_rhs(lp), lp.objective
     m = A.rows
+    assert list(sol.dual_rows) == sorted(set(sol.dual_rows))
+    assert len(sol.dual) == len(sol.dual_rows) and all(u > 0 for u in sol.dual)
+    u = [F(0)] * m
+    for i, ui in zip(sol.dual_rows, sol.dual):
+        u[i] = ui
     for i in range(m):
         assert dot(A.row(i), sol.primal) <= b[i]
-        assert sol.dual[i] >= 0
     for j in range(A.cols):
-        assert sum(sol.dual[i] * A.row(i)[j] for i in range(m)) == -c[j]
-    assert dot(sol.dual, b) == -sol.value
+        assert sum(u[i] * A.row(i)[j] for i in range(m)) == -c[j]
+    assert dot(u, b) == -sol.value
     assert dot(c, sol.primal) == sol.value
+
+
+def _solved_as_the_full_tableau(lp, view=None):
+    """The full tableau's solution of lp, after checking that solve, on
+    lp or on a view of it, raises InternalError exactly when that
+    solution is not OPTIMAL and otherwise returns it whole: value,
+    primal, tight set, pivots and the dual's nonzero rows and weights."""
+    oracle = solve_by_full_tableau(lp)
+    if oracle.status != OPTIMAL:
+        with pytest.raises(InternalError, match="^the LP is "):
+            solve(lp if view is None else view)
+    else:
+        assert solve(lp if view is None else view) == oracle
+    return oracle
 
 
 def test_box_minimum():
@@ -92,13 +115,35 @@ def test_box_minimum():
 
 
 def test_infeasible():
+    # x <= -1 and x >= 2: the dual is unbounded, and the ratio test of its
+    # phase II finds no leaving row
     lp = make_lp([1], [[1], [-1]], [-1, -2])
-    assert solve(lp).status == INFEASIBLE
+    with pytest.raises(InternalError, match="^the LP is infeasible: its dual is unbounded$"):
+        solve(lp)
 
 
 def test_unbounded():
+    # min x  s.t.  x <= 1: the dual u = -1, u >= 0 is infeasible, and phase I
+    # ends above zero
     lp = make_lp([1], [[1]], [1])
-    assert solve(lp).status == UNBOUNDED
+    with pytest.raises(InternalError,
+                       match="^the LP is unbounded or infeasible: its dual is infeasible$"):
+        solve(lp)
+
+
+def test_lps_that_are_not_optimal_raise_under_python_O():
+    code = ("from minproj.errors import InternalError\n"
+            "from minproj.simplex import LinearProgram, solve\n"
+            "for lp in (LinearProgram((1,), ((1,), (-1,)), (-1, -2), 1),\n"
+            "           LinearProgram((1,), ((1,),), (1,), 1)):\n"
+            "    try:\n"
+            "        solve(lp)\n"
+            "    except InternalError as exc:\n"
+            "        print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ("the LP is infeasible: its dual is unbounded\n"
+                          "the LP is unbounded or infeasible: its dual is infeasible\n")
 
 
 def test_degenerate_overdetermined_corner():
@@ -231,16 +276,16 @@ def _oracle_lps():
 
 
 def test_integer_tableau_matches_fraction_tableau_on_random_lps():
-    # every status and optimal value equal those of the rational
-    # inequality-form tableau, which decides them independently, and an
-    # optimal value that of the rational dual tableau, whose ratio ties
-    # go to the lowest basic variable; every solution equals the full
-    # integer tableau's whole: value, primal, dual, tight set and pivot
-    # count
+    # the solver raises exactly where the full integer tableau finds the LP
+    # not optimal, and otherwise gives its whole solution: value, primal,
+    # dual support, tight set and pivot count; that tableau's every status
+    # and optimal value equal those of the rational inequality-form
+    # tableau, which decides them independently, and an optimal value
+    # that of the rational dual tableau, whose ratio ties go to the lowest
+    # basic variable
     seen = Counter()
     for lp in _oracle_lps():
-        sol = solve(lp)
-        assert sol == solve_by_full_tableau(lp)
+        sol = _solved_as_the_full_tableau(lp)
         rows = solve_by_fraction_tableau(lp, method="rows")
         assert sol.status == rows.status
         if sol.status == OPTIMAL:
@@ -272,9 +317,10 @@ def integer_lps(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(lp=integer_lps())
 def test_revised_dual_matches_full_tableau(lp):
-    # the same LPSolution, status, value, primal, dual, tight set and
+    # InternalError where the full tableau is not optimal, and otherwise
+    # the same LPSolution: value, primal, dual support, tight set and
     # pivot count
-    assert solve(lp) == solve_by_full_tableau(lp)
+    _solved_as_the_full_tableau(lp)
 
 
 @st.composite
@@ -287,11 +333,12 @@ def degenerate_lps(draw):
 
 
 def test_lexicographic_rule_keeps_the_old_rules_status_and_value():
-    # on random LPs whose ratio tests tie, the solver and the rational
-    # dual tableau of the old rules (ties to the lowest basic variable,
-    # Bland's rule after a run of degenerate pivots) reach the same
-    # status and value, and the solver's optimum verifies; the ties are
-    # counted off the solver's ratio tests
+    # on random LPs whose ratio tests tie, the solver (the full tableau's
+    # status where it raises) and the rational dual tableau of the old
+    # rules (ties to the lowest basic variable, Bland's rule after a run
+    # of degenerate pivots) reach the same status and value, and the
+    # solver's optimum verifies; the ties are counted off the solver's
+    # ratio tests
     tied = Counter()
     least_ratios = simplex._least_ratios
 
@@ -300,11 +347,11 @@ def test_lexicographic_rule_keeps_the_old_rules_status_and_value():
         tied["ratio ties"] += len(least) > 1
         return least
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(lp=degenerate_lps())
     def check(lp):
         before = tied["ratio ties"]
-        sol = solve(lp)
+        sol = _solved_as_the_full_tableau(lp)
         tied["LPs"] += tied["ratio ties"] > before
         for method in ("dual", "rows"):
             other = solve_by_fraction_tableau(lp, method=method)
@@ -374,7 +421,8 @@ def test_rows_stay_lexicographically_positive(lp):
     # the invariant the lexicographic ratio test keeps: at every round of
     # either phase, each row's (rhs, entries in the columns of B0) has a
     # positive first nonzero entry, so no basis repeats; also from
-    # Beale's slack basis
+    # Beale's slack basis (an LP that is not optimal is checked up to
+    # the InternalError it raises)
     rounds = Counter()
     entering = simplex._RevisedDual._entering
 
@@ -386,9 +434,9 @@ def test_rows_stay_lexicographically_positive(lp):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex._RevisedDual, "_entering", checked)
-        sol = solve(lp)
+        sol = _solved_as_the_full_tableau(lp)
         assert solve(_BEALE, (0, 1, 2)).value == F(5, 4)
-    assert rounds["checked"] > sol.pivots
+    assert rounds["checked"] > (sol.pivots if sol.status == OPTIMAL else 0)
 
 
 @pytest.mark.parametrize("ball, n, k, shape", [
@@ -532,7 +580,7 @@ def test_started_solve_keeps_the_value_and_the_unique_primal(lambda_lps):
     for name, (grid, unique) in lambda_lps.items():
         cold = solve(grid)
         m, d = len(grid.beta), len(grid.objective)
-        support = [r for r, u in enumerate(cold.dual) if u]
+        support = list(cold.dual_rows)
         starts = [support, support[::-1]] + [rng.sample(range(m), size)
                                              for size in (d, d, d - 1, 1, d + 1)]
         for start in starts:
@@ -580,7 +628,7 @@ def test_a_start_that_is_no_start_gives_the_cold_solution(lp, kind):
     # negative weight, and one whose point misses Aᵀu = -c leave the
     # solve as it is with no start, pivots included; so does the empty one
     cold = solve(lp)
-    support = [r for r, u in enumerate(cold.dual) if u]
+    support = list(cold.dual_rows)
     start = [1] if lp is _TWO_ROWS else _start_of_kind(kind, lp, support)
     assert _start_kind(lp, start) == kind
     assert solve(lp, start) == cold
@@ -616,15 +664,14 @@ def test_linf6_hyperplane_starts_at_its_certificate(monkeypatch):
 
 def test_solver_reads_only_the_lp_contract():
     # an object with the six names alone, its data and the methods of a
-    # LinearProgram, solves as that LP in every status, the zero-objective
-    # check of a failed phase I included
+    # LinearProgram, solves as the full tableau solves that LP, and raises
+    # where it is not optimal, in each of the three statuses
     statuses = Counter()
     for lp in _oracle_lps():
-        sol = solve(SimpleNamespace(objective=lp.objective, beta=lp.beta,
-                                    denominator=lp.denominator, row=lp.row,
-                                    row_values=lp.row_values, entering=lp.entering))
-        assert sol == solve(lp)
-        statuses[sol.status] += 1
+        view = SimpleNamespace(objective=lp.objective, beta=lp.beta,
+                               denominator=lp.denominator, row=lp.row,
+                               row_values=lp.row_values, entering=lp.entering)
+        statuses[_solved_as_the_full_tableau(lp, view).status] += 1
     assert len(statuses) == 3, statuses
 
 
@@ -635,17 +682,19 @@ def _finish_lp():
 
 
 @pytest.mark.parametrize("primal, dual, value, message", [
-    ((F(2), F(0)), (0, 1, 0, 0), 0, "primal infeasibility on row 0"),
-    ((F(0), F(0)), (0, 1, 0, -1), 0, "negative dual weight on row 3"),
-    ((F(1, 2), F(0)), (0, 1, 0, 0), 0, "complementary slackness broken on row 1"),
-    ((F(0), F(0)), (0, 2, 0, 0), 0, "dual equation broken in column 0"),
-    ((F(0), F(0)), (0, 1, 0, 0), 1, "strong duality violated"),
+    # dual is its support: (rows, weights)
+    ((F(2), F(0)), ((1,), (1,)), 0, "primal infeasibility on row 0"),
+    ((F(0), F(0)), ((1, 3), (1, -1)), 0, "negative dual weight on row 3"),
+    ((F(1, 2), F(0)), ((1,), (1,)), 0, "complementary slackness broken on row 1"),
+    ((F(0), F(0)), ((1,), (2,)), 0, "dual equation broken in column 0"),
+    ((F(0), F(0)), ((1,), (1,)), 1, "strong duality violated"),
 ])
 def test_finish_rejects_each_broken_identity(primal, dual, value, message):
     lp = _finish_lp()
-    assert _finish(lp, F(0), (F(0), F(1, 2)), (F(0), F(1), F(0), F(0))).status == OPTIMAL
+    assert _finish(lp, F(0), (F(0), F(1, 2)), (1,), (F(1),)).status == OPTIMAL
+    rows, weights = dual
     with pytest.raises(InternalError) as info:
-        _finish(lp, F(value), primal, tuple(F(u) for u in dual))
+        _finish(lp, F(value), primal, rows, tuple(F(u) for u in weights))
     assert str(info.value) == message
 
 
@@ -656,8 +705,7 @@ def test_primal_value_check_is_live():
     x, x_den = [1, 0], 2
     lhs = [int_dot(row, x) for row in lp.matrix]
     with pytest.raises(InternalError, match="^primal value mismatch$"):
-        _verify_certificate(lp, F(0), x, x_den, (F(0), F(1), F(0), F(0)), lhs,
-                            frozenset({1, 3}))
+        _verify_certificate(lp, F(0), x, x_den, (1,), (F(1),), lhs, frozenset({1, 3}))
 
 
 def test_finish_checks_survive_python_O():
@@ -667,7 +715,7 @@ def test_finish_checks_survive_python_O():
             "lp = LinearProgram((1, 0), ((1, 0), (-1, 0), (0, 1), (0, -1)),\n"
             "                   (1, 0, 1, 0), 1)\n"
             "try:\n"
-            "    _finish(lp, F(1), (F(0), F(0)), (F(0), F(1), F(0), F(0)))\n"
+            "    _finish(lp, F(1), (F(0), F(0)), (1,), (F(1),))\n"
             "except InternalError as exc:\n"
             "    print(exc)\n")
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
