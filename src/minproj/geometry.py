@@ -4,11 +4,13 @@ A space is given by the vertex list of its unit ball (both signs stored
 explicitly) together with the vertex list of the dual ball; the dual
 side can be computed exactly from the primal side by an incremental
 double-description polar computation, which holds one vertex of each
-antipodal pair.  Every space, validated or not, pairs each vertex of
-each list with its negation when it is built, and refuses a list whose
-pairing is not an involution without fixed points.  Norms and operator
-norms then reduce to finite maxima of |value| over one vertex of each
-pair.
+antipodal pair; when the primal vertices are those of a parallelotope
+(ℓ∞ⁿ or a linear image of it), the same polar is computed in closed
+form from the inverse of its generators.  Every space, validated or
+not, pairs each vertex of each list with its negation when it is built,
+and refuses a list whose pairing is not an involution without fixed
+points.  Norms and operator norms then reduce to finite maxima of
+|value| over one vertex of each pair.
 
 Each list is held as integer rows over one denominator, the least common
 one of all its vertices, not one per vertex: the input is cleared once,
@@ -23,6 +25,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
+from operator import add, sub
 from typing import Sequence
 
 from .errors import (InputFormatError, InternalError, NotExtremeError,
@@ -49,11 +52,13 @@ def polar_dual(vertices: Sequence[Sequence]) -> tuple[Vector, ...]:
 
     Incremental double description in integers on the listed points
     cleared over one denominator, its edges read off the tight masks with
-    no rank (see _double_description).  The result is sorted, so equal
-    inputs give identical output.  A listed point that is not extreme
-    gives a redundant halfspace and no facet; from_vertices reads each
-    point's extremality off the polar vertices tight at it, with no LP
-    (see _first_non_vertex).
+    no rank (see _double_description); the 2ⁿ vertices of a
+    parallelotope give the same polar in closed form, the dual basis of
+    its generators with both signs (_parallelotope_polar).  The result
+    is sorted, so equal inputs give identical output.  A listed point
+    that is not extreme gives a redundant halfspace and no facet;
+    from_vertices reads each point's extremality off the polar vertices
+    tight at it, with no LP (see _first_non_vertex).
     """
     rows, den = _vertices_of(_double_description(*_point_rows(vertices)))
     return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
@@ -128,9 +133,23 @@ def _double_description(rows: Rows, den: int) -> _Polar:
     strictly inside its edge, where exactly the pairs tight along the
     whole edge are tight, and a kept vertex gains the bits of the new pair
     it lies on.  No rank is taken, and no Fraction is formed.
+
+    When the listed points are the 2ⁿ vertices of a parallelotope with
+    independent generators (ℓ∞ⁿ, or any linear image of it, in any
+    order), the polar is read off in closed form instead, after the same
+    symmetry check and pairing (_parallelotope_polar): its vertices are
+    the 2n points ±f_i of the dual basis, with none of the 2ⁿ⁻¹ - n
+    insertions.  It is the same _Polar up to the order of its points:
+    the polar's vertex set is unique, each point is its primitive
+    (P, h) with h > 0, each mask is its point's tight set, and the bits
+    number the pairs in order of first occurrence either way.  Any other
+    list takes the steps; for a cross-polytope (ℓ1ⁿ) the start is
+    already the whole polar.
     """
     n = len(rows[0])
     negation = _negation(rows, den, "primal")
+    if (polar := _parallelotope_polar(rows, den, negation)) is not None:
+        return polar
 
     # One representative u per antipodal pair, in order of first
     # occurrence; bit 2p of a tight mask stands for +u_p, bit 2p+1 for -u_p.
@@ -220,6 +239,78 @@ def _double_description(rows: Rows, den: int) -> _Polar:
     return _Polar(points, tights, [bit_of[w] for w in rows], negation)
 
 
+def _parallelotope_polar(rows: Rows, den: int,
+                         negation: tuple[int, ...]) -> _Polar | None:
+    """The polar of the listed points rows[i] / den, symmetric with the
+    pairing negation (_negation), in closed form when they are the 2ⁿ
+    vertices of a parallelotope with independent generators; else None.
+
+    With w_0 the lexicographically greatest row, such a list is the rows
+    w_0 - Σ_{i in S} h_i over every subset S of n independent integer
+    rows h_i (twice the generators, up to sign), and S(w) is read off
+    w's difference w_0 - w.  Every nonzero difference is then
+    lexicographically positive, so a sum of two or more h_i sorts after
+    each of its summands: walking the differences in ascending order,
+    each one that is not yet a subset sum of the h_i found so far is the
+    next h_i, and each sum is formed with its subset as a bitmask.  The
+    list is accepted when no difference repeats (no repeated row), at
+    most n of them are new and the h_i are independent: the 2ⁿ distinct
+    differences then lie among the 2ⁿ distinct sums, so they are all of
+    them.  The list's center w_0 - Σ h_i / 2 is then 0, since a finite
+    set symmetric about two centers is invariant under a translation.
+    The keys are the integer rows themselves, so every comparison is
+    exact.
+
+    The polar of {Σ t_i h_i / 2 : |t_i| <= 1} / den is {f : Σ |f·h_i| <=
+    2·den}, whose vertices are ±f_i with f_i·h_j = 2·den·δ_ij: the
+    columns of 2·den·M / D, M / D the inverse of the matrix of rows h_i.
+    f_i is 1 on the listed points w / den with i not in S(w) and -1 on
+    the others, so its tight mask holds their bits, and -f_i's the rest.
+    Each point is kept as the primitive (P, h) of (2·den·M[:, i], D),
+    h = D > 0 over its content, as the steps of _double_description keep
+    it; the masks, the bits (2p for the first listed point of the p-th
+    antipodal pair, 2p + 1 for its partner) and the pairing are those the
+    steps would give, and the partners follow the kept points.
+    """
+    n = len(rows[0])
+    if len(rows) != 1 << n:
+        return None
+    top = max(rows)
+    differences = [tuple(map(sub, top, w)) for w in rows]
+    ordered = sorted(differences)
+    sums: dict[tuple[int, ...], int] = {ordered[0]: 0}
+    generators: list[tuple[int, ...]] = []
+    for before, d in zip(ordered, ordered[1:]):
+        if d == before:
+            return None
+        if d not in sums:
+            if len(generators) == n:
+                return None
+            bit = 1 << len(generators)
+            generators.append(d)
+            sums.update([(tuple(map(add, s, d)), mask | bit)
+                         for s, mask in sums.items()])
+    # 2ⁿ distinct differences lie among at most 2^len(generators) sums,
+    # so there are n generators here.
+    if (inv := integer_inverse(generators)) is None:
+        return None
+    M, D = inv
+
+    bits = [0] * len(rows)
+    p = 0
+    for i, j in enumerate(negation):
+        if i < j:
+            bits[i], bits[j] = 2 * p, 2 * p + 1
+            p += 1
+    # The bits are 0, ..., 2ⁿ - 1, each once: -f_i is tight where f_i is not.
+    weighted = [(sums[d], 1 << bit) for d, bit in zip(differences, bits)]
+    minus = [sum(b for subset, b in weighted if subset >> i & 1) for i in range(n)]
+    full = (1 << len(rows)) - 1
+    points = [primitive([2 * den * x for x in column] + [D]) for column in zip(*M)]
+    points += [[-x for x in X[:-1]] + X[-1:] for X in points]
+    return _Polar(points, [full ^ t for t in minus] + minus, bits, negation)
+
+
 def _first_non_vertex(polar: _Polar) -> int | None:
     """Index of the first listed point that is not a vertex of their hull
     Q, or None.
@@ -293,7 +384,9 @@ class PolyhedralSpace:
         """Build a space, validating symmetry, full dimension and extremality.
 
         The polar dual is computed exactly, with one symmetry check,
-        whose pairing of the primal list the space keeps, and each
+        whose pairing of the primal list the space keeps (in closed form
+        for a parallelotope such as ℓ∞ⁿ, with the points and masks of
+        the insertion steps: see _double_description), and each
         primal vertex is proved extreme off the polar's tight masks
         alone: the polar vertices tight at it share no other listed
         point (see _first_non_vertex), with no rank and no LP.  A

@@ -13,7 +13,7 @@ from minproj.errors import (BudgetExceededError, InputFormatError, NotExtremeErr
                             NotFullDimensionalError, NotSymmetricError)
 from minproj.geometry import (PolyhedralSpace, Subspace,
                               general_position_check, polar_dual)
-from minproj.linalg import RMatrix, over_denominator
+from minproj.linalg import RMatrix, cleared, over_denominator
 
 from oracles import (annihilator_functionals, budget_outcome, dot, dual_vertices,
                      general_position_per_subset, inverse_by_fractions,
@@ -57,9 +57,9 @@ def test_is_extreme_duplicate_is_not_extreme():
 # ----------------------------------------------------------------- polar dual
 
 def test_polar_of_cube_is_cross():
-    # the sorted tuple itself, up to n = 9, and the Fraction polar's tuple
-    # where that one is still quick
-    for n in range(2, 10):
+    # the sorted tuple itself, up to n = 11, and the Fraction polar's
+    # tuple where that one is still quick
+    for n in range(2, 12):
         assert polar_dual(_cube(n)) == tuple(sorted(_cross(n)))
         assert polar_dual(_cross(n)) == tuple(sorted(_cube(n)))
         if n <= 6:
@@ -73,13 +73,64 @@ def test_polar_involution_on_catalog_balls():
         assert set(polar_dual(polar_dual(v))) == set(v)
 
 
+_SKEW = RMatrix.from_rows([[1, 2, 0], [0, 1, 0], [1, 0, 1]])
+
+
+def _skewed(points):
+    return [_SKEW.apply(v) for v in points]
+
+
 def test_polar_transforms_contravariantly():
-    # polar(U V) = U^{-T} polar(V) for any invertible U
-    U = RMatrix.from_rows([[1, 2, 0], [0, 1, 0], [1, 0, 1]])
-    Uinv_t = RMatrix.from_rows(inverse_by_fractions(U)).transpose()
-    skewed = [U.apply(v) for v in _cross(3)]
-    expect = {Uinv_t.apply(f) for f in polar_dual(_cross(3))}
-    assert set(polar_dual(skewed)) == expect
+    # polar(U V) = U^{-T} polar(V) for any invertible U, on the octahedron
+    # and on the cube (a parallelotope: its polar is read in closed form)
+    Uinv_t = RMatrix.from_rows(inverse_by_fractions(_SKEW)).transpose()
+    for points in (_cross(3), _cube(3)):
+        expect = {Uinv_t.apply(f) for f in polar_dual(points)}
+        assert set(polar_dual(_skewed(points))) == expect
+
+
+def _closed_form(points):
+    rows, den = cleared(points)
+    return geometry._parallelotope_polar(rows, den, geometry._negation(rows, den, "primal"))
+
+
+def test_parallelotopes_take_the_closed_form():
+    # l-inf^n and a skewed cube, listed in any order, are read in closed
+    # form, with the polar of the insertion steps
+    for n in range(1, 9):
+        assert isinstance(_closed_form(_cube(n)), geometry._Polar)
+    skewed = _skewed(_cube(3))
+    shuffled = skewed[5:] + skewed[:5]
+    assert isinstance(_closed_form(shuffled), geometry._Polar)
+    assert polar_dual(shuffled) == polar_dual_by_fractions(shuffled)
+
+
+def test_lists_near_a_parallelotope_take_the_insertion_steps():
+    # 2^n symmetric points that are not a parallelotope's vertices get
+    # None from the closed form, then the polar of the steps and the same
+    # validation
+    hexagon = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 0), (-1, -1, 0)]
+    bipyramid = hexagon + [(0, 0, 1), (0, 0, -1)]
+    prism = [(a, b, c) for a, b in [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+             for c in (1, -1)]
+    halved = [tuple(x / 2 for x in v) if abs(sum(v)) == 4 else v for v in _cube(4)]
+    cases = {
+        "hexagonal bipyramid": (bipyramid, None),
+        "4-cube with ±(1/2, 1/2, 1/2, 1/2)": (halved, 0),
+        "a row repeated": (_cross(3) + [(F(0),) * 3, _cross(3)[2]], 2),
+        "the greatest pair repeated": (_cross(3) + _cross(3)[:2], 0),
+    }
+    for label, (points, non_vertex) in cases.items():
+        assert len(points) == 2 ** len(points[0]), label
+        assert _closed_form(points) is None, label
+        assert polar_dual(points) == polar_dual_by_fractions(points), label
+        if non_vertex is None:
+            PolyhedralSpace.from_vertices(points)
+        else:
+            with pytest.raises(NotExtremeError, match=f"^primal vertex {non_vertex} is a "
+                               "convex combination of the others$"):
+                PolyhedralSpace.from_vertices(points)
+    assert set(polar_dual(bipyramid)) == set(prism)
 
 
 def test_polar_rejects_asymmetric_and_flat():

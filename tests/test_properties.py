@@ -36,7 +36,9 @@ and its factored LP (values, row values, entering columns and the whole solve)
 with the dense LP over every formed row.  For validation and the polar the point list is
 kept as drawn, with its non-extreme and duplicated points; the polar
 also gets lists in dimension 5 made mostly of cube vertices, where a
-wrong edge test shows.  The weights that the support search reads off
+wrong edge test shows, and the 2^n vertices of random parallelotopes
+for n <= 5, whose polar the double description reads in closed form.
+The weights that the support search reads off
 a spanning set's kernel are compared with the augmented solve they
 replaced, on random small integer columns.
 """
@@ -146,6 +148,25 @@ def cube_like_point_lists(draw):
     points = corners + draw(_vectors(n, draw(st.integers(0, 2))))
     assume(integer_row_rank(points) == n)
     return [q for p in points for q in (p, tuple(-x for x in p))]
+
+
+@st.composite
+def parallelotope_point_lists(draw):
+    """The 2^n vertices sum ±g_i of a parallelotope, n = 1 to 5, with
+    independent small-integer generators g_i, the antipodal pairs and
+    the sign within each pair in drawn order, sometimes all over a
+    common denominator above 1: the lists the double description reads
+    off in closed form."""
+    n = draw(st.integers(1, 5))
+    generators = draw(_vectors(n, n))
+    assume(integer_row_rank(generators) == n)
+    den = draw(st.sampled_from((1, 1, 2, 3)))
+    points = []
+    for signs in draw(st.permutations(list(itertools.product((1, -1), repeat=n - 1)))):
+        p = tuple(Fraction(sum(s * g[c] for s, g in zip((1,) + signs, generators)), den)
+                  for c in range(n))
+        points += (p, tuple(-x for x in p))[::draw(st.sampled_from((1, -1)))]
+    return points
 
 
 def _verdict(report):
@@ -310,7 +331,8 @@ def _with_inner_points(vertices, data):
 
 
 @_SETTINGS
-@given(symmetric_point_lists() | cube_like_point_lists(), st.data())
+@given(symmetric_point_lists() | cube_like_point_lists()
+       | parallelotope_point_lists(), st.data())
 def test_extremality_from_masks_agrees_with_rank_and_lp_oracles(vertices, data):
     # The first non-vertex read off the masks alone is the one the rank
     # of the tight polar vertices names and the one the LP oracle names,
@@ -372,7 +394,8 @@ def _polar_cases(vertices, data):
 
 
 @_SETTINGS
-@given(symmetric_point_lists() | cube_like_point_lists(), st.data())
+@given(symmetric_point_lists() | cube_like_point_lists()
+       | parallelotope_point_lists(), st.data())
 def test_polar_agrees_with_fraction_oracle(vertices, data):
     # The integer polar returns the Fraction polar's tuple, or raises the
     # same error, on every case of _polar_cases
@@ -408,7 +431,8 @@ def _tight_mask(X, pairs):
 
 
 @_SETTINGS
-@given(symmetric_point_lists() | cube_like_point_lists(), st.data())
+@given(symmetric_point_lists() | cube_like_point_lists()
+       | parallelotope_point_lists(), st.data())
 def test_double_description_masks_are_the_tight_sets(vertices, data):
     # The whole double description: its points are the Fraction polar's
     # (which takes a rank per edge test), each mask is its point's tight
@@ -622,7 +646,8 @@ def _description_outcome(double_description, points):
 
 
 @_SETTINGS
-@given(symmetric_point_lists() | cube_like_point_lists(), st.data())
+@given(symmetric_point_lists() | cube_like_point_lists()
+       | parallelotope_point_lists(), st.data())
 def test_double_description_by_classes_matches_both_signs(vertices, data):
     # Keeping one point of each antipodal pair and expanding at the end
     # gives the (point, mask) set, the point count and the bits of the
